@@ -189,7 +189,7 @@ let locked_by t b = Hashtbl.find_opt t.locks b
 
 let owned_blocks t account =
   Hashtbl.fold (fun b owner acc -> if owner = account then b :: acc else acc) t.owners []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let owner_of t b = Hashtbl.find_opt t.owners b
 

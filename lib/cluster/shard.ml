@@ -7,24 +7,30 @@ module Remote = Afs_rpc.Remote
 
 type t = { id : int; store : Store.t; server : Server.t; host : Remote.host }
 
-let moved_target server file =
-  match Server.current_version server file with
-  | Error _ -> None
-  | Ok version -> (
-      match Server.read_page server version Pagepath.root with
-      | Ok data -> Forward.decode data
-      | Error _ -> None)
+(* What the file's current committed root holds, from one chase of the
+   commit chain and one read of the root: a forward marker (the file
+   migrated away), a cross-shard transaction marker (a staged update
+   whose outcome lives in the coordinator record), or ordinary data. The
+   two marker formats have distinct prefixes, so at most one matches. *)
+type root_marker = Forwarded of Capability.t | In_doubt of Capability.t | Plain
 
-(* [Some record] iff the file's current committed root is a cross-shard
-   transaction marker: a staged update whose outcome lives in the
-   coordinator record. *)
-let txn_record server file =
+let root_marker server file =
   match Server.current_version server file with
-  | Error _ -> None
+  | Error _ -> Plain
   | Ok version -> (
       match Server.read_page server version Pagepath.root with
-      | Ok data -> Txnmark.record_of data
-      | Error _ -> None)
+      | Error _ -> Plain
+      | Ok data -> (
+          match Forward.decode data with
+          | Some target -> Forwarded target
+          | None -> (
+              match Txnmark.record_of data with Some record -> In_doubt record | None -> Plain)))
+
+let moved_target server file =
+  match root_marker server file with Forwarded target -> Some target | In_doubt _ | Plain -> None
+
+let txn_record server file =
+  match root_marker server file with In_doubt record -> Some record | Forwarded _ | Plain -> None
 
 (* Record R on the fresh version's root: the location check becomes part
    of every cluster transaction's read set, so a committed root write —
@@ -45,19 +51,15 @@ let with_root_read server (resp : Remote.response) =
 let location_check server base (req : Remote.request) : Remote.response =
   match req with
   | Remote.Current_version file -> (
-      match moved_target server file with
-      | Some target -> Error (Errors.Moved target)
-      | None -> (
-          match txn_record server file with
-          | Some record -> Error (Errors.Txn_in_doubt record)
-          | None -> base req))
+      match root_marker server file with
+      | Forwarded target -> Error (Errors.Moved target)
+      | In_doubt record -> Error (Errors.Txn_in_doubt record)
+      | Plain -> base req)
   | Remote.Create_version { file; _ } -> (
-      match moved_target server file with
-      | Some target -> Error (Errors.Moved target)
-      | None -> (
-          match txn_record server file with
-          | Some record -> Error (Errors.Txn_in_doubt record)
-          | None -> with_root_read server (base req)))
+      match root_marker server file with
+      | Forwarded target -> Error (Errors.Moved target)
+      | In_doubt record -> Error (Errors.Txn_in_doubt record)
+      | Plain -> with_root_read server (base req))
   | Remote.Txn_mark file -> (
       (* Resolution reads pass the in-doubt trap — they are the
          resolution — but still honour migration tombstones. *)

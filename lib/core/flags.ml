@@ -43,6 +43,8 @@ let of_nibble = function
       Some { c = true; r; w; s = sm >= 1; m = sm = 2 }
   | _ -> None
 
+let legal_nibble n = n >= 0 && n <= 12
+
 let all = List.filter_map of_nibble (List.init 13 Fun.id)
 
 let union a b =

@@ -43,6 +43,10 @@ val to_nibble : t -> int
 val of_nibble : int -> t option
 (** Inverse of {!to_nibble}; [None] for values outside [0, 12]. *)
 
+val legal_nibble : int -> bool
+(** [legal_nibble n] iff [of_nibble n <> None], without building the
+    flags. *)
+
 val union : t -> t -> t
 (** Least upper bound of two access records (used when folding subtree
     summaries). *)

@@ -17,6 +17,11 @@ let pp_stats ppf s =
 
 (* {2 Resharing (§5.1)} *)
 
+(* Every page the collector reads or writes goes through the pagestore's
+   cache-neutral calls ([peek*], [write_through_in_place]): a collection
+   leaves the cache's entries, recency order and hit/miss counts as it
+   found them, except that the blocks it frees leave the cache. *)
+
 (* True when the version wrote or restructured anything at or below the
    page this (copied) entry refers to. Such subtrees carry information the
    file's history needs; everything else is a read shadow. *)
@@ -25,7 +30,7 @@ let rec subtree_has_writes ps (entry : Page.ref_entry) =
   if f.Flags.w || f.Flags.m then Ok true
   else if not f.Flags.c then Ok false
   else
-    let* page = Pagestore.read ps entry.Page.block in
+    let* page = Pagestore.peek ps entry.Page.block in
     let rec scan i =
       if i >= Page.nrefs page then Ok false
       else
@@ -48,7 +53,7 @@ let reshare_version server vblock =
     let n = min (Page.nrefs v_page) (Page.nrefs b_page) in
     let rec each i acc_page changed =
       if i >= n then
-        if changed then Pagestore.write ps v_block acc_page else Ok ()
+        if changed then Pagestore.write_through_in_place ps v_block acc_page else Ok ()
       else
         match (Page.get_ref acc_page i, Page.get_ref b_page i) with
         | Error msg, _ | _, Error msg -> Error (Store_failure msg)
@@ -69,47 +74,60 @@ let reshare_version server vblock =
                 (* Restructured below: no index correspondence. *)
                 each (i + 1) acc_page changed
               else
-                let* vchild = Pagestore.read ps ev.Page.block in
-                let* bchild = Pagestore.read ps eb.Page.block in
+                let* vchild = Pagestore.peek ps ev.Page.block in
+                let* bchild = Pagestore.peek ps eb.Page.block in
                 let* () = walk_pair ev.Page.block vchild bchild in
                 each (i + 1) acc_page changed
     in
     each 0 v_page false
   in
-  let* vpage = Pagestore.read ps vblock in
+  let* vpage = Pagestore.peek ps vblock in
   match vpage.Page.header.Page.base_ref with
   | None -> Ok 0 (* The oldest version shares with nothing. *)
   | Some base_block ->
       if vpage.Page.header.Page.root_flags.Flags.m then Ok 0
       else
-        let* bpage = Pagestore.read ps base_block in
+        let* bpage = Pagestore.peek ps base_block in
         let* () = walk_pair vblock vpage bpage in
-        let* () = Pagestore.flush ps in
         Ok !reshared
 
 (* {2 Mark} *)
 
-let mark_tree ps marked root =
-  let rec mark block =
-    if Hashtbl.mem marked block then Ok ()
-    else begin
-      Hashtbl.replace marked block ();
-      match Pagestore.read ps block with
-      | Error _ -> Ok () (* Unreadable (e.g. freshly allocated): keep it marked. *)
-      | Ok page ->
-          let rec each i =
-            if i >= Page.nrefs page then Ok ()
-            else
-              match Page.get_ref page i with
-              | Error msg -> Error (Store_failure msg)
-              | Ok e ->
-                  let* () = mark e.Page.block in
-                  each (i + 1)
-          in
-          each 0
-    end
-  in
+(* One byte per block number, grown on demand: stores hand out block
+   numbers from a frontier, so the map is dense. *)
+type marks = { mutable bits : Bytes.t; mutable live : int }
+
+let create_marks size = { bits = Bytes.make (max size 1) '\000'; live = 0 }
+let is_marked m b = b < Bytes.length m.bits && Bytes.get m.bits b <> '\000'
+
+(* Marks [b]; false when it already was. *)
+let mark_block m b =
+  let len = Bytes.length m.bits in
+  if b >= len then begin
+    let bits = Bytes.make (max (b + 1) (2 * len)) '\000' in
+    Bytes.blit m.bits 0 bits 0 len;
+    m.bits <- bits
+  end;
+  if Bytes.get m.bits b <> '\000' then false
+  else begin
+    Bytes.set m.bits b '\001';
+    m.live <- m.live + 1;
+    true
+  end
+
+(* Everything reachable from [root] through reference tables. A block
+   that cannot be read (e.g. allocated but not yet written) stays marked,
+   with no children. *)
+let mark_tree ps m root =
+  let rec mark b = if mark_block m b then ignore (Pagestore.peek_children ps b mark : unit r) in
   mark root
+
+let mark_roots ps m roots =
+  List.iter
+    (fun (_, chain, uncommitted) ->
+      List.iter (mark_tree ps m) chain;
+      List.iter (mark_tree ps m) uncommitted)
+    roots
 
 let roots_of_server server =
   let files = Server.list_files server in
@@ -123,23 +141,11 @@ let roots_of_server server =
   gather [] files
 
 let live_blocks server =
-  let ps = Server.pagestore server in
-  let marked = Hashtbl.create 1024 in
   let* roots = roots_of_server server in
-  let rec mark_all = function
-    | [] -> Ok marked
-    | (_, chain, uncommitted) :: rest ->
-        let rec each = function
-          | [] -> Ok ()
-          | b :: bs ->
-              let* () = mark_tree ps marked b in
-              each bs
-        in
-        let* () = each chain in
-        let* () = each uncommitted in
-        mark_all rest
-  in
-  mark_all roots
+  let m = create_marks 1024 in
+  mark_roots (Server.pagestore server) m roots;
+  let rec listed b acc = if b < 0 then acc else listed (b - 1) (if is_marked m b then b :: acc else acc) in
+  Ok (listed (Bytes.length m.bits - 1) [])
 
 (* {2 Collect} *)
 
@@ -166,6 +172,7 @@ let collect ?(policy = default_policy) server =
   in
   Afs_trace.Trace.span tr ~kind:"gc" (fun () ->
   let ps = Server.pagestore server in
+  (* The one roots walk of the collection. *)
   let* roots = roots_of_server server in
   (* Reshare pass, newest versions first so parent copies stay valid. *)
   let* reshared =
@@ -185,10 +192,11 @@ let collect ?(policy = default_policy) server =
       in
       each 0 roots
   in
-  (* Prune: unlink committed versions beyond the retention window. *)
-  let rec prune acc = function
-    | [] -> Ok acc
-    | (cap, chain, _) :: rest ->
+  (* Prune: unlink committed versions beyond the retention window. What
+     stays of each chain is the post-prune root set. *)
+  let rec prune pruned live = function
+    | [] -> Ok (pruned, live)
+    | (cap, chain, uncommitted) :: rest ->
         let retained = take_last policy.retain_committed chain in
         let dropped = List.length chain - List.length retained in
         let* () =
@@ -197,40 +205,37 @@ let collect ?(policy = default_policy) server =
             match retained with
             | [] -> Ok ()
             | new_oldest :: _ ->
-                let* page = Pagestore.read ps new_oldest in
+                let* page = Pagestore.peek ps new_oldest in
                 let header = { page.Page.header with Page.base_ref = None } in
-                let* () = Pagestore.write_through ps new_oldest (Page.with_header page header) in
+                let* () =
+                  Pagestore.write_through_in_place ps new_oldest (Page.with_header page header)
+                in
                 Server.note_pruned_chain server cap ~new_oldest
         in
-        prune (acc + dropped) rest
+        prune (pruned + dropped) ((cap, retained, uncommitted) :: live) rest
   in
   phase "reshare" reshared;
-  let* versions_pruned = prune 0 roots in
+  let* versions_pruned, live_roots = prune 0 [] roots in
   phase "prune" versions_pruned;
-  (* Mark from the post-prune roots, then sweep. *)
-  let* marked = live_blocks server in
-  phase "mark" (Hashtbl.length marked);
   let* all =
     match (Pagestore.store ps).Store.list_blocks () with
     | Ok l -> Ok l
     | Error msg -> Error (Store_failure msg)
   in
+  let m = create_marks (1 + List.fold_left max 0 all) in
+  mark_roots ps m live_roots;
+  phase "mark" m.live;
+  ignore (Server.reclaim_versions server ~live:(is_marked m) : int);
   let freed = ref 0 in
   List.iter
     (fun b ->
-      if not (Hashtbl.mem marked b) then begin
+      if not (is_marked m b) then begin
         Pagestore.free ps b;
         incr freed
       end)
     all;
   phase "sweep" !freed;
-  Ok
-    {
-      versions_pruned;
-      pages_reshared = reshared;
-      blocks_freed = !freed;
-      blocks_live = Hashtbl.length marked;
-    })
+  Ok { versions_pruned; pages_reshared = reshared; blocks_freed = !freed; blocks_live = m.live })
 
 let background ?policy engine server ~period_ms ~until_ms =
   let totals = ref empty_stats in

@@ -12,7 +12,18 @@
     through the mark phase. The collector is safe to run at any quiescent
     point; the simulation harness schedules it as its own process,
     interleaved with client traffic ("independent of, and in parallel
-    with, the operation of the system"). *)
+    with, the operation of the system").
+
+    Running beside the system means not getting in its way. A collection
+    walks each file's chain once, and the mark reads only child block
+    numbers: from the cached page when it is cached and not stale,
+    otherwise straight from the store image's reference table, never
+    decoding page data. Every read and write goes through the pagestore's
+    cache-neutral calls ({!Pagestore.peek} and friends), so the cache's
+    entries, recency order and hit/miss counts are as the collection found
+    them, apart from the freed blocks, which leave it. The server then
+    forgets every version the mark found dead ({!Server.reclaim_versions}),
+    so its memory follows retained history, not total history. *)
 
 type policy = {
   retain_committed : int;
@@ -41,10 +52,11 @@ val reshare_version : Server.t -> int -> int Errors.r
 val collect : ?policy:policy -> Server.t -> stats Errors.r
 (** Full cycle: reshare every retained committed version, prune beyond the
     retention window, mark from every file's retained chain and
-    uncommitted versions, sweep the store's allocated blocks. *)
+    uncommitted versions, drop the server's records of dead versions,
+    sweep the store's allocated blocks in ascending order. *)
 
-val live_blocks : Server.t -> (int, unit) Hashtbl.t Errors.r
-(** The mark phase alone (exposed for the safety property test: GC must
+val live_blocks : Server.t -> int list Errors.r
+(** The mark phase alone, ascending (exposed for the safety tests: GC must
     never free a block in this set). *)
 
 val background :

@@ -326,6 +326,78 @@ let decode ?(memo = false) image =
   | result -> result
   | exception Wire.Decode_error msg -> Error ("page decode: " ^ msg)
 
+(* {2 Reading an image in place}
+
+   Positional reads that fail like [Wire.Reader] on truncation. A scan
+   allocates nothing unless it fails: the collector runs one per block it
+   marks. *)
+
+let truncated () = raise (Wire.Decode_error "truncated")
+
+let byte_at image pos = if pos >= Bytes.length image then truncated () else Bytes.get_uint8 image pos
+
+let word_at image pos =
+  if pos + 4 > Bytes.length image then truncated ()
+  else Int32.to_int (Bytes.get_int32_le image pos) land 0xFFFFFFFF
+
+(* Position just past the varint at [pos]. *)
+let rec varint_end image pos shift =
+  if shift > 56 then raise (Wire.Decode_error "varint too long")
+  else if byte_at image pos land 0x80 = 0 then pos + 1
+  else varint_end image (pos + 1) (shift + 7)
+
+let rec varint_at image pos shift acc =
+  let b = byte_at image pos in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_at image (pos + 1) (shift + 7) acc
+
+(* Past a capability: port (8), object number (varint), rights (1),
+   check (4). *)
+let cap_end image pos = varint_end image (pos + 8) 0 + 1 + 4
+
+(* Checks [image] exactly as {!decode} does — magic, version, kind, flag
+   nibbles, exact length — then calls [f] on each child block number and
+   returns the raw commit reference field. *)
+let scan_image image f =
+  if word_at image 0 land 0xFFFF <> magic then raise (Wire.Decode_error "bad page magic");
+  if byte_at image 2 <> format_version then raise (Wire.Decode_error "bad page format version");
+  let kind = byte_at image 3 in
+  if kind <> 0 && kind <> 1 then raise (Wire.Decode_error "bad page kind");
+  (* A version header: two capabilities, then commit reference (4), top
+     and inner locks (8 + 8), parent reference (4) and root flags (1). *)
+  let commit_at = if kind = 1 then cap_end image (cap_end image 4) else 4 in
+  let base_at = if kind = 1 then commit_at + 4 + 8 + 8 + 4 + 1 else 4 in
+  if kind = 1 && not (Flags.legal_nibble (byte_at image (base_at - 1))) then
+    raise (Wire.Decode_error "illegal root flag nibble");
+  let raw_commit = if kind = 1 then word_at image commit_at else nil_block in
+  let nrefs_at = base_at + 4 (* past the base reference *) in
+  let dsize_at = varint_end image nrefs_at 0 in
+  let refs_at = varint_end image dsize_at 0 in
+  let nrefs = varint_at image nrefs_at 0 0 and dsize = varint_at image dsize_at 0 0 in
+  let rest = Bytes.length image - refs_at in
+  if nrefs < 0 || dsize < 0 || nrefs > rest / 4 || rest - (4 * nrefs) <> dsize then
+    raise (Wire.Decode_error "length does not match the header");
+  for i = 0 to nrefs - 1 do
+    if not (Flags.legal_nibble (word_at image (refs_at + (4 * i)) land 0xF)) then
+      raise (Wire.Decode_error "illegal flag nibble in reference table")
+  done;
+  for i = 0 to nrefs - 1 do
+    f (word_at image (refs_at + (4 * i)) lsr 4)
+  done;
+  raw_commit
+
+let no_child (_ : int) = ()
+
+let image_commit_ref image =
+  match scan_image image no_child with
+  | raw -> Ok (decode_opt_block raw)
+  | exception Wire.Decode_error msg -> Error ("page decode: " ^ msg)
+
+let iter_image_refs image f =
+  match scan_image image f with
+  | _ -> Ok ()
+  | exception Wire.Decode_error msg -> Error ("page decode: " ^ msg)
+
 let version_header_bytes = (2 * (8 + 3 + 1 + 4)) + 4 + 8 + 8 + 4 + 1
 let fixed_bytes = 2 + 1 + 1 + 4 + 3 + 3
 

@@ -124,6 +124,20 @@ val decode : ?memo:bool -> bytes -> (t, string) result
     exclusively — true of every image read back from this system's
     stores. *)
 
+(** {2 Reading an image in place}
+
+    What the garbage collector needs from a stored page — its commit
+    reference and its children's block numbers — read straight from the
+    image's header and reference table. Both accept exactly the images
+    {!decode} accepts, but build no page and never copy the data area. *)
+
+val image_commit_ref : bytes -> (int option, string) result
+
+val iter_image_refs : bytes -> (int -> unit) -> (unit, string) result
+(** Calls the function on each reference's block number, in table order,
+    once the whole image has been checked: a rejected image yields no
+    calls. *)
+
 val data_capacity : block_size:int -> nrefs:int -> is_version:int -> int
 (** Bytes of client data that fit in a page with that many references
     ([is_version] is 1 for version pages, 0 otherwise). *)

@@ -185,7 +185,8 @@ let write t b page =
             Hashtbl.replace t.dirty b ();
             cache_set t b { page; dirty = true; stale = false })
 
-let write_through t b page =
+(* Size-check and write to the store: afterwards the block is clean. *)
+let durable_write t b page =
   match check_size t page with
   | Error _ as e -> e
   | Ok _ -> (
@@ -193,7 +194,13 @@ let write_through t b page =
       | Error _ as e -> e
       | Ok () ->
           Hashtbl.remove t.dirty b;
-          if t.cache_enabled then cache_set t b { page; dirty = false; stale = false } else Ok ())
+          Ok ())
+
+let write_through t b page =
+  match durable_write t b page with
+  | Error _ as e -> e
+  | Ok () ->
+      if t.cache_enabled then cache_set t b { page; dirty = false; stale = false } else Ok ()
 
 let flush_block t b =
   match Lru.peek t.cache b with
@@ -216,6 +223,7 @@ let flush t =
   if Hashtbl.length t.dirty = 0 then Ok () else go (Det.sorted_keys t.dirty)
 
 let dirty_count t = Hashtbl.length t.dirty
+let cached_blocks t = List.rev (Lru.fold (fun b _ acc -> b :: acc) t.cache [])
 
 let lock t b =
   if t.store.Store.lock b then begin
@@ -289,3 +297,49 @@ let write_through_batch t entries =
 let free t b =
   drop_entry t b;
   ignore (t.store.Store.free b)
+
+(* {2 Cache-neutral access}
+
+   A cached entry is believed unless stale (a stale one must be re-read
+   before it is believed, which is exactly what these calls do — without
+   revalidating the entry). [Lru.peek] neither reorders nor counts. *)
+
+let store_failure r = Result.map_error (fun msg -> Errors.Store_failure msg) r
+
+(* [read_page] applied to the store image of [b]. *)
+let from_store t b read_page =
+  match t.store.Store.read b with
+  | Ok image -> store_failure (read_page image)
+  | Error msg -> Error (Errors.Store_failure msg)
+
+let peek t b =
+  match Lru.peek t.cache b with
+  | Some e when not e.stale -> Ok e.page
+  | Some _ | None -> from_store t b (Page.decode ~memo:true)
+
+let peek_commit_ref t b =
+  match Lru.peek t.cache b with
+  | Some e when not e.stale -> Ok e.page.Page.header.Page.commit_ref
+  | Some _ | None -> from_store t b Page.image_commit_ref
+
+let peek_children t b f =
+  match Lru.peek t.cache b with
+  | Some e when not e.stale ->
+      let refs = e.page.Page.refs in
+      for i = 0 to Array.length refs - 1 do
+        f refs.(i).Page.block
+      done;
+      Ok ()
+  | Some _ | None -> from_store t b (fun image -> Page.iter_image_refs image f)
+
+let write_through_in_place t b page =
+  match durable_write t b page with
+  | Error _ as e -> e
+  | Ok () ->
+      (match Lru.peek t.cache b with
+      | Some e ->
+          e.page <- page;
+          e.dirty <- false;
+          e.stale <- false
+      | None -> ());
+      Ok ()

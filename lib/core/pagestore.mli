@@ -62,6 +62,10 @@ val flush_block : t -> int -> (unit, Errors.t) result
 
 val dirty_count : t -> int
 
+val cached_blocks : t -> int list
+(** The cached blocks, most recently used first: what a test compares to
+    show that a collection leaves the cache alone. *)
+
 val lock : t -> int -> bool
 (** Store lock plus a pin: the block's cache entry (present or created
     while locked) is exempt from eviction until {!unlock}. *)
@@ -80,3 +84,28 @@ val refresh : t -> int -> unit
 (** Like {!invalidate} but keeps a dirty (locally written, unflushed)
     entry: used before re-examining a commit reference that another
     server may have set. *)
+
+(** {2 Cache-neutral access}
+
+    The garbage collector's reads and writes. Each takes a block from its
+    cached page when the page is cached and not stale (dirty pages
+    included), and from the store image otherwise. None of them inserts
+    an entry, reorders the LRU list, or counts a hit or a miss, so a
+    collection leaves the workload's cache as it found it. *)
+
+val peek : t -> int -> (Page.t, Errors.t) result
+(** The whole page, decoded from the store image when not cached. *)
+
+val peek_commit_ref : t -> int -> (int option, Errors.t) result
+(** The commit reference alone; a store image's header is read in place
+    ({!Page.image_commit_ref}). *)
+
+val peek_children : t -> int -> (int -> unit) -> (unit, Errors.t) result
+(** Calls the function on the block number of each child reference, in
+    table order; a store image's reference table is read in place
+    ({!Page.iter_image_refs}). *)
+
+val write_through_in_place : t -> int -> Page.t -> (unit, Errors.t) result
+(** Immediately durable, like {!write_through}; a cached copy is replaced
+    in place (recency kept, now clean) and an uncached block stays
+    uncached. *)

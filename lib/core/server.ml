@@ -287,7 +287,8 @@ let update_wset_at t vblock f =
    root-flags field for the root, the parent's reference entry otherwise.
    [path] names the page within the version so the same recording lands in
    the incremental write set. *)
-let record_access_at t ~vblock ~path location access =   let note () = update_wset_at t vblock (fun ws -> Writeset.record ws path access) in
+let record_access_at t ~vblock ~path location access =
+  let note () = update_wset_at t vblock (fun ws -> Writeset.record ws path access) in
   match location with
   | None ->
       let* page = read_pg t vblock in
@@ -312,7 +313,8 @@ let record_access_at t ~vblock ~path location access =   let note () = update_ws
 (* Copy-on-write of the child at [index] of the page at [pblock]: allocate
    a private block, store the child there with cleared grand-child flags
    and a base reference to the shared original, and repoint the parent. *)
-let copy_child t pblock index (entry : Page.ref_entry) =   let* child = read_pg t entry.Page.block in
+let copy_child t pblock index (entry : Page.ref_entry) =
+  let* child = read_pg t entry.Page.block in
   let* fresh = Pagestore.allocate t.ps in
   let child = Page.clear_child_flags child in
   let header = { child.Page.header with Page.base_ref = Some entry.Page.block } in
@@ -334,7 +336,8 @@ let copy_child t pblock index (entry : Page.ref_entry) =   let* child = read_pg 
    the way (access implies copy, §5.1), recording S on each page whose
    references are consulted and [access] on the target. Returns the
    target's private block. *)
-let locate_for_access t vblock path access =   let rec descend location at block = function
+let locate_for_access t vblock path access =
+  let rec descend location at block = function
     | [] ->
         let* () = record_access_at t ~vblock ~path:at location access in
         Ok block
@@ -395,16 +398,16 @@ let current_version t cap =
   let* current = current_block_of_file t cap in
   Ok (mint_version_cap ~rights:Capability.right_read t current)
 
+(* Cache-neutral: the collector walks every file's chain through here. *)
 let committed_chain t cap =
   let* file = find_file t cap ~need:Capability.rights_none in
-  let first = file.oldest_hint in
   let rec walk block acc =
-    let* page = read_pg t block in
-    match page.Page.header.Page.commit_ref with
+    let* next = Pagestore.peek_commit_ref t.ps block in
+    match next with
     | None -> Ok (List.rev (block :: acc))
     | Some successor -> walk successor (block :: acc)
   in
-  walk first []
+  walk file.oldest_hint []
 
 let uncommitted_versions t cap =
   let* file = find_file t cap ~need:Capability.rights_none in
@@ -412,7 +415,8 @@ let uncommitted_versions t cap =
 
 (* {2 Versions} *)
 
-let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port = 0) t cap =   let* file = find_file t cap ~need:Capability.right_write in
+let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port = 0) t cap =
+  let* file = find_file t cap ~need:Capability.right_write in
   let* current = current_block_of_file t cap in
   let* cpage = read_pg t current in
   let header = cpage.Page.header in
@@ -485,7 +489,8 @@ let file_of_version t cap =
 (* Free the pages private to a version: copies (C set) found by descent,
    then the version page itself. Shared pages (C clear) belong to the base
    and survive. *)
-let free_private_pages t vblock =   let rec free_copies page =
+let free_private_pages t vblock =
+  let rec free_copies page =
     Array.iter
       (fun (e : Page.ref_entry) ->
         if e.Page.flags.Flags.c then begin
@@ -548,7 +553,8 @@ let mutable_version t cap ~need =
   let* v = find_version t cap ~need in
   match v.status with Uncommitted -> Ok v | Committed | Aborted -> Error Version_not_mutable
 
-let read_page t cap path =   let* v = find_version t cap ~need:Capability.right_read in
+let read_page t cap path =
+  let* v = find_version t cap ~need:Capability.right_read in
   match v.status with
   | Uncommitted ->
       let* block = locate_for_access t v.vblock path Flags.Read in
@@ -558,7 +564,8 @@ let read_page t cap path =   let* v = find_version t cap ~need:Capability.right_
       let* _, page = locate_plain t v.vblock path in
       Ok (Bytes.copy page.Page.data)
 
-let write_page t cap path data =   let* v = mutable_version t cap ~need:Capability.right_write in
+let write_page t cap path data =
+  let* v = mutable_version t cap ~need:Capability.right_write in
   let* block = locate_for_access t v.vblock path Flags.Write in
   let* page = read_pg t block in
   write_pg t block (Page.with_data page data)
@@ -749,7 +756,8 @@ let finish_commit t v =
    the store lock. [Ok None] = won; [Ok (Some s)] = intercepted by [s].
    Deferred mode records the win in the batch overlay instead of writing
    it through, and keeps the lock for publish. *)
-let validate t ctx ~vb base_block =   let* () = acquire_commit_lock t ctx base_block in
+let validate t ctx ~vb base_block =
+  let* () = acquire_commit_lock t ctx base_block in
   let outcome =
     match Hashtbl.find_opt ctx.pending base_block with
     | Some successor -> Ok (Some successor)
@@ -792,7 +800,8 @@ type merge_verdict = Rebased | Doomed of string
 (* Stage 2 — an interception by [successor]: the §5.2 write-set pre-test,
    then the serialisability tree walk that rebases the candidate.
    [Rebased] means retry the test-and-set at the successor. *)
-let merge t v ~successor =   let vb = v.vblock in
+let merge t v ~successor =
+  let vb = v.vblock in
   bump t "commits.intercepted";
   (* When both sides carry the incremental administration, the §5.2
      conflict conditions can be decided from the two flag maps alone —
@@ -922,7 +931,8 @@ let commit_version t ctx v =
           in
           attempt base0)
 
-let commit t cap =   let* v = mutable_version t cap ~need:Capability.right_commit in
+let commit t cap =
+  let* v = mutable_version t cap ~need:Capability.right_commit in
   commit_version t (fresh_ctx ~deferred:false ()) v
 
 let commit_batch t caps =
@@ -1128,6 +1138,31 @@ let note_pruned_chain t cap ~new_oldest =
   let* file = find_file t cap ~need:Capability.right_admin in
   file.oldest_hint <- new_oldest;
   Ok ()
+
+(* Walks each file's own version index, so the cost follows the versions
+   registered since the last collection plus the retained ones. A block
+   may have been reused by another file since its entry was made, hence
+   the ownership check (as in [destroy_file]). *)
+let reclaim_versions t ~live =
+  let reclaimed = ref 0 in
+  Det.iter_sorted
+    (fun _ file ->
+      file.vblocks <-
+        List.filter
+          (fun vb ->
+            match Hashtbl.find_opt t.versions vb with
+            | Some v when v.file_obj = file.file_obj ->
+                if v.status <> Aborted && live vb then true
+                else begin
+                  Hashtbl.remove t.versions vb;
+                  incr reclaimed;
+                  false
+                end
+            | Some _ | None -> false)
+          file.vblocks)
+    t.files;
+  if !reclaimed > 0 then bump t ~by:!reclaimed "versions.reclaimed";
+  !reclaimed
 
 let list_files t =
   List.rev (Det.fold_sorted (fun _ f acc -> mint_file_cap t (f.file_obj / 2) :: acc) t.files [])

@@ -94,7 +94,9 @@ val current_version : t -> Afs_util.Capability.t -> Afs_util.Capability.t Errors
 
 val committed_chain : t -> Afs_util.Capability.t -> int list Errors.r
 (** Version-page blocks of the committed versions, oldest first — the
-    Figure 4 family tree's spine. *)
+    Figure 4 family tree's spine. The walk reads commit references
+    through {!Pagestore.peek_commit_ref}, leaving the page cache as it
+    was. *)
 
 val uncommitted_versions : t -> Afs_util.Capability.t -> int list Errors.r
 
@@ -256,6 +258,16 @@ val current_block_of_file : t -> Afs_util.Capability.t -> int Errors.r
 val note_pruned_chain : t -> Afs_util.Capability.t -> new_oldest:int -> unit Errors.r
 (** Tell the server the GC unlinked committed versions older than
     [new_oldest]; chain walks start there from now on. *)
+
+val reclaim_versions : t -> live:(int -> bool) -> int
+(** Drop the record, write set included, of every version that is aborted
+    or whose version-page block [live] rejects (the collector passes its
+    mark: pruned history, crash orphans), and trim each file's version
+    index to match. Afterwards such a version is unknown here, so
+    {!version_status} and {!tracked_writeset} treat it as any unknown
+    block. Server memory thus follows retained history, not every version
+    ever created. Returns the number of records dropped and adds it to
+    counter [versions.reclaimed]. *)
 
 val file_of_version : t -> Afs_util.Capability.t -> Afs_util.Capability.t Errors.r
 

@@ -97,7 +97,7 @@ let memory ?(block_size = 32768) () =
         end);
     unlock = (fun b -> Hashtbl.remove locks b);
     list_blocks =
-      (fun () -> Ok (List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) allocated [])));
+      (fun () -> Ok (Afs_util.Det.sorted_int_keys allocated));
   }
 
 let string_of_block_error = Fmt.str "%a" Block_server.pp_error
@@ -172,7 +172,7 @@ let of_stable_pair pair =
         end);
     unlock = (fun b -> Hashtbl.remove locks b);
     list_blocks =
-      (fun () -> Ok (List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) allocated [])));
+      (fun () -> Ok (Afs_util.Det.sorted_int_keys allocated));
   }
 
 type worm_stats = {
@@ -237,7 +237,7 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
       unlock = (fun b -> Hashtbl.remove locks b);
       list_blocks =
         (fun () ->
-          Ok (List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) allocated [])));
+          Ok (Afs_util.Det.sorted_int_keys allocated));
     }
   in
   let stats () =

@@ -10,6 +10,11 @@
 val sorted_keys : ('k, 'v) Hashtbl.t -> 'k list
 (** All distinct keys, ascending. *)
 
+val sorted_int_keys : (int, 'v) Hashtbl.t -> int list
+(** {!sorted_keys} for integer keys. Dense non-negative keys (block
+    numbers) are ordered through a byte map instead of a comparison sort;
+    anything else is sorted with [Int.compare]. *)
+
 val iter_sorted : ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [Hashtbl.iter] in ascending key order over a snapshot of the keys. *)
 

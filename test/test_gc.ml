@@ -6,7 +6,8 @@ let bytes = Helpers.bytes
 let ok = Helpers.ok
 let path = Helpers.path
 
-let block_count store = List.length (Helpers.ok_str (store.Store.list_blocks ()))
+let allocated store = Helpers.ok_str (store.Store.list_blocks ())
+let block_count store = List.length (allocated store)
 
 let commit_write srv f p s =
   let v = ok (Server.create_version srv f) in
@@ -148,8 +149,9 @@ let test_reshare_keeps_written_subtrees () =
   Helpers.check_bytes "write intact" "must stay" (ok (Server.read_page srv cur (path [ 1 ])))
 
 let test_gc_safety_never_frees_live () =
-  (* Random workload, then GC; every block the mark phase reports live
-     must still be readable, and all file contents must survive. *)
+  (* Random workload, then GC: every block the mark reports live after the
+     collection is still allocated, the freed blocks are exactly the ones
+     allocated before minus the live ones, and all file contents survive. *)
   let store, srv = Helpers.fresh_server () in
   let rng = Afs_util.Xrng.create 99 in
   let files = Array.init 3 (fun _ -> Helpers.file_with_pages srv 5) in
@@ -171,14 +173,20 @@ let test_gc_safety_never_frees_live () =
     ok (Server.commit srv v);
     expected.(fi).(p) <- value
   done;
+  let before = allocated store in
+  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare = true } srv) in
+  let remaining = allocated store in
   let live = ok (Gc.live_blocks srv) in
-  ignore (ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare = true } srv));
-  let remaining = Helpers.ok_str (store.Store.list_blocks ()) in
-  (* Everything the pre-collect mark called live for the retained window
-     is either still allocated or was superseded by reshare/prune; the
-     real safety check is that all current data is readable. *)
-  ignore live;
-  ignore remaining;
+  List.iter
+    (fun b -> if not (List.mem b remaining) then Alcotest.failf "live block %d was freed" b)
+    live;
+  let freed = List.filter (fun b -> not (List.mem b remaining)) before in
+  Alcotest.(check (list int))
+    "freed = allocated before minus live"
+    (List.filter (fun b -> not (List.mem b live)) before)
+    freed;
+  Alcotest.(check int) "stats count the freed blocks" (List.length freed) stats.Gc.blocks_freed;
+  Alcotest.(check bool) "something was freed" true (freed <> []);
   for fi = 0 to 2 do
     let cur = ok (Server.current_version srv files.(fi)) in
     for p = 0 to 4 do
@@ -188,6 +196,99 @@ let test_gc_safety_never_frees_live () =
         (ok (Server.read_page srv cur (path [ p ])))
     done
   done
+
+let counter srv name = Afs_util.Stats.Counter.get (Server.counters srv) name
+
+let test_collection_is_cache_neutral () =
+  (* A collection counts no cache hit or miss, adds no entry and moves none:
+     the cache afterwards is the cache before, in the same recency order,
+     less the blocks the sweep freed. Dirty pages of an open update and
+     stale entries are left as they were. *)
+  List.iter
+    (fun reshare ->
+      let store, srv = Helpers.fresh_server ~capacity:16 () in
+      let files = Array.init 3 (fun _ -> Helpers.file_with_pages srv 6) in
+      for round = 1 to 12 do
+        let v = ok (Server.create_version srv files.(round mod 3)) in
+        ignore (ok (Server.read_page srv v (path [ round mod 6 ])));
+        ok (Server.write_page srv v (path [ (round + 1) mod 6 ]) (bytes (string_of_int round)));
+        ok (Server.commit srv v)
+      done;
+      let open_update = ok (Server.create_version srv files.(0)) in
+      ok (Server.write_page srv open_update (path [ 2 ]) (bytes "dirty"));
+      let ps = Server.pagestore srv in
+      List.iteri (fun i b -> if i mod 3 = 0 then Pagestore.refresh ps b) (Pagestore.cached_blocks ps);
+      let hits = counter srv "cache.hits" and misses = counter srv "cache.misses" in
+      let cached = Pagestore.cached_blocks ps and dirty = Pagestore.dirty_count ps in
+      let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare } srv) in
+      let remaining = allocated store in
+      let label what = Printf.sprintf "%s (reshare %b)" what reshare in
+      Alcotest.(check bool) (label "something freed") true (stats.Gc.blocks_freed > 0);
+      Alcotest.(check int) (label "no hit counted") hits (counter srv "cache.hits");
+      Alcotest.(check int) (label "no miss counted") misses (counter srv "cache.misses");
+      Alcotest.(check (list int))
+        (label "only freed blocks left the cache, order kept")
+        (List.filter (fun b -> List.mem b remaining) cached)
+        (Pagestore.cached_blocks ps);
+      Alcotest.(check int) (label "dirty pages untouched") dirty (Pagestore.dirty_count ps);
+      ok (Server.commit srv open_update);
+      let cur = ok (Server.current_version srv files.(0)) in
+      Helpers.check_bytes (label "open update landed") "dirty"
+        (ok (Server.read_page srv cur (path [ 2 ]))))
+    [ false; true ]
+
+let test_dead_version_records_reclaimed () =
+  (* After a collection with retention k, the server keeps no record of a
+     pruned or aborted version: no write set, no status. *)
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 3 in
+  for i = 1 to 8 do
+    commit_write srv f [ i mod 3 ] (Printf.sprintf "v%d" i)
+  done;
+  let aborted = ok (Server.create_version srv f) in
+  ok (Server.write_page srv aborted (path [ 0 ]) (bytes "aborted"));
+  ok (Server.abort_version srv aborted);
+  let winner = ok (Server.create_version srv f) in
+  let loser = ok (Server.create_version srv f) in
+  ok (Server.write_page srv winner (path [ 1 ]) (bytes "winner"));
+  ignore (ok (Server.read_page srv loser (path [ 1 ])));
+  ok (Server.write_page srv loser (path [ 1 ]) (bytes "loser"));
+  ok (Server.commit srv winner);
+  Helpers.expect_conflict (Server.commit srv loser);
+  let chain = ok (Server.committed_chain srv f) in
+  let caps = List.map (fun b -> (b, ok (Server.version_of_block srv b))) chain in
+  let dead = List.map (fun v -> (ok (Server.version_block srv v), v)) [ aborted; loser ] in
+  List.iter
+    (fun (_, v) ->
+      Alcotest.(check bool) "aborted before collection" true
+        (ok (Server.version_status srv v) = Server.Aborted))
+    dead;
+  let k = 3 in
+  ignore (ok (Gc.collect ~policy:{ Gc.retain_committed = k; reshare = false } srv));
+  let npruned = List.length chain - k in
+  List.iteri
+    (fun i (b, cap) ->
+      if i < npruned then begin
+        Alcotest.(check bool) (Printf.sprintf "pruned %d: no write set" b) true
+          (Server.tracked_writeset srv b = None);
+        Helpers.expect_error "pruned version status" (Server.version_status srv cap)
+      end
+      else begin
+        Alcotest.(check bool) (Printf.sprintf "retained %d: write set kept" b) true
+          (Server.tracked_writeset srv b <> None);
+        Alcotest.(check bool) (Printf.sprintf "retained %d: committed" b) true
+          (ok (Server.version_status srv cap) = Server.Committed)
+      end)
+    caps;
+  List.iter
+    (fun (b, v) ->
+      Alcotest.(check bool) "aborted: no write set" true (Server.tracked_writeset srv b = None);
+      Helpers.expect_error "aborted version status" (Server.version_status srv v))
+    dead;
+  Alcotest.(check int) "versions.reclaimed counts the dropped records" (npruned + 2)
+    (counter srv "versions.reclaimed");
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "current intact" "winner" (ok (Server.read_page srv cur (path [ 1 ])))
 
 let test_recovery_after_gc () =
   (* GC rewrites base references when pruning; recovery from raw blocks
@@ -245,6 +346,207 @@ let test_background_collector_in_sim () =
   let used = block_count store in
   Alcotest.(check bool) (Printf.sprintf "%d blocks bounded" used) true (used < 60)
 
+(* {2 The collector against a full-decode reference}
+
+   The reference is the collector as it was before its reads went
+   cache-neutral: roots walked again after the prune, every reachable
+   block decoded in full through the page cache (inserting and
+   promoting as it goes), marks in a hash table. It shares only
+   resharing with [Gc.collect]. The property runs one random history on
+   twin servers in lockstep, collects one twin with [Gc.collect] and the
+   other with the reference, and requires the same freed blocks and the
+   same statistics, with every current page still readable. *)
+
+let reference_roots srv =
+  List.map
+    (fun cap -> (cap, ok (Server.committed_chain srv cap), ok (Server.uncommitted_versions srv cap)))
+    (Server.list_files srv)
+
+let reference_mark ps marked root =
+  let rec mark block =
+    if not (Hashtbl.mem marked block) then begin
+      Hashtbl.replace marked block ();
+      match Pagestore.read ps block with
+      | Error _ -> () (* Allocated but never written: marked, no children. *)
+      | Ok page -> Array.iter (fun (e : Page.ref_entry) -> mark e.Page.block) page.Page.refs
+    end
+  in
+  mark root
+
+let reference_collect ~(policy : Gc.policy) store srv =
+  let ps = Server.pagestore srv in
+  let roots = reference_roots srv in
+  let pages_reshared =
+    if not policy.Gc.reshare then 0
+    else
+      List.fold_left
+        (fun acc (_, chain, _) ->
+          List.fold_left (fun acc vb -> acc + ok (Gc.reshare_version srv vb)) acc (List.rev chain))
+        0 roots
+  in
+  let versions_pruned =
+    List.fold_left
+      (fun acc (cap, chain, _) ->
+        let n = List.length chain and keep = policy.Gc.retain_committed in
+        if n <= keep then acc
+        else begin
+          let new_oldest = List.nth chain (n - keep) in
+          let page = ok (Pagestore.read ps new_oldest) in
+          let header = { page.Page.header with Page.base_ref = None } in
+          ok (Pagestore.write_through ps new_oldest (Page.with_header page header));
+          ok (Server.note_pruned_chain srv cap ~new_oldest);
+          acc + n - keep
+        end)
+      0 roots
+  in
+  let marked = Hashtbl.create 256 in
+  List.iter
+    (fun (_, chain, uncommitted) ->
+      List.iter (reference_mark ps marked) chain;
+      List.iter (reference_mark ps marked) uncommitted)
+    (reference_roots srv);
+  let freed = ref 0 in
+  List.iter
+    (fun b ->
+      if not (Hashtbl.mem marked b) then begin
+        Pagestore.free ps b;
+        incr freed
+      end)
+    (allocated store);
+  { Gc.versions_pruned; pages_reshared; blocks_freed = !freed; blocks_live = Hashtbl.length marked }
+
+(* Every page of a file's current version, depth first, as (path, data). *)
+let snapshot srv f =
+  let cur = ok (Server.current_version srv f) in
+  let rec walk p acc =
+    let data = Helpers.str (ok (Server.read_page srv cur (path p))) in
+    let n = (ok (Server.page_info srv cur (path p))).Server.nrefs in
+    List.fold_left (fun acc i -> walk (p @ [ i ]) acc) ((p, data) :: acc) (List.init n Fun.id)
+  in
+  List.rev (walk [] [])
+
+exception Diverged of string
+
+let run_twins ~seed ~capacity ~(policy : Gc.policy) =
+  let module X = Afs_util.Xrng in
+  let rng = X.create seed in
+  let twin () =
+    let store = Store.memory () in
+    (store, Server.create ~seed:7 ~cache_capacity:capacity store)
+  in
+  let ((store_a, a) as ta) = twin () and ((store_b, b) as tb) = twin () in
+  (* Apply [f] to both twins; they must agree on the outcome. *)
+  let both what f =
+    let ra = f ta and rb = f tb in
+    if ra <> rb then raise (Diverged what);
+    ra
+  in
+  let result r = Result.map_error Errors.to_string r in
+  let files = Array.init 3 (fun _ -> both "create" (fun (_, srv) -> Helpers.file_with_pages srv 3)) in
+  let open_versions = ref [] in
+  (* Read-only probes go to the reference twin, so that the collector's
+     twin meets its cache exactly as the history left it: dirty pages of
+     open updates included. *)
+  let nrefs v p = (ok (Server.page_info b v (path p))).Server.nrefs in
+  let rec random_path v p =
+    let n = nrefs v p in
+    if n = 0 || List.length p >= 2 || X.int rng 3 = 0 then p else random_path v (p @ [ X.int rng n ])
+  in
+  let collections = ref 0 in
+  let collect () =
+    incr collections;
+    let before = both "allocated" (fun (store, _) -> allocated store) in
+    let contents = Array.map (snapshot b) files in
+    let stats_a = ok (Gc.collect ~policy a) in
+    let stats_b = reference_collect ~policy store_b b in
+    let freed store = List.filter (fun blk -> not (List.mem blk (allocated store))) before in
+    if freed store_a <> freed store_b then raise (Diverged "freed blocks");
+    if stats_a <> stats_b then
+      raise (Diverged (Fmt.str "stats %a vs %a" Gc.pp_stats stats_a Gc.pp_stats stats_b));
+    List.iter
+      (fun blk -> if not (List.mem blk (allocated store_a)) then raise (Diverged "live block freed"))
+      (ok (Gc.live_blocks a));
+    Array.iteri
+      (fun i f ->
+        if snapshot a f <> contents.(i) || snapshot b f <> contents.(i) then
+          raise (Diverged "current data changed"))
+      files
+  in
+  for step = 1 to 40 do
+    let pick_open () = List.nth !open_versions (X.int rng (List.length !open_versions)) in
+    match X.int rng 12 with
+    | 0 | 1 when List.length !open_versions < 3 ->
+        let f = files.(X.int rng (Array.length files)) in
+        let v = both "open" (fun (_, srv) -> ok (Server.create_version srv f)) in
+        open_versions := !open_versions @ [ v ]
+    | 2 | 3 when !open_versions <> [] ->
+        let v = pick_open () in
+        let p = random_path v [] in
+        ignore (both "read" (fun (_, srv) -> result (Server.read_page srv v (path p))))
+    | 4 | 5 when !open_versions <> [] ->
+        let v = pick_open () in
+        let p = random_path v [] in
+        let data = bytes (Printf.sprintf "w%d" step) in
+        ignore (both "write" (fun (_, srv) -> result (Server.write_page srv v (path p) data)))
+    | 6 when !open_versions <> [] ->
+        let v = pick_open () in
+        let parent = random_path v [] in
+        let index = X.int rng (nrefs v parent + 1) in
+        let data = bytes (Printf.sprintf "i%d" step) in
+        ignore
+          (both "insert" (fun (_, srv) ->
+               result (Server.insert_page srv v ~parent:(path parent) ~index ~data ())))
+    | 7 when !open_versions <> [] ->
+        (* Move a root child under one of its siblings (destination
+           coordinates are taken after the removal). *)
+        let v = pick_open () in
+        let n = nrefs v [] in
+        if n >= 2 then begin
+        let src = X.int rng n in
+        let dst = (src + 1 + X.int rng (n - 1)) mod n in
+        let dst_index = X.int rng (nrefs v [ dst ] + 1) in
+        let dst = if dst > src then dst - 1 else dst in
+        ignore
+          (both "move" (fun (_, srv) ->
+               result
+                 (Server.move_page srv v ~src_parent:P.root ~src_index:src
+                    ~dst_parent:(path [ dst ]) ~dst_index)))
+        end
+    | 8 | 9 when !open_versions <> [] ->
+        let v = pick_open () in
+        open_versions := List.filter (fun w -> w != v) !open_versions;
+        if X.int rng 4 = 0 then
+          ignore (both "abort" (fun (_, srv) -> result (Server.abort_version srv v)))
+        else ignore (both "commit" (fun (_, srv) -> result (Server.commit srv v)))
+    | 10 when X.int rng 3 = 0 ->
+        (* Crash with the open updates' pages flushed: their blocks are
+           allocated and written, but no root reaches them any more. *)
+        both "crash" (fun (_, srv) ->
+            ok (Pagestore.flush (Server.pagestore srv));
+            Server.crash srv);
+        open_versions := []
+    | 11 -> collect ()
+    | _ -> ()
+  done;
+  (* Open updates (dirty pages, fresh blocks never written) live through
+     a collection, then land or conflict the same way on both twins. *)
+  collect ();
+  List.iter
+    (fun v -> ignore (both "final commit" (fun (_, srv) -> result (Server.commit srv v))))
+    !open_versions;
+  collect ();
+  !collections
+
+let prop_collect_matches_reference =
+  QCheck2.Test.make ~name:"collect frees what a full-decode mark frees" ~count:200
+    ~print:(fun (seed, retain, reshare, capacity) ->
+      Printf.sprintf "seed=%d retain=%d reshare=%b capacity=%d" seed retain reshare capacity)
+    QCheck2.Gen.(quad (int_range 1 100000) (int_range 1 4) bool (int_range 2 8))
+    (fun (seed, retain_committed, reshare, capacity) ->
+      match run_twins ~seed ~capacity ~policy:{ Gc.retain_committed; reshare } with
+      | collections -> collections >= 2
+      | exception Diverged what -> QCheck2.Test.fail_reportf "twins diverged: %s" what)
+
 let () =
   Alcotest.run "gc"
     [
@@ -266,9 +568,12 @@ let () =
       ( "safety",
         [
           quick "never loses live data" test_gc_safety_never_frees_live;
+          quick "collection is cache-neutral" test_collection_is_cache_neutral;
+          quick "dead version records reclaimed" test_dead_version_records_reclaimed;
           quick "recovery after gc" test_recovery_after_gc;
           quick "retention validated" test_retain_must_be_positive;
         ] );
       ( "background",
         [ quick "collector as simulated process" test_background_collector_in_sim ] );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_collect_matches_reference ]);
     ]

@@ -11,6 +11,7 @@ let fixture_config =
     hashtbl_strict_units =
       [
         "lint_fixtures/d1_strict_lru.ml";
+        "lint_fixtures/d1_strict_gc.ml";
         "lint_fixtures/d1_strict_trace";
         "lint_fixtures/d1_strict_cluster";
         "lint_fixtures/d1_strict_replica";
@@ -58,7 +59,7 @@ let scan = lazy (run [ "lint_fixtures" ])
 let test_parses_everything () =
   let r = Lazy.force scan in
   Alcotest.(check (list (pair string string))) "no unparseable fixtures" [] r.broken;
-  Alcotest.(check int) "all fixtures scanned" 27 r.files_scanned
+  Alcotest.(check int) "all fixtures scanned" 28 r.files_scanned
 
 let test_d1_ambient () =
   check_keys "one finding per ambient source, none in the exempt file"
@@ -86,6 +87,17 @@ let test_d1_strict_unit () =
   check_keys "silent once delisted"
     []
     (in_file "lint_fixtures/d1_strict_lru.ml" (run ~config [ "lint_fixtures" ]))
+
+let test_d1_strict_gc () =
+  (* The collector's sweep order decides which block numbers a block
+     server reuses next: an unordered sweep fires, a sorted one does not. *)
+  check_keys "unordered sweep fires in the collector's unit"
+    [ ("D1", "lint_fixtures/d1_strict_gc.ml", "Hashtbl.iter") ]
+    (in_file "lint_fixtures/d1_strict_gc.ml" (Lazy.force scan));
+  let config = { fixture_config with Lint_types.hashtbl_strict_units = [] } in
+  check_keys "silent once delisted"
+    []
+    (in_file "lint_fixtures/d1_strict_gc.ml" (run ~config [ "lint_fixtures" ]))
 
 let test_d1_strict_directory () =
   (* A directory prefix in the strict-unit list (the lib/trace shape)
@@ -356,6 +368,7 @@ let () =
           Alcotest.test_case "D1 ambient sources" `Quick test_d1_ambient;
           Alcotest.test_case "D1 unordered hashtbl" `Quick test_d1_hashtbl;
           Alcotest.test_case "D1 strict units" `Quick test_d1_strict_unit;
+          Alcotest.test_case "D1 strict collector" `Quick test_d1_strict_gc;
           Alcotest.test_case "D1 strict directories" `Quick test_d1_strict_directory;
           Alcotest.test_case "P1 partial idioms" `Quick test_p1;
           Alcotest.test_case "E1 effect safety" `Quick test_e1;

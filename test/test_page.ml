@@ -233,6 +233,40 @@ let prop_decode_total_on_garbage =
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
+(* The collector's in-place reads accept exactly the images [decode]
+   accepts, and read the same commit reference and child blocks from
+   them: checked on valid images, on images with one byte flipped and on
+   truncated ones. *)
+let prop_in_place_reads_agree_with_decode =
+  let open QCheck2.Gen in
+  let gen =
+    let* page = gen_page in
+    let* damage = int_range 0 2 in
+    let* pos = int_range 0 10000 in
+    let* xor = int_range 1 255 in
+    return (page, damage, pos, xor)
+  in
+  QCheck2.Test.make ~name:"in-place image reads agree with decode" ~count:1000 gen
+    (fun (page, damage, pos, xor) ->
+      let image = Bytes.copy (Page.encode page) in
+      let pos = pos mod max 1 (Bytes.length image) in
+      let image =
+        match damage with
+        | 0 -> image
+        | 1 ->
+            Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
+            image
+        | _ -> Bytes.sub image 0 pos
+      in
+      let children = ref [] in
+      let listed = Page.iter_image_refs image (fun b -> children := b :: !children) in
+      match (Page.decode image, Page.image_commit_ref image, listed) with
+      | Ok p, Ok commit, Ok () ->
+          let blocks = Array.map (fun (e : Page.ref_entry) -> e.Page.block) p.Page.refs in
+          commit = p.Page.header.Page.commit_ref && List.rev !children = Array.to_list blocks
+      | Error _, Error _, Error _ -> !children = []
+      | _ -> false)
+
 (* {2 Encode-once: the memo is invisible and always canonical} *)
 
 let test_encode_counts_once () =
@@ -343,6 +377,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_encoded_size_consistent;
           QCheck_alcotest.to_alcotest prop_decode_total_on_mutations;
           QCheck_alcotest.to_alcotest prop_decode_total_on_garbage;
+          QCheck_alcotest.to_alcotest prop_in_place_reads_agree_with_decode;
         ] );
       ( "encode-once",
         [

@@ -420,6 +420,17 @@ let test_rng_fill_printable_identity () =
       Alcotest.(check int64) "RNG state advanced identically" (Xrng.bits64 b) (Xrng.bits64 a))
     [ (1, 0); (7, 1); (42, 13); (1234, 1024) ]
 
+(* [Det.sorted_int_keys] is [Det.sorted_keys] on integer keys, whether
+   the keys are dense (the byte-map path), sparse or negative (the
+   comparison sort). *)
+let prop_sorted_int_keys =
+  QCheck2.Test.make ~name:"sorted_int_keys = sorted_keys" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 200) (oneof [ int_range 0 300; int_range (-50) 50; int ]))
+    (fun keys ->
+      let t = Hashtbl.create 16 in
+      List.iter (fun k -> Hashtbl.replace t k ()) keys;
+      Afs_util.Det.sorted_int_keys t = Afs_util.Det.sorted_keys t)
+
 let () =
   Alcotest.run "util"
     [
@@ -490,4 +501,5 @@ let () =
           quick "counter instances independent" test_counter_independent_instances;
           quick "ratio" test_ratio;
         ] );
+      ("det", [ QCheck_alcotest.to_alcotest prop_sorted_int_keys ]);
     ]
