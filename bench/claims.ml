@@ -77,25 +77,37 @@ let c1 () =
   let scenarios =
     [
       ( "small updates, low contention",
+        "small",
         { Workload.small_updates with nfiles = 64; pages_per_file = 16 } );
       ( "small updates, hot files (zipf .9)",
+        "hot",
         { Workload.small_updates with nfiles = 8; pages_per_file = 16; file_theta = 0.9;
           page_theta = 0.9 } );
       ( "medium updates (8 pages), hot",
+        "medium",
         { Workload.small_updates with nfiles = 4; pages_per_file = 32; read_pages = 4;
           rmw_pages = 4; file_theta = 0.9; page_theta = 0.6 } );
       ( "large updates (24 pages), 2 hot files",
+        "large",
         { Workload.small_updates with nfiles = 2; pages_per_file = 48; read_pages = 12;
           rmw_pages = 12; file_theta = 0.9; page_theta = 0.4 } );
     ]
   in
   List.iter
-    (fun (label, shape) ->
+    (fun (label, key, shape) ->
       Printf.printf "\n-- %s --\n" label;
       let rows =
         List.map
           (fun run ->
             let report = run (Engine.create ()) shape config in
+            let m name v =
+              metric_i "c1-occ-vs-locking"
+                (Printf.sprintf "%s.%s.%s" report.Driver.sut_name key name)
+                v
+            in
+            m "committed" report.Driver.committed;
+            m "attempts" report.Driver.attempts;
+            m "given_up" report.Driver.given_up;
             let redo = report.Driver.attempts - report.Driver.committed - report.Driver.given_up in
             [
               report.Driver.sut_name;

@@ -55,7 +55,6 @@ let set_trace t tr =
 
 let disk t = t.disk
 let block_size t = Disk.block_size t.disk
-let free_blocks t = t.free_count
 let allocated_blocks t = Hashtbl.length t.owners
 
 let ok ?(cost = request_overhead_ms) v = { result = Ok v; cost_ms = cost }

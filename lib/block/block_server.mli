@@ -43,7 +43,6 @@ val set_trace : t -> Afs_trace.Trace.t -> unit
 
 val disk : t -> Afs_disk.Disk.t
 val block_size : t -> int
-val free_blocks : t -> int
 val allocated_blocks : t -> int
 
 val allocate : t -> account -> int outcome

@@ -9,10 +9,6 @@
 
 type t
 
-val default_base_seed : int
-(** Equal to the bare {!Afs_core.Server} default seed, so shard 0 of any
-    cluster mints the same capabilities a bare server would. *)
-
 val create :
   ?latency_ms:float ->
   ?proc_ms:float ->

@@ -24,8 +24,9 @@ module Txn : sig
   (** 1 on the first try, incremented per conflict redo (via {!update}). *)
 
   val conn : t -> Afs_rpc.Remote.conn
-  (** The owning shard's connection — what a coordinator needs to speak
-      [Prepare]/[Decide] about this version (lib/workload's 2PC baseline). *)
+  (** The owning shard's connection — where lib/workload's exec loop runs
+      this version's page requests and commit, and its 2PC baseline speaks
+      [Prepare]/[Decide]. *)
 
   val read : t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r
   val write : t -> Afs_util.Pagepath.t -> bytes -> unit Afs_core.Errors.r

@@ -42,5 +42,3 @@ let place t =
   let s = t.next_placement in
   t.next_placement <- (s + 1) mod t.nshards;
   s
-
-let forwards_count t = Hashtbl.length t.forwards

@@ -30,5 +30,3 @@ val note_forward : t -> old:Afs_util.Capability.t -> Afs_util.Capability.t -> un
 
 val place : t -> int
 (** Round-robin placement: the shard id for the next new file. *)
-
-val forwards_count : t -> int

@@ -29,9 +29,6 @@ let root_marker server file =
 let moved_target server file =
   match root_marker server file with Forwarded target -> Some target | In_doubt _ | Plain -> None
 
-let txn_record server file =
-  match root_marker server file with In_doubt record -> Some record | Forwarded _ | Plain -> None
-
 (* Record R on the fresh version's root: the location check becomes part
    of every cluster transaction's read set, so a committed root write —
    a migration flip or a transaction stage, both of which replace the

@@ -77,13 +77,6 @@ val moved_target : Afs_core.Server.t -> Afs_util.Capability.t -> Afs_util.Capabi
 (** [Some cap] iff the file's current committed root is a forward marker
     — i.e. the file has migrated away and [cap] is its new home. *)
 
-val txn_record : Afs_core.Server.t -> Afs_util.Capability.t -> Afs_util.Capability.t option
-(** [Some record] iff the file's current committed root is a cross-shard
-    transaction marker ({!Txnmark}): the file is staged by an in-doubt
-    transaction whose outcome lives in [record]. Ordinary opens of such a
-    file answer [Txn_in_doubt] until a resolver rolls it forward or
-    back. *)
-
 val resident_files : t -> Afs_util.Capability.t list
 (** Files whose current version actually lives here (tombstones of
     migrated-away files excluded), in capability order. *)

@@ -84,7 +84,7 @@ type t = {
      an error vetoes the publish — the references are never written, so
      the commit aborts cleanly. A fenced (deposed) primary's gate always
      errors; the default always succeeds. *)
-  mutable publish_tap : (int * Page.t) list -> (unit, Errors.t) result;
+  publish_tap : (int * Page.t) list -> (unit, Errors.t) result;
   mutable trace : Trace.t;
   (* The two-phase-commit baseline's parked state: pipeline runs admitted
      by [prepare] (validated and merged, publication deferred, base locks
@@ -123,7 +123,6 @@ let name t = t.name
 let group_commit t = t.group_commit
 
 let publish_tap t = t.publish_tap
-let set_publish_tap t tap = t.publish_tap <- tap
 
 let trace t = t.trace
 let set_trace t tr = t.trace <- tr
@@ -478,13 +477,6 @@ let version_of_block t block =
   match Hashtbl.find_opt t.versions block with
   | Some v -> Ok (mint_version_cap t v.vblock)
   | None -> Error (No_such_version (version_obj_of_block block))
-
-let file_of_version t cap =
-  let* v = find_version t cap ~need:Capability.rights_none in
-  let* page = read_pg t v.vblock in
-  match page.Page.header.Page.file_cap with
-  | Some fc -> Ok fc
-  | None -> Error (Store_failure "version page lacks file capability")
 
 (* Free the pages private to a version: copies (C set) found by descent,
    then the version page itself. Shared pages (C clear) belong to the base
@@ -972,10 +964,6 @@ let commit_batch t caps =
                  would-be winner; recovery reads the truth back. *)
               tpoint t (Trace.Commit_batch { size; winners = 0; aborts });
               List.map (function Ok () -> Error e | r -> r) results)
-
-let flush_version t cap =
-  let* _ = find_version t cap ~need:Capability.rights_none in
-  Pagestore.flush t.ps
 
 (* {2 Two-phase commit baseline (prepare / decide)}
 

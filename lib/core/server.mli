@@ -75,9 +75,6 @@ val trace : t -> Afs_trace.Trace.t
 val set_trace : t -> Afs_trace.Trace.t -> unit
 
 val publish_tap : t -> (int * Page.t) list -> (unit, Errors.t) result
-val set_publish_tap : t -> ((int * Page.t) list -> (unit, Errors.t) result) -> unit
-(** Replace the replication gate (see {!create}); used when a replica is
-    promoted and the surviving server re-homes its commit stream. *)
 
 val pagestore : t -> Pagestore.t
 val ports : t -> Ports.t
@@ -196,8 +193,6 @@ val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
     winner gets the store error — recovery reads the truth back. Emits
     one [Trace.Commit_batch] point per batch. *)
 
-val flush_version : t -> Afs_util.Capability.t -> unit Errors.r
-
 val prepare : t -> Afs_util.Capability.t -> unit Errors.r
 (** Two-phase-commit baseline, phase one: run the version through
     validate and merge exactly as a deferred group-commit member — the
@@ -268,7 +263,5 @@ val reclaim_versions : t -> live:(int -> bool) -> int
     block. Server memory thus follows retained history, not every version
     ever created. Returns the number of records dropped and adds it to
     counter [versions.reclaimed]. *)
-
-val file_of_version : t -> Afs_util.Capability.t -> Afs_util.Capability.t Errors.r
 
 val list_files : t -> Afs_util.Capability.t list

@@ -127,7 +127,6 @@ let erase t b =
 let is_written t b = b >= 0 && b < Array.length t.blocks && t.blocks.(b) <> None
 
 let set_offline t flag = t.offline <- flag
-let is_offline t = t.offline
 
 let corrupt t b ~xor_byte =
   if b < 0 || b >= Array.length t.blocks then false

@@ -55,7 +55,6 @@ val is_written : t -> int -> bool
 (** {2 Fault injection} *)
 
 val set_offline : t -> bool -> unit
-val is_offline : t -> bool
 
 val corrupt : t -> int -> xor_byte:char -> bool
 (** XOR one byte into a written block's image, silently; returns false if

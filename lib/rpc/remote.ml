@@ -51,6 +51,28 @@ type value =
 
 type response = (value, Errors.t) result
 
+(* The fusions' shared steps. A fused request opens its version itself and
+   the client never learns its capability, so every error after the open
+   must abandon it; aborting a version the commit already removed is a
+   harmless no-op. *)
+let abandon server version = ignore (Server.abort_version server version : unit Errors.r)
+
+let open_with_root server file =
+  Result.bind (Server.create_version server file) (fun version ->
+      match Server.read_page server version Pagepath.root with
+      | Ok root -> Ok (version, root)
+      | Error e ->
+          abandon server version;
+          Error e)
+
+let seal server version ~root writes =
+  let rec write = function
+    | [] -> Server.commit server version
+    | (path, data) :: rest ->
+        Result.bind (Server.write_page server version path data) (fun () -> write rest)
+  in
+  Result.bind (Server.write_page server version Pagepath.root root) (fun () -> write writes)
+
 let handle server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
   | Current_version file -> Result.map (fun c -> Cap c) (Server.current_version server file)
@@ -82,61 +104,41 @@ let handle server : request -> response = function
          land in its read set and any conflicting committed update
          collides with the caller's seal — same fences as separate
          calls, a fraction of the round trips. *)
-      Result.bind (Server.create_version server file) (fun version ->
-          let abandon e =
-            ignore (Server.abort_version server version : unit Errors.r);
-            Error e
+      Result.bind (open_with_root server file) (fun (version, root) ->
+          let rec fetch acc = function
+            | [] -> Ok (Opened { version; root; pages = List.rev acc })
+            | path :: rest -> (
+                match Server.read_page server version path with
+                | Ok data -> fetch (data :: acc) rest
+                | Error e ->
+                    abandon server version;
+                    Error e)
           in
-          match Server.read_page server version Pagepath.root with
-          | Error e -> abandon e
-          | Ok root ->
-              let rec fetch acc = function
-                | [] -> Ok (Opened { version; root; pages = List.rev acc })
-                | path :: rest -> (
-                    match Server.read_page server version path with
-                    | Ok data -> fetch (data :: acc) rest
-                    | Error e -> abandon e)
-              in
-              fetch [] reads)
+          fetch [] reads)
   | Txn_seal { version; root; writes } ->
       (* The counterpart: root write, staged page writes and the ordinary
          optimistic commit in a single message. Pure batching — the
-         validation semantics are exactly those of the individual calls. *)
-      Result.bind (Server.write_page server version Pagepath.root root) (fun () ->
-          Result.bind
-            (List.fold_left
-               (fun acc (path, data) ->
-                 Result.bind acc (fun () -> Server.write_page server version path data))
-               (Ok ()) writes)
-            (fun () -> Result.map (fun () -> Unit) (Server.commit server version)))
+         validation semantics are exactly those of the individual calls.
+         The client holds this version, so abandoning it is the client's
+         call. *)
+      Result.map (fun () -> Unit) (seal server version ~root writes)
   | Txn_cas { file; expected; root; writes } ->
       (* Open-read-compare-seal as one message: a whole root test-and-set
          in a single round trip. Still an ordinary optimistic commit with
          its ordinary flag map — only the comparison is new, and on
          mismatch the caller gets the current root back in the same
          breath, so losing the race costs no extra message. *)
-      Result.bind (Server.create_version server file) (fun version ->
-          let abandon e =
-            ignore (Server.abort_version server version : unit Errors.r);
-            Error e
-          in
-          match Server.read_page server version Pagepath.root with
-          | Error e -> abandon e
-          | Ok current ->
-              if not (Bytes.equal current expected) then begin
-                ignore (Server.abort_version server version : unit Errors.r);
-                Ok (Data current)
-              end
-              else
-                Result.bind (Server.write_page server version Pagepath.root root)
-                  (fun () ->
-                    Result.bind
-                      (List.fold_left
-                         (fun acc (path, data) ->
-                           Result.bind acc (fun () ->
-                               Server.write_page server version path data))
-                         (Ok ()) writes)
-                      (fun () -> Result.map (fun () -> Unit) (Server.commit server version))))
+      Result.bind (open_with_root server file) (fun (version, current) ->
+          if not (Bytes.equal current expected) then begin
+            abandon server version;
+            Ok (Data current)
+          end
+          else
+            match seal server version ~root writes with
+            | Ok () -> Ok Unit
+            | Error e ->
+                abandon server version;
+                Error e)
   | Prepare version -> Result.map (fun () -> Unit) (Server.prepare server version)
   | Decide { version; commit = decision } ->
       Result.map (fun () -> Unit) (Server.decide server version ~commit:decision)

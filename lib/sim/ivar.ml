@@ -14,8 +14,6 @@ let try_fill t v =
 
 let fill t v = if not (try_fill t v) then invalid_arg "Ivar.fill: already filled"
 
-let is_filled t = match t.state with Full _ -> true | Empty _ -> false
-
 let peek t = match t.state with Full v -> Some v | Empty _ -> None
 
 let read t =

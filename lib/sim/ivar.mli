@@ -15,8 +15,6 @@ val fill : 'a t -> 'a -> unit
 val try_fill : 'a t -> 'a -> bool
 (** Like {!fill} but returns false instead of raising when already full. *)
 
-val is_filled : 'a t -> bool
-
 val peek : 'a t -> 'a option
 
 val read : 'a t -> 'a

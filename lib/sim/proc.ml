@@ -101,8 +101,6 @@ let suspend register =
   in_process ();
   Effect.perform (Suspend register)
 
-let self_name () = match !current with Some (_, h) -> h.name | None -> "outside"
-
 let kill handle = handle.dead <- true
 
 let alive handle = (not handle.dead) && not handle.finished

@@ -28,9 +28,6 @@ val suspend : (('a -> unit) -> unit) -> 'a
     invoked (typically from another process or an engine event), schedules
     the parked process to continue with the given value. *)
 
-val self_name : unit -> string
-(** Name of the running process ("anon" when unnamed); for logs. *)
-
 val kill : handle -> unit
 (** Marks the process dead: the next time it would be resumed it raises
     {!Killed} instead, unwinding the coroutine. Used by crash injection. *)

@@ -81,7 +81,6 @@ let leg t ~leg ~server ~block ~cost_ms =
     Trace.point t.trace (Trace.Stable_leg { leg; server; block; cost_ms })
 
 let block_size t = t.block_size
-let address_space t = t.blocks
 let disk t i = t.servers.(i).disk
 let companion i = 1 - i
 let online t i = t.servers.(i).up && t.servers.(i).recovered

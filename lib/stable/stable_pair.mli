@@ -56,7 +56,6 @@ val set_trace : t -> Afs_trace.Trace.t -> unit
 (** Install a trace handle on the pair and both underlying disks. *)
 
 val block_size : t -> int
-val address_space : t -> int
 val disk : t -> id -> Afs_disk.Disk.t
 val online : t -> id -> bool
 val some_online : t -> id option

@@ -5,9 +5,6 @@
     same-seed runs produce byte-identical files. Timestamps are virtual
     milliseconds scaled to the format's microsecond [ts] field. *)
 
-val render_event : Trace.event -> string
-(** One event as a single-line JSON object (no trailing separator). *)
-
 type writer
 (** Incremental writer for streaming sinks: brackets the event array. *)
 

@@ -127,9 +127,6 @@ type event =
 let event_seq = function
   | Point { seq; _ } | Span_open { seq; _ } | Span_close { seq; _ } -> seq
 
-let event_time = function
-  | Point { at_ms; _ } | Span_open { at_ms; _ } | Span_close { at_ms; _ } -> at_ms
-
 type ring = {
   cap : int;
   buf : event option array;
@@ -161,8 +158,6 @@ let ring ?(capacity = default_capacity) ~now () =
 let stream ~now emit = { now; sink = Stream emit; next_seq = 0; next_span = 1; stack = []; emitted = 0 }
 
 let enabled t = match t.sink with Null -> false | Ring _ | Stream _ -> true
-
-let now_ms t = t.now ()
 
 let events_emitted t = t.emitted
 

@@ -90,7 +90,6 @@ type event =
   | Span_close of { seq : int; at_ms : float; id : int }
 
 val event_seq : event -> int
-val event_time : event -> float
 
 type t
 
@@ -108,8 +107,6 @@ val stream : now:(unit -> float) -> (event -> unit) -> t
 
 val enabled : t -> bool
 (** Guard for hot paths: skip payload construction entirely when false. *)
-
-val now_ms : t -> float
 
 val point : t -> payload -> unit
 (** Record an instantaneous event under the current ambient span. *)

@@ -8,7 +8,6 @@ let right_commit = 0x04
 let right_destroy = 0x08
 let right_admin = 0x10
 
-let rights_union = ( lor )
 let rights_subset a b = a land lnot b = 0
 let rights_to_int r = r
 let rights_of_int i = i land 0xFF

@@ -22,7 +22,6 @@ val right_commit : rights
 val right_destroy : rights
 val right_admin : rights
 
-val rights_union : rights -> rights -> rights
 val rights_subset : rights -> rights -> bool
 (** [rights_subset a b] is true when every right in [a] is also in [b]. *)
 

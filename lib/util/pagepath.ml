@@ -25,8 +25,6 @@ let last = function
 
 let depth = List.length
 
-let is_root t = t = []
-
 let rec is_prefix a b =
   match (a, b) with
   | [], _ -> true

@@ -27,8 +27,6 @@ val last : t -> int option
 
 val depth : t -> int
 
-val is_root : t -> bool
-
 val is_prefix : t -> t -> bool
 (** [is_prefix a b] is true when page [a] lies on the path from the root to
     page [b] (inclusive: every path prefixes itself). *)

@@ -39,10 +39,6 @@ type report = {
   cross_aborts : int;
 }
 
-let pp_report ppf r =
-  Fmt.pf ppf "%s: %d committed (%.1f/s), %d given up, %d attempts, lat mean %.2fms p99 %.2fms"
-    r.sut_name r.committed r.throughput_per_s r.given_up r.attempts r.mean_latency_ms r.p99_ms
-
 let header_row =
   Printf.sprintf "%-14s %10s %9s %9s %10s %10s %10s %10s %10s" "system" "committed"
     "given-up" "attempts" "thru/s" "mean-ms" "p50-ms" "p95-ms" "p99-ms"

@@ -46,8 +46,6 @@ type report = {
           backends. *)
 }
 
-val pp_report : report Fmt.t
-
 val report_row : report -> string
 (** Fixed-width table row (see {!header_row}). *)
 

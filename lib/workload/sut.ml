@@ -86,115 +86,79 @@ let cluster_stats cluster () =
           (Afs_util.Stats.Counter.to_list (Server.counters (Afs_cluster.Shard.server s))))
       (Afs_cluster.Cluster.shards cluster)
 
-(* {2 Amoeba file service, direct} *)
+(* {2 The Amoeba file service: one optimistic exec loop}
 
-let afs_local server ~files =
-  let run_ops version ops =
-    let rec go = function
-      | [] -> Ok ()
-      | Read i :: rest -> (
-          match Server.read_page server version (page_path i) with
-          | Ok _ -> go rest
-          | Error _ as e -> Result.map (fun _ -> ()) e)
-      | Write (i, data) :: rest -> (
-          match Server.write_page server version (page_path i) data with
-          | Ok () -> go rest
-          | Error _ as e -> e)
-      | Rmw (i, f) :: rest -> (
-          match Server.read_page server version (page_path i) with
-          | Error _ as e -> Result.map (fun _ -> ()) e
-          | Ok v -> (
-              match Server.write_page server version (page_path i) (f v) with
-              | Ok () -> go rest
-              | Error _ as e -> e))
-    in
-    go ops
-  in
-  let exec spec ~max_retries =
-    single_part_only "afs_local" spec;
-    let file = files.(spec.file) in
-    let rec attempt n =
-      match Server.create_version server file with
-      | Error (Errors.Locked_out _) ->
-          if n < max_retries then attempt (n + 1) else finished ~committed:false n
-      | Error e -> fatal_error "afs_local create_version" e
-      | Ok version -> (
-          match run_ops version spec.ops with
-          | Error e ->
-              ignore (Server.abort_version server version);
-              fatal_error "afs_local ops" e
-          | Ok () -> (
-              match Server.commit server version with
-              | Ok () -> finished ~committed:true n
-              | Error Errors.Conflict ->
-                  if n < max_retries then attempt (n + 1)
-                  else finished ~committed:false n
-              | Error e -> fatal_error "afs_local commit" e))
-    in
-    attempt 1
-  in
-  let read_page file page =
-    let cap = fatal "current_version" (Server.current_version server files.(file)) in
-    fatal "read_page" (Server.read_page server cap (page_path page))
-  in
-  {
-    name = "afs-occ";
-    exec;
-    stats = (fun () -> Afs_util.Stats.Counter.to_list (Server.counters server));
-    read_page;
-  }
+   The paper's client procedure, once: open a version, run the page
+   operations, commit, and redo on conflict. Backends differ only in how a
+   file is routed and opened; from the returned connection and version on,
+   every read, write, commit and abort is the same {!Remote} request. A
+   bare server is therefore literally the one-shard case of a cluster. *)
 
-(* {2 Amoeba file service over simulated RPC} *)
+let back_off_ms = 5.0
 
-let afs_remote ?(name = "afs-occ-rpc") ?(respect_hints = false) conn ~fallback ~files =
-  let run_ops version ops =
-    let rec go = function
-      | [] -> Ok ()
-      | Read i :: rest -> (
-          match Remote.read_page conn version (page_path i) with
-          | Ok _ -> go rest
-          | Error _ as e -> Result.map (fun _ -> ()) e)
-      | Write (i, data) :: rest -> (
-          match Remote.write_page conn version (page_path i) data with
-          | Ok () -> go rest
-          | Error _ as e -> e)
-      | Rmw (i, f) :: rest -> (
-          match Remote.read_page conn version (page_path i) with
-          | Error _ as e -> Result.map (fun _ -> ()) e
-          | Ok v -> (
-              match Remote.write_page conn version (page_path i) (f v) with
-              | Ok () -> go rest
-              | Error _ as e -> e))
-    in
-    go ops
+type opened = { conn : Remote.conn; version : Afs_util.Capability.t; on_commit : unit -> unit }
+
+let run_ops conn version ops =
+  let rec go = function
+    | [] -> Ok ()
+    | Read i :: rest -> (
+        match Remote.read_page conn version (page_path i) with
+        | Ok _ -> go rest
+        | Error e -> Error e)
+    | Write (i, data) :: rest -> (
+        match Remote.write_page conn version (page_path i) data with
+        | Ok () -> go rest
+        | Error _ as e -> e)
+    | Rmw (i, f) :: rest -> (
+        match Remote.read_page conn version (page_path i) with
+        | Error e -> Error e
+        | Ok v -> (
+            match Remote.write_page conn version (page_path i) (f v) with
+            | Ok () -> go rest
+            | Error _ as e -> e))
   in
-  let exec spec ~max_retries =
-    single_part_only "afs_remote" spec;
-    let file = files.(spec.file) in
-    let rec attempt n =
-      match Remote.create_version ~respect_hints conn file with
-      | Error (Errors.Locked_out _) ->
-          if n < max_retries then begin
-            (* Soft lock or super-file lock: wait for the hint to clear. *)
-            Proc.delay 5.0;
-            attempt (n + 1)
-          end
-          else finished ~committed:false n
-      | Error e -> fatal_error "afs_remote create_version" e
-      | Ok version -> (
-          match run_ops version spec.ops with
-          | Error e ->
-              ignore (Remote.abort_version conn version);
-              fatal_error "afs_remote ops" e
-          | Ok () -> (
-              match Remote.commit conn version with
-              | Ok () -> finished ~committed:true n
-              | Error Errors.Conflict ->
-                  if n < max_retries then attempt (n + 1)
-                  else finished ~committed:false n
-              | Error e -> fatal_error "afs_remote commit" e))
+  go ops
+
+(* The retry policy: a conflict redoes at once; a lock hint or a transport
+   outage (a crashed host, a cluster member awaiting failover) waits
+   [back_off_ms] first, wherever it arises. A commit that failed in
+   transport never reached a live server (a served request's reply still
+   delivers across a crash), so nothing committed and a redo is safe.
+   Anything else is a protocol violation. *)
+let occ_exec ~where ~open_ ~files spec ~max_retries =
+  single_part_only where spec;
+  let file = files.(spec.file) in
+  let rec attempt n =
+    let failed step = function
+      | Errors.Conflict | Errors.Locked_out _ | Errors.Store_failure _ when n >= max_retries ->
+          finished ~committed:false n
+      | Errors.Conflict -> attempt (n + 1)
+      | Errors.Locked_out _ | Errors.Store_failure _ ->
+          Proc.delay back_off_ms;
+          attempt (n + 1)
+      | e -> fatal_error (where ^ " " ^ step) e
     in
-    attempt 1
+    match open_ file with
+    | Error e -> failed "create_version" e
+    | Ok o -> (
+        match run_ops o.conn o.version spec.ops with
+        | Error e ->
+            ignore (Remote.abort_version o.conn o.version);
+            failed "ops" e
+        | Ok () -> (
+            match Remote.commit o.conn o.version with
+            | Ok () ->
+                o.on_commit ();
+                finished ~committed:true n
+            | Error e -> failed "commit" e))
+  in
+  attempt 1
+
+let afs_remote ?(name = "afs-occ-rpc") conn ~fallback ~files =
+  let open_ file =
+    Result.map
+      (fun version -> { conn; version; on_commit = ignore })
+      (Remote.create_version conn file)
   in
   let read_page file page =
     let cap = fatal "current_version" (Server.current_version fallback files.(file)) in
@@ -202,92 +166,30 @@ let afs_remote ?(name = "afs-occ-rpc") ?(respect_hints = false) conn ~fallback ~
   in
   {
     name;
-    exec;
+    exec = occ_exec ~where:"afs_remote" ~open_ ~files;
     stats = (fun () -> Afs_util.Stats.Counter.to_list (Server.counters fallback));
     read_page;
   }
 
-(* {2 Amoeba file service over a shard cluster}
-
-   The exec loop mirrors [afs_remote] step for step — same RPC sequence,
-   same Locked_out back-off, same attempt accounting — with routing (a
-   pure local port lookup, no simulated time) in front of each
-   create_version. That structural identity is what makes a one-shard
-   cluster's driver report bit-identical to the bare remote SUT's. *)
-
-let cluster_run_ops txn ops =
+(* Routing is a pure local port lookup (no simulated time) in front of the
+   version creation; [Moved] answers are chased inside it. A committed
+   update is credited to the shard that took it, for the rebalancer. *)
+let cluster_open client file =
   let module CC = Afs_cluster.Cluster_client in
-  let rec go = function
-    | [] -> Ok ()
-    | Read i :: rest -> (
-        match CC.Txn.read txn (page_path i) with
-        | Ok _ -> go rest
-        | Error _ as e -> Result.map (fun _ -> ()) e)
-    | Write (i, data) :: rest -> (
-        match CC.Txn.write txn (page_path i) data with
-        | Ok () -> go rest
-        | Error _ as e -> e)
-    | Rmw (i, f) :: rest -> (
-        match CC.Txn.read txn (page_path i) with
-        | Error _ as e -> Result.map (fun _ -> ()) e
-        | Ok v -> (
-            match CC.Txn.write txn (page_path i) (f v) with
-            | Ok () -> go rest
-            | Error _ as e -> e))
-  in
-  go ops
+  Result.map
+    (fun h ->
+      {
+        conn = CC.Txn.conn h.CC.txn;
+        version = CC.Txn.version h.CC.txn;
+        on_commit = (fun () -> CC.note_commit client ~shard:h.CC.shard h.CC.file);
+      })
+    (CC.begin_txn client file)
 
-let afs_cluster ?(name = "afs-occ-cluster") ?(respect_hints = false) client ~files =
-  let module CC = Afs_cluster.Cluster_client in
-  let cluster = CC.cluster client in
-  let run_ops = cluster_run_ops in
-  let exec spec ~max_retries =
-    single_part_only "afs_cluster" spec;
-    let file = files.(spec.file) in
-    (* Unlike the single-server SUTs, a cluster member may simply stop
-       answering (crashed, awaiting failover): [Store_failure] here is a
-       transport outage, not a protocol violation, so it backs off and
-       retries like [Locked_out] — the connection lookup learns the
-       promoted server as soon as one exists. A healthy run never takes
-       these arms, preserving the one-shard bit-identity to [afs_remote]. *)
-    let rec attempt n =
-      let back_off_retry () =
-        if n < max_retries then begin
-          Proc.delay 5.0;
-          attempt (n + 1)
-        end
-        else finished ~committed:false n
-      in
-      match CC.begin_txn ~respect_hints ~attempt:n client file with
-      | Error (Errors.Locked_out _) -> back_off_retry ()
-      | Error (Errors.Store_failure _) -> back_off_retry ()
-      | Error e -> fatal_error "afs_cluster create_version" e
-      | Ok h -> (
-          match run_ops h.CC.txn spec.ops with
-          | Error (Errors.Store_failure _) ->
-              ignore (CC.abort h);
-              back_off_retry ()
-          | Error e ->
-              ignore (CC.abort h);
-              fatal_error "afs_cluster ops" e
-          | Ok () -> (
-              match CC.commit client h with
-              | Ok () -> finished ~committed:true n
-              | Error Errors.Conflict ->
-                  if n < max_retries then attempt (n + 1)
-                  else finished ~committed:false n
-              | Error (Errors.Store_failure _) ->
-                  (* The commit request never reached a live server (a
-                     served request's reply still delivers across a
-                     crash), so nothing committed; redo from scratch. *)
-                  back_off_retry ()
-              | Error e -> fatal_error "afs_cluster commit" e))
-    in
-    attempt 1
-  in
+let afs_cluster client ~files =
+  let cluster = Afs_cluster.Cluster_client.cluster client in
   {
-    name;
-    exec;
+    name = "afs-occ-cluster";
+    exec = occ_exec ~where:"afs_cluster" ~open_:(cluster_open client) ~files;
     stats = cluster_stats cluster;
     read_page = cluster_read_page cluster files;
   }
@@ -461,7 +363,7 @@ let tsorder ?remote backend ~pages_per_file =
    (local) versus a fully-staged transaction force-aborted at the
    coordinator record (cross). *)
 
-let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
+let afs_txn ?trace client ~files =
   let module CC = Afs_cluster.Cluster_client in
   let module Txn = Afs_txn.Txn in
   let cluster = CC.cluster client in
@@ -496,7 +398,7 @@ let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
           | Txn.Failed (Errors.Locked_out _ | Errors.Store_failure _) ->
               (* Transport outage or lock hint: wait it out, as the other
                  cluster SUTs do. Not an abort — nothing was staged. *)
-              Proc.delay 5.0
+              Proc.delay back_off_ms
           | Txn.Failed e -> fatal_error "afs_txn exec" e);
           if n < max_retries then attempt (n + 1) else result ~committed:false n
     in
@@ -505,7 +407,7 @@ let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
   let stats () =
     Afs_util.Stats.Counter.to_list (Txn.counters txn) @ cluster_stats cluster ()
   in
-  { name; exec; stats; read_page = cluster_read_page cluster files }
+  { name = "afs-occ-txn"; exec; stats; read_page = cluster_read_page cluster files }
 
 (* {2 Two-phase-commit baseline over the same cluster}
 
@@ -518,15 +420,10 @@ let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
    for the whole prepare window, surfacing as [Store_failure] back-offs.
    Contrast with [afs_txn], which holds nothing across shards. *)
 
-let afs_twopc ?(name = "afs-2pc") client ~files =
-  let module CC = Afs_cluster.Cluster_client in
-  let cluster = CC.cluster client in
-  let prepare_one h =
-    Remote.prepare (CC.Txn.conn h.CC.txn) (CC.Txn.version h.CC.txn)
-  in
-  let decide_one h ~commit =
-    Remote.decide (CC.Txn.conn h.CC.txn) (CC.Txn.version h.CC.txn) ~commit
-  in
+let afs_twopc client ~files =
+  let cluster = Afs_cluster.Cluster_client.cluster client in
+  let abort o = ignore (Remote.abort_version o.conn o.version) in
+  let decide o ~commit = Remote.decide o.conn o.version ~commit in
   let parts_of spec =
     match spec.parts with
     | [] -> [ (spec.file, spec.ops) ]
@@ -538,59 +435,56 @@ let afs_twopc ?(name = "afs-2pc") client ~files =
     let result ~committed n =
       { committed; attempts = n; local_aborts = !local; cross_aborts = !cross }
     in
-    let abort_all hs = List.iter (fun h -> ignore (CC.abort h)) hs in
     let rec attempt n =
-      let back_off_retry ~result:r () =
+      let back_off_retry () =
         if n < max_retries then begin
-          Proc.delay 5.0;
+          Proc.delay back_off_ms;
           attempt (n + 1)
         end
-        else r
+        else result ~committed:false n
       in
       (* Phase zero: open a version on every participant and run its ops
          (real page writes, unlike the marker-borne afs_txn stage). *)
       let rec open_all acc = function
         | [] -> `Opened (List.rev acc)
         | (file, ops) :: rest -> (
-            match CC.begin_txn ~attempt:n client files.(file) with
+            match cluster_open client files.(file) with
             | Error (Errors.Locked_out _ | Errors.Store_failure _) ->
-                abort_all acc;
+                List.iter abort acc;
                 `Back_off
             | Error e -> fatal_error "afs_twopc create_version" e
-            | Ok h -> (
-                match cluster_run_ops h.CC.txn ops with
-                | Ok () -> open_all (h :: acc) rest
+            | Ok o -> (
+                match run_ops o.conn o.version ops with
+                | Ok () -> open_all (o :: acc) rest
                 | Error (Errors.Store_failure _) ->
-                    abort_all (h :: acc);
+                    List.iter abort (o :: acc);
                     `Back_off
                 | Error e ->
-                    abort_all (h :: acc);
+                    List.iter abort (o :: acc);
                     fatal_error "afs_twopc ops" e))
       in
       match open_all [] parts with
-      | `Back_off -> back_off_retry ~result:(result ~committed:false n) ()
-      | `Opened handles -> (
+      | `Back_off -> back_off_retry ()
+      | `Opened opened -> (
           (* Phase one, in canonical order. On any refusal the prepared
              prefix is decided-abort (releasing its parked pipelines)
              before the unprepared suffix is discarded. *)
           let rec prepare_all prepared idx = function
             | [] -> `Prepared (List.rev prepared)
-            | h :: rest -> (
-                match prepare_one h with
-                | Ok () -> prepare_all (h :: prepared) (idx + 1) rest
+            | o :: rest -> (
+                match Remote.prepare o.conn o.version with
+                | Ok () -> prepare_all (o :: prepared) (idx + 1) rest
                 | Error e ->
-                    List.iter
-                      (fun p -> ignore (decide_one p ~commit:false))
-                      (List.rev prepared);
-                    ignore (CC.abort h);
-                    abort_all rest;
+                    List.iter (fun p -> ignore (decide p ~commit:false)) (List.rev prepared);
+                    abort o;
+                    List.iter abort rest;
                     `Refused (idx, e))
           in
-          match prepare_all [] 0 handles with
+          match prepare_all [] 0 opened with
           | `Refused (_, Errors.Store_failure _) ->
               (* Lock contention against another coordinator's prepare
                  window — the blocking 2PC is famous for. *)
-              back_off_retry ~result:(result ~committed:false n) ()
+              back_off_retry ()
           | `Refused (idx, Errors.Conflict) ->
               if idx = 0 && List.length parts > 1 then incr local
               else if List.length parts > 1 then incr cross
@@ -603,16 +497,16 @@ let afs_twopc ?(name = "afs-2pc") client ~files =
                  in; a participant that cannot publish now is a broken
                  store, not a conflict. *)
               List.iter
-                (fun h ->
-                  fatal "afs_twopc decide" (decide_one h ~commit:true);
-                  CC.note_commit client ~shard:h.CC.shard h.CC.file)
+                (fun o ->
+                  fatal "afs_twopc decide" (decide o ~commit:true);
+                  o.on_commit ())
                 prepared;
               result ~committed:true n)
     in
     attempt 1
   in
   {
-    name;
+    name = "afs-2pc";
     exec;
     stats = cluster_stats cluster;
     read_page = cluster_read_page cluster files;

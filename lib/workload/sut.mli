@@ -3,10 +3,16 @@
     A transaction is a file plus a list of page operations; [Rmw] makes
     the written value depend on the read one, which is what lets the
     test-suite check serialisability by invariant (conserved totals) on
-    every backend. Adapters exist for the Amoeba file service (local and
-    over simulated RPC), the XDFS-style locking baseline and the
-    SWALLOW-style timestamp baseline, each encoding its own redo/wait
-    policy. *)
+    every backend. Adapters exist for the Amoeba file service (over
+    simulated RPC, to one server or a shard cluster, plus the cross-shard
+    coordinator and its 2PC baseline), the XDFS-style locking baseline and
+    the SWALLOW-style timestamp baseline, each encoding its own redo/wait
+    policy.
+
+    The single-file Amoeba adapters share one optimistic exec loop: open a
+    version, run the operations, commit. [Conflict] redoes at once;
+    [Locked_out] and [Store_failure] (a lock hint, a crashed host) wait
+    5 ms of simulated time, then redo; any other error is {!Fatal}. *)
 
 exception Fatal of { where : string; error : Afs_core.Errors.t }
 (** A reply the workload can never legitimately see: a harness bug or
@@ -54,37 +60,27 @@ type t = {
           checks. *)
 }
 
-val afs_local : Afs_core.Server.t -> files:Afs_util.Capability.t array -> t
-(** Direct calls, no simulated time: for logic tests and CPU benchmarks.
-    Pages are the children [0..n-1] of each file's root. *)
-
 val afs_remote :
   ?name:string ->
-  ?respect_hints:bool ->
   Afs_rpc.Remote.conn ->
   fallback:Afs_core.Server.t ->
   files:Afs_util.Capability.t array ->
   t
-(** Over simulated RPC; conflicts redo immediately (optimistic policy).
-    [fallback] is only used for out-of-band invariant reads.
-    [respect_hints] enables the §5.3 soft-lock scheme on version
-    creation. *)
+(** Over simulated RPC on a fixed connection (one server, or several
+    serving one store). [fallback] is only used for out-of-band invariant
+    reads. *)
 
-val afs_cluster :
-  ?name:string ->
-  ?respect_hints:bool ->
-  Afs_cluster.Cluster_client.t ->
-  files:Afs_util.Capability.t array ->
-  t
-(** Over a shard cluster, location-transparently: the exec loop is
-    [afs_remote]'s step for step, with a local port-routing lookup in
-    front of each version creation — so a one-shard cluster reports
-    bit-identically to {!afs_remote} on the same engine and seed.
-    Tolerates concurrent migrations: [Moved] answers are chased inside
-    version creation, and invariant reads follow tombstones. *)
+val afs_cluster : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t array -> t
+(** Over a shard cluster, location-transparently: {!afs_remote}'s exec
+    loop, opening each version through the cluster client's routing (a
+    local port lookup, no simulated time) instead of a fixed connection,
+    and crediting each commit's load to its shard. A bare server is the
+    one-shard case, so a one-shard cluster reports bit-identically to
+    {!afs_remote} on the same engine and seed. Tolerates concurrent
+    migrations: [Moved] answers are chased inside version creation, and
+    invariant reads follow tombstones. *)
 
 val afs_txn :
-  ?name:string ->
   ?trace:Afs_trace.Trace.t ->
   Afs_cluster.Cluster_client.t ->
   files:Afs_util.Capability.t array ->
@@ -96,11 +92,7 @@ val afs_txn :
     [cross_aborts] counts staged transactions force-aborted at the
     coordinator record. *)
 
-val afs_twopc :
-  ?name:string ->
-  Afs_cluster.Cluster_client.t ->
-  files:Afs_util.Capability.t array ->
-  t
+val afs_twopc : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t array -> t
 (** The blocking two-phase-commit baseline over the same cluster:
     participant versions are prepared in canonical file order (each
     parking the server's commit pipeline, base lock held), then decided.

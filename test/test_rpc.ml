@@ -145,6 +145,43 @@ let test_remote_conflict_propagates () =
       | Ok () -> Alcotest.fail "conflict not detected over rpc"
       | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e))
 
+(* A fused request opens its version server-side; the client never sees
+   the capability, so a failure after the open must not leave the version
+   (and its private pages) behind. *)
+let test_txn_cas_abandons_version_on_error () =
+  in_sim (fun engine ->
+      let _, srv, host = remote_setup engine in
+      let conn = Remote.connect [ host ] in
+      let f = ok (Remote.create_file conn (bytes "base")) in
+      let no_uncommitted what =
+        Alcotest.(check (list int)) what [] (ok (Server.uncommitted_versions srv f))
+      in
+      (match
+         Remote.txn_cas conn f ~expected:(bytes "base") ~root:(bytes "new")
+           [ (P.of_list [ 5 ], bytes "x") ]
+       with
+      | Error (Errors.Bad_index _) -> ()
+      | Ok _ -> Alcotest.fail "write to a missing child succeeded"
+      | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e));
+      no_uncommitted "failed page write leaves no version";
+      (match Remote.txn_cas conn f ~expected:(bytes "other") ~root:(bytes "new") [] with
+      | Ok (`Mismatch current) -> Helpers.check_bytes "current root" "base" current
+      | Ok `Swapped -> Alcotest.fail "swapped on a mismatching root"
+      | Error e -> Alcotest.failf "mismatch failed: %s" (Errors.to_string e));
+      no_uncommitted "mismatch leaves no version";
+      (match Remote.txn_open ~reads:[ P.of_list [ 3 ] ] conn f with
+      | Error (Errors.Bad_path _ | Errors.Bad_index _) -> ()
+      | Ok _ -> Alcotest.fail "read of a missing child succeeded"
+      | Error e -> Alcotest.failf "wrong open error: %s" (Errors.to_string e));
+      no_uncommitted "failed open read leaves no version";
+      (match Remote.txn_cas conn f ~expected:(bytes "base") ~root:(bytes "new") [] with
+      | Ok `Swapped -> ()
+      | Ok (`Mismatch _) -> Alcotest.fail "mismatch on the expected root"
+      | Error e -> Alcotest.failf "swap failed: %s" (Errors.to_string e));
+      no_uncommitted "swap leaves no version";
+      let cur = ok (Remote.current_version conn f) in
+      Helpers.check_bytes "swapped root" "new" (ok (Remote.read_page conn cur P.root)))
+
 let test_remote_validate_cache () =
   in_sim (fun engine ->
       let _, srv, host = remote_setup engine in
@@ -306,6 +343,7 @@ let () =
         [
           quick "end to end" test_remote_end_to_end;
           quick "conflict propagates" test_remote_conflict_propagates;
+          quick "txn_cas abandons its version on error" test_txn_cas_abandons_version_on_error;
           quick "cache validation" test_remote_validate_cache;
           quick "failover" test_failover_to_second_host;
           quick "crash semantics" test_crash_loses_uncommitted_but_not_committed;

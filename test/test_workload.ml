@@ -56,23 +56,47 @@ let test_setup_pages_layout () =
 
 (* {2 SUT adapters execute transactions correctly} *)
 
-let afs_local_sut shape =
+(* One file of two pages holding "0", behind one simulated host. *)
+let afs_remote_sut engine =
   let _, srv = Helpers.fresh_server () in
-  let files = ok (Workload.setup_pages srv shape ~initial:(Helpers.bytes "0")) in
-  Sut.afs_local srv ~files
-
-let test_afs_local_sut_rmw () =
   let shape = { Workload.small_updates with nfiles = 1; pages_per_file = 2 } in
-  let sut = afs_local_sut shape in
+  let files = ok (Workload.setup_pages srv shape ~initial:(Helpers.bytes "0")) in
+  let host = Remote.host engine ~name:"afs" srv in
+  (Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files, host)
+
+let increment_page0 =
   let incr_op old = Helpers.bytes (string_of_int (int_of_string (Helpers.str old) + 1)) in
-  for _ = 1 to 10 do
-    let r =
-      sut.Sut.exec { Sut.file = 0; ops = [ Sut.Rmw (0, incr_op) ]; parts = [] } ~max_retries:4
-    in
-    Alcotest.(check bool) "committed" true r.Sut.committed
-  done;
+  { Sut.file = 0; ops = [ Sut.Rmw (0, incr_op) ]; parts = [] }
+
+let in_process engine body =
+  let result = ref None in
+  let _ = Afs_sim.Proc.spawn engine (fun () -> result := Some (body ())) in
+  Engine.run engine;
+  match !result with Some r -> r | None -> Alcotest.fail "never ran"
+
+let test_afs_remote_sut_rmw () =
+  let engine = Engine.create () in
+  let sut, _ = afs_remote_sut engine in
+  in_process engine (fun () ->
+      for _ = 1 to 10 do
+        let r = sut.Sut.exec increment_page0 ~max_retries:4 in
+        Alcotest.(check bool) "committed" true r.Sut.committed
+      done);
   Helpers.check_bytes "ten increments" "10" (sut.Sut.read_page 0 0);
   Helpers.check_bytes "other page untouched" "0" (sut.Sut.read_page 0 1)
+
+(* The host dies once the version is open and comes back 200 ms later:
+   the in-flight read times out, which the shared loop treats as a
+   transport outage — back off and redo — not as a protocol violation. *)
+let test_afs_remote_rides_out_host_outage () =
+  let engine = Engine.create () in
+  let sut, host = afs_remote_sut engine in
+  Engine.at engine 3.0 (fun () -> Remote.crash_host host);
+  Engine.at engine 203.0 (fun () -> Remote.restart_host host);
+  let r = in_process engine (fun () -> sut.Sut.exec increment_page0 ~max_retries:4) in
+  Alcotest.(check bool) "committed" true r.Sut.committed;
+  Alcotest.(check bool) (Printf.sprintf "%d attempts > 1" r.Sut.attempts) true (r.Sut.attempts > 1);
+  Helpers.check_bytes "one increment" "1" (sut.Sut.read_page 0 0)
 
 let test_twopl_sut_exec () =
   let engine = Engine.create () in
@@ -279,7 +303,8 @@ let () =
         ] );
       ( "suts",
         [
-          quick "afs local rmw" test_afs_local_sut_rmw;
+          quick "afs remote rmw" test_afs_remote_sut_rmw;
+          quick "afs remote rides out a host outage" test_afs_remote_rides_out_host_outage;
           quick "twopl exec" test_twopl_sut_exec;
           quick "tsorder exec" test_tsorder_sut_exec;
         ] );
