@@ -90,9 +90,28 @@ let test_validation_null_op =
     (Staged.stage (fun () ->
          ignore (ok (Afs_core.Cache.server_validate srv ~file:f ~basis_block:basis))))
 
+(* C5 support: the stable-storage envelope path. One stable write seals
+   one envelope (one CRC over ~1 KiB) and writes it to both disks. *)
+let test_crc32 =
+  let buf = Bytes.make 1024 'c' in
+  Test.make ~name:"crc32-1K" (Staged.stage (fun () -> ignore (Afs_util.Wire.crc32 buf)))
+
+let test_stable_write =
+  let module S = Afs_stable.Stable_pair in
+  let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
+  let payload = Bytes.make 1024 'w' in
+  let b =
+    match (S.allocate_write pair 0 payload).S.result with
+    | Ok b -> b
+    | Error e -> failwith (Fmt.str "%a" S.pp_error e)
+  in
+  Test.make ~name:"stable-write-1K"
+    (Staged.stage (fun () -> ignore (S.write pair 0 b payload)))
+
 let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
-    test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op ]
+    test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op;
+    test_crc32; test_stable_write ]
 
 (* [smoke] trades precision for speed (CI runs it on shared runners just
    to catch order-of-magnitude regressions and keep the artifact fresh). *)
@@ -116,7 +135,7 @@ let run ?(smoke = false) () =
     (fun test ->
       let raw = Benchmark.all cfg instances test in
       let results = analyze raw in
-      Hashtbl.iter
+      Afs_util.Det.iter_sorted
         (fun name result ->
           match Analyze.OLS.estimates result with
           | Some [ est ] -> Printf.printf "  %-32s %12.1f ns/op\n" name est

@@ -162,6 +162,8 @@ let stats (t : t) =
     blocks_in_use = t.in_use;
   }
 
+let busy_ms (t : t) = t.busy_ms
+
 let reset_stats (t : t) =
   t.reads <- 0;
   t.writes <- 0;

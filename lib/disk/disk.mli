@@ -41,8 +41,9 @@ val read : t -> int -> bytes outcome
 (** Returns a copy of the stored image (its exact written length). *)
 
 val write : t -> int -> bytes -> unit outcome
-(** Whole-block atomic write. Fails with [Write_once_violation] when
-    overwriting on write-once media. *)
+(** Whole-block atomic write of a copy of the image: the caller may reuse
+    or write the same bytes elsewhere. Fails with [Write_once_violation]
+    when overwriting on write-once media. *)
 
 val erase : t -> int -> unit outcome
 (** Return a block to the never-written state. Fails on write-once media
@@ -76,4 +77,9 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val busy_ms : t -> float
+(** [(stats t).busy_ms] without building the record: the RPC layer reads
+    it around every request. *)
+
 val reset_stats : t -> unit

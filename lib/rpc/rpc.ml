@@ -44,7 +44,7 @@ type ('req, 'resp) t = {
 
 let trace t = Engine.trace t.engine
 
-let disks_busy t = List.fold_left (fun acc d -> acc +. (Disk.stats d).Disk.busy_ms) 0.0 t.disks
+let disks_busy t = List.fold_left (fun acc d -> acc +. Disk.busy_ms d) 0.0 t.disks
 
 (* Collect up to [window] batchable requests from the whole queue in FIFO
    order; every other request keeps its position. The commits that queued

@@ -90,34 +90,34 @@ let some_online t = if online t 0 then Some 0 else if online t 1 then Some 1 els
 let ok ?(cost = 0.0) v = { result = Ok v; cost_ms = cost }
 let fail ?(cost = 0.0) e = { result = Error e; cost_ms = cost }
 
-(* {2 Envelopes: seq + crc around the payload} *)
+(* {2 Envelopes: magic, seq, sized payload, then a CRC of all of it} *)
 
 let magic = 0x5AB1
 
-(* One scratch writer for every [seal] call: sealing happens twice per
-   stable write (companion and local leg), so a fresh buffer per call is
-   measurable on the group-commit path. [contents] copies, so reuse
-   never aliases a previously sealed envelope. *)
-let seal_scratch = Wire.Writer.create ~capacity:4096 ()
-
+(* One exact-size buffer per envelope. The trailing CRC covers every byte
+   before it, the sequence number included: a flipped seq bit must fail
+   the read, or compare-notes would trust the damaged copy as newer. *)
 let seal seq payload =
-  let w = seal_scratch in
-  Wire.Writer.reset w;
-  Wire.Writer.u16 w magic;
-  Wire.Writer.u64 w seq;
-  Wire.Writer.u32 w (Wire.crc32 payload);
-  Wire.Writer.sized_bytes w payload;
-  Wire.Writer.contents w
+  let len = Bytes.length payload in
+  let body = 10 + Wire.varint_size len + len in
+  let image = Bytes.create (body + 4) in
+  Bytes.set_uint16_le image 0 magic;
+  Bytes.set_int64_le image 2 seq;
+  let pos = Wire.set_varint image 10 len in
+  Bytes.blit payload 0 image pos len;
+  Bytes.set_int32_le image body (Int32.of_int (Wire.crc32_sub image 0 body));
+  image
 
 let unseal image =
   match
     let r = Wire.Reader.of_bytes image in
     let m = Wire.Reader.u16 r in
     let seq = Wire.Reader.u64 r in
-    let crc = Wire.Reader.u32 r in
     let payload = Wire.Reader.sized_bytes r in
+    let crc = Wire.Reader.u32 r in
+    Wire.Reader.expect_end r;
     if m <> magic then Error "bad magic"
-    else if Wire.crc32 payload <> crc then Error "bad crc"
+    else if Wire.crc32_sub image 0 (Bytes.length image - 4) <> crc then Error "bad crc"
     else Ok (seq, payload)
   with
   | result -> result
@@ -162,7 +162,9 @@ let tentative_allocate t i =
 
 let abort_tentative t i b = Hashtbl.remove t.servers.(i).tentative b
 
-let shadow_write t ~primary ~fresh b payload =
+(* The companion leg. Returns the sealed image with its sequence number:
+   the local leg writes that same image, so a stable write seals once. *)
+let shadow_leg t ~primary ~fresh b payload =
   let q = companion primary in
   match check_serving t q with
   | Error e -> fail e
@@ -183,15 +185,18 @@ let shadow_write t ~primary ~fresh b payload =
         | Ok () ->
             Hashtbl.replace s.allocated b ();
             leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms:cost;
-            ok ~cost seq
+            ok ~cost (seq, image)
       end
 
-(* The disk write itself, without the serving check: recovery uses this
-   while the server is still marked unrecovered. *)
-let raw_local_write t i b payload seq =
+let shadow_write t ~primary ~fresh b payload =
+  let o = shadow_leg t ~primary ~fresh b payload in
+  { o with result = Result.map fst o.result }
+
+(* The disk write of an already sealed image, without the serving check:
+   recovery uses this while the server is still marked unrecovered. *)
+let raw_local_write t i b image seq =
   let s = t.servers.(i) in
   note_seq t i seq;
-  let image = seal seq payload in
   let { Disk.result; cost_ms } = Disk.write s.disk b image in
   match result with
   | Error e -> fail ~cost:cost_ms (Disk_error e)
@@ -204,7 +209,7 @@ let raw_local_write t i b payload seq =
 let local_write_seq t i b payload seq =
   match check_serving t i with
   | Error e -> fail e
-  | Ok _ -> raw_local_write t i b payload seq
+  | Ok _ -> raw_local_write t i b (seal seq payload) seq
 
 let local_write t i b payload =
   let seq = next_seq t i in
@@ -220,10 +225,10 @@ let write_via t i b payload ~require_allocated =
       else begin
         let q = companion i in
         if online t q then
-          match shadow_write t ~primary:i ~fresh:(not require_allocated) b payload with
+          match shadow_leg t ~primary:i ~fresh:(not require_allocated) b payload with
           | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
-          | { result = Ok seq; cost_ms = shadow_cost } -> (
-              match local_write_seq t i b payload seq with
+          | { result = Ok (seq, image); cost_ms = shadow_cost } -> (
+              match raw_local_write t i b image seq with
               | { result = Ok (); cost_ms } -> ok ~cost:(shadow_cost +. cost_ms) ()
               | { result = Error e; cost_ms } -> fail ~cost:(shadow_cost +. cost_ms) e)
         else begin
@@ -280,21 +285,22 @@ let write_batch t i entries =
                       if Hashtbl.mem sq.tentative b then Error (Collision b)
                       else begin
                         let seq = next_seq t q in
-                        let { Disk.result; cost_ms } = Disk.write sq.disk b (seal seq payload) in
+                        let image = seal seq payload in
+                        let { Disk.result; cost_ms } = Disk.write sq.disk b image in
                         cost := !cost +. cost_ms;
                         match result with
                         | Error e -> Error (Disk_error e)
                         | Ok () ->
                             Hashtbl.replace sq.allocated b ();
                             leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms;
-                            shadows ((b, payload, seq) :: acc) rest
+                            shadows ((b, image, seq) :: acc) rest
                       end
                 in
-                (* Leg 2 (B→A): the local copies, under the companion's seqs. *)
+                (* Leg 2 (B→A): the companion's images, written locally. *)
                 let rec locals = function
                   | [] -> Ok ()
-                  | (b, payload, seq) :: rest -> (
-                      match raw_local_write t i b payload seq with
+                  | (b, image, seq) :: rest -> (
+                      match raw_local_write t i b image seq with
                       | { result = Ok (); cost_ms } ->
                           cost := !cost +. cost_ms;
                           locals rest
@@ -339,7 +345,7 @@ let read_raw s b =
   | Ok image -> (
       match unseal image with
       | Error m -> (Error (`Corrupt m), cost_ms)
-      | Ok (seq, payload) -> (Ok (seq, payload), cost_ms))
+      | Ok (seq, payload) -> (Ok (seq, payload, image), cost_ms))
 
 let read t i b =
   match check_serving t i with
@@ -348,17 +354,18 @@ let read t i b =
       if not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
       else begin
         match read_raw s b with
-        | Ok (_, payload), cost -> ok ~cost payload
+        | Ok (_, payload, _), cost -> ok ~cost payload
         | (Error _ as _local_failure), local_cost ->
-            (* Fall back to the companion, repairing the local copy. *)
+            (* Fall back to the companion, repairing the local copy with
+               the companion's verified image. *)
             let q = companion i in
             if not (online t q) then fail ~cost:local_cost (Corrupt_both b)
             else begin
               match read_raw t.servers.(q) b with
-              | Ok (seq, payload), remote_cost ->
+              | Ok (seq, payload, image), remote_cost ->
                   leg t ~leg:"companion_read" ~server:q ~block:b
                     ~cost_ms:(hop_ms +. remote_cost);
-                  let repair = local_write_seq t i b payload seq in
+                  let repair = raw_local_write t i b image seq in
                   leg t ~leg:"repair" ~server:i ~block:b ~cost_ms:repair.cost_ms;
                   let cost = local_cost +. hop_ms +. remote_cost +. repair.cost_ms in
                   ok ~cost payload
@@ -428,32 +435,34 @@ let restart t i =
     Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) q.intentions;
     let repaired = ref 0 in
     let cost = ref hop_ms in
+    (* A repair copies the winning side's verified image as it is. *)
     let repair_one b () =
       let mine, my_cost = read_raw s b in
       let theirs, their_cost = read_raw q b in
       cost := !cost +. my_cost +. their_cost;
       match (mine, theirs) with
-      | Ok (my_seq, _), Ok (their_seq, payload) when their_seq > my_seq ->
-          let r = raw_local_write t i b payload their_seq in
+      | Ok (my_seq, _, _), Ok (their_seq, _, image) when their_seq > my_seq ->
+          let r = raw_local_write t i b image their_seq in
           cost := !cost +. r.cost_ms;
           incr repaired
-      | Ok (my_seq, payload), Ok (their_seq, _) when my_seq > their_seq ->
+      | Ok (my_seq, _, image), Ok (their_seq, _, _) when my_seq > their_seq ->
           (* Our copy is newer (their disk lost a write): push it back. *)
-          let seq = my_seq in
-          let image = seal seq payload in
           let w = Disk.write q.disk b image in
-          note_seq t q_id seq;
+          note_seq t q_id my_seq;
           cost := !cost +. w.Disk.cost_ms;
           incr repaired
       | Ok _, Ok _ -> Hashtbl.replace s.allocated b ()
-      | Error _, Ok (their_seq, payload) ->
-          let r = raw_local_write t i b payload their_seq in
+      | Error _, Ok (their_seq, _, image) ->
+          let r = raw_local_write t i b image their_seq in
           cost := !cost +. r.cost_ms;
           Hashtbl.replace s.allocated b ();
           incr repaired
-      | Ok (my_seq, payload), Error _ ->
-          let image = seal my_seq payload in
+      | Ok (my_seq, _, image), Error _ ->
+          (* Their copy is missing or damaged. Their counter must pass our
+             seq too, or their next write of this block could carry a seq
+             no higher than the one we just pushed. *)
           let w = Disk.write q.disk b image in
+          note_seq t q_id my_seq;
           Hashtbl.replace q.allocated b ();
           cost := !cost +. w.Disk.cost_ms;
           incr repaired
@@ -484,7 +493,7 @@ let verify_companion_invariant t =
     if !violation = None then begin
       let ra, _ = read_raw a blk and rb, _ = read_raw b blk in
       match (ra, rb) with
-      | Ok (sa, pa), Ok (sb, pb) when sa = sb && not (Bytes.equal pa pb) ->
+      | Ok (sa, pa, _), Ok (sb, pb, _) when sa = sb && not (Bytes.equal pa pb) ->
           violation := Some (Printf.sprintf "block %d: equal seq %Ld, different payloads" blk sa)
       | _ -> ()
     end

@@ -13,6 +13,15 @@
     notes with its companion and restores its disk before accepting
     requests.
 
+    Each disk block holds an envelope: a magic number, the write's
+    sequence number, the length-prefixed payload, and a CRC-32 of all of
+    those bytes. Because the checksum covers the sequence number, a
+    damaged seq fails the read like a damaged payload, instead of
+    winning compare-notes as a spuriously newer copy. A stable write
+    seals its envelope once and both legs write that one image; this
+    relies on {!Afs_disk.Disk.write} storing a copy. Repairs copy the
+    surviving side's verified image unchanged.
+
     The protocol steps ({!tentative_allocate}, {!shadow_write},
     {!local_write}) are exposed individually so the RPC layer can
     interleave them between concurrent clients under the event engine; the

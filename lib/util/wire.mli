@@ -11,11 +11,6 @@ module Writer : sig
 
   val create : ?capacity:int -> unit -> t
 
-  val reset : t -> unit
-  (** Empty the writer for reuse, keeping its backing buffer — the
-      arena discipline for per-message scratch writers on hot paths.
-      Safe because {!contents} copies. *)
-
   val length : t -> int
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
@@ -36,6 +31,16 @@ module Writer : sig
   val contents : t -> bytes
 end
 
+(** {2 Exact-size encoding} For fixed-layout images whose size is known
+    before writing: allocate once, fill in place. *)
+
+val varint_size : int -> int
+(** Bytes {!Writer.varint} emits for this value. *)
+
+val set_varint : bytes -> int -> int -> int
+(** [set_varint b pos v] writes [v] as {!Writer.varint} would, starting
+    at [pos], and returns the position after it. *)
+
 module Reader : sig
   type t
 
@@ -54,4 +59,10 @@ module Reader : sig
 end
 
 val crc32 : bytes -> int
-(** CRC-32 (IEEE polynomial) used as the page-image integrity check. *)
+(** CRC-32 (IEEE polynomial) used as the page-image integrity check.
+    Computed eight bytes per step (slicing-by-8); bit-identical to the
+    classic byte-at-a-time loop. *)
+
+val crc32_sub : bytes -> int -> int -> int
+(** [crc32_sub b pos len] is [crc32 (Bytes.sub b pos len)] without the
+    copy. Raises [Invalid_argument] on a range outside [b]. *)

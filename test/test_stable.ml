@@ -75,6 +75,57 @@ let test_corrupt_both_detected () =
   ignore (Disk.corrupt (S.disk t 1) b ~xor_byte:'\xFF');
   expect "both corrupt" (function S.Corrupt_both _ -> true | _ -> false) (S.read t 0 b)
 
+(* The envelope checksum covers the sequence number. With a one-byte
+   payload, [Disk.corrupt]'s middle byte lies inside the 8-byte seq
+   field: the damaged stale copy must fail its read, not win
+   compare-notes as a newer copy and roll back the acknowledged "y". *)
+let test_corrupt_seq_not_trusted () =
+  let t = fresh () in
+  let b = ok (S.allocate_write t 0 (bytes "x")) in
+  S.crash t 1;
+  ignore (ok (S.write t 0 b (bytes "y")));
+  Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 1) b ~xor_byte:'\xFF');
+  ignore (ok (S.restart t 1));
+  Helpers.check_bytes "read via 0" "y" (ok (S.read t 0 b));
+  Helpers.check_bytes "read via 1" "y" (ok (S.read t 1 b));
+  check_invariant t
+
+let disk_image t i b =
+  match (Disk.read (S.disk t i) b).Disk.result with
+  | Ok image -> Bytes.to_string image
+  | Error e -> Alcotest.failf "disk %d block %d: %a" i b Disk.pp_error e
+
+(* Both legs of a stable write store one sealed image. [Disk.write] must
+   keep its own copy: corrupting one disk leaves the other intact, and a
+   read through the damaged side repairs it byte for byte. *)
+let check_shared_image_repairs t b ~damaged ~expect:payload =
+  let good = disk_image t (1 - damaged) b in
+  Alcotest.(check string) "both disks hold the same image" good (disk_image t damaged b);
+  Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t damaged) b ~xor_byte:'\x5A');
+  Alcotest.(check string) "other disk untouched" good (disk_image t (1 - damaged) b);
+  Alcotest.(check bool) "damaged disk differs" false (good = disk_image t damaged b);
+  Helpers.check_bytes "read repairs" payload (ok (S.read t damaged b));
+  Alcotest.(check string) "repaired to the same image" good (disk_image t damaged b)
+
+let test_write_legs_share_image () =
+  let t = fresh () in
+  let b = ok (S.allocate_write t 0 (bytes "v1")) in
+  ignore (ok (S.write t 0 b (bytes "v2")));
+  check_shared_image_repairs t b ~damaged:1 ~expect:"v2";
+  ignore (ok (S.write t 1 b (bytes "v3")));
+  check_shared_image_repairs t b ~damaged:1 ~expect:"v3";
+  check_invariant t
+
+let test_write_batch_legs_share_image () =
+  let t = fresh () in
+  let blocks = List.init 4 (fun i -> ok (S.allocate_write t 0 (bytes (Printf.sprintf "old-%d" i)))) in
+  let payload i = Printf.sprintf "new-%d" i in
+  ignore (ok (S.write_batch t 0 (List.mapi (fun i b -> (b, bytes (payload i))) blocks)));
+  List.iteri
+    (fun i b -> check_shared_image_repairs t b ~damaged:(i mod 2) ~expect:(payload i))
+    blocks;
+  check_invariant t
+
 (* {2 Allocate collisions} *)
 
 let test_interleaved_allocate_collision () =
@@ -186,6 +237,24 @@ let test_seq_monotonic_across_restart () =
   Helpers.check_bytes "latest wins everywhere" "v3" (ok (S.read t 1 b));
   check_invariant t
 
+(* A block written while the companion was down reaches it at restart,
+   when the restarting side pushes its copy. The companion's seq counter
+   must pass the pushed seq, or its next solo write of that block reuses
+   the seq and compare-notes cannot tell the two copies apart. *)
+let test_pushed_copy_advances_companion_seq () =
+  let t = fresh () in
+  S.crash t 1;
+  let b = ok (S.allocate_write t 0 (bytes "a")) in
+  S.crash t 0;
+  ignore (ok (S.restart t 1));
+  ignore (ok (S.restart t 0));
+  S.crash t 0;
+  ignore (ok (S.write t 1 b (bytes "new")));
+  ignore (ok (S.restart t 0));
+  Helpers.check_bytes "read via 0" "new" (ok (S.read t 0 b));
+  Helpers.check_bytes "read via 1" "new" (ok (S.read t 1 b));
+  check_invariant t
+
 let test_cost_reported () =
   let t = fresh () in
   let o = S.allocate_write t 0 (bytes "paid for") in
@@ -206,6 +275,9 @@ let () =
         [
           quick "repair from companion" test_corruption_repaired_from_companion;
           quick "both corrupt detected" test_corrupt_both_detected;
+          quick "corrupt seq not trusted" test_corrupt_seq_not_trusted;
+          quick "write legs share one image" test_write_legs_share_image;
+          quick "write_batch legs share one image" test_write_batch_legs_share_image;
         ] );
       ( "collisions",
         [
@@ -221,6 +293,7 @@ let () =
           quick "crash between shadow and local" test_crash_between_shadow_and_local;
           quick "intentions discharged" test_intention_list_discharged;
           quick "sequence monotonic" test_seq_monotonic_across_restart;
+          quick "pushed copy advances companion seq" test_pushed_copy_advances_companion_seq;
           quick "cost reported" test_cost_reported;
         ] );
     ]

@@ -286,6 +286,58 @@ let test_crc32_detects_flip () =
   Bytes.set data 3 'X';
   Alcotest.(check bool) "differs" false (crc = Wire.crc32 data)
 
+(* The classic byte-at-a-time CRC-32, kept here as the oracle for the
+   eight-bytes-per-step [Wire.crc32]. *)
+let crc32_reference b =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  Bytes.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) b;
+  !c lxor 0xFFFFFFFF
+
+(* Lengths 0–4200 hit every tail length mod 8, and more than one 1 KiB
+   stable-storage envelope. *)
+let prop_crc32_matches_reference =
+  QCheck2.Test.make ~name:"crc32 = byte-at-a-time reference" ~count:500
+    QCheck2.Gen.(string_size (int_range 0 4200))
+    (fun s ->
+      let b = Bytes.of_string s in
+      Wire.crc32 b = crc32_reference b)
+
+let prop_crc32_sub =
+  let gen =
+    QCheck2.Gen.(
+      let* s = string_size (int_range 0 300) in
+      let n = String.length s in
+      let* pos = int_range 0 n in
+      let+ len = int_range 0 (n - pos) in
+      (s, pos, len))
+  in
+  QCheck2.Test.make ~name:"crc32_sub = reference over the sub-range" ~count:300 gen
+    (fun (s, pos, len) ->
+      let b = Bytes.of_string s in
+      Wire.crc32_sub b pos len = crc32_reference (Bytes.sub b pos len))
+
+let test_wire_set_varint () =
+  List.iter
+    (fun v ->
+      let w = Wire.Writer.create () in
+      Wire.Writer.varint w v;
+      let expected = Bytes.to_string (Wire.Writer.contents w) in
+      let n = String.length expected in
+      let b = Bytes.make (n + 2) '\xAA' in
+      Alcotest.(check int) "varint_size" n (Wire.varint_size v);
+      Alcotest.(check int) "next position" (1 + n) (Wire.set_varint b 1 v);
+      Alcotest.(check string) "same bytes as Writer.varint" expected (Bytes.sub_string b 1 n);
+      Alcotest.(check char) "neighbours untouched" '\xAA' (Bytes.get b (n + 1)))
+    [ 0; 1; 127; 128; 300; 65535; 1 lsl 28; (1 lsl 56) - 1 ]
+
 (* {2 Stats} *)
 
 let test_summary_moments () =
@@ -485,6 +537,9 @@ let () =
           quick "negative varint rejected" test_wire_negative_varint_rejected;
           quick "crc32 known value" test_crc32_known_value;
           quick "crc32 detects corruption" test_crc32_detects_flip;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+          QCheck_alcotest.to_alcotest prop_crc32_sub;
+          quick "set_varint matches writer" test_wire_set_varint;
         ] );
       ( "stats",
         [
