@@ -1,19 +1,8 @@
-(* Minimal JSON for the bench trajectory file: a flat object of numeric
-   metrics, written one pair per line so baselines diff cleanly, plus a
-   scanner for exactly that shape. No external JSON dependency. *)
+(* The bench trajectory file: a flat object of numeric metrics, written
+   one pair per line so baselines diff cleanly, and read back with the
+   trace library's JSON reader. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Tjson = Afs_trace.Tjson
 
 let number v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -23,39 +12,26 @@ let number v =
 let document ~schema metrics =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" (escape schema));
+  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" (Tjson.escape schema));
   Buffer.add_string buf "  \"metrics\": {\n";
   let metrics = List.sort compare metrics in
   let n = List.length metrics in
   List.iteri
     (fun i (k, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" (escape k) (number v)
+        (Printf.sprintf "    \"%s\": %s%s\n" (Tjson.escape k) (number v)
            (if i = n - 1 then "" else ",")))
     metrics;
   Buffer.add_string buf "  }\n}\n";
   Buffer.contents buf
 
-(* Extract ["name": number] pairs from a document written by {!document}
-   (one pair per line). Lines that do not look like a metric — the schema
-   line, braces — are skipped. *)
+(* The numeric members of a document's ["metrics"] object, in file
+   order. *)
 let parse_metrics text =
-  let parse_line line =
-    let line = String.trim line in
-    let line =
-      if String.length line > 0 && line.[String.length line - 1] = ',' then
-        String.sub line 0 (String.length line - 1)
-      else line
-    in
-    match String.index_opt line ':' with
-    | None -> None
-    | Some i ->
-        let key = String.trim (String.sub line 0 i) in
-        let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-        if String.length key < 2 || key.[0] <> '"' || key.[String.length key - 1] <> '"' then
-          None
-        else
-          let key = String.sub key 1 (String.length key - 2) in
-          (match float_of_string_opt value with Some v -> Some (key, v) | None -> None)
-  in
-  String.split_on_char '\n' text |> List.filter_map parse_line
+  match Tjson.parse text with
+  | Error _ as e -> e
+  | Ok doc -> (
+      match Tjson.member "metrics" doc with
+      | Some (Tjson.Obj fields) ->
+          Ok (List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Tjson.to_float v)) fields)
+      | _ -> Error "no \"metrics\" object")

@@ -69,7 +69,13 @@ let is_wall_clock name = has_suffix name wall_us || has_suffix name reported
    experiments checks against the full committed trajectory. *)
 let check_baseline ~tolerance path current =
   let text = In_channel.with_open_text path In_channel.input_all in
-  let baseline = Bjson.parse_metrics text in
+  let baseline =
+    match Bjson.parse_metrics text with
+    | Ok metrics -> metrics
+    | Error msg ->
+        Printf.printf "baseline %s unreadable: %s\n" path msg;
+        exit 1
+  in
   let failures = ref 0 and compared = ref 0 in
   List.iter
     (fun (name, base) ->

@@ -266,10 +266,10 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
           Workload.make shape )
     | "afs" ->
         let store = Store.memory () in
-        let srv = Server.create ?cache_capacity ~group_commit ~trace store in
+        let srv = Server.create ?cache_capacity ~trace store in
         bare := [ srv ];
         let files = ok (Workload.setup_pages srv shape ~initial:(bytes "0")) in
-        let host = Afs_rpc.Remote.host ~latency_ms:2.0 engine ~name:"afs" srv in
+        let host = Afs_rpc.Remote.host ~latency_ms:2.0 ~group_commit engine ~name:"afs" srv in
         (Sut.afs_remote (Afs_rpc.Remote.connect [ host ]) ~fallback:srv ~files,
          Workload.make shape)
     | "2pl" ->

@@ -191,8 +191,7 @@ let promote t i =
           List.iter (fun (s, _) -> Replica.Source.attach source s) siblings;
           let store = Replica.Source.capture_store source in
           let server =
-            Server.create ?cache_capacity:t.config.cache_capacity
-              ?group_commit:t.config.group_commit ~seed:t.seeds.(i)
+            Server.create ?cache_capacity:t.config.cache_capacity ~seed:t.seeds.(i)
               ~name:(Printf.sprintf "shard-%d" i)
               ~publish_tap:(Replica.Source.tap source) ?trace:t.config.trace store
           in
@@ -206,7 +205,8 @@ let promote t i =
           | Ok recovered_files ->
               let shard =
                 Shard.of_server ?latency_ms:t.config.latency_ms
-                  ?proc_ms:t.config.proc_ms t.engine ~id:i ~store server
+                  ?proc_ms:t.config.proc_ms ?group_commit:t.config.group_commit t.engine
+                  ~id:i ~store server
               in
               t.shards.(i) <- shard;
               t.conns.(i) <- Remote.connect [ Shard.host shard ];

@@ -76,20 +76,19 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?store ?publish_ta
     engine ~id ~seed =
   let store = match store with Some s -> s | None -> Store.memory () in
   let name = Printf.sprintf "shard-%d" id in
-  let server =
-    Server.create ?cache_capacity ?group_commit ~seed ~name ?publish_tap ?trace store
-  in
+  let server = Server.create ?cache_capacity ~seed ~name ?publish_tap ?trace store in
   let host =
-    Remote.host ?latency_ms ?proc_ms ~wrap:(location_check server) engine ~name server
+    Remote.host ?latency_ms ?proc_ms ~wrap:(location_check server) ?group_commit engine
+      ~name server
   in
   { id; store; server; host }
 
 (* Rebuild a shard slot around an existing server — the promotion path:
    the server was created over the promoted replica's store (plus
    recovery); this gives it the standard wrapped RPC host. *)
-let of_server ?latency_ms ?proc_ms engine ~id ~store server =
+let of_server ?latency_ms ?proc_ms ?group_commit engine ~id ~store server =
   let host =
-    Remote.host ?latency_ms ?proc_ms ~wrap:(location_check server) engine
+    Remote.host ?latency_ms ?proc_ms ~wrap:(location_check server) ?group_commit engine
       ~name:(Server.name server) server
   in
   { id; store; server; host }

@@ -40,23 +40,25 @@ val create :
   t
 (** A shard named ["shard-<id>"] with its own memory store and capability
     [seed] (distinct seeds give distinct ports — the routing key).
-    [group_commit] sets the shard server's commit batch window; its RPC
-    host then drains up to that many queued commits into one pipeline
-    run (default 1 — no batching). [store] overrides the private memory
-    store and [publish_tap] installs a replication gate — how a
-    replicated cluster routes the shard's writes through a capture
-    store and its commit stream through the gate. *)
+    [group_commit] sets the shard host's commit batch window
+    ({!Afs_rpc.Remote.host}): it drains up to that many queued commits
+    into one pipeline run (default 1 — no batching). [store] overrides
+    the private memory store and [publish_tap] installs a replication
+    gate — how a replicated cluster routes the shard's writes through a
+    capture store and its commit stream through the gate. *)
 
 val of_server :
   ?latency_ms:float ->
   ?proc_ms:float ->
+  ?group_commit:int ->
   Afs_sim.Engine.t ->
   id:int ->
   store:Afs_core.Store.t ->
   Afs_core.Server.t ->
   t
 (** Rebuild shard slot [id] around an existing (recovered) server — the
-    promotion path: wraps it with the standard location-checked host. *)
+    promotion path: wraps it with the standard location-checked host,
+    batching commits as {!create} does. *)
 
 val id : t -> int
 val store : t -> Afs_core.Store.t

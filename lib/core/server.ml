@@ -37,21 +37,21 @@ type file_record = {
    below). Defined here because the server records prepared-but-undecided
    runs for the two-phase-commit baseline. *)
 type commit_ctx = {
-  deferred : bool;  (** False: publish inside the validate lock (single commit). *)
-  held : (int, unit) Hashtbl.t;  (** Store locks this pipeline run holds. *)
+  held : (int, unit) Hashtbl.t;  (** Store locks this run holds until publish. *)
   pending : (int, int) Hashtbl.t;
       (** Winning test-and-sets not yet durable: base block → successor.
-          The overlay later batch members' validates read first. *)
+          The overlay later members' validates read first. *)
   mutable publish_refs : (int * Page.t) list;  (** Newest first. *)
-  mutable winners : version_record list;  (** Newest first. *)
+  mutable winners : (version_record * bool) list;
+      (** Admitted members, newest first, each with whether it won at its
+          original base (fast path) rather than after a merge. *)
   mutable unions : (int * Writeset.t) list;
       (** Per-file union of the admitted winners' write sets, for the
           one-pass batch pre-test. *)
 }
 
-let fresh_ctx ~deferred () =
+let fresh_ctx () =
   {
-    deferred;
     held = Hashtbl.create 4;
     pending = Hashtbl.create 4;
     publish_refs = [];
@@ -71,14 +71,6 @@ type t = {
   destroyed : (int, unit) Hashtbl.t;
   counters : Stats.Counter.t;
   name : string;
-  (* Commit batch window advertised to the RPC front end: 1 = commit each
-     request by itself (the paper's behaviour), n > 1 = let up to n queued
-     commits share one validate → merge → publish pipeline run. *)
-  group_commit : int;
-  (* Invoked between commit-lock retries with the attempt number; the
-     default does nothing (a bounded spin, as before). Hosts with a
-     scheduler can install a deterministic backoff here. *)
-  lock_backoff : int -> unit;
   (* The replication gate: called with the commit references a publish is
      about to write through, before the local store sees them. Returning
      an error vetoes the publish — the references are never written, so
@@ -95,9 +87,7 @@ type t = {
 }
 
 let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name = "")
-    ?(group_commit = 1) ?(lock_backoff = fun _ -> ()) ?(publish_tap = fun _ -> Ok ())
-    ?(trace = Trace.null) store =
-  if group_commit < 1 then invalid_arg "Server.create: group_commit must be >= 1";
+    ?(publish_tap = fun _ -> Ok ()) ?(trace = Trace.null) store =
   let port_registry = match ports with Some p -> p | None -> Ports.create () in
   let counters = Stats.Counter.create () in
   {
@@ -112,18 +102,12 @@ let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name
     destroyed = Hashtbl.create 8;
     counters;
     name;
-    group_commit;
-    lock_backoff;
     publish_tap;
     trace;
     prepared = Hashtbl.create 4;
   }
 
 let name t = t.name
-let group_commit t = t.group_commit
-
-let publish_tap t = t.publish_tap
-
 let trace t = t.trace
 let set_trace t tr = t.trace <- tr
 
@@ -680,74 +664,58 @@ let split_page t cap ~path ~at =
 
 (* {2 Commit (§5.2): the validate → merge → publish pipeline}
 
-   A commit is three stages. [validate] is the paper's test-and-set of
-   the base version's commit reference under the store lock — the only
-   fencing point in the whole pipeline. [merge] handles an interception:
-   the write-set pre-test, then the serialisability tree walk that
-   rebases the candidate onto the committed successor. [publish] makes
-   the winning commit references durable and updates the in-memory
-   administration.
+   [validate] is the paper's test-and-set of the base version's commit
+   reference under the store lock — the only fencing point in the whole
+   pipeline. [merge] handles an interception: the write-set pre-test,
+   then the serialisability tree walk that rebases the candidate onto the
+   committed successor. [publish] makes the winning commit references
+   durable and updates the in-memory administration.
 
-   A single commit runs the stages back to back, publishing its
-   reference inside the validate lock exactly as before. A group-commit
-   batch ([commit_batch]) instead runs each member through validate and
-   merge with publication *deferred*: winning references are recorded in
-   a batch context (an overlay later members' test-and-sets consult) and
-   all base locks are retained, then one [publish] writes every winner's
-   reference in a single amortised stable-storage leg. Because members
-   run strictly in submission order against the same overlay a
-   sequential run would leave on disk, a batch's outcomes — and the
-   final store image — are identical to committing its members one by
-   one; only the cost is different. *)
-
-(* Bound on commit-lock retries; with the default no-op backoff this is
-   the old bounded spin. *)
-let lock_retry_limit = 1024
+   Every commit is a run of this pipeline, and every run ends in one
+   [publish] (or, for an aborted 2PC run, [drop_ctx]). Members go through
+   validate and merge in submission order; a win is recorded in the
+   run's overlay, which later members' test-and-sets consult, and its
+   base lock is kept until publish. [commit] is a run of one,
+   [commit_batch] a run of N, [prepare] a run of one parked before its
+   publish. Because members run strictly in submission order against the
+   same overlay a sequential run would leave on disk, a batch's outcomes
+   — and the final store image — are identical to committing its members
+   one by one; only the cost is different. *)
 
 (* The pipeline state type itself ([commit_ctx] / [fresh_ctx]) is defined
    up top, before [type t], so the server can park prepared runs. *)
 
+(* Re-entrant within one run: a later member may chain onto a block an
+   earlier member already locked. A lock held elsewhere — another server
+   sharing the store, or a parked 2PC run — fails at once: the critical
+   section is synchronous, so nothing could release the lock while we
+   waited. *)
 let acquire_commit_lock t ctx block =
-  (* Re-entrant within one pipeline run: a deferred batch keeps its locks
-     until publish, and a later member may chain onto a block an earlier
-     member already locked. *)
   if Hashtbl.mem ctx.held block then Ok ()
-  else
-    (* The critical section is a handful of in-memory operations;
-       contention can only come from another server physically sharing
-       the store. Between retries the host's backoff hook runs (default:
-       nothing, a bounded spin as in this single-threaded harness). *)
-    let rec attempt n =
-      if Pagestore.lock t.ps block then begin
-        Hashtbl.replace ctx.held block ();
-        Ok ()
-      end
-      else if n >= lock_retry_limit then Error (Store_failure "commit lock contention")
-      else begin
-        bump t "commits.lock_retries";
-        t.lock_backoff n;
-        attempt (n + 1)
-      end
-    in
-    attempt 0
+  else if Pagestore.lock t.ps block then begin
+    Hashtbl.replace ctx.held block ();
+    Ok ()
+  end
+  else Error (Store_failure "commit lock contention")
 
-let release_commit_lock t ctx block =
-  Hashtbl.remove ctx.held block;
-  Pagestore.unlock t.ps block
-
-let finish_commit t v =
+(* A published winner: only now does it count as a commit. *)
+let finish_commit t (v, fastpath) =
   v.status <- Committed;
   (match Hashtbl.find_opt t.files v.file_obj with
   | Some file ->
       file.current_hint <- v.vblock;
       forget_uncommitted file v.vblock
   | None -> ());
-  bump t "commits.ok"
+  bump t "commits.ok";
+  bump t (if fastpath then "commits.fastpath" else "commits.merged");
+  tpoint t
+    (Trace.Commit_outcome
+       { vblock = v.vblock; outcome = (if fastpath then "fastpath" else "merged") })
 
 (* Stage 1 — the test-and-set of [base_block]'s commit reference, under
-   the store lock. [Ok None] = won; [Ok (Some s)] = intercepted by [s].
-   Deferred mode records the win in the batch overlay instead of writing
-   it through, and keeps the lock for publish. *)
+   the store lock. [Ok None] = won: the reference is claimed in the run's
+   overlay and the lock kept for publish; [Ok (Some s)] = intercepted by
+   [s]. *)
 let validate t ctx ~vb base_block =
   let* () = acquire_commit_lock t ctx base_block in
   let outcome =
@@ -760,18 +728,10 @@ let validate t ctx ~vb base_block =
         | Some successor -> Ok (Some successor)
         | None ->
             let header = { bpage.Page.header with Page.commit_ref = Some vb } in
-            let page = Page.with_header bpage header in
-            if ctx.deferred then begin
-              Hashtbl.replace ctx.pending base_block vb;
-              ctx.publish_refs <- (base_block, page) :: ctx.publish_refs;
-              Ok None
-            end
-            else
-              let* () = t.publish_tap [ (base_block, page) ] in
-              let* () = Pagestore.write_through t.ps base_block page in
-              Ok None)
+            Hashtbl.replace ctx.pending base_block vb;
+            ctx.publish_refs <- (base_block, Page.with_header bpage header) :: ctx.publish_refs;
+            Ok None)
   in
-  if not ctx.deferred then release_commit_lock t ctx base_block;
   tpoint t
     (Trace.Test_and_set
        { block = base_block; won = (match outcome with Ok None -> true | _ -> false) });
@@ -828,14 +788,25 @@ let merge t v ~successor =
           let* () = Pagestore.flush t.ps in
           Ok Rebased)
 
-(* Stage 3 — durability and administration. All deferred commit
+(* End a run without publishing: forget the overlay (its test-and-sets
+   were never written through) and free every held lock. *)
+let drop_ctx t ctx =
+  ctx.publish_refs <- [];
+  ctx.winners <- [];
+  ctx.unions <- [];
+  Hashtbl.reset ctx.pending;
+  List.iter (Pagestore.unlock t.ps) (Det.sorted_keys ctx.held);
+  Hashtbl.reset ctx.held
+
+(* Stage 3 — durability and administration. All the run's commit
    references go to the store in one [write_through_batch] (one
-   amortised stable-storage leg on a stable-pair backend), then the
-   winners are finished oldest first and every held lock is released.
-   The store writes the references in submission order and stops at the
-   first error, so a mid-batch failure leaves a durable prefix: each
-   member is either completely committed (its pages were flushed before
-   its reference was written) or not committed at all. *)
+   amortised stable-storage leg on a stable-pair backend); then, only if
+   that write succeeded, the winners are finished oldest first. Every
+   held lock is released either way. The store writes the references in
+   submission order and stops at the first error, so a mid-batch failure
+   leaves a durable prefix: each member is either completely committed
+   (its pages were flushed before its reference was written) or not
+   committed at all. *)
 let publish t ctx =
   let result =
     match List.rev ctx.publish_refs with
@@ -848,15 +819,13 @@ let publish t ctx =
   (match result with
   | Ok () -> List.iter (finish_commit t) (List.rev ctx.winners)
   | Error _ -> ());
-  List.iter (fun b -> release_commit_lock t ctx b) (Det.sorted_keys ctx.held);
-  ctx.publish_refs <- [];
-  Hashtbl.reset ctx.pending;
+  drop_ctx t ctx;
   result
 
-(* Record an admitted batch winner: publication is deferred, and its
+(* Record an admitted winner: it waits for the run's publish, and its
    write set joins the per-file union later members pre-test against. *)
-let note_batch_winner ctx v =
-  ctx.winners <- v :: ctx.winners;
+let note_winner ctx v ~fastpath =
+  ctx.winners <- (v, fastpath) :: ctx.winners;
   match v.wset with
   | None -> ()
   | Some ws ->
@@ -867,65 +836,62 @@ let note_batch_winner ctx v =
       in
       ctx.unions <- (v.file_obj, u) :: List.remove_assoc v.file_obj ctx.unions
 
-(* Drive one version through the pipeline. In a deferred batch, a member
-   whose write set conflicts with the union of the already-admitted
-   winners' write sets is doomed by one [Writeset.conflict] pass —
-   conflict against the union is conflict against some member (the
-   conditions are monotone in the committed flags), so this is exactly
-   the abort the chain walk would reach, attributed per transaction
-   without dooming the rest of the batch. *)
-let commit_version t ctx v =
-  Trace.span t.trace ~kind:"commit" ~label:t.name (fun () ->
-      (* "First it ascertains that all of V.b's pages are safely on disk." *)
-      let* () = Pagestore.flush t.ps in
-      let vb = v.vblock in
-      let* vpage = read_pg t vb in
-      let* base0 =
-        match vpage.Page.header.Page.base_ref with
-        | Some b -> Ok b
-        | None -> Error (Store_failure "uncommitted version has no base reference")
-      in
-      let batch_conflict =
-        if not ctx.deferred then None
-        else
-          match (v.wset, List.assoc_opt v.file_obj ctx.unions) with
-          | Some candidate, Some committed -> Writeset.conflict ~candidate ~committed
-          | _ -> None
-      in
-      match batch_conflict with
-      | Some _ ->
-          bump t "commits.intercepted";
-          tpoint t (Trace.Commit_phase { vblock = vb; phase = "pretest" });
-          bump t "commits.shortcircuit";
-          bump t "commits.conflict";
-          abandon t v "shortcircuit"
-      | None ->
-          let rec attempt base_block =
-            match validate t ctx ~vb base_block with
+(* Drive one version through validate and merge within run [ctx]. A
+   member whose write set conflicts with the union of the run's
+   already-admitted winners' write sets is doomed by one
+   [Writeset.conflict] pass — conflict against the union is conflict
+   against some member (the conditions are monotone in the committed
+   flags), so this is exactly the abort the chain walk would reach,
+   attributed per transaction without dooming the rest of the batch. *)
+let admit t ctx v =
+  (* "First it ascertains that all of V.b's pages are safely on disk." *)
+  let* () = Pagestore.flush t.ps in
+  let vb = v.vblock in
+  let* vpage = read_pg t vb in
+  let* base0 =
+    match vpage.Page.header.Page.base_ref with
+    | Some b -> Ok b
+    | None -> Error (Store_failure "uncommitted version has no base reference")
+  in
+  let run_conflict =
+    match (v.wset, List.assoc_opt v.file_obj ctx.unions) with
+    | Some candidate, Some committed -> Writeset.conflict ~candidate ~committed
+    | _ -> None
+  in
+  match run_conflict with
+  | Some _ ->
+      bump t "commits.intercepted";
+      tpoint t (Trace.Commit_phase { vblock = vb; phase = "pretest" });
+      bump t "commits.shortcircuit";
+      bump t "commits.conflict";
+      abandon t v "shortcircuit"
+  | None ->
+      let rec attempt base_block =
+        match validate t ctx ~vb base_block with
+        | Error e -> Error e
+        | Ok None ->
+            note_winner ctx v ~fastpath:(base_block = base0);
+            Ok ()
+        | Ok (Some successor) -> (
+            match merge t v ~successor with
             | Error e -> Error e
-            | Ok None ->
-                let outcome_name = if base_block = base0 then "fastpath" else "merged" in
-                bump t (if base_block = base0 then "commits.fastpath" else "commits.merged");
-                tpoint t (Trace.Commit_outcome { vblock = vb; outcome = outcome_name });
-                if ctx.deferred then begin
-                  note_batch_winner ctx v;
-                  Ok ()
-                end
-                else begin
-                  ctx.winners <- [ v ];
-                  publish t ctx
-                end
-            | Ok (Some successor) -> (
-                match merge t v ~successor with
-                | Error e -> Error e
-                | Ok (Doomed reason) -> abandon t v reason
-                | Ok Rebased -> attempt successor)
-          in
-          attempt base0)
+            | Ok (Doomed reason) -> abandon t v reason
+            | Ok Rebased -> attempt successor)
+      in
+      attempt base0
 
+let in_commit_span t f = Trace.span t.trace ~kind:"commit" ~label:t.name f
+
+(* A run of one: the [commit] span encloses the publish. A doomed or
+   failed member leaves nothing to publish, so [publish] then only frees
+   the locks. *)
 let commit t cap =
   let* v = mutable_version t cap ~need:Capability.right_commit in
-  commit_version t (fresh_ctx ~deferred:false ()) v
+  let ctx = fresh_ctx () in
+  in_commit_span t (fun () ->
+      let admitted = admit t ctx v in
+      let published = publish t ctx in
+      match admitted with Ok () -> published | Error _ -> admitted)
 
 let commit_batch t caps =
   match caps with
@@ -938,14 +904,14 @@ let commit_batch t caps =
       let size = List.length caps in
       bump t "commits.batches";
       bump t ~by:size "commits.batch_members";
-      let ctx = fresh_ctx ~deferred:true () in
+      let ctx = fresh_ctx () in
       Trace.span t.trace ~kind:"commit_batch" ~label:t.name (fun () ->
           let results =
             List.map
               (fun cap ->
                 match mutable_version t cap ~need:Capability.right_commit with
                 | Error e -> Error e
-                | Ok v -> commit_version t ctx v)
+                | Ok v -> in_commit_span t (fun () -> admit t ctx v))
               caps
           in
           let winners = List.length ctx.winners in
@@ -967,33 +933,22 @@ let commit_batch t caps =
 
 (* {2 Two-phase commit baseline (prepare / decide)}
 
-   The occ4txn shape, assembled from the existing pipeline's
-   validate/publish split: [prepare] drives the version through validate
-   and merge exactly as a deferred batch member would — the winning
-   test-and-set lands in the context overlay, nothing reaches stable
-   storage, and the base's store lock is retained — then parks the
-   context until the coordinator's [decide]. Between the two calls the
-   file is effectively locked: any other commit of it exhausts the
-   bounded lock spin and fails with [Store_failure], which is exactly the
-   blocking behaviour the lock-free coordinator (lib/txn) is measured
-   against. Prepared state is volatile — [crash] discards it and frees
-   the locks, and a later abort decision for an unknown version succeeds
-   trivially (presumed abort). *)
-
-(* Abandon a deferred pipeline run without publishing: forget the overlay
-   (its test-and-sets were never written through) and free every held
-   lock. *)
-let drop_ctx t ctx =
-  ctx.publish_refs <- [];
-  ctx.winners <- [];
-  ctx.unions <- [];
-  Hashtbl.reset ctx.pending;
-  List.iter (fun b -> release_commit_lock t ctx b) (Det.sorted_keys ctx.held)
+   The occ4txn shape, assembled from the same pipeline: [prepare] is a
+   run of one that stops before its publish — the winning test-and-set
+   sits in the run's overlay, nothing reaches stable storage, and the
+   base's store lock is retained — and parks the run until the
+   coordinator's [decide] publishes or drops it. Between the two calls
+   the file is effectively locked: any other commit of it fails at once
+   with [Store_failure], which is exactly the blocking behaviour the
+   lock-free coordinator (lib/txn) is measured against. Prepared state
+   is volatile — [crash] discards it and frees the locks, and a later
+   abort decision for an unknown version succeeds trivially (presumed
+   abort). *)
 
 let prepare t cap =
   let* v = mutable_version t cap ~need:Capability.right_commit in
-  let ctx = fresh_ctx ~deferred:true () in
-  match commit_version t ctx v with
+  let ctx = fresh_ctx () in
+  match in_commit_span t (fun () -> admit t ctx v) with
   | Ok () ->
       Hashtbl.replace t.prepared v.vblock (ctx, v);
       bump t "commits.prepared";

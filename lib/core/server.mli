@@ -30,8 +30,6 @@ val create :
   ?seed:int ->
   ?ports:Ports.t ->
   ?name:string ->
-  ?group_commit:int ->
-  ?lock_backoff:(int -> unit) ->
   ?publish_tap:((int * Page.t) list -> (unit, Errors.t) result) ->
   ?trace:Afs_trace.Trace.t ->
   Store.t ->
@@ -46,35 +44,19 @@ val create :
     owning cluster shard's id) becomes the span's label, so per-shard
     commit traffic is separable in a cluster trace.
 
-    [group_commit] (default 1, must be ≥ 1) is the commit batch window
-    the RPC front end may use: how many queued commit requests may share
-    one {!commit_batch} pipeline run. The server itself never batches —
-    1 preserves the paper's one-at-a-time behaviour exactly.
-
-    [lock_backoff] runs between commit-lock retries with the attempt
-    number (0-based); the default does nothing, making lock acquisition
-    the old bounded spin. A host sharing the store between servers can
-    install a deterministic backoff that lets the holder finish; each
-    retry bumps counter [commits.lock_retries].
-
     [publish_tap] is the replication gate: it receives the commit
     references (base block, updated page) a publish is about to write
     through — the commit stream — before the local store sees them.
-    Returning an error vetoes the publish: no reference is written, the
-    test-and-set is reported lost and the commit aborts cleanly, which
-    is exactly how a deposed primary is fenced after failover. The
-    default always succeeds. The tap must be synchronous (it runs inside
-    the commit critical section). *)
+    Returning an error vetoes the publish: no reference is written and
+    the would-be winners get the error, which is exactly how a deposed
+    primary is fenced after failover. The default always succeeds. The
+    tap must be synchronous (it runs inside the commit critical
+    section). *)
 
 val name : t -> string
 
-val group_commit : t -> int
-(** The batch window [create] was given. *)
-
 val trace : t -> Afs_trace.Trace.t
 val set_trace : t -> Afs_trace.Trace.t -> unit
-
-val publish_tap : t -> (int * Page.t) list -> (unit, Errors.t) result
 
 val pagestore : t -> Pagestore.t
 val ports : t -> Ports.t
@@ -171,44 +153,51 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     [commits.shortcircuit]); only the no-conflict case still walks the
     trees, to build the merge.
 
-    Internally a commit is the validate → merge → publish pipeline: the
-    test-and-set of the base's commit reference under the store lock (the
-    only fencing point), the pre-test plus serialisability walk on
-    interception, and the durable write of the winning reference. A
-    single commit publishes inside the validate lock, exactly the
-    behaviour above. *)
+    Internally a commit is a validate → merge → publish pipeline run of
+    one member: the test-and-set of the base's commit reference under the
+    store lock (the only fencing point) claims the reference for the run
+    and keeps the lock; the pre-test plus serialisability walk handles an
+    interception; publish writes the claimed reference durably, and only
+    then does the commit count ([commits.ok], [commits.fastpath] /
+    [commits.merged], the success [Commit_outcome] point). The [commit]
+    span encloses the publish. A base lock held by anyone else (another
+    server sharing the store, a prepared 2PC run) fails the commit at
+    once with [Store_failure "commit lock contention"], leaving the
+    version uncommitted: the critical section is synchronous, so waiting
+    could never see the lock released. *)
 
 val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
-(** Group commit: run every capability through validate and merge in
-    submission order with publication deferred — winning references
-    collect in a batch overlay that later members' test-and-sets consult,
-    and a member conflicting with the union of the admitted winners'
-    write sets ({!Writeset.union}) is doomed by one pre-test pass without
-    dooming the batch — then publish all winners' references in one
-    amortised stable-storage leg ({!Pagestore.write_through_batch}).
-    Outcomes, counters of record ([commits.ok] / [commits.conflict]) and
-    the final store image are identical to committing the members one by
-    one; one result per capability, in order. If the publish leg fails,
-    the durable prefix of winners is committed on disk but every would-be
-    winner gets the store error — recovery reads the truth back. Emits
-    one [Trace.Commit_batch] point per batch. *)
+(** Group commit: one pipeline run of N members. Every capability goes
+    through validate and merge in submission order — winning references
+    collect in the run's overlay that later members' test-and-sets
+    consult, and a member conflicting with the union of the admitted
+    winners' write sets ({!Writeset.union}) is doomed by one pre-test pass
+    without dooming the batch — then one publish writes all winners'
+    references in one amortised stable-storage leg
+    ({!Pagestore.write_through_batch}). Outcomes, counters of record
+    ([commits.ok] / [commits.conflict]) and the final store image are
+    identical to committing the members one by one; one result per
+    capability, in order. A one-element list is exactly {!commit}. If the
+    publish leg fails, the durable prefix of winners is committed on disk
+    but every would-be winner gets the store error and none counts as a
+    commit — recovery reads the truth back. Emits one [Trace.Commit_batch]
+    point per batch of two or more. *)
 
 val prepare : t -> Afs_util.Capability.t -> unit Errors.r
-(** Two-phase-commit baseline, phase one: run the version through
-    validate and merge exactly as a deferred group-commit member — the
-    winning test-and-set is recorded in a private overlay, nothing
-    reaches stable storage, and the base's store lock is {e retained} —
-    then park the pipeline state awaiting {!decide}. Until then any other
-    commit of the same file exhausts its bounded lock spin and fails with
+(** Two-phase-commit baseline, phase one: a pipeline run of one, parked
+    before its publish — the winning test-and-set is recorded in the
+    run's overlay, nothing reaches stable storage, and the base's store
+    lock is {e retained} — awaiting {!decide}. Until then any other
+    commit of the same file fails at once with
     [Store_failure "commit lock contention"]: the lock-holding window the
     optimistic coordinator (lib/txn) exists to avoid. Errors (e.g.
     [Conflict]) leave nothing parked and no locks held. *)
 
 val decide : t -> Afs_util.Capability.t -> commit:bool -> unit Errors.r
 (** Phase two, for a version previously {!prepare}d here: [commit:true]
-    publishes the parked winning reference (the version becomes the
-    file's current committed version); [commit:false] discards the
-    overlay, frees the locks and aborts the version. Prepared state is
+    publishes the parked run (the version becomes the file's current
+    committed version); [commit:false] drops the run — its overlay and
+    its locks — and aborts the version. Prepared state is
     volatile and keyed by version: after a crash (or a duplicate decide)
     an abort decision succeeds trivially — presumed abort — while a
     commit decision fails with [Store_failure]. *)

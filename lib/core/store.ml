@@ -55,10 +55,23 @@ let sequential_batch write entries =
   in
   go entries
 
+(* The commit-lock facility of every backend that keeps its locks in
+   process: a per-block test-and-set, released by [unlock]. *)
+let lock_table () =
+  let locks : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let lock b =
+    if Hashtbl.mem locks b then false
+    else begin
+      Hashtbl.replace locks b ();
+      true
+    end
+  in
+  (lock, fun b -> Hashtbl.remove locks b)
+
 let memory ?(block_size = 32768) () =
   let blocks : (int, bytes) Hashtbl.t = Hashtbl.create 1024 in
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let locks : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let lock, unlock = lock_table () in
   let next = ref 0 in
   let write b data =
     if Bytes.length data > block_size then Error "block too large"
@@ -88,14 +101,8 @@ let memory ?(block_size = 32768) () =
         | None -> Error (Printf.sprintf "block %d never written" b));
     write;
     write_batch = sequential_batch write;
-    lock =
-      (fun b ->
-        if Hashtbl.mem locks b then false
-        else begin
-          Hashtbl.replace locks b ();
-          true
-        end);
-    unlock = (fun b -> Hashtbl.remove locks b);
+    lock;
+    unlock;
     list_blocks =
       (fun () -> Ok (Afs_util.Det.sorted_int_keys allocated));
   }
@@ -131,7 +138,7 @@ let of_stable_pair pair =
      here, colocated with the routing. A real deployment would put it in
      the block servers (§5.2: "if the disk server implements a test-and-set
      operation, any server can be allowed to carry out a commit"). *)
-  let locks : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let lock, unlock = lock_table () in
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let via f =
     match Stable_pair.some_online pair with
@@ -163,14 +170,8 @@ let of_stable_pair pair =
     (* The whole batch rides one A→B→A round trip: the companion hop is
        charged once however many commit references the batch carries. *)
     write_batch = (fun entries -> via (fun i -> lift (Stable_pair.write_batch pair i entries)));
-    lock =
-      (fun b ->
-        if Hashtbl.mem locks b then false
-        else begin
-          Hashtbl.replace locks b ();
-          true
-        end);
-    unlock = (fun b -> Hashtbl.remove locks b);
+    lock;
+    unlock;
     list_blocks =
       (fun () -> Ok (Afs_util.Det.sorted_int_keys allocated));
   }
@@ -189,7 +190,7 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
   let index = Disk.create ~media:index_media ~blocks ~block_size () in
   let redirected : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let locks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let lock, unlock = lock_table () in
   let next = ref 0 in
   let lift_disk : type a. a Disk.outcome -> (a, string) result =
    fun o -> Result.map_error (Fmt.str "%a" Disk.pp_error) o.Disk.result
@@ -227,14 +228,8 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
           else lift_disk (Disk.read bulk b));
       write;
       write_batch = sequential_batch write;
-      lock =
-        (fun b ->
-          if Hashtbl.mem locks b then false
-          else begin
-            Hashtbl.replace locks b ();
-            true
-          end);
-      unlock = (fun b -> Hashtbl.remove locks b);
+      lock;
+      unlock;
       list_blocks =
         (fun () ->
           Ok (Afs_util.Det.sorted_int_keys allocated));

@@ -170,23 +170,23 @@ let request_kind : request -> string = function
 
 type host = { rpc : (request, response) Rpc.t; server : Server.t }
 
-let host ?latency_ms ?proc_ms ?disks ?wrap engine ~name server =
+let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name server =
+  if group_commit < 1 then invalid_arg "Remote.host: group_commit must be >= 1";
   let handler =
     match wrap with None -> handle server | Some w -> w (handle server)
   in
-  (* The server's group-commit window turns into an RPC batcher: queued
-     Commit requests drain together and run through one
-     [Server.commit_batch] pipeline, paying the request overheads and the
-     stable-storage publish leg once per batch. Commit carries its own
-     capability, so it needs none of [wrap]'s routing checks (shard
-     wrappers pass it through untouched). *)
+  (* The group-commit window turns into an RPC batcher: queued Commit
+     requests drain together and run through one [Server.commit_batch]
+     pipeline, paying the request overheads and the stable-storage
+     publish leg once per batch. Commit carries its own capability, so it
+     needs none of [wrap]'s routing checks (shard wrappers pass it through
+     untouched). *)
   let batching =
-    let window = Server.group_commit server in
-    if window <= 1 then None
+    if group_commit = 1 then None
     else
       Some
         {
-          Rpc.window;
+          Rpc.window = group_commit;
           batchable = (function Commit _ -> true | _ -> false);
           handle_batch =
             (fun reqs ->

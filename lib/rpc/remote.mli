@@ -101,6 +101,7 @@ val host :
   ?proc_ms:float ->
   ?disks:Afs_disk.Disk.t list ->
   ?wrap:((request -> response) -> request -> response) ->
+  ?group_commit:int ->
   Afs_sim.Engine.t ->
   name:string ->
   Afs_core.Server.t ->
@@ -109,7 +110,13 @@ val host :
     {!handle} applied to the server). The whole wrapped handler still runs
     atomically within one simulated event, so a wrapper's pre/post work is
     indivisible from the request it decorates — the property the cluster's
-    location check depends on. *)
+    location check depends on.
+
+    [group_commit] (default 1, must be ≥ 1; [Invalid_argument] otherwise)
+    is the commit batch window: up to that many queued [Commit] requests
+    drain together into one {!Afs_core.Server.commit_batch} run. 1 installs
+    no batcher at all, preserving the paper's one-at-a-time behaviour
+    exactly. *)
 
 val crash_host : host -> unit
 (** RPC endpoint dies and the server loses its volatile state (page cache,

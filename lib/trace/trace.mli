@@ -26,12 +26,16 @@ type payload =
   | Block_lock of { block : int; won : bool }
   | Test_and_set of { block : int; won : bool }
       (** One commit-time test-and-set of a base version's commit
-          reference; [won] iff the reference was clear and is now set. *)
+          reference; [won] iff the reference was clear and is now claimed
+          for this pipeline run (it becomes durable at the run's
+          publish, which can still fail or be vetoed). *)
   | Commit_phase of { vblock : int; phase : string }
       (** [phase] is ["pretest"], ["serialise"] or ["merge"]. *)
   | Commit_outcome of { vblock : int; outcome : string }
-      (** [outcome] is ["fastpath"], ["merged"], ["conflict"] or
-          ["shortcircuit"]. *)
+      (** [outcome] is ["fastpath"], ["merged"], ["conflict"],
+          ["shortcircuit"] or ["decided_abort"]. The success outcomes
+          (["fastpath"], ["merged"]) are emitted at publish, once the
+          commit reference is durable; a failed publish emits none. *)
   | Commit_batch of { size : int; winners : int; aborts : int }
       (** One group-commit batch through the validate → merge → publish
           pipeline: [size] members attempted, [winners] published in one

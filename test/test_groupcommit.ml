@@ -2,8 +2,10 @@
    observationally identical to committing one at a time — same per-member
    outcomes, same counters of record, byte-identical final store — while a
    crash inside the amortised publish leg must still leave every member
-   atomically committed or not. Plus the commit-lock backoff satellite and
-   the naming layer's deferred-update queue. *)
+   atomically committed or not. A plain commit, a one-member batch and a
+   two-phase prepare + decide are one pipeline run, and only a published
+   run counts as a commit. Plus commit-lock contention and the naming
+   layer's deferred-update queue. *)
 
 open Afs_core
 open Afs_naming
@@ -239,41 +241,113 @@ let test_crash_mid_batch_atomic_per_member () =
     [ (2, "p0"); (3, "one") ]
     states
 
-(* {2 Commit-lock contention} *)
+(* {2 Only a published commit counts} *)
 
-let contended_commit ~lock_backoff () =
-  let store = Store.memory () in
-  let held = ref (-1) in
-  let srv = Server.create ~seed:7 ~lock_backoff:(lock_backoff store held) store in
+let success_outcomes trace =
+  List.filter_map
+    (function
+      | Trace.Point { payload = Trace.Commit_outcome { outcome; _ }; _ }
+        when outcome = "fastpath" || outcome = "merged" ->
+          Some outcome
+      | _ -> None)
+    (Trace.events trace)
+
+let success_counts srv = counter srv "commits.fastpath" + counter srv "commits.merged"
+
+(* Count the successes a call reports — outcome points and fastpath /
+   merged counters — from a fresh trace installed just before it. *)
+let reported_successes srv f =
+  let trace = Trace.ring ~now:(fun () -> 0.0) () in
+  Server.set_trace srv trace;
+  let before = success_counts srv in
+  let result = f () in
+  (result, success_outcomes trace, success_counts srv - before)
+
+let test_only_published_commits_count () =
+  (* A batch whose publish leg fails at its first reference: both members
+     won their test-and-sets, neither reference reached the store. *)
+  let counted, stats = Store.counting (Store.memory ()) in
+  let srv0, caps0 = crash_scenario counted in
+  List.iter (fun r -> ok r) (Server.commit_batch srv0 caps0);
+  let _, total_writes = stats () in
+  let srv, caps = crash_scenario (failing_store ~allow:(total_writes - 2) ()) in
+  let results, outcomes, counted =
+    reported_successes srv (fun () -> Server.commit_batch srv caps)
+  in
+  (match results with
+  | [ Error (Errors.Store_failure _); Error (Errors.Store_failure _) ] -> ()
+  | _ -> Alcotest.fail "expected both members to report the store failure");
+  Alcotest.(check (list string)) "no success outcome after a failed publish" [] outcomes;
+  Alcotest.(check int) "no fastpath/merged count after a failed publish" 0 counted;
+  (* A single commit whose publish the replication gate vetoes. *)
+  let veto = ref false in
+  let srv =
+    Server.create ~seed:7
+      ~publish_tap:(fun _ -> if !veto then Error Errors.Conflict else Ok ())
+      (Store.memory ())
+  in
   let f = Helpers.file_with_pages srv 2 in
   let v = ok (Server.create_version srv f) in
   ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "x"));
-  held := ok (Server.current_block_of_file srv f);
-  Alcotest.(check bool) "contender takes the base lock" true (store.Store.lock !held);
-  (srv, f, v)
+  veto := true;
+  let result, outcomes, counted = reported_successes srv (fun () -> Server.commit srv v) in
+  (match result with
+  | Error Errors.Conflict -> ()
+  | _ -> Alcotest.fail "expected the vetoed commit to fail with Conflict");
+  Alcotest.(check (list string)) "no success outcome after a veto" [] outcomes;
+  Alcotest.(check int) "no fastpath/merged count after a veto" 0 counted
 
-let test_lock_backoff_retries_to_success () =
-  (* Before the backoff hook, a held base lock failed the commit outright.
-     Now the hook runs between bounded retries; releasing the lock on the
-     fourth attempt lets the commit go through. *)
-  let srv, f, v =
-    contended_commit
-      ~lock_backoff:(fun store held attempt -> if attempt = 3 then store.Store.unlock !held)
-      ()
+(* {2 The single-commit paths are one pipeline} *)
+
+(* The three ways to commit one version — plain, as a one-member batch,
+   and through the two-phase prepare/decide — drive the same run. *)
+let prop_single_paths_agree =
+  let single_paths =
+    [
+      Server.commit;
+      (fun srv cap ->
+        match Server.commit_batch srv [ cap ] with
+        | [ r ] -> r
+        | _ -> Error (Errors.Store_failure "one result per member"));
+      (fun srv cap ->
+        Result.bind (Server.prepare srv cap) (fun () -> Server.decide srv cap ~commit:true));
+    ]
   in
-  ok (Server.commit srv v);
-  Alcotest.(check int) "retries counted" 4 (counter srv "commits.lock_retries");
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "committed after contention" "x"
-    (ok (Server.read_page srv cur (P.of_list [ 0 ])))
+  QCheck2.Test.make
+    ~name:"commit ≡ one-member batch ≡ prepare + decide: outcomes, counters, store image"
+    ~count:40 ~print:(Printf.sprintf "seed=%d") (QCheck2.Gen.int_range 1 100_000)
+    (fun seed ->
+      let scenario = gen_scenario seed in
+      let run commit_one =
+        let store, srv, caps = build scenario in
+        let results = List.map (commit_one srv) caps in
+        (results, dump store, counter srv "commits.ok", counter srv "commits.conflict")
+      in
+      match List.map run single_paths with
+      | first :: rest -> List.for_all (( = ) first) rest
+      | [] -> true)
 
-let test_lock_contention_stays_bounded () =
-  let srv, _, v = contended_commit ~lock_backoff:(fun _ _ _ -> ()) () in
+(* {2 Commit-lock contention} *)
+
+let test_held_lock_fails_at_once () =
+  let store = Store.memory () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let v = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "x"));
+  let base = ok (Server.current_block_of_file srv f) in
+  Alcotest.(check bool) "contender takes the base lock" true (store.Store.lock base);
   (match Server.commit srv v with
   | Error (Errors.Store_failure msg) ->
-      Alcotest.(check string) "bounded failure" "commit lock contention" msg
-  | _ -> Alcotest.fail "expected bounded lock-contention failure");
-  Alcotest.(check int) "spun to the bound" 1024 (counter srv "commits.lock_retries")
+      Alcotest.(check string) "fails at once" "commit lock contention" msg
+  | _ -> Alcotest.fail "expected a lock-contention failure");
+  Alcotest.(check bool) "version still uncommitted" true
+    (ok (Server.version_status srv v) = Server.Uncommitted);
+  store.Store.unlock base;
+  ok (Server.commit srv v);
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "commits once the contender unlocks" "x"
+    (ok (Server.read_page srv cur (P.of_list [ 0 ])))
 
 (* {2 Naming layer: deferred directory updates} *)
 
@@ -348,11 +422,12 @@ let () =
           quick "conflicting member doomed alone" test_batch_conflicting_member_doomed_alone;
           quick "crash mid-publish is atomic per member" test_crash_mid_batch_atomic_per_member;
         ] );
-      ( "commit lock",
+      ( "one pipeline",
         [
-          quick "backoff turns contention into success" test_lock_backoff_retries_to_success;
-          quick "no backoff stays bounded" test_lock_contention_stays_bounded;
+          quick "only a published commit counts" test_only_published_commits_count;
+          QCheck_alcotest.to_alcotest prop_single_paths_agree;
         ] );
+      ("commit lock", [ quick "held lock fails at once" test_held_lock_fails_at_once ]);
       ( "deferred naming",
         [
           quick "deferred enter queues without I/O" test_deferred_enter_queues_without_io;
