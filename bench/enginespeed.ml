@@ -69,29 +69,38 @@ let m2 () =
      before/after comparison to be meaningful. *)
   let run () =
     let engine = Engine.create () in
-    let store = Store.memory () in
+    (* Store writes are the write-amplification gate: a commit writes its
+       own pages and its reference in one batch, and a doomed attempt
+       writes nothing. *)
+    let store, io = Store.counting (Store.memory ()) in
     let srv = Server.create store in
     let files = ok (Workload.setup_pages srv shape ~initial:(Bytes.make 1024 '0')) in
     let host = Remote.host ~latency_ms:0.5 engine ~name:"afs" srv in
     let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
-    let encodes0 = Page.fresh_encodes () in
+    let encodes0 = Page.fresh_encodes () and _, writes0 = io () in
     let report, ms = wall_ms (fun () -> Driver.run engine config sut ~gen:(Workload.make shape)) in
-    (report, ms, Engine.events_executed engine, Page.fresh_encodes () - encodes0)
+    let _, writes1 = io () in
+    ( report,
+      ms,
+      Engine.events_executed engine,
+      Page.fresh_encodes () - encodes0,
+      writes1 - writes0 )
   in
   (* Three independent repeats. The deterministic outcomes must agree
      exactly — each repeat re-checks that the run is a pure function of
      the seed — and the fastest wall time is the one reported: min-of-N
      is the standard way to strip scheduler and GC noise from a
      wall-clock figure. *)
-  let report, ms1, events, encodes = run () in
-  let r2, ms2, ev2, enc2 = run () in
-  let r3, ms3, ev3, enc3 = run () in
+  let report, ms1, events, encodes, writes = run () in
+  let r2, ms2, ev2, enc2, wr2 = run () in
+  let r3, ms3, ev3, enc3, wr3 = run () in
   let repeats_identical =
     report.Driver.committed = r2.Driver.committed
     && report.Driver.committed = r3.Driver.committed
     && report.Driver.attempts = r2.Driver.attempts
     && report.Driver.attempts = r3.Driver.attempts
     && events = ev2 && events = ev3 && encodes = enc2 && encodes = enc3
+    && writes = wr2 && writes = wr3
   in
   let ms = Float.min ms1 (Float.min ms2 ms3) in
   table
@@ -101,6 +110,7 @@ let m2 () =
       [ "attempts (deterministic)"; string_of_int report.Driver.attempts ];
       [ "events executed (deterministic)"; string_of_int events ];
       [ "fresh page encodes (deterministic)"; string_of_int encodes ];
+      [ "store writes (deterministic)"; string_of_int writes ];
       [ "repeats identical (deterministic)"; (if repeats_identical then "yes" else "NO (bug!)") ];
       [ "wall ms (reported, min of 3)"; f1 ms ];
       [ "events/s wall (reported)"; f1 (per_second events ms) ];
@@ -111,6 +121,7 @@ let m2 () =
   metric_i "m2-engine-speed" "given_up" report.Driver.given_up;
   metric_i "m2-engine-speed" "events" events;
   metric_i "m2-engine-speed" "page_encodes" encodes;
+  metric_i "m2-engine-speed" "store_writes" writes;
   metric_i "m2-engine-speed" "repeats_identical" (if repeats_identical then 1 else 0);
   metric "m2-engine-speed" "wall_ms.reported" ms;
   metric "m2-engine-speed" "events_per_s.reported" (per_second events ms);

@@ -3,8 +3,8 @@ module Stats = Afs_util.Stats
 module Det = Afs_util.Det
 
 (* [stale] marks a clean entry whose block must be re-read from the
-   store before it is believed (set by {!refresh}/{!invalidate}, the
-   §3.1 cache-integrity points). The re-read compares the store image
+   store before it is believed (set by {!refresh}, the §3.1
+   cache-integrity point). The re-read compares the store image
    against the page's memoized encoding: commit references are almost
    always unchanged, and an identical image means the cached decoded
    page — and its memo — can be reused without re-parsing. *)
@@ -18,11 +18,8 @@ type t = {
   (* Blocks held under a store lock: their cache entries are pinned so the
      commit critical section never loses its block to eviction. *)
   locked : (int, unit) Hashtbl.t;
-  (* The dirty set, mirrored from the entries' [dirty] bits. [flush] runs
-     at the head of every commit, so it must be O(pages written), not
-     O(cache capacity): folding a 4k-entry cache to find half a dozen
-     dirty pages was the single largest CPU cost in million-transaction
-     runs. *)
+  (* The dirty set, mirrored from the entries' [dirty] bits, so [flush]
+     and [dirty_count] cost O(pages written), not O(cache capacity). *)
   dirty : (int, unit) Hashtbl.t;
   counters : Stats.Counter.t;
   (* Resolved-once cells for the per-read counters, forced at first bump
@@ -68,6 +65,12 @@ let store_write t b page =
   | Ok () -> Ok ()
   | Error msg -> Error (Errors.Store_failure msg)
 
+(* The entry's page just reached the store: clean, in place, LRU order
+   untouched. *)
+let mark_clean t b (e : entry) =
+  e.dirty <- false;
+  Hashtbl.remove t.dirty b
+
 (* Bring the cache back within capacity, oldest unpinned entries first.
    A dirty evictee is written back before it is dropped (the §5.4
    write-back contract: eviction must not lose writes), so a store error
@@ -82,8 +85,7 @@ let rec evict_excess t =
           if e.dirty then
             match store_write t b e.page with
             | Ok () ->
-                e.dirty <- false;
-                Hashtbl.remove t.dirty b;
+                mark_clean t b e;
                 bump t "cache.writebacks";
                 Ok ()
             | Error _ as err -> err
@@ -208,8 +210,7 @@ let flush_block t b =
       match store_write t b e.page with
       | Error _ as err -> err
       | Ok () ->
-          e.dirty <- false;
-          Hashtbl.remove t.dirty b;
+          mark_clean t b e;
           Ok ())
   | Some { dirty = false; _ } | None -> Ok ()
 
@@ -223,6 +224,15 @@ let flush t =
   if Hashtbl.length t.dirty = 0 then Ok () else go (Det.sorted_keys t.dirty)
 
 let dirty_count t = Hashtbl.length t.dirty
+
+let dirty_pages t blocks =
+  List.filter_map
+    (fun b ->
+      match Lru.peek t.cache b with
+      | Some { dirty = true; page; _ } -> Some (b, page)
+      | Some { dirty = false; _ } | None -> None)
+    blocks
+
 let cached_blocks t = List.rev (Lru.fold (fun b _ acc -> b :: acc) t.cache [])
 
 let lock t b =
@@ -250,23 +260,16 @@ let refresh t b =
   | Some e -> e.stale <- true
   | None -> ()
 
-(* Unlike {!refresh}, a pending dirty write is dropped too: the caller
-   (the commit test-and-set) trusts nothing it has not re-read. *)
-let invalidate t b =
-  match Lru.peek t.cache b with
-  | Some { dirty = true; _ } -> drop_entry t b
-  | Some e -> e.stale <- true
-  | None -> ()
-
-(* The group-commit publish leg: every page is size-checked and encoded
-   before the first store write (a too-large page cannot leave the batch
-   half-written), then the whole batch goes to the store in one
-   [write_batch] call — one amortised stable-storage round trip when the
-   backend is a stable pair. The store writes in order and stops at the
-   first error, so on failure the durable state is a prefix of [entries];
-   every cached copy of a batch block is dropped then, since we no longer
-   know which writes landed. *)
-let write_through_batch t entries =
+(* The publish leg: every page is size-checked and encoded before the
+   first store write (a too-large page cannot leave the batch
+   half-written), then [pages] and [entries], in that order, go to the
+   store in one [write_batch] call — one amortised stable-storage round
+   trip when the backend is a stable pair. The store writes in order and
+   stops at the first error, so on failure the durable state is a prefix
+   of the batch. The dirty [pages] then stay dirty, so a retry writes
+   them again; every other cached copy of an [entries] block is dropped,
+   since we no longer know which writes landed. *)
+let write_through_batch ?(pages = []) t entries =
   let rec encode acc = function
     | [] -> Ok (List.rev acc)
     | (b, page) :: rest -> (
@@ -274,11 +277,14 @@ let write_through_batch t entries =
         | Error _ as e -> e
         | Ok _ -> encode ((b, Page.encode page) :: acc) rest)
   in
-  match encode [] entries with
+  match encode [] (pages @ entries) with
   | Error _ as e -> e
   | Ok images -> (
       match t.store.Store.write_batch images with
       | Ok () ->
+          List.iter
+            (fun (b, _) -> Option.iter (mark_clean t b) (Lru.peek t.cache b))
+            pages;
           let rec settle = function
             | [] -> Ok ()
             | (b, page) :: rest -> (
@@ -291,7 +297,7 @@ let write_through_batch t entries =
           in
           settle entries
       | Error msg ->
-          List.iter (fun (b, _) -> drop_entry t b) entries;
+          List.iter (fun (b, _) -> if not (Hashtbl.mem t.dirty b) then drop_entry t b) entries;
           Error (Errors.Store_failure msg))
 
 let free t b =

@@ -4,9 +4,10 @@
     write-through cache": pages written in a version need not reach stable
     storage until just before commit. This module implements exactly that
     over a capacity-bounded LRU: {!write} updates the cache and marks the
-    block dirty; {!flush} makes everything durable; the commit path calls
-    {!flush} first, and crash simulation calls {!drop_volatile} to lose
-    whatever was not flushed.
+    block dirty; a commit's publish writes its version's dirty pages
+    ({!dirty_pages}) in the same {!write_through_batch} as its commit
+    references, pages first; and crash simulation calls {!drop_volatile}
+    to lose whatever was not written.
 
     Eviction: when an insertion pushes the cache past its capacity, the
     least-recently-used unpinned entries are dropped; a dirty evictee is
@@ -48,16 +49,34 @@ val write : t -> int -> Page.t -> (unit, Errors.t) result
     dirty evictee also surfaces here. *)
 
 val write_through : t -> int -> Page.t -> (unit, Errors.t) result
-(** Immediately durable (used for version pages in the commit path). *)
+(** Immediately durable, outside any publish batch (a new file's first
+    version page, the lock fields of a committed version page). *)
 
-val write_through_batch : t -> (int * Page.t) list -> (unit, Errors.t) result
-(** Durably write all pages in one store [write_batch] — the group-commit
-    publish leg, one amortised stable-storage round trip on a stable-pair
-    backend. Every page is size-checked before the first write; the store
+val write_through_batch :
+  ?pages:(int * Page.t) list -> t -> (int * Page.t) list -> (unit, Errors.t) result
+(** [write_through_batch ~pages refs] durably writes [pages], then [refs],
+    in one store [write_batch] — the commit publish leg, one amortised
+    stable-storage round trip on a stable-pair backend. [pages] are dirty
+    cached pages (from {!dirty_pages}); on success they become clean in
+    place, without touching the LRU order, and each of [refs] is cached
+    clean. Every page is size-checked before the first write. The store
     stops at the first error, so a failure leaves a prefix of the batch
-    durable and drops every cached copy of the batch's blocks. *)
+    durable: a reference is never durable unless every page before it
+    is. On failure [pages] stay dirty, so a retry writes them again, and
+    every other cached copy of a [refs] block is dropped. *)
+
+val dirty_pages : t -> int list -> (int * Page.t) list
+(** The given blocks that are cached and dirty, with their pages, in the
+    given order. Cache-neutral: no reordering and no hit counted. *)
 
 val flush : t -> (unit, Errors.t) result
+(** Write every dirty block, one store write each, in ascending block
+    order. The server's commit pipeline never calls it: a commit writes
+    only its own pages, in its publish batch. It is a durability helper
+    for tests and examples, and for the super-file layer, whose super
+    version must not commit before the sub-versions it names are on
+    disk. *)
+
 val flush_block : t -> int -> (unit, Errors.t) result
 
 val dirty_count : t -> int
@@ -77,13 +96,11 @@ val drop_volatile : t -> unit
     Unflushed writes are lost, exactly as the paper intends for
     uncommitted versions. *)
 
-val invalidate : t -> int -> unit
-(** Drop one block from the cache (used after another server wrote it). *)
-
 val refresh : t -> int -> unit
-(** Like {!invalidate} but keeps a dirty (locally written, unflushed)
-    entry: used before re-examining a commit reference that another
-    server may have set. *)
+(** Mark a clean cached block stale, so the next read re-reads it from the
+    store: used before examining a commit reference that another server
+    may have set. A dirty (locally written, not yet durable) entry is kept:
+    it is authoritative. *)
 
 (** {2 Cache-neutral access}
 

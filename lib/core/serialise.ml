@@ -104,13 +104,8 @@ let run st ~candidate ~committed =
   let fb = vb.Page.header.Page.root_flags in
   let fc = vc.Page.header.Page.root_flags in
   let merged_root = merge_pages st Pagepath.root ~fb ~fc vb vc in
-  if not st.dry_run then begin
-    let header = { merged_root.Page.header with Page.base_ref = Some committed } in
-    let merged_root = Page.with_header merged_root header in
-    match Pagestore.write_through st.ps candidate merged_root with
-    | Ok () -> ()
-    | Error e -> raise (Store_error e)
-  end
+  let header = { merged_root.Page.header with Page.base_ref = Some committed } in
+  write_page st candidate (Page.with_header merged_root header)
 
 let execute ~dry_run ps ~candidate ~committed =
   let st = { ps; dry_run; visited = 0; adopted = 0 } in

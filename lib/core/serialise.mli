@@ -38,7 +38,9 @@ val test_and_merge :
     (by version-page block) against the committed one and, when
     serialisable, rewrites the candidate's pages in place (they are
     private copies) so that it is based on [committed]. The candidate's
-    version page is updated with the new base reference. *)
+    version page is updated with the new base reference. Every write is a
+    cached, deferred {!Pagestore.write}: the candidate's publish makes the
+    merged pages durable. *)
 
 val test_only : Pagestore.t -> candidate:int -> committed:int -> (verdict, Errors.t) result
 (** The same walk without any writes: used for cache validation and the

@@ -20,6 +20,12 @@ type version_record = {
      cannot be asserted for lazily learned or recovered versions, whose
      flags may predate this server). *)
   mutable wset : Writeset.t option;
+  (* The blocks this uncommitted version allocated through this server —
+     copies, inserted pages, split siblings — newest first (a version
+     learned from the store starts with the copies its tree reaches):
+     with the version page, the pages its publish must make durable.
+     Emptied once the version is finished or aborted. *)
+  mutable private_blocks : int list;
 }
 
 type file_record = {
@@ -71,11 +77,11 @@ type t = {
   destroyed : (int, unit) Hashtbl.t;
   counters : Stats.Counter.t;
   name : string;
-  (* The replication gate: called with the commit references a publish is
-     about to write through, before the local store sees them. Returning
-     an error vetoes the publish — the references are never written, so
-     the commit aborts cleanly. A fenced (deposed) primary's gate always
-     errors; the default always succeeds. *)
+  (* The replication gate: called with the pages and then the commit
+     references a publish is about to write through, before the local
+     store sees them. Returning an error vetoes the publish — nothing is
+     written, so the commit aborts cleanly. A fenced (deposed) primary's
+     gate always errors; the default always succeeds. *)
   publish_tap : (int * Page.t) list -> (unit, Errors.t) result;
   mutable trace : Trace.t;
   (* The two-phase-commit baseline's parked state: pipeline runs admitted
@@ -184,12 +190,26 @@ let find_file t cap ~need =
     | Some f -> Ok f
     | None -> learn_file t cap
 
+(* Calls [f] on each copy (C set) below [page], children before their
+   parent, in reference-table order: the pages private to an uncommitted
+   version. Shared pages (C clear) belong to the base. *)
+let rec iter_copies t page f =
+  Array.iter
+    (fun (e : Page.ref_entry) ->
+      if e.Page.flags.Flags.c then begin
+        (match Pagestore.read t.ps e.Page.block with
+        | Ok child -> iter_copies t child f
+        | Error _ -> ());
+        f e.Page.block
+      end)
+    page.Page.refs
+
 (* A server can be handed a capability for a version another server
    created: any server may serve any object on a store it reaches. Learn
    such versions lazily from their on-disk version page. The version is
    committed iff something points at it — its base's commit reference —
    or it is a chain root; anything else is some client's in-flight
-   update. *)
+   update, whose reachable copies become its private blocks here. *)
 let learn_version t cap =
   let vblock = cap.Capability.obj / 2 in
   match Pagestore.read t.ps vblock with
@@ -209,6 +229,8 @@ let learn_version t cap =
                 | Ok bpage -> bpage.Page.header.Page.commit_ref = Some vblock
                 | Error _ -> false)
           in
+          let private_blocks = ref [] in
+          if not committed then iter_copies t page (fun b -> private_blocks := b :: !private_blocks);
           let v =
             {
               vblock;
@@ -217,6 +239,7 @@ let learn_version t cap =
               (* Another server recorded this version's flags: no
                  incremental administration can be asserted for it. *)
               wset = None;
+              private_blocks = !private_blocks;
             }
           in
           Hashtbl.replace t.versions vblock v;
@@ -261,25 +284,26 @@ let rec chase_current t block =
    succeeded, so the map-equals-tree-flags invariant is preserved. *)
 let update_wset (v : version_record) f = v.wset <- Option.map f v.wset
 
-let update_wset_at t vblock f =
-  match Hashtbl.find_opt t.versions vblock with
-  | Some v -> update_wset v f
-  | None -> ()
+(* A fresh block private to [v]: its publish will write it. *)
+let allocate_private t (v : version_record) =
+  let* b = Pagestore.allocate t.ps in
+  v.private_blocks <- b :: v.private_blocks;
+  Ok b
 
 (* Record an access at a page's flag location: the version page's own
    root-flags field for the root, the parent's reference entry otherwise.
    [path] names the page within the version so the same recording lands in
    the incremental write set. *)
-let record_access_at t ~vblock ~path location access =
-  let note () = update_wset_at t vblock (fun ws -> Writeset.record ws path access) in
+let record_access_at t (v : version_record) ~path location access =
+  let note () = update_wset v (fun ws -> Writeset.record ws path access) in
   match location with
   | None ->
-      let* page = read_pg t vblock in
+      let* page = read_pg t v.vblock in
       let header = page.Page.header in
       let root_flags = Flags.record header.Page.root_flags access in
       if Flags.equal root_flags header.Page.root_flags then Ok (note ())
       else
-        let* () = write_pg t vblock (Page.with_header page { header with Page.root_flags }) in
+        let* () = write_pg t v.vblock (Page.with_header page { header with Page.root_flags }) in
         Ok (note ())
   | Some (pblock, index) ->
       let* page = read_pg t pblock in
@@ -294,11 +318,12 @@ let record_access_at t ~vblock ~path location access =
         Ok (note ())
 
 (* Copy-on-write of the child at [index] of the page at [pblock]: allocate
-   a private block, store the child there with cleared grand-child flags
-   and a base reference to the shared original, and repoint the parent. *)
-let copy_child t pblock index (entry : Page.ref_entry) =
+   a block private to [v], store the child there with cleared grand-child
+   flags and a base reference to the shared original, and repoint the
+   parent. *)
+let copy_child t v pblock index (entry : Page.ref_entry) =
   let* child = read_pg t entry.Page.block in
-  let* fresh = Pagestore.allocate t.ps in
+  let* fresh = allocate_private t v in
   let child = Page.clear_child_flags child in
   let header = { child.Page.header with Page.base_ref = Some entry.Page.block } in
   let child = Page.with_header child header in
@@ -315,17 +340,17 @@ let copy_child t pblock index (entry : Page.ref_entry) =
   bump t "pages.copied";
   Ok fresh
 
-(* Descend [path] from the version page at [vblock], copying every page on
-   the way (access implies copy, §5.1), recording S on each page whose
+(* Descend [path] from the version page of [v], copying every page on the
+   way (access implies copy, §5.1), recording S on each page whose
    references are consulted and [access] on the target. Returns the
    target's private block. *)
-let locate_for_access t vblock path access =
+let locate_for_access t (v : version_record) path access =
   let rec descend location at block = function
     | [] ->
-        let* () = record_access_at t ~vblock ~path:at location access in
+        let* () = record_access_at t v ~path:at location access in
         Ok block
     | index :: rest ->
-        let* () = record_access_at t ~vblock ~path:at location Flags.Search in
+        let* () = record_access_at t v ~path:at location Flags.Search in
         let* page = read_pg t block in
         (match Page.get_ref page index with
         | Error _ ->
@@ -333,11 +358,11 @@ let locate_for_access t vblock path access =
         | Ok entry ->
             let* child_block =
               if entry.Page.flags.Flags.c then Ok entry.Page.block
-              else copy_child t block index entry
+              else copy_child t v block index entry
             in
             descend (Some (block, index)) (Pagepath.child at index) child_block rest)
   in
-  descend None Pagepath.root vblock (Pagepath.to_list path)
+  descend None Pagepath.root v.vblock (Pagepath.to_list path)
 
 (* Plain traversal with no copying and no flag recording, for committed
    versions (and introspection). *)
@@ -366,7 +391,13 @@ let create_file t ?(data = Bytes.empty) () =
   Hashtbl.replace t.files (file_obj_of_block vb)
     (fresh_file_record ~file_obj:(file_obj_of_block vb) ~current:vb ~oldest:vb ~vblocks:[ vb ]);
   Hashtbl.replace t.versions vb
-    { vblock = vb; file_obj = file_obj_of_block vb; status = Committed; wset = Some Writeset.empty };
+    {
+      vblock = vb;
+      file_obj = file_obj_of_block vb;
+      status = Committed;
+      wset = Some Writeset.empty;
+      private_blocks = [];
+    };
   bump t "files.created";
   Ok file_cap
 
@@ -443,7 +474,13 @@ let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port =
   in
   let* () = write_pg t vb vpage in
   Hashtbl.replace t.versions vb
-    { vblock = vb; file_obj = file.file_obj; status = Uncommitted; wset = Some Writeset.empty };
+    {
+      vblock = vb;
+      file_obj = file.file_obj;
+      status = Uncommitted;
+      wset = Some Writeset.empty;
+      private_blocks = [];
+    };
   file.vblocks <- vb :: file.vblocks;
   Hashtbl.replace file.uncommitted vb ();
   bump t "versions.created";
@@ -463,22 +500,22 @@ let version_of_block t block =
   | None -> Error (No_such_version (version_obj_of_block block))
 
 (* Free the pages private to a version: copies (C set) found by descent,
-   then the version page itself. Shared pages (C clear) belong to the base
-   and survive. *)
+   then the version page itself. Shared pages survive. A freed page that
+   was never written costs no store write: its dirty entry is dropped. *)
 let free_private_pages t vblock =
-  let rec free_copies page =
-    Array.iter
-      (fun (e : Page.ref_entry) ->
-        if e.Page.flags.Flags.c then begin
-          (match read_pg t e.Page.block with Ok child -> free_copies child | Error _ -> ());
-          Pagestore.free t.ps e.Page.block
-        end)
-      page.Page.refs
-  in
-  (match read_pg t vblock with Ok page -> free_copies page | Error _ -> ());
+  (match read_pg t vblock with
+  | Ok page -> iter_copies t page (Pagestore.free t.ps)
+  | Error _ -> ());
   Pagestore.free t.ps vblock
 
 let forget_uncommitted file vblock = Hashtbl.remove file.uncommitted vblock
+
+(* An uncommitted version's end: its pages are freed (or, on a crash,
+   already lost) and its records drop. *)
+let mark_aborted (v : version_record) =
+  v.status <- Aborted;
+  v.wset <- None;
+  v.private_blocks <- []
 
 let destroy_file t cap =
   let* file = find_file t cap ~need:Capability.right_destroy in
@@ -490,8 +527,7 @@ let destroy_file t cap =
       match Hashtbl.find_opt t.versions vb with
       | Some v when v.status = Uncommitted ->
           free_private_pages t vb;
-          v.status <- Aborted;
-          v.wset <- None
+          mark_aborted v
       | _ -> ())
     (Det.sorted_keys file.uncommitted);
   (* Only this file's own version index is walked — not every version the
@@ -518,8 +554,7 @@ let abort_version t cap =
       | Some file -> forget_uncommitted file v.vblock
       | None -> ());
       free_private_pages t v.vblock;
-      v.status <- Aborted;
-      v.wset <- None;
+      mark_aborted v;
       bump t "versions.aborted";
       Ok ()
 
@@ -533,7 +568,7 @@ let read_page t cap path =
   let* v = find_version t cap ~need:Capability.right_read in
   match v.status with
   | Uncommitted ->
-      let* block = locate_for_access t v.vblock path Flags.Read in
+      let* block = locate_for_access t v path Flags.Read in
       let* page = read_pg t block in
       Ok (Bytes.copy page.Page.data)
   | Committed | Aborted ->
@@ -542,7 +577,7 @@ let read_page t cap path =
 
 let write_page t cap path data =
   let* v = mutable_version t cap ~need:Capability.right_write in
-  let* block = locate_for_access t v.vblock path Flags.Write in
+  let* block = locate_for_access t v path Flags.Write in
   let* page = read_pg t block in
   write_pg t block (Page.with_data page data)
 
@@ -558,12 +593,12 @@ let page_info t cap path =
 
 let insert_page t cap ~parent ~index ?(data = Bytes.empty) () =
   let* v = mutable_version t cap ~need:Capability.right_write in
-  let* pblock = locate_for_access t v.vblock parent Flags.Modify in
+  let* pblock = locate_for_access t v parent Flags.Modify in
   let* ppage = read_pg t pblock in
   if index < 0 || index > Page.nrefs ppage then
     Error (Bad_index { path = parent; index; nrefs = Page.nrefs ppage })
   else
-    let* fresh = Pagestore.allocate t.ps in
+    let* fresh = allocate_private t v in
     let child = Page.with_data Page.empty data in
     let* () = write_pg t fresh child in
     (* A page that never existed in the base is private and written. *)
@@ -579,7 +614,7 @@ let insert_page t cap ~parent ~index ?(data = Bytes.empty) () =
 
 let remove_page t cap ~parent ~index =
   let* v = mutable_version t cap ~need:Capability.right_write in
-  let* pblock = locate_for_access t v.vblock parent Flags.Modify in
+  let* pblock = locate_for_access t v parent Flags.Modify in
   let* ppage = read_pg t pblock in
   if index < 0 || index >= Page.nrefs ppage then
     Error (Bad_index { path = parent; index; nrefs = Page.nrefs ppage })
@@ -595,7 +630,7 @@ let move_page t cap ~src_parent ~src_index ~dst_parent ~dst_index =
     Error (Bad_path dst_parent)
   else
     let* v = mutable_version t cap ~need:Capability.right_write in
-    let* src_block = locate_for_access t v.vblock src_parent Flags.Modify in
+    let* src_block = locate_for_access t v src_parent Flags.Modify in
     let* src_page = read_pg t src_block in
     let* entry = lift_page_err src_path (Page.get_ref src_page src_index) in
     let* src_page = lift_page_err src_path (Page.remove_ref src_page src_index) in
@@ -608,7 +643,7 @@ let move_page t cap ~src_parent ~src_index ~dst_parent ~dst_index =
         let sub, rest = Writeset.extract ws src_path in
         moved_recordings := sub;
         Writeset.close_gap rest ~parent:src_parent ~index:src_index);
-    let* dst_block = locate_for_access t v.vblock dst_parent Flags.Modify in
+    let* dst_block = locate_for_access t v dst_parent Flags.Modify in
     let* dst_page = read_pg t dst_block in
     if dst_index < 0 || dst_index > Page.nrefs dst_page then
       Error (Bad_index { path = dst_parent; index = dst_index; nrefs = Page.nrefs dst_page })
@@ -627,7 +662,7 @@ let split_page t cap ~path ~at =
       let* v = mutable_version t cap ~need:Capability.right_write in
       (* Both the page (its references move out) and the parent (a sibling
          appears) are explicit structure modifications. *)
-      let* target_block = locate_for_access t v.vblock path Flags.Modify in
+      let* target_block = locate_for_access t v path Flags.Modify in
       let* target = read_pg t target_block in
       let n = Page.nrefs target in
       if at < 0 || at > n then Error (Bad_index { path; index = at; nrefs = n })
@@ -643,10 +678,10 @@ let split_page t cap ~path ~at =
             let sub, rest = Writeset.extract_children_from ws ~parent:path ~from:at in
             moved_recordings := sub;
             rest);
-        let* sibling_block = Pagestore.allocate t.ps in
+        let* sibling_block = allocate_private t v in
         let sibling = Page.with_contents Page.empty ~refs:moved ~data:Bytes.empty in
         let* () = write_pg t sibling_block sibling in
-        let* pblock = locate_for_access t v.vblock parent Flags.Modify in
+        let* pblock = locate_for_access t v parent Flags.Modify in
         let* ppage = read_pg t pblock in
         (* The sibling never existed in the base: private and written. *)
         let flags = Flags.record (Flags.record Flags.clear Flags.Write) Flags.Modify in
@@ -668,8 +703,9 @@ let split_page t cap ~path ~at =
    reference under the store lock — the only fencing point in the whole
    pipeline. [merge] handles an interception: the write-set pre-test,
    then the serialisability tree walk that rebases the candidate onto the
-   committed successor. [publish] makes the winning commit references
-   durable and updates the in-memory administration.
+   committed successor. [publish] makes the winners' pages and commit
+   references durable, in one store batch, and updates the in-memory
+   administration: it is the pipeline's only store write.
 
    Every commit is a run of this pipeline, and every run ends in one
    [publish] (or, for an aborted 2PC run, [drop_ctx]). Members go through
@@ -701,6 +737,7 @@ let acquire_commit_lock t ctx block =
 (* A published winner: only now does it count as a commit. *)
 let finish_commit t (v, fastpath) =
   v.status <- Committed;
+  v.private_blocks <- [];
   (match Hashtbl.find_opt t.files v.file_obj with
   | Some file ->
       file.current_hint <- v.vblock;
@@ -715,14 +752,15 @@ let finish_commit t (v, fastpath) =
 (* Stage 1 — the test-and-set of [base_block]'s commit reference, under
    the store lock. [Ok None] = won: the reference is claimed in the run's
    overlay and the lock kept for publish; [Ok (Some s)] = intercepted by
-   [s]. *)
+   [s]. A clean cached base is re-read from the store; a dirty one is an
+   earlier winner of this run, not yet published, and is believed. *)
 let validate t ctx ~vb base_block =
   let* () = acquire_commit_lock t ctx base_block in
   let outcome =
     match Hashtbl.find_opt ctx.pending base_block with
     | Some successor -> Ok (Some successor)
     | None -> (
-        Pagestore.invalidate t.ps base_block;
+        Pagestore.refresh t.ps base_block;
         let* bpage = read_pg t base_block in
         match bpage.Page.header.Page.commit_ref with
         | Some successor -> Ok (Some successor)
@@ -742,8 +780,7 @@ let abandon t (v : version_record) outcome_name =
   | Some file -> forget_uncommitted file v.vblock
   | None -> ());
   free_private_pages t v.vblock;
-  v.status <- Aborted;
-  v.wset <- None;
+  mark_aborted v;
   tpoint t (Trace.Commit_outcome { vblock = v.vblock; outcome = outcome_name });
   Error Conflict
 
@@ -785,7 +822,6 @@ let merge t v ~successor =
       | Ok (Serialise.Serialisable stats) ->
           bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
           tpoint t (Trace.Commit_phase { vblock = vb; phase = "merge" });
-          let* () = Pagestore.flush t.ps in
           Ok Rebased)
 
 (* End a run without publishing: forget the overlay (its test-and-sets
@@ -798,26 +834,37 @@ let drop_ctx t ctx =
   List.iter (Pagestore.unlock t.ps) (Det.sorted_keys ctx.held);
   Hashtbl.reset ctx.held
 
-(* Stage 3 — durability and administration. All the run's commit
-   references go to the store in one [write_through_batch] (one
-   amortised stable-storage leg on a stable-pair backend); then, only if
-   that write succeeded, the winners are finished oldest first. Every
-   held lock is released either way. The store writes the references in
-   submission order and stops at the first error, so a mid-batch failure
-   leaves a durable prefix: each member is either completely committed
-   (its pages were flushed before its reference was written) or not
-   committed at all. *)
+(* Stage 3 — durability and administration. "First it ascertains that
+   all of V.b's pages are safely on disk": each winner's still-dirty
+   pages (version page, then its private blocks in allocation order),
+   oldest winner first, and after them all the run's commit references,
+   go to the store in one [write_through_batch] (one amortised
+   stable-storage leg on a stable-pair backend); then, only if that write
+   succeeded, the winners are finished oldest first. Every held lock is
+   released either way. The store writes in order and stops at the first
+   error, so a mid-batch failure leaves a durable prefix: each member is
+   either completely committed (all pages precede all references) or not
+   committed at all, and the pages of the members that are not are
+   orphans the collector reclaims. Pages that did not land stay dirty for
+   a retry. Doomed and aborted versions never reach this point, so their
+   pages are never written. *)
 let publish t ctx =
+  let winners = List.rev ctx.winners in
   let result =
     match List.rev ctx.publish_refs with
     | [] -> Ok ()
     | refs -> (
-        match t.publish_tap refs with
+        let pages =
+          List.concat_map
+            (fun (v, _) -> Pagestore.dirty_pages t.ps (v.vblock :: List.rev v.private_blocks))
+            winners
+        in
+        match t.publish_tap (pages @ refs) with
         | Error _ as e -> e
-        | Ok () -> Pagestore.write_through_batch t.ps refs)
+        | Ok () -> Pagestore.write_through_batch ~pages t.ps refs)
   in
   (match result with
-  | Ok () -> List.iter (finish_commit t) (List.rev ctx.winners)
+  | Ok () -> List.iter (finish_commit t) winners
   | Error _ -> ());
   drop_ctx t ctx;
   result
@@ -844,8 +891,6 @@ let note_winner ctx v ~fastpath =
    flags), so this is exactly the abort the chain walk would reach,
    attributed per transaction without dooming the rest of the batch. *)
 let admit t ctx v =
-  (* "First it ascertains that all of V.b's pages are safely on disk." *)
-  let* () = Pagestore.flush t.ps in
   let vb = v.vblock in
   let* vpage = read_pg t vb in
   let* base0 =
@@ -989,13 +1034,7 @@ let crash t =
   Hashtbl.reset t.prepared;
   Pagestore.drop_volatile t.ps;
   (* Uncommitted versions are volatile by design. *)
-  Det.iter_sorted
-    (fun _ v ->
-      if v.status = Uncommitted then begin
-        v.status <- Aborted;
-        v.wset <- None
-      end)
-    t.versions;
+  Det.iter_sorted (fun _ v -> if v.status = Uncommitted then mark_aborted v) t.versions;
   Det.iter_sorted (fun _ f -> Hashtbl.reset f.uncommitted) t.files;
   tpoint t (Trace.Crash { component = "server"; what = "crash" });
   bump t "server.crashes"
@@ -1027,7 +1066,7 @@ let recover_from_blocks t blocks =
           let chain = ref [] in
           let rec register block =
             Hashtbl.replace t.versions block
-              { vblock = block; file_obj; status = Committed; wset = None };
+              { vblock = block; file_obj; status = Committed; wset = None; private_blocks = [] };
             chain := block :: !chain;
             match read_pg t block with
             | Ok page -> (

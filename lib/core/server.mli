@@ -44,14 +44,14 @@ val create :
     owning cluster shard's id) becomes the span's label, so per-shard
     commit traffic is separable in a cluster trace.
 
-    [publish_tap] is the replication gate: it receives the commit
-    references (base block, updated page) a publish is about to write
-    through — the commit stream — before the local store sees them.
-    Returning an error vetoes the publish: no reference is written and
-    the would-be winners get the error, which is exactly how a deposed
-    primary is fenced after failover. The default always succeeds. The
-    tap must be synchronous (it runs inside the commit critical
-    section). *)
+    [publish_tap] is the replication gate: it receives the (block, page)
+    pairs a publish is about to write through — the winners' pages, then
+    their commit references (base block, updated page) — before the local
+    store sees them. Returning an error vetoes the publish: nothing is
+    written and the would-be winners get the error, which is exactly how
+    a deposed primary is fenced after failover. The default always
+    succeeds. The tap must be synchronous (it runs inside the commit
+    critical section). *)
 
 val name : t -> string
 
@@ -141,10 +141,18 @@ val split_page :
 (** {2 Commit} *)
 
 val commit : t -> Afs_util.Capability.t -> unit Errors.r
-(** Flush, then run the §5.2 protocol: test-and-set the base's commit
-    reference; on interception, serialisability-test and merge against
-    each intervening committed version, retrying until the set succeeds
-    or the test fails with [Conflict] (the version is then removed).
+(** Run the §5.2 protocol: test-and-set the base's commit reference; on
+    interception, serialisability-test and merge against each intervening
+    committed version, retrying until the set succeeds or the test fails
+    with [Conflict] (the version is then removed); then write the
+    version's pages and the base's commit reference in one store batch,
+    pages first.
+
+    Only the committing version's own pages are written — the version
+    page and the blocks it allocated (copies, inserted pages, split
+    siblings) that are still dirty in the cache — and only once the
+    version has won. A doomed commit, like {!abort_version}, writes
+    nothing: its pages are dropped from the cache and freed.
 
     When both the candidate and the intervening version carry the
     incrementally maintained flag map ({!Writeset}), the conflict
@@ -157,9 +165,11 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     one member: the test-and-set of the base's commit reference under the
     store lock (the only fencing point) claims the reference for the run
     and keeps the lock; the pre-test plus serialisability walk handles an
-    interception; publish writes the claimed reference durably, and only
-    then does the commit count ([commits.ok], [commits.fastpath] /
-    [commits.merged], the success [Commit_outcome] point). The [commit]
+    interception; publish writes the pages and the claimed reference
+    durably, and only then does the commit count ([commits.ok],
+    [commits.fastpath] / [commits.merged], the success [Commit_outcome]
+    point). If the publish fails, the pages that did not land stay dirty,
+    so retrying the commit writes them again. The [commit]
     span encloses the publish. A base lock held by anyone else (another
     server sharing the store, a prepared 2PC run) fails the commit at
     once with [Store_failure "commit lock contention"], leaving the
@@ -173,8 +183,9 @@ val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
     consult, and a member conflicting with the union of the admitted
     winners' write sets ({!Writeset.union}) is doomed by one pre-test pass
     without dooming the batch — then one publish writes all winners'
-    references in one amortised stable-storage leg
-    ({!Pagestore.write_through_batch}). Outcomes, counters of record
+    pages, oldest winner first, and then all their references in one
+    amortised stable-storage leg ({!Pagestore.write_through_batch}).
+    Outcomes, counters of record
     ([commits.ok] / [commits.conflict]) and the final store image are
     identical to committing the members one by one; one result per
     capability, in order. A one-element list is exactly {!commit}. If the
@@ -186,8 +197,9 @@ val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
 val prepare : t -> Afs_util.Capability.t -> unit Errors.r
 (** Two-phase-commit baseline, phase one: a pipeline run of one, parked
     before its publish — the winning test-and-set is recorded in the
-    run's overlay, nothing reaches stable storage, and the base's store
-    lock is {e retained} — awaiting {!decide}. Until then any other
+    run's overlay, nothing reaches stable storage (the version's pages
+    stay dirty in the cache, and a crash discards them), and the base's
+    store lock is {e retained} — awaiting {!decide}. Until then any other
     commit of the same file fails at once with
     [Store_failure "commit lock contention"]: the lock-holding window the
     optimistic coordinator (lib/txn) exists to avoid. Errors (e.g.

@@ -163,6 +163,11 @@ let commit u =
   if u.finished then Error Version_not_mutable
   else begin
     u.finished <- true;
+    (* The super version's references name the sub-versions, and a
+       commit writes only its own pages: make every sub-version's pages
+       durable first, so a waiter that finishes the descent after a crash
+       (§5.3) never points a sub-file at a page that never landed. *)
+    let* () = Pagestore.flush (ps u) in
     (* Commit the super version first; the top lock excludes competing
        super updates, so this takes the fast path. *)
     let* () = Server.commit u.server u.super_version in

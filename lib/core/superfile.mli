@@ -49,7 +49,9 @@ val touch_subfile : update -> index:int -> Afs_util.Capability.t Errors.r
     twice returns the same capability. *)
 
 val commit : update -> unit Errors.r
-(** Commit the super version (the top lock guarantees the fast path), then
+(** Make every dirty page durable ({!Pagestore.flush}: the sub-versions'
+    pages must be on disk before the super version points at them), commit
+    the super version (the top lock guarantees the fast path), then
     descend: commit every touched sub-version — these always succeed,
     because the inner locks kept competitors out — and clear all locks. *)
 

@@ -1,12 +1,12 @@
 (* Shard replication by commit-stream log shipping.
 
    The primary's publish stage already produces the exact unit worth
-   replicating: the batched set of committed references. A [Source] wraps
-   the primary's store so every successful mutation (page flushes,
-   allocations, frees) is captured as a [Store.op]; the server's
-   [publish_tap] then acts as the gate — when a publish is about to make
-   a batch of commit references durable, the captured operations plus the
-   references themselves are cut into one sequenced batch and fed to the
+   replicating: the winners' pages and their commit references. A
+   [Source] wraps the primary's store so every successful mutation (page
+   write-backs, allocations, frees) is captured as a [Store.op]; the
+   server's [publish_tap] then acts as the gate — when a publish is about
+   to make a batch of pages and commit references durable, the captured
+   operations plus that batch are cut into one sequenced batch and fed to the
    attached replicas. Feeding is synchronous (it models the reliable
    append to a replication log on the commit path and costs no simulated
    time); application is asynchronous — each replica drains its queue a
@@ -248,9 +248,9 @@ module Source = struct
 
   let attach s r = s.replicas <- s.replicas @ [ r ]
 
-  (* Cut the captured buffer, plus the commit references a publish is
-     carrying, into one sequenced batch and feed it to every replica.
-     The references are encoded exactly as the primary's page store is
+  (* Cut the captured buffer, plus the pages and commit references a
+     publish is carrying, into one sequenced batch and feed it to every
+     replica. They are encoded exactly as the primary's page store is
      about to write them, so replica bytes match primary bytes. *)
   let cut s refs =
     let ops =

@@ -2,8 +2,8 @@
 
     A {!Source} wraps a primary's store, capturing every successful
     mutation as a {!Afs_core.Store.op}; installed as the server's
-    [publish_tap], it cuts the captured operations plus the commit
-    references of each publish into sequenced batches and feeds them to
+    [publish_tap], it cuts the captured operations plus the pages and
+    commit references of each publish into sequenced batches and feeds them to
     the attached replicas. Feeding is synchronous with the commit (the
     reliable log append); application is asynchronous — a replica drains
     its queue one [apply_interval_ms] later, so per-shard replication lag
@@ -133,9 +133,9 @@ module Source : sig
 
   val tap : source -> (int * Afs_core.Page.t) list -> unit Afs_core.Errors.r
   (** The publish gate, shaped for [Server.create ?publish_tap]: fails
-      with [Conflict] when {!fenced} (the commit aborts, the references
-      are never written), otherwise cuts captured ops + references into
-      one batch and feeds every attached replica. *)
+      with [Conflict] when {!fenced} (the commit aborts, nothing is
+      written), otherwise cuts captured ops + the publish's pages and
+      references into one batch and feeds every attached replica. *)
 
   val flush : source -> unit
   (** Cut any captured-but-unshipped operations (e.g. file creations

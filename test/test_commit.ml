@@ -340,6 +340,27 @@ let test_two_servers_one_store () =
   Helpers.check_bytes "server 1 sees server 2's commit" "via server 2"
     (ok (Server.read_page srv1 cur1 P.root))
 
+(* A commit writes only its version's own pages. A version learned from
+   the store owns the copies its tree already reaches, so a page another
+   server copied and this one rewrote is still made durable by this
+   server's publish. *)
+let test_learned_version_publishes_its_copies () =
+  let store = Store.memory () in
+  let ports = Ports.create () in
+  let srv1 = Server.create ~seed:7 ~ports store in
+  let srv2 = Server.create ~seed:7 ~ports store in
+  let f = Helpers.file_with_pages srv1 2 in
+  let v = ok (Server.create_version srv1 f) in
+  write srv1 v [ 0 ] "copied by server 1";
+  ok (Pagestore.flush (Server.pagestore srv1));
+  write srv2 v [ 0 ] "rewritten by server 2";
+  ok (Server.commit srv2 v);
+  Server.crash srv2;
+  let srv3 = Server.create ~seed:7 store in
+  ignore (ok (Server.recover_from_blocks srv3 (Helpers.ok_str (store.Store.list_blocks ()))));
+  Alcotest.(check string) "the rewrite survived the crash" "rewritten by server 2"
+    (current_data srv3 f [ 0 ])
+
 let () =
   Alcotest.run "commit"
     [
@@ -377,5 +398,8 @@ let () =
           quick "conflict frees private pages" test_conflicting_version_frees_private_pages;
         ] );
       ( "multi-server",
-        [ quick "two servers one store" test_two_servers_one_store ] );
+        [
+          quick "two servers one store" test_two_servers_one_store;
+          quick "learned version publishes its copies" test_learned_version_publishes_its_copies;
+        ] );
     ]

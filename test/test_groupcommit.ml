@@ -176,9 +176,10 @@ let test_batch_conflicting_member_doomed_alone () =
 
 (* {2 Crash inside the publish leg} *)
 
-(* A store that serves [allow] writes and then fails every later one —
-   [write_batch] must be overridden too (the record update would otherwise
-   keep the inner store's batch path, bypassing the injection). *)
+(* A store that serves [allow] writes and then fails every later one until
+   healed — [write_batch] must be overridden too (the record update would
+   otherwise keep the inner store's batch path, bypassing the
+   injection). *)
 let failing_store ~allow () =
   let inner = Store.memory () in
   let remaining = ref allow in
@@ -194,10 +195,10 @@ let failing_store ~allow () =
     | (b, data) :: rest -> (
         match write b data with Ok () -> write_batch rest | Error _ as e -> e)
   in
-  { inner with Store.write; write_batch }
+  ({ inner with Store.write; write_batch }, fun () -> remaining := max_int)
 
 (* Two files, one updating member each: both win validation, so the batch
-   publishes two commit references in one leg. *)
+   publishes two members' pages and two commit references in one leg. *)
 let crash_scenario store =
   let srv = Server.create ~seed:7 store in
   let f1 = Helpers.file_with_pages srv 2 in
@@ -208,38 +209,164 @@ let crash_scenario store =
   ok (Server.write_page srv v2 (P.of_list [ 0 ]) (bytes "two"));
   (srv, [ v1; v2 ])
 
-let test_crash_mid_batch_atomic_per_member () =
-  (* Dry run on a counting store to learn the total write count; the last
-     two writes of the run are the two publish references. *)
+(* Dry run of [crash_scenario] on a counting store: the number of writes
+   before the publish, and the publish batch's length. *)
+let publish_batch_shape () =
   let counted, stats = Store.counting (Store.memory ()) in
-  let srv0, caps0 = crash_scenario counted in
-  List.iter (fun r -> ok r) (Server.commit_batch srv0 caps0);
-  let _, total_writes = stats () in
-  (* Real run: allow everything but the final write, so the first member's
-     reference lands and the second member's does not. *)
-  let store = failing_store ~allow:(total_writes - 1) () in
-  let srv, caps = crash_scenario store in
-  (match Server.commit_batch srv caps with
-  | [ Error (Errors.Store_failure m1); Error (Errors.Store_failure m2) ] ->
-      Alcotest.(check (list string)) "both members surface the store failure"
-        [ "injected: disk gone"; "injected: disk gone" ] [ m1; m2 ]
-  | _ -> Alcotest.fail "expected both members to report the store failure");
-  (* Recovery reads the truth back: the durable prefix is exactly the
-     first member, completely committed; the second vanished whole. *)
-  Server.crash srv;
-  let srv2 = Server.create ~seed:7 store in
-  let recovered = ok (Server.recover_from_blocks srv2 (ok_str (store.Store.list_blocks ()))) in
-  Alcotest.(check int) "both files recovered" 2 recovered;
-  let classify fc =
-    let cur = ok (Server.current_version srv2 fc) in
-    let page0 = Helpers.str (ok (Server.read_page srv2 cur (P.of_list [ 0 ]))) in
-    (List.length (ok (Server.committed_chain srv2 fc)), page0)
+  let srv, caps = crash_scenario counted in
+  let _, before = stats () in
+  List.iter (fun r -> ok r) (Server.commit_batch srv caps);
+  let _, after = stats () in
+  (before, after - before)
+
+(* Every block the committed chain of [fc] reaches must read back. *)
+let check_tree_readable srv fc =
+  let rec walk block =
+    match Server.read_version_page srv block with
+    | Error e -> Alcotest.failf "recovered reference to unreadable block %d: %s" block
+                   (Errors.to_string e)
+    | Ok page -> Array.iter (fun (e : Page.ref_entry) -> walk e.Page.block) page.Page.refs
   in
-  let states = List.sort compare (List.map classify (Server.list_files srv2)) in
-  Alcotest.(check (list (pair int string)))
-    "first member committed whole, second not at all"
-    [ (2, "p0"); (3, "one") ]
-    states
+  List.iter walk (ok (Server.committed_chain srv fc))
+
+let recover store =
+  let srv = Server.create ~seed:7 store in
+  ignore (ok (Server.recover_from_blocks srv (ok_str (store.Store.list_blocks ()))));
+  srv
+
+let test_crash_mid_batch_atomic_per_member () =
+  let before, batch = publish_batch_shape () in
+  (* Each member's version page and page copy, then the two references. *)
+  Alcotest.(check int) "pages ride the publish batch" 6 batch;
+  (* Fail the store at every position of the publish batch: the first
+     [k] writes land, the rest do not. *)
+  for k = 0 to batch - 1 do
+    let store, _ = failing_store ~allow:(before + k) () in
+    let srv, caps = crash_scenario store in
+    (match Server.commit_batch srv caps with
+    | [ Error (Errors.Store_failure m1); Error (Errors.Store_failure m2) ] ->
+        Alcotest.(check (list string)) "both members surface the store failure"
+          [ "injected: disk gone"; "injected: disk gone" ] [ m1; m2 ]
+    | _ -> Alcotest.fail "expected both members to report the store failure");
+    (* Recovery reads the truth back: each member is committed whole,
+       every page of it readable, or absent. Only once the first
+       reference (write 4) landed is the first member committed. *)
+    Server.crash srv;
+    let srv2 = recover store in
+    let classify fc =
+      check_tree_readable srv2 fc;
+      let cur = ok (Server.current_version srv2 fc) in
+      let page0 = Helpers.str (ok (Server.read_page srv2 cur (P.of_list [ 0 ]))) in
+      (List.length (ok (Server.committed_chain srv2 fc)), page0)
+    in
+    let states = List.sort compare (List.map classify (Server.list_files srv2)) in
+    Alcotest.(check (list (pair int string)))
+      (Printf.sprintf "failure after %d of %d publish writes" k batch)
+      (if k > 4 then [ (2, "p0"); (3, "one") ] else [ (2, "p0"); (2, "p0") ])
+      states
+  done
+
+let one_update store =
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let v = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "one"));
+  (srv, f, v)
+
+let test_failed_publish_retried () =
+  (* The publish fails after the version page lands but before its copy
+     and its reference do; the store heals; the same version's commit
+     then succeeds, its unlanded page written because it stayed dirty. *)
+  let counted, stats = Store.counting (Store.memory ()) in
+  ignore (one_update counted);
+  let _, before = stats () in
+  let store, heal = failing_store ~allow:(before + 1) () in
+  let srv, f, v = one_update store in
+  (match Server.commit srv v with
+  | Error (Errors.Store_failure _) -> ()
+  | _ -> Alcotest.fail "expected the publish to fail");
+  heal ();
+  ok (Server.commit srv v);
+  Server.crash srv;
+  let srv2 = recover store in
+  check_tree_readable srv2 f;
+  let cur = ok (Server.current_version srv2 f) in
+  Helpers.check_bytes "the retried commit's page survived" "one"
+    (ok (Server.read_page srv2 cur (P.of_list [ 0 ])))
+
+(* {2 Write amplification: a commit writes its own pages, once} *)
+
+(* A memory store counting entries written ([Store.counting]) and
+   [write_batch] calls. *)
+let counting_store () =
+  let counted, stats = Store.counting (Store.memory ()) in
+  let batches = ref 0 in
+  let write_batch entries =
+    incr batches;
+    counted.Store.write_batch entries
+  in
+  ({ counted with Store.write_batch }, fun () -> (snd (stats ()), !batches))
+
+let writes_during stats f =
+  let w0, b0 = stats () in
+  let r = f () in
+  let w1, b1 = stats () in
+  (r, w1 - w0, b1 - b0)
+
+let test_doomed_and_aborted_write_nothing () =
+  let store, stats = counting_store () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let winner = ok (Server.create_version srv f) in
+  let loser = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv loser (P.of_list [ 0 ])));
+  ok (Server.write_page srv loser (P.of_list [ 1 ]) (bytes "lost"));
+  ok (Server.write_page srv winner (P.of_list [ 0 ]) (bytes "won"));
+  ok (Server.commit srv winner);
+  let r, writes, _ = writes_during stats (fun () -> Server.commit srv loser) in
+  Helpers.expect_conflict r;
+  Alcotest.(check int) "short-circuited" 1 (counter srv "commits.shortcircuit");
+  Alcotest.(check int) "short-circuited doomed commit writes nothing" 0 writes;
+  let v = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v (P.of_list [ 1 ]) (bytes "abandoned"));
+  let r, writes, _ = writes_during stats (fun () -> Server.abort_version srv v) in
+  ok r;
+  Alcotest.(check int) "abort writes nothing" 0 writes
+
+let test_serialise_conflict_writes_nothing () =
+  (* The winner commits through a second server sharing the store, so the
+     loser's server has no write set for it: the serialise walk, not the
+     pre-test, finds the conflict. *)
+  let store, stats = counting_store () in
+  let ports = Ports.create () in
+  let srv1 = Server.create ~seed:7 ~ports store in
+  let srv2 = Server.create ~seed:7 ~ports store in
+  let f = Helpers.file_with_pages srv1 2 in
+  ignore (ok (Server.recover_from_blocks srv2 (ok_str (store.Store.list_blocks ()))));
+  let loser = ok (Server.create_version srv1 f) in
+  ignore (ok (Server.read_page srv1 loser (P.of_list [ 0 ])));
+  ok (Server.write_page srv1 loser (P.of_list [ 1 ]) (bytes "lost"));
+  let winner = ok (Server.create_version srv2 f) in
+  ok (Server.write_page srv2 winner (P.of_list [ 0 ]) (bytes "won"));
+  ok (Server.commit srv2 winner);
+  let r, writes, _ = writes_during stats (fun () -> Server.commit srv1 loser) in
+  Helpers.expect_conflict r;
+  Alcotest.(check int) "found by the walk" 0 (counter srv1 "commits.shortcircuit");
+  Alcotest.(check int) "walk-detected conflict" 1 (counter srv1 "commits.conflict");
+  Alcotest.(check int) "doomed commit writes nothing" 0 writes
+
+let test_fastpath_writes_pages_and_one_ref () =
+  let store, stats = counting_store () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let v = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "fast"));
+  let r, writes, batches = writes_during stats (fun () -> Server.commit srv v) in
+  ok r;
+  Alcotest.(check int) "fast path" 2 (counter srv "commits.fastpath");
+  (* The version page and its one page copy, then the base's reference. *)
+  Alcotest.(check int) "private pages plus one reference" 3 writes;
+  Alcotest.(check int) "in one write_batch" 1 batches
 
 (* {2 Only a published commit counts} *)
 
@@ -270,7 +397,7 @@ let test_only_published_commits_count () =
   let srv0, caps0 = crash_scenario counted in
   List.iter (fun r -> ok r) (Server.commit_batch srv0 caps0);
   let _, total_writes = stats () in
-  let srv, caps = crash_scenario (failing_store ~allow:(total_writes - 2) ()) in
+  let srv, caps = crash_scenario (fst (failing_store ~allow:(total_writes - 2) ())) in
   let results, outcomes, counted =
     reported_successes srv (fun () -> Server.commit_batch srv caps)
   in
@@ -421,6 +548,13 @@ let () =
           quick "disjoint members all win one batch" test_batch_disjoint_members;
           quick "conflicting member doomed alone" test_batch_conflicting_member_doomed_alone;
           quick "crash mid-publish is atomic per member" test_crash_mid_batch_atomic_per_member;
+          quick "failed publish retried" test_failed_publish_retried;
+        ] );
+      ( "store writes",
+        [
+          quick "doomed and aborted write nothing" test_doomed_and_aborted_write_nothing;
+          quick "serialise conflict writes nothing" test_serialise_conflict_writes_nothing;
+          quick "fast path: pages and one reference" test_fastpath_writes_pages_and_one_ref;
         ] );
       ( "one pipeline",
         [

@@ -87,7 +87,7 @@ let test_overwrite_dirty_keeps_one_dirty_count () =
   Alcotest.(check int) "counted once" 1 (Pagestore.dirty_count ps);
   Alcotest.(check string) "latest wins" "b" (read_data ps b)
 
-let test_invalidate () =
+let test_refresh_rereads_clean () =
   let store, ps = fresh () in
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data "v1")));
@@ -96,15 +96,23 @@ let test_invalidate () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   Alcotest.(check string) "stale cache serves v1" "v1" (read_data ps b);
-  Pagestore.invalidate ps b;
-  Alcotest.(check string) "fresh after invalidate" "v2" (read_data ps b)
+  Pagestore.refresh ps b;
+  Alcotest.(check string) "fresh after refresh" "v2" (read_data ps b)
 
-let test_invalidate_dirty_discards () =
-  let _, ps = fresh () in
+let test_refresh_keeps_dirty () =
+  let store, ps = fresh () in
   let b = ok (Pagestore.allocate ps) in
-  ignore (ok (Pagestore.write ps b (page_with_data "doomed")));
-  Pagestore.invalidate ps b;
-  Alcotest.(check int) "dirty count adjusted" 0 (Pagestore.dirty_count ps)
+  ignore (ok (Pagestore.write_through ps b (page_with_data "durable")));
+  ignore (ok (Pagestore.write ps b (page_with_data "pending")));
+  (* A commit's test-and-set refreshes its base, which may be an earlier
+     winner's version page awaiting the same publish: our own pending
+     write is authoritative and must survive. *)
+  Pagestore.refresh ps b;
+  Alcotest.(check int) "still dirty" 1 (Pagestore.dirty_count ps);
+  Alcotest.(check string) "pending write served" "pending" (read_data ps b);
+  match Page.decode (Helpers.ok_str (store.Store.read b)) with
+  | Ok p -> Helpers.check_bytes "store untouched" "durable" p.Page.data
+  | Error msg -> Alcotest.fail msg
 
 let test_free_drops_cache () =
   let _, ps = fresh () in
@@ -204,7 +212,7 @@ let test_hit_miss_counters () =
   let _, ps = fresh () in
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data "x")));
-  Pagestore.invalidate ps b;
+  Pagestore.refresh ps b;
   ignore (read_data ps b);
   ignore (read_data ps b);
   Alcotest.(check int) "one miss" 1 (counter ps "cache.misses");
@@ -294,11 +302,12 @@ let test_refresh_revalidates_in_place () =
 
 (* {2 Property: cached reads ≡ decode-from-image, under random eviction} *)
 
-(* Drive a tiny (capacity 2) pagestore with random writes, reads, flushes
-   and stale-markings over 6 blocks, mirroring every write in a plain
-   model map. Whatever the eviction/revalidation sequence did, a read must
-   return a page structurally equal to the model's last write, and after a
-   final flush the store image must decode to the same value. *)
+(* Drive a tiny (capacity 2) pagestore with random writes, reads, flushes,
+   publish batches of dirty pages and stale-markings over 6 blocks,
+   mirroring every write in a plain model map. Whatever the
+   eviction/revalidation sequence did, a read must return a page
+   structurally equal to the model's last write, and after a final flush
+   the store image must decode to the same value. *)
 let prop_cache_reads_equal_model =
   let open QCheck2 in
   let nblocks = 6 in
@@ -310,7 +319,7 @@ let prop_cache_reads_equal_model =
           map (fun b -> `Read b) (int_bound (nblocks - 1));
           return `Flush;
           map (fun b -> `Refresh b) (int_bound (nblocks - 1));
-          map (fun b -> `Invalidate b) (int_bound (nblocks - 1));
+          map (fun b -> `Publish b) (int_bound (nblocks - 1));
         ])
   in
   Test.make ~name:"cached reads = decode-from-image under random eviction" ~count:200
@@ -340,14 +349,13 @@ let prop_cache_reads_equal_model =
               | _ -> Test.fail_reportf "read of block %d diverged from model" i)
           | `Flush -> ignore (ok (Pagestore.flush ps))
           | `Refresh i -> Pagestore.refresh ps blocks.(i)
-          | `Invalidate i ->
-              Pagestore.invalidate ps blocks.(i);
-              (* Invalidate discards a pending dirty write (§3.1: the commit
-                 path trusts nothing unread) — the durable image wins. *)
-              model.(i) <-
-                (match Page.decode (Helpers.ok_str (store.Store.read blocks.(i))) with
-                | Ok p -> Some p
-                | Error _ -> model.(i)))
+          | `Publish i ->
+              (* Two blocks' dirty pages ride a batch ahead of a third
+                 block's rewrite, as a commit's pages precede its reference. *)
+              let pages = Pagestore.dirty_pages ps [ blocks.(i); blocks.((i + 1) mod nblocks) ] in
+              let j = (i + 2) mod nblocks in
+              let refs = Option.to_list (Option.map (fun p -> (blocks.(j), p)) model.(j)) in
+              ignore (ok (Pagestore.write_through_batch ~pages ps refs)))
         ops;
       ignore (ok (Pagestore.flush ps));
       Array.iteri
@@ -384,8 +392,8 @@ let () =
         ] );
       ( "coherence",
         [
-          quick "invalidate" test_invalidate;
-          quick "invalidate dirty" test_invalidate_dirty_discards;
+          quick "refresh" test_refresh_rereads_clean;
+          quick "refresh dirty" test_refresh_keeps_dirty;
           quick "free drops cache" test_free_drops_cache;
         ] );
       ( "bounded capacity",

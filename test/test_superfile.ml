@@ -176,6 +176,50 @@ let test_crash_after_commit_finished_by_waiter () =
   Alcotest.(check string) "A finished" "A1" (current_root srv fa);
   Alcotest.(check string) "C finished" "C1" (current_root srv fc)
 
+(* The server itself crashes after the super version's commit reference
+   lands but before the descent commits any sub-file: the store dies
+   right after that write, and comes back with the server. A waiter on a
+   fresh server finishes the descent from disk alone, so the
+   sub-versions' pages must already be there. *)
+let test_server_crash_after_super_commit () =
+  let inner = Store.memory () in
+  let last_write = ref None and dead = ref false in
+  let write b data =
+    if !dead then Error "injected: disk gone"
+    else begin
+      if !last_write = Some b then dead := true;
+      inner.Store.write b data
+    end
+  in
+  let rec write_batch = function
+    | [] -> Ok ()
+    | (b, data) :: rest -> ( match write b data with Ok () -> write_batch rest | e -> e)
+  in
+  let store = { inner with Store.write; write_batch } in
+  let srv = Server.create ~seed:7 store in
+  let fa = ok (Server.create_file srv ~data:(bytes "A0") ()) in
+  let fc = ok (Server.create_file srv ~data:(bytes "C0") ()) in
+  let sf = ok (Superfile.make srv ~subfiles:[ fa; fc ] ()) in
+  let u = ok (Superfile.begin_update srv sf) in
+  let va = ok (Superfile.touch_subfile u ~index:0) in
+  let vc = ok (Superfile.touch_subfile u ~index:1) in
+  ok (Server.write_page srv va P.root (bytes "A1"));
+  ok (Server.write_page srv vc P.root (bytes "C1"));
+  last_write := Some (ok (Server.current_block_of_file srv sf));
+  (match Superfile.commit u with
+  | Error (Errors.Store_failure _) -> ()
+  | _ -> Alcotest.fail "expected the descent to meet the dead store");
+  Server.crash srv;
+  last_write := None;
+  dead := false;
+  let srv2 = Server.create ~seed:7 store in
+  ignore (ok (Server.recover_from_blocks srv2 (Helpers.ok_str (store.Store.list_blocks ()))));
+  (match ok (Superfile.recover_abandoned srv2 sf) with
+  | Superfile.Finished n -> Alcotest.(check int) "two sub-commits finished" 2 n
+  | _ -> Alcotest.fail "expected Finished");
+  Alcotest.(check string) "A finished from disk" "A1" (current_root srv2 fa);
+  Alcotest.(check string) "C finished from disk" "C1" (current_root srv2 fc)
+
 let test_recover_live_holder_untouched () =
   let srv, _, _, _, sf = setup () in
   let u = ok (Superfile.begin_update srv sf) in
@@ -326,6 +370,7 @@ let () =
         [
           quick "crash before commit: cleared" test_crash_before_commit_cleared;
           quick "crash after commit: finished" test_crash_after_commit_finished_by_waiter;
+          quick "server crash after super commit" test_server_crash_after_super_commit;
           quick "live holder untouched" test_recover_live_holder_untouched;
           quick "no lock" test_recover_no_lock;
           quick "inner waiter ascends" test_inner_waiter_ascends;
