@@ -189,7 +189,7 @@ let s2 () =
             ]
           in
           match
-            Txn.exec ?crash_at ~on_record:(fun c -> record := Some c) txn parts
+            Txn.exec ?crash_at ~on_record:(fun c seq -> record := Some (c, seq)) txn parts
           with
           | exception Txn.Crashed -> begin
               incr crashes_injected;
@@ -211,8 +211,8 @@ let s2 () =
         let sweeper = Txn.create client in
         swept := ok (Txn.sweep sweeper (Array.to_list accts));
         List.iter
-          (fun (r, a, b, amt) ->
-            match ok (Txn.record_decision sweeper r) with
+          (fun ((r, seq), a, b, amt) ->
+            match ok (Txn.record_decision sweeper r ~seq) with
             | Txn.Committed ->
                 incr rolled_forward;
                 deltas.(a) <- deltas.(a) - amt;
@@ -249,5 +249,5 @@ let s2 () =
   metric_i "s2-cross-shard" "crash.swept" !swept;
   metric_i "s2-cross-shard" "crash.lost_committed" 0;
   metric_i "s2-cross-shard" "crash.violations" !violations;
-  note "the coordinator record's pending->committed flip is the atomic point: every";
+  note "the coordinator record's test-and-set to txn:<seq>:c is the atomic point: every";
   note "crash schedule resolves from the record alone, conserving the balance sum"

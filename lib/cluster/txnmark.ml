@@ -10,86 +10,194 @@ type t = {
 
 let prefix = "afs-txn!"
 
-(* Record-state strings: the whole coordinator record is its root data,
-   and the decision is an ordinary optimistic commit replacing one of
-   these with another (pending -> committed | aborted, never back). *)
-let state_pending = "txn:pending"
-let state_committed = "txn:committed"
-let state_aborted = "txn:aborted"
+(* {2 Decimal fields, written and parsed in place}
 
-(* Follows Forward's printable codec idiom, but the payloads (old root
+   Both codecs size their output exactly and read their input where it
+   lies: no [Printf], no per-field substring. [put_dec] renders exactly
+   what [string_of_int] does — a '-', then the magnitude's digits taken
+   from the number's own remainders, so even [min_int] needs no
+   negation. *)
+
+let dec_size n =
+  let rec digits n acc = if n > -10 && n < 10 then acc else digits (n / 10) (acc + 1) in
+  digits n (if n < 0 then 2 else 1)
+
+(* Write [n] at [pos]; answers the position just past its last digit. *)
+let put_dec b pos n =
+  let stop = pos + dec_size n in
+  if n < 0 then Bytes.set b pos '-';
+  let rec go n i =
+    Bytes.set b i (Char.chr (48 + abs (n mod 10)));
+    if n <= -10 || n >= 10 then go (n / 10) (i - 1)
+  in
+  go n (stop - 1);
+  stop
+
+exception Bad
+
+(* Parse the decimal run at [!pos] — a leading '-' only where [signed],
+   then at least one digit, no overflow — leaving [!pos] on the first
+   byte after it. Digits accumulate below zero, so [min_int] parses. *)
+let parse_dec ?(signed = false) data pos =
+  let n = Bytes.length data in
+  let neg = signed && !pos < n && Char.equal (Bytes.get data !pos) '-' in
+  if neg then incr pos;
+  let start = !pos in
+  let rec go v =
+    if !pos < n && Bytes.get data !pos >= '0' && Bytes.get data !pos <= '9' then begin
+      let d = Char.code (Bytes.get data !pos) - 48 in
+      if v < (min_int + d) / 10 then raise Bad;
+      incr pos;
+      go ((v * 10) - d)
+    end
+    else v
+  in
+  let v = go 0 in
+  if !pos = start || ((not neg) && v = min_int) then raise Bad;
+  if neg then v else -v
+
+(* Consume the byte [c] at [!pos]. *)
+let expect data pos c =
+  if !pos < Bytes.length data && Char.equal (Bytes.get data !pos) c then incr pos
+  else raise Bad
+
+let has_prefix data p =
+  let plen = String.length p in
+  Bytes.length data >= plen
+  &&
+  let rec same i = i = plen || (Char.equal (Bytes.get data i) p.[i] && same (i + 1)) in
+  same 0
+
+(* {2 Markers}
+
+   Follows Forward's printable codec idiom, but the payloads (old root
    data, staged writes) are arbitrary bytes, so every byte field is
    length-prefixed instead of delimiter-split. Layout after the prefix:
 
      port:obj:rights:check:seq:|old|:old<nwrites>:{path:|w|:w}*
 
    where |x| is a decimal byte count followed by ':' and exactly that
-   many raw bytes. *)
-let encode m =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf prefix;
-  Buffer.add_string buf
-    (Printf.sprintf "%d:%d:%d:%d:%d:"
-       (Capability.port_to_int m.record.Capability.port)
-       m.record.Capability.obj
-       (Capability.rights_to_int m.record.Capability.rights)
-       m.record.Capability.check m.seq);
-  Buffer.add_string buf (Printf.sprintf "%d:" (Bytes.length m.old_root));
-  Buffer.add_bytes buf m.old_root;
-  Buffer.add_string buf (Printf.sprintf "%d:" (List.length m.writes));
-  List.iter
-    (fun (path, data) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%d:" (Pagepath.to_string path) (Bytes.length data));
-      Buffer.add_bytes buf data)
-    m.writes;
-  Buffer.to_bytes buf
+   many raw bytes, and a path is Pagepath's dotted rendering ("/" for
+   the root, "/2.0.5" below it). *)
 
-exception Bad
+let path_size path =
+  match Pagepath.to_list path with
+  | [] -> 1
+  | indices -> List.fold_left (fun acc i -> acc + 1 + dec_size i) 0 indices
+
+let put_path b pos path =
+  Bytes.set b pos '/';
+  match Pagepath.to_list path with
+  | [] -> pos + 1
+  | first :: rest ->
+      List.fold_left
+        (fun pos i ->
+          Bytes.set b pos '.';
+          put_dec b (pos + 1) i)
+        (put_dec b (pos + 1) first)
+        rest
+
+let encode m =
+  let r = m.record in
+  let port = Capability.port_to_int r.Capability.port in
+  let rights = Capability.rights_to_int r.Capability.rights in
+  let nwrites = List.length m.writes in
+  let plen = String.length prefix in
+  (* Exact size: each number field is followed by one ':' (seven in the
+     header, two per write). *)
+  let size =
+    List.fold_left
+      (fun acc (path, data) ->
+        let n = Bytes.length data in
+        acc + path_size path + dec_size n + 2 + n)
+      (plen + dec_size port + dec_size r.Capability.obj + dec_size rights
+     + dec_size r.Capability.check + dec_size m.seq
+     + dec_size (Bytes.length m.old_root)
+     + Bytes.length m.old_root + dec_size nwrites + 7)
+      m.writes
+  in
+  let b = Bytes.create size in
+  Bytes.blit_string prefix 0 b 0 plen;
+  let field pos n =
+    let pos = put_dec b pos n in
+    Bytes.set b pos ':';
+    pos + 1
+  in
+  let blob pos data =
+    let n = Bytes.length data in
+    let pos = field pos n in
+    Bytes.blit data 0 b pos n;
+    pos + n
+  in
+  let pos = field plen port in
+  let pos = field pos r.Capability.obj in
+  let pos = field pos rights in
+  let pos = field pos r.Capability.check in
+  let pos = field pos m.seq in
+  let pos = blob pos m.old_root in
+  let pos = field pos nwrites in
+  ignore
+    (List.fold_left
+       (fun pos (path, data) ->
+         let pos = put_path b pos path in
+         Bytes.set b pos ':';
+         blob (pos + 1) data)
+       pos m.writes
+      : int);
+  b
 
 let decode data =
-  let s = Bytes.to_string data in
-  let n = String.length s in
-  let plen = String.length prefix in
-  if n <= plen || not (String.equal (String.sub s 0 plen) prefix) then None
+  let n = Bytes.length data in
+  if n <= String.length prefix || not (has_prefix data prefix) then None
   else
-    let pos = ref plen in
-    let field () =
-      match String.index_from_opt s !pos ':' with
-      | None -> raise Bad
-      | Some i ->
-          let f = String.sub s !pos (i - !pos) in
-          pos := i + 1;
-          f
-    in
-    let num () =
-      match int_of_string_opt (field ()) with
-      | Some v when v >= 0 -> v
-      | Some _ | None -> raise Bad
+    let pos = ref (String.length prefix) in
+    let field ?signed () =
+      let v = parse_dec ?signed data pos in
+      expect data pos ':';
+      v
     in
     let taken k =
       if !pos + k > n then raise Bad
       else begin
-        let b = Bytes.of_string (String.sub s !pos k) in
+        let b = Bytes.sub data !pos k in
         pos := !pos + k;
         b
       end
     in
+    (* Inverse of [put_path]: '/', then either ':' at once (the root) or
+       indices separated by '.' up to the ':'. *)
+    let path () =
+      expect data pos '/';
+      let rec indices acc =
+        let acc = parse_dec data pos :: acc in
+        if !pos < n && Char.equal (Bytes.get data !pos) '.' then begin
+          incr pos;
+          indices acc
+        end
+        else begin
+          expect data pos ':';
+          Pagepath.of_list (List.rev acc)
+        end
+      in
+      if !pos < n && Char.equal (Bytes.get data !pos) ':' then begin
+        incr pos;
+        Pagepath.root
+      end
+      else indices []
+    in
     try
-      let port = num () in
-      let obj = num () in
-      let rights = num () in
-      let check = match int_of_string_opt (field ()) with Some v -> v | None -> raise Bad in
-      let seq = num () in
-      let old_root = taken (num ()) in
-      let nwrites = num () in
+      let port = field () in
+      let obj = field () in
+      let rights = field () in
+      let check = field ~signed:true () in
+      let seq = field () in
+      let old_root = taken (field ()) in
+      let nwrites = field () in
       let rec read_writes i acc =
         if i = nwrites then List.rev acc
         else
-          let path =
-            match Pagepath.of_string (field ()) with Ok p -> p | Error _ -> raise Bad
-          in
-          let data = taken (num ()) in
+          let path = path () in
+          let data = taken (field ()) in
           read_writes (i + 1) ((path, data) :: acc)
       in
       let writes = read_writes 0 [] in
@@ -112,3 +220,38 @@ let decode data =
 
 let is_marker data = Option.is_some (decode data)
 let record_of data = Option.map (fun m -> m.record) (decode data)
+
+(* {2 Coordinator record outcomes}
+
+   A record's whole root data is the outcome of the newest transaction
+   decided on it — [txn:<seq>:c] or [txn:<seq>:a] — so a decision is an
+   ordinary optimistic commit replacing one outcome with a later one.
+   Seqs only grow on a record, so no value ever recurs. *)
+
+let outcome_prefix = "txn:"
+
+let encode_outcome ~seq ~committed =
+  let plen = String.length outcome_prefix in
+  let b = Bytes.create (plen + dec_size seq + 2) in
+  Bytes.blit_string outcome_prefix 0 b 0 plen;
+  let pos = put_dec b plen seq in
+  Bytes.set b pos ':';
+  Bytes.set b (pos + 1) (if committed then 'c' else 'a');
+  b
+
+let decode_outcome data =
+  let n = Bytes.length data in
+  if not (has_prefix data outcome_prefix) then None
+  else
+    let pos = ref (String.length outcome_prefix) in
+    match
+      let seq = parse_dec data pos in
+      expect data pos ':';
+      if !pos + 1 <> n then raise Bad;
+      match Bytes.get data !pos with
+      | 'c' -> (seq, true)
+      | 'a' -> (seq, false)
+      | _ -> raise Bad
+    with
+    | outcome -> Some outcome
+    | exception Bad -> None

@@ -4,15 +4,21 @@
    multi-step distributed operation here is a sequence of single-shard
    optimistic commits, with no lock ever held across a shard boundary.
 
-   1. Record.  The coordinator creates a plain committed file — the
-      coordinator record — whose entire root data is the pending state
-      string. Nobody but coordinators and resolvers ever touches it.
+   1. Record.  The coordinator takes a coordinator record — a plain
+      committed file on the first participant's shard, nobody but
+      coordinators and resolvers ever touches it — from its free list,
+      creating one only when that shard has none pooled. The record's
+      entire root data is the outcome of the newest transaction decided
+      on it, [txn:<seq>:c|a] ({!Txnmark.encode_outcome}; a fresh record
+      holds [txn:0:a]). The transaction takes the next sequence number,
+      larger than every seq the record has seen, so until it is decided
+      the record reads as pending for it.
 
    2. Stage.  On each participant shard in turn, the coordinator opens an
       ordinary version, performs the transaction's reads (recording R
       flags; Rmw computes the write values from what it read), then
       replaces the root data with an encoded {!Txnmark}: the record's
-      capability, the coordinator's sequence number, the old root data,
+      capability, the transaction's sequence number, the old root data,
       and the computed page writes — which ride the marker instead of
       touching any page — and commits. The commit's flag map is R on
       every page read plus R+W on the root, and every cluster-created
@@ -23,13 +29,13 @@
       shard wrapper's trap), so from here on only resolvers can advance
       the file.
 
-   3. Decide.  The coordinator replaces the record's root data
-      pending -> committed as one more ordinary optimistic commit, having
-      read the state it replaces — a single [Txn_cas] message. A
-      contender who tired of waiting force-aborts the same way
-      (pending -> aborted); both transitions read-then-write the same
-      root, so exactly one wins the record's test-and-set and the state
-      machine is monotone. This single commit IS the transaction-wide
+   3. Decide.  The coordinator replaces the record's root data — the
+      value it last saw there — with [txn:<seq>:c] as one more ordinary
+      optimistic commit: a single [Txn_cas] message. A contender who
+      tired of waiting force-aborts the same way, from the value it
+      polled to [txn:<seq>:a]; both test-and-set the same root, so
+      exactly one wins, and because seqs only grow on a record no value
+      ever recurs (no ABA). This single commit IS the transaction-wide
       atomic point.
 
    4. Flip.  Each staged participant is resolved by one more optimistic
@@ -41,9 +47,22 @@
       underneath the stage. Flips race only other resolvers; the loser's
       CAS mismatches, which is its answer: the marker is gone.
 
-   Recovery needs no log: a marker names its record, the record's root
-   names the outcome, and [sweep] walks the files and applies step 4 —
-   present-and-committed rolls forward, anything else discards. *)
+   5. Reuse.  The record goes back on the free list only once the
+      decision is definite and every participant's flip (or unstage)
+      answered — swapped or mismatched, so no marker naming this seq
+      survives. A record whose outcome has moved past a marker's seq
+      therefore proves that marker gone ([Superseded]), and a resolver
+      holding such a stale marker writes nothing. A transaction whose
+      staging failed is rolled back (record aborted, stages undone) and
+      pools its record the same way. After a crash, an unreachable
+      record or a deferred flip or unstage the record is simply never
+      reused — its markers still resolve, since its value stays at or
+      below their seq — so the leak is one record per failure.
+
+   Recovery needs no log: a marker names its record and seq, the
+   record's root names the outcome, and [sweep] walks the files and
+   applies step 4 — present-and-committed rolls forward, anything else
+   discards. *)
 
 module Capability = Afs_util.Capability
 module Pagepath = Afs_util.Pagepath
@@ -52,6 +71,7 @@ module Errors = Afs_core.Errors
 module Remote = Afs_rpc.Remote
 module Trace = Afs_trace.Trace
 module Txnmark = Afs_cluster.Txnmark
+module Shard = Afs_cluster.Shard
 module CC = Afs_cluster.Cluster_client
 module Proc = Afs_sim.Proc
 open Errors
@@ -83,6 +103,9 @@ type t = {
   mutable round_trips : int;
   backoff_ms : float;
   pending_patience : int;
+  free : (int, (Capability.t * bytes) list) Hashtbl.t;
+      (** Reusable coordinator records by shard id, each with the root
+          data it holds. *)
 }
 
 let create ?(trace = Trace.null) ?(backoff_ms = 5.0) ?(pending_patience = 32) client =
@@ -94,6 +117,7 @@ let create ?(trace = Trace.null) ?(backoff_ms = 5.0) ?(pending_patience = 32) cl
     round_trips = 0;
     backoff_ms;
     pending_patience;
+    free = Hashtbl.create 8;
   }
 
 let counters t = t.counters
@@ -112,22 +136,25 @@ let rt ?(n = 1) t =
    and ambient-free — every suspension lives in the loops that call
    them. *)
 
-type decision = Pending | Committed | Aborted | Unknown_record
+type decision = Pending | Committed | Aborted | Superseded | Unknown_record
 
-let decide ~record_data =
-  let s = Bytes.to_string record_data in
-  if String.equal s Txnmark.state_committed then Committed
-  else if String.equal s Txnmark.state_aborted then Aborted
-  else if String.equal s Txnmark.state_pending then Pending
-  else Unknown_record
+let decide ~seq ~record_data =
+  match Txnmark.decode_outcome record_data with
+  | None -> Unknown_record
+  | Some (decided, committed) ->
+      if decided < seq then Pending
+      else if decided > seq then Superseded
+      else if committed then Committed
+      else Aborted
 
-type action = Forward of Txnmark.t | Back of Txnmark.t | Wait of Txnmark.t
+type action = Forward of Txnmark.t | Back of Txnmark.t | Wait of Txnmark.t | Gone
 
 let resolve marker decision =
   match decision with
   | Committed -> Forward marker
   | Aborted | Unknown_record -> Back marker
   | Pending -> Wait marker
+  | Superseded -> Gone
 
 (* {2 Routed RPC helpers} *)
 
@@ -154,12 +181,17 @@ let root_data t file =
       rt t;
       Remote.txn_mark conn file)
 
-let record_decision t record =
-  (* The record is an ordinary file whose root IS the state: one
-     [txn_mark] round trip reads it — this is the poll a waiting
-     resolver repeats, so its cost is the cost of waiting. *)
+(* The record is an ordinary file whose root IS the latest outcome: one
+   [txn_mark] round trip reads it — this is the poll a waiting resolver
+   repeats, so its cost is the cost of waiting. Answers the raw value
+   too, which is what a force-abort must test-and-set against. *)
+let poll_record t record ~seq =
   let* data = root_data t record in
-  Ok (decide ~record_data:data)
+  Ok (decide ~seq ~record_data:data, data)
+
+let record_decision t record ~seq =
+  let* decision, _ = poll_record t record ~seq in
+  Ok decision
 
 (* How long a step that must reach a crashed shard keeps retrying before
    giving up: recovery is expected within this budget, and giving up
@@ -167,21 +199,20 @@ let record_decision t record =
    retry could duplicate. *)
 let transport_patience = 256
 
-(* Drive the record pending -> committed|aborted as an ordinary
-   optimistic commit, returning the record's {e final} state — which may
-   be the other one if a racing decider won the root's test-and-set.
-   Both the coordinator's decide and a contender's force-abort funnel
-   through here, which is the whole mutual-exclusion argument: each
-   reads the state it replaces, so the second commit conflicts and
-   re-reads. Transport errors back off and retry (within
-   [transport_patience]) rather than surface: once a transaction is
-   staged its outcome must become definite, not be retried wholesale. *)
-let decide_record t ~record ~commit =
-  let expected = Bytes.of_string Txnmark.state_pending in
-  let target =
-    Bytes.of_string (if commit then Txnmark.state_committed else Txnmark.state_aborted)
-  in
-  let rec attempt n =
+(* Drive the record from [seen] — the value its decider last saw there —
+   to [seq]'s outcome as an ordinary optimistic commit, returning what
+   the record finally says about [seq] and the value it holds: the other
+   outcome if a racing decider won the root's test-and-set, [Superseded]
+   if [seq] was decided long ago and the record has moved on. Both the
+   coordinator's decide and a contender's force-abort funnel through
+   here, which is the whole mutual-exclusion argument. A mismatch that
+   still leaves [seq] pending retries from the value it answered.
+   Transport errors back off and retry (within [transport_patience])
+   rather than surface: once a transaction is staged its outcome must
+   become definite, not be retried wholesale. *)
+let decide_record t ~record ~seq ~seen ~commit =
+  let target = Txnmark.encode_outcome ~seq ~committed:commit in
+  let rec attempt expected n =
     if n > transport_patience then Error (Store_failure "txn: record decision starved")
     else
       let step =
@@ -190,21 +221,25 @@ let decide_record t ~record ~commit =
             Remote.txn_cas conn record ~expected ~root:target [])
       in
       match step with
-      | Ok `Swapped -> Ok (if commit then Committed else Aborted)
+      | Ok `Swapped -> Ok ((if commit then Committed else Aborted), target)
       | Ok (`Mismatch current) -> (
-          match decide ~record_data:current with
-          | (Committed | Aborted) as final -> Ok final
-          | Pending ->
-              (* Unreachable — a pending root matches [expected] — but a
-                 retry is the safe answer to a raced re-read anyway. *)
-              attempt (n + 1)
-          | Unknown_record -> Error (Store_failure "txn: unrecognised record state"))
+          match decide ~seq ~record_data:current with
+          | Pending -> attempt current (n + 1)
+          | Unknown_record -> Error (Store_failure "txn: unrecognised record state")
+          | (Committed | Aborted | Superseded) as final -> Ok (final, current))
       | Error (Store_failure _) when n < transport_patience ->
           Proc.delay t.backoff_ms;
-          attempt (n + 1)
+          attempt expected (n + 1)
       | Error e -> Error e
   in
-  attempt 0
+  attempt seen 0
+
+let force_abort t marker ~seen =
+  let* final, _ =
+    decide_record t ~record:marker.Txnmark.record ~seq:marker.Txnmark.seq ~seen
+      ~commit:false
+  in
+  Ok final
 
 (* {2 Staging} *)
 
@@ -230,6 +265,10 @@ let computed_writes ops pages =
   in
   go pages [] ops
 
+(* A committed stage: the participant, its marker, and the marker's
+   exact root bytes — what the flip test-and-sets against. *)
+type staged = { sfile : Capability.t; marker : Txnmark.t; image : bytes }
+
 (* Stage one participant: ordinary version, the transaction's reads,
    then the marker committed into the root. Nothing but the root is
    written — the computed writes ride the marker until the flip. *)
@@ -251,15 +290,16 @@ let stage t ~record ~seq part =
             ignore (Remote.abort_version conn version : unit r);
             Error (Txn_in_doubt other)
         | None -> (
-            let m =
+            let marker =
               { Txnmark.record; seq; old_root; writes = computed_writes part.ops pages }
             in
+            let image = Txnmark.encode marker in
             rt t;
-            match Remote.txn_seal conn version ~root:(Txnmark.encode m) [] with
+            match Remote.txn_seal conn version ~root:image [] with
             | Ok () ->
                 CC.note_commit t.client ~shard file;
                 tpoint t (Trace.Txn_stage { txn = seq; file_obj = file.Capability.obj });
-                Ok (file, m)
+                Ok { sfile = file; marker; image }
             | Error e -> Error e))
   in
   Trace.close_span t.trace span;
@@ -269,17 +309,16 @@ let stage t ~record ~seq part =
 
 (* Overwrite a still-staged marker with its resolution: restore the
    pre-transaction root data and, iff rolling forward, apply the staged
-   writes in place. The codec is canonical, so re-encoding the marker
-   reproduces the staged root bytes exactly and the whole resolution is
-   one [Txn_cas] round trip. Idempotent against other resolvers: a
-   mismatch means the marker is gone — somebody already resolved (or a
-   later transaction re-staged) — and there is nothing left to do. *)
-let apply t ~marker:m ~forward file =
+   writes in place. [image] is the marker's exact root bytes, so the
+   whole resolution is one [Txn_cas] round trip. Idempotent against
+   other resolvers: a mismatch means the marker is gone — somebody
+   already resolved (or a later transaction re-staged) — and there is
+   nothing left to do. *)
+let apply t { sfile = file; marker = m; image } ~forward =
   let step =
     with_conn t file (fun conn ~shard:_ file ->
         rt t;
-        Remote.txn_cas conn file ~expected:(Txnmark.encode m)
-          ~root:m.Txnmark.old_root
+        Remote.txn_cas conn file ~expected:image ~root:m.Txnmark.old_root
           (if forward then m.Txnmark.writes else []))
   in
   match step with
@@ -305,7 +344,10 @@ let apply t ~marker:m ~forward file =
    coordinator is normally about to decide — wait [patience] back-offs,
    then force the decision to abort (step 3's race: exactly one of the
    force-abort and the coordinator's decide wins). [patience = 0] is the
-   crash-recovery stance: a pending coordinator is presumed dead. *)
+   crash-recovery stance: a pending coordinator is presumed dead. A
+   record that has moved past the marker's seq proves the marker already
+   gone (step 5): nothing is written, and the caller simply re-reads or
+   re-stages. *)
 let resolve_in_doubt t ~patience file =
   let span = Trace.open_span t.trace ~kind:"txn.resolve" () in
   let result =
@@ -313,6 +355,9 @@ let resolve_in_doubt t ~patience file =
     match Txnmark.decode root with
     | None -> Ok () (* Resolved under us. *)
     | Some marker ->
+        (* The marker image is the root just read: what the flip
+           test-and-sets against, with no re-encoding. *)
+        let entry = { sfile = file; marker; image = root } in
         (* The marker cannot change while the trap holds (another
            resolver can only remove it, which [apply] detects), so only
            the record is re-polled while the coordinator is pending —
@@ -320,31 +365,28 @@ let resolve_in_doubt t ~patience file =
            handful of round trips from deciding, a dead one is caught by
            the patience bound either way. *)
         let rec await waits =
-          let* decision = record_decision t marker.Txnmark.record in
+          let* decision, seen = poll_record t marker.Txnmark.record ~seq:marker.Txnmark.seq in
           match resolve marker decision with
-          | Forward m ->
+          | Forward _ ->
               bump t "txn.resolved.forward";
-              apply t ~marker:m ~forward:true file
-          | Back m ->
+              apply t entry ~forward:true
+          | Back _ ->
               bump t "txn.resolved.back";
-              apply t ~marker:m ~forward:false file
-          | Wait m ->
-              if waits < patience then begin
-                Proc.delay (t.backoff_ms *. float_of_int (min 8 (1 lsl min waits 3)));
-                await (waits + 1)
-              end
-              else begin
-                bump t "txn.force_aborts";
-                tpoint t
-                  (Trace.Txn_resolve
-                     {
-                       txn = m.Txnmark.seq;
-                       file_obj = file.Capability.obj;
-                       action = "force_abort";
-                     });
-                let* final = decide_record t ~record:m.Txnmark.record ~commit:false in
-                apply t ~marker:m ~forward:(final = Committed) file
-              end
+              apply t entry ~forward:false
+          | Gone -> Ok ()
+          | Wait _ when waits < patience ->
+              Proc.delay (t.backoff_ms *. float_of_int (min 8 (1 lsl min waits 3)));
+              await (waits + 1)
+          | Wait m -> (
+              bump t "txn.force_aborts";
+              tpoint t
+                (Trace.Txn_resolve
+                   { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "force_abort" });
+              let* final = force_abort t m ~seen in
+              match resolve m final with
+              | Forward _ -> apply t entry ~forward:true
+              | Back _ -> apply t entry ~forward:false
+              | Wait _ | Gone -> Ok ())
         in
         await 0
   in
@@ -357,6 +399,28 @@ let fresh_seq t =
   let s = t.next_seq in
   t.next_seq <- s + 1;
   s
+
+(* A coordinator record for a transaction whose first participant lives
+   on [shard], with the root data it holds: a pooled one when that shard
+   has one — no message, no yield — else a fresh file. *)
+let acquire_record t shard =
+  let id = Shard.id shard in
+  match Hashtbl.find_opt t.free id with
+  | Some (pooled :: rest) ->
+      Hashtbl.replace t.free id rest;
+      Ok pooled
+  | Some [] | None ->
+      let fresh = Txnmark.encode_outcome ~seq:0 ~committed:false in
+      rt t;
+      let* record = CC.create_file_on t.client shard ~data:fresh in
+      bump t "txn.records_created";
+      Ok (record, fresh)
+
+(* Pool a record once no marker can name its latest seq (step 5). *)
+let release_record t shard pooled =
+  let id = Shard.id shard in
+  let rest = Option.value ~default:[] (Hashtbl.find_opt t.free id) in
+  Hashtbl.replace t.free id (pooled :: rest)
 
 (* One participant needs no coordination: the single-shard commit is
    already atomic. In-doubt files are resolved inline and retried. *)
@@ -409,14 +473,23 @@ let exec_single t part =
   bump t "txn.fastpath";
   go 0
 
+(* Resolve every staged participant one way; true iff each answered
+   (swapped or mismatched), i.e. no marker of this transaction is left.
+   A participant that cannot be reached is deferred to resolvers. *)
+let apply_all t staged ~forward ~crash ~deferred =
+  List.fold_left
+    (fun (i, answered) entry ->
+      crash i;
+      match apply t entry ~forward with
+      | Ok () -> (i + 1, answered)
+      | Error _ ->
+          bump t deferred;
+          (i + 1, false))
+    (0, true) staged
+  |> snd
+
 let coordinated t ~crash_at ~on_record parts =
-  let seq = fresh_seq t in
   let crash p = match crash_at with Some q when q = p -> raise Crashed | _ -> () in
-  let span = Trace.open_span t.trace ~kind:"txn.coord" ~label:(string_of_int seq) () in
-  let finish r =
-    Trace.close_span t.trace span;
-    r
-  in
   bump t "txn.coordinated";
   (* Stage in capability order so two transactions over the same files
      collide head-on (and resolve) instead of staging each other's tails. *)
@@ -424,39 +497,43 @@ let coordinated t ~crash_at ~on_record parts =
     List.sort (fun a b -> Capability.compare a.file b.file) parts
   in
   match parts with
-  | [] -> finish (Ok ())
+  | [] -> Ok ()
   | first :: _ -> (
-      let made_record =
-        (* The record lives on the first participant's shard — placement
-           is explicit, so the round-robin cursor (and with it the
-           workload's file layout) is unperturbed. *)
+      (* The record lives on the first participant's shard — placement
+         is explicit, so the round-robin cursor (and with it the
+         workload's file layout) is unperturbed. *)
+      let acquired =
         let* _, shard, _ = CC.conn_for t.client first.file in
-        rt t;
-        CC.create_file_on t.client shard
-          ~data:(Bytes.of_string Txnmark.state_pending)
+        let* record, seen = acquire_record t shard in
+        Ok (shard, record, seen)
       in
-      match made_record with
-      | Error e -> finish (Error (Failed e))
-      | Ok record -> (
-          (match on_record with Some f -> f record | None -> ());
+      match acquired with
+      | Error e -> Error (Failed e)
+      | Ok (shard, record, seen) -> (
+          (* Numbered only now, so the seq exceeds every seq already
+             decided on the record however long the acquisition took. *)
+          let seq = fresh_seq t in
+          let span = Trace.open_span t.trace ~kind:"txn.coord" ~label:(string_of_int seq) () in
+          let finish r =
+            Trace.close_span t.trace span;
+            r
+          in
+          (match on_record with Some f -> f record seq | None -> ());
           let unstage_all staged =
-            List.iter
-              (fun (file, marker) ->
-                match apply t ~marker ~forward:false file with
-                | Ok () -> ()
-                | Error _ ->
-                    (* A resolver will finish from the marker. *)
-                    bump t "txn.unstage_deferred")
-              staged
+            apply_all t staged ~forward:false ~crash:ignore ~deferred:"txn.unstage_deferred"
           in
           (* Close the record first, so no resolver can roll the staged
              prefix forward while it is being unstaged. The record only
-             ever says aborted here: nobody else writes committed. *)
-          let rollback staged wrap e =
-            (match decide_record t ~record ~commit:false with
-            | Ok _ -> unstage_all staged
+             ever says aborted here: nobody else writes committed. Like
+             a cross abort, the record is pooled again only once every
+             unstage answered. *)
+          let rollback staged e =
+            (match decide_record t ~record ~seq ~seen ~commit:false with
+            | Ok (final, value) ->
+                if unstage_all staged && final = Aborted then
+                  release_record t shard (record, value)
             | Error _ -> bump t "txn.rollback_deferred");
-            Error (wrap e)
+            Error (Failed e)
           in
           let rec stage_all staged idx = function
             | [] -> Ok (List.rev staged)
@@ -464,10 +541,10 @@ let coordinated t ~crash_at ~on_record parts =
                 crash (Before_stage idx);
                 let rec attempt tries =
                   if tries > 4 * max_hops then
-                    Error (`Failed (Store_failure "txn: staging starved"))
+                    Error (Store_failure "txn: staging starved")
                   else
                     match stage t ~record ~seq part with
-                    | Ok file -> Ok file
+                    | Ok entry -> Ok entry
                     | Error (Txn_in_doubt _) -> (
                         (* Another transaction holds this participant:
                            resolve it (waiting out a live coordinator,
@@ -476,7 +553,7 @@ let coordinated t ~crash_at ~on_record parts =
                           resolve_in_doubt t ~patience:t.pending_patience part.file
                         with
                         | Ok () -> attempt (tries + 1)
-                        | Error e -> Error (`Failed e))
+                        | Error e -> Error e)
                     | Error Conflict ->
                         (* Only this participant raced an ordinary commit:
                            earlier parts stay frozen behind their markers,
@@ -489,14 +566,11 @@ let coordinated t ~crash_at ~on_record parts =
                         bump t "txn.stage_retries";
                         if tries mod 4 = 3 then Proc.delay t.backoff_ms;
                         attempt (tries + 1)
-                    | Error e -> Error (`Failed e)
+                    | Error e -> Error e
                 in
                 match attempt 0 with
                 | Ok entry -> stage_all (entry :: staged) (idx + 1) rest
-                | Error (`Local e) ->
-                    bump t "txn.aborted.local";
-                    rollback staged (fun e -> Local e) e
-                | Error (`Failed e) -> rollback staged (fun e -> Failed e) e)
+                | Error e -> rollback staged e)
           in
           match stage_all [] 0 parts with
           | Error _ as e -> finish e
@@ -505,35 +579,34 @@ let coordinated t ~crash_at ~on_record parts =
               let dspan =
                 Trace.open_span t.trace ~kind:"txn.decide" ~label:(string_of_int seq) ()
               in
-              let decision = decide_record t ~record ~commit:true in
+              let decision = decide_record t ~record ~seq ~seen ~commit:true in
               (match decision with
-              | Ok final ->
+              | Ok (final, _) ->
                   tpoint t (Trace.Txn_decide { txn = seq; committed = final = Committed })
               | Error _ -> ());
               Trace.close_span t.trace dspan;
               match decision with
               | Error e -> finish (Error (Failed e))
-              | Ok Aborted ->
+              | Ok (Aborted, value) ->
                   (* A contender force-aborted the record between our last
                      stage and the decide. *)
                   bump t "txn.aborted.cross";
-                  unstage_all staged;
+                  if unstage_all staged then release_record t shard (record, value);
                   finish (Error (Cross Conflict))
-              | Ok (Pending | Unknown_record) ->
+              | Ok ((Pending | Superseded | Unknown_record), _) ->
                   finish (Error (Failed (Store_failure "txn: impossible record state")))
-              | Ok Committed ->
+              | Ok (Committed, value) ->
                   crash After_decide;
                   bump t "txn.committed";
                   (* The transaction is committed the moment the record
                      is; flips are completion, not decision. A flip that
                      cannot reach its shard is deferred to resolvers. *)
-                  List.iteri
-                    (fun i (file, marker) ->
-                      crash (Mid_flip i);
-                      match apply t ~marker ~forward:true file with
-                      | Ok () -> ()
-                      | Error _ -> bump t "txn.flip_deferred")
-                    staged;
+                  let flipped =
+                    apply_all t staged ~forward:true
+                      ~crash:(fun i -> crash (Mid_flip i))
+                      ~deferred:"txn.flip_deferred"
+                  in
+                  if flipped then release_record t shard (record, value);
                   finish (Ok ()))))
 
 let exec ?crash_at ?on_record t parts =

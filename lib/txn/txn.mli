@@ -5,16 +5,28 @@
     A transaction {e stages} a marker ({!Afs_cluster.Txnmark}) into each
     participant file's root by an ordinary single-shard commit (the
     computed writes ride the marker; no page is touched), {e decides} by
-    one more ordinary commit flipping a coordinator record's root data
-    from pending to committed — the transaction-wide atomic point — and
-    then {e flips} each participant: restore the old root, apply the
-    marker's writes in place, commit. Participants' roots carry the
-    location check's [R] flag, so a stage conflicts with every
-    concurrently opened version in both commit orders; once staged, only
-    resolvers can advance the file (ordinary opens answer
-    [Txn_in_doubt]). Any client can resolve an in-doubt participant from
-    the marker and the record alone — crash recovery is {!sweep}, not a
-    log.
+    one more ordinary commit test-and-setting a coordinator record's root
+    from the outcome it last held to this transaction's outcome — the
+    transaction-wide atomic point — and then {e flips} each participant:
+    restore the old root, apply the marker's writes in place, commit.
+    Participants' roots carry the location check's [R] flag, so a stage
+    conflicts with every concurrently opened version in both commit
+    orders; once staged, only resolvers can advance the file (ordinary
+    opens answer [Txn_in_doubt]). Any client can resolve an in-doubt
+    participant from the marker and the record alone — crash recovery is
+    {!sweep}, not a log.
+
+    Coordinator records are reused. Each [t] keeps a per-shard free list;
+    a transaction takes a record from its first participant's shard
+    (creating a file only when that list is empty) and numbers itself
+    above every seq the record has seen. The record's root is always the
+    outcome of the newest transaction decided on it
+    ({!Afs_cluster.Txnmark.encode_outcome}). A record returns to the list
+    only once its transaction's outcome is definite and every
+    participant's flip or unstage answered, so no marker naming an older
+    seq survives (a transaction whose staging failed is rolled back and
+    qualifies too). After a crash, a decision that could not reach the
+    record, or a deferred flip or unstage, it is never reused.
 
     Must run inside a simulation process (everything is RPCs). *)
 
@@ -63,16 +75,17 @@ val create :
 
 val exec :
   ?crash_at:crash_point ->
-  ?on_record:(Afs_util.Capability.t -> unit) ->
+  ?on_record:(Afs_util.Capability.t -> int -> unit) ->
   t ->
   part list ->
   (unit, failure) result
 (** Run one transaction to a definite outcome. A single part takes the
     ordinary single-shard path (no record, no marker); multiple parts
     run the stage/decide/flip protocol, staging in capability order.
-    [on_record] observes the coordinator record's capability as soon as
-    it exists — the hook crash tests use to audit outcomes after a
-    {!Crashed} coordinator. Once staged, the outcome is driven to a
+    [on_record] observes the coordinator record's capability and the
+    transaction's seq as soon as the record is acquired — the hook crash
+    tests use to audit outcomes ({!record_decision}) after a {!Crashed}
+    coordinator. Once staged, the outcome is driven to a
     decision even through transient transport errors (bounded patience),
     so a [failure] never hides a committed transaction. *)
 
@@ -86,21 +99,41 @@ val sweep : t -> Afs_util.Capability.t list -> int Afs_core.Errors.r
     Pure (C1 critical sections): the protocol's brain, exposed for tests
     and for the record audit a crash harness runs. *)
 
-type decision = Pending | Committed | Aborted | Unknown_record
+type decision =
+  | Pending  (** The record's newest outcome is for an earlier seq. *)
+  | Committed
+  | Aborted
+  | Superseded
+      (** The seq was decided and the record has been reused since: every
+          marker naming it is already gone. *)
+  | Unknown_record  (** The root data is not an outcome. *)
 
-val decide : record_data:bytes -> decision
-(** Classify a coordinator record's root data. *)
+val decide : seq:int -> record_data:bytes -> decision
+(** Classify a coordinator record's root data for transaction [seq]. *)
 
 type action =
   | Forward of Afs_cluster.Txnmark.t
   | Back of Afs_cluster.Txnmark.t
   | Wait of Afs_cluster.Txnmark.t
+  | Gone  (** Write nothing: the marker was resolved long ago. *)
 
 val resolve : Afs_cluster.Txnmark.t -> decision -> action
-(** What a resolver must do to a marker given the record's state. *)
+(** What a resolver must do to a marker given the record's decision on
+    the marker's seq. *)
 
-val record_decision : t -> Afs_util.Capability.t -> decision Afs_core.Errors.r
-(** Read a record's current state (routed, forward-chasing). *)
+val record_decision :
+  t -> Afs_util.Capability.t -> seq:int -> decision Afs_core.Errors.r
+(** Read what a record says about transaction [seq] (routed,
+    forward-chasing). *)
+
+val force_abort :
+  t -> Afs_cluster.Txnmark.t -> seen:bytes -> decision Afs_core.Errors.r
+(** What a resolver out of patience does to a marker's record: one
+    test-and-set from [seen], the root data it last polled, to the
+    marker's seq aborted, re-tried from the answered value while that
+    seq stays pending. Answers the record's final word on the seq —
+    [Committed] if the coordinator's decide won, [Superseded] if the
+    record had already moved past it (and then nothing was written). *)
 
 (** {2 Accounting} *)
 
@@ -112,4 +145,7 @@ val counters : t -> Afs_util.Stats.Counter.t
 (** [txn.committed], [txn.aborted.local], [txn.aborted.cross],
     [txn.coordinated], [txn.fastpath], [txn.round_trips],
     [txn.force_aborts], [txn.resolved.forward], [txn.resolved.back],
-    [txn.flip_deferred], [txn.unstage_deferred]. *)
+    [txn.flip_deferred], [txn.unstage_deferred], [txn.rollback_deferred],
+    [txn.stage_retries], [txn.records_created] (coordinator record files
+    created — reuse bounds it by the peak number of transactions in
+    flight per shard, plus one per failure). *)

@@ -14,6 +14,7 @@ module Capability = Afs_util.Capability
 module Xrng = Afs_util.Xrng
 module P = Afs_util.Pagepath
 module Server = Afs_core.Server
+module Core_gc = Afs_core.Gc
 module Errors = Afs_core.Errors
 module Trace = Afs_trace.Trace
 module Query = Afs_trace.Query
@@ -84,9 +85,17 @@ let gen_cap =
         check;
       })
 
-let gen_marker =
+(* A capability whose check is any int, negatives and extremes included
+   (the one signed field of a marker). *)
+let gen_cap_any_check =
   QCheck2.Gen.(
-    let* record = gen_cap in
+    let* cap = gen_cap in
+    let* check = oneof [ int; return min_int; return max_int; int_range (-100) 100 ] in
+    return { cap with Capability.check })
+
+let gen_marker_with record_gen =
+  QCheck2.Gen.(
+    let* record = record_gen in
     let* seq = int_bound 100_000 in
     let* old_root = map Bytes.of_string (string_size ~gen:printable (int_bound 40)) in
     let* writes =
@@ -97,9 +106,52 @@ let gen_marker =
     in
     return { Txnmark.record; seq; old_root; writes })
 
+(* The encoder every marker written so far came from, kept verbatim as
+   the byte-for-byte reference for the allocation-lean one. *)
+let reference_encode (m : Txnmark.t) =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf Txnmark.prefix;
+  Buffer.add_string buf
+    (Printf.sprintf "%d:%d:%d:%d:%d:"
+       (Capability.port_to_int m.record.Capability.port)
+       m.record.Capability.obj
+       (Capability.rights_to_int m.record.Capability.rights)
+       m.record.Capability.check m.seq);
+  Buffer.add_string buf (Printf.sprintf "%d:" (Bytes.length m.old_root));
+  Buffer.add_bytes buf m.old_root;
+  Buffer.add_string buf (Printf.sprintf "%d:" (List.length m.writes));
+  List.iter
+    (fun (path, data) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s:%d:" (P.to_string path) (Bytes.length data));
+      Buffer.add_bytes buf data)
+    m.writes;
+  Buffer.to_bytes buf
+
+let prop_marker_reference =
+  (* Any int in the number fields, negatives and extremes included. *)
+  let gen_any_cap =
+    QCheck2.Gen.(
+      let* cap = gen_cap_any_check in
+      let* obj = oneof [ int; return max_int; return min_int ] in
+      return { cap with Capability.obj })
+  in
+  QCheck2.Test.make ~name:"txn marker: encode = Printf reference" ~count:500
+    (gen_marker_with gen_any_cap) (fun m ->
+      Bytes.equal (Txnmark.encode m) (reference_encode m))
+
+let prop_outcome_codec =
+  QCheck2.Gen.(
+    QCheck2.Test.make ~name:"record outcome: reference bytes, decode . encode" ~count:500
+      (pair (oneof [ int_bound 1_000_000; return max_int ]) bool)
+      (fun (seq, committed) ->
+        let b = Txnmark.encode_outcome ~seq ~committed in
+        Bytes.to_string b = Printf.sprintf "txn:%d:%c" seq (if committed then 'c' else 'a')
+        && Txnmark.decode_outcome b = Some (seq, committed)))
+
 let prop_marker_roundtrip =
-  QCheck2.Test.make ~name:"txn marker: decode . encode = Some" ~count:200 gen_marker
-    (fun m ->
+  QCheck2.Test.make ~name:"txn marker: decode . encode = Some" ~count:200
+    (gen_marker_with gen_cap_any_check) (fun m ->
       match Txnmark.decode (Txnmark.encode m) with
       | None -> false
       | Some m' ->
@@ -137,16 +189,28 @@ let test_marker_rejects_garbage () =
   Alcotest.(check bool)
     "truncation" true
     (let e = Txnmark.encode m in
-     Txnmark.decode (Bytes.sub e 0 (Bytes.length e - 3)) = None)
+     Txnmark.decode (Bytes.sub e 0 (Bytes.length e - 3)) = None);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        ("outcome rejects " ^ s) true
+        (Txnmark.decode_outcome (bytes s) = None))
+    [ ""; "txn:"; "txn::c"; "txn:1:"; "txn:1:x"; "txn:1:cc"; "txn:-1:c"; "txn:pending" ]
 
 (* {2 The pure decision logic (C1 critical sections)} *)
 
 let test_decision_table () =
-  let d s = Txn.decide ~record_data:(bytes s) in
-  Alcotest.(check bool) "pending" true (d "txn:pending" = Txn.Pending);
-  Alcotest.(check bool) "committed" true (d "txn:committed" = Txn.Committed);
-  Alcotest.(check bool) "aborted" true (d "txn:aborted" = Txn.Aborted);
+  (* A marker with seq N against a record whose newest outcome is M's. *)
+  let d s = Txn.decide ~seq:5 ~record_data:(bytes s) in
+  Alcotest.(check bool) "fresh record: pending" true (d "txn:0:a" = Txn.Pending);
+  Alcotest.(check bool) "M<N committed: pending" true (d "txn:4:c" = Txn.Pending);
+  Alcotest.(check bool) "M<N aborted: pending" true (d "txn:4:a" = Txn.Pending);
+  Alcotest.(check bool) "M=N committed" true (d "txn:5:c" = Txn.Committed);
+  Alcotest.(check bool) "M=N aborted" true (d "txn:5:a" = Txn.Aborted);
+  Alcotest.(check bool) "M>N committed: superseded" true (d "txn:6:c" = Txn.Superseded);
+  Alcotest.(check bool) "M>N aborted: superseded" true (d "txn:9:a" = Txn.Superseded);
   Alcotest.(check bool) "garbage" true (d "whatever" = Txn.Unknown_record);
+  Alcotest.(check bool) "old state string" true (d "txn:pending" = Txn.Unknown_record);
   let m =
     {
       Txnmark.record =
@@ -166,7 +230,8 @@ let test_decision_table () =
   Alcotest.(check bool) "aborted -> back" true (Txn.resolve m Txn.Aborted = Txn.Back m);
   Alcotest.(check bool) "unknown -> back" true
     (Txn.resolve m Txn.Unknown_record = Txn.Back m);
-  Alcotest.(check bool) "pending -> wait" true (Txn.resolve m Txn.Pending = Txn.Wait m)
+  Alcotest.(check bool) "pending -> wait" true (Txn.resolve m Txn.Pending = Txn.Wait m);
+  Alcotest.(check bool) "superseded -> gone" true (Txn.resolve m Txn.Superseded = Txn.Gone)
 
 (* {2 The happy path} *)
 
@@ -207,7 +272,7 @@ let test_reader_resolves_in_doubt () =
       let txn = Txn.create client in
       (match
          Txn.exec ~crash_at:Txn.After_decide
-           ~on_record:(fun c -> record := Some c)
+           ~on_record:(fun c _ -> record := Some c)
            txn (transfer accts 0 1 30)
        with
       | exception Txn.Crashed -> ()
@@ -241,7 +306,7 @@ let test_sweep_discards_undecided () =
       let txn = Txn.create client in
       (match
          Txn.exec ~crash_at:Txn.Before_decide
-           ~on_record:(fun c -> record := Some c)
+           ~on_record:(fun c seq -> record := Some (c, seq))
            txn (transfer accts 0 1 30)
        with
       | exception Txn.Crashed -> ()
@@ -254,10 +319,10 @@ let test_sweep_discards_undecided () =
       (* The force-abort is durable: the record can never commit now. *)
       match !record with
       | None -> Alcotest.fail "no record observed"
-      | Some r ->
+      | Some (r, seq) ->
           Alcotest.(check bool)
             "record force-aborted" true
-            (ok (Txn.record_decision sweeper r) = Txn.Aborted))
+            (ok (Txn.record_decision sweeper r ~seq) = Txn.Aborted))
 
 (* Crashing mid-flip: the decision stands, the remaining participant is
    rolled forward by recovery. *)
@@ -296,6 +361,139 @@ let test_stage_fences_prior_versions () =
       let sweeper = Txn.create client in
       ignore (ok (Txn.sweep sweeper (Array.to_list accts)) : int);
       Alcotest.(check int) "staged txn discarded" 100 (read_balance client accts.(0)))
+
+(* {2 Record reuse} *)
+
+let created txn = Afs_util.Stats.Counter.get (Txn.counters txn) "txn.records_created"
+
+(* Sequential transfers through one coordinator keep reusing the record
+   on their first participant's shard: at most one file per shard, and
+   each outcome is exactly the committed outcome of its own seq until the
+   next transaction on that record supersedes it. *)
+let test_records_reused () =
+  in_cluster ~shards:2 (fun _cluster client ->
+      let accts = setup_accounts client 4 100 in
+      let txn = Txn.create client in
+      let rng = Xrng.create 3 in
+      let decided = ref [] in
+      for _ = 1 to 50 do
+        let a = Xrng.int rng 4 in
+        let b = (a + 1 + Xrng.int rng 3) mod 4 in
+        let seen = ref None in
+        ok_txn
+          (Txn.exec ~on_record:(fun r seq -> seen := Some (r, seq)) txn
+             (transfer accts a b 1));
+        match !seen with
+        | None -> Alcotest.fail "no record observed"
+        | Some (r, seq) ->
+            if ok (Txn.record_decision txn r ~seq) <> Txn.Committed then
+              Alcotest.failf "transfer %d does not audit committed" seq;
+            decided := (r, seq) :: !decided
+      done;
+      Alcotest.(check bool) "at most one record per shard" true (created txn <= 2);
+      Alcotest.(check int) "money conserved" 400
+        (Array.fold_left (fun acc f -> acc + read_balance client f) 0 accts);
+      (* Every earlier transaction on a record now reads as superseded. *)
+      let superseded =
+        List.filteri
+          (fun i (r, seq) ->
+            i >= 2 && ok (Txn.record_decision txn r ~seq) = Txn.Superseded)
+          !decided
+      in
+      Alcotest.(check bool) "older seqs superseded" true (List.length superseded >= 40))
+
+(* A resolver that polled a record before two transactions were decided
+   on it, then force-aborts the first of them from that stale value: the
+   test-and-set mismatches, the record answers superseded, and the later
+   committed outcome stands. *)
+let test_stale_resolver () =
+  in_cluster ~shards:2 (fun _cluster client ->
+      let accts = setup_accounts client 2 100 in
+      let txn = Txn.create client in
+      let seen = ref [] in
+      let on_record r seq = seen := (r, seq) :: !seen in
+      ok_txn (Txn.exec ~on_record txn (transfer accts 0 1 10));
+      ok_txn (Txn.exec ~on_record txn (transfer accts 1 0 3));
+      match List.rev !seen with
+      | [ (r1, s1); (r2, s2) ] ->
+          Alcotest.(check bool) "same record reused" true (Capability.equal r1 r2);
+          Alcotest.(check bool) "seqs grow" true (s2 > s1);
+          let stale =
+            { Txnmark.record = r1; seq = s1; old_root = bytes "acct0"; writes = [] }
+          in
+          let resolver = Txn.create client in
+          Alcotest.(check bool)
+            "stale force-abort superseded" true
+            (ok
+               (Txn.force_abort resolver stale
+                  ~seen:(Txnmark.encode_outcome ~seq:0 ~committed:false))
+            = Txn.Superseded);
+          Alcotest.(check bool)
+            "later outcome kept" true
+            (ok (Txn.record_decision resolver r2 ~seq:s2) = Txn.Committed);
+          Alcotest.(check int) "balance" 93 (read_balance client accts.(0));
+          Alcotest.(check int) "balance" 107 (read_balance client accts.(1))
+      | _ -> Alcotest.fail "expected two records observed")
+
+(* The collector runs over a transaction left mid-flip, then the same
+   coordinator runs a transfer on its pooled record through the in-doubt
+   participant while a second coordinator sweeps: both resolve the same
+   marker, the collector has pruned history under all of it, and nothing
+   is lost or left staged. *)
+let test_collector_race () =
+  in_sim (fun engine ->
+      let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
+      let client = CC.connect cluster in
+      (* a0, a2 on one shard, a1, a3 on the other. *)
+      let accts = setup_accounts client 4 100 in
+      let txn = Txn.create client in
+      let concurrently fs =
+        let spawn, join = Proc.joinable engine in
+        List.iter (fun f -> ignore (spawn f : Proc.handle)) fs;
+        join ()
+      in
+      (* Two concurrent transfers with first participants on one shard
+         leave two records in that shard's pool. *)
+      concurrently
+        [
+          (fun () -> ok_txn (Txn.exec txn (transfer accts 0 1 5)));
+          (fun () -> ok_txn (Txn.exec txn (transfer accts 2 3 5)));
+        ];
+      Alcotest.(check int) "two records created" 2 (created txn);
+      let leaked = ref None in
+      (match
+         Txn.exec ~crash_at:(Txn.Mid_flip 1)
+           ~on_record:(fun r seq -> leaked := Some (r, seq))
+           txn (transfer accts 0 1 30)
+       with
+      | exception Txn.Crashed -> ()
+      | _ -> Alcotest.fail "crash point never fired");
+      let policy = { Core_gc.retain_committed = 1; reshare = false } in
+      for k = 0 to 1 do
+        ignore (ok (Core_gc.collect ~policy (Shard.server (Cluster.shard cluster k))) : Core_gc.stats)
+      done;
+      let sweeper = Txn.create client in
+      concurrently
+        [
+          (fun () -> ok_txn (Txn.exec txn (transfer accts 1 0 7)));
+          (fun () -> ignore (ok (Txn.sweep sweeper (Array.to_list accts)) : int));
+        ];
+      Alcotest.(check int) "the pooled record served" 2 (created txn);
+      Array.iter
+        (fun f ->
+          match CC.read_current client f P.root with
+          | Ok root ->
+              if Txnmark.is_marker root then Alcotest.fail "a marker survived"
+          | Error e -> Alcotest.failf "unreadable: %s" (Errors.to_string e))
+        accts;
+      Alcotest.(check (list int)) "balances" [ 72; 128; 95; 105 ]
+        (Array.to_list (Array.map (read_balance client) accts));
+      match !leaked with
+      | None -> Alcotest.fail "no record observed"
+      | Some (r, seq) ->
+          Alcotest.(check bool)
+            "leaked record audits committed" true
+            (ok (Txn.record_decision sweeper r ~seq) = Txn.Committed))
 
 (* {2 Trace oracle}
 
@@ -446,9 +644,11 @@ let test_twopc_sut_conserves () =
 
    Random cross-shard transfers with a deterministic crash schedule:
    coordinator kills at every protocol step (crash_at) and participant
-   shard kills mid-run (Faults). After recovery and a sweep, the sum of
-   balances is invariant, every definite outcome is reflected exactly
-   once, and no in-doubt participant survives. *)
+   shard kills mid-run (Faults), issued by three client processes that
+   share one coordinator — so pooled records are taken and returned
+   concurrently while resolvers race live coordinators. After recovery
+   and a sweep, the sum of balances is invariant, every definite outcome
+   is reflected exactly once, and no in-doubt participant survives. *)
 
 let crash_points =
   [|
@@ -465,6 +665,7 @@ let conservation_one_run ~seed ~kills =
   let shards = 3 in
   let naccts = 6 in
   let init = 100 in
+  let clients = 3 in
   let engine = Engine.create () in
   let cluster = Cluster.create ~latency_ms:1.0 engine ~shards in
   let failure = ref None in
@@ -484,39 +685,48 @@ let conservation_one_run ~seed ~kills =
                 | Ok _ -> ()
                 | Error e -> fail "recovery failed: %s" (Errors.to_string e)))
           kills;
-        let rng = Xrng.create seed in
         let txn = Txn.create client in
         let deltas = Array.make naccts 0 in
+        let apply_delta a b amt =
+          deltas.(a) <- deltas.(a) - amt;
+          deltas.(b) <- deltas.(b) + amt
+        in
         (* Transactions whose coordinator crashed: classified post hoc by
            the record, exactly as a recovering client would. *)
         let uncertain = ref [] in
-        for _ = 1 to 30 do
-          Proc.delay (Xrng.float rng 4.0);
-          let a = Xrng.int rng naccts in
-          let b = (a + 1 + Xrng.int rng (naccts - 1)) mod naccts in
-          let amt = 1 + Xrng.int rng 9 in
-          let crash_at = crash_points.(Xrng.int rng (Array.length crash_points)) in
-          let record = ref None in
-          match
-            Txn.exec ?crash_at
-              ~on_record:(fun c -> record := Some c)
-              txn (transfer accts a b amt)
-          with
-          | exception Txn.Crashed -> (
-              match !record with
-              | Some r -> uncertain := (r, a, b, amt) :: !uncertain
-              | None -> () (* Died before the record existed: nothing staged. *))
-          | Ok () ->
-              deltas.(a) <- deltas.(a) - amt;
-              deltas.(b) <- deltas.(b) + amt
-          | Error (Txn.Local _ | Txn.Cross _) -> ()
-          | Error (Txn.Failed _) -> (
-              (* Transport trouble mid-protocol: same stance as a crash —
-                 the record (if any) holds the definite outcome. *)
-              match !record with
-              | Some r -> uncertain := (r, a, b, amt) :: !uncertain
-              | None -> ())
+        let worker i () =
+          let rng = Xrng.create ((seed * clients) + i) in
+          for _ = 1 to 10 do
+            Proc.delay (Xrng.float rng 4.0);
+            let a = Xrng.int rng naccts in
+            let b = (a + 1 + Xrng.int rng (naccts - 1)) mod naccts in
+            let amt = 1 + Xrng.int rng 9 in
+            let crash_at = crash_points.(Xrng.int rng (Array.length crash_points)) in
+            let record = ref None in
+            match
+              Txn.exec ?crash_at
+                ~on_record:(fun r seq -> record := Some (r, seq))
+                txn (transfer accts a b amt)
+            with
+            | exception Txn.Crashed -> (
+                match !record with
+                | Some r -> uncertain := (r, a, b, amt) :: !uncertain
+                | None -> () (* Died before the record existed: nothing staged. *))
+            | Ok () -> apply_delta a b amt
+            | Error (Txn.Local _ | Txn.Cross _) -> ()
+            | Error (Txn.Failed _) -> (
+                (* Transport trouble mid-protocol: same stance as a crash —
+                   the record (if any) holds the definite outcome. *)
+                match !record with
+                | Some r -> uncertain := (r, a, b, amt) :: !uncertain
+                | None -> ())
+          done
+        in
+        let spawn, join = Proc.joinable engine in
+        for i = 1 to clients do
+          ignore (spawn (worker i) : Proc.handle)
         done;
+        join ();
         (* Quiesce: let any in-flight kill/recovery finish. *)
         Proc.delay 200.0;
         (* Crash recovery: any client sweeps from markers + records. *)
@@ -525,11 +735,9 @@ let conservation_one_run ~seed ~kills =
         | Ok _ -> ()
         | Error e -> fail "sweep failed: %s" (Errors.to_string e));
         List.iter
-          (fun (r, a, b, amt) ->
-            match Txn.record_decision sweeper r with
-            | Ok Txn.Committed ->
-                deltas.(a) <- deltas.(a) - amt;
-                deltas.(b) <- deltas.(b) + amt
+          (fun ((r, seq), a, b, amt) ->
+            match Txn.record_decision sweeper r ~seq with
+            | Ok Txn.Committed -> apply_delta a b amt
             | Ok _ -> ()
             | Error e -> fail "record audit failed: %s" (Errors.to_string e))
           (!uncertain);
@@ -559,7 +767,7 @@ let conservation_one_run ~seed ~kills =
 
 let prop_conservation =
   QCheck2.Test.make ~name:"cross-shard transfers conserve under crash schedules"
-    ~count:10
+    ~count:100
     ~print:QCheck2.Print.(pair int (list (pair float int)))
     QCheck2.Gen.(
       pair (int_bound 1_000_000)
@@ -573,6 +781,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_marker_roundtrip;
           quick "rejects garbage" test_marker_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_marker_reference;
+          QCheck_alcotest.to_alcotest prop_outcome_codec;
         ] );
       ("decision", [ quick "pure decide/resolve table" test_decision_table ]);
       ( "protocol",
@@ -583,6 +793,9 @@ let () =
           quick "sweep discards an undecided txn" test_sweep_discards_undecided;
           quick "sweep completes a decided txn" test_sweep_completes_decided;
           quick "stage fences versions opened before it" test_stage_fences_prior_versions;
+          quick "records are reused" test_records_reused;
+          quick "stale resolver changes nothing" test_stale_resolver;
+          quick "collector races a flip and a resolver" test_collector_race;
         ] );
       ("trace", [ quick "decide/stage span oracle, deterministic" test_trace_oracle ]);
       ( "twopc",
