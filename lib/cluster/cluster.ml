@@ -51,8 +51,8 @@ type t = {
 }
 
 let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
-    ?(base_seed = default_base_seed) ?(replicas = 0) ?apply_interval_ms ?trace engine
-    ~shards:n =
+    ?(base_seed = default_base_seed) ?(replicas = 0) ?apply_interval_ms
+    ?(stores = fun _ -> Store.memory ()) ?trace engine ~shards:n =
   if n <= 0 then invalid_arg "Cluster.create: need at least one shard";
   if replicas < 0 then invalid_arg "Cluster.create: replicas must be >= 0";
   let counters = Stats.Counter.create () in
@@ -63,10 +63,10 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
         if replicas = 0 then
           (* No replication: exactly the pre-replica shard, byte for
              byte — no capture store, no gate, no epoch register. *)
-          Shard.create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?trace engine
-            ~id:i ~seed:seeds.(i)
+          Shard.create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ~store:(stores i)
+            ?trace engine ~id:i ~seed:seeds.(i)
         else begin
-          let source = Replica.Source.create ~counters ?trace engine (Store.memory ()) in
+          let source = Replica.Source.create ~counters ?trace engine (stores i) in
           let reg = Replica.Source.register source in
           let members =
             List.init replicas (fun j ->

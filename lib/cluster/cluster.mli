@@ -17,6 +17,7 @@ val create :
   ?base_seed:int ->
   ?replicas:int ->
   ?apply_interval_ms:float ->
+  ?stores:(int -> Afs_core.Store.t) ->
   ?trace:Afs_trace.Trace.t ->
   Afs_sim.Engine.t ->
   shards:int ->
@@ -26,7 +27,8 @@ val create :
     separable through each server's ["shard-<i>"] name label.
     [group_commit] gives every shard the same commit batch window: each
     shard's RPC host keeps its own queue, so batches form per shard
-    (default 1 — no batching).
+    (default 1 — no batching). [stores i] is shard [i]'s store (default
+    a fresh memory store) — how tests inject store faults.
 
     [replicas] (default 0) gives every shard that many log-shipping
     replicas: the shard's server runs over a capture store whose commit

@@ -10,28 +10,10 @@ type t = {
 
 let prefix = "afs-txn!"
 
-(* {2 Decimal fields, written and parsed in place}
+(* {2 Decimal fields, parsed in place}
 
-   Both codecs size their output exactly and read their input where it
-   lies: no [Printf], no per-field substring. [put_dec] renders exactly
-   what [string_of_int] does — a '-', then the magnitude's digits taken
-   from the number's own remainders, so even [min_int] needs no
-   negation. *)
-
-let dec_size n =
-  let rec digits n acc = if n > -10 && n < 10 then acc else digits (n / 10) (acc + 1) in
-  digits n (if n < 0 then 2 else 1)
-
-(* Write [n] at [pos]; answers the position just past its last digit. *)
-let put_dec b pos n =
-  let stop = pos + dec_size n in
-  if n < 0 then Bytes.set b pos '-';
-  let rec go n i =
-    Bytes.set b i (Char.chr (48 + abs (n mod 10)));
-    if n <= -10 || n >= 10 then go (n / 10) (i - 1)
-  in
-  go n (stop - 1);
-  stop
+   Both decoders read their input where it lies: no per-field
+   substring, no [int_of_string]. *)
 
 exception Bad
 
@@ -80,71 +62,32 @@ let has_prefix data p =
    many raw bytes, and a path is Pagepath's dotted rendering ("/" for
    the root, "/2.0.5" below it). *)
 
-let path_size path =
-  match Pagepath.to_list path with
-  | [] -> 1
-  | indices -> List.fold_left (fun acc i -> acc + 1 + dec_size i) 0 indices
-
-let put_path b pos path =
-  Bytes.set b pos '/';
-  match Pagepath.to_list path with
-  | [] -> pos + 1
-  | first :: rest ->
-      List.fold_left
-        (fun pos i ->
-          Bytes.set b pos '.';
-          put_dec b (pos + 1) i)
-        (put_dec b (pos + 1) first)
-        rest
-
 let encode m =
   let r = m.record in
-  let port = Capability.port_to_int r.Capability.port in
-  let rights = Capability.rights_to_int r.Capability.rights in
-  let nwrites = List.length m.writes in
-  let plen = String.length prefix in
-  (* Exact size: each number field is followed by one ':' (seven in the
-     header, two per write). *)
-  let size =
-    List.fold_left
-      (fun acc (path, data) ->
-        let n = Bytes.length data in
-        acc + path_size path + dec_size n + 2 + n)
-      (plen + dec_size port + dec_size r.Capability.obj + dec_size rights
-     + dec_size r.Capability.check + dec_size m.seq
-     + dec_size (Bytes.length m.old_root)
-     + Bytes.length m.old_root + dec_size nwrites + 7)
-      m.writes
+  let buf = Buffer.create (96 + Bytes.length m.old_root) in
+  let field n =
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_char buf ':'
   in
-  let b = Bytes.create size in
-  Bytes.blit_string prefix 0 b 0 plen;
-  let field pos n =
-    let pos = put_dec b pos n in
-    Bytes.set b pos ':';
-    pos + 1
+  let blob data =
+    field (Bytes.length data);
+    Buffer.add_bytes buf data
   in
-  let blob pos data =
-    let n = Bytes.length data in
-    let pos = field pos n in
-    Bytes.blit data 0 b pos n;
-    pos + n
-  in
-  let pos = field plen port in
-  let pos = field pos r.Capability.obj in
-  let pos = field pos rights in
-  let pos = field pos r.Capability.check in
-  let pos = field pos m.seq in
-  let pos = blob pos m.old_root in
-  let pos = field pos nwrites in
-  ignore
-    (List.fold_left
-       (fun pos (path, data) ->
-         let pos = put_path b pos path in
-         Bytes.set b pos ':';
-         blob (pos + 1) data)
-       pos m.writes
-      : int);
-  b
+  Buffer.add_string buf prefix;
+  field (Capability.port_to_int r.Capability.port);
+  field r.Capability.obj;
+  field (Capability.rights_to_int r.Capability.rights);
+  field r.Capability.check;
+  field m.seq;
+  blob m.old_root;
+  field (List.length m.writes);
+  List.iter
+    (fun (path, data) ->
+      Buffer.add_string buf (Pagepath.to_string path);
+      Buffer.add_char buf ':';
+      blob data)
+    m.writes;
+  Buffer.to_bytes buf
 
 let decode data =
   let n = Bytes.length data in
@@ -231,13 +174,7 @@ let record_of data = Option.map (fun m -> m.record) (decode data)
 let outcome_prefix = "txn:"
 
 let encode_outcome ~seq ~committed =
-  let plen = String.length outcome_prefix in
-  let b = Bytes.create (plen + dec_size seq + 2) in
-  Bytes.blit_string outcome_prefix 0 b 0 plen;
-  let pos = put_dec b plen seq in
-  Bytes.set b pos ':';
-  Bytes.set b (pos + 1) (if committed then 'c' else 'a');
-  b
+  Bytes.of_string (outcome_prefix ^ string_of_int seq ^ if committed then ":c" else ":a")
 
 let decode_outcome data =
   let n = Bytes.length data in

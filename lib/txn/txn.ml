@@ -54,10 +54,12 @@
       therefore proves that marker gone ([Superseded]), and a resolver
       holding such a stale marker writes nothing. A transaction whose
       staging failed is rolled back (record aborted, stages undone) and
-      pools its record the same way. After a crash, an unreachable
-      record or a deferred flip or unstage the record is simply never
-      reused — its markers still resolve, since its value stays at or
-      below their seq — so the leak is one record per failure.
+      pools its record the same way — unless a seal failed in a way that
+      does not prove it never committed (anything but a [Conflict]). After
+      that, a crash, an unreachable record or a deferred flip or unstage
+      the record is simply never reused — its markers still resolve,
+      since its value stays at or below their seq — so the leak is one
+      record per failure.
 
    Recovery needs no log: a marker names its record and seq, the
    record's root names the outcome, and [sweep] walks the files and
@@ -269,6 +271,12 @@ let computed_writes ops pages =
    exact root bytes — what the flip test-and-sets against. *)
 type staged = { sfile : Capability.t; marker : Txnmark.t; image : bytes }
 
+(* Why a participant is not staged. A seal that failed other than by
+   losing validation may have committed anyway — a failed publish leaves
+   a durable prefix, and the marker surfaces once the shard recovers —
+   so only [Seal_in_doubt] can leave a marker behind. *)
+type stage_error = Unstaged of Errors.t | Seal_in_doubt of Errors.t
+
 (* Stage one participant: ordinary version, the transaction's reads,
    then the marker committed into the root. Nothing but the root is
    written — the computed writes ride the marker until the flip. *)
@@ -299,11 +307,14 @@ let stage t ~record ~seq part =
             | Ok () ->
                 CC.note_commit t.client ~shard file;
                 tpoint t (Trace.Txn_stage { txn = seq; file_obj = file.Capability.obj });
-                Ok { sfile = file; marker; image }
-            | Error e -> Error e))
+                Ok (Ok { sfile = file; marker; image })
+            | Error Conflict -> Error Conflict
+            (* Answered, not raised: an in-doubt seal must not be retried
+               anywhere — not even at a [Moved] target. *)
+            | Error e -> Ok (Error (Seal_in_doubt e))))
   in
   Trace.close_span t.trace span;
-  result
+  match result with Ok r -> r | Error e -> Error (Unstaged e)
 
 (* {2 Resolution} *)
 
@@ -526,11 +537,20 @@ let coordinated t ~crash_at ~on_record parts =
              prefix forward while it is being unstaged. The record only
              ever says aborted here: nobody else writes committed. Like
              a cross abort, the record is pooled again only once every
-             unstage answered. *)
-          let rollback staged e =
+             unstage answered — and never after an in-doubt seal, whose
+             marker may yet surface and must still resolve against this
+             seq's outcome. *)
+          let rollback staged failure =
+            let e, sealed_in_doubt =
+              match failure with
+              | Unstaged e -> (e, false)
+              | Seal_in_doubt e ->
+                  bump t "txn.seal_in_doubt";
+                  (e, true)
+            in
             (match decide_record t ~record ~seq ~seen ~commit:false with
             | Ok (final, value) ->
-                if unstage_all staged && final = Aborted then
+                if unstage_all staged && final = Aborted && not sealed_in_doubt then
                   release_record t shard (record, value)
             | Error _ -> bump t "txn.rollback_deferred");
             Error (Failed e)
@@ -541,11 +561,11 @@ let coordinated t ~crash_at ~on_record parts =
                 crash (Before_stage idx);
                 let rec attempt tries =
                   if tries > 4 * max_hops then
-                    Error (Store_failure "txn: staging starved")
+                    Error (Unstaged (Store_failure "txn: staging starved"))
                   else
                     match stage t ~record ~seq part with
                     | Ok entry -> Ok entry
-                    | Error (Txn_in_doubt _) -> (
+                    | Error (Unstaged (Txn_in_doubt _)) -> (
                         (* Another transaction holds this participant:
                            resolve it (waiting out a live coordinator,
                            force-aborting a dead one) and try again. *)
@@ -553,8 +573,8 @@ let coordinated t ~crash_at ~on_record parts =
                           resolve_in_doubt t ~patience:t.pending_patience part.file
                         with
                         | Ok () -> attempt (tries + 1)
-                        | Error e -> Error e)
-                    | Error Conflict ->
+                        | Error e -> Error (Unstaged e))
+                    | Error (Unstaged Conflict) ->
                         (* Only this participant raced an ordinary commit:
                            earlier parts stay frozen behind their markers,
                            so re-staging just this one against the new

@@ -25,8 +25,10 @@
     only once its transaction's outcome is definite and every
     participant's flip or unstage answered, so no marker naming an older
     seq survives (a transaction whose staging failed is rolled back and
-    qualifies too). After a crash, a decision that could not reach the
-    record, or a deferred flip or unstage, it is never reused.
+    qualifies too, unless a stage's seal failed with anything but
+    [Conflict] and so may have committed after all). After a crash, a
+    decision that could not reach the record, such a seal, or a deferred
+    flip or unstage, it is never reused.
 
     Must run inside a simulation process (everything is RPCs). *)
 
@@ -146,6 +148,7 @@ val counters : t -> Afs_util.Stats.Counter.t
     [txn.coordinated], [txn.fastpath], [txn.round_trips],
     [txn.force_aborts], [txn.resolved.forward], [txn.resolved.back],
     [txn.flip_deferred], [txn.unstage_deferred], [txn.rollback_deferred],
-    [txn.stage_retries], [txn.records_created] (coordinator record files
-    created — reuse bounds it by the peak number of transactions in
-    flight per shard, plus one per failure). *)
+    [txn.stage_retries], [txn.seal_in_doubt] (rollbacks that leak their
+    record because a seal may have committed), [txn.records_created]
+    (coordinator record files created — reuse bounds it by the peak
+    number of transactions in flight per shard, plus one per failure). *)

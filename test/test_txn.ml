@@ -107,7 +107,7 @@ let gen_marker_with record_gen =
     return { Txnmark.record; seq; old_root; writes })
 
 (* The encoder every marker written so far came from, kept verbatim as
-   the byte-for-byte reference for the allocation-lean one. *)
+   the byte-for-byte reference for the Printf-free one. *)
 let reference_encode (m : Txnmark.t) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf Txnmark.prefix;
@@ -495,6 +495,79 @@ let test_collector_race () =
             "leaked record audits committed" true
             (ok (Txn.record_decision sweeper r ~seq) = Txn.Committed))
 
+(* A memory store that, once armed, loses the acknowledgement of its
+   next write batch: every write lands, the caller hears a failure — the
+   whole-batch case of a publish failing after a durable prefix. *)
+let lossy_store armed =
+  let inner = Afs_core.Store.memory () in
+  let write_batch entries =
+    match inner.Afs_core.Store.write_batch entries with
+    | Ok () when !armed ->
+        armed := false;
+        Error "injected: acknowledgement lost"
+    | r -> r
+  in
+  { inner with Afs_core.Store.write_batch }
+
+(* A stage's seal fails although its marker is durable; the marker
+   surfaces only once the shard recovers. The rolled-back transaction
+   must not pool its record: reusing it would decide a later seq on it,
+   and the orphan marker would then read as superseded and never
+   resolve. *)
+let test_seal_in_doubt () =
+  in_sim (fun engine ->
+      let armed = ref false in
+      let cluster =
+        Cluster.create ~latency_ms:1.0 ~stores:(fun _ -> lossy_store armed) engine ~shards:2
+      in
+      let client = CC.connect cluster in
+      (* a0, a2 on one shard, a1, a3 on the other. *)
+      let accts = setup_accounts client 4 100 in
+      let txn = Txn.create client in
+      let doomed = ref None in
+      (match
+         Txn.exec
+           ~on_record:(fun r seq ->
+             doomed := Some (r, seq);
+             armed := true)
+           txn (transfer accts 0 1 30)
+       with
+      | Error (Txn.Failed (Errors.Store_failure _)) -> ()
+      | Ok () -> Alcotest.fail "the lost acknowledgement never fired"
+      | Error _ -> Alcotest.fail "expected the seal's store failure");
+      let get = Afs_util.Stats.Counter.get (Txn.counters txn) in
+      Alcotest.(check int) "seal in doubt" 1 (get "txn.seal_in_doubt");
+      List.iter
+        (fun shard ->
+          Shard.crash shard;
+          ignore (ok (Shard.recover shard) : int))
+        (Cluster.shards cluster);
+      let in_doubt =
+        List.filter
+          (fun f -> Result.is_error (CC.read_current client f P.root))
+          [ accts.(0); accts.(1) ]
+      in
+      Alcotest.(check int) "the orphan marker surfaced" 1 (List.length in_doubt);
+      (* Same first-participant shard: a pooled record would serve it. *)
+      ok_txn (Txn.exec txn (transfer accts 2 3 7));
+      Alcotest.(check int) "orphan swept" 1
+        (ok (Txn.sweep (Txn.create client) (Array.to_list accts)));
+      Array.iter
+        (fun f ->
+          match CC.read_current client f P.root with
+          | Ok root -> if Txnmark.is_marker root then Alcotest.fail "a marker survived"
+          | Error e -> Alcotest.failf "unreadable: %s" (Errors.to_string e))
+        accts;
+      Alcotest.(check int) "the in-doubt record was not reused" 2 (created txn);
+      Alcotest.(check (list int)) "balances" [ 100; 100; 93; 107 ]
+        (Array.to_list (Array.map (read_balance client) accts));
+      match !doomed with
+      | None -> Alcotest.fail "no record observed"
+      | Some (r, seq) ->
+          Alcotest.(check bool)
+            "leaked record audits aborted" true
+            (ok (Txn.record_decision txn r ~seq) = Txn.Aborted))
+
 (* {2 Trace oracle}
 
    A conflict-free cross-shard commit has a fixed protocol shape: one
@@ -796,6 +869,7 @@ let () =
           quick "records are reused" test_records_reused;
           quick "stale resolver changes nothing" test_stale_resolver;
           quick "collector races a flip and a resolver" test_collector_race;
+          quick "an in-doubt seal leaks its record" test_seal_in_doubt;
         ] );
       ("trace", [ quick "decide/stage span oracle, deterministic" test_trace_oracle ]);
       ( "twopc",
