@@ -5,7 +5,9 @@
    BENCH_afs.json regression-checks them: a new non-allowlisted finding
    or a creeping allowlist moves a deterministic metric and fails the
    baseline comparison — the suppression count can only be ratcheted
-   down deliberately, with a baseline update in the same change. *)
+   down deliberately, with a baseline update in the same change. The
+   count of exports only the tests reference (U1's test hooks) is
+   published the same way, so that surface is tracked too. *)
 
 let l1 () =
   Exp_util.banner "l1-lint-gate" "Static analysis: findings and suppressions"
@@ -24,6 +26,7 @@ let l1 () =
          r.Lint_engine.findings)
   in
   let allowlisted = List.length r.Lint_engine.suppressed in
+  let test_only = List.length r.Lint_engine.test_only in
   Exp_util.table
     [ "metric"; "count" ]
     [
@@ -31,6 +34,9 @@ let l1 () =
       [ "findings"; string_of_int findings ];
       [ "errors"; string_of_int errors ];
       [ "allowlisted"; string_of_int allowlisted ];
+      [ "exports"; string_of_int r.Lint_engine.exports ];
+      [ "test-only exports"; string_of_int test_only ];
     ];
   Exp_util.metric_i "lint" "findings" findings;
-  Exp_util.metric_i "lint" "allowlisted" allowlisted
+  Exp_util.metric_i "lint" "allowlisted" allowlisted;
+  Exp_util.metric_i "lint" "test_only_exports" test_only

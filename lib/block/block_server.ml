@@ -35,7 +35,7 @@ type t = {
   locks : (int, account) Hashtbl.t;
   mutable free_count : int;
   mutable next_hint : int;
-  mutable trace : Trace.t;
+  trace : Trace.t;
 }
 
 let create ?(policy = Sequential) ?(trace = Trace.null) ~disk () =
@@ -48,10 +48,6 @@ let create ?(policy = Sequential) ?(trace = Trace.null) ~disk () =
     next_hint = 0;
     trace;
   }
-
-let set_trace t tr =
-  t.trace <- tr;
-  Disk.set_trace t.disk tr
 
 let disk t = t.disk
 let block_size t = Disk.block_size t.disk

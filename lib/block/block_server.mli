@@ -37,10 +37,6 @@ type allocation_policy =
 val create :
   ?policy:allocation_policy -> ?trace:Afs_trace.Trace.t -> disk:Afs_disk.Disk.t -> unit -> t
 
-val set_trace : t -> Afs_trace.Trace.t -> unit
-(** Install a trace handle on the server and its disk. {!lock} emits a
-    [block.lock] event with the contention outcome. *)
-
 val disk : t -> Afs_disk.Disk.t
 val block_size : t -> int
 val allocated_blocks : t -> int

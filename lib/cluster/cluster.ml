@@ -51,8 +51,8 @@ type t = {
 }
 
 let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
-    ?(base_seed = default_base_seed) ?(replicas = 0) ?apply_interval_ms
-    ?(stores = fun _ -> Store.memory ()) ?trace engine ~shards:n =
+    ?(base_seed = default_base_seed) ?(replicas = 0) ?(stores = fun _ -> Store.memory ()) ?trace
+    engine ~shards:n =
   if n <= 0 then invalid_arg "Cluster.create: need at least one shard";
   if replicas < 0 then invalid_arg "Cluster.create: replicas must be >= 0";
   let counters = Stats.Counter.create () in
@@ -70,10 +70,7 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
           let reg = Replica.Source.register source in
           let members =
             List.init replicas (fun j ->
-                let r =
-                  Replica.create ?apply_interval_ms ~counters ?trace engine ~shard:i ~reg
-                    ()
-                in
+                let r = Replica.create ~counters ?trace engine ~shard:i ~reg () in
                 Replica.Source.attach source r;
                 let rhost =
                   Replica.host ?latency_ms ?proc_ms engine
@@ -102,7 +99,6 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
     generation = 0;
   }
 
-let engine t = t.engine
 let nshards t = Array.length t.shards
 let shard t i = t.shards.(i)
 let shards t = Array.to_list t.shards
@@ -110,8 +106,6 @@ let conn t i = t.conns.(i)
 let router t = t.router
 let counters t = t.counters
 let generation t = t.generation
-
-let resolve t cap = Router.resolve t.router cap
 
 let shard_of_cap t cap =
   let cap = Router.resolve t.router cap in

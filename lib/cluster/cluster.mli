@@ -16,7 +16,6 @@ val create :
   ?group_commit:int ->
   ?base_seed:int ->
   ?replicas:int ->
-  ?apply_interval_ms:float ->
   ?stores:(int -> Afs_core.Store.t) ->
   ?trace:Afs_trace.Trace.t ->
   Afs_sim.Engine.t ->
@@ -33,12 +32,11 @@ val create :
     [replicas] (default 0) gives every shard that many log-shipping
     replicas: the shard's server runs over a capture store whose commit
     stream is gated through {!Afs_replica.Replica.Source}, and each
-    replica applies it asynchronously ([apply_interval_ms] behind, see
+    replica applies it asynchronously (5 ms behind, see
     {!Afs_replica.Replica.create}). With [replicas = 0] the cluster is
     bit-identical to an unreplicated one — no capture store, no gate,
     no epoch register. *)
 
-val engine : t -> Afs_sim.Engine.t
 val nshards : t -> int
 val shard : t -> int -> Shard.t
 val shards : t -> Shard.t list
@@ -49,8 +47,6 @@ val conn : t -> int -> Afs_rpc.Remote.conn
 
 val router : t -> Router.t
 val counters : t -> Afs_util.Stats.Counter.t
-
-val resolve : t -> Afs_util.Capability.t -> Afs_util.Capability.t
 
 val shard_of_cap :
   t -> Afs_util.Capability.t -> (Afs_util.Capability.t * Shard.t) Afs_core.Errors.r

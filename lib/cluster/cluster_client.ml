@@ -34,10 +34,9 @@ let conn_of t shard =
   t.conns.(Shard.id shard)
 
 module Txn = struct
-  type t = { conn : Remote.conn; version : Capability.t; attempt : int }
+  type t = { conn : Remote.conn; version : Capability.t }
 
   let version t = t.version
-  let attempt t = t.attempt
   let conn t = t.conn
   let read t path = Remote.read_page t.conn t.version path
   let write t path data = Remote.write_page t.conn t.version path data
@@ -45,7 +44,6 @@ module Txn = struct
   let insert t ~parent ~index ?(data = Bytes.empty) () =
     Remote.insert_page t.conn t.version ~parent ~index ~data
 
-  let remove t ~parent ~index = Remote.remove_page t.conn t.version ~parent ~index
 end
 
 type handle = { file : Capability.t; shard : Shard.t; txn : Txn.t }
@@ -57,7 +55,7 @@ let learn t ~old target =
   Router.note_forward (Cluster.router t.cluster) ~old target;
   Stats.Counter.incr (Cluster.counters t.cluster) "client.forwarded"
 
-let begin_txn ?(respect_hints = false) ?(updater_port = 0) ?(attempt = 1) t file =
+let begin_txn ?(respect_hints = false) ?(updater_port = 0) t file =
   let rec go file hops =
     if hops > max_hops then chain_too_long
     else
@@ -66,7 +64,7 @@ let begin_txn ?(respect_hints = false) ?(updater_port = 0) ?(attempt = 1) t file
         Remote.create_version ~respect_hints ~updater_port (conn_of t shard) file
       with
       | Ok version ->
-          Ok { file; shard; txn = { Txn.conn = conn_of t shard; version; attempt } }
+          Ok { file; shard; txn = { Txn.conn = conn_of t shard; version } }
       | Error (Errors.Moved target) ->
           learn t ~old:file target;
           go target (hops + 1)
@@ -85,7 +83,7 @@ exception Give_up of Errors.t
 
 let update ?(retries = 16) ?respect_hints ?updater_port t file body =
   let rec attempt n =
-    match begin_txn ?respect_hints ?updater_port ~attempt:n t file with
+    match begin_txn ?respect_hints ?updater_port t file with
     | Error e -> Error e
     | Ok h -> (
         let result = try body h.txn with Give_up e -> Error e in

@@ -20,9 +20,6 @@ module Txn : sig
 
   val version : t -> Afs_util.Capability.t
 
-  val attempt : t -> int
-  (** 1 on the first try, incremented per conflict redo (via {!update}). *)
-
   val conn : t -> Afs_rpc.Remote.conn
   (** The owning shard's connection — where lib/workload's exec loop runs
       this version's page requests and commit, and its 2PC baseline speaks
@@ -34,8 +31,6 @@ module Txn : sig
   val insert :
     t -> parent:Afs_util.Pagepath.t -> index:int -> ?data:bytes -> unit ->
     Afs_util.Pagepath.t Afs_core.Errors.r
-
-  val remove : t -> parent:Afs_util.Pagepath.t -> index:int -> unit Afs_core.Errors.r
 end
 
 type handle = { file : Afs_util.Capability.t; shard : Shard.t; txn : Txn.t }
@@ -43,7 +38,7 @@ type handle = { file : Afs_util.Capability.t; shard : Shard.t; txn : Txn.t }
     the shard it landed on. *)
 
 val begin_txn :
-  ?respect_hints:bool -> ?updater_port:int -> ?attempt:int -> t ->
+  ?respect_hints:bool -> ?updater_port:int -> t ->
   Afs_util.Capability.t -> handle Afs_core.Errors.r
 (** Route, chase forwards (learning each hop), and open a version on the
     owning shard. Errors other than [Moved] propagate ([Locked_out]
@@ -65,11 +60,6 @@ val update :
     (from the body or from commit) the whole body re-runs against a fresh
     version — which may land on a {e different} shard if the file migrated
     between attempts. Other errors abort the version and propagate. *)
-
-val current_version :
-  t -> Afs_util.Capability.t ->
-  (Afs_util.Capability.t * Shard.t * Afs_util.Capability.t) Afs_core.Errors.r
-(** [(resolved_file, owning_shard, version_cap)] after forward-chasing. *)
 
 val read_current :
   t -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r

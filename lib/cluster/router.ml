@@ -17,8 +17,6 @@ let create ~ports =
     next_placement = 0;
   }
 
-let nshards t = t.nshards
-
 let shard_of_port t port = Hashtbl.find_opt t.by_port (Capability.port_to_int port)
 
 let key (cap : Capability.t) = (Capability.port_to_int cap.Capability.port, cap.Capability.obj)

@@ -14,8 +14,6 @@ type t
 val create : ports:Afs_util.Capability.port list -> t
 (** One entry per shard, in shard order. *)
 
-val nshards : t -> int
-
 val shard_of_port : t -> Afs_util.Capability.port -> int option
 (** Total over the cluster's own ports; [None] means a foreign
     capability. *)

@@ -94,12 +94,10 @@ let of_server ?latency_ms ?proc_ms ?group_commit engine ~id ~store server =
   { id; store; server; host }
 
 let id t = t.id
-let store t = t.store
 let server t = t.server
 let host t = t.host
 let name t = Server.name t.server
 let port t = Server.port t.server
-let up t = Remote.host_up t.host
 let crash t = Remote.crash_host t.host
 
 let recover t =

@@ -61,12 +61,10 @@ val of_server :
     batching commits as {!create} does. *)
 
 val id : t -> int
-val store : t -> Afs_core.Store.t
 val server : t -> Afs_core.Server.t
 val host : t -> Afs_rpc.Remote.host
 val name : t -> string
 val port : t -> Afs_util.Capability.port
-val up : t -> bool
 
 val crash : t -> unit
 (** Kill the RPC endpoint and lose the server's volatile state. *)

@@ -33,7 +33,6 @@ type t =
   | Store_failure of string
       (** The underlying block/stable layer failed. *)
 
-val pp : t Fmt.t
 val to_string : t -> string
 
 type 'a r = ('a, t) result

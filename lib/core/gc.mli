@@ -33,8 +33,6 @@ type policy = {
   reshare : bool;  (** Enable the read-copy resharing pass. *)
 }
 
-val default_policy : policy
-
 type stats = {
   versions_pruned : int;
   pages_reshared : int;

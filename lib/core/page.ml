@@ -403,15 +403,3 @@ let fixed_bytes = 2 + 1 + 1 + 4 + 3 + 3
 
 let data_capacity ~block_size ~nrefs ~is_version =
   block_size - fixed_bytes - (is_version * version_header_bytes) - (4 * nrefs)
-
-let pp ppf t =
-  let h = t.header in
-  Fmt.pf ppf "@[<v>page%s nrefs=%d dsize=%d base=%a commit=%a root=%a@,refs: %a@]"
-    (if is_version_page t then "(version)" else "")
-    (nrefs t) (dsize t)
-    Fmt.(option ~none:(any "nil") int)
-    h.base_ref
-    Fmt.(option ~none:(any "nil") int)
-    h.commit_ref Flags.pp h.root_flags
-    Fmt.(array ~sep:sp (fun ppf e -> Fmt.pf ppf "%d:%a" e.block Flags.pp e.flags))
-    t.refs

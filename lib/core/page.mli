@@ -141,5 +141,3 @@ val iter_image_refs : bytes -> (int -> unit) -> (unit, string) result
 val data_capacity : block_size:int -> nrefs:int -> is_version:int -> int
 (** Bytes of client data that fit in a page with that many references
     ([is_version] is 1 for version pages, 0 otherwise). *)
-
-val pp : t Fmt.t

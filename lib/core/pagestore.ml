@@ -13,7 +13,6 @@ type entry = { mutable page : Page.t; mutable dirty : bool; mutable stale : bool
 type t = {
   store : Store.t;
   cache_enabled : bool;
-  capacity : int;
   cache : (int, entry) Lru.t;
   (* Blocks held under a store lock: their cache entries are pinned so the
      commit critical section never loses its block to eviction. *)
@@ -39,7 +38,6 @@ let create ?(cache = true) ?(capacity = default_capacity) ?counters store =
   {
     store;
     cache_enabled = cache;
-    capacity;
     cache = Lru.create ~capacity;
     locked = Hashtbl.create 4;
     dirty = Hashtbl.create 64;
@@ -49,8 +47,11 @@ let create ?(cache = true) ?(capacity = default_capacity) ?counters store =
   }
 
 let store t = t.store
+
+(* The store's block size, which by §5 is at most 32K: a page must fit in
+   one atomic transaction message. *)
 let page_size_limit t = t.store.Store.block_size
-let capacity t = t.capacity
+
 let counters t = t.counters
 let bump ?by t name = Stats.Counter.incr ?by t.counters name
 

@@ -19,23 +19,15 @@
 
 type t
 
-val default_capacity : int
-(** 4096 pages. *)
-
 val create : ?cache:bool -> ?capacity:int -> ?counters:Afs_util.Stats.Counter.t -> Store.t -> t
 (** [cache:false] makes every write write-through and every read hit the
     store — the ablation baseline. [capacity] bounds the number of cached
-    pages (default {!default_capacity}; raises [Invalid_argument] when
+    pages (default 4096; raises [Invalid_argument] when
     [< 1]). [counters] lets the owner share a counter set (the server
     passes its own, so cache statistics appear with the commit ones). *)
 
 val store : t -> Store.t
 
-val page_size_limit : t -> int
-(** The store's block size, which by §5 is at most 32K: a page must fit in
-    one atomic transaction message. *)
-
-val capacity : t -> int
 val counters : t -> Afs_util.Stats.Counter.t
 
 val allocate : t -> (int, Errors.t) result

@@ -36,7 +36,7 @@ val create :
   t
 (** Servers sharing a store must share [seed] (the capability secret) and
     should share [ports]. [cache_capacity] bounds the write-back page
-    cache (default {!Pagestore.default_capacity}); the cache's hit, miss,
+    cache (default 4096 pages); the cache's hit, miss,
     eviction and write-back counters land in this server's {!counters}.
     With a [trace], every commit runs inside a [commit] span that records
     each test-and-set of a base's commit reference, the pretest /

@@ -34,10 +34,6 @@ type op = Alloc of int | Free of int | Write of int * bytes
     commit stream: block numbers are absolute, so a replayed [Alloc]
     checks that the applying store hands back the same number. *)
 
-val apply_op : t -> op -> (unit, string) result
-(** Replay one operation. [Alloc b] allocates and fails if the store's
-    frontier does not yield exactly [b]. *)
-
 val apply_ops : t -> op list -> (unit, string) result
 (** Replay a batch in order, stopping at the first error. Consecutive
     [Write]s are coalesced into one {!field:write_batch} call, so a

@@ -5,7 +5,6 @@ type touched = { index : int; sub_version : Capability.t; locked_block : int }
 
 type update = {
   server : Server.t;
-  super_file : Capability.t;
   super_version : Capability.t;
   port : int;
   base_block : int;  (** The super current version the top lock sits on. *)
@@ -14,8 +13,6 @@ type update = {
 }
 
 let ps u = Server.pagestore u.server
-
-let super_file u = u.super_file
 
 (* Links to sub-file version pages are marked written: they are new
    content relative to nothing (or to the previous link). *)
@@ -98,7 +95,6 @@ let begin_update server cap =
   Ok
     {
       server;
-      super_file = cap;
       super_version;
       port;
       base_block = current;

@@ -38,7 +38,6 @@ val begin_update : Server.t -> Afs_util.Capability.t -> update Errors.r
     and create the super version. *)
 
 val port_of : update -> int
-val super_file : update -> Afs_util.Capability.t
 val super_version : update -> Afs_util.Capability.t
 
 val touch_subfile : update -> index:int -> Afs_util.Capability.t Errors.r

@@ -11,8 +11,6 @@ type t = Flags.t Pagepath.Map.t
 
 let empty = Pagepath.Map.empty
 
-let cardinal = Pagepath.Map.cardinal
-
 let flags_at t path =
   match Pagepath.Map.find_opt path t with Some f -> f | None -> Flags.clear
 

@@ -23,8 +23,6 @@ type t
 
 val empty : t
 
-val cardinal : t -> int
-
 val flags_at : t -> Afs_util.Pagepath.t -> Flags.t
 (** [Flags.clear] for paths never accessed. *)
 

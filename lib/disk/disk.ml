@@ -28,7 +28,7 @@ type t = {
   mutable bytes_written : int;
   mutable busy_ms : float;
   mutable in_use : int;
-  mutable trace : Trace.t;
+  trace : Trace.t;
 }
 
 let create ?(trace = Trace.null) ~media ~blocks ~block_size () =
@@ -48,9 +48,6 @@ let create ?(trace = Trace.null) ~media ~blocks ~block_size () =
     trace;
   }
 
-let set_trace t tr = t.trace <- tr
-
-let media t = t.media
 let block_count t = Array.length t.blocks
 let block_size t = t.block_size
 

@@ -30,10 +30,6 @@ val create :
     writes emit [disk.read]/[disk.write] trace events carrying the media
     kind, block number and simulated cost. *)
 
-val set_trace : t -> Afs_trace.Trace.t -> unit
-(** Swap the trace handle, for disks created before the sink exists. *)
-
-val media : t -> Media.t
 val block_count : t -> int
 val block_size : t -> int
 

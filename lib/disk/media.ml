@@ -11,11 +11,6 @@ let electronic = { kind = Electronic; seek_ms = 0.02; transfer_ms_per_kb = 0.001
 let magnetic = { kind = Magnetic; seek_ms = 28.0; transfer_ms_per_kb = 0.8; write_once = false }
 let optical = { kind = Optical; seek_ms = 150.0; transfer_ms_per_kb = 2.0; write_once = true }
 
-let of_kind = function
-  | Electronic -> electronic
-  | Magnetic -> magnetic
-  | Optical -> optical
-
 let read_cost t ~bytes = t.seek_ms +. (t.transfer_ms_per_kb *. (float_of_int bytes /. 1024.0))
 
 (* Optical writes verify after writing, roughly doubling transfer time. *)
@@ -28,8 +23,3 @@ let kind_name = function
   | Magnetic -> "magnetic"
   | Optical -> "optical"
 
-let pp_kind ppf k = Fmt.string ppf (kind_name k)
-
-let pp ppf t =
-  Fmt.pf ppf "%a(seek=%.2fms xfer=%.3fms/KB%s)" pp_kind t.kind t.seek_ms t.transfer_ms_per_kb
-    (if t.write_once then " write-once" else "")

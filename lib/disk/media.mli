@@ -21,8 +21,6 @@ val electronic : t
 val magnetic : t
 val optical : t
 
-val of_kind : kind -> t
-
 val read_cost : t -> bytes:int -> float
 (** Simulated milliseconds to read [bytes] from this medium. *)
 
@@ -30,6 +28,3 @@ val write_cost : t -> bytes:int -> float
 
 val kind_name : kind -> string
 (** Lowercase media name, the [media] label in disk trace events. *)
-
-val pp_kind : kind Fmt.t
-val pp : t Fmt.t

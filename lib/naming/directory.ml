@@ -2,67 +2,12 @@ module Capability = Afs_util.Capability
 module Pagepath = Afs_util.Pagepath
 module Wire = Afs_util.Wire
 module Client = Afs_core.Client
-module Cluster_client = Afs_cluster.Cluster_client
 module Errors = Afs_core.Errors
 
 open Errors
 
-(* {2 The storage access a directory needs}
-
-   A first-class record rather than a functor: the polymorphic [a_update]
-   field is the whole interface burden, and a record value can be built
-   from anything — a bare client, a cluster client, a test double. *)
-
-type txn_ops = {
-  t_read : Pagepath.t -> bytes Errors.r;
-  t_write : Pagepath.t -> bytes -> unit Errors.r;
-  t_insert : parent:Pagepath.t -> index:int -> Pagepath.t Errors.r;
-}
-
-type access = {
-  a_create_file : bytes -> Capability.t Errors.r;
-  a_update : 'a. Capability.t -> (txn_ops -> 'a Errors.r) -> 'a Errors.r;
-  a_read_current : Capability.t -> Pagepath.t -> bytes Errors.r;
-  a_read_cached : Capability.t -> Pagepath.t -> bytes Errors.r;
-}
-
-let client_access client =
-  {
-    a_create_file = (fun data -> Client.create_file client ~data ());
-    a_update =
-      (fun dir body ->
-        Client.update client dir (fun txn ->
-            body
-              {
-                t_read = Client.Txn.read txn;
-                t_write = Client.Txn.write txn;
-                t_insert = (fun ~parent ~index -> Client.Txn.insert txn ~parent ~index ());
-              }));
-    a_read_current = Client.read_current client;
-    a_read_cached = Client.read_cached client;
-  }
-
-(* No per-client page cache on the cluster path (yet): cached reads are
-   current reads. Correct, just one validation round trip dearer. *)
-let cluster_access client =
-  {
-    a_create_file = (fun data -> Cluster_client.create_file ~data client);
-    a_update =
-      (fun dir body ->
-        Cluster_client.update client dir (fun txn ->
-            body
-              {
-                t_read = Cluster_client.Txn.read txn;
-                t_write = Cluster_client.Txn.write txn;
-                t_insert =
-                  (fun ~parent ~index -> Cluster_client.Txn.insert txn ~parent ~index ());
-              }));
-    a_read_current = Cluster_client.read_current client;
-    a_read_cached = Cluster_client.read_current client;
-  }
-
 type t = {
-  access : access;
+  client : Client.t;
   dir : Capability.t;
   buckets : int;
   (* Deferred updates, newest first: [Some cap] binds, [None] removes.
@@ -131,27 +76,24 @@ let bucket_path t name = Pagepath.of_list [ bucket_of t name ]
 
 (* {2 Operations} *)
 
-let create_with access ?(buckets = 16) () =
-  let* dir = access.a_create_file (encode_meta buckets) in
+let create client ?(buckets = 16) () =
+  let* dir = Client.create_file client ~data:(encode_meta buckets) () in
   let* () =
-    access.a_update dir (fun txn ->
+    Client.update client dir (fun txn ->
         let rec add i =
           if i >= buckets then Ok ()
           else
-            let* _ = txn.t_insert ~parent:Pagepath.root ~index:i in
+            let* _ = Client.Txn.insert txn ~parent:Pagepath.root ~index:i () in
             add (i + 1)
         in
         add 0)
   in
-  Ok { access; dir; buckets; pending = [] }
+  Ok { client; dir; buckets; pending = [] }
 
-let of_capability_with access dir =
-  let* meta = access.a_read_current dir Pagepath.root in
+let of_capability client dir =
+  let* meta = Client.read_current client dir Pagepath.root in
   let* buckets = decode_meta meta in
-  Ok { access; dir; buckets; pending = [] }
-
-let create client ?buckets () = create_with (client_access client) ?buckets ()
-let of_capability client dir = of_capability_with (client_access client) dir
+  Ok { client; dir; buckets; pending = [] }
 
 let capability t = t.dir
 let buckets t = t.buckets
@@ -169,24 +111,24 @@ let apply_ops t txn ops =
     | [] -> Ok ()
     | bi :: rest ->
         let path = Pagepath.of_list [ bi ] in
-        let* data = txn.t_read path in
+        let* data = Client.Txn.read txn path in
         let* entries = decode_entries data in
         let entries' =
           List.fold_left
             (fun es (name, op) -> if bucket_of t name = bi then apply_op es (name, op) else es)
             entries ops
         in
-        let* () = txn.t_write path (encode_entries entries') in
+        let* () = Client.Txn.write txn path (encode_entries entries') in
         per_bucket rest
   in
   per_bucket (List.sort_uniq compare (List.map (fun (name, _) -> bucket_of t name) ops))
 
 (* One commit carries the queued ops plus [extra]; the queue empties only
-   on success ([a_update] retries conflicts internally, so a failure here
+   on success ([Client.update] retries conflicts internally, so a failure here
    is final for this attempt and the queue survives for the next one). *)
 let run_with_pending t extra =
   let ops = List.rev_append t.pending extra in
-  let* () = t.access.a_update t.dir (fun txn -> apply_ops t txn ops) in
+  let* () = Client.update t.client t.dir (fun txn -> apply_ops t txn ops) in
   t.pending <- [];
   Ok ()
 
@@ -206,20 +148,20 @@ let lookup t name =
   match List.assoc_opt name t.pending with
   | Some op -> Ok op
   | None ->
-      let* data = t.access.a_read_cached t.dir (bucket_path t name) in
+      let* data = Client.read_cached t.client t.dir (bucket_path t name) in
       let* entries = decode_entries data in
       Ok (List.assoc_opt name entries)
 
 let remove t name =
   let ops = List.rev t.pending in
   let* existed =
-    t.access.a_update t.dir (fun txn ->
+    Client.update t.client t.dir (fun txn ->
         let* () = apply_ops t txn ops in
         let path = bucket_path t name in
-        let* data = txn.t_read path in
+        let* data = Client.Txn.read txn path in
         let* entries = decode_entries data in
         if List.mem_assoc name entries then
-          let* () = txn.t_write path (encode_entries (List.remove_assoc name entries)) in
+          let* () = Client.Txn.write txn path (encode_entries (List.remove_assoc name entries)) in
           Ok true
         else Ok false)
   in
@@ -232,7 +174,7 @@ let list_names t =
       let visible = List.fold_left apply_op acc (List.rev t.pending) in
       Ok (List.sort String.compare (List.map fst visible))
     else
-      let* data = t.access.a_read_cached t.dir (Pagepath.of_list [ i ]) in
+      let* data = Client.read_cached t.client t.dir (Pagepath.of_list [ i ]) in
       let* entries = decode_entries data in
       go (i + 1) (List.rev_append entries acc)
   in

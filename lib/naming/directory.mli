@@ -6,48 +6,12 @@
     pages under the root, each holding (name, capability) entries. Every
     directory mutation is an atomic optimistic update of one bucket page,
     so concurrent [enter]s of names in different buckets never conflict,
-    and lookups ride the client page cache (§5.4). This module contains
+    and lookups ride the client page cache (§5.4). Storage goes through
+    the ordinary {!Afs_core.Client} interface, and this module contains
     no concurrency control of its own — demonstrating that the file
     service's mechanism is sufficient substrate for higher services. *)
 
 type t
-
-(** {2 Storage access}
-
-    The directory logic is written against a small access record rather
-    than {!Afs_core.Client} directly, so the same code serves a file on a
-    single server or on a shard cluster (where the directory file itself
-    can migrate under live [enter]s — atomicity per bucket update is the
-    file service's, not this module's). *)
-
-type txn_ops = {
-  t_read : Afs_util.Pagepath.t -> bytes Afs_core.Errors.r;
-  t_write : Afs_util.Pagepath.t -> bytes -> unit Afs_core.Errors.r;
-  t_insert :
-    parent:Afs_util.Pagepath.t -> index:int -> Afs_util.Pagepath.t Afs_core.Errors.r;
-}
-
-type access = {
-  a_create_file : bytes -> Afs_util.Capability.t Afs_core.Errors.r;
-  a_update :
-    'a.
-    Afs_util.Capability.t -> (txn_ops -> 'a Afs_core.Errors.r) -> 'a Afs_core.Errors.r;
-      (** Must provide the {!Afs_core.Client.update} contract: run the
-          body in a fresh version, commit, redo the whole body on
-          [Conflict]. *)
-  a_read_current : Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r;
-  a_read_cached : Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r;
-}
-
-val client_access : Afs_core.Client.t -> access
-
-val cluster_access : Afs_cluster.Cluster_client.t -> access
-(** Location-transparent directory storage; must run inside a simulation
-    process. Cached reads degrade to current reads (the cluster client
-    carries no page cache yet). *)
-
-val create_with : access -> ?buckets:int -> unit -> t Afs_core.Errors.r
-val of_capability_with : access -> Afs_util.Capability.t -> t Afs_core.Errors.r
 
 val create : Afs_core.Client.t -> ?buckets:int -> unit -> t Afs_core.Errors.r
 (** A fresh directory file with the given bucket count (default 16). *)

@@ -32,7 +32,6 @@ module Remote = Afs_rpc.Remote
 
 type register = { block : int; mutable epoch : int }
 
-let register_block r = r.block
 let register_epoch r = r.epoch
 
 type batch = { seq : int; epoch : int; ship_at : float; ops : Store.op list }
@@ -47,17 +46,17 @@ type t = {
   mutable shipped_seq : int;
   mutable applied_seq : int;
   mutable armed : bool;  (** An apply event is already scheduled. *)
-  apply_interval_ms : float;
   lag : Stats.Histogram.t;
   counters : Stats.Counter.t;
   mutable failed : string option;  (** First apply error, sticky. *)
-  mutable trace : Trace.t;
+  trace : Trace.t;
 }
 
-let create ?(apply_interval_ms = 5.0) ?store ?(counters = Stats.Counter.create ())
-    ?(trace = Trace.null) engine ~shard ~reg () =
-  if apply_interval_ms < 0.0 then
-    invalid_arg "Replica.create: apply_interval_ms must be >= 0";
+(* The virtual-time delay between a feed and the drain that applies it. *)
+let apply_interval_ms = 5.0
+
+let create ?store ?(counters = Stats.Counter.create ()) ?(trace = Trace.null) engine ~shard
+    ~reg () =
   let store = match store with Some s -> s | None -> Store.memory () in
   {
     engine;
@@ -69,7 +68,6 @@ let create ?(apply_interval_ms = 5.0) ?store ?(counters = Stats.Counter.create (
     shipped_seq = 0;
     applied_seq = 0;
     armed = false;
-    apply_interval_ms;
     lag = Stats.Histogram.create ();
     counters;
     failed = None;
@@ -78,14 +76,11 @@ let create ?(apply_interval_ms = 5.0) ?store ?(counters = Stats.Counter.create (
 
 let store r = r.store
 let epoch r = r.epoch
-let shard r = r.shard
 let applied_seq r = r.applied_seq
 let shipped_seq r = r.shipped_seq
 let queued r = Queue.length r.queue
 let lag_histogram r = r.lag
-let counters r = r.counters
 let failure r = r.failed
-let set_trace r tr = r.trace <- tr
 
 let tpoint r payload = if Trace.enabled r.trace then Trace.point r.trace payload
 
@@ -119,7 +114,7 @@ let drain r =
 let arm r =
   if not r.armed then begin
     r.armed <- true;
-    Engine.at r.engine r.apply_interval_ms (fun () ->
+    Engine.at r.engine apply_interval_ms (fun () ->
         r.armed <- false;
         drain r)
   end
@@ -173,7 +168,7 @@ module Source = struct
     mutable seq : int;
     mutable replicas : t list;
     counters : Stats.Counter.t;
-    mutable trace : Trace.t;
+    trace : Trace.t;
   }
 
   let create ?reg ?(seq = 0) ?(counters = Stats.Counter.create ()) ?(trace = Trace.null)
@@ -204,13 +199,8 @@ module Source = struct
                 record (Store.Write (b, Bytes.copy data));
                 Ok ()
             | Error _ as e -> e);
-        write_batch =
-          (fun entries ->
-            match store.Store.write_batch entries with
-            | Ok () ->
-                List.iter (fun (b, d) -> record (Store.Write (b, Bytes.copy d))) entries;
-                Ok ()
-            | Error _ as e -> e);
+        (* [write_batch] is not captured: its one caller is the publish
+           leg, whose pages and references the gate has already cut. *)
       }
     in
     let reg =
@@ -242,8 +232,6 @@ module Source = struct
   let register s = s.reg
   let born_epoch s = s.born_epoch
   let shipped_seq s = s.seq
-  let replicas s = s.replicas
-  let set_trace s tr = s.trace <- tr
   let fenced s = s.reg.epoch <> s.born_epoch
 
   let attach s r = s.replicas <- s.replicas @ [ r ]

@@ -6,7 +6,7 @@
     commit references of each publish into sequenced batches and feeds them to
     the attached replicas. Feeding is synchronous with the commit (the
     reliable log append); application is asynchronous — a replica drains
-    its queue one [apply_interval_ms] later, so per-shard replication lag
+    its queue 5 ms of virtual time later, so per-shard replication lag
     is real and lands in a histogram.
 
     Failover reuses the paper's commit mechanism as the fencing token.
@@ -20,7 +20,6 @@ type register = { block : int; mutable epoch : int }
 (** The fencing token: promotion test-and-sets [epoch]; [block] is the
     store block that identifies the register in traces. *)
 
-val register_block : register -> int
 val register_epoch : register -> int
 
 type batch = { seq : int; epoch : int; ship_at : float; ops : Afs_core.Store.op list }
@@ -31,7 +30,6 @@ type t
 (** A replica: a store, a queue of shipped batches, and watermarks. *)
 
 val create :
-  ?apply_interval_ms:float ->
   ?store:Afs_core.Store.t ->
   ?counters:Afs_util.Stats.Counter.t ->
   ?trace:Afs_trace.Trace.t ->
@@ -44,12 +42,10 @@ val create :
     a new in-memory store — it must start with the same allocation
     frontier as the primary had when its source was created (normally:
     both fresh), because shipped allocations replay by absolute block
-    number. [apply_interval_ms] (default 5.0) is the virtual-time delay
-    between a feed and the drain that applies it. *)
+    number. A feed is applied 5 ms of virtual time later. *)
 
 val store : t -> Afs_core.Store.t
 val epoch : t -> int
-val shard : t -> int
 
 val applied_seq : t -> int
 (** The applied watermark: every batch with seq <= this is in the store. *)
@@ -60,17 +56,9 @@ val shipped_seq : t -> int
 
 val queued : t -> int
 val lag_histogram : t -> Afs_util.Stats.Histogram.t
-val counters : t -> Afs_util.Stats.Counter.t
 
 val failure : t -> string option
 (** The first apply error, if any; a failed replica stops applying. *)
-
-val set_trace : t -> Afs_trace.Trace.t -> unit
-
-val feed : t -> batch -> unit
-(** Enqueue a batch and (if none is pending) schedule the asynchronous
-    drain. Normally called by the source's gate; exposed for the RPC
-    ship path and tests. *)
 
 val drain : t -> unit
 (** Apply everything queued, synchronously, recording lag as of now. *)
@@ -114,14 +102,14 @@ module Source : sig
 
   val capture_store : source -> Afs_core.Store.t
   (** The wrapped store the primary server must run on: reads pass
-      through; successful mutations are recorded for the next cut. *)
+      through; successful single-block mutations are recorded for the
+      next cut. A [write_batch] is not: the publish leg is its only
+      caller, and {!tap} has already cut those pages and references. *)
 
   val inner_store : source -> Afs_core.Store.t
   val register : source -> register
   val born_epoch : source -> int
   val shipped_seq : source -> int
-  val replicas : source -> t list
-  val set_trace : source -> Afs_trace.Trace.t -> unit
 
   val fenced : source -> bool
   (** True once the register's epoch moved past this source's: a
@@ -144,12 +132,6 @@ end
 
 (** {2 The replica as a remote service} *)
 
-val handle : t -> Afs_rpc.Remote.request -> Afs_rpc.Remote.response
-(** Replication-plane dispatch: [Ship] feeds (rejecting a stale epoch
-    with [Conflict]), [Promote] runs {!promote} and answers the
-    watermark, [Replica_watermark] reads it; every file-service request
-    is refused. *)
-
 val host :
   ?latency_ms:float ->
   ?proc_ms:float ->
@@ -157,4 +139,7 @@ val host :
   name:string ->
   t ->
   (Afs_rpc.Remote.request, Afs_rpc.Remote.response) Afs_rpc.Rpc.t
-(** Serve {!handle} behind an RPC endpoint. *)
+(** Serve the replication plane behind an RPC endpoint: [Ship] feeds
+    (rejecting a stale epoch with [Conflict]), [Promote] runs {!promote}
+    and answers the watermark, [Replica_watermark] reads it; every
+    file-service request is refused. *)

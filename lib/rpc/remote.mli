@@ -90,10 +90,6 @@ type value =
 
 type response = (value, Afs_core.Errors.t) result
 
-val handle : Afs_core.Server.t -> request -> response
-(** The host-side dispatch, exposed so layers above (the cluster) can wrap
-    it with their own checks while reusing the request vocabulary. *)
-
 type host
 
 val host :
@@ -107,7 +103,7 @@ val host :
   Afs_core.Server.t ->
   host
 (** [wrap] interposes on the host's handler (it receives the base
-    {!handle} applied to the server). The whole wrapped handler still runs
+    dispatch applied to the server). The whole wrapped handler still runs
     atomically within one simulated event, so a wrapper's pre/post work is
     indivisible from the request it decorates — the property the cluster's
     location check depends on.

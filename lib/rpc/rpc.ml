@@ -9,6 +9,7 @@ let pp_call_error ppf = function
   | Timeout -> Fmt.string ppf "timeout"
   | Server_crashed -> Fmt.string ppf "server crashed"
 
+(* Client-side request timeout against a dead server. *)
 let timeout_ms = 500.0
 
 type ('req, 'resp) pending = {
@@ -170,8 +171,6 @@ let restart t =
   let tr = trace t in
   if Trace.enabled tr then
     Trace.point tr (Trace.Crash { component = t.name; what = "restart" })
-
-let name t = t.name
 
 let is_up t = t.up
 let requests_served t = t.served

@@ -59,12 +59,6 @@ val restart : ('req, 'resp) t -> unit
 (** Bring the server back (its handler state is whatever the underlying
     service says it is — volatile loss is the service's business). *)
 
-val name : ('req, 'resp) t -> string
-(** The label given at {!serve} time; for logs and reports. *)
-
 val is_up : ('req, 'resp) t -> bool
 
 val requests_served : ('req, 'resp) t -> int
-
-val timeout_ms : float
-(** Client-side request timeout against a dead server. *)

@@ -49,7 +49,7 @@ type t = {
   rng : Xrng.t;
   block_size : int;
   blocks : int;
-  mutable trace : Trace.t;
+  trace : Trace.t;
 }
 
 let make_server ~trace ~media ~blocks ~block_size =
@@ -71,10 +71,6 @@ let create ?(seed = 0x57AB1E) ?(media = Media.magnetic) ?(trace = Trace.null) ~b
   let disk_block_size = block_size + envelope_overhead in
   let server () = make_server ~trace ~media ~blocks ~block_size:disk_block_size in
   { servers = [| server (); server () |]; rng = Xrng.create seed; block_size; blocks; trace }
-
-let set_trace t tr =
-  t.trace <- tr;
-  Array.iter (fun s -> Disk.set_trace s.disk tr) t.servers
 
 let leg t ~leg ~server ~block ~cost_ms =
   if Trace.enabled t.trace then

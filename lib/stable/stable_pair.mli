@@ -22,10 +22,10 @@
     relies on {!Afs_disk.Disk.write} storing a copy. Repairs copy the
     surviving side's verified image unchanged.
 
-    The protocol steps ({!tentative_allocate}, {!shadow_write},
-    {!local_write}) are exposed individually so the RPC layer can
-    interleave them between concurrent clients under the event engine; the
-    composite operations run all steps back-to-back for synchronous use.
+    The protocol steps ({!tentative_allocate}, {!shadow_write}) are
+    exposed individually so the RPC layer can interleave them between
+    concurrent clients under the event engine; the composite operations
+    run all steps back-to-back for synchronous use.
     Every result carries the simulated cost of the disk and message work
     it performed. *)
 
@@ -60,9 +60,6 @@ val create :
     With a trace, each write leg emits a [stable.leg] event — ["shadow"]
     (A→B), ["local"] (back to A), ["companion_read"] and ["repair"] on
     fallback reads — making the A→B→A pattern of §4 visible. *)
-
-val set_trace : t -> Afs_trace.Trace.t -> unit
-(** Install a trace handle on the pair and both underlying disks. *)
 
 val block_size : t -> int
 val disk : t -> id -> Afs_disk.Disk.t
@@ -114,10 +111,6 @@ val shadow_write : t -> primary:id -> fresh:bool -> int -> bytes -> int64 outcom
 val local_write_seq : t -> id -> int -> bytes -> int64 -> unit outcome
 (** The primary's own disk write, performed after a successful shadow,
     with the sequence number the shadow returned. *)
-
-val local_write : t -> id -> int -> bytes -> unit outcome
-(** Unshadowed local write with a fresh sequence number (recovery and
-    intention replay use this). *)
 
 (** {2 Crashes and recovery} *)
 

@@ -25,9 +25,6 @@ val spans : Trace.event list -> span list
 
 val spans_of_kind : Trace.event list -> string -> span list
 
-val points : Trace.event list -> Trace.payload list
-(** Point payloads in event order. *)
-
 val points_of_kind : Trace.event list -> string -> Trace.payload list
 
 val count : Trace.event list -> string -> int

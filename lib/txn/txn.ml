@@ -102,34 +102,30 @@ type t = {
   trace : Trace.t;
   counters : Stats.Counter.t;
   mutable next_seq : int;
-  mutable round_trips : int;
-  backoff_ms : float;
   pending_patience : int;
   free : (int, (Capability.t * bytes) list) Hashtbl.t;
       (** Reusable coordinator records by shard id, each with the root
           data it holds. *)
 }
 
-let create ?(trace = Trace.null) ?(backoff_ms = 5.0) ?(pending_patience = 32) client =
+(* The wait between polls of a busy record or a pending coordinator. *)
+let backoff_ms = 5.0
+
+let create ?(trace = Trace.null) ?(pending_patience = 32) client =
   {
     client;
     trace;
     counters = Stats.Counter.create ();
     next_seq = 1;
-    round_trips = 0;
-    backoff_ms;
     pending_patience;
     free = Hashtbl.create 8;
   }
 
 let counters t = t.counters
-let round_trips t = t.round_trips
 let bump ?by t name = Stats.Counter.incr ?by t.counters name
 let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
 
-let rt ?(n = 1) t =
-  t.round_trips <- t.round_trips + n;
-  bump ~by:n t "txn.round_trips"
+let rt ?(n = 1) t = bump ~by:n t "txn.round_trips"
 
 (* {2 The decision logic (pure)}
 
@@ -230,7 +226,7 @@ let decide_record t ~record ~seq ~seen ~commit =
           | Unknown_record -> Error (Store_failure "txn: unrecognised record state")
           | (Committed | Aborted | Superseded) as final -> Ok (final, current))
       | Error (Store_failure _) when n < transport_patience ->
-          Proc.delay t.backoff_ms;
+          Proc.delay backoff_ms;
           attempt expected (n + 1)
       | Error e -> Error e
   in
@@ -386,7 +382,7 @@ let resolve_in_doubt t ~patience file =
               apply t entry ~forward:false
           | Gone -> Ok ()
           | Wait _ when waits < patience ->
-              Proc.delay (t.backoff_ms *. float_of_int (min 8 (1 lsl min waits 3)));
+              Proc.delay (backoff_ms *. float_of_int (min 8 (1 lsl min waits 3)));
               await (waits + 1)
           | Wait m -> (
               bump t "txn.force_aborts";
@@ -584,7 +580,7 @@ let coordinated t ~crash_at ~on_record parts =
                            can only discover the same race by aborting
                            every prepared participant. *)
                         bump t "txn.stage_retries";
-                        if tries mod 4 = 3 then Proc.delay t.backoff_ms;
+                        if tries mod 4 = 3 then Proc.delay backoff_ms;
                         attempt (tries + 1)
                     | Error e -> Error e
                 in

@@ -64,12 +64,11 @@ type t
 
 val create :
   ?trace:Afs_trace.Trace.t ->
-  ?backoff_ms:float ->
   ?pending_patience:int ->
   Afs_cluster.Cluster_client.t ->
   t
 (** A coordinator bound to a cluster client. [pending_patience] is how
-    many [backoff_ms] waits a resolver grants a still-pending
+    many 5 ms waits a resolver grants a still-pending
     coordinator before force-aborting it. The default (32) comfortably
     covers a live coordinator's full stage-decide-flip protocol under
     load, so force-aborts only fire on genuinely dead coordinators;
@@ -138,10 +137,6 @@ val force_abort :
     record had already moved past it (and then nothing was written). *)
 
 (** {2 Accounting} *)
-
-val round_trips : t -> int
-(** Client→shard messages this coordinator has sent, across all its
-    transactions — the coordination overhead the S2 bench reports. *)
 
 val counters : t -> Afs_util.Stats.Counter.t
 (** [txn.committed], [txn.aborted.local], [txn.aborted.cross],

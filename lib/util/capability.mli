@@ -27,7 +27,6 @@ val rights_subset : rights -> rights -> bool
 
 val rights_to_int : rights -> int
 val rights_of_int : int -> rights
-val pp_rights : rights Fmt.t
 
 type port = private int
 (** A 48-bit service port, the Amoeba addressing unit. Ports also serve as
@@ -35,7 +34,6 @@ type port = private int
 
 val port_of_int : int -> port
 val port_to_int : port -> int
-val pp_port : port Fmt.t
 
 type t = { port : port; obj : int; rights : rights; check : int }
 (** The capability proper. [check] is opaque to clients. *)

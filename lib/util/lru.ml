@@ -23,7 +23,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be positive";
   { capacity; table = Hashtbl.create (min capacity 1024); head = None; tail = None }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 
 (* {2 Intrusive list plumbing} *)
@@ -87,9 +86,6 @@ let pin t k =
 let unpin t k =
   match Hashtbl.find_opt t.table k with None -> () | Some n -> n.pinned <- false
 
-let pinned t k =
-  match Hashtbl.find_opt t.table k with None -> false | Some n -> n.pinned
-
 let needs_eviction t = length t > t.capacity
 
 (* Oldest unpinned entry: a linear scan from the tail, but the scan only
@@ -115,5 +111,3 @@ let fold f t init =
     | Some n -> go (f n.key n.value acc) n.next
   in
   go init t.head
-
-let iter f t = fold (fun k v () -> f k v) t ()

@@ -2,7 +2,7 @@
 
     Hashtable + intrusive doubly-linked recency list: {!find}, {!set} and
     {!remove} are O(1). The structure never evicts on its own — {!set}
-    may push {!length} above {!capacity}, and the owner then drains the
+    may push {!length} above the capacity, and the owner then drains the
     excess via {!lru_unpinned} + {!remove}, performing whatever write-back
     the evicted value needs first. Pinned entries are skipped as eviction
     candidates (used for blocks held under a commit lock). *)
@@ -12,7 +12,6 @@ type ('k, 'v) t
 val create : capacity:int -> ('k, 'v) t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option
@@ -33,10 +32,9 @@ val pin : ('k, 'v) t -> 'k -> bool
 (** Exempt the entry from eviction; [false] when the key is absent. *)
 
 val unpin : ('k, 'v) t -> 'k -> unit
-val pinned : ('k, 'v) t -> 'k -> bool
 
 val needs_eviction : ('k, 'v) t -> bool
-(** [length t > capacity t]. *)
+(** [length t] exceeds the capacity given to {!create}. *)
 
 val lru_unpinned : ('k, 'v) t -> ('k * 'v) option
 (** The least-recently-used unpinned entry — the eviction candidate.
@@ -48,5 +46,3 @@ val clear : ('k, 'v) t -> unit
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 (** Recency order, most recent first — deterministic given a deterministic
     access sequence. *)
-
-val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit

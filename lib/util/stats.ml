@@ -26,11 +26,7 @@ module Summary = struct
   let stddev t = sqrt (variance t)
   let min t = if t.count = 0 then 0.0 else t.min
   let max t = if t.count = 0 then 0.0 else t.max
-  let total t = t.total
 
-  let pp ppf t =
-    Fmt.pf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.count (mean t) (stddev t)
-      (min t) (max t)
 end
 
 module Histogram = struct

@@ -14,8 +14,6 @@ module Summary : sig
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-  val total : t -> float
-  val pp : t Fmt.t
 end
 
 module Histogram : sig

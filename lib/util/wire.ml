@@ -7,7 +7,6 @@ module Writer = struct
 
   let create ?(capacity = 256) () = { buf = Buffer.create capacity }
 
-  let length t = Buffer.length t.buf
   let u8 t v = Buffer.add_char t.buf (Char.chr (v land 0xFF))
 
   let u16 t v =

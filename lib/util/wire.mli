@@ -11,16 +11,12 @@ module Writer : sig
 
   val create : ?capacity:int -> unit -> t
 
-  val length : t -> int
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
   val u64 : t -> int64 -> unit
   val varint : t -> int -> unit
   (** Unsigned LEB128; compact for small reference counts and sizes. *)
-
-  val bytes : t -> bytes -> unit
-  (** Raw bytes, no length prefix. *)
 
   val sized_bytes : t -> bytes -> unit
   (** Varint length prefix followed by the bytes. *)
@@ -45,7 +41,6 @@ module Reader : sig
   type t
 
   val of_bytes : bytes -> t
-  val remaining : t -> int
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int

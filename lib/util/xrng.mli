@@ -13,9 +13,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. Equal seeds give
     equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of [t]'s subsequent output. *)

@@ -2,7 +2,7 @@
    O(n) space, which is fine for the workload sizes used here (<= 1e6) and
    makes [sample] an O(log n) binary search with exact probabilities. *)
 
-type t = { n : int; theta : float; cumulative : float array }
+type t = { n : int; cumulative : float array }
 
 let create ~n ~theta =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
@@ -16,11 +16,7 @@ let create ~n ~theta =
     cumulative.(k) <- !acc
   done;
   cumulative.(n - 1) <- 1.0;
-  { n; theta; cumulative }
-
-let n t = t.n
-
-let theta t = t.theta
+  { n; cumulative }
 
 (* Smallest k with cumulative.(k) >= u. Iterative on purpose: the inner
    recursive function this used to be captured [u] and [t] in a closure

@@ -11,10 +11,6 @@ val create : n:int -> theta:float -> t
 (** [create ~n ~theta] prepares a sampler over ranks [0, n). Raises
     [Invalid_argument] if [n <= 0] or [theta < 0]. *)
 
-val n : t -> int
-
-val theta : t -> float
-
 val sample : t -> Xrng.t -> int
 (** Draw a rank; rank 0 is the most popular. *)
 

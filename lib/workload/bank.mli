@@ -18,7 +18,6 @@ type params = {
 val default : params
 
 val initial_page : params -> bytes
-val decode_balance : bytes -> int
 
 val generator : params -> Workload.generator
 

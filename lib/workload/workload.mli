@@ -36,9 +36,6 @@ val setup_cluster :
     placement shard, built by the same direct-call sequence (so a
     one-shard cluster ends up in the same state as a bare server). *)
 
-val payload : Afs_util.Xrng.t -> int -> bytes
-(** Random printable payload of the given size. *)
-
 (** {2 The cross-shard banking mix (scenario S2)} *)
 
 type transfer_shape = {
@@ -70,10 +67,6 @@ val setup_accounts :
 (** Create the account then object files (one page each) round-robin on
     a {e fresh} cluster, so file [i] lands on shard [i mod shards] as
     {!transfer} assumes. *)
-
-val balance : bytes -> int
-(** Decode a balance page; unparsable data counts as zero (surfacing as
-    a conservation violation rather than a harness crash). *)
 
 val total_balance : Sut.t -> transfer_shape -> int
 (** Sum of all account balances via out-of-band reads — the conserved

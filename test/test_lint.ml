@@ -1,7 +1,8 @@
 (* The lint engine against known-violation fixtures: each rule family must
    fire exactly where expected, stay silent on the blessed shapes, and be
    suppressible through the allowlist. The proto/ fixtures exercise the
-   interprocedural families (Y1/C1/X1) and the call-graph fixpoint. *)
+   interprocedural families (Y1/C1/X1) and the call-graph fixpoint; the
+   u1/ fixture exercises unused exports (U1). *)
 
 let fixture_config =
   {
@@ -40,6 +41,8 @@ let fixture_config =
     moved_sources = [ "Store.fetch_remote" ];
     y1_dirs = [ "lint_fixtures" ];
     x1_dirs = [ "lint_fixtures" ];
+    u1_dirs = [ "lint_fixtures/u1/lib" ];
+    reference_dirs = [ "lint_fixtures/u1/test" ];
   }
 
 let run ?(config = fixture_config) ?(allowlist = []) dirs =
@@ -59,7 +62,7 @@ let scan = lazy (run [ "lint_fixtures" ])
 let test_parses_everything () =
   let r = Lazy.force scan in
   Alcotest.(check (list (pair string string))) "no unparseable fixtures" [] r.broken;
-  Alcotest.(check int) "all fixtures scanned" 28 r.files_scanned
+  Alcotest.(check int) "all fixtures scanned" 30 r.files_scanned
 
 let test_d1_ambient () =
   check_keys "one finding per ambient source, none in the exempt file"
@@ -282,6 +285,56 @@ let test_callgraph () =
         chain
   | None -> Alcotest.fail "no witness chain for C1_commit.commit"
 
+(* {2 Unused exports} *)
+
+let u1_keys (r : Lint_engine.result) = List.filter (fun (rule, _, _) -> rule = "U1") (keys r)
+
+(* u1/lib/u1_api.mli exports one value of each kind: [used] (through a
+   module alias), [test_only] (by the reference tree only), [unused], and
+   the nested [Nested.deep] (under a local open) and [Nested.orphan]. *)
+let test_u1 () =
+  let r = Lazy.force scan in
+  check_keys "exactly the unreferenced exports fire, nested ones included"
+    [
+      ("U1", "lint_fixtures/u1/lib/u1_api.mli", "U1_api.unused");
+      ("U1", "lint_fixtures/u1/lib/u1_api.mli", "U1_api.Nested.orphan");
+    ]
+    (u1_keys r);
+  Alcotest.(check (list string)) "the test-only export is counted" [ "U1_api.test_only" ]
+    r.test_only;
+  Alcotest.(check int) "every val in scope is an export" 5 r.exports
+
+(* Without the reference tree, the test-only export has no reference
+   left and becomes a finding; the alias and open uses still count. *)
+let test_u1_without_references () =
+  let config = { fixture_config with Lint_types.reference_dirs = []; critical_sections = [] } in
+  let r = run ~config [ "lint_fixtures/u1/lib" ] in
+  check_keys "test_only joins the unused exports"
+    [
+      ("U1", "lint_fixtures/u1/lib/u1_api.mli", "U1_api.test_only");
+      ("U1", "lint_fixtures/u1/lib/u1_api.mli", "U1_api.unused");
+      ("U1", "lint_fixtures/u1/lib/u1_api.mli", "U1_api.Nested.orphan");
+    ]
+    (u1_keys r);
+  Alcotest.(check (list string)) "nothing is test-only" [] r.test_only
+
+let u1_inputs =
+  lazy
+    (let parse parser dirs suffix =
+       let parsed, broken =
+         Lint_engine.parse_files parser ~root:"."
+           (Lint_engine.files_with ~suffix ~root:"." dirs)
+       in
+       if broken <> [] then Alcotest.fail "unparseable U1 fixture";
+       parsed
+     in
+     let refs = fixture_config.Lint_types.reference_dirs in
+     ( parse Parse.interface [ "lint_fixtures" ] ".mli",
+       List.filter
+         (fun (file, _) -> not (Lint_types.in_scope refs file))
+         (Lazy.force proto_parsed),
+       parse Parse.implementation refs ".ml" ))
+
 (* Finding order must be a pure function of the file *set*: permuting the
    parse order must not reorder or change the interprocedural report. *)
 let prop_shuffle_stable =
@@ -305,7 +358,11 @@ let prop_shuffle_stable =
     (fun seed ->
       let parsed = Lazy.force proto_parsed in
       let baseline = Lint_proto.analyse fixture_config parsed in
-      Lint_proto.analyse fixture_config (shuffle seed parsed) = baseline)
+      let interfaces, checked, references = Lazy.force u1_inputs in
+      Lint_proto.analyse fixture_config (shuffle seed parsed) = baseline
+      && Lint_exports.analyse fixture_config ~interfaces:(shuffle seed interfaces)
+           ~checked:(shuffle seed checked) ~references:(shuffle seed references)
+         = Lint_exports.analyse fixture_config ~interfaces ~checked ~references)
 
 (* {2 Allowlist} *)
 
@@ -352,7 +409,7 @@ let test_allowlist_unused_and_errors () =
        "line 1: want 'RULE file symbol  # justification', got \"only-two fields\"")
     (fun () -> ignore (Lint_allow.of_string "only-two fields\n"));
   Alcotest.check_raises "unknown rule rejected"
-    (Lint_allow.Parse_error "line 1: unknown rule \"Z9\" (want D1|P1|E1|M1|Y1|C1|X1)") (fun () ->
+    (Lint_allow.Parse_error "line 1: unknown rule \"Z9\" (want D1|P1|E1|M1|Y1|C1|X1|U1)") (fun () ->
       ignore (Lint_allow.of_string "Z9 some/file.ml sym\n"));
   Alcotest.check_raises "entry without justification rejected"
     (Lint_allow.Parse_error
@@ -383,6 +440,8 @@ let () =
           Alcotest.test_case "X1 Moved exhaustiveness" `Quick test_x1;
           Alcotest.test_case "call graph fixpoint" `Quick test_callgraph;
           QCheck_alcotest.to_alcotest prop_shuffle_stable;
+          Alcotest.test_case "U1 unused exports" `Quick test_u1;
+          Alcotest.test_case "U1 without the tests" `Quick test_u1_without_references;
         ] );
       ( "allowlist",
         [

@@ -108,6 +108,40 @@ let test_replica_on_stable_pair () =
         "stable replica byte-identical" true
         (digest (Replica.Source.inner_store source) = digest (Replica.store r)))
 
+(* Each publish ships once. The gate cuts a publish's pages and
+   references before the page store writes them, so the replica applies
+   exactly as many block writes as the primary performs. *)
+let test_publish_ships_once () =
+  in_sim (fun engine ->
+      let primary, primary_io = Store.counting (Store.memory ()) in
+      let replica, replica_io = Store.counting (Store.memory ()) in
+      let source = Replica.Source.create engine primary in
+      let reg = Replica.Source.register source in
+      let r = Replica.create ~store:replica engine ~shard:0 ~reg () in
+      Replica.Source.attach source r;
+      let server =
+        Server.create ~publish_tap:(Replica.Source.tap source)
+          (Replica.Source.capture_store source)
+      in
+      let f = ok (Server.create_file server ~data:(bytes "root") ()) in
+      for i = 0 to 19 do
+        let v = ok (Server.create_version server f) in
+        ignore
+          (ok
+             (Server.insert_page server v ~parent:P.root ~index:i
+                ~data:(bytes (Printf.sprintf "page %d" i))
+                ()));
+        ok (Server.commit server v)
+      done;
+      Replica.Source.flush source;
+      Replica.drain r;
+      let _, primary_writes = primary_io () and _, replica_writes = replica_io () in
+      Alcotest.(check bool) "the primary wrote" true (primary_writes > 0);
+      Alcotest.(check int) "replica writes = primary writes" primary_writes replica_writes;
+      Alcotest.(check bool)
+        "byte-identical stores" true
+        (digest (Replica.Source.inner_store source) = digest (Replica.store r)))
+
 (* {2 Byte-identity under load (property)} *)
 
 (* Whatever the workload mix, client count or shard count, every replica
@@ -427,6 +461,7 @@ let () =
           quick "ship, apply, watermarks, byte identity" test_ship_apply_watermarks;
           quick "stable-pair replica store" test_replica_on_stable_pair;
           QCheck_alcotest.to_alcotest prop_replica_byte_identity;
+          quick "each publish ships once" test_publish_ships_once;
         ] );
       ( "fencing",
         [

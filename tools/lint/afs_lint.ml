@@ -6,7 +6,8 @@
    Scans the given directories (default: lib bin bench examples) for the
    per-file rule families D1 (determinism), P1 (partiality), E1 (effect
    safety), M1 (interface coverage), and the interprocedural families Y1
-   (yield atomicity), C1 (commit-phase effects), X1 (Moved exhaustiveness).
+   (yield atomicity), C1 (commit-phase effects), X1 (Moved exhaustiveness)
+   and U1 (unused exports; the tests are read for references only).
    [--sarif FILE] additionally writes the findings as SARIF 2.1.0 for CI
    annotation; [--effects] dumps the fixpoint effect classification
    instead of linting. Exit status: 0 clean (warnings allowed), 1 on
@@ -60,7 +61,9 @@ let print_human (r : Lint_engine.result) =
     warnings
     (if warnings = 1 then "" else "s")
     (if r.suppressed = [] then ""
-     else Printf.sprintf " (%d allowlisted)" (List.length r.suppressed))
+     else Printf.sprintf " (%d allowlisted)" (List.length r.suppressed));
+  Printf.printf "afs_lint: %d exports, %d referenced only by tests\n" r.exports
+    (List.length r.test_only)
 
 let () =
   let json = ref false in

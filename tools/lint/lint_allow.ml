@@ -51,8 +51,8 @@ let parse_line lineno line =
         | None ->
             raise
               (Parse_error
-                 (Printf.sprintf "line %d: unknown rule %S (want D1|P1|E1|M1|Y1|C1|X1)" lineno
-                    rule)))
+                 (Printf.sprintf "line %d: unknown rule %S (want %s)" lineno rule
+                    (String.concat "|" (List.map rule_id all_rules)))))
     | _ ->
         raise
           (Parse_error

@@ -1,6 +1,6 @@
 (* Shared vocabulary of the afs_lint static-analysis pass. *)
 
-type rule = D1 | P1 | E1 | M1 | Y1 | C1 | X1
+type rule = D1 | P1 | E1 | M1 | Y1 | C1 | X1 | U1
 
 let rule_id = function
   | D1 -> "D1"
@@ -10,6 +10,7 @@ let rule_id = function
   | Y1 -> "Y1"
   | C1 -> "C1"
   | X1 -> "X1"
+  | U1 -> "U1"
 
 let rule_of_string = function
   | "D1" -> Some D1
@@ -19,9 +20,10 @@ let rule_of_string = function
   | "Y1" -> Some Y1
   | "C1" -> Some C1
   | "X1" -> Some X1
+  | "U1" -> Some U1
   | _ -> None
 
-let all_rules = [ D1; P1; E1; M1; Y1; C1; X1 ]
+let all_rules = [ D1; P1; E1; M1; Y1; C1; X1; U1 ]
 
 let rule_description = function
   | D1 -> "determinism: no ambient time/randomness, no unordered hashtable traversal"
@@ -33,6 +35,7 @@ let rule_description = function
        revalidation"
   | C1 -> "commit phase: designated critical sections are transitively yield- and ambient-free"
   | X1 -> "Moved exhaustiveness: results of Moved-capable operations are never silently dropped"
+  | U1 -> "unused exports: every lib interface value is referenced from another file"
 
 type severity = Error | Warning
 
@@ -92,9 +95,8 @@ type config = {
           effect; everything else is derived transitively). *)
   yielding_fields : string list;
       (** Record fields holding function values that may yield (dynamic
-          calls the lexical call graph cannot resolve, e.g. the naming
-          layer's [access] record). Applying such a field counts as a
-          yield. *)
+          calls the lexical call graph cannot resolve). Applying such a
+          field counts as a yield. *)
   validators : string list;
       (** Calls that re-validate shared state against the store: the
           serialisability test, the write-set pre-test, a commit (whose
@@ -115,6 +117,10 @@ type config = {
           capability). *)
   y1_dirs : string list;  (** Y1 scope. *)
   x1_dirs : string list;  (** X1 scope. *)
+  u1_dirs : string list;  (** U1 scope: the .mli files whose vals must be referenced. *)
+  reference_dirs : string list;
+      (** Trees parsed for U1 references only, never checked (the tests):
+          an export only they reference is counted as test-only. *)
 }
 
 let default_config =
@@ -131,9 +137,7 @@ let default_config =
     mli_dirs = [ "lib" ];
     yield_primitives =
       [ "Proc.delay"; "Proc.suspend"; "Ivar.read"; "Channel.send"; "Channel.recv"; "Rpc.call" ];
-    yielding_fields =
-      [ "a_update"; "a_read_current"; "a_read_cached"; "a_create_file"; "t_read"; "t_write";
-        "t_insert" ];
+    yielding_fields = [];
     validators =
       [
         "Serialise.test_and_merge";
@@ -194,6 +198,8 @@ let default_config =
         "lib/disk"; "lib/files";
       ];
     x1_dirs = [ "lib" ];
+    u1_dirs = [ "lib" ];
+    reference_dirs = [ "test" ];
   }
 
 (* [in_scope dirs file] holds when [file] lives under one of [dirs]. *)
