@@ -307,7 +307,7 @@ let test_u1 () =
 (* Without the reference tree, the test-only export has no reference
    left and becomes a finding; the alias and open uses still count. *)
 let test_u1_without_references () =
-  let config = { fixture_config with Lint_types.reference_dirs = []; critical_sections = [] } in
+  let config = { fixture_config with Lint_types.reference_dirs = [] } in
   let r = run ~config [ "lint_fixtures/u1/lib" ] in
   check_keys "test_only joins the unused exports"
     [
