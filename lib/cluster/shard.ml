@@ -41,6 +41,11 @@ let with_root_read server (resp : Remote.response) =
       ok
   | other -> other
 
+let reads_root_first : Remote.step list -> bool = function
+  | Remote.Read path :: _ -> Pagepath.equal path Pagepath.root
+  | Remote.Guard_root _ :: _ -> true
+  | _ -> false
+
 (* The wrapper runs atomically inside the host's single simulated event,
    so the marker checks, the version creation and the root touch are
    indivisible: no commit (in particular no migration flip and no
@@ -57,19 +62,17 @@ let location_check server base (req : Remote.request) : Remote.response =
       | Forwarded target -> Error (Errors.Moved target)
       | In_doubt record -> Error (Errors.Txn_in_doubt record)
       | Plain -> with_root_read server (base req))
-  | Remote.Txn_mark file -> (
-      (* Resolution reads pass the in-doubt trap — they are the
-         resolution — but still honour migration tombstones. *)
-      match moved_target server file with
-      | Some target -> Error (Errors.Moved target)
-      | None -> base req)
-  | Remote.Txn_open { file; _ } | Remote.Txn_cas { file; _ } -> (
-      (* Resolution writes, like resolution reads, pass the in-doubt trap;
-         the handler itself reads the root inside the fresh version, so
-         the R-on-root fence needs no extra touch here. *)
-      match moved_target server file with
-      | Some target -> Error (Errors.Moved target)
-      | None -> base req)
+  | Remote.Batch { target = (Remote.Open file | Remote.Current file) as target; steps } -> (
+      (* Batches are how transaction resolution reads and writes, so they
+         pass the in-doubt trap, but they still honour migration
+         tombstones. An [Open] batch must read the root first, which puts
+         the R-on-root fence in its own read set; a [Version] batch's
+         version was opened through this check already. *)
+      match (moved_target server file, target) with
+      | Some target, _ -> Error (Errors.Moved target)
+      | None, Remote.Open _ when not (reads_root_first steps) ->
+          Error (Errors.Store_failure "shard: an Open batch must read the root first")
+      | None, _ -> base req)
   | _ -> base req
 
 let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?store ?publish_tap ?trace

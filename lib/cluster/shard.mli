@@ -8,12 +8,15 @@
     - [Current_version] / [Create_version] on a file whose current root
       is a forward marker answer [Moved target] instead of serving the
       tombstone, and on a transaction marker ({!Txnmark}) answer
-      [Txn_in_doubt record] instead of exposing staged state (the
-      resolution requests [Txn_mark] / [Txn_open] pass this trap — they
-      {e are} the resolution — but still honour tombstones);
-    - after a successful [Create_version] (or [Txn_open]) it reads the
-      new version's root, recording [R] there. That makes the location
-      check part of every cluster transaction's read set: a migration
+      [Txn_in_doubt record] instead of exposing staged state (an [Open]
+      or [Current] [Batch] passes this trap — batches {e are} the
+      resolution — but still honours tombstones; a [Version] batch is
+      never checked);
+    - after a successful [Create_version] it reads the new version's
+      root, recording [R] there, and an [Open] batch must itself begin
+      by reading the root ([Read] of the root or [Guard_root]; other
+      [Open] batches are refused). That makes the location check part of
+      every cluster transaction's read set: a migration
       flip and a transaction stage both write the root, so their commits
       conflict with every version opened before them — the invariant
       {!Migration} and lib/txn rely on.

@@ -100,7 +100,7 @@ let decode data =
       v
     in
     let taken k =
-      if !pos + k > n then raise Bad
+      if k > n - !pos then raise Bad
       else begin
         let b = Bytes.sub data !pos k in
         pos := !pos + k;

@@ -4,6 +4,11 @@ module Server = Afs_core.Server
 module Cache = Afs_core.Cache
 module Errors = Afs_core.Errors
 
+(* A batch is a short program of existing calls, run against one version
+   inside one handler event (lib/txn's coordinator is its client). *)
+type target = Open of Capability.t | Current of Capability.t | Version of Capability.t
+type step = Read of Pagepath.t | Write of Pagepath.t * bytes | Guard_root of bytes | Commit
+
 type request =
   | Create_file of bytes
   | Current_version of Capability.t
@@ -17,20 +22,8 @@ type request =
   | Abort_version of Capability.t
   | Destroy_file of Capability.t
   | Validate_cache of { file : Capability.t; basis_block : int }
-  (* Cross-shard transaction messages (lib/txn). The first two exist so a
-     resolver can see past the cluster wrapper's in-doubt trap: Txn_mark
-     reads the file's current root data (marker and all), Txn_open is
-     Create_version minus the trap. Prepare/Decide drive the server's
-     two-phase-commit baseline. *)
-  | Txn_mark of Capability.t
-  | Txn_open of { file : Capability.t; reads : Pagepath.t list }
-  | Txn_seal of { version : Capability.t; root : bytes; writes : (Pagepath.t * bytes) list }
-  | Txn_cas of {
-      file : Capability.t;
-      expected : bytes;
-      root : bytes;
-      writes : (Pagepath.t * bytes) list;
-    }
+  | Batch of { target : target; steps : step list }
+  (* Prepare/Decide drive the server's two-phase-commit baseline. *)
   | Prepare of Capability.t
   | Decide of { version : Capability.t; commit : bool }
   (* Replication-plane messages, answered only by a replica host
@@ -39,10 +32,14 @@ type request =
   | Promote of { expected_epoch : int }
   | Replica_watermark
 
+type batch_answer =
+  | Ran of { version : Capability.t; reads : bytes list }
+  | Guard_failed of bytes
+
 type value =
   | Cap of Capability.t
   | Data of bytes
-  | Opened of { version : Capability.t; root : bytes; pages : bytes list }
+  | Batched of batch_answer
   | Unit
   | Path of Pagepath.t
   | Info of { nrefs : int; dsize : int }
@@ -51,27 +48,42 @@ type value =
 
 type response = (value, Errors.t) result
 
-(* The fusions' shared steps. A fused request opens its version itself and
-   the client never learns its capability, so every error after the open
-   must abandon it; aborting a version the commit already removed is a
-   harmless no-op. *)
-let abandon server version = ignore (Server.abort_version server version : unit Errors.r)
-
-let open_with_root server file =
-  Result.bind (Server.create_version server file) (fun version ->
-      match Server.read_page server version Pagepath.root with
-      | Ok root -> Ok (version, root)
-      | Error e ->
-          abandon server version;
-          Error e)
-
-let seal server version ~root writes =
-  let rec write = function
-    | [] -> Server.commit server version
-    | (path, data) :: rest ->
-        Result.bind (Server.write_page server version path data) (fun () -> write rest)
+(* Run a batch's steps in order against its version, stopping at the
+   first error or failed guard. Each step is the ordinary call with its
+   ordinary validation, so a [Current] batch is read-only because the
+   server refuses writes to committed versions. A version the batch opened
+   itself must not outlive a failed batch — the client never learns its
+   capability — so an error or a failed guard abandons it; aborting a
+   version the [Commit] step already removed is a harmless no-op. *)
+let run_batch server target steps =
+  let open Errors in
+  let* version =
+    match target with
+    | Open file -> Server.create_version server file
+    | Current file -> Server.current_version server file
+    | Version version -> Ok version
   in
-  Result.bind (Server.write_page server version Pagepath.root root) (fun () -> write writes)
+  let rec run reads : step list -> batch_answer r = function
+    | [] -> Ok (Ran { version; reads = List.rev reads })
+    | Read path :: rest ->
+        let* data = Server.read_page server version path in
+        run (data :: reads) rest
+    | Write (path, data) :: rest ->
+        let* () = Server.write_page server version path data in
+        run reads rest
+    | Guard_root expected :: rest ->
+        let* root = Server.read_page server version Pagepath.root in
+        if Bytes.equal root expected then run reads rest else Ok (Guard_failed root)
+    | Commit :: rest ->
+        let* () = Server.commit server version in
+        run reads rest
+  in
+  let answer = run [] steps in
+  (match (target, answer) with
+  | Open _, (Error _ | Ok (Guard_failed _)) ->
+      ignore (Server.abort_version server version : unit r)
+  | _ -> ());
+  answer
 
 let handle server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
@@ -95,50 +107,7 @@ let handle server : request -> response = function
   | Destroy_file file -> Result.map (fun () -> Unit) (Server.destroy_file server file)
   | Validate_cache { file; basis_block } ->
       Result.map (fun v -> Validation v) (Cache.server_validate server ~file ~basis_block)
-  | Txn_mark file ->
-      Result.bind (Server.current_version server file) (fun version ->
-          Result.map (fun d -> Data d) (Server.read_page server version Pagepath.root))
-  | Txn_open { file; reads } ->
-      (* One message opens the version, reads its root AND the listed
-         pages: every read runs inside the fresh version, so all of them
-         land in its read set and any conflicting committed update
-         collides with the caller's seal — same fences as separate
-         calls, a fraction of the round trips. *)
-      Result.bind (open_with_root server file) (fun (version, root) ->
-          let rec fetch acc = function
-            | [] -> Ok (Opened { version; root; pages = List.rev acc })
-            | path :: rest -> (
-                match Server.read_page server version path with
-                | Ok data -> fetch (data :: acc) rest
-                | Error e ->
-                    abandon server version;
-                    Error e)
-          in
-          fetch [] reads)
-  | Txn_seal { version; root; writes } ->
-      (* The counterpart: root write, staged page writes and the ordinary
-         optimistic commit in a single message. Pure batching — the
-         validation semantics are exactly those of the individual calls.
-         The client holds this version, so abandoning it is the client's
-         call. *)
-      Result.map (fun () -> Unit) (seal server version ~root writes)
-  | Txn_cas { file; expected; root; writes } ->
-      (* Open-read-compare-seal as one message: a whole root test-and-set
-         in a single round trip. Still an ordinary optimistic commit with
-         its ordinary flag map — only the comparison is new, and on
-         mismatch the caller gets the current root back in the same
-         breath, so losing the race costs no extra message. *)
-      Result.bind (open_with_root server file) (fun (version, current) ->
-          if not (Bytes.equal current expected) then begin
-            abandon server version;
-            Ok (Data current)
-          end
-          else
-            match seal server version ~root writes with
-            | Ok () -> Ok Unit
-            | Error e ->
-                abandon server version;
-                Error e)
+  | Batch { target; steps } -> Result.map (fun a -> Batched a) (run_batch server target steps)
   | Prepare version -> Result.map (fun () -> Unit) (Server.prepare server version)
   | Decide { version; commit = decision } ->
       Result.map (fun () -> Unit) (Server.decide server version ~commit:decision)
@@ -158,10 +127,7 @@ let request_kind : request -> string = function
   | Abort_version _ -> "abort_version"
   | Destroy_file _ -> "destroy_file"
   | Validate_cache _ -> "validate_cache"
-  | Txn_mark _ -> "txn_mark"
-  | Txn_open _ -> "txn_open"
-  | Txn_seal _ -> "txn_seal"
-  | Txn_cas _ -> "txn_cas"
+  | Batch _ -> "batch"
   | Prepare _ -> "prepare"
   | Decide _ -> "decide"
   | Ship _ -> "ship"
@@ -228,12 +194,13 @@ let connect ?(balance = false) hosts =
    write-back cache holds the uncommitted pages until the commit-time
    flush. *)
 let rotates_boundary = function
-  | Create_file _ | Create_version _ | Current_version _ | Txn_mark _ | Txn_open _
-  | Txn_cas _ ->
+  | Create_file _ | Create_version _ | Current_version _
+  | Batch { target = Open _ | Current _; _ } ->
       true
   | Read_page _ | Write_page _ | Insert_page _ | Remove_page _ | Page_info _ | Commit _
-  | Abort_version _ | Destroy_file _ | Validate_cache _ | Txn_seal _ | Prepare _
-  | Decide _ | Ship _ | Promote _ | Replica_watermark ->
+  | Abort_version _ | Destroy_file _ | Validate_cache _
+  | Batch { target = Version _; _ }
+  | Prepare _ | Decide _ | Ship _ | Promote _ | Replica_watermark ->
       false
 
 let call conn req =
@@ -298,21 +265,11 @@ let destroy_file conn file = as_unit (call conn (Destroy_file file))
 let validate_cache conn ~file ~basis_block =
   as_validation (call conn (Validate_cache { file; basis_block }))
 
-let txn_mark conn file = as_data (call conn (Txn_mark file))
-
-let txn_open ?(reads = []) conn file =
-  match call conn (Txn_open { file; reads }) with
-  | Ok (Opened { version; root; pages }) -> Ok (version, root, pages)
+let batch conn target steps =
+  match call conn (Batch { target; steps }) with
+  | Ok (Batched answer) -> Ok answer
   | Ok _ -> type_error
   | Error e -> Error e
 
-let txn_seal conn version ~root writes = as_unit (call conn (Txn_seal { version; root; writes }))
-
-let txn_cas conn file ~expected ~root writes =
-  match call conn (Txn_cas { file; expected; root; writes }) with
-  | Ok Unit -> Ok `Swapped
-  | Ok (Data current) -> Ok (`Mismatch current)
-  | Ok _ -> type_error
-  | Error e -> Error e
 let prepare conn version = as_unit (call conn (Prepare version))
 let decide conn version ~commit = as_unit (call conn (Decide { version; commit }))

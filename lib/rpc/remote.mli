@@ -7,6 +7,23 @@
     wait until the server is restored, because they can use another
     server", §3.1 — several servers can serve the same store). *)
 
+(** The version a batch runs against. *)
+type target =
+  | Open of Afs_util.Capability.t  (** A fresh version of the file. *)
+  | Current of Afs_util.Capability.t
+      (** The file's committed version: read-only, because the server
+          refuses writes and commits on committed versions. *)
+  | Version of Afs_util.Capability.t  (** A version the caller already holds. *)
+
+(** One step of a batch: an existing call on the batch's version. *)
+type step =
+  | Read of Afs_util.Pagepath.t  (** [Read_page]; its data joins the answer. *)
+  | Write of Afs_util.Pagepath.t * bytes  (** [Write_page]. *)
+  | Guard_root of bytes
+      (** Read the root ([Read_page] of {!Afs_util.Pagepath.root}) and go on
+          only if it equals these bytes. *)
+  | Commit  (** The ordinary optimistic [Commit]. *)
+
 type request =
   | Create_file of bytes
   | Current_version of Afs_util.Capability.t
@@ -29,34 +46,9 @@ type request =
   | Abort_version of Afs_util.Capability.t
   | Destroy_file of Afs_util.Capability.t
   | Validate_cache of { file : Afs_util.Capability.t; basis_block : int }
-  | Txn_mark of Afs_util.Capability.t
-      (** The file's current root data, marker and all: how a transaction
-          resolver sees past the cluster wrapper's in-doubt trap (the
-          wrapper still answers [Moved] for migrated-away files). *)
-  | Txn_open of { file : Afs_util.Capability.t; reads : Afs_util.Pagepath.t list }
-      (** [Create_version] minus the in-doubt trap, fused with the root
-          read and the listed page reads: answers [Opened]. All reads run
-          inside the fresh version (so they are in its read set), and the
-          cluster wrapper still applies the [Moved] check. *)
-  | Txn_seal of {
-      version : Afs_util.Capability.t;
-      root : bytes;
-      writes : (Afs_util.Pagepath.t * bytes) list;
-    }
-      (** Root write, page writes and the ordinary optimistic commit in
-          one message — pure batching of the individual calls, with their
-          exact validation semantics. *)
-  | Txn_cas of {
-      file : Afs_util.Capability.t;
-      expected : bytes;
-      root : bytes;
-      writes : (Afs_util.Pagepath.t * bytes) list;
-    }
-      (** A whole root test-and-set in one round trip: open a version,
-          read the root, and — iff it equals [expected] — write [root]
-          plus [writes] and commit. On mismatch the current root data
-          comes back instead. Still an ordinary optimistic commit;
-          bypasses the cluster wrapper's in-doubt trap like [Txn_open]. *)
+  | Batch of { target : target; steps : step list }
+      (** A short program of the calls above, run atomically in one
+          handler event against one version (see {!batch}). *)
   | Prepare of Afs_util.Capability.t  (** {!Afs_core.Server.prepare}. *)
   | Decide of { version : Afs_util.Capability.t; commit : bool }
       (** {!Afs_core.Server.decide}. *)
@@ -74,14 +66,16 @@ type request =
 val request_kind : request -> string
 (** Short operation name, used as the [op] label in RPC trace events. *)
 
+type batch_answer =
+  | Ran of { version : Afs_util.Capability.t; reads : bytes list }
+      (** Every step ran: the batch's version and the data of its [Read]
+          steps, in order. *)
+  | Guard_failed of bytes  (** A [Guard_root] step found this root instead. *)
+
 type value =
   | Cap of Afs_util.Capability.t
   | Data of bytes
-  | Opened of {
-      version : Afs_util.Capability.t;
-      root : bytes;
-      pages : bytes list;  (** Aligned with the request's [reads]. *)
-    }
+  | Batched of batch_answer
   | Unit
   | Path of Afs_util.Pagepath.t
   | Info of { nrefs : int; dsize : int }
@@ -166,31 +160,16 @@ val validate_cache :
   conn -> file:Afs_util.Capability.t -> basis_block:int ->
   Afs_core.Cache.validation Afs_core.Errors.r
 
-val txn_mark : conn -> Afs_util.Capability.t -> bytes Afs_core.Errors.r
-(** May answer [Moved] behind a cluster wrapper — callers chase it. *)
-
-val txn_open :
-  ?reads:Afs_util.Pagepath.t list ->
-  conn -> Afs_util.Capability.t ->
-  (Afs_util.Capability.t * bytes * bytes list) Afs_core.Errors.r
-(** A fresh version, its root data and the [reads] pages (in order) in one
-    message; every read runs inside the version, so a conflicting
-    committed update collides with this caller's seal. May answer [Moved]
-    behind a cluster wrapper — callers chase it. *)
-
-val txn_seal :
-  conn -> Afs_util.Capability.t -> root:bytes ->
-  (Afs_util.Pagepath.t * bytes) list -> unit Afs_core.Errors.r
-(** Root write, page writes and the ordinary optimistic commit in one
-    message — pure batching of the individual calls. *)
-
-val txn_cas :
-  conn -> Afs_util.Capability.t -> expected:bytes -> root:bytes ->
-  (Afs_util.Pagepath.t * bytes) list ->
-  [ `Swapped | `Mismatch of bytes ] Afs_core.Errors.r
-(** Root test-and-set in one round trip (see {!type:request}); [`Mismatch]
-    carries the current root data. May answer [Moved] behind a cluster
-    wrapper — callers chase it. *)
+val batch :
+  conn -> target -> step list -> batch_answer Afs_core.Errors.r
+(** Run [steps] in order against [target]'s version in one message. Each
+    step is the ordinary call with its ordinary validation; the batch
+    stops at the first error (answered as the batch's error) or failed
+    guard. An error or a failed guard abandons a version the batch opened
+    itself ([Open]) — the caller never learns its capability — while a
+    successful [Open] batch without [Commit] hands its version over.
+    Behind a cluster wrapper an [Open] or [Current] batch skips the
+    in-doubt trap but may answer [Moved] — callers chase it. *)
 
 val prepare : conn -> Afs_util.Capability.t -> unit Afs_core.Errors.r
 val decide : conn -> Afs_util.Capability.t -> commit:bool -> unit Afs_core.Errors.r

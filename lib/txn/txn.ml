@@ -31,7 +31,7 @@
 
    3. Decide.  The coordinator replaces the record's root data — the
       value it last saw there — with [txn:<seq>:c] as one more ordinary
-      optimistic commit: a single [Txn_cas] message. A contender who
+      optimistic commit: a single guarded {!Remote.batch}. A contender who
       tired of waiting force-aborts the same way, from the value it
       polled to [txn:<seq>:a]; both test-and-set the same root, so
       exactly one wins, and because seqs only grow on a record no value
@@ -39,13 +39,13 @@
       atomic point.
 
    4. Flip.  Each staged participant is resolved by one more optimistic
-      commit, again one [Txn_cas]: iff the root still carries this
+      commit, again one guarded batch: iff the root still carries this
       transaction's exact marker bytes, restore the old root data and —
       iff the record committed — apply the marker's page writes in
       place. Applying writes (never flipping to a wholesale copy)
       preserves any concurrent non-conflicting update that merged
       underneath the stage. Flips race only other resolvers; the loser's
-      CAS mismatches, which is its answer: the marker is gone.
+      guard fails, which is its answer: the marker is gone.
 
    5. Reuse.  The record goes back on the free list only once the
       decision is definite and every participant's flip (or unstage)
@@ -173,14 +173,28 @@ let with_conn t file f =
   in
   go file 0
 
-(* The file's current committed root data, marker and all. *)
+let malformed = Error (Store_failure "txn: malformed batch answer")
+
+(* The file's current committed root data, marker and all: a [Current]
+   batch passes the shard's in-doubt trap. *)
 let root_data t file =
   with_conn t file (fun conn ~shard:_ file ->
       rt t;
-      Remote.txn_mark conn file)
+      match Remote.batch conn (Remote.Current file) [ Remote.Read Pagepath.root ] with
+      | Ok (Remote.Ran { reads = [ root ]; _ }) -> Ok root
+      | Ok _ -> malformed
+      | Error e -> Error e)
+
+(* A root test-and-set as one batch: iff the root still equals
+   [expected], replace it with [root], apply [writes] and commit. A
+   failed guard answers the current root. *)
+let swap_steps ~expected ~root writes =
+  Remote.Guard_root expected
+  :: List.map (fun (path, data) -> Remote.Write (path, data)) ((Pagepath.root, root) :: writes)
+  @ [ Remote.Commit ]
 
 (* The record is an ordinary file whose root IS the latest outcome: one
-   [txn_mark] round trip reads it — this is the poll a waiting resolver
+   [Current] batch reads it — this is the poll a waiting resolver
    repeats, so its cost is the cost of waiting. Answers the raw value
    too, which is what a force-abort must test-and-set against. *)
 let poll_record t record ~seq =
@@ -216,11 +230,11 @@ let decide_record t ~record ~seq ~seen ~commit =
       let step =
         with_conn t record (fun conn ~shard:_ record ->
             rt t;
-            Remote.txn_cas conn record ~expected ~root:target [])
+            Remote.batch conn (Remote.Open record) (swap_steps ~expected ~root:target []))
       in
       match step with
-      | Ok `Swapped -> Ok ((if commit then Committed else Aborted), target)
-      | Ok (`Mismatch current) -> (
+      | Ok (Remote.Ran _) -> Ok ((if commit then Committed else Aborted), target)
+      | Ok (Remote.Guard_failed current) -> (
           match decide ~seq ~record_data:current with
           | Pending -> attempt current (n + 1)
           | Unknown_record -> Error (Store_failure "txn: unrecognised record state")
@@ -241,8 +255,8 @@ let force_abort t marker ~seen =
 
 (* {2 Staging} *)
 
-(* The pages a part must read, in op order — they ride the [Txn_open]
-   message, so staging costs two round trips however many pages the
+(* The pages a part must read, in op order — they ride the opening
+   batch, so staging costs two round trips however many pages the
    transaction touches. *)
 let read_paths ops =
   List.filter_map
@@ -282,9 +296,15 @@ let stage t ~record ~seq part =
     with_conn t part.file (fun conn ~shard file ->
         rt t;
         let* version, old_root, pages =
-          Remote.txn_open ~reads:(read_paths part.ops) conn file
+          match
+            Remote.batch conn (Remote.Open file)
+              (List.map (fun path -> Remote.Read path) (Pagepath.root :: read_paths part.ops))
+          with
+          | Ok (Remote.Ran { version; reads = old_root :: pages }) -> Ok (version, old_root, pages)
+          | Ok _ -> malformed
+          | Error e -> Error e
         in
-        (* [txn_open] skips the shard's in-doubt trap, so a foreign
+        (* The batch skips the shard's in-doubt trap, so a foreign
            marker arrives as data: detect it here and surface the same
            [Txn_in_doubt] the trap would have raised — minus one round
            trip in the common, unmarked case. *)
@@ -299,8 +319,11 @@ let stage t ~record ~seq part =
             in
             let image = Txnmark.encode marker in
             rt t;
-            match Remote.txn_seal conn version ~root:image [] with
-            | Ok () ->
+            match
+              Remote.batch conn (Remote.Version version)
+                [ Remote.Write (Pagepath.root, image); Remote.Commit ]
+            with
+            | Ok _ ->
                 CC.note_commit t.client ~shard file;
                 tpoint t (Trace.Txn_stage { txn = seq; file_obj = file.Capability.obj });
                 Ok (Ok { sfile = file; marker; image })
@@ -317,19 +340,20 @@ let stage t ~record ~seq part =
 (* Overwrite a still-staged marker with its resolution: restore the
    pre-transaction root data and, iff rolling forward, apply the staged
    writes in place. [image] is the marker's exact root bytes, so the
-   whole resolution is one [Txn_cas] round trip. Idempotent against
-   other resolvers: a mismatch means the marker is gone — somebody
+   whole resolution is one guarded batch. Idempotent against other
+   resolvers: a failed guard means the marker is gone — somebody
    already resolved (or a later transaction re-staged) — and there is
    nothing left to do. *)
 let apply t { sfile = file; marker = m; image } ~forward =
   let step =
     with_conn t file (fun conn ~shard:_ file ->
         rt t;
-        Remote.txn_cas conn file ~expected:image ~root:m.Txnmark.old_root
-          (if forward then m.Txnmark.writes else []))
+        Remote.batch conn (Remote.Open file)
+          (swap_steps ~expected:image ~root:m.Txnmark.old_root
+             (if forward then m.Txnmark.writes else [])))
   in
   match step with
-  | Ok `Swapped ->
+  | Ok (Remote.Ran _) ->
       if forward then
         tpoint t
           (Trace.Txn_flip
@@ -343,7 +367,7 @@ let apply t { sfile = file; marker = m; image } ~forward =
           (Trace.Txn_resolve
              { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "back" });
       Ok ()
-  | Ok (`Mismatch _) -> Ok ()
+  | Ok (Remote.Guard_failed _) -> Ok ()
   | Error e -> Error e
 
 (* Resolve one in-doubt participant, as any client can: read the marker,

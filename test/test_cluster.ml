@@ -281,6 +281,34 @@ let test_migration_fences_prior_versions () =
       | Error (Errors.Moved _) -> ()
       | _ -> Alcotest.fail "tombstone damaged")
 
+(* The same fence through batches: an [Open] batch that reads the root
+   first loses its later commit to a migration flip, and one that does
+   not read the root is refused outright, since nothing would fence it. *)
+let test_open_batch_fenced () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let f = ok (Cluster_client.create_file ~data:(bytes "v0") client) in
+      let _, shard = ok (Cluster.shard_of_cap cluster f) in
+      let conn = Cluster.conn cluster (Shard.id shard) in
+      (match
+         Remote.batch conn (Remote.Open f) [ Remote.Write (P.root, bytes "blind"); Remote.Commit ]
+       with
+      | Error (Errors.Store_failure _) -> ()
+      | Ok _ -> Alcotest.fail "an unfenced Open batch ran"
+      | Error e -> Alcotest.failf "expected a refusal, got %s" (Errors.to_string e));
+      let version =
+        match ok (Remote.batch conn (Remote.Open f) [ Remote.Read P.root ]) with
+        | Remote.Ran { version; _ } -> version
+        | Remote.Guard_failed _ -> Alcotest.fail "no guard to fail"
+      in
+      ignore (ok (Migration.migrate cluster ~file:f ~dst:(1 - Shard.id shard)) : Capability.t);
+      match
+        Remote.batch conn (Remote.Version version)
+          [ Remote.Write (P.root, bytes "stale"); Remote.Commit ]
+      with
+      | Error Errors.Conflict -> ()
+      | Ok _ -> Alcotest.fail "pre-flip batch committed over the tombstone"
+      | Error e -> Alcotest.failf "expected Conflict, got %s" (Errors.to_string e))
+
 (* The headline safety property, attacked with concurrency: writers
    increment a counter page while the file is migrated back and forth.
    Whatever interleaving the seed produces, the final counter value must
@@ -472,6 +500,7 @@ let () =
         [
           quick "moves data, leaves tombstone" test_migrate_moves_data_and_leaves_tombstone;
           quick "fences versions opened pre-flip" test_migration_fences_prior_versions;
+          quick "open batches are fenced" test_open_batch_fenced;
           quick "racing commits never lost" test_migration_race_never_loses_commits;
         ] );
       ( "rebalancer",

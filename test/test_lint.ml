@@ -285,6 +285,27 @@ let test_callgraph () =
         chain
   | None -> Alcotest.fail "no witness chain for C1_commit.commit"
 
+(* The shipped config names functions of the real tree. A name that no
+   longer resolves — after a rename, say — silently turns its rule off
+   (X1 for a moved source; C1 only warns), so every name must be a
+   definition in lib/'s call graph. *)
+let test_config_names_resolve () =
+  let parsed, broken = Lint_engine.parse_all ~root:".." (Lint_engine.ml_files ~root:".." [ "lib" ]) in
+  Alcotest.(check (list (pair string string))) "lib parses" [] broken;
+  let g = Lint_callgraph.build Lint_types.default_config parsed in
+  let unresolved names =
+    List.filter
+      (fun name ->
+        match Hashtbl.find_opt g.Lint_callgraph.by_key name with
+        | Some (_ :: _) -> false
+        | None | Some [] -> true)
+      names
+  in
+  Alcotest.(check (list string)) "moved_sources resolve" []
+    (unresolved Lint_types.default_config.moved_sources);
+  Alcotest.(check (list string)) "critical_sections resolve" []
+    (unresolved Lint_types.default_config.critical_sections)
+
 (* {2 Unused exports} *)
 
 let u1_keys (r : Lint_engine.result) = List.filter (fun (rule, _, _) -> rule = "U1") (keys r)
@@ -439,6 +460,7 @@ let () =
           Alcotest.test_case "C1 missing section" `Quick test_c1_missing_section;
           Alcotest.test_case "X1 Moved exhaustiveness" `Quick test_x1;
           Alcotest.test_case "call graph fixpoint" `Quick test_callgraph;
+          Alcotest.test_case "config names resolve" `Quick test_config_names_resolve;
           QCheck_alcotest.to_alcotest prop_shuffle_stable;
           Alcotest.test_case "U1 unused exports" `Quick test_u1;
           Alcotest.test_case "U1 without the tests" `Quick test_u1_without_references;

@@ -145,10 +145,10 @@ let test_remote_conflict_propagates () =
       | Ok () -> Alcotest.fail "conflict not detected over rpc"
       | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e))
 
-(* A fused request opens its version server-side; the client never sees
+(* An [Open] batch opens its version server-side; the client never sees
    the capability, so a failure after the open must not leave the version
    (and its private pages) behind. *)
-let test_txn_cas_abandons_version_on_error () =
+let test_batch_abandons_version_on_error () =
   in_sim (fun engine ->
       let _, srv, host = remote_setup engine in
       let conn = Remote.connect [ host ] in
@@ -156,31 +156,154 @@ let test_txn_cas_abandons_version_on_error () =
       let no_uncommitted what =
         Alcotest.(check (list int)) what [] (ok (Server.uncommitted_versions srv f))
       in
-      (match
-         Remote.txn_cas conn f ~expected:(bytes "base") ~root:(bytes "new")
-           [ (P.of_list [ 5 ], bytes "x") ]
-       with
+      let swap ~expected writes =
+        Remote.batch conn (Remote.Open f)
+          ((Remote.Guard_root (bytes expected) :: Remote.Write (P.root, bytes "new")
+            :: List.map (fun (p, d) -> Remote.Write (p, d)) writes)
+          @ [ Remote.Commit ])
+      in
+      (match swap ~expected:"base" [ (P.of_list [ 5 ], bytes "x") ] with
       | Error (Errors.Bad_index _) -> ()
       | Ok _ -> Alcotest.fail "write to a missing child succeeded"
       | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e));
       no_uncommitted "failed page write leaves no version";
-      (match Remote.txn_cas conn f ~expected:(bytes "other") ~root:(bytes "new") [] with
-      | Ok (`Mismatch current) -> Helpers.check_bytes "current root" "base" current
-      | Ok `Swapped -> Alcotest.fail "swapped on a mismatching root"
+      (match swap ~expected:"other" [] with
+      | Ok (Remote.Guard_failed current) -> Helpers.check_bytes "current root" "base" current
+      | Ok (Remote.Ran _) -> Alcotest.fail "guard passed on a mismatching root"
       | Error e -> Alcotest.failf "mismatch failed: %s" (Errors.to_string e));
-      no_uncommitted "mismatch leaves no version";
-      (match Remote.txn_open ~reads:[ P.of_list [ 3 ] ] conn f with
+      no_uncommitted "failed guard leaves no version";
+      (match Remote.batch conn (Remote.Open f) [ Remote.Read P.root; Remote.Read (P.of_list [ 3 ]) ] with
       | Error (Errors.Bad_path _ | Errors.Bad_index _) -> ()
       | Ok _ -> Alcotest.fail "read of a missing child succeeded"
       | Error e -> Alcotest.failf "wrong open error: %s" (Errors.to_string e));
-      no_uncommitted "failed open read leaves no version";
-      (match Remote.txn_cas conn f ~expected:(bytes "base") ~root:(bytes "new") [] with
-      | Ok `Swapped -> ()
-      | Ok (`Mismatch _) -> Alcotest.fail "mismatch on the expected root"
+      no_uncommitted "failed read leaves no version";
+      (match swap ~expected:"base" [] with
+      | Ok (Remote.Ran _) -> ()
+      | Ok (Remote.Guard_failed _) -> Alcotest.fail "guard failed on the expected root"
       | Error e -> Alcotest.failf "swap failed: %s" (Errors.to_string e));
       no_uncommitted "swap leaves no version";
       let cur = ok (Remote.current_version conn f) in
       Helpers.check_bytes "swapped root" "new" (ok (Remote.read_page conn cur P.root)))
+
+(* {2 A batch is its calls}
+
+   One batch against one server must leave exactly what the same calls
+   leave when made one by one, through their own requests, against a twin
+   server built the same way: the same answer, the same uncommitted
+   versions and the same store image. *)
+
+type program = {
+  target : int;  (** 0 [Open], 1 [Current], 2 [Version] of the held version. *)
+  interloper : bool;  (** Commit a rival update first, so the held version conflicts. *)
+  steps : Remote.step list;
+}
+
+let batch_paths = [| P.root; P.of_list [ 0 ]; P.of_list [ 1 ]; P.of_list [ 5 ] |]
+let batch_data = [| "base"; "held"; "a"; "b" |]
+
+let gen_step =
+  QCheck2.Gen.(
+    let path = map (fun i -> batch_paths.(i)) (int_bound 3) in
+    let data = map (fun i -> Bytes.of_string batch_data.(i)) (int_bound 3) in
+    frequency
+      [
+        (3, map (fun p -> Remote.Read p) path);
+        (3, map2 (fun p d -> Remote.Write (p, d)) path data);
+        (2, map (fun d -> Remote.Guard_root d) data);
+        (1, pure (Remote.Commit : Remote.step));
+      ])
+
+let gen_program =
+  QCheck2.Gen.(
+    map3
+      (fun target interloper steps -> { target; interloper; steps })
+      (int_bound 2) bool (list_size (int_bound 6) gen_step))
+
+let print_program p =
+  let step = function
+    | Remote.Read path -> "Read " ^ P.to_string path
+    | Remote.Write (path, d) -> Printf.sprintf "Write (%s, %S)" (P.to_string path) (Bytes.to_string d)
+    | Remote.Guard_root d -> Printf.sprintf "Guard_root %S" (Bytes.to_string d)
+    | Remote.Commit -> "Commit"
+  in
+  Printf.sprintf "target %d, interloper %b: [%s]" p.target p.interloper
+    (String.concat "; " (List.map step p.steps))
+
+(* A file "base" with pages /0 and /1, a held version that read /0 and
+   wrote its root "held", and — with [interloper] — a committed rival
+   write to /0 that dooms the held version's commit. *)
+let twin_setup ~interloper =
+  let store = Store.memory () in
+  let srv = Server.create ~seed:11 store in
+  let f = ok (Server.create_file srv ~data:(bytes "base") ()) in
+  let v = ok (Server.create_version srv f) in
+  List.iter
+    (fun i -> ignore (ok (Server.insert_page srv v ~parent:P.root ~index:i ~data:(bytes "p") ())))
+    [ 0; 1 ];
+  ok (Server.commit srv v);
+  let held = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv held (P.of_list [ 0 ])));
+  ok (Server.write_page srv held P.root (bytes "held"));
+  if interloper then begin
+    let rival = ok (Server.create_version srv f) in
+    ok (Server.write_page srv rival (P.of_list [ 0 ]) (bytes "rival"));
+    ok (Server.commit srv rival)
+  end;
+  (store, srv, f, held)
+
+(* The batch's documented meaning, spelt out as separate requests. *)
+let one_by_one conn target steps =
+  let open Errors in
+  let* version =
+    match target with
+    | Remote.Open f -> Remote.create_version conn f
+    | Remote.Current f -> Remote.current_version conn f
+    | Remote.Version v -> Ok v
+  in
+  let rec go reads = function
+    | [] -> Ok (Remote.Ran { version; reads = List.rev reads })
+    | Remote.Read path :: rest ->
+        let* d = Remote.read_page conn version path in
+        go (d :: reads) rest
+    | Remote.Write (path, d) :: rest ->
+        let* () = Remote.write_page conn version path d in
+        go reads rest
+    | Remote.Guard_root expected :: rest ->
+        let* root = Remote.read_page conn version P.root in
+        if Bytes.equal root expected then go reads rest else Ok (Remote.Guard_failed root)
+    | Remote.Commit :: rest ->
+        let* () = Remote.commit conn version in
+        go reads rest
+  in
+  let answer = go [] steps in
+  (match (target, answer) with
+  | Remote.Open _, (Error _ | Ok (Remote.Guard_failed _)) ->
+      ignore (Remote.abort_version conn version : unit Errors.r)
+  | _ -> ());
+  answer
+
+let store_image (store : Store.t) =
+  List.map (fun b -> (b, store.Store.read b)) (Helpers.ok_str (store.Store.list_blocks ()))
+
+let batch_matches_calls p =
+  in_sim (fun engine ->
+      let run exec =
+        let store, srv, f, held = twin_setup ~interloper:p.interloper in
+        let conn = Remote.connect [ Remote.host engine ~name:"afs" srv ] in
+        let target =
+          match p.target with
+          | 0 -> Remote.Open f
+          | 1 -> Remote.Current f
+          | _ -> Remote.Version held
+        in
+        let answer = exec conn target p.steps in
+        (answer, ok (Server.uncommitted_versions srv f), store_image store)
+      in
+      run Remote.batch = run one_by_one)
+
+let prop_batch_matches_calls =
+  QCheck2.Test.make ~name:"a batch is its calls" ~count:300
+    ~print:print_program gen_program batch_matches_calls
 
 let test_remote_validate_cache () =
   in_sim (fun engine ->
@@ -343,7 +466,8 @@ let () =
         [
           quick "end to end" test_remote_end_to_end;
           quick "conflict propagates" test_remote_conflict_propagates;
-          quick "txn_cas abandons its version on error" test_txn_cas_abandons_version_on_error;
+          quick "batch abandons its version" test_batch_abandons_version_on_error;
+          QCheck_alcotest.to_alcotest prop_batch_matches_calls;
           quick "cache validation" test_remote_validate_cache;
           quick "failover" test_failover_to_second_host;
           quick "crash semantics" test_crash_loses_uncommitted_but_not_committed;

@@ -197,6 +197,13 @@ let test_marker_rejects_garbage () =
         (Txnmark.decode_outcome (bytes s) = None))
     [ ""; "txn:"; "txn::c"; "txn:1:"; "txn:1:x"; "txn:1:cc"; "txn:-1:c"; "txn:pending" ]
 
+(* A length field of [max_int] once overflowed the bounds test and made
+   [Bytes.sub] raise instead of the decoder answering [None]. *)
+let test_marker_length_overflow () =
+  Alcotest.(check bool)
+    "max_int length rejected" true
+    (Txnmark.decode (bytes "afs-txn!1:2:3:4:5:4611686018427387903:x0:") = None)
+
 (* {2 The pure decision logic (C1 critical sections)} *)
 
 let test_decision_table () =
@@ -361,6 +368,68 @@ let test_stage_fences_prior_versions () =
       let sweeper = Txn.create client in
       ignore (ok (Txn.sweep sweeper (Array.to_list accts)) : int);
       Alcotest.(check int) "staged txn discarded" 100 (read_balance client accts.(0)))
+
+(* Any client may write any root data, and the shard's location check
+   decodes the root on every open: a root that merely looks like a marker
+   with an absurd length must read as plain data, not crash the handler. *)
+let test_overflowing_root_opens () =
+  in_cluster ~shards:2 (fun _cluster client ->
+      let f = ok (CC.create_file ~data:(bytes "plain") client) in
+      let root = bytes "afs-txn!1:2:3:4:5:4611686018427387903:x0:" in
+      ok (CC.update client f (fun txn -> CC.Txn.write txn P.root root));
+      let h = ok (CC.begin_txn client f) in
+      Helpers.check_bytes "the root is plain data" (Bytes.to_string root)
+        (ok (CC.Txn.read h.CC.txn P.root));
+      ok (CC.abort h))
+
+(* {2 Moved through batches}
+
+   The shared router learns a migration's forward as the flip commits, so
+   a cluster client normally resolves before ever reaching a tombstone.
+   To make the coordinator meet one, the participant's tombstone — a
+   forward marker in its root, as a migration flip commits it — is laid
+   by hand on its old shard, without telling the router. *)
+let test_transfer_chases_moved () =
+  in_cluster ~shards:3 (fun cluster client ->
+      let accts = setup_accounts client 2 100 in
+      let copy = ok (CC.create_file_on client (Cluster.shard cluster 2) ~data:(bytes "acct1")) in
+      ok
+        (CC.update client copy (fun txn ->
+             let open Errors in
+             let* _ = CC.Txn.insert txn ~parent:P.root ~index:0 ~data:(bytes "100") () in
+             Ok ()));
+      let src = Cluster.conn cluster 1 in
+      let v = ok (Afs_rpc.Remote.create_version src accts.(1)) in
+      ok (Afs_rpc.Remote.write_page src v P.root (Forward.encode copy));
+      ok (Afs_rpc.Remote.commit src v);
+      let forwarded () = Afs_util.Stats.Counter.get (Cluster.counters cluster) "client.forwarded" in
+      let before = forwarded () in
+      let txn = Txn.create client in
+      ok_txn (Txn.exec txn (transfer accts 0 1 30));
+      Alcotest.(check int) "the stage chased one forward" (before + 1) (forwarded ());
+      Alcotest.(check int) "debited" 70 (read_balance client accts.(0));
+      Alcotest.(check int) "credited at the new home" 130 (read_balance client copy);
+      Alcotest.(check int) "the old capability follows" 130 (read_balance client accts.(1)))
+
+(* A resolver reads and writes through [Current] and [Open] batches,
+   which pass the in-doubt trap: on a tombstone they must still answer
+   [Moved], naming the new home. *)
+let test_batch_on_tombstone_moved () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let f = ok (CC.create_file ~data:(bytes "v0") client) in
+      let moved = ok (Migration.migrate cluster ~file:f ~dst:1) in
+      let old_home = Cluster.conn cluster 0 in
+      List.iter
+        (fun (what, target, steps) ->
+          match Afs_rpc.Remote.batch old_home target steps with
+          | Error (Errors.Moved target) ->
+              Alcotest.(check bool) (what ^ " names the copy") true (Capability.equal target moved)
+          | Ok _ -> Alcotest.failf "%s batch served a tombstone" what
+          | Error e -> Alcotest.failf "%s: expected Moved, got %s" what (Errors.to_string e))
+        [
+          ("current", Afs_rpc.Remote.Current f, [ Afs_rpc.Remote.Read P.root ]);
+          ("open", Afs_rpc.Remote.Open f, [ Afs_rpc.Remote.Guard_root (bytes "v0") ]);
+        ])
 
 (* {2 Record reuse} *)
 
@@ -854,6 +923,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_marker_roundtrip;
           quick "rejects garbage" test_marker_rejects_garbage;
+          quick "rejects an overflowing length" test_marker_length_overflow;
           QCheck_alcotest.to_alcotest prop_marker_reference;
           QCheck_alcotest.to_alcotest prop_outcome_codec;
         ] );
@@ -866,6 +936,9 @@ let () =
           quick "sweep discards an undecided txn" test_sweep_discards_undecided;
           quick "sweep completes a decided txn" test_sweep_completes_decided;
           quick "stage fences versions opened before it" test_stage_fences_prior_versions;
+          quick "an overflowing marker-like root opens" test_overflowing_root_opens;
+          quick "a transfer chases a moved participant" test_transfer_chases_moved;
+          quick "batches on a tombstone answer Moved" test_batch_on_tombstone_moved;
           quick "records are reused" test_records_reused;
           quick "stale resolver changes nothing" test_stale_resolver;
           quick "collector races a flip and a resolver" test_collector_race;

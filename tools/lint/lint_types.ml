@@ -190,8 +190,7 @@ let default_config =
         "Txn.resolve";
       ];
     moved_sources =
-      [ "Remote.create_version"; "Remote.current_version"; "Remote.txn_mark";
-        "Remote.txn_open"; "Remote.txn_cas" ];
+      [ "Remote.create_version"; "Remote.current_version"; "Remote.batch" ];
     y1_dirs =
       [
         "lib/core"; "lib/cluster"; "lib/rpc"; "lib/naming"; "lib/stable"; "lib/block";
