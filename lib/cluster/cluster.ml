@@ -10,7 +10,7 @@ module Remote = Afs_rpc.Remote
 module Replica = Afs_replica.Replica
 module Trace = Afs_trace.Trace
 
-let default_base_seed = 0xA40EBA
+let base_seed = 0xA40EBA
 
 (* Seeds a full 2^32 apart keep the derived 48-bit ports distinct for any
    realistic shard count while shard 0 keeps the default seed — so a
@@ -51,7 +51,7 @@ type t = {
 }
 
 let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
-    ?(base_seed = default_base_seed) ?(replicas = 0) ?(stores = fun _ -> Store.memory ()) ?trace
+    ?(replicas = 0) ?(stores = fun _ -> Store.memory ()) ?trace
     engine ~shards:n =
   if n <= 0 then invalid_arg "Cluster.create: need at least one shard";
   if replicas < 0 then invalid_arg "Cluster.create: replicas must be >= 0";

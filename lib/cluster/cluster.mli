@@ -14,16 +14,16 @@ val create :
   ?proc_ms:float ->
   ?cache_capacity:int ->
   ?group_commit:int ->
-  ?base_seed:int ->
   ?replicas:int ->
   ?stores:(int -> Afs_core.Store.t) ->
   ?trace:Afs_trace.Trace.t ->
   Afs_sim.Engine.t ->
   shards:int ->
   t
-(** [shards] ≥ 1 servers with well-separated seeds (shard [i] gets
-    [base_seed + i·2^32]), all sharing [trace] — their spans stay
-    separable through each server's ["shard-<i>"] name label.
+(** [shards] ≥ 1 servers with well-separated seeds (shard [i] gets the
+    bare server's default seed plus [i·2^32]), all sharing [trace] —
+    their spans stay separable through each server's ["shard-<i>"] name
+    label.
     [group_commit] gives every shard the same commit batch window: each
     shard's RPC host keeps its own queue, so batches form per shard
     (default 1 — no batching). [stores i] is shard [i]'s store (default

@@ -49,28 +49,28 @@ end
 type handle = { file : Capability.t; shard : Shard.t; txn : Txn.t }
 
 let max_hops = 8
-let chain_too_long = Error (Errors.Store_failure "cluster: forward chain too long")
 
-let learn t ~old target =
-  Router.note_forward (Cluster.router t.cluster) ~old target;
-  Stats.Counter.incr (Cluster.counters t.cluster) "client.forwarded"
-
-let begin_txn ?(respect_hints = false) ?(updater_port = 0) t file =
+(* The one [Moved] loop: route by port, run [f] on the owning shard, and
+   on a tombstone's answer learn the forward into the shared router
+   cache and go again at the new home. *)
+let routed t file f =
   let rec go file hops =
-    if hops > max_hops then chain_too_long
+    if hops > max_hops then Error (Errors.Store_failure "cluster: forward chain too long")
     else
       let* file, shard = Cluster.shard_of_cap t.cluster file in
-      match
-        Remote.create_version ~respect_hints ~updater_port (conn_of t shard) file
-      with
-      | Ok version ->
-          Ok { file; shard; txn = { Txn.conn = conn_of t shard; version } }
+      match f (conn_of t shard) ~shard file with
       | Error (Errors.Moved target) ->
-          learn t ~old:file target;
+          Router.note_forward (Cluster.router t.cluster) ~old:file target;
+          Stats.Counter.incr (Cluster.counters t.cluster) "client.forwarded";
           go target (hops + 1)
-      | Error e -> Error e
+      | r -> r
   in
   go file 0
+
+let begin_txn t file =
+  routed t file (fun conn ~shard file ->
+      let* version = Remote.create_version conn file in
+      Ok { file; shard; txn = { Txn.conn; version } })
 
 let commit t h =
   let* () = Remote.commit h.txn.Txn.conn h.txn.Txn.version in
@@ -81,9 +81,9 @@ let abort h = Remote.abort_version h.txn.Txn.conn h.txn.Txn.version
 
 exception Give_up of Errors.t
 
-let update ?(retries = 16) ?respect_hints ?updater_port t file body =
+let update ?(retries = 16) t file body =
   let rec attempt n =
-    match begin_txn ?respect_hints ?updater_port t file with
+    match begin_txn t file with
     | Error e -> Error e
     | Ok h -> (
         let result = try body h.txn with Give_up e -> Error e in
@@ -102,39 +102,15 @@ let update ?(retries = 16) ?respect_hints ?updater_port t file body =
   in
   attempt 1
 
-let current_version t file =
-  let rec go file hops =
-    if hops > max_hops then chain_too_long
-    else
-      let* file, shard = Cluster.shard_of_cap t.cluster file in
-      match Remote.current_version (conn_of t shard) file with
-      | Ok version -> Ok (file, shard, version)
-      | Error (Errors.Moved target) ->
-          learn t ~old:file target;
-          go target (hops + 1)
-      | Error e -> Error e
-  in
-  go file 0
-
 let read_current t file path =
-  let* _, shard, version = current_version t file in
-  Remote.read_page (conn_of t shard) version path
+  routed t file (fun conn ~shard:_ file ->
+      let* version = Remote.current_version conn file in
+      Remote.read_page conn version path)
 
 let create_file ?(data = Bytes.empty) t =
   Remote.create_file (conn_of t (Cluster.place t.cluster)) data
 
-(* {2 Raw routing, for the transaction layer (lib/txn)}
-
-   The coordinator drives the staging/resolution protocol with bare
-   {!Remote} requests; these expose just enough of the routing machinery
-   for it to land them on the owning shard and keep the forward cache
-   warm. *)
-
-let conn_for t file =
-  let* file, shard = Cluster.shard_of_cap t.cluster file in
-  Ok (file, shard, conn_of t shard)
-
-let note_forward t ~old target = learn t ~old target
+(* {2 For the transaction layer (lib/txn)} *)
 
 let create_file_on t shard ~data = Remote.create_file (conn_of t shard) data
 

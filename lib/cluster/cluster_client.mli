@@ -1,7 +1,8 @@
 (** Location-transparent client over a {!Cluster}: the {!Afs_core.Client}
-    surface, but every operation first routes by port, chases cached
-    forwards, and learns new ones from [Moved] answers — so callers keep
-    using a migrated file's old capability indefinitely.
+    surface, but every operation goes through {!routed}: it routes by
+    port, chases cached forwards, and learns new ones from [Moved]
+    answers — so callers keep using a migrated file's old capability
+    indefinitely.
 
     Must run inside a simulation process (all operations are RPCs). *)
 
@@ -37,12 +38,23 @@ type handle = { file : Afs_util.Capability.t; shard : Shard.t; txn : Txn.t }
 (** An open transaction: the capability as resolved (post-forwarding) and
     the shard it landed on. *)
 
-val begin_txn :
-  ?respect_hints:bool -> ?updater_port:int -> t ->
-  Afs_util.Capability.t -> handle Afs_core.Errors.r
-(** Route, chase forwards (learning each hop), and open a version on the
-    owning shard. Errors other than [Moved] propagate ([Locked_out]
-    back-off policy is the caller's, as in the bare-server harnesses). *)
+val routed :
+  t -> Afs_util.Capability.t ->
+  (Afs_rpc.Remote.conn -> shard:Shard.t -> Afs_util.Capability.t -> 'a Afs_core.Errors.r) ->
+  'a Afs_core.Errors.r
+(** [routed t file f] is the client's one forward-chasing loop. It
+    resolves [file] through the shared router cache, routes it by port
+    and runs [f conn ~shard file] on the owning shard. A [Moved target]
+    answer from [f] (a tombstone) is learnt into the router cache, counted
+    under ["client.forwarded"], and [f] runs again at [target]. After 8
+    hops it gives up with [Store_failure "cluster: forward chain too
+    long"]. Every other answer is [f]'s. Every routed operation below,
+    and every request of lib/txn, goes through it. *)
+
+val begin_txn : t -> Afs_util.Capability.t -> handle Afs_core.Errors.r
+(** Open a version on the owning shard, {!routed}. Errors other than
+    [Moved] propagate ([Locked_out] back-off policy is the caller's, as
+    in the bare-server harnesses). *)
 
 val commit : t -> handle -> unit Afs_core.Errors.r
 (** Commit on the owning shard; on success records the file's load for
@@ -54,8 +66,8 @@ exception Give_up of Afs_core.Errors.t
 (** Raise inside an {!update} body to abort without retrying. *)
 
 val update :
-  ?retries:int -> ?respect_hints:bool -> ?updater_port:int -> t ->
-  Afs_util.Capability.t -> (Txn.t -> 'a Afs_core.Errors.r) -> 'a Afs_core.Errors.r
+  ?retries:int -> t -> Afs_util.Capability.t -> (Txn.t -> 'a Afs_core.Errors.r) ->
+  'a Afs_core.Errors.r
 (** {!Afs_core.Client.update}'s redo loop, cluster-wide: on [Conflict]
     (from the body or from commit) the whole body re-runs against a fresh
     version — which may land on a {e different} shard if the file migrated
@@ -63,25 +75,16 @@ val update :
 
 val read_current :
   t -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r
+(** A page of the file's current committed version, {!routed}. *)
 
 val create_file : ?data:bytes -> t -> Afs_util.Capability.t Afs_core.Errors.r
 (** New file on the round-robin placement shard. *)
 
-(** {2 Raw routing, for the transaction layer}
+(** {2 For the transaction layer}
 
     The cross-shard coordinator (lib/txn) speaks bare {!Afs_rpc.Remote}
-    requests; these expose the routing machinery it needs without the
-    policy the higher-level operations bundle in. *)
-
-val conn_for :
-  t -> Afs_util.Capability.t ->
-  (Afs_util.Capability.t * Shard.t * Afs_rpc.Remote.conn) Afs_core.Errors.r
-(** [(resolved_cap, owning_shard, connection)] after applying the
-    client's cached forwards — the request itself may still answer
-    [Moved]; feed that back via {!note_forward} and re-route. *)
-
-val note_forward : t -> old:Afs_util.Capability.t -> Afs_util.Capability.t -> unit
-(** Learn a forward from a [Moved] answer (shared router cache). *)
+    requests through {!routed}; these two place its records and credit
+    its commits. *)
 
 val create_file_on :
   t -> Shard.t -> data:bytes -> Afs_util.Capability.t Afs_core.Errors.r

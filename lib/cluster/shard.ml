@@ -57,7 +57,7 @@ let location_check server base (req : Remote.request) : Remote.response =
       | Forwarded target -> Error (Errors.Moved target)
       | In_doubt record -> Error (Errors.Txn_in_doubt record)
       | Plain -> base req)
-  | Remote.Create_version { file; _ } -> (
+  | Remote.Create_version file -> (
       match root_marker server file with
       | Forwarded target -> Error (Errors.Moved target)
       | In_doubt record -> Error (Errors.Txn_in_doubt record)

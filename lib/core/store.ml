@@ -183,11 +183,10 @@ type worm_stats = {
   index_blocks : int;
 }
 
-let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
-    ?(index_media = Afs_disk.Media.magnetic) ~blocks ~block_size () =
+let worm_hybrid ~blocks ~block_size () =
   let module Disk = Afs_disk.Disk in
-  let bulk = Disk.create ~media:bulk_media ~blocks ~block_size () in
-  let index = Disk.create ~media:index_media ~blocks ~block_size () in
+  let bulk = Disk.create ~media:Afs_disk.Media.optical ~blocks ~block_size () in
+  let index = Disk.create ~media:Afs_disk.Media.magnetic ~blocks ~block_size () in
   let redirected : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let lock, unlock = lock_table () in

@@ -63,17 +63,12 @@ type worm_stats = {
   index_blocks : int;  (** Blocks that migrated to the index. *)
 }
 
-val worm_hybrid :
-  ?bulk_media:Afs_disk.Media.t ->
-  ?index_media:Afs_disk.Media.t ->
-  blocks:int ->
-  block_size:int ->
-  unit ->
-  t * (unit -> worm_stats)
-(** The §6 optical configuration as Figure 2 implies it: a write-once bulk
-    medium plus a small rewritable index. A block is etched onto the bulk
-    medium on first write and silently migrates to the index the first
-    time it needs rewriting — in practice only version pages do (commit
-    references and flags), so "the top of the tree" ends up on magnetic
-    media while data pages are written exactly once. Freeing a bulk block
-    merely unlinks it: WORM space is unreclaimable by design. *)
+val worm_hybrid : blocks:int -> block_size:int -> unit -> t * (unit -> worm_stats)
+(** The §6 optical configuration as Figure 2 implies it: a write-once
+    optical bulk medium plus a small rewritable magnetic index. A block
+    is etched onto the bulk medium on first write and silently migrates
+    to the index the first time it needs rewriting — in practice only
+    version pages do (commit references and flags), so "the top of the
+    tree" ends up on magnetic media while data pages are written exactly
+    once. Freeing a bulk block merely unlinks it: WORM space is
+    unreclaimable by design. *)

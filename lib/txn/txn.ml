@@ -61,6 +61,12 @@
       since its value stays at or below their seq — so the leak is one
       record per failure.
 
+   A one-part transaction needs none of this, because one single-shard
+   commit is already atomic: it opens its version with the same reading
+   batch a stage does and commits the computed writes in one more — two
+   batches in all. Every request here is routed through the cluster
+   client's one [Moved] loop, [Cluster_client.routed].
+
    Recovery needs no log: a marker names its record and seq, the
    record's root names the outcome, and [sweep] walks the files and
    applies step 4 — present-and-committed rolls forward, anything else
@@ -156,29 +162,17 @@ let resolve marker decision =
 
 (* {2 Routed RPC helpers} *)
 
-let max_hops = 8
-
-(* Run [f conn file] against the file's owning shard, chasing [Moved]
-   answers through the shared forward cache. *)
-let with_conn t file f =
-  let rec go file hops =
-    if hops > max_hops then Error (Store_failure "txn: forward chain too long")
-    else
-      let* file, shard, conn = CC.conn_for t.client file in
-      match f conn ~shard file with
-      | Error (Moved target) ->
-          CC.note_forward t.client ~old:file target;
-          go target (hops + 1)
-      | r -> r
-  in
-  go file 0
+(* How often a part re-opens a file it found in doubt before giving up
+   (staging, which also re-stages after ordinary conflicts, allows four
+   times as many). *)
+let retry_limit = 8
 
 let malformed = Error (Store_failure "txn: malformed batch answer")
 
 (* The file's current committed root data, marker and all: a [Current]
    batch passes the shard's in-doubt trap. *)
 let root_data t file =
-  with_conn t file (fun conn ~shard:_ file ->
+  CC.routed t.client file (fun conn ~shard:_ file ->
       rt t;
       match Remote.batch conn (Remote.Current file) [ Remote.Read Pagepath.root ] with
       | Ok (Remote.Ran { reads = [ root ]; _ }) -> Ok root
@@ -228,7 +222,7 @@ let decide_record t ~record ~seq ~seen ~commit =
     if n > transport_patience then Error (Store_failure "txn: record decision starved")
     else
       let step =
-        with_conn t record (fun conn ~shard:_ record ->
+        CC.routed t.client record (fun conn ~shard:_ record ->
             rt t;
             Remote.batch conn (Remote.Open record) (swap_steps ~expected ~root:target []))
       in
@@ -264,18 +258,48 @@ let read_paths ops =
     ops
 
 (* Pair the fetched pages back up with the ops that asked for them
-   (pure; [pages] mirrors [read_paths ops] by construction). *)
+   (pure; [pages] mirrors [read_paths ops] by construction). The pages
+   were read before any write, so an [Rmw] of a path the part already
+   wrote transforms the newest pending write instead, as the same ops
+   run one by one would. *)
 let computed_writes ops pages =
+  let pending path acc =
+    List.find_map (fun (p, data) -> if Pagepath.equal p path then Some data else None) acc
+  in
   let rec go pages acc = function
     | [] -> List.rev acc
     | Read _ :: rest -> go (match pages with _ :: ps -> ps | [] -> []) acc rest
     | Write (path, data) :: rest -> go pages ((path, data) :: acc) rest
     | Rmw (path, f) :: rest -> (
         match pages with
-        | data :: ps -> go ps ((path, f data) :: acc) rest
+        | data :: ps ->
+            let data = Option.value ~default:data (pending path acc) in
+            go ps ((path, f data) :: acc) rest
         | [] -> List.rev acc)
   in
   go pages [] ops
+
+(* Open a version of a part's file in one [Open] batch that reads the
+   root and every page the part's ops read; answer the version, the old
+   root data and the part's computed writes. The batch skips the shard's in-doubt trap, so a foreign marker arrives as
+   data: detect it here and surface the same [Txn_in_doubt] the trap
+   would have raised — minus one round trip in the common, unmarked
+   case. *)
+let open_part t conn file ops =
+  rt t;
+  match
+    Remote.batch conn (Remote.Open file)
+      (List.map (fun path -> Remote.Read path) (Pagepath.root :: read_paths ops))
+  with
+  | Ok (Remote.Ran { version; reads = old_root :: pages }) -> (
+      match Txnmark.record_of old_root with
+      | Some other ->
+          rt t;
+          ignore (Remote.abort_version conn version : unit r);
+          Error (Txn_in_doubt other)
+      | None -> Ok (version, old_root, computed_writes ops pages))
+  | Ok _ -> malformed
+  | Error e -> Error e
 
 (* A committed stage: the participant, its marker, and the marker's
    exact root bytes — what the flip test-and-sets against. *)
@@ -287,50 +311,29 @@ type staged = { sfile : Capability.t; marker : Txnmark.t; image : bytes }
    so only [Seal_in_doubt] can leave a marker behind. *)
 type stage_error = Unstaged of Errors.t | Seal_in_doubt of Errors.t
 
-(* Stage one participant: ordinary version, the transaction's reads,
-   then the marker committed into the root. Nothing but the root is
-   written — the computed writes ride the marker until the flip. *)
+(* Stage one participant: [open_part], then the marker committed into
+   the root. Nothing but the root is written — the computed writes ride
+   the marker until the flip. *)
 let stage t ~record ~seq part =
   let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(string_of_int seq) () in
   let result =
-    with_conn t part.file (fun conn ~shard file ->
+    CC.routed t.client part.file (fun conn ~shard file ->
+        let* version, old_root, writes = open_part t conn file part.ops in
+        let marker = { Txnmark.record; seq; old_root; writes } in
+        let image = Txnmark.encode marker in
         rt t;
-        let* version, old_root, pages =
-          match
-            Remote.batch conn (Remote.Open file)
-              (List.map (fun path -> Remote.Read path) (Pagepath.root :: read_paths part.ops))
-          with
-          | Ok (Remote.Ran { version; reads = old_root :: pages }) -> Ok (version, old_root, pages)
-          | Ok _ -> malformed
-          | Error e -> Error e
-        in
-        (* The batch skips the shard's in-doubt trap, so a foreign
-           marker arrives as data: detect it here and surface the same
-           [Txn_in_doubt] the trap would have raised — minus one round
-           trip in the common, unmarked case. *)
-        match Txnmark.record_of old_root with
-        | Some other ->
-            rt t;
-            ignore (Remote.abort_version conn version : unit r);
-            Error (Txn_in_doubt other)
-        | None -> (
-            let marker =
-              { Txnmark.record; seq; old_root; writes = computed_writes part.ops pages }
-            in
-            let image = Txnmark.encode marker in
-            rt t;
-            match
-              Remote.batch conn (Remote.Version version)
-                [ Remote.Write (Pagepath.root, image); Remote.Commit ]
-            with
-            | Ok _ ->
-                CC.note_commit t.client ~shard file;
-                tpoint t (Trace.Txn_stage { txn = seq; file_obj = file.Capability.obj });
-                Ok (Ok { sfile = file; marker; image })
-            | Error Conflict -> Error Conflict
-            (* Answered, not raised: an in-doubt seal must not be retried
-               anywhere — not even at a [Moved] target. *)
-            | Error e -> Ok (Error (Seal_in_doubt e))))
+        match
+          Remote.batch conn (Remote.Version version)
+            [ Remote.Write (Pagepath.root, image); Remote.Commit ]
+        with
+        | Ok _ ->
+            CC.note_commit t.client ~shard file;
+            tpoint t (Trace.Txn_stage { txn = seq; file_obj = file.Capability.obj });
+            Ok (Ok { sfile = file; marker; image })
+        | Error Conflict -> Error Conflict
+        (* Answered, not raised: an in-doubt seal must not be retried
+           anywhere — not even at a [Moved] target. *)
+        | Error e -> Ok (Error (Seal_in_doubt e)))
   in
   Trace.close_span t.trace span;
   match result with Ok r -> r | Error e -> Error (Unstaged e)
@@ -346,7 +349,7 @@ let stage t ~record ~seq part =
    nothing left to do. *)
 let apply t { sfile = file; marker = m; image } ~forward =
   let step =
-    with_conn t file (fun conn ~shard:_ file ->
+    CC.routed t.client file (fun conn ~shard:_ file ->
         rt t;
         Remote.batch conn (Remote.Open file)
           (swap_steps ~expected:image ~root:m.Txnmark.old_root
@@ -454,52 +457,46 @@ let release_record t shard pooled =
   Hashtbl.replace t.free id (pooled :: rest)
 
 (* One participant needs no coordination: the single-shard commit is
-   already atomic. In-doubt files are resolved inline and retried. *)
+   already atomic, so [open_part]'s writes commit in one [Version] batch
+   — two messages in all. An in-doubt file is resolved inline and the
+   part retried. *)
 let exec_single t part =
   let rec go tries =
-    if tries > max_hops then Error (Failed (Store_failure "txn: in-doubt resolution starved"))
-    else begin
-      rt t;
-      match CC.begin_txn t.client part.file with
+    if tries > retry_limit then Error (Failed (Store_failure "txn: in-doubt resolution starved"))
+    else
+      let committed =
+        CC.routed t.client part.file (fun conn ~shard file ->
+            let* version, _, writes = open_part t conn file part.ops in
+            rt t;
+            match
+              Remote.batch conn (Remote.Version version)
+                (List.map (fun (path, data) -> Remote.Write (path, data)) writes
+                @ [ Remote.Commit ])
+            with
+            | Ok _ ->
+                CC.note_commit t.client ~shard file;
+                Ok ()
+            (* A lost validation removed the version; a store failure
+               may have published it, like an in-doubt seal. *)
+            | Error ((Conflict | Store_failure _) as e) -> Error e
+            | Error e ->
+                (* A write step failed: the version is still open. *)
+                rt t;
+                ignore (Remote.abort_version conn version : unit r);
+                Error e)
+      in
+      match committed with
+      | Ok () ->
+          bump t "txn.committed";
+          Ok ()
       | Error (Txn_in_doubt _) -> (
           match resolve_in_doubt t ~patience:t.pending_patience part.file with
           | Ok () -> go (tries + 1)
           | Error e -> Error (Failed e))
+      | Error Conflict ->
+          bump t "txn.aborted.local";
+          Error (Local Conflict)
       | Error e -> Error (Failed e)
-      | Ok h -> (
-          let ran =
-            List.fold_left
-              (fun acc op ->
-                let* () = acc in
-                match op with
-                | Read path ->
-                    rt t;
-                    let* (_ : bytes) = CC.Txn.read h.CC.txn path in
-                    Ok ()
-                | Write (path, data) ->
-                    rt t;
-                    CC.Txn.write h.CC.txn path data
-                | Rmw (path, f) ->
-                    rt ~n:2 t;
-                    let* data = CC.Txn.read h.CC.txn path in
-                    CC.Txn.write h.CC.txn path (f data))
-              (Ok ()) part.ops
-          in
-          match ran with
-          | Error e ->
-              ignore (CC.abort h : unit r);
-              if e = Conflict then Error (Local e) else Error (Failed e)
-          | Ok () -> (
-              rt t;
-              match CC.commit t.client h with
-              | Ok () ->
-                  bump t "txn.committed";
-                  Ok ()
-              | Error Conflict ->
-                  bump t "txn.aborted.local";
-                  Error (Local Conflict)
-              | Error e -> Error (Failed e)))
-    end
   in
   bump t "txn.fastpath";
   go 0
@@ -534,7 +531,7 @@ let coordinated t ~crash_at ~on_record parts =
          is explicit, so the round-robin cursor (and with it the
          workload's file layout) is unperturbed. *)
       let acquired =
-        let* _, shard, _ = CC.conn_for t.client first.file in
+        let* _, shard = Afs_cluster.Cluster.shard_of_cap (CC.cluster t.client) first.file in
         let* record, seen = acquire_record t shard in
         Ok (shard, record, seen)
       in
@@ -580,7 +577,7 @@ let coordinated t ~crash_at ~on_record parts =
             | part :: rest -> (
                 crash (Before_stage idx);
                 let rec attempt tries =
-                  if tries > 4 * max_hops then
+                  if tries > 4 * retry_limit then
                     Error (Unstaged (Store_failure "txn: staging starved"))
                   else
                     match stage t ~record ~seq part with

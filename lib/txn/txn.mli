@@ -80,9 +80,13 @@ val exec :
   t ->
   part list ->
   (unit, failure) result
-(** Run one transaction to a definite outcome. A single part takes the
-    ordinary single-shard path (no record, no marker); multiple parts
-    run the stage/decide/flip protocol, staging in capability order.
+(** Run one transaction to a definite outcome. A single part needs no
+    record and no marker: it is two batches on its own shard, an [Open]
+    batch that reads its pages and a [Version] batch that writes the
+    computed values and commits (an in-doubt file is resolved and the
+    part retried); multiple parts run the stage/decide/flip protocol, staging in
+    capability order. Within a part an [Rmw] of a page the part already
+    wrote transforms that pending write.
     [on_record] observes the coordinator record's capability and the
     transaction's seq as soon as the record is acquired — the hook crash
     tests use to audit outcomes ({!record_decision}) after a {!Crashed}

@@ -382,6 +382,140 @@ let test_overflowing_root_opens () =
         (ok (CC.Txn.read h.CC.txn P.root));
       ok (CC.abort h))
 
+(* A part's [Rmw] of a page it already wrote transforms that pending
+   write, as the same ops run one by one would: the ops' reads all ride
+   the opening batch, ahead of every write. *)
+let test_rmw_after_write () =
+  in_cluster ~shards:2 (fun _cluster client ->
+      let accts = setup_accounts client 2 100 in
+      let txn = Txn.create client in
+      ok_txn
+        (Txn.exec txn
+           [ { Txn.file = accts.(0); ops = [ Txn.Write (P.of_list [ 0 ], bytes "10"); credit 5 ] };
+             { Txn.file = accts.(1); ops = [ credit 1 ] } ]);
+      Alcotest.(check int) "write, then +5" 15 (read_balance client accts.(0));
+      Alcotest.(check int) "credited" 101 (read_balance client accts.(1)))
+
+(* {2 The one-part path against the per-op loop}
+
+   A one-part transaction opens with one batch that reads every page its
+   ops read and commits the computed writes with a second. Run the same
+   random ops one by one through [CC.update] on an identical cluster:
+   the answers and every page must agree. Page 3 does not exist, so the
+   error answers are compared too. *)
+type pop = P_read of int | P_write of int * string | P_rmw of int * string
+
+let gen_pops =
+  QCheck2.Gen.(
+    list_size (int_range 1 6)
+      (oneof
+         [
+           map (fun i -> P_read i) (int_bound 3);
+           map2 (fun i c -> P_write (i, String.make 1 c)) (int_bound 3) (char_range 'a' 'e');
+           map2 (fun i c -> P_rmw (i, String.make 1 c)) (int_bound 3) (char_range 'a' 'e');
+         ]))
+
+let print_pops =
+  QCheck2.Print.list (function
+    | P_read i -> Printf.sprintf "read %d" i
+    | P_write (i, d) -> Printf.sprintf "write %d %s" i d
+    | P_rmw (i, d) -> Printf.sprintf "rmw %d +%s" i d)
+
+let page i = P.of_list [ i ]
+let append d old = bytes (Bytes.to_string old ^ d)
+
+(* A file with pages 0-2, then [run client file]; answers the result
+   and the root and the three pages as committed afterwards. *)
+let one_part_run run =
+  in_cluster ~shards:2 (fun _cluster client ->
+      let f = ok (CC.create_file ~data:(bytes "root") client) in
+      ok
+        (CC.update client f (fun txn ->
+             let open Errors in
+             List.fold_left
+               (fun acc i ->
+                 let* () = acc in
+                 let* _ =
+                   CC.Txn.insert txn ~parent:P.root ~index:i
+                     ~data:(bytes (Printf.sprintf "p%d" i)) ()
+                 in
+                 Ok ())
+               (Ok ()) [ 0; 1; 2 ]));
+      let answer = Result.map_error Errors.to_string (run client f) in
+      let pages =
+        List.map
+          (fun path -> Bytes.to_string (ok (CC.read_current client f path)))
+          (P.root :: List.map page [ 0; 1; 2 ])
+      in
+      (answer, pages))
+
+let prop_one_part_matches_per_op =
+  QCheck2.Test.make ~name:"one-part exec = the same ops one by one" ~count:200
+    ~print:print_pops gen_pops (fun pops ->
+      let batched =
+        one_part_run (fun client f ->
+            let ops =
+              List.map
+                (function
+                  | P_read i -> Txn.Read (page i)
+                  | P_write (i, d) -> Txn.Write (page i, bytes d)
+                  | P_rmw (i, d) -> Txn.Rmw (page i, append d))
+                pops
+            in
+            match Txn.exec (Txn.create client) [ { Txn.file = f; ops } ] with
+            | Ok () -> Ok ()
+            | Error (Txn.Local e | Txn.Cross e | Txn.Failed e) -> Error e)
+      in
+      let per_op =
+        one_part_run (fun client f ->
+            CC.update client f (fun txn ->
+                let open Errors in
+                List.fold_left
+                  (fun acc op ->
+                    let* () = acc in
+                    match op with
+                    | P_read i ->
+                        let* _ = CC.Txn.read txn (page i) in
+                        Ok ()
+                    | P_write (i, d) -> CC.Txn.write txn (page i) (bytes d)
+                    | P_rmw (i, d) ->
+                        let* old = CC.Txn.read txn (page i) in
+                        CC.Txn.write txn (page i) (append d old))
+                  (Ok ()) pops))
+      in
+      batched = per_op)
+
+(* {2 The hop limit}
+
+   Two tombstones naming each other, laid by hand as below: [CC.routed]
+   follows the cycle for its eight hops, learning every forward it is
+   told, then gives up. *)
+let test_forward_cycle () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let a = ok (CC.create_file_on client (Cluster.shard cluster 0) ~data:(bytes "a")) in
+      let b = ok (CC.create_file_on client (Cluster.shard cluster 1) ~data:(bytes "b")) in
+      let tombstone shard file target =
+        let conn = Cluster.conn cluster shard in
+        let v = ok (Afs_rpc.Remote.create_version conn file) in
+        ok (Afs_rpc.Remote.write_page conn v P.root (Forward.encode target));
+        ok (Afs_rpc.Remote.commit conn v)
+      in
+      tombstone 0 a b;
+      tombstone 1 b a;
+      let forwarded () = Afs_util.Stats.Counter.get (Cluster.counters cluster) "client.forwarded" in
+      let before = forwarded () in
+      let tries = ref 0 in
+      (match
+         CC.routed client a (fun conn ~shard:_ file ->
+             incr tries;
+             Afs_rpc.Remote.current_version conn file)
+       with
+      | Error (Errors.Store_failure "cluster: forward chain too long") -> ()
+      | Ok _ -> Alcotest.fail "a forward cycle resolved"
+      | Error e -> Alcotest.failf "expected the hop limit, got %s" (Errors.to_string e));
+      Alcotest.(check int) "the first try and eight hops" 9 !tries;
+      Alcotest.(check int) "every answered forward learnt" 9 (forwarded () - before))
+
 (* {2 Moved through batches}
 
    The shared router learns a migration's forward as the flip commits, so
@@ -938,6 +1072,9 @@ let () =
           quick "stage fences versions opened before it" test_stage_fences_prior_versions;
           quick "an overflowing marker-like root opens" test_overflowing_root_opens;
           quick "a transfer chases a moved participant" test_transfer_chases_moved;
+          quick "an Rmw reads its part's own write" test_rmw_after_write;
+          QCheck_alcotest.to_alcotest prop_one_part_matches_per_op;
+          quick "a forward cycle stops at the hop limit" test_forward_cycle;
           quick "batches on a tombstone answer Moved" test_batch_on_tombstone_moved;
           quick "records are reused" test_records_reused;
           quick "stale resolver changes nothing" test_stale_resolver;
