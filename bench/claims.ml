@@ -124,11 +124,12 @@ let c1 () =
         [ "system"; "committed"; "txn/s"; "redo rate"; "starved"; "mean ms"; "p99 ms" ]
         rows)
     scenarios;
-  note "shape: OCC ties the best at low contention (locking pays lock round trips) and";
-  note "leads clearly on small hot updates (redos are cheap). As update size grows the";
-  note "redo bill erodes the lead towards parity with 2PL — the §3.1 crossover region —";
-  note "which is why §5.3 switches large multi-file updates to locking (see c6/c8).";
-  note "Timestamps starve old transactions outright on hot data (the 'starved' column)."
+  note "afs-occ sends two messages per attempt (an Open batch of reads, a Version batch";
+  note "of writes + commit); xdfs-2pl and swallow-ts send one per access, as their";
+  note "protocols do. So OCC leads at every size here, and the lead grows with the update:";
+  note "the redo bill stays smaller than the locking side's per-access round trips. The";
+  note "§3.1 crossover (locking for large contended updates) shows only at equal message";
+  note "counts per access. Timestamps starve old transactions on hot data ('starved')."
 
 (* {2 C2 — crash recovery: no rollback, no lock clearing} *)
 

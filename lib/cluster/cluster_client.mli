@@ -22,9 +22,8 @@ module Txn : sig
   val version : t -> Afs_util.Capability.t
 
   val conn : t -> Afs_rpc.Remote.conn
-  (** The owning shard's connection — where lib/workload's exec loop runs
-      this version's page requests and commit, and its 2PC baseline speaks
-      [Prepare]/[Decide]. *)
+  (** The owning shard's connection — where lib/workload's 2PC baseline
+      runs this version's page requests and speaks [Prepare]/[Decide]. *)
 
   val read : t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r
   val write : t -> Afs_util.Pagepath.t -> bytes -> unit Afs_core.Errors.r

@@ -7,6 +7,7 @@ type t =
   | Bad_path of Afs_util.Pagepath.t
   | Bad_index of { path : Afs_util.Pagepath.t; index : int; nrefs : int }
   | Page_too_large of { bytes : int; limit : int }
+  | Message_too_large of { bytes : int; limit : int }
   | Locked_out of { port : int }
   | Not_superfile
   | Moved of Afs_util.Capability.t
@@ -24,6 +25,8 @@ let pp ppf = function
       Fmt.pf ppf "index %d out of range (nrefs=%d) at %a" index nrefs Afs_util.Pagepath.pp
         path
   | Page_too_large { bytes; limit } -> Fmt.pf ppf "page of %d bytes exceeds %d" bytes limit
+  | Message_too_large { bytes; limit } ->
+      Fmt.pf ppf "message of %d bytes exceeds %d" bytes limit
   | Locked_out { port } -> Fmt.pf ppf "locked by update holding port %d" port
   | Not_superfile -> Fmt.string ppf "file is not a super-file"
   | Moved cap -> Fmt.pf ppf "file migrated to %a" Afs_util.Capability.pp cap

@@ -14,6 +14,9 @@ type t =
   | Bad_index of { path : Afs_util.Pagepath.t; index : int; nrefs : int }
   | Page_too_large of { bytes : int; limit : int }
       (** The encoded page would exceed the 32K transaction-message cap. *)
+  | Message_too_large of { bytes : int; limit : int }
+      (** A batch's write data, or its accumulated read replies, would
+          exceed the same cap: the client must split it. *)
   | Locked_out of { port : int }
       (** A super-file top/inner lock held by a live updater blocks this
           operation (§5.3). *)

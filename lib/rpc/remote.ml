@@ -48,42 +48,57 @@ type value =
 
 type response = (value, Errors.t) result
 
+let message_cap = 32_768
+
+let too_large bytes = Error (Errors.Message_too_large { bytes; limit = message_cap })
+
 (* Run a batch's steps in order against its version, stopping at the
    first error or failed guard. Each step is the ordinary call with its
    ordinary validation, so a [Current] batch is read-only because the
    server refuses writes to committed versions. A version the batch opened
    itself must not outlive a failed batch — the client never learns its
    capability — so an error or a failed guard abandons it; aborting a
-   version the [Commit] step already removed is a harmless no-op. *)
+   version the [Commit] step already removed is a harmless no-op. Both
+   messages obey the 32K cap: a request whose write data exceeds it is
+   refused before it runs, and a batch stops at the read that takes its
+   reply past it. *)
 let run_batch server target steps =
   let open Errors in
-  let* version =
-    match target with
-    | Open file -> Server.create_version server file
-    | Current file -> Server.current_version server file
-    | Version version -> Ok version
+  let written =
+    List.fold_left (fun n -> function Write (_, data) -> n + Bytes.length data | _ -> n) 0 steps
   in
-  let rec run reads : step list -> batch_answer r = function
-    | [] -> Ok (Ran { version; reads = List.rev reads })
-    | Read path :: rest ->
-        let* data = Server.read_page server version path in
-        run (data :: reads) rest
-    | Write (path, data) :: rest ->
-        let* () = Server.write_page server version path data in
-        run reads rest
-    | Guard_root expected :: rest ->
-        let* root = Server.read_page server version Pagepath.root in
-        if Bytes.equal root expected then run reads rest else Ok (Guard_failed root)
-    | Commit :: rest ->
-        let* () = Server.commit server version in
-        run reads rest
-  in
-  let answer = run [] steps in
-  (match (target, answer) with
-  | Open _, (Error _ | Ok (Guard_failed _)) ->
-      ignore (Server.abort_version server version : unit r)
-  | _ -> ());
-  answer
+  if written > message_cap then too_large written
+  else
+    let* version =
+      match target with
+      | Open file -> Server.create_version server file
+      | Current file -> Server.current_version server file
+      | Version version -> Ok version
+    in
+    (* The reply so far is summed afresh at each read (batches are
+       short), so no step's continuation carries a running total. *)
+    let rec run reads : step list -> batch_answer r = function
+      | [] -> Ok (Ran { version; reads = List.rev reads })
+      | Read path :: rest ->
+          let* data = Server.read_page server version path in
+          let replied = List.fold_left (fun n d -> n + Bytes.length d) (Bytes.length data) reads in
+          if replied > message_cap then too_large replied else run (data :: reads) rest
+      | Write (path, data) :: rest ->
+          let* () = Server.write_page server version path data in
+          run reads rest
+      | Guard_root expected :: rest ->
+          let* root = Server.read_page server version Pagepath.root in
+          if Bytes.equal root expected then run reads rest else Ok (Guard_failed root)
+      | Commit :: rest ->
+          let* () = Server.commit server version in
+          run reads rest
+    in
+    let answer = run [] steps in
+    (match (target, answer) with
+    | Open _, (Error _ | Ok (Guard_failed _)) ->
+        ignore (Server.abort_version server version : unit r)
+    | _ -> ());
+    answer
 
 let handle server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
@@ -135,32 +150,66 @@ let request_kind : request -> string = function
 
 type host = { rpc : (request, response) Rpc.t; server : Server.t }
 
+(* A request the group-commit batcher takes: its version and the steps
+   that run before its commit ([None] for a bare Commit). *)
+let commit_member = function
+  | Commit version -> Some (version, None)
+  | Batch { target = Version version; steps } -> (
+      match List.rev steps with
+      | Commit :: before -> Some (version, Some (List.rev before))
+      | _ -> None)
+  | _ -> None
+
+(* Every member's own steps run first, in queue order; a member whose
+   steps fail (or whose guard fails) answers alone and leaves the commit
+   run. The rest commit in one pipeline run, answering as the same
+   requests would one at a time. *)
+let group_commit_batch server reqs =
+  let members =
+    List.map
+      (fun req ->
+        match commit_member req with
+        | None -> Error (Error (Errors.Store_failure "rpc: not a commit"))
+        | Some (version, None) -> Ok (version, fun () -> Unit)
+        | Some (version, Some steps) -> (
+            match run_batch server (Version version) steps with
+            | Ok (Ran { reads; _ }) -> Ok (version, fun () -> Batched (Ran { version; reads }))
+            | Ok (Guard_failed _ as failed) -> Error (Ok (Batched failed))
+            | Error e -> Error (Error e)))
+      reqs
+  in
+  let outcomes =
+    Server.commit_batch server
+      (List.filter_map (function Ok (version, _) -> Some version | Error _ -> None) members)
+  in
+  snd
+    (List.fold_left_map
+       (fun outcomes member ->
+         match (member, outcomes) with
+         | Error answered, _ -> (outcomes, answered)
+         | Ok (_, answer), outcome :: rest -> (rest, Result.map answer outcome)
+         | Ok _, [] -> ([], Error (Errors.Store_failure "rpc: commit run lost a member")))
+       outcomes members)
+
 let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name server =
   if group_commit < 1 then invalid_arg "Remote.host: group_commit must be >= 1";
   let handler =
     match wrap with None -> handle server | Some w -> w (handle server)
   in
-  (* The group-commit window turns into an RPC batcher: queued Commit
-     requests drain together and run through one [Server.commit_batch]
-     pipeline, paying the request overheads and the stable-storage
-     publish leg once per batch. Commit carries its own capability, so it
-     needs none of [wrap]'s routing checks (shard wrappers pass it through
-     untouched). *)
+  (* The group-commit window turns into an RPC batcher: queued commits —
+     a bare Commit, or a [Version] batch whose last step is Commit — drain
+     together and run through one [Server.commit_batch] pipeline, paying
+     the request overheads and the stable-storage publish leg once per
+     batch. Both carry their own version, so they need none of [wrap]'s
+     routing checks (shard wrappers pass them through untouched). *)
   let batching =
     if group_commit = 1 then None
     else
       Some
         {
           Rpc.window = group_commit;
-          batchable = (function Commit _ -> true | _ -> false);
-          handle_batch =
-            (fun reqs ->
-              let caps =
-                List.filter_map (function Commit cap -> Some cap | _ -> None) reqs
-              in
-              List.map
-                (fun r -> Result.map (fun () -> Unit) r)
-                (Server.commit_batch server caps));
+          batchable = (fun req -> Option.is_some (commit_member req));
+          handle_batch = group_commit_batch server;
         }
   in
   {
@@ -177,6 +226,7 @@ let crash_host h =
 let restart_host h = Rpc.restart h.rpc
 let host_server h = h.server
 let host_up h = Rpc.is_up h.rpc
+let requests_served h = Rpc.requests_served h.rpc
 
 type conn = { hosts : host array; balance : bool; mutable preferred : int }
 

@@ -102,10 +102,12 @@ val host :
     location check depends on.
 
     [group_commit] (default 1, must be ≥ 1; [Invalid_argument] otherwise)
-    is the commit batch window: up to that many queued [Commit] requests
-    drain together into one {!Afs_core.Server.commit_batch} run. 1 installs
-    no batcher at all, preserving the paper's one-at-a-time behaviour
-    exactly. *)
+    is the commit batch window: up to that many queued commits — [Commit]
+    requests, and [Version] batches whose last step is [Commit] — drain
+    together. Each batch member's other steps run first, in queue order;
+    a member whose steps fail answers alone, and the rest commit in one
+    {!Afs_core.Server.commit_batch} run. 1 installs no batcher at all,
+    preserving the paper's one-at-a-time behaviour exactly. *)
 
 val crash_host : host -> unit
 (** RPC endpoint dies and the server loses its volatile state (page cache,
@@ -114,6 +116,10 @@ val crash_host : host -> unit
 val restart_host : host -> unit
 val host_server : host -> Afs_core.Server.t
 val host_up : host -> bool
+
+val requests_served : host -> int
+(** Requests the host has answered, a group-commit batch counting each
+    member ({!Rpc.requests_served}). *)
 
 type conn
 
@@ -157,14 +163,20 @@ val validate_cache :
   conn -> file:Afs_util.Capability.t -> basis_block:int ->
   Afs_core.Cache.validation Afs_core.Errors.r
 
+val message_cap : int
+(** 32 768: the paper's RPC carries at most 32K bytes per message. A
+    batch whose [Write] data exceeds it, or whose [Read] replies add up
+    to more, is refused with [Message_too_large]. *)
+
 val batch :
   conn -> target -> step list -> batch_answer Afs_core.Errors.r
 (** Run [steps] in order against [target]'s version in one message. Each
     step is the ordinary call with its ordinary validation; the batch
     stops at the first error (answered as the batch's error) or failed
-    guard. An error or a failed guard abandons a version the batch opened
-    itself ([Open]) — the caller never learns its capability — while a
-    successful [Open] batch without [Commit] hands its version over.
+    guard, and obeys {!message_cap}. An error or a failed guard abandons
+    a version the batch opened itself ([Open]) — the caller never learns
+    its capability — while a successful [Open] batch without [Commit]
+    hands its version over.
     Behind a cluster wrapper an [Open] or [Current] batch skips the
     in-doubt trap but may answer [Moved] — callers chase it. *)
 

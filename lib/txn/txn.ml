@@ -64,8 +64,9 @@
    A one-part transaction needs none of this, because one single-shard
    commit is already atomic: it opens its version with the same reading
    batch a stage does and commits the computed writes in one more — two
-   batches in all. Every request here is routed through the cluster
-   client's one [Moved] loop, [Cluster_client.routed].
+   batches in all ([commit_part], which is also every attempt of
+   lib/workload's single-file exec loop). Every request here is routed
+   through the cluster client's one [Moved] loop, [Cluster_client.routed].
 
    Recovery needs no log: a marker names its record and seq, the
    record's root names the outcome, and [sweep] walks the files and
@@ -112,26 +113,31 @@ type t = {
   free : (int, (Capability.t * bytes) list) Hashtbl.t;
       (** Reusable coordinator records by shard id, each with the root
           data it holds. *)
+  round_trip : unit -> unit;  (** Counts one message: {!rt}, for {!commit_part}. *)
 }
 
 (* The wait between polls of a busy record or a pending coordinator. *)
 let backoff_ms = 5.0
 
+let bump ?by t name = Stats.Counter.incr ?by t.counters name
+let rt ?(n = 1) t = bump ~by:n t "txn.round_trips"
+
 let create ?(trace = Trace.null) ?(pending_patience = 32) client =
-  {
-    client;
-    trace;
-    counters = Stats.Counter.create ();
-    next_seq = 1;
-    pending_patience;
-    free = Hashtbl.create 8;
-  }
+  let rec t =
+    {
+      client;
+      trace;
+      counters = Stats.Counter.create ();
+      next_seq = 1;
+      pending_patience;
+      free = Hashtbl.create 8;
+      round_trip = (fun () -> rt t);
+    }
+  in
+  t
 
 let counters t = t.counters
-let bump ?by t name = Stats.Counter.incr ?by t.counters name
 let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
-
-let rt ?(n = 1) t = bump ~by:n t "txn.round_trips"
 
 (* {2 The decision logic (pure)}
 
@@ -279,27 +285,82 @@ let computed_writes ops pages =
   in
   go pages [] ops
 
-(* Open a version of a part's file in one [Open] batch that reads the
+(* Read [paths] on [target]'s version in one batch, or — when the
+   replies exceed the 32K message cap — in halves, the later ones as
+   [Version] batches on the version the first opened. A failure after
+   the opening batch abandons the version the caller never learns.
+   [round_trip] counts messages. *)
+let rec read_batches ~round_trip conn target paths =
+  round_trip ();
+  match Remote.batch conn target (List.map (fun path -> Remote.Read path) paths) with
+  | Error (Message_too_large _) when List.compare_length_with paths 1 > 0 -> (
+      let half = List.length paths / 2 in
+      let first = List.filteri (fun i _ -> i < half) paths
+      and rest = List.filteri (fun i _ -> i >= half) paths in
+      match read_batches ~round_trip conn target first with
+      | Ok (Remote.Ran { version; reads = early }) -> (
+          match read_batches ~round_trip conn (Remote.Version version) rest with
+          | Ok (Remote.Ran { reads = late; _ }) ->
+              Ok (Remote.Ran { version; reads = early @ late })
+          | failed ->
+              (match target with
+              | Remote.Open _ ->
+                  round_trip ();
+                  ignore (Remote.abort_version conn version : unit r)
+              | Remote.Current _ | Remote.Version _ -> ());
+              failed)
+      | failed -> failed)
+  | answer -> answer
+
+(* Open a version of a part's file with one [Open] batch that reads the
    root and every page the part's ops read; answer the version, the old
-   root data and the part's computed writes. The batch skips the shard's in-doubt trap, so a foreign marker arrives as
-   data: detect it here and surface the same [Txn_in_doubt] the trap
-   would have raised — minus one round trip in the common, unmarked
-   case. *)
-let open_part t conn file ops =
-  rt t;
-  match
-    Remote.batch conn (Remote.Open file)
-      (List.map (fun path -> Remote.Read path) (Pagepath.root :: read_paths ops))
-  with
+   root data and the part's computed writes. The batch skips the shard's
+   in-doubt trap, so a foreign marker arrives as data: detect it here
+   and surface the same [Txn_in_doubt] the trap would have raised —
+   minus one round trip in the common, unmarked case. *)
+let open_part ~round_trip conn file ops =
+  match read_batches ~round_trip conn (Remote.Open file) (Pagepath.root :: read_paths ops) with
   | Ok (Remote.Ran { version; reads = old_root :: pages }) -> (
       match Txnmark.record_of old_root with
       | Some other ->
-          rt t;
+          round_trip ();
           ignore (Remote.abort_version conn version : unit r);
           Error (Txn_in_doubt other)
       | None -> Ok (version, old_root, computed_writes ops pages))
   | Ok _ -> malformed
   | Error e -> Error e
+
+(* The writes as [Version] batches within the 32K cap, in order, the
+   last one ending in [Commit]: one batch unless the data is over. *)
+let version_batches writes =
+  let rec go batches batch size = function
+    | [] -> List.rev (List.rev ((Remote.Commit : Remote.step) :: batch) :: batches)
+    | (path, data) :: rest ->
+        let n = Bytes.length data in
+        if batch <> [] && size + n > Remote.message_cap then
+          go (List.rev batch :: batches) [ Remote.Write (path, data) ] n rest
+        else go batches (Remote.Write (path, data) :: batch) (size + n) rest
+  in
+  go [] [] 0 writes
+
+let rec send_writes ~round_trip conn version = function
+  | [] -> Ok ()
+  | steps :: rest -> (
+      round_trip ();
+      match (Remote.batch conn (Remote.Version version) steps, rest) with
+      | Ok _, _ -> send_writes ~round_trip conn version rest
+      (* A lost validation removed the version; a store failure may
+         have published it, like an in-doubt seal. *)
+      | Error ((Conflict | Store_failure _) as e), [] -> Error e
+      | Error e, _ ->
+          (* A write step failed: the version is still open. *)
+          round_trip ();
+          ignore (Remote.abort_version conn version : unit r);
+          Error e)
+
+let commit_part ~round_trip conn file ops =
+  let* version, _, writes = open_part ~round_trip conn file ops in
+  send_writes ~round_trip conn version (version_batches writes)
 
 (* A committed stage: the participant, its marker, and the marker's
    exact root bytes — what the flip test-and-sets against. *)
@@ -318,7 +379,7 @@ let stage t ~record ~seq part =
   let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(string_of_int seq) () in
   let result =
     CC.routed t.client part.file (fun conn ~shard file ->
-        let* version, old_root, writes = open_part t conn file part.ops in
+        let* version, old_root, writes = open_part ~round_trip:t.round_trip conn file part.ops in
         let marker = { Txnmark.record; seq; old_root; writes } in
         let image = Txnmark.encode marker in
         rt t;
@@ -457,33 +518,17 @@ let release_record t shard pooled =
   Hashtbl.replace t.free id (pooled :: rest)
 
 (* One participant needs no coordination: the single-shard commit is
-   already atomic, so [open_part]'s writes commit in one [Version] batch
-   — two messages in all. An in-doubt file is resolved inline and the
-   part retried. *)
+   already atomic, so it is [commit_part] on the file's shard — two
+   messages. An in-doubt file is resolved inline and the part retried. *)
 let exec_single t part =
   let rec go tries =
     if tries > retry_limit then Error (Failed (Store_failure "txn: in-doubt resolution starved"))
     else
       let committed =
         CC.routed t.client part.file (fun conn ~shard file ->
-            let* version, _, writes = open_part t conn file part.ops in
-            rt t;
-            match
-              Remote.batch conn (Remote.Version version)
-                (List.map (fun (path, data) -> Remote.Write (path, data)) writes
-                @ [ Remote.Commit ])
-            with
-            | Ok _ ->
-                CC.note_commit t.client ~shard file;
-                Ok ()
-            (* A lost validation removed the version; a store failure
-               may have published it, like an in-doubt seal. *)
-            | Error ((Conflict | Store_failure _) as e) -> Error e
-            | Error e ->
-                (* A write step failed: the version is still open. *)
-                rt t;
-                ignore (Remote.abort_version conn version : unit r);
-                Error e)
+            let* () = commit_part ~round_trip:t.round_trip conn file part.ops in
+            CC.note_commit t.client ~shard file;
+            Ok ())
       in
       match committed with
       | Ok () ->

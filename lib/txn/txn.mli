@@ -81,18 +81,38 @@ val exec :
   part list ->
   (unit, failure) result
 (** Run one transaction to a definite outcome. A single part needs no
-    record and no marker: it is two batches on its own shard, an [Open]
-    batch that reads its pages and a [Version] batch that writes the
-    computed values and commits (an in-doubt file is resolved and the
-    part retried); multiple parts run the stage/decide/flip protocol, staging in
-    capability order. Within a part an [Rmw] of a page the part already
-    wrote transforms that pending write.
+    record and no marker: it is {!commit_part} on its own shard (an
+    in-doubt file is resolved and the part retried); multiple parts run
+    the stage/decide/flip protocol, staging in capability order. Within
+    a part an [Rmw] of a page the part already wrote transforms that
+    pending write.
     [on_record] observes the coordinator record's capability and the
     transaction's seq as soon as the record is acquired — the hook crash
     tests use to audit outcomes ({!record_decision}) after a {!Crashed}
     coordinator. Once staged, the outcome is driven to a
     decision even through transient transport errors (bounded patience),
     so a [failure] never hides a committed transaction. *)
+
+val commit_part :
+  round_trip:(unit -> unit) ->
+  Afs_rpc.Remote.conn ->
+  Afs_util.Capability.t ->
+  op list ->
+  unit Afs_core.Errors.r
+(** One optimistic attempt at one file on the connection that serves it,
+    in two messages: an [Open] batch that reads the root and every page
+    the ops read, then a [Version] batch that writes the computed values
+    and commits. A batch over {!Afs_rpc.Remote.message_cap} splits: extra
+    reads go into further [Version] batches, and the writes into several,
+    the last of which commits. [round_trip] is called once per message.
+
+    Errors: [Conflict] (the version is gone), [Store_failure] from the
+    commit (it may have been published), or the error of an earlier
+    batch, whose version is then aborted. A root holding a cross-shard
+    marker answers [Txn_in_doubt]; a [Moved] from the opening batch is
+    the caller's to chase. {!exec} runs a one-part transaction as this
+    inside {!Afs_cluster.Cluster_client.routed}; lib/workload's exec
+    loop runs it for a bare server and for a cluster. *)
 
 val sweep : t -> Afs_util.Capability.t list -> int Afs_core.Errors.r
 (** Crash recovery's last mile: resolve every in-doubt file in the list

@@ -89,35 +89,25 @@ let cluster_stats cluster () =
 (* {2 The Amoeba file service: one optimistic exec loop}
 
    The paper's client procedure, once: open a version, run the page
-   operations, commit, and redo on conflict. Backends differ only in how a
-   file is routed and opened; from the returned connection and version on,
-   every read, write, commit and abort is the same {!Remote} request. A
-   bare server is therefore literally the one-shard case of a cluster. *)
+   operations, commit, and redo on conflict. An attempt is two messages,
+   {!Afs_txn.Txn.commit_part}: an [Open] batch that reads the root and
+   every page the ops read, then a [Version] batch with the computed
+   writes and [Commit]. Backends differ only in how a file is routed;
+   from the connection on, every attempt is the same pair of {!Remote}
+   batches. A bare server is therefore literally the one-shard case of a
+   cluster. *)
 
 let back_off_ms = 5.0
 
-type opened = { conn : Remote.conn; version : Afs_util.Capability.t; on_commit : unit -> unit }
+let to_txn_ops ops =
+  List.map
+    (function
+      | Read i -> Afs_txn.Txn.Read (page_path i)
+      | Write (i, data) -> Afs_txn.Txn.Write (page_path i, data)
+      | Rmw (i, f) -> Afs_txn.Txn.Rmw (page_path i, f))
+    ops
 
-let run_ops conn version ops =
-  let rec go = function
-    | [] -> Ok ()
-    | Read i :: rest -> (
-        match Remote.read_page conn version (page_path i) with
-        | Ok _ -> go rest
-        | Error e -> Error e)
-    | Write (i, data) :: rest -> (
-        match Remote.write_page conn version (page_path i) data with
-        | Ok () -> go rest
-        | Error _ as e -> e)
-    | Rmw (i, f) :: rest -> (
-        match Remote.read_page conn version (page_path i) with
-        | Error e -> Error e
-        | Ok v -> (
-            match Remote.write_page conn version (page_path i) (f v) with
-            | Ok () -> go rest
-            | Error _ as e -> e))
-  in
-  go ops
+let commit_part conn file ops = Afs_txn.Txn.commit_part ~round_trip:ignore conn file ops
 
 (* The retry policy: a conflict redoes at once; a lock hint or a transport
    outage (a crashed host, a cluster member awaiting failover) waits
@@ -125,71 +115,52 @@ let run_ops conn version ops =
    transport never reached a live server (a served request's reply still
    delivers across a crash), so nothing committed and a redo is safe.
    Anything else is a protocol violation. *)
-let occ_exec ~where ~open_ ~files spec ~max_retries =
+let occ_exec ~where ~attempt_once ~files spec ~max_retries =
   single_part_only where spec;
-  let file = files.(spec.file) in
+  let file = files.(spec.file) and ops = to_txn_ops spec.ops in
   let rec attempt n =
-    let failed step = function
-      | Errors.Conflict | Errors.Locked_out _ | Errors.Store_failure _ when n >= max_retries ->
-          finished ~committed:false n
-      | Errors.Conflict -> attempt (n + 1)
-      | Errors.Locked_out _ | Errors.Store_failure _ ->
-          Proc.delay back_off_ms;
-          attempt (n + 1)
-      | e -> fatal_error (where ^ " " ^ step) e
-    in
-    match open_ file with
-    | Error e -> failed "create_version" e
-    | Ok o -> (
-        match run_ops o.conn o.version spec.ops with
-        | Error e ->
-            ignore (Remote.abort_version o.conn o.version);
-            failed "ops" e
-        | Ok () -> (
-            match Remote.commit o.conn o.version with
-            | Ok () ->
-                o.on_commit ();
-                finished ~committed:true n
-            | Error e -> failed "commit" e))
+    match attempt_once file ops with
+    | Ok () -> finished ~committed:true n
+    | Error (Errors.Conflict | Errors.Locked_out _ | Errors.Store_failure _)
+      when n >= max_retries ->
+        finished ~committed:false n
+    | Error Errors.Conflict -> attempt (n + 1)
+    | Error (Errors.Locked_out _ | Errors.Store_failure _) ->
+        Proc.delay back_off_ms;
+        attempt (n + 1)
+    | Error e -> fatal_error (where ^ " attempt") e
   in
   attempt 1
 
 let afs_remote ?(name = "afs-occ-rpc") conn ~fallback ~files =
-  let open_ file =
-    Result.map
-      (fun version -> { conn; version; on_commit = ignore })
-      (Remote.create_version conn file)
-  in
   let read_page file page =
     let cap = fatal "current_version" (Server.current_version fallback files.(file)) in
     fatal "read_page" (Server.read_page fallback cap (page_path page))
   in
   {
     name;
-    exec = occ_exec ~where:"afs_remote" ~open_ ~files;
+    exec = occ_exec ~where:"afs_remote" ~attempt_once:(commit_part conn) ~files;
     stats = (fun () -> Afs_util.Stats.Counter.to_list (Server.counters fallback));
     read_page;
   }
 
-(* Routing is a pure local port lookup (no simulated time) in front of the
-   version creation; [Moved] answers are chased inside it. A committed
-   update is credited to the shard that took it, for the rebalancer. *)
-let cluster_open client file =
-  let module CC = Afs_cluster.Cluster_client in
-  Result.map
-    (fun h ->
-      {
-        conn = CC.Txn.conn h.CC.txn;
-        version = CC.Txn.version h.CC.txn;
-        on_commit = (fun () -> CC.note_commit client ~shard:h.CC.shard h.CC.file);
-      })
-    (CC.begin_txn client file)
-
+(* Routing is a pure local port lookup (no simulated time); [Moved]
+   answers are chased by the cluster client's one forwarding loop. A
+   committed update is credited to the shard that took it, for the
+   rebalancer. *)
 let afs_cluster client ~files =
-  let cluster = Afs_cluster.Cluster_client.cluster client in
+  let module CC = Afs_cluster.Cluster_client in
+  let cluster = CC.cluster client in
+  let attempt_once file ops =
+    CC.routed client file (fun conn ~shard file ->
+        let open Errors in
+        let* () = commit_part conn file ops in
+        CC.note_commit client ~shard file;
+        Ok ())
+  in
   {
     name = "afs-occ-cluster";
-    exec = occ_exec ~where:"afs_cluster" ~open_:(cluster_open client) ~files;
+    exec = occ_exec ~where:"afs_cluster" ~attempt_once ~files;
     stats = cluster_stats cluster;
     read_page = cluster_read_page cluster files;
   }
@@ -368,19 +339,11 @@ let afs_txn ?trace client ~files =
   let module Txn = Afs_txn.Txn in
   let cluster = CC.cluster client in
   let txn = Txn.create ?trace client in
-  let to_ops ops =
-    List.map
-      (function
-        | Read i -> Txn.Read (page_path i)
-        | Write (i, data) -> Txn.Write (page_path i, data)
-        | Rmw (i, f) -> Txn.Rmw (page_path i, f))
-      ops
-  in
   let parts_of spec =
     match spec.parts with
-    | [] -> [ { Txn.file = files.(spec.file); ops = to_ops spec.ops } ]
+    | [] -> [ { Txn.file = files.(spec.file); ops = to_txn_ops spec.ops } ]
     | parts ->
-        List.map (fun (file, ops) -> { Txn.file = files.(file); ops = to_ops ops }) parts
+        List.map (fun (file, ops) -> { Txn.file = files.(file); ops = to_txn_ops ops }) parts
   in
   let exec spec ~max_retries =
     let parts = parts_of spec in
@@ -419,6 +382,42 @@ let afs_txn ?trace client ~files =
    and blocking is emergent: any competitor spins on the retained lock
    for the whole prepare window, surfacing as [Store_failure] back-offs.
    Contrast with [afs_txn], which holds nothing across shards. *)
+
+(* The baseline opens a version per participant and runs its ops as
+   per-op requests: per-access messages are part of that protocol. *)
+type opened = { conn : Remote.conn; version : Afs_util.Capability.t; on_commit : unit -> unit }
+
+let run_ops conn version ops =
+  let rec go = function
+    | [] -> Ok ()
+    | Read i :: rest -> (
+        match Remote.read_page conn version (page_path i) with
+        | Ok _ -> go rest
+        | Error e -> Error e)
+    | Write (i, data) :: rest -> (
+        match Remote.write_page conn version (page_path i) data with
+        | Ok () -> go rest
+        | Error _ as e -> e)
+    | Rmw (i, f) :: rest -> (
+        match Remote.read_page conn version (page_path i) with
+        | Error e -> Error e
+        | Ok v -> (
+            match Remote.write_page conn version (page_path i) (f v) with
+            | Ok () -> go rest
+            | Error _ as e -> e))
+  in
+  go ops
+
+let cluster_open client file =
+  let module CC = Afs_cluster.Cluster_client in
+  Result.map
+    (fun h ->
+      {
+        conn = CC.Txn.conn h.CC.txn;
+        version = CC.Txn.version h.CC.txn;
+        on_commit = (fun () -> CC.note_commit client ~shard:h.CC.shard h.CC.file);
+      })
+    (CC.begin_txn client file)
 
 let afs_twopc client ~files =
   let cluster = Afs_cluster.Cluster_client.cluster client in

@@ -10,7 +10,8 @@
     policy.
 
     The single-file Amoeba adapters share one optimistic exec loop: open a
-    version, run the operations, commit. [Conflict] redoes at once;
+    version and read, then write and commit — two messages per attempt
+    ({!Afs_txn.Txn.commit_part}). [Conflict] redoes at once;
     [Locked_out] and [Store_failure] (a lock hint, a crashed host) wait
     5 ms of simulated time, then redo; any other error is {!Fatal}. *)
 
@@ -67,18 +68,20 @@ val afs_remote :
   files:Afs_util.Capability.t array ->
   t
 (** Over simulated RPC on a fixed connection (one server, or several
-    serving one store). [fallback] is only used for out-of-band invariant
-    reads. *)
+    serving one store): an [Open] batch of the reads, then a [Version]
+    batch of the computed writes and [Commit]. [fallback] is only used
+    for out-of-band invariant reads. *)
 
 val afs_cluster : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t array -> t
 (** Over a shard cluster, location-transparently: {!afs_remote}'s exec
-    loop, opening each version through the cluster client's routing (a
-    local port lookup, no simulated time) instead of a fixed connection,
-    and crediting each commit's load to its shard. A bare server is the
-    one-shard case, so a one-shard cluster reports bit-identically to
-    {!afs_remote} on the same engine and seed. Tolerates concurrent
-    migrations: [Moved] answers are chased inside version creation, and
-    invariant reads follow tombstones. *)
+    loop, running each attempt inside the cluster client's routing
+    ({!Afs_cluster.Cluster_client.routed}: a local port lookup, no
+    simulated time) instead of on a fixed connection, and crediting each
+    commit's load to its shard. A bare server is the one-shard case, so
+    a one-shard cluster reports bit-identically to {!afs_remote} on the
+    same engine and seed. Tolerates concurrent migrations: a [Moved]
+    answer to the opening batch is chased, and invariant reads follow
+    tombstones. *)
 
 val afs_txn :
   ?trace:Afs_trace.Trace.t ->
@@ -87,7 +90,7 @@ val afs_txn :
   t
 (** {!afs_cluster} plus multi-part transactions via lib/txn's optimistic
     coordinator (stage/decide/flip). Single-part specs take the fast
-    path — the same RPC sequence as {!afs_cluster}. [local_aborts]
+    path — the same two batches as {!afs_cluster}. [local_aborts]
     counts participant stages losing ordinary one-shard races;
     [cross_aborts] counts staged transactions force-aborted at the
     coordinator record. *)

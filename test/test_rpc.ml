@@ -446,6 +446,140 @@ let test_preferred_hint_is_advisory () =
       Remote.crash_host host2;
       Alcotest.(check string) "served with host2 down" "10" (read_counter fb))
 
+(* {2 The 32K message cap} *)
+
+(* A file with an empty root and one page of [n] bytes per entry. *)
+let file_of_sizes srv sizes =
+  let f = ok (Server.create_file srv ~data:Bytes.empty ()) in
+  let v = ok (Server.create_version srv f) in
+  List.iteri
+    (fun i n ->
+      ignore (ok (Server.insert_page srv v ~parent:P.root ~index:i ~data:(Bytes.make n 'x') ())))
+    sizes;
+  ok (Server.commit srv v);
+  f
+
+(* The messages one committed [Txn.commit_part] of [ops] sends to a file
+   of [sizes], as the host counts them, and the file's pages after. *)
+let attempt ~sizes ops =
+  in_sim (fun engine ->
+      let srv = Server.create (Store.memory ()) in
+      let f = file_of_sizes srv sizes in
+      let host = Remote.host engine ~name:"afs" srv in
+      let sent = ref 0 in
+      let conn = Remote.connect [ host ] in
+      ok (Afs_txn.Txn.commit_part ~round_trip:(fun () -> incr sent) conn f ops);
+      Alcotest.(check int) "every message counted" (Remote.requests_served host) !sent;
+      let cur = ok (Server.current_version srv f) in
+      (!sent, List.mapi (fun i _ -> ok (Server.read_page srv cur (P.of_list [ i ]))) sizes))
+
+let write i n = Afs_txn.Txn.Write (P.of_list [ i ], Bytes.make n 'w')
+
+(* Writes of exactly 32 768 bytes ride one [Version] batch after the
+   [Open] batch; one byte more takes a second. A single request over the
+   cap is refused before it runs. *)
+let test_cap_splits_writes () =
+  let at_cap, _ = attempt ~sizes:[ 1; 1 ] [ write 0 16_384; write 1 16_384 ] in
+  Alcotest.(check int) "32 768 bytes: open + one batch" 2 at_cap;
+  let over, pages = attempt ~sizes:[ 1; 1 ] [ write 0 16_384; write 1 16_385 ] in
+  Alcotest.(check int) "32 769 bytes: open + two batches" 3 over;
+  Alcotest.(check (list int)) "both writes committed" [ 16_384; 16_385 ]
+    (List.map Bytes.length pages);
+  in_sim (fun engine ->
+      let srv = Server.create (Store.memory ()) in
+      let f = file_of_sizes srv [ 1; 1 ] in
+      let v = ok (Server.create_version srv f) in
+      let conn = Remote.connect [ Remote.host engine ~name:"afs" srv ] in
+      (match
+         Remote.batch conn (Remote.Version v)
+           [ Remote.Write (P.of_list [ 0 ], Bytes.make 20_000 'a');
+             Remote.Write (P.of_list [ 1 ], Bytes.make 12_769 'b') ]
+       with
+      | Error (Errors.Message_too_large { bytes = 32_769; limit = 32_768 }) -> ()
+      | Ok _ -> Alcotest.fail "an over-cap request ran"
+      | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e));
+      Alcotest.(check int) "nothing written" 1
+        (Bytes.length (ok (Server.read_page srv v (P.of_list [ 0 ])))))
+
+(* Replies of exactly 32 768 bytes fit the [Open] batch; one byte more
+   and the server refuses it, abandoning its version, and the attempt
+   reads in more batches — still reading what the ops one by one would. *)
+let test_cap_splits_reads () =
+  let rmw = Afs_txn.Txn.Rmw (P.of_list [ 1 ], fun d -> Bytes.cat d (bytes "!")) in
+  let read0 = Afs_txn.Txn.Read (P.of_list [ 0 ]) in
+  let at_cap, _ = attempt ~sizes:[ 16_384; 16_384 ] [ read0; rmw ] in
+  Alcotest.(check int) "32 768 bytes of replies: two messages" 2 at_cap;
+  let over, pages = attempt ~sizes:[ 16_384; 16_385 ] [ read0; rmw ] in
+  Alcotest.(check bool) (Printf.sprintf "32 769 bytes: %d messages > 2" over) true (over > 2);
+  Alcotest.(check int) "the Rmw read the whole page" 16_386 (Bytes.length (List.nth pages 1));
+  in_sim (fun engine ->
+      let srv = Server.create (Store.memory ()) in
+      let f = file_of_sizes srv [ 16_384; 16_385 ] in
+      let conn = Remote.connect [ Remote.host engine ~name:"afs" srv ] in
+      (match
+         Remote.batch conn (Remote.Open f)
+           [ Remote.Read P.root; Remote.Read (P.of_list [ 0 ]); Remote.Read (P.of_list [ 1 ]) ]
+       with
+      | Error (Errors.Message_too_large { bytes = 32_769; limit = 32_768 }) -> ()
+      | Ok _ -> Alcotest.fail "an over-cap reply was sent"
+      | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e));
+      Alcotest.(check (list int)) "refused open leaves no version" []
+        (ok (Server.uncommitted_versions srv f)))
+
+(* {2 Group commit takes Version batches}
+
+   With [group_commit:2], two [Version] batches ending in [Commit] that
+   queue behind a busy server drain as one [Server.commit_batch] run. A
+   member whose write step fails answers its own error and leaves the
+   run. Either way the answers and the store image equal the two batches
+   sent one at a time to an unbatched twin. *)
+let group_commit_pair ~grouped ~second_path =
+  in_sim (fun engine ->
+      let store = Store.memory () in
+      let srv = Server.create ~seed:11 store in
+      let f = Helpers.file_with_pages srv 2 in
+      let v1 = ok (Server.create_version srv f) and v2 = ok (Server.create_version srv f) in
+      let group_commit = if grouped then 2 else 1 in
+      let conn = Remote.connect [ Remote.host ~group_commit engine ~name:"afs" srv ] in
+      let member v path data () =
+        Remote.batch conn (Remote.Version v) [ Remote.Write (path, bytes data); Remote.Commit ]
+      in
+      let first = member v1 (P.of_list [ 0 ]) "one" and second = member v2 second_path "two" in
+      let answers =
+        if grouped then begin
+          (* A request ahead of them keeps the server busy while both queue. *)
+          let a1 = ref None and a2 = ref None in
+          let spawn_joined, join_all = Proc.joinable engine in
+          ignore (spawn_joined (fun () -> ignore (Remote.current_version conn f)));
+          ignore (spawn_joined (fun () -> a1 := Some (first ())));
+          ignore (spawn_joined (fun () -> a2 := Some (second ())));
+          join_all ();
+          (Option.get !a1, Option.get !a2)
+        end
+        else
+          let a1 = first () in
+          (a1, second ())
+      in
+      let count name = Afs_util.Stats.Counter.get (Server.counters srv) name in
+      (answers, (count "commits.batches", count "commits.batch_members"), store_image store))
+
+let test_group_commit_takes_version_batches () =
+  let check ~second_path ~members =
+    let grouped, (batches, in_run), image = group_commit_pair ~grouped:true ~second_path in
+    let alone, _, alone_image = group_commit_pair ~grouped:false ~second_path in
+    Alcotest.(check int) "one commit run" 1 batches;
+    Alcotest.(check int) "members in the run" members in_run;
+    Alcotest.(check bool) "answers as one at a time" true (grouped = alone);
+    Alcotest.(check bool) "store image as one at a time" true (image = alone_image);
+    grouped
+  in
+  (match check ~second_path:(P.of_list [ 1 ]) ~members:2 with
+  | Ok (Remote.Ran _), Ok (Remote.Ran _) -> ()
+  | _ -> Alcotest.fail "both members should commit");
+  match check ~second_path:(P.of_list [ 7 ]) ~members:1 with
+  | Ok (Remote.Ran _), Error (Errors.Bad_index _) -> ()
+  | _ -> Alcotest.fail "the failing member alone should fail"
+
 let test_no_hosts_rejected () =
   Alcotest.check_raises "empty host list" (Invalid_argument "Remote.connect: no hosts")
     (fun () -> ignore (Remote.connect []))
@@ -474,5 +608,8 @@ let () =
           quick "balanced connection" test_balanced_conn_spreads_and_stays_correct;
           quick "preferred hint is advisory" test_preferred_hint_is_advisory;
           quick "no hosts rejected" test_no_hosts_rejected;
+          quick "cap splits writes" test_cap_splits_writes;
+          quick "cap splits reads" test_cap_splits_reads;
+          quick "group commit takes batches" test_group_commit_takes_version_batches;
         ] );
     ]

@@ -127,6 +127,142 @@ let test_tsorder_sut_exec () =
   Alcotest.(check bool) "committed" true r.Sut.committed;
   Helpers.check_bytes "value stored" "stamped" (sut.Sut.read_page 2 3)
 
+(* {2 The two-batch attempt is the ops run one by one}
+
+   One client's transaction through [Sut.afs_remote] — an [Open] batch
+   of reads, then the computed writes and [Commit] in a [Version] batch —
+   must leave exactly what the same ops leave as per-call [Server] reads
+   and writes plus a commit on a twin server: the committed flag, the
+   pages and the store image. Access implies copy (§5.1), so a block's
+   number records when its page was first touched; the per-call run
+   therefore opens its version as the [Open] batch does — the root, then
+   every page the ops read, in op order — before running the ops one by
+   one. Those reads add no flag the ops' own reads do not. *)
+
+type gen_op = G_read of int | G_write of int * string | G_rmw of int * string
+
+let print_gen_op = function
+  | G_read i -> Printf.sprintf "Read %d" i
+  | G_write (i, d) -> Printf.sprintf "Write (%d, %S)" i d
+  | G_rmw (i, tag) -> Printf.sprintf "Rmw (%d, ^%S)" i tag
+
+let gen_ops =
+  QCheck2.Gen.(
+    let page = int_bound 2 and word = oneofl [ "a"; "bb"; "ccc" ] in
+    list_size (int_range 1 6)
+      (frequency
+         [
+           (2, map (fun i -> G_read i) page);
+           (2, map2 (fun i d -> G_write (i, d)) page word);
+           (3, map2 (fun i tag -> G_rmw (i, tag)) page word);
+         ]))
+
+let append tag old = Bytes.cat old (Helpers.bytes tag)
+
+let sut_op = function
+  | G_read i -> Sut.Read i
+  | G_write (i, d) -> Sut.Write (i, Helpers.bytes d)
+  | G_rmw (i, tag) -> Sut.Rmw (i, append tag)
+
+let twin () =
+  let store = Store.memory () in
+  let srv = Server.create ~seed:11 store in
+  let shape = { Workload.small_updates with nfiles = 1; pages_per_file = 3 } in
+  let files = ok (Workload.setup_pages srv shape ~initial:(Helpers.bytes "0")) in
+  (store, srv, files.(0))
+
+let store_image (store : Store.t) =
+  List.map (fun b -> (b, store.Store.read b)) (Helpers.ok_str (store.Store.list_blocks ()))
+
+let outcome store srv file committed =
+  let cur = ok (Server.current_version srv file) in
+  let page i = Helpers.str (ok (Server.read_page srv cur (Helpers.path [ i ]))) in
+  (committed, List.map page [ 0; 1; 2 ], store_image store)
+
+let two_batches_equal_one_by_one ops =
+  let batched =
+    let engine = Engine.create () in
+    let store, srv, file = twin () in
+    let sut =
+      Sut.afs_remote (Remote.connect [ Remote.host engine ~name:"afs" srv ]) ~fallback:srv
+        ~files:[| file |]
+    in
+    let spec = { Sut.file = 0; ops = List.map sut_op ops; parts = [] } in
+    let r = in_process engine (fun () -> sut.Sut.exec spec ~max_retries:1) in
+    outcome store srv file r.Sut.committed
+  in
+  let one_by_one =
+    let store, srv, file = twin () in
+    let v = ok (Server.create_version srv file) in
+    ignore (ok (Server.read_page srv v Afs_util.Pagepath.root));
+    List.iter
+      (function
+        | G_read i | G_rmw (i, _) -> ignore (ok (Server.read_page srv v (Helpers.path [ i ])))
+        | G_write _ -> ())
+      ops;
+    List.iter
+      (fun op ->
+        match op with
+        | G_read i -> ignore (ok (Server.read_page srv v (Helpers.path [ i ])))
+        | G_write (i, d) -> ok (Server.write_page srv v (Helpers.path [ i ]) (Helpers.bytes d))
+        | G_rmw (i, tag) ->
+            let old = ok (Server.read_page srv v (Helpers.path [ i ])) in
+            ok (Server.write_page srv v (Helpers.path [ i ]) (append tag old)))
+      ops;
+    outcome store srv file (Result.is_ok (Server.commit srv v))
+  in
+  batched = one_by_one
+
+let prop_two_batches_equal_one_by_one =
+  QCheck2.Test.make ~name:"two batches = the ops one by one" ~count:300
+    ~print:(fun ops -> "[" ^ String.concat "; " (List.map print_gen_op ops) ^ "]")
+    gen_ops two_batches_equal_one_by_one
+
+(* [Remote.connect ~balance] rotates hosts only at version boundaries: a
+   version's batches must reach the server that manages it, even when
+   many clients share one balanced connection — C1's two-server SUT. A
+   [?wrap] on each host records which host answered each [Open] batch
+   and where each [Version] batch landed. *)
+let test_version_batches_stay_on_host () =
+  let engine = Engine.create () in
+  let store = Store.memory () in
+  let ports = Afs_core.Ports.create () in
+  let srv1 = Server.create ~seed:7 ~ports store in
+  let srv2 = Server.create ~seed:7 ~ports store in
+  let shape = { Workload.small_updates with nfiles = 4; pages_per_file = 4 } in
+  let files = ok (Workload.setup_pages srv1 shape ~initial:(Helpers.bytes "0")) in
+  let opened_on = Hashtbl.create 64 and landed = ref [] in
+  let wrap name base req =
+    let resp = base req in
+    (match (req, resp) with
+    | Remote.Batch { target = Remote.Open _; _ }, Ok (Remote.Batched (Remote.Ran { version; _ }))
+      ->
+        Hashtbl.replace opened_on version name
+    | Remote.Batch { target = Remote.Version version; _ }, _ ->
+        landed := (version, name) :: !landed
+    | _ -> ());
+    resp
+  in
+  let host name srv = Remote.host ~wrap:(wrap name) engine ~name srv in
+  let conn = Remote.connect ~balance:true [ host "afs-1" srv1; host "afs-2" srv2 ] in
+  let sut = Sut.afs_remote ~name:"afs-2srv" conn ~fallback:srv1 ~files in
+  let config =
+    { Driver.default_config with clients = 6; duration_ms = 1_000.0; think_ms = 2.0 }
+  in
+  let report = Driver.run engine config sut ~gen:(Workload.make shape) in
+  Alcotest.(check bool) "work done" true (report.Driver.committed > 20);
+  Alcotest.(check bool) "version batches seen" true (List.length !landed > 20);
+  let hosts = Hashtbl.fold (fun _ name acc -> name :: acc) opened_on [] in
+  Alcotest.(check bool) "both hosts opened versions" true
+    (List.mem "afs-1" hosts && List.mem "afs-2" hosts);
+  List.iter
+    (fun (version, name) ->
+      Alcotest.(check (option string))
+        "a Version batch lands where its Open batch ran"
+        (Hashtbl.find_opt opened_on version)
+        (Some name))
+    !landed
+
 (* {2 The driver under contention: serialisability invariants} *)
 
 let bank_invariant_holds sut_of_engine name =
@@ -307,6 +443,8 @@ let () =
           quick "afs remote rides out a host outage" test_afs_remote_rides_out_host_outage;
           quick "twopl exec" test_twopl_sut_exec;
           quick "tsorder exec" test_tsorder_sut_exec;
+          QCheck_alcotest.to_alcotest prop_two_batches_equal_one_by_one;
+          quick "version batches stay on their host" test_version_batches_stay_on_host;
         ] );
       ( "invariants",
         [
