@@ -83,7 +83,7 @@ let a2 () =
     let gc_freed = ref 0 in
     for i = 1 to rounds do
       let v = ok (Server.create_version srv f) in
-      (* Reads create shadow copies the GC later re-shares. *)
+      (* Reads create shadow copies; the commit reshares them. *)
       (match Server.read_page srv v (P.of_list [ Xrng.int rng 16 ]) with
       | Ok _ -> ()
       | Error _ -> ());

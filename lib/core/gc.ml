@@ -174,20 +174,28 @@ let collect ?(policy = default_policy) server =
   let ps = Server.pagestore server in
   (* The one roots walk of the collection. *)
   let* roots = roots_of_server server in
-  (* Reshare pass, newest versions first so parent copies stay valid. *)
+  (* Reshare pass, newest versions first so parent copies stay valid.
+     While a file has open updates its current version is left alone: an
+     update's copies name that version's pages in [base_ref], and its
+     fast-path commit points its read shadows back at them. *)
   let* reshared =
     if not policy.reshare then Ok 0
     else
       let rec each acc = function
         | [] -> Ok acc
-        | (_, chain, _) :: rest ->
+        | (_, chain, uncommitted) :: rest ->
             let rec per_version acc = function
               | [] -> Ok acc
               | vb :: more ->
                   let* n = reshare_version server vb in
                   per_version (acc + n) more
             in
-            let* acc = per_version acc (List.rev chain) in
+            let newest_first =
+              match (List.rev chain, uncommitted) with
+              | _ :: older, _ :: _ -> older
+              | all, _ -> all
+            in
+            let* acc = per_version acc newest_first in
             each acc rest
       in
       each 0 roots

@@ -10,6 +10,13 @@ type version_status = Uncommitted | Committed | Aborted
 
 type page_info = { nrefs : int; dsize : int; child_flags : Flags.t array }
 
+(* What earlier admissions did to a version still uncommitted because
+   their publish failed, which a retry admits again. [Merged]: its
+   copies' [base_ref]s may name superseded pages, so a fast-path win
+   keeps its read shadows. [Shadows_dropped]: their R flags are gone, so
+   it can no longer be merged. *)
+type past_admissions = Unadmitted | Merged | Shadows_dropped
+
 type version_record = {
   vblock : int;
   file_obj : int;
@@ -26,6 +33,7 @@ type version_record = {
      with the version page, the pages its publish must make durable.
      Emptied once the version is finished or aborted. *)
   mutable private_blocks : int list;
+  mutable past : past_admissions;
 }
 
 type file_record = {
@@ -240,6 +248,7 @@ let learn_version t cap =
                  incremental administration can be asserted for it. *)
               wset = None;
               private_blocks = !private_blocks;
+              past = Unadmitted;
             }
           in
           Hashtbl.replace t.versions vblock v;
@@ -397,6 +406,7 @@ let create_file t ?(data = Bytes.empty) () =
       status = Committed;
       wset = Some Writeset.empty;
       private_blocks = [];
+      past = Unadmitted;
     };
   bump t "files.created";
   Ok file_cap
@@ -480,6 +490,7 @@ let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port =
       status = Uncommitted;
       wset = Some Writeset.empty;
       private_blocks = [];
+      past = Unadmitted;
     };
   file.vblocks <- vb :: file.vblocks;
   Hashtbl.replace file.uncommitted vb ();
@@ -869,6 +880,68 @@ let publish t ctx =
   drop_ctx t ctx;
   result
 
+(* §5.1: once a version commits its R and S flags are dead, so a copy with
+   no W or M at or below it — a read shadow — holds exactly the page it
+   was copied from. A fast-path winner's base is the version it copied
+   from, whose page each copy's [base_ref] names. So each topmost shadow
+   found in the write set is pointed back at that original with its flags
+   cleared, and it and the copies below it are freed unwritten; the write
+   set drops the same paths (map = tree flags). Only the pages on the
+   path down to each shadow are read, plus the shadow's own copies to
+   free them. Best effort: a shadow a store error leaves in place is
+   still correct, and the collector reshares it later. *)
+let reshare_read_shadows t (v : version_record) =
+  match v.wset with
+  | None -> ()
+  | Some ws -> (
+      match Writeset.read_only ws with
+      | [] -> ()
+      | shadows ->
+          let freed = ref [] in
+          let free b =
+            Pagestore.free t.ps b;
+            freed := b :: !freed
+          in
+          (* Explicit matches rather than [let*]: this runs on every
+             fast-path commit, and each bind would allocate a closure. *)
+          let entry_at block index =
+            match Pagestore.peek t.ps block with
+            | Error _ -> None
+            | Ok page -> (
+                match Page.get_ref page index with Ok e -> Some (page, e) | Error _ -> None)
+          in
+          (* True once the entry names the original. References are
+             fixed-width, so the parent's write can fail only on an
+             eviction write-back, which still leaves it cached. *)
+          let rec unshare block = function
+            | [] -> false
+            | [ index ] -> (
+                match entry_at block index with
+                | None -> false
+                | Some (parent, entry) -> (
+                    match Pagestore.peek t.ps entry.Page.block with
+                    | Ok ({ Page.header = { Page.base_ref = Some original; _ }; _ } as copy) -> (
+                        let reshared = { Page.block = original; flags = Flags.clear } in
+                        match Page.with_ref parent index reshared with
+                        | Error _ -> false
+                        | Ok parent ->
+                            ignore (write_pg t block parent : unit r);
+                            iter_copies t copy free;
+                            free entry.Page.block;
+                            true)
+                    | Ok _ | Error _ -> false))
+            | index :: rest -> (
+                match entry_at block index with
+                | Some (_, entry) -> unshare entry.Page.block rest
+                | None -> false)
+          in
+          let gone = List.filter (fun path -> unshare v.vblock (Pagepath.to_list path)) shadows in
+          if gone <> [] then begin
+            v.wset <- Some (Writeset.without ws gone);
+            v.private_blocks <- List.filter (fun b -> not (List.mem b !freed)) v.private_blocks;
+            v.past <- Shadows_dropped
+          end)
+
 (* Record an admitted winner: it waits for the run's publish, and its
    write set joins the per-file union later members pre-test against. *)
 let note_winner ctx v ~fastpath =
@@ -915,13 +988,22 @@ let admit t ctx v =
         match validate t ctx ~vb base_block with
         | Error e -> Error e
         | Ok None ->
-            note_winner ctx v ~fastpath:(base_block = base0);
+            let fastpath = base_block = base0 in
+            (* Before any later member of the run validates against it. *)
+            if fastpath && v.past <> Merged then reshare_read_shadows t v;
+            note_winner ctx v ~fastpath;
             Ok ()
+        | Ok (Some _) when v.past = Shadows_dropped ->
+            bump t "commits.intercepted";
+            bump t "commits.conflict";
+            abandon t v "conflict"
         | Ok (Some successor) -> (
             match merge t v ~successor with
             | Error e -> Error e
             | Ok (Doomed reason) -> abandon t v reason
-            | Ok Rebased -> attempt successor)
+            | Ok Rebased ->
+                v.past <- Merged;
+                attempt successor)
       in
       attempt base0
 
@@ -1066,7 +1148,14 @@ let recover_from_blocks t blocks =
           let chain = ref [] in
           let rec register block =
             Hashtbl.replace t.versions block
-              { vblock = block; file_obj; status = Committed; wset = None; private_blocks = [] };
+              {
+                vblock = block;
+                file_obj;
+                status = Committed;
+                wset = None;
+                private_blocks = [];
+                past = Unadmitted;
+              };
             chain := block :: !chain;
             match read_pg t block with
             | Ok page -> (

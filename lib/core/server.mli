@@ -152,7 +152,12 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     page and the blocks it allocated (copies, inserted pages, split
     siblings) that are still dirty in the cache — and only once the
     version has won. A doomed commit, like {!abort_version}, writes
-    nothing: its pages are dropped from the cache and freed.
+    nothing: its pages are dropped from the cache and freed. A version
+    that wins at its original base (the fast path) writes no read copy
+    either: each copy with no W or M at or below it is pointed back at
+    the page it copied (§5.1) and freed, and leaves the version's
+    {!Writeset}, before any later member of the run validates. A
+    version that won by merging keeps its copies; {!Gc} reshares them.
 
     When both the candidate and the intervening version carry the
     incrementally maintained flag map ({!Writeset}), the conflict

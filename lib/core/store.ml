@@ -152,14 +152,21 @@ let of_stable_pair pair =
     block_size = Stable_pair.block_size pair;
     allocate =
       (fun () ->
-        (* The stable pair allocates on first write; pin the number by
-           allocating with an empty payload. *)
+        (* §4: allocation is the block's first write. Only reserve the
+           number here; its first write runs the companion's collision
+           check. A number this adapter still lists belongs to a holder
+           whose reservation a crashed server lost: keep the new claim
+           for that holder and choose again. *)
         via (fun i ->
-            match lift (Stable_pair.allocate_write pair i Bytes.empty) with
-            | Ok b ->
-                Hashtbl.replace allocated b ();
-                Ok b
-            | Error _ as e -> e));
+            let rec reserve () =
+              match lift (Stable_pair.tentative_allocate pair i) with
+              | Ok b when Hashtbl.mem allocated b -> reserve ()
+              | Ok b ->
+                  Hashtbl.replace allocated b ();
+                  Ok b
+              | Error _ as e -> e
+            in
+            reserve ()));
     free =
       (fun b ->
         via (fun i ->
@@ -168,7 +175,7 @@ let of_stable_pair pair =
     read = (fun b -> via (fun i -> lift (Stable_pair.read pair i b)));
     write = (fun b data -> via (fun i -> lift (Stable_pair.write pair i b data)));
     (* The whole batch rides one A→B→A round trip: the companion hop is
-       charged once however many commit references the batch carries. *)
+       charged once however many pages and commit references it carries. *)
     write_batch = (fun entries -> via (fun i -> lift (Stable_pair.write_batch pair i entries)));
     lock;
     unlock;

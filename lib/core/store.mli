@@ -49,7 +49,12 @@ val of_block_server :
 
 val of_stable_pair : Afs_stable.Stable_pair.t -> t
 (** Routes each operation to a currently-online server of the pair, so the
-    file service keeps running across single-server crashes (§5.4.1). *)
+    file service keeps running across single-server crashes (§5.4.1).
+    [allocate] only reserves a number at the serving server
+    ({!Afs_stable.Stable_pair.tentative_allocate}); the block's first
+    write — normally in the commit's publish batch — allocates it on both
+    disks. [list_blocks] lists reserved blocks too: reading one that was
+    never written fails, and freeing it drops the reservation. *)
 
 val counting : t -> t * (unit -> int * int)
 (** [counting s] wraps [s]; the second component returns (reads, writes)

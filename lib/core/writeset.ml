@@ -27,6 +27,42 @@ let written_paths t =
     t []
   |> List.rev
 
+(* True when [p] lies at or below one of [roots]. *)
+let rec under roots p =
+  match roots with [] -> false | r :: rest -> Pagepath.is_prefix r p || under rest p
+
+(* The read shadows: every topmost copied path (the root aside) with no W
+   or M at or below it. Descendants sort immediately after their
+   ancestor, so one ascending pass finds them, skipping the inside of the
+   last one found; the written paths are few. *)
+let read_only t =
+  let written_or_root p (f : Flags.t) =
+    f.Flags.w || f.Flags.m || Pagepath.equal p Pagepath.root
+  in
+  (* The common case, e.g. a file's first pages: everything below the
+     root was written, so there is nothing to look for. *)
+  if Pagepath.Map.for_all written_or_root t then []
+  else begin
+    let written = written_paths t in
+    let rec has_written_below p = function
+      | [] -> false
+      | w :: rest -> Pagepath.is_prefix p w || has_written_below p rest
+    in
+    let shadows =
+      Pagepath.Map.fold
+        (fun p _ acc ->
+          match acc with
+          | r :: _ when Pagepath.is_prefix r p -> acc
+          | _ ->
+              if Pagepath.equal p Pagepath.root || has_written_below p written then acc
+              else p :: acc)
+        t []
+    in
+    List.rev shadows
+  end
+
+let without t roots = Pagepath.Map.filter (fun p _ -> not (under roots p)) t
+
 (* {2 Structural edits}
 
    These mirror the server's reference-table operations so the recorded

@@ -35,6 +35,13 @@ val paths : t -> Afs_util.Pagepath.t list
 val written_paths : t -> Afs_util.Pagepath.t list
 (** Paths with [W] or [M] set — the §5.4 write set — sorted root-first. *)
 
+val read_only : t -> Afs_util.Pagepath.t list
+(** The read shadows: each topmost copied path with no [W] or [M] at or
+    below it, root-first. The root is never one. Reads no page. *)
+
+val without : t -> Afs_util.Pagepath.t list -> t
+(** Drops the recordings at and below each given path. *)
+
 (** {2 Structural edits} *)
 
 val open_gap : t -> parent:Afs_util.Pagepath.t -> index:int -> t

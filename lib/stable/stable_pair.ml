@@ -213,15 +213,17 @@ let local_write t i b payload =
 
 (* {2 Composite operations} *)
 
-let write_via t i b payload ~require_allocated =
+(* A block this server holds only tentatively is fresh: its first write
+   is its allocation (§4), so the companion checks it for a collision. *)
+let write t i b payload =
   match check_serving t i with
   | Error e -> fail e
   | Ok s ->
-      if require_allocated && not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
+      if not (is_taken s b) then fail (Not_allocated b)
       else begin
         let q = companion i in
         if online t q then
-          match shadow_leg t ~primary:i ~fresh:(not require_allocated) b payload with
+          match shadow_leg t ~primary:i ~fresh:(not (Hashtbl.mem s.allocated b)) b payload with
           | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
           | { result = Ok (seq, image); cost_ms = shadow_cost } -> (
               match raw_local_write t i b image seq with
@@ -237,16 +239,17 @@ let write_via t i b payload ~require_allocated =
         end
       end
 
-let write t i b payload = write_via t i b payload ~require_allocated:true
-
 (* Amortised §4 write for a group-commit batch: every block rides one
    A→B→A round trip, so the companion hop is paid once for the whole
-   batch instead of once per block. All blocks must already be allocated
-   (commit references always are). The companion copy of every block is
-   written before any local copy, and the writes stop at the first
-   failure, so a crash mid-batch leaves each block either fully stable,
-   companion-only (repaired forward at restart, exactly as for a single
-   write interrupted between legs) or untouched — never torn. *)
+   batch instead of once per block. Each block must be allocated or held
+   tentatively by this server, which a fresh block's write allocates.
+   Leg 1 first checks every block for a collision, as a single write's
+   shadow leg does, so a collision fails the batch with nothing written.
+   The companion copy of every block is then written before any local
+   copy, and the writes stop at the first failure, so a crash mid-batch
+   leaves each block either fully stable, companion-only (repaired
+   forward at restart, exactly as for a single write interrupted between
+   legs) or untouched — never torn. *)
 let write_batch t i entries =
   match entries with
   | [] -> ok ()
@@ -254,7 +257,7 @@ let write_batch t i entries =
       match check_serving t i with
       | Error e -> fail e
       | Ok s -> (
-          match List.find_opt (fun (b, _) -> not (Hashtbl.mem s.allocated b)) entries with
+          match List.find_opt (fun (b, _) -> not (is_taken s b)) entries with
           | Some (b, _) -> fail (Not_allocated b)
           | None ->
               let q = companion i in
@@ -274,23 +277,24 @@ let write_batch t i entries =
               else begin
                 let sq = t.servers.(q) in
                 let cost = ref hop_ms in
+                let collides (b, _) =
+                  Hashtbl.mem sq.tentative b
+                  || ((not (Hashtbl.mem s.allocated b)) && Hashtbl.mem sq.allocated b)
+                in
                 (* Leg 1 (A→B): the companion seals and writes every block. *)
                 let rec shadows acc = function
                   | [] -> Ok (List.rev acc)
-                  | (b, payload) :: rest ->
-                      if Hashtbl.mem sq.tentative b then Error (Collision b)
-                      else begin
-                        let seq = next_seq t q in
-                        let image = seal seq payload in
-                        let { Disk.result; cost_ms } = Disk.write sq.disk b image in
-                        cost := !cost +. cost_ms;
-                        match result with
-                        | Error e -> Error (Disk_error e)
-                        | Ok () ->
-                            Hashtbl.replace sq.allocated b ();
-                            leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms;
-                            shadows ((b, image, seq) :: acc) rest
-                      end
+                  | (b, payload) :: rest -> (
+                      let seq = next_seq t q in
+                      let image = seal seq payload in
+                      let { Disk.result; cost_ms } = Disk.write sq.disk b image in
+                      cost := !cost +. cost_ms;
+                      match result with
+                      | Error e -> Error (Disk_error e)
+                      | Ok () ->
+                          Hashtbl.replace sq.allocated b ();
+                          leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms;
+                          shadows ((b, image, seq) :: acc) rest)
                 in
                 (* Leg 2 (B→A): the companion's images, written locally. *)
                 let rec locals = function
@@ -304,12 +308,15 @@ let write_batch t i entries =
                           cost := !cost +. cost_ms;
                           Error e)
                 in
-                match shadows [] entries with
-                | Error e -> fail ~cost:!cost e
-                | Ok sealed -> (
-                    match locals sealed with
-                    | Ok () -> ok ~cost:!cost ()
-                    | Error e -> fail ~cost:!cost e)
+                match List.find_opt collides entries with
+                | Some (b, _) -> fail ~cost:!cost (Collision b)
+                | None -> (
+                    match shadows [] entries with
+                    | Error e -> fail ~cost:!cost e
+                    | Ok sealed -> (
+                        match locals sealed with
+                        | Ok () -> ok ~cost:!cost ()
+                        | Error e -> fail ~cost:!cost e))
               end))
 
 let max_allocate_retries = 16
@@ -321,7 +328,7 @@ let allocate_write t i payload =
       match tentative_allocate t i with
       | { result = Error e; cost_ms } -> fail ~cost:(cost_acc +. cost_ms) e
       | { result = Ok b; cost_ms = alloc_cost } -> (
-          match write_via t i b payload ~require_allocated:false with
+          match write t i b payload with
           | { result = Ok (); cost_ms } -> ok ~cost:(cost_acc +. alloc_cost +. cost_ms) b
           | { result = Error (Collision _); cost_ms } ->
               abort_tentative t i b;
@@ -374,7 +381,13 @@ let free t i b =
   match check_serving t i with
   | Error e -> fail e
   | Ok s ->
-      if not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
+      if not (Hashtbl.mem s.allocated b) then
+        if Hashtbl.mem s.tentative b then begin
+          (* Never written: nothing on either disk but the reservation. *)
+          Hashtbl.remove s.tentative b;
+          ok ()
+        end
+        else fail (Not_allocated b)
       else begin
         Hashtbl.remove s.allocated b;
         let _ = Disk.erase s.disk b in

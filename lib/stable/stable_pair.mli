@@ -76,28 +76,42 @@ val allocate_write : t -> id -> bytes -> int outcome
     after a random wait interval". *)
 
 val write : t -> id -> int -> bytes -> unit outcome
-(** Update an allocated block: companion first, then local. Works with the
+(** Write a block this server has allocated or holds tentatively (from
+    {!tentative_allocate}): companion first, then local. The first write
+    of a tentative block is its allocation — the companion's collision
+    check runs on the shadow leg, as in {!allocate_write}. Works with the
     companion down (intention recorded). *)
 
 val write_batch : t -> id -> (int * bytes) list -> unit outcome
-(** Update several allocated blocks in one A→B→A round trip: the
-    companion hop is charged once for the whole batch, then every block
-    pays only its two disk writes (all companion copies before any local
-    copy). Stops at the first failing block, so each block ends fully
+(** Write several blocks in one A→B→A round trip: the companion hop is
+    charged once for the whole batch, then every block pays only its two
+    disk writes (all companion copies before any local copy). Each block
+    must be allocated or held tentatively by this server, else
+    [Not_allocated] with nothing written. Leg 1 runs the companion's
+    collision check for every block before writing any copy: a block the
+    companion holds tentatively, or a tentative block it has allocated,
+    fails the batch with [Collision] and nothing written. Otherwise the
+    batch stops at the first failing block, so each block ends fully
     stable, companion-only (repaired at restart) or untouched — never
-    torn. The group-commit publish stage uses this to make all winners'
-    commit references stable for one hop. *)
+    torn. The commit publish stage uses this to make the winners' fresh
+    pages and their commit references stable for one hop. *)
 
 val read : t -> id -> int -> bytes outcome
 (** Local read with checksum verification; falls back to the companion and
     repairs the local copy on corruption. *)
 
 val free : t -> id -> int -> unit outcome
+(** Release a block on both servers. A block this server holds only
+    tentatively was never written: freeing it just drops the
+    reservation. *)
 
 (** {2 Protocol steps (for interleaved / RPC use)} *)
 
 val tentative_allocate : t -> id -> int outcome
-(** Choose and reserve a block number in this server's local view only. *)
+(** Choose and reserve a block number in this server's local view only;
+    nothing is written. The block's first {!write} or {!write_batch}
+    through this server allocates it. A crash of this server drops the
+    reservation. *)
 
 val abort_tentative : t -> id -> int -> unit
 

@@ -97,23 +97,42 @@ let test_uncommitted_versions_survive_gc () =
   let cur = ok (Server.current_version srv f) in
   Helpers.check_bytes "landed" "in flight" (ok (Server.read_page srv cur (path [ 0 ])))
 
+let counter srv name = Afs_util.Stats.Counter.get (Server.counters srv) name
+
+(* [v] reads [reads] of a file's pages and writes [writes] of them, while
+   a concurrent update writes page [other] and commits first: [v] wins by
+   merging, so it keeps its read copies. *)
+let merged_winner srv f ~reads ~writes ~other =
+  let v = ok (Server.create_version srv f) in
+  List.iter (fun p -> ignore (ok (Server.read_page srv v (path [ p ])))) reads;
+  List.iter (fun p -> ok (Server.write_page srv v (path [ p ]) (bytes "w"))) writes;
+  commit_write srv f [ other ] "other";
+  ok (Server.commit srv v);
+  Alcotest.(check int) "won by merging" 1 (counter srv "commits.merged");
+  v
+
 let test_reshare_read_only_copies () =
   let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 4 in
-  (* A read-modify-write of page 0 also read pages 1..3, creating read
-     copies of them. *)
-  let v = ok (Server.create_version srv f) in
+  let f = Helpers.file_with_pages srv 5 in
+  (* On the fast path the commit itself reshares the read copies. *)
+  let fast = ok (Server.create_version srv f) in
   for p = 1 to 3 do
-    ignore (ok (Server.read_page srv v (path [ p ])))
+    ignore (ok (Server.read_page srv fast (path [ p ])))
   done;
-  ok (Server.write_page srv v (path [ 0 ]) (bytes "w"));
-  ok (Server.commit srv v);
+  ok (Server.write_page srv fast (path [ 0 ]) (bytes "fast"));
+  ok (Server.commit srv fast);
+  Alcotest.(check int) "nothing left to reshare" 0
+    (ok (Gc.reshare_version srv (ok (Server.version_block srv fast))));
+  (* A merged winner keeps them: a read-modify-write of page 0 that also
+     read pages 1..3, merged past a write of page 4. *)
+  let v = merged_winner srv f ~reads:[ 1; 2; 3 ] ~writes:[ 0 ] ~other:4 in
   let vb = ok (Server.version_block srv v) in
   let reshared = ok (Gc.reshare_version srv vb) in
   Alcotest.(check int) "three read copies reshared" 3 reshared;
   (* Data is unchanged after resharing. *)
   let cur = ok (Server.current_version srv f) in
   Helpers.check_bytes "write kept" "w" (ok (Server.read_page srv cur (path [ 0 ])));
+  Helpers.check_bytes "merged write kept" "other" (ok (Server.read_page srv cur (path [ 4 ])));
   for p = 1 to 3 do
     Helpers.check_bytes
       (Printf.sprintf "page %d reshared content" p)
@@ -123,18 +142,33 @@ let test_reshare_read_only_copies () =
 
 let test_reshare_then_sweep_reclaims_space () =
   let store, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 8 in
-  let v = ok (Server.create_version srv f) in
-  for p = 0 to 7 do
-    ignore (ok (Server.read_page srv v (path [ p ])))
-  done;
-  ok (Server.commit srv v);
+  let f = Helpers.file_with_pages srv 9 in
+  ignore (merged_winner srv f ~reads:(List.init 8 Fun.id) ~writes:[] ~other:8);
   ok (Pagestore.flush (Server.pagestore srv));
   let before = block_count store in
   let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 16; reshare = true } srv) in
   Alcotest.(check int) "8 reshared" 8 stats.Gc.pages_reshared;
   Alcotest.(check bool) "8 copies swept" true (stats.Gc.blocks_freed >= 8);
   Alcotest.(check int) "space reclaimed" (before - stats.Gc.blocks_freed) (block_count store)
+
+(* An open update copied a page from the current version, a merged
+   winner that still has its read copy there. A collection leaves that
+   version's copies alone, so the update's fast-path commit can point
+   its own read copy back at the one it copied. *)
+let test_open_update_keeps_current_copies () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 3 in
+  ignore (merged_winner srv f ~reads:[ 1 ] ~writes:[ 0 ] ~other:2);
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (path [ 1 ])));
+  let stats = ok (Gc.collect srv) in
+  Alcotest.(check int) "current version not reshared" 0 stats.Gc.pages_reshared;
+  ok (Server.write_page srv v (path [ 0 ]) (bytes "v"));
+  ok (Server.commit srv v);
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "read page intact" "p1" (ok (Server.read_page srv cur (path [ 1 ])));
+  let stats = ok (Gc.collect srv) in
+  Alcotest.(check int) "resharable once no update is open" 1 stats.Gc.pages_reshared
 
 let test_reshare_keeps_written_subtrees () =
   let _, srv = Helpers.fresh_server () in
@@ -147,6 +181,153 @@ let test_reshare_keeps_written_subtrees () =
   Alcotest.(check int) "nothing reshared" 0 reshared;
   let cur = ok (Server.current_version srv f) in
   Helpers.check_bytes "write intact" "must stay" (ok (Server.read_page srv cur (path [ 1 ])))
+
+(* {2 A commit leaves no read shadow}
+
+   Random read/write transactions over a two-level file. A transaction
+   commits on the fast path, or by a merge when a concurrent write of
+   [other] lands first. After a fast-path commit no C entry of the
+   committed tree lacks a W or M at or below it, and the tracked write
+   set names exactly the tree's copied paths. A merged winner keeps the
+   shadows its own operations imply until [Gc.reshare_version] reshares
+   them. Contents always match a model of the committed writes. *)
+
+let two_level_file srv =
+  let f = Helpers.file_with_pages srv 3 in
+  let v = ok (Server.create_version srv f) in
+  for i = 0 to 2 do
+    for j = 0 to 1 do
+      ignore
+        (ok
+           (Server.insert_page srv v ~parent:(path [ i ]) ~index:j
+              ~data:(bytes (Printf.sprintf "p%d.%d" i j)) ()))
+    done
+  done;
+  ok (Server.commit srv v);
+  f
+
+let two_level_paths = [] :: List.concat_map (fun i -> [ [ i ]; [ i; 0 ]; [ i; 1 ] ]) [ 0; 1; 2 ]
+
+(* The tree's copied paths (root first, the root when its flags are
+   set) and its topmost read shadows. *)
+let copied_and_shadows srv vblock =
+  let page b = ok (Server.read_version_page srv b) in
+  let rec written_below (e : Page.ref_entry) =
+    let f = e.Page.flags in
+    f.Flags.w || f.Flags.m
+    || (f.Flags.c && Array.exists written_below (page e.Page.block).Page.refs)
+  in
+  let copied = ref [] and shadows = ref [] in
+  let rec walk p ~in_shadow block =
+    Array.iteri
+      (fun i (e : Page.ref_entry) ->
+        if e.Page.flags.Flags.c then begin
+          let cp = p @ [ i ] in
+          copied := cp :: !copied;
+          let shadow = (not in_shadow) && not (written_below e) in
+          if shadow then shadows := cp :: !shadows;
+          walk cp ~in_shadow:(in_shadow || shadow) e.Page.block
+        end)
+      (page block).Page.refs
+  in
+  let root = page vblock in
+  if not (Flags.equal root.Page.header.Page.root_flags Flags.clear) then copied := [ [] ];
+  walk [] ~in_shadow:false vblock;
+  (List.sort compare !copied, List.sort compare !shadows)
+
+(* The shadows a transaction's operations imply: each topmost accessed
+   path with no write at or below it. *)
+let implied_shadows ops =
+  let writes = List.filter_map (fun (w, p) -> if w then Some p else None) ops in
+  let written_below p = List.exists (fun w -> P.is_prefix (path p) (path w)) writes in
+  let prefixes p = List.init (List.length p) (fun k -> List.filteri (fun i _ -> i <= k) p) in
+  let accessed = List.sort_uniq compare (List.concat_map (fun (_, p) -> prefixes p) ops) in
+  List.filter
+    (fun p ->
+      let parent = List.filteri (fun i _ -> i < List.length p - 1) p in
+      (not (written_below p)) && (parent = [] || written_below parent))
+    accessed
+
+let run_shadow_history txns =
+  let _, srv = Helpers.fresh_server () in
+  let f = two_level_file srv in
+  let model = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      let name = String.concat "." (List.map string_of_int p) in
+      Hashtbl.replace model p (if p = [] then "root" else "p" ^ name))
+    two_level_paths;
+  let paths_l = Alcotest.(list (list int)) in
+  let check_contents what =
+    let cur = ok (Server.current_version srv f) in
+    List.iter
+      (fun p ->
+        Helpers.check_bytes what (Hashtbl.find model p) (ok (Server.read_page srv cur (path p))))
+      two_level_paths
+  in
+  List.iteri
+    (fun k (ops, other) ->
+      let v = ok (Server.create_version srv f) in
+      let mine = Hashtbl.copy model in
+      List.iteri
+        (fun n (write, p) ->
+          if write then begin
+            let data = Printf.sprintf "t%d.%d" k n in
+            ok (Server.write_page srv v (path p) (bytes data));
+            Hashtbl.replace mine p data
+          end
+          else
+            Helpers.check_bytes "reads its own view" (Hashtbl.find mine p)
+              (ok (Server.read_page srv v (path p))))
+        ops;
+      Option.iter
+        (fun p ->
+          let data = Printf.sprintf "x%d" k in
+          commit_write srv f p data;
+          Hashtbl.replace model p data)
+        other;
+      let fast = counter srv "commits.fastpath" and merged = counter srv "commits.merged" in
+      (match Server.commit srv v with
+      | Ok () ->
+          List.iter (fun (w, p) -> if w then Hashtbl.replace model p (Hashtbl.find mine p)) ops
+      | Error Errors.Conflict -> ()
+      | Error e -> Alcotest.failf "commit: %s" (Errors.to_string e));
+      check_contents "committed contents";
+      let vb = ok (Server.version_block srv v) in
+      if counter srv "commits.fastpath" > fast then begin
+        let copied, shadows = copied_and_shadows srv vb in
+        Alcotest.check paths_l "fast path: no read shadow" [] shadows;
+        match Server.tracked_writeset srv vb with
+        | Some ws ->
+            Alcotest.check paths_l "write set = copied paths" copied
+              (List.map P.to_list (Writeset.paths ws))
+        | None -> Alcotest.fail "fast-path winner lost its write set"
+      end
+      else if counter srv "commits.merged" > merged then begin
+        Alcotest.check paths_l "merged winner keeps its shadows" (implied_shadows ops)
+          (snd (copied_and_shadows srv vb));
+        ignore (ok (Gc.reshare_version srv vb));
+        Alcotest.check paths_l "reshared by the collector" [] (snd (copied_and_shadows srv vb));
+        check_contents "contents after resharing"
+      end)
+    txns;
+  true
+
+let prop_commit_leaves_no_read_shadow =
+  let open QCheck2.Gen in
+  let gen_path =
+    map2 (fun i j -> if j < 0 then [ i ] else [ i; j ]) (int_range 0 2) (int_range (-1) 1)
+  in
+  let gen_txn = pair (list_size (int_range 1 6) (pair bool gen_path)) (opt gen_path) in
+  let show_path p = "/" ^ String.concat "." (List.map string_of_int p) in
+  let show_txn (ops, other) =
+    String.concat " " (List.map (fun (w, p) -> (if w then "W" else "R") ^ show_path p) ops)
+    ^ match other with Some p -> " | other W" ^ show_path p | None -> ""
+  in
+  QCheck2.Test.make ~name:"commit leaves no read shadow" ~count:200
+    ~print:(fun txns -> String.concat "; " (List.map show_txn txns))
+    (list_size (int_range 1 8) gen_txn)
+    run_shadow_history
 
 let test_gc_safety_never_frees_live () =
   (* Random workload, then GC: every block the mark reports live after the
@@ -196,8 +377,6 @@ let test_gc_safety_never_frees_live () =
         (ok (Server.read_page srv cur (path [ p ])))
     done
   done
-
-let counter srv name = Afs_util.Stats.Counter.get (Server.counters srv) name
 
 let test_collection_is_cache_neutral () =
   (* A collection counts no cache hit or miss, adds no entry and moves none:
@@ -380,8 +559,15 @@ let reference_collect ~(policy : Gc.policy) store srv =
     if not policy.Gc.reshare then 0
     else
       List.fold_left
-        (fun acc (_, chain, _) ->
-          List.fold_left (fun acc vb -> acc + ok (Gc.reshare_version srv vb)) acc (List.rev chain))
+        (fun acc (_, chain, uncommitted) ->
+          (* A file's current version is left alone while it has open
+             updates, as in [Gc.collect]. *)
+          let newest_first =
+            match (List.rev chain, uncommitted) with
+            | _ :: older, _ :: _ -> older
+            | all, _ -> all
+          in
+          List.fold_left (fun acc vb -> acc + ok (Gc.reshare_version srv vb)) acc newest_first)
         0 roots
   in
   let versions_pruned =
@@ -564,6 +750,8 @@ let () =
           quick "read-only copies reshared" test_reshare_read_only_copies;
           quick "reshare + sweep reclaims" test_reshare_then_sweep_reclaims_space;
           quick "written subtrees kept" test_reshare_keeps_written_subtrees;
+          quick "open update keeps current copies" test_open_update_keeps_current_copies;
+          QCheck_alcotest.to_alcotest prop_commit_leaves_no_read_shadow;
         ] );
       ( "safety",
         [

@@ -294,6 +294,61 @@ let test_failed_publish_retried () =
   Helpers.check_bytes "the retried commit's page survived" "one"
     (ok (Server.read_page srv2 cur (P.of_list [ 0 ])))
 
+(* A memory store whose writes all fail while [up] is false. *)
+let switchable_store () =
+  let inner = Store.memory () in
+  let up = ref true in
+  let gone = Error "injected: disk gone" in
+  let write b data = if !up then inner.Store.write b data else gone in
+  let write_batch entries = if !up then inner.Store.write_batch entries else gone in
+  ({ inner with Store.write; write_batch }, up)
+
+let failed_publish srv v up =
+  up := false;
+  (match Server.commit srv v with
+  | Error (Errors.Store_failure _) -> ()
+  | _ -> Alcotest.fail "expected the publish to fail");
+  up := true
+
+(* A fast-path win reshares the version's read copies, dropping their R
+   flags, and then its publish fails. Another commit writes the page it
+   read; the retry must conflict, not merge past the lost read. *)
+let test_retry_after_dropped_shadows () =
+  let store, up = switchable_store () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (P.of_list [ 1 ])));
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "v"));
+  failed_publish srv v up;
+  let w = ok (Server.create_version srv f) in
+  ok (Server.write_page srv w (P.of_list [ 1 ]) (bytes "w"));
+  ok (Server.commit srv w);
+  Helpers.expect_conflict (Server.commit srv v)
+
+(* A merge adopts the committed version's child of a page the candidate
+   only read, and then its publish fails. The retry wins at its new base
+   at once; its read copy now holds the adopted child, so it must not be
+   pointed back at the page it was copied from. *)
+let test_retry_after_merge_keeps_adopted () =
+  let store, up = switchable_store () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let s = ok (Server.create_version srv f) in
+  ignore (ok (Server.insert_page srv s ~parent:(P.of_list [ 1 ]) ~index:0 ~data:(bytes "c") ()));
+  ok (Server.commit srv s);
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (P.of_list [ 1 ])));
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "v"));
+  let w = ok (Server.create_version srv f) in
+  ok (Server.write_page srv w (P.of_list [ 1; 0 ]) (bytes "w"));
+  ok (Server.commit srv w);
+  failed_publish srv v up;
+  ok (Server.commit srv v);
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "the retry's write" "v" (ok (Server.read_page srv cur (P.of_list [ 0 ])));
+  Helpers.check_bytes "the adopted write" "w" (ok (Server.read_page srv cur (P.of_list [ 1; 0 ])))
+
 (* {2 Write amplification: a commit writes its own pages, once} *)
 
 (* A memory store counting entries written ([Store.counting]) and
@@ -549,6 +604,8 @@ let () =
           quick "conflicting member doomed alone" test_batch_conflicting_member_doomed_alone;
           quick "crash mid-publish is atomic per member" test_crash_mid_batch_atomic_per_member;
           quick "failed publish retried" test_failed_publish_retried;
+          quick "retry after dropped shadows" test_retry_after_dropped_shadows;
+          quick "retry after a merge keeps adopted" test_retry_after_merge_keeps_adopted;
         ] );
       ( "store writes",
         [

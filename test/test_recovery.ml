@@ -159,6 +159,126 @@ let test_update_through_single_surviving_server () =
   Helpers.check_bytes "outage write present on companion" "written during outage"
     (ok (Server.read_page srv cur (path [ 1 ])))
 
+let stable_store ~blocks =
+  let pair = Stable_pair.create ~media:Media.electronic ~blocks ~block_size:32768 () in
+  (pair, Store.of_stable_pair pair)
+
+let disk_writes pair i = (Disk.stats (Stable_pair.disk pair i)).Disk.writes
+
+(* An update's fresh blocks are only reserved at the serving stable server
+   until its publish. That server crashes first: the publish through the
+   survivor fails and writes nothing, and the client's redo commits. The
+   store is small, so the redo's reservations would land on the lost
+   ones if the adapter handed out numbers it still lists. *)
+let test_stable_crash_between_allocate_and_publish () =
+  let pair, store = stable_store ~blocks:8 in
+  let srv = Server.create store in
+  let f = Helpers.file_with_pages srv 2 in
+  let v = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v (path [ 0 ]) (bytes "lost reservation"));
+  let reserved =
+    List.filter
+      (fun b -> not (Disk.is_written (Stable_pair.disk pair 0) b))
+      (Helpers.ok_str (store.Store.list_blocks ()))
+  in
+  Alcotest.(check int) "version page and copy reserved, unwritten" 2 (List.length reserved);
+  Stable_pair.crash pair 0;
+  let before = disk_writes pair 1 in
+  (match Server.commit srv v with
+  | Error (Errors.Store_failure _) -> ()
+  | Ok () -> Alcotest.fail "publish through the survivor succeeded"
+  | Error e -> Alcotest.failf "expected a store failure, got %s" (Errors.to_string e));
+  Alcotest.(check int) "the survivor wrote nothing" before (disk_writes pair 1);
+  (* The redo reserves through the survivor and commits. *)
+  let redo = ok (Server.create_version srv f) in
+  ok (Server.write_page srv redo (path [ 0 ]) (bytes "redone"));
+  ok (Server.commit srv redo);
+  ok (Server.abort_version srv v);
+  (match (Stable_pair.restart pair 0).Stable_pair.result with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "restart: %s" (Fmt.str "%a" Stable_pair.pp_error e));
+  Stable_pair.crash pair 1;
+  Pagestore.drop_volatile (Server.pagestore srv);
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "the redo is on the restarted disk" "redone"
+    (ok (Server.read_page srv cur (path [ 0 ])))
+
+(* Lets through the first [allow] writes of what follows, then fails: a
+   crash in the middle of a publish batch, whose landed prefix still
+   rides the stable pair's batch write. *)
+let cut_after store allow =
+  let write_batch entries =
+    let n = min !allow (List.length entries) in
+    allow := !allow - n;
+    match store.Store.write_batch (List.filteri (fun i _ -> i < n) entries) with
+    | Error _ as e -> e
+    | Ok () -> if n < List.length entries then Error "injected: crash mid-publish" else Ok ()
+  in
+  { store with Store.write = (fun b data -> write_batch [ (b, data) ]); write_batch }
+
+(* Every block the committed chain of [fc] reaches must read back. *)
+let check_tree_readable srv fc =
+  let rec walk block =
+    match Server.read_version_page srv block with
+    | Error e ->
+        Alcotest.failf "recovered reference to unreadable block %d: %s" block
+          (Errors.to_string e)
+    | Ok page -> Array.iter (fun (e : Page.ref_entry) -> walk e.Page.block) page.Page.refs
+  in
+  List.iter walk (ok (Server.committed_chain srv fc))
+
+(* Two members publish fresh pages (version page, copy) and then their
+   references in one batch, and the batch is cut after [k] writes. After
+   recovery each member is committed whole or absent; the blocks the
+   adapter reserved but never wrote break neither the recovery nor the
+   sweep, which frees them. *)
+let test_stable_crash_mid_publish () =
+  for k = 0 to 5 do
+    let _, inner = stable_store ~blocks:512 in
+    let allow = ref max_int in
+    let store = cut_after inner allow in
+    let srv = Server.create ~seed:7 store in
+    let files = List.init 2 (fun _ -> Helpers.file_with_pages srv 2) in
+    let caps =
+      List.mapi
+        (fun i f ->
+          let v = ok (Server.create_version srv f) in
+          ok (Server.write_page srv v (path [ 0 ]) (bytes (Printf.sprintf "update%d" i)));
+          v)
+        files
+    in
+    allow := k;
+    List.iter
+      (function
+        | Error (Errors.Store_failure _) -> ()
+        | _ -> Alcotest.fail "expected every member to report the cut")
+      (Server.commit_batch srv caps);
+    allow := max_int;
+    Server.crash srv;
+    let srv2 = Server.create ~seed:7 store in
+    let listed = Helpers.ok_str (store.Store.list_blocks ()) in
+    Alcotest.(check int) "both files recovered" 2 (ok (Server.recover_from_blocks srv2 listed));
+    let state fc =
+      check_tree_readable srv2 fc;
+      let cur = ok (Server.current_version srv2 fc) in
+      ( List.length (ok (Server.committed_chain srv2 fc)),
+        Helpers.str (ok (Server.read_page srv2 cur (path [ 0 ]))) )
+    in
+    let states () = List.sort compare (List.map state files) in
+    let expected = if k > 4 then [ (2, "p0"); (3, "update0") ] else [ (2, "p0"); (2, "p0") ] in
+    Alcotest.(check (list (pair int string)))
+      (Printf.sprintf "cut after %d of 6 publish writes" k)
+      expected (states ());
+    ignore (ok (Gc.collect srv2));
+    Alcotest.(check (list (pair int string))) "unchanged by the sweep" expected (states ());
+    List.iter
+      (fun b ->
+        match store.Store.read b with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "block %d still listed after the sweep: %s" b msg)
+      (Helpers.ok_str (store.Store.list_blocks ()))
+  done
+
 (* {2 The C2 contrast: recovery work is zero} *)
 
 let test_afs_recovery_work_is_zero () =
@@ -211,6 +331,8 @@ let () =
         [
           quick "survives disk loss" test_file_service_survives_stable_disk_loss;
           quick "update through survivor" test_update_through_single_surviving_server;
+          quick "crash between allocate and publish" test_stable_crash_between_allocate_and_publish;
+          quick "crash mid-publish, fresh blocks" test_stable_crash_mid_publish;
         ] );
       ( "recovery work",
         [

@@ -53,6 +53,24 @@ let test_free () =
   expect "read freed via companion" (function S.Not_allocated _ -> true | _ -> false)
     (S.read t 1 b)
 
+(* A reserved block never written holds nothing on either disk: freeing
+   it drops the reservation, with no hop. *)
+let test_free_tentative () =
+  let t = fresh () in
+  let b = ok (S.tentative_allocate t 0) in
+  let o = S.free t 0 b in
+  ignore (ok o);
+  Alcotest.(check (float 0.0)) "no hop" 0.0 o.S.cost_ms;
+  Alcotest.(check bool) "nothing on disk 0" false (Disk.is_written (S.disk t 0) b);
+  Alcotest.(check bool) "nothing on disk 1" false (Disk.is_written (S.disk t 1) b);
+  expect "no longer held" (function S.Not_allocated _ -> true | _ -> false)
+    (S.write t 0 b (bytes "late"));
+  (* A fresh reservation is allocated on both disks by its first write. *)
+  let b2 = ok (S.tentative_allocate t 0) in
+  ignore (ok (S.write_batch t 0 [ (b2, bytes "first write") ]));
+  Helpers.check_bytes "read via 1" "first write" (ok (S.read t 1 b2));
+  check_invariant t
+
 let test_read_unallocated () =
   let t = fresh () in
   expect "unallocated" (function S.Not_allocated 3 -> true | _ -> false) (S.read t 0 3)
@@ -157,6 +175,24 @@ let test_allocate_write_retries_internally () =
   S.abort_tentative t 1 b;
   let b2 = ok (S.allocate_write t 0 (bytes "winner")) in
   Helpers.check_bytes "eventually lands" "winner" (ok (S.read t 0 b2))
+
+(* A batch's fresh block that the companion holds tentatively collides
+   on leg 1, before any copy of the batch is written. *)
+let test_write_batch_fresh_collision () =
+  let t = fresh ~blocks:2 () in
+  let kept = ok (S.allocate_write t 0 (bytes "old")) in
+  let b = ok (S.tentative_allocate t 0) in
+  Alcotest.(check int) "the companion chooses the same block" b (ok (S.tentative_allocate t 1));
+  expect "collision" (function S.Collision c -> c = b | _ -> false)
+    (S.write_batch t 0 [ (kept, bytes "new"); (b, bytes "fresh") ]);
+  Alcotest.(check bool) "no local copy" false (Disk.is_written (S.disk t 0) b);
+  Alcotest.(check bool) "no companion copy" false (Disk.is_written (S.disk t 1) b);
+  Helpers.check_bytes "allocated block untouched" "old" (ok (S.read t 0 kept));
+  (* The loser drops its claim; the companion's own first write lands. *)
+  S.abort_tentative t 0 b;
+  ignore (ok (S.write t 1 b (bytes "companion's")));
+  Helpers.check_bytes "winner's data" "companion's" (ok (S.read t 0 b));
+  check_invariant t
 
 (* {2 Crashes} *)
 
@@ -269,6 +305,7 @@ let () =
           quick "both disks hold copy" test_both_disks_hold_copy;
           quick "update via either server" test_update_via_either_server;
           quick "free" test_free;
+          quick "free a tentative block" test_free_tentative;
           quick "read unallocated" test_read_unallocated;
         ] );
       ( "corruption",
@@ -283,6 +320,7 @@ let () =
         [
           quick "interleaved allocate collision" test_interleaved_allocate_collision;
           quick "allocate_write retries" test_allocate_write_retries_internally;
+          quick "write_batch fresh collision" test_write_batch_fresh_collision;
         ] );
       ( "crashes",
         [
