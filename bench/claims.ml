@@ -124,10 +124,11 @@ let c1 () =
         [ "system"; "committed"; "txn/s"; "redo rate"; "starved"; "mean ms"; "p99 ms" ]
         rows)
     scenarios;
-  note "afs-occ sends two messages per attempt (an Open batch of reads, a Version batch";
-  note "of writes + commit); xdfs-2pl and swallow-ts send one per access, as their";
-  note "protocols do. So OCC leads at every size here, and the lead grows with the update:";
-  note "the redo bill stays smaller than the locking side's per-access round trips. The";
+  note "afs-occ sends two messages for the first attempt (an Open batch of reads, a";
+  note "Version batch of writes + commit) and one per redo (a lost commit answers with the";
+  note "redo's reads); xdfs-2pl and swallow-ts send one per access, as their protocols do.";
+  note "So OCC leads at every size here, and the lead grows with the update: the redo";
+  note "bill stays smaller than the locking side's per-access round trips. The";
   note "§3.1 crossover (locking for large contended updates) shows only at equal message";
   note "counts per access. Timestamps starve old transactions on hot data ('starved')."
 

@@ -11,9 +11,11 @@
    M2 — a sustained OCC workload through the full remote stack, sized so
    the page codec and allocator dominate: the bench that justifies the
    encode-once / decoded-cache hot path work (EXPERIMENTS.md M2). Its
-   deterministic request count pins the message shape of the shared OCC
-   client loop: two messages per attempt, so a return to one request per
-   page operation moves it far past the baseline tolerance.
+   deterministic request and redo counts pin the message shape of the
+   shared OCC client loop: two messages for the first attempt, one per
+   redo. A return to one request per page operation moves the requests
+   far past the baseline tolerance, and a redo path that silently stops
+   being used moves the redos to zero.
 
    A6 — the million-transaction scenario: 1M transactions offered by
    10k Zipf clients against a 4-shard cluster, with the collector run
@@ -88,16 +90,17 @@ let m2 () =
       Engine.events_executed engine,
       Page.fresh_encodes () - encodes0,
       writes1 - writes0,
-      Remote.requests_served host )
+      Remote.requests_served host,
+      Remote.redos_served host )
   in
   (* Three independent repeats. The deterministic outcomes must agree
      exactly — each repeat re-checks that the run is a pure function of
      the seed — and the fastest wall time is the one reported: min-of-N
      is the standard way to strip scheduler and GC noise from a
      wall-clock figure. *)
-  let report, ms1, events, encodes, writes, requests = run () in
-  let r2, ms2, ev2, enc2, wr2, rq2 = run () in
-  let r3, ms3, ev3, enc3, wr3, rq3 = run () in
+  let report, ms1, events, encodes, writes, requests, redos = run () in
+  let r2, ms2, ev2, enc2, wr2, rq2, rd2 = run () in
+  let r3, ms3, ev3, enc3, wr3, rq3, rd3 = run () in
   let repeats_identical =
     report.Driver.committed = r2.Driver.committed
     && report.Driver.committed = r3.Driver.committed
@@ -105,6 +108,7 @@ let m2 () =
     && report.Driver.attempts = r3.Driver.attempts
     && events = ev2 && events = ev3 && encodes = enc2 && encodes = enc3
     && writes = wr2 && writes = wr3 && requests = rq2 && requests = rq3
+    && redos = rd2 && redos = rd3
   in
   let ms = Float.min ms1 (Float.min ms2 ms3) in
   table
@@ -116,6 +120,7 @@ let m2 () =
       [ "fresh page encodes (deterministic)"; string_of_int encodes ];
       [ "store writes (deterministic)"; string_of_int writes ];
       [ "requests served (deterministic)"; string_of_int requests ];
+      [ "redos served (deterministic)"; string_of_int redos ];
       [ "repeats identical (deterministic)"; (if repeats_identical then "yes" else "NO (bug!)") ];
       [ "wall ms (reported, min of 3)"; f1 ms ];
       [ "events/s wall (reported)"; f1 (per_second events ms) ];
@@ -128,6 +133,7 @@ let m2 () =
   metric_i "m2-engine-speed" "page_encodes" encodes;
   metric_i "m2-engine-speed" "store_writes" writes;
   metric_i "m2-engine-speed" "requests" requests;
+  metric_i "m2-engine-speed" "redos" redos;
   metric_i "m2-engine-speed" "repeats_identical" (if repeats_identical then 1 else 0);
   metric "m2-engine-speed" "wall_ms.reported" ms;
   metric "m2-engine-speed" "events_per_s.reported" (per_second events ms);

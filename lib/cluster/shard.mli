@@ -11,7 +11,8 @@
       [Txn_in_doubt record] instead of exposing staged state (an [Open]
       or [Current] [Batch] passes this trap — batches {e are} the
       resolution — but still honours tombstones; a [Version] batch is
-      never checked);
+      never checked, but its [Redo] is, being an [Open] batch the host
+      sends through this same wrapper);
     - after a successful [Create_version] it reads the new version's
       root, recording [R] there, and an [Open] batch must itself begin
       by reading the root ([Read] of the root or [Guard_root]; other

@@ -7,7 +7,13 @@ module Errors = Afs_core.Errors
 (* A batch is a short program of existing calls, run against one version
    inside one handler event (lib/txn's coordinator is its client). *)
 type target = Open of Capability.t | Current of Capability.t | Version of Capability.t
-type step = Read of Pagepath.t | Write of Pagepath.t * bytes | Guard_root of bytes | Commit
+
+type step =
+  | Read of Pagepath.t
+  | Write of Pagepath.t * bytes
+  | Guard_root of bytes
+  | Commit
+  | Redo of Capability.t * Pagepath.t list
 
 type request =
   | Create_file of bytes
@@ -35,6 +41,7 @@ type request =
 type batch_answer =
   | Ran of { version : Capability.t; reads : bytes list }
   | Guard_failed of bytes
+  | Reopened of { version : Capability.t; reads : bytes list }
 
 type value =
   | Cap of Capability.t
@@ -61,8 +68,9 @@ let too_large bytes = Error (Errors.Message_too_large { bytes; limit = message_c
    version the [Commit] step already removed is a harmless no-op. Both
    messages obey the 32K cap: a request whose write data exceeds it is
    refused before it runs, and a batch stops at the read that takes its
-   reply past it. *)
-let run_batch server target steps =
+   reply past it. A final [Commit] that loses validation hands a trailing
+   [Redo] to [reopen], which opens the next attempt. *)
+let run_batch ~reopen server target steps =
   let open Errors in
   let written =
     List.fold_left (fun n -> function Write (_, data) -> n + Bytes.length data | _ -> n) 0 steps
@@ -89,9 +97,15 @@ let run_batch server target steps =
       | Guard_root expected :: rest ->
           let* root = Server.read_page server version Pagepath.root in
           if Bytes.equal root expected then run reads rest else Ok (Guard_failed root)
+      | [ Commit; Redo (file, paths) ] -> (
+          match Server.commit server version with
+          | Ok () -> run reads []
+          | Error Conflict -> reopen file paths
+          | Error e -> Error e)
       | Commit :: rest ->
           let* () = Server.commit server version in
           run reads rest
+      | Redo _ :: _ -> Error (Store_failure "rpc: Redo must follow the final Commit")
     in
     let answer = run [] steps in
     (match (target, answer) with
@@ -100,7 +114,17 @@ let run_batch server target steps =
     | _ -> ());
     answer
 
-let handle server : request -> response = function
+(* What a redo answers: the reopened version and its reads, or the
+   error a fresh [Open] batch would have met — except that a reply over
+   the cap is a plain [Conflict], the refused batch having abandoned its
+   version, so the client's next attempt splits its reads as usual. *)
+let reopened : response -> batch_answer Errors.r = function
+  | Ok (Batched (Ran { version; reads })) -> Ok (Reopened { version; reads })
+  | Error (Errors.Message_too_large _) -> Error Errors.Conflict
+  | Error e -> Error e
+  | Ok _ -> Error (Errors.Store_failure "rpc: redo answer mismatch")
+
+let handle ~reopen server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
   | Current_version file -> Result.map (fun c -> Cap c) (Server.current_version server file)
   | Create_version file -> Result.map (fun c -> Cap c) (Server.create_version server file)
@@ -121,7 +145,8 @@ let handle server : request -> response = function
   | Destroy_file file -> Result.map (fun () -> Unit) (Server.destroy_file server file)
   | Validate_cache { file; basis_block } ->
       Result.map (fun v -> Validation v) (Cache.server_validate server ~file ~basis_block)
-  | Batch { target; steps } -> Result.map (fun a -> Batched a) (run_batch server target steps)
+  | Batch { target; steps } ->
+      Result.map (fun a -> Batched a) (run_batch ~reopen server target steps)
   | Prepare version -> Result.map (fun () -> Unit) (Server.prepare server version)
   | Decide { version; commit = decision } ->
       Result.map (fun () -> Unit) (Server.decide server version ~commit:decision)
@@ -148,60 +173,93 @@ let request_kind : request -> string = function
   | Promote _ -> "promote"
   | Replica_watermark -> "replica_watermark"
 
-type host = { rpc : (request, response) Rpc.t; server : Server.t }
+type host = {
+  rpc : (request, response) Rpc.t;
+  server : Server.t;
+  redos : int ref;  (** Conflicted commits answered with a reopened version. *)
+}
 
-(* A request the group-commit batcher takes: its version and the steps
-   that run before its commit ([None] for a bare Commit). *)
+(* A request the group-commit batcher takes: its version and — for a
+   [Version] batch, as opposed to a bare Commit — the steps that run
+   before its commit and its redo, if any. *)
 let commit_member = function
   | Commit version -> Some (version, None)
-  | Batch { target = Version version; steps } -> (
-      match List.rev steps with
-      | Commit :: before -> Some (version, Some (List.rev before))
-      | _ -> None)
+  | Batch { target = Version version; steps } ->
+      let rec before acc : step list -> _ = function
+        | [ Commit ] -> Some (version, Some (List.rev acc, None))
+        | [ Commit; Redo (file, paths) ] -> Some (version, Some (List.rev acc, Some (file, paths)))
+        | [] | Redo _ :: _ -> None
+        | step :: rest -> before (step :: acc) rest
+      in
+      before [] steps
   | _ -> None
 
 (* Every member's own steps run first, in queue order; a member whose
    steps fail (or whose guard fails) answers alone and leaves the commit
    run. The rest commit in one pipeline run, answering as the same
-   requests would one at a time. *)
-let group_commit_batch server reqs =
+   requests would one at a time — a member that lost validation with its
+   redo, reopened after the run. *)
+let group_commit_batch ~reopen server reqs =
   let members =
     List.map
       (fun req ->
         match commit_member req with
         | None -> Error (Error (Errors.Store_failure "rpc: not a commit"))
-        | Some (version, None) -> Ok (version, fun () -> Unit)
-        | Some (version, Some steps) -> (
-            match run_batch server (Version version) steps with
-            | Ok (Ran { reads; _ }) -> Ok (version, fun () -> Batched (Ran { version; reads }))
-            | Ok (Guard_failed _ as failed) -> Error (Ok (Batched failed))
+        | Some (version, None) -> Ok (version, None, fun () -> Unit)
+        | Some (version, Some (steps, redo)) -> (
+            match run_batch ~reopen server (Version version) steps with
+            | Ok (Ran { reads; _ }) ->
+                Ok (version, redo, fun () -> Batched (Ran { version; reads }))
+            | Ok (Guard_failed _ | Reopened _) as answered ->
+                Error (Result.map (fun a -> Batched a) answered)
             | Error e -> Error (Error e)))
       reqs
   in
   let outcomes =
     Server.commit_batch server
-      (List.filter_map (function Ok (version, _) -> Some version | Error _ -> None) members)
+      (List.filter_map (function Ok (version, _, _) -> Some version | Error _ -> None) members)
   in
   snd
     (List.fold_left_map
        (fun outcomes member ->
          match (member, outcomes) with
          | Error answered, _ -> (outcomes, answered)
-         | Ok (_, answer), outcome :: rest -> (rest, Result.map answer outcome)
+         | Ok (_, Some (file, paths), _), Error Errors.Conflict :: rest ->
+             (rest, Result.map (fun a -> Batched a) (reopen file paths))
+         | Ok (_, _, answer), outcome :: rest -> (rest, Result.map answer outcome)
          | Ok _, [] -> ([], Error (Errors.Store_failure "rpc: commit run lost a member")))
        outcomes members)
 
 let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name server =
   if group_commit < 1 then invalid_arg "Remote.host: group_commit must be >= 1";
-  let handler =
-    match wrap with None -> handle server | Some w -> w (handle server)
+  let redos = ref 0 in
+  (* A redo is the next attempt's [Open] batch, sent through the same
+     wrapped handler a client's would take — so a cluster shard's
+     location check traps it exactly like a fresh attempt. *)
+  let rec handler =
+    lazy
+      (let base = handle ~reopen server in
+       match wrap with None -> base | Some w -> w base)
+  and reopen file paths =
+    let answer =
+      reopened
+        (Lazy.force handler
+           (Batch
+              {
+                target = Open file;
+                steps = Read Pagepath.root :: List.map (fun path -> Read path) paths;
+              }))
+    in
+    (match answer with Ok (Reopened _) -> incr redos | Ok _ | Error _ -> ());
+    answer
   in
   (* The group-commit window turns into an RPC batcher: queued commits —
-     a bare Commit, or a [Version] batch whose last step is Commit — drain
-     together and run through one [Server.commit_batch] pipeline, paying
-     the request overheads and the stable-storage publish leg once per
-     batch. Both carry their own version, so they need none of [wrap]'s
-     routing checks (shard wrappers pass them through untouched). *)
+     a bare Commit, or a [Version] batch whose last step is Commit,
+     optionally followed by its Redo — drain together and run through
+     one [Server.commit_batch] pipeline, paying the request overheads
+     and the stable-storage publish leg once per batch. Both carry their
+     own version, so they need none of [wrap]'s routing checks (shard
+     wrappers pass them through untouched); a redo takes them all. *)
   let batching =
     if group_commit = 1 then None
     else
@@ -209,14 +267,15 @@ let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name serv
         {
           Rpc.window = group_commit;
           batchable = (fun req -> Option.is_some (commit_member req));
-          handle_batch = group_commit_batch server;
+          handle_batch = group_commit_batch ~reopen server;
         }
   in
   {
     rpc =
       Rpc.serve ?latency_ms ?proc_ms ?disks ?batching ~describe:request_kind engine ~name
-        ~handler;
+        ~handler:(Lazy.force handler);
     server;
+    redos;
   }
 
 let crash_host h =
@@ -227,6 +286,7 @@ let restart_host h = Rpc.restart h.rpc
 let host_server h = h.server
 let host_up h = Rpc.is_up h.rpc
 let requests_served h = Rpc.requests_served h.rpc
+let redos_served h = !(h.redos)
 
 type conn = { hosts : host array; balance : bool; mutable preferred : int }
 

@@ -23,6 +23,12 @@ type step =
       (** Read the root ([Read_page] of {!Afs_util.Pagepath.root}) and go on
           only if it equals these bytes. *)
   | Commit  (** The ordinary optimistic [Commit]. *)
+  | Redo of Afs_util.Capability.t * Afs_util.Pagepath.t list
+      (** Allowed only right after the batch's final [Commit]: if that
+          commit loses validation, open the file afresh with the [Open]
+          batch of [Read] of the root and of these pages — the redo's
+          opening, sent through the host's whole handler as a client's
+          would be — and answer [Reopened]. *)
 
 type request =
   | Create_file of bytes
@@ -70,6 +76,9 @@ type batch_answer =
       (** Every step ran: the batch's version and the data of its [Read]
           steps, in order. *)
   | Guard_failed of bytes  (** A [Guard_root] step found this root instead. *)
+  | Reopened of { version : Afs_util.Capability.t; reads : bytes list }
+      (** The [Commit] lost validation and the [Redo] opened [version]:
+          the data of its reads, the root's first. *)
 
 type value =
   | Cap of Afs_util.Capability.t
@@ -103,11 +112,13 @@ val host :
 
     [group_commit] (default 1, must be ≥ 1; [Invalid_argument] otherwise)
     is the commit batch window: up to that many queued commits — [Commit]
-    requests, and [Version] batches whose last step is [Commit] — drain
-    together. Each batch member's other steps run first, in queue order;
-    a member whose steps fail answers alone, and the rest commit in one
-    {!Afs_core.Server.commit_batch} run. 1 installs no batcher at all,
-    preserving the paper's one-at-a-time behaviour exactly. *)
+    requests, and [Version] batches whose last step is [Commit], or
+    [Commit] then [Redo] — drain together. Each batch member's other
+    steps run first, in queue order; a member whose steps fail answers
+    alone, and the rest commit in one {!Afs_core.Server.commit_batch}
+    run, after which each member that lost validation runs its redo.
+    1 installs no batcher at all, preserving the paper's one-at-a-time
+    behaviour exactly. *)
 
 val crash_host : host -> unit
 (** RPC endpoint dies and the server loses its volatile state (page cache,
@@ -120,6 +131,10 @@ val host_up : host -> bool
 val requests_served : host -> int
 (** Requests the host has answered, a group-commit batch counting each
     member ({!Rpc.requests_served}). *)
+
+val redos_served : host -> int
+(** Conflicted commits the host answered with their redo's opening
+    ([Reopened]); each saved the client one message. *)
 
 type conn
 
@@ -166,7 +181,9 @@ val validate_cache :
 val message_cap : int
 (** 32 768: the paper's RPC carries at most 32K bytes per message. A
     batch whose [Write] data exceeds it, or whose [Read] replies add up
-    to more, is refused with [Message_too_large]. *)
+    to more, is refused with [Message_too_large] — except a [Redo] whose
+    reads would exceed it, which answers a plain [Conflict] and leaves no
+    version open. *)
 
 val batch :
   conn -> target -> step list -> batch_answer Afs_core.Errors.r
@@ -176,7 +193,9 @@ val batch :
     guard, and obeys {!message_cap}. An error or a failed guard abandons
     a version the batch opened itself ([Open]) — the caller never learns
     its capability — while a successful [Open] batch without [Commit]
-    hands its version over.
+    hands its version over, and so does a [Reopened] answer. A redo that
+    fails answers the error a fresh [Open] batch would have met ([Moved],
+    say); no version is left open then.
     Behind a cluster wrapper an [Open] or [Current] batch skips the
     in-doubt trap but may answer [Moved] — callers chase it. *)
 

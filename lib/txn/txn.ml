@@ -64,8 +64,10 @@
    A one-part transaction needs none of this, because one single-shard
    commit is already atomic: it opens its version with the same reading
    batch a stage does and commits the computed writes in one more — two
-   batches in all ([commit_part], which is also every attempt of
-   lib/workload's single-file exec loop). Every request here is routed
+   batches in all ([commit_part]). lib/workload's single-file exec loop
+   runs every attempt through [commit_part] too, letting a commit that
+   loses validation answer with the redo's opening: two messages for
+   the first attempt, one per redo. Every request here is routed
    through the cluster client's one [Moved] loop, [Cluster_client.routed].
 
    Recovery needs no log: a marker names its record and seq, the
@@ -239,6 +241,7 @@ let decide_record t ~record ~seq ~seen ~commit =
           | Pending -> attempt current (n + 1)
           | Unknown_record -> Error (Store_failure "txn: unrecognised record state")
           | (Committed | Aborted | Superseded) as final -> Ok (final, current))
+      | Ok (Remote.Reopened _) -> malformed
       | Error (Store_failure _) when n < transport_patience ->
           Proc.delay backoff_ms;
           attempt expected (n + 1)
@@ -312,29 +315,36 @@ let rec read_batches ~round_trip conn target paths =
       | failed -> failed)
   | answer -> answer
 
-(* Open a version of a part's file with one [Open] batch that reads the
-   root and every page the part's ops read; answer the version, the old
-   root data and the part's computed writes. The batch skips the shard's
-   in-doubt trap, so a foreign marker arrives as data: detect it here
-   and surface the same [Txn_in_doubt] the trap would have raised —
-   minus one round trip in the common, unmarked case. *)
-let open_part ~round_trip conn file ops =
-  match read_batches ~round_trip conn (Remote.Open file) (Pagepath.root :: read_paths ops) with
-  | Ok (Remote.Ran { version; reads = old_root :: pages }) -> (
+(* A version opened by an [Open] batch or a redo, whose reads are the
+   root and then every page the part's ops read: answer the version, the
+   old root data and the part's computed writes. Opening batches skip
+   the shard's in-doubt trap, so a foreign marker arrives as data: detect
+   it here and surface the same [Txn_in_doubt] the trap would have raised
+   — minus one round trip in the common, unmarked case. *)
+let opened ~round_trip conn ops = function
+  | Remote.Ran { version; reads = old_root :: pages }
+  | Remote.Reopened { version; reads = old_root :: pages } -> (
       match Txnmark.record_of old_root with
       | Some other ->
           round_trip ();
           ignore (Remote.abort_version conn version : unit r);
           Error (Txn_in_doubt other)
       | None -> Ok (version, old_root, computed_writes ops pages))
-  | Ok _ -> malformed
+  | Remote.Ran _ | Remote.Reopened _ | Remote.Guard_failed _ -> malformed
+
+(* Open a version of a part's file with one [Open] batch that reads the
+   root and [paths], the pages its ops read. *)
+let open_part ~round_trip conn file ops paths =
+  match read_batches ~round_trip conn (Remote.Open file) (Pagepath.root :: paths) with
+  | Ok answer -> opened ~round_trip conn ops answer
   | Error e -> Error e
 
 (* The writes as [Version] batches within the 32K cap, in order, the
-   last one ending in [Commit]: one batch unless the data is over. *)
-let version_batches writes =
+   last one ending in [tail] — [Commit], then the redo if one is asked
+   for: one batch unless the data is over. *)
+let version_batches ~tail writes =
   let rec go batches batch size = function
-    | [] -> List.rev (List.rev ((Remote.Commit : Remote.step) :: batch) :: batches)
+    | [] -> List.rev (List.rev_append batch tail :: batches)
     | (path, data) :: rest ->
         let n = Bytes.length data in
         if batch <> [] && size + n > Remote.message_cap then
@@ -343,24 +353,48 @@ let version_batches writes =
   in
   go [] [] 0 writes
 
+(* Send the batches in order and answer the last one's answer. *)
 let rec send_writes ~round_trip conn version = function
-  | [] -> Ok ()
+  | [] -> malformed
   | steps :: rest -> (
       round_trip ();
       match (Remote.batch conn (Remote.Version version) steps, rest) with
+      | Ok answer, [] -> Ok answer
       | Ok _, _ -> send_writes ~round_trip conn version rest
-      (* A lost validation removed the version; a store failure may
+      (* A lost validation removed the version, and so did a redo that
+         failed as a fresh opening would ([Moved]); a store failure may
          have published it, like an in-doubt seal. *)
-      | Error ((Conflict | Store_failure _) as e), [] -> Error e
+      | Error ((Conflict | Store_failure _ | Moved _) as e), [] -> Error e
       | Error e, _ ->
           (* A write step failed: the version is still open. *)
           round_trip ();
           ignore (Remote.abort_version conn version : unit r);
           Error e)
 
-let commit_part ~round_trip conn file ops =
-  let* version, _, writes = open_part ~round_trip conn file ops in
-  send_writes ~round_trip conn version (version_batches writes)
+type tries = { mutable made : int; allowed : int }
+
+(* Each attempt but the last allowed asks that a lost validation answer
+   with the redo's opening, so a redo costs one message: the client
+   recomputes its writes from the reopened reads and sends only the next
+   [Version] batch. A redo that met [Moved] consumed its attempt too. *)
+let commit_part ~round_trip ~tries conn file ops =
+  let paths = read_paths ops in
+  let redo_tail : Remote.step list = [ Remote.Commit; Remote.Redo (file, paths) ] in
+  let rec commit (version, _, writes) =
+    let tail = if tries.made < tries.allowed then redo_tail else [ Remote.Commit ] in
+    match send_writes ~round_trip conn version (version_batches ~tail writes) with
+    | Ok (Remote.Reopened _ as answer) ->
+        tries.made <- tries.made + 1;
+        let* next = opened ~round_trip conn ops answer in
+        commit next
+    | Ok (Remote.Ran _ | Remote.Guard_failed _) -> Ok ()
+    | Error (Moved _ as e) ->
+        tries.made <- tries.made + 1;
+        Error e
+    | Error e -> Error e
+  in
+  let* first = open_part ~round_trip conn file ops paths in
+  commit first
 
 (* A committed stage: the participant, its marker, and the marker's
    exact root bytes — what the flip test-and-sets against. *)
@@ -379,7 +413,9 @@ let stage t ~record ~seq part =
   let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(string_of_int seq) () in
   let result =
     CC.routed t.client part.file (fun conn ~shard file ->
-        let* version, old_root, writes = open_part ~round_trip:t.round_trip conn file part.ops in
+        let* version, old_root, writes =
+          open_part ~round_trip:t.round_trip conn file part.ops (read_paths part.ops)
+        in
         let marker = { Txnmark.record; seq; old_root; writes } in
         let image = Txnmark.encode marker in
         rt t;
@@ -432,6 +468,7 @@ let apply t { sfile = file; marker = m; image } ~forward =
              { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "back" });
       Ok ()
   | Ok (Remote.Guard_failed _) -> Ok ()
+  | Ok (Remote.Reopened _) -> malformed
   | Error e -> Error e
 
 (* Resolve one in-doubt participant, as any client can: read the marker,
@@ -519,14 +556,16 @@ let release_record t shard pooled =
 
 (* One participant needs no coordination: the single-shard commit is
    already atomic, so it is [commit_part] on the file's shard — two
-   messages. An in-doubt file is resolved inline and the part retried. *)
+   messages, with no redo: a conflict is the caller's [Local] failure.
+   An in-doubt file is resolved inline and the part retried. *)
 let exec_single t part =
   let rec go tries =
     if tries > retry_limit then Error (Failed (Store_failure "txn: in-doubt resolution starved"))
     else
       let committed =
         CC.routed t.client part.file (fun conn ~shard file ->
-            let* () = commit_part ~round_trip:t.round_trip conn file part.ops in
+            let tries = { made = 1; allowed = 1 } in
+            let* () = commit_part ~round_trip:t.round_trip ~tries conn file part.ops in
             CC.note_commit t.client ~shard file;
             Ok ())
       in

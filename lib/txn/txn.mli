@@ -93,26 +93,41 @@ val exec :
     decision even through transient transport errors (bounded patience),
     so a [failure] never hides a committed transaction. *)
 
+type tries = { mutable made : int; allowed : int }
+(** An attempt count shared by a caller's retry loop and {!commit_part}:
+    [made] attempts so far, the first included, of at most [allowed]. *)
+
 val commit_part :
   round_trip:(unit -> unit) ->
+  tries:tries ->
   Afs_rpc.Remote.conn ->
   Afs_util.Capability.t ->
   op list ->
   unit Afs_core.Errors.r
-(** One optimistic attempt at one file on the connection that serves it,
-    in two messages: an [Open] batch that reads the root and every page
-    the ops read, then a [Version] batch that writes the computed values
-    and commits. A batch over {!Afs_rpc.Remote.message_cap} splits: extra
-    reads go into further [Version] batches, and the writes into several,
-    the last of which commits. [round_trip] is called once per message.
+(** Optimistic attempts at one file on the connection that serves it:
+    two messages for the first attempt, one per redo. The first opens
+    with an [Open] batch that reads the root and every page the ops
+    read, then sends a [Version] batch that writes the computed values
+    and commits. A batch over {!Afs_rpc.Remote.message_cap} splits:
+    extra reads go into further [Version] batches, and the writes into
+    several, the last of which commits. [round_trip] is called once per
+    message.
+
+    Every attempt but the last that [tries] allows ends its last batch
+    with a [Redo]: a lost validation then comes back with the next
+    attempt's opening ({!Afs_rpc.Remote.Reopened}), and the writes are
+    recomputed from those reads and sent at once. Each redo adds one to
+    [made], and so does a redo answered with [Moved]. With [made =
+    allowed] the attempt asks for no redo.
 
     Errors: [Conflict] (the version is gone), [Store_failure] from the
     commit (it may have been published), or the error of an earlier
     batch, whose version is then aborted. A root holding a cross-shard
-    marker answers [Txn_in_doubt]; a [Moved] from the opening batch is
-    the caller's to chase. {!exec} runs a one-part transaction as this
-    inside {!Afs_cluster.Cluster_client.routed}; lib/workload's exec
-    loop runs it for a bare server and for a cluster. *)
+    marker answers [Txn_in_doubt]; a [Moved] from an opening is the
+    caller's to chase. {!exec} runs a one-part transaction as one such
+    attempt, without redoes, inside {!Afs_cluster.Cluster_client.routed};
+    lib/workload's exec loop runs it with its retry budget for a bare
+    server and for a cluster. *)
 
 val sweep : t -> Afs_util.Capability.t list -> int Afs_core.Errors.r
 (** Crash recovery's last mile: resolve every in-doubt file in the list

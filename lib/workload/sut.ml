@@ -89,13 +89,14 @@ let cluster_stats cluster () =
 (* {2 The Amoeba file service: one optimistic exec loop}
 
    The paper's client procedure, once: open a version, run the page
-   operations, commit, and redo on conflict. An attempt is two messages,
-   {!Afs_txn.Txn.commit_part}: an [Open] batch that reads the root and
-   every page the ops read, then a [Version] batch with the computed
-   writes and [Commit]. Backends differ only in how a file is routed;
-   from the connection on, every attempt is the same pair of {!Remote}
-   batches. A bare server is therefore literally the one-shard case of a
-   cluster. *)
+   operations, commit, and redo on conflict — {!Afs_txn.Txn.commit_part}.
+   The first attempt is two messages: an [Open] batch that reads the
+   root and every page the ops read, then a [Version] batch with the
+   computed writes and [Commit]. A commit that loses validation answers
+   with the redo's opening, so each redo is one more [Version] batch.
+   Backends differ only in how a file is routed; from the connection on,
+   every attempt sends the same {!Remote} batches. A bare server is
+   therefore literally the one-shard case of a cluster. *)
 
 let back_off_ms = 5.0
 
@@ -107,30 +108,36 @@ let to_txn_ops ops =
       | Rmw (i, f) -> Afs_txn.Txn.Rmw (page_path i, f))
     ops
 
-let commit_part conn file ops = Afs_txn.Txn.commit_part ~round_trip:ignore conn file ops
+let commit_part conn tries file ops =
+  Afs_txn.Txn.commit_part ~round_trip:ignore ~tries conn file ops
 
-(* The retry policy: a conflict redoes at once; a lock hint or a transport
-   outage (a crashed host, a cluster member awaiting failover) waits
-   [back_off_ms] first, wherever it arises. A commit that failed in
-   transport never reached a live server (a served request's reply still
-   delivers across a crash), so nothing committed and a redo is safe.
-   Anything else is a protocol violation. *)
+(* The retry policy: a conflict redoes at once — inside [commit_part],
+   which counts each redo in [tries], or here when the host could not
+   reopen; a lock hint or a transport outage (a crashed host, a cluster
+   member awaiting failover) waits [back_off_ms] first, wherever it
+   arises. A commit that failed in transport never reached a live server
+   (a served request's reply still delivers across a crash), so nothing
+   committed and a redo is safe. Anything else is a protocol violation. *)
 let occ_exec ~where ~attempt_once ~files spec ~max_retries =
   single_part_only where spec;
   let file = files.(spec.file) and ops = to_txn_ops spec.ops in
-  let rec attempt n =
-    match attempt_once file ops with
-    | Ok () -> finished ~committed:true n
+  let tries = { Afs_txn.Txn.made = 1; allowed = max_retries } in
+  let rec attempt () =
+    match attempt_once tries file ops with
+    | Ok () -> finished ~committed:true tries.made
     | Error (Errors.Conflict | Errors.Locked_out _ | Errors.Store_failure _)
-      when n >= max_retries ->
-        finished ~committed:false n
-    | Error Errors.Conflict -> attempt (n + 1)
+      when tries.made >= max_retries ->
+        finished ~committed:false tries.made
+    | Error Errors.Conflict ->
+        tries.made <- tries.made + 1;
+        attempt ()
     | Error (Errors.Locked_out _ | Errors.Store_failure _) ->
         Proc.delay back_off_ms;
-        attempt (n + 1)
+        tries.made <- tries.made + 1;
+        attempt ()
     | Error e -> fatal_error (where ^ " attempt") e
   in
-  attempt 1
+  attempt ()
 
 let afs_remote ?(name = "afs-occ-rpc") conn ~fallback ~files =
   let read_page file page =
@@ -151,10 +158,10 @@ let afs_remote ?(name = "afs-occ-rpc") conn ~fallback ~files =
 let afs_cluster client ~files =
   let module CC = Afs_cluster.Cluster_client in
   let cluster = CC.cluster client in
-  let attempt_once file ops =
+  let attempt_once tries file ops =
     CC.routed client file (fun conn ~shard file ->
         let open Errors in
-        let* () = commit_part conn file ops in
+        let* () = commit_part conn tries file ops in
         CC.note_commit client ~shard file;
         Ok ())
   in

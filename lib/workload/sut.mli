@@ -10,10 +10,14 @@
     policy.
 
     The single-file Amoeba adapters share one optimistic exec loop: open a
-    version and read, then write and commit — two messages per attempt
-    ({!Afs_txn.Txn.commit_part}). [Conflict] redoes at once;
-    [Locked_out] and [Store_failure] (a lock hint, a crashed host) wait
-    5 ms of simulated time, then redo; any other error is {!Fatal}. *)
+    version and read, then write and commit — two messages for the first
+    attempt, one per redo, because a commit that loses validation answers
+    with the redo's opening ({!Afs_txn.Txn.commit_part}). [Conflict]
+    redoes at once; [Locked_out] and [Store_failure] (a lock hint, a
+    crashed host) wait 5 ms of simulated time, then redo; any other error
+    is {!Fatal}. Each redo counts as an attempt, and [max_retries] bounds
+    them all: the last allowed attempt asks for no redo, so giving up
+    leaves no version open. *)
 
 exception Fatal of { where : string; error : Afs_core.Errors.t }
 (** A reply the workload can never legitimately see: a harness bug or
@@ -69,8 +73,10 @@ val afs_remote :
   t
 (** Over simulated RPC on a fixed connection (one server, or several
     serving one store): an [Open] batch of the reads, then a [Version]
-    batch of the computed writes and [Commit]. [fallback] is only used
-    for out-of-band invariant reads. *)
+    batch of the computed writes and [Commit] — and, per redo, one more
+    [Version] batch computed from the reads the conflicted commit's
+    answer carried. [fallback] is only used for out-of-band invariant
+    reads. *)
 
 val afs_cluster : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t array -> t
 (** Over a shard cluster, location-transparently: {!afs_remote}'s exec
@@ -90,7 +96,8 @@ val afs_txn :
   t
 (** {!afs_cluster} plus multi-part transactions via lib/txn's optimistic
     coordinator (stage/decide/flip). Single-part specs take the fast
-    path — the same two batches as {!afs_cluster}. [local_aborts]
+    path — the same two batches as {!afs_cluster}'s first attempt, but
+    a conflict redoes with a fresh two-batch attempt. [local_aborts]
     counts participant stages losing ordinary one-shard races;
     [cross_aborts] counts staged transactions force-aborted at the
     coordinator record. *)

@@ -298,7 +298,7 @@ let test_open_batch_fenced () =
       let version =
         match ok (Remote.batch conn (Remote.Open f) [ Remote.Read P.root ]) with
         | Remote.Ran { version; _ } -> version
-        | Remote.Guard_failed _ -> Alcotest.fail "no guard to fail"
+        | Remote.Guard_failed _ | Remote.Reopened _ -> Alcotest.fail "a plain read ran"
       in
       ignore (ok (Migration.migrate cluster ~file:f ~dst:(1 - Shard.id shard)) : Capability.t);
       match
@@ -308,6 +308,68 @@ let test_open_batch_fenced () =
       | Error Errors.Conflict -> ()
       | Ok _ -> Alcotest.fail "pre-flip batch committed over the tombstone"
       | Error e -> Alcotest.failf "expected Conflict, got %s" (Errors.to_string e))
+
+(* A commit that lost validation because a migration flip or a
+   transaction stage replaced the root gets from its redo what a fresh
+   attempt gets: [Moved], or the marker, answered as [Txn_in_doubt].
+   Either way the redo counts as an attempt and leaves no version open.
+   The interloper runs just before the attempt's second message. *)
+let redo_after interloper =
+  in_cluster ~shards:2 (fun cluster client ->
+      let file () =
+        let f = ok (Cluster_client.create_file ~data:(bytes "root") client) in
+        ok
+          (Cluster_client.update client f (fun txn ->
+               Result.map ignore
+                 (Cluster_client.Txn.insert txn ~parent:P.root ~index:0 ~data:(bytes "0") ())));
+        f
+      in
+      let f = file () and g = file () in
+      let _, shard = ok (Cluster.shard_of_cap cluster f) in
+      let conn = Cluster.conn cluster (Shard.id shard) in
+      let ops = [ Afs_txn.Txn.Rmw (P.of_list [ 0 ], fun d -> Bytes.cat d (bytes "+")) ] in
+      let sent = ref 0 and tries = { Afs_txn.Txn.made = 1; allowed = 8 } in
+      let round_trip () =
+        incr sent;
+        if !sent = 2 then interloper cluster client ~shard f g
+      in
+      let redone = Afs_txn.Txn.commit_part ~round_trip ~tries conn f ops in
+      let fresh =
+        Afs_txn.Txn.commit_part ~round_trip:ignore ~tries:{ Afs_txn.Txn.made = 1; allowed = 1 }
+          conn f ops
+      in
+      ( redone,
+        fresh,
+        tries.Afs_txn.Txn.made,
+        ok (Server.uncommitted_versions (Shard.server shard) f) ))
+
+let test_redo_takes_fresh_paths () =
+  let migrate cluster _ ~shard f _ =
+    ignore (ok (Migration.migrate cluster ~file:f ~dst:(1 - Shard.id shard)) : Capability.t)
+  in
+  (match redo_after migrate with
+  | Error (Errors.Moved _), Error (Errors.Moved _), 2, [] -> ()
+  | redone, fresh, made, open_versions ->
+      Alcotest.failf "migration: redo %s, fresh %s, %d attempts, %d open"
+        (Result.fold ~ok:(fun () -> "ok") ~error:Errors.to_string redone)
+        (Result.fold ~ok:(fun () -> "ok") ~error:Errors.to_string fresh)
+        made (List.length open_versions));
+  let stage _ client ~shard:_ f g =
+    let step = { Afs_txn.Txn.file = f; ops = [ Afs_txn.Txn.Write (P.of_list [ 0 ], bytes "x") ] } in
+    match
+      Afs_txn.Txn.exec ~crash_at:Afs_txn.Txn.Before_decide (Afs_txn.Txn.create client)
+        [ step; { step with Afs_txn.Txn.file = g } ]
+    with
+    | exception Afs_txn.Txn.Crashed -> ()
+    | _ -> Alcotest.fail "the stage's crash point never fired"
+  in
+  match redo_after stage with
+  | Error (Errors.Txn_in_doubt _), Error (Errors.Txn_in_doubt _), 2, [] -> ()
+  | redone, fresh, made, open_versions ->
+      Alcotest.failf "stage: redo %s, fresh %s, %d attempts, %d open"
+        (Result.fold ~ok:(fun () -> "ok") ~error:Errors.to_string redone)
+        (Result.fold ~ok:(fun () -> "ok") ~error:Errors.to_string fresh)
+        made (List.length open_versions)
 
 (* The headline safety property, attacked with concurrency: writers
    increment a counter page while the file is migrated back and forth.
@@ -501,6 +563,7 @@ let () =
           quick "moves data, leaves tombstone" test_migrate_moves_data_and_leaves_tombstone;
           quick "fences versions opened pre-flip" test_migration_fences_prior_versions;
           quick "open batches are fenced" test_open_batch_fenced;
+          quick "a redo takes a fresh open's paths" test_redo_takes_fresh_paths;
           quick "racing commits never lost" test_migration_race_never_loses_commits;
         ] );
       ( "rebalancer",

@@ -14,6 +14,7 @@ module Capability = Afs_util.Capability
 module Stats = Afs_util.Stats
 module Xrng = Afs_util.Xrng
 module Trace = Afs_trace.Trace
+module Remote = Afs_rpc.Remote
 
 let ok = Helpers.ok
 let ok_str = Helpers.ok_str
@@ -173,6 +174,76 @@ let test_batch_conflicting_member_doomed_alone () =
   | [ b ] ->
       Alcotest.(check (triple int int int)) "batch point: size/winners/aborts" (3, 2, 1) b
   | l -> Alcotest.failf "expected one Commit_batch point, got %d" (List.length l)
+
+(* The same three members as [Version] batches through a group-commit
+   host, the middle one asking for a redo: it loses inside the run and
+   answers with its reopened version, reading the first member's write.
+   Every answer and the store image equal the same requests served one
+   at a time by an unbatched twin. The outer members wrote their pages
+   before queuing: a group runs every member's steps before any commit,
+   so a write step there would take its block before the redo's, not
+   after it as one at a time. *)
+let redo_trio ~grouped =
+  let engine = Afs_sim.Engine.create () in
+  let store = Store.memory () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv npages in
+  let v1 = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v1 (P.of_list [ 0 ]) (bytes "a"));
+  let v2 = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v2 (P.of_list [ 0 ])));
+  let v3 = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v3 (P.of_list [ 2 ]) (bytes "c"));
+  let conn =
+    Remote.connect
+      [ Remote.host ~group_commit:(if grouped then 3 else 1) engine ~name:"afs" srv ]
+  in
+  let member v steps () = Remote.batch conn (Remote.Version v) steps in
+  let members =
+    [ member v1 [ Remote.Commit ];
+      member v2
+        [ Remote.Write (P.of_list [ 1 ], bytes "b"); Remote.Commit;
+          Remote.Redo (f, [ P.of_list [ 0 ] ]) ];
+      member v3 [ Remote.Commit ] ]
+  in
+  let answers = Array.make 3 None in
+  let _ =
+    Afs_sim.Proc.spawn engine (fun () ->
+        if grouped then begin
+          (* A request ahead of them keeps the server busy while all three queue. *)
+          let spawn_joined, join_all = Afs_sim.Proc.joinable engine in
+          ignore (spawn_joined (fun () -> ignore (Remote.current_version conn f)));
+          List.iteri
+            (fun i m -> ignore (spawn_joined (fun () -> answers.(i) <- Some (m ()))))
+            members;
+          join_all ()
+        end
+        else List.iteri (fun i m -> answers.(i) <- Some (m ())) members)
+  in
+  Afs_sim.Engine.run engine;
+  (* The reopened version's page is allocated but not yet written. *)
+  let image =
+    List.map (fun b -> (b, store.Store.read b)) (ok_str (store.Store.list_blocks ()))
+  in
+  ( Array.to_list answers,
+    counter srv "commits.batches",
+    image,
+    ok (Server.uncommitted_versions srv f) )
+
+let test_batch_loser_redoes () =
+  let grouped, batches, image, open_versions = redo_trio ~grouped:true in
+  let alone, _, alone_image, alone_open = redo_trio ~grouped:false in
+  Alcotest.(check int) "one commit run" 1 batches;
+  (match grouped with
+  | [ Some (Ok (Remote.Ran _)); Some (Ok (Remote.Reopened { reads; _ }));
+      Some (Ok (Remote.Ran _)) ] ->
+      Alcotest.(check (list string)) "reopened on the winner's write" [ "root"; "a" ]
+        (List.map Bytes.to_string reads)
+  | _ -> Alcotest.fail "expected [Ran; Reopened; Ran]");
+  Alcotest.(check bool) "answers as one at a time" true (grouped = alone);
+  Alcotest.(check bool) "store image as one at a time" true (image = alone_image);
+  Alcotest.(check int) "the reopened version stays open" 1 (List.length open_versions);
+  Alcotest.(check bool) "open versions as one at a time" true (open_versions = alone_open)
 
 (* {2 Crash inside the publish leg} *)
 
@@ -606,6 +677,7 @@ let () =
           quick "failed publish retried" test_failed_publish_retried;
           quick "retry after dropped shadows" test_retry_after_dropped_shadows;
           quick "retry after a merge keeps adopted" test_retry_after_merge_keeps_adopted;
+          quick "a losing member answers its redo" test_batch_loser_redoes;
         ] );
       ( "store writes",
         [

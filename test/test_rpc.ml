@@ -169,7 +169,7 @@ let test_batch_abandons_version_on_error () =
       no_uncommitted "failed page write leaves no version";
       (match swap ~expected:"other" [] with
       | Ok (Remote.Guard_failed current) -> Helpers.check_bytes "current root" "base" current
-      | Ok (Remote.Ran _) -> Alcotest.fail "guard passed on a mismatching root"
+      | Ok (Remote.Ran _ | Remote.Reopened _) -> Alcotest.fail "guard passed on a mismatching root"
       | Error e -> Alcotest.failf "mismatch failed: %s" (Errors.to_string e));
       no_uncommitted "failed guard leaves no version";
       (match Remote.batch conn (Remote.Open f) [ Remote.Read P.root; Remote.Read (P.of_list [ 3 ]) ] with
@@ -179,7 +179,8 @@ let test_batch_abandons_version_on_error () =
       no_uncommitted "failed read leaves no version";
       (match swap ~expected:"base" [] with
       | Ok (Remote.Ran _) -> ()
-      | Ok (Remote.Guard_failed _) -> Alcotest.fail "guard failed on the expected root"
+      | Ok (Remote.Guard_failed _ | Remote.Reopened _) ->
+          Alcotest.fail "guard failed on the expected root"
       | Error e -> Alcotest.failf "swap failed: %s" (Errors.to_string e));
       no_uncommitted "swap leaves no version";
       let cur = ok (Remote.current_version conn f) in
@@ -190,12 +191,15 @@ let test_batch_abandons_version_on_error () =
    One batch against one server must leave exactly what the same calls
    leave when made one by one, through their own requests, against a twin
    server built the same way: the same answer, the same uncommitted
-   versions and the same store image. *)
+   versions and the same store image. A trailing [Redo] is the next
+   attempt's opening, spelt out as its calls too. *)
 
 type program = {
   target : int;  (** 0 [Open], 1 [Current], 2 [Version] of the held version. *)
   interloper : bool;  (** Commit a rival update first, so the held version conflicts. *)
   steps : Remote.step list;
+  redo : (bool * P.t list) option;
+      (** Append a [Redo] of the file's pages, after a [Commit] if [true]. *)
 }
 
 let batch_paths = [| P.root; P.of_list [ 0 ]; P.of_list [ 1 ]; P.of_list [ 5 ] |]
@@ -215,9 +219,20 @@ let gen_step =
 
 let gen_program =
   QCheck2.Gen.(
-    map3
-      (fun target interloper steps -> { target; interloper; steps })
-      (int_bound 2) bool (list_size (int_bound 6) gen_step))
+    let path = map (fun i -> batch_paths.(i)) (int_bound 3) in
+    map
+      (fun ((target, interloper), (steps, redo)) -> { target; interloper; steps; redo })
+      (pair (pair (int_bound 2) bool)
+         (pair (list_size (int_bound 6) gen_step)
+            (opt (pair bool (list_size (int_bound 2) path))))))
+
+(* The steps the program runs against file [f]. *)
+let program_steps p f =
+  match p.redo with
+  | None -> p.steps
+  | Some (commit, paths) ->
+      let commit : Remote.step list = if commit then [ Remote.Commit ] else [] in
+      p.steps @ commit @ [ Remote.Redo (f, paths) ]
 
 let print_program p =
   let step = function
@@ -225,9 +240,12 @@ let print_program p =
     | Remote.Write (path, d) -> Printf.sprintf "Write (%s, %S)" (P.to_string path) (Bytes.to_string d)
     | Remote.Guard_root d -> Printf.sprintf "Guard_root %S" (Bytes.to_string d)
     | Remote.Commit -> "Commit"
+    | Remote.Redo (_, paths) -> "Redo [" ^ String.concat "; " (List.map P.to_string paths) ^ "]"
   in
+  (* Any capability prints the same: the file is not part of the program. *)
+  let f = ok (Server.create_file (Server.create (Store.memory ())) ()) in
   Printf.sprintf "target %d, interloper %b: [%s]" p.target p.interloper
-    (String.concat "; " (List.map step p.steps))
+    (String.concat "; " (List.map step (program_steps p f)))
 
 (* A file "base" with pages /0 and /1, a held version that read /0 and
    wrote its root "held", and — with [interloper] — a committed rival
@@ -252,7 +270,7 @@ let twin_setup ~interloper =
   (store, srv, f, held)
 
 (* The batch's documented meaning, spelt out as separate requests. *)
-let one_by_one conn target steps =
+let rec one_by_one conn target steps =
   let open Errors in
   let* version =
     match target with
@@ -271,9 +289,22 @@ let one_by_one conn target steps =
     | Remote.Guard_root expected :: rest ->
         let* root = Remote.read_page conn version P.root in
         if Bytes.equal root expected then go reads rest else Ok (Remote.Guard_failed root)
+    | [ Remote.Commit; Remote.Redo (f, paths) ] -> (
+        match Remote.commit conn version with
+        | Error Conflict -> (
+            match
+              one_by_one conn (Remote.Open f)
+                (Remote.Read P.root :: List.map (fun path -> Remote.Read path) paths)
+            with
+            | Ok (Remote.Ran { version; reads }) -> Ok (Remote.Reopened { version; reads })
+            | answer -> answer)
+        | committed ->
+            let* () = committed in
+            go reads [])
     | Remote.Commit :: rest ->
         let* () = Remote.commit conn version in
         go reads rest
+    | Remote.Redo _ :: _ -> Error (Store_failure "rpc: Redo must follow the final Commit")
   in
   let answer = go [] steps in
   (match (target, answer) with
@@ -296,7 +327,7 @@ let batch_matches_calls p =
           | 1 -> Remote.Current f
           | _ -> Remote.Version held
         in
-        let answer = exec conn target p.steps in
+        let answer = exec conn target (program_steps p f) in
         (answer, ok (Server.uncommitted_versions srv f), store_image store)
       in
       run Remote.batch = run one_by_one)
@@ -468,7 +499,8 @@ let attempt ~sizes ops =
       let host = Remote.host engine ~name:"afs" srv in
       let sent = ref 0 in
       let conn = Remote.connect [ host ] in
-      ok (Afs_txn.Txn.commit_part ~round_trip:(fun () -> incr sent) conn f ops);
+      let tries = { Afs_txn.Txn.made = 1; allowed = 1 } in
+      ok (Afs_txn.Txn.commit_part ~round_trip:(fun () -> incr sent) ~tries conn f ops);
       Alcotest.(check int) "every message counted" (Remote.requests_served host) !sent;
       let cur = ok (Server.current_version srv f) in
       (!sent, List.mapi (fun i _ -> ok (Server.read_page srv cur (P.of_list [ i ]))) sizes))
@@ -525,6 +557,83 @@ let test_cap_splits_reads () =
       | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e));
       Alcotest.(check (list int)) "refused open leaves no version" []
         (ok (Server.uncommitted_versions srv f)))
+
+(* {2 A redo is one message}
+
+   A host wrapper commits a rival write just before the first
+   [Version] batch that asks for a redo, so that attempt loses
+   validation. *)
+let rival_before_first_redo srv f ~page ~data =
+  let fired = ref false in
+  fun base (req : Remote.request) ->
+    (match req with
+    | Remote.Batch { target = Remote.Version _; steps }
+      when (not !fired) && List.exists (function Remote.Redo _ -> true | _ -> false) steps ->
+        fired := true;
+        let v = ok (Server.create_version srv f) in
+        ok (Server.write_page srv v (P.of_list [ page ]) data);
+        ok (Server.commit srv v)
+    | _ -> ());
+    base req
+
+(* The conflicted commit answers with the redo's opening: the attempt
+   after it costs one message, and its write extends the rival's. *)
+let test_redo_is_one_message () =
+  in_sim (fun engine ->
+      let srv = Server.create (Store.memory ()) in
+      let f = file_of_sizes srv [ 1; 1 ] in
+      let host =
+        Remote.host ~wrap:(rival_before_first_redo srv f ~page:1 ~data:(bytes "rival")) engine
+          ~name:"afs" srv
+      in
+      let sent = ref 0 and tries = { Afs_txn.Txn.made = 1; allowed = 4 } in
+      let rmw = Afs_txn.Txn.Rmw (P.of_list [ 1 ], fun d -> Bytes.cat d (bytes "!")) in
+      ok
+        (Afs_txn.Txn.commit_part ~round_trip:(fun () -> incr sent) ~tries
+           (Remote.connect [ host ]) f [ rmw ]);
+      Alcotest.(check int) "open, conflicted commit, redone commit" 3 !sent;
+      Alcotest.(check int) "every message counted" !sent (Remote.requests_served host);
+      Alcotest.(check int) "two attempts" 2 tries.Afs_txn.Txn.made;
+      Alcotest.(check int) "one redo served" 1 (Remote.redos_served host);
+      let cur = ok (Server.current_version srv f) in
+      Helpers.check_bytes "computed from the reopened read" "rival!"
+        (ok (Server.read_page srv cur (P.of_list [ 1 ])));
+      Alcotest.(check (list int)) "nothing left open" [] (ok (Server.uncommitted_versions srv f)))
+
+(* A redo whose reads would take the reply past the cap answers a plain
+   [Conflict] and leaves no version open; the client's next attempt
+   splits its reads, as a first attempt does. *)
+let test_cap_refuses_redo () =
+  in_sim (fun engine ->
+      let srv = Server.create (Store.memory ()) in
+      let f = file_of_sizes srv [ 16_384; 16_385 ] in
+      let host =
+        Remote.host
+          ~wrap:(rival_before_first_redo srv f ~page:1 ~data:(Bytes.make 16_385 'r'))
+          engine ~name:"afs" srv
+      in
+      let conn = Remote.connect [ host ] in
+      let tries = { Afs_txn.Txn.made = 1; allowed = 4 } in
+      let ops =
+        [ Afs_txn.Txn.Read (P.of_list [ 0 ]);
+          Afs_txn.Txn.Rmw (P.of_list [ 1 ], fun d -> Bytes.cat d (bytes "!")) ]
+      in
+      (match Afs_txn.Txn.commit_part ~round_trip:ignore ~tries conn f ops with
+      | Error Errors.Conflict -> ()
+      | Ok () -> Alcotest.fail "the rival did not conflict"
+      | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e));
+      Alcotest.(check int) "no redo counted" 1 tries.Afs_txn.Txn.made;
+      Alcotest.(check int) "no redo served" 0 (Remote.redos_served host);
+      Alcotest.(check (list int)) "no version left open" []
+        (ok (Server.uncommitted_versions srv f));
+      let before = Remote.requests_served host and sent = ref 0 in
+      tries.Afs_txn.Txn.made <- 2;
+      ok (Afs_txn.Txn.commit_part ~round_trip:(fun () -> incr sent) ~tries conn f ops);
+      Alcotest.(check bool) (Printf.sprintf "%d messages > 2" !sent) true (!sent > 2);
+      Alcotest.(check int) "every message counted" !sent (Remote.requests_served host - before);
+      let cur = ok (Server.current_version srv f) in
+      Alcotest.(check int) "the Rmw read the rival's page" 16_386
+        (Bytes.length (ok (Server.read_page srv cur (P.of_list [ 1 ])))))
 
 (* {2 Group commit takes Version batches}
 
@@ -610,6 +719,8 @@ let () =
           quick "no hosts rejected" test_no_hosts_rejected;
           quick "cap splits writes" test_cap_splits_writes;
           quick "cap splits reads" test_cap_splits_reads;
+          quick "a redo is one message" test_redo_is_one_message;
+          quick "cap refuses a redo" test_cap_refuses_redo;
           quick "group commit takes batches" test_group_commit_takes_version_batches;
         ] );
     ]

@@ -98,6 +98,33 @@ let test_afs_remote_rides_out_host_outage () =
   Alcotest.(check bool) (Printf.sprintf "%d attempts > 1" r.Sut.attempts) true (r.Sut.attempts > 1);
   Helpers.check_bytes "one increment" "1" (sut.Sut.read_page 0 0)
 
+(* The last allowed attempt asks for no redo: with [max_retries = 1], a
+   client whose only attempt loses validation gives up without leaving
+   a version open on the server. *)
+let test_afs_remote_give_up_leaves_nothing_open () =
+  let engine = Engine.create () in
+  let sut, host = afs_remote_sut engine in
+  let srv = Remote.host_server host in
+  let results = ref [] in
+  for _ = 1 to 2 do
+    ignore
+      (Afs_sim.Proc.spawn engine (fun () ->
+           let r = sut.Sut.exec increment_page0 ~max_retries:1 in
+           results := r :: !results))
+  done;
+  Engine.run engine;
+  let outcomes = List.map (fun r -> (r.Sut.committed, r.Sut.attempts)) !results in
+  Alcotest.(check (list (pair bool int))) "one commits, one gives up after one attempt"
+    [ (false, 1); (true, 1) ]
+    (List.sort compare outcomes);
+  Alcotest.(check int) "no redo served" 0 (Remote.redos_served host);
+  List.iter
+    (fun file ->
+      Alcotest.(check (list int))
+        "no version left open" [] (ok (Server.uncommitted_versions srv file)))
+    (Server.list_files srv);
+  Helpers.check_bytes "one increment" "1" (sut.Sut.read_page 0 0)
+
 let test_twopl_sut_exec () =
   let engine = Engine.create () in
   let backend = Afs_baseline.Twopl.create ~clock:(fun () -> Engine.now engine) () in
@@ -262,6 +289,107 @@ let test_version_batches_stay_on_host () =
         (Hashtbl.find_opt opened_on version)
         (Some name))
     !landed
+
+(* {2 Redos under a race: no lost update, one message each}
+
+   K clients race [Rmw] appends on a few shared pages of one file
+   through [Sut.afs_remote]. Each append adds the transaction's tag to
+   what it read, so a page is the log of the commits that landed on it.
+   No commit may be lost or doubled; the host must have served two
+   messages per transaction plus one per redo, every retry being a redo;
+   and each committed write must extend exactly what the transaction's
+   last attempt read. *)
+let race_keeps_every_update (clients, pages, txns, seed) =
+  let engine = Engine.create () in
+  let _, srv = Helpers.fresh_server () in
+  let shape = { Workload.small_updates with nfiles = 1; pages_per_file = pages } in
+  let files = ok (Workload.setup_pages srv shape ~initial:Bytes.empty) in
+  let host = Remote.host engine ~name:"afs" srv in
+  let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
+  let rng = Xrng.create seed in
+  let last_read = Hashtbl.create 64 and attempts = ref 0 and committed = ref [] in
+  for c = 1 to clients do
+    let plan =
+      List.init txns (fun i ->
+          let first = Xrng.int rng pages in
+          let touched =
+            if pages > 1 && Xrng.bool rng then [ first; (first + 1) mod pages ] else [ first ]
+          in
+          (Printf.sprintf "%d.%d;" c i, touched, float_of_int (Xrng.int rng 4)))
+    in
+    ignore
+      (Afs_sim.Proc.spawn engine (fun () ->
+           List.iter
+             (fun (tag, touched, think) ->
+               Afs_sim.Proc.delay think;
+               let append page old =
+                 Hashtbl.replace last_read (tag, page) (Helpers.str old);
+                 Bytes.cat old (Helpers.bytes tag)
+               in
+               let ops = List.map (fun page -> Sut.Rmw (page, append page)) touched in
+               let r = sut.Sut.exec { Sut.file = 0; ops; parts = [] } ~max_retries:1000 in
+               attempts := !attempts + r.Sut.attempts;
+               if r.Sut.committed then committed := (tag, touched) :: !committed)
+             plan))
+  done;
+  Engine.run engine;
+  let total = clients * txns in
+  let log page = String.split_on_char ';' (Helpers.str (sut.Sut.read_page 0 page)) in
+  let landed page =
+    List.filter_map (fun t -> if t = "" then None else Some (t ^ ";")) (log page)
+  in
+  let expected page =
+    List.filter_map (fun (tag, touched) -> if List.mem page touched then Some tag else None)
+      !committed
+  in
+  let extends_last_read page =
+    let rec go prefix = function
+      | [] -> true
+      | tag :: rest ->
+          Hashtbl.find_opt last_read (tag, page) = Some prefix && go (prefix ^ tag) rest
+    in
+    go "" (landed page)
+  in
+  List.length !committed = total
+  && List.for_all
+       (fun page ->
+         List.sort compare (landed page) = List.sort compare (expected page)
+         && extends_last_read page)
+       (List.init pages Fun.id)
+  && Remote.requests_served host = !attempts + total
+  && Remote.redos_served host = !attempts - total
+
+let prop_race_keeps_every_update =
+  QCheck2.Test.make ~name:"racing redos lose nothing" ~count:60
+    ~print:(fun (c, p, t, s) -> Printf.sprintf "clients %d, pages %d, txns %d, seed %d" c p t s)
+    QCheck2.Gen.(quad (int_range 2 6) (int_range 1 3) (int_range 1 4) (int_bound 1000))
+    race_keeps_every_update
+
+(* The race above, pinned: it does redo, and redoes stay single messages. *)
+let test_race_redoes () =
+  let engine = Engine.create () in
+  let _, srv = Helpers.fresh_server () in
+  let shape = { Workload.small_updates with nfiles = 1; pages_per_file = 2 } in
+  let files = ok (Workload.setup_pages srv shape ~initial:(Helpers.bytes "0")) in
+  let host = Remote.host engine ~name:"afs" srv in
+  let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
+  let attempts = ref 0 in
+  for _ = 1 to 6 do
+    ignore
+      (Afs_sim.Proc.spawn engine (fun () ->
+           for _ = 1 to 5 do
+             let r = sut.Sut.exec increment_page0 ~max_retries:1000 in
+             attempts := !attempts + r.Sut.attempts
+           done))
+  done;
+  Engine.run engine;
+  Helpers.check_bytes "thirty increments" "30" (sut.Sut.read_page 0 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d redos > 0" (Remote.redos_served host))
+    true
+    (Remote.redos_served host > 0);
+  Alcotest.(check int) "two messages a transaction, one a redo" (!attempts + 30)
+    (Remote.requests_served host)
 
 (* {2 The driver under contention: serialisability invariants} *)
 
@@ -441,6 +569,7 @@ let () =
         [
           quick "afs remote rmw" test_afs_remote_sut_rmw;
           quick "afs remote rides out a host outage" test_afs_remote_rides_out_host_outage;
+          quick "giving up leaves nothing open" test_afs_remote_give_up_leaves_nothing_open;
           quick "twopl exec" test_twopl_sut_exec;
           quick "tsorder exec" test_tsorder_sut_exec;
           QCheck_alcotest.to_alcotest prop_two_batches_equal_one_by_one;
@@ -454,6 +583,8 @@ let () =
           quick "bank money conserved (2pl)" test_bank_invariant_twopl;
           quick "bank money conserved (ts)" test_bank_invariant_tsorder;
           quick "airline seats conserved" test_airline_seats_conserved;
+          QCheck_alcotest.to_alcotest prop_race_keeps_every_update;
+          quick "racing clients redo" test_race_redoes;
         ] );
       ( "driver",
         [
