@@ -100,6 +100,13 @@ let s2 () =
     Afs_util.Stats.ratio (stat "txn.round_trips") (max 1 occ.Driver.committed)
   in
   Printf.printf "coordinator round trips per committed txn: %s\n" (f2 trips_per_commit);
+  (* A waiter learns a marker's outcome from one held request on its
+     record, so this stays at 1 unless waiters go back to polling. *)
+  let record_reads_per_resolve =
+    Afs_util.Stats.ratio (stat "txn.record_reads") (max 1 (stat "txn.in_doubt"))
+  in
+  Printf.printf "record reads per in-doubt resolution: %s (%d resolutions)\n"
+    (f2 record_reads_per_resolve) (stat "txn.in_doubt");
   List.iter
     (fun (label, (r : Driver.report)) ->
       metric_i "s2-cross-shard" (label ^ ".committed") r.Driver.committed;
@@ -108,6 +115,7 @@ let s2 () =
       metric_i "s2-cross-shard" (label ^ ".cross_aborts") r.Driver.cross_aborts)
     [ ("single", single); ("occ", occ); ("twopc", twopc) ];
   metric "s2-cross-shard" "occ.round_trips_per_commit" trips_per_commit;
+  metric "s2-cross-shard" "occ.record_reads_per_resolve" record_reads_per_resolve;
   metric_i "s2-cross-shard" "occ.swept_after_run" occ_swept;
   metric "s2-cross-shard" "occ_vs_2pc"
     (Afs_util.Stats.ratio occ.Driver.committed twopc.Driver.committed);

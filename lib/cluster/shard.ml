@@ -12,7 +12,10 @@ type t = { id : int; store : Store.t; server : Server.t; host : Remote.host }
    migrated away), a cross-shard transaction marker (a staged update
    whose outcome lives in the coordinator record), or ordinary data. The
    two marker formats have distinct prefixes, so at most one matches. *)
-type root_marker = Forwarded of Capability.t | In_doubt of Capability.t | Plain
+type root_marker =
+  | Forwarded of Capability.t
+  | In_doubt of { record : Capability.t; image : bytes }
+  | Plain
 
 let root_marker server file =
   match Server.current_version server file with
@@ -24,7 +27,9 @@ let root_marker server file =
           match Forward.decode data with
           | Some target -> Forwarded target
           | None -> (
-              match Txnmark.record_of data with Some record -> In_doubt record | None -> Plain)))
+              match Txnmark.record_of data with
+              | Some record -> In_doubt { record; image = data }
+              | None -> Plain)))
 
 let moved_target server file =
   match root_marker server file with Forwarded target -> Some target | In_doubt _ | Plain -> None
@@ -41,10 +46,15 @@ let with_root_read server (resp : Remote.response) =
       ok
   | other -> other
 
-let reads_root_first : Remote.step list -> bool = function
-  | Remote.Read path :: _ -> Pagepath.equal path Pagepath.root
-  | Remote.Guard_root _ :: _ -> true
-  | _ -> false
+(* How an [Open] batch begins: by reading the root — an opening, which
+   a marker turns away — or by guarding it — a resolution, which expects
+   one. Any other [Open] batch is refused. *)
+type opening = Reads_root | Guards_root | Refused
+
+let opening : Remote.step list -> opening = function
+  | Remote.Read path :: _ when Pagepath.equal path Pagepath.root -> Reads_root
+  | Remote.Guard_root _ :: _ -> Guards_root
+  | _ -> Refused
 
 (* The wrapper runs atomically inside the host's single simulated event,
    so the marker checks, the version creation and the root touch are
@@ -55,24 +65,31 @@ let location_check server base (req : Remote.request) : Remote.response =
   | Remote.Current_version file -> (
       match root_marker server file with
       | Forwarded target -> Error (Errors.Moved target)
-      | In_doubt record -> Error (Errors.Txn_in_doubt record)
+      | In_doubt { record; _ } -> Error (Errors.Txn_in_doubt record)
       | Plain -> base req)
   | Remote.Create_version file -> (
       match root_marker server file with
       | Forwarded target -> Error (Errors.Moved target)
-      | In_doubt record -> Error (Errors.Txn_in_doubt record)
+      | In_doubt { record; _ } -> Error (Errors.Txn_in_doubt record)
       | Plain -> with_root_read server (base req))
-  | Remote.Batch { target = (Remote.Open file | Remote.Current file) as target; steps } -> (
-      (* Batches are how transaction resolution reads and writes, so they
-         pass the in-doubt trap, but they still honour migration
-         tombstones. An [Open] batch must read the root first, which puts
-         the R-on-root fence in its own read set; a [Version] batch's
+  | Remote.Batch { target = Remote.Open file; steps } -> (
+      (* An [Open] batch must read or guard the root first, which puts
+         the R-on-root fence in its own read set. One that reads it is an
+         opening: a marker there answers its image, and no version is
+         opened. One that guards it is a resolution, which must reach the
+         marker. *)
+      match (root_marker server file, opening steps) with
+      | Forwarded target, _ -> Error (Errors.Moved target)
+      | _, Refused -> Error (Errors.Store_failure "shard: an Open batch must read the root first")
+      | In_doubt { image; _ }, Reads_root -> Ok (Remote.Batched (Remote.Marked image))
+      | (In_doubt _ | Plain), _ -> base req)
+  | Remote.Batch { target = Remote.Current file; _ } | Remote.Await { file; _ } -> (
+      (* Reads of the committed root, as resolvers make them: past the
+         in-doubt trap, but not past a tombstone. A [Version] batch's
          version was opened through this check already. *)
-      match (moved_target server file, target) with
-      | Some target, _ -> Error (Errors.Moved target)
-      | None, Remote.Open _ when not (reads_root_first steps) ->
-          Error (Errors.Store_failure "shard: an Open batch must read the root first")
-      | None, _ -> base req)
+      match moved_target server file with
+      | Some target -> Error (Errors.Moved target)
+      | None -> base req)
   | _ -> base req
 
 let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?store ?publish_tap ?trace

@@ -8,11 +8,13 @@
     - [Current_version] / [Create_version] on a file whose current root
       is a forward marker answer [Moved target] instead of serving the
       tombstone, and on a transaction marker ({!Txnmark}) answer
-      [Txn_in_doubt record] instead of exposing staged state (an [Open]
-      or [Current] [Batch] passes this trap — batches {e are} the
-      resolution — but still honours tombstones; a [Version] batch is
-      never checked, but its [Redo] is, being an [Open] batch the host
-      sends through this same wrapper);
+      [Txn_in_doubt record] instead of exposing staged state. An [Open]
+      [Batch] that begins by reading a marked root answers [Marked] with
+      the marker's image and opens nothing; one that guards the root
+      passes, as do [Current] batches and [Await]s — batches {e are} the
+      resolution — but all of them still honour tombstones. A [Version]
+      batch is never checked, but its [Redo] is, being an [Open] batch
+      the host sends through this same wrapper;
     - after a successful [Create_version] it reads the new version's
       root, recording [R] there, and an [Open] batch must itself begin
       by reading the root ([Read] of the root or [Guard_root]; other

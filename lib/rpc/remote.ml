@@ -14,6 +14,7 @@ type step =
   | Guard_root of bytes
   | Commit
   | Redo of Capability.t * Pagepath.t list
+  | Swap of { file : Capability.t; expected : bytes; writes : (Pagepath.t * bytes) list }
 
 type request =
   | Create_file of bytes
@@ -29,6 +30,7 @@ type request =
   | Destroy_file of Capability.t
   | Validate_cache of { file : Capability.t; basis_block : int }
   | Batch of { target : target; steps : step list }
+  | Await of { file : Capability.t; until : bytes list; budget_ms : float }
   (* Prepare/Decide drive the server's two-phase-commit baseline. *)
   | Prepare of Capability.t
   | Decide of { version : Capability.t; commit : bool }
@@ -42,6 +44,7 @@ type batch_answer =
   | Ran of { version : Capability.t; reads : bytes list }
   | Guard_failed of bytes
   | Reopened of { version : Capability.t; reads : bytes list }
+  | Marked of bytes
 
 type value =
   | Cap of Capability.t
@@ -70,11 +73,39 @@ let too_large bytes = Error (Errors.Message_too_large { bytes; limit = message_c
    refused before it runs, and a batch stops at the read that takes its
    reply past it. A final [Commit] that loses validation hands a trailing
    [Redo] to [reopen], which opens the next attempt. *)
+(* A [Swap] step: on a fresh version of [file], iff the root is
+   [expected], apply [writes] and commit; otherwise answer the root.
+   Either way no version of it is left open. *)
+let swap server file ~expected writes =
+  let open Errors in
+  let* version = Server.create_version server file in
+  let swapped =
+    let* root = Server.read_page server version Pagepath.root in
+    if not (Bytes.equal root expected) then Ok (Some root)
+    else
+      let* () =
+        List.fold_left
+          (fun acc (path, data) ->
+            let* () = acc in
+            Server.write_page server version path data)
+          (Ok ()) writes
+      in
+      let* () = Server.commit server version in
+      Ok None
+  in
+  (match swapped with
+  | Ok None -> ()
+  | Ok (Some _) | Error _ -> ignore (Server.abort_version server version : unit r));
+  swapped
+
+let step_bytes = function
+  | Write (_, data) -> Bytes.length data
+  | Swap { writes; _ } -> List.fold_left (fun n (_, data) -> n + Bytes.length data) 0 writes
+  | Read _ | Guard_root _ | Commit | Redo _ -> 0
+
 let run_batch ~reopen server target steps =
   let open Errors in
-  let written =
-    List.fold_left (fun n -> function Write (_, data) -> n + Bytes.length data | _ -> n) 0 steps
-  in
+  let written = List.fold_left (fun n step -> n + step_bytes step) 0 steps in
   if written > message_cap then too_large written
   else
     let* version =
@@ -106,6 +137,11 @@ let run_batch ~reopen server target steps =
           let* () = Server.commit server version in
           run reads rest
       | Redo _ :: _ -> Error (Store_failure "rpc: Redo must follow the final Commit")
+      | Swap { file; expected; writes } :: rest -> (
+          match swap server file ~expected writes with
+          | Ok None -> run reads rest
+          | Ok (Some root) -> Ok (Guard_failed root)
+          | Error e -> Error e)
     in
     let answer = run [] steps in
     (match (target, answer) with
@@ -114,15 +150,22 @@ let run_batch ~reopen server target steps =
     | _ -> ());
     answer
 
-(* What a redo answers: the reopened version and its reads, or the
-   error a fresh [Open] batch would have met — except that a reply over
+(* What a redo answers: the reopened version and its reads, or what a
+   fresh [Open] batch would have met — a marker's image, or an error,
+   except that a reply over
    the cap is a plain [Conflict], the refused batch having abandoned its
    version, so the client's next attempt splits its reads as usual. *)
 let reopened : response -> batch_answer Errors.r = function
   | Ok (Batched (Ran { version; reads })) -> Ok (Reopened { version; reads })
+  | Ok (Batched (Marked _ as marked)) -> Ok marked
   | Error (Errors.Message_too_large _) -> Error Errors.Conflict
   | Error e -> Error e
   | Ok _ -> Error (Errors.Store_failure "rpc: redo answer mismatch")
+
+let current_root server file =
+  let open Errors in
+  let* version = Server.current_version server file in
+  Server.read_page server version Pagepath.root
 
 let handle ~reopen server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
@@ -147,6 +190,7 @@ let handle ~reopen server : request -> response = function
       Result.map (fun v -> Validation v) (Cache.server_validate server ~file ~basis_block)
   | Batch { target; steps } ->
       Result.map (fun a -> Batched a) (run_batch ~reopen server target steps)
+  | Await { file; _ } -> Result.map (fun d -> Data d) (current_root server file)
   | Prepare version -> Result.map (fun () -> Unit) (Server.prepare server version)
   | Decide { version; commit = decision } ->
       Result.map (fun () -> Unit) (Server.decide server version ~commit:decision)
@@ -167,6 +211,7 @@ let request_kind : request -> string = function
   | Destroy_file _ -> "destroy_file"
   | Validate_cache _ -> "validate_cache"
   | Batch _ -> "batch"
+  | Await _ -> "await"
   | Prepare _ -> "prepare"
   | Decide _ -> "decide"
   | Ship _ -> "ship"
@@ -210,7 +255,7 @@ let group_commit_batch ~reopen server reqs =
             match run_batch ~reopen server (Version version) steps with
             | Ok (Ran { reads; _ }) ->
                 Ok (version, redo, fun () -> Batched (Ran { version; reads }))
-            | Ok (Guard_failed _ | Reopened _) as answered ->
+            | Ok (Guard_failed _ | Reopened _ | Marked _) as answered ->
                 Error (Result.map (fun a -> Batched a) answered)
             | Error e -> Error (Error e)))
       reqs
@@ -229,6 +274,48 @@ let group_commit_batch ~reopen server reqs =
          | Ok (_, _, answer), outcome :: rest -> (rest, Result.map answer outcome)
          | Ok _, [] -> ([], Error (Errors.Store_failure "rpc: commit run lost a member")))
        outcomes members)
+
+(* An [Await] whose file's root is none of [until] is held, and answered
+   once a commit changes that root. Rechecks only look again after the
+   server has committed something, and read each awaited file's root
+   once, however many requests await it. *)
+let awaits server =
+  let commits () = Afs_util.Stats.Counter.get (Server.counters server) "commits.ok" in
+  let last = ref (commits ()) in
+  let still _ _ = None in
+  {
+    Rpc.hold =
+      (fun req resp ->
+        match (req, resp) with
+        | Await { until; budget_ms; _ }, Ok (Data root)
+          when budget_ms > 0.0 && not (List.exists (Bytes.equal root) until) ->
+            Some budget_ms
+        | _ -> None);
+    recheck =
+      (fun () ->
+        let now = commits () in
+        if now = !last then still
+        else begin
+          last := now;
+          let roots = ref [] in
+          let root_of (file : Capability.t) =
+            match List.assoc_opt file.Capability.obj !roots with
+            | Some root -> root
+            | None ->
+                let root = current_root server file in
+                roots := (file.Capability.obj, root) :: !roots;
+                root
+          in
+          fun req held ->
+            match (req, held) with
+            | Await { file; _ }, Ok (Data before) -> (
+                match root_of file with
+                | Ok root when Bytes.equal root before -> None
+                | Ok root -> Some (Ok (Data root))
+                | Error e -> Some (Error e))
+            | _ -> None
+        end);
+  }
 
 let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name server =
   if group_commit < 1 then invalid_arg "Remote.host: group_commit must be >= 1";
@@ -272,8 +359,8 @@ let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name serv
   in
   {
     rpc =
-      Rpc.serve ?latency_ms ?proc_ms ?disks ?batching ~describe:request_kind engine ~name
-        ~handler:(Lazy.force handler);
+      Rpc.serve ?latency_ms ?proc_ms ?disks ?batching ~holding:(awaits server)
+        ~describe:request_kind engine ~name ~handler:(Lazy.force handler);
     server;
     redos;
   }
@@ -309,7 +396,7 @@ let rotates_boundary = function
   | Read_page _ | Write_page _ | Insert_page _ | Remove_page _ | Page_info _ | Commit _
   | Abort_version _ | Destroy_file _ | Validate_cache _
   | Batch { target = Version _; _ }
-  | Prepare _ | Decide _ | Ship _ | Promote _ | Replica_watermark ->
+  | Await _ | Prepare _ | Decide _ | Ship _ | Promote _ | Replica_watermark ->
       false
 
 let call conn req =
@@ -379,5 +466,6 @@ let batch conn target steps =
   | Ok _ -> type_error
   | Error e -> Error e
 
+let await conn file ~until ~budget_ms = as_data (call conn (Await { file; until; budget_ms }))
 let prepare conn version = as_unit (call conn (Prepare version))
 let decide conn version ~commit = as_unit (call conn (Decide { version; commit }))

@@ -29,6 +29,16 @@ type step =
           batch of [Read] of the root and of these pages — the redo's
           opening, sent through the host's whole handler as a client's
           would be — and answer [Reopened]. *)
+  | Swap of {
+      file : Afs_util.Capability.t;
+      expected : bytes;
+      writes : (Afs_util.Pagepath.t * bytes) list;
+    }
+      (** A root test-and-set on another file of the same server, in the
+          same handler event: on a fresh version of [file], iff its root
+          is [expected], apply [writes] and commit. A different root
+          answers [Guard_failed], as a failed [Guard_root] does. No
+          version of [file] is left open. *)
 
 type request =
   | Create_file of bytes
@@ -54,6 +64,9 @@ type request =
   | Batch of { target : target; steps : step list }
       (** A short program of the calls above, run atomically in one
           handler event against one version (see {!batch}). *)
+  | Await of { file : Afs_util.Capability.t; until : bytes list; budget_ms : float }
+      (** The root data of the file's committed version, held by the
+          host until it is worth answering (see {!await}). *)
   | Prepare of Afs_util.Capability.t  (** {!Afs_core.Server.prepare}. *)
   | Decide of { version : Afs_util.Capability.t; commit : bool }
       (** {!Afs_core.Server.decide}. *)
@@ -79,6 +92,10 @@ type batch_answer =
   | Reopened of { version : Afs_util.Capability.t; reads : bytes list }
       (** The [Commit] lost validation and the [Redo] opened [version]:
           the data of its reads, the root's first. *)
+  | Marked of bytes
+      (** Behind a cluster wrapper: an [Open] batch (or a redo's opening)
+          that begins by reading the root found a cross-shard transaction
+          marker there, these bytes. Nothing was opened. *)
 
 type value =
   | Cap of Afs_util.Capability.t
@@ -118,7 +135,9 @@ val host :
     alone, and the rest commit in one {!Afs_core.Server.commit_batch}
     run, after which each member that lost validation runs its redo.
     1 installs no batcher at all, preserving the paper's one-at-a-time
-    behaviour exactly. *)
+    behaviour exactly.
+
+    Every host holds [Await] requests ({!Rpc.holding}): see {!await}. *)
 
 val crash_host : host -> unit
 (** RPC endpoint dies and the server loses its volatile state (page cache,
@@ -180,10 +199,10 @@ val validate_cache :
 
 val message_cap : int
 (** 32 768: the paper's RPC carries at most 32K bytes per message. A
-    batch whose [Write] data exceeds it, or whose [Read] replies add up
-    to more, is refused with [Message_too_large] — except a [Redo] whose
-    reads would exceed it, which answers a plain [Conflict] and leaves no
-    version open. *)
+    batch whose [Write] and [Swap] data exceeds it, or whose [Read]
+    replies add up to more, is refused with [Message_too_large] — except
+    a [Redo] whose reads would exceed it, which answers a plain
+    [Conflict] and leaves no version open. *)
 
 val batch :
   conn -> target -> step list -> batch_answer Afs_core.Errors.r
@@ -196,8 +215,22 @@ val batch :
     hands its version over, and so does a [Reopened] answer. A redo that
     fails answers the error a fresh [Open] batch would have met ([Moved],
     say); no version is left open then.
-    Behind a cluster wrapper an [Open] or [Current] batch skips the
-    in-doubt trap but may answer [Moved] — callers chase it. *)
+    Behind a cluster wrapper an [Open] or [Current] batch may answer
+    [Moved] — callers chase it — and an [Open] batch that begins by
+    reading a root that holds a transaction marker answers [Marked];
+    other batches pass the in-doubt trap. *)
+
+val await :
+  conn -> Afs_util.Capability.t -> until:bytes list -> budget_ms:float ->
+  bytes Afs_core.Errors.r
+(** The root data of the file's committed version, as soon as it is worth
+    knowing, in one request. If the root is one of [until], or
+    [budget_ms] is not positive, the host answers at once. Otherwise it
+    holds the request without staying busy, and answers the new root as
+    soon as a commit changes it, or the unchanged root once [budget_ms]
+    have passed. A crash of the host fails the request like any other.
+    Behind a cluster wrapper it passes the in-doubt trap, but may answer
+    [Moved]. *)
 
 val prepare : conn -> Afs_util.Capability.t -> unit Afs_core.Errors.r
 val decide : conn -> Afs_util.Capability.t -> commit:bool -> unit Afs_core.Errors.r

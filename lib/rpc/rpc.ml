@@ -28,16 +28,32 @@ type ('req, 'resp) batcher = {
   handle_batch : 'req list -> 'resp list;  (** Same length, same order. *)
 }
 
+(* Held requests: answered late, without keeping the server busy. *)
+type ('req, 'resp) holding = {
+  hold : 'req -> 'resp -> float option;
+  recheck : unit -> 'req -> 'resp -> 'resp option;
+}
+
+(* A request the server holds, with the answer it was held with. [live]
+   turns false once it is answered or failed, so its expiry does nothing. *)
+type ('req, 'resp) held = {
+  pending : ('req, 'resp) pending;
+  answer : 'resp;
+  mutable live : bool;
+}
+
 type ('req, 'resp) t = {
   engine : Engine.t;
   name : string;
   handler : 'req -> 'resp;
   batching : ('req, 'resp) batcher option;
+  holding : ('req, 'resp) holding option;
   describe : 'req -> string;
   latency_ms : float;
   proc_ms : float;
   disks : Disk.t list;
   queue : ('req, 'resp) pending Queue.t;
+  mutable held : ('req, 'resp) held list;  (** Newest first. *)
   mutable up : bool;
   mutable busy : bool;
   mutable served : int;
@@ -65,6 +81,44 @@ let drain_batch t (b : _ batcher) first =
   Queue.transfer keep t.queue;
   List.rev !members
 
+let deliver t p resp =
+  let tr = trace t in
+  if Trace.enabled tr then Trace.point tr (Trace.Rpc_recv { server = t.name; op = p.op });
+  ignore (Ivar.try_fill p.reply (Ok resp))
+
+(* After a request or batch whose replies leave [delay] from now: offer
+   every held request the holder's fresh test, and answer those it
+   passes at the same moment as that reply, just behind it. *)
+let recheck t delay =
+  match t.holding with
+  | None -> ()
+  | Some h ->
+      let test = h.recheck () in
+      let kept =
+        List.filter
+          (fun e ->
+            match test e.pending.req e.answer with
+            | None -> true
+            | Some resp ->
+                e.live <- false;
+                Engine.at t.engine delay (fun () -> deliver t e.pending resp);
+                false)
+          (List.rev t.held)
+      in
+      t.held <- List.rev kept
+
+(* Hold [p], answered [resp] after [delay], instead of answering it: the
+   answer goes out [budget] later unless [recheck] answers it first. *)
+let hold t p resp ~delay ~budget =
+  let e = { pending = p; answer = resp; live = true } in
+  t.held <- e :: t.held;
+  Engine.at t.engine (delay +. budget) (fun () ->
+      if e.live then begin
+        e.live <- false;
+        t.held <- List.filter (fun e' -> e' != e) t.held;
+        deliver t p resp
+      end)
+
 (* Serve queued requests one at a time — or, with a batcher installed, up
    to [window] batchable requests at once — charging processing and
    storage time between accepting the work and delivering the replies. *)
@@ -72,7 +126,7 @@ let rec pump t =
   if t.up && not t.busy then
     match Queue.take_opt t.queue with
     | None -> ()
-    | Some ({ req; op; reply } as first) -> (
+    | Some ({ req; _ } as first) -> (
         match t.batching with
         | Some b when b.window > 1 && b.batchable req ->
             let members = drain_batch t b first in
@@ -81,46 +135,43 @@ let rec pump t =
             let resps = b.handle_batch (List.map (fun p -> p.req) members) in
             let storage = disks_busy t -. before in
             t.served <- t.served + List.length members;
-            Engine.at t.engine
-              (t.proc_ms +. storage +. t.latency_ms)
-              (fun () ->
-                let tr = trace t in
-                List.iter2
-                  (fun p resp ->
-                    if Trace.enabled tr then
-                      Trace.point tr (Trace.Rpc_recv { server = t.name; op = p.op });
-                    ignore (Ivar.try_fill p.reply (Ok resp)))
-                  members resps;
+            let delay = t.proc_ms +. storage +. t.latency_ms in
+            Engine.at t.engine delay (fun () ->
+                List.iter2 (deliver t) members resps;
                 t.busy <- false;
-                pump t)
+                pump t);
+            if t.held <> [] then recheck t delay
         | _ ->
             t.busy <- true;
             let before = disks_busy t in
             let resp = t.handler req in
             let storage = disks_busy t -. before in
             t.served <- t.served + 1;
-            Engine.at t.engine
-              (t.proc_ms +. storage +. t.latency_ms)
-              (fun () ->
-                let tr = trace t in
-                if Trace.enabled tr then
-                  Trace.point tr (Trace.Rpc_recv { server = t.name; op });
-                ignore (Ivar.try_fill reply (Ok resp));
+            let delay = t.proc_ms +. storage +. t.latency_ms in
+            let budget =
+              match t.holding with Some h -> h.hold req resp | None -> None
+            in
+            Engine.at t.engine delay (fun () ->
+                if Option.is_none budget then deliver t first resp;
                 t.busy <- false;
-                pump t))
+                pump t);
+            if t.held <> [] then recheck t delay;
+            match budget with Some budget -> hold t first resp ~delay ~budget | None -> ())
 
-let serve ?(latency_ms = 2.0) ?(proc_ms = 0.2) ?(disks = []) ?batching
+let serve ?(latency_ms = 2.0) ?(proc_ms = 0.2) ?(disks = []) ?batching ?holding
     ?(describe = fun _ -> "request") engine ~name ~handler =
   {
     engine;
     name;
     handler;
     batching;
+    holding;
     describe;
     latency_ms;
     proc_ms;
     disks;
     queue = Queue.create ();
+    held = [];
     up = true;
     busy = false;
     served = 0;
@@ -157,8 +208,16 @@ let crash t =
   let tr = trace t in
   if Trace.enabled tr then
     Trace.point tr (Trace.Crash { component = t.name; what = "crash" });
-  let doomed = Queue.to_seq t.queue |> List.of_seq in
+  let held =
+    List.rev_map
+      (fun e ->
+        e.live <- false;
+        e.pending)
+      t.held
+  in
+  let doomed = (Queue.to_seq t.queue |> List.of_seq) @ held in
   Queue.clear t.queue;
+  t.held <- [];
   List.iter
     (fun { op; reply; _ } ->
       Engine.at t.engine timeout_ms (fun () ->

@@ -31,11 +31,33 @@ type ('req, 'resp) batcher = {
     the whole batch. With [window = 1] or no batcher, behaviour is
     exactly the one-request-at-a-time loop. *)
 
+type ('req, 'resp) holding = {
+  hold : 'req -> 'resp -> float option;
+      (** Asked once the handler has answered a request: [Some budget_ms]
+          holds the request instead of replying. *)
+  recheck : unit -> 'req -> 'resp -> 'resp option;
+      (** After every request or batch the server serves while it holds
+          any, [recheck ()] is applied to each held request and the answer
+          it was held with; [Some answer] replies with that at once. *)
+}
+(** Held requests: a request the server holds costs it its handler run,
+    like any other, but then waits without keeping the server busy.
+    Every held request is answered by the first of:
+    - a [recheck] that returns an answer; the reply goes out with the
+      reply of the request or batch that was just served, right behind
+      it;
+    - the end of its budget; the reply it was held with then goes out
+      [budget_ms] later than it would have without the hold.
+
+    A crash fails held requests as it fails queued ones, and {!restart}
+    does not bring them back. *)
+
 val serve :
   ?latency_ms:float ->
   ?proc_ms:float ->
   ?disks:Afs_disk.Disk.t list ->
   ?batching:('req, 'resp) batcher ->
+  ?holding:('req, 'resp) holding ->
   ?describe:('req -> string) ->
   Afs_sim.Engine.t ->
   name:string ->
@@ -51,9 +73,9 @@ val call : ('req, 'resp) t -> 'req -> ('resp, call_error) result
 (** Must run inside a {!Afs_sim.Proc} process. Blocks for the reply. *)
 
 val crash : ('req, 'resp) t -> unit
-(** The server process dies: queued and in-flight requests fail with
-    [Server_crashed] (after the client-side timeout), later calls fail
-    with [Timeout]. *)
+(** The server process dies: queued, held and in-flight requests fail
+    with [Server_crashed] (after the client-side timeout), later calls
+    fail with [Timeout]. *)
 
 val restart : ('req, 'resp) t -> unit
 (** Bring the server back (its handler state is whatever the underlying

@@ -5,7 +5,7 @@
    optimistic commits, with no lock ever held across a shard boundary.
 
    1. Record.  The coordinator takes a coordinator record — a plain
-      committed file on the first participant's shard, nobody but
+      committed file on the last participant's shard, nobody but
       coordinators and resolvers ever touches it — from its free list,
       creating one only when that shard has none pooled. The record's
       entire root data is the outcome of the newest transaction decided
@@ -25,29 +25,44 @@
       version carries R on its root (the location check), so the stage
       conflicts with every concurrently opened version of the file in
       both commit orders: whoever commits second loses. Once a stage is
-      committed, ordinary opens of the file answer [Txn_in_doubt] (the
-      shard wrapper's trap), so from here on only resolvers can advance
-      the file.
+      committed, ordinary opens of the file answer [Txn_in_doubt] and
+      openings by batch answer the marker's image (the shard wrapper's
+      trap), so from here on only resolvers can advance the file.
 
    3. Decide.  The coordinator replaces the record's root data — the
       value it last saw there — with [txn:<seq>:c] as one more ordinary
-      optimistic commit: a single guarded {!Remote.batch}. A contender who
-      tired of waiting force-aborts the same way, from the value it
-      polled to [txn:<seq>:a]; both test-and-set the same root, so
-      exactly one wins, and because seqs only grow on a record no value
-      ever recurs (no ABA). This single commit IS the transaction-wide
-      atomic point.
+      optimistic commit: a guarded test-and-set. A contender who tired
+      of waiting force-aborts the same way, from the value it saw to
+      [txn:<seq>:a]; both test-and-set the same root, so exactly one
+      wins, and because seqs only grow on a record no value ever recurs
+      (no ABA). This single commit IS the transaction-wide atomic point.
+      It rides the last participant's seal: the record lives on that
+      shard, so one [Version] batch seals the last marker, then
+      test-and-sets the record ([Remote.Swap]) — only if the seal
+      committed — in the same handler event.
 
    4. Flip.  Each staged participant is resolved by one more optimistic
-      commit, again one guarded batch: iff the root still carries this
-      transaction's exact marker bytes, restore the old root data and —
-      iff the record committed — apply the marker's page writes in
+      commit, again one guarded test-and-set: iff the root still carries
+      this transaction's exact marker bytes, restore the old root data
+      and — iff the record committed — apply the marker's page writes in
       place. Applying writes (never flipping to a wholesale copy)
       preserves any concurrent non-conflicting update that merged
-      underneath the stage. Flips race only other resolvers; the loser's
-      guard fails, which is its answer: the marker is gone.
+      underneath the stage. The batch that decides also flips every
+      participant on the record's shard, behind the record's commit;
+      the coordinator flips the rest, one message each, before it
+      answers. Flips race only other resolvers; the loser's guard fails,
+      which is its answer: the marker is gone.
 
-   5. Reuse.  The record goes back on the free list only once the
+   5. Wait.  A transaction that meets another's marker waits for that
+      marker's outcome with one [Remote.await] on its record, which the
+      record's shard holds until the record commits — the decide, or a
+      force-abort — or the waiter's budget runs out; then it force-aborts
+      the pending coordinator, presumed dead. Having learnt the outcome
+      it leaves the flip to the coordinator, which sent it before any
+      waiter could hear the decide, and simply tries again; only if it
+      meets the same marker image again does it flip the marker itself.
+
+   6. Reuse.  The record goes back on the free list only once the
       decision is definite and every participant's flip (or unstage)
       answered — swapped or mismatched, so no marker naming this seq
       survives. A record whose outcome has moved past a marker's seq
@@ -111,15 +126,29 @@ type t = {
   trace : Trace.t;
   counters : Stats.Counter.t;
   mutable next_seq : int;
-  pending_patience : int;
+  wait_budget_ms : float;
+      (** How long a waiter grants a pending coordinator before
+          force-aborting it. *)
   free : (int, (Capability.t * bytes) list) Hashtbl.t;
       (** Reusable coordinator records by shard id, each with the root
           data it holds. *)
   round_trip : unit -> unit;  (** Counts one message: {!rt}, for {!commit_part}. *)
 }
 
-(* The wait between polls of a busy record or a pending coordinator. *)
+(* The wait before retrying a record decision a shard could not take,
+   or a participant that keeps losing its stage. *)
 let backoff_ms = 5.0
+
+(* The total of [patience] capped exponential waits of [backoff_ms] — 5,
+   10, 20, then 40 ms each — so the default patience 32 allows 1.195 s:
+   what a resolver polling a pending record with those back-offs granted
+   its coordinator. *)
+let wait_budget_ms patience =
+  let rec total waits acc =
+    if waits >= patience then acc
+    else total (waits + 1) (acc +. (backoff_ms *. float_of_int (min 8 (1 lsl min waits 3))))
+  in
+  total 0 0.0
 
 let bump ?by t name = Stats.Counter.incr ?by t.counters name
 let rt ?(n = 1) t = bump ~by:n t "txn.round_trips"
@@ -131,7 +160,7 @@ let create ?(trace = Trace.null) ?(pending_patience = 32) client =
       trace;
       counters = Stats.Counter.create ();
       next_seq = 1;
-      pending_patience;
+      wait_budget_ms = wait_budget_ms pending_patience;
       free = Hashtbl.create 8;
       round_trip = (fun () -> rt t);
     }
@@ -196,65 +225,10 @@ let swap_steps ~expected ~root writes =
   @ [ Remote.Commit ]
 
 (* The record is an ordinary file whose root IS the latest outcome: one
-   [Current] batch reads it — this is the poll a waiting resolver
-   repeats, so its cost is the cost of waiting. Answers the raw value
-   too, which is what a force-abort must test-and-set against. *)
-let poll_record t record ~seq =
-  let* data = root_data t record in
-  Ok (decide ~seq ~record_data:data, data)
-
+   [Current] batch reads it. *)
 let record_decision t record ~seq =
-  let* decision, _ = poll_record t record ~seq in
-  Ok decision
-
-(* How long a step that must reach a crashed shard keeps retrying before
-   giving up: recovery is expected within this budget, and giving up
-   earlier would leave the caller guessing about an outcome a later
-   retry could duplicate. *)
-let transport_patience = 256
-
-(* Drive the record from [seen] — the value its decider last saw there —
-   to [seq]'s outcome as an ordinary optimistic commit, returning what
-   the record finally says about [seq] and the value it holds: the other
-   outcome if a racing decider won the root's test-and-set, [Superseded]
-   if [seq] was decided long ago and the record has moved on. Both the
-   coordinator's decide and a contender's force-abort funnel through
-   here, which is the whole mutual-exclusion argument. A mismatch that
-   still leaves [seq] pending retries from the value it answered.
-   Transport errors back off and retry (within [transport_patience])
-   rather than surface: once a transaction is staged its outcome must
-   become definite, not be retried wholesale. *)
-let decide_record t ~record ~seq ~seen ~commit =
-  let target = Txnmark.encode_outcome ~seq ~committed:commit in
-  let rec attempt expected n =
-    if n > transport_patience then Error (Store_failure "txn: record decision starved")
-    else
-      let step =
-        CC.routed t.client record (fun conn ~shard:_ record ->
-            rt t;
-            Remote.batch conn (Remote.Open record) (swap_steps ~expected ~root:target []))
-      in
-      match step with
-      | Ok (Remote.Ran _) -> Ok ((if commit then Committed else Aborted), target)
-      | Ok (Remote.Guard_failed current) -> (
-          match decide ~seq ~record_data:current with
-          | Pending -> attempt current (n + 1)
-          | Unknown_record -> Error (Store_failure "txn: unrecognised record state")
-          | (Committed | Aborted | Superseded) as final -> Ok (final, current))
-      | Ok (Remote.Reopened _) -> malformed
-      | Error (Store_failure _) when n < transport_patience ->
-          Proc.delay backoff_ms;
-          attempt expected (n + 1)
-      | Error e -> Error e
-  in
-  attempt seen 0
-
-let force_abort t marker ~seen =
-  let* final, _ =
-    decide_record t ~record:marker.Txnmark.record ~seq:marker.Txnmark.seq ~seen
-      ~commit:false
-  in
-  Ok final
+  let* data = root_data t record in
+  Ok (decide ~seq ~record_data:data)
 
 (* {2 Staging} *)
 
@@ -315,29 +289,25 @@ let rec read_batches ~round_trip conn target paths =
       | failed -> failed)
   | answer -> answer
 
-(* A version opened by an [Open] batch or a redo, whose reads are the
-   root and then every page the part's ops read: answer the version, the
-   old root data and the part's computed writes. Opening batches skip
-   the shard's in-doubt trap, so a foreign marker arrives as data: detect
-   it here and surface the same [Txn_in_doubt] the trap would have raised
-   — minus one round trip in the common, unmarked case. *)
-let opened ~round_trip conn ops = function
+(* What an [Open] batch or a redo opened: the version, the old root data
+   and the part's computed writes — or, when the shard found another
+   transaction's marker in the root and opened nothing, its image. *)
+type opening = Opened of Capability.t * bytes * (Pagepath.t * bytes) list | Held of bytes
+
+(* The reads of an opening are the root and then every page the part's
+   ops read. *)
+let opened ops = function
   | Remote.Ran { version; reads = old_root :: pages }
-  | Remote.Reopened { version; reads = old_root :: pages } -> (
-      match Txnmark.record_of old_root with
-      | Some other ->
-          round_trip ();
-          ignore (Remote.abort_version conn version : unit r);
-          Error (Txn_in_doubt other)
-      | None -> Ok (version, old_root, computed_writes ops pages))
+  | Remote.Reopened { version; reads = old_root :: pages } ->
+      Ok (Opened (version, old_root, computed_writes ops pages))
+  | Remote.Marked image -> Ok (Held image)
   | Remote.Ran _ | Remote.Reopened _ | Remote.Guard_failed _ -> malformed
 
 (* Open a version of a part's file with one [Open] batch that reads the
    root and [paths], the pages its ops read. *)
 let open_part ~round_trip conn file ops paths =
-  match read_batches ~round_trip conn (Remote.Open file) (Pagepath.root :: paths) with
-  | Ok answer -> opened ~round_trip conn ops answer
-  | Error e -> Error e
+  let* answer = read_batches ~round_trip conn (Remote.Open file) (Pagepath.root :: paths) in
+  opened ops answer
 
 (* The writes as [Version] batches within the 32K cap, in order, the
    last one ending in [tail] — [Commit], then the redo if one is asked
@@ -373,69 +343,57 @@ let rec send_writes ~round_trip conn version = function
 
 type tries = { mutable made : int; allowed : int }
 
+(* [commit_part], answering [Error image] when an opening — the first or
+   a redo's — met another transaction's marker. *)
+let commit_held ~round_trip ~tries conn file ops =
+  let paths = read_paths ops in
+  let redo_tail : Remote.step list = [ Remote.Commit; Remote.Redo (file, paths) ] in
+  let rec commit = function
+    | Held image -> Ok (Error image)
+    | Opened (version, _, writes) -> (
+        let tail = if tries.made < tries.allowed then redo_tail else [ Remote.Commit ] in
+        match send_writes ~round_trip conn version (version_batches ~tail writes) with
+        | Ok ((Remote.Reopened _ | Remote.Marked _) as answer) ->
+            tries.made <- tries.made + 1;
+            let* next = opened ops answer in
+            commit next
+        | Ok (Remote.Ran _ | Remote.Guard_failed _) -> Ok (Ok ())
+        | Error (Moved _ as e) ->
+            tries.made <- tries.made + 1;
+            Error e
+        | Error e -> Error e)
+  in
+  let* first = open_part ~round_trip conn file ops paths in
+  commit first
+
 (* Each attempt but the last allowed asks that a lost validation answer
    with the redo's opening, so a redo costs one message: the client
    recomputes its writes from the reopened reads and sends only the next
    [Version] batch. A redo that met [Moved] consumed its attempt too. *)
 let commit_part ~round_trip ~tries conn file ops =
-  let paths = read_paths ops in
-  let redo_tail : Remote.step list = [ Remote.Commit; Remote.Redo (file, paths) ] in
-  let rec commit (version, _, writes) =
-    let tail = if tries.made < tries.allowed then redo_tail else [ Remote.Commit ] in
-    match send_writes ~round_trip conn version (version_batches ~tail writes) with
-    | Ok (Remote.Reopened _ as answer) ->
-        tries.made <- tries.made + 1;
-        let* next = opened ~round_trip conn ops answer in
-        commit next
-    | Ok (Remote.Ran _ | Remote.Guard_failed _) -> Ok ()
-    | Error (Moved _ as e) ->
-        tries.made <- tries.made + 1;
-        Error e
-    | Error e -> Error e
-  in
-  let* first = open_part ~round_trip conn file ops paths in
-  commit first
+  let* held = commit_held ~round_trip ~tries conn file ops in
+  match held with
+  | Ok () -> Ok ()
+  | Error image -> (
+      match Txnmark.record_of image with
+      | Some record -> Error (Txn_in_doubt record)
+      | None -> malformed)
 
 (* A committed stage: the participant, its marker, and the marker's
    exact root bytes — what the flip test-and-sets against. *)
 type staged = { sfile : Capability.t; marker : Txnmark.t; image : bytes }
 
-(* Why a participant is not staged. A seal that failed other than by
-   losing validation may have committed anyway — a failed publish leaves
-   a durable prefix, and the marker surfaces once the shard recovers —
-   so only [Seal_in_doubt] can leave a marker behind. *)
-type stage_error = Unstaged of Errors.t | Seal_in_doubt of Errors.t
-
-(* Stage one participant: [open_part], then the marker committed into
-   the root. Nothing but the root is written — the computed writes ride
-   the marker until the flip. *)
-let stage t ~record ~seq part =
-  let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(string_of_int seq) () in
-  let result =
-    CC.routed t.client part.file (fun conn ~shard file ->
-        let* version, old_root, writes =
-          open_part ~round_trip:t.round_trip conn file part.ops (read_paths part.ops)
-        in
-        let marker = { Txnmark.record; seq; old_root; writes } in
-        let image = Txnmark.encode marker in
-        rt t;
-        match
-          Remote.batch conn (Remote.Version version)
-            [ Remote.Write (Pagepath.root, image); Remote.Commit ]
-        with
-        | Ok _ ->
-            CC.note_commit t.client ~shard file;
-            tpoint t (Trace.Txn_stage { txn = seq; file_obj = file.Capability.obj });
-            Ok (Ok { sfile = file; marker; image })
-        | Error Conflict -> Error Conflict
-        (* Answered, not raised: an in-doubt seal must not be retried
-           anywhere — not even at a [Moved] target. *)
-        | Error e -> Ok (Error (Seal_in_doubt e)))
-  in
-  Trace.close_span t.trace span;
-  match result with Ok r -> r | Error e -> Error (Unstaged e)
-
 (* {2 Resolution} *)
+
+(* The trace point of a marker resolved one way. *)
+let resolved t { sfile = file; marker = m; _ } ~forward =
+  if forward then
+    tpoint t
+      (Trace.Txn_flip
+         { txn = m.Txnmark.seq; file_obj = file.Capability.obj; writes = List.length m.Txnmark.writes })
+  else
+    tpoint t
+      (Trace.Txn_resolve { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "back" })
 
 (* Overwrite a still-staged marker with its resolution: restore the
    pre-transaction root data and, iff rolling forward, apply the staged
@@ -444,7 +402,7 @@ let stage t ~record ~seq part =
    resolvers: a failed guard means the marker is gone — somebody
    already resolved (or a later transaction re-staged) — and there is
    nothing left to do. *)
-let apply t { sfile = file; marker = m; image } ~forward =
+let apply t ({ sfile = file; marker = m; image } as entry) ~forward =
   let step =
     CC.routed t.client file (fun conn ~shard:_ file ->
         rt t;
@@ -454,76 +412,223 @@ let apply t { sfile = file; marker = m; image } ~forward =
   in
   match step with
   | Ok (Remote.Ran _) ->
-      if forward then
-        tpoint t
-          (Trace.Txn_flip
-             {
-               txn = m.Txnmark.seq;
-               file_obj = file.Capability.obj;
-               writes = List.length m.Txnmark.writes;
-             })
-      else
-        tpoint t
-          (Trace.Txn_resolve
-             { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "back" });
+      resolved t entry ~forward;
       Ok ()
   | Ok (Remote.Guard_failed _) -> Ok ()
-  | Ok (Remote.Reopened _) -> malformed
+  | Ok (Remote.Reopened _ | Remote.Marked _) -> malformed
   | Error e -> Error e
 
-(* Resolve one in-doubt participant, as any client can: read the marker,
-   read the record, act. While the record is still pending the
-   coordinator is normally about to decide — wait [patience] back-offs,
-   then force the decision to abort (step 3's race: exactly one of the
-   force-abort and the coordinator's decide wins). [patience = 0] is the
-   crash-recovery stance: a pending coordinator is presumed dead. A
-   record that has moved past the marker's seq proves the marker already
-   gone (step 5): nothing is written, and the caller simply re-reads or
-   re-stages. *)
-let resolve_in_doubt t ~patience file =
-  let span = Trace.open_span t.trace ~kind:"txn.resolve" () in
-  let result =
-    let* root = root_data t file in
-    match Txnmark.decode root with
-    | None -> Ok () (* Resolved under us. *)
-    | Some marker ->
-        (* The marker image is the root just read: what the flip
-           test-and-sets against, with no re-encoding. *)
-        let entry = { sfile = file; marker; image = root } in
-        (* The marker cannot change while the trap holds (another
-           resolver can only remove it, which [apply] detects), so only
-           the record is re-polled while the coordinator is pending —
-           with capped exponential back-off: a live coordinator is a
-           handful of round trips from deciding, a dead one is caught by
-           the patience bound either way. *)
-        let rec await waits =
-          let* decision, seen = poll_record t marker.Txnmark.record ~seq:marker.Txnmark.seq in
-          match resolve marker decision with
-          | Forward _ ->
-              bump t "txn.resolved.forward";
-              apply t entry ~forward:true
-          | Back _ ->
-              bump t "txn.resolved.back";
-              apply t entry ~forward:false
-          | Gone -> Ok ()
-          | Wait _ when waits < patience ->
-              Proc.delay (backoff_ms *. float_of_int (min 8 (1 lsl min waits 3)));
-              await (waits + 1)
-          | Wait m -> (
-              bump t "txn.force_aborts";
-              tpoint t
-                (Trace.Txn_resolve
-                   { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "force_abort" });
-              let* final = force_abort t m ~seen in
-              match resolve m final with
-              | Forward _ -> apply t entry ~forward:true
-              | Back _ -> apply t entry ~forward:false
-              | Wait _ | Gone -> Ok ())
-        in
-        await 0
+(* How long a step that must reach a crashed shard keeps retrying before
+   giving up: recovery is expected within this budget, and giving up
+   earlier would leave the caller guessing about an outcome a later
+   retry could duplicate. *)
+let transport_patience = 256
+
+(* A staged participant's flip as a [Swap] step of another file's batch. *)
+let flip_step { sfile; marker = m; image } =
+  Remote.Swap
+    { file = sfile; expected = image; writes = (Pagepath.root, m.Txnmark.old_root) :: m.Txnmark.writes }
+
+let on_shard t file shard =
+  match Afs_cluster.Cluster.shard_of_cap (CC.cluster t.client) file with
+  | Ok (_, s) -> Shard.id s = Shard.id shard
+  | Error _ -> false
+
+(* The flips of [staged] that a batch on [shard] can carry: those of
+   participants on that shard, as long as the batch stays within [room]
+   bytes of writes. *)
+let carried t ~shard ~room staged =
+  let rec go room = function
+    | [] -> []
+    | entry :: rest ->
+        if on_shard t entry.sfile shard then
+            let size =
+              Bytes.length entry.marker.Txnmark.old_root
+              + List.fold_left (fun n (_, data) -> n + Bytes.length data) 0 entry.marker.Txnmark.writes
+            in
+            if size > room then go room rest else entry :: go (room - size) rest
+        else go room rest
   in
+  go room staged
+
+(* Drive the record from [seen] — the value its decider last saw there —
+   to [seq]'s outcome as an ordinary optimistic commit, returning what
+   the record finally says about [seq] and the value it holds: the other
+   outcome if a racing decider won the root's test-and-set, [Superseded]
+   if [seq] was decided long ago and the record has moved on. Both the
+   coordinator's decide and a contender's force-abort funnel through
+   here, which is the whole mutual-exclusion argument. A mismatch that
+   still leaves [seq] pending retries from the value it answered.
+   Transport errors back off and retry (within [transport_patience])
+   rather than surface: once a transaction is staged its outcome must
+   become definite, not be retried wholesale. *)
+let decide_record t ~record ~seq ~seen ~commit =
+  let target = Txnmark.encode_outcome ~seq ~committed:commit in
+  let rec attempt expected n =
+    if n > transport_patience then Error (Store_failure "txn: record decision starved")
+    else
+      let step =
+        CC.routed t.client record (fun conn ~shard:_ record ->
+            rt t;
+            Remote.batch conn (Remote.Open record) (swap_steps ~expected ~root:target []))
+      in
+      match step with
+      | Ok (Remote.Ran _) -> Ok ((if commit then Committed else Aborted), target)
+      | Ok (Remote.Guard_failed current) -> (
+          match decide ~seq ~record_data:current with
+          | Pending -> attempt current (n + 1)
+          | Unknown_record -> Error (Store_failure "txn: unrecognised record state")
+          | (Committed | Aborted | Superseded) as final -> Ok (final, current))
+      | Ok (Remote.Reopened _ | Remote.Marked _) -> malformed
+      | Error (Store_failure _) when n < transport_patience ->
+          Proc.delay backoff_ms;
+          attempt expected (n + 1)
+      | Error e -> Error e
+  in
+  attempt seen 0
+
+let force_abort t marker ~seen =
+  let* final, _ =
+    decide_record t ~record:marker.Txnmark.record ~seq:marker.Txnmark.seq ~seen
+      ~commit:false
+  in
+  Ok final
+
+(* Apply a record's [decision] to a marker as a resolver: roll it
+   forward or back, or write nothing when the record proves it gone. *)
+let settle t entry decision =
+  match resolve entry.marker decision with
+  | Forward _ ->
+      bump t "txn.resolved.forward";
+      apply t entry ~forward:true
+  | Back _ ->
+      bump t "txn.resolved.back";
+      apply t entry ~forward:false
+  | Wait _ | Gone -> Ok ()
+
+(* What the record of [file]'s marker says about the marker's seq,
+   learnt with one request: an [Await] that the record's shard holds
+   until the record decides that seq, or until [budget_ms] runs out. A
+   coordinator still pending then is presumed dead and force-aborted
+   (step 3's race: exactly one of the force-abort and its decide wins).
+   A record that has moved past the seq proves the marker already gone
+   (step 6). *)
+let outcome t ~budget_ms file marker =
+  let { Txnmark.record; seq; _ } = marker in
+  let until =
+    [ Txnmark.encode_outcome ~seq ~committed:true; Txnmark.encode_outcome ~seq ~committed:false ]
+  in
+  let* root =
+    CC.routed t.client record (fun conn ~shard:_ record ->
+        rt t;
+        bump t "txn.record_reads";
+        Remote.await conn record ~until ~budget_ms)
+  in
+  match decide ~seq ~record_data:root with
+  | Pending ->
+      bump t "txn.force_aborts";
+      tpoint t
+        (Trace.Txn_resolve { txn = seq; file_obj = file.Capability.obj; action = "force_abort" });
+      force_abort t marker ~seen:root
+  | decision -> Ok decision
+
+let resolving t f =
+  let span = Trace.open_span t.trace ~kind:"txn.resolve" () in
+  let result = f () in
   Trace.close_span t.trace span;
   result
+
+(* A waiter met [image], another transaction's marker, in [file]'s root.
+   The first time, it learns the outcome and leaves the flip to that
+   transaction's coordinator, which sent it before its own client heard
+   the outcome: the caller tries again at once. If it meets the same
+   image again, the coordinator has not flipped — it died, or its flip
+   failed — so the waiter applies the outcome it learnt itself. Answers
+   what to remember for the next meeting. *)
+let waited t file image ~last =
+  resolving t (fun () ->
+      match (Txnmark.decode image, last) with
+      | None, _ -> malformed
+      | Some marker, Some (seen, decision) when Bytes.equal seen image ->
+          let* () = settle t { sfile = file; marker; image } decision in
+          Ok None
+      | Some marker, _ ->
+          bump t "txn.in_doubt";
+          let* decision = outcome t ~budget_ms:t.wait_budget_ms file marker in
+          Ok (Some (image, decision)))
+
+(* {2 Staging a participant} *)
+
+(* Why a participant is not staged. A seal that failed other than by
+   losing validation may have committed anyway — a failed publish leaves
+   a durable prefix, and the marker surfaces once the shard recovers —
+   so only [Seal_in_doubt] can leave a marker behind; it carries the
+   stage it attempted. *)
+type stage_error = Unstaged of Errors.t | Seal_in_doubt of Errors.t * staged
+
+(* A stage that went through — with the flips it made, if it carried a
+   decide that committed — or the image of another transaction's marker
+   met in the root instead. *)
+type staging = Staged of staged * staged list option | Held_by of bytes
+
+(* What a stage needs to carry the decide: the value the record holds,
+   and the participants staged before it. *)
+type ride = { seen : bytes; before : staged list }
+
+(* Stage one participant: [open_part], then the marker committed into
+   the root. Nothing but the root is written — the computed writes ride
+   the marker until the flip. With [ride], and the record on the
+   participant's shard, the sealing batch carries the decide as well:
+   the record's test-and-set from [ride.seen] to committed, and the
+   flips of the participants on that shard, this one included. The
+   decide then runs iff the seal commits, and the flips iff the decide
+   does, all in one handler event. A failed guard leaves the decide's
+   fate to be asked of the record: it may be a flip's, or the record's
+   at a forward marker this batch could not chase. *)
+let stage ?ride t ~record ~seq part =
+  let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(string_of_int seq) () in
+  let result =
+    CC.routed t.client part.file (fun conn ~shard file ->
+        let* opening =
+          open_part ~round_trip:t.round_trip conn file part.ops (read_paths part.ops)
+        in
+        match opening with
+        | Held image -> Ok (Ok (Held_by image))
+        | Opened (version, old_root, writes) -> (
+            let marker = { Txnmark.record; seq; old_root; writes } in
+            let image = Txnmark.encode marker in
+            let entry = { sfile = file; marker; image } in
+            let target = Txnmark.encode_outcome ~seq ~committed:true in
+            let swap, flips =
+              match ride with
+              | Some { seen; before } when on_shard t record shard ->
+                  let room = Remote.message_cap - Bytes.length image - Bytes.length target in
+                  ( [ Remote.Swap { file = record; expected = seen; writes = [ (Pagepath.root, target) ] } ],
+                    carried t ~shard ~room (before @ [ entry ]) )
+              | Some _ | None -> ([], [])
+            in
+            rt t;
+            match
+              Remote.batch conn (Remote.Version version)
+                ((Remote.Write (Pagepath.root, image) :: Remote.Commit :: swap)
+                @ List.map flip_step flips)
+            with
+            | Ok answer -> (
+                CC.note_commit t.client ~shard file;
+                tpoint t (Trace.Txn_stage { txn = seq; file_obj = file.Capability.obj });
+                match (answer, swap) with
+                | Remote.Ran _, _ :: _ ->
+                    List.iter (resolved t ~forward:true) flips;
+                    Ok (Ok (Staged (entry, Some flips)))
+                | (Remote.Ran _ | Remote.Guard_failed _), _ -> Ok (Ok (Staged (entry, None)))
+                | (Remote.Reopened _ | Remote.Marked _), _ -> malformed)
+            | Error Conflict -> Error Conflict
+            (* Answered, not raised: an in-doubt seal must not be retried
+               anywhere — not even at a [Moved] target. *)
+            | Error e -> Ok (Error (Seal_in_doubt (e, entry)))))
+  in
+  Trace.close_span t.trace span;
+  match result with Ok r -> r | Error e -> Error (Unstaged e)
 
 (* {2 The coordinator} *)
 
@@ -532,7 +637,7 @@ let fresh_seq t =
   t.next_seq <- s + 1;
   s
 
-(* A coordinator record for a transaction whose first participant lives
+(* A coordinator record for a transaction whose last participant lives
    on [shard], with the root data it holds: a pooled one when that shard
    has one — no message, no yield — else a fresh file. *)
 let acquire_record t shard =
@@ -548,7 +653,7 @@ let acquire_record t shard =
       bump t "txn.records_created";
       Ok (record, fresh)
 
-(* Pool a record once no marker can name its latest seq (step 5). *)
+(* Pool a record once no marker can name its latest seq (step 6). *)
 let release_record t shard pooled =
   let id = Shard.id shard in
   let rest = Option.value ~default:[] (Hashtbl.find_opt t.free id) in
@@ -557,25 +662,25 @@ let release_record t shard pooled =
 (* One participant needs no coordination: the single-shard commit is
    already atomic, so it is [commit_part] on the file's shard — two
    messages, with no redo: a conflict is the caller's [Local] failure.
-   An in-doubt file is resolved inline and the part retried. *)
+   A file in doubt is waited out and the part retried. *)
 let exec_single t part =
-  let rec go tries =
+  let rec go tries last =
     if tries > retry_limit then Error (Failed (Store_failure "txn: in-doubt resolution starved"))
     else
       let committed =
         CC.routed t.client part.file (fun conn ~shard file ->
             let tries = { made = 1; allowed = 1 } in
-            let* () = commit_part ~round_trip:t.round_trip ~tries conn file part.ops in
-            CC.note_commit t.client ~shard file;
-            Ok ())
+            let* held = commit_held ~round_trip:t.round_trip ~tries conn file part.ops in
+            if Result.is_ok held then CC.note_commit t.client ~shard file;
+            Ok held)
       in
       match committed with
-      | Ok () ->
+      | Ok (Ok ()) ->
           bump t "txn.committed";
           Ok ()
-      | Error (Txn_in_doubt _) -> (
-          match resolve_in_doubt t ~patience:t.pending_patience part.file with
-          | Ok () -> go (tries + 1)
+      | Ok (Error image) -> (
+          match waited t part.file image ~last with
+          | Ok last -> go (tries + 1) last
           | Error e -> Error (Failed e))
       | Error Conflict ->
           bump t "txn.aborted.local";
@@ -583,39 +688,78 @@ let exec_single t part =
       | Error e -> Error (Failed e)
   in
   bump t "txn.fastpath";
-  go 0
+  go 0 None
 
-(* Resolve every staged participant one way; true iff each answered
-   (swapped or mismatched), i.e. no marker of this transaction is left.
-   A participant that cannot be reached is deferred to resolvers. *)
-let apply_all t staged ~forward ~crash ~deferred =
-  List.fold_left
-    (fun (i, answered) entry ->
-      crash i;
-      match apply t entry ~forward with
-      | Ok () -> (i + 1, answered)
-      | Error _ ->
-          bump t deferred;
-          (i + 1, false))
-    (0, true) staged
-  |> snd
+(* Resolve every staged participant one way but those in [done_], one
+   guarded batch each, in staging order, and pool the record once every
+   one has answered (step 6) — [pool] names the shard and the record, or
+   is [None] when the record must never be reused. A participant that
+   cannot be reached is deferred to resolvers ([deferred] counts it), and
+   the record is then not reused either. [crash] models the coordinator
+   dying at [Mid_flip i], before participant [i]'s flip. *)
+let resolve_all t staged ~forward ~done_ ~crash ~deferred ~pool =
+  let answered =
+    List.fold_left
+      (fun (i, answered) entry ->
+        if List.memq entry done_ then (i + 1, answered)
+        else begin
+          crash (Mid_flip i);
+          match apply t entry ~forward with
+          | Ok () -> (i + 1, answered)
+          | Error _ ->
+              bump t deferred;
+              (i + 1, false)
+        end)
+      (0, true) staged
+    |> snd
+  in
+  if answered then Option.iter (fun (shard, pooled) -> release_record t shard pooled) pool
+
+(* Stage one participant, waiting out other transactions' markers and
+   re-staging after ordinary conflicts: the stage, and the flips it made
+   if it carried a decide that committed. *)
+let stage_retrying ?ride t ~record ~seq part =
+  let rec attempt tries last =
+    if tries > 4 * retry_limit then Error (Unstaged (Store_failure "txn: staging starved"))
+    else
+      match stage ?ride t ~record ~seq part with
+      | Ok (Held_by image) -> (
+          (* Another transaction holds this participant: wait for its
+             outcome (force-aborting a dead coordinator) and try again. *)
+          match waited t part.file image ~last with
+          | Ok last -> attempt (tries + 1) last
+          | Error e -> Error (Unstaged e))
+      | Ok (Staged (entry, ridden)) -> Ok (entry, ridden)
+      | Error (Unstaged Conflict) ->
+          (* Only this participant raced an ordinary commit: earlier
+             parts stay frozen behind their markers, so re-staging just
+             this one against the new current version is sound — and far
+             cheaper than redoing the transaction. This is the structural
+             edge over a prepare/decide coordinator, which can only
+             discover the same race by aborting every prepared
+             participant. *)
+          bump t "txn.stage_retries";
+          if tries mod 4 = 3 then Proc.delay backoff_ms;
+          attempt (tries + 1) last
+      | Error _ as e -> e
+  in
+  attempt 0 None
 
 let coordinated t ~crash_at ~on_record parts =
   let crash p = match crash_at with Some q when q = p -> raise Crashed | _ -> () in
   bump t "txn.coordinated";
   (* Stage in capability order so two transactions over the same files
      collide head-on (and resolve) instead of staging each other's tails. *)
-  let parts =
-    List.sort (fun a b -> Capability.compare a.file b.file) parts
-  in
-  match parts with
+  let parts = List.sort (fun a b -> Capability.compare a.file b.file) parts in
+  match List.rev parts with
   | [] -> Ok ()
-  | first :: _ -> (
-      (* The record lives on the first participant's shard — placement
-         is explicit, so the round-robin cursor (and with it the
-         workload's file layout) is unperturbed. *)
+  | last :: rev_before -> (
+      (* The record lives on the last participant's shard, so that the
+         last seal can carry the decide — placement is explicit, so the
+         round-robin cursor (and with it the workload's file layout) is
+         unperturbed. *)
       let acquired =
-        let* _, shard = Afs_cluster.Cluster.shard_of_cap (CC.cluster t.client) first.file in
+        let* _, shard = Afs_cluster.Cluster.shard_of_cap (CC.cluster t.client) last.file in
         let* record, seen = acquire_record t shard in
         Ok (shard, record, seen)
       in
@@ -631,104 +775,95 @@ let coordinated t ~crash_at ~on_record parts =
             r
           in
           (match on_record with Some f -> f record seq | None -> ());
-          let unstage_all staged =
-            apply_all t staged ~forward:false ~crash:ignore ~deferred:"txn.unstage_deferred"
+          let pool value = Some (shard, (record, value)) in
+          let unstage_all staged pool =
+            resolve_all t staged ~forward:false ~done_:[] ~crash:ignore
+              ~deferred:"txn.unstage_deferred" ~pool
+          in
+          let decided ?(flipped = []) staged = function
+            | Error e -> finish (Error (Failed e))
+            | Ok (Aborted, value) ->
+                (* A contender force-aborted the record between our last
+                   stage and the decide. *)
+                bump t "txn.aborted.cross";
+                unstage_all staged (pool value);
+                finish (Error (Cross Conflict))
+            | Ok ((Pending | Superseded | Unknown_record), _) ->
+                finish (Error (Failed (Store_failure "txn: impossible record state")))
+            | Ok (Committed, value) ->
+                crash After_decide;
+                bump t "txn.committed";
+                (* The transaction is committed the moment the record is;
+                   flips are completion, not decision. The decide carried
+                   those on the record's shard. *)
+                resolve_all t staged ~forward:true ~done_:flipped ~crash
+                  ~deferred:"txn.flip_deferred" ~pool:(pool value);
+                finish (Ok ())
           in
           (* Close the record first, so no resolver can roll the staged
-             prefix forward while it is being unstaged. The record only
-             ever says aborted here: nobody else writes committed. Like
-             a cross abort, the record is pooled again only once every
-             unstage answered — and never after an in-doubt seal, whose
-             marker may yet surface and must still resolve against this
-             seq's outcome. *)
+             prefix forward while it is being unstaged. Like a cross
+             abort, the record is pooled again only once every unstage
+             answered — and never after an in-doubt seal, whose marker
+             may yet surface and must still resolve against this seq's
+             outcome. A seal that carried the decide may have committed
+             both: the record then says committed, and the transaction
+             is rolled forward instead. *)
           let rollback staged failure =
-            let e, sealed_in_doubt =
+            let e, in_doubt =
               match failure with
-              | Unstaged e -> (e, false)
-              | Seal_in_doubt e ->
+              | Unstaged e -> (e, None)
+              | Seal_in_doubt (e, entry) ->
                   bump t "txn.seal_in_doubt";
-                  (e, true)
+                  (e, Some entry)
             in
-            (match decide_record t ~record ~seq ~seen ~commit:false with
+            match decide_record t ~record ~seq ~seen ~commit:false with
+            | Ok (Committed, _) as committed ->
+                decided (staged @ Option.to_list in_doubt) committed
             | Ok (final, value) ->
-                if unstage_all staged && final = Aborted && not sealed_in_doubt then
-                  release_record t shard (record, value)
-            | Error _ -> bump t "txn.rollback_deferred");
-            Error (Failed e)
+                unstage_all staged
+                  (if final = Aborted && Option.is_none in_doubt then pool value else None);
+                finish (Error (Failed e))
+            | Error _ ->
+                bump t "txn.rollback_deferred";
+                finish (Error (Failed e))
           in
           let rec stage_all staged idx = function
             | [] -> Ok (List.rev staged)
             | part :: rest -> (
                 crash (Before_stage idx);
-                let rec attempt tries =
-                  if tries > 4 * retry_limit then
-                    Error (Unstaged (Store_failure "txn: staging starved"))
-                  else
-                    match stage t ~record ~seq part with
-                    | Ok entry -> Ok entry
-                    | Error (Unstaged (Txn_in_doubt _)) -> (
-                        (* Another transaction holds this participant:
-                           resolve it (waiting out a live coordinator,
-                           force-aborting a dead one) and try again. *)
-                        match
-                          resolve_in_doubt t ~patience:t.pending_patience part.file
-                        with
-                        | Ok () -> attempt (tries + 1)
-                        | Error e -> Error (Unstaged e))
-                    | Error (Unstaged Conflict) ->
-                        (* Only this participant raced an ordinary commit:
-                           earlier parts stay frozen behind their markers,
-                           so re-staging just this one against the new
-                           current version is sound — and far cheaper than
-                           redoing the transaction. This is the structural
-                           edge over a prepare/decide coordinator, which
-                           can only discover the same race by aborting
-                           every prepared participant. *)
-                        bump t "txn.stage_retries";
-                        if tries mod 4 = 3 then Proc.delay backoff_ms;
-                        attempt (tries + 1)
-                    | Error e -> Error e
-                in
-                match attempt 0 with
-                | Ok entry -> stage_all (entry :: staged) (idx + 1) rest
-                | Error e -> rollback staged e)
+                match stage_retrying t ~record ~seq part with
+                | Ok (entry, _) -> stage_all (entry :: staged) (idx + 1) rest
+                | Error e -> Error (staged, e))
           in
-          match stage_all [] 0 parts with
-          | Error _ as e -> finish e
-          | Ok staged -> (
+          match stage_all [] 0 (List.rev rev_before) with
+          | Error (staged, e) -> rollback staged e
+          | Ok before -> (
+              crash (Before_stage (List.length before));
               crash Before_decide;
               let dspan =
                 Trace.open_span t.trace ~kind:"txn.decide" ~label:(string_of_int seq) ()
               in
-              let decision = decide_record t ~record ~seq ~seen ~commit:true in
-              (match decision with
-              | Ok (final, _) ->
-                  tpoint t (Trace.Txn_decide { txn = seq; committed = final = Committed })
-              | Error _ -> ());
-              Trace.close_span t.trace dspan;
-              match decision with
-              | Error e -> finish (Error (Failed e))
-              | Ok (Aborted, value) ->
-                  (* A contender force-aborted the record between our last
-                     stage and the decide. *)
-                  bump t "txn.aborted.cross";
-                  if unstage_all staged then release_record t shard (record, value);
-                  finish (Error (Cross Conflict))
-              | Ok ((Pending | Superseded | Unknown_record), _) ->
-                  finish (Error (Failed (Store_failure "txn: impossible record state")))
-              | Ok (Committed, value) ->
-                  crash After_decide;
-                  bump t "txn.committed";
-                  (* The transaction is committed the moment the record
-                     is; flips are completion, not decision. A flip that
-                     cannot reach its shard is deferred to resolvers. *)
-                  let flipped =
-                    apply_all t staged ~forward:true
-                      ~crash:(fun i -> crash (Mid_flip i))
-                      ~deferred:"txn.flip_deferred"
+              match stage_retrying ~ride:{ seen; before } t ~record ~seq last with
+              | Error e ->
+                  Trace.close_span t.trace dspan;
+                  rollback before e
+              | Ok (entry, ridden) ->
+                  let staged = before @ [ entry ] in
+                  let decision =
+                    match ridden with
+                    | Some _ -> Ok (Committed, Txnmark.encode_outcome ~seq ~committed:true)
+                    | None ->
+                        (* The record is elsewhere — a migration moved one
+                           of them — or a guard failed: the decide takes a
+                           message of its own. *)
+                        decide_record t ~record ~seq ~seen ~commit:true
                   in
-                  if flipped then release_record t shard (record, value);
-                  finish (Ok ()))))
+                  (match decision with
+                  | Ok (final, _) ->
+                      tpoint t (Trace.Txn_decide { txn = seq; committed = final = Committed })
+                  | Error _ -> ());
+                  Trace.close_span t.trace dspan;
+                  decided ?flipped:ridden staged decision)))
 
 let exec ?crash_at ?on_record t parts =
   match parts with
@@ -738,13 +873,21 @@ let exec ?crash_at ?on_record t parts =
 
 (* {2 Recovery} *)
 
+(* A sweep presumes a pending coordinator dead: it awaits nothing, and
+   flips what it finds itself. *)
 let sweep t files =
   List.fold_left
     (fun acc file ->
       let* n = acc in
       let* root = root_data t file in
-      if Txnmark.is_marker root then
-        let* () = resolve_in_doubt t ~patience:0 file in
-        Ok (n + 1)
-      else Ok n)
+      match Txnmark.decode root with
+      | None -> Ok n
+      | Some marker ->
+          bump t "txn.in_doubt";
+          let* () =
+            resolving t (fun () ->
+                let* decision = outcome t ~budget_ms:0.0 file marker in
+                settle t { sfile = file; marker; image = root } decision)
+          in
+          Ok (n + 1))
     (Ok 0) files

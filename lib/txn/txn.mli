@@ -9,15 +9,23 @@
     from the outcome it last held to this transaction's outcome — the
     transaction-wide atomic point — and then {e flips} each participant:
     restore the old root, apply the marker's writes in place, commit.
-    Participants' roots carry the location check's [R] flag, so a stage
-    conflicts with every concurrently opened version in both commit
-    orders; once staged, only resolvers can advance the file (ordinary
-    opens answer [Txn_in_doubt]). Any client can resolve an in-doubt
-    participant from the marker and the record alone — crash recovery is
-    {!sweep}, not a log.
+    The record lives on the last participant's shard, so the decide rides
+    the last seal's message, and flips every participant on that shard
+    in the same handler event; the coordinator flips the others before
+    {!exec} answers. Participants' roots carry the location check's [R]
+    flag, so a stage conflicts with every concurrently opened version in
+    both commit orders; once staged, only resolvers can advance the file
+    (ordinary opens answer [Txn_in_doubt]). Any client can resolve an
+    in-doubt participant from the marker and the record alone — crash
+    recovery is {!sweep}, not a log.
+
+    A transaction that meets another's marker waits for its outcome with
+    one request on the record ({!Afs_rpc.Remote.await}), held by the
+    record's shard until the record commits; then it tries again, and
+    flips the marker itself only if it meets it again.
 
     Coordinator records are reused. Each [t] keeps a per-shard free list;
-    a transaction takes a record from its first participant's shard
+    a transaction takes a record from its last participant's shard
     (creating a file only when that list is empty) and numbers itself
     above every seq the record has seen. The record's root is always the
     outcome of the newest transaction decided on it
@@ -53,7 +61,11 @@ type failure =
 
 type crash_point = Before_stage of int | Before_decide | After_decide | Mid_flip of int
 (** Deterministic coordinator-kill injection points, by protocol step
-    (indices count participants in staging order). *)
+    (indices count participants in staging order). The last participant's
+    seal carries the decide, so [Before_decide] fires with the last
+    participant not yet staged, like [Before_stage] of it; and
+    [Mid_flip i] fires before participant [i]'s own flip, so never for a
+    participant the decide flipped (one on the record's shard). *)
 
 exception Crashed
 (** Raised by {!exec} at the matching [crash_at] point: the test's model
@@ -67,12 +79,13 @@ val create :
   ?pending_patience:int ->
   Afs_cluster.Cluster_client.t ->
   t
-(** A coordinator bound to a cluster client. [pending_patience] is how
-    many 5 ms waits a resolver grants a still-pending
-    coordinator before force-aborting it. The default (32) comfortably
-    covers a live coordinator's full stage-decide-flip protocol under
-    load, so force-aborts only fire on genuinely dead coordinators;
-    crash recovery uses patience 0 via {!sweep}. *)
+(** A coordinator bound to a cluster client. [pending_patience] sets how
+    long a waiter grants a still-pending coordinator before
+    force-aborting it: as long as that many capped exponential back-offs
+    of 5, 10, 20 and then 40 ms would take (1.195 s for the default, 32).
+    That comfortably covers a live coordinator's full stage-decide-flip
+    protocol under load, so force-aborts only fire on genuinely dead
+    coordinators; crash recovery uses patience 0 via {!sweep}. *)
 
 val exec :
   ?crash_at:crash_point ->
@@ -82,7 +95,7 @@ val exec :
   (unit, failure) result
 (** Run one transaction to a definite outcome. A single part needs no
     record and no marker: it is {!commit_part} on its own shard (an
-    in-doubt file is resolved and the part retried); multiple parts run
+    in-doubt file is waited out and the part retried); multiple parts run
     the stage/decide/flip protocol, staging in capability order. Within
     a part an [Rmw] of a page the part already wrote transforms that
     pending write.
@@ -131,8 +144,8 @@ val commit_part :
 
 val sweep : t -> Afs_util.Capability.t list -> int Afs_core.Errors.r
 (** Crash recovery's last mile: resolve every in-doubt file in the list
-    with zero patience (a still-pending coordinator is presumed dead).
-    Returns how many files needed resolving. *)
+    with zero patience (a still-pending coordinator is presumed dead), and
+    flip it at once. Returns how many files needed resolving. *)
 
 (** {2 The decision logic}
 
@@ -180,7 +193,10 @@ val force_abort :
 val counters : t -> Afs_util.Stats.Counter.t
 (** [txn.committed], [txn.aborted.local], [txn.aborted.cross],
     [txn.coordinated], [txn.fastpath], [txn.round_trips],
-    [txn.force_aborts], [txn.resolved.forward], [txn.resolved.back],
+    [txn.force_aborts], [txn.resolved.forward], [txn.resolved.back]
+    (markers a resolver flipped itself), [txn.in_doubt] (markers whose
+    outcome a waiter or {!sweep} learnt), [txn.record_reads] (requests
+    that learnt one: one per marker while waiters park),
     [txn.flip_deferred], [txn.unstage_deferred], [txn.rollback_deferred],
     [txn.stage_retries], [txn.seal_in_doubt] (rollbacks that leak their
     record because a seal may have committed), [txn.records_created]

@@ -298,7 +298,7 @@ let test_open_batch_fenced () =
       let version =
         match ok (Remote.batch conn (Remote.Open f) [ Remote.Read P.root ]) with
         | Remote.Ran { version; _ } -> version
-        | Remote.Guard_failed _ | Remote.Reopened _ -> Alcotest.fail "a plain read ran"
+        | Remote.Guard_failed _ | Remote.Reopened _ | Remote.Marked _ -> Alcotest.fail "a plain read ran"
       in
       ignore (ok (Migration.migrate cluster ~file:f ~dst:(1 - Shard.id shard)) : Capability.t);
       match

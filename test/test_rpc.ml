@@ -4,6 +4,7 @@ module Server = Afs_core.Server
 module Store = Afs_core.Store
 module Errors = Afs_core.Errors
 module P = Afs_util.Pagepath
+module Capability = Afs_util.Capability
 
 let quick = Helpers.quick
 let bytes = Helpers.bytes
@@ -169,7 +170,7 @@ let test_batch_abandons_version_on_error () =
       no_uncommitted "failed page write leaves no version";
       (match swap ~expected:"other" [] with
       | Ok (Remote.Guard_failed current) -> Helpers.check_bytes "current root" "base" current
-      | Ok (Remote.Ran _ | Remote.Reopened _) -> Alcotest.fail "guard passed on a mismatching root"
+      | Ok (Remote.Ran _ | Remote.Reopened _ | Remote.Marked _) -> Alcotest.fail "guard passed on a mismatching root"
       | Error e -> Alcotest.failf "mismatch failed: %s" (Errors.to_string e));
       no_uncommitted "failed guard leaves no version";
       (match Remote.batch conn (Remote.Open f) [ Remote.Read P.root; Remote.Read (P.of_list [ 3 ]) ] with
@@ -179,7 +180,7 @@ let test_batch_abandons_version_on_error () =
       no_uncommitted "failed read leaves no version";
       (match swap ~expected:"base" [] with
       | Ok (Remote.Ran _) -> ()
-      | Ok (Remote.Guard_failed _ | Remote.Reopened _) ->
+      | Ok (Remote.Guard_failed _ | Remote.Reopened _ | Remote.Marked _) ->
           Alcotest.fail "guard failed on the expected root"
       | Error e -> Alcotest.failf "swap failed: %s" (Errors.to_string e));
       no_uncommitted "swap leaves no version";
@@ -205,6 +206,14 @@ type program = {
 let batch_paths = [| P.root; P.of_list [ 0 ]; P.of_list [ 1 ]; P.of_list [ 5 ] |]
 let batch_data = [| "base"; "held"; "a"; "b" |]
 
+let nowhere =
+  {
+    Capability.port = Capability.port_of_int 0;
+    obj = 0;
+    rights = Capability.rights_all;
+    check = 0;
+  }
+
 let gen_step =
   QCheck2.Gen.(
     let path = map (fun i -> batch_paths.(i)) (int_bound 3) in
@@ -215,6 +224,11 @@ let gen_step =
         (3, map2 (fun p d -> Remote.Write (p, d)) path data);
         (2, map (fun d -> Remote.Guard_root d) data);
         (1, pure (Remote.Commit : Remote.step));
+        (* On the program's own file: [program_steps] names it. *)
+        ( 1,
+          map2
+            (fun expected (p, d) -> Remote.Swap { file = nowhere; expected; writes = [ (p, d) ] })
+            data (pair path data) );
       ])
 
 let gen_program =
@@ -228,11 +242,14 @@ let gen_program =
 
 (* The steps the program runs against file [f]. *)
 let program_steps p f =
+  let steps =
+    List.map (function Remote.Swap s -> Remote.Swap { s with file = f } | step -> step) p.steps
+  in
   match p.redo with
-  | None -> p.steps
+  | None -> steps
   | Some (commit, paths) ->
       let commit : Remote.step list = if commit then [ Remote.Commit ] else [] in
-      p.steps @ commit @ [ Remote.Redo (f, paths) ]
+      steps @ commit @ [ Remote.Redo (f, paths) ]
 
 let print_program p =
   let step = function
@@ -241,6 +258,12 @@ let print_program p =
     | Remote.Guard_root d -> Printf.sprintf "Guard_root %S" (Bytes.to_string d)
     | Remote.Commit -> "Commit"
     | Remote.Redo (_, paths) -> "Redo [" ^ String.concat "; " (List.map P.to_string paths) ^ "]"
+    | Remote.Swap { expected; writes; _ } ->
+        Printf.sprintf "Swap (%S, [%s])" (Bytes.to_string expected)
+          (String.concat "; "
+             (List.map
+                (fun (path, d) -> Printf.sprintf "%s, %S" (P.to_string path) (Bytes.to_string d))
+                writes))
   in
   (* Any capability prints the same: the file is not part of the program. *)
   let f = ok (Server.create_file (Server.create (Store.memory ())) ()) in
@@ -305,6 +328,29 @@ let rec one_by_one conn target steps =
         let* () = Remote.commit conn version in
         go reads rest
     | Remote.Redo _ :: _ -> Error (Store_failure "rpc: Redo must follow the final Commit")
+    | Remote.Swap { file; expected; writes } :: rest -> (
+        let* other = Remote.create_version conn file in
+        let swapped =
+          let* root = Remote.read_page conn other P.root in
+          if not (Bytes.equal root expected) then Ok (Some root)
+          else
+            let* () =
+              List.fold_left
+                (fun acc (path, d) ->
+                  let* () = acc in
+                  Remote.write_page conn other path d)
+                (Ok ()) writes
+            in
+            let* () = Remote.commit conn other in
+            Ok None
+        in
+        (match swapped with
+        | Ok None -> ()
+        | Ok (Some _) | Error _ -> ignore (Remote.abort_version conn other : unit Errors.r));
+        match swapped with
+        | Ok None -> go reads rest
+        | Ok (Some root) -> Ok (Remote.Guard_failed root)
+        | Error e -> Error e)
   in
   let answer = go [] steps in
   (match (target, answer) with
@@ -693,6 +739,87 @@ let test_no_hosts_rejected () =
   Alcotest.check_raises "empty host list" (Invalid_argument "Remote.connect: no hosts")
     (fun () -> ignore (Remote.connect []))
 
+(* {2 Held requests}
+
+   Negative requests are held for 100 ms; while [released] is set, a
+   recheck answers a held request with ten times itself. *)
+let holding_echo engine =
+  let released = ref false and offered = ref 0 in
+  let holding =
+    {
+      Rpc.hold = (fun req _ -> if req < 0 then Some 100.0 else None);
+      recheck =
+        (fun () req _ ->
+          incr offered;
+          if !released then Some (req * 10) else None);
+    }
+  in
+  let server =
+    Rpc.serve ~latency_ms:1.0 ~proc_ms:0.5 ~holding engine ~name:"held" ~handler:Fun.id
+  in
+  (server, released, offered)
+
+(* A held request leaves the server free: a later request is served at
+   once. A recheck after a served request answers it with that reply;
+   an unreleased one answers what it was held with when its budget runs
+   out. *)
+let test_held_requests () =
+  in_sim (fun engine ->
+      let server, released, _ = holding_echo engine in
+      let spawn, join = Proc.joinable engine in
+      let answers = ref [] in
+      let call ~at req =
+        ignore
+          (spawn (fun () ->
+               Proc.delay at;
+               let answer = Rpc.call server req in
+               answers := (req, answer, Engine.now engine) :: !answers)
+            : Proc.handle)
+      in
+      call ~at:0.0 (-1);
+      call ~at:5.0 7;
+      ignore
+        (spawn (fun () ->
+             Proc.delay 20.0;
+             released := true;
+             ignore (Rpc.call server 8 : (int, Rpc.call_error) result);
+             released := false)
+          : Proc.handle);
+      call ~at:40.0 (-2);
+      join ();
+      let answer req =
+        match List.find_opt (fun (r, _, _) -> r = req) !answers with
+        | Some (_, Ok v, at) -> (v, at)
+        | Some (_, Error _, _) | None -> Alcotest.failf "request %d unanswered" req
+      in
+      Alcotest.(check (pair int (float 1e-9))) "served while one is held" (7, 7.5) (answer 7);
+      Alcotest.(check (pair int (float 1e-9)))
+        "answered with the releasing reply" (-10, 22.5) (answer (-1));
+      Alcotest.(check (pair int (float 1e-9)))
+        "answered as held once the budget ran out" (-2, 142.5) (answer (-2)))
+
+(* A crash fails a held request as it fails a queued one, and a restart
+   brings none back: later rechecks find nothing to answer. *)
+let test_crash_fails_held () =
+  in_sim (fun engine ->
+      let server, released, offered = holding_echo engine in
+      let spawn, join = Proc.joinable engine in
+      let held = ref None in
+      ignore (spawn (fun () -> held := Some (Rpc.call server (-1))) : Proc.handle);
+      Engine.at engine 10.0 (fun () -> Rpc.crash server);
+      Engine.at engine 20.0 (fun () -> Rpc.restart server);
+      join ();
+      (match !held with
+      | Some (Error Rpc.Server_crashed) -> ()
+      | Some (Ok v) -> Alcotest.failf "a held request survived the crash: %d" v
+      | Some (Error Rpc.Timeout) | None -> Alcotest.fail "expected Server_crashed");
+      released := true;
+      offered := 0;
+      (match Rpc.call server 5 with
+      | Ok 5 -> ()
+      | Ok _ | Error _ -> Alcotest.fail "the restarted server did not answer");
+      Alcotest.(check int) "nothing held after the restart" 0 !offered)
+
 let () =
   Alcotest.run "rpc"
     [
@@ -704,6 +831,8 @@ let () =
           quick "queueing delays" test_queueing_delays_later_requests;
           quick "crash fails requests" test_crash_fails_pending_and_future;
           quick "restart resumes" test_restart_resumes_service;
+          quick "held requests" test_held_requests;
+          quick "crash fails held requests" test_crash_fails_held;
         ] );
       ( "remote file service",
         [

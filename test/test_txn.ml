@@ -271,10 +271,14 @@ let test_single_part_fast_path () =
 (* A fully staged transaction and a plain optimistic update colliding:
    whoever commits second must lose, in this order the plain update —
    which finds the file in doubt, waits out the (already decided)
-   record, resolves it forward and then succeeds on the result. *)
+   record, resolves it forward and then succeeds on the result. The
+   last participant in capability order seals in the batch that carries
+   the decide and flips it, so only the other one is left in doubt. *)
 let test_reader_resolves_in_doubt () =
   in_cluster ~shards:2 (fun _cluster client ->
       let accts = setup_accounts client 2 100 in
+      let decided, staged = if Capability.compare accts.(0) accts.(1) > 0 then (0, 1) else (1, 0) in
+      let after_transfer i = if i = 0 then 70 else 130 in
       let record = ref None in
       let txn = Txn.create client in
       (match
@@ -284,8 +288,10 @@ let test_reader_resolves_in_doubt () =
        with
       | exception Txn.Crashed -> ()
       | _ -> Alcotest.fail "crash point never fired");
-      (* Both participants are staged and trapped. *)
-      (match CC.read_current client accts.(0) (P.of_list [ 0 ]) with
+      Alcotest.(check int) "flipped by the decide" (after_transfer decided)
+        (read_balance client accts.(decided));
+      (* The other participant is staged and trapped. *)
+      (match CC.read_current client accts.(staged) (P.of_list [ 0 ]) with
       | Error (Errors.Txn_in_doubt r) ->
           Alcotest.(check bool)
             "trap names the record" true
@@ -296,16 +302,17 @@ let test_reader_resolves_in_doubt () =
          the record says committed, so the resolver rolls forward and the
          transfer lands before its own update. *)
       let other = Txn.create ~pending_patience:0 client in
-      ok_txn (Txn.exec other [ { Txn.file = accts.(0); ops = [ credit 1 ] } ]);
-      Alcotest.(check int) "transfer rolled forward, then +1" 71
-        (read_balance client accts.(0));
-      Alcotest.(check int) "other participant swept separately" 1
-        (ok (Txn.sweep other (Array.to_list accts)));
-      Alcotest.(check int) "credited" 130 (read_balance client accts.(1)))
+      ok_txn (Txn.exec other [ { Txn.file = accts.(staged); ops = [ credit 1 ] } ]);
+      Alcotest.(check int) "transfer rolled forward, then +1" (after_transfer staged + 1)
+        (read_balance client accts.(staged));
+      Alcotest.(check int) "nothing else in doubt" 0
+        (ok (Txn.sweep other (Array.to_list accts))))
 
 (* A coordinator dying before the decide leaves a pending record; the
    sweep presumes it dead, force-aborts it, and rolls every participant
-   back — the transfer never happened. *)
+   back — the transfer never happened. The last participant's seal
+   carries the decide, so the coordinator dies with only the first
+   staged. *)
 let test_sweep_discards_undecided () =
   in_cluster ~shards:2 (fun _cluster client ->
       let accts = setup_accounts client 2 100 in
@@ -319,7 +326,7 @@ let test_sweep_discards_undecided () =
       | exception Txn.Crashed -> ()
       | _ -> Alcotest.fail "crash point never fired");
       let sweeper = Txn.create client in
-      Alcotest.(check int) "both participants resolved" 2
+      Alcotest.(check int) "the staged participant resolved" 1
         (ok (Txn.sweep sweeper (Array.to_list accts)));
       Alcotest.(check int) "rolled back" 100 (read_balance client accts.(0));
       Alcotest.(check int) "rolled back" 100 (read_balance client accts.(1));
@@ -332,12 +339,13 @@ let test_sweep_discards_undecided () =
             (ok (Txn.record_decision sweeper r ~seq) = Txn.Aborted))
 
 (* Crashing mid-flip: the decision stands, the remaining participant is
-   rolled forward by recovery. *)
+   rolled forward by recovery. The decide flipped the last participant,
+   so the first one's flip is the one the crash cuts off. *)
 let test_sweep_completes_decided () =
   in_cluster ~shards:2 (fun _cluster client ->
       let accts = setup_accounts client 2 100 in
       let txn = Txn.create client in
-      (match Txn.exec ~crash_at:(Txn.Mid_flip 1) txn (transfer accts 0 1 30) with
+      (match Txn.exec ~crash_at:(Txn.Mid_flip 0) txn (transfer accts 0 1 30) with
       | exception Txn.Crashed -> ()
       | _ -> Alcotest.fail "crash point never fired");
       let sweeper = Txn.create client in
@@ -570,7 +578,7 @@ let test_batch_on_tombstone_moved () =
 let created txn = Afs_util.Stats.Counter.get (Txn.counters txn) "txn.records_created"
 
 (* Sequential transfers through one coordinator keep reusing the record
-   on their first participant's shard: at most one file per shard, and
+   on their last participant's shard: at most one file per shard, and
    each outcome is exactly the committed outcome of its own seq until the
    next transaction on that record supersedes it. *)
 let test_records_reused () =
@@ -655,7 +663,7 @@ let test_collector_race () =
         List.iter (fun f -> ignore (spawn f : Proc.handle)) fs;
         join ()
       in
-      (* Two concurrent transfers with first participants on one shard
+      (* Two concurrent transfers with last participants on one shard
          leave two records in that shard's pool. *)
       concurrently
         [
@@ -665,7 +673,7 @@ let test_collector_race () =
       Alcotest.(check int) "two records created" 2 (created txn);
       let leaked = ref None in
       (match
-         Txn.exec ~crash_at:(Txn.Mid_flip 1)
+         Txn.exec ~crash_at:(Txn.Mid_flip 0)
            ~on_record:(fun r seq -> leaked := Some (r, seq))
            txn (transfer accts 0 1 30)
        with
@@ -751,7 +759,7 @@ let test_seal_in_doubt () =
           [ accts.(0); accts.(1) ]
       in
       Alcotest.(check int) "the orphan marker surfaced" 1 (List.length in_doubt);
-      (* Same first-participant shard: a pooled record would serve it. *)
+      (* Same last-participant shard: a pooled record would serve it. *)
       ok_txn (Txn.exec txn (transfer accts 2 3 7));
       Alcotest.(check int) "orphan swept" 1
         (ok (Txn.sweep (Txn.create client) (Array.to_list accts)));
@@ -821,6 +829,218 @@ let test_trace_oracle () =
   Alcotest.(check string) "seed 11 deterministic"
     (render (trace_one_run 11))
     (render (trace_one_run 11))
+
+(* {2 Waiting at the record}
+
+   A waiter learns a pending record's outcome from one [Await], which
+   the record's shard holds until the record commits or the budget runs
+   out. *)
+
+let pending0 = Txnmark.encode_outcome ~seq:0 ~committed:false
+let committed1 = Txnmark.encode_outcome ~seq:1 ~committed:true
+let aborted1 = Txnmark.encode_outcome ~seq:1 ~committed:false
+
+(* One request, answered by the decide 50 ms later, not by its budget. *)
+let test_await_answered_by_decide () =
+  in_sim (fun engine ->
+      let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
+      let client = CC.connect cluster in
+      let shard = Cluster.shard cluster 0 in
+      let record = ok (CC.create_file_on client shard ~data:pending0) in
+      let conn = Cluster.conn cluster 0 in
+      let served () = Afs_rpc.Remote.requests_served (Shard.host shard) in
+      let before = served () in
+      let spawn, join = Proc.joinable engine in
+      let answered = ref None in
+      ignore
+        (spawn (fun () ->
+             let root =
+               ok
+                 (Afs_rpc.Remote.await conn record ~until:[ committed1; aborted1 ]
+                    ~budget_ms:1000.0)
+             in
+             answered := Some (root, Engine.now engine))
+          : Proc.handle);
+      ignore
+        (spawn (fun () ->
+             Proc.delay 50.0;
+             match
+               Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Open record)
+                 [
+                   Afs_rpc.Remote.Guard_root pending0;
+                   Afs_rpc.Remote.Write (P.root, committed1);
+                   Afs_rpc.Remote.Commit;
+                 ]
+             with
+             | Ok (Afs_rpc.Remote.Ran _) -> ()
+             | _ -> Alcotest.fail "the decide did not commit")
+          : Proc.handle);
+      join ();
+      match !answered with
+      | None -> Alcotest.fail "the await never answered"
+      | Some (root, at) ->
+          Helpers.check_bytes "the decided outcome" (Bytes.to_string committed1) root;
+          Alcotest.(check bool) "answered by the decide, not the budget" true (at > 50.0 && at < 60.0);
+          Alcotest.(check int) "the await and the decide" 2 (served () - before))
+
+(* An await on an already decided record, or with no budget, answers at
+   once. *)
+let test_await_answers_decided_at_once () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let record = ok (CC.create_file_on client (Cluster.shard cluster 0) ~data:committed1) in
+      let conn = Cluster.conn cluster 0 in
+      Helpers.check_bytes "decided" (Bytes.to_string committed1)
+        (ok (Afs_rpc.Remote.await conn record ~until:[ committed1; aborted1 ] ~budget_ms:1000.0));
+      let pending = ok (CC.create_file_on client (Cluster.shard cluster 0) ~data:pending0) in
+      Helpers.check_bytes "no budget" (Bytes.to_string pending0)
+        (ok (Afs_rpc.Remote.await conn pending ~until:[ committed1; aborted1 ] ~budget_ms:0.0)))
+
+(* The staged participant of a coordinator that died before its decide,
+   and that coordinator's record and seq. *)
+let dead_coordinator client accts =
+  let record = ref None in
+  (match
+     Txn.exec ~crash_at:Txn.Before_decide
+       ~on_record:(fun r seq -> record := Some (r, seq))
+       (Txn.create client) (transfer accts 0 1 30)
+   with
+  | exception Txn.Crashed -> ()
+  | _ -> Alcotest.fail "crash point never fired");
+  let staged = if Capability.compare accts.(0) accts.(1) < 0 then 0 else 1 in
+  match !record with Some r -> (staged, r) | None -> Alcotest.fail "no record observed"
+
+(* A dead coordinator's record never commits: the await answers when its
+   budget runs out — 5 + 10 + 20 ms for patience 3 — and the waiter then
+   force-aborts, rolls the marker back itself when it meets it again,
+   and commits. *)
+let test_await_budget_force_aborts () =
+  in_sim (fun engine ->
+      let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
+      let client = CC.connect cluster in
+      let accts = setup_accounts client 2 100 in
+      let staged, (record, seq) = dead_coordinator client accts in
+      let waiter = Txn.create ~pending_patience:3 client in
+      let t0 = Engine.now engine in
+      ok_txn (Txn.exec waiter [ { Txn.file = accts.(staged); ops = [ credit 1 ] } ]);
+      let get = Afs_util.Stats.Counter.get (Txn.counters waiter) in
+      Alcotest.(check bool) "waited out the budget" true (Engine.now engine -. t0 >= 35.0);
+      Alcotest.(check int) "one record read" 1 (get "txn.record_reads");
+      Alcotest.(check int) "one force-abort" 1 (get "txn.force_aborts");
+      Alcotest.(check int) "rolled back by the waiter" 1 (get "txn.resolved.back");
+      Alcotest.(check bool)
+        "record aborted" true
+        (ok (Txn.record_decision waiter record ~seq) = Txn.Aborted);
+      Alcotest.(check int) "transfer undone, then +1" 101 (read_balance client accts.(staged)))
+
+(* The shard answers an opening that meets a marker with the marker's
+   image: no version is opened, so none is left to abort. *)
+let test_marked_open_opens_nothing () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let accts = setup_accounts client 2 100 in
+      let staged, _ = dead_coordinator client accts in
+      let file = accts.(staged) in
+      let _, shard = ok (Cluster.shard_of_cap cluster file) in
+      let conn = Cluster.conn cluster (Shard.id shard) in
+      let image =
+        match
+          Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Current file) [ Afs_rpc.Remote.Read P.root ]
+        with
+        | Ok (Afs_rpc.Remote.Ran { reads = [ root ]; _ }) -> root
+        | _ -> Alcotest.fail "the root did not read"
+      in
+      (match
+         Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Open file)
+           [ Afs_rpc.Remote.Read P.root; Afs_rpc.Remote.Read (P.of_list [ 0 ]) ]
+       with
+      | Ok (Afs_rpc.Remote.Marked m) -> Helpers.check_bytes "the marker image" (Bytes.to_string image) m
+      | Ok _ -> Alcotest.fail "a marked root opened"
+      | Error e -> Alcotest.failf "expected Marked, got %s" (Errors.to_string e));
+      Alcotest.(check int) "no version open" 0
+        (List.length (ok (Server.uncommitted_versions (Shard.server shard) file))))
+
+(* A shard crash fails an await it holds, as it fails queued requests,
+   and the restarted shard holds nothing: the commit that would have
+   answered it answers nobody. *)
+let test_crash_fails_await () =
+  in_sim (fun engine ->
+      let tr = Trace.ring ~now:(fun () -> Engine.now engine) () in
+      Engine.set_trace engine tr;
+      let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
+      let client = CC.connect cluster in
+      let shard = Cluster.shard cluster 0 in
+      let record = ok (CC.create_file_on client shard ~data:pending0) in
+      let conn = Cluster.conn cluster 0 in
+      Engine.at engine 10.0 (fun () -> Shard.crash shard);
+      (match
+         Afs_rpc.Remote.await conn record ~until:[ committed1; aborted1 ] ~budget_ms:1000.0
+       with
+      | Error (Errors.Store_failure _) -> ()
+      | Ok _ -> Alcotest.fail "a held await survived the crash"
+      | Error e -> Alcotest.failf "expected a transport failure, got %s" (Errors.to_string e));
+      ignore (ok (Shard.recover shard) : int);
+      (match
+         Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Open record)
+           [
+             Afs_rpc.Remote.Guard_root pending0;
+             Afs_rpc.Remote.Write (P.root, committed1);
+             Afs_rpc.Remote.Commit;
+           ]
+       with
+      | Ok (Afs_rpc.Remote.Ran _) -> ()
+      | _ -> Alcotest.fail "the decide did not commit");
+      Proc.delay 2000.0;
+      let awaits kind =
+        List.length
+          (List.filter
+             (function
+               | Trace.Point { payload = Trace.Rpc_recv { op = "await"; _ }; _ } -> kind = `Recv
+               | Trace.Point { payload = Trace.Rpc_timeout { op = "await"; _ }; _ } ->
+                   kind = `Timeout
+               | _ -> false)
+             (Trace.events tr))
+      in
+      Alcotest.(check int) "the await failed" 1 (awaits `Timeout);
+      Alcotest.(check int) "and was never answered" 0 (awaits `Recv))
+
+(* {2 Determinism}
+
+   The banking mix through [Sut.afs_txn], waiters parked at the records,
+   twice on one seed: the same stats, balances and sweep. *)
+let afs_txn_run seed =
+  let open Afs_workload in
+  let engine = Engine.create () in
+  let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
+  let tshape =
+    { Workload.bank_transfers with accounts = 8; objects = 0; shards = 2; move_ratio = 0.0 }
+  in
+  let files = ok (Workload.setup_accounts cluster tshape ~initial_balance:100) in
+  let client = CC.connect cluster in
+  let sut = Sut.afs_txn client ~files in
+  let config =
+    { Driver.default_config with clients = 8; duration_ms = 600.0; think_ms = 2.0; seed }
+  in
+  let report = Driver.run engine config sut ~gen:(Workload.transfer tshape) in
+  let swept = ref 0 in
+  ignore
+    (Proc.spawn engine (fun () -> swept := ok (Txn.sweep (Txn.create client) (Array.to_list files)))
+      : Proc.handle);
+  Engine.run engine;
+  let balances =
+    List.init tshape.Workload.accounts (fun i -> Bytes.to_string (sut.Sut.read_page i 0))
+  in
+  (report.Driver.committed, sut.Sut.stats (), balances, !swept)
+
+let test_afs_txn_deterministic () =
+  let committed, stats, balances, swept = afs_txn_run 5 in
+  Alcotest.(check bool) "committed some transfers" true (committed > 0);
+  Alcotest.(check bool) "some waiters waited" true (List.assoc_opt "txn.record_reads" stats <> None);
+  Alcotest.(check int) "conserved" 800
+    (List.fold_left (fun acc b -> acc + int_of_string (String.trim b)) 0 balances);
+  let committed', stats', balances', swept' = afs_txn_run 5 in
+  Alcotest.(check int) "committed" committed committed';
+  Alcotest.(check (list (pair string int))) "stats" stats stats';
+  Alcotest.(check (list string)) "balances" balances balances';
+  Alcotest.(check int) "swept" swept swept'
 
 (* {2 The 2PC baseline: Server.prepare / Server.decide} *)
 
@@ -1080,6 +1300,15 @@ let () =
           quick "stale resolver changes nothing" test_stale_resolver;
           quick "collector races a flip and a resolver" test_collector_race;
           quick "an in-doubt seal leaks its record" test_seal_in_doubt;
+        ] );
+      ( "park",
+        [
+          quick "an await is answered by the decide" test_await_answered_by_decide;
+          quick "a decided record answers at once" test_await_answers_decided_at_once;
+          quick "a dead coordinator is force-aborted" test_await_budget_force_aborts;
+          quick "a marked opening opens nothing" test_marked_open_opens_nothing;
+          quick "a shard crash fails a held await" test_crash_fails_await;
+          quick "afs_txn is deterministic per seed" test_afs_txn_deterministic;
         ] );
       ("trace", [ quick "decide/stage span oracle, deterministic" test_trace_oracle ]);
       ( "twopc",

@@ -190,7 +190,7 @@ let default_config =
         "Txn.resolve";
       ];
     moved_sources =
-      [ "Remote.create_version"; "Remote.current_version"; "Remote.batch" ];
+      [ "Remote.create_version"; "Remote.current_version"; "Remote.batch"; "Remote.await" ];
     y1_dirs =
       [
         "lib/core"; "lib/cluster"; "lib/rpc"; "lib/naming"; "lib/stable"; "lib/block";
