@@ -23,6 +23,17 @@ open Afs_workload
 
 let ok_str = function Ok v -> v | Error msg -> failwith msg
 
+(* The per-version calls over RPC, each one batch: an [Open] batch of no
+   steps opens a version, a [Version] batch runs steps on one. *)
+let open_version conn file =
+  match Remote.batch conn (Remote.Open file) [] with
+  | Ok (Remote.Ran { version; _ }) -> Ok version
+  | Ok (Remote.Guard_failed _ | Remote.Reopened _ | Remote.Marked _) ->
+      Error (Errors.Store_failure "unexpected batch answer")
+  | Error e -> Error e
+
+let on_version conn version steps = Result.map ignore (Remote.on_version conn version steps)
+
 (* {2 C1 — OCC vs locking vs timestamps} *)
 
 let c1_run_afs engine shape config =
@@ -154,18 +165,18 @@ let c2 () =
       Proc.spawn engine (fun () ->
           let f = ok (Remote.create_file conn (bytes "state")) in
           (* Update in flight at crash time. *)
-          let v = ok (Remote.create_version conn f) in
-          ok (Remote.write_page conn v P.root (bytes "halfway"));
+          let v = ok (open_version conn f) in
+          ok (on_version conn v [ Remote.Write (P.root, bytes "halfway") ]);
           let crash_at = Engine.now engine in
           Remote.crash_host host1;
           (* Client redoes on the surviving server. *)
-          (match Remote.commit conn v with
+          (match on_version conn v [ Remote.Commit ] with
           | Ok () -> ()
           | Error _ ->
               incr lost_work;
-              let v = ok (Remote.create_version conn f) in
-              ok (Remote.write_page conn v P.root (bytes "redone"));
-              ok (Remote.commit conn v));
+              let v = ok (open_version conn f) in
+              ok (on_version conn v [ Remote.Write (P.root, bytes "redone") ]);
+              ok (on_version conn v [ Remote.Commit ]));
           downtime := Engine.now engine -. crash_at)
     in
     Engine.run engine;
@@ -649,21 +660,22 @@ let c9 () =
           (fun npages ->
             (* A file of [npages] pages rewritten completely. *)
             let f = ok (Remote.create_file conn (bytes "seed")) in
-            let v0 = ok (Remote.create_version conn f) in
+            let v0 = ok (open_version conn f) in
             for i = 0 to npages - 2 do
-              ignore
-                (ok (Remote.insert_page conn v0 ~parent:P.root ~index:i ~data:(bytes "x")))
+              ok
+                (on_version conn v0
+                   [ Remote.Insert { parent = P.root; index = i; data = bytes "x" } ])
             done;
-            ok (Remote.commit conn v0);
+            ok (on_version conn v0 [ Remote.Commit ]);
             let t0 = Engine.now engine in
             let rounds = 10 in
             for _ = 1 to rounds do
-              let v = ok (Remote.create_version conn f) in
-              ok (Remote.write_page conn v P.root (bytes "rewrite"));
+              let v = ok (open_version conn f) in
+              ok (on_version conn v [ Remote.Write (P.root, bytes "rewrite") ]);
               for i = 0 to npages - 2 do
-                ok (Remote.write_page conn v (P.of_list [ i ]) (bytes "rewrite"))
+                ok (on_version conn v [ Remote.Write (P.of_list [ i ], bytes "rewrite") ])
               done;
-              ok (Remote.commit conn v)
+              ok (on_version conn v [ Remote.Commit ])
             done;
             let ms = (Engine.now engine -. t0) /. float_of_int rounds in
             results := (npages, ms) :: !results)

@@ -10,6 +10,15 @@ module CC = Afs_cluster.Cluster_client
 module Txnmark = Afs_cluster.Txnmark
 module Txn = Afs_txn.Txn
 module Faults = Afs_replica.Faults
+module Remote = Afs_rpc.Remote
+
+(* A page of the file's committed version: one [Current] batch, routed. *)
+let read_current client file path =
+  CC.routed client file (fun conn ~shard:_ file ->
+      match Remote.batch conn (Remote.Current file) [ Remote.Read path ] with
+      | Ok (Remote.Ran { reads = [ data ]; _ }) -> Ok data
+      | Ok _ -> Error (Afs_core.Errors.Store_failure "unexpected batch answer")
+      | Error e -> Error e)
 
 (* S2 — the banking mix over four shards: the OCC coordinator against the
    2PC prepare/decide baseline at identical load, anchored by the same
@@ -153,14 +162,20 @@ let s2 () =
         let accts =
           Array.init naccts (fun i ->
               let f = ok (CC.create_file ~data:(bytes (Printf.sprintf "a%d" i)) client) in
-              ok
-                (CC.update client f (fun txn ->
-                     let open Afs_core.Errors in
-                     let* _ =
-                       CC.Txn.insert txn ~parent:Afs_util.Pagepath.root ~index:0
-                         ~data:(bytes (string_of_int init)) ()
-                     in
-                     Ok ()));
+              (* Open, insert the balance page, commit: a message each. *)
+              ignore
+                (ok
+                   (CC.routed client f (fun conn ~shard:_ f ->
+                        let open Afs_core.Errors in
+                        let* v = Shard.open_version conn f in
+                        let insert =
+                          Remote.Insert
+                            { parent = Afs_util.Pagepath.root; index = 0;
+                              data = bytes (string_of_int init) }
+                        in
+                        let* _ = Remote.batch conn (Remote.Version v) [ insert ] in
+                        Remote.batch conn (Remote.Version v) [ Remote.Commit ]))
+                  : Remote.batch_answer);
               f)
         in
         let faults = Faults.create engine in
@@ -229,12 +244,12 @@ let s2 () =
           !uncertain;
         Array.iteri
           (fun i f ->
-            let root = ok (CC.read_current client f Afs_util.Pagepath.root) in
+            let root = ok (read_current client f Afs_util.Pagepath.root) in
             if Txnmark.is_marker root then incr violations;
             let got =
               int_of_string
                 (Bytes.to_string
-                   (ok (CC.read_current client f (Afs_util.Pagepath.of_list [ 0 ]))))
+                   (ok (read_current client f (Afs_util.Pagepath.of_list [ 0 ]))))
             in
             if got <> init + deltas.(i) then incr violations)
           accts)

@@ -6,6 +6,16 @@ open Errors
 
 type node = { data : bytes; children : node list }
 
+let unexpected = Error (Errors.Store_failure "migrate: unexpected batch answer")
+
+(* Every step of the walk and the flip is one [Version] batch of one
+   step on the version. *)
+let apply conn version s = Result.map ignore (Remote.on_version conn version [ s ])
+
+(* The abort's answer is never a forward to chase ([Remote.on_version]). *)
+let abandon conn version =
+  match Remote.on_version conn version [ Remote.Abort ] with Ok _ | Error _ -> ()
+
 (* Read the whole tree through the migration's own private version. The
    snapshot is internally consistent because the version is a
    copy-on-write view; it is kept *fresh* by the flip commit below — every
@@ -13,20 +23,23 @@ type node = { data : bytes; children : node list }
    commits between this walk and the flip makes the flip's commit fail the
    serialisability test and the migration redo from scratch. *)
 let rec snapshot conn version path =
-  let* data = Remote.read_page conn version path in
-  let* nrefs, _ = Remote.page_info conn version path in
-  let rec kids i acc =
-    if i >= nrefs then Ok (List.rev acc)
-    else
-      let* k = snapshot conn version (Pagepath.child path i) in
-      kids (i + 1) (k :: acc)
-  in
-  let* children = kids 0 [] in
-  Ok { data; children }
+  let* reads, _ = Remote.on_version conn version [ Remote.Read path ] in
+  let* _, infos = Remote.on_version conn version [ Remote.Info path ] in
+  match (reads, infos) with
+  | [ data ], [ (nrefs, _) ] ->
+      let rec kids i acc =
+        if i >= nrefs then Ok (List.rev acc)
+        else
+          let* k = snapshot conn version (Pagepath.child path i) in
+          kids (i + 1) (k :: acc)
+      in
+      let* children = kids 0 [] in
+      Ok { data; children }
+  | _ -> unexpected
 
 let rec plant conn version ~parent ~index node =
-  let* path = Remote.insert_page conn version ~parent ~index ~data:node.data in
-  plant_all conn version path 0 node.children
+  let* () = apply conn version (Remote.Insert { parent; index; data = node.data }) in
+  plant_all conn version (Pagepath.child parent index) 0 node.children
 
 and plant_all conn version parent i = function
   | [] -> Ok ()
@@ -38,15 +51,15 @@ and plant_all conn version parent i = function
    (a purely local, conflict-free commit: nobody else knows the file). *)
 let copy_to conn tree =
   let* nf = Remote.create_file conn tree.data in
-  let* nv = Remote.create_version conn nf in
+  let* nv = Shard.open_version conn nf in
   let* () = plant_all conn nv Pagepath.root 0 tree.children in
-  let* () = Remote.commit conn nv in
+  let* () = apply conn nv Remote.Commit in
   Ok nf
 
 let rec remove_children conn v i =
   if i < 0 then Ok ()
   else
-    let* () = Remote.remove_page conn v ~parent:Pagepath.root ~index:i in
+    let* () = apply conn v (Remote.Remove { parent = Pagepath.root; index = i }) in
     remove_children conn v (i - 1)
 
 (* The flip: turn the source copy into a tombstone, in the same version
@@ -62,7 +75,7 @@ let rec remove_children conn v i =
      insert+remove forces the M when there are none) and writes the marker
      (W on the root), so an update that commits *after* the flip fails its
      own test: its version carries R on the root (recorded by the shard's
-     location check at create_version) against the flip's W, and C entries
+     location check when it opened) against the flip's W, and C entries
      at the root against the flip's M.
    Losing either race only costs a redo; committed data can never end up
    stranded behind a committed marker. *)
@@ -70,14 +83,14 @@ let flip conn v tree target =
   let* () =
     match List.length tree.children with
     | 0 ->
-        let* _ =
-          Remote.insert_page conn v ~parent:Pagepath.root ~index:0 ~data:Bytes.empty
+        let* () =
+          apply conn v (Remote.Insert { parent = Pagepath.root; index = 0; data = Bytes.empty })
         in
-        Remote.remove_page conn v ~parent:Pagepath.root ~index:0
+        apply conn v (Remote.Remove { parent = Pagepath.root; index = 0 })
     | n -> remove_children conn v (n - 1)
   in
-  let* () = Remote.write_page conn v Pagepath.root (Forward.encode target) in
-  Remote.commit conn v
+  let* () = apply conn v (Remote.Write (Pagepath.root, Forward.encode target)) in
+  apply conn v Remote.Commit
 
 let migrate ?(retries = 8) cluster ~file ~dst =
   let counters = Cluster.counters cluster in
@@ -93,7 +106,7 @@ let migrate ?(retries = 8) cluster ~file ~dst =
         let retry n file fallback =
           if n < retries then attempt (n + 1) file else fallback
         in
-        match Remote.create_version src file with
+        match Shard.open_version src file with
         | Error (Errors.Moved target) ->
             Router.note_forward (Cluster.router cluster) ~old:file target;
             retry n target (Error Errors.Conflict)
@@ -101,12 +114,12 @@ let migrate ?(retries = 8) cluster ~file ~dst =
         | Ok v -> (
             match snapshot src v Pagepath.root with
             | Error e ->
-                ignore (Remote.abort_version src v);
+                abandon src v;
                 Error e
             | Ok tree -> (
                 match copy_to dstc tree with
                 | Error e ->
-                    ignore (Remote.abort_version src v);
+                    abandon src v;
                     Error e
                 | Ok nf -> (
                     match flip src v tree nf with
@@ -126,7 +139,7 @@ let migrate ?(retries = 8) cluster ~file ~dst =
                         retry n file (Error Errors.Conflict)
                     | Error e ->
                         ignore (Remote.destroy_file dstc nf);
-                        ignore (Remote.abort_version src v);
+                        abandon src v;
                         Error e)))
     in
     attempt 0 file

@@ -34,18 +34,6 @@ let root_marker server file =
 let moved_target server file =
   match root_marker server file with Forwarded target -> Some target | In_doubt _ | Plain -> None
 
-(* Record R on the fresh version's root: the location check becomes part
-   of every cluster transaction's read set, so a committed root write —
-   a migration flip or a transaction stage, both of which replace the
-   root — conflicts with every version opened before it, in both commit
-   orders. *)
-let with_root_read server (resp : Remote.response) =
-  match resp with
-  | Ok (Remote.Cap version) as ok ->
-      ignore (Server.read_page server version Pagepath.root);
-      ok
-  | other -> other
-
 (* How an [Open] batch begins: by reading the root — an opening, which
    a marker turns away — or by guarding it — a resolution, which expects
    one. Any other [Open] batch is refused. *)
@@ -57,21 +45,11 @@ let opening : Remote.step list -> opening = function
   | _ -> Refused
 
 (* The wrapper runs atomically inside the host's single simulated event,
-   so the marker checks, the version creation and the root touch are
+   so the marker checks, the version creation and the root read are
    indivisible: no commit (in particular no migration flip and no
    transaction stage) can slip between them. *)
 let location_check server base (req : Remote.request) : Remote.response =
   match req with
-  | Remote.Current_version file -> (
-      match root_marker server file with
-      | Forwarded target -> Error (Errors.Moved target)
-      | In_doubt { record; _ } -> Error (Errors.Txn_in_doubt record)
-      | Plain -> base req)
-  | Remote.Create_version file -> (
-      match root_marker server file with
-      | Forwarded target -> Error (Errors.Moved target)
-      | In_doubt { record; _ } -> Error (Errors.Txn_in_doubt record)
-      | Plain -> with_root_read server (base req))
   | Remote.Batch { target = Remote.Open file; steps } -> (
       (* An [Open] batch must read or guard the root first, which puts
          the R-on-root fence in its own read set. One that reads it is an
@@ -91,6 +69,17 @@ let location_check server base (req : Remote.request) : Remote.response =
       | Some target -> Error (Errors.Moved target)
       | None -> base req)
   | _ -> base req
+
+let open_version conn file =
+  match Remote.batch conn (Remote.Open file) [ Remote.Read Pagepath.root ] with
+  | Ok (Remote.Ran { version; _ }) -> Ok version
+  | Ok (Remote.Marked image) -> (
+      match Txnmark.record_of image with
+      | Some record -> Error (Errors.Txn_in_doubt record)
+      | None -> Error (Errors.Store_failure "shard: a marker without a record"))
+  | Ok (Remote.Guard_failed _ | Remote.Reopened _) ->
+      Error (Errors.Store_failure "shard: an opening answered a resolution")
+  | Error e -> Error e
 
 let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?store ?publish_tap ?trace
     engine ~id ~seed =

@@ -5,24 +5,22 @@
     The wrap does two things, both inside the host's single simulated
     event (so they are indivisible from the request they decorate):
 
-    - [Current_version] / [Create_version] on a file whose current root
-      is a forward marker answer [Moved target] instead of serving the
-      tombstone, and on a transaction marker ({!Txnmark}) answer
-      [Txn_in_doubt record] instead of exposing staged state. An [Open]
-      [Batch] that begins by reading a marked root answers [Marked] with
-      the marker's image and opens nothing; one that guards the root
-      passes, as do [Current] batches and [Await]s — batches {e are} the
-      resolution — but all of them still honour tombstones. A [Version]
-      batch is never checked, but its [Redo] is, being an [Open] batch
-      the host sends through this same wrapper;
-    - after a successful [Create_version] it reads the new version's
-      root, recording [R] there, and an [Open] batch must itself begin
-      by reading the root ([Read] of the root or [Guard_root]; other
-      [Open] batches are refused). That makes the location check part of
-      every cluster transaction's read set: a migration
-      flip and a transaction stage both write the root, so their commits
-      conflict with every version opened before them — the invariant
-      {!Migration} and lib/txn rely on.
+    - an [Open] [Batch] on a file whose current root is a forward
+      marker answers [Moved target] instead of serving the tombstone;
+      one that begins by reading a root that holds a transaction marker
+      ({!Txnmark}) answers [Marked] with the marker's image and opens
+      nothing. One that guards the root passes the in-doubt trap, as do
+      [Current] batches and [Await]s — batches {e are} the resolution —
+      but all of them still honour tombstones. A [Version] batch is never
+      checked, but its [Redo] is, being an [Open] batch the host sends
+      through this same wrapper;
+    - an [Open] batch must begin by reading the root ([Read] of the root
+      or [Guard_root]; other [Open] batches are refused), which records
+      [R] there. That makes the location check part of every cluster
+      transaction's read set: a migration flip and a transaction stage
+      both write the root, so their commits conflict with every version
+      opened before them — the invariant {!Migration} and lib/txn rely
+      on.
 
     Every other request passes through untouched, which is why a
     single-shard cluster is outcome-identical to a bare server for
@@ -78,6 +76,14 @@ val crash : t -> unit
 val recover : t -> int Afs_core.Errors.r
 (** Restart the endpoint and rebuild the file table from the store's
     blocks (paper §4 recovery); returns the number of files recovered. *)
+
+val open_version :
+  Afs_rpc.Remote.conn -> Afs_util.Capability.t -> Afs_util.Capability.t Afs_core.Errors.r
+(** Open a version of a file on the shard behind [conn] with the [Open]
+    batch the location check asks for, one [Read] of the root, so the
+    version carries [R] there. A forward marker answers [Moved]; a
+    transaction marker answers [Txn_in_doubt] with its record. Must run
+    inside a simulation process. *)
 
 val moved_target : Afs_core.Server.t -> Afs_util.Capability.t -> Afs_util.Capability.t option
 (** [Some cap] iff the file's current committed root is a forward marker

@@ -1,7 +1,6 @@
 module Capability = Afs_util.Capability
 module Pagepath = Afs_util.Pagepath
 module Server = Afs_core.Server
-module Cache = Afs_core.Cache
 module Errors = Afs_core.Errors
 
 (* A batch is a short program of existing calls, run against one version
@@ -11,24 +10,18 @@ type target = Open of Capability.t | Current of Capability.t | Version of Capabi
 type step =
   | Read of Pagepath.t
   | Write of Pagepath.t * bytes
+  | Insert of { parent : Pagepath.t; index : int; data : bytes }
+  | Remove of { parent : Pagepath.t; index : int }
+  | Info of Pagepath.t
   | Guard_root of bytes
   | Commit
+  | Abort
   | Redo of Capability.t * Pagepath.t list
   | Swap of { file : Capability.t; expected : bytes; writes : (Pagepath.t * bytes) list }
 
 type request =
   | Create_file of bytes
-  | Current_version of Capability.t
-  | Create_version of Capability.t
-  | Read_page of Capability.t * Pagepath.t
-  | Write_page of Capability.t * Pagepath.t * bytes
-  | Insert_page of { version : Capability.t; parent : Pagepath.t; index : int; data : bytes }
-  | Remove_page of { version : Capability.t; parent : Pagepath.t; index : int }
-  | Page_info of Capability.t * Pagepath.t
-  | Commit of Capability.t
-  | Abort_version of Capability.t
   | Destroy_file of Capability.t
-  | Validate_cache of { file : Capability.t; basis_block : int }
   | Batch of { target : target; steps : step list }
   | Await of { file : Capability.t; until : bytes list; budget_ms : float }
   (* Prepare/Decide drive the server's two-phase-commit baseline. *)
@@ -41,7 +34,7 @@ type request =
   | Replica_watermark
 
 type batch_answer =
-  | Ran of { version : Capability.t; reads : bytes list }
+  | Ran of { version : Capability.t; reads : bytes list; infos : (int * int) list }
   | Guard_failed of bytes
   | Reopened of { version : Capability.t; reads : bytes list }
   | Marked of bytes
@@ -51,9 +44,6 @@ type value =
   | Data of bytes
   | Batched of batch_answer
   | Unit
-  | Path of Pagepath.t
-  | Info of { nrefs : int; dsize : int }
-  | Validation of Cache.validation
   | Watermark of { epoch : int; shipped : int; applied : int }
 
 type response = (value, Errors.t) result
@@ -62,17 +52,6 @@ let message_cap = 32_768
 
 let too_large bytes = Error (Errors.Message_too_large { bytes; limit = message_cap })
 
-(* Run a batch's steps in order against its version, stopping at the
-   first error or failed guard. Each step is the ordinary call with its
-   ordinary validation, so a [Current] batch is read-only because the
-   server refuses writes to committed versions. A version the batch opened
-   itself must not outlive a failed batch — the client never learns its
-   capability — so an error or a failed guard abandons it; aborting a
-   version the [Commit] step already removed is a harmless no-op. Both
-   messages obey the 32K cap: a request whose write data exceeds it is
-   refused before it runs, and a batch stops at the read that takes its
-   reply past it. A final [Commit] that loses validation hands a trailing
-   [Redo] to [reopen], which opens the next attempt. *)
 (* A [Swap] step: on a fresh version of [file], iff the root is
    [expected], apply [writes] and commit; otherwise answer the root.
    Either way no version of it is left open. *)
@@ -101,8 +80,20 @@ let swap server file ~expected writes =
 let step_bytes = function
   | Write (_, data) -> Bytes.length data
   | Swap { writes; _ } -> List.fold_left (fun n (_, data) -> n + Bytes.length data) 0 writes
-  | Read _ | Guard_root _ | Commit | Redo _ -> 0
+  | Insert { data; _ } -> Bytes.length data
+  | Read _ | Remove _ | Info _ | Guard_root _ | Commit | Abort | Redo _ -> 0
 
+(* Run a batch's steps in order against its version, stopping at the
+   first error or failed guard. Each step is the ordinary call with its
+   ordinary validation, so a [Current] batch is read-only because the
+   server refuses writes to committed versions. A version the batch opened
+   itself must not outlive a failed batch — the client never learns its
+   capability — so an error or a failed guard abandons it; aborting a
+   version the [Commit] step already removed is a harmless no-op. Both
+   messages obey the 32K cap: a request whose write data exceeds it is
+   refused before it runs, and a batch stops at the read that takes its
+   reply past it. A final [Commit] that loses validation hands a trailing
+   [Redo] to [reopen], which opens the next attempt. *)
 let run_batch ~reopen server target steps =
   let open Errors in
   let written = List.fold_left (fun n step -> n + step_bytes step) 0 steps in
@@ -116,34 +107,46 @@ let run_batch ~reopen server target steps =
     in
     (* The reply so far is summed afresh at each read (batches are
        short), so no step's continuation carries a running total. *)
-    let rec run reads : step list -> batch_answer r = function
-      | [] -> Ok (Ran { version; reads = List.rev reads })
+    let rec run reads infos : step list -> batch_answer r = function
+      | [] -> Ok (Ran { version; reads = List.rev reads; infos = List.rev infos })
       | Read path :: rest ->
           let* data = Server.read_page server version path in
           let replied = List.fold_left (fun n d -> n + Bytes.length d) (Bytes.length data) reads in
-          if replied > message_cap then too_large replied else run (data :: reads) rest
+          if replied > message_cap then too_large replied else run (data :: reads) infos rest
       | Write (path, data) :: rest ->
           let* () = Server.write_page server version path data in
-          run reads rest
+          run reads infos rest
+      | Insert { parent; index; data } :: rest ->
+          let* _ = Server.insert_page server version ~parent ~index ~data () in
+          run reads infos rest
+      | Remove { parent; index } :: rest ->
+          let* () = Server.remove_page server version ~parent ~index in
+          run reads infos rest
+      | Info path :: rest ->
+          let* i = Server.page_info server version path in
+          run reads ((i.Server.nrefs, i.Server.dsize) :: infos) rest
       | Guard_root expected :: rest ->
           let* root = Server.read_page server version Pagepath.root in
-          if Bytes.equal root expected then run reads rest else Ok (Guard_failed root)
+          if Bytes.equal root expected then run reads infos rest else Ok (Guard_failed root)
       | [ Commit; Redo (file, paths) ] -> (
           match Server.commit server version with
-          | Ok () -> run reads []
+          | Ok () -> run reads infos []
           | Error Conflict -> reopen file paths
           | Error e -> Error e)
       | Commit :: rest ->
           let* () = Server.commit server version in
-          run reads rest
+          run reads infos rest
+      | Abort :: rest ->
+          let* () = Server.abort_version server version in
+          run reads infos rest
       | Redo _ :: _ -> Error (Store_failure "rpc: Redo must follow the final Commit")
       | Swap { file; expected; writes } :: rest -> (
           match swap server file ~expected writes with
-          | Ok None -> run reads rest
+          | Ok None -> run reads infos rest
           | Ok (Some root) -> Ok (Guard_failed root)
           | Error e -> Error e)
     in
-    let answer = run [] steps in
+    let answer = run [] [] steps in
     (match (target, answer) with
     | Open _, (Error _ | Ok (Guard_failed _)) ->
         ignore (Server.abort_version server version : unit r)
@@ -156,7 +159,7 @@ let run_batch ~reopen server target steps =
    the cap is a plain [Conflict], the refused batch having abandoned its
    version, so the client's next attempt splits its reads as usual. *)
 let reopened : response -> batch_answer Errors.r = function
-  | Ok (Batched (Ran { version; reads })) -> Ok (Reopened { version; reads })
+  | Ok (Batched (Ran { version; reads; _ })) -> Ok (Reopened { version; reads })
   | Ok (Batched (Marked _ as marked)) -> Ok marked
   | Error (Errors.Message_too_large _) -> Error Errors.Conflict
   | Error e -> Error e
@@ -169,25 +172,7 @@ let current_root server file =
 
 let handle ~reopen server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
-  | Current_version file -> Result.map (fun c -> Cap c) (Server.current_version server file)
-  | Create_version file -> Result.map (fun c -> Cap c) (Server.create_version server file)
-  | Read_page (version, path) ->
-      Result.map (fun d -> Data d) (Server.read_page server version path)
-  | Write_page (version, path, data) ->
-      Result.map (fun () -> Unit) (Server.write_page server version path data)
-  | Insert_page { version; parent; index; data } ->
-      Result.map (fun p -> Path p) (Server.insert_page server version ~parent ~index ~data ())
-  | Remove_page { version; parent; index } ->
-      Result.map (fun () -> Unit) (Server.remove_page server version ~parent ~index)
-  | Page_info (version, path) ->
-      Result.map
-        (fun (i : Server.page_info) -> Info { nrefs = i.Server.nrefs; dsize = i.Server.dsize })
-        (Server.page_info server version path)
-  | Commit version -> Result.map (fun () -> Unit) (Server.commit server version)
-  | Abort_version version -> Result.map (fun () -> Unit) (Server.abort_version server version)
   | Destroy_file file -> Result.map (fun () -> Unit) (Server.destroy_file server file)
-  | Validate_cache { file; basis_block } ->
-      Result.map (fun v -> Validation v) (Cache.server_validate server ~file ~basis_block)
   | Batch { target; steps } ->
       Result.map (fun a -> Batched a) (run_batch ~reopen server target steps)
   | Await { file; _ } -> Result.map (fun d -> Data d) (current_root server file)
@@ -199,17 +184,7 @@ let handle ~reopen server : request -> response = function
 
 let request_kind : request -> string = function
   | Create_file _ -> "create_file"
-  | Current_version _ -> "current_version"
-  | Create_version _ -> "create_version"
-  | Read_page _ -> "read_page"
-  | Write_page _ -> "write_page"
-  | Insert_page _ -> "insert_page"
-  | Remove_page _ -> "remove_page"
-  | Page_info _ -> "page_info"
-  | Commit _ -> "commit"
-  | Abort_version _ -> "abort_version"
   | Destroy_file _ -> "destroy_file"
-  | Validate_cache _ -> "validate_cache"
   | Batch _ -> "batch"
   | Await _ -> "await"
   | Prepare _ -> "prepare"
@@ -224,15 +199,14 @@ type host = {
   redos : int ref;  (** Conflicted commits answered with a reopened version. *)
 }
 
-(* A request the group-commit batcher takes: its version and — for a
-   [Version] batch, as opposed to a bare Commit — the steps that run
-   before its commit and its redo, if any. *)
+(* A request the group-commit batcher takes: a [Version] batch whose
+   last step is [Commit], or [Commit] then [Redo] — its version, the
+   steps that run before its commit, and its redo, if any. *)
 let commit_member = function
-  | Commit version -> Some (version, None)
   | Batch { target = Version version; steps } ->
       let rec before acc : step list -> _ = function
-        | [ Commit ] -> Some (version, Some (List.rev acc, None))
-        | [ Commit; Redo (file, paths) ] -> Some (version, Some (List.rev acc, Some (file, paths)))
+        | [ Commit ] -> Some (version, List.rev acc, None)
+        | [ Commit; Redo (file, paths) ] -> Some (version, List.rev acc, Some (file, paths))
         | [] | Redo _ :: _ -> None
         | step :: rest -> before (step :: acc) rest
       in
@@ -250,11 +224,9 @@ let group_commit_batch ~reopen server reqs =
       (fun req ->
         match commit_member req with
         | None -> Error (Error (Errors.Store_failure "rpc: not a commit"))
-        | Some (version, None) -> Ok (version, None, fun () -> Unit)
-        | Some (version, Some (steps, redo)) -> (
+        | Some (version, steps, redo) -> (
             match run_batch ~reopen server (Version version) steps with
-            | Ok (Ran { reads; _ }) ->
-                Ok (version, redo, fun () -> Batched (Ran { version; reads }))
+            | Ok (Ran _ as ran) -> Ok (version, redo, Batched ran)
             | Ok (Guard_failed _ | Reopened _ | Marked _) as answered ->
                 Error (Result.map (fun a -> Batched a) answered)
             | Error e -> Error (Error e)))
@@ -271,7 +243,7 @@ let group_commit_batch ~reopen server reqs =
          | Error answered, _ -> (outcomes, answered)
          | Ok (_, Some (file, paths), _), Error Errors.Conflict :: rest ->
              (rest, Result.map (fun a -> Batched a) (reopen file paths))
-         | Ok (_, _, answer), outcome :: rest -> (rest, Result.map answer outcome)
+         | Ok (_, _, answer), outcome :: rest -> (rest, Result.map (fun () -> answer) outcome)
          | Ok _, [] -> ([], Error (Errors.Store_failure "rpc: commit run lost a member")))
        outcomes members)
 
@@ -341,10 +313,10 @@ let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name serv
     answer
   in
   (* The group-commit window turns into an RPC batcher: queued commits —
-     a bare Commit, or a [Version] batch whose last step is Commit,
-     optionally followed by its Redo — drain together and run through
+     [Version] batches whose last step is Commit, optionally followed by
+     its Redo — drain together and run through
      one [Server.commit_batch] pipeline, paying the request overheads
-     and the stable-storage publish leg once per batch. Both carry their
+     and the stable-storage publish leg once per batch. They carry their
      own version, so they need none of [wrap]'s routing checks (shard
      wrappers pass them through untouched); a redo takes them all. *)
   let batching =
@@ -390,11 +362,8 @@ let connect ?(balance = false) hosts =
    write-back cache holds the uncommitted pages until the commit-time
    flush. *)
 let rotates_boundary = function
-  | Create_file _ | Create_version _ | Current_version _
-  | Batch { target = Open _ | Current _; _ } ->
-      true
-  | Read_page _ | Write_page _ | Insert_page _ | Remove_page _ | Page_info _ | Commit _
-  | Abort_version _ | Destroy_file _ | Validate_cache _
+  | Create_file _ | Batch { target = Open _ | Current _; _ } -> true
+  | Destroy_file _
   | Batch { target = Version _; _ }
   | Await _ | Prepare _ | Decide _ | Ship _ | Promote _ | Replica_watermark ->
       false
@@ -426,44 +395,20 @@ let type_error = Error (Errors.Store_failure "rpc: response type mismatch")
 let as_cap = function Ok (Cap c) -> Ok c | Ok _ -> type_error | Error e -> Error e
 let as_data = function Ok (Data d) -> Ok d | Ok _ -> type_error | Error e -> Error e
 let as_unit = function Ok Unit -> Ok () | Ok _ -> type_error | Error e -> Error e
-let as_path = function Ok (Path p) -> Ok p | Ok _ -> type_error | Error e -> Error e
-
-let as_validation = function
-  | Ok (Validation v) -> Ok v
-  | Ok _ -> type_error
-  | Error e -> Error e
 
 let create_file conn data = as_cap (call conn (Create_file data))
-let current_version conn file = as_cap (call conn (Current_version file))
-
-let create_version conn file = as_cap (call conn (Create_version file))
-
-let read_page conn version path = as_data (call conn (Read_page (version, path)))
-let write_page conn version path data = as_unit (call conn (Write_page (version, path, data)))
-
-let insert_page conn version ~parent ~index ~data =
-  as_path (call conn (Insert_page { version; parent; index; data }))
-
-let remove_page conn version ~parent ~index =
-  as_unit (call conn (Remove_page { version; parent; index }))
-
-let page_info conn version path =
-  match call conn (Page_info (version, path)) with
-  | Ok (Info { nrefs; dsize }) -> Ok (nrefs, dsize)
-  | Ok _ -> type_error
-  | Error e -> Error e
-
-let commit conn version = as_unit (call conn (Commit version))
-let abort_version conn version = as_unit (call conn (Abort_version version))
 let destroy_file conn file = as_unit (call conn (Destroy_file file))
-
-let validate_cache conn ~file ~basis_block =
-  as_validation (call conn (Validate_cache { file; basis_block }))
 
 let batch conn target steps =
   match call conn (Batch { target; steps }) with
   | Ok (Batched answer) -> Ok answer
   | Ok _ -> type_error
+  | Error e -> Error e
+
+let on_version conn version steps =
+  match batch conn (Version version) steps with
+  | Ok (Ran { reads; infos; _ }) -> Ok (reads, infos)
+  | Ok (Guard_failed _ | Reopened _ | Marked _) -> type_error
   | Error e -> Error e
 
 let await conn file ~until ~budget_ms = as_data (call conn (Await { file; until; budget_ms }))

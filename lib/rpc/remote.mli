@@ -9,7 +9,10 @@
 
 (** The version a batch runs against. *)
 type target =
-  | Open of Afs_util.Capability.t  (** A fresh version of the file. *)
+  | Open of Afs_util.Capability.t
+      (** A fresh version of the file: {!Afs_core.Server.create_version}
+          with no soft-lock hints, which stay server-side (§5.3:
+          {!Afs_core.Client.update}, {!Afs_core.Superfile}). *)
   | Current of Afs_util.Capability.t
       (** The file's committed version: read-only, because the server
           refuses writes and commits on committed versions. *)
@@ -17,12 +20,22 @@ type target =
 
 (** One step of a batch: an existing call on the batch's version. *)
 type step =
-  | Read of Afs_util.Pagepath.t  (** [Read_page]; its data joins the answer. *)
-  | Write of Afs_util.Pagepath.t * bytes  (** [Write_page]. *)
+  | Read of Afs_util.Pagepath.t
+      (** {!Afs_core.Server.read_page}; its data joins the answer's [reads]. *)
+  | Write of Afs_util.Pagepath.t * bytes  (** {!Afs_core.Server.write_page}. *)
+  | Insert of { parent : Afs_util.Pagepath.t; index : int; data : bytes }
+      (** {!Afs_core.Server.insert_page}: the new page is
+          [Pagepath.child parent index]. *)
+  | Remove of { parent : Afs_util.Pagepath.t; index : int }
+      (** {!Afs_core.Server.remove_page}. *)
+  | Info of Afs_util.Pagepath.t
+      (** {!Afs_core.Server.page_info}: the page's [(nrefs, dsize)] joins
+          the answer's [infos] — structure discovery that records no
+          access flags. *)
   | Guard_root of bytes
-      (** Read the root ([Read_page] of {!Afs_util.Pagepath.root}) and go on
-          only if it equals these bytes. *)
-  | Commit  (** The ordinary optimistic [Commit]. *)
+      (** Read the root and go on only if it equals these bytes. *)
+  | Commit  (** The ordinary optimistic {!Afs_core.Server.commit}. *)
+  | Abort  (** {!Afs_core.Server.abort_version}. *)
   | Redo of Afs_util.Capability.t * Afs_util.Pagepath.t list
       (** Allowed only right after the batch's final [Commit]: if that
           commit loses validation, open the file afresh with the [Open]
@@ -42,27 +55,9 @@ type step =
 
 type request =
   | Create_file of bytes
-  | Current_version of Afs_util.Capability.t
-  | Create_version of Afs_util.Capability.t
-      (** {!Afs_core.Server.create_version} with no soft-lock hints: the
-          §5.3 hint options stay server-side ({!Afs_core.Client.update},
-          {!Afs_core.Superfile}). *)
-  | Read_page of Afs_util.Capability.t * Afs_util.Pagepath.t
-  | Write_page of Afs_util.Capability.t * Afs_util.Pagepath.t * bytes
-  | Insert_page of {
-      version : Afs_util.Capability.t;
-      parent : Afs_util.Pagepath.t;
-      index : int;
-      data : bytes;
-    }
-  | Remove_page of { version : Afs_util.Capability.t; parent : Afs_util.Pagepath.t; index : int }
-  | Page_info of Afs_util.Capability.t * Afs_util.Pagepath.t
-  | Commit of Afs_util.Capability.t
-  | Abort_version of Afs_util.Capability.t
   | Destroy_file of Afs_util.Capability.t
-  | Validate_cache of { file : Afs_util.Capability.t; basis_block : int }
   | Batch of { target : target; steps : step list }
-      (** A short program of the calls above, run atomically in one
+      (** A short program of version operations, run atomically in one
           handler event against one version (see {!batch}). *)
   | Await of { file : Afs_util.Capability.t; until : bytes list; budget_ms : float }
       (** The root data of the file's committed version, held by the
@@ -85,9 +80,9 @@ val request_kind : request -> string
 (** Short operation name, used as the [op] label in RPC trace events. *)
 
 type batch_answer =
-  | Ran of { version : Afs_util.Capability.t; reads : bytes list }
-      (** Every step ran: the batch's version and the data of its [Read]
-          steps, in order. *)
+  | Ran of { version : Afs_util.Capability.t; reads : bytes list; infos : (int * int) list }
+      (** Every step ran: the batch's version, the data of its [Read]
+          steps and the [(nrefs, dsize)] of its [Info] steps, in order. *)
   | Guard_failed of bytes  (** A [Guard_root] step found this root instead. *)
   | Reopened of { version : Afs_util.Capability.t; reads : bytes list }
       (** The [Commit] lost validation and the [Redo] opened [version]:
@@ -102,9 +97,6 @@ type value =
   | Data of bytes
   | Batched of batch_answer
   | Unit
-  | Path of Afs_util.Pagepath.t
-  | Info of { nrefs : int; dsize : int }
-  | Validation of Afs_core.Cache.validation
   | Watermark of { epoch : int; shipped : int; applied : int }
 
 type response = (value, Afs_core.Errors.t) result
@@ -128,9 +120,9 @@ val host :
     location check depends on.
 
     [group_commit] (default 1, must be ≥ 1; [Invalid_argument] otherwise)
-    is the commit batch window: up to that many queued commits — [Commit]
-    requests, and [Version] batches whose last step is [Commit], or
-    [Commit] then [Redo] — drain together. Each batch member's other
+    is the commit batch window: up to that many queued commits —
+    [Version] batches whose last step is [Commit], or [Commit] then
+    [Redo] — drain together. Each batch member's other
     steps run first, in queue order; a member whose steps fail answers
     alone, and the rest commit in one {!Afs_core.Server.commit_batch}
     run, after which each member that lost validation runs its redo.
@@ -166,36 +158,7 @@ val connect : ?balance:bool -> host list -> conn
 (** {2 Stub operations — must run inside a simulation process} *)
 
 val create_file : conn -> bytes -> Afs_util.Capability.t Afs_core.Errors.r
-val current_version : conn -> Afs_util.Capability.t -> Afs_util.Capability.t Afs_core.Errors.r
-
-val create_version : conn -> Afs_util.Capability.t -> Afs_util.Capability.t Afs_core.Errors.r
-
-val read_page :
-  conn -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r
-
-val write_page :
-  conn -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes -> unit Afs_core.Errors.r
-
-val insert_page :
-  conn -> Afs_util.Capability.t -> parent:Afs_util.Pagepath.t -> index:int -> data:bytes ->
-  Afs_util.Pagepath.t Afs_core.Errors.r
-
-val remove_page :
-  conn -> Afs_util.Capability.t -> parent:Afs_util.Pagepath.t -> index:int ->
-  unit Afs_core.Errors.r
-
-val page_info :
-  conn -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> (int * int) Afs_core.Errors.r
-(** [(nrefs, dsize)] of the page — structure discovery without recording
-    any access flags (the migration copy walk uses it). *)
-
-val commit : conn -> Afs_util.Capability.t -> unit Afs_core.Errors.r
-val abort_version : conn -> Afs_util.Capability.t -> unit Afs_core.Errors.r
 val destroy_file : conn -> Afs_util.Capability.t -> unit Afs_core.Errors.r
-
-val validate_cache :
-  conn -> file:Afs_util.Capability.t -> basis_block:int ->
-  Afs_core.Cache.validation Afs_core.Errors.r
 
 val message_cap : int
 (** 32 768: the paper's RPC carries at most 32K bytes per message. A
@@ -219,6 +182,14 @@ val batch :
     [Moved] — callers chase it — and an [Open] batch that begins by
     reading a root that holds a transaction marker answers [Marked];
     other batches pass the in-doubt trap. *)
+
+val on_version :
+  conn -> Afs_util.Capability.t -> step list ->
+  (bytes list * (int * int) list) Afs_core.Errors.r
+(** {!batch} on a [Version] the caller holds, for steps that answer
+    [Ran] (no [Guard_root], [Redo] or [Swap]): its [reads] and [infos].
+    A [Version] batch passes a cluster wrapper unchecked, so it never
+    answers [Moved]. *)
 
 val await :
   conn -> Afs_util.Capability.t -> until:bytes list -> budget_ms:float ->

@@ -262,6 +262,12 @@ let computed_writes ops pages =
   in
   go pages [] ops
 
+(* Abort a version the caller holds, in one message. Its answer is never
+   a forward to chase ([Remote.on_version]). *)
+let abandon ~round_trip conn version =
+  round_trip ();
+  match Remote.on_version conn version [ Remote.Abort ] with Ok _ | Error _ -> ()
+
 (* Read [paths] on [target]'s version in one batch, or — when the
    replies exceed the 32K message cap — in halves, the later ones as
    [Version] batches on the version the first opened. A failure after
@@ -275,15 +281,13 @@ let rec read_batches ~round_trip conn target paths =
       let first = List.filteri (fun i _ -> i < half) paths
       and rest = List.filteri (fun i _ -> i >= half) paths in
       match read_batches ~round_trip conn target first with
-      | Ok (Remote.Ran { version; reads = early }) -> (
+      | Ok (Remote.Ran { version; reads = early; infos }) -> (
           match read_batches ~round_trip conn (Remote.Version version) rest with
           | Ok (Remote.Ran { reads = late; _ }) ->
-              Ok (Remote.Ran { version; reads = early @ late })
+              Ok (Remote.Ran { version; reads = early @ late; infos })
           | failed ->
               (match target with
-              | Remote.Open _ ->
-                  round_trip ();
-                  ignore (Remote.abort_version conn version : unit r)
+              | Remote.Open _ -> abandon ~round_trip conn version
               | Remote.Current _ | Remote.Version _ -> ());
               failed)
       | failed -> failed)
@@ -297,7 +301,7 @@ type opening = Opened of Capability.t * bytes * (Pagepath.t * bytes) list | Held
 (* The reads of an opening are the root and then every page the part's
    ops read. *)
 let opened ops = function
-  | Remote.Ran { version; reads = old_root :: pages }
+  | Remote.Ran { version; reads = old_root :: pages; _ }
   | Remote.Reopened { version; reads = old_root :: pages } ->
       Ok (Opened (version, old_root, computed_writes ops pages))
   | Remote.Marked image -> Ok (Held image)
@@ -337,8 +341,7 @@ let rec send_writes ~round_trip conn version = function
       | Error ((Conflict | Store_failure _ | Moved _) as e), [] -> Error e
       | Error e, _ ->
           (* A write step failed: the version is still open. *)
-          round_trip ();
-          ignore (Remote.abort_version conn version : unit r);
+          abandon ~round_trip conn version;
           Error e)
 
 type tries = { mutable made : int; allowed : int }

@@ -390,45 +390,42 @@ let afs_txn ?trace client ~files =
    for the whole prepare window, surfacing as [Store_failure] back-offs.
    Contrast with [afs_txn], which holds nothing across shards. *)
 
-(* The baseline opens a version per participant and runs its ops as
-   per-op requests: per-access messages are part of that protocol. *)
+(* The baseline opens a version per participant and runs each op as its
+   own one-step [Version] batch: per-access messages are part of that
+   protocol. *)
 type opened = { conn : Remote.conn; version : Afs_util.Capability.t; on_commit : unit -> unit }
 
 let run_ops conn version ops =
-  let rec go = function
-    | [] -> Ok ()
-    | Read i :: rest -> (
-        match Remote.read_page conn version (page_path i) with
-        | Ok _ -> go rest
-        | Error e -> Error e)
-    | Write (i, data) :: rest -> (
-        match Remote.write_page conn version (page_path i) data with
-        | Ok () -> go rest
-        | Error _ as e -> e)
-    | Rmw (i, f) :: rest -> (
-        match Remote.read_page conn version (page_path i) with
-        | Error e -> Error e
-        | Ok v -> (
-            match Remote.write_page conn version (page_path i) (f v) with
-            | Ok () -> go rest
-            | Error _ as e -> e))
-  in
-  go ops
+  let open Errors in
+  let run step = Remote.on_version conn version [ step ] in
+  let write i data = Result.map ignore (run (Remote.Write (page_path i, data))) in
+  List.fold_left
+    (fun acc op ->
+      let* () = acc in
+      match op with
+      | Read i -> Result.map ignore (run (Remote.Read (page_path i)))
+      | Write (i, data) -> write i data
+      | Rmw (i, f) -> (
+          match run (Remote.Read (page_path i)) with
+          | Ok ([ v ], _) -> write i (f v)
+          | Ok _ -> Error (Store_failure "afs_twopc: unexpected batch answer")
+          | Error e -> Error e))
+    (Ok ()) ops
 
 let cluster_open client file =
   let module CC = Afs_cluster.Cluster_client in
-  Result.map
-    (fun h ->
-      {
-        conn = CC.Txn.conn h.CC.txn;
-        version = CC.Txn.version h.CC.txn;
-        on_commit = (fun () -> CC.note_commit client ~shard:h.CC.shard h.CC.file);
-      })
-    (CC.begin_txn client file)
+  CC.routed client file (fun conn ~shard file ->
+      Result.map
+        (fun version ->
+          { conn; version; on_commit = (fun () -> CC.note_commit client ~shard file) })
+        (Afs_cluster.Shard.open_version conn file))
 
 let afs_twopc client ~files =
   let cluster = Afs_cluster.Cluster_client.cluster client in
-  let abort o = ignore (Remote.abort_version o.conn o.version) in
+  (* The abort's answer is never a forward to chase ([Remote.on_version]). *)
+  let abort o =
+    match Remote.on_version o.conn o.version [ Remote.Abort ] with Ok _ | Error _ -> ()
+  in
   let decide o ~commit = Remote.decide o.conn o.version ~commit in
   let parts_of spec =
     match spec.parts with
@@ -458,7 +455,7 @@ let afs_twopc client ~files =
             | Error (Errors.Locked_out _ | Errors.Store_failure _) ->
                 List.iter abort acc;
                 `Back_off
-            | Error e -> fatal_error "afs_twopc create_version" e
+            | Error e -> fatal_error "afs_twopc open" e
             | Ok o -> (
                 match run_ops o.conn o.version ops with
                 | Ok () -> open_all (o :: acc) rest

@@ -187,45 +187,26 @@ let test_crash_isolated_and_recoverable () =
   in_cluster ~shards:2 (fun cluster client ->
       let f0 = ok (Cluster_client.create_file ~data:(bytes "on shard 0") client) in
       let f1 = ok (Cluster_client.create_file ~data:(bytes "on shard 1") client) in
-      List.iter
-        (fun f ->
-          ok
-            (Cluster_client.update client f (fun txn ->
-                 let open Errors in
-                 let* _ =
-                   Cluster_client.Txn.insert txn ~parent:P.root ~index:0
-                     ~data:(bytes "committed") ()
-                 in
-                 Ok ())))
-        [ f0; f1 ];
+      List.iter (fun f -> ok (Batch_ops.add_pages client f [ bytes "committed" ])) [ f0; f1 ];
       Shard.crash (Cluster.shard cluster 0);
       (* Shard 1 is untouched: its file still reads. *)
       Helpers.check_bytes "shard 1 unaffected" "committed"
-        (ok (Cluster_client.read_current client f1 (P.of_list [ 0 ])));
+        (ok (Batch_ops.read_current client f1 (P.of_list [ 0 ])));
       (* Shard 0 is gone: the RPC layer reports failure, not a hang. *)
-      (match Cluster_client.read_current client f0 (P.of_list [ 0 ]) with
+      (match Batch_ops.read_current client f0 (P.of_list [ 0 ]) with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "crashed shard served a read");
       let recovered = ok (Shard.recover (Cluster.shard cluster 0)) in
       Alcotest.(check bool) "files recovered on shard 0" true (recovered >= 1);
       Helpers.check_bytes "committed data back after recovery" "committed"
-        (ok (Cluster_client.read_current client f0 (P.of_list [ 0 ]))))
+        (ok (Batch_ops.read_current client f0 (P.of_list [ 0 ]))))
 
 (* {2 Migration} *)
 
 let test_migrate_moves_data_and_leaves_tombstone () =
   in_cluster ~shards:2 (fun cluster client ->
       let f = ok (Cluster_client.create_file ~data:(bytes "rootdata") client) in
-      ok
-        (Cluster_client.update client f (fun txn ->
-             let open Errors in
-             let* _ =
-               Cluster_client.Txn.insert txn ~parent:P.root ~index:0 ~data:(bytes "a") ()
-             in
-             let* _ =
-               Cluster_client.Txn.insert txn ~parent:P.root ~index:1 ~data:(bytes "b") ()
-             in
-             Ok ()));
+      ok (Batch_ops.add_pages client f [ bytes "a"; bytes "b" ]);
       let moved = ok (Migration.migrate cluster ~file:f ~dst:1) in
       Alcotest.(check int)
         "new home is shard 1"
@@ -233,16 +214,16 @@ let test_migrate_moves_data_and_leaves_tombstone () =
         (Capability.port_to_int moved.Capability.port);
       (* Data identical at the new home. *)
       Helpers.check_bytes "root data" "rootdata"
-        (ok (Cluster_client.read_current client moved P.root));
+        (ok (Batch_ops.read_current client moved P.root));
       Helpers.check_bytes "child 0" "a"
-        (ok (Cluster_client.read_current client moved (P.of_list [ 0 ])));
+        (ok (Batch_ops.read_current client moved (P.of_list [ 0 ])));
       Helpers.check_bytes "child 1" "b"
-        (ok (Cluster_client.read_current client moved (P.of_list [ 1 ])));
+        (ok (Batch_ops.read_current client moved (P.of_list [ 1 ])));
       (* The old home answers Moved with the new capability — exercised
          directly on the source conn, because the shared router means a
          cluster client normally resolves before ever hitting the
          tombstone. *)
-      (match Remote.create_version (Cluster.conn cluster 0) f with
+      (match Remote.batch (Cluster.conn cluster 0) (Remote.Open f) [ Remote.Read P.root ] with
       | Error (Errors.Moved target) ->
           Alcotest.(check bool)
             "tombstone names the copy" true
@@ -251,7 +232,7 @@ let test_migrate_moves_data_and_leaves_tombstone () =
       | Error e -> Alcotest.failf "expected Moved, got %s" (Errors.to_string e));
       (* The old capability keeps working through the client. *)
       Helpers.check_bytes "old cap still reads" "a"
-        (ok (Cluster_client.read_current client f (P.of_list [ 0 ])));
+        (ok (Batch_ops.read_current client f (P.of_list [ 0 ])));
       (* The tombstone no longer counts as resident. *)
       Alcotest.(check int)
         "shard 0 resident files" 0
@@ -267,17 +248,18 @@ let test_migrate_moves_data_and_leaves_tombstone () =
 let test_migration_fences_prior_versions () =
   in_cluster ~shards:2 (fun cluster client ->
       let f = ok (Cluster_client.create_file ~data:(bytes "v0") client) in
-      let h = ok (Cluster_client.begin_txn client f) in
+      let conn = Cluster.conn cluster 0 in
+      let v = ok (Shard.open_version conn f) in
       let moved = ok (Migration.migrate cluster ~file:f ~dst:1) in
-      ok (Cluster_client.Txn.write h.Cluster_client.txn P.root (bytes "stale"));
-      (match Cluster_client.commit client h with
+      ok (Batch_ops.write conn v P.root (bytes "stale"));
+      (match Batch_ops.commit conn v with
       | Error Errors.Conflict -> ()
       | Ok () -> Alcotest.fail "pre-flip version committed over the tombstone"
       | Error e -> Alcotest.failf "expected Conflict, got %s" (Errors.to_string e));
       (* The migrated copy is untouched and the tombstone intact. *)
       Helpers.check_bytes "copy unaffected" "v0"
-        (ok (Cluster_client.read_current client moved P.root));
-      match Remote.create_version (Cluster.conn cluster 0) f with
+        (ok (Batch_ops.read_current client moved P.root));
+      match Remote.batch conn (Remote.Open f) [ Remote.Read P.root ] with
       | Error (Errors.Moved _) -> ()
       | _ -> Alcotest.fail "tombstone damaged")
 
@@ -318,10 +300,7 @@ let redo_after interloper =
   in_cluster ~shards:2 (fun cluster client ->
       let file () =
         let f = ok (Cluster_client.create_file ~data:(bytes "root") client) in
-        ok
-          (Cluster_client.update client f (fun txn ->
-               Result.map ignore
-                 (Cluster_client.Txn.insert txn ~parent:P.root ~index:0 ~data:(bytes "0") ())));
+        ok (Batch_ops.add_pages client f [ bytes "0" ]);
         f
       in
       let f = file () and g = file () in
@@ -375,26 +354,27 @@ let test_redo_takes_fresh_paths () =
    increment a counter page while the file is migrated back and forth.
    Whatever interleaving the seed produces, the final counter value must
    equal the number of successfully committed increments — a lost update
-   would leave it short. *)
+   would leave it short. Writers take the workloads' own path
+   ([Batch_ops.update]). Answers how often the race was lost: migration
+   conflicts plus writer redos. *)
 let migration_race_one_seed seed =
   let engine = Engine.create () in
   let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
   let commits = ref 0 in
   let gave_up = ref 0 in
   let migrations = ref 0 in
+  let redos = ref 0 in
   let file = ref None in
+  let increment v =
+    match int_of_string_opt (Bytes.to_string v) with
+    | Some n -> bytes (string_of_int (n + 1))
+    | None -> Alcotest.fail "corrupt counter"
+  in
   let _ =
     Proc.spawn engine (fun () ->
         let client = Cluster_client.connect cluster in
         let f = ok (Cluster_client.create_file ~data:(bytes "counter") client) in
-        ok
-          (Cluster_client.update client f (fun txn ->
-               let open Errors in
-               let* _ =
-                 Cluster_client.Txn.insert txn ~parent:P.root ~index:0 ~data:(bytes "0")
-                   ()
-               in
-               Ok ()));
+        ok (Batch_ops.add_pages client f [ bytes "0" ]);
         file := Some f;
         let rng = Xrng.create seed in
         let writer () =
@@ -403,17 +383,8 @@ let migration_race_one_seed seed =
             for _ = 1 to 12 do
               Proc.delay (Xrng.float wrng 4.0);
               match
-                Cluster_client.update ~retries:24 client f (fun txn ->
-                    let open Errors in
-                    let* v = Cluster_client.Txn.read txn (P.of_list [ 0 ]) in
-                    match int_of_string_opt (Bytes.to_string v) with
-                    | None -> Error (Errors.Store_failure "corrupt counter")
-                    | Some n ->
-                        let* () =
-                          Cluster_client.Txn.write txn (P.of_list [ 0 ])
-                            (bytes (string_of_int (n + 1)))
-                        in
-                        Ok ())
+                Batch_ops.update ~retries:24 ~redos client f
+                  [ Afs_txn.Txn.Rmw (P.of_list [ 0 ], increment) ]
               with
               | Ok () -> incr commits
               | Error Errors.Conflict -> incr gave_up
@@ -458,10 +429,14 @@ let migration_race_one_seed seed =
   Alcotest.(check string)
     (Printf.sprintf "seed %d: final counter = %d commits (%d given up, %d migrations)"
        seed !commits !gave_up !migrations)
-    (string_of_int !commits) final
+    (string_of_int !commits) final;
+  Stats.Counter.get (Cluster.counters cluster) "migrations.conflict" + !redos
 
 let test_migration_race_never_loses_commits () =
-  List.iter migration_race_one_seed [ 1; 7; 42; 1234; 9999 ]
+  let lost =
+    List.fold_left (fun n seed -> n + migration_race_one_seed seed) 0 [ 1; 7; 42; 1234; 9999 ]
+  in
+  Alcotest.(check bool) (Printf.sprintf "the race was run: %d lost races" lost) true (lost > 0)
 
 (* {2 Rebalancer} *)
 
@@ -477,9 +452,7 @@ let test_rebalancer_moves_hot_files () =
         (fun i f ->
           let hits = if i mod 2 = 0 then 8 else 1 in
           for _ = 1 to hits do
-            ok
-              (Cluster_client.update client f (fun txn ->
-                   Cluster_client.Txn.write txn P.root (bytes "hit")))
+            ok (Batch_ops.update client f [ Afs_txn.Txn.Write (P.root, bytes "hit") ])
           done)
         files;
       let reb = Rebalancer.create ~threshold:1.5 ~max_moves:2 cluster in
@@ -512,9 +485,7 @@ let test_rebalancer_resolves_stale_loads () =
         (fun i f ->
           let hits = if i = 0 then 9 else 1 in
           for _ = 1 to hits do
-            ok
-              (Cluster_client.update client f (fun txn ->
-                   Cluster_client.Txn.write txn P.root (bytes "hit")))
+            ok (Batch_ops.update client f [ Afs_txn.Txn.Write (P.root, bytes "hit") ])
           done)
         files;
       (* A migration lands inside the load window: f0 moves to shard 1,

@@ -212,7 +212,7 @@ let redo_trio ~grouped =
         if grouped then begin
           (* A request ahead of them keeps the server busy while all three queue. *)
           let spawn_joined, join_all = Afs_sim.Proc.joinable engine in
-          ignore (spawn_joined (fun () -> ignore (Remote.current_version conn f)));
+          ignore (spawn_joined (fun () -> ignore (Batch_ops.current_version conn f)));
           List.iteri
             (fun i m -> ignore (spawn_joined (fun () -> answers.(i) <- Some (m ()))))
             members;

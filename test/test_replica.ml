@@ -202,9 +202,7 @@ let test_fencing_deposed_primary_aborts () =
       let cluster = Cluster.create ~latency_ms:1.0 ~replicas:1 engine ~shards:1 in
       let client = Cluster_client.connect cluster in
       let f = ok (Cluster_client.create_file ~data:(bytes "v0") client) in
-      ok
-        (Cluster_client.update client f (fun txn ->
-             Cluster_client.Txn.write txn P.root (bytes "before")));
+      ok (Batch_ops.update client f [ Afs_txn.Txn.Write (P.root, bytes "before") ]);
       let old_server = Shard.server (Cluster.shard cluster 0) in
       (* The delayed publish: a version opened and written on the primary
          that is about to be deposed, its commit still in flight. *)
@@ -223,7 +221,7 @@ let test_fencing_deposed_primary_aborts () =
       (* Aborted, not lost, not applied: the promoted primary serves the
          last committed state, through the client's rebuilt connection. *)
       Helpers.check_bytes "promoted state intact" "before"
-        (ok (Cluster_client.read_current client f P.root));
+        (ok (Batch_ops.read_current client f P.root));
       (* A second promotion attempt against the old epoch loses the
          test-and-set the same way. *)
       match Cluster.promote cluster 0 with
@@ -286,6 +284,13 @@ let test_replicas_zero_identical () =
 
 (* {2 The crash schedule: no committed transaction lost} *)
 
+(* A counter page's next value; a page that is no counter stays as it
+   is, and the final count shows it. *)
+let increment v =
+  match int_of_string_opt (Bytes.to_string v) with
+  | Some c -> bytes (string_of_int (c + 1))
+  | None -> v
+
 (* Writers increment counter pages while a Faults schedule kills shard
    0's primary mid-load and promotes its replica. Every increment whose
    commit was acknowledged must be readable after failover: the final
@@ -305,17 +310,7 @@ let crash_schedule_one_seed seed =
           Array.init nfiles (fun _ ->
               ok (Cluster_client.create_file ~data:(bytes "counter") client))
         in
-        Array.iter
-          (fun f ->
-            ok
-              (Cluster_client.update client f (fun txn ->
-                   let open Errors in
-                   let* _ =
-                     Cluster_client.Txn.insert txn ~parent:P.root ~index:0
-                       ~data:(bytes "0") ()
-                   in
-                   Ok ())))
-          fs;
+        Array.iter (fun f -> ok (Batch_ops.add_pages client f [ bytes "0" ])) fs;
         files := fs;
         let rng = Xrng.create seed in
         let spawn_joined, join_all = Proc.joinable engine in
@@ -330,14 +325,8 @@ let crash_schedule_one_seed seed =
                      if tries > 40 then () (* writer gave up: not acknowledged *)
                      else
                        match
-                         Cluster_client.update ~retries:24 client fs.(fi) (fun txn ->
-                             let open Errors in
-                             let* v = Cluster_client.Txn.read txn (P.of_list [ 0 ]) in
-                             match int_of_string_opt (Bytes.to_string v) with
-                             | None -> Error (Errors.Store_failure "corrupt counter")
-                             | Some c ->
-                                 Cluster_client.Txn.write txn (P.of_list [ 0 ])
-                                   (bytes (string_of_int (c + 1))))
+                         Batch_ops.update ~retries:24 client fs.(fi)
+                           [ Afs_txn.Txn.Rmw (P.of_list [ 0 ], increment) ]
                        with
                        | Ok () -> commits.(fi) <- commits.(fi) + 1
                        | Error Errors.Conflict -> () (* retries exhausted: no ack *)

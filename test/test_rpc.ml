@@ -119,12 +119,14 @@ let test_remote_end_to_end () =
       let _, srv, host = remote_setup engine in
       let conn = Remote.connect [ host ] in
       let f = ok (Remote.create_file conn (bytes "hello")) in
-      let v = ok (Remote.create_version conn f) in
-      let p = ok (Remote.insert_page conn v ~parent:P.root ~index:0 ~data:(bytes "page")) in
-      ok (Remote.write_page conn v p (bytes "rewritten"));
-      ok (Remote.commit conn v);
-      let cur = ok (Remote.current_version conn f) in
-      Helpers.check_bytes "read back over rpc" "rewritten" (ok (Remote.read_page conn cur p));
+      let v = ok (Batch_ops.open_version conn f) in
+      ok
+        (Batch_ops.on conn v [ Remote.Insert { parent = P.root; index = 0; data = bytes "page" } ]);
+      let p = P.child P.root 0 in
+      ok (Batch_ops.write conn v p (bytes "rewritten"));
+      ok (Batch_ops.commit conn v);
+      let cur = ok (Batch_ops.current_version conn f) in
+      Helpers.check_bytes "read back over rpc" "rewritten" (ok (Batch_ops.read conn cur p));
       (* The server behind the wire agrees. *)
       let cur_local = ok (Server.current_version srv f) in
       Helpers.check_bytes "server state" "rewritten"
@@ -135,13 +137,13 @@ let test_remote_conflict_propagates () =
       let _, _, host = remote_setup engine in
       let conn = Remote.connect [ host ] in
       let f = ok (Remote.create_file conn (bytes "base")) in
-      let va = ok (Remote.create_version conn f) in
-      let vb = ok (Remote.create_version conn f) in
-      let _ = ok (Remote.read_page conn va P.root) in
-      ok (Remote.write_page conn va P.root (bytes "a"));
-      ok (Remote.write_page conn vb P.root (bytes "b"));
-      ok (Remote.commit conn vb);
-      match Remote.commit conn va with
+      let va = ok (Batch_ops.open_version conn f) in
+      let vb = ok (Batch_ops.open_version conn f) in
+      let _ = ok (Batch_ops.read conn va P.root) in
+      ok (Batch_ops.write conn va P.root (bytes "a"));
+      ok (Batch_ops.write conn vb P.root (bytes "b"));
+      ok (Batch_ops.commit conn vb);
+      match Batch_ops.commit conn va with
       | Error Errors.Conflict -> ()
       | Ok () -> Alcotest.fail "conflict not detected over rpc"
       | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e))
@@ -184,16 +186,16 @@ let test_batch_abandons_version_on_error () =
           Alcotest.fail "guard failed on the expected root"
       | Error e -> Alcotest.failf "swap failed: %s" (Errors.to_string e));
       no_uncommitted "swap leaves no version";
-      let cur = ok (Remote.current_version conn f) in
-      Helpers.check_bytes "swapped root" "new" (ok (Remote.read_page conn cur P.root)))
+      let cur = ok (Batch_ops.current_version conn f) in
+      Helpers.check_bytes "swapped root" "new" (ok (Batch_ops.read conn cur P.root)))
 
 (* {2 A batch is its calls}
 
    One batch against one server must leave exactly what the same calls
-   leave when made one by one, through their own requests, against a twin
-   server built the same way: the same answer, the same uncommitted
-   versions and the same store image. A trailing [Redo] is the next
-   attempt's opening, spelt out as its calls too. *)
+   leave when made one by one, directly on a twin server built the same
+   way: the same answer, the same uncommitted versions and the same store
+   image. A trailing [Redo] is the next attempt's opening, spelt out as
+   its calls too. *)
 
 type program = {
   target : int;  (** 0 [Open], 1 [Current], 2 [Version] of the held version. *)
@@ -218,12 +220,17 @@ let gen_step =
   QCheck2.Gen.(
     let path = map (fun i -> batch_paths.(i)) (int_bound 3) in
     let data = map (fun i -> Bytes.of_string batch_data.(i)) (int_bound 3) in
+    let index = int_bound 2 in
     frequency
       [
         (3, map (fun p -> Remote.Read p) path);
         (3, map2 (fun p d -> Remote.Write (p, d)) path data);
+        (1, map3 (fun parent index data -> Remote.Insert { parent; index; data }) path index data);
+        (1, map2 (fun parent index -> Remote.Remove { parent; index }) path index);
+        (1, map (fun p -> Remote.Info p) path);
         (2, map (fun d -> Remote.Guard_root d) data);
         (1, pure (Remote.Commit : Remote.step));
+        (1, pure (Remote.Abort : Remote.step));
         (* On the program's own file: [program_steps] names it. *)
         ( 1,
           map2
@@ -255,8 +262,14 @@ let print_program p =
   let step = function
     | Remote.Read path -> "Read " ^ P.to_string path
     | Remote.Write (path, d) -> Printf.sprintf "Write (%s, %S)" (P.to_string path) (Bytes.to_string d)
+    | Remote.Insert { parent; index; data } ->
+        Printf.sprintf "Insert (%s, %d, %S)" (P.to_string parent) index (Bytes.to_string data)
+    | Remote.Remove { parent; index } ->
+        Printf.sprintf "Remove (%s, %d)" (P.to_string parent) index
+    | Remote.Info path -> "Info " ^ P.to_string path
     | Remote.Guard_root d -> Printf.sprintf "Guard_root %S" (Bytes.to_string d)
     | Remote.Commit -> "Commit"
+    | Remote.Abort -> "Abort"
     | Remote.Redo (_, paths) -> "Redo [" ^ String.concat "; " (List.map P.to_string paths) ^ "]"
     | Remote.Swap { expected; writes; _ } ->
         Printf.sprintf "Swap (%S, [%s])" (Bytes.to_string expected)
@@ -292,70 +305,84 @@ let twin_setup ~interloper =
   end;
   (store, srv, f, held)
 
-(* The batch's documented meaning, spelt out as separate requests. *)
-let rec one_by_one conn target steps =
+(* The batch's documented meaning, spelt out as the server calls its
+   steps stand for, made directly on the twin server. *)
+let rec one_by_one srv target steps =
   let open Errors in
   let* version =
     match target with
-    | Remote.Open f -> Remote.create_version conn f
-    | Remote.Current f -> Remote.current_version conn f
+    | Remote.Open f -> Server.create_version srv f
+    | Remote.Current f -> Server.current_version srv f
     | Remote.Version v -> Ok v
   in
-  let rec go reads = function
-    | [] -> Ok (Remote.Ran { version; reads = List.rev reads })
+  let rec go reads infos = function
+    | [] -> Ok (Remote.Ran { version; reads = List.rev reads; infos = List.rev infos })
     | Remote.Read path :: rest ->
-        let* d = Remote.read_page conn version path in
-        go (d :: reads) rest
+        let* d = Server.read_page srv version path in
+        go (d :: reads) infos rest
     | Remote.Write (path, d) :: rest ->
-        let* () = Remote.write_page conn version path d in
-        go reads rest
+        let* () = Server.write_page srv version path d in
+        go reads infos rest
+    | Remote.Insert { parent; index; data } :: rest ->
+        let* path = Server.insert_page srv version ~parent ~index ~data () in
+        if P.equal path (P.child parent index) then go reads infos rest
+        else Error (Store_failure "insert answered another path")
+    | Remote.Remove { parent; index } :: rest ->
+        let* () = Server.remove_page srv version ~parent ~index in
+        go reads infos rest
+    | Remote.Info path :: rest ->
+        let* i = Server.page_info srv version path in
+        go reads ((i.Server.nrefs, i.Server.dsize) :: infos) rest
     | Remote.Guard_root expected :: rest ->
-        let* root = Remote.read_page conn version P.root in
-        if Bytes.equal root expected then go reads rest else Ok (Remote.Guard_failed root)
+        let* root = Server.read_page srv version P.root in
+        if Bytes.equal root expected then go reads infos rest else Ok (Remote.Guard_failed root)
     | [ Remote.Commit; Remote.Redo (f, paths) ] -> (
-        match Remote.commit conn version with
+        match Server.commit srv version with
         | Error Conflict -> (
             match
-              one_by_one conn (Remote.Open f)
+              one_by_one srv (Remote.Open f)
                 (Remote.Read P.root :: List.map (fun path -> Remote.Read path) paths)
             with
-            | Ok (Remote.Ran { version; reads }) -> Ok (Remote.Reopened { version; reads })
+            | Ok (Remote.Ran { version; reads; _ }) -> Ok (Remote.Reopened { version; reads })
             | answer -> answer)
         | committed ->
             let* () = committed in
-            go reads [])
+            go reads infos [])
     | Remote.Commit :: rest ->
-        let* () = Remote.commit conn version in
-        go reads rest
+        let* () = Server.commit srv version in
+        go reads infos rest
+    | Remote.Abort :: rest ->
+        let* () = Server.abort_version srv version in
+        go reads infos rest
     | Remote.Redo _ :: _ -> Error (Store_failure "rpc: Redo must follow the final Commit")
     | Remote.Swap { file; expected; writes } :: rest -> (
-        let* other = Remote.create_version conn file in
+        let* other = Server.create_version srv file in
         let swapped =
-          let* root = Remote.read_page conn other P.root in
+          let* root = Server.read_page srv other P.root in
           if not (Bytes.equal root expected) then Ok (Some root)
           else
             let* () =
               List.fold_left
                 (fun acc (path, d) ->
                   let* () = acc in
-                  Remote.write_page conn other path d)
+                  Server.write_page srv other path d)
                 (Ok ()) writes
             in
-            let* () = Remote.commit conn other in
+            let* () = Server.commit srv other in
             Ok None
         in
         (match swapped with
         | Ok None -> ()
-        | Ok (Some _) | Error _ -> ignore (Remote.abort_version conn other : unit Errors.r));
+        | Ok (Some _) | Error _ -> ignore (Server.abort_version srv other : unit Errors.r));
         match swapped with
-        | Ok None -> go reads rest
+        | Ok None -> go reads infos rest
         | Ok (Some root) -> Ok (Remote.Guard_failed root)
         | Error e -> Error e)
   in
-  let answer = go [] steps in
+  let answer = go [] [] steps in
   (match (target, answer) with
   | Remote.Open _, (Error _ | Ok (Remote.Guard_failed _)) ->
-      ignore (Remote.abort_version conn version : unit Errors.r)
+      ignore (Server.abort_version srv version : unit Errors.r)
   | _ -> ());
   answer
 
@@ -373,28 +400,14 @@ let batch_matches_calls p =
           | 1 -> Remote.Current f
           | _ -> Remote.Version held
         in
-        let answer = exec conn target (program_steps p f) in
+        let answer = exec srv conn target (program_steps p f) in
         (answer, ok (Server.uncommitted_versions srv f), store_image store)
       in
-      run Remote.batch = run one_by_one)
+      run (fun _ conn -> Remote.batch conn) = run (fun srv _ -> one_by_one srv))
 
 let prop_batch_matches_calls =
   QCheck2.Test.make ~name:"a batch is its calls" ~count:300
     ~print:print_program gen_program batch_matches_calls
-
-let test_remote_validate_cache () =
-  in_sim (fun engine ->
-      let _, srv, host = remote_setup engine in
-      let conn = Remote.connect [ host ] in
-      let f = ok (Remote.create_file conn (bytes "v1")) in
-      let basis = ok (Server.current_block_of_file srv f) in
-      let v = ok (Remote.create_version conn f) in
-      ok (Remote.write_page conn v P.root (bytes "v2"));
-      ok (Remote.commit conn v);
-      let validation = ok (Remote.validate_cache conn ~file:f ~basis_block:basis) in
-      Alcotest.(check int) "one version behind" 1 validation.Afs_core.Cache.versions_walked;
-      Alcotest.(check (list string)) "root invalid" [ "/" ]
-        (List.map P.to_string validation.Afs_core.Cache.invalid))
 
 let test_failover_to_second_host () =
   in_sim (fun engine ->
@@ -410,12 +423,12 @@ let test_failover_to_second_host () =
          without any client-visible recovery step. *)
       Remote.crash_host host1;
       Alcotest.(check bool) "host1 down" false (Remote.host_up host1);
-      let v = ok (Remote.create_version conn f) in
-      ok (Remote.write_page conn v P.root (bytes "served by standby"));
-      ok (Remote.commit conn v);
-      let cur = ok (Remote.current_version conn f) in
+      let v = ok (Batch_ops.open_version conn f) in
+      ok (Batch_ops.write conn v P.root (bytes "served by standby"));
+      ok (Batch_ops.commit conn v);
+      let cur = ok (Batch_ops.current_version conn f) in
       Helpers.check_bytes "standby serves" "served by standby"
-        (ok (Remote.read_page conn cur P.root)))
+        (ok (Batch_ops.read conn cur P.root)))
 
 let test_crash_loses_uncommitted_but_not_committed () =
   in_sim (fun engine ->
@@ -427,21 +440,21 @@ let test_crash_loses_uncommitted_but_not_committed () =
       let host2 = Remote.host engine ~name:"afs-2" srv2 in
       let conn = Remote.connect [ host1; host2 ] in
       let f = ok (Remote.create_file conn (bytes "committed state")) in
-      let v = ok (Remote.create_version conn f) in
-      ok (Remote.write_page conn v P.root (bytes "in flight"));
+      let v = ok (Batch_ops.open_version conn f) in
+      ok (Batch_ops.write conn v P.root (bytes "in flight"));
       Remote.crash_host host1;
       (* The client redoes the whole update on the standby — the paper's
          contract — and the committed state was never at risk. *)
-      (match Remote.read_page conn v P.root with
+      (match Batch_ops.read conn v P.root with
       | Error _ -> () (* Uncommitted version died with the server. *)
       | Ok data ->
           (* Or, if flushed before the crash, it is still consistent. *)
           Helpers.check_bytes "flushed copy consistent" "in flight" data);
-      let v2 = ok (Remote.create_version conn f) in
-      ok (Remote.write_page conn v2 P.root (bytes "redone"));
-      ok (Remote.commit conn v2);
-      let cur = ok (Remote.current_version conn f) in
-      Helpers.check_bytes "redo landed" "redone" (ok (Remote.read_page conn cur P.root)))
+      let v2 = ok (Batch_ops.open_version conn f) in
+      ok (Batch_ops.write conn v2 P.root (bytes "redone"));
+      ok (Batch_ops.commit conn v2);
+      let cur = ok (Batch_ops.current_version conn f) in
+      Helpers.check_bytes "redo landed" "redone" (ok (Batch_ops.read conn cur P.root)))
 
 let test_balanced_conn_spreads_and_stays_correct () =
   in_sim (fun engine ->
@@ -457,14 +470,14 @@ let test_balanced_conn_spreads_and_stays_correct () =
          every version's operations to reach its own managing server (the
          write-back cache lives there), while create_version calls rotate. *)
       for _ = 1 to 20 do
-        let v = ok (Remote.create_version conn f) in
-        let n = int_of_string (Helpers.str (ok (Remote.read_page conn v P.root))) in
-        ok (Remote.write_page conn v P.root (bytes (string_of_int (n + 1))));
-        ok (Remote.commit conn v)
+        let v = ok (Batch_ops.open_version conn f) in
+        let n = int_of_string (Helpers.str (ok (Batch_ops.read conn v P.root))) in
+        ok (Batch_ops.write conn v P.root (bytes (string_of_int (n + 1))));
+        ok (Batch_ops.commit conn v)
       done;
-      let cur = ok (Remote.current_version conn f) in
+      let cur = ok (Batch_ops.current_version conn f) in
       Helpers.check_bytes "all increments through both servers" "20"
-        (ok (Remote.read_page conn cur P.root));
+        (ok (Batch_ops.read conn cur P.root));
       (* Both servers actually served transactions. *)
       let served h = Afs_util.Stats.Counter.get (Server.counters (Remote.host_server h)) "versions.created" in
       Alcotest.(check bool) "host1 served" true (served host1 > 0);
@@ -490,10 +503,10 @@ let test_preferred_hint_is_advisory () =
       let fa = ok (Remote.create_file conn (bytes "0")) in
       let fb = ok (Remote.create_file conn (bytes "0")) in
       let rmw file =
-        let v = ok (Remote.create_version conn file) in
-        let n = int_of_string (Helpers.str (ok (Remote.read_page conn v P.root))) in
-        ok (Remote.write_page conn v P.root (bytes (string_of_int (n + 1))));
-        ok (Remote.commit conn v)
+        let v = ok (Batch_ops.open_version conn file) in
+        let n = int_of_string (Helpers.str (ok (Batch_ops.read conn v P.root))) in
+        ok (Batch_ops.write conn v P.root (bytes (string_of_int (n + 1))));
+        ok (Batch_ops.commit conn v)
       in
       let done1 = ref false and done2 = ref false in
       let _ =
@@ -510,8 +523,8 @@ let test_preferred_hint_is_advisory () =
         Proc.delay 1.0
       done;
       let read_counter f =
-        let cur = ok (Remote.current_version conn f) in
-        Helpers.str (ok (Remote.read_page conn cur P.root))
+        let cur = ok (Batch_ops.current_version conn f) in
+        Helpers.str (ok (Batch_ops.read conn cur P.root))
       in
       Alcotest.(check string) "all of A's updates landed" "10" (read_counter fa);
       Alcotest.(check string) "all of B's updates landed" "10" (read_counter fb);
@@ -705,7 +718,7 @@ let group_commit_pair ~grouped ~second_path =
           (* A request ahead of them keeps the server busy while both queue. *)
           let a1 = ref None and a2 = ref None in
           let spawn_joined, join_all = Proc.joinable engine in
-          ignore (spawn_joined (fun () -> ignore (Remote.current_version conn f)));
+          ignore (spawn_joined (fun () -> ignore (Batch_ops.current_version conn f)));
           ignore (spawn_joined (fun () -> a1 := Some (first ())));
           ignore (spawn_joined (fun () -> a2 := Some (second ())));
           join_all ();
@@ -840,7 +853,6 @@ let () =
           quick "conflict propagates" test_remote_conflict_propagates;
           quick "batch abandons its version" test_batch_abandons_version_on_error;
           QCheck_alcotest.to_alcotest prop_batch_matches_calls;
-          quick "cache validation" test_remote_validate_cache;
           quick "failover" test_failover_to_second_host;
           quick "crash semantics" test_crash_loses_uncommitted_but_not_committed;
           quick "balanced connection" test_balanced_conn_spreads_and_stays_correct;

@@ -49,18 +49,11 @@ let in_cluster ?(latency_ms = 1.0) ~shards body =
 let setup_accounts client n init =
   Array.init n (fun i ->
       let f = ok (CC.create_file ~data:(bytes (Printf.sprintf "acct%d" i)) client) in
-      ok
-        (CC.update client f (fun txn ->
-             let open Errors in
-             let* _ =
-               CC.Txn.insert txn ~parent:P.root ~index:0
-                 ~data:(bytes (string_of_int init)) ()
-             in
-             Ok ()));
+      ok (Batch_ops.add_pages client f [ bytes (string_of_int init) ]);
       f)
 
 let read_balance client f =
-  int_of_string (Bytes.to_string (ok (CC.read_current client f (P.of_list [ 0 ]))))
+  int_of_string (Bytes.to_string (ok (Batch_ops.read_current client f (P.of_list [ 0 ]))))
 
 let money amt old = bytes (string_of_int (int_of_string (Bytes.to_string old) + amt))
 let debit amt = Txn.Rmw (P.of_list [ 0 ], money (-amt))
@@ -255,7 +248,7 @@ let test_cross_shard_commit () =
         (fun i f ->
           Helpers.check_bytes "root restored"
             (Printf.sprintf "acct%d" i)
-            (ok (CC.read_current client f P.root)))
+            (ok (Batch_ops.read_current client f P.root)))
         accts)
 
 let test_single_part_fast_path () =
@@ -290,14 +283,20 @@ let test_reader_resolves_in_doubt () =
       | _ -> Alcotest.fail "crash point never fired");
       Alcotest.(check int) "flipped by the decide" (after_transfer decided)
         (read_balance client accts.(decided));
-      (* The other participant is staged and trapped. *)
-      (match CC.read_current client accts.(staged) (P.of_list [ 0 ]) with
-      | Error (Errors.Txn_in_doubt r) ->
+      (* The other participant is staged: an opening is trapped. *)
+      (match
+         CC.routed client accts.(staged) (fun conn ~shard:_ file ->
+             Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Open file)
+               [ Afs_rpc.Remote.Read P.root; Afs_rpc.Remote.Read (P.of_list [ 0 ]) ])
+       with
+      | Ok (Afs_rpc.Remote.Marked image) ->
           Alcotest.(check bool)
             "trap names the record" true
-            (match !record with Some c -> Capability.equal c r | None -> false)
-      | Ok _ -> Alcotest.fail "staged file served an ordinary read"
-      | Error e -> Alcotest.failf "expected Txn_in_doubt, got %s" (Errors.to_string e));
+            (match (!record, Txnmark.record_of image) with
+            | Some c, Some r -> Capability.equal c r
+            | _ -> false)
+      | Ok _ -> Alcotest.fail "staged file served an ordinary opening"
+      | Error e -> Alcotest.failf "expected Marked, got %s" (Errors.to_string e));
       (* A second, independent client resolves by simply using the file:
          the record says committed, so the resolver rolls forward and the
          transfer lands before its own update. *)
@@ -359,17 +358,19 @@ let test_sweep_completes_decided () =
    conflict, because the stage wrote the root that update's version
    recorded R on. *)
 let test_stage_fences_prior_versions () =
-  in_cluster ~shards:2 (fun _cluster client ->
+  in_cluster ~shards:2 (fun cluster client ->
       let accts = setup_accounts client 2 100 in
-      let h = ok (CC.begin_txn client accts.(0)) in
-      ok (CC.Txn.write h.CC.txn (P.of_list [ 0 ]) (bytes "777"));
+      let _, shard = ok (Cluster.shard_of_cap cluster accts.(0)) in
+      let conn = Cluster.conn cluster (Shard.id shard) in
+      let v = ok (Shard.open_version conn accts.(0)) in
+      ok (Batch_ops.write conn v (P.of_list [ 0 ]) (bytes "777"));
       let txn = Txn.create client in
       (match
          Txn.exec ~crash_at:Txn.Before_decide txn (transfer accts 0 1 30)
        with
       | exception Txn.Crashed -> ()
       | _ -> Alcotest.fail "crash point never fired");
-      (match CC.commit client h with
+      (match Batch_ops.commit conn v with
       | Error Errors.Conflict -> ()
       | Ok () -> Alcotest.fail "pre-stage version committed over a marker"
       | Error e -> Alcotest.failf "expected Conflict, got %s" (Errors.to_string e));
@@ -381,14 +382,16 @@ let test_stage_fences_prior_versions () =
    decodes the root on every open: a root that merely looks like a marker
    with an absurd length must read as plain data, not crash the handler. *)
 let test_overflowing_root_opens () =
-  in_cluster ~shards:2 (fun _cluster client ->
+  in_cluster ~shards:2 (fun cluster client ->
       let f = ok (CC.create_file ~data:(bytes "plain") client) in
       let root = bytes "afs-txn!1:2:3:4:5:4611686018427387903:x0:" in
-      ok (CC.update client f (fun txn -> CC.Txn.write txn P.root root));
-      let h = ok (CC.begin_txn client f) in
+      ok (Batch_ops.update client f [ Txn.Write (P.root, root) ]);
+      let _, shard = ok (Cluster.shard_of_cap cluster f) in
+      let conn = Cluster.conn cluster (Shard.id shard) in
+      let v = ok (Shard.open_version conn f) in
       Helpers.check_bytes "the root is plain data" (Bytes.to_string root)
-        (ok (CC.Txn.read h.CC.txn P.root));
-      ok (CC.abort h))
+        (ok (Batch_ops.read conn v P.root));
+      ok (Batch_ops.abort conn v))
 
 (* A part's [Rmw] of a page it already wrote transforms that pending
    write, as the same ops run one by one would: the ops' reads all ride
@@ -408,7 +411,8 @@ let test_rmw_after_write () =
 
    A one-part transaction opens with one batch that reads every page its
    ops read and commits the computed writes with a second. Run the same
-   random ops one by one through [CC.update] on an identical cluster:
+   random ops one by one, a one-step batch each between an opening and a
+   commit, on an identical cluster:
    the answers and every page must agree. Page 3 does not exist, so the
    error answers are compared too. *)
 type pop = P_read of int | P_write of int * string | P_rmw of int * string
@@ -437,22 +441,11 @@ let append d old = bytes (Bytes.to_string old ^ d)
 let one_part_run run =
   in_cluster ~shards:2 (fun _cluster client ->
       let f = ok (CC.create_file ~data:(bytes "root") client) in
-      ok
-        (CC.update client f (fun txn ->
-             let open Errors in
-             List.fold_left
-               (fun acc i ->
-                 let* () = acc in
-                 let* _ =
-                   CC.Txn.insert txn ~parent:P.root ~index:i
-                     ~data:(bytes (Printf.sprintf "p%d" i)) ()
-                 in
-                 Ok ())
-               (Ok ()) [ 0; 1; 2 ]));
+      ok (Batch_ops.add_pages client f [ bytes "p0"; bytes "p1"; bytes "p2" ]);
       let answer = Result.map_error Errors.to_string (run client f) in
       let pages =
         List.map
-          (fun path -> Bytes.to_string (ok (CC.read_current client f path)))
+          (fun path -> Bytes.to_string (ok (Batch_ops.read_current client f path)))
           (P.root :: List.map page [ 0; 1; 2 ])
       in
       (answer, pages))
@@ -476,20 +469,28 @@ let prop_one_part_matches_per_op =
       in
       let per_op =
         one_part_run (fun client f ->
-            CC.update client f (fun txn ->
+            CC.routed client f (fun conn ~shard:_ f ->
                 let open Errors in
-                List.fold_left
-                  (fun acc op ->
-                    let* () = acc in
-                    match op with
-                    | P_read i ->
-                        let* _ = CC.Txn.read txn (page i) in
-                        Ok ()
-                    | P_write (i, d) -> CC.Txn.write txn (page i) (bytes d)
-                    | P_rmw (i, d) ->
-                        let* old = CC.Txn.read txn (page i) in
-                        CC.Txn.write txn (page i) (append d old))
-                  (Ok ()) pops))
+                let* v = Shard.open_version conn f in
+                let ran =
+                  List.fold_left
+                    (fun acc op ->
+                      let* () = acc in
+                      match op with
+                      | P_read i ->
+                          let* _ = Batch_ops.read conn v (page i) in
+                          Ok ()
+                      | P_write (i, d) -> Batch_ops.write conn v (page i) (bytes d)
+                      | P_rmw (i, d) ->
+                          let* old = Batch_ops.read conn v (page i) in
+                          Batch_ops.write conn v (page i) (append d old))
+                    (Ok ()) pops
+                in
+                match ran with
+                | Ok () -> Batch_ops.commit conn v
+                | Error _ ->
+                    ignore (Batch_ops.abort conn v : unit r);
+                    ran))
       in
       batched = per_op)
 
@@ -504,9 +505,9 @@ let test_forward_cycle () =
       let b = ok (CC.create_file_on client (Cluster.shard cluster 1) ~data:(bytes "b")) in
       let tombstone shard file target =
         let conn = Cluster.conn cluster shard in
-        let v = ok (Afs_rpc.Remote.create_version conn file) in
-        ok (Afs_rpc.Remote.write_page conn v P.root (Forward.encode target));
-        ok (Afs_rpc.Remote.commit conn v)
+        let v = ok (Shard.open_version conn file) in
+        ok (Batch_ops.write conn v P.root (Forward.encode target));
+        ok (Batch_ops.commit conn v)
       in
       tombstone 0 a b;
       tombstone 1 b a;
@@ -516,7 +517,7 @@ let test_forward_cycle () =
       (match
          CC.routed client a (fun conn ~shard:_ file ->
              incr tries;
-             Afs_rpc.Remote.current_version conn file)
+             Batch_ops.current_version conn file)
        with
       | Error (Errors.Store_failure "cluster: forward chain too long") -> ()
       | Ok _ -> Alcotest.fail "a forward cycle resolved"
@@ -535,15 +536,11 @@ let test_transfer_chases_moved () =
   in_cluster ~shards:3 (fun cluster client ->
       let accts = setup_accounts client 2 100 in
       let copy = ok (CC.create_file_on client (Cluster.shard cluster 2) ~data:(bytes "acct1")) in
-      ok
-        (CC.update client copy (fun txn ->
-             let open Errors in
-             let* _ = CC.Txn.insert txn ~parent:P.root ~index:0 ~data:(bytes "100") () in
-             Ok ()));
+      ok (Batch_ops.add_pages client copy [ bytes "100" ]);
       let src = Cluster.conn cluster 1 in
-      let v = ok (Afs_rpc.Remote.create_version src accts.(1)) in
-      ok (Afs_rpc.Remote.write_page src v P.root (Forward.encode copy));
-      ok (Afs_rpc.Remote.commit src v);
+      let v = ok (Shard.open_version src accts.(1)) in
+      ok (Batch_ops.write src v P.root (Forward.encode copy));
+      ok (Batch_ops.commit src v);
       let forwarded () = Afs_util.Stats.Counter.get (Cluster.counters cluster) "client.forwarded" in
       let before = forwarded () in
       let txn = Txn.create client in
@@ -692,7 +689,7 @@ let test_collector_race () =
       Alcotest.(check int) "the pooled record served" 2 (created txn);
       Array.iter
         (fun f ->
-          match CC.read_current client f P.root with
+          match Batch_ops.read_current client f P.root with
           | Ok root ->
               if Txnmark.is_marker root then Alcotest.fail "a marker survived"
           | Error e -> Alcotest.failf "unreadable: %s" (Errors.to_string e))
@@ -755,7 +752,7 @@ let test_seal_in_doubt () =
         (Cluster.shards cluster);
       let in_doubt =
         List.filter
-          (fun f -> Result.is_error (CC.read_current client f P.root))
+          (fun f -> Txnmark.is_marker (ok (Batch_ops.read_current client f P.root)))
           [ accts.(0); accts.(1) ]
       in
       Alcotest.(check int) "the orphan marker surfaced" 1 (List.length in_doubt);
@@ -765,7 +762,7 @@ let test_seal_in_doubt () =
         (ok (Txn.sweep (Txn.create client) (Array.to_list accts)));
       Array.iter
         (fun f ->
-          match CC.read_current client f P.root with
+          match Batch_ops.read_current client f P.root with
           | Ok root -> if Txnmark.is_marker root then Alcotest.fail "a marker survived"
           | Error e -> Alcotest.failf "unreadable: %s" (Errors.to_string e))
         accts;
@@ -1242,7 +1239,7 @@ let conservation_one_run ~seed ~kills =
            outcomes exactly. *)
         Array.iteri
           (fun i f ->
-            (match CC.read_current client f P.root with
+            (match Batch_ops.read_current client f P.root with
             | Ok root ->
                 if Txnmark.is_marker root then fail "account %d still staged" i
             | Error e ->

@@ -11,7 +11,7 @@
    [let module S = ..]) are expanded, and a path is also read under every
    module the file opens ([open], [let open], [M.( .. )]). A path names
    an export when the export's own path ([Server.commit],
-   [Cluster_client.Txn.read]) is a suffix of it, so library wrappers
+   [Replica.Source.attach]) is a suffix of it, so library wrappers
    ([Afs_core.]) drop out. A module used as a module rather than through
    a value path (a functor argument, [include], a packed first-class
    module) references all of its exports. Scopes are ignored, so every

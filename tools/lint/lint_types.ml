@@ -143,9 +143,6 @@ let default_config =
         "Serialise.test_and_merge";
         "Writeset.conflict";
         "Server.commit";
-        "Remote.commit";
-        "Cluster_client.commit";
-        "Remote.validate_cache";
         "Cache.revalidate";
         "Cache.server_validate";
       ];
@@ -189,8 +186,7 @@ let default_config =
         "Txn.decide";
         "Txn.resolve";
       ];
-    moved_sources =
-      [ "Remote.create_version"; "Remote.current_version"; "Remote.batch"; "Remote.await" ];
+    moved_sources = [ "Remote.batch"; "Remote.await" ];
     y1_dirs =
       [
         "lib/core"; "lib/cluster"; "lib/rpc"; "lib/naming"; "lib/stable"; "lib/block";
