@@ -213,6 +213,20 @@ let commit_member = function
       before [] steps
   | _ -> None
 
+(* The OCC loop's commit: a [Version] batch whose steps end
+   [Commit; Redo _]. If it loses validation its answer is the client's
+   next attempt, so serving it ahead of new openings shortens every
+   validation window. Asked of every request on arrival, so it
+   allocates nothing. *)
+let rec ends_in_redo : step list -> bool = function
+  | [ Commit; Redo _ ] -> true
+  | [] -> false
+  | _ :: rest -> ends_in_redo rest
+
+let carries_redo = function
+  | Batch { target = Version _; steps } -> ends_in_redo steps
+  | _ -> false
+
 (* Every member's own steps run first, in queue order; a member whose
    steps fail (or whose guard fails) answers alone and leaves the commit
    run. The rest commit in one pipeline run, answering as the same
@@ -318,20 +332,24 @@ let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name serv
      one [Server.commit_batch] pipeline, paying the request overheads
      and the stable-storage publish leg once per batch. They carry their
      own version, so they need none of [wrap]'s routing checks (shard
-     wrappers pass them through untouched); a redo takes them all. *)
-  let batching =
-    if group_commit = 1 then None
+     wrappers pass them through untouched); a redo takes them all.
+     Without a window, redo-carrying commits are served first; with one
+     the queue stays FIFO, or each commit would be served as it arrives
+     and leave no batch to drain. *)
+  let batching, first =
+    if group_commit = 1 then (None, Some carries_redo)
     else
-      Some
-        {
-          Rpc.window = group_commit;
-          batchable = (fun req -> Option.is_some (commit_member req));
-          handle_batch = group_commit_batch ~reopen server;
-        }
+      ( Some
+          {
+            Rpc.window = group_commit;
+            batchable = (fun req -> Option.is_some (commit_member req));
+            handle_batch = group_commit_batch ~reopen server;
+          },
+        None )
   in
   {
     rpc =
-      Rpc.serve ?latency_ms ?proc_ms ?disks ?batching ~holding:(awaits server)
+      Rpc.serve ?latency_ms ?proc_ms ?disks ?batching ~holding:(awaits server) ?first
         ~describe:request_kind engine ~name ~handler:(Lazy.force handler);
     server;
     redos;

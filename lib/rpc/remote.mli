@@ -129,6 +129,18 @@ val host :
     1 installs no batcher at all, preserving the paper's one-at-a-time
     behaviour exactly.
 
+    Without a window ([group_commit] 1) the host serves one kind of
+    request first ({!Rpc.serve}'s [first]): the OCC loop's commit, a
+    [Version] batch whose steps end [Commit; Redo _]. If it loses
+    validation its answer is the client's next attempt, so serving it
+    ahead of new openings keeps the opening queue out of every attempt's
+    validation window, and conflicts rare. Among themselves such
+    commits keep their arrival order, and so does everything else:
+    openings, plain commits, seals, guarded flips, [Await] and
+    [Create_file]. A host with a window keeps one FIFO queue: serving
+    commits first would take each as soon as the server frees up, and
+    leave none queued to form the next batch.
+
     Every host holds [Await] requests ({!Rpc.holding}): see {!await}. *)
 
 val crash_host : host -> unit

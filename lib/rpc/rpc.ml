@@ -52,34 +52,51 @@ type ('req, 'resp) t = {
   latency_ms : float;
   proc_ms : float;
   disks : Disk.t list;
-  queue : ('req, 'resp) pending Queue.t;
+  first : ('req -> bool) option;
+  ahead : ('req, 'resp) pending Queue.t;  (** Requests [first] picked. *)
+  queue : ('req, 'resp) pending Queue.t;  (** Every other request. *)
   mutable held : ('req, 'resp) held list;  (** Newest first. *)
   mutable up : bool;
   mutable busy : bool;
+  mutable life : ('req, 'resp) life;
   mutable served : int;
 }
+
+(* One incarnation of the server process, from start or restart to its
+   crash. A service slot's completion holds the incarnation that began
+   it in place of the server, so checking it costs no allocation. *)
+and ('req, 'resp) life = { server : ('req, 'resp) t; mutable over : bool }
 
 let trace t = Engine.trace t.engine
 
 let disks_busy t = List.fold_left (fun acc d -> acc +. Disk.busy_ms d) 0.0 t.disks
 
-(* Collect up to [window] batchable requests from the whole queue in FIFO
-   order; every other request keeps its position. The commits that queued
-   while the previous batch was in flight are exactly the next batch. *)
+(* Collect up to [window] batchable requests from the whole queue in
+   service order; every other request keeps its position. The commits that
+   queued while the previous batch was in flight are exactly the next
+   batch. *)
 let drain_batch t (b : _ batcher) first =
   let members = ref [ first ] and n = ref 1 in
-  let keep = Queue.create () in
-  Queue.iter
-    (fun p ->
-      if !n < b.window && b.batchable p.req then begin
-        members := p :: !members;
-        incr n
-      end
-      else Queue.add p keep)
-    t.queue;
-  Queue.clear t.queue;
-  Queue.transfer keep t.queue;
+  let drain queue =
+    let keep = Queue.create () in
+    Queue.iter
+      (fun p ->
+        if !n < b.window && b.batchable p.req then begin
+          members := p :: !members;
+          incr n
+        end
+        else Queue.add p keep)
+      queue;
+    Queue.clear queue;
+    Queue.transfer keep queue
+  in
+  drain t.ahead;
+  drain t.queue;
   List.rev !members
+
+(* The next request to serve: the oldest that [first] picked, if any,
+   else the oldest of the rest. *)
+let take t = match Queue.take_opt t.ahead with None -> Queue.take_opt t.queue | next -> next
 
 let deliver t p resp =
   let tr = trace t in
@@ -121,10 +138,13 @@ let hold t p resp ~delay ~budget =
 
 (* Serve queued requests one at a time — or, with a batcher installed, up
    to [window] batchable requests at once — charging processing and
-   storage time between accepting the work and delivering the replies. *)
+   storage time between accepting the work and delivering the replies.
+   A slot's end frees the server only in the incarnation that began it:
+   after a crash and a restart inside the slot, the new incarnation's own
+   slots decide when it is free. *)
 let rec pump t =
   if t.up && not t.busy then
-    match Queue.take_opt t.queue with
+    match take t with
     | None -> ()
     | Some ({ req; _ } as first) -> (
         match t.batching with
@@ -136,10 +156,10 @@ let rec pump t =
             let storage = disks_busy t -. before in
             t.served <- t.served + List.length members;
             let delay = t.proc_ms +. storage +. t.latency_ms in
+            let life = t.life in
             Engine.at t.engine delay (fun () ->
-                List.iter2 (deliver t) members resps;
-                t.busy <- false;
-                pump t);
+                List.iter2 (deliver life.server) members resps;
+                free life);
             if t.held <> [] then recheck t delay
         | _ ->
             t.busy <- true;
@@ -151,31 +171,43 @@ let rec pump t =
             let budget =
               match t.holding with Some h -> h.hold req resp | None -> None
             in
+            let life = t.life in
             Engine.at t.engine delay (fun () ->
-                if Option.is_none budget then deliver t first resp;
-                t.busy <- false;
-                pump t);
+                if Option.is_none budget then deliver life.server first resp;
+                free life);
             if t.held <> [] then recheck t delay;
             match budget with Some budget -> hold t first resp ~delay ~budget | None -> ())
 
-let serve ?(latency_ms = 2.0) ?(proc_ms = 0.2) ?(disks = []) ?batching ?holding
+and free life =
+  if not life.over then begin
+    life.server.busy <- false;
+    pump life.server
+  end
+
+let serve ?(latency_ms = 2.0) ?(proc_ms = 0.2) ?(disks = []) ?batching ?holding ?first
     ?(describe = fun _ -> "request") engine ~name ~handler =
-  {
-    engine;
-    name;
-    handler;
-    batching;
-    holding;
-    describe;
-    latency_ms;
-    proc_ms;
-    disks;
-    queue = Queue.create ();
-    held = [];
-    up = true;
-    busy = false;
-    served = 0;
-  }
+  let rec t =
+    {
+      engine;
+      name;
+      handler;
+      batching;
+      holding;
+      describe;
+      latency_ms;
+      proc_ms;
+      disks;
+      first;
+      ahead = Queue.create ();
+      queue = Queue.create ();
+      held = [];
+      up = true;
+      busy = false;
+      life;
+      served = 0;
+    }
+  and life = { server = t; over = false } in
+  t
 
 let call t req =
   let reply = Ivar.create () in
@@ -195,7 +227,10 @@ let call t req =
   else begin
     Engine.at t.engine t.latency_ms (fun () ->
         if t.up then begin
-          Queue.add { req; op; reply } t.queue;
+          let p = { req; op; reply } in
+          (match t.first with
+          | Some first when first req -> Queue.add p t.ahead
+          | Some _ | None -> Queue.add p t.queue);
           pump t
         end
         else fail_after timeout_ms Server_crashed);
@@ -205,6 +240,8 @@ let call t req =
 let crash t =
   t.up <- false;
   t.busy <- false;
+  t.life.over <- true;
+  t.life <- { server = t; over = false };
   let tr = trace t in
   if Trace.enabled tr then
     Trace.point tr (Trace.Crash { component = t.name; what = "crash" });
@@ -215,7 +252,8 @@ let crash t =
         e.pending)
       t.held
   in
-  let doomed = (Queue.to_seq t.queue |> List.of_seq) @ held in
+  let doomed = List.of_seq (Seq.append (Queue.to_seq t.ahead) (Queue.to_seq t.queue)) @ held in
+  Queue.clear t.ahead;
   Queue.clear t.queue;
   t.held <- [];
   List.iter

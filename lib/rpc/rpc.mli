@@ -9,7 +9,13 @@
     Handlers run atomically within one simulated event — a server process
     serves one request at a time, so concurrent clients interleave at
     request granularity, which is exactly the serialisation the real
-    Amoeba server loop provides. *)
+    Amoeba server loop provides.
+
+    {b Queue order.} A request joins the queue when it arrives, and the
+    server takes the next one each time it frees up. Requests that
+    [serve]'s [first] predicate picks are served before every other queued
+    request; within each class the order is arrival order. Without
+    [first], the queue is plain FIFO. Replies leave in service order. *)
 
 type ('req, 'resp) t
 
@@ -28,8 +34,10 @@ type ('req, 'resp) batcher = {
     drained from the queue (FIFO among themselves, non-batchable requests
     keep their positions) and handed to [handle_batch] as one unit,
     charging [proc_ms], storage growth and the reply latency once for
-    the whole batch. With [window = 1] or no batcher, behaviour is
-    exactly the one-request-at-a-time loop. *)
+    the whole batch; a batch drains the picked class first. With
+    [window = 1] or no batcher, behaviour is exactly the
+    one-request-at-a-time loop: each request is served alone, in the
+    queue order above. *)
 
 type ('req, 'resp) holding = {
   hold : 'req -> 'resp -> float option;
@@ -58,6 +66,7 @@ val serve :
   ?disks:Afs_disk.Disk.t list ->
   ?batching:('req, 'resp) batcher ->
   ?holding:('req, 'resp) holding ->
+  ?first:('req -> bool) ->
   ?describe:('req -> string) ->
   Afs_sim.Engine.t ->
   name:string ->
@@ -66,20 +75,27 @@ val serve :
 (** [latency_ms] is charged each way per message; [proc_ms] per request of
     server CPU; if [disks] are given, the growth of their busy time during
     the handler is charged as well, so storage latency shows up in client
-    round trips. [describe] labels requests in trace events (only called
-    when the engine's trace is enabled). *)
+    round trips. [first] picks, on arrival, the requests served ahead of
+    the rest (see the queue order above); it is asked once per request,
+    before its handler runs. [describe] labels requests in trace events
+    (only called when the engine's trace is enabled). *)
 
 val call : ('req, 'resp) t -> 'req -> ('resp, call_error) result
 (** Must run inside a {!Afs_sim.Proc} process. Blocks for the reply. *)
 
 val crash : ('req, 'resp) t -> unit
-(** The server process dies: queued, held and in-flight requests fail
-    with [Server_crashed] (after the client-side timeout), later calls
-    fail with [Timeout]. *)
+(** The server process dies: queued requests of both classes, held
+    requests and requests still on their way in fail with
+    [Server_crashed] (after the client-side timeout), each exactly once;
+    later calls fail with [Timeout]. A request already in service keeps
+    its reply, since its handler has run. *)
 
 val restart : ('req, 'resp) t -> unit
 (** Bring the server back (its handler state is whatever the underlying
-    service says it is — volatile loss is the service's business). *)
+    service says it is — volatile loss is the service's business). It
+    starts idle: a service slot that began before the crash still answers
+    its request when it ends, but does not free the restarted server,
+    which serves one request at a time from its own slots. *)
 
 val is_up : ('req, 'resp) t -> bool
 

@@ -833,6 +833,178 @@ let test_crash_fails_held () =
       | Ok _ | Error _ -> Alcotest.fail "the restarted server did not answer");
       Alcotest.(check int) "nothing held after the restart" 0 !offered)
 
+(* {2 Queue order}
+
+   A request keeps the server busy while the [arrivals] queue behind it,
+   0.01 ms apart, in list order. Replies leave in service order, so the
+   order they come back in is the order the server took them. *)
+let service_order ?group_commit arrivals =
+  in_sim (fun engine ->
+      let srv = Server.create (Store.memory ()) in
+      let f = Helpers.file_with_pages srv 2 in
+      let conn = Remote.connect [ Remote.host ?group_commit engine ~name:"afs" srv ] in
+      let replies = ref [] in
+      let spawn, join = Proc.joinable engine in
+      ignore (spawn (fun () -> ignore (Batch_ops.current_version conn f)) : Proc.handle);
+      List.iteri
+        (fun i (label, request) ->
+          let send = request srv f in
+          ignore
+            (spawn (fun () ->
+                 Proc.delay (0.01 *. float_of_int (i + 1));
+                 (match send conn with
+                 | Ok () -> ()
+                 | Error e -> Alcotest.failf "%s failed: %s" label (Errors.to_string e));
+                 replies := (Engine.now engine, i, label) :: !replies)
+              : Proc.handle))
+        arrivals;
+      join ();
+      List.map (fun (_, _, label) -> label) (List.sort compare !replies))
+
+(* The request kinds the queue tells apart: each builds its request
+   against a fresh server and its two-page file [f]. *)
+let batch target steps conn = Result.map ignore (Remote.batch conn target steps)
+let opening _ f = batch (Remote.Open f) [ Remote.Read P.root ]
+
+let written srv f page =
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (P.of_list [ page ])));
+  (v, Remote.Write (P.of_list [ page ], bytes "w"))
+
+let redo_commit srv f =
+  let v, write = written srv f 0 in
+  batch (Remote.Version v) [ write; Remote.Commit; Remote.Redo (f, [ P.of_list [ 0 ] ]) ]
+
+let plain_commit srv f =
+  let v, write = written srv f 1 in
+  batch (Remote.Version v) [ write; Remote.Commit ]
+
+(* A cross-shard seal whose [Swap] decides on a record file. *)
+let seal srv _ =
+  let staged = Helpers.file_with_pages srv 0 and record = Helpers.file_with_pages srv 0 in
+  let v = ok (Server.create_version srv staged) in
+  batch (Remote.Version v)
+    [ Remote.Write (P.root, bytes "marker"); Remote.Commit;
+      Remote.Swap { file = record; expected = bytes "root"; writes = [ (P.root, bytes "done") ] } ]
+
+let guarded_flip srv _ =
+  let marked = Helpers.file_with_pages srv 0 in
+  batch (Remote.Open marked)
+    [ Remote.Guard_root (bytes "root"); Remote.Write (P.root, bytes "flipped"); Remote.Commit ]
+
+let await _ f conn = Result.map ignore (Remote.await conn f ~until:[ bytes "root" ] ~budget_ms:50.0)
+let create_file _ _ conn = Result.map ignore (Remote.create_file conn (bytes "new"))
+
+(* A redo-carrying commit that queues behind an [Open] batch is served
+   first; with a group-commit window the queue stays FIFO. *)
+let test_redo_commit_first () =
+  let arrivals = [ ("open", opening); ("redo commit", redo_commit) ] in
+  Alcotest.(check (list string)) "commit first" [ "redo commit"; "open" ] (service_order arrivals);
+  Alcotest.(check (list string)) "FIFO under a window" [ "open"; "redo commit" ]
+    (service_order ~group_commit:3 arrivals)
+
+(* Every other kind keeps its arrival order, behind any redo-carrying
+   commit. Under a window of 3 the order is the FIFO drain's: the
+   redo-carrying commit rides in the plain commit's batch. *)
+let test_others_keep_arrival_order () =
+  let others =
+    [ ("open", opening); ("plain commit", plain_commit); ("seal", seal);
+      ("flip", guarded_flip); ("await", await); ("create", create_file) ]
+  in
+  let with_redo = others @ [ ("redo commit", redo_commit) ] in
+  Alcotest.(check (list string)) "arrival order" (List.map fst others) (service_order others);
+  Alcotest.(check (list string)) "only the redo commit jumps"
+    ("redo commit" :: List.map fst others) (service_order with_redo);
+  Alcotest.(check (list string)) "FIFO drain under a window"
+    [ "open"; "plain commit"; "redo commit"; "seal"; "flip"; "await"; "create" ]
+    (service_order ~group_commit:3 with_redo)
+
+(* A crash fails every queued request of both classes exactly once — the
+   negative ones are picked first — and a restart brings none back: the
+   handler runs only for the request in service and for the one sent
+   after the restart. *)
+let test_crash_fails_both_classes () =
+  in_sim (fun engine ->
+      let handled = ref [] in
+      let server =
+        Rpc.serve ~latency_ms:1.0 ~proc_ms:10.0 ~first:(fun req -> req < 0) engine ~name:"srv"
+          ~handler:(fun req ->
+            handled := req :: !handled;
+            req)
+      in
+      let spawn, join = Proc.joinable engine in
+      let answers = ref [] in
+      List.iteri
+        (fun i req ->
+          ignore
+            (spawn (fun () ->
+                 Proc.delay (0.1 *. float_of_int i);
+                 let answer = Rpc.call server req in
+                 answers := (req, answer) :: !answers)
+              : Proc.handle))
+        [ 1; 2; -3; 4; -5 ];
+      Engine.at engine 5.0 (fun () -> Rpc.crash server);
+      Engine.at engine 6.0 (fun () -> Rpc.restart server);
+      ignore
+        (spawn (fun () ->
+             Proc.delay 7.0;
+             let answer = Rpc.call server 6 in
+             answers := (6, answer) :: !answers)
+          : Proc.handle);
+      join ();
+      let answer req =
+        match List.filter (fun (r, _) -> r = req) !answers with
+        | [ (_, Ok v) ] -> string_of_int v
+        | [ (_, Error e) ] -> Fmt.str "%a" Rpc.pp_call_error e
+        | l -> Alcotest.failf "request %d answered %d times" req (List.length l)
+      in
+      Alcotest.(check (list string)) "answers"
+        [ "1"; "server crashed"; "server crashed"; "server crashed"; "server crashed"; "6" ]
+        (List.map answer [ 1; 2; -3; 4; -5; 6 ]);
+      Alcotest.(check (list int)) "handler runs" [ 1; 6 ] (List.rev !handled);
+      Alcotest.(check int) "served" 2 (Rpc.requests_served server))
+
+(* A crash and a restart inside one service slot: the old slot's end
+   still answers its request, but must not free the restarted server
+   while request 2 is in service, so request 3 waits for request 2's
+   slot to end at t = 4 + 10 + 1. *)
+let test_restart_inside_a_slot () =
+  in_sim (fun engine ->
+      let handled = ref [] in
+      let server =
+        Rpc.serve ~latency_ms:1.0 ~proc_ms:10.0 engine ~name:"srv"
+          ~handler:(fun req ->
+            handled := (req, Engine.now engine) :: !handled;
+            req)
+      in
+      let spawn, join = Proc.joinable engine in
+      let answers = ref [] in
+      let call ~at req =
+        ignore
+          (spawn (fun () ->
+               Proc.delay at;
+               let answer = Rpc.call server req in
+               answers := (req, answer, Engine.now engine) :: !answers)
+            : Proc.handle)
+      in
+      call ~at:0.0 1;
+      Engine.at engine 2.0 (fun () -> Rpc.crash server);
+      Engine.at engine 3.0 (fun () -> Rpc.restart server);
+      call ~at:3.0 2;
+      call ~at:5.0 3;
+      join ();
+      Alcotest.(check (list (pair int (float 1e-9)))) "one request in service at a time"
+        [ (1, 1.0); (2, 4.0); (3, 15.0) ] (List.rev !handled);
+      Alcotest.(check (list (pair int (float 1e-9)))) "answered at each slot's end"
+        [ (1, 12.0); (2, 15.0); (3, 26.0) ]
+        (List.sort compare
+           (List.map
+              (fun (req, answer, at) ->
+                match answer with
+                | Ok v when v = req -> (req, at)
+                | Ok _ | Error _ -> Alcotest.failf "request %d not answered" req)
+              !answers)))
+
 let () =
   Alcotest.run "rpc"
     [
@@ -846,6 +1018,10 @@ let () =
           quick "restart resumes" test_restart_resumes_service;
           quick "held requests" test_held_requests;
           quick "crash fails held requests" test_crash_fails_held;
+          quick "redo commit served first" test_redo_commit_first;
+          quick "others keep arrival order" test_others_keep_arrival_order;
+          quick "crash fails both classes" test_crash_fails_both_classes;
+          quick "restart inside a slot" test_restart_inside_a_slot;
         ] );
       ( "remote file service",
         [

@@ -518,6 +518,31 @@ let test_airline_seats_conserved () =
     true
     (booked <= report.Driver.committed)
 
+(* Starvation: half the transactions are large updates (6 reads and 6
+   read-modify-writes on 24-page files, c1's large shape scaled down);
+   the rest are one-page updates on the same Zipf-hot pages. Sixteen
+   clients over one host, 16 attempts each. A large update's redo must
+   not keep losing to the small ones' commits. *)
+let test_large_updates_never_give_up () =
+  let large =
+    { Workload.small_updates with nfiles = 2; pages_per_file = 24; read_pages = 6;
+      rmw_pages = 6; file_theta = 0.9; page_theta = 0.4 }
+  in
+  let small = { large with read_pages = 0; rmw_pages = 1; page_theta = 0.9 } in
+  let engine = Engine.create () in
+  let srv = Server.create (Store.memory ()) in
+  let files = ok (Workload.setup_pages srv large ~initial:(Helpers.bytes "00000000")) in
+  let host = Remote.host ~latency_ms:2.0 engine ~name:"afs" srv in
+  let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
+  let large_txn = Workload.make large and small_txn = Workload.make small in
+  let gen rng = if Xrng.bool rng then large_txn rng else small_txn rng in
+  let config =
+    { Driver.default_config with clients = 16; duration_ms = 2_000.0; think_ms = 20.0 }
+  in
+  let report = Driver.run engine config sut ~gen in
+  Alcotest.(check bool) "committed > 0" true (report.Driver.committed > 0);
+  Alcotest.(check int) "given up" 0 report.Driver.given_up
+
 let test_driver_reports_sane_numbers () =
   let shape = { Workload.small_updates with nfiles = 8; pages_per_file = 4 } in
   let engine = Engine.create () in
@@ -585,6 +610,7 @@ let () =
           quick "airline seats conserved" test_airline_seats_conserved;
           QCheck_alcotest.to_alcotest prop_race_keeps_every_update;
           quick "racing clients redo" test_race_redoes;
+          quick "large updates never give up" test_large_updates_never_give_up;
         ] );
       ( "driver",
         [
