@@ -20,11 +20,11 @@ let seed_stride = 0x1_0000_0000
 type load = { cap : Capability.t; mutable count : int }
 
 (* The replication plane of one shard: the primary-side source feeding
-   [members], each hosted behind its own RPC endpoint (the ship/promote
-   wire surface; local feeding bypasses it, promotion uses it). *)
+   [members] directly, each hosted behind its own RPC endpoint, which
+   serves the promotion. *)
 type replication = {
   mutable source : Replica.Source.source;
-  mutable members : (Replica.t * (Remote.request, Remote.response) Rpc.t) list;
+  mutable members : (Replica.t * (int, int Errors.r) Rpc.t) list;
 }
 
 type config = {
@@ -156,7 +156,7 @@ type promotion = { epoch : int; watermark : int; recovered_files : int }
    process (the promotion itself is an RPC to the replica's endpoint).
 
    The sequence is the paper's commit discipline applied to the shard:
-   the [Promote] request test-and-sets the shared epoch register and
+   the promotion request test-and-sets the shared epoch register and
    drains the replica's queue; sibling replicas catch up and re-home onto
    the promoted store's new source; a server is rebuilt over that store
    with the shard's original seed — same secret, same port — so every
@@ -170,11 +170,12 @@ let promote t i =
       Error (Errors.Store_failure "promote: shard has no replica")
   | Some ({ members = (r, rhost) :: siblings; _ } as repl) -> (
       let expected_epoch = Replica.epoch r in
-      match Rpc.call rhost (Remote.Promote { expected_epoch }) with
+      match Rpc.call rhost expected_epoch with
       | Error e ->
           Error (Errors.Store_failure (Fmt.str "promote rpc: %a" Rpc.pp_call_error e))
       | Ok (Error e) -> Error e
-      | Ok (Ok (Remote.Watermark { epoch; applied; _ })) -> (
+      | Ok (Ok applied) -> (
+          let epoch = Replica.epoch r in
           List.iter (fun (s, _) -> Replica.adopt s ~epoch) siblings;
           let source =
             Replica.Source.create
@@ -208,5 +209,4 @@ let promote t i =
               repl.members <- siblings;
               t.generation <- t.generation + 1;
               Stats.Counter.incr t.counters "promotions";
-              Ok { epoch; watermark = applied; recovered_files })
-      | Ok (Ok _) -> Error (Errors.Store_failure "promote: unexpected response"))
+              Ok { epoch; watermark = applied; recovered_files }))

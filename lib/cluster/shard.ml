@@ -34,15 +34,9 @@ let root_marker server file =
 let moved_target server file =
   match root_marker server file with Forwarded target -> Some target | In_doubt _ | Plain -> None
 
-(* How an [Open] batch begins: by reading the root — an opening, which
-   a marker turns away — or by guarding it — a resolution, which expects
-   one. Any other [Open] batch is refused. *)
-type opening = Reads_root | Guards_root | Refused
-
-let opening : Remote.step list -> opening = function
-  | Remote.Read path :: _ when Pagepath.equal path Pagepath.root -> Reads_root
-  | Remote.Guard_root _ :: _ -> Guards_root
-  | _ -> Refused
+let reads_root : Remote.step list -> bool = function
+  | Remote.Read path :: _ -> Pagepath.equal path Pagepath.root
+  | _ -> false
 
 (* The wrapper runs atomically inside the host's single simulated event,
    so the marker checks, the version creation and the root read are
@@ -51,20 +45,20 @@ let opening : Remote.step list -> opening = function
 let location_check server base (req : Remote.request) : Remote.response =
   match req with
   | Remote.Batch { target = Remote.Open file; steps } -> (
-      (* An [Open] batch must read or guard the root first, which puts
-         the R-on-root fence in its own read set. One that reads it is an
-         opening: a marker there answers its image, and no version is
-         opened. One that guards it is a resolution, which must reach the
-         marker. *)
-      match (root_marker server file, opening steps) with
-      | Forwarded target, _ -> Error (Errors.Moved target)
-      | _, Refused -> Error (Errors.Store_failure "shard: an Open batch must read the root first")
-      | In_doubt { image; _ }, Reads_root -> Ok (Remote.Batched (Remote.Marked image))
-      | (In_doubt _ | Plain), _ -> base req)
+      (* An [Open] batch is an opening: it must read the root first,
+         which puts the R-on-root fence in its own read set, and a marker
+         there answers its image, with no version opened. *)
+      match root_marker server file with
+      | Forwarded target -> Error (Errors.Moved target)
+      | _ when not (reads_root steps) ->
+          Error (Errors.Store_failure "shard: an Open batch must read the root first")
+      | In_doubt { image; _ } -> Ok (Remote.Batched (Remote.Marked image))
+      | Plain -> base req)
   | Remote.Batch { target = Remote.Current file; _ } | Remote.Await { file; _ } -> (
-      (* Reads of the committed root, as resolvers make them: past the
-         in-doubt trap, but not past a tombstone. A [Version] batch's
-         version was opened through this check already. *)
+      (* Reads of the committed root and the [Swap]s that resolve
+         markers: past the in-doubt trap, but not past a tombstone. A
+         [Version] batch's version was opened through this check
+         already. *)
       match moved_target server file with
       | Some target -> Error (Errors.Moved target)
       | None -> base req)

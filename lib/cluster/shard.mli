@@ -7,15 +7,14 @@
 
     - an [Open] [Batch] on a file whose current root is a forward
       marker answers [Moved target] instead of serving the tombstone;
-      one that begins by reading a root that holds a transaction marker
-      ({!Txnmark}) answers [Marked] with the marker's image and opens
-      nothing. One that guards the root passes the in-doubt trap, as do
-      [Current] batches and [Await]s — batches {e are} the resolution —
-      but all of them still honour tombstones. A [Version] batch is never
-      checked, but its [Redo] is, being an [Open] batch the host sends
-      through this same wrapper;
-    - an [Open] batch must begin by reading the root ([Read] of the root
-      or [Guard_root]; other [Open] batches are refused), which records
+      one whose root holds a transaction marker ({!Txnmark}) answers
+      [Marked] with the marker's image and opens nothing. [Current]
+      batches and [Await]s pass the in-doubt trap — a [Current] batch's
+      [Swap] {e is} the resolution — but still honour tombstones. A
+      [Version] batch is never checked, but its [Redo] is, being an
+      [Open] batch the host sends through this same wrapper;
+    - an [Open] batch must begin with a [Read] of the root (other
+      [Open] batches are refused and open nothing), which records
       [R] there. That makes the location check part of every cluster
       transaction's read set: a migration flip and a transaction stage
       both write the root, so their commits conflict with every version

@@ -28,7 +28,6 @@ module Errors = Afs_core.Errors
 module Stats = Afs_util.Stats
 module Trace = Afs_trace.Trace
 module Rpc = Afs_rpc.Rpc
-module Remote = Afs_rpc.Remote
 
 type register = { block : int; mutable epoch : int }
 
@@ -302,30 +301,12 @@ let store_digest (store : Store.t) =
 
 (* {2 The replica as a remote service}
 
-   A replica answers only the replication-plane requests; everything else
-   is refused — it has no server, no capabilities, no files until
-   promotion builds a server over its store. *)
-
-let handle r : Remote.request -> Remote.response = function
-  | Remote.Ship { epoch; seq; ops } ->
-      if epoch <> r.epoch then Error Errors.Conflict
-      else begin
-        feed r { seq; epoch; ship_at = Engine.now r.engine; ops };
-        Ok Remote.Unit
-      end
-  | Remote.Promote { expected_epoch } -> (
-      match promote r ~expected_epoch with
-      | Ok () ->
-          Ok
-            (Remote.Watermark
-               { epoch = r.epoch; shipped = r.shipped_seq; applied = r.applied_seq })
-      | Error _ as e -> e)
-  | Remote.Replica_watermark ->
-      Ok
-        (Remote.Watermark
-           { epoch = r.epoch; shipped = r.shipped_seq; applied = r.applied_seq })
-  | _ -> Error (Errors.Store_failure "rpc: replica serves only replication requests")
+   A replica's endpoint answers one request, the promotion: the epoch
+   the caller expects in, the applied watermark out. It has no server,
+   no capabilities and no files until promotion builds a server over its
+   store, and it is fed through the publish gate, not over the wire. *)
 
 let host ?latency_ms ?proc_ms engine ~name r =
-  Rpc.serve ?latency_ms ?proc_ms ~describe:Remote.request_kind engine ~name
-    ~handler:(handle r)
+  Rpc.serve ?latency_ms ?proc_ms ~describe:(fun _ -> "promote") engine ~name
+    ~handler:(fun expected_epoch ->
+      Result.map (fun () -> r.applied_seq) (promote r ~expected_epoch))

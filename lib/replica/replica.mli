@@ -138,8 +138,8 @@ val host :
   Afs_sim.Engine.t ->
   name:string ->
   t ->
-  (Afs_rpc.Remote.request, Afs_rpc.Remote.response) Afs_rpc.Rpc.t
-(** Serve the replication plane behind an RPC endpoint: [Ship] feeds
-    (rejecting a stale epoch with [Conflict]), [Promote] runs {!promote}
-    and answers the watermark, [Replica_watermark] reads it; every
-    file-service request is refused. *)
+  (int, int Afs_core.Errors.r) Afs_rpc.Rpc.t
+(** Serve the promotion behind an RPC endpoint, its trace label
+    ["promote"]: a request carries the expected epoch and runs
+    {!promote}; a win answers the applied watermark, and {!epoch} then
+    reads the new epoch. *)

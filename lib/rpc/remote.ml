@@ -13,7 +13,6 @@ type step =
   | Insert of { parent : Pagepath.t; index : int; data : bytes }
   | Remove of { parent : Pagepath.t; index : int }
   | Info of Pagepath.t
-  | Guard_root of bytes
   | Commit
   | Abort
   | Redo of Capability.t * Pagepath.t list
@@ -27,11 +26,6 @@ type request =
   (* Prepare/Decide drive the server's two-phase-commit baseline. *)
   | Prepare of Capability.t
   | Decide of { version : Capability.t; commit : bool }
-  (* Replication-plane messages, answered only by a replica host
-     (lib/replica); a plain file server rejects them. *)
-  | Ship of { epoch : int; seq : int; ops : Afs_core.Store.op list }
-  | Promote of { expected_epoch : int }
-  | Replica_watermark
 
 type batch_answer =
   | Ran of { version : Capability.t; reads : bytes list; infos : (int * int) list }
@@ -44,7 +38,6 @@ type value =
   | Data of bytes
   | Batched of batch_answer
   | Unit
-  | Watermark of { epoch : int; shipped : int; applied : int }
 
 type response = (value, Errors.t) result
 
@@ -81,14 +74,14 @@ let step_bytes = function
   | Write (_, data) -> Bytes.length data
   | Swap { writes; _ } -> List.fold_left (fun n (_, data) -> n + Bytes.length data) 0 writes
   | Insert { data; _ } -> Bytes.length data
-  | Read _ | Remove _ | Info _ | Guard_root _ | Commit | Abort | Redo _ -> 0
+  | Read _ | Remove _ | Info _ | Commit | Abort | Redo _ -> 0
 
 (* Run a batch's steps in order against its version, stopping at the
-   first error or failed guard. Each step is the ordinary call with its
+   first error or failed [Swap]. Each step is the ordinary call with its
    ordinary validation, so a [Current] batch is read-only because the
    server refuses writes to committed versions. A version the batch opened
    itself must not outlive a failed batch — the client never learns its
-   capability — so an error or a failed guard abandons it; aborting a
+   capability — so an error or a failed [Swap] abandons it; aborting a
    version the [Commit] step already removed is a harmless no-op. Both
    messages obey the 32K cap: a request whose write data exceeds it is
    refused before it runs, and a batch stops at the read that takes its
@@ -125,9 +118,6 @@ let run_batch ~reopen server target steps =
       | Info path :: rest ->
           let* i = Server.page_info server version path in
           run reads ((i.Server.nrefs, i.Server.dsize) :: infos) rest
-      | Guard_root expected :: rest ->
-          let* root = Server.read_page server version Pagepath.root in
-          if Bytes.equal root expected then run reads infos rest else Ok (Guard_failed root)
       | [ Commit; Redo (file, paths) ] -> (
           match Server.commit server version with
           | Ok () -> run reads infos []
@@ -179,9 +169,8 @@ let handle ~reopen server : request -> response = function
   | Prepare version -> Result.map (fun () -> Unit) (Server.prepare server version)
   | Decide { version; commit = decision } ->
       Result.map (fun () -> Unit) (Server.decide server version ~commit:decision)
-  | Ship _ | Promote _ | Replica_watermark ->
-      Error (Errors.Store_failure "rpc: not a replica")
 
+(* The [op] label of a request in RPC trace events. *)
 let request_kind : request -> string = function
   | Create_file _ -> "create_file"
   | Destroy_file _ -> "destroy_file"
@@ -189,9 +178,6 @@ let request_kind : request -> string = function
   | Await _ -> "await"
   | Prepare _ -> "prepare"
   | Decide _ -> "decide"
-  | Ship _ -> "ship"
-  | Promote _ -> "promote"
-  | Replica_watermark -> "replica_watermark"
 
 type host = {
   rpc : (request, response) Rpc.t;
@@ -228,7 +214,7 @@ let carries_redo = function
   | _ -> false
 
 (* Every member's own steps run first, in queue order; a member whose
-   steps fail (or whose guard fails) answers alone and leaves the commit
+   steps fail (or whose [Swap] fails) answers alone and leaves the commit
    run. The rest commit in one pipeline run, answering as the same
    requests would one at a time — a member that lost validation with its
    redo, reopened after the run. *)
@@ -381,10 +367,7 @@ let connect ?(balance = false) hosts =
    flush. *)
 let rotates_boundary = function
   | Create_file _ | Batch { target = Open _ | Current _; _ } -> true
-  | Destroy_file _
-  | Batch { target = Version _; _ }
-  | Await _ | Prepare _ | Decide _ | Ship _ | Promote _ | Replica_watermark ->
-      false
+  | Destroy_file _ | Batch { target = Version _; _ } | Await _ | Prepare _ | Decide _ -> false
 
 let call conn req =
   let n = Array.length conn.hosts in

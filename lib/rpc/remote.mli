@@ -32,8 +32,6 @@ type step =
       (** {!Afs_core.Server.page_info}: the page's [(nrefs, dsize)] joins
           the answer's [infos] — structure discovery that records no
           access flags. *)
-  | Guard_root of bytes
-      (** Read the root and go on only if it equals these bytes. *)
   | Commit  (** The ordinary optimistic {!Afs_core.Server.commit}. *)
   | Abort  (** {!Afs_core.Server.abort_version}. *)
   | Redo of Afs_util.Capability.t * Afs_util.Pagepath.t list
@@ -47,11 +45,11 @@ type step =
       expected : bytes;
       writes : (Afs_util.Pagepath.t * bytes) list;
     }
-      (** A root test-and-set on another file of the same server, in the
+      (** The root test-and-set, on any file of the same server, in the
           same handler event: on a fresh version of [file], iff its root
           is [expected], apply [writes] and commit. A different root
-          answers [Guard_failed], as a failed [Guard_root] does. No
-          version of [file] is left open. *)
+          answers [Guard_failed] and ends the batch. No version of [file]
+          is left open. *)
 
 type request =
   | Create_file of bytes
@@ -65,25 +63,12 @@ type request =
   | Prepare of Afs_util.Capability.t  (** {!Afs_core.Server.prepare}. *)
   | Decide of { version : Afs_util.Capability.t; commit : bool }
       (** {!Afs_core.Server.decide}. *)
-  | Ship of { epoch : int; seq : int; ops : Afs_core.Store.op list }
-      (** One commit-stream batch for a replica to apply; rejected by a
-          plain file server. Local replica sets feed directly through the
-          publish gate — this message is the wire form for a replica
-          hosted behind its own RPC endpoint. *)
-  | Promote of { expected_epoch : int }
-      (** Test-and-set on the replica's epoch register: wins (and the
-          replica becomes promotable) iff its current epoch is exactly
-          [expected_epoch]. *)
-  | Replica_watermark  (** Read back epoch and shipped/applied seqs. *)
-
-val request_kind : request -> string
-(** Short operation name, used as the [op] label in RPC trace events. *)
 
 type batch_answer =
   | Ran of { version : Afs_util.Capability.t; reads : bytes list; infos : (int * int) list }
       (** Every step ran: the batch's version, the data of its [Read]
           steps and the [(nrefs, dsize)] of its [Info] steps, in order. *)
-  | Guard_failed of bytes  (** A [Guard_root] step found this root instead. *)
+  | Guard_failed of bytes  (** A [Swap] step found this root instead. *)
   | Reopened of { version : Afs_util.Capability.t; reads : bytes list }
       (** The [Commit] lost validation and the [Redo] opened [version]:
           the data of its reads, the root's first. *)
@@ -97,7 +82,6 @@ type value =
   | Data of bytes
   | Batched of batch_answer
   | Unit
-  | Watermark of { epoch : int; shipped : int; applied : int }
 
 type response = (value, Afs_core.Errors.t) result
 
@@ -136,7 +120,7 @@ val host :
     ahead of new openings keeps the opening queue out of every attempt's
     validation window, and conflicts rare. Among themselves such
     commits keep their arrival order, and so does everything else:
-    openings, plain commits, seals, guarded flips, [Await] and
+    openings, plain commits, seals, flips, [Await] and
     [Create_file]. A host with a window keeps one FIFO queue: serving
     commits first would take each as soon as the server frees up, and
     leave none queued to form the next batch.
@@ -184,22 +168,23 @@ val batch :
 (** Run [steps] in order against [target]'s version in one message. Each
     step is the ordinary call with its ordinary validation; the batch
     stops at the first error (answered as the batch's error) or failed
-    guard, and obeys {!message_cap}. An error or a failed guard abandons
+    [Swap], and obeys {!message_cap}. An error or a failed [Swap] abandons
     a version the batch opened itself ([Open]) — the caller never learns
     its capability — while a successful [Open] batch without [Commit]
     hands its version over, and so does a [Reopened] answer. A redo that
     fails answers the error a fresh [Open] batch would have met ([Moved],
     say); no version is left open then.
     Behind a cluster wrapper an [Open] or [Current] batch may answer
-    [Moved] — callers chase it — and an [Open] batch that begins by
-    reading a root that holds a transaction marker answers [Marked];
-    other batches pass the in-doubt trap. *)
+    [Moved] — callers chase it — and an [Open] batch must begin by
+    reading the root: one that does not is refused, and one whose root
+    holds a transaction marker answers [Marked]. Other batches pass the
+    in-doubt trap. *)
 
 val on_version :
   conn -> Afs_util.Capability.t -> step list ->
   (bytes list * (int * int) list) Afs_core.Errors.r
 (** {!batch} on a [Version] the caller holds, for steps that answer
-    [Ran] (no [Guard_root], [Redo] or [Swap]): its [reads] and [infos].
+    [Ran] (no [Redo] or [Swap]): its [reads] and [infos].
     A [Version] batch passes a cluster wrapper unchecked, so it never
     answers [Moved]. *)
 

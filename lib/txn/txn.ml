@@ -31,26 +31,27 @@
 
    3. Decide.  The coordinator replaces the record's root data — the
       value it last saw there — with [txn:<seq>:c] as one more ordinary
-      optimistic commit: a guarded test-and-set. A contender who tired
-      of waiting force-aborts the same way, from the value it saw to
-      [txn:<seq>:a]; both test-and-set the same root, so exactly one
-      wins, and because seqs only grow on a record no value ever recurs
-      (no ABA). This single commit IS the transaction-wide atomic point.
-      It rides the last participant's seal: the record lives on that
-      shard, so one [Version] batch seals the last marker, then
-      test-and-sets the record ([Remote.Swap]) — only if the seal
-      committed — in the same handler event.
+      optimistic commit: a root test-and-set ([Remote.Swap]). A
+      contender who tired of waiting force-aborts the same way, from the
+      value it saw to [txn:<seq>:a]; both test-and-set the same root, so
+      exactly one wins, and because seqs only grow on a record no value
+      ever recurs (no ABA). This single commit IS the transaction-wide
+      atomic point. It rides the last participant's seal: the record
+      lives on that shard, so one [Version] batch seals the last marker,
+      then test-and-sets the record — only if the seal committed — in the
+      same handler event. Sent alone, the same [Swap] is the one step of
+      a [Current] batch on the record.
 
    4. Flip.  Each staged participant is resolved by one more optimistic
-      commit, again one guarded test-and-set: iff the root still carries
-      this transaction's exact marker bytes, restore the old root data
+      commit, again one [Swap]: iff the root still carries this
+      transaction's exact marker bytes, restore the old root data
       and — iff the record committed — apply the marker's page writes in
       place. Applying writes (never flipping to a wholesale copy)
       preserves any concurrent non-conflicting update that merged
       underneath the stage. The batch that decides also flips every
       participant on the record's shard, behind the record's commit;
       the coordinator flips the rest, one message each, before it
-      answers. Flips race only other resolvers; the loser's guard fails,
+      answers. Flips race only other resolvers; the loser's [Swap] fails,
       which is its answer: the marker is gone.
 
    5. Wait.  A transaction that meets another's marker waits for that
@@ -126,9 +127,6 @@ type t = {
   trace : Trace.t;
   counters : Stats.Counter.t;
   mutable next_seq : int;
-  wait_budget_ms : float;
-      (** How long a waiter grants a pending coordinator before
-          force-aborting it. *)
   free : (int, (Capability.t * bytes) list) Hashtbl.t;
       (** Reusable coordinator records by shard id, each with the root
           data it holds. *)
@@ -139,28 +137,22 @@ type t = {
    or a participant that keeps losing its stage. *)
 let backoff_ms = 5.0
 
-(* The total of [patience] capped exponential waits of [backoff_ms] — 5,
-   10, 20, then 40 ms each — so the default patience 32 allows 1.195 s:
-   what a resolver polling a pending record with those back-offs granted
-   its coordinator. *)
-let wait_budget_ms patience =
-  let rec total waits acc =
-    if waits >= patience then acc
-    else total (waits + 1) (acc +. (backoff_ms *. float_of_int (min 8 (1 lsl min waits 3))))
-  in
-  total 0 0.0
+(* How long a waiter grants a pending coordinator before force-aborting
+   it: comfortably more than a live coordinator's whole
+   stage-decide-flip protocol takes under load, so force-aborts fire only
+   on dead coordinators. *)
+let wait_budget_ms = 1195.0
 
 let bump ?by t name = Stats.Counter.incr ?by t.counters name
 let rt ?(n = 1) t = bump ~by:n t "txn.round_trips"
 
-let create ?(trace = Trace.null) ?(pending_patience = 32) client =
+let create ?(trace = Trace.null) client =
   let rec t =
     {
       client;
       trace;
       counters = Stats.Counter.create ();
       next_seq = 1;
-      wait_budget_ms = wait_budget_ms pending_patience;
       free = Hashtbl.create 8;
       round_trip = (fun () -> rt t);
     }
@@ -216,13 +208,11 @@ let root_data t file =
       | Ok _ -> malformed
       | Error e -> Error e)
 
-(* A root test-and-set as one batch: iff the root still equals
-   [expected], replace it with [root], apply [writes] and commit. A
-   failed guard answers the current root. *)
-let swap_steps ~expected ~root writes =
-  Remote.Guard_root expected
-  :: List.map (fun (path, data) -> Remote.Write (path, data)) ((Pagepath.root, root) :: writes)
-  @ [ Remote.Commit ]
+(* The record's test-and-set, as the decide and a force-abort make it:
+   iff [record]'s root still holds [expected], replace it with
+   [outcome]. *)
+let record_step record ~expected ~outcome =
+  Remote.Swap { file = record; expected; writes = [ (Pagepath.root, outcome) ] }
 
 (* The record is an ordinary file whose root IS the latest outcome: one
    [Current] batch reads it. *)
@@ -398,20 +388,29 @@ let resolved t { sfile = file; marker = m; _ } ~forward =
     tpoint t
       (Trace.Txn_resolve { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "back" })
 
-(* Overwrite a still-staged marker with its resolution: restore the
-   pre-transaction root data and, iff rolling forward, apply the staged
-   writes in place. [image] is the marker's exact root bytes, so the
-   whole resolution is one guarded batch. Idempotent against other
-   resolvers: a failed guard means the marker is gone — somebody
-   already resolved (or a later transaction re-staged) — and there is
-   nothing left to do. *)
-let apply t ({ sfile = file; marker = m; image } as entry) ~forward =
+(* A staged participant's resolution as a [Swap] on [file]: iff the
+   root still holds the marker's exact bytes, restore the
+   pre-transaction root data and, iff rolling [forward], apply the staged
+   writes in place. *)
+let flip_step ~forward file { marker = m; image; _ } =
+  Remote.Swap
+    {
+      file;
+      expected = image;
+      writes = (Pagepath.root, m.Txnmark.old_root) :: (if forward then m.Txnmark.writes else []);
+    }
+
+(* Overwrite a still-staged marker with its resolution, in one batch.
+   Idempotent against other resolvers: a failed [Swap] means the marker
+   is gone — somebody already resolved (or a later transaction
+   re-staged) — and there is nothing left to do. The [Swap] names the
+   capability [routed] chased to, which after a migration is the only
+   one the file's new home accepts. *)
+let apply t entry ~forward =
   let step =
-    CC.routed t.client file (fun conn ~shard:_ file ->
+    CC.routed t.client entry.sfile (fun conn ~shard:_ file ->
         rt t;
-        Remote.batch conn (Remote.Open file)
-          (swap_steps ~expected:image ~root:m.Txnmark.old_root
-             (if forward then m.Txnmark.writes else [])))
+        Remote.batch conn (Remote.Current file) [ flip_step ~forward file entry ])
   in
   match step with
   | Ok (Remote.Ran _) ->
@@ -426,11 +425,6 @@ let apply t ({ sfile = file; marker = m; image } as entry) ~forward =
    earlier would leave the caller guessing about an outcome a later
    retry could duplicate. *)
 let transport_patience = 256
-
-(* A staged participant's flip as a [Swap] step of another file's batch. *)
-let flip_step { sfile; marker = m; image } =
-  Remote.Swap
-    { file = sfile; expected = image; writes = (Pagepath.root, m.Txnmark.old_root) :: m.Txnmark.writes }
 
 let on_shard t file shard =
   match Afs_cluster.Cluster.shard_of_cap (CC.cluster t.client) file with
@@ -466,17 +460,17 @@ let carried t ~shard ~room staged =
    rather than surface: once a transaction is staged its outcome must
    become definite, not be retried wholesale. *)
 let decide_record t ~record ~seq ~seen ~commit =
-  let target = Txnmark.encode_outcome ~seq ~committed:commit in
+  let outcome = Txnmark.encode_outcome ~seq ~committed:commit in
   let rec attempt expected n =
     if n > transport_patience then Error (Store_failure "txn: record decision starved")
     else
       let step =
         CC.routed t.client record (fun conn ~shard:_ record ->
             rt t;
-            Remote.batch conn (Remote.Open record) (swap_steps ~expected ~root:target []))
+            Remote.batch conn (Remote.Current record) [ record_step record ~expected ~outcome ])
       in
       match step with
-      | Ok (Remote.Ran _) -> Ok ((if commit then Committed else Aborted), target)
+      | Ok (Remote.Ran _) -> Ok ((if commit then Committed else Aborted), outcome)
       | Ok (Remote.Guard_failed current) -> (
           match decide ~seq ~record_data:current with
           | Pending -> attempt current (n + 1)
@@ -557,7 +551,7 @@ let waited t file image ~last =
           Ok None
       | Some marker, _ ->
           bump t "txn.in_doubt";
-          let* decision = outcome t ~budget_ms:t.wait_budget_ms file marker in
+          let* decision = outcome t ~budget_ms:wait_budget_ms file marker in
           Ok (Some (image, decision)))
 
 (* {2 Staging a participant} *)
@@ -585,7 +579,7 @@ type ride = { seen : bytes; before : staged list }
    the record's test-and-set from [ride.seen] to committed, and the
    flips of the participants on that shard, this one included. The
    decide then runs iff the seal commits, and the flips iff the decide
-   does, all in one handler event. A failed guard leaves the decide's
+   does, all in one handler event. A failed [Swap] leaves the decide's
    fate to be asked of the record: it may be a flip's, or the record's
    at a forward marker this batch could not chase. *)
 let stage ?ride t ~record ~seq part =
@@ -601,12 +595,12 @@ let stage ?ride t ~record ~seq part =
             let marker = { Txnmark.record; seq; old_root; writes } in
             let image = Txnmark.encode marker in
             let entry = { sfile = file; marker; image } in
-            let target = Txnmark.encode_outcome ~seq ~committed:true in
+            let outcome = Txnmark.encode_outcome ~seq ~committed:true in
             let swap, flips =
               match ride with
               | Some { seen; before } when on_shard t record shard ->
-                  let room = Remote.message_cap - Bytes.length image - Bytes.length target in
-                  ( [ Remote.Swap { file = record; expected = seen; writes = [ (Pagepath.root, target) ] } ],
+                  let room = Remote.message_cap - Bytes.length image - Bytes.length outcome in
+                  ( [ record_step record ~expected:seen ~outcome ],
                     carried t ~shard ~room (before @ [ entry ]) )
               | Some _ | None -> ([], [])
             in
@@ -614,7 +608,7 @@ let stage ?ride t ~record ~seq part =
             match
               Remote.batch conn (Remote.Version version)
                 ((Remote.Write (Pagepath.root, image) :: Remote.Commit :: swap)
-                @ List.map flip_step flips)
+                @ List.map (fun e -> flip_step ~forward:true e.sfile e) flips)
             with
             | Ok answer -> (
                 CC.note_commit t.client ~shard file;
@@ -694,7 +688,7 @@ let exec_single t part =
   go 0 None
 
 (* Resolve every staged participant one way but those in [done_], one
-   guarded batch each, in staging order, and pool the record once every
+   [Swap] each, in staging order, and pool the record once every
    one has answered (step 6) — [pool] names the shard and the record, or
    is [None] when the record must never be reused. A participant that
    cannot be reached is deferred to resolvers ([deferred] counts it), and
@@ -857,8 +851,8 @@ let coordinated t ~crash_at ~on_record parts =
                     | Some _ -> Ok (Committed, Txnmark.encode_outcome ~seq ~committed:true)
                     | None ->
                         (* The record is elsewhere — a migration moved one
-                           of them — or a guard failed: the decide takes a
-                           message of its own. *)
+                           of them — or its [Swap] failed: the decide takes
+                           a message of its own. *)
                         decide_record t ~record ~seq ~seen ~commit:true
                   in
                   (match decision with

@@ -74,18 +74,12 @@ exception Crashed
 
 type t
 
-val create :
-  ?trace:Afs_trace.Trace.t ->
-  ?pending_patience:int ->
-  Afs_cluster.Cluster_client.t ->
-  t
-(** A coordinator bound to a cluster client. [pending_patience] sets how
-    long a waiter grants a still-pending coordinator before
-    force-aborting it: as long as that many capped exponential back-offs
-    of 5, 10, 20 and then 40 ms would take (1.195 s for the default, 32).
-    That comfortably covers a live coordinator's full stage-decide-flip
+val create : ?trace:Afs_trace.Trace.t -> Afs_cluster.Cluster_client.t -> t
+(** A coordinator bound to a cluster client. A waiter grants a
+    still-pending coordinator 1.195 s before force-aborting it. That
+    comfortably covers a live coordinator's full stage-decide-flip
     protocol under load, so force-aborts only fire on genuinely dead
-    coordinators; crash recovery uses patience 0 via {!sweep}. *)
+    coordinators; crash recovery grants none, via {!sweep}. *)
 
 val exec :
   ?crash_at:crash_point ->

@@ -291,6 +291,33 @@ let test_open_batch_fenced () =
       | Ok _ -> Alcotest.fail "pre-flip batch committed over the tombstone"
       | Error e -> Alcotest.failf "expected Conflict, got %s" (Errors.to_string e))
 
+(* Every [Open] batch is an opening, so the location check refuses one
+   that does not begin by reading the root — a root [Swap] included,
+   which must come in a [Current] batch — before anything runs: no
+   version is opened and the root is untouched. *)
+let test_open_must_read_root () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let f = ok (Cluster_client.create_file ~data:(bytes "v0") client) in
+      ok (Batch_ops.add_pages client f [ bytes "p" ]);
+      let _, shard = ok (Cluster.shard_of_cap cluster f) in
+      let conn = Cluster.conn cluster (Shard.id shard) in
+      List.iter
+        (fun (what, steps) ->
+          match Remote.batch conn (Remote.Open f) steps with
+          | Error (Errors.Store_failure _) -> ()
+          | Ok _ -> Alcotest.failf "an Open batch of %s ran" what
+          | Error e -> Alcotest.failf "%s: expected a refusal, got %s" what (Errors.to_string e))
+        [
+          ("no steps", []);
+          ("a page read first", [ Remote.Read (P.of_list [ 0 ]); Remote.Read P.root ]);
+          ("a root info", [ Remote.Info P.root ]);
+          ( "a root swap",
+            [ Remote.Swap { file = f; expected = bytes "v0"; writes = [ (P.root, bytes "swapped") ] } ] );
+        ];
+      Alcotest.(check (list int)) "no version open" []
+        (ok (Server.uncommitted_versions (Shard.server shard) f));
+      Helpers.check_bytes "root untouched" "v0" (ok (Batch_ops.read_current client f P.root)))
+
 (* A commit that lost validation because a migration flip or a
    transaction stage replaced the root gets from its redo what a fresh
    attempt gets: [Moved], or the marker, answered as [Txn_in_doubt].
@@ -534,6 +561,7 @@ let () =
           quick "moves data, leaves tombstone" test_migrate_moves_data_and_leaves_tombstone;
           quick "fences versions opened pre-flip" test_migration_fences_prior_versions;
           quick "open batches are fenced" test_open_batch_fenced;
+          quick "an opening must read the root first" test_open_must_read_root;
           quick "a redo takes a fresh open's paths" test_redo_takes_fresh_paths;
           quick "racing commits never lost" test_migration_race_never_loses_commits;
         ] );

@@ -16,6 +16,7 @@ module Remote = Afs_rpc.Remote
 module Rpc = Afs_rpc.Rpc
 module Replica = Afs_replica.Replica
 module Faults = Afs_replica.Faults
+module Trace = Afs_trace.Trace
 
 let quick = Helpers.quick
 let bytes = Helpers.bytes
@@ -401,46 +402,40 @@ let test_faults_deterministic () =
 
 (* {2 The replica as a remote service} *)
 
-let test_rpc_ship_promote_watermark () =
+let test_rpc_promote () =
   in_sim (fun engine ->
+      let tr = Trace.ring ~now:(fun () -> Engine.now engine) () in
+      Engine.set_trace engine tr;
       let source = Replica.Source.create engine (Store.memory ()) in
       let reg = Replica.Source.register source in
       let r = Replica.create engine ~shard:0 ~reg () in
+      Replica.Source.attach source r;
+      let server =
+        Server.create ~publish_tap:(Replica.Source.tap source)
+          (Replica.Source.capture_store source)
+      in
+      let f = ok (Server.create_file server ~data:(bytes "root") ()) in
+      let v = ok (Server.create_version server f) in
+      ok (Server.write_page server v P.root (bytes "new"));
+      ok (Server.commit server v);
       let rhost = Replica.host ~latency_ms:1.0 engine ~name:"r0" r in
-      (* Ship at the current epoch: accepted and (asynchronously) applied.
-         The batch replays against a fresh store, so it must open with the
-         allocation its writes assume. *)
-      (match
-         Rpc.call rhost
-           (Remote.Ship
-              { epoch = 0; seq = 1; ops = [ Store.Alloc 0; Store.Write (0, bytes "hi") ] })
-       with
-      | Ok (Ok Remote.Unit) -> ()
-      | _ -> Alcotest.fail "well-formed ship refused");
-      (* Ship at a wrong epoch: refused with Conflict, nothing queued. *)
-      (match Rpc.call rhost (Remote.Ship { epoch = 7; seq = 2; ops = [] }) with
+      (* The request lands before the feed's apply event: the promotion
+         drains the queue, and answers the watermark that leaves. *)
+      (match Rpc.call rhost 0 with
+      | Ok (Ok applied) -> Alcotest.(check int) "applied watermark" 1 applied
+      | Ok (Error e) -> Alcotest.failf "promotion refused: %s" (Errors.to_string e)
+      | Error e -> Alcotest.failf "promotion unanswered: %a" Rpc.pp_call_error e);
+      Alcotest.(check int) "the epoch moved" 1 (Replica.epoch r);
+      (match Rpc.call rhost 0 with
       | Ok (Error Errors.Conflict) -> ()
-      | _ -> Alcotest.fail "stale-epoch ship accepted");
-      Proc.delay 20.0;
-      (match Rpc.call rhost Remote.Replica_watermark with
-      | Ok (Ok (Remote.Watermark { epoch = 0; shipped = 1; applied = 1 })) -> ()
-      | Ok (Ok (Remote.Watermark { epoch; shipped; applied })) ->
-          Alcotest.failf "watermark epoch=%d shipped=%d applied=%d" epoch shipped applied
-      | _ -> Alcotest.fail "watermark unreadable");
-      Alcotest.(check bool)
-        "shipped write applied" true
-        (digest (Replica.store r) = [ (0, Some (bytes "hi")) ]);
-      (* File-service requests are refused outright. *)
-      (match Rpc.call rhost (Remote.Create_file (bytes "x")) with
-      | Ok (Error (Errors.Store_failure _)) -> ()
-      | _ -> Alcotest.fail "replica served a file request");
-      (* Promotion over RPC answers the watermark and moves the epoch. *)
-      (match Rpc.call rhost (Remote.Promote { expected_epoch = 0 }) with
-      | Ok (Ok (Remote.Watermark { epoch = 1; applied = 1; _ })) -> ()
-      | _ -> Alcotest.fail "promotion refused");
-      match Rpc.call rhost (Remote.Promote { expected_epoch = 0 }) with
-      | Ok (Error Errors.Conflict) -> ()
-      | _ -> Alcotest.fail "stale promotion won")
+      | _ -> Alcotest.fail "stale promotion won");
+      Alcotest.(check int) "both requests labelled promote" 2
+        (List.length
+           (List.filter
+              (function
+                | Trace.Point { payload = Trace.Rpc_recv { op = "promote"; _ }; _ } -> true
+                | _ -> false)
+              (Trace.events tr))))
 
 let () =
   Alcotest.run "replica"
@@ -464,5 +459,5 @@ let () =
         [ quick "crash schedule loses no committed txn" test_crash_schedule_never_loses_commits ]
       );
       ( "faults", [ quick "schedules are deterministic" test_faults_deterministic ] );
-      ( "rpc", [ quick "ship / promote / watermark" test_rpc_ship_promote_watermark ] );
+      ( "rpc", [ quick "promotion answers the watermark" test_rpc_promote ] );
     ]

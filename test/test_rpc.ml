@@ -160,16 +160,21 @@ let test_batch_abandons_version_on_error () =
         Alcotest.(check (list int)) what [] (ok (Server.uncommitted_versions srv f))
       in
       let swap ~expected writes =
-        Remote.batch conn (Remote.Open f)
-          ((Remote.Guard_root (bytes expected) :: Remote.Write (P.root, bytes "new")
-            :: List.map (fun (p, d) -> Remote.Write (p, d)) writes)
-          @ [ Remote.Commit ])
+        Remote.batch conn (Remote.Current f)
+          [ Remote.Swap { file = f; expected = bytes expected; writes = (P.root, bytes "new") :: writes } ]
       in
-      (match swap ~expected:"base" [ (P.of_list [ 5 ], bytes "x") ] with
+      (match
+         Remote.batch conn (Remote.Open f) [ Remote.Read P.root; Remote.Write (P.of_list [ 5 ], bytes "x") ]
+       with
       | Error (Errors.Bad_index _) -> ()
       | Ok _ -> Alcotest.fail "write to a missing child succeeded"
       | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e));
       no_uncommitted "failed page write leaves no version";
+      (match swap ~expected:"base" [ (P.of_list [ 5 ], bytes "x") ] with
+      | Error (Errors.Bad_index _) -> ()
+      | Ok _ -> Alcotest.fail "swapped write to a missing child succeeded"
+      | Error e -> Alcotest.failf "wrong swap error: %s" (Errors.to_string e));
+      no_uncommitted "failed swap write leaves no version";
       (match swap ~expected:"other" [] with
       | Ok (Remote.Guard_failed current) -> Helpers.check_bytes "current root" "base" current
       | Ok (Remote.Ran _ | Remote.Reopened _ | Remote.Marked _) -> Alcotest.fail "guard passed on a mismatching root"
@@ -228,11 +233,10 @@ let gen_step =
         (1, map3 (fun parent index data -> Remote.Insert { parent; index; data }) path index data);
         (1, map2 (fun parent index -> Remote.Remove { parent; index }) path index);
         (1, map (fun p -> Remote.Info p) path);
-        (2, map (fun d -> Remote.Guard_root d) data);
         (1, pure (Remote.Commit : Remote.step));
         (1, pure (Remote.Abort : Remote.step));
         (* On the program's own file: [program_steps] names it. *)
-        ( 1,
+        ( 3,
           map2
             (fun expected (p, d) -> Remote.Swap { file = nowhere; expected; writes = [ (p, d) ] })
             data (pair path data) );
@@ -267,7 +271,6 @@ let print_program p =
     | Remote.Remove { parent; index } ->
         Printf.sprintf "Remove (%s, %d)" (P.to_string parent) index
     | Remote.Info path -> "Info " ^ P.to_string path
-    | Remote.Guard_root d -> Printf.sprintf "Guard_root %S" (Bytes.to_string d)
     | Remote.Commit -> "Commit"
     | Remote.Abort -> "Abort"
     | Remote.Redo (_, paths) -> "Redo [" ^ String.concat "; " (List.map P.to_string paths) ^ "]"
@@ -333,9 +336,6 @@ let rec one_by_one srv target steps =
     | Remote.Info path :: rest ->
         let* i = Server.page_info srv version path in
         go reads ((i.Server.nrefs, i.Server.dsize) :: infos) rest
-    | Remote.Guard_root expected :: rest ->
-        let* root = Server.read_page srv version P.root in
-        if Bytes.equal root expected then go reads infos rest else Ok (Remote.Guard_failed root)
     | [ Remote.Commit; Remote.Redo (f, paths) ] -> (
         match Server.commit srv version with
         | Error Conflict -> (
@@ -887,10 +887,10 @@ let seal srv _ =
     [ Remote.Write (P.root, bytes "marker"); Remote.Commit;
       Remote.Swap { file = record; expected = bytes "root"; writes = [ (P.root, bytes "done") ] } ]
 
-let guarded_flip srv _ =
+let flip srv _ =
   let marked = Helpers.file_with_pages srv 0 in
-  batch (Remote.Open marked)
-    [ Remote.Guard_root (bytes "root"); Remote.Write (P.root, bytes "flipped"); Remote.Commit ]
+  batch (Remote.Current marked)
+    [ Remote.Swap { file = marked; expected = bytes "root"; writes = [ (P.root, bytes "flipped") ] } ]
 
 let await _ f conn = Result.map ignore (Remote.await conn f ~until:[ bytes "root" ] ~budget_ms:50.0)
 let create_file _ _ conn = Result.map ignore (Remote.create_file conn (bytes "new"))
@@ -909,7 +909,7 @@ let test_redo_commit_first () =
 let test_others_keep_arrival_order () =
   let others =
     [ ("open", opening); ("plain commit", plain_commit); ("seal", seal);
-      ("flip", guarded_flip); ("await", await); ("create", create_file) ]
+      ("flip", flip); ("await", await); ("create", create_file) ]
   in
   let with_redo = others @ [ ("redo commit", redo_commit) ] in
   Alcotest.(check (list string)) "arrival order" (List.map fst others) (service_order others);

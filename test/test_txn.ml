@@ -300,7 +300,7 @@ let test_reader_resolves_in_doubt () =
       (* A second, independent client resolves by simply using the file:
          the record says committed, so the resolver rolls forward and the
          transfer lands before its own update. *)
-      let other = Txn.create ~pending_patience:0 client in
+      let other = Txn.create client in
       ok_txn (Txn.exec other [ { Txn.file = accts.(staged); ops = [ credit 1 ] } ]);
       Alcotest.(check int) "transfer rolled forward, then +1" (after_transfer staged + 1)
         (read_balance client accts.(staged));
@@ -567,7 +567,7 @@ let test_batch_on_tombstone_moved () =
           | Error e -> Alcotest.failf "%s: expected Moved, got %s" what (Errors.to_string e))
         [
           ("current", Afs_rpc.Remote.Current f, [ Afs_rpc.Remote.Read P.root ]);
-          ("open", Afs_rpc.Remote.Open f, [ Afs_rpc.Remote.Guard_root (bytes "v0") ]);
+          ("open", Afs_rpc.Remote.Open f, [ Afs_rpc.Remote.Read P.root ]);
         ])
 
 (* {2 Record reuse} *)
@@ -609,6 +609,31 @@ let test_records_reused () =
           !decided
       in
       Alcotest.(check bool) "older seqs superseded" true (List.length superseded >= 40))
+
+(* A pooled record migrated between two transactions: the second
+   acquires it by its old capability, and its decide — which the router
+   sends to the copy — must test-and-set the copy, named by the
+   capability [routed] resolved, not the one the coordinator pooled. *)
+let test_migrated_record_decides () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let accts = setup_accounts client 2 100 in
+      let txn = Txn.create client in
+      let seen = ref None in
+      let run amt =
+        ok_txn (Txn.exec ~on_record:(fun r seq -> seen := Some (r, seq)) txn (transfer accts 0 1 amt));
+        match !seen with Some r -> r | None -> Alcotest.fail "no record observed"
+      in
+      let record, _ = run 10 in
+      let _, home = ok (Cluster.shard_of_cap cluster record) in
+      let copy = ok (Migration.migrate cluster ~file:record ~dst:(1 - Shard.id home)) in
+      let reused, seq = run 20 in
+      Alcotest.(check bool) "the pooled record reused" true (Capability.equal reused record);
+      Alcotest.(check int) "no record created" 1 (created txn);
+      Alcotest.(check bool)
+        "decided at the copy" true
+        (ok (Txn.record_decision txn copy ~seq) = Txn.Committed);
+      Alcotest.(check int) "debited twice" 70 (read_balance client accts.(0));
+      Alcotest.(check int) "credited twice" 130 (read_balance client accts.(1)))
 
 (* A resolver that polled a record before two transactions were decided
    on it, then force-aborts the first of them from that stale value: the
@@ -837,6 +862,11 @@ let pending0 = Txnmark.encode_outcome ~seq:0 ~committed:false
 let committed1 = Txnmark.encode_outcome ~seq:1 ~committed:true
 let aborted1 = Txnmark.encode_outcome ~seq:1 ~committed:false
 
+(* Decide seq 1 committed on a fresh record, as a coordinator does. *)
+let decide_at conn record =
+  Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Current record)
+    [ Afs_rpc.Remote.Swap { file = record; expected = pending0; writes = [ (P.root, committed1) ] } ]
+
 (* One request, answered by the decide 50 ms later, not by its budget. *)
 let test_await_answered_by_decide () =
   in_sim (fun engine ->
@@ -861,14 +891,7 @@ let test_await_answered_by_decide () =
       ignore
         (spawn (fun () ->
              Proc.delay 50.0;
-             match
-               Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Open record)
-                 [
-                   Afs_rpc.Remote.Guard_root pending0;
-                   Afs_rpc.Remote.Write (P.root, committed1);
-                   Afs_rpc.Remote.Commit;
-                 ]
-             with
+             match decide_at conn record with
              | Ok (Afs_rpc.Remote.Ran _) -> ()
              | _ -> Alcotest.fail "the decide did not commit")
           : Proc.handle);
@@ -907,20 +930,19 @@ let dead_coordinator client accts =
   match !record with Some r -> (staged, r) | None -> Alcotest.fail "no record observed"
 
 (* A dead coordinator's record never commits: the await answers when its
-   budget runs out — 5 + 10 + 20 ms for patience 3 — and the waiter then
-   force-aborts, rolls the marker back itself when it meets it again,
-   and commits. *)
+   1.195 s budget runs out, and the waiter then force-aborts, rolls the
+   marker back itself when it meets it again, and commits. *)
 let test_await_budget_force_aborts () =
   in_sim (fun engine ->
       let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
       let client = CC.connect cluster in
       let accts = setup_accounts client 2 100 in
       let staged, (record, seq) = dead_coordinator client accts in
-      let waiter = Txn.create ~pending_patience:3 client in
+      let waiter = Txn.create client in
       let t0 = Engine.now engine in
       ok_txn (Txn.exec waiter [ { Txn.file = accts.(staged); ops = [ credit 1 ] } ]);
       let get = Afs_util.Stats.Counter.get (Txn.counters waiter) in
-      Alcotest.(check bool) "waited out the budget" true (Engine.now engine -. t0 >= 35.0);
+      Alcotest.(check bool) "waited out the budget" true (Engine.now engine -. t0 >= 1195.0);
       Alcotest.(check int) "one record read" 1 (get "txn.record_reads");
       Alcotest.(check int) "one force-abort" 1 (get "txn.force_aborts");
       Alcotest.(check int) "rolled back by the waiter" 1 (get "txn.resolved.back");
@@ -975,14 +997,7 @@ let test_crash_fails_await () =
       | Ok _ -> Alcotest.fail "a held await survived the crash"
       | Error e -> Alcotest.failf "expected a transport failure, got %s" (Errors.to_string e));
       ignore (ok (Shard.recover shard) : int);
-      (match
-         Afs_rpc.Remote.batch conn (Afs_rpc.Remote.Open record)
-           [
-             Afs_rpc.Remote.Guard_root pending0;
-             Afs_rpc.Remote.Write (P.root, committed1);
-             Afs_rpc.Remote.Commit;
-           ]
-       with
+      (match decide_at conn record with
       | Ok (Afs_rpc.Remote.Ran _) -> ()
       | _ -> Alcotest.fail "the decide did not commit");
       Proc.delay 2000.0;
@@ -1294,6 +1309,7 @@ let () =
           quick "a forward cycle stops at the hop limit" test_forward_cycle;
           quick "batches on a tombstone answer Moved" test_batch_on_tombstone_moved;
           quick "records are reused" test_records_reused;
+          quick "a migrated pooled record still decides" test_migrated_record_decides;
           quick "stale resolver changes nothing" test_stale_resolver;
           quick "collector races a flip and a resolver" test_collector_race;
           quick "an in-doubt seal leaks its record" test_seal_in_doubt;
