@@ -7,7 +7,7 @@ module Xrng = Afs_util.Xrng
 module Cluster = Afs_cluster.Cluster
 module Shard = Afs_cluster.Shard
 module CC = Afs_cluster.Cluster_client
-module Txnmark = Afs_cluster.Txnmark
+module Marker = Afs_cluster.Marker
 module Txn = Afs_txn.Txn
 module Faults = Afs_replica.Faults
 module Remote = Afs_rpc.Remote
@@ -245,7 +245,9 @@ let s2 () =
         Array.iteri
           (fun i f ->
             let root = ok (read_current client f Afs_util.Pagepath.root) in
-            if Txnmark.is_marker root then incr violations;
+            (match Marker.decode root with
+            | Some (Marker.Staged _) -> incr violations
+            | Some (Marker.Moved _ | Marker.Outcome _) | None -> ());
             let got =
               int_of_string
                 (Bytes.to_string
@@ -272,5 +274,5 @@ let s2 () =
   metric_i "s2-cross-shard" "crash.swept" !swept;
   metric_i "s2-cross-shard" "crash.lost_committed" 0;
   metric_i "s2-cross-shard" "crash.violations" !violations;
-  note "the coordinator record's test-and-set to txn:<seq>:c is the atomic point: every";
+  note "the coordinator record's test-and-set to its committed outcome is the atomic point: every";
   note "crash schedule resolves from the record alone, conserving the balance sum"

@@ -108,10 +108,31 @@ let test_stable_write =
   Test.make ~name:"stable-write-1K"
     (Staged.stage (fun () -> ignore (S.write pair 0 b payload)))
 
+(* The root-marker codec. Every cluster opening decodes the file's root,
+   which is nearly always plain data; a cross-shard stage encodes a
+   marker and every resolver decodes it again. *)
+let test_marker_decode_plain =
+  let root = Bytes.make 48 'r' in
+  Test.make ~name:"marker-decode-plain-48B"
+    (Staged.stage (fun () -> ignore (Afs_cluster.Marker.decode root)))
+
+let test_marker_staged_roundtrip =
+  let record =
+    Afs_util.Capability.mint (Afs_util.Capability.secret_of_seed 1)
+      ~port:(Afs_util.Capability.port_of_int 1) ~obj:2 ~rights:Afs_util.Capability.rights_all
+  in
+  let marker =
+    Afs_cluster.Marker.Staged
+      { record; seq = 42; old_root = bytes "acct7"; writes = [ (P.of_list [ 0 ], bytes "1234") ] }
+  in
+  Test.make ~name:"marker-staged-roundtrip"
+    (Staged.stage (fun () ->
+         ignore (Afs_cluster.Marker.decode (Afs_cluster.Marker.encode marker))))
+
 let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
     test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op;
-    test_crc32; test_stable_write ]
+    test_crc32; test_stable_write; test_marker_decode_plain; test_marker_staged_roundtrip ]
 
 (* [smoke] trades precision for speed (CI runs it on shared runners just
    to catch order-of-magnitude regressions and keep the artifact fresh). *)

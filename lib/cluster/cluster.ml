@@ -45,9 +45,6 @@ type t = {
   seeds : int array;
   config : config;
   replication : replication option array;
-  (* Bumped on every promotion; clients watch it to rebuild their
-     connections — the connection-level analogue of chasing [Moved]. *)
-  mutable generation : int;
 }
 
 let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
@@ -96,7 +93,6 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
     seeds;
     config = { latency_ms; proc_ms; cache_capacity; group_commit; trace };
     replication;
-    generation = 0;
   }
 
 let nshards t = Array.length t.shards
@@ -105,7 +101,6 @@ let shards t = Array.to_list t.shards
 let conn t i = t.conns.(i)
 let router t = t.router
 let counters t = t.counters
-let generation t = t.generation
 
 let shard_of_cap t cap =
   let cap = Router.resolve t.router cap in
@@ -207,6 +202,5 @@ let promote t i =
               t.conns.(i) <- Remote.connect [ Shard.host shard ];
               repl.source <- source;
               repl.members <- siblings;
-              t.generation <- t.generation + 1;
               Stats.Counter.incr t.counters "promotions";
               Ok { epoch; watermark = applied; recovered_files }))

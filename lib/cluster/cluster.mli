@@ -42,8 +42,9 @@ val shard : t -> int -> Shard.t
 val shards : t -> Shard.t list
 
 val conn : t -> int -> Afs_rpc.Remote.conn
-(** The cluster's own administrative connection to shard [i] (used by
-    migration and the rebalancer; clients hold their own). *)
+(** The connection to shard [i]'s current server, which {!promote}
+    replaces. Migration, the rebalancer and every {!Cluster_client} send
+    through it. *)
 
 val router : t -> Router.t
 val counters : t -> Afs_util.Stats.Counter.t
@@ -81,11 +82,6 @@ val migrations : t -> int
 
 (** {2 Replication and failover} *)
 
-val generation : t -> int
-(** Bumped on every promotion. Clients compare it against the generation
-    they connected under and rebuild their per-shard connections when it
-    moved — the connection-level analogue of chasing [Moved]. *)
-
 val replicas_of : t -> int -> Afs_replica.Replica.t list
 (** Shard [i]'s replicas in promotion order ([[]] when unreplicated). *)
 
@@ -106,6 +102,6 @@ val promote : t -> int -> promotion Afs_core.Errors.r
     moved), drains the replica, re-homes the sibling replicas, rebuilds
     the shard's server over the promoted store with the {e same} seed —
     same secret and port, so outstanding capabilities and the router's
-    port table stay valid — and bumps {!generation}. The deposed
-    primary, if still running, can never publish again: its gate loses
-    every subsequent test-and-set. *)
+    port table stay valid — and replaces {!conn}'s connection to it. The
+    deposed primary, if still running, can never publish again: its gate
+    loses every subsequent test-and-set. *)

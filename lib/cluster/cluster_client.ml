@@ -3,34 +3,16 @@ module Errors = Afs_core.Errors
 module Remote = Afs_rpc.Remote
 open Errors
 
-type t = {
-  cluster : Cluster.t;
-  mutable conns : Remote.conn array;
-  mutable generation : int;
-}
+type t = { cluster : Cluster.t }
 
-let fresh_conns cluster =
-  Array.init (Cluster.nshards cluster) (fun i ->
-      Remote.connect [ Shard.host (Cluster.shard cluster i) ])
-
-let connect cluster =
-  { cluster; conns = fresh_conns cluster; generation = Cluster.generation cluster }
-
+let connect cluster = { cluster }
 let cluster t = t.cluster
 
-(* Lazily learn promoted shards, the way forwards are learned: each
-   connection lookup compares the cluster's promotion generation with the
-   one this client connected under and rebuilds its connections when it
-   moved. A client mid-request against a deposed or dead primary still
-   finishes that request against it (and fails or retries as usual); the
-   next routed request lands on the promoted server. *)
-let conn_of t shard =
-  let g = Cluster.generation t.cluster in
-  if g <> t.generation then begin
-    t.conns <- fresh_conns t.cluster;
-    t.generation <- g
-  end;
-  t.conns.(Shard.id shard)
+(* The cluster's connection to [shard]'s current primary: a promotion
+   replaces it, so the next routed request lands on the promoted server
+   (one mid-request against a deposed or dead primary finishes there,
+   and fails or retries as usual). *)
+let conn_of t shard = Cluster.conn t.cluster (Shard.id shard)
 
 let max_hops = 8
 

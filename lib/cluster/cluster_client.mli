@@ -1,7 +1,8 @@
-(** Location-transparent access to a {!Cluster}: one connection per
-    shard, and {!routed}, the one loop that routes a capability by port,
-    chases cached forwards and learns new ones from [Moved] answers — so
-    callers keep using a migrated file's old capability indefinitely.
+(** Location-transparent access to a {!Cluster}: the cluster's
+    connection to each shard, and {!routed}, the one loop that routes a
+    capability by port, chases cached forwards and learns new ones from
+    [Moved] answers — so callers keep using a migrated file's old
+    capability indefinitely.
     Requests are bare {!Afs_rpc.Remote} batches; lib/txn and lib/workload
     send them through {!routed}.
 
@@ -10,8 +11,9 @@
 type t
 
 val connect : Cluster.t -> t
-(** A client with its own connection to every shard (so per-client RPC
-    failover state stays per-client, as with bare {!Afs_rpc.Remote}). *)
+(** A client of [cluster]. It sends through {!Cluster.conn}, which a
+    promotion replaces, so it follows failovers with no state of its
+    own. *)
 
 val cluster : t -> Cluster.t
 

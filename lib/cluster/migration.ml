@@ -89,7 +89,7 @@ let flip conn v tree target =
         apply conn v (Remote.Remove { parent = Pagepath.root; index = 0 })
     | n -> remove_children conn v (n - 1)
   in
-  let* () = apply conn v (Remote.Write (Pagepath.root, Forward.encode target)) in
+  let* () = apply conn v (Remote.Write (Pagepath.root, Marker.encode (Marker.Moved target))) in
   apply conn v Remote.Commit
 
 let migrate ?(retries = 8) cluster ~file ~dst =

@@ -11,8 +11,8 @@
       snapshot and commit it there (conflict-free: the file is unknown to
       everyone else).
     + {b Flip}: in the {e same} source version, remove the root's children
-      and overwrite the root with a {!Forward} marker naming the copy,
-      then commit. This is the linearisation point, and it is just an
+      and overwrite the root with a tombstone ({!Marker.Moved}) naming the
+      copy, then commit. This is the linearisation point, and it is just an
       optimistic commit: if any client committed an update since the
       snapshot, the serialisability test fails, the destination copy is
       destroyed, and the migration redoes from a fresh snapshot.

@@ -7,32 +7,22 @@ module Remote = Afs_rpc.Remote
 
 type t = { id : int; store : Store.t; server : Server.t; host : Remote.host }
 
-(* What the file's current committed root holds, from one chase of the
-   commit chain and one read of the root: a forward marker (the file
-   migrated away), a cross-shard transaction marker (a staged update
-   whose outcome lives in the coordinator record), or ordinary data. The
-   two marker formats have distinct prefixes, so at most one matches. *)
-type root_marker =
-  | Forwarded of Capability.t
-  | In_doubt of { record : Capability.t; image : bytes }
-  | Plain
-
+(* The file's current committed root decoded, from one chase of the
+   commit chain and one read of the root, with the root's bytes: a
+   tombstone ([Moved]), a cross-shard transaction's stage ([Staged]), or
+   [None] for ordinary data. *)
 let root_marker server file =
   match Server.current_version server file with
-  | Error _ -> Plain
+  | Error _ -> None
   | Ok version -> (
       match Server.read_page server version Pagepath.root with
-      | Error _ -> Plain
-      | Ok data -> (
-          match Forward.decode data with
-          | Some target -> Forwarded target
-          | None -> (
-              match Txnmark.record_of data with
-              | Some record -> In_doubt { record; image = data }
-              | None -> Plain)))
+      | Error _ -> None
+      | Ok data -> ( match Marker.decode data with Some m -> Some (m, data) | None -> None))
 
 let moved_target server file =
-  match root_marker server file with Forwarded target -> Some target | In_doubt _ | Plain -> None
+  match root_marker server file with
+  | Some (Marker.Moved target, _) -> Some target
+  | Some ((Marker.Staged _ | Marker.Outcome _), _) | None -> None
 
 let reads_root : Remote.step list -> bool = function
   | Remote.Read path :: _ -> Pagepath.equal path Pagepath.root
@@ -49,11 +39,11 @@ let location_check server base (req : Remote.request) : Remote.response =
          which puts the R-on-root fence in its own read set, and a marker
          there answers its image, with no version opened. *)
       match root_marker server file with
-      | Forwarded target -> Error (Errors.Moved target)
+      | Some (Marker.Moved target, _) -> Error (Errors.Moved target)
       | _ when not (reads_root steps) ->
           Error (Errors.Store_failure "shard: an Open batch must read the root first")
-      | In_doubt { image; _ } -> Ok (Remote.Batched (Remote.Marked image))
-      | Plain -> base req)
+      | Some (Marker.Staged _, image) -> Ok (Remote.Batched (Remote.Marked image))
+      | Some (Marker.Outcome _, _) | None -> base req)
   | Remote.Batch { target = Remote.Current file; _ } | Remote.Await { file; _ } -> (
       (* Reads of the committed root and the [Swap]s that resolve
          markers: past the in-doubt trap, but not past a tombstone. A
@@ -68,33 +58,29 @@ let open_version conn file =
   match Remote.batch conn (Remote.Open file) [ Remote.Read Pagepath.root ] with
   | Ok (Remote.Ran { version; _ }) -> Ok version
   | Ok (Remote.Marked image) -> (
-      match Txnmark.record_of image with
-      | Some record -> Error (Errors.Txn_in_doubt record)
-      | None -> Error (Errors.Store_failure "shard: a marker without a record"))
+      match Marker.decode image with
+      | Some (Marker.Staged { record; _ }) -> Error (Errors.Txn_in_doubt record)
+      | Some (Marker.Moved _ | Marker.Outcome _) | None ->
+          Error (Errors.Store_failure "shard: a marker without a record"))
   | Ok (Remote.Guard_failed _ | Remote.Reopened _) ->
       Error (Errors.Store_failure "shard: an opening answered a resolution")
   | Error e -> Error e
 
-let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?store ?publish_tap ?trace
-    engine ~id ~seed =
-  let store = match store with Some s -> s | None -> Store.memory () in
-  let name = Printf.sprintf "shard-%d" id in
-  let server = Server.create ?cache_capacity ~seed ~name ?publish_tap ?trace store in
-  let host =
-    Remote.host ?latency_ms ?proc_ms ~wrap:(location_check server) ?group_commit engine
-      ~name server
-  in
-  { id; store; server; host }
-
-(* Rebuild a shard slot around an existing server — the promotion path:
-   the server was created over the promoted replica's store (plus
-   recovery); this gives it the standard wrapped RPC host. *)
+(* The standard location-checked host around [server], named after it.
+   Promotion rebuilds a slot this way around a recovered server. *)
 let of_server ?latency_ms ?proc_ms ?group_commit engine ~id ~store server =
   let host =
     Remote.host ?latency_ms ?proc_ms ~wrap:(location_check server) ?group_commit engine
       ~name:(Server.name server) server
   in
   { id; store; server; host }
+
+let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?store ?publish_tap ?trace
+    engine ~id ~seed =
+  let store = match store with Some s -> s | None -> Store.memory () in
+  let name = Printf.sprintf "shard-%d" id in
+  let server = Server.create ?cache_capacity ~seed ~name ?publish_tap ?trace store in
+  of_server ?latency_ms ?proc_ms ?group_commit engine ~id ~store server
 
 let id t = t.id
 let server t = t.server

@@ -5,9 +5,9 @@
     The wrap does two things, both inside the host's single simulated
     event (so they are indivisible from the request they decorate):
 
-    - an [Open] [Batch] on a file whose current root is a forward
-      marker answers [Moved target] instead of serving the tombstone;
-      one whose root holds a transaction marker ({!Txnmark}) answers
+    - an [Open] [Batch] on a file whose current root is a tombstone
+      ({!Marker.Moved}) answers [Moved target] instead of serving it;
+      one whose root holds a transaction marker ({!Marker.Staged}) answers
       [Marked] with the marker's image and opens nothing. [Current]
       batches and [Await]s pass the in-doubt trap — a [Current] batch's
       [Swap] {e is} the resolution — but still honour tombstones. A
@@ -80,13 +80,14 @@ val open_version :
   Afs_rpc.Remote.conn -> Afs_util.Capability.t -> Afs_util.Capability.t Afs_core.Errors.r
 (** Open a version of a file on the shard behind [conn] with the [Open]
     batch the location check asks for, one [Read] of the root, so the
-    version carries [R] there. A forward marker answers [Moved]; a
+    version carries [R] there. A tombstone answers [Moved]; a
     transaction marker answers [Txn_in_doubt] with its record. Must run
     inside a simulation process. *)
 
 val moved_target : Afs_core.Server.t -> Afs_util.Capability.t -> Afs_util.Capability.t option
-(** [Some cap] iff the file's current committed root is a forward marker
-    — i.e. the file has migrated away and [cap] is its new home. *)
+(** [Some cap] iff the file's current committed root is a tombstone
+    ({!Marker.Moved}) — i.e. the file has migrated away and [cap] is its
+    new home. *)
 
 val resident_files : t -> Afs_util.Capability.t list
 (** Files whose current version actually lives here (tombstones of

@@ -263,7 +263,7 @@ let write_batch t i entries =
               let q = companion i in
               if not (online t q) then begin
                 (* Companion down: local writes plus intentions, exactly as
-                   [write_via] — there is no hop to amortise. *)
+                   [write] — there is no hop to amortise. *)
                 let rec go cost = function
                   | [] -> ok ~cost ()
                   | (b, payload) :: rest -> (

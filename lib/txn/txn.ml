@@ -9,31 +9,32 @@
       coordinators and resolvers ever touches it — from its free list,
       creating one only when that shard has none pooled. The record's
       entire root data is the outcome of the newest transaction decided
-      on it, [txn:<seq>:c|a] ({!Txnmark.encode_outcome}; a fresh record
-      holds [txn:0:a]). The transaction takes the next sequence number,
-      larger than every seq the record has seen, so until it is decided
-      the record reads as pending for it.
+      on it, a {!Marker.Outcome}: its seq, committed or aborted (a fresh
+      record holds seq 0 aborted). The transaction takes the next
+      sequence number, larger than every seq the record has seen, so
+      until it is decided the record reads as pending for it.
 
    2. Stage.  On each participant shard in turn, the coordinator opens an
       ordinary version, performs the transaction's reads (recording R
       flags; Rmw computes the write values from what it read), then
-      replaces the root data with an encoded {!Txnmark}: the record's
-      capability, the transaction's sequence number, the old root data,
-      and the computed page writes — which ride the marker instead of
-      touching any page — and commits. The commit's flag map is R on
-      every page read plus R+W on the root, and every cluster-created
-      version carries R on its root (the location check), so the stage
-      conflicts with every concurrently opened version of the file in
-      both commit orders: whoever commits second loses. Once a stage is
-      committed, ordinary opens of the file answer [Txn_in_doubt] and
-      openings by batch answer the marker's image (the shard wrapper's
-      trap), so from here on only resolvers can advance the file.
+      replaces the root data with an encoded {!Marker.Staged}: the
+      record's capability, the transaction's sequence number, the old
+      root data, and the computed page writes — which ride the marker
+      instead of touching any page — and commits. The commit's flag map
+      is R on every page read plus R+W on the root, and every
+      cluster-created version carries R on its root (the location
+      check), so the stage conflicts with every concurrently opened
+      version of the file in both commit orders: whoever commits second
+      loses. Once a stage is committed, ordinary opens of the file
+      answer [Txn_in_doubt] and openings by batch answer the marker's
+      image (the shard wrapper's trap), so from here on only resolvers
+      can advance the file.
 
    3. Decide.  The coordinator replaces the record's root data — the
-      value it last saw there — with [txn:<seq>:c] as one more ordinary
+      value it last saw there — with seq committed as one more ordinary
       optimistic commit: a root test-and-set ([Remote.Swap]). A
       contender who tired of waiting force-aborts the same way, from the
-      value it saw to [txn:<seq>:a]; both test-and-set the same root, so
+      value it saw to seq aborted; both test-and-set the same root, so
       exactly one wins, and because seqs only grow on a record no value
       ever recurs (no ABA). This single commit IS the transaction-wide
       atomic point. It rides the last participant's seal: the record
@@ -97,7 +98,7 @@ module Stats = Afs_util.Stats
 module Errors = Afs_core.Errors
 module Remote = Afs_rpc.Remote
 module Trace = Afs_trace.Trace
-module Txnmark = Afs_cluster.Txnmark
+module Marker = Afs_cluster.Marker
 module Shard = Afs_cluster.Shard
 module CC = Afs_cluster.Cluster_client
 module Proc = Afs_sim.Proc
@@ -172,15 +173,15 @@ let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
 type decision = Pending | Committed | Aborted | Superseded | Unknown_record
 
 let decide ~seq ~record_data =
-  match Txnmark.decode_outcome record_data with
-  | None -> Unknown_record
-  | Some (decided, committed) ->
+  match Marker.decode record_data with
+  | Some (Outcome { seq = decided; committed }) ->
       if decided < seq then Pending
       else if decided > seq then Superseded
       else if committed then Committed
       else Aborted
+  | Some (Moved _ | Staged _) | None -> Unknown_record
 
-type action = Forward of Txnmark.t | Back of Txnmark.t | Wait of Txnmark.t | Gone
+type action = Forward of Marker.staged | Back of Marker.staged | Wait of Marker.staged | Gone
 
 let resolve marker decision =
   match decision with
@@ -190,6 +191,9 @@ let resolve marker decision =
   | Superseded -> Gone
 
 (* {2 Routed RPC helpers} *)
+
+(* A record's root data once [seq] is decided. *)
+let encoded_outcome ~seq ~committed = Marker.encode (Outcome { seq; committed })
 
 (* How often a part re-opens a file it found in doubt before giving up
    (staging, which also re-stages after ordinary conflicts, allows four
@@ -368,13 +372,13 @@ let commit_part ~round_trip ~tries conn file ops =
   match held with
   | Ok () -> Ok ()
   | Error image -> (
-      match Txnmark.record_of image with
-      | Some record -> Error (Txn_in_doubt record)
-      | None -> malformed)
+      match Marker.decode image with
+      | Some (Staged { record; _ }) -> Error (Txn_in_doubt record)
+      | Some (Moved _ | Outcome _) | None -> malformed)
 
 (* A committed stage: the participant, its marker, and the marker's
    exact root bytes — what the flip test-and-sets against. *)
-type staged = { sfile : Capability.t; marker : Txnmark.t; image : bytes }
+type staged = { sfile : Capability.t; marker : Marker.staged; image : bytes }
 
 (* {2 Resolution} *)
 
@@ -383,10 +387,10 @@ let resolved t { sfile = file; marker = m; _ } ~forward =
   if forward then
     tpoint t
       (Trace.Txn_flip
-         { txn = m.Txnmark.seq; file_obj = file.Capability.obj; writes = List.length m.Txnmark.writes })
+         { txn = m.Marker.seq; file_obj = file.Capability.obj; writes = List.length m.Marker.writes })
   else
     tpoint t
-      (Trace.Txn_resolve { txn = m.Txnmark.seq; file_obj = file.Capability.obj; action = "back" })
+      (Trace.Txn_resolve { txn = m.Marker.seq; file_obj = file.Capability.obj; action = "back" })
 
 (* A staged participant's resolution as a [Swap] on [file]: iff the
    root still holds the marker's exact bytes, restore the
@@ -397,7 +401,7 @@ let flip_step ~forward file { marker = m; image; _ } =
     {
       file;
       expected = image;
-      writes = (Pagepath.root, m.Txnmark.old_root) :: (if forward then m.Txnmark.writes else []);
+      writes = (Pagepath.root, m.Marker.old_root) :: (if forward then m.Marker.writes else []);
     }
 
 (* Overwrite a still-staged marker with its resolution, in one batch.
@@ -440,8 +444,8 @@ let carried t ~shard ~room staged =
     | entry :: rest ->
         if on_shard t entry.sfile shard then
             let size =
-              Bytes.length entry.marker.Txnmark.old_root
-              + List.fold_left (fun n (_, data) -> n + Bytes.length data) 0 entry.marker.Txnmark.writes
+              Bytes.length entry.marker.Marker.old_root
+              + List.fold_left (fun n (_, data) -> n + Bytes.length data) 0 entry.marker.Marker.writes
             in
             if size > room then go room rest else entry :: go (room - size) rest
         else go room rest
@@ -460,7 +464,7 @@ let carried t ~shard ~room staged =
    rather than surface: once a transaction is staged its outcome must
    become definite, not be retried wholesale. *)
 let decide_record t ~record ~seq ~seen ~commit =
-  let outcome = Txnmark.encode_outcome ~seq ~committed:commit in
+  let outcome = encoded_outcome ~seq ~committed:commit in
   let rec attempt expected n =
     if n > transport_patience then Error (Store_failure "txn: record decision starved")
     else
@@ -486,7 +490,7 @@ let decide_record t ~record ~seq ~seen ~commit =
 
 let force_abort t marker ~seen =
   let* final, _ =
-    decide_record t ~record:marker.Txnmark.record ~seq:marker.Txnmark.seq ~seen
+    decide_record t ~record:marker.Marker.record ~seq:marker.Marker.seq ~seen
       ~commit:false
   in
   Ok final
@@ -511,9 +515,9 @@ let settle t entry decision =
    A record that has moved past the seq proves the marker already gone
    (step 6). *)
 let outcome t ~budget_ms file marker =
-  let { Txnmark.record; seq; _ } = marker in
+  let { Marker.record; seq; _ } = marker in
   let until =
-    [ Txnmark.encode_outcome ~seq ~committed:true; Txnmark.encode_outcome ~seq ~committed:false ]
+    [ encoded_outcome ~seq ~committed:true; encoded_outcome ~seq ~committed:false ]
   in
   let* root =
     CC.routed t.client record (fun conn ~shard:_ record ->
@@ -544,15 +548,15 @@ let resolving t f =
    what to remember for the next meeting. *)
 let waited t file image ~last =
   resolving t (fun () ->
-      match (Txnmark.decode image, last) with
-      | None, _ -> malformed
-      | Some marker, Some (seen, decision) when Bytes.equal seen image ->
+      match (Marker.decode image, last) with
+      | Some (Staged marker), Some (seen, decision) when Bytes.equal seen image ->
           let* () = settle t { sfile = file; marker; image } decision in
           Ok None
-      | Some marker, _ ->
+      | Some (Staged marker), _ ->
           bump t "txn.in_doubt";
           let* decision = outcome t ~budget_ms:wait_budget_ms file marker in
-          Ok (Some (image, decision)))
+          Ok (Some (image, decision))
+      | (Some (Moved _ | Outcome _) | None), _ -> malformed)
 
 (* {2 Staging a participant} *)
 
@@ -581,7 +585,7 @@ type ride = { seen : bytes; before : staged list }
    decide then runs iff the seal commits, and the flips iff the decide
    does, all in one handler event. A failed [Swap] leaves the decide's
    fate to be asked of the record: it may be a flip's, or the record's
-   at a forward marker this batch could not chase. *)
+   at a tombstone this batch could not chase. *)
 let stage ?ride t ~record ~seq part =
   let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(string_of_int seq) () in
   let result =
@@ -592,10 +596,10 @@ let stage ?ride t ~record ~seq part =
         match opening with
         | Held image -> Ok (Ok (Held_by image))
         | Opened (version, old_root, writes) -> (
-            let marker = { Txnmark.record; seq; old_root; writes } in
-            let image = Txnmark.encode marker in
+            let marker = { Marker.record; seq; old_root; writes } in
+            let image = Marker.encode (Staged marker) in
             let entry = { sfile = file; marker; image } in
-            let outcome = Txnmark.encode_outcome ~seq ~committed:true in
+            let outcome = encoded_outcome ~seq ~committed:true in
             let swap, flips =
               match ride with
               | Some { seen; before } when on_shard t record shard ->
@@ -644,7 +648,7 @@ let acquire_record t shard =
       Hashtbl.replace t.free id rest;
       Ok pooled
   | Some [] | None ->
-      let fresh = Txnmark.encode_outcome ~seq:0 ~committed:false in
+      let fresh = encoded_outcome ~seq:0 ~committed:false in
       rt t;
       let* record = CC.create_file_on t.client shard ~data:fresh in
       bump t "txn.records_created";
@@ -848,7 +852,7 @@ let coordinated t ~crash_at ~on_record parts =
                   let staged = before @ [ entry ] in
                   let decision =
                     match ridden with
-                    | Some _ -> Ok (Committed, Txnmark.encode_outcome ~seq ~committed:true)
+                    | Some _ -> Ok (Committed, encoded_outcome ~seq ~committed:true)
                     | None ->
                         (* The record is elsewhere — a migration moved one
                            of them — or its [Swap] failed: the decide takes
@@ -877,9 +881,9 @@ let sweep t files =
     (fun acc file ->
       let* n = acc in
       let* root = root_data t file in
-      match Txnmark.decode root with
-      | None -> Ok n
-      | Some marker ->
+      match Marker.decode root with
+      | Some (Moved _ | Outcome _) | None -> Ok n
+      | Some (Staged marker) ->
           bump t "txn.in_doubt";
           let* () =
             resolving t (fun () ->

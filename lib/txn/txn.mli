@@ -2,7 +2,7 @@
     optimistic commits (the Migration idiom generalised — no lock is ever
     held across a shard boundary).
 
-    A transaction {e stages} a marker ({!Afs_cluster.Txnmark}) into each
+    A transaction {e stages} a marker ({!Afs_cluster.Marker.Staged}) into each
     participant file's root by an ordinary single-shard commit (the
     computed writes ride the marker; no page is touched), {e decides} by
     one more ordinary commit test-and-setting a coordinator record's root
@@ -29,7 +29,7 @@
     (creating a file only when that list is empty) and numbers itself
     above every seq the record has seen. The record's root is always the
     outcome of the newest transaction decided on it
-    ({!Afs_cluster.Txnmark.encode_outcome}). A record returns to the list
+    ({!Afs_cluster.Marker.Outcome}). A record returns to the list
     only once its transaction's outcome is definite and every
     participant's flip or unstage answered, so no marker naming an older
     seq survives (a transaction whose staging failed is rolled back and
@@ -159,12 +159,12 @@ val decide : seq:int -> record_data:bytes -> decision
 (** Classify a coordinator record's root data for transaction [seq]. *)
 
 type action =
-  | Forward of Afs_cluster.Txnmark.t
-  | Back of Afs_cluster.Txnmark.t
-  | Wait of Afs_cluster.Txnmark.t
+  | Forward of Afs_cluster.Marker.staged
+  | Back of Afs_cluster.Marker.staged
+  | Wait of Afs_cluster.Marker.staged
   | Gone  (** Write nothing: the marker was resolved long ago. *)
 
-val resolve : Afs_cluster.Txnmark.t -> decision -> action
+val resolve : Afs_cluster.Marker.staged -> decision -> action
 (** What a resolver must do to a marker given the record's decision on
     the marker's seq. *)
 
@@ -174,7 +174,7 @@ val record_decision :
     forward-chasing). *)
 
 val force_abort :
-  t -> Afs_cluster.Txnmark.t -> seen:bytes -> decision Afs_core.Errors.r
+  t -> Afs_cluster.Marker.staged -> seen:bytes -> decision Afs_core.Errors.r
 (** What a resolver out of patience does to a marker's record: one
     test-and-set from [seen], the root data it last polled, to the
     marker's seq aborted, re-tried from the answered value while that

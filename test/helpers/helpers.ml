@@ -46,3 +46,7 @@ let file_with_pages server n =
   cap
 
 let path l = Afs_util.Pagepath.of_list l
+
+(** The prefix every {!Afs_cluster.Marker} encoding starts with, as the
+    format fixes it: lets a test write magic-prefixed root data by hand. *)
+let marker_magic = "\xafAFS"

@@ -33,7 +33,7 @@ let in_cluster ?(latency_ms = 1.0) ~shards body =
       let cluster = Cluster.create ~latency_ms engine ~shards in
       body cluster (Cluster_client.connect cluster))
 
-(* {2 Forward-marker codec} *)
+(* {2 Tombstones: the Moved marker} *)
 
 let gen_cap =
   QCheck2.Gen.(
@@ -52,16 +52,27 @@ let gen_cap =
 let prop_forward_roundtrip =
   QCheck2.Test.make ~name:"forward marker: decode . encode = Some" ~count:200
     ~print:(Fmt.str "%a" Capability.pp) gen_cap (fun cap ->
-      match Forward.decode (Forward.encode cap) with
-      | Some cap' -> Capability.equal cap cap'
-      | None -> false)
+      Marker.decode (Marker.encode (Marker.Moved cap)) = Some (Marker.Moved cap))
 
 let test_forward_rejects_data () =
-  Alcotest.(check bool) "plain data" false (Forward.is_marker (bytes "hello world"));
-  Alcotest.(check bool) "empty" false (Forward.is_marker Bytes.empty);
-  Alcotest.(check bool)
-    "prefix but garbage" false
-    (Forward.is_marker (bytes (Forward.prefix ^ "not:numbers")))
+  let rejects what data = Alcotest.(check bool) what true (Marker.decode data = None) in
+  rejects "plain data" (bytes "hello world");
+  rejects "empty" Bytes.empty;
+  rejects "the magic alone" (bytes Helpers.marker_magic);
+  rejects "magic, tag, no fields" (bytes (Helpers.marker_magic ^ "M"));
+  rejects "magic, tag, cut varint" (bytes (Helpers.marker_magic ^ "M\255\255"));
+  let moved =
+    Marker.encode
+      (Marker.Moved
+         {
+           Capability.port = Capability.port_of_int 7;
+           obj = 3;
+           rights = Capability.rights_all;
+           check = -1;
+         })
+  in
+  rejects "truncated" (Bytes.sub moved 0 (Bytes.length moved - 1));
+  rejects "trailing garbage" (Bytes.cat moved (bytes "x"))
 
 (* {2 Routing} *)
 

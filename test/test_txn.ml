@@ -86,134 +86,188 @@ let gen_cap_any_check =
     let* check = oneof [ int; return min_int; return max_int; int_range (-100) 100 ] in
     return { cap with Capability.check })
 
-let gen_marker_with record_gen =
+let gen_bytes = QCheck2.Gen.(map Bytes.of_string (string_size (int_bound 40)))
+
+let gen_staged =
   QCheck2.Gen.(
-    let* record = record_gen in
+    let* record = gen_cap_any_check in
     let* seq = int_bound 100_000 in
-    let* old_root = map Bytes.of_string (string_size ~gen:printable (int_bound 40)) in
+    let* old_root = gen_bytes in
     let* writes =
       list_size (int_bound 4)
         (pair
-           (map P.of_list (list_size (int_range 1 3) (int_bound 7)))
-           (map Bytes.of_string (string_size ~gen:printable (int_bound 40))))
+           (map P.of_list (list_size (int_bound 3) (oneof [ int_bound 7; return max_int ])))
+           gen_bytes)
     in
-    return { Txnmark.record; seq; old_root; writes })
+    return { Marker.record; seq; old_root; writes })
 
-(* The encoder every marker written so far came from, kept verbatim as
-   the byte-for-byte reference for the Printf-free one. *)
-let reference_encode (m : Txnmark.t) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf Txnmark.prefix;
-  Buffer.add_string buf
-    (Printf.sprintf "%d:%d:%d:%d:%d:"
-       (Capability.port_to_int m.record.Capability.port)
-       m.record.Capability.obj
-       (Capability.rights_to_int m.record.Capability.rights)
-       m.record.Capability.check m.seq);
-  Buffer.add_string buf (Printf.sprintf "%d:" (Bytes.length m.old_root));
-  Buffer.add_bytes buf m.old_root;
-  Buffer.add_string buf (Printf.sprintf "%d:" (List.length m.writes));
-  List.iter
-    (fun (path, data) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%d:" (P.to_string path) (Bytes.length data));
-      Buffer.add_bytes buf data)
-    m.writes;
-  Buffer.to_bytes buf
-
-let prop_marker_reference =
-  (* Any int in the number fields, negatives and extremes included. *)
-  let gen_any_cap =
-    QCheck2.Gen.(
-      let* cap = gen_cap_any_check in
-      let* obj = oneof [ int; return max_int; return min_int ] in
-      return { cap with Capability.obj })
-  in
-  QCheck2.Test.make ~name:"txn marker: encode = Printf reference" ~count:500
-    (gen_marker_with gen_any_cap) (fun m ->
-      Bytes.equal (Txnmark.encode m) (reference_encode m))
-
-let prop_outcome_codec =
+let gen_outcome =
   QCheck2.Gen.(
-    QCheck2.Test.make ~name:"record outcome: reference bytes, decode . encode" ~count:500
-      (pair (oneof [ int_bound 1_000_000; return max_int ]) bool)
-      (fun (seq, committed) ->
-        let b = Txnmark.encode_outcome ~seq ~committed in
-        Bytes.to_string b = Printf.sprintf "txn:%d:%c" seq (if committed then 'c' else 'a')
-        && Txnmark.decode_outcome b = Some (seq, committed)))
+    map2
+      (fun seq committed -> Marker.Outcome { seq; committed })
+      (oneof [ int_bound 1_000_000; return max_int ])
+      bool)
+
+(* Every kind of root data the cluster writes, from one generator. *)
+let gen_any_marker =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun cap -> Marker.Moved cap) gen_cap_any_check;
+        map (fun m -> Marker.Staged m) gen_staged;
+        gen_outcome;
+      ])
+
+let roundtrips m = Marker.decode (Marker.encode m) = Some m
+
+let is_staged root =
+  match Marker.decode root with Some (Marker.Staged _) -> true | Some _ | None -> false
 
 let prop_marker_roundtrip =
   QCheck2.Test.make ~name:"txn marker: decode . encode = Some" ~count:200
-    (gen_marker_with gen_cap_any_check) (fun m ->
-      match Txnmark.decode (Txnmark.encode m) with
-      | None -> false
-      | Some m' ->
-          Capability.equal m.Txnmark.record m'.Txnmark.record
-          && m.Txnmark.seq = m'.Txnmark.seq
-          && Bytes.equal m.Txnmark.old_root m'.Txnmark.old_root
-          && List.length m.Txnmark.writes = List.length m'.Txnmark.writes
-          && List.for_all2
-               (fun (p, d) (p', d') -> P.compare p p' = 0 && Bytes.equal d d')
-               m.Txnmark.writes m'.Txnmark.writes)
+    gen_staged (fun m -> roundtrips (Marker.Staged m))
+
+let prop_outcome_codec =
+  QCheck2.Test.make ~name:"record outcome: decode . encode = Some" ~count:500 gen_outcome
+    roundtrips
+
+(* Each value decodes to itself, so in particular never as another kind. *)
+let prop_every_kind_roundtrip =
+  QCheck2.Test.make ~name:"every kind: decode . encode = Some" ~count:500 gen_any_marker
+    roundtrips
+
+(* Whatever follows the magic, [decode] answers and never raises: random
+   tails, random tails behind a real tag, and real encodings with one
+   byte changed or cut short. *)
+let prop_decode_total =
+  let magic = Helpers.marker_magic in
+  QCheck2.Gen.(
+    QCheck2.Test.make ~name:"decode is total after the magic" ~count:2000
+      (oneof
+         [
+           map (fun tail -> Bytes.of_string (magic ^ tail)) (string_size (int_bound 64));
+           map2
+             (fun tag tail -> Bytes.of_string (magic ^ String.make 1 tag ^ tail))
+             (oneofl [ 'M'; 'S'; 'O' ]) (string_size (int_bound 64));
+           map3
+             (fun m at c ->
+               let e = Marker.encode m in
+               Bytes.set e (at mod Bytes.length e) c;
+               e)
+             gen_any_marker nat char;
+           map2
+             (fun m at ->
+               let e = Marker.encode m in
+               Bytes.sub e 0 (at mod Bytes.length e))
+             gen_any_marker nat;
+         ])
+      (fun data -> match Marker.decode data with Some _ | None -> true))
 
 let test_marker_rejects_garbage () =
-  Alcotest.(check bool) "plain data" false (Txnmark.is_marker (bytes "hello"));
-  Alcotest.(check bool) "empty" false (Txnmark.is_marker Bytes.empty);
-  Alcotest.(check bool)
-    "prefix, garbage body" true
-    (Txnmark.decode (bytes (Txnmark.prefix ^ "junk")) = None);
+  let rejects what data = Alcotest.(check bool) what true (Marker.decode data = None) in
+  rejects "plain data" (bytes "hello");
+  rejects "empty" Bytes.empty;
+  rejects "magic, garbage body" (bytes (Helpers.marker_magic ^ "Sjunk"));
+  rejects "unknown tag" (bytes (Helpers.marker_magic ^ "Z"));
   let m =
-    {
-      Txnmark.record =
-        {
-          Capability.port = Capability.port_of_int 7;
-          obj = 3;
-          rights = Capability.rights_all;
-          check = 99;
-        };
-      seq = 4;
-      old_root = bytes "old";
-      writes = [ (P.of_list [ 0 ], bytes "w") ];
-    }
+    Marker.Staged
+      {
+        Marker.record =
+          {
+            Capability.port = Capability.port_of_int 7;
+            obj = 3;
+            rights = Capability.rights_all;
+            check = 99;
+          };
+        seq = 4;
+        old_root = bytes "old";
+        writes = [ (P.of_list [ 0 ], bytes "w") ];
+      }
   in
-  Alcotest.(check bool)
-    "trailing garbage" true
-    (Txnmark.decode (Bytes.cat (Txnmark.encode m) (bytes "x")) = None);
-  Alcotest.(check bool)
-    "truncation" true
-    (let e = Txnmark.encode m in
-     Txnmark.decode (Bytes.sub e 0 (Bytes.length e - 3)) = None);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        ("outcome rejects " ^ s) true
-        (Txnmark.decode_outcome (bytes s) = None))
-    [ ""; "txn:"; "txn::c"; "txn:1:"; "txn:1:x"; "txn:1:cc"; "txn:-1:c"; "txn:pending" ]
+  rejects "trailing garbage" (Bytes.cat (Marker.encode m) (bytes "x"));
+  rejects "truncation"
+    (let e = Marker.encode m in
+     Bytes.sub e 0 (Bytes.length e - 3));
+  let outcome = Marker.encode (Marker.Outcome { seq = 1; committed = true }) in
+  let n = Bytes.length outcome in
+  rejects "outcome without its flag" (Bytes.sub outcome 0 (n - 1));
+  rejects "outcome with trailing garbage" (Bytes.cat outcome (bytes "c"));
+  Bytes.set outcome (n - 1) '\002';
+  rejects "outcome flag 2" outcome
 
-(* A length field of [max_int] once overflowed the bounds test and made
-   [Bytes.sub] raise instead of the decoder answering [None]. *)
+(* A staged marker whose field at the end is written by hand: the
+   magic, tag, record capability and seq, then [tail]. *)
+let staged_with_tail tail =
+  let w = Afs_util.Wire.Writer.create () in
+  String.iter (fun c -> Afs_util.Wire.Writer.u8 w (Char.code c)) (Helpers.marker_magic ^ "S");
+  List.iter (Afs_util.Wire.Writer.varint w) [ 1; 2 ];
+  Afs_util.Wire.Writer.u8 w 3;
+  Afs_util.Wire.Writer.u64 w 4L;
+  Afs_util.Wire.Writer.varint w 5;
+  tail w;
+  Afs_util.Wire.Writer.contents w
+
+(* A nine-byte varint whose top bits overflow into OCaml's sign bit. *)
+let negative_varint w =
+  for _ = 1 to 8 do
+    Afs_util.Wire.Writer.u8 w 0xFF
+  done;
+  Afs_util.Wire.Writer.u8 w 0x7F
+
+(* Length and count fields as large as a varint holds, or overflowed
+   negative, answer [None]: no [Bytes.sub] or allocation sized by them
+   runs, and no exception escapes. *)
 let test_marker_length_overflow () =
+  let module W = Afs_util.Wire.Writer in
+  let rejects what tail =
+    Alcotest.(check bool) what true (Marker.decode (staged_with_tail tail) = None)
+  in
+  rejects "max_int length rejected" (fun w ->
+      W.varint w max_int;
+      W.u8 w (Char.code 'x');
+      W.varint w 0);
+  rejects "overflowed length" (fun w ->
+      negative_varint w;
+      W.varint w 0);
+  rejects "count beyond the input" (fun w ->
+      W.sized_bytes w Bytes.empty;
+      W.varint w 1_000_000);
+  rejects "overflowed page index" (fun w ->
+      W.sized_bytes w Bytes.empty;
+      W.varint w 1;
+      W.varint w 1;
+      negative_varint w;
+      W.sized_bytes w Bytes.empty);
   Alcotest.(check bool)
-    "max_int length rejected" true
-    (Txnmark.decode (bytes "afs-txn!1:2:3:4:5:4611686018427387903:x0:") = None)
+    "the same bytes with sane fields decode" true
+    (Marker.decode
+       (staged_with_tail (fun w ->
+            W.sized_bytes w Bytes.empty;
+            W.varint w 1;
+            W.varint w 1;
+            W.varint w 6;
+            W.sized_bytes w Bytes.empty))
+    <> None)
 
 (* {2 The pure decision logic (C1 critical sections)} *)
 
+let outcome seq committed = Marker.encode (Marker.Outcome { seq; committed })
+
 let test_decision_table () =
   (* A marker with seq N against a record whose newest outcome is M's. *)
-  let d s = Txn.decide ~seq:5 ~record_data:(bytes s) in
-  Alcotest.(check bool) "fresh record: pending" true (d "txn:0:a" = Txn.Pending);
-  Alcotest.(check bool) "M<N committed: pending" true (d "txn:4:c" = Txn.Pending);
-  Alcotest.(check bool) "M<N aborted: pending" true (d "txn:4:a" = Txn.Pending);
-  Alcotest.(check bool) "M=N committed" true (d "txn:5:c" = Txn.Committed);
-  Alcotest.(check bool) "M=N aborted" true (d "txn:5:a" = Txn.Aborted);
-  Alcotest.(check bool) "M>N committed: superseded" true (d "txn:6:c" = Txn.Superseded);
-  Alcotest.(check bool) "M>N aborted: superseded" true (d "txn:9:a" = Txn.Superseded);
-  Alcotest.(check bool) "garbage" true (d "whatever" = Txn.Unknown_record);
-  Alcotest.(check bool) "old state string" true (d "txn:pending" = Txn.Unknown_record);
+  let d data = Txn.decide ~seq:5 ~record_data:data in
+  Alcotest.(check bool) "fresh record: pending" true (d (outcome 0 false) = Txn.Pending);
+  Alcotest.(check bool) "M<N committed: pending" true (d (outcome 4 true) = Txn.Pending);
+  Alcotest.(check bool) "M<N aborted: pending" true (d (outcome 4 false) = Txn.Pending);
+  Alcotest.(check bool) "M=N committed" true (d (outcome 5 true) = Txn.Committed);
+  Alcotest.(check bool) "M=N aborted" true (d (outcome 5 false) = Txn.Aborted);
+  Alcotest.(check bool) "M>N committed: superseded" true (d (outcome 6 true) = Txn.Superseded);
+  Alcotest.(check bool) "M>N aborted: superseded" true (d (outcome 9 false) = Txn.Superseded);
+  Alcotest.(check bool) "garbage" true (d (bytes "whatever") = Txn.Unknown_record);
+  Alcotest.(check bool) "old text outcome" true (d (bytes "txn:5:c") = Txn.Unknown_record);
   let m =
     {
-      Txnmark.record =
+      Marker.record =
         {
           Capability.port = Capability.port_of_int 1;
           obj = 1;
@@ -225,6 +279,8 @@ let test_decision_table () =
       writes = [];
     }
   in
+  Alcotest.(check bool) "another kind" true
+    (d (Marker.encode (Marker.Staged m)) = Txn.Unknown_record);
   Alcotest.(check bool) "committed -> forward" true
     (Txn.resolve m Txn.Committed = Txn.Forward m);
   Alcotest.(check bool) "aborted -> back" true (Txn.resolve m Txn.Aborted = Txn.Back m);
@@ -292,8 +348,8 @@ let test_reader_resolves_in_doubt () =
       | Ok (Afs_rpc.Remote.Marked image) ->
           Alcotest.(check bool)
             "trap names the record" true
-            (match (!record, Txnmark.record_of image) with
-            | Some c, Some r -> Capability.equal c r
+            (match (!record, Marker.decode image) with
+            | Some c, Some (Marker.Staged { record = r; _ }) -> Capability.equal c r
             | _ -> false)
       | Ok _ -> Alcotest.fail "staged file served an ordinary opening"
       | Error e -> Alcotest.failf "expected Marked, got %s" (Errors.to_string e));
@@ -378,13 +434,13 @@ let test_stage_fences_prior_versions () =
       ignore (ok (Txn.sweep sweeper (Array.to_list accts)) : int);
       Alcotest.(check int) "staged txn discarded" 100 (read_balance client accts.(0)))
 
-(* Any client may write any root data, and the shard's location check
-   decodes the root on every open: a root that merely looks like a marker
-   with an absurd length must read as plain data, not crash the handler. *)
-let test_overflowing_root_opens () =
+(* Any client may write any root data with an ordinary commit, and the
+   shard's location check decodes the root on every opening: root data
+   that starts like a marker but does not decode as one must open as
+   plain data, not crash the handler or trap the file. *)
+let opens_with_root root =
   in_cluster ~shards:2 (fun cluster client ->
       let f = ok (CC.create_file ~data:(bytes "plain") client) in
-      let root = bytes "afs-txn!1:2:3:4:5:4611686018427387903:x0:" in
       ok (Batch_ops.update client f [ Txn.Write (P.root, root) ]);
       let _, shard = ok (Cluster.shard_of_cap cluster f) in
       let conn = Cluster.conn cluster (Shard.id shard) in
@@ -392,6 +448,43 @@ let test_overflowing_root_opens () =
       Helpers.check_bytes "the root is plain data" (Bytes.to_string root)
         (ok (Batch_ops.read conn v P.root));
       ok (Batch_ops.abort conn v))
+
+let test_overflowing_root_opens () =
+  opens_with_root
+    (staged_with_tail (fun w ->
+         Afs_util.Wire.Writer.varint w max_int;
+         Afs_util.Wire.Writer.u8 w (Char.code 'x');
+         Afs_util.Wire.Writer.varint w 0))
+
+let test_garbage_roots_open () =
+  let magic = Helpers.marker_magic in
+  let staged =
+    Marker.encode
+      (Marker.Staged
+         {
+           Marker.record =
+             {
+               Capability.port = Capability.port_of_int 1;
+               obj = 1;
+               rights = Capability.rights_all;
+               check = 0;
+             };
+           seq = 1;
+           old_root = bytes "old";
+           writes = [];
+         })
+  in
+  List.iter
+    (fun root ->
+      Alcotest.(check bool) "not a marker" true (Marker.decode root = None);
+      opens_with_root root)
+    [
+      bytes magic;
+      bytes (magic ^ "Z");
+      bytes (magic ^ "S\255\255\255");
+      Bytes.sub staged 0 (Bytes.length staged - 1);
+      Bytes.cat staged (bytes "!");
+    ]
 
 (* A part's [Rmw] of a page it already wrote transforms that pending
    write, as the same ops run one by one would: the ops' reads all ride
@@ -506,7 +599,7 @@ let test_forward_cycle () =
       let tombstone shard file target =
         let conn = Cluster.conn cluster shard in
         let v = ok (Shard.open_version conn file) in
-        ok (Batch_ops.write conn v P.root (Forward.encode target));
+        ok (Batch_ops.write conn v P.root (Marker.encode (Marker.Moved target)));
         ok (Batch_ops.commit conn v)
       in
       tombstone 0 a b;
@@ -539,7 +632,7 @@ let test_transfer_chases_moved () =
       ok (Batch_ops.add_pages client copy [ bytes "100" ]);
       let src = Cluster.conn cluster 1 in
       let v = ok (Shard.open_version src accts.(1)) in
-      ok (Batch_ops.write src v P.root (Forward.encode copy));
+      ok (Batch_ops.write src v P.root (Marker.encode (Marker.Moved copy)));
       ok (Batch_ops.commit src v);
       let forwarded () = Afs_util.Stats.Counter.get (Cluster.counters cluster) "client.forwarded" in
       let before = forwarded () in
@@ -652,14 +745,14 @@ let test_stale_resolver () =
           Alcotest.(check bool) "same record reused" true (Capability.equal r1 r2);
           Alcotest.(check bool) "seqs grow" true (s2 > s1);
           let stale =
-            { Txnmark.record = r1; seq = s1; old_root = bytes "acct0"; writes = [] }
+            { Marker.record = r1; seq = s1; old_root = bytes "acct0"; writes = [] }
           in
           let resolver = Txn.create client in
           Alcotest.(check bool)
             "stale force-abort superseded" true
             (ok
                (Txn.force_abort resolver stale
-                  ~seen:(Txnmark.encode_outcome ~seq:0 ~committed:false))
+                  ~seen:(outcome 0 false))
             = Txn.Superseded);
           Alcotest.(check bool)
             "later outcome kept" true
@@ -716,7 +809,7 @@ let test_collector_race () =
         (fun f ->
           match Batch_ops.read_current client f P.root with
           | Ok root ->
-              if Txnmark.is_marker root then Alcotest.fail "a marker survived"
+              if is_staged root then Alcotest.fail "a marker survived"
           | Error e -> Alcotest.failf "unreadable: %s" (Errors.to_string e))
         accts;
       Alcotest.(check (list int)) "balances" [ 72; 128; 95; 105 ]
@@ -777,7 +870,7 @@ let test_seal_in_doubt () =
         (Cluster.shards cluster);
       let in_doubt =
         List.filter
-          (fun f -> Txnmark.is_marker (ok (Batch_ops.read_current client f P.root)))
+          (fun f -> is_staged (ok (Batch_ops.read_current client f P.root)))
           [ accts.(0); accts.(1) ]
       in
       Alcotest.(check int) "the orphan marker surfaced" 1 (List.length in_doubt);
@@ -788,7 +881,7 @@ let test_seal_in_doubt () =
       Array.iter
         (fun f ->
           match Batch_ops.read_current client f P.root with
-          | Ok root -> if Txnmark.is_marker root then Alcotest.fail "a marker survived"
+          | Ok root -> if is_staged root then Alcotest.fail "a marker survived"
           | Error e -> Alcotest.failf "unreadable: %s" (Errors.to_string e))
         accts;
       Alcotest.(check int) "the in-doubt record was not reused" 2 (created txn);
@@ -858,9 +951,9 @@ let test_trace_oracle () =
    the record's shard holds until the record commits or the budget runs
    out. *)
 
-let pending0 = Txnmark.encode_outcome ~seq:0 ~committed:false
-let committed1 = Txnmark.encode_outcome ~seq:1 ~committed:true
-let aborted1 = Txnmark.encode_outcome ~seq:1 ~committed:false
+let pending0 = outcome 0 false
+let committed1 = outcome 1 true
+let aborted1 = outcome 1 false
 
 (* Decide seq 1 committed on a fresh record, as a coordinator does. *)
 let decide_at conn record =
@@ -1256,7 +1349,7 @@ let conservation_one_run ~seed ~kills =
           (fun i f ->
             (match Batch_ops.read_current client f P.root with
             | Ok root ->
-                if Txnmark.is_marker root then fail "account %d still staged" i
+                if is_staged root then fail "account %d still staged" i
             | Error e ->
                 fail "account %d unreadable: %s" i (Errors.to_string e));
             let expect = init + deltas.(i) in
@@ -1290,8 +1383,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_marker_roundtrip;
           quick "rejects garbage" test_marker_rejects_garbage;
           quick "rejects an overflowing length" test_marker_length_overflow;
-          QCheck_alcotest.to_alcotest prop_marker_reference;
           QCheck_alcotest.to_alcotest prop_outcome_codec;
+          QCheck_alcotest.to_alcotest prop_every_kind_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decode_total;
         ] );
       ("decision", [ quick "pure decide/resolve table" test_decision_table ]);
       ( "protocol",
@@ -1303,6 +1397,7 @@ let () =
           quick "sweep completes a decided txn" test_sweep_completes_decided;
           quick "stage fences versions opened before it" test_stage_fences_prior_versions;
           quick "an overflowing marker-like root opens" test_overflowing_root_opens;
+          quick "magic-prefixed garbage roots open" test_garbage_roots_open;
           quick "a transfer chases a moved participant" test_transfer_chases_moved;
           quick "an Rmw reads its part's own write" test_rmw_after_write;
           QCheck_alcotest.to_alcotest prop_one_part_matches_per_op;
