@@ -378,14 +378,14 @@ let c5 () =
            let b = Stable.tentative_allocate pair 1 in
            match (a.Stable.result, b.Stable.result) with
            | Ok ba, Ok bb ->
-               (match Stable.shadow_write pair ~primary:0 ~fresh:true ba (bytes "a") with
+               (match Stable.shadow_write pair ~primary:0 ba (bytes "a") with
                | { Stable.result = Error (Stable.Collision _); _ } ->
                    incr collisions;
                    Stable.abort_tentative pair 0 ba
                | { Stable.result = Ok seq; _ } ->
                    ignore (Stable.local_write_seq pair 0 ba (bytes "a") seq)
                | _ -> ());
-               (match Stable.shadow_write pair ~primary:1 ~fresh:true bb (bytes "b") with
+               (match Stable.shadow_write pair ~primary:1 bb (bytes "b") with
                | { Stable.result = Error (Stable.Collision _); _ } ->
                    incr collisions;
                    Stable.abort_tentative pair 1 bb

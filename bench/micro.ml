@@ -108,6 +108,21 @@ let test_stable_write =
   Test.make ~name:"stable-write-1K"
     (Staged.stage (fun () -> ignore (S.write pair 0 b payload)))
 
+(* The commit publish leg: eight 1 KiB blocks in one A→B→A round trip,
+   the path a single stable write takes as a batch of one. *)
+let test_stable_write_batch =
+  let module S = Afs_stable.Stable_pair in
+  let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
+  let payload = Bytes.make 1024 'w' in
+  let entries =
+    List.init 8 (fun _ ->
+        match (S.allocate_write pair 0 payload).S.result with
+        | Ok b -> (b, payload)
+        | Error e -> failwith (Fmt.str "%a" S.pp_error e))
+  in
+  Test.make ~name:"stable-write-batch-8x1K"
+    (Staged.stage (fun () -> ignore (S.write_batch pair 0 entries)))
+
 (* The root-marker codec. Every cluster opening decodes the file's root,
    which is nearly always plain data; a cross-shard stage encodes a
    marker and every resolver decodes it again. *)
@@ -132,7 +147,8 @@ let test_marker_staged_roundtrip =
 let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
     test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op;
-    test_crc32; test_stable_write; test_marker_decode_plain; test_marker_staged_roundtrip ]
+    test_crc32; test_stable_write; test_stable_write_batch; test_marker_decode_plain;
+    test_marker_staged_roundtrip ]
 
 (* [smoke] trades precision for speed (CI runs it on shared runners just
    to catch order-of-magnitude regressions and keep the artifact fresh). *)

@@ -8,23 +8,22 @@ type node = { data : bytes; children : node list }
 
 let unexpected = Error (Errors.Store_failure "migrate: unexpected batch answer")
 
-(* Every step of the walk and the flip is one [Version] batch of one
-   step on the version. *)
+(* Each copy step is one [Version] batch of one step on the version. *)
 let apply conn version s = Result.map ignore (Remote.on_version conn version [ s ])
 
 (* The abort's answer is never a forward to chase ([Remote.on_version]). *)
 let abandon conn version =
   match Remote.on_version conn version [ Remote.Abort ] with Ok _ | Error _ -> ()
 
-(* Read the whole tree through the migration's own private version. The
-   snapshot is internally consistent because the version is a
-   copy-on-write view; it is kept *fresh* by the flip commit below — every
-   page read here lands in the version's read set, so any update that
-   commits between this walk and the flip makes the flip's commit fail the
-   serialisability test and the migration redo from scratch. *)
+(* Read the whole tree through the migration's own private version, one
+   [Read; Info] batch per page. The snapshot is internally consistent
+   because the version is a copy-on-write view; it is kept *fresh* by the
+   flip commit below — every page read here lands in the version's read
+   set, so any update that commits between this walk and the flip makes
+   the flip's commit fail the serialisability test and the migration redo
+   from scratch. *)
 let rec snapshot conn version path =
-  let* reads, _ = Remote.on_version conn version [ Remote.Read path ] in
-  let* _, infos = Remote.on_version conn version [ Remote.Info path ] in
+  let* reads, infos = Remote.on_version conn version [ Remote.Read path; Remote.Info path ] in
   match (reads, infos) with
   | [ data ], [ (nrefs, _) ] ->
       let rec kids i acc =
@@ -56,12 +55,6 @@ let copy_to conn tree =
   let* () = apply conn nv Remote.Commit in
   Ok nf
 
-let rec remove_children conn v i =
-  if i < 0 then Ok ()
-  else
-    let* () = apply conn v (Remote.Remove { parent = Pagepath.root; index = i }) in
-    remove_children conn v (i - 1)
-
 (* The flip: turn the source copy into a tombstone, in the same version
    the snapshot was read through, and commit it optimistically.
 
@@ -78,68 +71,66 @@ let rec remove_children conn v i =
      location check when it opened) against the flip's W, and C entries
      at the root against the flip's M.
    Losing either race only costs a redo; committed data can never end up
-   stranded behind a committed marker. *)
+   stranded behind a committed marker. The whole flip is one [Version] batch. *)
 let flip conn v tree target =
-  let* () =
+  let root = Pagepath.root in
+  let remove index = Remote.Remove { parent = root; index } in
+  let clear =
     match List.length tree.children with
-    | 0 ->
-        let* () =
-          apply conn v (Remote.Insert { parent = Pagepath.root; index = 0; data = Bytes.empty })
-        in
-        apply conn v (Remote.Remove { parent = Pagepath.root; index = 0 })
-    | n -> remove_children conn v (n - 1)
+    | 0 -> [ Remote.Insert { parent = root; index = 0; data = Bytes.empty }; remove 0 ]
+    | n -> List.init n (fun i -> remove (n - 1 - i))
   in
-  let* () = apply conn v (Remote.Write (Pagepath.root, Marker.encode (Marker.Moved target))) in
-  apply conn v Remote.Commit
+  let marker = Remote.Write (root, Marker.encode (Marker.Moved target)) in
+  Result.map ignore (Remote.on_version conn v (clear @ [ marker; Remote.Commit ]))
 
-let migrate ?(retries = 8) cluster ~file ~dst =
+(* One attempt on the file's current home, through the client's one
+   [Moved] loop: the opening answers [Moved] at a tombstone, which
+   [routed] chases. [Ok (Error Conflict)] is a flip that lost its race. *)
+let attempt cluster client ~dst file =
   let counters = Cluster.counters cluster in
-  if dst < 0 || dst >= Cluster.nshards cluster then
-    Error (Errors.Store_failure "migrate: no such shard")
-  else
-    let rec attempt n file =
-      let* file, src_shard = Cluster.shard_of_cap cluster file in
-      if Shard.id src_shard = dst then Ok file (* already home *)
+  Cluster_client.routed client file (fun src ~shard file ->
+      if Shard.id shard = dst then Ok (Ok file) (* already home *)
       else
-        let src = Cluster.conn cluster (Shard.id src_shard) in
         let dstc = Cluster.conn cluster dst in
-        let retry n file fallback =
-          if n < retries then attempt (n + 1) file else fallback
-        in
-        match Shard.open_version src file with
-        | Error (Errors.Moved target) ->
-            Router.note_forward (Cluster.router cluster) ~old:file target;
-            retry n target (Error Errors.Conflict)
-        | Error e -> Error e
-        | Ok v -> (
-            match snapshot src v Pagepath.root with
+        let* v = Shard.open_version src file in
+        match snapshot src v Pagepath.root with
+        | Error e ->
+            abandon src v;
+            Error e
+        | Ok tree -> (
+            match copy_to dstc tree with
             | Error e ->
                 abandon src v;
                 Error e
-            | Ok tree -> (
-                match copy_to dstc tree with
+            | Ok nf -> (
+                match flip src v tree nf with
+                | Ok () ->
+                    Router.note_forward (Cluster.router cluster) ~old:file nf;
+                    Stats.Counter.incr counters "migrations";
+                    Stats.Counter.incr counters
+                      (Printf.sprintf "shard%d.migrations_out" (Shard.id shard));
+                    Stats.Counter.incr counters (Printf.sprintf "shard%d.migrations_in" dst);
+                    Ok (Ok nf)
+                | Error Errors.Conflict ->
+                    (* A concurrent update won the race; drop the stale
+                       copy and redo against the fresh state. *)
+                    ignore (Remote.destroy_file dstc nf);
+                    Stats.Counter.incr counters "migrations.conflict";
+                    Ok (Error Errors.Conflict)
                 | Error e ->
+                    ignore (Remote.destroy_file dstc nf);
                     abandon src v;
-                    Error e
-                | Ok nf -> (
-                    match flip src v tree nf with
-                    | Ok () ->
-                        Router.note_forward (Cluster.router cluster) ~old:file nf;
-                        Stats.Counter.incr counters "migrations";
-                        Stats.Counter.incr counters
-                          (Printf.sprintf "shard%d.migrations_out" (Shard.id src_shard));
-                        Stats.Counter.incr counters
-                          (Printf.sprintf "shard%d.migrations_in" dst);
-                        Ok nf
-                    | Error Errors.Conflict ->
-                        (* A concurrent update won the race; drop the stale
-                           copy and redo against the fresh state. *)
-                        ignore (Remote.destroy_file dstc nf);
-                        Stats.Counter.incr counters "migrations.conflict";
-                        retry n file (Error Errors.Conflict)
-                    | Error e ->
-                        ignore (Remote.destroy_file dstc nf);
-                        abandon src v;
-                        Error e)))
+                    Error e)))
+
+let migrate ?(retries = 8) cluster ~file ~dst =
+  if dst < 0 || dst >= Cluster.nshards cluster then
+    Error (Errors.Store_failure "migrate: no such shard")
+  else
+    let client = Cluster_client.connect cluster in
+    let rec go n =
+      match attempt cluster client ~dst file with
+      | Ok (Error Errors.Conflict) when n < retries -> go (n + 1)
+      | Ok r -> r
+      | Error e -> Error e
     in
-    attempt 0 file
+    go 0

@@ -38,4 +38,6 @@ val migrate :
 (** Move [file] to shard [dst]; returns its new capability (or the
     current one unchanged if it already lives on [dst]). Must run inside
     a simulation process. [Conflict] means the retry budget (default 8)
-    was exhausted racing live writers. *)
+    was exhausted racing live writers. Each attempt runs through
+    {!Cluster_client.routed}, which chases a tombstone met on the way and
+    fails a forward chain past its hop limit. *)

@@ -158,98 +158,94 @@ let tentative_allocate t i =
 
 let abort_tentative t i b = Hashtbl.remove t.servers.(i).tentative b
 
-(* The companion leg. Returns the sealed image with its sequence number:
-   the local leg writes that same image, so a stable write seals once. *)
-let shadow_leg t ~primary ~fresh b payload =
-  let q = companion primary in
-  match check_serving t q with
-  | Error e -> fail e
-  | Ok s ->
-      (* Collision check: the companion knows its own allocations and
-         tentative choices. A shadow write for a block the companion has
-         itself handed out (to a different allocation) is a collision,
-         caught before either primary copy is written. *)
-      if Hashtbl.mem s.tentative b || (fresh && Hashtbl.mem s.allocated b) then
-        fail ~cost:hop_ms (Collision b)
-      else begin
-        let seq = next_seq t q in
-        let image = seal seq payload in
-        let { Disk.result; cost_ms } = Disk.write s.disk b image in
-        let cost = hop_ms +. cost_ms in
-        match result with
-        | Error e -> fail ~cost (Disk_error e)
-        | Ok () ->
-            Hashtbl.replace s.allocated b ();
-            leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms:cost;
-            ok ~cost (seq, image)
-      end
-
-let shadow_write t ~primary ~fresh b payload =
-  let o = shadow_leg t ~primary ~fresh b payload in
-  { o with result = Result.map fst o.result }
-
-(* The disk write of an already sealed image, without the serving check:
-   recovery uses this while the server is still marked unrecovered. *)
-let raw_local_write t i b image seq =
-  let s = t.servers.(i) in
-  note_seq t i seq;
+(* The one copy writer: a sealed image onto server [x]'s disk, with [x]'s
+   counter moved past its seq and the block marked allocated there. Every
+   copy — either leg of a write, a fallback repair, a restart push — goes
+   through here, so no copy can land without its counter moving. *)
+let put_copy t x b image seq =
+  let s = t.servers.(x) in
+  note_seq t x seq;
   let { Disk.result; cost_ms } = Disk.write s.disk b image in
   match result with
   | Error e -> fail ~cost:cost_ms (Disk_error e)
   | Ok () ->
-      Hashtbl.remove s.tentative b;
       Hashtbl.replace s.allocated b ();
-      leg t ~leg:"local" ~server:i ~block:b ~cost_ms;
       ok ~cost:cost_ms ()
+
+(* Applies [f] to each element in order, summing costs onto [cost] and
+   stopping at the first failure. *)
+let rec each cost f = function
+  | [] -> ok ~cost ()
+  | x :: rest -> (
+      match f x with
+      | { result = Ok (); cost_ms } -> each (cost +. cost_ms) f rest
+      | { result = Error e; cost_ms } -> fail ~cost:(cost +. cost_ms) e)
+
+(* Leg 1 (A→B), at the companion of [primary], for any number of blocks.
+   Collision check first: the companion knows its own allocations and
+   tentative choices, so a block it holds tentatively, or a fresh block
+   (not yet allocated in the primary's view, so this write allocates it)
+   that it has allocated, is a collision — caught before any copy is
+   written. Then each block is sealed and written. Returns each sealed
+   image with its seq: leg 2 writes that same image, so a write seals
+   once. *)
+let shadow_leg t ~primary entries =
+  let q = companion primary in
+  match check_serving t q with
+  | Error e -> fail e
+  | Ok sq -> (
+      let fresh b = not (Hashtbl.mem t.servers.(primary).allocated b) in
+      let collides (b, _) =
+        Hashtbl.mem sq.tentative b || (fresh b && Hashtbl.mem sq.allocated b)
+      in
+      match List.find_opt collides entries with
+      | Some (b, _) -> fail ~cost:hop_ms (Collision b)
+      | None ->
+          let sealed = ref [] in
+          let shadow (b, payload) =
+            let seq = next_seq t q in
+            let image = seal seq payload in
+            let o = put_copy t q b image seq in
+            if Result.is_ok o.result then begin
+              leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms:o.cost_ms;
+              sealed := (b, image, seq) :: !sealed
+            end;
+            o
+          in
+          let o = each hop_ms shadow entries in
+          { o with result = Result.map (fun () -> List.rev !sealed) o.result })
+
+(* The seq the one shadow drew is the companion's counter. *)
+let shadow_write t ~primary b payload =
+  let o = shadow_leg t ~primary [ (b, payload) ] in
+  { o with result = Result.map (fun _ -> t.servers.(companion primary).seq) o.result }
+
+(* Leg 2 (B→A): the writer's own copy, which also drops its tentative
+   reservation. No serving check: recovery uses this while the server is
+   still marked unrecovered. *)
+let local_leg t i b image seq =
+  let o = put_copy t i b image seq in
+  if Result.is_ok o.result then begin
+    Hashtbl.remove t.servers.(i).tentative b;
+    leg t ~leg:"local" ~server:i ~block:b ~cost_ms:o.cost_ms
+  end;
+  o
 
 let local_write_seq t i b payload seq =
   match check_serving t i with
   | Error e -> fail e
-  | Ok _ -> raw_local_write t i b (seal seq payload) seq
-
-let local_write t i b payload =
-  let seq = next_seq t i in
-  local_write_seq t i b payload seq
+  | Ok _ -> local_leg t i b (seal seq payload) seq
 
 (* {2 Composite operations} *)
 
-(* A block this server holds only tentatively is fresh: its first write
-   is its allocation (§4), so the companion checks it for a collision. *)
-let write t i b payload =
-  match check_serving t i with
-  | Error e -> fail e
-  | Ok s ->
-      if not (is_taken s b) then fail (Not_allocated b)
-      else begin
-        let q = companion i in
-        if online t q then
-          match shadow_leg t ~primary:i ~fresh:(not (Hashtbl.mem s.allocated b)) b payload with
-          | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
-          | { result = Ok (seq, image); cost_ms = shadow_cost } -> (
-              match raw_local_write t i b image seq with
-              | { result = Ok (); cost_ms } -> ok ~cost:(shadow_cost +. cost_ms) ()
-              | { result = Error e; cost_ms } -> fail ~cost:(shadow_cost +. cost_ms) e)
-        else begin
-          (* Companion down: write locally, leave an intention so the
-             companion restores this block when it comes back. *)
-          Hashtbl.replace s.intentions b ();
-          match local_write t i b payload with
-          | { result = Ok (); cost_ms } -> ok ~cost:cost_ms ()
-          | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
-        end
-      end
-
-(* Amortised §4 write for a group-commit batch: every block rides one
-   A→B→A round trip, so the companion hop is paid once for the whole
-   batch instead of once per block. Each block must be allocated or held
-   tentatively by this server, which a fresh block's write allocates.
-   Leg 1 first checks every block for a collision, as a single write's
-   shadow leg does, so a collision fails the batch with nothing written.
-   The companion copy of every block is then written before any local
-   copy, and the writes stop at the first failure, so a crash mid-batch
-   leaves each block either fully stable, companion-only (repaired
-   forward at restart, exactly as for a single write interrupted between
-   legs) or untouched — never torn. *)
+(* The §4 write of any number of blocks in one A→B→A round trip: the
+   companion hop is paid once, then each block pays its two disk writes.
+   Each block must be allocated or held tentatively by this server; a
+   tentative block's first write is its allocation, which the companion
+   checks for a collision. Every companion copy is written before any
+   local copy and the writes stop at the first failure, so a crash
+   mid-batch leaves each block fully stable, companion-only (repaired
+   forward at restart) or untouched — never torn. *)
 let write_batch t i entries =
   match entries with
   | [] -> ok ()
@@ -259,65 +255,22 @@ let write_batch t i entries =
       | Ok s -> (
           match List.find_opt (fun (b, _) -> not (is_taken s b)) entries with
           | Some (b, _) -> fail (Not_allocated b)
-          | None ->
-              let q = companion i in
-              if not (online t q) then begin
-                (* Companion down: local writes plus intentions, exactly as
-                   [write] — there is no hop to amortise. *)
-                let rec go cost = function
-                  | [] -> ok ~cost ()
-                  | (b, payload) :: rest -> (
-                      Hashtbl.replace s.intentions b ();
-                      match local_write t i b payload with
-                      | { result = Ok (); cost_ms } -> go (cost +. cost_ms) rest
-                      | { result = Error e; cost_ms } -> fail ~cost:(cost +. cost_ms) e)
-                in
-                go 0.0 entries
-              end
-              else begin
-                let sq = t.servers.(q) in
-                let cost = ref hop_ms in
-                let collides (b, _) =
-                  Hashtbl.mem sq.tentative b
-                  || ((not (Hashtbl.mem s.allocated b)) && Hashtbl.mem sq.allocated b)
-                in
-                (* Leg 1 (A→B): the companion seals and writes every block. *)
-                let rec shadows acc = function
-                  | [] -> Ok (List.rev acc)
-                  | (b, payload) :: rest -> (
-                      let seq = next_seq t q in
-                      let image = seal seq payload in
-                      let { Disk.result; cost_ms } = Disk.write sq.disk b image in
-                      cost := !cost +. cost_ms;
-                      match result with
-                      | Error e -> Error (Disk_error e)
-                      | Ok () ->
-                          Hashtbl.replace sq.allocated b ();
-                          leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms;
-                          shadows ((b, image, seq) :: acc) rest)
-                in
-                (* Leg 2 (B→A): the companion's images, written locally. *)
-                let rec locals = function
-                  | [] -> Ok ()
-                  | (b, image, seq) :: rest -> (
-                      match raw_local_write t i b image seq with
-                      | { result = Ok (); cost_ms } ->
-                          cost := !cost +. cost_ms;
-                          locals rest
-                      | { result = Error e; cost_ms } ->
-                          cost := !cost +. cost_ms;
-                          Error e)
-                in
-                match List.find_opt collides entries with
-                | Some (b, _) -> fail ~cost:!cost (Collision b)
-                | None -> (
-                    match shadows [] entries with
-                    | Error e -> fail ~cost:!cost e
-                    | Ok sealed -> (
-                        match locals sealed with
-                        | Ok () -> ok ~cost:!cost ()
-                        | Error e -> fail ~cost:!cost e))
-              end))
+          | None when not (online t (companion i)) ->
+              (* Companion down: write locally, leave an intention so the
+                 companion restores each block when it comes back. *)
+              each 0.0
+                (fun (b, payload) ->
+                  Hashtbl.replace s.intentions b ();
+                  let seq = next_seq t i in
+                  local_leg t i b (seal seq payload) seq)
+                entries
+          | None -> (
+              match shadow_leg t ~primary:i entries with
+              | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
+              | { result = Ok sealed; cost_ms } ->
+                  each cost_ms (fun (b, image, seq) -> local_leg t i b image seq) sealed)))
+
+let write t i b payload = write_batch t i [ (b, payload) ]
 
 let max_allocate_retries = 16
 
@@ -368,7 +321,7 @@ let read t i b =
               | Ok (seq, payload, image), remote_cost ->
                   leg t ~leg:"companion_read" ~server:q ~block:b
                     ~cost_ms:(hop_ms +. remote_cost);
-                  let repair = raw_local_write t i b image seq in
+                  let repair = local_leg t i b image seq in
                   leg t ~leg:"repair" ~server:i ~block:b ~cost_ms:repair.cost_ms;
                   let cost = local_cost +. hop_ms +. remote_cost +. repair.cost_ms in
                   ok ~cost payload
@@ -444,37 +397,32 @@ let restart t i =
     Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) q.intentions;
     let repaired = ref 0 in
     let cost = ref hop_ms in
-    (* A repair copies the winning side's verified image as it is. *)
+    (* A repair copies the winning side's verified image as it is, through
+       the copy writer: a push also moves their counter past our seq, so
+       their next write of the block cannot carry a seq no higher. *)
+    let repair copy b image seq =
+      let w = copy b image seq in
+      cost := !cost +. w.cost_ms;
+      incr repaired
+    in
+    let pull = repair (local_leg t i) and push = repair (put_copy t q_id) in
     let repair_one b () =
       let mine, my_cost = read_raw s b in
       let theirs, their_cost = read_raw q b in
       cost := !cost +. my_cost +. their_cost;
       match (mine, theirs) with
       | Ok (my_seq, _, _), Ok (their_seq, _, image) when their_seq > my_seq ->
-          let r = raw_local_write t i b image their_seq in
-          cost := !cost +. r.cost_ms;
-          incr repaired
+          pull b image their_seq
       | Ok (my_seq, _, image), Ok (their_seq, _, _) when my_seq > their_seq ->
           (* Our copy is newer (their disk lost a write): push it back. *)
-          let w = Disk.write q.disk b image in
-          note_seq t q_id my_seq;
-          cost := !cost +. w.Disk.cost_ms;
-          incr repaired
+          push b image my_seq
       | Ok _, Ok _ -> Hashtbl.replace s.allocated b ()
       | Error _, Ok (their_seq, _, image) ->
-          let r = raw_local_write t i b image their_seq in
-          cost := !cost +. r.cost_ms;
           Hashtbl.replace s.allocated b ();
-          incr repaired
+          pull b image their_seq
       | Ok (my_seq, _, image), Error _ ->
-          (* Their copy is missing or damaged. Their counter must pass our
-             seq too, or their next write of this block could carry a seq
-             no higher than the one we just pushed. *)
-          let w = Disk.write q.disk b image in
-          note_seq t q_id my_seq;
-          Hashtbl.replace q.allocated b ();
-          cost := !cost +. w.Disk.cost_ms;
-          incr repaired
+          (* Their copy is missing or damaged. *)
+          push b image my_seq
       | Error _, Error _ ->
           (* Block lost on both sides (e.g. freed concurrently): drop it. *)
           Hashtbl.remove s.allocated b;

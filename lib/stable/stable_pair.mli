@@ -75,26 +75,23 @@ val allocate_write : t -> id -> bytes -> int outcome
     internally on collision (bounded), as the paper's "redo the operation
     after a random wait interval". *)
 
-val write : t -> id -> int -> bytes -> unit outcome
-(** Write a block this server has allocated or holds tentatively (from
-    {!tentative_allocate}): companion first, then local. The first write
-    of a tentative block is its allocation — the companion's collision
-    check runs on the shadow leg, as in {!allocate_write}. Works with the
-    companion down (intention recorded). *)
-
 val write_batch : t -> id -> (int * bytes) list -> unit outcome
-(** Write several blocks in one A→B→A round trip: the companion hop is
-    charged once for the whole batch, then every block pays only its two
-    disk writes (all companion copies before any local copy). Each block
-    must be allocated or held tentatively by this server, else
-    [Not_allocated] with nothing written. Leg 1 runs the companion's
-    collision check for every block before writing any copy: a block the
-    companion holds tentatively, or a tentative block it has allocated,
-    fails the batch with [Collision] and nothing written. Otherwise the
-    batch stops at the first failing block, so each block ends fully
-    stable, companion-only (repaired at restart) or untouched — never
-    torn. The commit publish stage uses this to make the winners' fresh
-    pages and their commit references stable for one hop. *)
+(** The §4 write, for any number of blocks in one A→B→A round trip: the
+    companion hop is charged once, then every block pays its two disk
+    writes (all companion copies before any local copy). Each block must
+    be allocated or held tentatively (from {!tentative_allocate}) by this
+    server, else [Not_allocated] with nothing written; a tentative block's
+    first write is its allocation. The companion checks every block for a
+    collision before writing any copy: a block it holds tentatively, or a
+    tentative block it has allocated, fails the batch with [Collision] and
+    nothing written. Otherwise the batch stops at the first failing block,
+    so each block ends fully stable, companion-only (repaired at restart)
+    or untouched — never torn. Works with the companion down (intentions
+    recorded). The commit publish stage uses this to make the winners'
+    fresh pages and their commit references stable for one hop. *)
+
+val write : t -> id -> int -> bytes -> unit outcome
+(** [write t i b p] is [write_batch t i [ (b, p) ]]. *)
 
 val read : t -> id -> int -> bytes outcome
 (** Local read with checksum verification; falls back to the companion and
@@ -115,12 +112,13 @@ val tentative_allocate : t -> id -> int outcome
 
 val abort_tentative : t -> id -> int -> unit
 
-val shadow_write : t -> primary:id -> fresh:bool -> int -> bytes -> int64 outcome
-(** Executed {e at the companion} of [primary]: detects collisions against
-    the companion's own allocations ([fresh] marks a new allocation, for
-    which an already-allocated block at the companion is a collision),
-    then writes the companion copy. Returns the sequence number the
-    primary must reuse in {!local_write_seq}. *)
+val shadow_write : t -> primary:id -> int -> bytes -> int64 outcome
+(** Executed {e at the companion} of [primary]: {!write_batch}'s companion
+    leg for one block. The block is fresh when [primary] has not allocated
+    it; a fresh block the companion has allocated, or any block it holds
+    tentatively, is a collision. Otherwise writes the companion copy and
+    returns the sequence number the primary must reuse in
+    {!local_write_seq}. *)
 
 val local_write_seq : t -> id -> int -> bytes -> int64 -> unit outcome
 (** The primary's own disk write, performed after a successful shadow,

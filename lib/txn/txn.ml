@@ -560,11 +560,12 @@ let waited t file image ~last =
 
 (* {2 Staging a participant} *)
 
-(* Why a participant is not staged. A seal that failed other than by
-   losing validation may have committed anyway — a failed publish leaves
-   a durable prefix, and the marker surfaces once the shard recovers —
-   so only [Seal_in_doubt] can leave a marker behind; it carries the
-   stage it attempted. *)
+(* Why a participant is not staged. A seal that failed in the store or
+   met a tombstone may have committed anyway — a failed publish leaves a
+   durable prefix, and the marker surfaces once the shard recovers — so
+   only [Seal_in_doubt] can leave a marker behind; it carries the stage
+   it attempted. A seal refused before it ran ([Message_too_large],
+   [Page_too_large]) or that lost validation is [Unstaged]. *)
 type stage_error = Unstaged of Errors.t | Seal_in_doubt of Errors.t * staged
 
 (* A stage that went through — with the flips it made, if it carried a
@@ -608,11 +609,12 @@ let stage ?ride t ~record ~seq part =
                     carried t ~shard ~room (before @ [ entry ]) )
               | Some _ | None -> ([], [])
             in
-            rt t;
+            let tail =
+              (Remote.Commit :: swap) @ List.map (fun e -> flip_step ~forward:true e.sfile e) flips
+            in
             match
-              Remote.batch conn (Remote.Version version)
-                ((Remote.Write (Pagepath.root, image) :: Remote.Commit :: swap)
-                @ List.map (fun e -> flip_step ~forward:true e.sfile e) flips)
+              send_writes ~round_trip:t.round_trip conn version
+                (version_batches ~tail [ (Pagepath.root, image) ])
             with
             | Ok answer -> (
                 CC.note_commit t.client ~shard file;
@@ -623,10 +625,13 @@ let stage ?ride t ~record ~seq part =
                     Ok (Ok (Staged (entry, Some flips)))
                 | (Remote.Ran _ | Remote.Guard_failed _), _ -> Ok (Ok (Staged (entry, None)))
                 | (Remote.Reopened _ | Remote.Marked _), _ -> malformed)
-            | Error Conflict -> Error Conflict
             (* Answered, not raised: an in-doubt seal must not be retried
                anywhere — not even at a [Moved] target. *)
-            | Error e -> Ok (Error (Seal_in_doubt (e, entry)))))
+            | Error ((Store_failure _ | Moved _) as e) -> Ok (Error (Seal_in_doubt (e, entry)))
+            (* A lost validation removed the version; any other failure
+               refused the seal before it ran, and [send_writes] has
+               abandoned the version. *)
+            | Error e -> Error e))
   in
   Trace.close_span t.trace span;
   match result with Ok r -> r | Error e -> Error (Unstaged e)

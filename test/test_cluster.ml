@@ -252,6 +252,25 @@ let test_migrate_moves_data_and_leaves_tombstone () =
         "shard 1 resident files" 1
         (List.length (Shard.resident_files (Cluster.shard cluster 1))))
 
+(* A file of a root and four pages migrates in 14 requests across both
+   shards: the opening, one [Read; Info] batch per page, the copy's
+   create, open, four inserts and commit, and a one-batch flip. *)
+let test_migration_message_count () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let f = ok (Cluster_client.create_file ~data:(bytes "root") client) in
+      ok (Batch_ops.add_pages client f (List.init 4 (fun i -> bytes (string_of_int i))));
+      let served () =
+        List.fold_left
+          (fun n shard -> n + Remote.requests_served (Shard.host shard))
+          0 (Cluster.shards cluster)
+      in
+      let before = served () in
+      let moved = ok (Migration.migrate cluster ~file:f ~dst:1) in
+      let used = served () - before in
+      if used > 14 then Alcotest.failf "migration took %d requests, expected at most 14" used;
+      Helpers.check_bytes "last page copied" "3"
+        (ok (Batch_ops.read_current client moved (P.of_list [ 3 ]))))
+
 (* A version opened before the flip must lose its commit afterwards: the
    location check put R on its root, the flip's commit wrote W there.
    The file has no children, so this also covers the flip's dummy
@@ -575,6 +594,7 @@ let () =
           quick "an opening must read the root first" test_open_must_read_root;
           quick "a redo takes a fresh open's paths" test_redo_takes_fresh_paths;
           quick "racing commits never lost" test_migration_race_never_loses_commits;
+          quick "a 5-page file moves in 14 requests" test_migration_message_count;
         ] );
       ( "rebalancer",
         [

@@ -6,7 +6,8 @@
    the raw blocks and must see exactly the committed prefix — never a torn
    update, never a lost commit. A second property subjects the stable-
    storage pair to random crash/wipe/restart sequences interleaved with
-   writes and checks the surviving copy is always the newest. *)
+   writes, batches and frees, and checks the surviving copy is always the
+   newest. *)
 
 open Afs_core
 module P = Afs_util.Pagepath
@@ -93,6 +94,52 @@ let prop_commit_implies_durability (capacity, label) =
 
 (* {2 Stable-pair crash storms} *)
 
+(* A batch of 1–4 distinct blocks via server [i]: acknowledged blocks
+   from [live] and fresh ones [i] reserves tentatively. Half the time the companion
+   reserves 1–3 blocks of its own before the batch and writes them after
+   it, so a fresh block may collide: the batch's loser drops its
+   reservations, and a rival that missed the collision would allocate
+   an acknowledged block twice. [ack b v] records an acknowledged write,
+   [allocated b v] an acknowledged first write, and [maybe b v] a failed
+   batch's block, which may hold its old or new value. *)
+let storm_batch rng pair i ~live ~step ~ack ~allocated ~maybe =
+  let n = 1 + Xrng.int rng 4 in
+  let value k = bytes (Printf.sprintf "s%d.%d" step k) in
+  let rec pick k olds fresh =
+    if k = n then (olds, fresh)
+    else
+      let spare = List.filter (fun b -> not (List.mem_assoc b olds)) live in
+      if spare <> [] && Xrng.bool rng then
+        pick (k + 1) ((List.nth spare (Xrng.int rng (List.length spare)), value k) :: olds) fresh
+      else
+        match (Stable.tentative_allocate pair i).Stable.result with
+        | Ok b -> pick (k + 1) olds ((b, value k) :: fresh)
+        | Error _ -> pick (k + 1) olds fresh
+  in
+  let olds, fresh = pick 0 [] [] in
+  let q = 1 - i in
+  let rivals =
+    if Stable.online pair q && Xrng.bool rng then
+      List.filter_map
+        (fun _ -> Result.to_option (Stable.tentative_allocate pair q).Stable.result)
+        (List.init (1 + Xrng.int rng 3) Fun.id)
+    else []
+  in
+  (match (Stable.write_batch pair i (olds @ fresh)).Stable.result with
+  | Ok () ->
+      List.iter (fun (b, v) -> ack b v) olds;
+      List.iter (fun (b, v) -> allocated b v) fresh
+  | Error _ ->
+      List.iter (fun (b, _) -> Stable.abort_tentative pair i b) fresh;
+      List.iter (fun (b, v) -> maybe b v) olds);
+  List.iteri
+    (fun k c ->
+      let v = value (n + k) in
+      match (Stable.write pair q c v).Stable.result with
+      | Ok () -> allocated c v
+      | Error _ -> Stable.abort_tentative pair q c)
+    rivals
+
 let prop_stable_survives_crash_storm =
   QCheck2.Test.make ~name:"stable pair survives random crash storms" ~count:100
     ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
@@ -100,12 +147,24 @@ let prop_stable_survives_crash_storm =
     (fun seed ->
       let rng = Xrng.create seed in
       let pair = Stable.create ~seed ~blocks:64 ~block_size:256 () in
-      (* Model: latest acknowledged value per block. *)
-      let model : (int, string) Hashtbl.t = Hashtbl.create 16 in
+      (* Model: the values each acknowledged block may hold — one after an
+         acknowledged write, its old and new values after a failed batch. *)
+      let model : (int, string list) Hashtbl.t = Hashtbl.create 16 in
       let blocks = ref [] in
+      let acked b value = Hashtbl.replace model b [ Helpers.str value ] in
+      (* A first write must land on a block no live write holds. *)
+      let allocated b value =
+        if Hashtbl.mem model b then Alcotest.failf "block %d allocated twice" b;
+        blocks := b :: !blocks;
+        acked b value
+      in
+      let maybe b value =
+        let old = Option.value ~default:[] (Hashtbl.find_opt model b) in
+        Hashtbl.replace model b (Helpers.str value :: old)
+      in
       let pick_online () = Stable.some_online pair in
       for step = 1 to 60 do
-        match Xrng.int rng 10 with
+        match Xrng.int rng 12 with
         | 0 ->
             (* Crash one server (if both are up, to keep service alive). *)
             let up0 = Stable.online pair 0 and up1 = Stable.online pair 1 in
@@ -121,23 +180,36 @@ let prop_stable_survives_crash_storm =
             (* Head crash: wipe a disk (only when the other is serving). *)
             let up0 = Stable.online pair 0 and up1 = Stable.online pair 1 in
             if up0 && up1 then Stable.wipe_and_crash pair (Xrng.int rng 2)
+        | 3 -> (
+            (* Free an acknowledged block: it leaves the model. *)
+            match (pick_online (), !blocks) with
+            | Some i, _ :: _ -> (
+                let b = List.nth !blocks (Xrng.int rng (List.length !blocks)) in
+                match (Stable.free pair i b).Stable.result with
+                | Ok () ->
+                    blocks := List.filter (( <> ) b) !blocks;
+                    Hashtbl.remove model b
+                | Error _ -> ())
+            | _ -> ())
+        | 4 | 5 -> (
+            match pick_online () with
+            | None -> ()
+            | Some i -> storm_batch rng pair i ~live:!blocks ~step ~ack:acked ~allocated ~maybe)
         | _ -> (
             (* A write (new block or update) via any online server. *)
             match pick_online () with
             | None -> ()
             | Some i -> (
-                let value = Printf.sprintf "s%d" step in
+                let value = bytes (Printf.sprintf "s%d" step) in
                 if !blocks <> [] && Xrng.bool rng then begin
                   let b = List.nth !blocks (Xrng.int rng (List.length !blocks)) in
-                  match (Stable.write pair i b (bytes value)).Stable.result with
-                  | Ok () -> Hashtbl.replace model b value
+                  match (Stable.write pair i b value).Stable.result with
+                  | Ok () -> acked b value
                   | Error _ -> ()
                 end
                 else
-                  match (Stable.allocate_write pair i (bytes value)).Stable.result with
-                  | Ok b ->
-                      blocks := b :: !blocks;
-                      Hashtbl.replace model b value
+                  match (Stable.allocate_write pair i value).Stable.result with
+                  | Ok b -> allocated b value
                   | Error _ -> ()))
       done;
       (* Bring everything back and verify every acknowledged write. *)
@@ -147,11 +219,11 @@ let prop_stable_survives_crash_storm =
       | Ok () -> ()
       | Error msg -> Alcotest.fail msg);
       Hashtbl.fold
-        (fun b expected acc ->
+        (fun b allowed acc ->
           acc
           &&
           match (Stable.read pair 0 b).Stable.result with
-          | Ok data -> Helpers.str data = expected
+          | Ok data -> List.mem (Helpers.str data) allowed
           | Error _ -> false)
         model true)
 

@@ -157,10 +157,10 @@ let test_interleaved_allocate_collision () =
   (* Server 0's shadow write arrives at server 1, which holds a tentative
      claim on the same block: collision. *)
   expect "collision detected" (function S.Collision _ -> true | _ -> false)
-    (S.shadow_write t ~primary:0 ~fresh:true b0 (bytes "from-0"));
+    (S.shadow_write t ~primary:0 b0 (bytes "from-0"));
   S.abort_tentative t 0 b0;
   (* Server 1 now completes unhindered. *)
-  let seq = ok (S.shadow_write t ~primary:1 ~fresh:true b1 (bytes "from-1")) in
+  let seq = ok (S.shadow_write t ~primary:1 b1 (bytes "from-1")) in
   ignore (ok (S.local_write_seq t 1 b1 (bytes "from-1") seq));
   Helpers.check_bytes "winner's data" "from-1" (ok (S.read t 1 b1));
   check_invariant t
@@ -242,7 +242,7 @@ let test_crash_between_shadow_and_local () =
      between: the companion has the newer copy and recovery propagates. *)
   let t = fresh () in
   let b = ok (S.allocate_write t 0 (bytes "v1")) in
-  let seq = ok (S.shadow_write t ~primary:0 ~fresh:false b (bytes "v2")) in
+  let seq = ok (S.shadow_write t ~primary:0 b (bytes "v2")) in
   (* Primary dies before its local write. *)
   ignore seq;
   S.crash t 0;

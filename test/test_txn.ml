@@ -894,6 +894,35 @@ let test_seal_in_doubt () =
             "leaked record audits aborted" true
             (ok (Txn.record_decision txn r ~seq) = Txn.Aborted))
 
+(* A seal refused before it runs — its marker carries a page over the
+   32K message cap — is not in doubt: it must abandon its version, which
+   the collector would otherwise keep as a root for good, and leave the
+   record to be pooled again. *)
+let test_oversized_seal () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let accts = setup_accounts client 2 100 in
+      let txn = Txn.create client in
+      let big = Bytes.make 33_000 'x' in
+      (match
+         Txn.exec txn
+           [ { Txn.file = accts.(0); ops = [ Txn.Write (P.of_list [ 0 ], big) ] };
+             { Txn.file = accts.(1); ops = [ credit 1 ] } ]
+       with
+      | Error (Txn.Failed (Errors.Message_too_large _)) -> ()
+      | Ok () -> Alcotest.fail "an oversized seal committed"
+      | Error (Txn.Local e | Txn.Cross e | Txn.Failed e) ->
+          Alcotest.failf "expected Message_too_large, got %s" (Errors.to_string e));
+      Array.iter
+        (fun f ->
+          let _, shard = ok (Cluster.shard_of_cap cluster f) in
+          Alcotest.(check int) "no version left open" 0
+            (List.length (ok (Server.uncommitted_versions (Shard.server shard) f))))
+        accts;
+      ok_txn (Txn.exec txn (transfer accts 0 1 5));
+      Alcotest.(check int) "the record was reused" 1 (created txn);
+      Alcotest.(check (list int)) "balances" [ 95; 105 ]
+        (Array.to_list (Array.map (read_balance client) accts)))
+
 (* {2 Trace oracle}
 
    A conflict-free cross-shard commit has a fixed protocol shape: one
@@ -1408,6 +1437,7 @@ let () =
           quick "stale resolver changes nothing" test_stale_resolver;
           quick "collector races a flip and a resolver" test_collector_race;
           quick "an in-doubt seal leaks its record" test_seal_in_doubt;
+          quick "oversized seal leaves nothing" test_oversized_seal;
         ] );
       ( "park",
         [
