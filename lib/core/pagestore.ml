@@ -249,7 +249,10 @@ let unlock t b =
   Lru.unpin t.cache b;
   t.store.Store.unlock b
 
+(* A crashed holder's store locks die with it. *)
 let drop_volatile t =
+  List.iter t.store.Store.unlock (Det.sorted_keys t.locked);
+  Hashtbl.reset t.locked;
   Lru.clear t.cache;
   Hashtbl.reset t.dirty
 

@@ -84,9 +84,10 @@ val lock : t -> int -> bool
 val unlock : t -> int -> unit
 
 val drop_volatile : t -> unit
-(** Forget the cache, clean and dirty alike: simulates a server crash.
-    Unflushed writes are lost, exactly as the paper intends for
-    uncommitted versions. *)
+(** Simulates a server crash: forget the cache, clean and dirty alike,
+    and release every store lock taken through this pagestore, in
+    ascending block order. Unflushed writes are lost, exactly as the paper
+    intends for uncommitted versions; other holders' locks are kept. *)
 
 val refresh : t -> int -> unit
 (** Mark a clean cached block stale, so the next read re-reads it from the

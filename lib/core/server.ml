@@ -28,8 +28,8 @@ type version_record = {
      flags may predate this server). *)
   mutable wset : Writeset.t option;
   (* The blocks this uncommitted version allocated through this server —
-     copies, inserted pages, split siblings — newest first (a version
-     learned from the store starts with the copies its tree reaches):
+     copies and inserted pages — newest first (a version learned from
+     the store starts with the copies its tree reaches):
      with the version page, the pages its publish must make durable.
      Emptied once the version is finished or aborted. *)
   mutable private_blocks : int list;
@@ -46,32 +46,6 @@ type file_record = {
      server knows about. *)
   mutable vblocks : int list;
 }
-
-(* One commit-pipeline run's mutable state (full story at {2 Commit}
-   below). Defined here because the server records prepared-but-undecided
-   runs for the two-phase-commit baseline. *)
-type commit_ctx = {
-  held : (int, unit) Hashtbl.t;  (** Store locks this run holds until publish. *)
-  pending : (int, int) Hashtbl.t;
-      (** Winning test-and-sets not yet durable: base block → successor.
-          The overlay later members' validates read first. *)
-  mutable publish_refs : (int * Page.t) list;  (** Newest first. *)
-  mutable winners : (version_record * bool) list;
-      (** Admitted members, newest first, each with whether it won at its
-          original base (fast path) rather than after a merge. *)
-  mutable unions : (int * Writeset.t) list;
-      (** Per-file union of the admitted winners' write sets, for the
-          one-pass batch pre-test. *)
-}
-
-let fresh_ctx () =
-  {
-    held = Hashtbl.create 4;
-    pending = Hashtbl.create 4;
-    publish_refs = [];
-    winners = [];
-    unions = [];
-  }
 
 type t = {
   ps : Pagestore.t;
@@ -92,12 +66,6 @@ type t = {
      gate always errors; the default always succeeds. *)
   publish_tap : (int * Page.t) list -> (unit, Errors.t) result;
   mutable trace : Trace.t;
-  (* The two-phase-commit baseline's parked state: pipeline runs admitted
-     by [prepare] (validated and merged, publication deferred, base locks
-     retained) awaiting the coordinator's [decide]. Keyed by version
-     block. Volatile: a crash discards every entry and frees its locks —
-     presumed abort. *)
-  prepared : (int, commit_ctx * version_record) Hashtbl.t;
 }
 
 let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name = "")
@@ -118,7 +86,6 @@ let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name
     name;
     publish_tap;
     trace;
-    prepared = Hashtbl.create 4;
   }
 
 let name t = t.name
@@ -666,48 +633,6 @@ let move_page t cap ~src_parent ~src_index ~dst_parent ~dst_index =
           Writeset.graft ws ~at:(Pagepath.child dst_parent dst_index) !moved_recordings);
       Ok ()
 
-let split_page t cap ~path ~at =
-  match (Pagepath.parent path, Pagepath.last path) with
-  | None, _ | _, None -> Error (Bad_path path)
-  | Some parent, Some position ->
-      let* v = mutable_version t cap ~need:Capability.right_write in
-      (* Both the page (its references move out) and the parent (a sibling
-         appears) are explicit structure modifications. *)
-      let* target_block = locate_for_access t v path Flags.Modify in
-      let* target = read_pg t target_block in
-      let n = Page.nrefs target in
-      if at < 0 || at > n then Error (Bad_index { path; index = at; nrefs = n })
-      else begin
-        let moved = Array.sub target.Page.refs at (n - at) in
-        let kept = Array.sub target.Page.refs 0 at in
-        let target = Page.with_contents target ~refs:kept ~data:target.Page.data in
-        let* () = write_pg t target_block target in
-        (* Recordings for the children that moved out follow them to the
-           sibling (child [at] becomes the sibling's child [0]). *)
-        let moved_recordings = ref Writeset.empty in
-        update_wset v (fun ws ->
-            let sub, rest = Writeset.extract_children_from ws ~parent:path ~from:at in
-            moved_recordings := sub;
-            rest);
-        let* sibling_block = allocate_private t v in
-        let sibling = Page.with_contents Page.empty ~refs:moved ~data:Bytes.empty in
-        let* () = write_pg t sibling_block sibling in
-        let* pblock = locate_for_access t v parent Flags.Modify in
-        let* ppage = read_pg t pblock in
-        (* The sibling never existed in the base: private and written. *)
-        let flags = Flags.record (Flags.record Flags.clear Flags.Write) Flags.Modify in
-        let entry = { Page.block = sibling_block; flags } in
-        let* ppage = lift_page_err parent (Page.insert_ref ppage (position + 1) entry) in
-        let* () = write_pg t pblock ppage in
-        update_wset v (fun ws ->
-            let ws = Writeset.open_gap ws ~parent ~index:(position + 1) in
-            let spath = Pagepath.child parent (position + 1) in
-            let ws = Writeset.record (Writeset.record ws spath Flags.Write) spath Flags.Modify in
-            Writeset.graft ws ~at:spath !moved_recordings);
-        bump t "pages.split";
-        Ok (Pagepath.child parent (position + 1))
-      end
-
 (* {2 Commit (§5.2): the validate → merge → publish pipeline}
 
    [validate] is the paper's test-and-set of the base version's commit
@@ -719,18 +644,39 @@ let split_page t cap ~path ~at =
    administration: it is the pipeline's only store write.
 
    Every commit is a run of this pipeline, and every run ends in one
-   [publish] (or, for an aborted 2PC run, [drop_ctx]). Members go through
-   validate and merge in submission order; a win is recorded in the
-   run's overlay, which later members' test-and-sets consult, and its
-   base lock is kept until publish. [commit] is a run of one,
-   [commit_batch] a run of N, [prepare] a run of one parked before its
-   publish. Because members run strictly in submission order against the
-   same overlay a sequential run would leave on disk, a batch's outcomes
-   — and the final store image — are identical to committing its members
-   one by one; only the cost is different. *)
+   [publish] (or, for a 2PC run answered abort, [drop_ctx]). Members go
+   through validate and merge in submission order; a win is recorded in
+   the run's overlay, which later members' test-and-sets consult, and
+   its base lock is kept until publish. [commit] is a run of one,
+   [commit_batch] a run of N, [prepare] a run of one whose publish waits
+   for its answer. Because members run strictly in submission order
+   against the same overlay a sequential run would leave on disk, a
+   batch's outcomes — and the final store image — are identical to
+   committing its members one by one; only the cost is different. *)
 
-(* The pipeline state type itself ([commit_ctx] / [fresh_ctx]) is defined
-   up top, before [type t], so the server can park prepared runs. *)
+(* One pipeline run's mutable state. *)
+type commit_ctx = {
+  held : (int, unit) Hashtbl.t;  (** Store locks this run holds until publish. *)
+  pending : (int, int) Hashtbl.t;
+      (** Winning test-and-sets not yet durable: base block → successor.
+          The overlay later members' validates read first. *)
+  mutable publish_refs : (int * Page.t) list;  (** Newest first. *)
+  mutable winners : (version_record * bool) list;
+      (** Admitted members, newest first, each with whether it won at its
+          original base (fast path) rather than after a merge. *)
+  mutable unions : (int * Writeset.t) list;
+      (** Per-file union of the admitted winners' write sets, for the
+          one-pass batch pre-test. *)
+}
+
+let fresh_ctx () =
+  {
+    held = Hashtbl.create 4;
+    pending = Hashtbl.create 4;
+    publish_refs = [];
+    winners = [];
+    unions = [];
+  }
 
 (* Re-entrant within one run: a later member may chain onto a block an
    earlier member already locked. A lock held elsewhere — another server
@@ -1058,62 +1004,49 @@ let commit_batch t caps =
               tpoint t (Trace.Commit_batch { size; winners = 0; aborts });
               List.map (function Ok () -> Error e | r -> r) results)
 
-(* {2 Two-phase commit baseline (prepare / decide)}
+(* {2 Two-phase commit baseline (prepare)}
 
    The occ4txn shape, assembled from the same pipeline: [prepare] is a
    run of one that stops before its publish — the winning test-and-set
    sits in the run's overlay, nothing reaches stable storage, and the
-   base's store lock is retained — and parks the run until the
-   coordinator's [decide] publishes or drops it. Between the two calls
-   the file is effectively locked: any other commit of it fails at once
-   with [Store_failure], which is exactly the blocking behaviour the
-   lock-free coordinator (lib/txn) is measured against. Prepared state
-   is volatile — [crash] discards it and frees the locks, and a later
-   abort decision for an unknown version succeeds trivially (presumed
-   abort). *)
+   base's store lock is retained — and returns the run's second half.
+   Until that is answered the file is effectively locked: any other
+   commit of it fails at once with [Store_failure], which is exactly the
+   blocking behaviour the lock-free coordinator (lib/txn) is measured
+   against. The caller keeps the answer (the RPC host parks it). A crash
+   frees the lock in the store layer and aborts the version, so a stale
+   answer can only report presumed abort. *)
 
 let prepare t cap =
   let* v = mutable_version t cap ~need:Capability.right_commit in
   let ctx = fresh_ctx () in
   match in_commit_span t (fun () -> admit t ctx v) with
-  | Ok () ->
-      Hashtbl.replace t.prepared v.vblock (ctx, v);
-      bump t "commits.prepared";
-      Ok ()
   | Error e ->
       (* Doomed members are already abandoned; only the locks and overlay
          remain to clean up. *)
       drop_ctx t ctx;
       Error e
-
-let decide t cap ~commit =
-  let* () = validate_cap t cap ~need:Capability.right_commit in
-  let vblock = cap.Capability.obj / 2 in
-  match Hashtbl.find_opt t.prepared vblock with
-  | None ->
-      (* Presumed abort: an abort decision for state this server no
-         longer holds (crash, duplicate decide) is trivially satisfied; a
-         commit decision cannot be honoured. *)
-      if commit then Error (Store_failure "2pc: version not prepared") else Ok ()
-  | Some (ctx, v) ->
-      Hashtbl.remove t.prepared vblock;
-      if commit then publish t ctx
-      else begin
-        drop_ctx t ctx;
-        bump t "commits.decided_abort";
-        (* [abandon] returns [Error Conflict] for the commit path's
-           benefit; here the abort is the requested outcome. *)
-        ignore (abandon t v "decided_abort" : unit r);
-        Ok ()
-      end
+  | Ok () ->
+      bump t "commits.prepared";
+      Ok
+        (fun ~commit ->
+          if v.status <> Uncommitted then
+            if commit then Error (Store_failure "2pc: version not prepared") else Ok ()
+          else if commit then publish t ctx
+          else begin
+            drop_ctx t ctx;
+            bump t "commits.decided_abort";
+            (* [abandon] returns [Error Conflict] for the commit path's
+               benefit; here the abort is the requested outcome. *)
+            ignore (abandon t v "decided_abort" : unit r);
+            Ok ()
+          end)
 
 (* {2 Crash and recovery} *)
 
 let crash t =
-  (* Prepared-but-undecided 2PC state is volatile: presumed abort. Free
-     the held locks before the store drops its volatile layers. *)
-  Det.iter_sorted (fun _ (ctx, _) -> drop_ctx t ctx) t.prepared;
-  Hashtbl.reset t.prepared;
+  (* The page cache goes, and so does every store lock this server
+     holds. *)
   Pagestore.drop_volatile t.ps;
   (* Uncommitted versions are volatile by design. *)
   Det.iter_sorted (fun _ v -> if v.status = Uncommitted then mark_aborted v) t.versions;
@@ -1187,12 +1120,6 @@ let tracked_writeset t block =
   match Hashtbl.find_opt t.versions block with
   | Some v -> v.wset
   | None -> None
-
-let root_flags_of t block =
-  let* page = read_pg t block in
-  Ok page.Page.header.Page.root_flags
-
-let read_version_page t block = read_pg t block
 
 let set_lock_fields t block ~top ~inner =
   let* page = read_pg t block in

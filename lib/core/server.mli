@@ -130,14 +130,6 @@ val move_page :
 (** Detach a subtree and re-attach it elsewhere in the same version.
     Fails if the destination lies inside the moved subtree. *)
 
-val split_page :
-  t -> Afs_util.Capability.t -> path:Afs_util.Pagepath.t -> at:int ->
-  Afs_util.Pagepath.t Errors.r
-(** The §5 "split pages into two" command: children [at..] of the page at
-    [path] move (with their subtrees and flags) to a fresh sibling
-    inserted immediately after it; returns the sibling's path. The root
-    cannot be split (it has no sibling); [at] must be within [0..nrefs]. *)
-
 (** {2 Commit} *)
 
 val commit : t -> Afs_util.Capability.t -> unit Errors.r
@@ -149,9 +141,8 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     pages first.
 
     Only the committing version's own pages are written — the version
-    page and the blocks it allocated (copies, inserted pages, split
-    siblings) that are still dirty in the cache — and only once the
-    version has won. A doomed commit, like {!abort_version}, writes
+    page and the blocks it allocated (copies and inserted pages) that
+    are still dirty in the cache — and only once the version has won. A doomed commit, like {!abort_version}, writes
     nothing: its pages are dropped from the cache and freed. A version
     that wins at its original base (the fast path) writes no read copy
     either: each copy with no W or M at or below it is pointed back at
@@ -176,9 +167,9 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     point). If the publish fails, the pages that did not land stay dirty,
     so retrying the commit writes them again. The [commit]
     span encloses the publish. A base lock held by anyone else (another
-    server sharing the store, a prepared 2PC run) fails the commit at
-    once with [Store_failure "commit lock contention"], leaving the
-    version uncommitted: the critical section is synchronous, so waiting
+    server sharing the store, a {!prepare}d run awaiting its answer)
+    fails the commit at once with [Store_failure "commit lock
+    contention"], leaving the version uncommitted: the critical section is synchronous, so waiting
     could never see the lock released. *)
 
 val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
@@ -199,30 +190,28 @@ val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
     commit — recovery reads the truth back. Emits one [Trace.Commit_batch]
     point per batch of two or more. *)
 
-val prepare : t -> Afs_util.Capability.t -> unit Errors.r
-(** Two-phase-commit baseline, phase one: a pipeline run of one, parked
+val prepare : t -> Afs_util.Capability.t -> (commit:bool -> unit Errors.r) Errors.r
+(** Two-phase-commit baseline, phase one: a pipeline run of one, stopped
     before its publish — the winning test-and-set is recorded in the
-    run's overlay, nothing reaches stable storage (the version's pages
-    stay dirty in the cache, and a crash discards them), and the base's
-    store lock is {e retained} — awaiting {!decide}. Until then any other
-    commit of the same file fails at once with
+    run's overlay, nothing reaches stable storage, and the base's store
+    lock is {e retained}. Until the returned answer is called (at most
+    once) any other commit of the file fails at once with
     [Store_failure "commit lock contention"]: the lock-holding window the
-    optimistic coordinator (lib/txn) exists to avoid. Errors (e.g.
-    [Conflict]) leave nothing parked and no locks held. *)
-
-val decide : t -> Afs_util.Capability.t -> commit:bool -> unit Errors.r
-(** Phase two, for a version previously {!prepare}d here: [commit:true]
-    publishes the parked run (the version becomes the file's current
-    committed version); [commit:false] drops the run — its overlay and
-    its locks — and aborts the version. Prepared state is
-    volatile and keyed by version: after a crash (or a duplicate decide)
-    an abort decision succeeds trivially — presumed abort — while a
-    commit decision fails with [Store_failure]. *)
+    optimistic coordinator (lib/txn) exists to avoid. [~commit:true]
+    publishes the run; [~commit:false] drops it and its locks and aborts
+    the version. Errors (e.g. [Conflict]) leave no run and no locks. The
+    server keeps no record of the run: the caller parks the answer
+    ({!Afs_rpc.Remote}'s host does). An answer whose version is no
+    longer uncommitted — a {!crash} aborted it and freed the lock in the
+    store layer — presumes abort: [~commit:true] fails with
+    [Store_failure "2pc: version not prepared"], [~commit:false] is
+    [Ok ()]. *)
 
 (** {2 Crash simulation and recovery} *)
 
 val crash : t -> unit
-(** Lose all volatile state: the page cache (unflushed writes vanish) and
+(** Lose all volatile state: the page cache (unflushed writes vanish),
+    every store lock this server holds ({!Pagestore.drop_volatile}) and
     knowledge of uncommitted versions. Committed state is untouched — the
     defining property being reproduced. *)
 
@@ -243,11 +232,6 @@ val written_set : t -> int -> Afs_util.Pagepath.t list Errors.r
 val tracked_writeset : t -> int -> Writeset.t option
 (** The incremental flag map itself, when one is maintained — exposed for
     tests asserting the map-equals-tree-flags invariant. *)
-
-val root_flags_of : t -> int -> Flags.t Errors.r
-(** Root flags of the version page at the given block. *)
-
-val read_version_page : t -> int -> Page.t Errors.r
 
 val set_lock_fields :
   t -> int -> top:int option -> inner:int option -> unit Errors.r

@@ -111,16 +111,6 @@ let extract t path =
       | None -> (sub, Pagepath.Map.add p flags rest))
     t (Pagepath.Map.empty, Pagepath.Map.empty)
 
-let extract_children_from t ~parent ~from =
-  let pl = Pagepath.to_list parent in
-  Pagepath.Map.fold
-    (fun p flags (sub, rest) ->
-      match strip_prefix pl (Pagepath.to_list p) with
-      | Some (j :: tail) when j >= from ->
-          (Pagepath.Map.add (Pagepath.of_list ((j - from) :: tail)) flags sub, rest)
-      | _ -> (sub, Pagepath.Map.add p flags rest))
-    t (Pagepath.Map.empty, Pagepath.Map.empty)
-
 let graft t ~at sub =
   let al = Pagepath.to_list at in
   Pagepath.Map.fold

@@ -15,7 +15,7 @@
 
     Invariant maintained by the server: for a version the server created,
     the map equals exactly the flags reachable in the version's page
-    tree. Structural edits (insert/remove/move/split) must be mirrored
+    tree. Structural edits (insert/remove/move) must be mirrored
     with {!open_gap} / {!remove_at} / {!extract} / {!graft} so recorded
     paths keep naming the pages they named. *)
 
@@ -60,13 +60,9 @@ val extract : t -> Afs_util.Pagepath.t -> t * t
 (** [(subtree, rest)]: the recordings under the given path (inclusive),
     re-rooted so the path itself maps to the root, and everything else. *)
 
-val extract_children_from : t -> parent:Afs_util.Pagepath.t -> from:int -> t * t
-(** Like {!extract} for the child range [[from..]] of [parent], re-rooted
-    so child [from] becomes child [0] (the split-page truncation). *)
-
 val graft : t -> at:Afs_util.Pagepath.t -> t -> t
 (** [graft t ~at sub] re-roots [sub] at the given path and merges it in
-    (the re-attachment half of move/split). *)
+    (the re-attachment half of a move). *)
 
 (** {2 Serialisability pre-test} *)
 

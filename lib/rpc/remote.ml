@@ -23,7 +23,7 @@ type request =
   | Destroy_file of Capability.t
   | Batch of { target : target; steps : step list }
   | Await of { file : Capability.t; until : bytes list; budget_ms : float }
-  (* Prepare/Decide drive the server's two-phase-commit baseline. *)
+  (* Prepare/Decide drive the two-phase-commit baseline. *)
   | Prepare of Capability.t
   | Decide of { version : Capability.t; commit : bool }
 
@@ -160,15 +160,25 @@ let current_root server file =
   let* version = Server.current_version server file in
   Server.read_page server version Pagepath.root
 
-let handle ~reopen server : request -> response = function
+(* [parked] holds each prepared run's answer, keyed by the exact
+   capability that prepared it. A decision finding none is presumed
+   abort: an abort is trivially satisfied, a commit cannot be honoured. *)
+let handle ~reopen ~parked server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
   | Destroy_file file -> Result.map (fun () -> Unit) (Server.destroy_file server file)
   | Batch { target; steps } ->
       Result.map (fun a -> Batched a) (run_batch ~reopen server target steps)
   | Await { file; _ } -> Result.map (fun d -> Data d) (current_root server file)
-  | Prepare version -> Result.map (fun () -> Unit) (Server.prepare server version)
-  | Decide { version; commit = decision } ->
-      Result.map (fun () -> Unit) (Server.decide server version ~commit:decision)
+  | Prepare version ->
+      Result.map (fun answer -> Hashtbl.replace parked version answer; Unit)
+        (Server.prepare server version)
+  | Decide { version; commit } -> (
+      match Hashtbl.find_opt parked version with
+      | Some answer ->
+          Hashtbl.remove parked version;
+          Result.map (fun () -> Unit) (answer ~commit)
+      | None when commit -> Error (Errors.Store_failure "2pc: version not prepared")
+      | None -> Ok Unit)
 
 (* The [op] label of a request in RPC trace events. *)
 let request_kind : request -> string = function
@@ -182,6 +192,7 @@ let request_kind : request -> string = function
 type host = {
   rpc : (request, response) Rpc.t;
   server : Server.t;
+  parked : (Capability.t, commit:bool -> unit Errors.r) Hashtbl.t;  (** Forgotten in a crash. *)
   redos : int ref;  (** Conflicted commits answered with a reopened version. *)
 }
 
@@ -292,12 +303,13 @@ let awaits server =
 let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name server =
   if group_commit < 1 then invalid_arg "Remote.host: group_commit must be >= 1";
   let redos = ref 0 in
+  let parked = Hashtbl.create 4 in
   (* A redo is the next attempt's [Open] batch, sent through the same
      wrapped handler a client's would take — so a cluster shard's
      location check traps it exactly like a fresh attempt. *)
   let rec handler =
     lazy
-      (let base = handle ~reopen server in
+      (let base = handle ~reopen ~parked server in
        match wrap with None -> base | Some w -> w base)
   and reopen file paths =
     let answer =
@@ -338,11 +350,13 @@ let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name serv
       Rpc.serve ?latency_ms ?proc_ms ?disks ?batching ~holding:(awaits server) ?first
         ~describe:request_kind engine ~name ~handler:(Lazy.force handler);
     server;
+    parked;
     redos;
   }
 
 let crash_host h =
   Rpc.crash h.rpc;
+  Hashtbl.reset h.parked;
   Server.crash h.server
 
 let restart_host h = Rpc.restart h.rpc

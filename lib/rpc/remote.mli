@@ -60,9 +60,15 @@ type request =
   | Await of { file : Afs_util.Capability.t; until : bytes list; budget_ms : float }
       (** The root data of the file's committed version, held by the
           host until it is worth answering (see {!await}). *)
-  | Prepare of Afs_util.Capability.t  (** {!Afs_core.Server.prepare}. *)
+  | Prepare of Afs_util.Capability.t
+      (** 2PC phase one, {!Afs_core.Server.prepare}: the host parks the
+          run's answer under this exact capability, on the queue the
+          optimistic protocol waits in too. *)
   | Decide of { version : Afs_util.Capability.t; commit : bool }
-      (** {!Afs_core.Server.decide}. *)
+      (** Phase two: answer the run parked under [version]. With none
+          (never prepared, decided, lost in a crash, or another
+          capability) the host presumes abort: [commit = true] fails with
+          [Store_failure]. *)
 
 type batch_answer =
   | Ran of { version : Afs_util.Capability.t; reads : bytes list; infos : (int * int) list }
@@ -128,7 +134,8 @@ val host :
     Every host holds [Await] requests ({!Rpc.holding}): see {!await}. *)
 
 val crash_host : host -> unit
-(** RPC endpoint dies and the server loses its volatile state (page cache,
+(** RPC endpoint dies, the host forgets its parked 2PC runs, and the
+    server loses its volatile state (page cache, store locks,
     uncommitted-version table). *)
 
 val restart_host : host -> unit

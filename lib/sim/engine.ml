@@ -67,12 +67,11 @@ let at t delay thunk =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-(* The internal step: pop the top event and run it, no option boxing.
-   Only called when [t.size > 0]. The drain loop below runs this once per
-   event, so it must allocate nothing itself — the [Some top] the public
-   {!pop} wraps its result in costs a minor allocation per event, which
-   is pure overhead at millions of events per run. *)
-let step_exn t =
+(* Pop the top event and run it, no option boxing. Only called when
+   [t.size > 0]. The drain loop below runs this once per event, so it
+   must allocate nothing itself: a [Some top] per pop would cost a minor
+   allocation per event, pure overhead at millions of events per run. *)
+let step t =
   let top = t.heap.(0) in
   t.size <- t.size - 1;
   t.heap.(0) <- t.heap.(t.size);
@@ -82,19 +81,12 @@ let step_exn t =
   t.executed <- t.executed + 1;
   top.thunk ()
 
-let step t =
-  if t.size = 0 then false
-  else begin
-    step_exn t;
-    true
-  end
-
 let run ?until t =
   match until with
-  | None -> while t.size > 0 do step_exn t done
+  | None -> while t.size > 0 do step t done
   | Some limit ->
       while t.size > 0 && t.heap.(0).time <= limit do
-        step_exn t
+        step t
       done;
       if t.clock < limit then t.clock <- limit
 

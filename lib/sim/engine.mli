@@ -24,9 +24,6 @@ val run : ?until:float -> t -> unit
 (** Run events until the queue empties or the clock passes [until].
     The clock is left at the time of the last executed event (or [until]). *)
 
-val step : t -> bool
-(** Execute the single next event; false when the queue is empty. *)
-
 val trace : t -> Afs_trace.Trace.t
 (** The engine's trace handle; {!Afs_trace.Trace.null} by default.
     Components built over the engine emit their events here, so

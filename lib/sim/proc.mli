@@ -2,10 +2,10 @@
     with OCaml 5 effect handlers.
 
     A process is an ordinary OCaml function that may call {!delay},
-    {!suspend} and the blocking operations of {!Ivar} and {!Channel}. When
-    it blocks, its continuation is parked and the engine moves on; virtual
-    time only advances through {!delay} and event scheduling, never through
-    real time. *)
+    {!suspend} and the blocking {!Ivar.read}. When it blocks, its
+    continuation is parked and the engine moves on; virtual time only
+    advances through {!delay} and event scheduling, never through real
+    time. *)
 
 exception Killed
 (** Raised inside a process that is resumed after {!kill}. *)

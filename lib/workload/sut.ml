@@ -382,13 +382,14 @@ let afs_txn ?trace client ~files =
 (* {2 Two-phase-commit baseline over the same cluster}
 
    The conventional coordinator shape: phase one validates and merges
-   each participant version ([Server.prepare]) and parks the pipeline
-   holding the base's store lock; phase two publishes or drops it
-   ([Server.decide]). Participants are prepared in canonical file order
-   (preventing prepare deadlocks exactly as lock ordering does for 2PL),
-   and blocking is emergent: any competitor spins on the retained lock
-   for the whole prepare window, surfacing as [Store_failure] back-offs.
-   Contrast with [afs_txn], which holds nothing across shards. *)
+   each participant version ([Server.prepare], sent as [Remote.Prepare])
+   and the shard's host parks the run, holding the base's store lock;
+   phase two ([Remote.Decide]) publishes or drops it. Participants are
+   prepared in canonical file order (preventing prepare deadlocks exactly
+   as lock ordering does for 2PL), and blocking is emergent: any
+   competitor spins on the retained lock for the whole prepare window,
+   surfacing as [Store_failure] back-offs. Contrast with [afs_txn],
+   which holds nothing across shards. *)
 
 (* The baseline opens a version per participant and runs each op as its
    own one-step [Version] batch: per-access messages are part of that

@@ -105,7 +105,7 @@ val afs_txn :
 val afs_twopc : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t array -> t
 (** The blocking two-phase-commit baseline over the same cluster:
     participant versions are prepared in canonical file order (each
-    parking the server's commit pipeline, base lock held), then decided.
+    shard's host parking the run, base lock held), then decided.
     Competitors colliding with a prepare window back off on
     [Store_failure] — the lock-holding cost {!afs_txn} avoids. *)
 

@@ -211,7 +211,7 @@ let two_level_paths = [] :: List.concat_map (fun i -> [ [ i ]; [ i; 0 ]; [ i; 1 
 (* The tree's copied paths (root first, the root when its flags are
    set) and its topmost read shadows. *)
 let copied_and_shadows srv vblock =
-  let page b = ok (Server.read_version_page srv b) in
+  let page b = ok (Pagestore.read (Server.pagestore srv) b) in
   let rec written_below (e : Page.ref_entry) =
     let f = e.Page.flags in
     f.Flags.w || f.Flags.m

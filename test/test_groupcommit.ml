@@ -293,7 +293,7 @@ let publish_batch_shape () =
 (* Every block the committed chain of [fc] reaches must read back. *)
 let check_tree_readable srv fc =
   let rec walk block =
-    match Server.read_version_page srv block with
+    match Pagestore.read (Server.pagestore srv) block with
     | Error e -> Alcotest.failf "recovered reference to unreadable block %d: %s" block
                    (Errors.to_string e)
     | Ok page -> Array.iter (fun (e : Page.ref_entry) -> walk e.Page.block) page.Page.refs
@@ -553,7 +553,8 @@ let test_only_published_commits_count () =
 (* {2 The single-commit paths are one pipeline} *)
 
 (* The three ways to commit one version — plain, as a one-member batch,
-   and through the two-phase prepare/decide — drive the same run. *)
+   and through the two-phase prepare and its answer — drive the same
+   run. *)
 let prop_single_paths_agree =
   let single_paths =
     [
@@ -562,8 +563,7 @@ let prop_single_paths_agree =
         match Server.commit_batch srv [ cap ] with
         | [ r ] -> r
         | _ -> Error (Errors.Store_failure "one result per member"));
-      (fun srv cap ->
-        Result.bind (Server.prepare srv cap) (fun () -> Server.decide srv cap ~commit:true));
+      (fun srv cap -> Result.bind (Server.prepare srv cap) (fun answer -> answer ~commit:true));
     ]
   in
   QCheck2.Test.make

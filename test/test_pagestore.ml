@@ -152,6 +152,18 @@ let test_locks_pass_through () =
   Pagestore.unlock ps b;
   Alcotest.(check bool) "relock after unlock" true (Pagestore.lock ps b)
 
+(* A crash frees the crashed server's store locks in the store layer, and
+   only those: two pagestores share one store, as two servers do. *)
+let test_crash_frees_own_locks () =
+  let store = Store.memory ~block_size:1024 () in
+  let crashed = Pagestore.create store and survivor = Pagestore.create store in
+  let mine = ok (Pagestore.allocate crashed) and theirs = ok (Pagestore.allocate survivor) in
+  Alcotest.(check bool) "crashed locks" true (Pagestore.lock crashed mine);
+  Alcotest.(check bool) "survivor locks" true (Pagestore.lock survivor theirs);
+  Pagestore.drop_volatile crashed;
+  Alcotest.(check bool) "crashed server's lock freed" true (Pagestore.lock survivor mine);
+  Alcotest.(check bool) "survivor's lock still held" false (Pagestore.lock crashed theirs)
+
 (* {2 Bounded capacity: eviction, write-back, pinning} *)
 
 let test_eviction_writes_back_dirty () =
@@ -409,6 +421,7 @@ let () =
           quick "page too large" test_page_too_large;
           quick "decode error surfaces" test_decode_error_surfaces;
           quick "locks pass through" test_locks_pass_through;
+          quick "crash frees own locks" test_crash_frees_own_locks;
         ] );
       ( "encode-once",
         [

@@ -219,7 +219,7 @@ let cut_after store allow =
 (* Every block the committed chain of [fc] reaches must read back. *)
 let check_tree_readable srv fc =
   let rec walk block =
-    match Server.read_version_page srv block with
+    match Pagestore.read (Server.pagestore srv) block with
     | Error e ->
         Alcotest.failf "recovered reference to unreadable block %d: %s" block
           (Errors.to_string e)

@@ -260,44 +260,6 @@ let test_move_into_own_subtree_rejected () =
   | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
   | Ok _ -> Alcotest.fail "cycle-creating move accepted"
 
-let test_split_page () =
-  let _, srv = Helpers.fresh_server () in
-  let f = ok (Server.create_file srv ()) in
-  let v = ok (Server.create_version srv f) in
-  let child = ok (Server.insert_page srv v ~parent:P.root ~index:0 ~data:(bytes "node") ()) in
-  for j = 0 to 5 do
-    ignore
-      (ok
-         (Server.insert_page srv v ~parent:child ~index:j
-            ~data:(bytes (Printf.sprintf "g%d" j)) ()))
-  done;
-  let sibling = ok (Server.split_page srv v ~path:child ~at:4) in
-  Alcotest.(check string) "sibling path" "/1" (P.to_string sibling);
-  let left = ok (Server.page_info srv v child) in
-  let right = ok (Server.page_info srv v sibling) in
-  Alcotest.(check int) "left keeps 4" 4 left.Server.nrefs;
-  Alcotest.(check int) "right takes 2" 2 right.Server.nrefs;
-  (* The moved subtrees are intact under the sibling. *)
-  Helpers.check_bytes "g4 moved" "g4" (ok (Server.read_page srv v (path [ 1; 0 ])));
-  Helpers.check_bytes "g5 moved" "g5" (ok (Server.read_page srv v (path [ 1; 1 ])));
-  Helpers.check_bytes "g0 kept" "g0" (ok (Server.read_page srv v (path [ 0; 0 ])));
-  ok (Server.commit srv v);
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "split survives commit" "g5" (ok (Server.read_page srv cur (path [ 1; 1 ])))
-
-let test_split_page_errors () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 2 in
-  let v = ok (Server.create_version srv f) in
-  (match Server.split_page srv v ~path:P.root ~at:0 with
-  | Error (Errors.Bad_path _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
-  | Ok _ -> Alcotest.fail "split of root accepted");
-  match Server.split_page srv v ~path:(path [ 0 ]) ~at:5 with
-  | Error (Errors.Bad_index _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
-  | Ok _ -> Alcotest.fail "out-of-range split accepted"
-
 let test_bad_path_errors () =
   let _, srv = Helpers.fresh_server () in
   let f = Helpers.file_with_pages srv 2 in
@@ -335,7 +297,7 @@ let test_page_too_large_rejected () =
 let root_flags srv f v =
   ignore f;
   let vb = ok (Server.version_block srv v) in
-  ok (Server.root_flags_of srv vb)
+  (ok (Pagestore.read (Server.pagestore srv) vb)).Page.header.Page.root_flags
 
 let child_flags srv v =
   let info = ok (Server.page_info srv v P.root) in
@@ -455,8 +417,6 @@ let () =
           quick "remove" test_remove_page;
           quick "move" test_move_page;
           quick "move cycle rejected" test_move_into_own_subtree_rejected;
-          quick "split" test_split_page;
-          quick "split errors" test_split_page_errors;
           quick "bad path errors" test_bad_path_errors;
           quick "root data write" test_write_root_data;
           quick "page too large" test_page_too_large_rejected;

@@ -58,13 +58,6 @@ let test_negative_delay_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Engine.at: negative delay") (fun () ->
       Engine.at e (-1.0) ignore)
 
-let test_step () =
-  let e = Engine.create () in
-  Engine.at e 1.0 ignore;
-  Alcotest.(check bool) "step true" true (Engine.step e);
-  Alcotest.(check bool) "step false on empty" false (Engine.step e);
-  Alcotest.(check int) "executed" 1 (Engine.events_executed e)
-
 let test_many_events_heap () =
   let e = Engine.create () in
   let rng = Afs_util.Xrng.create 1 in
@@ -78,6 +71,27 @@ let test_many_events_heap () =
   Engine.run e;
   Alcotest.(check bool) "heap keeps time order" true !monotone;
   Alcotest.(check int) "all executed" 2000 (Engine.events_executed e)
+
+(* The drain loop must not allocate per event beyond a small constant:
+   [Engine.run] used to build a [Some]/tuple per pop, which at millions
+   of events per bench run was measurable GC traffic. Thunks are
+   pre-scheduled (their allocation happens before the measurement), and
+   the shared callback closes over nothing fresh. *)
+let test_drain_allocation_bounded () =
+  let engine = Engine.create () in
+  let n = 50_000 in
+  let hits = ref 0 in
+  let tick () = incr hits in
+  for i = 0 to n - 1 do
+    Engine.at engine (float_of_int (i mod 97)) tick
+  done;
+  let before = Gc.minor_words () in
+  Engine.run engine;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all events ran" n !hits;
+  let per_event = words /. float_of_int n in
+  if per_event > 4.0 then
+    Alcotest.failf "drain loop allocates %.1f words/event (want O(1), < 4)" per_event
 
 (* {2 Proc} *)
 
@@ -205,95 +219,6 @@ let test_ivar_double_fill () =
       Ivar.fill iv 3);
   Alcotest.(check (option int)) "first value kept" (Some 1) (Ivar.peek iv)
 
-(* {2 Channel} *)
-
-let test_channel_buffered () =
-  let e = Engine.create () in
-  let ch = Channel.create () in
-  Channel.send ch 1;
-  Channel.send ch 2;
-  Alcotest.(check int) "queued" 2 (Channel.length ch);
-  let got = ref [] in
-  let _ =
-    Proc.spawn e (fun () ->
-        let first = Channel.recv ch in
-        let second = Channel.recv ch in
-        got := [ first; second ])
-  in
-  Engine.run e;
-  Alcotest.(check (list int)) "fifo" [ 1; 2 ] !got
-
-let test_channel_blocking_recv () =
-  let e = Engine.create () in
-  let ch = Channel.create () in
-  let got_at = ref (-1.0) in
-  let _ =
-    Proc.spawn e (fun () ->
-        let v = Channel.recv ch in
-        got_at := Engine.now e;
-        Alcotest.(check int) "value" 9 v)
-  in
-  Engine.at e 2.0 (fun () -> Channel.send ch 9);
-  Engine.run e;
-  Alcotest.(check bool) "woken at send" true (!got_at = 2.0)
-
-let test_channel_try_recv () =
-  let ch = Channel.create () in
-  Alcotest.(check (option int)) "empty" None (Channel.try_recv ch);
-  Channel.send ch 4;
-  Alcotest.(check (option int)) "value" (Some 4) (Channel.try_recv ch)
-
-let test_channel_clear () =
-  let ch = Channel.create () in
-  Channel.send ch 1;
-  Channel.send ch 2;
-  Alcotest.(check (list int)) "drained" [ 1; 2 ] (Channel.clear ch);
-  Alcotest.(check int) "empty" 0 (Channel.length ch)
-
-let test_producer_consumer_pipeline () =
-  let e = Engine.create () in
-  let ch = Channel.create () in
-  let consumed = ref [] in
-  let _ =
-    Proc.spawn ~name:"producer" e (fun () ->
-        for i = 1 to 20 do
-          Proc.delay 1.0;
-          Channel.send ch i
-        done)
-  in
-  let _ =
-    Proc.spawn ~name:"consumer" e (fun () ->
-        for _ = 1 to 20 do
-          let v = Channel.recv ch in
-          Proc.delay 0.5;
-          consumed := v :: !consumed
-        done)
-  in
-  Engine.run e;
-  Alcotest.(check int) "all consumed" 20 (List.length !consumed);
-  Alcotest.(check (list int)) "in order" (List.init 20 (fun i -> 20 - i)) !consumed
-
-(* The drain loop must not allocate per event beyond a small constant:
-   [Engine.run] used to build a [Some]/tuple per pop, which at millions
-   of events per bench run was measurable GC traffic. Thunks are
-   pre-scheduled (their allocation happens before the measurement), and
-   the shared callback closes over nothing fresh. *)
-let test_drain_allocation_bounded () =
-  let engine = Engine.create () in
-  let n = 50_000 in
-  let hits = ref 0 in
-  let tick () = incr hits in
-  for i = 0 to n - 1 do
-    Engine.at engine (float_of_int (i mod 97)) tick
-  done;
-  let before = Gc.minor_words () in
-  Engine.run engine;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "all events ran" n !hits;
-  let per_event = words /. float_of_int n in
-  if per_event > 4.0 then
-    Alcotest.failf "drain loop allocates %.1f words/event (want O(1), < 4)" per_event
-
 let () =
   Alcotest.run "sim"
     [
@@ -305,7 +230,6 @@ let () =
           quick "nested scheduling" test_nested_scheduling;
           quick "run until" test_run_until;
           quick "negative delay rejected" test_negative_delay_rejected;
-          quick "step" test_step;
           quick "heap stress" test_many_events_heap;
           quick "drain loop allocates O(1) per event" test_drain_allocation_bounded;
         ] );
@@ -324,13 +248,5 @@ let () =
           quick "read blocks" test_ivar_read_blocks;
           quick "multiple readers" test_ivar_multiple_readers;
           quick "double fill" test_ivar_double_fill;
-        ] );
-      ( "channel",
-        [
-          quick "buffered" test_channel_buffered;
-          quick "blocking recv" test_channel_blocking_recv;
-          quick "try_recv" test_channel_try_recv;
-          quick "clear" test_channel_clear;
-          quick "producer/consumer" test_producer_consumer_pipeline;
         ] );
     ]

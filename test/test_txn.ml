@@ -1,5 +1,5 @@
 (* lib/txn: cross-shard atomic transactions built from ordinary
-   optimistic commits, plus the Server prepare/decide 2PC baseline.
+   optimistic commits, plus the prepare/decide 2PC baseline.
 
    The properties under attack: the coordinator record's commit is the
    transaction-wide atomic point (money is conserved across shards in
@@ -1176,10 +1176,12 @@ let test_afs_txn_deterministic () =
   Alcotest.(check (list string)) "balances" balances balances';
   Alcotest.(check int) "swept" swept swept'
 
-(* {2 The 2PC baseline: Server.prepare / Server.decide} *)
+(* {2 The 2PC baseline: Server.prepare and the host's parked answers} *)
+
+let twopc_seed = 7
 
 let twopc_file () =
-  let srv = Server.create (Afs_core.Store.memory ()) in
+  let srv = Server.create ~seed:twopc_seed (Afs_core.Store.memory ()) in
   let f = ok (Server.create_file srv ()) in
   let v0 = ok (Server.create_version srv f) in
   for i = 0 to 1 do
@@ -1188,21 +1190,35 @@ let twopc_file () =
   ok (Server.commit srv v0);
   (srv, f)
 
+let prepared_write srv f data =
+  let v = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes data));
+  v
+
+let check_page0 srv f expected =
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "current page 0" expected (ok (Server.read_page srv cur (P.of_list [ 0 ])))
+
+let commit_write srv f data =
+  let w = ok (Server.create_version srv f) in
+  ok (Server.write_page srv w (P.of_list [ 0 ]) (bytes data));
+  Server.commit srv w
+
+let expect_store_failure what = function
+  | Error (Errors.Store_failure _) -> ()
+  | Ok () -> Alcotest.failf "%s succeeded" what
+  | Error e -> Alcotest.failf "%s: unexpected error %s" what (Errors.to_string e)
+
 let test_twopc_prepare_then_commit () =
   let srv, f = twopc_file () in
-  let v = ok (Server.create_version srv f) in
-  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "voted"));
-  ok (Server.prepare srv v);
+  let v = prepared_write srv f "voted" in
+  let answer = ok (Server.prepare srv v) in
   (* The prepare window blocks competitors on the base's commit lock. *)
   let w = ok (Server.create_version srv f) in
   ok (Server.write_page srv w (P.of_list [ 1 ]) (bytes "blocked"));
-  (match Server.commit srv w with
-  | Error (Errors.Store_failure _) -> ()
-  | Ok () -> Alcotest.fail "competitor committed through a prepare window"
-  | Error e -> Alcotest.failf "expected lock contention, got %s" (Errors.to_string e));
-  ok (Server.decide srv v ~commit:true);
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "published" "voted" (ok (Server.read_page srv cur (P.of_list [ 0 ])));
+  expect_store_failure "a competitor's commit in the prepare window" (Server.commit srv w);
+  ok (answer ~commit:true);
+  check_page0 srv f "voted";
   (* Lock released: the competitor's redo goes through (disjoint pages
      merge). *)
   let w2 = ok (Server.create_version srv f) in
@@ -1211,46 +1227,70 @@ let test_twopc_prepare_then_commit () =
 
 let test_twopc_decide_abort_discards () =
   let srv, f = twopc_file () in
-  let v = ok (Server.create_version srv f) in
-  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "doomed"));
-  ok (Server.prepare srv v);
-  ok (Server.decide srv v ~commit:false);
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "unchanged" "init" (ok (Server.read_page srv cur (P.of_list [ 0 ])));
+  let v = prepared_write srv f "doomed" in
+  ok ((ok (Server.prepare srv v)) ~commit:false);
+  check_page0 srv f "init";
   (* Lock released and the version abandoned: ordinary commits work. *)
-  let w = ok (Server.create_version srv f) in
-  ok (Server.write_page srv w (P.of_list [ 0 ]) (bytes "next"));
-  ok (Server.commit srv w)
+  ok (commit_write srv f "next")
 
-let test_twopc_presumed_abort () =
-  let srv, f = twopc_file () in
-  let v = ok (Server.create_version srv f) in
-  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "never prepared"));
-  (* Abort of an unknown transaction is presumed already aborted; commit
-     of one is a protocol violation. *)
-  ok (Server.decide srv v ~commit:false);
-  (match Server.decide srv v ~commit:true with
-  | Error (Errors.Store_failure _) -> ()
-  | Ok () -> Alcotest.fail "committed an unprepared version"
-  | Error e -> Alcotest.failf "unexpected error: %s" (Errors.to_string e))
-
+(* A crash aborts the prepared version and frees its lock in the store
+   layer: the answer still held is stale and can only presume abort. *)
 let test_twopc_crash_forgets_prepared () =
   let srv, f = twopc_file () in
-  let v = ok (Server.create_version srv f) in
-  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "in flight"));
-  ok (Server.prepare srv v);
+  let v = prepared_write srv f "in flight" in
+  let answer = ok (Server.prepare srv v) in
+  let current = ok (Server.current_block_of_file srv f) in
   Server.crash srv;
-  (* The in-doubt participant is simply gone (volatile prepare state):
-     decide-commit now fails, and the file is unlocked and serves. *)
-  (match Server.decide srv v ~commit:true with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "prepared state survived a crash");
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "old value intact" "init"
-    (ok (Server.read_page srv cur (P.of_list [ 0 ])));
-  let w = ok (Server.create_version srv f) in
-  ok (Server.write_page srv w (P.of_list [ 0 ]) (bytes "post-crash"));
-  ok (Server.commit srv w)
+  expect_store_failure "a stale commit answer" (answer ~commit:true);
+  ok (answer ~commit:false);
+  Alcotest.(check int) "current version unchanged" current
+    (ok (Server.current_block_of_file srv f));
+  check_page0 srv f "init";
+  ok (commit_write srv f "post-crash");
+  check_page0 srv f "post-crash"
+
+(* The host parks prepared runs; a decision it holds no run for is
+   presumed abort — never prepared, or forgotten in a crash. *)
+let test_twopc_presumed_abort () =
+  let srv, f = twopc_file () in
+  in_sim (fun engine ->
+      let host = Afs_rpc.Remote.host engine ~name:"afs" srv in
+      let conn = Afs_rpc.Remote.connect [ host ] in
+      let unprepared = prepared_write srv f "never prepared" in
+      ok (Afs_rpc.Remote.decide conn unprepared ~commit:false);
+      expect_store_failure "committing an unprepared version"
+        (Afs_rpc.Remote.decide conn unprepared ~commit:true);
+      let v = prepared_write srv f "in doubt" in
+      ok (Afs_rpc.Remote.prepare conn v);
+      Afs_rpc.Remote.crash_host host;
+      Afs_rpc.Remote.restart_host host;
+      expect_store_failure "committing after a crash" (Afs_rpc.Remote.decide conn v ~commit:true);
+      ok (Afs_rpc.Remote.decide conn v ~commit:false);
+      check_page0 srv f "init";
+      ok (commit_write srv f "post-crash"))
+
+(* Runs are parked under the exact capability that prepared them: a
+   restricted copy finds none, and the run stays parked and locked. *)
+let test_twopc_decide_needs_preparing_cap () =
+  let srv, f = twopc_file () in
+  in_sim (fun engine ->
+      let conn = Afs_rpc.Remote.connect [ Afs_rpc.Remote.host engine ~name:"afs" srv ] in
+      let v = prepared_write srv f "voted" in
+      ok (Afs_rpc.Remote.prepare conn v);
+      let weak =
+        match
+          Capability.restrict (Capability.secret_of_seed twopc_seed) v Capability.right_commit
+        with
+        | Ok weak -> weak
+        | Error msg -> Alcotest.fail msg
+      in
+      expect_store_failure "a decide with another capability"
+        (Afs_rpc.Remote.decide conn weak ~commit:true);
+      ok (Afs_rpc.Remote.decide conn weak ~commit:false);
+      check_page0 srv f "init";
+      expect_store_failure "a commit against the still-parked run" (commit_write srv f "blocked");
+      ok (Afs_rpc.Remote.decide conn v ~commit:true);
+      check_page0 srv f "voted")
 
 (* The 2PC SUT end to end, same transfer mix as the OCC coordinator. *)
 let test_twopc_sut_conserves () =
@@ -1454,6 +1494,7 @@ let () =
           quick "prepare parks, decide publishes" test_twopc_prepare_then_commit;
           quick "decide-abort discards" test_twopc_decide_abort_discards;
           quick "presumed abort" test_twopc_presumed_abort;
+          quick "decide needs the preparing cap" test_twopc_decide_needs_preparing_cap;
           quick "crash forgets prepared state" test_twopc_crash_forgets_prepared;
           quick "2pc SUT conserves money" test_twopc_sut_conserves;
         ] );

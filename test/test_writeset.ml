@@ -3,7 +3,7 @@
 
    The unit tests pin the structural-edit transforms; the properties run
    random operation sequences — page writes, reads, inserts, removes,
-   moves, splits — through a server and check (1) the tracked map equals
+   moves — through a server and check (1) the tracked map equals
    the tree's flags exactly, (2) the derived write set equals the
    Serialise flag walk, and (3) the map-only conflict pre-test agrees
    with the tree-walking serialisability test on every pair of updates. *)
@@ -61,15 +61,6 @@ let test_extract_graft_roundtrip () =
   let back = Writeset.graft rest ~at:(path [ 1 ]) sub in
   Alcotest.(check bool) "graft restores" true (Writeset.equal ws back)
 
-let test_extract_children_from () =
-  let ws =
-    record_all Writeset.empty
-      [ ([ 0; 1 ], Flags.Read); ([ 0; 2 ], Flags.Write); ([ 0; 2; 5 ], Flags.Read); ([ 0 ], Flags.Modify) ]
-  in
-  let sub, rest = Writeset.extract_children_from ws ~parent:(path [ 0 ]) ~from:2 in
-  Alcotest.(check (list (list int))) "renumbered from 0" [ [ 0 ]; [ 0; 5 ] ] (paths_of sub);
-  Alcotest.(check (list (list int))) "kept" [ [ 0 ]; [ 0; 1 ] ] (paths_of rest)
-
 let test_conflict_conditions () =
   let committed = record_all Writeset.empty [ ([ 1 ], Flags.Write); ([ 2 ], Flags.Modify) ] in
   let reader = record_all Writeset.empty [ ([ 1 ], Flags.Read) ] in
@@ -117,7 +108,7 @@ let random_op rng srv v =
       let parent = random_path rng srv v in
       let n = (ok (Server.page_info srv v parent)).Server.nrefs in
       if n > 0 then ignore_result (Server.remove_page srv v ~parent ~index:(Xrng.int rng n))
-  | 8 ->
+  | _ ->
       (* Move: picked against the pre-removal shape, so the call may fail
          (destination inside the moved subtree, or gone after removal);
          a partial move still has to keep the administration exact. *)
@@ -131,15 +122,12 @@ let random_op rng srv v =
           (Server.move_page srv v ~src_parent ~src_index ~dst_parent
              ~dst_index:(Xrng.int rng (m + 1)))
       end
-  | _ ->
-      let p = random_path rng srv v in
-      let n = (ok (Server.page_info srv v p)).Server.nrefs in
-      ignore_result (Result.map ignore (Server.split_page srv v ~path:p ~at:(Xrng.int rng (n + 1))))
 
 (* Every non-clear flag reachable in the version's tree, with its path. *)
 let tree_flags srv vblock =
   let acc = ref [] in
-  let page = ok (Server.read_version_page srv vblock) in
+  let read b = ok (Pagestore.read (Server.pagestore srv) b) in
+  let page = read vblock in
   let root_flags = page.Page.header.Page.root_flags in
   if not (Flags.equal root_flags Flags.clear) then acc := (P.root, root_flags) :: !acc;
   let rec walk p (page : Page.t) =
@@ -148,7 +136,7 @@ let tree_flags srv vblock =
         if not (Flags.equal e.Page.flags Flags.clear) then begin
           let cp = P.child p i in
           acc := (cp, e.Page.flags) :: !acc;
-          if e.Page.flags.Flags.c then walk cp (ok (Server.read_version_page srv e.Page.block))
+          if e.Page.flags.Flags.c then walk cp (read e.Page.block)
         end)
       page.Page.refs
   in
@@ -235,7 +223,6 @@ let () =
           Helpers.quick "open/close gap" test_open_close_gap;
           Helpers.quick "close_gap drops subtree" test_close_gap_drops_subtree;
           Helpers.quick "extract/graft roundtrip" test_extract_graft_roundtrip;
-          Helpers.quick "extract_children_from" test_extract_children_from;
           Helpers.quick "conflict conditions" test_conflict_conditions;
         ] );
       ( "properties",
