@@ -27,14 +27,6 @@ type replication = {
   mutable members : (Replica.t * (int, int Errors.r) Rpc.t) list;
 }
 
-type config = {
-  latency_ms : float option;
-  proc_ms : float option;
-  cache_capacity : int option;
-  group_commit : int option;
-  trace : Trace.t option;
-}
-
 type t = {
   engine : Engine.t;
   shards : Shard.t array;
@@ -42,8 +34,8 @@ type t = {
   router : Router.t;
   counters : Stats.Counter.t;
   loads : (int * int, load) Hashtbl.t;
-  seeds : int array;
-  config : config;
+  build : int -> ?publish_tap:((int * Afs_core.Page.t) list -> unit Errors.r) -> Store.t -> Shard.t;
+  trace : Trace.t option;
   replication : replication option array;
 }
 
@@ -53,15 +45,20 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
   if n <= 0 then invalid_arg "Cluster.create: need at least one shard";
   if replicas < 0 then invalid_arg "Cluster.create: replicas must be >= 0";
   let counters = Stats.Counter.create () in
-  let seeds = Array.init n (fun i -> base_seed + (i * seed_stride)) in
+  (* Shard [i]'s server over [store], always with the same seed — same
+     secret, same port — whether built at creation or at promotion. *)
+  let build i ?publish_tap store =
+    Shard.create ?latency_ms ?proc_ms ?group_commit engine ~id:i ~store
+      (Server.create ?cache_capacity ~seed:(base_seed + (i * seed_stride))
+         ~name:(Printf.sprintf "shard-%d" i) ?publish_tap ?trace store)
+  in
   let replication = Array.make n None in
   let shards =
     Array.init n (fun i ->
         if replicas = 0 then
           (* No replication: exactly the pre-replica shard, byte for
              byte — no capture store, no gate, no epoch register. *)
-          Shard.create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ~store:(stores i)
-            ?trace engine ~id:i ~seed:seeds.(i)
+          build i (stores i)
         else begin
           let source = Replica.Source.create ~counters ?trace engine (stores i) in
           let reg = Replica.Source.register source in
@@ -77,9 +74,7 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
                 (r, rhost))
           in
           replication.(i) <- Some { source; members };
-          Shard.create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
-            ~store:(Replica.Source.capture_store source)
-            ~publish_tap:(Replica.Source.tap source) ?trace engine ~id:i ~seed:seeds.(i)
+          build i ~publish_tap:(Replica.Source.tap source) (Replica.Source.capture_store source)
         end)
   in
   let router = Router.create ~ports:(Array.to_list (Array.map Shard.port shards)) in
@@ -90,8 +85,8 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
     router;
     counters;
     loads = Hashtbl.create 64;
-    seeds;
-    config = { latency_ms; proc_ms; cache_capacity; group_commit; trace };
+    build;
+    trace;
     replication;
   }
 
@@ -175,29 +170,20 @@ let promote t i =
           let source =
             Replica.Source.create
               ~reg:(Replica.Source.register repl.source)
-              ~seq:(Replica.shipped_seq r) ~counters:t.counters ?trace:t.config.trace
+              ~seq:(Replica.shipped_seq r) ~counters:t.counters ?trace:t.trace
               t.engine (Replica.store r)
           in
           List.iter (fun (s, _) -> Replica.Source.attach source s) siblings;
           let store = Replica.Source.capture_store source in
-          let server =
-            Server.create ?cache_capacity:t.config.cache_capacity ~seed:t.seeds.(i)
-              ~name:(Printf.sprintf "shard-%d" i)
-              ~publish_tap:(Replica.Source.tap source) ?trace:t.config.trace store
-          in
+          let shard = t.build i ~publish_tap:(Replica.Source.tap source) store in
           let recovered =
             match store.Store.list_blocks () with
             | Error msg -> Error (Errors.Store_failure msg)
-            | Ok blocks -> Server.recover_from_blocks server blocks
+            | Ok blocks -> Server.recover_from_blocks (Shard.server shard) blocks
           in
           match recovered with
           | Error e -> Error e
           | Ok recovered_files ->
-              let shard =
-                Shard.of_server ?latency_ms:t.config.latency_ms
-                  ?proc_ms:t.config.proc_ms ?group_commit:t.config.group_commit t.engine
-                  ~id:i ~store server
-              in
               t.shards.(i) <- shard;
               t.conns.(i) <- Remote.connect [ Shard.host shard ];
               repl.source <- source;

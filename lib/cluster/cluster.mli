@@ -99,9 +99,11 @@ val promote : t -> int -> promotion Afs_core.Errors.r
 (** Fail shard [i] over to its first replica; must run inside a
     simulation process. Test-and-sets the shared epoch register via the
     replica's RPC endpoint (losing with [Conflict] if the epoch already
-    moved), drains the replica, re-homes the sibling replicas, rebuilds
-    the shard's server over the promoted store with the {e same} seed —
-    same secret and port, so outstanding capabilities and the router's
-    port table stay valid — and replaces {!conn}'s connection to it. The
+    moved), drains the replica, re-homes the sibling replicas, builds the
+    shard over the promoted store exactly as {!create} built it — the
+    {e same} seed, so the same secret and port, and outstanding
+    capabilities and the router's port table stay valid — recovers its
+    server from that store's blocks and replaces {!conn}'s connection to
+    it. The
     deposed primary, if still running, can never publish again: its gate
     loses every subsequent test-and-set. *)

@@ -66,21 +66,13 @@ let open_version conn file =
       Error (Errors.Store_failure "shard: an opening answered a resolution")
   | Error e -> Error e
 
-(* The standard location-checked host around [server], named after it.
-   Promotion rebuilds a slot this way around a recovered server. *)
-let of_server ?latency_ms ?proc_ms ?group_commit engine ~id ~store server =
+(* The standard location-checked host around [server], named after it. *)
+let create ?latency_ms ?proc_ms ?group_commit engine ~id ~store server =
   let host =
     Remote.host ?latency_ms ?proc_ms ~wrap:(location_check server) ?group_commit engine
       ~name:(Server.name server) server
   in
   { id; store; server; host }
-
-let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit ?store ?publish_tap ?trace
-    engine ~id ~seed =
-  let store = match store with Some s -> s | None -> Store.memory () in
-  let name = Printf.sprintf "shard-%d" id in
-  let server = Server.create ?cache_capacity ~seed ~name ?publish_tap ?trace store in
-  of_server ?latency_ms ?proc_ms ?group_commit engine ~id ~store server
 
 let id t = t.id
 let server t = t.server

@@ -31,37 +31,19 @@ type t
 val create :
   ?latency_ms:float ->
   ?proc_ms:float ->
-  ?cache_capacity:int ->
-  ?group_commit:int ->
-  ?store:Afs_core.Store.t ->
-  ?publish_tap:
-    ((int * Afs_core.Page.t) list -> (unit, Afs_core.Errors.t) result) ->
-  ?trace:Afs_trace.Trace.t ->
-  Afs_sim.Engine.t ->
-  id:int ->
-  seed:int ->
-  t
-(** A shard named ["shard-<id>"] with its own memory store and capability
-    [seed] (distinct seeds give distinct ports — the routing key).
-    [group_commit] sets the shard host's commit batch window
-    ({!Afs_rpc.Remote.host}): it drains up to that many queued commits
-    into one pipeline run (default 1 — no batching). [store] overrides
-    the private memory store and [publish_tap] installs a replication
-    gate — how a replicated cluster routes the shard's writes through a
-    capture store and its commit stream through the gate. *)
-
-val of_server :
-  ?latency_ms:float ->
-  ?proc_ms:float ->
   ?group_commit:int ->
   Afs_sim.Engine.t ->
   id:int ->
   store:Afs_core.Store.t ->
   Afs_core.Server.t ->
   t
-(** Rebuild shard slot [id] around an existing (recovered) server — the
-    promotion path: wraps it with the standard location-checked host,
-    batching commits as {!create} does. *)
+(** Shard slot [id] around a server over [store]: the server behind the
+    standard location-checked host, named after the server. [group_commit]
+    sets the host's commit batch window ({!Afs_rpc.Remote.host}): it
+    drains up to that many queued commits into one pipeline run (default
+    1 — no batching). {!Cluster} builds every shard this way, at creation
+    and at promotion, when the server was recovered from a replica's
+    store. *)
 
 val id : t -> int
 val server : t -> Afs_core.Server.t

@@ -101,18 +101,6 @@ let remove_ref t i =
     Ok { t with refs; enc = None }
   end
 
-let record_access t i access =
-  match get_ref t i with
-  | Error _ as e -> e
-  | Ok entry ->
-      let flags = Flags.record entry.flags access in
-      (* Re-recording an already-recorded access is the common case (every
-         access after a page's first in a given version): the page value is
-         unchanged, so return [t] itself — keeping the refs array shared
-         and, crucially, the encode memo alive. *)
-      if Flags.equal flags entry.flags then Ok t
-      else with_ref t i { entry with flags }
-
 let clear_child_flags t =
   { t with refs = Array.map (fun e -> { e with flags = Flags.clear }) t.refs; enc = None }
 
@@ -128,10 +116,31 @@ let equal a b =
       go 0)
   && Bytes.equal a.data b.data
 
-(* {2 Wire format} *)
+
+(* {2 Wire format}
+
+   Magic (2), format version (1), kind (1: 0 plain, 1 version page); a
+   version page's two capabilities and its fields below; then on every
+   page the base reference (4), the reference count and data length
+   (varints), the reference table (4 per entry: block number above the
+   flag nibble) and the data. *)
 
 let magic = 0xAF5
 let format_version = 1
+let kind_at = 3
+let kind_end = 4
+
+(* A version page's fields past its capabilities, as offsets: commit
+   reference (4), top and inner locks (8 + 8), parent reference (4) and
+   root flags (1). *)
+let top_lock_off = 4
+let inner_lock_off = 12
+let parent_off = 20
+let root_flags_off = 24
+let version_fields = 25
+
+(* A capability: port (8), object number (varint), rights (1), check (4). *)
+let cap_size c = 8 + Wire.varint_size c.Capability.obj + 1 + 4
 
 (* Fresh (non-memoized) serialisations since program start: the hook the
    encode-once regression tests and the m2 bench watch. Counting is the
@@ -151,102 +160,66 @@ let encode_opt_block = function
 
 let decode_opt_block v = if v = nil_block then None else Some v
 
-let decode_cap r =
-  let port = Capability.port_of_int (Int64.to_int (Wire.Reader.u64 r)) in
-  let obj = Wire.Reader.varint r in
-  let rights = Capability.rights_of_int (Wire.Reader.u8 r) in
-  let check = Wire.Reader.u32 r in
-  { Capability.port; obj; rights; check }
-
 (* The encoded size is pure arithmetic over the page's fields — no
    serialisation. Only the varint fields (capability object numbers, the
    reference count, the data length) have value-dependent widths. *)
-let varint_len v =
-  if v < 0 then invalid_arg "Page.varint_len: negative"
-  else begin
-    let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
-    go v 1
-  end
-
-let cap_bytes cap = 8 + varint_len cap.Capability.obj + 1 + 4
-
 let encoded_size t =
   let h = t.header in
-  let kind_and_header =
+  let version_header =
     match (h.file_cap, h.version_cap) with
-    | Some fc, Some vc -> 1 + cap_bytes fc + cap_bytes vc + 4 + 8 + 8 + 4 + 1
-    | None, None -> 1
+    | Some fc, Some vc -> cap_size fc + cap_size vc + version_fields
+    | None, None -> 0
     | _ -> invalid_arg "Page.encoded_size: version page must carry both capabilities"
   in
-  2 + 1 + kind_and_header + 4
-  + varint_len (Array.length t.refs)
-  + varint_len (Bytes.length t.data)
+  kind_end + version_header + 4
+  + Wire.varint_size (Array.length t.refs)
+  + Wire.varint_size (Bytes.length t.data)
   + (4 * Array.length t.refs)
   + Bytes.length t.data
 
+let set_word buf pos v = Bytes.set_int32_le buf pos (Int32.of_int v)
+
+(* Writes the capability at [pos]; returns the position after it. *)
+let set_cap buf pos c =
+  Bytes.set_int64_le buf pos (Int64.of_int (Capability.port_to_int c.Capability.port));
+  let pos = Wire.set_varint buf (pos + 8) c.Capability.obj in
+  Bytes.set_uint8 buf pos (Capability.rights_to_int c.Capability.rights);
+  set_word buf (pos + 1) c.Capability.check;
+  pos + 5
+
 (* Serialise into an exactly-sized buffer (the arithmetic size makes the
-   single allocation possible; the byte order is identical to what the
-   historical [Wire.Writer]-based encoder produced). The image is
-   memoized on the page and aliased to every caller, so callers must
-   treat it as immutable — every store boundary in this repo copies. *)
+   single allocation possible). The image is memoized on the page and
+   aliased to every caller, so callers must treat it as immutable —
+   every store boundary in this repo copies. *)
 let encode_into t buf =
-  let pos = ref 0 in
-  let u8 v =
-    Bytes.unsafe_set buf !pos (Char.unsafe_chr (v land 0xFF));
-    incr pos
-  in
-  let u16 v =
-    u8 v;
-    u8 (v lsr 8)
-  in
-  (* Word-width fields store in one unaligned write ([set_int32_le] is a
-     compiler primitive) — the reference table, four bytes per entry, is
-     most of a page's non-data bytes. *)
-  let u32 v =
-    Bytes.set_int32_le buf !pos (Int32.of_int v);
-    pos := !pos + 4
-  in
-  let u64 v =
-    Bytes.set_int64_le buf !pos v;
-    pos := !pos + 8
-  in
-  let rec varint v =
-    if v < 0x80 then u8 v
-    else begin
-      u8 (0x80 lor (v land 0x7F));
-      varint (v lsr 7)
-    end
-  in
-  let cap c =
-    u64 (Int64.of_int (Capability.port_to_int c.Capability.port));
-    varint c.Capability.obj;
-    u8 (Capability.rights_to_int c.Capability.rights);
-    u32 c.Capability.check
-  in
-  u16 magic;
-  u8 format_version;
+  Bytes.set_uint16_le buf 0 magic;
+  Bytes.set_uint8 buf 2 format_version;
   let h = t.header in
-  (match (h.file_cap, h.version_cap) with
-  | Some fc, Some vc ->
-      u8 1;
-      cap fc;
-      cap vc;
-      u32 (encode_opt_block h.commit_ref);
-      u64 (Int64.of_int h.top_lock);
-      u64 (Int64.of_int h.inner_lock);
-      u32 (encode_opt_block h.parent_ref);
-      u8 (Flags.to_nibble h.root_flags)
-  | None, None -> u8 0
-  | _ -> invalid_arg "Page.encode: version page must carry both capabilities");
-  u32 (encode_opt_block h.base_ref);
-  varint (Array.length t.refs);
-  varint (Bytes.length t.data);
-  Array.iter
-    (fun e ->
+  let base_at =
+    match (h.file_cap, h.version_cap) with
+    | Some fc, Some vc ->
+        Bytes.set_uint8 buf kind_at 1;
+        let at = set_cap buf (set_cap buf kind_end fc) vc in
+        set_word buf at (encode_opt_block h.commit_ref);
+        Bytes.set_int64_le buf (at + top_lock_off) (Int64.of_int h.top_lock);
+        Bytes.set_int64_le buf (at + inner_lock_off) (Int64.of_int h.inner_lock);
+        set_word buf (at + parent_off) (encode_opt_block h.parent_ref);
+        Bytes.set_uint8 buf (at + root_flags_off) (Flags.to_nibble h.root_flags);
+        at + version_fields
+    | None, None ->
+        Bytes.set_uint8 buf kind_at 0;
+        kind_end
+    | _ -> invalid_arg "Page.encode: version page must carry both capabilities"
+  in
+  set_word buf base_at (encode_opt_block h.base_ref);
+  let refs_at = Wire.set_varint buf (base_at + 4) (Array.length t.refs) in
+  let refs_at = Wire.set_varint buf refs_at (Bytes.length t.data) in
+  Array.iteri
+    (fun i e ->
       check_block_number e.block;
-      u32 ((e.block lsl 4) lor Flags.to_nibble e.flags))
+      set_word buf (refs_at + (4 * i)) ((e.block lsl 4) lor Flags.to_nibble e.flags))
     t.refs;
-  Bytes.blit t.data 0 buf !pos (Bytes.length t.data)
+  Bytes.blit t.data 0 buf (refs_at + (4 * Array.length t.refs)) (Bytes.length t.data)
 
 let encode t =
   match t.enc with
@@ -260,89 +233,27 @@ let encode t =
 
 let memoized_image t = t.enc
 
-(* [memo] seeds the decoded page's image memo with [image] itself, so the
-   page will never be re-serialised. Only sound when the image is known
-   to be canonical encoder output (every image in this system's stores
-   is: stores are only ever written with {!encode} results) and when the
-   caller owns [image] exclusively — both stores hand out fresh copies on
-   read. Default off for arbitrary input, whose varints may be padded. *)
-let decode ?(memo = false) image =
-  match
-    let r = Wire.Reader.of_bytes image in
-    if Wire.Reader.u16 r <> magic then Error "bad page magic"
-    else if Wire.Reader.u8 r <> format_version then Error "bad page format version"
-    else begin
-      let kind = Wire.Reader.u8 r in
-      let header =
-        if kind = 1 then begin
-          let file_cap = decode_cap r in
-          let version_cap = decode_cap r in
-          let commit_ref = decode_opt_block (Wire.Reader.u32 r) in
-          let top_lock = Int64.to_int (Wire.Reader.u64 r) in
-          let inner_lock = Int64.to_int (Wire.Reader.u64 r) in
-          let parent_ref = decode_opt_block (Wire.Reader.u32 r) in
-          match Flags.of_nibble (Wire.Reader.u8 r) with
-          | None -> Error "illegal root flag nibble"
-          | Some root_flags ->
-              Ok
-                {
-                  plain_header with
-                  file_cap = Some file_cap;
-                  version_cap = Some version_cap;
-                  commit_ref;
-                  top_lock;
-                  inner_lock;
-                  parent_ref;
-                  root_flags;
-                }
-        end
-        else if kind = 0 then Ok plain_header
-        else Error "bad page kind"
-      in
-      match header with
-      | Error _ as e -> e
-      | Ok header -> (
-          let base_ref = decode_opt_block (Wire.Reader.u32 r) in
-          let header = { header with base_ref } in
-          let nrefs = Wire.Reader.varint r in
-          let dsize = Wire.Reader.varint r in
-          let bad_nibble = ref false in
-          let refs =
-            Array.init nrefs (fun _ ->
-                let packed = Wire.Reader.u32 r in
-                match Flags.of_nibble (packed land 0xF) with
-                | Some flags -> { block = packed lsr 4; flags }
-                | None ->
-                    bad_nibble := true;
-                    { block = packed lsr 4; flags = Flags.clear })
-          in
-          if !bad_nibble then Error "illegal flag nibble in reference table"
-          else
-            let data = Wire.Reader.bytes r dsize in
-            let () = Wire.Reader.expect_end r in
-            Ok { header; refs; data; enc = (if memo then Some image else None) })
-    end
-  with
-  | result -> result
-  | exception Wire.Decode_error msg -> Error ("page decode: " ^ msg)
+(* {2 Reading an image}
 
-(* {2 Reading an image in place}
+   One check reads the layout for every reader: {!decode} builds a page
+   from the positions it finds, and the collector's in-place reads take
+   the commit reference and the child blocks straight from the image.
+   Positional reads raise [Wire.Decode_error] on truncation; the check
+   allocates nothing unless it fails, since the collector runs one per
+   block it marks. *)
 
-   Positional reads that fail like [Wire.Reader] on truncation. A scan
-   allocates nothing unless it fails: the collector runs one per block it
-   marks. *)
+let fail msg = raise (Wire.Decode_error msg)
 
-let truncated () = raise (Wire.Decode_error "truncated")
-
-let byte_at image pos = if pos >= Bytes.length image then truncated () else Bytes.get_uint8 image pos
+let byte_at image pos =
+  if pos >= Bytes.length image then fail "truncated" else Bytes.get_uint8 image pos
 
 let word_at image pos =
-  if pos + 4 > Bytes.length image then truncated ()
+  if pos + 4 > Bytes.length image then fail "truncated"
   else Int32.to_int (Bytes.get_int32_le image pos) land 0xFFFFFFFF
 
 (* Position just past the varint at [pos]. *)
 let rec varint_end image pos shift =
-  if shift > 56 then raise (Wire.Decode_error "varint too long")
+  if shift > 56 then fail "varint too long"
   else if byte_at image pos land 0x80 = 0 then pos + 1
   else varint_end image (pos + 1) (shift + 7)
 
@@ -351,55 +262,107 @@ let rec varint_at image pos shift acc =
   let acc = acc lor ((b land 0x7F) lsl shift) in
   if b land 0x80 = 0 then acc else varint_at image (pos + 1) (shift + 7) acc
 
-(* Past a capability: port (8), object number (varint), rights (1),
-   check (4). *)
 let cap_end image pos = varint_end image (pos + 8) 0 + 1 + 4
 
-(* Checks [image] exactly as {!decode} does — magic, version, kind, flag
-   nibbles, exact length — then calls [f] on each child block number and
-   returns the raw commit reference field. *)
-let scan_image image f =
-  if word_at image 0 land 0xFFFF <> magic then raise (Wire.Decode_error "bad page magic");
-  if byte_at image 2 <> format_version then raise (Wire.Decode_error "bad page format version");
-  let kind = byte_at image 3 in
-  if kind <> 0 && kind <> 1 then raise (Wire.Decode_error "bad page kind");
-  (* A version header: two capabilities, then commit reference (4), top
-     and inner locks (8 + 8), parent reference (4) and root flags (1). *)
-  let commit_at = if kind = 1 then cap_end image (cap_end image 4) else 4 in
-  let base_at = if kind = 1 then commit_at + 4 + 8 + 8 + 4 + 1 else 4 in
-  if kind = 1 && not (Flags.legal_nibble (byte_at image (base_at - 1))) then
-    raise (Wire.Decode_error "illegal root flag nibble");
-  let raw_commit = if kind = 1 then word_at image commit_at else nil_block in
-  let nrefs_at = base_at + 4 (* past the base reference *) in
+(* Checks the whole image — magic, format version, kind, a version
+   page's root flag nibble, the varints, the exact length the reference
+   count and data length imply, every reference nibble — then calls [f]
+   on each child block number and hands [k] the layout: where a version
+   page's fields start ([-1] on a plain page), where the base reference
+   and the reference table sit, and the table's length. The data runs
+   from the table's end to the image's. *)
+let check image f k =
+  if word_at image 0 land 0xFFFF <> magic then fail "bad page magic";
+  if byte_at image 2 <> format_version then fail "bad page format version";
+  let kind = byte_at image kind_at in
+  if kind <> 0 && kind <> 1 then fail "bad page kind";
+  let fields_at = if kind = 1 then cap_end image (cap_end image kind_end) else -1 in
+  let base_at = if kind = 1 then fields_at + version_fields else kind_end in
+  if kind = 1 && not (Flags.legal_nibble (byte_at image (fields_at + root_flags_off))) then
+    fail "illegal root flag nibble";
+  let nrefs_at = base_at + 4 in
   let dsize_at = varint_end image nrefs_at 0 in
   let refs_at = varint_end image dsize_at 0 in
   let nrefs = varint_at image nrefs_at 0 0 and dsize = varint_at image dsize_at 0 0 in
   let rest = Bytes.length image - refs_at in
   if nrefs < 0 || dsize < 0 || nrefs > rest / 4 || rest - (4 * nrefs) <> dsize then
-    raise (Wire.Decode_error "length does not match the header");
+    fail "length does not match the header";
   for i = 0 to nrefs - 1 do
     if not (Flags.legal_nibble (word_at image (refs_at + (4 * i)) land 0xF)) then
-      raise (Wire.Decode_error "illegal flag nibble in reference table")
+      fail "illegal flag nibble in reference table"
   done;
   for i = 0 to nrefs - 1 do
     f (word_at image (refs_at + (4 * i)) lsr 4)
   done;
-  raw_commit
+  k image ~fields_at ~base_at ~refs_at ~nrefs
 
+let rejected msg = Error ("page decode: " ^ msg)
 let no_child (_ : int) = ()
 
+(* Nibbles the check has passed. *)
+let flags_of nibble =
+  match Flags.of_nibble nibble with Some flags -> flags | None -> fail "illegal flag nibble"
+
+let cap_at image pos =
+  let rights_at = varint_end image (pos + 8) 0 in
+  {
+    Capability.port = Capability.port_of_int (Int64.to_int (Bytes.get_int64_le image pos));
+    obj = varint_at image (pos + 8) 0 0;
+    rights = Capability.rights_of_int (byte_at image rights_at);
+    check = word_at image (rights_at + 1);
+  }
+
+(* [memo] seeds the decoded page's image memo with [image] itself, so the
+   page will never be re-serialised. Only sound when the image is known
+   to be canonical encoder output (every image in this system's stores
+   is: stores are only ever written with {!encode} results) and when the
+   caller owns [image] exclusively — both stores hand out fresh copies on
+   read. Default off for arbitrary input, whose varints may be padded. *)
+let build ~memo image ~fields_at ~base_at ~refs_at ~nrefs =
+  let base_ref = decode_opt_block (word_at image base_at) in
+  let header =
+    if fields_at < 0 then { plain_header with base_ref }
+    else
+      {
+        file_cap = Some (cap_at image kind_end);
+        version_cap = Some (cap_at image (cap_end image kind_end));
+        commit_ref = decode_opt_block (word_at image fields_at);
+        top_lock = Int64.to_int (Bytes.get_int64_le image (fields_at + top_lock_off));
+        inner_lock = Int64.to_int (Bytes.get_int64_le image (fields_at + inner_lock_off));
+        parent_ref = decode_opt_block (word_at image (fields_at + parent_off));
+        base_ref;
+        root_flags = flags_of (byte_at image (fields_at + root_flags_off));
+      }
+  in
+  let refs =
+    Array.init nrefs (fun i ->
+        let packed = word_at image (refs_at + (4 * i)) in
+        { block = packed lsr 4; flags = flags_of (packed land 0xF) })
+  in
+  let data_at = refs_at + (4 * nrefs) in
+  {
+    header;
+    refs;
+    data = Bytes.sub image data_at (Bytes.length image - data_at);
+    enc = (if memo then Some image else None);
+  }
+
+let decode ?(memo = false) image =
+  match check image no_child (build ~memo) with
+  | page -> Ok page
+  | exception Wire.Decode_error msg -> rejected msg
+
+let commit_of image ~fields_at ~base_at:_ ~refs_at:_ ~nrefs:_ =
+  if fields_at < 0 then None else decode_opt_block (word_at image fields_at)
+
 let image_commit_ref image =
-  match scan_image image no_child with
-  | raw -> Ok (decode_opt_block raw)
-  | exception Wire.Decode_error msg -> Error ("page decode: " ^ msg)
+  match check image no_child commit_of with
+  | commit -> Ok commit
+  | exception Wire.Decode_error msg -> rejected msg
+
+let no_layout _ ~fields_at:_ ~base_at:_ ~refs_at:_ ~nrefs:_ = ()
 
 let iter_image_refs image f =
-  match scan_image image f with
-  | _ -> Ok ()
-  | exception Wire.Decode_error msg -> Error ("page decode: " ^ msg)
-
-let version_header_bytes = (2 * (8 + 3 + 1 + 4)) + 4 + 8 + 8 + 4 + 1
-let fixed_bytes = 2 + 1 + 1 + 4 + 3 + 3
-
-let data_capacity ~block_size ~nrefs ~is_version =
-  block_size - fixed_bytes - (is_version * version_header_bytes) - (4 * nrefs)
+  match check image f no_layout with
+  | () -> Ok ()
+  | exception Wire.Decode_error msg -> rejected msg

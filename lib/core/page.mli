@@ -87,9 +87,6 @@ val insert_ref : t -> int -> ref_entry -> (t, string) result
 
 val remove_ref : t -> int -> (t, string) result
 
-val record_access : t -> int -> Flags.access -> (t, string) result
-(** Fold an access into the flags of the entry at the index. *)
-
 val clear_child_flags : t -> t
 (** Reset every entry's flags to {!Flags.clear}: done when a page is first
     copied into a new version. *)
@@ -117,7 +114,10 @@ val memoized_image : t -> bytes option
     read store image to skip re-decoding an unchanged page. *)
 
 val decode : ?memo:bool -> bytes -> (t, string) result
-(** Rejects bad magic, illegal flag nibbles and truncation. With [memo]
+(** Rejects, with an [Error] that reads ["page decode: ..."], bad magic,
+    format version or kind, illegal flag nibbles, truncation, trailing
+    bytes, and reference counts or data lengths the image cannot hold —
+    the whole image is checked before anything is allocated. With [memo]
     (default off), the input image seeds the decoded page's encode memo:
     sound only for images produced by {!encode} (the decoder also accepts
     padded varints, which would break byte-identity) that the caller owns
@@ -128,8 +128,9 @@ val decode : ?memo:bool -> bytes -> (t, string) result
 
     What the garbage collector needs from a stored page — its commit
     reference and its children's block numbers — read straight from the
-    image's header and reference table. Both accept exactly the images
-    {!decode} accepts, but build no page and never copy the data area. *)
+    image's header and reference table. Both run the very check {!decode}
+    runs, so they accept exactly the images it accepts, but build no page
+    and never copy the data area. *)
 
 val image_commit_ref : bytes -> (int option, string) result
 
@@ -137,7 +138,3 @@ val iter_image_refs : bytes -> (int -> unit) -> (unit, string) result
 (** Calls the function on each reference's block number, in table order,
     once the whole image has been checked: a rejected image yields no
     calls. *)
-
-val data_capacity : block_size:int -> nrefs:int -> is_version:int -> int
-(** Bytes of client data that fit in a page with that many references
-    ([is_version] is 1 for version pages, 0 otherwise). *)

@@ -46,7 +46,6 @@ module Reader : sig
   val u32 : t -> int
   val u64 : t -> int64
   val varint : t -> int
-  val bytes : t -> int -> bytes
   val sized_bytes : t -> bytes
   val string : t -> string
   val expect_end : t -> unit

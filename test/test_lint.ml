@@ -21,7 +21,7 @@ let fixture_config =
     e1_exempt = [];
     mli_dirs = [];
     yield_primitives =
-      [ "Proc.delay"; "Proc.suspend"; "Ivar.read"; "Channel.send"; "Channel.recv"; "Rpc.call" ];
+      [ "Proc.delay"; "Proc.suspend"; "Ivar.read"; "Rpc.call" ];
     yielding_fields = [ "o_sync" ];
     validators = [ "Store.validate" ];
     shared_state_fields = [ "counter" ];

@@ -1,5 +1,6 @@
 open Afs_core
 module Capability = Afs_util.Capability
+module Wire = Afs_util.Wire
 
 let quick = Helpers.quick
 let bytes = Helpers.bytes
@@ -86,6 +87,40 @@ let test_decode_rejects_trailing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted trailing bytes"
 
+(* [page]'s image with its reference count ([count = `Refs]) or its data
+   length rewritten to [value]: the two varints sit just before the
+   reference table. *)
+let with_count page count value =
+  let image = Page.encode page in
+  let nrefs = Page.nrefs page and dsize = Page.dsize page in
+  let refs_at = Bytes.length image - dsize - (4 * nrefs) in
+  let nrefs_at = refs_at - Wire.varint_size nrefs - Wire.varint_size dsize in
+  let w = Wire.Writer.create () in
+  Wire.Writer.varint w (if count = `Refs then value else nrefs);
+  Wire.Writer.varint w (if count = `Refs then dsize else value);
+  Bytes.concat Bytes.empty
+    [
+      Bytes.sub image 0 nrefs_at;
+      Wire.Writer.contents w;
+      Bytes.sub image refs_at (Bytes.length image - refs_at);
+    ]
+
+(* A 20-byte plain page claiming 2^40 references: every reader answers
+   [Error] before allocating for them. *)
+let test_decode_rejects_huge_count () =
+  let page = Page.with_data Page.empty (Bytes.make 5 'd') in
+  let image = with_count page `Refs (1 lsl 40) in
+  Alcotest.(check int) "image length" 20 (Bytes.length image);
+  (match Page.decode image with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decode accepted a 2^40 reference count");
+  (match Page.image_commit_ref image with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "image_commit_ref accepted a 2^40 reference count");
+  match Page.iter_image_refs image (fun _ -> Alcotest.fail "child of a rejected image") with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "iter_image_refs accepted a 2^40 reference count"
+
 let test_block_number_28_bits () =
   let p = Page.with_data Page.empty Bytes.empty in
   match Page.insert_ref p 0 (entry Page.max_block_number) with
@@ -127,12 +162,6 @@ let test_ref_ops_bounds () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "get on empty accepted"
 
-let test_record_access_on_ref () =
-  let p = Helpers.ok_str (Page.insert_ref Page.empty 0 (entry 10)) in
-  let p = Helpers.ok_str (Page.record_access p 0 Flags.Read) in
-  Alcotest.(check bool) "r recorded" true p.Page.refs.(0).Page.flags.Flags.r;
-  Alcotest.(check bool) "c implied" true p.Page.refs.(0).Page.flags.Flags.c
-
 let test_clear_child_flags () =
   let flags = Flags.record (Flags.record Flags.clear Flags.Read) Flags.Write in
   let p = Helpers.ok_str (Page.insert_ref Page.empty 0 (entry ~flags 10)) in
@@ -145,21 +174,6 @@ let test_functional_updates_do_not_alias () =
   let q = Helpers.ok_str (Page.with_ref p 0 (entry 99)) in
   Alcotest.(check int) "original untouched" 10 p.Page.refs.(0).Page.block;
   Alcotest.(check int) "copy updated" 99 q.Page.refs.(0).Page.block
-
-let test_data_capacity_sane () =
-  let cap_plain = Page.data_capacity ~block_size:32768 ~nrefs:0 ~is_version:0 in
-  let cap_vers = Page.data_capacity ~block_size:32768 ~nrefs:100 ~is_version:1 in
-  Alcotest.(check bool) "plain close to block size" true
-    (cap_plain > 32000 && cap_plain < 32768);
-  Alcotest.(check bool) "version page smaller" true (cap_vers < cap_plain);
-  (* The advertised capacity must actually fit. *)
-  let data = Bytes.make cap_vers 'd' in
-  let refs = Array.init 100 (fun i -> entry (i + 1)) in
-  let p =
-    Page.make_version_page ~file_cap:(cap 2) ~version_cap:(cap 5) ~base_ref:(Some 1)
-      ~parent_ref:(Some 1) ~refs ~data
-  in
-  Alcotest.(check bool) "fits" true (Page.encoded_size p <= 32768)
 
 (* Property: arbitrary pages roundtrip through the codec. *)
 let gen_flags =
@@ -203,22 +217,40 @@ let prop_encoded_size_consistent =
   QCheck2.Test.make ~name:"encoded_size equals encode length" ~count:100 gen_page (fun p ->
       Page.encoded_size p = Bytes.length (Page.encode p))
 
+(* A value of at least 2^40 for a reference count or a data length. *)
+let gen_huge =
+  QCheck2.Gen.(map2 (fun k low -> (1 lsl k) lor low) (int_range 40 61) (int_bound 1000))
+
+(* [page]'s image damaged by [damage]: 0 leaves it whole, 1 flips the
+   byte at [pos] by [xor], 2 truncates it at [pos], 3 and 4 rewrite its
+   reference count or data length to [huge]. *)
+let damaged page damage pos xor huge =
+  let image = Bytes.copy (Page.encode page) in
+  let pos = pos mod max 1 (Bytes.length image) in
+  match damage with
+  | 0 -> image
+  | 1 ->
+      Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
+      image
+  | 2 -> Bytes.sub image 0 pos
+  | 3 -> with_count page `Refs huge
+  | _ -> with_count page `Data huge
+
 (* Fuzz: decoding a corrupted valid image must fail cleanly or produce a
    structurally valid page — never raise. *)
 let prop_decode_total_on_mutations =
   let open QCheck2.Gen in
   let gen =
     let* page = gen_page in
+    let* damage = oneofl [ 1; 3; 4 ] in
     let* pos = int_range 0 10000 in
     let* xor = int_range 1 255 in
-    return (page, pos, xor)
+    let* huge = gen_huge in
+    return (page, damage, pos, xor, huge)
   in
   QCheck2.Test.make ~name:"decode is total on corrupted images" ~count:500 gen
-    (fun (page, pos, xor) ->
-      let image = Page.encode page in
-      let pos = pos mod max 1 (Bytes.length image) in
-      Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
-      match Page.decode image with
+    (fun (page, damage, pos, xor, huge) ->
+      match Page.decode (damaged page damage pos xor huge) with
       | Ok p -> Array.for_all (fun (e : Page.ref_entry) -> Flags.is_legal e.Page.flags) p.Page.refs
       | Error _ -> true
       | exception Invalid_argument _ -> false
@@ -235,29 +267,21 @@ let prop_decode_total_on_garbage =
 
 (* The collector's in-place reads accept exactly the images [decode]
    accepts, and read the same commit reference and child blocks from
-   them: checked on valid images, on images with one byte flipped and on
-   truncated ones. *)
+   them: checked on valid images, on images with one byte flipped, on
+   truncated ones and on ones whose counts say 2^40 or more. *)
 let prop_in_place_reads_agree_with_decode =
   let open QCheck2.Gen in
   let gen =
     let* page = gen_page in
-    let* damage = int_range 0 2 in
+    let* damage = int_range 0 4 in
     let* pos = int_range 0 10000 in
     let* xor = int_range 1 255 in
-    return (page, damage, pos, xor)
+    let* huge = gen_huge in
+    return (page, damage, pos, xor, huge)
   in
   QCheck2.Test.make ~name:"in-place image reads agree with decode" ~count:1000 gen
-    (fun (page, damage, pos, xor) ->
-      let image = Bytes.copy (Page.encode page) in
-      let pos = pos mod max 1 (Bytes.length image) in
-      let image =
-        match damage with
-        | 0 -> image
-        | 1 ->
-            Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
-            image
-        | _ -> Bytes.sub image 0 pos
-      in
+    (fun (page, damage, pos, xor, huge) ->
+      let image = damaged page damage pos xor huge in
       let children = ref [] in
       let listed = Page.iter_image_refs image (fun b -> children := b :: !children) in
       match (Page.decode image, Page.image_commit_ref image, listed) with
@@ -305,7 +329,6 @@ let prop_memo_canonical_after_updates =
              ~parent_ref:None ~refs ~data:(Bytes.of_string data)
          else Page.with_contents Page.empty ~refs ~data:(Bytes.of_string data)))
   in
-  let access_gen = Gen.oneofl [ Flags.Read; Flags.Write; Flags.Search; Flags.Modify ] in
   let update_gen =
     Gen.(
       oneof
@@ -316,8 +339,6 @@ let prop_memo_canonical_after_updates =
           map2 (fun i e p -> match Page.insert_ref p i e with Ok p -> p | Error _ -> p)
             (int_bound 8) entry_gen;
           map (fun i p -> match Page.remove_ref p i with Ok p -> p | Error _ -> p) (int_bound 8);
-          map2 (fun i a p -> match Page.record_access p i a with Ok p -> p | Error _ -> p)
-            (int_bound 8) access_gen;
           return Page.clear_child_flags;
         ])
   in
@@ -356,10 +377,8 @@ let () =
           quick "version page fields" test_version_page_fields;
           quick "ref ops" test_ref_ops;
           quick "ref bounds" test_ref_ops_bounds;
-          quick "record access" test_record_access_on_ref;
           quick "clear child flags" test_clear_child_flags;
           quick "no aliasing" test_functional_updates_do_not_alias;
-          quick "data capacity" test_data_capacity_sane;
         ] );
       ( "codec",
         [
@@ -369,6 +388,7 @@ let () =
           quick "rejects garbage" test_decode_rejects_garbage;
           quick "rejects truncation" test_decode_rejects_truncation;
           quick "rejects trailing bytes" test_decode_rejects_trailing;
+          quick "rejects a huge count" test_decode_rejects_huge_count;
           quick "28-bit block numbers" test_block_number_28_bits;
         ] );
       ( "properties",

@@ -11,7 +11,7 @@
    calls, discarded results), plus the seeds of the effect lattice:
 
      Yields   — transitively reaches a parked-coroutine primitive
-                (Proc.delay, Ivar.read, Channel.*, Rpc.call) or applies a
+                (Proc.delay/suspend, Ivar.read, Rpc.call) or applies a
                 configured function-valued field (dynamic call assumed to
                 yield);
      Ambient  — transitively reaches an ambient time/randomness source

@@ -71,15 +71,13 @@ let spawner comps =
 
 let is_engine_reentry comps =
   match tail2 comps with
-  | Some ("Engine", op) -> if List.mem op [ "run"; "step" ] then Some op else None
+  | Some ("Engine", "run") -> Some "run"
   | _ -> None
 
 let blocking_call comps =
   match tail2 comps with
   | Some ("Ivar", "read") -> Some "Ivar.read"
-  | Some (("Proc" as p), (("delay" | "suspend") as op))
-  | Some (("Channel" as p), (("send" | "recv") as op)) ->
-      Some (p ^ "." ^ op)
+  | Some ("Proc", (("delay" | "suspend") as op)) -> Some ("Proc." ^ op)
   | _ -> None
 
 (* {2 The pass} *)

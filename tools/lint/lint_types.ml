@@ -136,7 +136,7 @@ let default_config =
     e1_exempt = [ "lib/sim" ];
     mli_dirs = [ "lib" ];
     yield_primitives =
-      [ "Proc.delay"; "Proc.suspend"; "Ivar.read"; "Channel.send"; "Channel.recv"; "Rpc.call" ];
+      [ "Proc.delay"; "Proc.suspend"; "Ivar.read"; "Rpc.call" ];
     yielding_fields = [];
     validators =
       [
