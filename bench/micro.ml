@@ -108,6 +108,18 @@ let test_stable_write =
   Test.make ~name:"stable-write-1K"
     (Staged.stage (fun () -> ignore (S.write pair 0 b payload)))
 
+(* The read side: one disk read of the stored envelope, a CRC check in
+   place and one copy of the payload out. *)
+let test_stable_read =
+  let module S = Afs_stable.Stable_pair in
+  let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
+  let b =
+    match (S.allocate_write pair 0 (Bytes.make 1024 'r')).S.result with
+    | Ok b -> b
+    | Error e -> failwith (Fmt.str "%a" S.pp_error e)
+  in
+  Test.make ~name:"stable-read-1K" (Staged.stage (fun () -> ignore (S.read pair 0 b)))
+
 (* The commit publish leg: eight 1 KiB blocks in one A→B→A round trip,
    the path a single stable write takes as a batch of one. *)
 let test_stable_write_batch =
@@ -147,7 +159,7 @@ let test_marker_staged_roundtrip =
 let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
     test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op;
-    test_crc32; test_stable_write; test_stable_write_batch; test_marker_decode_plain;
+    test_crc32; test_stable_write; test_stable_read; test_stable_write_batch; test_marker_decode_plain;
     test_marker_staged_roundtrip ]
 
 (* [smoke] trades precision for speed (CI runs it on shared runners just

@@ -137,7 +137,7 @@ let read t account b =
       let { Disk.result; cost_ms } = Disk.read t.disk b in
       let cost = request_overhead_ms +. cost_ms in
       (match result with
-      | Ok data -> ok ~cost data
+      | Ok image -> ok ~cost (Bytes.of_string image)
       | Error e -> fail ~cost (Disk_error e))
 
 let write t account b data =
@@ -147,7 +147,7 @@ let write t account b data =
       match check_lock t account b with
       | Error e -> fail e
       | Ok () ->
-          let { Disk.result; cost_ms } = Disk.write t.disk b data in
+          let { Disk.result; cost_ms } = Disk.write t.disk b (Bytes.to_string data) in
           let cost = request_overhead_ms +. cost_ms in
           (match result with
           | Ok () -> ok ~cost ()

@@ -201,13 +201,16 @@ let worm_hybrid ~blocks ~block_size () =
   let lift_disk : type a. a Disk.outcome -> (a, string) result =
    fun o -> Result.map_error (Fmt.str "%a" Disk.pp_error) o.Disk.result
   in
+  (* The disks keep immutable images; the store's pages are bytes, so
+     each direction copies once here. *)
   let write b data =
-    if Hashtbl.mem redirected b then lift_disk (Disk.write index b data)
+    let image = Bytes.to_string data in
+    if Hashtbl.mem redirected b then lift_disk (Disk.write index b image)
     else if Disk.is_written bulk b then begin
       Hashtbl.replace redirected b ();
-      lift_disk (Disk.write index b data)
+      lift_disk (Disk.write index b image)
     end
-    else lift_disk (Disk.write bulk b data)
+    else lift_disk (Disk.write bulk b image)
   in
   let store =
     {
@@ -230,8 +233,8 @@ let worm_hybrid ~blocks ~block_size () =
           Ok ());
       read =
         (fun b ->
-          if Hashtbl.mem redirected b then lift_disk (Disk.read index b)
-          else lift_disk (Disk.read bulk b));
+          let disk = if Hashtbl.mem redirected b then index else bulk in
+          Result.map Bytes.of_string (lift_disk (Disk.read disk b)));
       write;
       write_batch = sequential_batch write;
       lock;

@@ -20,7 +20,9 @@ module Trace = Afs_trace.Trace
 type t = {
   media : Media.t;
   block_size : int;
-  blocks : bytes option array;
+  (* Images are immutable: a write keeps the caller's string and a read
+     returns it, so one sealed image can sit on two disks at once. *)
+  blocks : string option array;
   mutable offline : bool;
   mutable reads : int;
   mutable writes : int;
@@ -64,9 +66,9 @@ let read t b =
         charge t cost;
         { result = Error (Never_written b); cost_ms = cost }
     | Some data ->
-        let cost = Media.read_cost t.media ~bytes:(Bytes.length data) in
+        let cost = Media.read_cost t.media ~bytes:(String.length data) in
         t.reads <- t.reads + 1;
-        t.bytes_read <- t.bytes_read + Bytes.length data;
+        t.bytes_read <- t.bytes_read + String.length data;
         charge t cost;
         if Trace.enabled t.trace then
           Trace.point t.trace
@@ -74,28 +76,28 @@ let read t b =
                {
                  media = Media.kind_name t.media.Media.kind;
                  block = b;
-                 bytes = Bytes.length data;
+                 bytes = String.length data;
                  cost_ms = cost;
                });
-        { result = Ok (Bytes.copy data); cost_ms = cost }
+        { result = Ok data; cost_ms = cost }
 
 let write t b data =
   if t.offline then { result = Error Offline; cost_ms = 0.0 }
   else if b < 0 || b >= Array.length t.blocks then
     { result = Error (Out_of_range b); cost_ms = 0.0 }
-  else if Bytes.length data > t.block_size then
+  else if String.length data > t.block_size then
     {
-      result = Error (Too_large { requested = Bytes.length data; block_size = t.block_size });
+      result = Error (Too_large { requested = String.length data; block_size = t.block_size });
       cost_ms = 0.0;
     }
   else if t.media.Media.write_once && t.blocks.(b) <> None then
     { result = Error (Write_once_violation b); cost_ms = 0.0 }
   else begin
-    let cost = Media.write_cost t.media ~bytes:(Bytes.length data) in
+    let cost = Media.write_cost t.media ~bytes:(String.length data) in
     if t.blocks.(b) = None then t.in_use <- t.in_use + 1;
-    t.blocks.(b) <- Some (Bytes.copy data);
+    t.blocks.(b) <- Some data;
     t.writes <- t.writes + 1;
-    t.bytes_written <- t.bytes_written + Bytes.length data;
+    t.bytes_written <- t.bytes_written + String.length data;
     charge t cost;
     if Trace.enabled t.trace then
       Trace.point t.trace
@@ -103,7 +105,7 @@ let write t b data =
            {
              media = Media.kind_name t.media.Media.kind;
              block = b;
-             bytes = Bytes.length data;
+             bytes = String.length data;
              cost_ms = cost;
            });
     { result = Ok (); cost_ms = cost }
@@ -130,10 +132,13 @@ let corrupt t b ~xor_byte =
   else
     match t.blocks.(b) with
     | None -> false
-    | Some data when Bytes.length data = 0 -> false
+    | Some "" -> false
     | Some data ->
-        let i = Bytes.length data / 2 in
-        Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor Char.code xor_byte));
+        (* A damaged copy replaces the block: the old image may be shared
+           with a companion disk or the writer, which must not see it. *)
+        let i = String.length data / 2 in
+        let flip j c = if j = i then Char.chr (Char.code c lxor Char.code xor_byte) else c in
+        t.blocks.(b) <- Some (String.mapi flip data);
         true
 
 let wipe t =

@@ -33,13 +33,14 @@ val create :
 val block_count : t -> int
 val block_size : t -> int
 
-val read : t -> int -> bytes outcome
-(** Returns a copy of the stored image (its exact written length). *)
+val read : t -> int -> string outcome
+(** Returns the stored image itself (its exact written length), without
+    a copy: images are immutable. *)
 
-val write : t -> int -> bytes -> unit outcome
-(** Whole-block atomic write of a copy of the image: the caller may reuse
-    or write the same bytes elsewhere. Fails with [Write_once_violation]
-    when overwriting on write-once media. *)
+val write : t -> int -> string -> unit outcome
+(** Whole-block atomic write that keeps the caller's image, without a
+    copy: the same image may be written to other blocks or disks. Fails
+    with [Write_once_violation] when overwriting on write-once media. *)
 
 val erase : t -> int -> unit outcome
 (** Return a block to the never-written state. Fails on write-once media
@@ -54,9 +55,10 @@ val is_written : t -> int -> bool
 val set_offline : t -> bool -> unit
 
 val corrupt : t -> int -> xor_byte:char -> bool
-(** XOR one byte into a written block's image, silently; returns false if
-    the block holds no data. Models media decay; checksums upstream must
-    catch it. *)
+(** Replace a written block's image, silently, with a copy that has one
+    byte XORed; returns false if the block holds no data. Models media
+    decay; checksums upstream must catch it. Other holders of the old
+    image (a companion disk, the writer) keep it intact. *)
 
 val wipe : t -> unit
 (** Lose all contents (head crash). The device stays online. *)

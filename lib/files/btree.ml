@@ -41,11 +41,19 @@ let encode_node ~order node =
 let decode_node data =
   match
     let r = Wire.Reader.of_bytes data in
+    (* Node data is client-written, so no field is trusted: an overflowed
+       varint reads negative. The entry count is bounded by the node's
+       length, since every entry takes at least one byte. The order is
+       not: a wide tree's empty root is shorter than its order. *)
+    let nat ~min ~max =
+      let v = Wire.Reader.varint r in
+      if v < min || v > max then raise (Wire.Decode_error "field out of range") else v
+    in
     if Wire.Reader.u16 r <> magic then Error (Store_failure "not a b-tree node")
     else begin
-      let order = Wire.Reader.varint r in
+      let order = nat ~min:3 ~max:max_int in
       let kind = Wire.Reader.u8 r in
-      let count = Wire.Reader.varint r in
+      let count = nat ~min:0 ~max:(Bytes.length data) in
       let node =
         if kind = 0 then
           Leaf

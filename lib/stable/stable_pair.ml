@@ -92,7 +92,10 @@ let magic = 0x5AB1
 
 (* One exact-size buffer per envelope. The trailing CRC covers every byte
    before it, the sequence number included: a flipped seq bit must fail
-   the read, or compare-notes would trust the damaged copy as newer. *)
+   the read, or compare-notes would trust the damaged copy as newer. The
+   buffer is fresh and nothing else holds it, so handing it over as an
+   immutable string is safe: both legs, a fallback repair and a restart
+   then share that one image, and no disk copies it. *)
 let seal seq payload =
   let len = Bytes.length payload in
   let body = 10 + Wire.varint_size len + len in
@@ -102,18 +105,22 @@ let seal seq payload =
   let pos = Wire.set_varint image 10 len in
   Bytes.blit payload 0 image pos len;
   Bytes.set_int32_le image body (Int32.of_int (Wire.crc32_sub image 0 body));
-  image
+  Bytes.unsafe_to_string image
 
+(* Reads the envelope where it lies, through a read-only view of the
+   immutable image: neither [Wire.Reader] nor [Wire.crc32_sub] writes its
+   input. The payload is the one copy a read makes. *)
 let unseal image =
+  let view = Bytes.unsafe_of_string image in
   match
-    let r = Wire.Reader.of_bytes image in
+    let r = Wire.Reader.of_bytes view in
     let m = Wire.Reader.u16 r in
     let seq = Wire.Reader.u64 r in
     let payload = Wire.Reader.sized_bytes r in
     let crc = Wire.Reader.u32 r in
     Wire.Reader.expect_end r;
     if m <> magic then Error "bad magic"
-    else if Wire.crc32_sub image 0 (Bytes.length image - 4) <> crc then Error "bad crc"
+    else if Wire.crc32_sub view 0 (String.length image - 4) <> crc then Error "bad crc"
     else Ok (seq, payload)
   with
   | result -> result

@@ -18,9 +18,9 @@
     those bytes. Because the checksum covers the sequence number, a
     damaged seq fails the read like a damaged payload, instead of
     winning compare-notes as a spuriously newer copy. A stable write
-    seals its envelope once and both legs write that one image; this
-    relies on {!Afs_disk.Disk.write} storing a copy. Repairs copy the
-    surviving side's verified image unchanged.
+    seals its envelope once and both legs write that one image. Repairs
+    copy the surviving side's verified image unchanged. A read checks
+    the envelope in place and copies only the payload out.
 
     The protocol steps ({!tentative_allocate}, {!shadow_write}) are
     exposed individually so the RPC layer can interleave them between

@@ -2,89 +2,101 @@
    recency list for O(1) promotion and eviction-candidate selection. The
    structure itself never evicts — the owner asks for [lru_unpinned] and
    removes the entry once whatever write-back the eviction requires has
-   succeeded, so a failed write-back never silently drops data. *)
+   succeeded, so a failed write-back never silently drops data.
 
-type ('k, 'v) node = {
-  key : 'k;
-  mutable value : 'v;
-  mutable pinned : bool;
-  mutable prev : ('k, 'v) node option;  (* towards the MRU end *)
-  mutable next : ('k, 'v) node option;  (* towards the LRU end *)
-}
+   The links are [Nil | Node] with an inline record rather than
+   [node option]: a [Node] is itself the list cell, so relinking one
+   allocates nothing, and a cache hit's promotion is free. *)
+
+type ('k, 'v) node =
+  | Nil
+  | Node of {
+      key : 'k;
+      mutable value : 'v;
+      mutable pinned : bool;
+      mutable prev : ('k, 'v) node;  (* towards the MRU end *)
+      mutable next : ('k, 'v) node;  (* towards the LRU end *)
+    }
 
 type ('k, 'v) t = {
   capacity : int;
-  table : ('k, ('k, 'v) node) Hashtbl.t;
-  mutable head : ('k, 'v) node option;  (* most recently used *)
-  mutable tail : ('k, 'v) node option;  (* least recently used *)
+  table : ('k, ('k, 'v) node) Hashtbl.t;  (* every value is a [Node] *)
+  mutable head : ('k, 'v) node;  (* most recently used *)
+  mutable tail : ('k, 'v) node;  (* least recently used *)
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be positive";
-  { capacity; table = Hashtbl.create (min capacity 1024); head = None; tail = None }
+  { capacity; table = Hashtbl.create (min capacity 1024); head = Nil; tail = Nil }
 
 let length t = Hashtbl.length t.table
 
+(* [Nil] when absent, without the option [Hashtbl.find_opt] allocates. *)
+let lookup t k = match Hashtbl.find t.table k with n -> n | exception Not_found -> Nil
+
 (* {2 Intrusive list plumbing} *)
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let set_prev n p = match n with Node r -> r.prev <- p | Nil -> ()
+let set_next n s = match n with Node r -> r.next <- s | Nil -> ()
+
+let unlink t = function
+  | Nil -> ()
+  | Node r ->
+      (match r.prev with Nil -> t.head <- r.next | p -> set_next p r.next);
+      (match r.next with Nil -> t.tail <- r.prev | s -> set_prev s r.prev);
+      r.prev <- Nil;
+      r.next <- Nil
 
 let push_front t n =
-  n.prev <- None;
-  n.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+  set_prev n Nil;
+  set_next n t.head;
+  (match t.head with Nil -> t.tail <- n | h -> set_prev h n);
+  t.head <- n
 
 let touch t n =
-  match t.head with
-  | Some h when h == n -> ()
-  | _ ->
-      unlink t n;
-      push_front t n
+  if t.head != n then begin
+    unlink t n;
+    push_front t n
+  end
 
 (* {2 Operations} *)
 
 let find t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some n ->
+  match lookup t k with
+  | Nil -> None
+  | Node r as n ->
       touch t n;
-      Some n.value
+      Some r.value
 
-let peek t k = Option.map (fun n -> n.value) (Hashtbl.find_opt t.table k)
+let peek t k = match lookup t k with Nil -> None | Node r -> Some r.value
 
 let mem t k = Hashtbl.mem t.table k
 
 let set t k v =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
-      n.value <- v;
+  match lookup t k with
+  | Node r as n ->
+      r.value <- v;
       touch t n
-  | None ->
-      let n = { key = k; value = v; pinned = false; prev = None; next = None } in
+  | Nil ->
+      let n = Node { key = k; value = v; pinned = false; prev = Nil; next = Nil } in
       Hashtbl.replace t.table k n;
       push_front t n
 
 let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> ()
-  | Some n ->
+  match lookup t k with
+  | Nil -> ()
+  | n ->
       Hashtbl.remove t.table k;
       unlink t n
 
 let pin t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> false
-  | Some n ->
-      n.pinned <- true;
+  match lookup t k with
+  | Nil -> false
+  | Node r ->
+      r.pinned <- true;
       true
 
-let unpin t k =
-  match Hashtbl.find_opt t.table k with None -> () | Some n -> n.pinned <- false
+let unpin t k = match lookup t k with Nil -> () | Node r -> r.pinned <- false
 
 let needs_eviction t = length t > t.capacity
 
@@ -93,21 +105,21 @@ let needs_eviction t = length t > t.capacity
    commit blocks) at any time. *)
 let lru_unpinned t =
   let rec scan = function
-    | None -> None
-    | Some n -> if n.pinned then scan n.prev else Some (n.key, n.value)
+    | Nil -> None
+    | Node r -> if r.pinned then scan r.prev else Some (r.key, r.value)
   in
   scan t.tail
 
 let clear t =
   Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
+  t.head <- Nil;
+  t.tail <- Nil
 
 (* Recency order, most recent first — deterministic given a deterministic
    access sequence. *)
 let fold f t init =
   let rec go acc = function
-    | None -> acc
-    | Some n -> go (f n.key n.value acc) n.next
+    | Nil -> acc
+    | Node r -> go (f r.key r.value acc) r.next
   in
   go init t.head

@@ -126,6 +126,40 @@ let test_snapshot_isolation () =
   let chain = ok (Server.committed_chain srv (Btree.capability bt)) in
   Alcotest.(check bool) "history retained" true (List.length chain >= 20)
 
+(* Node data is client-written. A root whose entry count overflows to a
+   negative int must answer an error, not raise out of the decoder. *)
+let test_malformed_count () =
+  let _, cl, _ = setup () in
+  let node = Bytes.of_string "\xEE\xB7\x04\x00\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x7F" in
+  let cap = ok (Client.create_file cl ~data:node ()) in
+  match Btree.of_capability cl cap with
+  | Error (Errors.Store_failure _) -> ()
+  | Error e -> Alcotest.failf "unexpected error: %s" (Errors.to_string e)
+  | Ok _ -> Alcotest.fail "malformed node accepted"
+
+(* Property: whatever a file's root holds, opening it as a b-tree answers
+   [Ok] or [Error] and never raises. Half the roots carry the node magic
+   and a run of continuation bytes where the varints lie, so overflowed
+   fields come up. *)
+let prop_of_capability_total =
+  let _, srv = Helpers.fresh_server () in
+  let cl = Client.connect srv in
+  QCheck2.Test.make ~name:"of_capability never raises" ~count:300
+    ~print:(fun s -> Printf.sprintf "%S" s)
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size (int_range 0 24);
+          map3
+            (fun head n tail -> "\xEE\xB7" ^ head ^ String.make n '\xFF' ^ tail)
+            (string_size (int_range 0 3))
+            (int_range 0 10)
+            (string_size (int_range 0 8));
+        ])
+    (fun root ->
+      let cap = ok (Client.create_file cl ~data:(Bytes.of_string root) ()) in
+      match Btree.of_capability cl cap with Ok _ | Error _ -> true)
+
 (* Property: against Stdlib.Map, under random inserts/removes/lookups. *)
 let prop_matches_map =
   QCheck2.Test.make ~name:"b-tree matches Map oracle" ~count:40
@@ -169,11 +203,16 @@ let () =
           quick "bindings sorted" test_bindings_sorted;
           quick "remove" test_remove;
           quick "reopen" test_reopen;
+          quick "malformed entry count" test_malformed_count;
         ] );
       ( "concurrency",
         [
           quick "inserts merge / redo" test_concurrent_inserts_far_apart_merge;
           quick "snapshot isolation" test_snapshot_isolation;
         ] );
-      ( "properties", [ QCheck_alcotest.to_alcotest prop_matches_map ] );
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_map;
+          QCheck_alcotest.to_alcotest prop_of_capability_total;
+        ] );
     ]

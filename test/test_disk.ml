@@ -1,7 +1,7 @@
 open Afs_disk
 
 let quick = Helpers.quick
-let bytes = Helpers.bytes
+let check_image = Alcotest.(check string)
 
 let fresh ?(media = Media.magnetic) ?(blocks = 64) ?(block_size = 1024) () =
   Disk.create ~media ~blocks ~block_size ()
@@ -39,9 +39,9 @@ let test_media_cost_grows_with_bytes () =
 
 let test_write_read_roundtrip () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 3 (bytes "hello")));
+  ignore (ok_outcome (Disk.write d 3 "hello"));
   let data = ok_outcome (Disk.read d 3) in
-  Helpers.check_bytes "roundtrip" "hello" data
+  check_image "roundtrip" "hello" data
 
 let test_read_never_written () =
   let d = fresh () in
@@ -52,63 +52,69 @@ let test_out_of_range () =
   let d = fresh ~blocks:8 () in
   expect_err "read oob" (function Disk.Out_of_range _ -> true | _ -> false) (Disk.read d 8);
   expect_err "write oob" (function Disk.Out_of_range _ -> true | _ -> false)
-    (Disk.write d (-1) (bytes "x"))
+    (Disk.write d (-1) "x")
 
 let test_write_too_large () =
   let d = fresh ~block_size:16 () in
   expect_err "too large" (function Disk.Too_large _ -> true | _ -> false)
-    (Disk.write d 0 (Bytes.make 17 'x'))
+    (Disk.write d 0 (String.make 17 'x'))
 
 let test_overwrite_magnetic () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 0 (bytes "one")));
-  ignore (ok_outcome (Disk.write d 0 (bytes "two")));
-  Helpers.check_bytes "overwritten" "two" (ok_outcome (Disk.read d 0))
+  ignore (ok_outcome (Disk.write d 0 "one"));
+  ignore (ok_outcome (Disk.write d 0 "two"));
+  check_image "overwritten" "two" (ok_outcome (Disk.read d 0))
 
 let test_write_once_enforced () =
   let d = fresh ~media:Media.optical () in
-  ignore (ok_outcome (Disk.write d 0 (bytes "etched")));
+  ignore (ok_outcome (Disk.write d 0 "etched"));
   expect_err "overwrite refused" (function Disk.Write_once_violation 0 -> true | _ -> false)
-    (Disk.write d 0 (bytes "nope"));
+    (Disk.write d 0 "nope");
   expect_err "erase refused" (function Disk.Write_once_violation 0 -> true | _ -> false)
     (Disk.erase d 0);
-  Helpers.check_bytes "original intact" "etched" (ok_outcome (Disk.read d 0))
+  check_image "original intact" "etched" (ok_outcome (Disk.read d 0))
 
 let test_erase () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 2 (bytes "x")));
+  ignore (ok_outcome (Disk.write d 2 "x"));
   Alcotest.(check bool) "written" true (Disk.is_written d 2);
   ignore (ok_outcome (Disk.erase d 2));
   Alcotest.(check bool) "erased" false (Disk.is_written d 2)
 
+(* Images are immutable strings, so a writer cannot change what it wrote
+   and a reader cannot change what it read: the type checks that half.
+   What remains is that a read returns the written image itself and that
+   [corrupt] damages only its own block, not the image it replaces. *)
 let test_stored_image_isolated () =
   let d = fresh () in
-  let buf = bytes "mutate-me" in
-  ignore (ok_outcome (Disk.write d 0 buf));
-  Bytes.set buf 0 'X';
-  Helpers.check_bytes "store unaffected" "mutate-me" (ok_outcome (Disk.read d 0));
-  let out = ok_outcome (Disk.read d 0) in
-  Bytes.set out 0 'Y';
-  Helpers.check_bytes "reader copy isolated" "mutate-me" (ok_outcome (Disk.read d 0))
+  (* A fresh string, not the literal the checks compare against. *)
+  let image = Bytes.to_string (Bytes.of_string "mutate-me") in
+  ignore (ok_outcome (Disk.write d 0 image));
+  ignore (ok_outcome (Disk.write d 1 image));
+  Alcotest.(check bool) "read returns the written image" true (ok_outcome (Disk.read d 0) == image);
+  Alcotest.(check bool) "corrupted" true (Disk.corrupt d 0 ~xor_byte:'\x01');
+  check_image "writer's image intact" "mutate-me" image;
+  check_image "other block intact" "mutate-me" (ok_outcome (Disk.read d 1));
+  Alcotest.(check bool) "damaged block differs" false (ok_outcome (Disk.read d 0) = image)
 
 (* {2 Fault injection} *)
 
 let test_offline () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 1 (bytes "x")));
+  ignore (ok_outcome (Disk.write d 1 "x"));
   Disk.set_offline d true;
   expect_err "read offline" (function Disk.Offline -> true | _ -> false) (Disk.read d 1);
   expect_err "write offline" (function Disk.Offline -> true | _ -> false)
-    (Disk.write d 1 (bytes "y"));
+    (Disk.write d 1 "y");
   Disk.set_offline d false;
-  Helpers.check_bytes "back online, data intact" "x" (ok_outcome (Disk.read d 1))
+  check_image "back online, data intact" "x" (ok_outcome (Disk.read d 1))
 
 let test_corrupt () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 4 (bytes "abcdef")));
+  ignore (ok_outcome (Disk.write d 4 "abcdef"));
   Alcotest.(check bool) "corrupted" true (Disk.corrupt d 4 ~xor_byte:'\x01');
   let data = ok_outcome (Disk.read d 4) in
-  Alcotest.(check bool) "silently differs" false (Bytes.equal data (bytes "abcdef"))
+  Alcotest.(check bool) "silently differs" false (data = "abcdef")
 
 let test_corrupt_unwritten () =
   let d = fresh () in
@@ -116,8 +122,8 @@ let test_corrupt_unwritten () =
 
 let test_wipe () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 0 (bytes "a")));
-  ignore (ok_outcome (Disk.write d 1 (bytes "b")));
+  ignore (ok_outcome (Disk.write d 0 "a"));
+  ignore (ok_outcome (Disk.write d 1 "b"));
   Disk.wipe d;
   Alcotest.(check bool) "gone" false (Disk.is_written d 0);
   Alcotest.(check int) "in_use reset" 0 (Disk.stats d).Disk.blocks_in_use
@@ -126,7 +132,7 @@ let test_wipe () =
 
 let test_stats_accumulate () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 0 (bytes "0123456789")));
+  ignore (ok_outcome (Disk.write d 0 "0123456789"));
   ignore (ok_outcome (Disk.read d 0));
   ignore (ok_outcome (Disk.read d 0));
   let s = Disk.stats d in
@@ -141,7 +147,7 @@ let test_stats_accumulate () =
 
 let test_cost_reported_per_op () =
   let d = fresh () in
-  let w = Disk.write d 0 (bytes "x") in
+  let w = Disk.write d 0 "x" in
   Alcotest.(check bool) "write cost positive" true (w.Disk.cost_ms > 0.0);
   let r = Disk.read d 0 in
   Alcotest.(check bool) "read cost positive" true (r.Disk.cost_ms > 0.0)

@@ -110,20 +110,27 @@ let test_corrupt_seq_not_trusted () =
 
 let disk_image t i b =
   match (Disk.read (S.disk t i) b).Disk.result with
-  | Ok image -> Bytes.to_string image
+  | Ok image -> image
   | Error e -> Alcotest.failf "disk %d block %d: %a" i b Disk.pp_error e
 
-(* Both legs of a stable write store one sealed image. [Disk.write] must
-   keep its own copy: corrupting one disk leaves the other intact, and a
-   read through the damaged side repairs it byte for byte. *)
+(* A copy to compare against: a shared image that were damaged in place
+   would also change every alias of it. *)
+let snapshot image = Bytes.to_string (Bytes.of_string image)
+
+(* Both legs of a stable write store one sealed image, the same string on
+   both disks. [Disk.corrupt] replaces the damaged block instead of
+   mutating that string: the other disk stays intact, and a read through
+   the damaged side repairs it with the companion's image itself. *)
 let check_shared_image_repairs t b ~damaged ~expect:payload =
-  let good = disk_image t (1 - damaged) b in
-  Alcotest.(check string) "both disks hold the same image" good (disk_image t damaged b);
+  let image = disk_image t (1 - damaged) b in
+  let good = snapshot image in
+  Alcotest.(check bool) "both disks hold one image" true (disk_image t damaged b == image);
   Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t damaged) b ~xor_byte:'\x5A');
   Alcotest.(check string) "other disk untouched" good (disk_image t (1 - damaged) b);
   Alcotest.(check bool) "damaged disk differs" false (good = disk_image t damaged b);
   Helpers.check_bytes "read repairs" payload (ok (S.read t damaged b));
-  Alcotest.(check string) "repaired to the same image" good (disk_image t damaged b)
+  Alcotest.(check bool) "repaired with the companion's image" true
+    (disk_image t damaged b == disk_image t (1 - damaged) b)
 
 let test_write_legs_share_image () =
   let t = fresh () in
@@ -142,6 +149,22 @@ let test_write_batch_legs_share_image () =
   List.iteri
     (fun i b -> check_shared_image_repairs t b ~damaged:(i mod 2) ~expect:(payload i))
     blocks;
+  check_invariant t
+
+(* Corruption on one disk touches neither the companion's copy nor the
+   payload the writer handed in; the read repairs from the companion. *)
+let test_corrupt_leaves_companion_intact () =
+  let t = fresh () in
+  let payload = bytes "shared" in
+  let b = ok (S.allocate_write t 0 payload) in
+  let image = disk_image t 1 b in
+  let good = snapshot image in
+  Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 0) b ~xor_byte:'\xFF');
+  Alcotest.(check bool) "companion keeps its image" true (disk_image t 1 b == image);
+  Alcotest.(check string) "companion's image unchanged" good image;
+  Helpers.check_bytes "writer's payload unchanged" "shared" payload;
+  Helpers.check_bytes "read repairs from the companion" "shared" (ok (S.read t 0 b));
+  Alcotest.(check bool) "repaired with the companion's image" true (disk_image t 0 b == image);
   check_invariant t
 
 (* {2 Allocate collisions} *)
@@ -315,6 +338,7 @@ let () =
           quick "corrupt seq not trusted" test_corrupt_seq_not_trusted;
           quick "write legs share one image" test_write_legs_share_image;
           quick "write_batch legs share one image" test_write_batch_legs_share_image;
+          quick "corrupt leaves companion intact" test_corrupt_leaves_companion_intact;
         ] );
       ( "collisions",
         [
