@@ -73,8 +73,7 @@ let r1 () =
     match Hashtbl.find_opt spans span with
     | None -> None
     | Some (parent, kind, label) ->
-        if kind = "commit" || kind = "commit_batch" then Some label
-        else commit_label parent
+        if kind = "commit" then Some label else commit_label parent
   in
 
   (* The zero-loss oracle: every test-and-set the killed shard won before

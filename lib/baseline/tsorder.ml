@@ -138,11 +138,4 @@ let value t ~obj =
   let h = history_of t obj in
   match h.versions with v :: _ -> Bytes.copy v.data | [] -> Bytes.empty
 
-let versions_retained t ~obj = List.length (history_of t obj).versions
-
-let truncate_history t ~keep =
-  Hashtbl.iter
-    (fun _ h -> h.versions <- List.filteri (fun i _ -> i < keep) h.versions)
-    t.objects
-
 let stats t = Stats.Counter.to_list t.counters

@@ -39,9 +39,4 @@ val abort : t -> txn -> unit
 val value : t -> obj:int -> bytes
 (** Latest committed state. *)
 
-val versions_retained : t -> obj:int -> int
-
-val truncate_history : t -> keep:int -> unit
-(** Drop all but the newest [keep] versions of every object. *)
-
 val stats : t -> (string * int) list

@@ -95,15 +95,6 @@ let allocate t account =
         t.next_hint <- (b + 1) mod Disk.block_count t.disk;
         ok b
 
-let allocate_at t account b =
-  if b < 0 || b >= Disk.block_count t.disk then fail (Not_allocated b)
-  else if not (is_free t b) then fail (Not_allocated b)
-  else begin
-    Hashtbl.replace t.owners b account;
-    t.free_count <- t.free_count - 1;
-    ok ()
-  end
-
 let check_owner t account b =
   match Hashtbl.find_opt t.owners b with
   | None -> Error (Not_allocated b)
@@ -180,12 +171,6 @@ let unlock t account b =
       Hashtbl.remove t.locks b;
       ok ()
 
-let locked_by t b = Hashtbl.find_opt t.locks b
-
 let owned_blocks t account =
   Hashtbl.fold (fun b owner acc -> if owner = account then b :: acc else acc) t.owners []
   |> List.sort Int.compare
-
-let owner_of t b = Hashtbl.find_opt t.owners b
-
-let clear_locks t = Hashtbl.reset t.locks

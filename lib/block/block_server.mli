@@ -44,12 +44,6 @@ val allocated_blocks : t -> int
 val allocate : t -> account -> int outcome
 (** Reserve a block for the account; no disk traffic until first write. *)
 
-val allocate_at : t -> account -> int -> unit outcome
-(** Reserve a specific block (used by the stable-storage companion
-    protocol, which must mirror its peer's address choice). Fails with
-    [Not_allocated] if the block is already taken — the caller treats that
-    as an allocate collision. *)
-
 val deallocate : t -> account -> int -> unit outcome
 (** Free the block and erase its contents (no-op erase on write-once
     media: the space is simply unlinked). *)
@@ -66,13 +60,5 @@ val lock : t -> account -> int -> unit outcome
 
 val unlock : t -> account -> int -> unit outcome
 
-val locked_by : t -> int -> account option
-
 val owned_blocks : t -> account -> int list
 (** The §4 recovery operation: all blocks owned by the account, sorted. *)
-
-val owner_of : t -> int -> account option
-
-val clear_locks : t -> unit
-(** Drop every lock; used when simulating a block-server restart (locks
-    are volatile state, ownership is not). *)

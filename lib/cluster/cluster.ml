@@ -105,9 +105,6 @@ let shard_of_cap t cap =
 
 let place t = t.shards.(Router.place t.router)
 
-let create_file_direct t ?(data = Bytes.empty) () =
-  Server.create_file (Shard.server (place t)) ~data ()
-
 let note_load t ~shard file =
   Stats.Counter.incr t.counters (Printf.sprintf "shard%d.commits" (Shard.id shard));
   let key = (Capability.port_to_int file.Capability.port, file.Capability.obj) in

@@ -58,11 +58,6 @@ val shard_of_cap :
 val place : t -> Shard.t
 (** Round-robin placement for a new file. *)
 
-val create_file_direct : t -> ?data:bytes -> unit -> Afs_util.Capability.t Afs_core.Errors.r
-(** Direct (non-RPC) file creation on the next placement shard — for
-    workload setup outside the simulation, mirroring how bare-server
-    harnesses call {!Afs_core.Server.create_file} directly. *)
-
 (** {2 Load accounting}
 
     Committed-update counts, kept cluster-side because commits from every

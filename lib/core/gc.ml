@@ -149,16 +149,6 @@ let live_blocks server =
 
 (* {2 Collect} *)
 
-let empty_stats = { versions_pruned = 0; pages_reshared = 0; blocks_freed = 0; blocks_live = 0 }
-
-let add_stats a b =
-  {
-    versions_pruned = a.versions_pruned + b.versions_pruned;
-    pages_reshared = a.pages_reshared + b.pages_reshared;
-    blocks_freed = a.blocks_freed + b.blocks_freed;
-    blocks_live = b.blocks_live;
-  }
-
 let take_last n l =
   let len = List.length l in
   if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
@@ -244,20 +234,3 @@ let collect ?(policy = default_policy) server =
     all;
   phase "sweep" !freed;
   Ok { versions_pruned; pages_reshared = reshared; blocks_freed = !freed; blocks_live = m.live })
-
-let background ?policy engine server ~period_ms ~until_ms =
-  let totals = ref empty_stats in
-  let body () =
-    let rec cycle () =
-      Afs_sim.Proc.delay period_ms;
-      if Afs_sim.Engine.now engine <= until_ms then begin
-        (match collect ?policy server with
-        | Ok stats -> totals := add_stats !totals stats
-        | Error _ -> () (* Storage trouble: skip this cycle; retry later. *));
-        cycle ()
-      end
-    in
-    cycle ()
-  in
-  ignore (Afs_sim.Proc.spawn ~name:"gc" engine body);
-  fun () -> !totals

@@ -14,9 +14,9 @@
     Resharing only rewrites references — it never frees blocks itself, so
     a later version that still shares a to-be-reshared copy keeps it alive
     through the mark phase. The collector is safe to run at any quiescent
-    point; the simulation harness schedules it as its own process,
-    interleaved with client traffic ("independent of, and in parallel
-    with, the operation of the system").
+    point, so a simulation can run it as its own process between client
+    commits ("independent of, and in parallel with, the operation of the
+    system").
 
     Running beside the system means not getting in its way. A collection
     walks each file's chain once, and the mark reads only child block
@@ -66,16 +66,3 @@ val collect : ?policy:policy -> Server.t -> stats Errors.r
 val live_blocks : Server.t -> int list Errors.r
 (** The mark phase alone, ascending (exposed for the safety tests: GC must
     never free a block in this set). *)
-
-val background :
-  ?policy:policy ->
-  Afs_sim.Engine.t ->
-  Server.t ->
-  period_ms:float ->
-  until_ms:float ->
-  (unit -> stats)
-(** Spawn a simulated collector process that runs {!collect} every
-    [period_ms] of virtual time until the clock passes [until_ms] — the
-    abstract's collector "running in parallel with the operation of the
-    system", interleaved with client processes at commit granularity.
-    The returned thunk reports the accumulated totals. *)

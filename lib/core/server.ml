@@ -65,7 +65,7 @@ type t = {
      written, so the commit aborts cleanly. A fenced (deposed) primary's
      gate always errors; the default always succeeds. *)
   publish_tap : (int * Page.t) list -> (unit, Errors.t) result;
-  mutable trace : Trace.t;
+  trace : Trace.t;
 }
 
 let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name = "")
@@ -90,7 +90,6 @@ let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name
 
 let name t = t.name
 let trace t = t.trace
-let set_trace t tr = t.trace <- tr
 
 let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
 
@@ -953,56 +952,66 @@ let admit t ctx v =
       in
       attempt base0
 
-let in_commit_span t f = Trace.span t.trace ~kind:"commit" ~label:t.name f
+(* End a publishing run: one publish for every admitted winner. If it
+   fails, the prefix of winners whose references reached the store is
+   durably committed on disk, but this server can no longer vouch for any
+   member — every would-be winner gets the store error; recovery reads
+   the truth back. A run of two or more reports itself in one
+   [Commit_batch] point. *)
+let finish t ctx results =
+  let winners = List.length ctx.winners in
+  let published = publish t ctx in
+  (match results with
+  | _ :: _ :: _ ->
+      let aborts =
+        List.fold_left (fun n -> function Error Conflict -> n + 1 | _ -> n) 0 results
+      in
+      let winners = if Result.is_ok published then winners else 0 in
+      tpoint t (Trace.Commit_batch { size = List.length results; winners; aborts })
+  | [] | [ _ ] -> ());
+  match published with
+  | Ok () -> results
+  | Error e -> List.map (function Ok () -> Error e | r -> r) results
 
-(* A run of one: the [commit] span encloses the publish. A doomed or
-   failed member leaves nothing to publish, so [publish] then only frees
-   the locks. *)
+(* Admit each resolved member in submission order. Members are resolved
+   before the run, so one an earlier member aborted (the same capability
+   twice) is refused here, as it would be one commit later. *)
+let rec admit_all t ctx = function
+  | [] -> []
+  | member :: rest ->
+      let result =
+        match member with
+        | Ok v when v.status = Uncommitted -> admit t ctx v
+        | Ok _ -> Error Version_not_mutable
+        | Error _ as e -> e
+      in
+      result :: admit_all t ctx rest
+
+(* One pipeline run, inside one [commit] span: every resolved member is
+   admitted in submission order, then [~publish:true] ends the run with
+   its publish. [~publish:false] stops before it, leaving the winners and
+   their locks in [ctx] for {!prepare}'s answer. *)
+let run t ctx ~publish members =
+  Trace.span t.trace ~kind:"commit" ~label:t.name (fun () ->
+      let results = admit_all t ctx members in
+      if publish then finish t ctx results else results)
+
+(* A run of one answers with its only member's result. *)
+let only = function (Error _ as e) :: _ -> e | _ -> Ok ()
+
 let commit t cap =
-  let* v = mutable_version t cap ~need:Capability.right_commit in
-  let ctx = fresh_ctx () in
-  in_commit_span t (fun () ->
-      let admitted = admit t ctx v in
-      let published = publish t ctx in
-      match admitted with Ok () -> published | Error _ -> admitted)
+  match mutable_version t cap ~need:Capability.right_commit with
+  | Error _ as e -> e
+  | Ok _ as member -> only (run t (fresh_ctx ()) ~publish:true [ member ])
 
 let commit_batch t caps =
   match caps with
   | [] -> []
-  | [ cap ] ->
-      bump t "commits.batches";
-      bump t "commits.batch_members";
-      [ commit t cap ]
   | caps ->
-      let size = List.length caps in
       bump t "commits.batches";
-      bump t ~by:size "commits.batch_members";
-      let ctx = fresh_ctx () in
-      Trace.span t.trace ~kind:"commit_batch" ~label:t.name (fun () ->
-          let results =
-            List.map
-              (fun cap ->
-                match mutable_version t cap ~need:Capability.right_commit with
-                | Error e -> Error e
-                | Ok v -> in_commit_span t (fun () -> admit t ctx v))
-              caps
-          in
-          let winners = List.length ctx.winners in
-          let aborts =
-            List.fold_left (fun n -> function Error Conflict -> n + 1 | _ -> n) 0 results
-          in
-          match publish t ctx with
-          | Ok () ->
-              tpoint t (Trace.Commit_batch { size; winners; aborts });
-              results
-          | Error e ->
-              (* The amortised publish leg failed mid-batch. The prefix of
-                 winners whose references reached the store is durably
-                 committed on disk, but this server can no longer vouch
-                 for any member — surface the store failure to every
-                 would-be winner; recovery reads the truth back. *)
-              tpoint t (Trace.Commit_batch { size; winners = 0; aborts });
-              List.map (function Ok () -> Error e | r -> r) results)
+      bump t ~by:(List.length caps) "commits.batch_members";
+      run t (fresh_ctx ()) ~publish:true
+        (List.map (fun cap -> mutable_version t cap ~need:Capability.right_commit) caps)
 
 (* {2 Two-phase commit baseline (prepare)}
 
@@ -1020,7 +1029,7 @@ let commit_batch t caps =
 let prepare t cap =
   let* v = mutable_version t cap ~need:Capability.right_commit in
   let ctx = fresh_ctx () in
-  match in_commit_span t (fun () -> admit t ctx v) with
+  match only (run t ctx ~publish:false [ Ok v ]) with
   | Error e ->
       (* Doomed members are already abandoned; only the locks and overlay
          remain to clean up. *)

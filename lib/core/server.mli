@@ -38,11 +38,12 @@ val create :
     should share [ports]. [cache_capacity] bounds the write-back page
     cache (default 4096 pages); the cache's hit, miss,
     eviction and write-back counters land in this server's {!counters}.
-    With a [trace], every commit runs inside a [commit] span that records
-    each test-and-set of a base's commit reference, the pretest /
-    serialise / merge phases and the final outcome; [name] (e.g. the
-    owning cluster shard's id) becomes the span's label, so per-shard
-    commit traffic is separable in a cluster trace.
+    With a [trace], every pipeline run — a commit, a batch or a prepare —
+    runs inside one [commit] span that records each test-and-set of a
+    base's commit reference, the pretest / serialise / merge phases and
+    the final outcomes; [name] (e.g. the owning cluster shard's id)
+    becomes the span's label, so per-shard commit traffic is separable in
+    a cluster trace.
 
     [publish_tap] is the replication gate: it receives the (block, page)
     pairs a publish is about to write through — the winners' pages, then
@@ -56,7 +57,6 @@ val create :
 val name : t -> string
 
 val trace : t -> Afs_trace.Trace.t
-val set_trace : t -> Afs_trace.Trace.t -> unit
 
 val pagestore : t -> Pagestore.t
 val ports : t -> Ports.t
@@ -158,14 +158,14 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     trees, to build the merge.
 
     Internally a commit is a validate → merge → publish pipeline run of
-    one member: the test-and-set of the base's commit reference under the
+    one member, the same run {!commit_batch} and {!prepare} use: the test-and-set of the base's commit reference under the
     store lock (the only fencing point) claims the reference for the run
     and keeps the lock; the pre-test plus serialisability walk handles an
     interception; publish writes the pages and the claimed reference
     durably, and only then does the commit count ([commits.ok],
     [commits.fastpath] / [commits.merged], the success [Commit_outcome]
     point). If the publish fails, the pages that did not land stay dirty,
-    so retrying the commit writes them again. The [commit]
+    so retrying the commit writes them again. The run's one [commit]
     span encloses the publish. A base lock held by anyone else (another
     server sharing the store, a {!prepare}d run awaiting its answer)
     fails the commit at once with [Store_failure "commit lock
@@ -184,16 +184,18 @@ val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
     Outcomes, counters of record
     ([commits.ok] / [commits.conflict]) and the final store image are
     identical to committing the members one by one; one result per
-    capability, in order. A one-element list is exactly {!commit}. If the
+    capability, in order. A one-element list is exactly {!commit}, trace
+    included, apart from the batch counters. If the
     publish leg fails, the durable prefix of winners is committed on disk
     but every would-be winner gets the store error and none counts as a
-    commit — recovery reads the truth back. Emits one [Trace.Commit_batch]
-    point per batch of two or more. *)
+    commit — recovery reads the truth back. Counts [commits.batches] and
+    [commits.batch_members]. The whole run is one [commit] span; a batch
+    of two or more also emits one [Trace.Commit_batch] point in it. *)
 
 val prepare : t -> Afs_util.Capability.t -> (commit:bool -> unit Errors.r) Errors.r
 (** Two-phase-commit baseline, phase one: a pipeline run of one, stopped
-    before its publish — the winning test-and-set is recorded in the
-    run's overlay, nothing reaches stable storage, and the base's store
+    before its publish, so its [commit] span ends before the answer — the
+    winning test-and-set is recorded in the run's overlay, nothing reaches stable storage, and the base's store
     lock is {e retained}. Until the returned answer is called (at most
     once) any other commit of the file fails at once with
     [Store_failure "commit lock contention"]: the lock-holding window the

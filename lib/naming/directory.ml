@@ -6,17 +6,7 @@ module Errors = Afs_core.Errors
 
 open Errors
 
-type t = {
-  client : Client.t;
-  dir : Capability.t;
-  buckets : int;
-  (* Deferred updates, newest first: [Some cap] binds, [None] removes.
-     They cost no I/O when queued and ride the next update transaction
-     that touches the directory — the naming-layer analogue of group
-     commit: directory metadata joins an existing commit instead of
-     forcing its own. *)
-  mutable pending : (string * Capability.t option) list;
-}
+type t = { client : Client.t; dir : Capability.t; buckets : int }
 
 (* {2 Entry encoding} *)
 
@@ -88,91 +78,43 @@ let create client ?(buckets = 16) () =
         in
         add 0)
   in
-  Ok { client; dir; buckets; pending = [] }
+  Ok { client; dir; buckets }
 
 let of_capability client dir =
   let* meta = Client.read_current client dir Pagepath.root in
   let* buckets = decode_meta meta in
-  Ok { client; dir; buckets; pending = [] }
+  Ok { client; dir; buckets }
 
 let capability t = t.dir
 let buckets t = t.buckets
 
-let apply_op entries (name, op) =
-  match op with
-  | Some cap -> (name, cap) :: List.remove_assoc name entries
-  | None -> List.remove_assoc name entries
+let bucket_entries txn path =
+  let* data = Client.Txn.read txn path in
+  decode_entries data
 
-(* Apply [ops] (oldest first) inside one update transaction: each touched
-   bucket is read, edited through the whole op list and written exactly
-   once, however many deferred updates ride along. *)
-let apply_ops t txn ops =
-  let rec per_bucket = function
-    | [] -> Ok ()
-    | bi :: rest ->
-        let path = Pagepath.of_list [ bi ] in
-        let* data = Client.Txn.read txn path in
-        let* entries = decode_entries data in
-        let entries' =
-          List.fold_left
-            (fun es (name, op) -> if bucket_of t name = bi then apply_op es (name, op) else es)
-            entries ops
-        in
-        let* () = Client.Txn.write txn path (encode_entries entries') in
-        per_bucket rest
-  in
-  per_bucket (List.sort_uniq compare (List.map (fun (name, _) -> bucket_of t name) ops))
-
-(* One commit carries the queued ops plus [extra]; the queue empties only
-   on success ([Client.update] retries conflicts internally, so a failure here
-   is final for this attempt and the queue survives for the next one). *)
-let run_with_pending t extra =
-  let ops = List.rev_append t.pending extra in
-  let* () = Client.update t.client t.dir (fun txn -> apply_ops t txn ops) in
-  t.pending <- [];
-  Ok ()
-
-let enter t name cap = run_with_pending t [ (name, Some cap) ]
-
-let enter_deferred t name cap = t.pending <- (name, Some cap) :: t.pending
-
-let remove_deferred t name = t.pending <- (name, None) :: t.pending
-
-let pending_count t = List.length t.pending
-
-let flush t = if t.pending = [] then Ok () else run_with_pending t []
+let enter t name cap =
+  Client.update t.client t.dir (fun txn ->
+      let path = bucket_path t name in
+      let* entries = bucket_entries txn path in
+      Client.Txn.write txn path (encode_entries ((name, cap) :: List.remove_assoc name entries)))
 
 let lookup t name =
-  (* The deferred queue is this client's authoritative overlay: the
-     newest queued op for a name wins over the stored bucket. *)
-  match List.assoc_opt name t.pending with
-  | Some op -> Ok op
-  | None ->
-      let* data = Client.read_cached t.client t.dir (bucket_path t name) in
-      let* entries = decode_entries data in
-      Ok (List.assoc_opt name entries)
+  let* data = Client.read_cached t.client t.dir (bucket_path t name) in
+  let* entries = decode_entries data in
+  Ok (List.assoc_opt name entries)
 
 let remove t name =
-  let ops = List.rev t.pending in
-  let* existed =
-    Client.update t.client t.dir (fun txn ->
-        let* () = apply_ops t txn ops in
-        let path = bucket_path t name in
-        let* data = Client.Txn.read txn path in
-        let* entries = decode_entries data in
-        if List.mem_assoc name entries then
-          let* () = Client.Txn.write txn path (encode_entries (List.remove_assoc name entries)) in
-          Ok true
-        else Ok false)
-  in
-  t.pending <- [];
-  Ok existed
+  Client.update t.client t.dir (fun txn ->
+      let path = bucket_path t name in
+      let* entries = bucket_entries txn path in
+      if List.mem_assoc name entries then
+        let* () = Client.Txn.write txn path (encode_entries (List.remove_assoc name entries)) in
+        Ok true
+      else Ok false)
 
 let list_names t =
   let rec go i acc =
-    if i >= t.buckets then
-      let visible = List.fold_left apply_op acc (List.rev t.pending) in
-      Ok (List.sort String.compare (List.map fst visible))
+    if i >= t.buckets then Ok (List.sort String.compare (List.map fst acc))
     else
       let* data = Client.read_cached t.client t.dir (Pagepath.of_list [ i ]) in
       let* entries = decode_entries data in

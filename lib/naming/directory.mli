@@ -23,39 +23,14 @@ val capability : t -> Afs_util.Capability.t
 val buckets : t -> int
 
 val enter : t -> string -> Afs_util.Capability.t -> unit Afs_core.Errors.r
-(** Bind (or rebind) a name. Any deferred updates ride the same commit. *)
+(** Bind (or rebind) a name: one update of its bucket page. *)
 
 val lookup : t -> string -> Afs_util.Capability.t option Afs_core.Errors.r
 (** Served through the client cache: repeated lookups of a quiet
-    directory cost one validation round trip and no page transfer.
-    Deferred updates are visible (the newest queued op for a name wins
-    over the stored bucket). *)
+    directory cost one validation round trip and no page transfer. *)
 
 val remove : t -> string -> bool Afs_core.Errors.r
-(** True when the name existed (after the deferred updates, which ride
-    the same commit, are applied). *)
+(** True when the name existed. A missing name writes nothing. *)
 
 val list_names : t -> string list Afs_core.Errors.r
-(** All bound names, sorted, deferred updates included. *)
-
-(** {2 Deferred updates}
-
-    The naming-layer face of group commit: a deferred [enter]/[remove]
-    costs no I/O when queued and is folded into the next update
-    transaction that touches the directory — [enter], [remove] or an
-    explicit {!flush} — so directory metadata joins an existing commit
-    (one read/write per touched bucket) instead of forcing its own.
-    Queued updates are immediately visible to this handle's [lookup] and
-    [list_names]; other clients see them once flushed. The queue empties
-    only when the carrying commit succeeds. *)
-
-val enter_deferred : t -> string -> Afs_util.Capability.t -> unit
-
-val remove_deferred : t -> string -> unit
-
-val pending_count : t -> int
-(** Queued deferred updates not yet flushed. *)
-
-val flush : t -> unit Afs_core.Errors.r
-(** Commit all queued deferred updates now, in one transaction grouped by
-    bucket. No-op when the queue is empty. *)
+(** All bound names, sorted. *)

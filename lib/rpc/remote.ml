@@ -334,20 +334,19 @@ let host ?latency_ms ?proc_ms ?disks ?wrap ?(group_commit = 1) engine ~name serv
      Without a window, redo-carrying commits are served first; with one
      the queue stays FIFO, or each commit would be served as it arrives
      and leave no batch to drain. *)
-  let batching, first =
-    if group_commit = 1 then (None, Some carries_redo)
+  let policy =
+    if group_commit = 1 then Rpc.First carries_redo
     else
-      ( Some
-          {
-            Rpc.window = group_commit;
-            batchable = (fun req -> Option.is_some (commit_member req));
-            handle_batch = group_commit_batch ~reopen server;
-          },
-        None )
+      Rpc.Batching
+        {
+          Rpc.window = group_commit;
+          batchable = (fun req -> Option.is_some (commit_member req));
+          handle_batch = group_commit_batch ~reopen server;
+        }
   in
   {
     rpc =
-      Rpc.serve ?latency_ms ?proc_ms ?disks ?batching ~holding:(awaits server) ?first
+      Rpc.serve ?latency_ms ?proc_ms ?disks ~policy ~holding:(awaits server)
         ~describe:request_kind engine ~name ~handler:(Lazy.force handler);
     server;
     parked;

@@ -115,12 +115,12 @@ val host :
     [Redo] — drain together. Each batch member's other
     steps run first, in queue order; a member whose steps fail answers
     alone, and the rest commit in one {!Afs_core.Server.commit_batch}
-    run, after which each member that lost validation runs its redo.
-    1 installs no batcher at all, preserving the paper's one-at-a-time
-    behaviour exactly.
+    run, after which each member that lost validation runs its redo
+    ({!Rpc.Batching}). 1 installs no batcher at all, preserving the
+    paper's one-at-a-time behaviour exactly.
 
     Without a window ([group_commit] 1) the host serves one kind of
-    request first ({!Rpc.serve}'s [first]): the OCC loop's commit, a
+    request first ({!Rpc.First}): the OCC loop's commit, a
     [Version] batch whose steps end [Commit; Redo _]. If it loses
     validation its answer is the client's next attempt, so serving it
     ahead of new openings keeps the opening queue out of every attempt's

@@ -28,6 +28,10 @@ type ('req, 'resp) batcher = {
   handle_batch : 'req list -> 'resp list;  (** Same length, same order. *)
 }
 
+(* Which requests a server serves out of turn: those [First] picks ahead
+   of the rest, or batchable requests drained as one [Batching] batch. *)
+type ('req, 'resp) policy = First of ('req -> bool) | Batching of ('req, 'resp) batcher
+
 (* Held requests: answered late, without keeping the server busy. *)
 type ('req, 'resp) holding = {
   hold : 'req -> 'resp -> float option;
@@ -46,14 +50,13 @@ type ('req, 'resp) t = {
   engine : Engine.t;
   name : string;
   handler : 'req -> 'resp;
-  batching : ('req, 'resp) batcher option;
+  policy : ('req, 'resp) policy option;
   holding : ('req, 'resp) holding option;
   describe : 'req -> string;
   latency_ms : float;
   proc_ms : float;
   disks : Disk.t list;
-  first : ('req -> bool) option;
-  ahead : ('req, 'resp) pending Queue.t;  (** Requests [first] picked. *)
+  ahead : ('req, 'resp) pending Queue.t;  (** Requests [First] picked. *)
   queue : ('req, 'resp) pending Queue.t;  (** Every other request. *)
   mutable held : ('req, 'resp) held list;  (** Newest first. *)
   mutable up : bool;
@@ -71,30 +74,25 @@ let trace t = Engine.trace t.engine
 
 let disks_busy t = List.fold_left (fun acc d -> acc +. Disk.busy_ms d) 0.0 t.disks
 
-(* Collect up to [window] batchable requests from the whole queue in
-   service order; every other request keeps its position. The commits that
-   queued while the previous batch was in flight are exactly the next
-   batch. *)
+(* Collect up to [window] batchable requests from the queue in service
+   order; every other request keeps its position. The commits that queued
+   while the previous batch was in flight are exactly the next batch. *)
 let drain_batch t (b : _ batcher) first =
   let members = ref [ first ] and n = ref 1 in
-  let drain queue =
-    let keep = Queue.create () in
-    Queue.iter
-      (fun p ->
-        if !n < b.window && b.batchable p.req then begin
-          members := p :: !members;
-          incr n
-        end
-        else Queue.add p keep)
-      queue;
-    Queue.clear queue;
-    Queue.transfer keep queue
-  in
-  drain t.ahead;
-  drain t.queue;
+  let keep = Queue.create () in
+  Queue.iter
+    (fun p ->
+      if !n < b.window && b.batchable p.req then begin
+        members := p :: !members;
+        incr n
+      end
+      else Queue.add p keep)
+    t.queue;
+  Queue.clear t.queue;
+  Queue.transfer keep t.queue;
   List.rev !members
 
-(* The next request to serve: the oldest that [first] picked, if any,
+(* The next request to serve: the oldest that [First] picked, if any,
    else the oldest of the rest. *)
 let take t = match Queue.take_opt t.ahead with None -> Queue.take_opt t.queue | next -> next
 
@@ -147,8 +145,8 @@ let rec pump t =
     match take t with
     | None -> ()
     | Some ({ req; _ } as first) -> (
-        match t.batching with
-        | Some b when b.window > 1 && b.batchable req ->
+        match t.policy with
+        | Some (Batching b) when b.batchable req ->
             let members = drain_batch t b first in
             t.busy <- true;
             let before = disks_busy t in
@@ -184,20 +182,19 @@ and free life =
     pump life.server
   end
 
-let serve ?(latency_ms = 2.0) ?(proc_ms = 0.2) ?(disks = []) ?batching ?holding ?first
+let serve ?(latency_ms = 2.0) ?(proc_ms = 0.2) ?(disks = []) ?policy ?holding
     ?(describe = fun _ -> "request") engine ~name ~handler =
   let rec t =
     {
       engine;
       name;
       handler;
-      batching;
+      policy;
       holding;
       describe;
       latency_ms;
       proc_ms;
       disks;
-      first;
       ahead = Queue.create ();
       queue = Queue.create ();
       held = [];
@@ -228,9 +225,9 @@ let call t req =
     Engine.at t.engine t.latency_ms (fun () ->
         if t.up then begin
           let p = { req; op; reply } in
-          (match t.first with
-          | Some first when first req -> Queue.add p t.ahead
-          | Some _ | None -> Queue.add p t.queue);
+          (match t.policy with
+          | Some (First first) when first req -> Queue.add p t.ahead
+          | Some (First _ | Batching _) | None -> Queue.add p t.queue);
           pump t
         end
         else fail_after timeout_ms Server_crashed);

@@ -12,10 +12,10 @@
     Amoeba server loop provides.
 
     {b Queue order.} A request joins the queue when it arrives, and the
-    server takes the next one each time it frees up. Requests that
-    [serve]'s [first] predicate picks are served before every other queued
-    request; within each class the order is arrival order. Without
-    [first], the queue is plain FIFO. Replies leave in service order. *)
+    server takes the next one each time it frees up. Requests that a
+    [First] policy picks are served before every other queued request;
+    within each class the order is arrival order. Otherwise the queue is
+    plain FIFO. Replies leave in service order. *)
 
 type ('req, 'resp) t
 
@@ -34,10 +34,17 @@ type ('req, 'resp) batcher = {
     drained from the queue (FIFO among themselves, non-batchable requests
     keep their positions) and handed to [handle_batch] as one unit,
     charging [proc_ms], storage growth and the reply latency once for
-    the whole batch; a batch drains the picked class first. With
-    [window = 1] or no batcher, behaviour is exactly the
-    one-request-at-a-time loop: each request is served alone, in the
-    queue order above. *)
+    the whole batch. Other requests are served alone, in queue order. *)
+
+type ('req, 'resp) policy =
+  | First of ('req -> bool)
+      (** Serve the requests the predicate picks, on arrival, ahead of the
+          rest (see the queue order above); it is asked once per request,
+          before its handler runs. *)
+  | Batching of ('req, 'resp) batcher
+(** Which requests a server serves out of turn. A server does one or the
+    other: serving picked requests first leaves no queue to drain as a
+    batch. Without a policy each request is served alone, FIFO. *)
 
 type ('req, 'resp) holding = {
   hold : 'req -> 'resp -> float option;
@@ -64,9 +71,8 @@ val serve :
   ?latency_ms:float ->
   ?proc_ms:float ->
   ?disks:Afs_disk.Disk.t list ->
-  ?batching:('req, 'resp) batcher ->
+  ?policy:('req, 'resp) policy ->
   ?holding:('req, 'resp) holding ->
-  ?first:('req -> bool) ->
   ?describe:('req -> string) ->
   Afs_sim.Engine.t ->
   name:string ->
@@ -75,9 +81,7 @@ val serve :
 (** [latency_ms] is charged each way per message; [proc_ms] per request of
     server CPU; if [disks] are given, the growth of their busy time during
     the handler is charged as well, so storage latency shows up in client
-    round trips. [first] picks, on arrival, the requests served ahead of
-    the rest (see the queue order above); it is asked once per request,
-    before its handler runs. [describe] labels requests in trace events
+    round trips. [describe] labels requests in trace events
     (only called when the engine's trace is enabled). *)
 
 val call : ('req, 'resp) t -> 'req -> ('resp, call_error) result

@@ -1,32 +1,14 @@
 module Summary = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    mutable total : float;
-  }
+  type t = { mutable count : int; mutable mean : float }
 
-  let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
+  let create () = { count = 0; mean = 0.0 }
 
   let add t x =
     t.count <- t.count + 1;
-    t.total <- t.total +. x;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
+    t.mean <- t.mean +. (delta /. float_of_int t.count)
 
-  let count t = t.count
   let mean t = if t.count = 0 then 0.0 else t.mean
-  let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
-  let stddev t = sqrt (variance t)
-  let min t = if t.count = 0 then 0.0 else t.min
-  let max t = if t.count = 0 then 0.0 else t.max
-
 end
 
 module Histogram = struct

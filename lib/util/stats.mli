@@ -2,18 +2,13 @@
     harness: throughput, latency percentiles, abort counters. *)
 
 module Summary : sig
-  (** Streaming mean/variance (Welford) plus min/max. *)
+  (** Streaming mean (Welford's update). *)
 
   type t
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
 end
 
 module Histogram : sig

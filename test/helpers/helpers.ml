@@ -27,9 +27,14 @@ let check_bytes msg expected actual = Alcotest.(check string) msg expected (str 
 let quick name f = Alcotest.test_case name `Quick f
 
 (** Fresh in-memory server. [capacity] bounds its page cache. *)
-let fresh_server ?(seed = 7) ?capacity () =
+let fresh_server ?(seed = 7) ?capacity ?trace () =
   let store = Afs_core.Store.memory () in
-  (store, Afs_core.Server.create ~seed ?cache_capacity:capacity store)
+  (store, Afs_core.Server.create ~seed ?cache_capacity:capacity ?trace store)
+
+(** The events a ring [trace] holds that came after [mark], a reading of
+    {!Afs_trace.Trace.events_emitted}. *)
+let events_since trace mark =
+  List.filter (fun e -> Afs_trace.Trace.event_seq e >= mark) (Afs_trace.Trace.events trace)
 
 (** A file with [n] pages "p0".."p(n-1)" under the root. *)
 let file_with_pages server n =

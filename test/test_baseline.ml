@@ -185,8 +185,7 @@ let test_ts_old_reader_sees_old_version () =
   ok_ts_w (Tsorder.commit t writer);
   (* The old reader's timestamp predates the write: multiversion order
      serves it the old (empty) state instead of aborting. *)
-  Alcotest.(check int) "old state" 0 (Bytes.length (ok_ts (Tsorder.read t old_reader ~obj:1)));
-  Alcotest.(check int) "two versions retained" 2 (Tsorder.versions_retained t ~obj:1)
+  Alcotest.(check int) "old state" 0 (Bytes.length (ok_ts (Tsorder.read t old_reader ~obj:1)))
 
 let test_ts_commit_revalidates () =
   let t = Tsorder.create () in
@@ -200,18 +199,6 @@ let test_ts_commit_revalidates () =
   | Error (`Late_write _) -> ()
   | Ok () -> Alcotest.fail "commit must revalidate");
   Alcotest.(check bool) "writer dead" false (Tsorder.is_active w)
-
-let test_ts_truncate_history () =
-  let t = Tsorder.create () in
-  for i = 1 to 5 do
-    let txn = Tsorder.begin_ t in
-    ok_ts_w (Tsorder.write t txn ~obj:1 (bytes (string_of_int i)));
-    ok_ts_w (Tsorder.commit t txn)
-  done;
-  Alcotest.(check int) "six versions (incl. initial)" 6 (Tsorder.versions_retained t ~obj:1);
-  Tsorder.truncate_history t ~keep:2;
-  Alcotest.(check int) "truncated" 2 (Tsorder.versions_retained t ~obj:1);
-  Helpers.check_bytes "latest survives" "5" (Tsorder.value t ~obj:1)
 
 let test_ts_serial_equivalence_of_committed () =
   (* Random mix; committed transactions must be equivalent to timestamp
@@ -264,7 +251,6 @@ let () =
           quick "read your own writes" test_ts_read_your_own_writes;
           quick "old reader served old version" test_ts_old_reader_sees_old_version;
           quick "commit revalidates" test_ts_commit_revalidates;
-          quick "truncate history" test_ts_truncate_history;
           quick "serial equivalence" test_ts_serial_equivalence_of_committed;
         ] );
     ]

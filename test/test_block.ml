@@ -67,24 +67,18 @@ let test_unallocated_access () =
   expect "read unallocated" (function B.Not_allocated 7 -> true | _ -> false)
     (B.read s alice 7)
 
-let test_allocate_at () =
-  let s = fresh () in
-  ignore (ok (B.allocate_at s alice 9));
-  Alcotest.(check (option int)) "owner" (Some alice) (B.owner_of s 9);
-  expect "collision" (function B.Not_allocated 9 -> true | _ -> false)
-    (B.allocate_at s bob 9)
-
 let test_locking () =
   let s = fresh () in
   let b = ok (B.allocate s alice) in
   ignore (ok (B.lock s alice b));
-  Alcotest.(check (option int)) "holder" (Some alice) (B.locked_by s b);
+  expect "holder" (function B.Locked { holder; _ } -> holder = alice | _ -> false)
+    (B.unlock s bob b);
   (* Re-entrant for the same account. *)
   ignore (ok (B.lock s alice b));
   (* Lock excludes writes by others: the block is alice's anyway, but a
      second file server under the same account must be excluded. *)
   ignore (ok (B.unlock s alice b));
-  Alcotest.(check (option int)) "released" None (B.locked_by s b)
+  expect "released" (function B.Not_locked _ -> true | _ -> false) (B.unlock s alice b)
 
 let test_lock_blocks_other_account_unlock () =
   let s = fresh () in
@@ -99,7 +93,7 @@ let test_deallocate_clears_lock_state () =
   let b = ok (B.allocate s alice) in
   ignore (ok (B.lock s alice b));
   ignore (ok (B.deallocate s alice b));
-  Alcotest.(check (option int)) "lock gone" None (B.locked_by s b)
+  expect "lock gone" (function B.Not_locked _ -> true | _ -> false) (B.unlock s alice b)
 
 let test_recovery_listing () =
   let s = fresh () in
@@ -109,14 +103,6 @@ let test_recovery_listing () =
   Alcotest.(check (list int)) "alice's blocks" (List.sort compare [ a1; a2 ])
     (B.owned_blocks s alice);
   Alcotest.(check int) "total" 3 (B.allocated_blocks s)
-
-let test_clear_locks () =
-  let s = fresh () in
-  let b = ok (B.allocate s alice) in
-  ignore (ok (B.lock s alice b));
-  B.clear_locks s;
-  Alcotest.(check (option int)) "volatile locks gone" None (B.locked_by s b);
-  Alcotest.(check (option int)) "ownership survives" (Some alice) (B.owner_of s b)
 
 let test_randomised_policy_allocates_all () =
   let rng = Afs_util.Xrng.create 77 in
@@ -154,7 +140,6 @@ let () =
           quick "unique allocation" test_allocation_is_unique;
           quick "exhaustion" test_exhaustion;
           quick "deallocate recycles" test_deallocate_recycles;
-          quick "allocate_at" test_allocate_at;
           quick "randomised policy covers disk" test_randomised_policy_allocates_all;
         ] );
       ( "protection",
@@ -167,7 +152,6 @@ let () =
           quick "lock/unlock" test_locking;
           quick "foreign unlock denied" test_lock_blocks_other_account_unlock;
           quick "deallocate clears lock" test_deallocate_clears_lock_state;
-          quick "clear_locks volatile" test_clear_locks;
         ] );
       ( "recovery",
         [

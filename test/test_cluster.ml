@@ -76,6 +76,9 @@ let test_forward_rejects_data () =
 
 (* {2 Routing} *)
 
+(* A file on the next placement shard, created outside the simulation. *)
+let create_file cluster = ok (Server.create_file (Shard.server (Cluster.place cluster)) ())
+
 (* Routing is total over cluster-minted capabilities and deterministic:
    the same capability always routes, twice, to the same shard — and that
    shard's port is the capability's port. *)
@@ -87,7 +90,7 @@ let prop_routing_total =
       let engine = Engine.create () in
       let cluster = Cluster.create engine ~shards:nshards in
       let files =
-        List.init nfiles (fun _ -> ok (Cluster.create_file_direct cluster ()))
+        List.init nfiles (fun _ -> create_file cluster)
       in
       List.for_all
         (fun cap ->
@@ -144,7 +147,7 @@ let test_round_robin_placement () =
   let cluster = Cluster.create engine ~shards:3 in
   let homes =
     List.init 6 (fun _ ->
-        let cap = ok (Cluster.create_file_direct cluster ()) in
+        let cap = create_file cluster in
         match Cluster.shard_of_cap cluster cap with
         | Ok (_, s) -> Shard.id s
         | Error e -> Alcotest.failf "routing failed: %s" (Errors.to_string e))

@@ -4,16 +4,15 @@
    crash inside the amortised publish leg must still leave every member
    atomically committed or not. A plain commit, a one-member batch and a
    two-phase prepare + decide are one pipeline run, and only a published
-   run counts as a commit. Plus commit-lock contention and the naming
-   layer's deferred-update queue. *)
+   run counts as a commit, in one [commit] span. Plus commit-lock
+   contention. *)
 
 open Afs_core
-open Afs_naming
 module P = Afs_util.Pagepath
-module Capability = Afs_util.Capability
 module Stats = Afs_util.Stats
 module Xrng = Afs_util.Xrng
 module Trace = Afs_trace.Trace
+module Query = Afs_trace.Query
 module Remote = Afs_rpc.Remote
 
 let ok = Helpers.ok
@@ -52,9 +51,9 @@ let gen_scenario seed =
 (* Build the scenario on a fresh server: all versions are prepared before
    any commit, so the two runs allocate identically and only the commit
    discipline differs. *)
-let build (nfiles, txns) =
+let build ?trace (nfiles, txns) =
   let store = Store.memory () in
-  let srv = Server.create ~seed:7 store in
+  let srv = Server.create ~seed:7 ?trace store in
   let files = Array.init nfiles (fun _ -> Helpers.file_with_pages srv npages) in
   let caps =
     List.map
@@ -175,6 +174,22 @@ let test_batch_conflicting_member_doomed_alone () =
       Alcotest.(check (triple int int int)) "batch point: size/winners/aborts" (3, 2, 1) b
   | l -> Alcotest.failf "expected one Commit_batch point, got %d" (List.length l)
 
+(* A capability twice in one batch: members are resolved before the run,
+   but the first copy is doomed, so the second answers as a commit of the
+   aborted version would. *)
+let test_batch_repeated_doomed_member () =
+  let srv = Server.create ~seed:7 (Store.memory ()) in
+  let f = Helpers.file_with_pages srv npages in
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (P.of_list [ 0 ])));
+  ok (Server.write_page srv v (P.of_list [ 1 ]) (bytes "v"));
+  let w = ok (Server.create_version srv f) in
+  ok (Server.write_page srv w (P.of_list [ 0 ]) (bytes "w"));
+  ok (Server.commit srv w);
+  match Server.commit_batch srv [ v; v ] with
+  | [ Error Errors.Conflict; Error Errors.Version_not_mutable ] -> ()
+  | _ -> Alcotest.fail "expected [Conflict; Version_not_mutable]"
+
 (* The same three members as [Version] batches through a group-commit
    host, the middle one asking for a redo: it loses inside the run and
    answers with its reopened version, reading the first member's write.
@@ -270,8 +285,8 @@ let failing_store ~allow () =
 
 (* Two files, one updating member each: both win validation, so the batch
    publishes two members' pages and two commit references in one leg. *)
-let crash_scenario store =
-  let srv = Server.create ~seed:7 store in
+let crash_scenario ?trace store =
+  let srv = Server.create ~seed:7 ?trace store in
   let f1 = Helpers.file_with_pages srv 2 in
   let f2 = Helpers.file_with_pages srv 2 in
   let v1 = ok (Server.create_version srv f1) in
@@ -496,25 +511,24 @@ let test_fastpath_writes_pages_and_one_ref () =
 
 (* {2 Only a published commit counts} *)
 
-let success_outcomes trace =
+let success_outcomes events =
   List.filter_map
     (function
       | Trace.Point { payload = Trace.Commit_outcome { outcome; _ }; _ }
         when outcome = "fastpath" || outcome = "merged" ->
           Some outcome
       | _ -> None)
-    (Trace.events trace)
+    events
 
 let success_counts srv = counter srv "commits.fastpath" + counter srv "commits.merged"
 
-(* Count the successes a call reports — outcome points and fastpath /
-   merged counters — from a fresh trace installed just before it. *)
-let reported_successes srv f =
-  let trace = Trace.ring ~now:(fun () -> 0.0) () in
-  Server.set_trace srv trace;
+(* Count the successes a call reports — outcome points in [srv]'s ring
+   [trace] and fastpath / merged counters — from just before it. *)
+let reported_successes srv trace f =
+  let mark = Trace.events_emitted trace in
   let before = success_counts srv in
   let result = f () in
-  (result, success_outcomes trace, success_counts srv - before)
+  (result, success_outcomes (Helpers.events_since trace mark), success_counts srv - before)
 
 let test_only_published_commits_count () =
   (* A batch whose publish leg fails at its first reference: both members
@@ -523,9 +537,10 @@ let test_only_published_commits_count () =
   let srv0, caps0 = crash_scenario counted in
   List.iter (fun r -> ok r) (Server.commit_batch srv0 caps0);
   let _, total_writes = stats () in
-  let srv, caps = crash_scenario (fst (failing_store ~allow:(total_writes - 2) ())) in
+  let trace = Trace.ring ~now:(fun () -> 0.0) () in
+  let srv, caps = crash_scenario ~trace (fst (failing_store ~allow:(total_writes - 2) ())) in
   let results, outcomes, counted =
-    reported_successes srv (fun () -> Server.commit_batch srv caps)
+    reported_successes srv trace (fun () -> Server.commit_batch srv caps)
   in
   (match results with
   | [ Error (Errors.Store_failure _); Error (Errors.Store_failure _) ] -> ()
@@ -535,7 +550,7 @@ let test_only_published_commits_count () =
   (* A single commit whose publish the replication gate vetoes. *)
   let veto = ref false in
   let srv =
-    Server.create ~seed:7
+    Server.create ~seed:7 ~trace
       ~publish_tap:(fun _ -> if !veto then Error Errors.Conflict else Ok ())
       (Store.memory ())
   in
@@ -543,7 +558,7 @@ let test_only_published_commits_count () =
   let v = ok (Server.create_version srv f) in
   ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "x"));
   veto := true;
-  let result, outcomes, counted = reported_successes srv (fun () -> Server.commit srv v) in
+  let result, outcomes, counted = reported_successes srv trace (fun () -> Server.commit srv v) in
   (match result with
   | Error Errors.Conflict -> ()
   | _ -> Alcotest.fail "expected the vetoed commit to fail with Conflict");
@@ -554,7 +569,8 @@ let test_only_published_commits_count () =
 
 (* The three ways to commit one version — plain, as a one-member batch,
    and through the two-phase prepare and its answer — drive the same
-   run. *)
+   run. The first two also emit the same trace; a prepared run's publish
+   waits outside its span for the answer. *)
 let prop_single_paths_agree =
   let single_paths =
     [
@@ -567,18 +583,21 @@ let prop_single_paths_agree =
     ]
   in
   QCheck2.Test.make
-    ~name:"commit ≡ one-member batch ≡ prepare + decide: outcomes, counters, store image"
+    ~name:"commit ≡ one-member batch ≡ prepare + decide: outcomes, counters, store image, trace"
     ~count:40 ~print:(Printf.sprintf "seed=%d") (QCheck2.Gen.int_range 1 100_000)
     (fun seed ->
       let scenario = gen_scenario seed in
       let run commit_one =
-        let store, srv, caps = build scenario in
+        let trace = Trace.ring ~now:(fun () -> 0.0) () in
+        let store, srv, caps = build ~trace scenario in
         let results = List.map (commit_one srv) caps in
-        (results, dump store, counter srv "commits.ok", counter srv "commits.conflict")
+        ( (results, dump store, counter srv "commits.ok", counter srv "commits.conflict"),
+          Trace.events trace )
       in
       match List.map run single_paths with
-      | first :: rest -> List.for_all (( = ) first) rest
-      | [] -> true)
+      | [ (plain, plain_trace); (batch, batch_trace); (prepared, _) ] ->
+          plain = batch && plain = prepared && plain_trace = batch_trace
+      | _ -> false)
 
 (* {2 Commit-lock contention} *)
 
@@ -602,68 +621,34 @@ let test_held_lock_fails_at_once () =
   Helpers.check_bytes "commits once the contender unlocks" "x"
     (ok (Server.read_page srv cur (P.of_list [ 0 ])))
 
-(* {2 Naming layer: deferred directory updates} *)
+(* {2 A batch is one commit span} *)
 
-let dir_setup () =
-  let _, srv = Helpers.fresh_server () in
-  let cl = Client.connect srv in
-  let dir = ok (Directory.create cl ~buckets:4 ()) in
-  (srv, cl, dir)
-
-let some_cap srv n =
-  ok (Server.create_file srv ~data:(bytes (Printf.sprintf "file-%d" n)) ())
-
-let check_cap msg expected = function
-  | Some got -> Alcotest.(check bool) msg true (Capability.equal expected got)
-  | None -> Alcotest.failf "%s: name missing" msg
-
-let reopen cl dir = ok (Directory.of_capability cl (Directory.capability dir))
-
-let test_deferred_enter_queues_without_io () =
-  let srv, cl, dir = dir_setup () in
-  let cap = some_cap srv 1 in
-  Directory.enter_deferred dir "queued" cap;
-  Alcotest.(check int) "queued" 1 (Directory.pending_count dir);
-  check_cap "visible to this handle" cap (ok (Directory.lookup dir "queued"));
-  Alcotest.(check (list string)) "listed by this handle" [ "queued" ]
-    (ok (Directory.list_names dir));
-  Alcotest.(check (option reject)) "invisible to others before flush" None
-    (Option.map ignore (ok (Directory.lookup (reopen cl dir) "queued")));
-  ok (Directory.flush dir);
-  Alcotest.(check int) "drained" 0 (Directory.pending_count dir);
-  check_cap "visible to others after flush" cap
-    (ok (Directory.lookup (reopen cl dir) "queued"))
-
-let test_deferred_rides_next_enter () =
-  let srv, cl, dir = dir_setup () in
-  let cx = some_cap srv 1 and cy = some_cap srv 2 in
-  Directory.enter_deferred dir "x" cx;
-  ok (Directory.enter dir "y" cy);
-  Alcotest.(check int) "queue drained by the carrying commit" 0 (Directory.pending_count dir);
-  let other = reopen cl dir in
-  check_cap "deferred binding flushed" cx (ok (Directory.lookup other "x"));
-  check_cap "carrying binding present" cy (ok (Directory.lookup other "y"))
-
-let test_deferred_remove () =
-  let srv, cl, dir = dir_setup () in
-  ok (Directory.enter dir "z" (some_cap srv 1));
-  Directory.remove_deferred dir "z";
-  Alcotest.(check (option reject)) "removal visible to this handle" None
-    (Option.map ignore (ok (Directory.lookup dir "z")));
-  Alcotest.(check (list string)) "not listed" [] (ok (Directory.list_names dir));
-  ok (Directory.flush dir);
-  Alcotest.(check (option reject)) "removal flushed" None
-    (Option.map ignore (ok (Directory.lookup (reopen cl dir) "z")))
-
-let test_remove_applies_pending_first () =
-  let srv, _, dir = dir_setup () in
-  let cap = some_cap srv 1 in
-  Directory.enter_deferred dir "w" cap;
-  Alcotest.(check bool) "deferred binding counts as existing" true
-    (ok (Directory.remove dir "w"));
-  Alcotest.(check int) "queue drained" 0 (Directory.pending_count dir);
-  Alcotest.(check (option reject)) "net effect: gone" None
-    (Option.map ignore (ok (Directory.lookup dir "w")))
+(* Three members in one run: one [commit] span holds every member's
+   test-and-sets and outcome, and one [Commit_batch] point reports it. *)
+let test_batch_is_one_commit_span () =
+  let trace = Trace.ring ~now:(fun () -> 0.0) () in
+  let srv = Server.create ~seed:7 ~trace (Store.memory ()) in
+  let f = Helpers.file_with_pages srv npages in
+  let caps =
+    List.map
+      (fun i ->
+        let v = ok (Server.create_version srv f) in
+        ok (Server.write_page srv v (P.of_list [ i ]) (bytes "x"));
+        v)
+      [ 0; 1; 2 ]
+  in
+  let mark = Trace.events_emitted trace in
+  List.iter (fun r -> ok r) (Server.commit_batch srv caps);
+  let evs = Helpers.events_since trace mark in
+  match Query.spans evs with
+  | [ { Query.kind = "commit"; id; _ } ] ->
+      let inside = function Trace.Point { span; _ } -> span = id | _ -> true in
+      Alcotest.(check bool) "every point inside it" true (List.for_all inside evs);
+      Alcotest.(check int) "three outcomes" 3 (Query.count evs "commit.outcome");
+      Alcotest.(check int) "one Commit_batch point" 1 (Query.count evs "commit.batch")
+  | spans ->
+      Alcotest.failf "expected one commit span, got [%s]"
+        (String.concat "; " (List.map (fun (s : Query.span) -> s.Query.kind) spans))
 
 let () =
   Alcotest.run "group-commit"
@@ -678,6 +663,7 @@ let () =
           quick "retry after dropped shadows" test_retry_after_dropped_shadows;
           quick "retry after a merge keeps adopted" test_retry_after_merge_keeps_adopted;
           quick "a losing member answers its redo" test_batch_loser_redoes;
+          quick "repeated doomed member" test_batch_repeated_doomed_member;
         ] );
       ( "store writes",
         [
@@ -691,11 +677,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_single_paths_agree;
         ] );
       ("commit lock", [ quick "held lock fails at once" test_held_lock_fails_at_once ]);
-      ( "deferred naming",
-        [
-          quick "deferred enter queues without I/O" test_deferred_enter_queues_without_io;
-          quick "queue rides the next enter" test_deferred_rides_next_enter;
-          quick "deferred remove" test_deferred_remove;
-          quick "remove applies the queue first" test_remove_applies_pending_first;
-        ] );
+      (* The widest group name here sets the column Alcotest truncates
+         every test name to, so this one keeps the 15 characters of the
+         widest name the suite has had. *)
+      ("batched tracing", [ quick "a batch is one commit span" test_batch_is_one_commit_span ]);
     ]

@@ -101,8 +101,8 @@ let test_recovery_via_block_server_account_listing () =
   let f = Helpers.file_with_pages srv 3 in
   commit_write srv f [ 2 ] "on real blocks";
   ok (Pagestore.flush (Server.pagestore srv));
+  (* The crash frees every block lock the server held. *)
   Server.crash srv;
-  Block_server.clear_locks bs;
   (* §4: the block server's recovery operation lists the account's blocks;
      the file server rebuilds from them. *)
   let srv2 = Server.create ~seed:7 store in

@@ -927,7 +927,7 @@ let test_crash_fails_both_classes () =
   in_sim (fun engine ->
       let handled = ref [] in
       let server =
-        Rpc.serve ~latency_ms:1.0 ~proc_ms:10.0 ~first:(fun req -> req < 0) engine ~name:"srv"
+        Rpc.serve ~latency_ms:1.0 ~proc_ms:10.0 ~policy:(Rpc.First (fun req -> req < 0)) engine ~name:"srv"
           ~handler:(fun req ->
             handled := req :: !handled;
             req)

@@ -169,14 +169,14 @@ let test_catapult_rejects_garbage () =
 (* {2 F5 oracle: the uncontended fast path} *)
 
 let test_f5_fastpath_is_one_test_and_set () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 3 in
   let _, tr = clock_ring () in
-  Server.set_trace srv tr;
+  let _, srv = Helpers.fresh_server ~trace:tr () in
+  let f = Helpers.file_with_pages srv 3 in
+  let mark = Trace.events_emitted tr in
   let v = ok (Server.create_version srv f) in
   ok (Server.write_page srv v (path [ 0 ]) (bytes "x"));
   ok (Server.commit srv v);
-  let evs = Trace.events tr in
+  let evs = Helpers.events_since tr mark in
   Alcotest.(check int) "exactly one test-and-set" 1 (Query.count evs "commit.test_and_set");
   (match Query.points_of_kind evs "commit.test_and_set" with
   | [ Trace.Test_and_set { won; _ } ] -> Alcotest.(check bool) "and it won" true won
@@ -189,7 +189,8 @@ let test_f5_fastpath_is_one_test_and_set () =
   Alcotest.(check int) "one commit span" 1 (List.length (Query.spans_of_kind evs "commit"))
 
 let test_retry_chain_visits_increasing_versions () =
-  let _, srv = Helpers.fresh_server () in
+  let _, tr = clock_ring () in
+  let _, srv = Helpers.fresh_server ~trace:tr () in
   let f = Helpers.file_with_pages srv 4 in
   let va = ok (Server.create_version srv f) in
   ok (Server.write_page srv va (path [ 0 ]) (bytes "A"));
@@ -201,10 +202,9 @@ let test_retry_chain_visits_increasing_versions () =
   let vc = ok (Server.create_version srv f) in
   ok (Server.write_page srv vc (path [ 2 ]) (bytes "C"));
   ok (Server.commit srv vc);
-  let _, tr = clock_ring () in
-  Server.set_trace srv tr;
+  let mark = Trace.events_emitted tr in
   ok (Server.commit srv va);
-  let evs = Trace.events tr in
+  let evs = Helpers.events_since tr mark in
   let tas =
     List.filter_map
       (function Trace.Test_and_set { block; won } -> Some (block, won) | _ -> None)
