@@ -52,6 +52,18 @@ let test_flags_nibble =
     (Staged.stage (fun () ->
          Array.iter (fun f -> ignore (Flags.of_nibble (Flags.to_nibble f))) all))
 
+(* The page-access path with nothing to record: a re-read of a cached
+   page the open version has already read copies only its data. *)
+let test_read_page_accessed_cached =
+  let store = Store.memory () in
+  let srv = Server.create store in
+  let f = Exp_util.file_with_pages srv 1 in
+  let v = ok (Server.create_version srv f) in
+  let p = P.of_list [ 0 ] in
+  ignore (ok (Server.read_page srv v p));
+  Test.make ~name:"read-page-accessed-cached"
+    (Staged.stage (fun () -> ignore (ok (Server.read_page srv v p))))
+
 (* F5 support: the uncontended one-page update cycle. *)
 let test_commit_fastpath =
   let store = Store.memory () in
@@ -158,8 +170,9 @@ let test_marker_staged_roundtrip =
 
 let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
-    test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op;
-    test_crc32; test_stable_write; test_stable_read; test_stable_write_batch; test_marker_decode_plain;
+    test_flags_nibble; test_read_page_accessed_cached; test_commit_fastpath;
+    test_serialise_merge; test_validation_null_op; test_crc32; test_stable_write;
+    test_stable_read; test_stable_write_batch; test_marker_decode_plain;
     test_marker_staged_roundtrip ]
 
 (* [smoke] trades precision for speed (CI runs it on shared runners just

@@ -30,14 +30,14 @@ let create ?(trace = Trace.null) () =
 
 let bump t name = Stats.Counter.incr t.counters name
 
-(* Late operations are MVTO's analogue of lock denials: the moment a
+(* A late write is MVTO's analogue of a lock denial: the moment a
    transaction discovers it has lost the timestamp race. *)
-let note_late t ~kind ~obj ~ts ~blocker =
+let note_late t ~obj ~ts ~blocker =
   if Trace.enabled t.trace then
     Trace.point t.trace
       (Trace.Generic
          {
-           kind;
+           kind = "ts.late_write";
            fields = [ ("obj", Trace.Int obj); ("ts", Trace.Int ts); ("blocker", Trace.Int blocker) ];
          })
 
@@ -59,8 +59,9 @@ let history_of t obj =
       h
 
 (* The committed version current at [ts]: the one with the largest write
-   timestamp not exceeding it. *)
-let version_at h ts = List.find_opt (fun v -> v.wts <= ts) h.versions
+   timestamp not exceeding it. There always is one: the initial version
+   (wts 0) is never dropped, and every timestamp is at least 1. *)
+let version_at h ts = List.find (fun v -> v.wts <= ts) h.versions
 
 let read t txn ~obj =
   assert txn.active;
@@ -68,32 +69,26 @@ let read t txn ~obj =
   match List.assoc_opt obj txn.buffered with
   | Some data ->
       bump t "op.read";
-      Ok (Bytes.copy data)
-  | None -> (
-      let h = history_of t obj in
-      match version_at h txn.ts with
-      | None ->
-          note_late t ~kind:"ts.late_read" ~obj ~ts:txn.ts ~blocker:0;
-          Error `Late_read
-      | Some v ->
-          if txn.ts > v.rts then v.rts <- txn.ts;
-          bump t "op.read";
-          Ok (Bytes.copy v.data))
+      Bytes.copy data
+  | None ->
+      let v = version_at (history_of t obj) txn.ts in
+      if txn.ts > v.rts then v.rts <- txn.ts;
+      bump t "op.read";
+      Bytes.copy v.data
 
 (* A write at [ts] is too late when some transaction with a timestamp
    greater than [ts] has already read the version this write would have
    superseded. *)
 let write_allowed h ts =
-  match version_at h ts with
-  | None -> Error (`Late_write 0)
-  | Some v -> if v.rts > ts then Error (`Late_write v.rts) else Ok ()
+  let v = version_at h ts in
+  if v.rts > ts then Error (`Late_write v.rts) else Ok ()
 
 let write t txn ~obj data =
   assert txn.active;
   let h = history_of t obj in
   match write_allowed h txn.ts with
   | Error (`Late_write blocker) ->
-      note_late t ~kind:"ts.late_write" ~obj ~ts:txn.ts ~blocker;
+      note_late t ~obj ~ts:txn.ts ~blocker;
       bump t "op.write_late";
       Error (`Late_write blocker)
   | Ok () ->
@@ -124,7 +119,7 @@ let commit t txn =
   in
   match check writes with
   | Error (`Late_write blocker as e) ->
-      note_late t ~kind:"ts.late_write" ~obj:0 ~ts:txn.ts ~blocker;
+      note_late t ~obj:0 ~ts:txn.ts ~blocker;
       abort t txn;
       bump t "txn.late_at_commit";
       Error e

@@ -18,17 +18,16 @@ type t
 type txn
 
 val create : ?trace:Afs_trace.Trace.t -> unit -> t
-(** With a [trace], late reads and writes emit [ts.late_read]/[ts.late_write]
-    events naming the object, the losing timestamp and the blocker. *)
+(** With a [trace], late writes emit [ts.late_write] events naming the
+    object, the losing timestamp and the blocker. *)
 
 val begin_ : t -> txn
 val timestamp_of : txn -> int
 val is_active : txn -> bool
 
-val read : t -> txn -> obj:int -> (bytes, [ `Late_read ]) result
-(** Never fails in basic MVTO (a read always finds a version — empty bytes
-    before the first write); the error case is reserved for bounded
-    history: reading earlier than the oldest retained version. *)
+val read : t -> txn -> obj:int -> bytes
+(** Never fails in basic MVTO: a read always finds a version (empty bytes
+    before the first write), since no history is ever truncated. *)
 
 val write : t -> txn -> obj:int -> bytes -> (unit, [ `Late_write of int ]) result
 (** [`Late_write rts] reports the read timestamp that killed it. *)

@@ -15,7 +15,12 @@
     [C]; and references cannot be modified without being consulted, so [M]
     implies [S]. That leaves exactly 13 legal combinations, which fit in
     four bits — Amoeba packs a reference into 28 bits of block number plus
-    these four bits. *)
+    these four bits.
+
+    The 13 states are allocated once, when the module initialises:
+    {!clear}, {!make}, {!record}, {!union} and {!of_nibble} answer one of
+    them and allocate nothing, so recording an access on the page-access
+    path costs no allocation, and equal flags are the same value. *)
 
 type t = private { c : bool; r : bool; w : bool; s : bool; m : bool }
 
@@ -30,7 +35,8 @@ type access = Read | Write | Search | Modify
 
 val record : t -> access -> t
 (** [record t a] returns [t] with the flags implied by access [a] added;
-    sets [C] (and [S] for [Modify]) as needed. *)
+    sets [C] (and [S] for [Modify]) as needed. An access that adds no flag
+    answers [t] itself. *)
 
 val is_legal : t -> bool
 
@@ -44,12 +50,13 @@ val of_nibble : int -> t option
 (** Inverse of {!to_nibble}; [None] for values outside [0, 12]. *)
 
 val legal_nibble : int -> bool
-(** [legal_nibble n] iff [of_nibble n <> None], without building the
-    flags. *)
+(** [legal_nibble n] iff [of_nibble n <> None]. *)
 
 val union : t -> t -> t
 (** Least upper bound of two access records (used when folding subtree
     summaries). *)
 
 val equal : t -> t -> bool
+(** Physical equality, which is exact because every state is interned. *)
+
 val pp : t Fmt.t

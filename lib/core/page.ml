@@ -101,8 +101,10 @@ let remove_ref t i =
     Ok { t with refs; enc = None }
   end
 
-let clear_child_flags t =
-  { t with refs = Array.map (fun e -> { e with flags = Flags.clear }) t.refs; enc = None }
+(* An entry whose flags are already clear is reused, not rebuilt. *)
+let clear_entry e = if Flags.equal e.flags Flags.clear then e else { e with flags = Flags.clear }
+let cleared_refs refs = Array.map clear_entry refs
+let clear_child_flags t = { t with refs = cleared_refs t.refs; enc = None }
 
 let ref_entry_equal a b = a.block = b.block && Flags.equal a.flags b.flags
 

@@ -87,9 +87,13 @@ val insert_ref : t -> int -> ref_entry -> (t, string) result
 
 val remove_ref : t -> int -> (t, string) result
 
+val cleared_refs : ref_entry array -> ref_entry array
+(** A fresh table of the same entries with every flag reset to
+    {!Flags.clear}; an entry already clear is shared, not rebuilt. *)
+
 val clear_child_flags : t -> t
-(** Reset every entry's flags to {!Flags.clear}: done when a page is first
-    copied into a new version. *)
+(** Reset every entry's flags ({!cleared_refs}): done when a page is
+    first copied into a new version. *)
 
 (** {2 Wire format} *)
 

@@ -7,8 +7,25 @@ module Det = Afs_util.Det
    cache-integrity point). The re-read compares the store image
    against the page's memoized encoding: commit references are almost
    always unchanged, and an identical image means the cached decoded
-   page — and its memo — can be reused without re-parsing. *)
-type entry = { mutable page : Page.t; mutable dirty : bool; mutable stale : bool }
+   page — and its memo — can be reused without re-parsing. [answer] is
+   [Ok page], rebuilt by {!set_page} whenever the page changes, so a
+   cache hit hands it out and allocates nothing. *)
+type entry = {
+  mutable page : Page.t;
+  mutable answer : (Page.t, Errors.t) result;
+  mutable dirty : bool;
+  mutable stale : bool;
+}
+
+let entry page ~dirty = { page; answer = Ok page; dirty; stale = false }
+
+let set_page e page =
+  e.page <- page;
+  e.answer <- Ok page
+
+(* What a cache lookup answers for an uncached block; compared
+   physically, never cached and never changed. *)
+let absent = entry Page.empty ~dirty:false
 
 type t = {
   store : Store.t;
@@ -127,43 +144,41 @@ let revalidate t b (e : entry) =
       match Page.memoized_image e.page with
       | Some memo when Bytes.equal memo image ->
           e.stale <- false;
-          Ok e.page
+          e.answer
       | _ -> (
           match Page.decode ~memo:true image with
           | Error msg -> Error (Errors.Store_failure msg)
           | Ok page ->
-              e.page <- page;
+              set_page e page;
               e.stale <- false;
-              Ok page))
+              e.answer))
 
 let read t b =
-  match if t.cache_enabled then Lru.find t.cache b else None with
-  | Some e ->
-      if e.stale then revalidate t b e
-      else begin
-        let r = Lazy.force t.hits in
-        r := !r + 1;
-        Ok e.page
-      end
-  | None -> (
-      match t.store.Store.read b with
-      | Error msg -> Error (Errors.Store_failure msg)
-      | Ok image -> (
-          (* The store hands back a fresh copy of an image this system
-             wrote with [Page.encode], so it can seed the page's encode
-             memo: a page faulted in and flushed back out costs zero
-             serialisations. *)
-          match Page.decode ~memo:true image with
-          | Error msg -> Error (Errors.Store_failure msg)
-          | Ok page ->
-              if t.cache_enabled then begin
-                let r = Lazy.force t.misses in
-                r := !r + 1;
-                match cache_set t b { page; dirty = false; stale = false } with
-                | Ok () -> Ok page
-                | Error _ as e -> e
-              end
-              else Ok page))
+  let e = if t.cache_enabled then Lru.find_or t.cache b absent else absent in
+  if e == absent then
+    match t.store.Store.read b with
+    | Error msg -> Error (Errors.Store_failure msg)
+    | Ok image -> (
+        (* The store hands back a fresh copy of an image this system
+           wrote with [Page.encode], so it can seed the page's encode
+           memo: a page faulted in and flushed back out costs zero
+           serialisations. *)
+        match Page.decode ~memo:true image with
+        | Error msg -> Error (Errors.Store_failure msg)
+        | Ok page ->
+            if t.cache_enabled then begin
+              let r = Lazy.force t.misses in
+              r := !r + 1;
+              let e = entry page ~dirty:false in
+              match cache_set t b e with Ok () -> e.answer | Error _ as err -> err
+            end
+            else Ok page)
+  else if e.stale then revalidate t b e
+  else begin
+    let r = Lazy.force t.hits in
+    r := !r + 1;
+    e.answer
+  end
 
 let check_size t page =
   let bytes = Page.encoded_size page in
@@ -176,17 +191,19 @@ let write t b page =
   | Error _ as e -> e
   | Ok _ ->
       if not t.cache_enabled then store_write t b page
-      else (
-        match Lru.find t.cache b with
-        | Some e ->
-            if not e.dirty then Hashtbl.replace t.dirty b ();
-            e.page <- page;
-            e.dirty <- true;
-            e.stale <- false;
-            Ok ()
-        | None ->
-            Hashtbl.replace t.dirty b ();
-            cache_set t b { page; dirty = true; stale = false })
+      else
+        let e = Lru.find_or t.cache b absent in
+        if e != absent then begin
+          if not e.dirty then Hashtbl.replace t.dirty b ();
+          set_page e page;
+          e.dirty <- true;
+          e.stale <- false;
+          Ok ()
+        end
+        else begin
+          Hashtbl.replace t.dirty b ();
+          cache_set t b (entry page ~dirty:true)
+        end
 
 (* Size-check and write to the store: afterwards the block is clean. *)
 let durable_write t b page =
@@ -203,7 +220,7 @@ let write_through t b page =
   match durable_write t b page with
   | Error _ as e -> e
   | Ok () ->
-      if t.cache_enabled then cache_set t b { page; dirty = false; stale = false } else Ok ()
+      if t.cache_enabled then cache_set t b (entry page ~dirty:false) else Ok ()
 
 let flush_block t b =
   match Lru.peek t.cache b with
@@ -295,7 +312,7 @@ let write_through_batch ?(pages = []) t entries =
                 Hashtbl.remove t.dirty b;
                 if not t.cache_enabled then settle rest
                 else
-                  match cache_set t b { page; dirty = false; stale = false } with
+                  match cache_set t b (entry page ~dirty:false) with
                   | Ok () -> settle rest
                   | Error _ as e -> e)
           in
@@ -348,7 +365,7 @@ let write_through_in_place t b page =
   | Ok () ->
       (match Lru.peek t.cache b with
       | Some e ->
-          e.page <- page;
+          set_page e page;
           e.dirty <- false;
           e.stale <- false
       | None -> ());

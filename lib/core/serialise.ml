@@ -23,8 +23,6 @@ let write_page st block page =
 
 let conflict path reason = raise (Conflict_found { path; reason })
 
-let cleared_copy refs = Array.map (fun e -> { e with Page.flags = Flags.clear }) refs
-
 (* Merge the contents of page [pb] (the candidate's private copy at
    [b_block]) with [pc] (the committed version's copy of the same base
    page), given the access flags [fb] and [fc] their parents hold for
@@ -44,7 +42,7 @@ let rec merge_pages st path ~fb ~fc pb pc =
          below this page, so the committed version's whole reference table
          is adopted, shared with the new base. *)
       st.adopted <- st.adopted + 1;
-      cleared_copy pc.Page.refs
+      Page.cleared_refs pc.Page.refs
     end
     else if fb.Flags.m then begin
       (* The candidate restructured; the committed version must not have

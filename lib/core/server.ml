@@ -265,77 +265,101 @@ let allocate_private t (v : version_record) =
   v.private_blocks <- b :: v.private_blocks;
   Ok b
 
+(* Add an access to a version's incremental administration, if it
+   carries one: {!update_wset} for one recording, without its closure. *)
+let note_access (v : version_record) path access =
+  match v.wset with Some ws -> v.wset <- Some (Writeset.record ws path access) | None -> ()
+
 (* Record an access at a page's flag location: the version page's own
    root-flags field for the root, the parent's reference entry otherwise.
    [path] names the page within the version so the same recording lands in
-   the incremental write set. *)
+   the incremental write set. An access that adds no flag returns at
+   once: the write set of a version this server created equals its
+   tree's flags, so it holds that recording already. That path runs on
+   every page access, so it matches instead of binding: it allocates
+   only the [Ok] of {!Page.get_ref}. *)
 let record_access_at t (v : version_record) ~path location access =
-  let note () = update_wset v (fun ws -> Writeset.record ws path access) in
   match location with
-  | None ->
-      let* page = read_pg t v.vblock in
-      let header = page.Page.header in
-      let root_flags = Flags.record header.Page.root_flags access in
-      if Flags.equal root_flags header.Page.root_flags then Ok (note ())
-      else
-        let* () = write_pg t v.vblock (Page.with_header page { header with Page.root_flags }) in
-        Ok (note ())
-  | Some (pblock, index) ->
-      let* page = read_pg t pblock in
-      let* entry = lift_page_err Pagepath.root (Page.get_ref page index) in
-      let flags = Flags.record entry.Page.flags access in
-      if Flags.equal flags entry.Page.flags then Ok (note ())
-      else
-        let* page =
-          lift_page_err Pagepath.root (Page.with_ref page index { entry with Page.flags })
-        in
-        let* () = write_pg t pblock page in
-        Ok (note ())
+  | None -> (
+      match read_pg t v.vblock with
+      | Error e -> Error e
+      | Ok page ->
+          let header = page.Page.header in
+          let root_flags = Flags.record header.Page.root_flags access in
+          if Flags.equal root_flags header.Page.root_flags then Ok ()
+          else
+            let* () =
+              write_pg t v.vblock (Page.with_header page { header with Page.root_flags })
+            in
+            Ok (note_access v path access))
+  | Some (pblock, index) -> (
+      match read_pg t pblock with
+      | Error e -> Error e
+      | Ok page -> (
+          match Page.get_ref page index with
+          | Error _ -> Error (Bad_path Pagepath.root)
+          | Ok entry ->
+              let flags = Flags.record entry.Page.flags access in
+              if Flags.equal flags entry.Page.flags then Ok ()
+              else
+                let* page =
+                  lift_page_err Pagepath.root (Page.with_ref page index { entry with Page.flags })
+                in
+                let* () = write_pg t pblock page in
+                Ok (note_access v path access)))
 
-(* Copy-on-write of the child at [index] of the page at [pblock]: allocate
-   a block private to [v], store the child there with cleared grand-child
-   flags and a base reference to the shared original, and repoint the
-   parent. *)
-let copy_child t v pblock index (entry : Page.ref_entry) =
+(* Copy-on-write of the child at [index] of the page at [pblock], which
+   [path] names, for an [access]: allocate a block private to [v], store
+   the child there with cleared grand-child flags and a base reference to
+   the shared original, and repoint the parent at the copy with the
+   access already recorded, in one reference-table update. The shared
+   entry's flags are clear, so recording on them gives C plus the
+   access. *)
+let copy_child t v ~path pblock index (entry : Page.ref_entry) access =
   let* child = read_pg t entry.Page.block in
   let* fresh = allocate_private t v in
   let child = Page.clear_child_flags child in
   let header = { child.Page.header with Page.base_ref = Some entry.Page.block } in
-  let child = Page.with_header child header in
-  let* () = write_pg t fresh child in
+  let* () = write_pg t fresh (Page.with_header child header) in
   let* parent = read_pg t pblock in
-  let copied_entry =
-    { Page.block = fresh; flags = Flags.make ~copied:true () }
-  in
-  let copied_entry =
-    { copied_entry with Page.flags = Flags.union copied_entry.Page.flags entry.Page.flags }
-  in
-  let* parent = lift_page_err Pagepath.root (Page.with_ref parent index copied_entry) in
+  let copied = { Page.block = fresh; flags = Flags.record entry.Page.flags access } in
+  let* parent = lift_page_err Pagepath.root (Page.with_ref parent index copied) in
   let* () = write_pg t pblock parent in
+  note_access v path access;
   bump t "pages.copied";
   Ok fresh
 
 (* Descend [path] from the version page of [v], copying every page on the
    way (access implies copy, §5.1), recording S on each page whose
    references are consulted and [access] on the target. Returns the
-   target's private block. *)
+   target's private block. A copy is made with its access recorded, so
+   the recording on it that follows adds nothing; still, it reads the
+   parent, which keeps the cache's hit count per level. Like
+   {!record_access_at}, it matches rather than binds. *)
 let locate_for_access t (v : version_record) path access =
   let rec descend location at block = function
-    | [] ->
-        let* () = record_access_at t v ~path:at location access in
-        Ok block
-    | index :: rest ->
-        let* () = record_access_at t v ~path:at location Flags.Search in
-        let* page = read_pg t block in
-        (match Page.get_ref page index with
-        | Error _ ->
-            Error (Bad_index { path; index; nrefs = Page.nrefs page })
-        | Ok entry ->
-            let* child_block =
-              if entry.Page.flags.Flags.c then Ok entry.Page.block
-              else copy_child t v block index entry
-            in
-            descend (Some (block, index)) (Pagepath.child at index) child_block rest)
+    | [] -> (
+        match record_access_at t v ~path:at location access with
+        | Ok () -> Ok block
+        | Error e -> Error e)
+    | index :: rest -> (
+        match record_access_at t v ~path:at location Flags.Search with
+        | Error e -> Error e
+        | Ok () -> (
+            match read_pg t block with
+            | Error e -> Error e
+            | Ok page -> (
+                let child_at = Pagepath.child at index in
+                match Page.get_ref page index with
+                | Error _ -> Error (Bad_index { path; index; nrefs = Page.nrefs page })
+                | Ok entry when entry.Page.flags.Flags.c ->
+                    descend (Some (block, index)) child_at entry.Page.block rest
+                | Ok entry ->
+                    let* copy =
+                      copy_child t v ~path:child_at block index entry
+                        (match rest with [] -> access | _ :: _ -> Flags.Search)
+                    in
+                    descend (Some (block, index)) child_at copy rest)))
   in
   descend None Pagepath.root v.vblock (Pagepath.to_list path)
 
@@ -445,7 +469,7 @@ let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port =
   let vpage =
     Page.make_version_page ~file_cap:file_cap_stored ~version_cap ~base_ref:(Some current)
       ~parent_ref:cpage.Page.header.Page.parent_ref
-      ~refs:(Array.map (fun e -> { e with Page.flags = Flags.clear }) cpage.Page.refs)
+      ~refs:(Page.cleared_refs cpage.Page.refs)
       ~data:cpage.Page.data
   in
   let* () = write_pg t vb vpage in
@@ -579,8 +603,7 @@ let insert_page t cap ~parent ~index ?(data = Bytes.empty) () =
     let child = Page.with_data Page.empty data in
     let* () = write_pg t fresh child in
     (* A page that never existed in the base is private and written. *)
-    let flags = Flags.record (Flags.record Flags.clear Flags.Write) Flags.Search in
-    let entry = { Page.block = fresh; flags } in
+    let entry = { Page.block = fresh; flags = Flags.make ~w:true ~s:true ~copied:true () } in
     let* ppage = lift_page_err parent (Page.insert_ref ppage index entry) in
     let* () = write_pg t pblock ppage in
     update_wset v (fun ws ->

@@ -61,12 +61,12 @@ let touch t n =
 
 (* {2 Operations} *)
 
-let find t k =
+let find_or t k default =
   match lookup t k with
-  | Nil -> None
+  | Nil -> default
   | Node r as n ->
       touch t n;
-      Some r.value
+      r.value
 
 let peek t k = match lookup t k with Nil -> None | Node r -> Some r.value
 

@@ -1,6 +1,6 @@
 (** A capacity-bounded LRU index with pinning.
 
-    Hashtable + intrusive doubly-linked recency list: {!find}, {!set} and
+    Hashtable + intrusive doubly-linked recency list: {!find_or}, {!set} and
     {!remove} are O(1). The structure never evicts on its own — {!set}
     may push {!length} above the capacity, and the owner then drains the
     excess via {!lru_unpinned} + {!remove}, performing whatever write-back
@@ -14,8 +14,11 @@ val create : capacity:int -> ('k, 'v) t
 
 val length : ('k, 'v) t -> int
 
-val find : ('k, 'v) t -> 'k -> 'v option
-(** Lookup that promotes the entry to most-recently-used. *)
+val find_or : ('k, 'v) t -> 'k -> 'v -> 'v
+(** [find_or t k default] is [k]'s value, promoted to most-recently-used,
+    or [default] when [k] is absent. It allocates nothing, so an owner
+    that passes a sentinel [default] and compares against it physically
+    has an allocation-free hit. *)
 
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Lookup without promotion. *)

@@ -296,21 +296,18 @@ let tsorder ?remote backend ~pages_per_file =
       let txn = run (fun () -> Tsorder.begin_ backend) in
       let rec run_ops = function
         | [] -> Some ()
-        | Read i :: rest -> (
-            match run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)) with
-            | Ok _ -> run_ops rest
-            | Error `Late_read -> None)
+        | Read i :: rest ->
+            ignore (run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)));
+            run_ops rest
         | Write (i, data) :: rest -> (
             match run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) data) with
             | Ok () -> run_ops rest
             | Error (`Late_write _) -> None)
         | Rmw (i, f) :: rest -> (
-            match run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)) with
-            | Error `Late_read -> None
-            | Ok v -> (
-                match run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) (f v)) with
-                | Ok () -> run_ops rest
-                | Error (`Late_write _) -> None))
+            let v = run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)) in
+            match run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) (f v)) with
+            | Ok () -> run_ops rest
+            | Error (`Late_write _) -> None)
       in
       let redo () =
         run (fun () -> Tsorder.abort backend txn);

@@ -26,6 +26,17 @@ let check_bytes msg expected actual = Alcotest.(check string) msg expected (str 
 
 let quick name f = Alcotest.test_case name `Quick f
 
+(** Minor-heap words [f ()] allocates, net of what measuring an empty
+    call costs. *)
+let minor_words_of f =
+  let measure g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let overhead = measure ignore in
+  measure f -. overhead
+
 (** Fresh in-memory server. [capacity] bounds its page cache. *)
 let fresh_server ?(seed = 7) ?capacity ?trace () =
   let store = Afs_core.Store.memory () in

@@ -136,10 +136,6 @@ let test_2pl_crash_mid_commit_replayed () =
 
 (* {2 Timestamp ordering (SWALLOW-style)} *)
 
-let ok_ts = function
-  | Ok v -> v
-  | Error `Late_read -> Alcotest.fail "late read"
-
 let ok_ts_w = function
   | Ok v -> v
   | Error (`Late_write rts) -> Alcotest.failf "late write (rts %d)" rts
@@ -147,7 +143,7 @@ let ok_ts_w = function
 let test_ts_simple_txn () =
   let t = Tsorder.create () in
   let txn = Tsorder.begin_ t in
-  ignore (ok_ts (Tsorder.read t txn ~obj:1));
+  ignore (Tsorder.read t txn ~obj:1);
   ok_ts_w (Tsorder.write t txn ~obj:1 (bytes "hello"));
   ok_ts_w (Tsorder.commit t txn);
   Helpers.check_bytes "committed" "hello" (Tsorder.value t ~obj:1)
@@ -162,7 +158,7 @@ let test_ts_late_write_aborts () =
   let old_txn = Tsorder.begin_ t in
   let new_txn = Tsorder.begin_ t in
   (* The newer transaction reads first; the older one's write is late. *)
-  ignore (ok_ts (Tsorder.read t new_txn ~obj:1));
+  ignore (Tsorder.read t new_txn ~obj:1);
   (match Tsorder.write t old_txn ~obj:1 (bytes "too late") with
   | Error (`Late_write rts) -> Alcotest.(check int) "killer rts" (Tsorder.timestamp_of new_txn) rts
   | Ok () -> Alcotest.fail "late write accepted");
@@ -173,7 +169,7 @@ let test_ts_read_your_own_writes () =
   let t = Tsorder.create () in
   let txn = Tsorder.begin_ t in
   ok_ts_w (Tsorder.write t txn ~obj:1 (bytes "mine"));
-  Helpers.check_bytes "buffered read" "mine" (ok_ts (Tsorder.read t txn ~obj:1));
+  Helpers.check_bytes "buffered read" "mine" (Tsorder.read t txn ~obj:1);
   Tsorder.abort t txn;
   Alcotest.(check int) "abort leaves nothing" 0 (Bytes.length (Tsorder.value t ~obj:1))
 
@@ -185,7 +181,7 @@ let test_ts_old_reader_sees_old_version () =
   ok_ts_w (Tsorder.commit t writer);
   (* The old reader's timestamp predates the write: multiversion order
      serves it the old (empty) state instead of aborting. *)
-  Alcotest.(check int) "old state" 0 (Bytes.length (ok_ts (Tsorder.read t old_reader ~obj:1)))
+  Alcotest.(check int) "old state" 0 (Bytes.length (Tsorder.read t old_reader ~obj:1))
 
 let test_ts_commit_revalidates () =
   let t = Tsorder.create () in
@@ -194,7 +190,7 @@ let test_ts_commit_revalidates () =
   (* A later transaction reads the state the buffered write would
      supersede, after our write but before our commit. *)
   let r = Tsorder.begin_ t in
-  ignore (ok_ts (Tsorder.read t r ~obj:1));
+  ignore (Tsorder.read t r ~obj:1);
   (match Tsorder.commit t w with
   | Error (`Late_write _) -> ()
   | Ok () -> Alcotest.fail "commit must revalidate");
@@ -212,12 +208,10 @@ let test_ts_serial_equivalence_of_committed () =
     let ts = Tsorder.timestamp_of txn in
     let obj = Afs_util.Xrng.int rng 3 in
     let outcome =
-      match Tsorder.read t txn ~obj with
-      | Error `Late_read -> Error ()
-      | Ok _ -> (
-          match Tsorder.write t txn ~obj (bytes (string_of_int ts)) with
-          | Error (`Late_write _) -> Error ()
-          | Ok () -> ( match Tsorder.commit t txn with Ok () -> Ok () | Error _ -> Error ()))
+      ignore (Tsorder.read t txn ~obj);
+      match Tsorder.write t txn ~obj (bytes (string_of_int ts)) with
+      | Error (`Late_write _) -> Error ()
+      | Ok () -> ( match Tsorder.commit t txn with Ok () -> Ok () | Error _ -> Error ())
     in
     (match outcome with
     | Ok () when obj = 0 -> if ts > !highest then highest := ts

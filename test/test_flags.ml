@@ -105,6 +105,96 @@ let prop_union_idempotent =
       Flags.equal (Flags.union a b) (Flags.union b a)
       && Flags.equal (Flags.union a a) a)
 
+(* {2 Interning}
+
+   Every constructor answers one of the 13 states allocated at start-up,
+   so recording an access allocates nothing and equal flags are the same
+   value. *)
+
+let states = Array.of_list Flags.all
+let accesses = [| Flags.Read; Flags.Write; Flags.Search; Flags.Modify |]
+
+(* [make]'s arguments for each state, built before any measurement. *)
+let make_args =
+  Array.map
+    (fun (f : Flags.t) -> (Some f.Flags.r, Some f.Flags.w, Some f.Flags.s, Some f.Flags.m, f.Flags.c))
+    states
+
+(* Loops, not iterators: a closure over the outer state would allocate. *)
+let record_all () =
+  for i = 0 to Array.length states - 1 do
+    for j = 0 to Array.length accesses - 1 do
+      ignore (Sys.opaque_identity (Flags.record states.(i) accesses.(j)))
+    done
+  done
+
+let union_all () =
+  for i = 0 to Array.length states - 1 do
+    for j = 0 to Array.length states - 1 do
+      ignore (Sys.opaque_identity (Flags.union states.(i) states.(j)))
+    done
+  done
+
+let make_all () =
+  for i = 0 to Array.length make_args - 1 do
+    let r, w, s, m, copied = make_args.(i) in
+    ignore (Sys.opaque_identity (Flags.make ?r ?w ?s ?m ~copied ()))
+  done
+
+let of_nibble_all () =
+  for n = -1 to 13 do
+    ignore (Sys.opaque_identity (Flags.of_nibble n))
+  done
+
+let test_constructors_allocate_nothing () =
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.)) (name ^ " allocates no words") 0. (Helpers.minor_words_of f))
+    [
+      ("record", record_all);
+      ("union", union_all);
+      ("make", make_all);
+      ("of_nibble", of_nibble_all);
+    ]
+
+(* The interned state with [f]'s encoding. *)
+let interned f = states.(Flags.to_nibble f)
+
+let test_equal_flags_are_one_value () =
+  let same what f = Alcotest.(check bool) what true (f == interned f) in
+  Array.iter
+    (fun (f : Flags.t) ->
+      same "state" f;
+      (match Flags.of_nibble (Flags.to_nibble f) with
+      | Some g -> same "of_nibble" g
+      | None -> Alcotest.fail "of_nibble");
+      same "make" (Flags.make ~r:f.Flags.r ~w:f.Flags.w ~s:f.Flags.s ~m:f.Flags.m ~copied:f.Flags.c ());
+      Array.iter
+        (fun a ->
+          let g = Flags.record f a in
+          same "record" g;
+          (* Exactly the access's flags are added, and nothing else. *)
+          Alcotest.(check bool) "record adds exactly the access" true
+            (g.Flags.c
+            && g.Flags.r = (f.Flags.r || a = Flags.Read)
+            && g.Flags.w = (f.Flags.w || a = Flags.Write)
+            && g.Flags.s = (f.Flags.s || a = Flags.Search || a = Flags.Modify)
+            && g.Flags.m = (f.Flags.m || a = Flags.Modify));
+          if Flags.to_nibble g = Flags.to_nibble f then same "no-op record answers its input" f)
+        accesses;
+      Array.iter
+        (fun (g : Flags.t) ->
+          let u = Flags.union f g in
+          same "union" u;
+          Alcotest.(check bool) "union is the flagwise or" true
+            (u.Flags.c = (f.Flags.c || g.Flags.c)
+            && u.Flags.r = (f.Flags.r || g.Flags.r)
+            && u.Flags.w = (f.Flags.w || g.Flags.w)
+            && u.Flags.s = (f.Flags.s || g.Flags.s)
+            && u.Flags.m = (f.Flags.m || g.Flags.m)))
+        states)
+    states
+
 let () =
   Alcotest.run "flags"
     [
@@ -129,6 +219,11 @@ let () =
         [
           quick "basic" test_union;
           quick "closed over legal states" test_union_closed;
+        ] );
+      ( "interning",
+        [
+          quick "constructors allocate nothing" test_constructors_allocate_nothing;
+          quick "equal flags are one value" test_equal_flags_are_one_value;
         ] );
       ( "properties",
         [

@@ -241,6 +241,22 @@ let test_flush_then_evict_no_second_write () =
   Alcotest.(check int) "no write-back of clean evictee" 0 (counter ps "cache.writebacks");
   Alcotest.(check int) "evicted" 1 (counter ps "cache.evictions")
 
+(* A cache hit hands out the answer its entry keeps, so it allocates
+   nothing. *)
+let test_hit_allocates_nothing () =
+  let _, ps = fresh () in
+  let b = ok (Pagestore.allocate ps) in
+  ignore (ok (Pagestore.write ps b (page_with_data "hot")));
+  ignore (read_data ps b);
+  let hits = counter ps "cache.hits" in
+  let read () = match Pagestore.read ps b with Ok _ -> () | Error _ -> Alcotest.fail "read" in
+  Alcotest.(check (float 0.)) "hit allocates no words" 0. (Helpers.minor_words_of read);
+  Alcotest.(check int) "it was a hit" (hits + 1) (counter ps "cache.hits");
+  Alcotest.(check bool) "the same answer each time" true
+    (Pagestore.read ps b == Pagestore.read ps b);
+  ignore (ok (Pagestore.write ps b (page_with_data "new")));
+  Alcotest.(check string) "a write rebuilds the answer" "new" (read_data ps b)
+
 (* {2 Encode-once: each page value is serialised at most once} *)
 
 let encodes_during f =
@@ -415,6 +431,7 @@ let () =
           quick "locked block never evicted" test_locked_block_never_evicted;
           quick "hit/miss counters" test_hit_miss_counters;
           quick "clean evictee not rewritten" test_flush_then_evict_no_second_write;
+          quick "hit allocates nothing" test_hit_allocates_nothing;
         ] );
       ( "errors",
         [

@@ -383,6 +383,24 @@ let test_base_version_flags_untouched () =
   Alcotest.(check bool) "base child flags unchanged" true
     (Array.for_all2 Flags.equal before after)
 
+(* Re-reading a page the version has already read records no flag, so
+   it copies nothing but the data it answers (1 KiB: 130 words). *)
+let test_reread_allocates_only_the_data () =
+  let _, srv = Helpers.fresh_server () in
+  let f = ok (Server.create_file srv ()) in
+  let v = ok (Server.create_version srv f) in
+  let _ = ok (Server.insert_page srv v ~parent:P.root ~index:0 ~data:(Bytes.make 1024 'd') ()) in
+  ok (Server.commit srv v);
+  let v = ok (Server.create_version srv f) in
+  let p = path [ 0 ] in
+  ignore (ok (Server.read_page srv v p));
+  let reread () = ignore (Sys.opaque_identity (ok (Server.read_page srv v p))) in
+  let words = Helpers.minor_words_of reread in
+  let data_words = float_of_int ((1024 / (Sys.word_size / 8)) + 2) in
+  if words > data_words +. 96. then
+    Alcotest.failf "re-read allocates %.0f words (data copy %.0f, want at most 96 more)" words
+      data_words
+
 let () =
   Alcotest.run "server"
     [
@@ -431,4 +449,5 @@ let () =
           quick "repeated write copies once" test_repeated_write_copies_once;
           quick "base flags untouched" test_base_version_flags_untouched;
         ] );
+      ("alloc", [ quick "re-read allocates only the data" test_reread_allocates_only_the_data ]);
     ]

@@ -214,6 +214,53 @@ let prop_pretest_agrees_with_walk =
           | None, Serialise.Conflict _ | Some _, Serialise.Serialisable _ -> false)
       | _ -> false)
 
+(* {2 The copy path}
+
+   A first access copies each page on its path and records the access on
+   the copy in the same reference-table update that repoints the parent;
+   a later access to a copy records only the flags it adds. *)
+
+let flag_list =
+  Alcotest.testable
+    Fmt.(Dump.list (pair ~sep:(any " ") P.pp Flags.pp))
+    same_flag_list
+
+let test_copy_path_flags () =
+  let _, srv = Helpers.fresh_server () in
+  let f = ok (Server.create_file srv ()) in
+  let v = ok (Server.create_version srv f) in
+  List.iter
+    (fun parent ->
+      ignore (ok (Server.insert_page srv v ~parent:(path parent) ~index:0 ~data:(bytes "d") ())))
+    [ []; [ 0 ]; [ 0; 0 ] ];
+  ok (Server.commit srv v);
+  let v = ok (Server.create_version srv f) in
+  let vblock = ok (Server.version_block srv v) in
+  let copied () = Afs_util.Stats.Counter.get (Server.counters srv) "pages.copied" in
+  let target = path [ 0; 0; 0 ] in
+  let searched = Flags.make ~s:true ~copied:true () in
+  let check what target_flags =
+    let expected =
+      [ (P.root, searched); (path [ 0 ], searched); (path [ 0; 0 ], searched); (target, target_flags) ]
+    in
+    Alcotest.check flag_list (what ^ ": tree") expected (tree_flags srv vblock);
+    match Server.tracked_writeset srv vblock with
+    | None -> Alcotest.fail "no write set tracked"
+    | Some ws ->
+        let from_map = List.map (fun p -> (p, Writeset.flags_at ws p)) (Writeset.paths ws) in
+        Alcotest.check flag_list (what ^ ": write set") expected from_map
+  in
+  let before = copied () in
+  ignore (ok (Server.read_page srv v target));
+  Alcotest.(check int) "one copy per level" 3 (copied () - before);
+  check "read" (Flags.make ~r:true ~copied:true ());
+  ok (Server.write_page srv v target (bytes "w"));
+  Alcotest.(check int) "the write copies nothing" 3 (copied () - before);
+  check "read, then write" (Flags.make ~r:true ~w:true ~copied:true ());
+  Alcotest.(check (list string)) "Serialise walk: the target alone is written"
+    [ P.to_string target ]
+    (List.map P.to_string (ok (Serialise.written_paths (Server.pagestore srv) ~version:vblock)))
+
 let () =
   Alcotest.run "writeset"
     [
@@ -225,6 +272,7 @@ let () =
           Helpers.quick "extract/graft roundtrip" test_extract_graft_roundtrip;
           Helpers.quick "conflict conditions" test_conflict_conditions;
         ] );
+      ("copy path", [ Helpers.quick "flags in tree and write set" test_copy_path_flags ]);
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_map_equals_tree_flags;
