@@ -83,10 +83,13 @@ let m2 () =
     let host = Remote.host ~latency_ms:0.5 engine ~name:"afs" srv in
     let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
     let encodes0 = Page.fresh_encodes () and _, writes0 = io () in
+    let words0 = Stdlib.Gc.minor_words () in
     let report, ms = wall_ms (fun () -> Driver.run engine config sut ~gen:(Workload.make shape)) in
+    let words = Stdlib.Gc.minor_words () -. words0 in
     let _, writes1 = io () in
     ( report,
       ms,
+      words,
       Engine.events_executed engine,
       Page.fresh_encodes () - encodes0,
       writes1 - writes0,
@@ -100,10 +103,12 @@ let m2 () =
      between processes: back-to-back runs of the same tree ranged from
      2281 to 2908 ms on a 2-vCPU VM. So this figure is informational; a
      host regression shows only in alternating before/after pairs run as
-     separate processes (afsbench). *)
-  let report, ms1, events, encodes, writes, requests, redos = run () in
-  let r2, ms2, ev2, enc2, wr2, rq2, rd2 = run () in
-  let r3, ms3, ev3, enc3, wr3, rq3, rd3 = run () in
+     separate processes (afsbench). The minor words a run allocates, by
+     contrast, are a pure function of the code and the seed, the same in
+     every repeat and process, so they are gated like the outcomes. *)
+  let report, ms1, words, events, encodes, writes, requests, redos = run () in
+  let r2, ms2, words2, ev2, enc2, wr2, rq2, rd2 = run () in
+  let r3, ms3, words3, ev3, enc3, wr3, rq3, rd3 = run () in
   let repeats_identical =
     report.Driver.committed = r2.Driver.committed
     && report.Driver.committed = r3.Driver.committed
@@ -111,8 +116,9 @@ let m2 () =
     && report.Driver.attempts = r3.Driver.attempts
     && events = ev2 && events = ev3 && encodes = enc2 && encodes = enc3
     && writes = wr2 && writes = wr3 && requests = rq2 && requests = rq3
-    && redos = rd2 && redos = rd3
+    && redos = rd2 && redos = rd3 && words = words2 && words = words3
   in
+  let words_per_commit = words /. float_of_int (max 1 report.Driver.committed) in
   let ms = Float.min ms1 (Float.min ms2 ms3) in
   table
     [ "metric"; "value" ]
@@ -124,6 +130,7 @@ let m2 () =
       [ "store writes (deterministic)"; string_of_int writes ];
       [ "requests served (deterministic)"; string_of_int requests ];
       [ "redos served (deterministic)"; string_of_int redos ];
+      [ "minor words per commit (deterministic)"; f1 words_per_commit ];
       [ "repeats identical (deterministic)"; (if repeats_identical then "yes" else "NO (bug!)") ];
       [ "wall ms (reported, min of 3)"; f1 ms ];
       [ "events/s wall (reported)"; f1 (per_second events ms) ];
@@ -138,6 +145,7 @@ let m2 () =
   metric_i "m2-engine-speed" "requests" requests;
   metric_i "m2-engine-speed" "redos" redos;
   metric_i "m2-engine-speed" "repeats_identical" (if repeats_identical then 1 else 0);
+  metric "m2-engine-speed" "minor_words_per_commit" words_per_commit;
   metric "m2-engine-speed" "wall_ms.reported" ms;
   metric "m2-engine-speed" "events_per_s.reported" (per_second events ms);
   metric "m2-engine-speed" "commits_per_s.reported" (per_second report.Driver.committed ms);

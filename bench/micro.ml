@@ -52,6 +52,22 @@ let test_flags_nibble =
     (Staged.stage (fun () ->
          Array.iter (fun f -> ignore (Flags.of_nibble (Flags.to_nibble f))) all))
 
+(* The capability check every request starts with: the check field's
+   keyed hash over the secret, port, object and rights. *)
+let test_capability_validate =
+  let module C = Afs_util.Capability in
+  let secret = C.secret_of_seed 1 in
+  let cap = C.mint secret ~port:(C.port_of_int 1) ~obj:3 ~rights:C.rights_all in
+  Test.make ~name:"capability-validate" (Staged.stage (fun () -> ignore (C.validate secret cap)))
+
+(* A request's object lookup: check the version capability, then find
+   the version's record. *)
+let test_server_find_version =
+  let srv = Server.create (Store.memory ()) in
+  let v = ok (Server.create_version srv (Exp_util.file_with_pages srv 1)) in
+  Test.make ~name:"server-find-version"
+    (Staged.stage (fun () -> ignore (ok (Server.version_block srv v))))
+
 (* The page-access path with nothing to record: a re-read of a cached
    page the open version has already read copies only its data. *)
 let test_read_page_accessed_cached =
@@ -170,7 +186,8 @@ let test_marker_staged_roundtrip =
 
 let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
-    test_flags_nibble; test_read_page_accessed_cached; test_commit_fastpath;
+    test_flags_nibble; test_capability_validate; test_server_find_version;
+    test_read_page_accessed_cached; test_commit_fastpath;
     test_serialise_merge; test_validation_null_op; test_crc32; test_stable_write;
     test_stable_read; test_stable_write_batch; test_marker_decode_plain;
     test_marker_staged_roundtrip ]

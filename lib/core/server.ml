@@ -114,16 +114,17 @@ let mint_file_cap t first_block =
 let mint_version_cap ?(rights = Capability.rights_all) t vblock =
   Capability.mint t.secret ~port:t.server_port ~obj:(version_obj_of_block vblock) ~rights
 
-let validate_cap t cap ~need =
-  if
-    Capability.validate t.secret cap
-    && Capability.port_to_int cap.Capability.port = Capability.port_to_int t.server_port
-    && Capability.rights_subset need cap.Capability.rights
-  then Ok ()
-  else Error Invalid_capability
+let grants t cap ~need =
+  Capability.validate t.secret cap
+  && Capability.port_to_int cap.Capability.port = Capability.port_to_int t.server_port
+  && Capability.rights_subset need cap.Capability.rights
 
 let fresh_file_record ~file_obj ~current ~oldest ~vblocks =
   { file_obj; current_hint = current; oldest_hint = oldest; uncommitted = Hashtbl.create 4; vblocks }
+
+(* [wset] is [Some] only for a version this server creates itself. *)
+let fresh_version_record ~vblock ~file_obj ~status ?(private_blocks = []) wset =
+  { vblock; file_obj; status; wset; private_blocks; past = Unadmitted }
 
 (* Register a version block in its file's index (creating the file record
    when the file itself has not been seen yet). *)
@@ -155,14 +156,12 @@ let learn_file t cap =
           Ok f
       | _ -> Error (No_such_file cap.Capability.obj))
 
+(* Every request starts here or in {!find_version}: check the capability,
+   then find its object, allocating only the [Ok] answer. *)
 let find_file t cap ~need =
-  let* () = validate_cap t cap ~need in
   let obj = cap.Capability.obj in
-  if obj land 1 = 1 then Error Invalid_capability
-  else
-    match Hashtbl.find_opt t.files obj with
-    | Some f -> Ok f
-    | None -> learn_file t cap
+  if obj land 1 = 1 || not (grants t cap ~need) then Error Invalid_capability
+  else match Hashtbl.find t.files obj with f -> Ok f | exception Not_found -> learn_file t cap
 
 (* Calls [f] on each copy (C set) below [page], children before their
    parent, in reference-table order: the pages private to an uncommitted
@@ -205,17 +204,11 @@ let learn_version t cap =
           in
           let private_blocks = ref [] in
           if not committed then iter_copies t page (fun b -> private_blocks := b :: !private_blocks);
+          (* Another server recorded this version's flags: no incremental
+             administration can be asserted for it. *)
           let v =
-            {
-              vblock;
-              file_obj = fc.Capability.obj;
-              status = (if committed then Committed else Uncommitted);
-              (* Another server recorded this version's flags: no
-                 incremental administration can be asserted for it. *)
-              wset = None;
-              private_blocks = !private_blocks;
-              past = Unadmitted;
-            }
+            fresh_version_record ~vblock ~file_obj:fc.Capability.obj ~private_blocks:!private_blocks
+              ~status:(if committed then Committed else Uncommitted) None
           in
           Hashtbl.replace t.versions vblock v;
           index_version t ~file_obj:fc.Capability.obj ~vblock;
@@ -223,13 +216,12 @@ let learn_version t cap =
       | _ -> Error (No_such_version cap.Capability.obj))
 
 let find_version t cap ~need =
-  let* () = validate_cap t cap ~need in
   let obj = cap.Capability.obj in
-  if obj land 1 = 0 then Error Invalid_capability
+  if obj land 1 = 0 || not (grants t cap ~need) then Error Invalid_capability
   else
-    match Hashtbl.find_opt t.versions (obj / 2) with
-    | Some v -> Ok v
-    | None -> learn_version t cap
+    match Hashtbl.find t.versions (obj / 2) with
+    | v -> Ok v
+    | exception Not_found -> learn_version t cap
 
 (* {2 Page plumbing} *)
 
@@ -244,15 +236,15 @@ let lift_page_err path r = Result.map_error (fun _ -> Bad_path path) r
    re-read from the store before we believe it ("the integrity of the
    cache is checked at the start of a transaction", §3.1). *)
 let rec chase_current t block =
-  let* page = read_pg t block in
-  match page.Page.header.Page.commit_ref with
-  | Some successor -> chase_current t successor
-  | None -> (
+  match read_pg t block with
+  | Error e -> Error e
+  | Ok { Page.header = { Page.commit_ref = Some successor; _ }; _ } -> chase_current t successor
+  | Ok _ -> (
       Pagestore.refresh t.ps block;
-      let* page = read_pg t block in
-      match page.Page.header.Page.commit_ref with
-      | None -> Ok block
-      | Some successor -> chase_current t successor)
+      match read_pg t block with
+      | Error e -> Error e
+      | Ok { Page.header = { Page.commit_ref = Some successor; _ }; _ } -> chase_current t successor
+      | Ok _ -> Ok block)
 
 (* Apply a write-set transform to a version's incremental administration,
    if it carries one. Called only after the corresponding tree write
@@ -270,43 +262,41 @@ let allocate_private t (v : version_record) =
 let note_access (v : version_record) path access =
   match v.wset with Some ws -> v.wset <- Some (Writeset.record ws path access) | None -> ()
 
-(* Record an access at a page's flag location: the version page's own
-   root-flags field for the root, the parent's reference entry otherwise.
-   [path] names the page within the version so the same recording lands in
-   the incremental write set. An access that adds no flag returns at
-   once: the write set of a version this server created equals its
+(* Record an access at the flag location of the page at [depth] on
+   [path]: the version page's own root-flags field for the root (depth 0),
+   entry [index] of its parent [pblock] otherwise. The page's own path,
+   the first [depth] indices of [path], is built only when the recording
+   lands in the incremental write set. An access that adds no flag returns
+   at once: the write set of a version this server created equals its
    tree's flags, so it holds that recording already. That path runs on
    every page access, so it matches instead of binding: it allocates
    only the [Ok] of {!Page.get_ref}. *)
-let record_access_at t (v : version_record) ~path location access =
-  match location with
-  | None -> (
-      match read_pg t v.vblock with
-      | Error e -> Error e
-      | Ok page ->
-          let header = page.Page.header in
-          let root_flags = Flags.record header.Page.root_flags access in
-          if Flags.equal root_flags header.Page.root_flags then Ok ()
-          else
-            let* () =
-              write_pg t v.vblock (Page.with_header page { header with Page.root_flags })
-            in
-            Ok (note_access v path access))
-  | Some (pblock, index) -> (
-      match read_pg t pblock with
-      | Error e -> Error e
-      | Ok page -> (
-          match Page.get_ref page index with
-          | Error _ -> Error (Bad_path Pagepath.root)
-          | Ok entry ->
-              let flags = Flags.record entry.Page.flags access in
-              if Flags.equal flags entry.Page.flags then Ok ()
-              else
-                let* page =
-                  lift_page_err Pagepath.root (Page.with_ref page index { entry with Page.flags })
-                in
-                let* () = write_pg t pblock page in
-                Ok (note_access v path access)))
+let record_access_at t (v : version_record) ~path ~depth pblock index access =
+  if depth = 0 then (
+    match read_pg t v.vblock with
+    | Error e -> Error e
+    | Ok page ->
+        let header = page.Page.header in
+        let root_flags = Flags.record header.Page.root_flags access in
+        if Flags.equal root_flags header.Page.root_flags then Ok ()
+        else
+          let* () = write_pg t v.vblock (Page.with_header page { header with Page.root_flags }) in
+          Ok (note_access v Pagepath.root access))
+  else
+    match read_pg t pblock with
+    | Error e -> Error e
+    | Ok page -> (
+        match Page.get_ref page index with
+        | Error _ -> Error (Bad_path Pagepath.root)
+        | Ok entry ->
+            let flags = Flags.record entry.Page.flags access in
+            if Flags.equal flags entry.Page.flags then Ok ()
+            else
+              let* page =
+                lift_page_err Pagepath.root (Page.with_ref page index { entry with Page.flags })
+              in
+              let* () = write_pg t pblock page in
+              Ok (note_access v (Pagepath.prefix path depth) access))
 
 (* Copy-on-write of the child at [index] of the page at [pblock], which
    [path] names, for an [access]: allocate a block private to [v], store
@@ -335,39 +325,41 @@ let copy_child t v ~path pblock index (entry : Page.ref_entry) access =
    target's private block. A copy is made with its access recorded, so
    the recording on it that follows adds nothing; still, it reads the
    parent, which keeps the cache's hit count per level. Like
-   {!record_access_at}, it matches rather than binds. *)
+   {!record_access_at}, it matches rather than binds, and a level costs
+   O(1) unless it records a new flag or is copied. *)
 let locate_for_access t (v : version_record) path access =
-  let rec descend location at block = function
+  (* [block] is the page at [depth], entry [index] of [pblock]; the root
+     has no parent, and its [pblock] and [index] are never read. *)
+  let rec descend depth pblock index block = function
     | [] -> (
-        match record_access_at t v ~path:at location access with
+        match record_access_at t v ~path ~depth pblock index access with
         | Ok () -> Ok block
         | Error e -> Error e)
-    | index :: rest -> (
-        match record_access_at t v ~path:at location Flags.Search with
+    | next :: rest -> (
+        match record_access_at t v ~path ~depth pblock index Flags.Search with
         | Error e -> Error e
         | Ok () -> (
             match read_pg t block with
             | Error e -> Error e
             | Ok page -> (
-                let child_at = Pagepath.child at index in
-                match Page.get_ref page index with
-                | Error _ -> Error (Bad_index { path; index; nrefs = Page.nrefs page })
+                match Page.get_ref page next with
+                | Error _ -> Error (Bad_index { path; index = next; nrefs = Page.nrefs page })
                 | Ok entry when entry.Page.flags.Flags.c ->
-                    descend (Some (block, index)) child_at entry.Page.block rest
+                    descend (depth + 1) block next entry.Page.block rest
                 | Ok entry ->
                     let* copy =
-                      copy_child t v ~path:child_at block index entry
+                      copy_child t v ~path:(Pagepath.prefix path (depth + 1)) block next entry
                         (match rest with [] -> access | _ :: _ -> Flags.Search)
                     in
-                    descend (Some (block, index)) child_at copy rest)))
+                    descend (depth + 1) block next copy rest)))
   in
-  descend None Pagepath.root v.vblock (Pagepath.to_list path)
+  descend 0 v.vblock 0 v.vblock (Pagepath.to_list path)
 
 (* Plain traversal with no copying and no flag recording, for committed
    versions (and introspection). *)
 let locate_plain t vblock path =
   let rec descend block = function
-    | [] -> read_pg t block |> Result.map (fun page -> (block, page))
+    | [] -> read_pg t block
     | index :: rest ->
         let* page = read_pg t block in
         (match Page.get_ref page index with
@@ -390,27 +382,28 @@ let create_file t ?(data = Bytes.empty) () =
   Hashtbl.replace t.files (file_obj_of_block vb)
     (fresh_file_record ~file_obj:(file_obj_of_block vb) ~current:vb ~oldest:vb ~vblocks:[ vb ]);
   Hashtbl.replace t.versions vb
-    {
-      vblock = vb;
-      file_obj = file_obj_of_block vb;
-      status = Committed;
-      wset = Some Writeset.empty;
-      private_blocks = [];
-      past = Unadmitted;
-    };
+    (fresh_version_record ~vblock:vb ~file_obj:(file_obj_of_block vb) ~status:Committed
+       (Some Writeset.empty));
   bump t "files.created";
   Ok file_cap
 
+(* The file's current version block, which becomes its hint. *)
+let current_block t file =
+  let found = chase_current t file.current_hint in
+  (match found with Ok current -> file.current_hint <- current | Error _ -> ());
+  found
+
 let current_block_of_file t cap =
-  let* file = find_file t cap ~need:Capability.rights_none in
-  let* current = chase_current t file.current_hint in
-  file.current_hint <- current;
-  Ok current
+  match find_file t cap ~need:Capability.rights_none with
+  | Ok file -> current_block t file
+  | Error e -> Error e
 
 let current_version t cap =
-  let* () = validate_cap t cap ~need:Capability.right_read in
-  let* current = current_block_of_file t cap in
-  Ok (mint_version_cap ~rights:Capability.right_read t current)
+  if not (grants t cap ~need:Capability.right_read) then Error Invalid_capability
+  else
+    match current_block_of_file t cap with
+    | Ok current -> Ok (mint_version_cap ~rights:Capability.right_read t current)
+    | Error e -> Error e
 
 (* Cache-neutral: the collector walks every file's chain through here. *)
 let committed_chain t cap =
@@ -429,71 +422,76 @@ let uncommitted_versions t cap =
 
 (* {2 Versions} *)
 
-let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port = 0) t cap =
-  let* file = find_file t cap ~need:Capability.right_write in
-  let* current = current_block_of_file t cap in
-  let* cpage = read_pg t current in
+(* A new version on [cpage], the current version page at [current], once
+   [create_version] has settled its lock fields. *)
+let start_version t file current cpage ~inner_lock ~top_lock =
   let header = cpage.Page.header in
-  (* A live inner lock means an enclosing super-file update owns this
-     subtree: wait (here: fail; callers retry) — unless the caller is that
-     very update ([holding_port]). A dead lock is cleared per §5.3. *)
-  let* header =
-    if header.Page.inner_lock <> 0 && header.Page.inner_lock <> holding_port then
-      if Ports.alive t.port_registry header.Page.inner_lock then
-        Error (Locked_out { port = header.Page.inner_lock })
-      else Ok { header with Page.inner_lock = 0 }
-    else Ok header
+  let allocated =
+    if inner_lock = header.Page.inner_lock && top_lock = header.Page.top_lock then
+      Pagestore.allocate t.ps
+    else
+      match
+        Pagestore.write_through t.ps current
+          (Page.with_header cpage { header with Page.inner_lock; top_lock })
+      with
+      | Ok () -> Pagestore.allocate t.ps
+      | Error e -> Error e
   in
-  let* header =
-    if respect_hints && header.Page.top_lock <> 0 then
-      if Ports.alive t.port_registry header.Page.top_lock then
-        Error (Locked_out { port = header.Page.top_lock })
-      else Ok { header with Page.top_lock = 0 }
-    else Ok header
-  in
-  (* Set the advisory top-lock hint. *)
-  let header =
-    if updater_port <> 0 then { header with Page.top_lock = updater_port } else header
-  in
-  let* () =
-    if header = cpage.Page.header then Ok ()
-    else Pagestore.write_through t.ps current (Page.with_header cpage header)
-  in
-  let* vb = Pagestore.allocate t.ps in
-  let version_cap = mint_version_cap t vb in
-  let* file_cap_stored =
-    match cpage.Page.header.Page.file_cap with
-    | Some fc -> Ok fc
-    | None -> Error (Store_failure "current version page lacks file capability")
-  in
-  let vpage =
-    Page.make_version_page ~file_cap:file_cap_stored ~version_cap ~base_ref:(Some current)
-      ~parent_ref:cpage.Page.header.Page.parent_ref
-      ~refs:(Page.cleared_refs cpage.Page.refs)
-      ~data:cpage.Page.data
-  in
-  let* () = write_pg t vb vpage in
-  Hashtbl.replace t.versions vb
-    {
-      vblock = vb;
-      file_obj = file.file_obj;
-      status = Uncommitted;
-      wset = Some Writeset.empty;
-      private_blocks = [];
-      past = Unadmitted;
-    };
-  file.vblocks <- vb :: file.vblocks;
-  Hashtbl.replace file.uncommitted vb ();
-  bump t "versions.created";
-  Ok version_cap
+  match (allocated, header.Page.file_cap) with
+  | Error e, _ -> Error e
+  | Ok _, None -> Error (Store_failure "current version page lacks file capability")
+  | Ok vb, Some file_cap -> (
+      let version_cap = mint_version_cap t vb in
+      let vpage =
+        Page.make_version_page ~file_cap ~version_cap ~base_ref:(Some current)
+          ~parent_ref:header.Page.parent_ref ~refs:(Page.cleared_refs cpage.Page.refs)
+          ~data:cpage.Page.data
+      in
+      match write_pg t vb vpage with
+      | Error e -> Error e
+      | Ok () ->
+          Hashtbl.replace t.versions vb
+            (fresh_version_record ~vblock:vb ~file_obj:file.file_obj ~status:Uncommitted
+               (Some Writeset.empty));
+          file.vblocks <- vb :: file.vblocks;
+          Hashtbl.replace file.uncommitted vb ();
+          bump t "versions.created";
+          Ok version_cap)
 
+(* Every update starts here, so each step matches rather than binds. *)
+let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port = 0) t cap =
+  match find_file t cap ~need:Capability.right_write with
+  | Error e -> Error e
+  | Ok file -> (
+      match current_block t file with
+      | Error e -> Error e
+      | Ok current -> (
+          match read_pg t current with
+          | Error e -> Error e
+          | Ok cpage ->
+              let inner = cpage.Page.header.Page.inner_lock in
+              let top = cpage.Page.header.Page.top_lock in
+              (* A live inner lock means an enclosing super-file update owns
+                 this subtree: wait (here: fail; callers retry) — unless the
+                 caller is that very update ([holding_port]). A dead lock is
+                 cleared per §5.3, and [updater_port] sets the advisory
+                 top-lock hint. *)
+              if inner <> 0 && inner <> holding_port && Ports.alive t.port_registry inner then
+                Error (Locked_out { port = inner })
+              else if respect_hints && top <> 0 && Ports.alive t.port_registry top then
+                Error (Locked_out { port = top })
+              else
+                start_version t file current cpage
+                  ~inner_lock:(if inner = holding_port then inner else 0)
+                  ~top_lock:
+                    (if updater_port <> 0 then updater_port else if respect_hints then 0 else top)))
+
+(* [Result.map] of a closed function allocates only its answer. *)
 let version_status t cap =
-  let* v = find_version t cap ~need:Capability.rights_none in
-  Ok v.status
+  Result.map (fun v -> v.status) (find_version t cap ~need:Capability.rights_none)
 
 let version_block t cap =
-  let* v = find_version t cap ~need:Capability.rights_none in
-  Ok v.vblock
+  Result.map (fun v -> v.vblock) (find_version t cap ~need:Capability.rights_none)
 
 let version_of_block t block =
   match Hashtbl.find_opt t.versions block with
@@ -509,14 +507,21 @@ let free_private_pages t vblock =
   | Error _ -> ());
   Pagestore.free t.ps vblock
 
-let forget_uncommitted file vblock = Hashtbl.remove file.uncommitted vblock
-
 (* An uncommitted version's end: its pages are freed (or, on a crash,
    already lost) and its records drop. *)
 let mark_aborted (v : version_record) =
   v.status <- Aborted;
   v.wset <- None;
   v.private_blocks <- []
+
+(* Abort an uncommitted version: its file forgets it, and its private
+   pages are freed. *)
+let discard t (v : version_record) =
+  (match Hashtbl.find t.files v.file_obj with
+  | file -> Hashtbl.remove file.uncommitted v.vblock
+  | exception Not_found -> ());
+  free_private_pages t v.vblock;
+  mark_aborted v
 
 let destroy_file t cap =
   let* file = find_file t cap ~need:Capability.right_destroy in
@@ -526,9 +531,7 @@ let destroy_file t cap =
   List.iter
     (fun vb ->
       match Hashtbl.find_opt t.versions vb with
-      | Some v when v.status = Uncommitted ->
-          free_private_pages t vb;
-          mark_aborted v
+      | Some v when v.status = Uncommitted -> discard t v
       | _ -> ())
     (Det.sorted_keys file.uncommitted);
   (* Only this file's own version index is walked — not every version the
@@ -546,45 +549,47 @@ let destroy_file t cap =
   bump t "files.destroyed";
   Ok ()
 
+let mutable_version t cap ~need =
+  match find_version t cap ~need with
+  | Ok { status = Uncommitted; _ } as found -> found
+  | Ok _ -> Error Version_not_mutable
+  | Error _ as e -> e
+
 let abort_version t cap =
-  let* v = find_version t cap ~need:Capability.right_destroy in
-  match v.status with
-  | Committed | Aborted -> Error Version_not_mutable
-  | Uncommitted ->
-      (match Hashtbl.find_opt t.files v.file_obj with
-      | Some file -> forget_uncommitted file v.vblock
-      | None -> ());
-      free_private_pages t v.vblock;
-      mark_aborted v;
-      bump t "versions.aborted";
-      Ok ()
+  let* v = mutable_version t cap ~need:Capability.right_destroy in
+  discard t v;
+  bump t "versions.aborted";
+  Ok ()
 
 (* {2 Page operations} *)
 
-let mutable_version t cap ~need =
-  let* v = find_version t cap ~need in
-  match v.status with Uncommitted -> Ok v | Committed | Aborted -> Error Version_not_mutable
-
+(* The page operations a request runs match rather than bind, so they
+   allocate their answer and the page's copy, not a closure per step. *)
 let read_page t cap path =
-  let* v = find_version t cap ~need:Capability.right_read in
-  match v.status with
-  | Uncommitted ->
-      let* block = locate_for_access t v path Flags.Read in
-      let* page = read_pg t block in
-      Ok (Bytes.copy page.Page.data)
-  | Committed | Aborted ->
-      let* _, page = locate_plain t v.vblock path in
-      Ok (Bytes.copy page.Page.data)
+  Result.map
+    (fun page -> Bytes.copy page.Page.data)
+    (match find_version t cap ~need:Capability.right_read with
+    | Error e -> Error e
+    | Ok ({ status = Uncommitted; _ } as v) -> (
+        match locate_for_access t v path Flags.Read with
+        | Ok block -> read_pg t block
+        | Error e -> Error e)
+    | Ok v -> locate_plain t v.vblock path)
 
 let write_page t cap path data =
-  let* v = mutable_version t cap ~need:Capability.right_write in
-  let* block = locate_for_access t v path Flags.Write in
-  let* page = read_pg t block in
-  write_pg t block (Page.with_data page data)
+  match mutable_version t cap ~need:Capability.right_write with
+  | Error e -> Error e
+  | Ok v -> (
+      match locate_for_access t v path Flags.Write with
+      | Error e -> Error e
+      | Ok block -> (
+          match read_pg t block with
+          | Ok page -> write_pg t block (Page.with_data page data)
+          | Error e -> Error e))
 
 let page_info t cap path =
   let* v = find_version t cap ~need:Capability.right_read in
-  let* _, page = locate_plain t v.vblock path in
+  let* page = locate_plain t v.vblock path in
   Ok
     {
       nrefs = Page.nrefs page;
@@ -676,13 +681,14 @@ let move_page t cap ~src_parent ~src_index ~dst_parent ~dst_index =
    batch's outcomes — and the final store image — are identical to
    committing its members one by one; only the cost is different. *)
 
-(* One pipeline run's mutable state. *)
+(* One pipeline run's mutable state. A run of one holds one lock and
+   claims at most one reference, so it builds no table. *)
 type commit_ctx = {
-  held : (int, unit) Hashtbl.t;  (** Store locks this run holds until publish. *)
-  pending : (int, int) Hashtbl.t;
-      (** Winning test-and-sets not yet durable: base block → successor.
+  mutable held : int list;  (** Store locks this run holds until publish. *)
+  mutable publish_refs : (int * Page.t) list;
+      (** Winning test-and-sets not yet durable, newest first: each base
+          block with its page, whose commit reference names the winner.
           The overlay later members' validates read first. *)
-  mutable publish_refs : (int * Page.t) list;  (** Newest first. *)
   mutable winners : (version_record * bool) list;
       (** Admitted members, newest first, each with whether it won at its
           original base (fast path) rather than after a merge. *)
@@ -691,14 +697,7 @@ type commit_ctx = {
           one-pass batch pre-test. *)
 }
 
-let fresh_ctx () =
-  {
-    held = Hashtbl.create 4;
-    pending = Hashtbl.create 4;
-    publish_refs = [];
-    winners = [];
-    unions = [];
-  }
+let fresh_ctx () = { held = []; publish_refs = []; winners = []; unions = [] }
 
 (* Re-entrant within one run: a later member may chain onto a block an
    earlier member already locked. A lock held elsewhere — another server
@@ -706,9 +705,9 @@ let fresh_ctx () =
    section is synchronous, so nothing could release the lock while we
    waited. *)
 let acquire_commit_lock t ctx block =
-  if Hashtbl.mem ctx.held block then Ok ()
+  if List.mem block ctx.held then Ok ()
   else if Pagestore.lock t.ps block then begin
-    Hashtbl.replace ctx.held block ();
+    ctx.held <- block :: ctx.held;
     Ok ()
   end
   else Error (Store_failure "commit lock contention")
@@ -717,50 +716,51 @@ let acquire_commit_lock t ctx block =
 let finish_commit t (v, fastpath) =
   v.status <- Committed;
   v.private_blocks <- [];
-  (match Hashtbl.find_opt t.files v.file_obj with
-  | Some file ->
+  (match Hashtbl.find t.files v.file_obj with
+  | file ->
       file.current_hint <- v.vblock;
-      forget_uncommitted file v.vblock
-  | None -> ());
+      Hashtbl.remove file.uncommitted v.vblock
+  | exception Not_found -> ());
   bump t "commits.ok";
   bump t (if fastpath then "commits.fastpath" else "commits.merged");
-  tpoint t
-    (Trace.Commit_outcome
-       { vblock = v.vblock; outcome = (if fastpath then "fastpath" else "merged") })
+  if Trace.enabled t.trace then
+    Trace.point t.trace
+      (Trace.Commit_outcome
+         { vblock = v.vblock; outcome = (if fastpath then "fastpath" else "merged") })
 
 (* Stage 1 — the test-and-set of [base_block]'s commit reference, under
    the store lock. [Ok None] = won: the reference is claimed in the run's
    overlay and the lock kept for publish; [Ok (Some s)] = intercepted by
    [s]. A clean cached base is re-read from the store; a dirty one is an
-   earlier winner of this run, not yet published, and is believed. *)
+   earlier winner of this run, not yet published, and is believed. A win
+   allocates only the claimed page and its overlay entry. *)
 let validate t ctx ~vb base_block =
-  let* () = acquire_commit_lock t ctx base_block in
-  let outcome =
-    match Hashtbl.find_opt ctx.pending base_block with
-    | Some successor -> Ok (Some successor)
-    | None -> (
-        Pagestore.refresh t.ps base_block;
-        let* bpage = read_pg t base_block in
-        match bpage.Page.header.Page.commit_ref with
-        | Some successor -> Ok (Some successor)
-        | None ->
-            let header = { bpage.Page.header with Page.commit_ref = Some vb } in
-            Hashtbl.replace ctx.pending base_block vb;
-            ctx.publish_refs <- (base_block, Page.with_header bpage header) :: ctx.publish_refs;
-            Ok None)
-  in
-  tpoint t
-    (Trace.Test_and_set
-       { block = base_block; won = (match outcome with Ok None -> true | _ -> false) });
-  outcome
+  match acquire_commit_lock t ctx base_block with
+  | Error _ as e -> e
+  | Ok () ->
+      let outcome =
+        match List.assoc_opt base_block ctx.publish_refs with
+        | Some claimed -> Ok claimed.Page.header.Page.commit_ref
+        | None -> (
+            Pagestore.refresh t.ps base_block;
+            match read_pg t base_block with
+            | Error e -> Error e
+            | Ok { Page.header = { Page.commit_ref = Some _ as successor; _ }; _ } -> Ok successor
+            | Ok bpage ->
+                let header = { bpage.Page.header with Page.commit_ref = Some vb } in
+                ctx.publish_refs <- (base_block, Page.with_header bpage header) :: ctx.publish_refs;
+                Ok None)
+      in
+      if Trace.enabled t.trace then
+        Trace.point t.trace
+          (Trace.Test_and_set
+             { block = base_block; won = (match outcome with Ok None -> true | _ -> false) });
+      outcome
 
 let abandon t (v : version_record) outcome_name =
-  (match Hashtbl.find_opt t.files v.file_obj with
-  | Some file -> forget_uncommitted file v.vblock
-  | None -> ());
-  free_private_pages t v.vblock;
-  mark_aborted v;
-  tpoint t (Trace.Commit_outcome { vblock = v.vblock; outcome = outcome_name });
+  discard t v;
+  if Trace.enabled t.trace then
+    Trace.point t.trace (Trace.Commit_outcome { vblock = v.vblock; outcome = outcome_name });
   Error Conflict
 
 type merge_verdict = Rebased | Doomed of string
@@ -809,9 +809,8 @@ let drop_ctx t ctx =
   ctx.publish_refs <- [];
   ctx.winners <- [];
   ctx.unions <- [];
-  Hashtbl.reset ctx.pending;
-  List.iter (Pagestore.unlock t.ps) (Det.sorted_keys ctx.held);
-  Hashtbl.reset ctx.held
+  List.iter (Pagestore.unlock t.ps) ctx.held;
+  ctx.held <- []
 
 (* Stage 3 — durability and administration. "First it ascertains that
    all of V.b's pages are safely on disk": each winner's still-dirty
@@ -933,47 +932,46 @@ let note_winner ctx v ~fastpath =
    attributed per transaction without dooming the rest of the batch. *)
 let admit t ctx v =
   let vb = v.vblock in
-  let* vpage = read_pg t vb in
-  let* base0 =
-    match vpage.Page.header.Page.base_ref with
-    | Some b -> Ok b
-    | None -> Error (Store_failure "uncommitted version has no base reference")
-  in
-  let run_conflict =
-    match (v.wset, List.assoc_opt v.file_obj ctx.unions) with
-    | Some candidate, Some committed -> Writeset.conflict ~candidate ~committed
-    | _ -> None
-  in
-  match run_conflict with
-  | Some _ ->
-      bump t "commits.intercepted";
-      tpoint t (Trace.Commit_phase { vblock = vb; phase = "pretest" });
-      bump t "commits.shortcircuit";
-      bump t "commits.conflict";
-      abandon t v "shortcircuit"
-  | None ->
-      let rec attempt base_block =
-        match validate t ctx ~vb base_block with
-        | Error e -> Error e
-        | Ok None ->
-            let fastpath = base_block = base0 in
-            (* Before any later member of the run validates against it. *)
-            if fastpath && v.past <> Merged then reshare_read_shadows t v;
-            note_winner ctx v ~fastpath;
-            Ok ()
-        | Ok (Some _) when v.past = Shadows_dropped ->
-            bump t "commits.intercepted";
-            bump t "commits.conflict";
-            abandon t v "conflict"
-        | Ok (Some successor) -> (
-            match merge t v ~successor with
-            | Error e -> Error e
-            | Ok (Doomed reason) -> abandon t v reason
-            | Ok Rebased ->
-                v.past <- Merged;
-                attempt successor)
+  match read_pg t vb with
+  | Error e -> Error e
+  | Ok { Page.header = { Page.base_ref = None; _ }; _ } ->
+      Error (Store_failure "uncommitted version has no base reference")
+  | Ok { Page.header = { Page.base_ref = Some base0; _ }; _ } -> (
+      let run_conflict =
+        match (v.wset, List.assoc_opt v.file_obj ctx.unions) with
+        | Some candidate, Some committed -> Writeset.conflict ~candidate ~committed
+        | _ -> None
       in
-      attempt base0
+      match run_conflict with
+      | Some _ ->
+          bump t "commits.intercepted";
+          tpoint t (Trace.Commit_phase { vblock = vb; phase = "pretest" });
+          bump t "commits.shortcircuit";
+          bump t "commits.conflict";
+          abandon t v "shortcircuit"
+      | None ->
+          let rec attempt base_block =
+            match validate t ctx ~vb base_block with
+            | Error e -> Error e
+            | Ok None ->
+                let fastpath = base_block = base0 in
+                (* Before any later member of the run validates against it. *)
+                if fastpath && v.past <> Merged then reshare_read_shadows t v;
+                note_winner ctx v ~fastpath;
+                Ok ()
+            | Ok (Some _) when v.past = Shadows_dropped ->
+                bump t "commits.intercepted";
+                bump t "commits.conflict";
+                abandon t v "conflict"
+            | Ok (Some successor) -> (
+                match merge t v ~successor with
+                | Error e -> Error e
+                | Ok (Doomed reason) -> abandon t v reason
+                | Ok Rebased ->
+                    v.past <- Merged;
+                    attempt successor)
+          in
+          attempt base0)
 
 (* End a publishing run: one publish for every admitted winner. If it
    fails, the prefix of winners whose references reached the store is
@@ -1113,14 +1111,7 @@ let recover_from_blocks t blocks =
           let chain = ref [] in
           let rec register block =
             Hashtbl.replace t.versions block
-              {
-                vblock = block;
-                file_obj;
-                status = Committed;
-                wset = None;
-                private_blocks = [];
-                past = Unadmitted;
-              };
+              (fresh_version_record ~vblock:block ~file_obj ~status:Committed None);
             chain := block :: !chain;
             match read_pg t block with
             | Ok page -> (

@@ -40,12 +40,11 @@ let secret_of_seed seed =
 (* FNV-1a over the fields mixed with the secret; 32-bit truncated. A real
    system would use a cryptographic MAC, but the concurrency-control logic
    only needs unforgeability against honest-but-curious test clients. *)
-(* One FNV-1a step per byte of [v], least-significant first, unrolled:
-   the loop-and-ref formulation boxed every intermediate [Int64], and
-   [validate] runs several times per transaction on the hot path. The
-   byte is masked in 64-bit arithmetic rather than round-tripped through
-   [int] — same value, no conversion. *)
-let feed h v =
+(* One FNV-1a step per byte of [v], least-significant first, unrolled.
+   Unrolling alone does not stop the boxing: a call returns its [Int64]
+   boxed. Inlined into [check_field], every intermediate stays unboxed,
+   so [validate] and [mint] allocate nothing but [mint]'s record. *)
+let[@inline] feed h v =
   let prime = 0x100000001b3L in
   let h = Int64.mul (Int64.logxor h (Int64.logand v 0xFFL)) prime in
   let h = Int64.mul (Int64.logxor h (Int64.logand (Int64.shift_right_logical v 8) 0xFFL)) prime in

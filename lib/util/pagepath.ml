@@ -15,9 +15,9 @@ let child t i =
   if i < 0 then invalid_arg "Pagepath.child: negative index";
   t @ [ i ]
 
-let parent = function
-  | [] -> None
-  | t -> Some (List.filteri (fun pos _ -> pos < List.length t - 1) t)
+let prefix t n = if n >= List.length t then t else List.filteri (fun pos _ -> pos < n) t
+
+let parent = function [] -> None | t -> Some (prefix t (List.length t - 1))
 
 let last = function
   | [] -> None

@@ -80,22 +80,22 @@ module Counter = struct
 
   let create () : t = Hashtbl.create 16
 
-  let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t name (ref by)
-
   (* The counter cell itself, for hot paths that bump the same counter
      millions of times: resolve the string key once, then increment the
      ref directly. Force lazily at the first bump so a counter that is
-     never touched stays absent from [to_list], exactly as with [incr]. *)
+     never touched stays absent from [to_list], exactly as with [incr].
+     [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
   let handle t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find t name with
+    | r -> r
+    | exception Not_found ->
         let r = ref 0 in
         Hashtbl.add t name r;
         r
+
+  let incr ?(by = 1) t name =
+    let r = handle t name in
+    r := !r + by
 
   let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 

@@ -401,6 +401,57 @@ let test_reread_allocates_only_the_data () =
     Alcotest.failf "re-read allocates %.0f words (data copy %.0f, want at most 96 more)" words
       data_words
 
+(* A committed file whose pages form one chain [0; 0; ...] [depth] deep. *)
+let file_with_chain srv depth =
+  let f = ok (Server.create_file srv ()) in
+  let v = ok (Server.create_version srv f) in
+  for d = 0 to depth - 1 do
+    ignore (ok (Server.insert_page srv v ~parent:(path (List.init d (fun _ -> 0))) ~index:0 ()))
+  done;
+  ok (Server.commit srv v);
+  f
+
+(* A re-read records no flag and copies nothing, so each level of its
+   descent costs the same: words grow linearly with depth. *)
+let test_reread_linear_in_depth () =
+  let _, srv = Helpers.fresh_server () in
+  let v = ok (Server.create_version srv (file_with_chain srv 8)) in
+  let reread depth =
+    let p = path (List.init depth (fun _ -> 0)) in
+    ignore (ok (Server.read_page srv v p));
+    Helpers.minor_words_of (fun () -> ignore (Sys.opaque_identity (ok (Server.read_page srv v p))))
+  in
+  let w2 = reread 2 and w4 = reread 4 and w8 = reread 8 in
+  if w8 -. w4 > 2. *. (w4 -. w2) then
+    Alcotest.failf "re-read words by depth 2/4/8: %.0f/%.0f/%.0f, not linear" w2 w4 w8
+
+(* Checking a capability and finding its version allocate nothing but the
+   lookup's [Ok]: [version_block] answers with one more. *)
+let test_version_lookup_allocates_its_answer () =
+  let _, srv = Helpers.fresh_server () in
+  let v = ok (Server.create_version srv (ok (Server.create_file srv ()))) in
+  let words =
+    Helpers.minor_words_of (fun () -> ignore (Sys.opaque_identity (Server.version_block srv v)))
+  in
+  if words > 4. then Alcotest.failf "version_block allocates %.0f words (want at most 4)" words
+
+(* A fast-path commit of a version that wrote its one page allocates
+   what it keeps (the sealed images, the overlay) and little else.
+   Measured at 262 words; the budget adds 10%. *)
+let test_fastpath_commit_budget () =
+  let _, srv = Helpers.fresh_server () in
+  let f = ok (Server.create_file srv ~data:(Bytes.make 16 'a') ()) in
+  let commit_words () =
+    let v = ok (Server.create_version srv f) in
+    ok (Server.write_page srv v P.root (Bytes.make 16 'b'));
+    Helpers.minor_words_of (fun () -> ok (Server.commit srv v))
+  in
+  ignore (commit_words ());
+  let words = commit_words () in
+  Alcotest.(check int) "fast path" 2
+    (Afs_util.Stats.Counter.get (Server.counters srv) "commits.fastpath");
+  if words > 288. then Alcotest.failf "one-page commit allocates %.0f words (budget 288)" words
+
 let () =
   Alcotest.run "server"
     [
@@ -449,5 +500,11 @@ let () =
           quick "repeated write copies once" test_repeated_write_copies_once;
           quick "base flags untouched" test_base_version_flags_untouched;
         ] );
-      ("alloc", [ quick "re-read allocates only the data" test_reread_allocates_only_the_data ]);
+      ( "alloc",
+        [
+          quick "re-read allocates only the data" test_reread_allocates_only_the_data;
+          quick "re-read linear in depth" test_reread_linear_in_depth;
+          quick "version lookup allocates its Ok" test_version_lookup_allocates_its_answer;
+          quick "fast-path commit within budget" test_fastpath_commit_budget;
+        ] );
     ]

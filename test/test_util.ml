@@ -170,6 +170,20 @@ let test_cap_restrict () =
       | Ok _ -> Alcotest.fail "amplification allowed"
       | Error _ -> ())
 
+(* Every request checks a capability, and many mint one: the check field's
+   hash must not box its intermediates, so [validate] allocates nothing
+   and [mint] only its record. *)
+let test_cap_check_allocates_nothing () =
+  let secret = Capability.secret_of_seed 5 and port = Capability.port_of_int 9 in
+  let cap = Capability.mint secret ~port ~obj:3 ~rights:Capability.rights_all in
+  let validate () = ignore (Sys.opaque_identity (Capability.validate secret cap)) in
+  let mint () =
+    ignore (Sys.opaque_identity (Capability.mint secret ~port ~obj:3 ~rights:Capability.rights_all))
+  in
+  Alcotest.(check (float 0.)) "validate" 0. (Helpers.minor_words_of validate);
+  (* The record: a header and four fields. *)
+  Alcotest.(check (float 0.)) "mint" 5. (Helpers.minor_words_of mint)
+
 let test_cap_rights_subset () =
   let open Capability in
   Alcotest.(check bool) "r ⊆ all" true (rights_subset right_read rights_all);
@@ -204,6 +218,13 @@ let test_path_prefix () =
   Alcotest.(check bool) "b does not prefix a" false (Pagepath.is_prefix b a);
   Alcotest.(check bool) "root prefixes all" true (Pagepath.is_prefix Pagepath.root b);
   Alcotest.(check bool) "self-prefix" true (Pagepath.is_prefix b b)
+
+let test_path_ancestor () =
+  let p = Pagepath.of_list [ 1; 2; 3 ] in
+  Alcotest.(check (list int)) "depth 0" [] (Pagepath.to_list (Pagepath.prefix p 0));
+  Alcotest.(check (list int)) "depth 2" [ 1; 2 ] (Pagepath.to_list (Pagepath.prefix p 2));
+  Alcotest.(check bool) "whole path is itself" true (Pagepath.prefix p 3 == p);
+  Alcotest.(check bool) "beyond is itself" true (Pagepath.prefix p 5 == p)
 
 let test_path_rejects_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Pagepath.of_list: negative index")
@@ -429,6 +450,14 @@ let test_counter_incr_get_missing () =
   Alcotest.(check (list (pair string int)))
     "to_list keeps zeroed names" [ ("x", 0); ("zero", 0) ] (Stats.Counter.to_list c)
 
+(* Hot paths bump counters by name on every request. *)
+let test_counter_incr_allocates_nothing () =
+  let c = Stats.Counter.create () in
+  Stats.Counter.incr c "x";
+  let words = Helpers.minor_words_of (fun () -> Stats.Counter.incr c "x") in
+  Alcotest.(check (float 0.)) "incr of an existing counter" 0. words;
+  Alcotest.(check int) "counted" 2 (Stats.Counter.get c "x")
+
 let test_counter_independent_instances () =
   let a = Stats.Counter.create () and b = Stats.Counter.create () in
   Stats.Counter.incr a "shared";
@@ -510,12 +539,14 @@ let () =
           quick "wrong secret rejected" test_cap_wrong_secret;
           quick "restrict" test_cap_restrict;
           quick "rights subset" test_cap_rights_subset;
+          quick "check allocates nothing" test_cap_check_allocates_nothing;
         ] );
       ( "pagepath",
         [
           quick "string roundtrip" test_path_roundtrip_string;
           quick "parent/child" test_path_parent_child;
           quick "prefix" test_path_prefix;
+          quick "ancestor at depth" test_path_ancestor;
           quick "rejects negative" test_path_rejects_negative;
           quick "of_string errors" test_path_of_string_errors;
           quick "last/depth" test_path_last_depth;
@@ -547,6 +578,7 @@ let () =
           quick "counter" test_counter;
           quick "counter incr/get/missing" test_counter_incr_get_missing;
           quick "counter instances independent" test_counter_independent_instances;
+          quick "counter incr allocates nothing" test_counter_incr_allocates_nothing;
           quick "ratio" test_ratio;
         ] );
       ("det", [ QCheck_alcotest.to_alcotest prop_sorted_int_keys ]);
