@@ -118,6 +118,19 @@ let test_validation_null_op =
     (Staged.stage (fun () ->
          ignore (ok (Afs_core.Cache.server_validate srv ~file:f ~basis_block:basis))))
 
+(* The §3.1 cache-integrity re-read of an unchanged 1 KiB page: the
+   store shares the page's own image, so the check is one physical
+   comparison with its memo. *)
+let test_pagestore_revalidate =
+  let module Pagestore = Afs_core.Pagestore in
+  let ps = Pagestore.create (Store.memory ()) in
+  let b = ok (Pagestore.allocate ps) in
+  ok (Pagestore.write_through ps b (Page.with_data Page.empty (Bytes.make 1024 'v')));
+  Test.make ~name:"pagestore-revalidate-1k"
+    (Staged.stage (fun () ->
+         Pagestore.refresh ps b;
+         ignore (Pagestore.read ps b)))
+
 (* C5 support: the stable-storage envelope path. One stable write seals
    one envelope (one CRC over ~1 KiB) and writes it to both disks. *)
 let test_crc32 =
@@ -188,9 +201,9 @@ let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
     test_flags_nibble; test_capability_validate; test_server_find_version;
     test_read_page_accessed_cached; test_commit_fastpath;
-    test_serialise_merge; test_validation_null_op; test_crc32; test_stable_write;
-    test_stable_read; test_stable_write_batch; test_marker_decode_plain;
-    test_marker_staged_roundtrip ]
+    test_serialise_merge; test_validation_null_op; test_pagestore_revalidate;
+    test_crc32; test_stable_write; test_stable_read; test_stable_write_batch;
+    test_marker_decode_plain; test_marker_staged_roundtrip ]
 
 (* [smoke] trades precision for speed (CI runs it on shared runners just
    to catch order-of-magnitude regressions and keep the artifact fresh). *)

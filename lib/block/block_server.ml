@@ -128,7 +128,7 @@ let read t account b =
       let { Disk.result; cost_ms } = Disk.read t.disk b in
       let cost = request_overhead_ms +. cost_ms in
       (match result with
-      | Ok image -> ok ~cost (Bytes.of_string image)
+      | Ok image -> ok ~cost (Bytes.unsafe_of_string image)
       | Error e -> fail ~cost (Disk_error e))
 
 let write t account b data =
@@ -138,7 +138,7 @@ let write t account b data =
       match check_lock t account b with
       | Error e -> fail e
       | Ok () ->
-          let { Disk.result; cost_ms } = Disk.write t.disk b (Bytes.to_string data) in
+          let { Disk.result; cost_ms } = Disk.write t.disk b (Bytes.unsafe_to_string data) in
           let cost = request_overhead_ms +. cost_ms in
           (match result with
           | Ok () -> ok ~cost ()

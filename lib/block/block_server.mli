@@ -49,10 +49,11 @@ val deallocate : t -> account -> int -> unit outcome
     media: the space is simply unlinked). *)
 
 val read : t -> account -> int -> bytes outcome
+(** The disk's image itself, not a copy: the caller must not change it. *)
 
 val write : t -> account -> int -> bytes -> unit outcome
 (** Atomic: the acknowledgement implies durability. Respects locks held by
-    other accounts. *)
+    other accounts. The disk keeps [data] itself: do not change it. *)
 
 val lock : t -> account -> int -> unit outcome
 (** Grab the block's lock; fails with [Locked] when another account holds

@@ -8,16 +8,13 @@ module Remote = Afs_rpc.Remote
 type t = { id : int; store : Store.t; server : Server.t; host : Remote.host }
 
 (* The file's current committed root decoded, from one chase of the
-   commit chain and one read of the root, with the root's bytes: a
-   tombstone ([Moved]), a cross-shard transaction's stage ([Staged]), or
-   [None] for ordinary data. *)
+   commit chain and one read of the root, with the root's bytes, not
+   copied: a tombstone ([Moved]), a cross-shard transaction's stage
+   ([Staged]), or [None] for ordinary data. *)
 let root_marker server file =
-  match Server.current_version server file with
+  match Server.current_root_data server file with
   | Error _ -> None
-  | Ok version -> (
-      match Server.read_page server version Pagepath.root with
-      | Error _ -> None
-      | Ok data -> ( match Marker.decode data with Some m -> Some (m, data) | None -> None))
+  | Ok data -> ( match Marker.decode data with Some m -> Some (m, data) | None -> None)
 
 let moved_target server file =
   match root_marker server file with
@@ -42,7 +39,7 @@ let location_check server base (req : Remote.request) : Remote.response =
       | Some (Marker.Moved target, _) -> Error (Errors.Moved target)
       | _ when not (reads_root steps) ->
           Error (Errors.Store_failure "shard: an Open batch must read the root first")
-      | Some (Marker.Staged _, image) -> Ok (Remote.Batched (Remote.Marked image))
+      | Some (Marker.Staged _, image) -> Ok (Remote.Batched (Remote.Marked (Bytes.copy image)))
       | Some (Marker.Outcome _, _) | None -> base req)
   | Remote.Batch { target = Remote.Current file; _ } | Remote.Await { file; _ } -> (
       (* Reads of the committed root and the [Swap]s that resolve

@@ -191,8 +191,8 @@ let set_cap buf pos c =
 
 (* Serialise into an exactly-sized buffer (the arithmetic size makes the
    single allocation possible). The image is memoized on the page and
-   aliased to every caller, so callers must treat it as immutable —
-   every store boundary in this repo copies. *)
+   aliased to every caller, so callers must treat it as immutable — the
+   store boundary's ownership rule ({!Store}) hands it on uncopied. *)
 let encode_into t buf =
   Bytes.set_uint16_le buf 0 magic;
   Bytes.set_uint8 buf 2 format_version;
@@ -317,9 +317,9 @@ let cap_at image pos =
 (* [memo] seeds the decoded page's image memo with [image] itself, so the
    page will never be re-serialised. Only sound when the image is known
    to be canonical encoder output (every image in this system's stores
-   is: stores are only ever written with {!encode} results) and when the
-   caller owns [image] exclusively — both stores hand out fresh copies on
-   read. Default off for arbitrary input, whose varints may be padded. *)
+   is: stores are only ever written with {!encode} results) and will
+   never change — the store boundary's ownership rule. Default off for
+   arbitrary input, whose varints may be padded. *)
 let build ~memo image ~fields_at ~base_at ~refs_at ~nrefs =
   let base_ref = decode_opt_block (word_at image base_at) in
   let header =

@@ -115,7 +115,7 @@ val memoized_image : t -> bytes option
 (** The memoized wire image, if this page has been serialised (or was
     decoded with [~memo:true]). Never serialises. Shared with the memo:
     treat as immutable. Cache revalidation compares it against a freshly
-    read store image to skip re-decoding an unchanged page. *)
+    read store image (often the memo itself) to skip re-decoding. *)
 
 val decode : ?memo:bool -> bytes -> (t, string) result
 (** Rejects, with an [Error] that reads ["page decode: ..."], bad magic,
@@ -124,9 +124,9 @@ val decode : ?memo:bool -> bytes -> (t, string) result
     the whole image is checked before anything is allocated. With [memo]
     (default off), the input image seeds the decoded page's encode memo:
     sound only for images produced by {!encode} (the decoder also accepts
-    padded varints, which would break byte-identity) that the caller owns
-    exclusively — true of every image read back from this system's
-    stores. *)
+    padded varints, which would break byte-identity) that nobody will
+    change — true of every image read back from this system's stores,
+    under {!Store}'s ownership rule. *)
 
 (** {2 Reading an image in place}
 

@@ -23,6 +23,11 @@ let set_page e page =
   e.page <- page;
   e.answer <- Ok page
 
+let set_clean e page =
+  if e.page != page then set_page e page;
+  e.dirty <- false;
+  e.stale <- false
+
 (* What a cache lookup answers for an uncached block; compared
    physically, never cached and never changed. *)
 let absent = entry Page.empty ~dirty:false
@@ -124,7 +129,7 @@ let cache_set t b entry =
   if Hashtbl.mem t.locked b then ignore (Lru.pin t.cache b);
   evict_excess t
 
-let drop_entry_raw t b =
+let drop_entry t b =
   Hashtbl.remove t.dirty b;
   Lru.remove t.cache b
 
@@ -132,17 +137,18 @@ let drop_entry_raw t b =
    page's memoized encoding proves the store still holds exactly what we
    decoded (or wrote) before, so the decoded page is reused as is; this
    counts as a miss, like the drop-and-re-read it replaces, and the
-   store read it pays for is the §3.1 integrity check itself. *)
+   store read it pays for is the §3.1 integrity check itself: with shared
+   images, usually a physical comparison with the memo. *)
 let revalidate t b (e : entry) =
   match t.store.Store.read b with
   | Error msg ->
-      drop_entry_raw t b;
+      drop_entry t b;
       Error (Errors.Store_failure msg)
   | Ok image -> (
       let r = Lazy.force t.misses in
       r := !r + 1;
       match Page.memoized_image e.page with
-      | Some memo when Bytes.equal memo image ->
+      | Some memo when memo == image || Bytes.equal memo image ->
           e.stale <- false;
           e.answer
       | _ -> (
@@ -159,10 +165,9 @@ let read t b =
     match t.store.Store.read b with
     | Error msg -> Error (Errors.Store_failure msg)
     | Ok image -> (
-        (* The store hands back a fresh copy of an image this system
-           wrote with [Page.encode], so it can seed the page's encode
-           memo: a page faulted in and flushed back out costs zero
-           serialisations. *)
+        (* The store hands back an image this system wrote with
+           [Page.encode], so it can seed the page's encode memo: a page
+           faulted in and flushed back out costs zero serialisations. *)
         match Page.decode ~memo:true image with
         | Error msg -> Error (Errors.Store_failure msg)
         | Ok page ->
@@ -243,13 +248,10 @@ let flush t =
 
 let dirty_count t = Hashtbl.length t.dirty
 
-let dirty_pages t blocks =
-  List.filter_map
-    (fun b ->
-      match Lru.peek t.cache b with
-      | Some { dirty = true; page; _ } -> Some (b, page)
-      | Some { dirty = false; _ } | None -> None)
-    blocks
+let add_dirty t batch b =
+  match Lru.peek t.cache b with
+  | Some { dirty = true; page; _ } -> (b, page) :: batch
+  | Some { dirty = false; _ } | None -> batch
 
 let cached_blocks t = List.rev (Lru.fold (fun b _ acc -> b :: acc) t.cache [])
 
@@ -273,52 +275,47 @@ let drop_volatile t =
   Lru.clear t.cache;
   Hashtbl.reset t.dirty
 
-let drop_entry t b = drop_entry_raw t b
-
 let refresh t b =
   match Lru.peek t.cache b with
   | Some { dirty = true; _ } -> () (* Our own pending write is authoritative. *)
   | Some e -> e.stale <- true
   | None -> ()
 
-(* The publish leg: every page is size-checked and encoded before the
-   first store write (a too-large page cannot leave the batch
-   half-written), then [pages] and [entries], in that order, go to the
-   store in one [write_batch] call — one amortised stable-storage round
-   trip when the backend is a stable pair. The store writes in order and
-   stops at the first error, so on failure the durable state is a prefix
-   of the batch. The dirty [pages] then stay dirty, so a retry writes
-   them again; every other cached copy of an [entries] block is dropped,
-   since we no longer know which writes landed. *)
-let write_through_batch ?(pages = []) t entries =
-  let rec encode acc = function
-    | [] -> Ok (List.rev acc)
-    | (b, page) :: rest -> (
-        match check_size t page with
-        | Error _ as e -> e
-        | Ok _ -> encode ((b, Page.encode page) :: acc) rest)
-  in
-  match encode [] (pages @ entries) with
-  | Error _ as e -> e
-  | Ok images -> (
-      match t.store.Store.write_batch images with
-      | Ok () ->
-          List.iter
-            (fun (b, _) -> Option.iter (mark_clean t b) (Lru.peek t.cache b))
-            pages;
-          let rec settle = function
-            | [] -> Ok ()
-            | (b, page) :: rest -> (
-                Hashtbl.remove t.dirty b;
-                if not t.cache_enabled then settle rest
-                else
-                  match cache_set t b (entry page ~dirty:false) with
-                  | Ok () -> settle rest
-                  | Error _ as e -> e)
-          in
-          settle entries
+(* A published reference: its entry is refreshed in place and promoted,
+   as [cache_set] would, or a clean one is added. *)
+let settle t b page =
+  Hashtbl.remove t.dirty b;
+  let e = if t.cache_enabled then Lru.find_or t.cache b absent else absent in
+  if e != absent then (set_clean e page; evict_excess t)
+  else if t.cache_enabled then cache_set t b (entry page ~dirty:false)
+  else Ok ()
+
+(* A durable batch's first [pages] entries become clean in place; the
+   rest settle. *)
+let rec clean t pages = function
+  | [] -> Ok ()
+  | (b, _) :: rest when pages > 0 ->
+      (match Lru.peek t.cache b with Some e -> mark_clean t b e | None -> ());
+      clean t (pages - 1) rest
+  | (b, page) :: rest -> ( match settle t b page with Ok () -> clean t 0 rest | Error _ as e -> e)
+
+(* The publish leg: every page is size-checked before the first store
+   write (a too-large page cannot leave the batch half-written), then the
+   batch's images go to the store in one [write_batch] call — one
+   amortised stable-storage round trip when the backend is a stable
+   pair. The store writes in order and stops at the first error, so on
+   failure the durable state is a prefix of the batch. The dirty pages
+   then stay dirty, so a retry writes them again; every other cached
+   copy of a batch block is dropped, since we no longer know which
+   writes landed. *)
+let write_through_batch ?(pages = 0) t batch =
+  match List.find_opt (fun (_, p) -> Page.encoded_size p > page_size_limit t) batch with
+  | Some (_, page) -> Result.map ignore (check_size t page)
+  | None -> (
+      match t.store.Store.write_batch (List.map (fun (b, page) -> (b, Page.encode page)) batch) with
+      | Ok () -> clean t pages batch
       | Error msg ->
-          List.iter (fun (b, _) -> if not (Hashtbl.mem t.dirty b) then drop_entry t b) entries;
+          List.iter (fun (b, _) -> if not (Hashtbl.mem t.dirty b) then drop_entry t b) batch;
           Error (Errors.Store_failure msg))
 
 let free t b =
@@ -363,10 +360,5 @@ let write_through_in_place t b page =
   match durable_write t b page with
   | Error _ as e -> e
   | Ok () ->
-      (match Lru.peek t.cache b with
-      | Some e ->
-          set_page e page;
-          e.dirty <- false;
-          e.stale <- false
-      | None -> ());
+      (match Lru.peek t.cache b with Some e -> set_clean e page | None -> ());
       Ok ()

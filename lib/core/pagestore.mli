@@ -5,7 +5,7 @@
     storage until just before commit. This module implements exactly that
     over a capacity-bounded LRU: {!write} updates the cache and marks the
     block dirty; a commit's publish writes its version's dirty pages
-    ({!dirty_pages}) in the same {!write_through_batch} as its commit
+    ({!add_dirty}) in the same {!write_through_batch} as its commit
     references, pages first; and crash simulation calls {!drop_volatile}
     to lose whatever was not written.
 
@@ -44,22 +44,23 @@ val write_through : t -> int -> Page.t -> (unit, Errors.t) result
 (** Immediately durable, outside any publish batch (a new file's first
     version page, the lock fields of a committed version page). *)
 
-val write_through_batch :
-  ?pages:(int * Page.t) list -> t -> (int * Page.t) list -> (unit, Errors.t) result
-(** [write_through_batch ~pages refs] durably writes [pages], then [refs],
+val write_through_batch : ?pages:int -> t -> (int * Page.t) list -> (unit, Errors.t) result
+(** [write_through_batch ~pages batch] durably writes [batch], in order,
     in one store [write_batch] — the commit publish leg, one amortised
-    stable-storage round trip on a stable-pair backend. [pages] are dirty
-    cached pages (from {!dirty_pages}); on success they become clean in
-    place, without touching the LRU order, and each of [refs] is cached
-    clean. Every page is size-checked before the first write. The store
-    stops at the first error, so a failure leaves a prefix of the batch
-    durable: a reference is never durable unless every page before it
-    is. On failure [pages] stay dirty, so a retry writes them again, and
-    every other cached copy of a [refs] block is dropped. *)
+    stable-storage round trip on a stable-pair backend. Its first [pages]
+    entries (default 0) are dirty cached pages ({!add_dirty}), made clean
+    in place without touching the LRU order; each later one, a commit
+    reference, is cached clean. Every page is size-checked before the
+    first write. The store stops at the first error, so a failure leaves
+    a prefix of the batch durable: a reference is never durable unless
+    every entry before it is. On failure the dirty pages stay dirty, so
+    a retry writes them again, and any other cached batch block is
+    dropped. *)
 
-val dirty_pages : t -> int list -> (int * Page.t) list
-(** The given blocks that are cached and dirty, with their pages, in the
-    given order. Cache-neutral: no reordering and no hit counted. *)
+val add_dirty : t -> (int * Page.t) list -> int -> (int * Page.t) list
+(** [add_dirty t batch b] puts [b] with its page in front of [batch] when
+    [b] is cached and dirty, and is [batch] otherwise. Cache-neutral: no
+    reordering and no hit counted. *)
 
 val flush : t -> (unit, Errors.t) result
 (** Write every dirty block, one store write each, in ascending block

@@ -405,6 +405,13 @@ let current_version t cap =
     | Ok current -> Ok (mint_version_cap ~rights:Capability.right_read t current)
     | Error e -> Error e
 
+let current_root_data t cap =
+  if not (grants t cap ~need:Capability.right_read) then Error Invalid_capability
+  else
+    match current_block_of_file t cap with
+    | Error e -> Error e
+    | Ok current -> ( match read_pg t current with Ok p -> Ok p.Page.data | Error e -> Error e)
+
 (* Cache-neutral: the collector walks every file's chain through here. *)
 let committed_chain t cap =
   let* file = find_file t cap ~need:Capability.rights_none in
@@ -815,34 +822,38 @@ let drop_ctx t ctx =
 (* Stage 3 — durability and administration. "First it ascertains that
    all of V.b's pages are safely on disk": each winner's still-dirty
    pages (version page, then its private blocks in allocation order),
-   oldest winner first, and after them all the run's commit references,
-   go to the store in one [write_through_batch] (one amortised
-   stable-storage leg on a stable-pair backend); then, only if that write
-   succeeded, the winners are finished oldest first. Every held lock is
-   released either way. The store writes in order and stops at the first
-   error, so a mid-batch failure leaves a durable prefix: each member is
-   either completely committed (all pages precede all references) or not
+   oldest winner first, and after them all the run's commit references
+   (one list, built back to front, that the tap sees too), go to the
+   store in one [write_through_batch] (one amortised stable-storage leg
+   on a stable-pair backend); then, only if that write succeeded, the
+   winners are finished oldest first. Every held lock is released either
+   way. The store writes in order and stops at the first error, so a
+   mid-batch failure leaves a durable prefix: each member is either
+   completely committed (all pages precede all references) or not
    committed at all, and the pages of the members that are not are
    orphans the collector reclaims. Pages that did not land stay dirty for
    a retry. Doomed and aborted versions never reach this point, so their
    pages are never written. *)
 let publish t ctx =
-  let winners = List.rev ctx.winners in
   let result =
     match List.rev ctx.publish_refs with
     | [] -> Ok ()
     | refs -> (
-        let pages =
-          List.concat_map
-            (fun (v, _) -> Pagestore.dirty_pages t.ps (v.vblock :: List.rev v.private_blocks))
-            winners
+        let add = Pagestore.add_dirty t.ps in
+        let batch =
+          List.fold_left
+            (fun batch ((v : version_record), _) ->
+              add (List.fold_left add batch v.private_blocks) v.vblock)
+            refs ctx.winners
         in
-        match t.publish_tap (pages @ refs) with
+        match t.publish_tap batch with
         | Error _ as e -> e
-        | Ok () -> Pagestore.write_through_batch ~pages t.ps refs)
+        | Ok () ->
+            let pages = List.length batch - List.length refs in
+            Pagestore.write_through_batch ~pages t.ps batch)
   in
   (match result with
-  | Ok () -> List.iter (finish_commit t) winners
+  | Ok () -> List.iter (finish_commit t) (List.rev ctx.winners)
   | Error _ -> ());
   drop_ctx t ctx;
   result

@@ -71,6 +71,10 @@ val create_file : t -> ?data:bytes -> unit -> Afs_util.Capability.t Errors.r
 val current_version : t -> Afs_util.Capability.t -> Afs_util.Capability.t Errors.r
 (** Capability of the current committed version (read rights only). *)
 
+val current_root_data : t -> Afs_util.Capability.t -> bytes Errors.r
+(** {!read_page} of {!current_version}'s root, but minting no capability
+    and copying nothing: the caller must not change it. Needs read rights. *)
+
 val committed_chain : t -> Afs_util.Capability.t -> int list Errors.r
 (** Version-page blocks of the committed versions, oldest first — the
     Figure 4 family tree's spine. The walk reads commit references
@@ -111,6 +115,7 @@ val version_of_block : t -> int -> Afs_util.Capability.t Errors.r
 
 val read_page : t -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Errors.r
 val write_page : t -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes -> unit Errors.r
+(** Takes ownership of the data: the caller must not change it afterwards. *)
 
 val page_info : t -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> page_info Errors.r
 (** Read-only on any version; records no flags. *)
@@ -119,7 +124,8 @@ val insert_page :
   t -> Afs_util.Capability.t -> parent:Afs_util.Pagepath.t -> index:int ->
   ?data:bytes -> unit -> Afs_util.Pagepath.t Errors.r
 (** Add a fresh page under [parent] at [index] (an explicit reference-
-    table modification: sets the parent's [M]); returns its path. *)
+    table modification: sets the parent's [M]); returns its path. Takes
+    ownership of [data], as {!write_page} does. *)
 
 val remove_page :
   t -> Afs_util.Capability.t -> parent:Afs_util.Pagepath.t -> index:int -> unit Errors.r

@@ -77,7 +77,7 @@ let memory ?(block_size = 32768) () =
     if Bytes.length data > block_size then Error "block too large"
     else begin
       Hashtbl.replace allocated b ();
-      Hashtbl.replace blocks b (Bytes.copy data);
+      Hashtbl.replace blocks b data;
       Ok ()
     end
   in
@@ -96,9 +96,9 @@ let memory ?(block_size = 32768) () =
         Ok ());
     read =
       (fun b ->
-        match Hashtbl.find_opt blocks b with
-        | Some data -> Ok (Bytes.copy data)
-        | None -> Error (Printf.sprintf "block %d never written" b));
+        match Hashtbl.find blocks b with
+        | data -> Ok data
+        | exception Not_found -> Error (Printf.sprintf "block %d never written" b));
     write;
     write_batch = sequential_batch write;
     lock;
@@ -201,10 +201,10 @@ let worm_hybrid ~blocks ~block_size () =
   let lift_disk : type a. a Disk.outcome -> (a, string) result =
    fun o -> Result.map_error (Fmt.str "%a" Disk.pp_error) o.Disk.result
   in
-  (* The disks keep immutable images; the store's pages are bytes, so
-     each direction copies once here. *)
+  (* The disks keep immutable images, which the ownership rule lets both
+     directions pass through uncopied. *)
   let write b data =
-    let image = Bytes.to_string data in
+    let image = Bytes.unsafe_to_string data in
     if Hashtbl.mem redirected b then lift_disk (Disk.write index b image)
     else if Disk.is_written bulk b then begin
       Hashtbl.replace redirected b ();
@@ -234,7 +234,7 @@ let worm_hybrid ~blocks ~block_size () =
       read =
         (fun b ->
           let disk = if Hashtbl.mem redirected b then index else bulk in
-          Result.map Bytes.of_string (lift_disk (Disk.read disk b)));
+          Result.map Bytes.unsafe_of_string (lift_disk (Disk.read disk b)));
       write;
       write_batch = sequential_batch write;
       lock;

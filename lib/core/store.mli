@@ -8,7 +8,12 @@
 
     [lock]/[unlock] expose the block server's simple locking facility, used
     only for the commit critical section: "lock and read a block, examine
-    and modify it, then write and unlock the block again". *)
+    and modify it, then write and unlock the block again".
+
+    Images are shared, never copied, at this boundary (§5.1: a written
+    image never changes). Every backend and wrapper keeps one ownership
+    rule: a writer hands the bytes over and never changes them again, and
+    a reader never changes what [read] returns (often the written bytes). *)
 
 type t = {
   block_size : int;
@@ -40,12 +45,14 @@ val apply_ops : t -> op list -> (unit, string) result
     stable-pair replica pays its companion hop once per run of writes. *)
 
 val memory : ?block_size:int -> unit -> t
-(** Unbounded in-memory store (default block size 32768). *)
+(** Unbounded in-memory store (default block size 32768). It keeps the
+    written bytes and [read] returns them. *)
 
 val of_block_server :
   Afs_block.Block_server.t -> account:Afs_block.Block_server.account -> t
 (** All operations performed under the given account; the block server's
-    per-account protection applies. *)
+    per-account protection applies. Images pass to and from the disk's
+    immutable strings uncopied. *)
 
 val of_stable_pair : Afs_stable.Stable_pair.t -> t
 (** Routes each operation to a currently-online server of the pair, so the

@@ -195,7 +195,7 @@ module Source = struct
           (fun b data ->
             match store.Store.write b data with
             | Ok () ->
-                record (Store.Write (b, Bytes.copy data));
+                record (Store.Write (b, data));
                 Ok ()
             | Error _ as e -> e);
         (* [write_batch] is not captured: its one caller is the publish

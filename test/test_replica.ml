@@ -192,6 +192,92 @@ let prop_replica_byte_identity =
                 (Cluster.replicas_of cluster i))
         (List.init shards Fun.id))
 
+(* The store boundary's ownership rule, guarded end to end: images are
+   shared, never copied, so a writer or reader that changed one in place
+   would corrupt a store, a replica or a cached page's memo. A mixed
+   workload runs over memory stores, with group commit, the collector
+   and one replica per shard. Halfway through, a copy of every image is
+   kept; at the end, every image kept still equals its copy, some are
+   still the very bytes their stores hold, and every replica matches its
+   primary. *)
+let test_shared_images_never_change () =
+  let open Afs_workload in
+  let shape =
+    { Workload.small_updates with nfiles = 16; pages_per_file = 8; page_theta = 0.9 }
+  in
+  let engine = Engine.create () in
+  let cluster =
+    Cluster.create ~latency_ms:1.0 ~group_commit:4 ~replicas:1 engine ~shards:2
+  in
+  let files = ok (Workload.setup_cluster cluster shape ~initial:(bytes "0")) in
+  let duration_ms = 1_200.0 in
+  let stores =
+    List.concat_map
+      (fun i ->
+        (match Cluster.replication_source cluster i with
+        | Some src -> [ Replica.Source.inner_store src ]
+        | None -> Alcotest.fail "shard without a replication source")
+        @ List.map Replica.store (Cluster.replicas_of cluster i))
+      [ 0; 1 ]
+  in
+  let snapshot = ref [] and freed = ref 0 in
+  ignore
+    (Proc.spawn engine (fun () ->
+         Proc.delay (duration_ms /. 2.);
+         snapshot :=
+           List.concat_map
+             (fun (store : Store.t) ->
+               List.filter_map
+                 (fun b ->
+                   match store.Store.read b with
+                   | Ok image -> Some (store, b, image, Bytes.copy image)
+                   | Error _ -> None)
+                 (Helpers.ok_str (store.Store.list_blocks ())))
+             stores));
+  ignore
+    (Proc.spawn engine (fun () ->
+         while Engine.now engine < duration_ms do
+           Proc.delay 100.0;
+           List.iter
+             (fun shard ->
+               let stats = ok (Afs_core.Gc.collect (Shard.server shard)) in
+               freed := !freed + stats.Afs_core.Gc.blocks_freed)
+             (Cluster.shards cluster)
+         done));
+  let report =
+    Driver.run engine
+      { Driver.default_config with clients = 6; duration_ms; think_ms = 5.0 }
+      (Sut.afs_cluster (Cluster_client.connect cluster) ~files)
+      ~gen:(Workload.make shape)
+  in
+  Alcotest.(check bool) "the workload committed" true (report.Driver.committed > 100);
+  Alcotest.(check bool) "the collector freed blocks" true (!freed > 0);
+  Alcotest.(check bool) "commits were batched" true
+    (List.exists
+       (fun shard ->
+         Stats.Counter.get (Server.counters (Shard.server shard)) "commits.batches" > 0)
+       (Cluster.shards cluster));
+  let unchanged =
+    List.fold_left
+      (fun n ((store : Store.t), b, image, copy) ->
+        if not (Bytes.equal image copy) then Alcotest.failf "block %d's image changed" b;
+        match store.Store.read b with Ok now when now == image -> n + 1 | Ok _ | Error _ -> n)
+      0 !snapshot
+  in
+  Alcotest.(check bool) "images shared across the run" true (unchanged > 0);
+  Cluster.flush_replication cluster;
+  List.iter
+    (fun i ->
+      match Cluster.replication_source cluster i with
+      | None -> ()
+      | Some src ->
+          List.iter
+            (fun r ->
+              Alcotest.(check bool) "replica matches its primary" true
+                (digest (Replica.store r) = digest (Replica.Source.inner_store src)))
+            (Cluster.replicas_of cluster i))
+    [ 0; 1 ]
+
 (* {2 Fencing} *)
 
 (* The regression the design note promises: a deposed primary's delayed
@@ -445,6 +531,7 @@ let () =
           quick "stable-pair replica store" test_replica_on_stable_pair;
           QCheck_alcotest.to_alcotest prop_replica_byte_identity;
           quick "each publish ships once" test_publish_ships_once;
+          quick "shared images never change" test_shared_images_never_change;
         ] );
       ( "fencing",
         [

@@ -435,9 +435,24 @@ let test_version_lookup_allocates_its_answer () =
   in
   if words > 4. then Alcotest.failf "version_block allocates %.0f words (want at most 4)" words
 
+(* Finding the current version re-reads its page from the store (the
+   §3.1 integrity check), which shares its image: a 1 KiB root costs no
+   more than a small one. *)
+let test_current_version_flat_in_root_size () =
+  let _, srv = Helpers.fresh_server () in
+  let words data =
+    let f = ok (Server.create_file srv ~data ()) in
+    ignore (ok (Server.current_version srv f));
+    Helpers.minor_words_of (fun () -> ignore (Sys.opaque_identity (Server.current_version srv f)))
+  in
+  let small = words (Bytes.make 16 's') and large = words (Bytes.make 1024 'l') in
+  if large > small then
+    Alcotest.failf "current_version allocates %.0f words on a 1 KiB root, %.0f on a small one"
+      large small
+
 (* A fast-path commit of a version that wrote its one page allocates
    what it keeps (the sealed images, the overlay) and little else.
-   Measured at 262 words; the budget adds 10%. *)
+   Measured at 185 words; the budget adds 10%. *)
 let test_fastpath_commit_budget () =
   let _, srv = Helpers.fresh_server () in
   let f = ok (Server.create_file srv ~data:(Bytes.make 16 'a') ()) in
@@ -450,7 +465,7 @@ let test_fastpath_commit_budget () =
   let words = commit_words () in
   Alcotest.(check int) "fast path" 2
     (Afs_util.Stats.Counter.get (Server.counters srv) "commits.fastpath");
-  if words > 288. then Alcotest.failf "one-page commit allocates %.0f words (budget 288)" words
+  if words > 204. then Alcotest.failf "one-page commit allocates %.0f words (budget 204)" words
 
 let () =
   Alcotest.run "server"
@@ -506,5 +521,6 @@ let () =
           quick "re-read linear in depth" test_reread_linear_in_depth;
           quick "version lookup allocates its Ok" test_version_lookup_allocates_its_answer;
           quick "fast-path commit within budget" test_fastpath_commit_budget;
+          quick "current version flat in root size" test_current_version_flat_in_root_size;
         ] );
     ]
