@@ -33,6 +33,10 @@ type t = {
   conns : Remote.conn array;
   router : Router.t;
   counters : Stats.Counter.t;
+  (* Each shard's ["shard%d.commits"] counter, resolved at its first
+     commit (so an untouched one stays out of the table): a commit bumps
+     it without formatting its name. *)
+  shard_commit_counts : int ref Lazy.t array;
   loads : (int * int, load) Hashtbl.t;
   build : int -> ?publish_tap:((int * Afs_core.Page.t) list -> unit Errors.r) -> Store.t -> Shard.t;
   trace : Trace.t option;
@@ -84,6 +88,9 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
     conns = Array.map (fun s -> Remote.connect [ Shard.host s ]) shards;
     router;
     counters;
+    shard_commit_counts =
+      Array.init n (fun i ->
+          lazy (Stats.Counter.handle counters (Printf.sprintf "shard%d.commits" i)));
     loads = Hashtbl.create 64;
     build;
     trace;
@@ -106,7 +113,8 @@ let shard_of_cap t cap =
 let place t = t.shards.(Router.place t.router)
 
 let note_load t ~shard file =
-  Stats.Counter.incr t.counters (Printf.sprintf "shard%d.commits" (Shard.id shard));
+  let commits = Lazy.force t.shard_commit_counts.(Shard.id shard) in
+  commits := !commits + 1;
   let key = (Capability.port_to_int file.Capability.port, file.Capability.obj) in
   match Hashtbl.find_opt t.loads key with
   | Some l -> l.count <- l.count + 1
@@ -117,7 +125,9 @@ let drain_loads t =
   Hashtbl.reset t.loads;
   List.rev entries
 
-let shard_commits t i = Stats.Counter.get t.counters (Printf.sprintf "shard%d.commits" i)
+let shard_commits t i =
+  let commits = t.shard_commit_counts.(i) in
+  if Lazy.is_val commits then !(Lazy.force commits) else 0
 let migrations t = Stats.Counter.get t.counters "migrations"
 
 (* {2 Replication} *)

@@ -39,7 +39,7 @@ let location_check server base (req : Remote.request) : Remote.response =
       | Some (Marker.Moved target, _) -> Error (Errors.Moved target)
       | _ when not (reads_root steps) ->
           Error (Errors.Store_failure "shard: an Open batch must read the root first")
-      | Some (Marker.Staged _, image) -> Ok (Remote.Batched (Remote.Marked (Bytes.copy image)))
+      | Some (Marker.Staged _, image) -> Ok (Remote.Batched (Remote.Marked image))
       | Some (Marker.Outcome _, _) | None -> base req)
   | Remote.Batch { target = Remote.Current file; _ } | Remote.Await { file; _ } -> (
       (* Reads of the committed root and the [Swap]s that resolve

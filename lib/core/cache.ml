@@ -117,12 +117,12 @@ let entry_for t file_obj basis =
 
 let put t ~file ~basis_block ~path ~data =
   let e = entry_for t file.Capability.obj basis_block in
-  e.pages <- Pagepath.Map.add path (Bytes.copy data) e.pages
+  e.pages <- Pagepath.Map.add path data e.pages
 
 let get t ~file ~path =
   match Hashtbl.find_opt t.files file.Capability.obj with
   | None -> None
-  | Some e -> Option.map Bytes.copy (Pagepath.Map.find_opt path e.pages)
+  | Some e -> Pagepath.Map.find_opt path e.pages
 
 let basis t ~file =
   Option.map (fun e -> e.basis_block) (Hashtbl.find_opt t.files file.Capability.obj)

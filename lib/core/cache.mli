@@ -61,9 +61,11 @@ val put : t -> file:Afs_util.Capability.t -> basis_block:int ->
   path:Afs_util.Pagepath.t -> data:bytes -> unit
 (** Remember a page of the given committed version. Entries whose basis
     does not match the cache's basis for the file reset that file's
-    entry first. *)
+    entry first. Keeps [data] itself, under {!Store.t}'s ownership rule:
+    neither the caller nor a later reader changes it. *)
 
 val get : t -> file:Afs_util.Capability.t -> path:Afs_util.Pagepath.t -> bytes option
+(** The bytes {!put} kept, not a copy: the caller must not change them. *)
 
 val basis : t -> file:Afs_util.Capability.t -> int option
 

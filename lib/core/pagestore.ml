@@ -228,14 +228,14 @@ let write_through t b page =
       if t.cache_enabled then cache_set t b (entry page ~dirty:false) else Ok ()
 
 let flush_block t b =
-  match Lru.peek t.cache b with
-  | Some ({ dirty = true; _ } as e) -> (
-      match store_write t b e.page with
-      | Error _ as err -> err
-      | Ok () ->
-          mark_clean t b e;
-          Ok ())
-  | Some { dirty = false; _ } | None -> Ok ()
+  let e = Lru.peek_or t.cache b absent in
+  if not e.dirty then Ok ()
+  else
+    match store_write t b e.page with
+    | Error _ as err -> err
+    | Ok () ->
+        mark_clean t b e;
+        Ok ()
 
 let flush t =
   (* The dirty set, in the same deterministic ascending order the old
@@ -249,9 +249,8 @@ let flush t =
 let dirty_count t = Hashtbl.length t.dirty
 
 let add_dirty t batch b =
-  match Lru.peek t.cache b with
-  | Some { dirty = true; page; _ } -> (b, page) :: batch
-  | Some { dirty = false; _ } | None -> batch
+  let e = Lru.peek_or t.cache b absent in
+  if e.dirty then (b, e.page) :: batch else batch
 
 let cached_blocks t = List.rev (Lru.fold (fun b _ acc -> b :: acc) t.cache [])
 
@@ -275,11 +274,11 @@ let drop_volatile t =
   Lru.clear t.cache;
   Hashtbl.reset t.dirty
 
+(* Our own pending write is authoritative, so a dirty entry stays as it
+   is; [absent] is never marked. *)
 let refresh t b =
-  match Lru.peek t.cache b with
-  | Some { dirty = true; _ } -> () (* Our own pending write is authoritative. *)
-  | Some e -> e.stale <- true
-  | None -> ()
+  let e = Lru.peek_or t.cache b absent in
+  if e != absent && not e.dirty then e.stale <- true
 
 (* A published reference: its entry is refreshed in place and promoted,
    as [cache_set] would, or a clean one is added. *)
@@ -295,7 +294,8 @@ let settle t b page =
 let rec clean t pages = function
   | [] -> Ok ()
   | (b, _) :: rest when pages > 0 ->
-      (match Lru.peek t.cache b with Some e -> mark_clean t b e | None -> ());
+      let e = Lru.peek_or t.cache b absent in
+      if e != absent then mark_clean t b e;
       clean t (pages - 1) rest
   | (b, page) :: rest -> ( match settle t b page with Ok () -> clean t 0 rest | Error _ as e -> e)
 
@@ -326,7 +326,7 @@ let free t b =
 
    A cached entry is believed unless stale (a stale one must be re-read
    before it is believed, which is exactly what these calls do — without
-   revalidating the entry). [Lru.peek] neither reorders nor counts. *)
+   revalidating the entry). [Lru.peek_or] neither reorders nor counts. *)
 
 let store_failure r = Result.map_error (fun msg -> Errors.Store_failure msg) r
 
@@ -336,29 +336,35 @@ let from_store t b read_page =
   | Ok image -> store_failure (read_page image)
   | Error msg -> Error (Errors.Store_failure msg)
 
+(* The cached entry of [b], when it can be believed. *)
+let believed t b =
+  let e = Lru.peek_or t.cache b absent in
+  if e != absent && not e.stale then e else absent
+
 let peek t b =
-  match Lru.peek t.cache b with
-  | Some e when not e.stale -> Ok e.page
-  | Some _ | None -> from_store t b (Page.decode ~memo:true)
+  let e = believed t b in
+  if e != absent then e.answer else from_store t b (Page.decode ~memo:true)
 
 let peek_commit_ref t b =
-  match Lru.peek t.cache b with
-  | Some e when not e.stale -> Ok e.page.Page.header.Page.commit_ref
-  | Some _ | None -> from_store t b Page.image_commit_ref
+  let e = believed t b in
+  if e != absent then Ok e.page.Page.header.Page.commit_ref
+  else from_store t b Page.image_commit_ref
 
 let peek_children t b f =
-  match Lru.peek t.cache b with
-  | Some e when not e.stale ->
-      let refs = e.page.Page.refs in
-      for i = 0 to Array.length refs - 1 do
-        f refs.(i).Page.block
-      done;
-      Ok ()
-  | Some _ | None -> from_store t b (fun image -> Page.iter_image_refs image f)
+  let e = believed t b in
+  if e != absent then begin
+    let refs = e.page.Page.refs in
+    for i = 0 to Array.length refs - 1 do
+      f refs.(i).Page.block
+    done;
+    Ok ()
+  end
+  else from_store t b (fun image -> Page.iter_image_refs image f)
 
 let write_through_in_place t b page =
   match durable_write t b page with
   | Error _ as e -> e
   | Ok () ->
-      (match Lru.peek t.cache b with Some e -> set_clean e page | None -> ());
+      let e = Lru.peek_or t.cache b absent in
+      if e != absent then set_clean e page;
       Ok ()

@@ -327,46 +327,50 @@ let copy_child t v ~path pblock index (entry : Page.ref_entry) access =
    parent, which keeps the cache's hit count per level. Like
    {!record_access_at}, it matches rather than binds, and a level costs
    O(1) unless it records a new flag or is copied. *)
+(* [block] is the page at [depth], entry [index] of [pblock]; the root
+   has no parent, and its [pblock] and [index] are never read. The
+   descent is a top-level function, so a page access allocates no
+   closure for it. *)
+let rec descend_for_access t v path access depth pblock index block = function
+  | [] -> (
+      match record_access_at t v ~path ~depth pblock index access with
+      | Ok () -> Ok block
+      | Error e -> Error e)
+  | next :: rest -> (
+      match record_access_at t v ~path ~depth pblock index Flags.Search with
+      | Error e -> Error e
+      | Ok () -> (
+          match read_pg t block with
+          | Error e -> Error e
+          | Ok page -> (
+              match Page.get_ref page next with
+              | Error _ -> Error (Bad_index { path; index = next; nrefs = Page.nrefs page })
+              | Ok entry when entry.Page.flags.Flags.c ->
+                  descend_for_access t v path access (depth + 1) block next entry.Page.block rest
+              | Ok entry -> (
+                  match
+                    copy_child t v ~path:(Pagepath.prefix path (depth + 1)) block next entry
+                      (match rest with [] -> access | _ :: _ -> Flags.Search)
+                  with
+                  | Ok copy -> descend_for_access t v path access (depth + 1) block next copy rest
+                  | Error e -> Error e))))
+
 let locate_for_access t (v : version_record) path access =
-  (* [block] is the page at [depth], entry [index] of [pblock]; the root
-     has no parent, and its [pblock] and [index] are never read. *)
-  let rec descend depth pblock index block = function
-    | [] -> (
-        match record_access_at t v ~path ~depth pblock index access with
-        | Ok () -> Ok block
-        | Error e -> Error e)
-    | next :: rest -> (
-        match record_access_at t v ~path ~depth pblock index Flags.Search with
-        | Error e -> Error e
-        | Ok () -> (
-            match read_pg t block with
-            | Error e -> Error e
-            | Ok page -> (
-                match Page.get_ref page next with
-                | Error _ -> Error (Bad_index { path; index = next; nrefs = Page.nrefs page })
-                | Ok entry when entry.Page.flags.Flags.c ->
-                    descend (depth + 1) block next entry.Page.block rest
-                | Ok entry ->
-                    let* copy =
-                      copy_child t v ~path:(Pagepath.prefix path (depth + 1)) block next entry
-                        (match rest with [] -> access | _ :: _ -> Flags.Search)
-                    in
-                    descend (depth + 1) block next copy rest)))
-  in
-  descend 0 v.vblock 0 v.vblock (Pagepath.to_list path)
+  descend_for_access t v path access 0 v.vblock 0 v.vblock (Pagepath.to_list path)
 
 (* Plain traversal with no copying and no flag recording, for committed
    versions (and introspection). *)
-let locate_plain t vblock path =
-  let rec descend block = function
-    | [] -> read_pg t block
-    | index :: rest ->
-        let* page = read_pg t block in
-        (match Page.get_ref page index with
-        | Error _ -> Error (Bad_index { path; index; nrefs = Page.nrefs page })
-        | Ok entry -> descend entry.Page.block rest)
-  in
-  descend vblock (Pagepath.to_list path)
+let rec descend_plain t path block = function
+  | [] -> read_pg t block
+  | index :: rest -> (
+      match read_pg t block with
+      | Error e -> Error e
+      | Ok page -> (
+          match Page.get_ref page index with
+          | Error _ -> Error (Bad_index { path; index; nrefs = Page.nrefs page })
+          | Ok entry -> descend_plain t path entry.Page.block rest))
+
+let locate_plain t vblock path = descend_plain t path vblock (Pagepath.to_list path)
 
 (* {2 Files} *)
 
@@ -571,17 +575,21 @@ let abort_version t cap =
 (* {2 Page operations} *)
 
 (* The page operations a request runs match rather than bind, so they
-   allocate their answer and the page's copy, not a closure per step. *)
+   allocate their answer, not a closure per step. A read answers the
+   page's own data: a page never changes once written (every update makes
+   a new one), and a reader never changes what it is answered. *)
 let read_page t cap path =
-  Result.map
-    (fun page -> Bytes.copy page.Page.data)
-    (match find_version t cap ~need:Capability.right_read with
+  match
+    match find_version t cap ~need:Capability.right_read with
     | Error e -> Error e
     | Ok ({ status = Uncommitted; _ } as v) -> (
         match locate_for_access t v path Flags.Read with
         | Ok block -> read_pg t block
         | Error e -> Error e)
-    | Ok v -> locate_plain t v.vblock path)
+    | Ok v -> locate_plain t v.vblock path
+  with
+  | Ok page -> Ok page.Page.data
+  | Error e -> Error e
 
 let write_page t cap path data =
   match mutable_version t cap ~need:Capability.right_write with

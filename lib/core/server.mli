@@ -72,8 +72,8 @@ val current_version : t -> Afs_util.Capability.t -> Afs_util.Capability.t Errors
 (** Capability of the current committed version (read rights only). *)
 
 val current_root_data : t -> Afs_util.Capability.t -> bytes Errors.r
-(** {!read_page} of {!current_version}'s root, but minting no capability
-    and copying nothing: the caller must not change it. Needs read rights. *)
+(** {!read_page} of {!current_version}'s root, but minting no capability.
+    Needs read rights. *)
 
 val committed_chain : t -> Afs_util.Capability.t -> int list Errors.r
 (** Version-page blocks of the committed versions, oldest first — the
@@ -114,6 +114,12 @@ val version_of_block : t -> int -> Afs_util.Capability.t Errors.r
     traversals with no side effects. *)
 
 val read_page : t -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Errors.r
+(** The page's own data, not a copy: a page never changes once written
+    (an update makes a new one), so the answer is shared with the page
+    cache, and with every other reader of the page. The caller must not
+    change it — the store boundary's ownership rule ({!Store.t}), carried
+    to the request boundary. *)
+
 val write_page : t -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes -> unit Errors.r
 (** Takes ownership of the data: the caller must not change it afterwards. *)
 

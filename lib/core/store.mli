@@ -13,7 +13,10 @@
     Images are shared, never copied, at this boundary (§5.1: a written
     image never changes). Every backend and wrapper keeps one ownership
     rule: a writer hands the bytes over and never changes them again, and
-    a reader never changes what [read] returns (often the written bytes). *)
+    a reader never changes what [read] returns (often the written bytes).
+    The rule runs on to the request boundary: a page's data passes from
+    the page cache to the client uncopied ([Server.read_page], the
+    replies of [Afs_rpc.Remote], the client cache {!Cache}). *)
 
 type t = {
   block_size : int;

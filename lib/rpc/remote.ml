@@ -79,69 +79,84 @@ let step_bytes = function
 (* Run a batch's steps in order against its version, stopping at the
    first error or failed [Swap]. Each step is the ordinary call with its
    ordinary validation, so a [Current] batch is read-only because the
-   server refuses writes to committed versions. A version the batch opened
-   itself must not outlive a failed batch — the client never learns its
+   server refuses writes to committed versions. The reply so far is
+   summed afresh at each read (batches are short), so no step carries a
+   running total; a read's data joins the reply uncopied. Every step
+   matches rather than binds, so a step allocates its own answer, not a
+   closure. A final [Commit] that loses validation hands a trailing
+   [Redo] to [reopen], which opens the next attempt. *)
+let rec run_steps ~reopen server version reads infos : step list -> batch_answer Errors.r =
+  function
+  | [] -> Ok (Ran { version; reads = List.rev reads; infos = List.rev infos })
+  | Read path :: rest -> (
+      match Server.read_page server version path with
+      | Error e -> Error e
+      | Ok data ->
+          let replied = List.fold_left (fun n d -> n + Bytes.length d) (Bytes.length data) reads in
+          if replied > message_cap then too_large replied
+          else run_steps ~reopen server version (data :: reads) infos rest)
+  | Write (path, data) :: rest -> (
+      match Server.write_page server version path data with
+      | Ok () -> run_steps ~reopen server version reads infos rest
+      | Error e -> Error e)
+  | Insert { parent; index; data } :: rest -> (
+      match Server.insert_page server version ~parent ~index ~data () with
+      | Ok _ -> run_steps ~reopen server version reads infos rest
+      | Error e -> Error e)
+  | Remove { parent; index } :: rest -> (
+      match Server.remove_page server version ~parent ~index with
+      | Ok () -> run_steps ~reopen server version reads infos rest
+      | Error e -> Error e)
+  | Info path :: rest -> (
+      match Server.page_info server version path with
+      | Ok i ->
+          run_steps ~reopen server version reads ((i.Server.nrefs, i.Server.dsize) :: infos) rest
+      | Error e -> Error e)
+  | [ Commit; Redo (file, paths) ] -> (
+      match Server.commit server version with
+      | Ok () -> run_steps ~reopen server version reads infos []
+      | Error Errors.Conflict -> reopen file paths
+      | Error e -> Error e)
+  | Commit :: rest -> (
+      match Server.commit server version with
+      | Ok () -> run_steps ~reopen server version reads infos rest
+      | Error e -> Error e)
+  | Abort :: rest -> (
+      match Server.abort_version server version with
+      | Ok () -> run_steps ~reopen server version reads infos rest
+      | Error e -> Error e)
+  | Redo _ :: _ -> Error (Errors.Store_failure "rpc: Redo must follow the final Commit")
+  | Swap { file; expected; writes } :: rest -> (
+      match swap server file ~expected writes with
+      | Ok None -> run_steps ~reopen server version reads infos rest
+      | Ok (Some root) -> Ok (Guard_failed root)
+      | Error e -> Error e)
+
+(* A batch's version, then its steps. A version the batch opened itself
+   must not outlive a failed batch — the client never learns its
    capability — so an error or a failed [Swap] abandons it; aborting a
    version the [Commit] step already removed is a harmless no-op. Both
    messages obey the 32K cap: a request whose write data exceeds it is
    refused before it runs, and a batch stops at the read that takes its
-   reply past it. A final [Commit] that loses validation hands a trailing
-   [Redo] to [reopen], which opens the next attempt. *)
+   reply past it. *)
 let run_batch ~reopen server target steps =
-  let open Errors in
   let written = List.fold_left (fun n step -> n + step_bytes step) 0 steps in
   if written > message_cap then too_large written
   else
-    let* version =
+    match
       match target with
       | Open file -> Server.create_version server file
       | Current file -> Server.current_version server file
       | Version version -> Ok version
-    in
-    (* The reply so far is summed afresh at each read (batches are
-       short), so no step's continuation carries a running total. *)
-    let rec run reads infos : step list -> batch_answer r = function
-      | [] -> Ok (Ran { version; reads = List.rev reads; infos = List.rev infos })
-      | Read path :: rest ->
-          let* data = Server.read_page server version path in
-          let replied = List.fold_left (fun n d -> n + Bytes.length d) (Bytes.length data) reads in
-          if replied > message_cap then too_large replied else run (data :: reads) infos rest
-      | Write (path, data) :: rest ->
-          let* () = Server.write_page server version path data in
-          run reads infos rest
-      | Insert { parent; index; data } :: rest ->
-          let* _ = Server.insert_page server version ~parent ~index ~data () in
-          run reads infos rest
-      | Remove { parent; index } :: rest ->
-          let* () = Server.remove_page server version ~parent ~index in
-          run reads infos rest
-      | Info path :: rest ->
-          let* i = Server.page_info server version path in
-          run reads ((i.Server.nrefs, i.Server.dsize) :: infos) rest
-      | [ Commit; Redo (file, paths) ] -> (
-          match Server.commit server version with
-          | Ok () -> run reads infos []
-          | Error Conflict -> reopen file paths
-          | Error e -> Error e)
-      | Commit :: rest ->
-          let* () = Server.commit server version in
-          run reads infos rest
-      | Abort :: rest ->
-          let* () = Server.abort_version server version in
-          run reads infos rest
-      | Redo _ :: _ -> Error (Store_failure "rpc: Redo must follow the final Commit")
-      | Swap { file; expected; writes } :: rest -> (
-          match swap server file ~expected writes with
-          | Ok None -> run reads infos rest
-          | Ok (Some root) -> Ok (Guard_failed root)
-          | Error e -> Error e)
-    in
-    let answer = run [] [] steps in
-    (match (target, answer) with
-    | Open _, (Error _ | Ok (Guard_failed _)) ->
-        ignore (Server.abort_version server version : unit r)
-    | _ -> ());
-    answer
+    with
+    | Error e -> Error e
+    | Ok version ->
+        let answer = run_steps ~reopen server version [] [] steps in
+        (match (target, answer) with
+        | Open _, (Error _ | Ok (Guard_failed _)) ->
+            ignore (Server.abort_version server version : unit Errors.r)
+        | _ -> ());
+        answer
 
 (* What a redo answers: the reopened version and its reads, or what a
    fresh [Open] batch would have met — a marker's image, or an error,
@@ -155,11 +170,6 @@ let reopened : response -> batch_answer Errors.r = function
   | Error e -> Error e
   | Ok _ -> Error (Errors.Store_failure "rpc: redo answer mismatch")
 
-let current_root server file =
-  let open Errors in
-  let* version = Server.current_version server file in
-  Server.read_page server version Pagepath.root
-
 (* [parked] holds each prepared run's answer, keyed by the exact
    capability that prepared it. A decision finding none is presumed
    abort: an abort is trivially satisfied, a commit cannot be honoured. *)
@@ -168,7 +178,7 @@ let handle ~reopen ~parked server : request -> response = function
   | Destroy_file file -> Result.map (fun () -> Unit) (Server.destroy_file server file)
   | Batch { target; steps } ->
       Result.map (fun a -> Batched a) (run_batch ~reopen server target steps)
-  | Await { file; _ } -> Result.map (fun d -> Data d) (current_root server file)
+  | Await { file; _ } -> Result.map (fun d -> Data d) (Server.current_root_data server file)
   | Prepare version ->
       Result.map (fun answer -> Hashtbl.replace parked version answer; Unit)
         (Server.prepare server version)
@@ -285,7 +295,7 @@ let awaits server =
             match List.assoc_opt file.Capability.obj !roots with
             | Some root -> root
             | None ->
-                let root = current_root server file in
+                let root = Server.current_root_data server file in
                 roots := (file.Capability.obj, root) :: !roots;
                 root
           in

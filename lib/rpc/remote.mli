@@ -5,7 +5,14 @@
     A client connection holds an ordered list of hosts; when one fails to
     respond it retries the request at the next ("Clients do not have to
     wait until the server is restored, because they can use another
-    server", §3.1 — several servers can serve the same store). *)
+    server", §3.1 — several servers can serve the same store).
+
+    Bytes cross this boundary shared, in both directions, under
+    {!Afs_core.Store.t}'s ownership rule: a request's data ([Write],
+    [Insert], [Swap], [Create_file]) is handed over and never changed by
+    its sender, and a reply's bytes ([reads], [Guard_failed], [Marked],
+    [Data]) are the server's own page data, which the client must not
+    change. *)
 
 (** The version a batch runs against. *)
 type target =

@@ -107,24 +107,37 @@ let seal seq payload =
   Bytes.set_int32_le image body (Int32.of_int (Wire.crc32_sub image 0 body));
   Bytes.unsafe_to_string image
 
-(* Reads the envelope where it lies, through a read-only view of the
-   immutable image: neither [Wire.Reader] nor [Wire.crc32_sub] writes its
-   input. The payload is the one copy a read makes. *)
-let unseal image =
-  let view = Bytes.unsafe_of_string image in
-  match
-    let r = Wire.Reader.of_bytes view in
-    let m = Wire.Reader.u16 r in
-    let seq = Wire.Reader.u64 r in
-    let payload = Wire.Reader.sized_bytes r in
-    let crc = Wire.Reader.u32 r in
-    Wire.Reader.expect_end r;
-    if m <> magic then Error "bad magic"
-    else if Wire.crc32_sub view 0 (String.length image - 4) <> crc then Error "bad crc"
-    else Ok (seq, payload)
-  with
-  | result -> result
-  | exception Wire.Decode_error msg -> Error msg
+(* The envelope is checked where it lies, by position, as [Page.check]
+   checks a page, so a sound one costs nothing to find: [payload_at] is
+   where its payload starts, or -1. The payload's length is the varint at
+   10, which must be the shortest encoding and leave exactly the payload
+   and the CRC after it. [Wire.crc32_sub] reads the immutable image
+   through a read-only view. *)
+let rec varint_at image pos shift acc =
+  if pos >= String.length image || shift > 56 then -1
+  else
+    let b = Char.code image.[pos] in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_at image (pos + 1) (shift + 7) acc
+
+let payload_at image =
+  let n = String.length image in
+  if n < 15 || String.get_uint16_le image 0 <> magic then -1
+  else
+    let len = varint_at image 10 0 0 in
+    let pos = 10 + Wire.varint_size (max len 0) in
+    if len < 0 || pos + len + 4 <> n then -1
+    else if
+      Wire.crc32_sub (Bytes.unsafe_of_string image) 0 (n - 4)
+      <> Int32.to_int (String.get_int32_le image (n - 4)) land 0xFFFFFFFF
+    then -1
+    else pos
+
+let seq_of image = String.get_int64_le image 2
+
+(* The one copy a read makes. *)
+let payload_of image pos =
+  Bytes.sub (Bytes.unsafe_of_string image) pos (String.length image - 4 - pos)
 
 let next_seq t i =
   let s = t.servers.(i) in
@@ -301,41 +314,48 @@ let allocate_write t i payload =
   in
   attempt max_allocate_retries 0.0
 
+(* Server [s]'s copy of [b] with its seq and payload, or [None] when the
+   disk fails or the envelope is unsound, and what the disk read cost.
+   Recovery compares seqs; a read takes [read]'s path instead. *)
 let read_raw s b =
   let { Disk.result; cost_ms } = Disk.read s.disk b in
   match result with
-  | Error e -> (Error (`Disk e), cost_ms)
-  | Ok image -> (
-      match unseal image with
-      | Error m -> (Error (`Corrupt m), cost_ms)
-      | Ok (seq, payload) -> (Ok (seq, payload, image), cost_ms))
+  | Error _ -> (None, cost_ms)
+  | Ok image ->
+      let pos = payload_at image in
+      if pos < 0 then (None, cost_ms)
+      else (Some (seq_of image, payload_of image pos, image), cost_ms)
 
+(* A damaged or unreadable local copy: fall back to the companion,
+   repairing the local copy with the companion's verified image. *)
+let read_companion t i b ~local_cost =
+  let q = companion i in
+  if not (online t q) then fail ~cost:local_cost (Corrupt_both b)
+  else begin
+    match read_raw t.servers.(q) b with
+    | Some (seq, payload, image), remote_cost ->
+        leg t ~leg:"companion_read" ~server:q ~block:b ~cost_ms:(hop_ms +. remote_cost);
+        let repair = local_leg t i b image seq in
+        leg t ~leg:"repair" ~server:i ~block:b ~cost_ms:repair.cost_ms;
+        let cost = local_cost +. hop_ms +. remote_cost +. repair.cost_ms in
+        ok ~cost payload
+    | None, remote_cost -> fail ~cost:(local_cost +. hop_ms +. remote_cost) (Corrupt_both b)
+  end
+
+(* A sound local copy allocates only its payload and the outcome. *)
 let read t i b =
   match check_serving t i with
   | Error e -> fail e
-  | Ok s ->
+  | Ok s -> (
       if not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
-      else begin
-        match read_raw s b with
-        | Ok (_, payload, _), cost -> ok ~cost payload
-        | (Error _ as _local_failure), local_cost ->
-            (* Fall back to the companion, repairing the local copy with
-               the companion's verified image. *)
-            let q = companion i in
-            if not (online t q) then fail ~cost:local_cost (Corrupt_both b)
-            else begin
-              match read_raw t.servers.(q) b with
-              | Ok (seq, payload, image), remote_cost ->
-                  leg t ~leg:"companion_read" ~server:q ~block:b
-                    ~cost_ms:(hop_ms +. remote_cost);
-                  let repair = local_leg t i b image seq in
-                  leg t ~leg:"repair" ~server:i ~block:b ~cost_ms:repair.cost_ms;
-                  let cost = local_cost +. hop_ms +. remote_cost +. repair.cost_ms in
-                  ok ~cost payload
-              | Error _, remote_cost ->
-                  fail ~cost:(local_cost +. hop_ms +. remote_cost) (Corrupt_both b)
-            end
-      end
+      else
+        let { Disk.result; cost_ms } = Disk.read s.disk b in
+        match result with
+        | Ok image ->
+            let pos = payload_at image in
+            if pos >= 0 then { result = Ok (payload_of image pos); cost_ms }
+            else read_companion t i b ~local_cost:cost_ms
+        | Error _ -> read_companion t i b ~local_cost:cost_ms)
 
 let free t i b =
   match check_serving t i with
@@ -418,19 +438,19 @@ let restart t i =
       let theirs, their_cost = read_raw q b in
       cost := !cost +. my_cost +. their_cost;
       match (mine, theirs) with
-      | Ok (my_seq, _, _), Ok (their_seq, _, image) when their_seq > my_seq ->
+      | Some (my_seq, _, _), Some (their_seq, _, image) when their_seq > my_seq ->
           pull b image their_seq
-      | Ok (my_seq, _, image), Ok (their_seq, _, _) when my_seq > their_seq ->
+      | Some (my_seq, _, image), Some (their_seq, _, _) when my_seq > their_seq ->
           (* Our copy is newer (their disk lost a write): push it back. *)
           push b image my_seq
-      | Ok _, Ok _ -> Hashtbl.replace s.allocated b ()
-      | Error _, Ok (their_seq, _, image) ->
+      | Some _, Some _ -> Hashtbl.replace s.allocated b ()
+      | None, Some (their_seq, _, image) ->
           Hashtbl.replace s.allocated b ();
           pull b image their_seq
-      | Ok (my_seq, _, image), Error _ ->
+      | Some (my_seq, _, image), None ->
           (* Their copy is missing or damaged. *)
           push b image my_seq
-      | Error _, Error _ ->
+      | None, None ->
           (* Block lost on both sides (e.g. freed concurrently): drop it. *)
           Hashtbl.remove s.allocated b;
           Hashtbl.remove q.allocated b
@@ -457,7 +477,7 @@ let verify_companion_invariant t =
     if !violation = None then begin
       let ra, _ = read_raw a blk and rb, _ = read_raw b blk in
       match (ra, rb) with
-      | Ok (sa, pa, _), Ok (sb, pb, _) when sa = sb && not (Bytes.equal pa pb) ->
+      | Some (sa, pa, _), Some (sb, pb, _) when sa = sb && not (Bytes.equal pa pb) ->
           violation := Some (Printf.sprintf "block %d: equal seq %Ld, different payloads" blk sa)
       | _ -> ()
     end

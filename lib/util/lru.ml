@@ -68,7 +68,7 @@ let find_or t k default =
       touch t n;
       r.value
 
-let peek t k = match lookup t k with Nil -> None | Node r -> Some r.value
+let peek_or t k default = match lookup t k with Nil -> default | Node r -> r.value
 
 let mem t k = Hashtbl.mem t.table k
 

@@ -20,8 +20,9 @@ val find_or : ('k, 'v) t -> 'k -> 'v -> 'v
     that passes a sentinel [default] and compares against it physically
     has an allocation-free hit. *)
 
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** Lookup without promotion. *)
+val peek_or : ('k, 'v) t -> 'k -> 'v -> 'v
+(** {!find_or} without promotion: the recency order is left as it was.
+    It allocates nothing either. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 

@@ -131,6 +131,19 @@ let test_client_cache_hit_after_fill () =
   Alcotest.(check (option string)) "miss other path" None
     (Option.map Helpers.str (Cache.get c ~file:f ~path:(path [ 1 ])))
 
+(* The cache keeps the bytes it is given and answers them, uncopied,
+   under the store boundary's ownership rule. *)
+let test_client_cache_shares_bytes () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 1 in
+  let c = Cache.create srv in
+  let basis = ok (Server.current_block_of_file srv f) in
+  let data = Bytes.make 1024 'p' in
+  Cache.put c ~file:f ~basis_block:basis ~path:(path [ 0 ]) ~data;
+  match Cache.get c ~file:f ~path:(path [ 0 ]) with
+  | Some got -> Alcotest.(check bool) "get answers the bytes put" true (got == data)
+  | None -> Alcotest.fail "miss after put"
+
 let test_client_revalidate_keeps_valid_pages () =
   let _, srv = Helpers.fresh_server () in
   let f = Helpers.file_with_pages srv 3 in
@@ -228,6 +241,7 @@ let () =
       ( "client cache",
         [
           quick "hit after fill" test_client_cache_hit_after_fill;
+          quick "put and get share bytes" test_client_cache_shares_bytes;
           quick "revalidate keeps valid" test_client_revalidate_keeps_valid_pages;
           quick "structure change discards subtree"
             test_client_revalidate_structure_change_discards_subtree;

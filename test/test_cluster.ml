@@ -195,6 +195,31 @@ let test_single_shard_identical () =
   Alcotest.(check (list (pair int int)))
     "retry histogram" bare.Driver.retry_histogram clustered.Driver.retry_histogram
 
+(* Each commit is credited to its shard under the counter name
+   ["shardN.commits"], which the CLI reads; a shard no commit reached
+   has no counter at all. *)
+let test_shard_commit_counters () =
+  let open Afs_workload in
+  let shape = { Workload.small_updates with nfiles = 2; pages_per_file = 4 } in
+  let engine = Engine.create () in
+  let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:3 in
+  let files = ok (Workload.setup_cluster cluster shape ~initial:(bytes "0")) in
+  let report =
+    Driver.run engine
+      { Driver.default_config with clients = 4; duration_ms = 500.0; think_ms = 5.0 }
+      (Sut.afs_cluster (Cluster_client.connect cluster) ~files)
+      ~gen:(Workload.make shape)
+  in
+  let counters = Cluster.counters cluster in
+  let named i = Stats.Counter.get counters (Printf.sprintf "shard%d.commits" i) in
+  Alcotest.(check (list int)) "shard_commits reads the named counters"
+    (List.init 3 named) (List.init 3 (Cluster.shard_commits cluster));
+  Alcotest.(check int) "every commit credited once" report.Driver.committed
+    (named 0 + named 1);
+  Alcotest.(check bool) "both file shards committed" true (named 0 > 0 && named 1 > 0);
+  Alcotest.(check bool) "the idle shard has no counter" false
+    (List.mem_assoc "shard2.commits" (Stats.Counter.to_list counters))
+
 (* {2 Fault isolation and recovery} *)
 
 let test_crash_isolated_and_recoverable () =
@@ -603,5 +628,6 @@ let () =
         [
           quick "moves hot files off the hot shard" test_rebalancer_moves_hot_files;
           quick "stale loads follow the file" test_rebalancer_resolves_stale_loads;
+          quick "shard commits counted by name" test_shard_commit_counters;
         ] );
     ]

@@ -23,7 +23,8 @@ let test_peek_does_not_promote () =
   let l = Lru.create ~capacity:8 in
   Lru.set l 1 "a";
   Lru.set l 2 "b";
-  Alcotest.(check (option string)) "peek" (Some "a") (Lru.peek l 1);
+  Alcotest.(check string) "peek" "a" (Lru.peek_or l 1 "");
+  Alcotest.(check string) "absent key answers the default" "" (Lru.peek_or l 9 "");
   Alcotest.(check (option int)) "lru unchanged" (Some 1) (candidate l)
 
 let test_replace_promotes () =

@@ -408,6 +408,25 @@ let prop_cache_reads_equal_model =
         blocks;
       true)
 
+(* Every commit's validate and every chase of the current version
+   refresh a block before re-reading it: marking it stale, or leaving a
+   dirty or uncached block alone, allocates nothing. *)
+let test_refresh_allocates_nothing () =
+  let _, ps = fresh () in
+  let clean = ok (Pagestore.allocate ps) and dirty = ok (Pagestore.allocate ps) in
+  ignore (ok (Pagestore.write_through ps clean (page_with_data "clean")));
+  ignore (ok (Pagestore.write ps dirty (page_with_data "dirty")));
+  let uncached = 1_000_000 in
+  List.iter
+    (fun (what, b) ->
+      let words = Helpers.minor_words_of (fun () -> Pagestore.refresh ps b) in
+      if words > 0. then Alcotest.failf "refresh of a %s block allocates %.0f words" what words)
+    [ ("clean", clean); ("dirty", dirty); ("uncached", uncached) ];
+  let misses = counter ps "cache.misses" in
+  Alcotest.(check string) "the clean block is re-read" "clean" (read_data ps clean);
+  Alcotest.(check int) "as a revalidation" (misses + 1) (counter ps "cache.misses");
+  Alcotest.(check string) "the dirty block kept its write" "dirty" (read_data ps dirty)
+
 (* {2 Shared images}
 
    A memory store keeps the bytes it is handed and reads them back
@@ -456,6 +475,7 @@ let () =
         [
           quick "refresh" test_refresh_rereads_clean;
           quick "refresh dirty" test_refresh_keeps_dirty;
+          quick "refresh allocates nothing" test_refresh_allocates_nothing;
           quick "free drops cache" test_free_drops_cache;
         ] );
       ( "bounded capacity",

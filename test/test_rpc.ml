@@ -1005,6 +1005,117 @@ let test_restart_inside_a_slot () =
                 | Ok _ | Error _ -> Alcotest.failf "request %d not answered" req)
               !answers)))
 
+(* {2 The request boundary's ownership rule}
+
+   A read answers the page's own data, shared with the page cache and
+   with every other reader, so a client that changed an answer would
+   change the page under everyone. Guarded end to end: clients race
+   1 KiB read-modify-writes on a few hot pages of two files through
+   [Sut.afs_remote], with group commit (so redos are answered from a
+   commit run) and the collector every 50 ms. A page holds its commit
+   count and its writer's tag. Every answer a client is handed is kept
+   with a copy taken as it arrives. At the end every answer still equals
+   its copy, every answer but an initial page is the very bytes its
+   writer handed over, and the last-writer oracle holds: a page counts
+   exactly the commits on it, those commits read the counts 0, 1, ... in
+   turn (each extended its predecessor's write), and the page holds the
+   last one's write. *)
+
+let encode_counted count tag =
+  let head = Printf.sprintf "%d;%s;" count tag in
+  let page = Bytes.make 1024 (Char.chr (Char.code 'a' + (count mod 26))) in
+  Bytes.blit_string head 0 page 0 (String.length head);
+  page
+
+let decode_counted data =
+  match String.split_on_char ';' (Bytes.to_string data) with
+  | count :: tag :: _ -> (int_of_string count, tag)
+  | _ -> Alcotest.fail "a page without its count"
+
+let test_answers_shared_never_changed () =
+  let module Workload = Afs_workload.Workload in
+  let module Sut = Afs_workload.Sut in
+  let module Xrng = Afs_util.Xrng in
+  let engine = Engine.create () in
+  let _, srv = Helpers.fresh_server () in
+  let nfiles = 2 and pages = 3 and clients = 6 and txns = 40 in
+  let shape = { Workload.small_updates with nfiles; pages_per_file = pages } in
+  let files = ok (Workload.setup_pages srv shape ~initial:(encode_counted 0 "init")) in
+  let host = Remote.host ~group_commit:4 engine ~name:"afs" srv in
+  let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
+  let rng = Xrng.create 11 in
+  let answers = ref [] and last_read = Hashtbl.create 256 and written = Hashtbl.create 256 in
+  let committed = ref [] and running = ref clients and freed = ref 0 in
+  for c = 1 to clients do
+    let plan =
+      List.init txns (fun i ->
+          let file = Xrng.int rng nfiles and first = Xrng.int rng pages in
+          let touched = if Xrng.bool rng then [ first; (first + 1) mod pages ] else [ first ] in
+          (Printf.sprintf "%d.%d" c i, file, touched, float_of_int (Xrng.int rng 3)))
+    in
+    ignore
+      (Proc.spawn engine (fun () ->
+           List.iter
+             (fun (tag, file, touched, think) ->
+               Proc.delay think;
+               let rmw page old =
+                 answers := (page, old, Bytes.copy old) :: !answers;
+                 let count, _ = decode_counted old in
+                 Hashtbl.replace last_read (tag, page) count;
+                 let data = encode_counted (count + 1) tag in
+                 Hashtbl.replace written (tag, page) data;
+                 data
+               in
+               let ops = List.map (fun page -> Sut.Rmw (page, rmw page)) touched in
+               let r = sut.Sut.exec { Sut.file; ops; parts = [] } ~max_retries:1000 in
+               if r.Sut.committed then committed := (tag, file, touched) :: !committed)
+             plan;
+           decr running))
+  done;
+  ignore
+    (Proc.spawn engine (fun () ->
+         while !running > 0 do
+           Proc.delay 50.0;
+           freed := !freed + (ok (Afs_core.Gc.collect srv)).Afs_core.Gc.blocks_freed
+         done));
+  Engine.run engine;
+  Alcotest.(check int) "every transaction committed" (clients * txns) (List.length !committed);
+  Alcotest.(check bool) "commits were redone" true (Remote.redos_served host > 0);
+  Alcotest.(check bool) "commits were batched" true
+    (Afs_util.Stats.Counter.get (Server.counters srv) "commits.batches" > 0);
+  Alcotest.(check bool) "the collector freed blocks" true (!freed > 0);
+  List.iter
+    (fun (page, answer, copy) ->
+      if not (Bytes.equal answer copy) then Alcotest.fail "an answered read changed";
+      match decode_counted answer with
+      | 0, _ -> ()
+      | _, tag -> (
+          match Hashtbl.find_opt written (tag, page) with
+          | Some data when data == answer -> ()
+          | Some _ | None ->
+              Alcotest.failf "a read of %s's page %d is not the bytes it wrote" tag page))
+    !answers;
+  for file = 0 to nfiles - 1 do
+    for page = 0 to pages - 1 do
+      let writers =
+        List.filter_map
+          (fun (tag, f, touched) -> if f = file && List.mem page touched then Some tag else None)
+          !committed
+      in
+      let by_read =
+        List.sort compare (List.map (fun tag -> (Hashtbl.find last_read (tag, page), tag)) writers)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "file %d page %d: each commit read its predecessor's count" file page)
+        (List.init (List.length writers) Fun.id) (List.map fst by_read);
+      let last = match List.rev by_read with (_, tag) :: _ -> tag | [] -> "init" in
+      Alcotest.(check (pair int string))
+        (Printf.sprintf "file %d page %d holds the last writer's page" file page)
+        (List.length writers, last)
+        (decode_counted (sut.Sut.read_page file page))
+    done
+  done
+
 let () =
   Alcotest.run "rpc"
     [
@@ -1039,5 +1150,6 @@ let () =
           quick "a redo is one message" test_redo_is_one_message;
           quick "cap refuses a redo" test_cap_refuses_redo;
           quick "group commit takes batches" test_group_commit_takes_version_batches;
+          quick "answers shared, never changed" test_answers_shared_never_changed;
         ] );
     ]

@@ -383,8 +383,28 @@ let test_base_version_flags_untouched () =
   Alcotest.(check bool) "base child flags unchanged" true
     (Array.for_all2 Flags.equal before after)
 
-(* Re-reading a page the version has already read records no flag, so
-   it copies nothing but the data it answers (1 KiB: 130 words). *)
+(* A read answers the page's own data, shared with the page cache: what
+   a writer handed over, and on a committed version the cached page's
+   bytes. *)
+let test_read_answers_the_page () =
+  let _, srv = Helpers.fresh_server () in
+  let f = ok (Server.create_file srv ()) in
+  let v = ok (Server.create_version srv f) in
+  let data = Bytes.make 1024 'd' in
+  let p = ok (Server.insert_page srv v ~parent:P.root ~index:0 ~data ()) in
+  Alcotest.(check bool) "an uncommitted read answers the written bytes" true
+    (ok (Server.read_page srv v p) == data);
+  ok (Server.commit srv v);
+  let cur = ok (Server.current_version srv f) in
+  let ps = Server.pagestore srv in
+  let root = ok (Pagestore.read ps (ok (Server.version_block srv cur))) in
+  let cached = ok (Pagestore.read ps root.Page.refs.(0).Page.block) in
+  Alcotest.(check bool) "a committed read answers the cached page's data" true
+    (ok (Server.read_page srv cur p) == cached.Page.data)
+
+(* Re-reading a page the version has already read records no flag and
+   copies nothing, so it allocates a small constant, whatever the page's
+   size (1 KiB here). *)
 let test_reread_allocates_only_the_data () =
   let _, srv = Helpers.fresh_server () in
   let f = ok (Server.create_file srv ()) in
@@ -396,10 +416,7 @@ let test_reread_allocates_only_the_data () =
   ignore (ok (Server.read_page srv v p));
   let reread () = ignore (Sys.opaque_identity (ok (Server.read_page srv v p))) in
   let words = Helpers.minor_words_of reread in
-  let data_words = float_of_int ((1024 / (Sys.word_size / 8)) + 2) in
-  if words > data_words +. 96. then
-    Alcotest.failf "re-read allocates %.0f words (data copy %.0f, want at most 96 more)" words
-      data_words
+  if words > 16. then Alcotest.failf "re-read allocates %.0f words (want at most 16)" words
 
 (* A committed file whose pages form one chain [0; 0; ...] [depth] deep. *)
 let file_with_chain srv depth =
@@ -518,6 +535,7 @@ let () =
       ( "alloc",
         [
           quick "re-read allocates only the data" test_reread_allocates_only_the_data;
+          quick "a read answers the page's own data" test_read_answers_the_page;
           quick "re-read linear in depth" test_reread_linear_in_depth;
           quick "version lookup allocates its Ok" test_version_lookup_allocates_its_answer;
           quick "fast-path commit within budget" test_fastpath_commit_budget;

@@ -25,6 +25,21 @@ let check_invariant t =
 
 (* {2 Basic duplexed storage} *)
 
+(* A read of a sound local copy checks its envelope where it lies and
+   allocates only the payload's copy and small answers: the serving
+   check's, the disk's outcome and its own (16 words). *)
+let test_read_allocates_payload_and_outcome () =
+  let t = fresh ~block_size:2048 () in
+  let b = ok (S.allocate_write t 0 (Bytes.make 1024 'p')) in
+  let read () = ignore (Sys.opaque_identity (S.read t 0 b)) in
+  read ();
+  let payload_words = float_of_int ((1024 / (Sys.word_size / 8)) + 2) in
+  let words = Helpers.minor_words_of read in
+  if words > payload_words +. 16. then
+    Alcotest.failf "a 1 KiB read allocates %.0f words (payload copy %.0f, want at most 16 more)"
+      words payload_words;
+  Alcotest.(check string) "the payload" (String.make 1024 'p') (Helpers.str (ok (S.read t 0 b)))
+
 let test_allocate_write_read () =
   let t = fresh () in
   let b = ok (S.allocate_write t 0 (bytes "duplexed")) in
@@ -325,6 +340,7 @@ let () =
       ( "duplex",
         [
           quick "allocate/write/read" test_allocate_write_read;
+          quick "read allocates payload and outcome" test_read_allocates_payload_and_outcome;
           quick "both disks hold copy" test_both_disks_hold_copy;
           quick "update via either server" test_update_via_either_server;
           quick "free" test_free;
