@@ -131,8 +131,9 @@ let test_pagestore_revalidate =
          Pagestore.refresh ps b;
          ignore (Pagestore.read ps b)))
 
-(* C5 support: the stable-storage envelope path. One stable write seals
-   one envelope (one CRC over ~1 KiB) and writes it to both disks. *)
+(* C5 support: the stable-storage sector path. One stable write seals
+   one header (one CRC over it and ~1 KiB of payload) and writes the
+   header and the writer's payload to both disks. *)
 let test_crc32 =
   let buf = Bytes.make 1024 'c' in
   Test.make ~name:"crc32-1K" (Staged.stage (fun () -> ignore (Afs_util.Wire.crc32 buf)))
@@ -149,8 +150,8 @@ let test_stable_write =
   Test.make ~name:"stable-write-1K"
     (Staged.stage (fun () -> ignore (S.write pair 0 b payload)))
 
-(* The read side: one disk read of the stored envelope, a CRC check in
-   place and one copy of the payload out. *)
+(* The read side: one disk read of the stored sector and a CRC check
+   of header and payload in place; the payload is answered uncopied. *)
 let test_stable_read =
   let module S = Afs_stable.Stable_pair in
   let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in

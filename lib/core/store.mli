@@ -13,8 +13,10 @@
     Images are shared, never copied, at this boundary (§5.1: a written
     image never changes). Every backend and wrapper keeps one ownership
     rule: a writer hands the bytes over and never changes them again, and
-    a reader never changes what [read] returns (often the written bytes).
-    The rule runs on to the request boundary: a page's data passes from
+    a reader never changes what [read] returns. Every backend answers the
+    written bytes themselves: the memory store, a block server and the
+    stable pair, whose disk sectors keep their header beside the writer's
+    bytes rather than around a copy of them. The rule runs on to the request boundary: a page's data passes from
     the page cache to the client uncopied ([Server.read_page], the
     replies of [Afs_rpc.Remote], the client cache {!Cache}). *)
 
@@ -64,7 +66,8 @@ val of_stable_pair : Afs_stable.Stable_pair.t -> t
     ({!Afs_stable.Stable_pair.tentative_allocate}); the block's first
     write — normally in the commit's publish batch — allocates it on both
     disks. [list_blocks] lists reserved blocks too: reading one that was
-    never written fails, and freeing it drops the reservation. *)
+    never written fails, and freeing it drops the reservation. Both disks
+    keep the written bytes, and a sound read answers them uncopied. *)
 
 val counting : t -> t * (unit -> int * int)
 (** [counting s] wraps [s]; the second component returns (reads, writes)

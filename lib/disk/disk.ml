@@ -17,12 +17,20 @@ type 'a outcome = { result : ('a, error) result; cost_ms : float }
 
 module Trace = Afs_trace.Trace
 
+type sector = { header : string; data : string }
+
+(* The slot of a block never written, told apart from a written empty
+   sector by identity: the record is built at run time, so no constant
+   elsewhere can share it. *)
+let unwritten = { header = ""; data = Bytes.unsafe_to_string (Bytes.create 0) }
+
 type t = {
   media : Media.t;
   block_size : int;
-  (* Images are immutable: a write keeps the caller's string and a read
-     returns it, so one sealed image can sit on two disks at once. *)
-  blocks : string option array;
+  (* Sectors are immutable: a write keeps the caller's record and a read
+     returns it, so one sealed sector can sit on two disks at once. One
+     slot per block, [unwritten] when it holds nothing. *)
+  blocks : sector array;
   mutable offline : bool;
   mutable reads : int;
   mutable writes : int;
@@ -39,7 +47,7 @@ let create ?(trace = Trace.null) ~media ~blocks ~block_size () =
   {
     media;
     block_size;
-    blocks = Array.make blocks None;
+    blocks = Array.make blocks unwritten;
     offline = false;
     reads = 0;
     writes = 0;
@@ -55,61 +63,62 @@ let block_size t = t.block_size
 
 let charge t cost = t.busy_ms <- t.busy_ms +. cost
 
-let read t b =
+let sector_bytes s = String.length s.header + String.length s.data
+
+(* A read answers [answer] of the stored sector, which is the record
+   itself or its data: both reads share this one body, and neither
+   allocates more than its outcome. *)
+let fetch answer t b =
   if t.offline then { result = Error Offline; cost_ms = 0.0 }
   else if b < 0 || b >= Array.length t.blocks then
     { result = Error (Out_of_range b); cost_ms = 0.0 }
   else
-    match t.blocks.(b) with
-    | None ->
-        let cost = Media.read_cost t.media ~bytes:0 in
-        charge t cost;
-        { result = Error (Never_written b); cost_ms = cost }
-    | Some data ->
-        let cost = Media.read_cost t.media ~bytes:(String.length data) in
-        t.reads <- t.reads + 1;
-        t.bytes_read <- t.bytes_read + String.length data;
-        charge t cost;
-        if Trace.enabled t.trace then
-          Trace.point t.trace
-            (Trace.Disk_read
-               {
-                 media = Media.kind_name t.media.Media.kind;
-                 block = b;
-                 bytes = String.length data;
-                 cost_ms = cost;
-               });
-        { result = Ok data; cost_ms = cost }
+    let s = t.blocks.(b) in
+    if s == unwritten then begin
+      let cost = Media.read_cost t.media ~bytes:0 in
+      charge t cost;
+      { result = Error (Never_written b); cost_ms = cost }
+    end
+    else begin
+      let bytes = sector_bytes s in
+      let cost = Media.read_cost t.media ~bytes in
+      t.reads <- t.reads + 1;
+      t.bytes_read <- t.bytes_read + bytes;
+      charge t cost;
+      if Trace.enabled t.trace then
+        Trace.point t.trace
+          (Trace.Disk_read
+             { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
+      { result = Ok (answer s); cost_ms = cost }
+    end
 
-let write t b data =
+let read_sector t b = fetch Fun.id t b
+let read t b = fetch (fun s -> s.data) t b
+
+let write_sector t b s =
+  let bytes = sector_bytes s in
   if t.offline then { result = Error Offline; cost_ms = 0.0 }
   else if b < 0 || b >= Array.length t.blocks then
     { result = Error (Out_of_range b); cost_ms = 0.0 }
-  else if String.length data > t.block_size then
-    {
-      result = Error (Too_large { requested = String.length data; block_size = t.block_size });
-      cost_ms = 0.0;
-    }
-  else if t.media.Media.write_once && t.blocks.(b) <> None then
+  else if bytes > t.block_size then
+    { result = Error (Too_large { requested = bytes; block_size = t.block_size }); cost_ms = 0.0 }
+  else if t.media.Media.write_once && t.blocks.(b) != unwritten then
     { result = Error (Write_once_violation b); cost_ms = 0.0 }
   else begin
-    let cost = Media.write_cost t.media ~bytes:(String.length data) in
-    if t.blocks.(b) = None then t.in_use <- t.in_use + 1;
-    t.blocks.(b) <- Some data;
+    let cost = Media.write_cost t.media ~bytes in
+    if t.blocks.(b) == unwritten then t.in_use <- t.in_use + 1;
+    t.blocks.(b) <- s;
     t.writes <- t.writes + 1;
-    t.bytes_written <- t.bytes_written + String.length data;
+    t.bytes_written <- t.bytes_written + bytes;
     charge t cost;
     if Trace.enabled t.trace then
       Trace.point t.trace
         (Trace.Disk_write
-           {
-             media = Media.kind_name t.media.Media.kind;
-             block = b;
-             bytes = String.length data;
-             cost_ms = cost;
-           });
+           { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
     { result = Ok (); cost_ms = cost }
   end
+
+let write t b data = write_sector t b { header = ""; data }
 
 let erase t b =
   if t.offline then { result = Error Offline; cost_ms = 0.0 }
@@ -118,31 +127,38 @@ let erase t b =
   else if t.media.Media.write_once then
     { result = Error (Write_once_violation b); cost_ms = 0.0 }
   else begin
-    if t.blocks.(b) <> None then t.in_use <- t.in_use - 1;
-    t.blocks.(b) <- None;
+    if t.blocks.(b) != unwritten then t.in_use <- t.in_use - 1;
+    t.blocks.(b) <- unwritten;
     { result = Ok (); cost_ms = 0.0 }
   end
 
-let is_written t b = b >= 0 && b < Array.length t.blocks && t.blocks.(b) <> None
+let is_written t b = b >= 0 && b < Array.length t.blocks && t.blocks.(b) != unwritten
 
 let set_offline t flag = t.offline <- flag
 
 let corrupt t b ~xor_byte =
   if b < 0 || b >= Array.length t.blocks then false
   else
-    match t.blocks.(b) with
-    | None -> false
-    | Some "" -> false
-    | Some data ->
-        (* A damaged copy replaces the block: the old image may be shared
-           with a companion disk or the writer, which must not see it. *)
-        let i = String.length data / 2 in
-        let flip j c = if j = i then Char.chr (Char.code c lxor Char.code xor_byte) else c in
-        t.blocks.(b) <- Some (String.mapi flip data);
-        true
+    let s = t.blocks.(b) in
+    let n = sector_bytes s in
+    if n = 0 then false
+    else begin
+      (* A damaged copy replaces the block: the old sector may be shared
+         with a companion disk or the writer, which must not see it. The
+         flipped byte is the middle one of header and data together. *)
+      let i = n / 2 and h = String.length s.header in
+      let flip i str =
+        let byte j c = if j = i then Char.chr (Char.code c lxor Char.code xor_byte) else c in
+        String.mapi byte str
+      in
+      t.blocks.(b) <-
+        (if i < h then { s with header = flip i s.header }
+         else { s with data = flip (i - h) s.data });
+      true
+    end
 
 let wipe t =
-  Array.fill t.blocks 0 (Array.length t.blocks) None;
+  Array.fill t.blocks 0 (Array.length t.blocks) unwritten;
   t.in_use <- 0
 
 type stats = {

@@ -33,14 +33,33 @@ val create :
 val block_count : t -> int
 val block_size : t -> int
 
+(** {2 Sectors}
+
+    A block holds a sector: a small header beside the data. The layer
+    above owns the header's format. The stable pair keeps a write's
+    sequence number and checksum there, next to the payload rather than
+    wrapped around it. A block server writes an empty header. Both
+    strings are immutable: a write keeps the caller's record and a read
+    answers it, without a copy, so one sector may sit on several blocks
+    or disks at once. A read or write charges {!Media} cost, counts bytes
+    and traces [bytes] for the header and data together: the same count
+    the header and payload would have in one wrapped image. *)
+
+type sector = { header : string; data : string }
+
+val read_sector : t -> int -> sector outcome
+(** The stored sector itself. *)
+
+val write_sector : t -> int -> sector -> unit outcome
+(** Whole-block atomic write of the header and data, which must fit the
+    block size together; keeps the caller's record. Fails with
+    [Write_once_violation] when overwriting on write-once media. *)
+
 val read : t -> int -> string outcome
-(** Returns the stored image itself (its exact written length), without
-    a copy: images are immutable. *)
+(** The stored sector's data (its exact written length), without a copy. *)
 
 val write : t -> int -> string -> unit outcome
-(** Whole-block atomic write that keeps the caller's image, without a
-    copy: the same image may be written to other blocks or disks. Fails
-    with [Write_once_violation] when overwriting on write-once media. *)
+(** [write t b data] writes [data] with an empty header. *)
 
 val erase : t -> int -> unit outcome
 (** Return a block to the never-written state. Fails on write-once media
@@ -55,10 +74,11 @@ val is_written : t -> int -> bool
 val set_offline : t -> bool -> unit
 
 val corrupt : t -> int -> xor_byte:char -> bool
-(** Replace a written block's image, silently, with a copy that has one
-    byte XORed; returns false if the block holds no data. Models media
-    decay; checksums upstream must catch it. Other holders of the old
-    image (a companion disk, the writer) keep it intact. *)
+(** Replace a written block's sector, silently, with a copy that has one
+    byte XORed: the middle byte of the header and data taken together.
+    Returns false if the block holds no bytes. Models media decay;
+    checksums upstream must catch it. Other holders of the old sector (a
+    companion disk, the writer) keep it intact. *)
 
 val wipe : t -> unit
 (** Lose all contents (head crash). The device stays online. *)

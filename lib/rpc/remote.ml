@@ -47,28 +47,31 @@ let too_large bytes = Error (Errors.Message_too_large { bytes; limit = message_c
 
 (* A [Swap] step: on a fresh version of [file], iff the root is
    [expected], apply [writes] and commit; otherwise answer the root.
-   Either way no version of it is left open. *)
+   Either way no version of it is left open. Like [run_steps], it
+   matches rather than binds, so it allocates its answer and no
+   closure. *)
+let rec swap_writes server version = function
+  | [] -> Server.commit server version
+  | (path, data) :: rest -> (
+      match Server.write_page server version path data with
+      | Ok () -> swap_writes server version rest
+      | Error _ as e -> e)
+
 let swap server file ~expected writes =
-  let open Errors in
-  let* version = Server.create_version server file in
-  let swapped =
-    let* root = Server.read_page server version Pagepath.root in
-    if not (Bytes.equal root expected) then Ok (Some root)
-    else
-      let* () =
-        List.fold_left
-          (fun acc (path, data) ->
-            let* () = acc in
-            Server.write_page server version path data)
-          (Ok ()) writes
+  match Server.create_version server file with
+  | Error e -> Error e
+  | Ok version ->
+      let swapped =
+        match Server.read_page server version Pagepath.root with
+        | Error e -> Error e
+        | Ok root when not (Bytes.equal root expected) -> Ok (Some root)
+        | Ok _ -> (
+            match swap_writes server version writes with Ok () -> Ok None | Error e -> Error e)
       in
-      let* () = Server.commit server version in
-      Ok None
-  in
-  (match swapped with
-  | Ok None -> ()
-  | Ok (Some _) | Error _ -> ignore (Server.abort_version server version : unit r));
-  swapped
+      (match swapped with
+      | Ok None -> ()
+      | Ok (Some _) | Error _ -> ignore (Server.abort_version server version : unit Errors.r));
+      swapped
 
 let step_bytes = function
   | Write (_, data) -> Bytes.length data

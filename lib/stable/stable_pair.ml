@@ -63,12 +63,12 @@ let make_server ~trace ~media ~blocks ~block_size =
     seq = 0L;
   }
 
-let envelope_overhead = 32 (* magic + seq + crc + varints, rounded up *)
+let header_room = 32 (* magic + seq + length varint + crc, rounded up *)
 
 let create ?(seed = 0x57AB1E) ?(media = Media.magnetic) ?(trace = Trace.null) ~blocks
     ~block_size () =
   if blocks <= 0 || block_size <= 0 then invalid_arg "Stable_pair.create: sizes";
-  let disk_block_size = block_size + envelope_overhead in
+  let disk_block_size = block_size + header_room in
   let server () = make_server ~trace ~media ~blocks ~block_size:disk_block_size in
   { servers = [| server (); server () |]; rng = Xrng.create seed; block_size; blocks; trace }
 
@@ -86,58 +86,52 @@ let some_online t = if online t 0 then Some 0 else if online t 1 then Some 1 els
 let ok ?(cost = 0.0) v = { result = Ok v; cost_ms = cost }
 let fail ?(cost = 0.0) e = { result = Error e; cost_ms = cost }
 
-(* {2 Envelopes: magic, seq, sized payload, then a CRC of all of it} *)
+(* {2 Sector headers: magic, seq, payload length, then a CRC} *)
 
 let magic = 0x5AB1
 
-(* One exact-size buffer per envelope. The trailing CRC covers every byte
-   before it, the sequence number included: a flipped seq bit must fail
-   the read, or compare-notes would trust the damaged copy as newer. The
-   buffer is fresh and nothing else holds it, so handing it over as an
-   immutable string is safe: both legs, a fallback repair and a restart
-   then share that one image, and no disk copies it. *)
+(* A block's header sits beside its payload in the disk sector, not
+   around it, so the sector's data is the writer's own bytes, kept under
+   the store's ownership rule. The header's CRC covers its own fields,
+   then the payload, so a flipped seq bit fails the read like a flipped
+   payload bit: compare-notes would otherwise trust the damaged copy as
+   newer. Both legs, a fallback repair and a restart share the one
+   sealed sector, and no disk copies it. *)
 let seal seq payload =
   let len = Bytes.length payload in
-  let body = 10 + Wire.varint_size len + len in
-  let image = Bytes.create (body + 4) in
-  Bytes.set_uint16_le image 0 magic;
-  Bytes.set_int64_le image 2 seq;
-  let pos = Wire.set_varint image 10 len in
-  Bytes.blit payload 0 image pos len;
-  Bytes.set_int32_le image body (Int32.of_int (Wire.crc32_sub image 0 body));
-  Bytes.unsafe_to_string image
+  let fields = 10 + Wire.varint_size len in
+  let header = Bytes.create (fields + 4) in
+  Bytes.set_uint16_le header 0 magic;
+  Bytes.set_int64_le header 2 seq;
+  ignore (Wire.set_varint header 10 len : int);
+  let crc = Wire.crc32_continue (Wire.crc32_sub header 0 fields) payload 0 len in
+  Bytes.set_int32_le header fields (Int32.of_int crc);
+  { Disk.header = Bytes.unsafe_to_string header; data = Bytes.unsafe_to_string payload }
 
-(* The envelope is checked where it lies, by position, as [Page.check]
-   checks a page, so a sound one costs nothing to find: [payload_at] is
-   where its payload starts, or -1. The payload's length is the varint at
-   10, which must be the shortest encoding and leave exactly the payload
-   and the CRC after it. [Wire.crc32_sub] reads the immutable image
-   through a read-only view. *)
-let rec varint_at image pos shift acc =
-  if pos >= String.length image || shift > 56 then -1
+(* The header is checked against the payload where they lie, as
+   [Page.check] checks a page, so a sound sector costs nothing to find.
+   The payload's length is the varint at 10, which must be the shortest
+   encoding, leave exactly the CRC after it and match the data. The CRCs
+   read the immutable strings through read-only views. *)
+let rec varint_at s pos limit shift acc =
+  if pos >= limit || shift > 56 then -1
   else
-    let b = Char.code image.[pos] in
+    let b = Char.code s.[pos] in
     let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else varint_at image (pos + 1) (shift + 7) acc
+    if b land 0x80 = 0 then acc else varint_at s (pos + 1) limit (shift + 7) acc
 
-let payload_at image =
-  let n = String.length image in
-  if n < 15 || String.get_uint16_le image 0 <> magic then -1
-  else
-    let len = varint_at image 10 0 0 in
-    let pos = 10 + Wire.varint_size (max len 0) in
-    if len < 0 || pos + len + 4 <> n then -1
-    else if
-      Wire.crc32_sub (Bytes.unsafe_of_string image) 0 (n - 4)
-      <> Int32.to_int (String.get_int32_le image (n - 4)) land 0xFFFFFFFF
-    then -1
-    else pos
+let sound { Disk.header; data } =
+  let fields = String.length header - 4 and len = String.length data in
+  fields >= 11
+  && String.get_uint16_le header 0 = magic
+  && varint_at header 10 fields 0 0 = len
+  && 10 + Wire.varint_size len = fields
+  && Wire.crc32_continue
+       (Wire.crc32_sub (Bytes.unsafe_of_string header) 0 fields)
+       (Bytes.unsafe_of_string data) 0 len
+     = Int32.to_int (String.get_int32_le header fields) land 0xFFFFFFFF
 
-let seq_of image = String.get_int64_le image 2
-
-(* The one copy a read makes. *)
-let payload_of image pos =
-  Bytes.sub (Bytes.unsafe_of_string image) pos (String.length image - 4 - pos)
+let seq_of sector = String.get_int64_le sector.Disk.header 2
 
 let next_seq t i =
   let s = t.servers.(i) in
@@ -178,14 +172,14 @@ let tentative_allocate t i =
 
 let abort_tentative t i b = Hashtbl.remove t.servers.(i).tentative b
 
-(* The one copy writer: a sealed image onto server [x]'s disk, with [x]'s
-   counter moved past its seq and the block marked allocated there. Every
-   copy — either leg of a write, a fallback repair, a restart push — goes
-   through here, so no copy can land without its counter moving. *)
-let put_copy t x b image seq =
+(* The one copy writer: a sealed sector onto server [x]'s disk, with
+   [x]'s counter moved past its seq and the block marked allocated there.
+   Every copy — either leg of a write, a fallback repair, a restart push —
+   goes through here, so no copy can land without its counter moving. *)
+let put_copy t x b sector seq =
   let s = t.servers.(x) in
   note_seq t x seq;
-  let { Disk.result; cost_ms } = Disk.write s.disk b image in
+  let { Disk.result; cost_ms } = Disk.write_sector s.disk b sector in
   match result with
   | Error e -> fail ~cost:cost_ms (Disk_error e)
   | Ok () ->
@@ -207,7 +201,7 @@ let rec each cost f = function
    (not yet allocated in the primary's view, so this write allocates it)
    that it has allocated, is a collision — caught before any copy is
    written. Then each block is sealed and written. Returns each sealed
-   image with its seq: leg 2 writes that same image, so a write seals
+   sector with its seq: leg 2 writes that same sector, so a write seals
    once. *)
 let shadow_leg t ~primary entries =
   let q = companion primary in
@@ -224,11 +218,11 @@ let shadow_leg t ~primary entries =
           let sealed = ref [] in
           let shadow (b, payload) =
             let seq = next_seq t q in
-            let image = seal seq payload in
-            let o = put_copy t q b image seq in
+            let sector = seal seq payload in
+            let o = put_copy t q b sector seq in
             if Result.is_ok o.result then begin
               leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms:o.cost_ms;
-              sealed := (b, image, seq) :: !sealed
+              sealed := (b, sector, seq) :: !sealed
             end;
             o
           in
@@ -243,8 +237,8 @@ let shadow_write t ~primary b payload =
 (* Leg 2 (B→A): the writer's own copy, which also drops its tentative
    reservation. No serving check: recovery uses this while the server is
    still marked unrecovered. *)
-let local_leg t i b image seq =
-  let o = put_copy t i b image seq in
+let local_leg t i b sector seq =
+  let o = put_copy t i b sector seq in
   if Result.is_ok o.result then begin
     Hashtbl.remove t.servers.(i).tentative b;
     leg t ~leg:"local" ~server:i ~block:b ~cost_ms:o.cost_ms
@@ -288,7 +282,7 @@ let write_batch t i entries =
               match shadow_leg t ~primary:i entries with
               | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
               | { result = Ok sealed; cost_ms } ->
-                  each cost_ms (fun (b, image, seq) -> local_leg t i b image seq) sealed)))
+                  each cost_ms (fun (b, sector, seq) -> local_leg t i b sector seq) sealed)))
 
 let write t i b payload = write_batch t i [ (b, payload) ]
 
@@ -314,48 +308,45 @@ let allocate_write t i payload =
   in
   attempt max_allocate_retries 0.0
 
-(* Server [s]'s copy of [b] with its seq and payload, or [None] when the
-   disk fails or the envelope is unsound, and what the disk read cost.
-   Recovery compares seqs; a read takes [read]'s path instead. *)
+(* Server [s]'s copy of [b], or [None] when the disk fails or the
+   header does not match the payload, and what the disk read cost. The
+   sector is the one on disk, uncopied: recovery compares seqs and passes
+   the winner on. A read takes [read]'s path instead. *)
 let read_raw s b =
-  let { Disk.result; cost_ms } = Disk.read s.disk b in
+  let { Disk.result; cost_ms } = Disk.read_sector s.disk b in
   match result with
-  | Error _ -> (None, cost_ms)
-  | Ok image ->
-      let pos = payload_at image in
-      if pos < 0 then (None, cost_ms)
-      else (Some (seq_of image, payload_of image pos, image), cost_ms)
+  | Ok sector when sound sector -> (Some sector, cost_ms)
+  | Ok _ | Error _ -> (None, cost_ms)
 
 (* A damaged or unreadable local copy: fall back to the companion,
-   repairing the local copy with the companion's verified image. *)
+   repairing the local copy with the companion's verified sector. *)
 let read_companion t i b ~local_cost =
   let q = companion i in
   if not (online t q) then fail ~cost:local_cost (Corrupt_both b)
   else begin
     match read_raw t.servers.(q) b with
-    | Some (seq, payload, image), remote_cost ->
+    | Some sector, remote_cost ->
         leg t ~leg:"companion_read" ~server:q ~block:b ~cost_ms:(hop_ms +. remote_cost);
-        let repair = local_leg t i b image seq in
+        let repair = local_leg t i b sector (seq_of sector) in
         leg t ~leg:"repair" ~server:i ~block:b ~cost_ms:repair.cost_ms;
         let cost = local_cost +. hop_ms +. remote_cost +. repair.cost_ms in
-        ok ~cost payload
+        ok ~cost (Bytes.unsafe_of_string sector.Disk.data)
     | None, remote_cost -> fail ~cost:(local_cost +. hop_ms +. remote_cost) (Corrupt_both b)
   end
 
-(* A sound local copy allocates only its payload and the outcome. *)
+(* A sound local copy answers the writer's bytes themselves, so a read
+   allocates only its outcome. *)
 let read t i b =
   match check_serving t i with
   | Error e -> fail e
   | Ok s -> (
       if not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
       else
-        let { Disk.result; cost_ms } = Disk.read s.disk b in
+        let { Disk.result; cost_ms } = Disk.read_sector s.disk b in
         match result with
-        | Ok image ->
-            let pos = payload_at image in
-            if pos >= 0 then { result = Ok (payload_of image pos); cost_ms }
-            else read_companion t i b ~local_cost:cost_ms
-        | Error _ -> read_companion t i b ~local_cost:cost_ms)
+        | Ok sector when sound sector ->
+            { result = Ok (Bytes.unsafe_of_string sector.Disk.data); cost_ms }
+        | Ok _ | Error _ -> read_companion t i b ~local_cost:cost_ms)
 
 let free t i b =
   match check_serving t i with
@@ -401,6 +392,9 @@ let wipe_and_crash t i =
   Hashtbl.reset t.servers.(i).allocated;
   Hashtbl.reset t.servers.(i).intentions
 
+(* Adds the blocks of [src] to the set [dst]. *)
+let add_all dst src = List.iter (fun b -> Hashtbl.replace dst b ()) (Det.sorted_int_keys src)
+
 let restart t i =
   let s = t.servers.(i) in
   s.up <- true;
@@ -418,47 +412,48 @@ let restart t i =
        block in favour of the copy with the higher sequence number. The
        companion's intentions list is a cheap summary, but after a wipe the
        full union is what restores the disk, so we always walk the union. *)
-    let candidates = Hashtbl.create 256 in
-    Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) s.allocated;
-    Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) q.allocated;
-    Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) q.intentions;
+    let candidates = Hashtbl.copy s.allocated in
+    add_all candidates q.allocated;
+    add_all candidates q.intentions;
     let repaired = ref 0 in
     let cost = ref hop_ms in
-    (* A repair copies the winning side's verified image as it is, through
-       the copy writer: a push also moves their counter past our seq, so
-       their next write of the block cannot carry a seq no higher. *)
-    let repair copy b image seq =
-      let w = copy b image seq in
+    (* A repair copies the winning side's verified sector as it is,
+       through the copy writer: a push also moves their counter past our
+       seq, so their next write of the block cannot carry a seq no
+       higher. *)
+    let repair copy b sector =
+      let w = copy b sector (seq_of sector) in
       cost := !cost +. w.cost_ms;
       incr repaired
     in
     let pull = repair (local_leg t i) and push = repair (put_copy t q_id) in
-    let repair_one b () =
+    let repair_one b =
       let mine, my_cost = read_raw s b in
       let theirs, their_cost = read_raw q b in
       cost := !cost +. my_cost +. their_cost;
       match (mine, theirs) with
-      | Some (my_seq, _, _), Some (their_seq, _, image) when their_seq > my_seq ->
-          pull b image their_seq
-      | Some (my_seq, _, image), Some (their_seq, _, _) when my_seq > their_seq ->
-          (* Our copy is newer (their disk lost a write): push it back. *)
-          push b image my_seq
-      | Some _, Some _ -> Hashtbl.replace s.allocated b ()
-      | None, Some (their_seq, _, image) ->
+      | Some m, Some th ->
+          let c = Int64.compare (seq_of th) (seq_of m) in
+          if c > 0 then pull b th
+          else if c < 0 then
+            (* Our copy is newer (their disk lost a write): push it back. *)
+            push b m
+          else Hashtbl.replace s.allocated b ()
+      | None, Some th ->
           Hashtbl.replace s.allocated b ();
-          pull b image their_seq
-      | Some (my_seq, _, image), None ->
+          pull b th
+      | Some m, None ->
           (* Their copy is missing or damaged. *)
-          push b image my_seq
+          push b m
       | None, None ->
           (* Block lost on both sides (e.g. freed concurrently): drop it. *)
           Hashtbl.remove s.allocated b;
           Hashtbl.remove q.allocated b
     in
-    Det.iter_sorted repair_one candidates;
+    List.iter repair_one (Det.sorted_int_keys candidates);
     (* Both views now agree; intentions are discharged. *)
-    Det.iter_sorted (fun b () -> Hashtbl.replace s.allocated b ()) q.allocated;
-    Det.iter_sorted (fun b () -> Hashtbl.replace q.allocated b ()) s.allocated;
+    add_all s.allocated q.allocated;
+    add_all q.allocated s.allocated;
     Hashtbl.reset q.intentions;
     Hashtbl.reset s.intentions;
     s.recovered <- true;
@@ -469,18 +464,19 @@ let restart t i =
 
 let verify_companion_invariant t =
   let a = t.servers.(0) and b = t.servers.(1) in
-  let union = Hashtbl.create 256 in
-  Det.iter_sorted (fun blk () -> Hashtbl.replace union blk ()) a.allocated;
-  Det.iter_sorted (fun blk () -> Hashtbl.replace union blk ()) b.allocated;
+  let union = Hashtbl.copy a.allocated in
+  add_all union b.allocated;
   let violation = ref None in
-  let check blk () =
+  let check blk =
     if !violation = None then begin
       let ra, _ = read_raw a blk and rb, _ = read_raw b blk in
       match (ra, rb) with
-      | Some (sa, pa, _), Some (sb, pb, _) when sa = sb && not (Bytes.equal pa pb) ->
-          violation := Some (Printf.sprintf "block %d: equal seq %Ld, different payloads" blk sa)
+      | Some sa, Some sb when seq_of sa = seq_of sb && not (String.equal sa.Disk.data sb.Disk.data)
+        ->
+          violation :=
+            Some (Printf.sprintf "block %d: equal seq %Ld, different payloads" blk (seq_of sa))
       | _ -> ()
     end
   in
-  Det.iter_sorted check union;
+  List.iter check (Det.sorted_int_keys union);
   match !violation with None -> Ok () | Some msg -> Error msg

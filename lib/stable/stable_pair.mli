@@ -13,14 +13,19 @@
     notes with its companion and restores its disk before accepting
     requests.
 
-    Each disk block holds an envelope: a magic number, the write's
-    sequence number, the length-prefixed payload, and a CRC-32 of all of
-    those bytes. Because the checksum covers the sequence number, a
+    Each disk block holds a sector ({!Afs_disk.Disk.sector}): the payload,
+    and beside it a header with a magic number, the write's sequence
+    number, the payload's length and a CRC-32 of those fields followed by
+    the payload. Because the checksum covers the sequence number, a
     damaged seq fails the read like a damaged payload, instead of
-    winning compare-notes as a spuriously newer copy. A stable write
-    seals its envelope once and both legs write that one image. Repairs
-    copy the surviving side's verified image unchanged. A read checks
-    the envelope in place and copies only the payload out.
+    winning compare-notes as a spuriously newer copy. The pair keeps the
+    writer's bytes as the payload, under [Afs_core.Store]'s ownership
+    rule: a writer hands them over and never changes them again, and a
+    reader never changes what {!read} returns. A stable write seals its
+    header once and both legs write that one sector. Repairs copy the
+    surviving side's verified sector unchanged. A read checks the header
+    against the payload in place and answers the payload itself, the
+    bytes the writer handed over, without a copy.
 
     The protocol steps ({!tentative_allocate}, {!shadow_write}) are
     exposed individually so the RPC layer can interleave them between
@@ -95,7 +100,8 @@ val write : t -> id -> int -> bytes -> unit outcome
 
 val read : t -> id -> int -> bytes outcome
 (** Local read with checksum verification; falls back to the companion and
-    repairs the local copy on corruption. *)
+    repairs the local copy on corruption. Answers the stored payload
+    itself, uncopied: the caller must not change it. *)
 
 val free : t -> id -> int -> unit outcome
 (** Release a block on both servers. A block this server holds only

@@ -138,10 +138,10 @@ let crc_tables =
 
 let u32_le b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
 
-let crc32_sub b pos len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Wire.crc32_sub";
+let crc32_continue crc b pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Wire.crc32_continue";
   let t = crc_tables in
-  let c = ref 0xFFFFFFFF and i = ref pos in
+  let c = ref (crc lxor 0xFFFFFFFF) and i = ref pos in
   let words_end = pos + (len land lnot 7) in
   while !i < words_end do
     let lo = u32_le b !i lxor !c and hi = u32_le b (!i + 4) in
@@ -161,4 +161,5 @@ let crc32_sub b pos len =
   done;
   !c lxor 0xFFFFFFFF
 
-let crc32 b = crc32_sub b 0 (Bytes.length b)
+let crc32_sub b pos len = crc32_continue 0 b pos len
+let crc32 b = crc32_continue 0 b 0 (Bytes.length b)

@@ -57,6 +57,13 @@ val crc32 : bytes -> int
     Computed eight bytes per step (slicing-by-8); bit-identical to the
     classic byte-at-a-time loop. *)
 
+val crc32_continue : int -> bytes -> int -> int -> int
+(** [crc32_continue crc b pos len] continues [crc], the CRC-32 of some
+    earlier bytes, over [len] bytes of [b] from [pos]: the CRC-32 of the
+    earlier bytes followed by these, as though they were one buffer. The
+    CRC of no bytes is [0]. Raises [Invalid_argument] on a range outside
+    [b]. *)
+
 val crc32_sub : bytes -> int -> int -> int
 (** [crc32_sub b pos len] is [crc32 (Bytes.sub b pos len)] without the
-    copy. Raises [Invalid_argument] on a range outside [b]. *)
+    copy: [crc32_continue 0 b pos len]. *)

@@ -97,6 +97,45 @@ let test_stored_image_isolated () =
   check_image "other block intact" "mutate-me" (ok_outcome (Disk.read d 1));
   Alcotest.(check bool) "damaged block differs" false (ok_outcome (Disk.read d 0) = image)
 
+(* A sector's header sits beside its data: a read answers the record
+   written, [read] its data, and sizes, byte counts and costs take both
+   together, as they would one image of that length. An empty written
+   sector is still written. *)
+let test_sector_header_beside_data () =
+  let d = fresh ~block_size:16 () in
+  let sector = { Disk.header = "hdr"; data = "payload" } in
+  let w = Disk.write_sector d 0 sector in
+  ignore (ok_outcome w);
+  Alcotest.(check bool) "read_sector answers the record" true
+    (ok_outcome (Disk.read_sector d 0) == sector);
+  Alcotest.(check bool) "read answers its data" true
+    (ok_outcome (Disk.read d 0) == sector.Disk.data);
+  let s = Disk.stats d in
+  Alcotest.(check int) "bytes written, header and data" 10 s.Disk.bytes_written;
+  Alcotest.(check int) "bytes read, header and data" 20 s.Disk.bytes_read;
+  Alcotest.(check (float 0.0)) "costed as one 10-byte image"
+    (Media.write_cost Media.magnetic ~bytes:10) w.Disk.cost_ms;
+  expect_err "header counts toward the size"
+    (function Disk.Too_large { requested = 17; block_size = 16 } -> true | _ -> false)
+    (Disk.write_sector d 1 { Disk.header = "h"; data = String.make 16 'x' });
+  Alcotest.(check bool) "header-less write" true (Result.is_ok (Disk.write d 1 "").Disk.result);
+  Alcotest.(check bool) "an empty sector is written" true (Disk.is_written d 1);
+  Alcotest.(check string) "its header is empty" "" (ok_outcome (Disk.read_sector d 1)).Disk.header
+
+(* The flipped byte is the middle one of header and data together: in
+   the header when it is the longer part, else in the data. *)
+let test_corrupt_middle_of_sector () =
+  let d = fresh () in
+  let damaged header data =
+    ignore (ok_outcome (Disk.write_sector d 0 { Disk.header; data }));
+    Alcotest.(check bool) "corrupted" true (Disk.corrupt d 0 ~xor_byte:'\x01');
+    let s = ok_outcome (Disk.read_sector d 0) in
+    (s.Disk.header, s.Disk.data)
+  in
+  let header_and_data = Alcotest.(pair string string) in
+  Alcotest.check header_and_data "in the header" ("01234467", "ab") (damaged "01234567" "ab");
+  Alcotest.check header_and_data "in the data" ("01", "abceefgh") (damaged "01" "abcdefgh")
+
 (* {2 Fault injection} *)
 
 let test_offline () =
@@ -177,12 +216,14 @@ let () =
           quick "write-once enforced" test_write_once_enforced;
           quick "erase" test_erase;
           quick "stored images isolated" test_stored_image_isolated;
+          quick "sector header beside data" test_sector_header_beside_data;
         ] );
       ( "faults",
         [
           quick "offline" test_offline;
           quick "corrupt" test_corrupt;
           quick "corrupt unwritten" test_corrupt_unwritten;
+          quick "corrupt middle of sector" test_corrupt_middle_of_sector;
           quick "wipe" test_wipe;
         ] );
       ( "accounting",

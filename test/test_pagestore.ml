@@ -457,6 +457,42 @@ let test_revalidate_allocates_only_answer () =
   if words > 2. then
     Alcotest.failf "revalidating a 1 KiB page allocates %.0f words (want the store's Ok, 2)" words
 
+(* Over the stable pair too: its disks keep the written bytes beside
+   their header, and a sound read answers them, so the page's memo is
+   the image the store reads back. Revalidating an unchanged page then
+   compares pointers, and a page faulted in from the pair keeps the
+   read image as its memo, so its re-read copies nothing either. *)
+let test_stable_pair_revalidation_shares_image () =
+  let pair =
+    Afs_stable.Stable_pair.create ~media:Afs_disk.Media.electronic ~blocks:64 ~block_size:2048 ()
+  in
+  let store = Store.of_stable_pair pair in
+  let ps = Pagestore.create store in
+  let b = ok (Pagestore.allocate ps) in
+  ignore (ok (Pagestore.write_through ps b (page_with_data (String.make 1024 's'))));
+  let stored () = Helpers.ok_str (store.Store.read b) in
+  let memo ps = Option.get (Page.memoized_image (ok (Pagestore.read ps b))) in
+  Alcotest.(check bool) "the memo is the stored image" true (memo ps == stored ());
+  let reread ps () =
+    Pagestore.refresh ps b;
+    ignore (Sys.opaque_identity (Pagestore.read ps b))
+  in
+  reread ps ();
+  let words = Helpers.minor_words_of (reread ps) in
+  if words > 32. then
+    Alcotest.failf "revalidating a 1 KiB stable page allocates %.0f words (want at most 32)" words;
+  let cold = Pagestore.create store in
+  let faulted = ok (Pagestore.read cold b) in
+  Alcotest.(check bool) "a faulted-in page's memo is the stored image" true
+    (memo cold == stored ());
+  reread cold ();
+  let words = Helpers.minor_words_of (reread cold) in
+  if words > 32. then
+    Alcotest.failf
+      "re-reading a faulted-in 1 KiB stable page allocates %.0f words (want at most 32)" words;
+  Alcotest.(check bool) "the re-read answers the faulted page" true
+    (ok (Pagestore.read cold b) == faulted)
+
 let () =
   Alcotest.run "pagestore"
     [
@@ -506,6 +542,7 @@ let () =
         [
           quick "memory read is the written image" test_memory_read_shares_image;
           quick "revalidation allocates its answer" test_revalidate_allocates_only_answer;
+          quick "stable pair revalidation shares" test_stable_pair_revalidation_shares_image;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_cache_reads_equal_model ] );

@@ -1116,6 +1116,56 @@ let test_answers_shared_never_changed () =
     done
   done
 
+(* A [Swap] step, the flip and resolve of a cross-shard marker, costs
+   its server calls and its answer: it matches rather than binds, so no
+   closure joins them. The host's own handler runs it here, outside the
+   simulation, against the same calls made directly, the batch's own
+   [current_version] among them. A guard that fails
+   answers the root; one that holds writes and commits. Their answers
+   take 12 and 10 words. Each figure is a pure function of the code,
+   measured once warm. *)
+let test_swap_allocates_its_answer () =
+  let handler = ref None in
+  let srv = Server.create (Store.memory ()) in
+  let _host =
+    Remote.host (Engine.create ()) ~name:"afs" srv ~wrap:(fun base ->
+        handler := Some base;
+        base)
+  in
+  let handle = Option.get !handler in
+  let f = ok (Server.create_file srv ~data:(bytes "root") ()) in
+  let root = P.root and data = bytes "root" in
+  let direct ~write () =
+    ignore (Sys.opaque_identity (ok (Server.current_version srv f)));
+    let v = ok (Server.create_version srv f) in
+    ignore (Sys.opaque_identity (ok (Server.read_page srv v root)));
+    if write then begin
+      ok (Server.write_page srv v root data);
+      ok (Server.commit srv v)
+    end
+    else ok (Server.abort_version srv v)
+  in
+  let swap ~expected =
+    let request =
+      Remote.Batch
+        { target = Remote.Current f;
+          steps = [ Remote.Swap { file = f; expected; writes = [ (root, data) ] } ] }
+    in
+    fun () -> ignore (Sys.opaque_identity (handle request))
+  in
+  let words f =
+    f ();
+    Helpers.minor_words_of f
+  in
+  let guard = words (swap ~expected:(bytes "other")) -. words (direct ~write:false) in
+  let commit = words (swap ~expected:data) -. words (direct ~write:true) in
+  Alcotest.(check string) "the swaps committed" "root"
+    (Helpers.str (ok (Server.current_root_data srv f)));
+  if guard > 16. || commit > 16. then
+    Alcotest.failf "a Swap allocates %.0f words over its server calls when its guard fails, %.0f \
+                    when it commits (want at most 16: the answers, 12 and 10)"
+      guard commit
+
 let () =
   Alcotest.run "rpc"
     [
@@ -1151,5 +1201,6 @@ let () =
           quick "cap refuses a redo" test_cap_refuses_redo;
           quick "group commit takes batches" test_group_commit_takes_version_batches;
           quick "answers shared, never changed" test_answers_shared_never_changed;
+          quick "swap allocates its answer" test_swap_allocates_its_answer;
         ] );
     ]

@@ -25,20 +25,21 @@ let check_invariant t =
 
 (* {2 Basic duplexed storage} *)
 
-(* A read of a sound local copy checks its envelope where it lies and
-   allocates only the payload's copy and small answers: the serving
-   check's, the disk's outcome and its own (16 words). *)
+(* A read of a sound local copy checks its header against the payload
+   where they lie and answers the writer's bytes themselves: it
+   allocates only small answers, the serving check's, the disk's outcome
+   and its own (16 words). *)
 let test_read_allocates_payload_and_outcome () =
   let t = fresh ~block_size:2048 () in
-  let b = ok (S.allocate_write t 0 (Bytes.make 1024 'p')) in
+  let payload = Bytes.make 1024 'p' in
+  let b = ok (S.allocate_write t 0 payload) in
   let read () = ignore (Sys.opaque_identity (S.read t 0 b)) in
   read ();
-  let payload_words = float_of_int ((1024 / (Sys.word_size / 8)) + 2) in
   let words = Helpers.minor_words_of read in
-  if words > payload_words +. 16. then
-    Alcotest.failf "a 1 KiB read allocates %.0f words (payload copy %.0f, want at most 16 more)"
-      words payload_words;
-  Alcotest.(check string) "the payload" (String.make 1024 'p') (Helpers.str (ok (S.read t 0 b)))
+  if words > 16. then
+    Alcotest.failf "a 1 KiB read allocates %.0f words (want at most 16, no payload copy)" words;
+  Alcotest.(check bool) "via 0, the written bytes" true (ok (S.read t 0 b) == payload);
+  Alcotest.(check bool) "via 1, the written bytes" true (ok (S.read t 1 b) == payload)
 
 let test_allocate_write_read () =
   let t = fresh () in
@@ -108,19 +109,50 @@ let test_corrupt_both_detected () =
   ignore (Disk.corrupt (S.disk t 1) b ~xor_byte:'\xFF');
   expect "both corrupt" (function S.Corrupt_both _ -> true | _ -> false) (S.read t 0 b)
 
-(* The envelope checksum covers the sequence number. With a one-byte
-   payload, [Disk.corrupt]'s middle byte lies inside the 8-byte seq
-   field: the damaged stale copy must fail its read, not win
-   compare-notes as a newer copy and roll back the acknowledged "y". *)
+let disk_sector t i b =
+  match (Disk.read_sector (S.disk t i) b).Disk.result with
+  | Ok sector -> sector
+  | Error e -> Alcotest.failf "disk %d block %d: %a" i b Disk.pp_error e
+
+(* The header's checksum covers the sequence number. With a one-byte
+   payload, [Disk.corrupt]'s middle byte of header and data lies inside
+   the header's 8-byte seq field: the damaged stale copy must fail its
+   read, not win compare-notes as a newer copy and roll back the
+   acknowledged "y". *)
 let test_corrupt_seq_not_trusted () =
   let t = fresh () in
   let b = ok (S.allocate_write t 0 (bytes "x")) in
   S.crash t 1;
   ignore (ok (S.write t 0 b (bytes "y")));
+  let stale = disk_sector t 1 b in
   Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 1) b ~xor_byte:'\xFF');
+  let damaged = disk_sector t 1 b in
+  Alcotest.(check bool) "the payload is untouched" true (damaged.Disk.data == stale.Disk.data);
+  Alcotest.(check bool) "the seq field is hit" true
+    (String.sub damaged.Disk.header 2 8 <> String.sub stale.Disk.header 2 8);
   ignore (ok (S.restart t 1));
   Helpers.check_bytes "read via 0" "y" (ok (S.read t 0 b));
   Helpers.check_bytes "read via 1" "y" (ok (S.read t 1 b));
+  check_invariant t
+
+(* With a 1 KiB payload the middle byte lies in the payload, beside an
+   intact header: the CRC, which runs on from the header over the
+   payload, must catch it, and the read repairs from the companion. *)
+let test_payload_flip_caught () =
+  let t = fresh ~block_size:2048 () in
+  let payload = Bytes.make 1024 'q' in
+  let b = ok (S.allocate_write t 0 payload) in
+  let sound = disk_sector t 0 b in
+  Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 0) b ~xor_byte:'\x01');
+  let damaged = disk_sector t 0 b in
+  Alcotest.(check bool) "the header is untouched" true (damaged.Disk.header == sound.Disk.header);
+  Alcotest.(check bool) "the payload differs" false
+    (String.equal damaged.Disk.data sound.Disk.data);
+  Alcotest.(check bool) "the writer's bytes are untouched" true
+    (Bytes.equal payload (Bytes.make 1024 'q'));
+  Alcotest.(check bool) "the read answers the written bytes" true (ok (S.read t 0 b) == payload);
+  Alcotest.(check bool) "repaired with the companion's sector" true
+    (disk_sector t 0 b == disk_sector t 1 b);
   check_invariant t
 
 let disk_image t i b =
@@ -132,20 +164,28 @@ let disk_image t i b =
    would also change every alias of it. *)
 let snapshot image = Bytes.to_string (Bytes.of_string image)
 
-(* Both legs of a stable write store one sealed image, the same string on
-   both disks. [Disk.corrupt] replaces the damaged block instead of
-   mutating that string: the other disk stays intact, and a read through
-   the damaged side repairs it with the companion's image itself. *)
+(* A copy to compare against, header and data: a shared sector that were
+   damaged in place would also change every alias of it. *)
+let snapshot_sector (s : Disk.sector) = (snapshot s.Disk.header, snapshot s.Disk.data)
+
+let contents (s : Disk.sector) = (s.Disk.header, s.Disk.data)
+
+(* Both legs of a stable write store one sealed sector, the same record
+   on both disks. [Disk.corrupt] replaces the damaged block instead of
+   mutating its strings: the other disk stays intact, and a read through
+   the damaged side repairs it with the companion's sector itself. *)
 let check_shared_image_repairs t b ~damaged ~expect:payload =
-  let image = disk_image t (1 - damaged) b in
-  let good = snapshot image in
-  Alcotest.(check bool) "both disks hold one image" true (disk_image t damaged b == image);
+  let sector = disk_sector t (1 - damaged) b in
+  let good = snapshot_sector sector in
+  let header_and_data = Alcotest.(pair string string) in
+  Alcotest.(check bool) "both disks hold one sector" true (disk_sector t damaged b == sector);
   Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t damaged) b ~xor_byte:'\x5A');
-  Alcotest.(check string) "other disk untouched" good (disk_image t (1 - damaged) b);
-  Alcotest.(check bool) "damaged disk differs" false (good = disk_image t damaged b);
+  Alcotest.check header_and_data "other disk untouched" good
+    (contents (disk_sector t (1 - damaged) b));
+  Alcotest.(check bool) "damaged disk differs" false (good = contents (disk_sector t damaged b));
   Helpers.check_bytes "read repairs" payload (ok (S.read t damaged b));
-  Alcotest.(check bool) "repaired with the companion's image" true
-    (disk_image t damaged b == disk_image t (1 - damaged) b)
+  Alcotest.(check bool) "repaired with the companion's sector" true
+    (disk_sector t damaged b == disk_sector t (1 - damaged) b)
 
 let test_write_legs_share_image () =
   let t = fresh () in
@@ -329,6 +369,26 @@ let test_pushed_copy_advances_companion_seq () =
   Helpers.check_bytes "read via 1" "new" (ok (S.read t 1 b));
   check_invariant t
 
+(* Compare-notes reads both copies of every block in the union, but
+   compares only seqs and passes the winning sector on: a restart over
+   [n] 1 KiB blocks copies no payload, so it allocates less than half a
+   payload (130 words) per block. *)
+let test_restart_copies_no_payload () =
+  let n = 64 in
+  let t = fresh ~blocks:256 ~block_size:2048 () in
+  let fill i = Char.chr (65 + (i mod 26)) in
+  let blocks = List.init n (fun i -> ok (S.allocate_write t 0 (Bytes.make 1024 (fill i)))) in
+  S.crash t 1;
+  let payload_words = float_of_int ((1024 / (Sys.word_size / 8)) + 2) in
+  let words = Helpers.minor_words_of (fun () -> ignore (ok (S.restart t 1))) in
+  if words > float_of_int n *. payload_words /. 2. then
+    Alcotest.failf "a restart over %d 1 KiB blocks allocates %.0f words (%d payloads are %.0f)" n
+      words n (float_of_int n *. payload_words);
+  List.iteri
+    (fun i b -> Helpers.check_bytes "read via 1" (String.make 1024 (fill i)) (ok (S.read t 1 b)))
+    blocks;
+  check_invariant t
+
 let test_cost_reported () =
   let t = fresh () in
   let o = S.allocate_write t 0 (bytes "paid for") in
@@ -355,6 +415,7 @@ let () =
           quick "write legs share one image" test_write_legs_share_image;
           quick "write_batch legs share one image" test_write_batch_legs_share_image;
           quick "corrupt leaves companion intact" test_corrupt_leaves_companion_intact;
+          quick "payload flip caught by the CRC" test_payload_flip_caught;
         ] );
       ( "collisions",
         [
@@ -373,5 +434,6 @@ let () =
           quick "sequence monotonic" test_seq_monotonic_across_restart;
           quick "pushed copy advances companion seq" test_pushed_copy_advances_companion_seq;
           quick "cost reported" test_cost_reported;
+          quick "restart copies no payload" test_restart_copies_no_payload;
         ] );
     ]

@@ -323,7 +323,7 @@ let crc32_reference b =
   !c lxor 0xFFFFFFFF
 
 (* Lengths 0–4200 hit every tail length mod 8, and more than one 1 KiB
-   stable-storage envelope. *)
+   stable-storage block with its header. *)
 let prop_crc32_matches_reference =
   QCheck2.Test.make ~name:"crc32 = byte-at-a-time reference" ~count:500
     QCheck2.Gen.(string_size (int_range 0 4200))
@@ -344,6 +344,16 @@ let prop_crc32_sub =
     (fun (s, pos, len) ->
       let b = Bytes.of_string s in
       Wire.crc32_sub b pos len = crc32_reference (Bytes.sub b pos len))
+
+(* Header and payload of a stable-storage block lie in two buffers; one
+   CRC runs across both, as though they were one. Lengths past 8 on both
+   sides put the seam in the middle of the eight-byte loop. *)
+let prop_crc32_continue =
+  QCheck2.Test.make ~name:"crc32_continue over two = crc32 of both" ~count:300
+    QCheck2.Gen.(pair (string_size (int_range 0 40)) (string_size (int_range 0 300)))
+    (fun (a, b) ->
+      let a = Bytes.of_string a and b = Bytes.of_string b in
+      Wire.crc32_continue (Wire.crc32 a) b 0 (Bytes.length b) = Wire.crc32 (Bytes.cat a b))
 
 let test_wire_set_varint () =
   List.iter
@@ -563,6 +573,7 @@ let () =
           quick "crc32 detects corruption" test_crc32_detects_flip;
           QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
           QCheck_alcotest.to_alcotest prop_crc32_sub;
+          QCheck_alcotest.to_alcotest prop_crc32_continue;
           quick "set_varint matches writer" test_wire_set_varint;
         ] );
       ( "stats",
