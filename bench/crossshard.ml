@@ -11,6 +11,7 @@ module Marker = Afs_cluster.Marker
 module Txn = Afs_txn.Txn
 module Faults = Afs_replica.Faults
 module Remote = Afs_rpc.Remote
+module Trace = Afs_trace.Trace
 
 (* A page of the file's committed version: one [Current] batch, routed. *)
 let read_current client file path =
@@ -137,15 +138,31 @@ let s2 () =
      recovering client would — committed record means the transfer
      happened — and the audit demands the balances match those outcomes
      to the unit: nothing lost, nothing duplicated, nothing in doubt. *)
+  let span_open kind = function
+    | Trace.Span_open { kind = k; _ } -> String.equal k kind
+    | Trace.Point _ | Trace.Span_close _ -> false
+  in
+  let flip_open label = function
+    | Trace.Span_open { kind = "txn.flip"; label = l; _ } -> String.equal l label
+    | Trace.Span_open _ | Trace.Point _ | Trace.Span_close _ -> false
+  in
+  let decide_committed = function
+    | Trace.Point { payload = Trace.Txn_decide { committed; _ }; _ } -> committed
+    | Trace.Point _ | Trace.Span_open _ | Trace.Span_close _ -> false
+  in
+  (* Each kill point is the coordinator event it dies at: before the
+     first stage, before the second (the last participant's, whose seal
+     carries the decide, so it is also before the decide), once the
+     decide committed, and before each flip the coordinator sends. *)
   let crash_points =
     [|
       None;
-      Some (Txn.Before_stage 0);
-      Some (Txn.Before_stage 1);
-      Some Txn.Before_decide;
-      Some Txn.After_decide;
-      Some (Txn.Mid_flip 0);
-      Some (Txn.Mid_flip 1);
+      Some ("before_stage:0", span_open "txn.stage");
+      Some ("before_stage:1", span_open "txn.decide");
+      Some ("before_decide", span_open "txn.decide");
+      Some ("after_decide", decide_committed);
+      Some ("mid_flip:0", flip_open "0");
+      Some ("mid_flip:1", flip_open "1");
     |]
   in
   let shards = 3 and naccts = 6 and init = 100 in
@@ -187,7 +204,7 @@ let s2 () =
                 ignore (ok (Shard.recover (Cluster.shard cluster k)) : int)))
           [ (40.0, 0); (110.0, 1); (180.0, 2) ];
         let rng = Xrng.create 11 in
-        let txn = Txn.create client in
+        let txn = Txn.create ~trace:(Faults.tap faults) client in
         let deltas = Array.make naccts 0 in
         let uncertain = ref [] in
         for _ = 1 to 60 do
@@ -211,10 +228,13 @@ let s2 () =
                                             (int_of_string (Bytes.to_string old) + amt))) ] };
             ]
           in
+          let run () = Txn.exec ~on_record:(fun c seq -> record := Some (c, seq)) txn parts in
           match
-            Txn.exec ?crash_at ~on_record:(fun c seq -> record := Some (c, seq)) txn parts
+            match crash_at with
+            | Some (label, at) -> Faults.killing faults ~label at run
+            | None -> run ()
           with
-          | exception Txn.Crashed -> begin
+          | exception Proc.Killed -> begin
               incr crashes_injected;
               match !record with
               | Some r -> uncertain := (r, a, b, amt) :: !uncertain

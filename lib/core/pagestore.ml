@@ -244,7 +244,7 @@ let flush t =
     | [] -> Ok ()
     | b :: rest -> ( match flush_block t b with Ok () -> go rest | Error _ as e -> e)
   in
-  if Hashtbl.length t.dirty = 0 then Ok () else go (Det.sorted_keys t.dirty)
+  if Hashtbl.length t.dirty = 0 then Ok () else go (Det.sorted_int_keys t.dirty)
 
 let dirty_count t = Hashtbl.length t.dirty
 
@@ -269,7 +269,7 @@ let unlock t b =
 
 (* A crashed holder's store locks die with it. *)
 let drop_volatile t =
-  List.iter t.store.Store.unlock (Det.sorted_keys t.locked);
+  List.iter t.store.Store.unlock (Det.sorted_int_keys t.locked);
   Hashtbl.reset t.locked;
   Lru.clear t.cache;
   Hashtbl.reset t.dirty

@@ -429,7 +429,7 @@ let committed_chain t cap =
 
 let uncommitted_versions t cap =
   let* file = find_file t cap ~need:Capability.rights_none in
-  Ok (Det.sorted_keys file.uncommitted)
+  Ok (Det.sorted_int_keys file.uncommitted)
 
 (* {2 Versions} *)
 
@@ -544,7 +544,7 @@ let destroy_file t cap =
       match Hashtbl.find_opt t.versions vb with
       | Some v when v.status = Uncommitted -> discard t v
       | _ -> ())
-    (Det.sorted_keys file.uncommitted);
+    (Det.sorted_int_keys file.uncommitted);
   (* Only this file's own version index is walked — not every version the
      server knows about. A freed block may since have been reused by
      another file, hence the ownership check. *)
@@ -1093,13 +1093,16 @@ let prepare t cap =
 
 (* {2 Crash and recovery} *)
 
+(* [Det.iter_sorted] on an int-keyed table that [f] does not shrink. *)
+let iter_ints f tbl = List.iter (fun k -> f k (Hashtbl.find tbl k)) (Det.sorted_int_keys tbl)
+
 let crash t =
   (* The page cache goes, and so does every store lock this server
      holds. *)
   Pagestore.drop_volatile t.ps;
   (* Uncommitted versions are volatile by design. *)
-  Det.iter_sorted (fun _ v -> if v.status = Uncommitted then mark_aborted v) t.versions;
-  Det.iter_sorted (fun _ f -> Hashtbl.reset f.uncommitted) t.files;
+  iter_ints (fun _ v -> if v.status = Uncommitted then mark_aborted v) t.versions;
+  iter_ints (fun _ f -> Hashtbl.reset f.uncommitted) t.files;
   tpoint t (Trace.Crash { component = "server"; what = "crash" });
   bump t "server.crashes"
 
@@ -1122,7 +1125,7 @@ let recover_from_blocks t blocks =
       | None -> ())
     version_pages;
   let recovered = ref 0 in
-  Det.iter_sorted
+  iter_ints
     (fun file_obj pages ->
       match List.find_opt (fun (_, p) -> p.Page.header.Page.base_ref = None) pages with
       | None -> () (* No chain root among these blocks: cannot recover. *)
@@ -1185,7 +1188,7 @@ let note_pruned_chain t cap ~new_oldest =
    the ownership check (as in [destroy_file]). *)
 let reclaim_versions t ~live =
   let reclaimed = ref 0 in
-  Det.iter_sorted
+  iter_ints
     (fun _ file ->
       file.vblocks <-
         List.filter
@@ -1205,4 +1208,4 @@ let reclaim_versions t ~live =
   !reclaimed
 
 let list_files t =
-  List.rev (Det.fold_sorted (fun _ f acc -> mint_file_cap t (f.file_obj / 2) :: acc) t.files [])
+  List.map (fun file_obj -> mint_file_cap t (file_obj / 2)) (Det.sorted_int_keys t.files)

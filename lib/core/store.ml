@@ -140,11 +140,8 @@ let of_stable_pair pair =
      operation, any server can be allowed to carry out a commit"). *)
   let lock, unlock = lock_table () in
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let via f =
-    match Stable_pair.some_online pair with
-    | None -> Error "no stable server online"
-    | Some i -> f i
-  in
+  (* Each operation matches on the serving server: no closure per call. *)
+  let online () = Stable_pair.some_online pair and offline = Error "no stable server online" in
   let lift : type a. a Stable_pair.outcome -> (a, string) result =
    fun outcome -> Result.map_error string_of_stable_error outcome.Stable_pair.result
   in
@@ -157,26 +154,34 @@ let of_stable_pair pair =
            check. A number this adapter still lists belongs to a holder
            whose reservation a crashed server lost: keep the new claim
            for that holder and choose again. *)
-        via (fun i ->
-            let rec reserve () =
-              match lift (Stable_pair.tentative_allocate pair i) with
-              | Ok b when Hashtbl.mem allocated b -> reserve ()
-              | Ok b ->
-                  Hashtbl.replace allocated b ();
-                  Ok b
-              | Error _ as e -> e
-            in
-            reserve ()));
+        let rec reserve i =
+          match lift (Stable_pair.tentative_allocate pair i) with
+          | Ok b when Hashtbl.mem allocated b -> reserve i
+          | Ok b ->
+              Hashtbl.replace allocated b ();
+              Ok b
+          | Error _ as e -> e
+        in
+        match online () with Some i -> reserve i | None -> offline);
     free =
       (fun b ->
-        via (fun i ->
+        match online () with
+        | Some i ->
             Hashtbl.remove allocated b;
-            lift (Stable_pair.free pair i b)));
-    read = (fun b -> via (fun i -> lift (Stable_pair.read pair i b)));
-    write = (fun b data -> via (fun i -> lift (Stable_pair.write pair i b data)));
+            lift (Stable_pair.free pair i b)
+        | None -> offline);
+    read =
+      (fun b -> match online () with Some i -> lift (Stable_pair.read pair i b) | None -> offline);
+    write =
+      (fun b data ->
+        match online () with Some i -> lift (Stable_pair.write pair i b data) | None -> offline);
     (* The whole batch rides one A→B→A round trip: the companion hop is
        charged once however many pages and commit references it carries. *)
-    write_batch = (fun entries -> via (fun i -> lift (Stable_pair.write_batch pair i entries)));
+    write_batch =
+      (fun entries ->
+        match online () with
+        | Some i -> lift (Stable_pair.write_batch pair i entries)
+        | None -> offline);
     lock;
     unlock;
     list_blocks =

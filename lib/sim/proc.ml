@@ -93,6 +93,8 @@ let in_process () =
   | Some _ -> ()
   | None -> invalid_arg "Proc: blocking operation outside a process"
 
+let self () = match !current with Some (_, h) -> h | None -> invalid_arg "Proc.self: no process"
+
 let delay d =
   in_process ();
   Effect.perform (Delay d)

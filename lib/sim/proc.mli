@@ -18,6 +18,9 @@ val spawn : ?name:string -> Engine.t -> (unit -> unit) -> handle
     time. Uncaught exceptions other than {!Killed} escape the engine's
     [run] loop — tests rely on that to surface bugs. *)
 
+val self : unit -> handle
+(** The running process; raises [Invalid_argument] outside one. *)
+
 val delay : float -> unit
 (** Advance virtual time by the given amount. Must be called from inside a
     process; raises [Invalid_argument] otherwise. *)

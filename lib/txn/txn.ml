@@ -116,13 +116,6 @@ type failure =
   | Cross of Errors.t  (** The record decision lost to a contender's force-abort. *)
   | Failed of Errors.t  (** Transport or harness trouble; retry policy is the caller's. *)
 
-type crash_point = Before_stage of int | Before_decide | After_decide | Mid_flip of int
-
-exception Crashed
-(** Raised at the matching [crash_at] injection point: how tests model a
-    coordinator dying mid-protocol (client processes are not crashable
-    hosts). Everything already committed stays exactly as it is. *)
-
 type t = {
   client : CC.t;
   trace : Trace.t;
@@ -701,16 +694,20 @@ let exec_single t part =
    one has answered (step 6) — [pool] names the shard and the record, or
    is [None] when the record must never be reused. A participant that
    cannot be reached is deferred to resolvers ([deferred] counts it), and
-   the record is then not reused either. [crash] models the coordinator
-   dying at [Mid_flip i], before participant [i]'s flip. *)
-let resolve_all t staged ~forward ~done_ ~crash ~deferred ~pool =
+   the record is then not reused either. Each flip (or unstage) is a span
+   labelled with the participant's staging index, a crash site. *)
+let resolve_all t staged ~forward ~done_ ~deferred ~pool =
+  let kind = if forward then "txn.flip" else "txn.unstage" in
   let answered =
     List.fold_left
       (fun (i, answered) entry ->
         if List.memq entry done_ then (i + 1, answered)
         else begin
-          crash (Mid_flip i);
-          match apply t entry ~forward with
+          let label = if Trace.enabled t.trace then string_of_int i else "" in
+          let span = Trace.open_span t.trace ~kind ~label () in
+          let applied = apply t entry ~forward in
+          Trace.close_span t.trace span;
+          match applied with
           | Ok () -> (i + 1, answered)
           | Error _ ->
               bump t deferred;
@@ -751,8 +748,7 @@ let stage_retrying ?ride t ~record ~seq part =
   in
   attempt 0 None
 
-let coordinated t ~crash_at ~on_record parts =
-  let crash p = match crash_at with Some q when q = p -> raise Crashed | _ -> () in
+let coordinated t ~on_record parts =
   bump t "txn.coordinated";
   (* Stage in capability order so two transactions over the same files
      collide head-on (and resolve) instead of staging each other's tails. *)
@@ -783,8 +779,7 @@ let coordinated t ~crash_at ~on_record parts =
           (match on_record with Some f -> f record seq | None -> ());
           let pool value = Some (shard, (record, value)) in
           let unstage_all staged pool =
-            resolve_all t staged ~forward:false ~done_:[] ~crash:ignore
-              ~deferred:"txn.unstage_deferred" ~pool
+            resolve_all t staged ~forward:false ~done_:[] ~deferred:"txn.unstage_deferred" ~pool
           in
           let decided ?(flipped = []) staged = function
             | Error e -> finish (Error (Failed e))
@@ -797,13 +792,12 @@ let coordinated t ~crash_at ~on_record parts =
             | Ok ((Pending | Superseded | Unknown_record), _) ->
                 finish (Error (Failed (Store_failure "txn: impossible record state")))
             | Ok (Committed, value) ->
-                crash After_decide;
                 bump t "txn.committed";
                 (* The transaction is committed the moment the record is;
                    flips are completion, not decision. The decide carried
                    those on the record's shard. *)
-                resolve_all t staged ~forward:true ~done_:flipped ~crash
-                  ~deferred:"txn.flip_deferred" ~pool:(pool value);
+                resolve_all t staged ~forward:true ~done_:flipped ~deferred:"txn.flip_deferred"
+                  ~pool:(pool value);
                 finish (Ok ())
           in
           (* Close the record first, so no resolver can roll the staged
@@ -824,6 +818,7 @@ let coordinated t ~crash_at ~on_record parts =
             in
             match decide_record t ~record ~seq ~seen ~commit:false with
             | Ok (Committed, _) as committed ->
+                tpoint t (Trace.Txn_decide { txn = seq; committed = true });
                 decided (staged @ Option.to_list in_doubt) committed
             | Ok (final, value) ->
                 unstage_all staged
@@ -833,19 +828,16 @@ let coordinated t ~crash_at ~on_record parts =
                 bump t "txn.rollback_deferred";
                 finish (Error (Failed e))
           in
-          let rec stage_all staged idx = function
+          let rec stage_all staged = function
             | [] -> Ok (List.rev staged)
             | part :: rest -> (
-                crash (Before_stage idx);
                 match stage_retrying t ~record ~seq part with
-                | Ok (entry, _) -> stage_all (entry :: staged) (idx + 1) rest
+                | Ok (entry, _) -> stage_all (entry :: staged) rest
                 | Error e -> Error (staged, e))
           in
-          match stage_all [] 0 (List.rev rev_before) with
+          match stage_all [] (List.rev rev_before) with
           | Error (staged, e) -> rollback staged e
           | Ok before -> (
-              crash (Before_stage (List.length before));
-              crash Before_decide;
               let dspan =
                 Trace.open_span t.trace ~kind:"txn.decide" ~label:(string_of_int seq) ()
               in
@@ -871,11 +863,11 @@ let coordinated t ~crash_at ~on_record parts =
                   Trace.close_span t.trace dspan;
                   decided ?flipped:ridden staged decision)))
 
-let exec ?crash_at ?on_record t parts =
+let exec ?on_record t parts =
   match parts with
   | [] -> Ok ()
   | [ part ] -> exec_single t part
-  | parts -> coordinated t ~crash_at ~on_record parts
+  | parts -> coordinated t ~on_record parts
 
 (* {2 Recovery} *)
 

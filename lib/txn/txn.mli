@@ -59,19 +59,6 @@ type failure =
   | Failed of Afs_core.Errors.t
       (** Transport or harness trouble; retry policy is the caller's. *)
 
-type crash_point = Before_stage of int | Before_decide | After_decide | Mid_flip of int
-(** Deterministic coordinator-kill injection points, by protocol step
-    (indices count participants in staging order). The last participant's
-    seal carries the decide, so [Before_decide] fires with the last
-    participant not yet staged, like [Before_stage] of it; and
-    [Mid_flip i] fires before participant [i]'s own flip, so never for a
-    participant the decide flipped (one on the record's shard). *)
-
-exception Crashed
-(** Raised by {!exec} at the matching [crash_at] point: the test's model
-    of a coordinator dying mid-protocol. Committed state stays put;
-    {!sweep} (or any later access) resolves what was left in doubt. *)
-
 type t
 
 val create : ?trace:Afs_trace.Trace.t -> Afs_cluster.Cluster_client.t -> t
@@ -82,11 +69,7 @@ val create : ?trace:Afs_trace.Trace.t -> Afs_cluster.Cluster_client.t -> t
     coordinators; crash recovery grants none, via {!sweep}. *)
 
 val exec :
-  ?crash_at:crash_point ->
-  ?on_record:(Afs_util.Capability.t -> int -> unit) ->
-  t ->
-  part list ->
-  (unit, failure) result
+  ?on_record:(Afs_util.Capability.t -> int -> unit) -> t -> part list -> (unit, failure) result
 (** Run one transaction to a definite outcome. A single part needs no
     record and no marker: it is {!commit_part} on its own shard (an
     in-doubt file is waited out and the part retried); multiple parts run
@@ -95,10 +78,13 @@ val exec :
     pending write.
     [on_record] observes the coordinator record's capability and the
     transaction's seq as soon as the record is acquired — the hook crash
-    tests use to audit outcomes ({!record_decision}) after a {!Crashed}
+    tests use to audit outcomes ({!record_decision}) after a killed
     coordinator. Once staged, the outcome is driven to a
     decision even through transient transport errors (bounded patience),
-    so a [failure] never hides a committed transaction. *)
+    so a [failure] never hides a committed transaction. Every event of
+    [t]'s trace is a crash site ({!Afs_replica.Faults.killing}): each
+    flip or unstage the coordinator sends is a [txn.flip] or
+    [txn.unstage] span labelled with the participant's staging index. *)
 
 type tries = { mutable made : int; allowed : int }
 (** An attempt count shared by a caller's retry loop and {!commit_part}:

@@ -7,13 +7,10 @@
     polymorphic-compare order; they also tolerate the callback removing
     entries from the table mid-walk (removed keys are skipped). *)
 
-val sorted_keys : ('k, 'v) Hashtbl.t -> 'k list
-(** All distinct keys, ascending. *)
-
 val sorted_int_keys : (int, 'v) Hashtbl.t -> int list
-(** {!sorted_keys} for integer keys. Dense non-negative keys (block
-    numbers) are ordered through a byte map instead of a comparison sort;
-    anything else is sorted with [Int.compare]. *)
+(** All distinct keys, ascending, with no polymorphic compare: dense
+    non-negative keys (block numbers) through a byte map, anything else
+    sorted with [Int.compare]. Prefer it to the walks below on int keys. *)
 
 val iter_sorted : ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [Hashtbl.iter] in ascending key order over a snapshot of the keys. *)

@@ -174,26 +174,24 @@ let afs_cluster client ~files =
 
 (* {2 Remote execution of baseline operations}
 
-   When an engine is supplied, each backend operation becomes one request
-   to a serialised RPC endpoint (same latency and CPU cost as the AFS
-   host), so baseline transactions interleave between requests exactly
-   like AFS transactions do. The request carries a thunk; the reply
-   timing carries the cost. *)
+   Each backend operation is one request to a serialised RPC endpoint
+   (same latency and CPU cost as the AFS host), so baseline transactions
+   interleave between requests exactly like AFS transactions do. The
+   request carries a thunk; the reply timing carries the cost. *)
 
 type op_call = unit -> unit
 
 let make_op_rpc engine name : (op_call, unit) Afs_rpc.Rpc.t =
   Afs_rpc.Rpc.serve ~latency_ms:2.0 ~proc_ms:0.2 engine ~name ~handler:(fun f -> f ())
 
-let remote_runner = function
-  | None -> fun f -> f ()
-  | Some rpc ->
-      fun f ->
-        let result = ref None in
-        (match Afs_rpc.Rpc.call rpc (fun () -> result := Some (f ())) with
-        | Ok () -> ()
-        | Error _ -> fatal_error "baseline op" (Errors.Store_failure "op server crashed"));
-        (match !result with Some v -> v | None -> fatal_error "baseline op" (Errors.Store_failure "reply lost"))
+let remote_runner rpc f =
+  let result = ref None in
+  (match Afs_rpc.Rpc.call rpc (fun () -> result := Some (f ())) with
+  | Ok () -> ()
+  | Error _ -> fatal_error "baseline op" (Errors.Store_failure "op server crashed"));
+  match !result with
+  | Some v -> v
+  | None -> fatal_error "baseline op" (Errors.Store_failure "reply lost")
 
 (* {2 XDFS-style two-phase locking} *)
 
@@ -206,8 +204,8 @@ let sort_ops ops =
   let page = function Read p -> p | Write (p, _) -> p | Rmw (p, _) -> p in
   List.stable_sort (fun a b -> compare (page a) (page b)) ops
 
-let twopl ?remote backend ~pages_per_file ~retry_wait_ms =
-  let rpc = Option.map (fun engine -> make_op_rpc engine "xdfs-2pl") remote in
+let twopl ~remote backend ~pages_per_file ~retry_wait_ms =
+  let rpc = make_op_rpc remote "xdfs-2pl" in
   let run : type a. (unit -> a) -> a = fun f -> remote_runner rpc f in
   let obj file page = (file * 65536) + page in
   assert (pages_per_file <= 65536);
@@ -285,8 +283,8 @@ let twopl ?remote backend ~pages_per_file ~retry_wait_ms =
 
 (* {2 SWALLOW-style timestamp ordering} *)
 
-let tsorder ?remote backend ~pages_per_file =
-  let rpc = Option.map (fun engine -> make_op_rpc engine "swallow-ts") remote in
+let tsorder ~remote backend ~pages_per_file =
+  let rpc = make_op_rpc remote "swallow-ts" in
   let run : type a. (unit -> a) -> a = fun f -> remote_runner rpc f in
   let obj file page = (file * 65536) + page in
   assert (pages_per_file <= 65536);

@@ -110,15 +110,15 @@ val afs_twopc : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t arra
     [Store_failure] — the lock-holding cost {!afs_txn} avoids. *)
 
 val twopl :
-  ?remote:Afs_sim.Engine.t ->
+  remote:Afs_sim.Engine.t ->
   Afs_baseline.Twopl.t -> pages_per_file:int -> retry_wait_ms:float -> t
 (** Lock denials wait [retry_wait_ms] of simulated time and retry,
     prodding vulnerable holders; a bounded number of waits, then abort
-    and redo. Must run inside a simulation process. With [remote], every
-    operation is one request to a serialised RPC endpoint with the same
+    and redo. Must run inside a simulation process. Every operation is
+    one request to a serialised RPC endpoint on [remote] with the same
     cost model as {!afs_remote} — the fair-comparison configuration,
     under which lock state genuinely interleaves between clients. *)
 
-val tsorder : ?remote:Afs_sim.Engine.t -> Afs_baseline.Tsorder.t -> pages_per_file:int -> t
+val tsorder : remote:Afs_sim.Engine.t -> Afs_baseline.Tsorder.t -> pages_per_file:int -> t
 (** Late writes abort immediately and redo with a fresh timestamp.
     [remote] as in {!twopl}. *)

@@ -382,7 +382,10 @@ let test_open_must_read_root () =
    Either way the redo counts as an attempt and leaves no version open.
    The interloper runs just before the attempt's second message. *)
 let redo_after interloper =
-  in_cluster ~shards:2 (fun cluster client ->
+  in_sim (fun engine ->
+      let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
+      let client = Cluster_client.connect cluster in
+      let faults = Afs_replica.Faults.create engine in
       let file () =
         let f = ok (Cluster_client.create_file ~data:(bytes "root") client) in
         ok (Batch_ops.add_pages client f [ bytes "0" ]);
@@ -395,7 +398,7 @@ let redo_after interloper =
       let sent = ref 0 and tries = { Afs_txn.Txn.made = 1; allowed = 8 } in
       let round_trip () =
         incr sent;
-        if !sent = 2 then interloper cluster client ~shard f g
+        if !sent = 2 then interloper faults cluster client ~shard f g
       in
       let redone = Afs_txn.Txn.commit_part ~round_trip ~tries conn f ops in
       let fresh =
@@ -408,7 +411,7 @@ let redo_after interloper =
         ok (Server.uncommitted_versions (Shard.server shard) f) ))
 
 let test_redo_takes_fresh_paths () =
-  let migrate cluster _ ~shard f _ =
+  let migrate _ cluster _ ~shard f _ =
     ignore (ok (Migration.migrate cluster ~file:f ~dst:(1 - Shard.id shard)) : Capability.t)
   in
   (match redo_after migrate with
@@ -418,13 +421,15 @@ let test_redo_takes_fresh_paths () =
         (Result.fold ~ok:(fun () -> "ok") ~error:Errors.to_string redone)
         (Result.fold ~ok:(fun () -> "ok") ~error:Errors.to_string fresh)
         made (List.length open_versions));
-  let stage _ client ~shard:_ f g =
+  (* The coordinator dies before its decide: the first stage stands. *)
+  let stage faults _ client ~shard:_ f g =
     let step = { Afs_txn.Txn.file = f; ops = [ Afs_txn.Txn.Write (P.of_list [ 0 ], bytes "x") ] } in
+    let txn = Afs_txn.Txn.create ~trace:(Afs_replica.Faults.tap faults) client in
     match
-      Afs_txn.Txn.exec ~crash_at:Afs_txn.Txn.Before_decide (Afs_txn.Txn.create client)
-        [ step; { step with Afs_txn.Txn.file = g } ]
+      Afs_replica.Faults.killing faults ~label:"coordinator" (Helpers.span_open "txn.decide")
+        (fun () -> Afs_txn.Txn.exec txn [ step; { step with Afs_txn.Txn.file = g } ])
     with
-    | exception Afs_txn.Txn.Crashed -> ()
+    | exception Proc.Killed -> ()
     | _ -> Alcotest.fail "the stage's crash point never fired"
   in
   match redo_after stage with

@@ -377,6 +377,16 @@ let increment v =
   | Some c -> bytes (string_of_int (c + 1))
   | None -> v
 
+(* The labels of the [fault.fire] points in a ring trace, in firing
+   order: the schedule's own record of what fired. *)
+let fired_labels tr =
+  List.filter_map
+    (function
+      | Trace.Point { payload = Trace.Generic { kind = "fault.fire"; fields }; _ } -> (
+          match List.assoc_opt "label" fields with Some (Trace.Str l) -> Some l | _ -> None)
+      | Trace.Point _ | Trace.Span_open _ | Trace.Span_close _ -> None)
+    (Trace.events tr)
+
 (* Writers increment counter pages while a Faults schedule kills shard
    0's primary mid-load and promotes its replica. Every increment whose
    commit was acknowledged must be readable after failover: the final
@@ -385,6 +395,8 @@ let crash_schedule_one_seed seed =
   let engine = Engine.create () in
   let cluster = Cluster.create ~latency_ms:1.0 ~replicas:1 engine ~shards:2 in
   let faults = Faults.create ~seed ~jitter_ms:3.0 engine in
+  let fires = Trace.ring ~now:(fun () -> Engine.now engine) () in
+  Faults.set_trace faults fires;
   let nfiles = 4 in
   let commits = Array.make nfiles 0 in
   let files = ref [||] in
@@ -436,9 +448,8 @@ let crash_schedule_one_seed seed =
   | Some (Ok _) -> ()
   | Some (Error e) -> Alcotest.failf "promotion failed: %s" (Errors.to_string e)
   | None -> Alcotest.fail "the fault never fired");
-  Alcotest.(check int) "one fault fired" 1 (Faults.fired faults);
   Alcotest.(check (list string))
-    "labelled in firing order" [ "kill-primary:0" ] (Faults.fired_labels faults);
+    "one fault fired, labelled" [ "kill-primary:0" ] (fired_labels fires);
   let fs = !files in
   Alcotest.(check bool) "setup ran" true (Array.length fs = nfiles);
   Array.iteri
@@ -462,6 +473,8 @@ let test_faults_deterministic () =
   let run () =
     let engine = Engine.create () in
     let faults = Faults.create ~seed:42 ~jitter_ms:7.0 engine in
+    let tr = Trace.ring ~now:(fun () -> Engine.now engine) () in
+    Faults.set_trace faults tr;
     let fires = ref [] in
     List.iter
       (fun (ms, label) ->
@@ -469,7 +482,7 @@ let test_faults_deterministic () =
             fires := (label, Engine.now engine) :: !fires))
       [ (10.0, "a"); (5.0, "b"); (20.0, "c") ];
     Engine.run engine;
-    (Faults.fired_labels faults, List.rev !fires)
+    (fired_labels tr, List.rev !fires)
   in
   let l1, f1 = run () in
   let l2, f2 = run () in
@@ -482,8 +495,50 @@ let test_faults_deterministic () =
   let t = ref (-1.0) in
   Faults.at faults ~ms:12.5 ~label:"exact" (fun () -> t := Engine.now engine);
   Engine.run engine;
-  Alcotest.(check (float 0.0)) "no seed: exact time" 12.5 !t;
-  Alcotest.(check int) "armed counted" 1 (Faults.armed faults)
+  Alcotest.(check (float 0.0)) "no seed: exact time" 12.5 !t
+
+(* A trace-keyed kill: two processes emit the same events on one tap;
+   only the one that armed the kill dies, inside the emitting call, at
+   the first event its predicate accepts, and the kill is recorded as a
+   [fault.fire] point. Once [killing] returns, nothing is armed. *)
+let test_faults_kill_at_event () =
+  let engine = Engine.create () in
+  let faults = Faults.create engine in
+  let fires = Trace.ring ~now:(fun () -> Engine.now engine) () in
+  Faults.set_trace faults fires;
+  let tap = Faults.tap faults in
+  let reached = Hashtbl.create 4 in
+  let steps name =
+    for i = 0 to 3 do
+      Hashtbl.replace reached name i;
+      ignore (Trace.open_span tap ~kind:"step" ~label:(string_of_int i) () : int);
+      Proc.delay 1.0
+    done
+  in
+  let at_two = function
+    | Trace.Span_open { label = "2"; _ } -> true
+    | Trace.Point _ | Trace.Span_open _ | Trace.Span_close _ -> false
+  in
+  let killed = ref false and after = ref false in
+  (* The bystander runs first at every step, so it meets label "2"
+     first: an unscoped kill would take it instead. *)
+  let _ = Proc.spawn engine (fun () -> steps "bystander") in
+  let _ =
+    Proc.spawn engine (fun () ->
+        (match Faults.killing faults ~label:"victim" at_two (fun () -> steps "victim") with
+        | exception Proc.Killed -> killed := true
+        | () -> ());
+        (* Disarmed: the same events go through. *)
+        Faults.killing faults ~label:"again" (fun _ -> false) (fun () -> steps "again");
+        after := true)
+  in
+  Engine.run engine;
+  Alcotest.(check bool) "the arming process died" true !killed;
+  Alcotest.(check (option int)) "at the event" (Some 2) (Hashtbl.find_opt reached "victim");
+  Alcotest.(check (option int))
+    "bystander untouched" (Some 3) (Hashtbl.find_opt reached "bystander");
+  Alcotest.(check bool) "disarmed once [killing] returned" true !after;
+  Alcotest.(check (list string)) "recorded as a firing" [ "victim" ] (fired_labels fires)
 
 (* {2 The replica as a remote service} *)
 
@@ -544,6 +599,10 @@ let () =
       ( "failover",
         [ quick "crash schedule loses no committed txn" test_crash_schedule_never_loses_commits ]
       );
-      ( "faults", [ quick "schedules are deterministic" test_faults_deterministic ] );
+      ( "faults",
+        [
+          quick "schedules are deterministic" test_faults_deterministic;
+          quick "a kill fires at a trace event" test_faults_kill_at_event;
+        ] );
       ( "rpc", [ quick "promotion answers the watermark" test_rpc_promote ] );
     ]

@@ -484,6 +484,20 @@ let test_fastpath_commit_budget () =
     (Afs_util.Stats.Counter.get (Server.counters srv) "commits.fastpath");
   if words > 204. then Alcotest.failf "one-page commit allocates %.0f words (budget 204)" words
 
+(* A crash walks the server's int-keyed tables (versions, files, each
+   file's open versions) through [Det.sorted_int_keys]: no comparison
+   sort and no boxed lookup per key. Measured at 723 words; the budget
+   adds 10% (the polymorphic walks took 5 458). *)
+let test_crash_walk_words () =
+  let _, srv = Helpers.fresh_server () in
+  for _ = 1 to 64 do
+    ignore (ok (Server.create_version srv (ok (Server.create_file srv ()))) : Afs_util.Capability.t)
+  done;
+  Server.crash srv;
+  let words = Helpers.minor_words_of (fun () -> Server.crash srv) in
+  if words > 800. then
+    Alcotest.failf "a crash over 64 files allocates %.0f words (budget 800)" words
+
 let () =
   Alcotest.run "server"
     [
@@ -540,5 +554,6 @@ let () =
           quick "version lookup allocates its Ok" test_version_lookup_allocates_its_answer;
           quick "fast-path commit within budget" test_fastpath_commit_budget;
           quick "current version flat in root size" test_current_version_flat_in_root_size;
+          quick "a crash walks its tables unboxed" test_crash_walk_words;
         ] );
     ]

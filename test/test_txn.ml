@@ -21,6 +21,7 @@ module Query = Afs_trace.Query
 module Catapult = Afs_trace.Catapult
 module CC = Cluster_client
 module Txn = Afs_txn.Txn
+module Faults = Afs_replica.Faults
 
 let quick = Helpers.quick
 let bytes = Helpers.bytes
@@ -40,10 +41,33 @@ let in_sim body =
   Engine.run engine;
   match !result with Some r -> r | None -> Alcotest.fail "process never finished"
 
-let in_cluster ?(latency_ms = 1.0) ~shards body =
+(* A cluster and a client, with a fault schedule on the same engine for
+   the tests that kill a coordinator. *)
+let in_faulty_cluster ?(latency_ms = 1.0) ~shards body =
   in_sim (fun engine ->
       let cluster = Cluster.create ~latency_ms engine ~shards in
-      body cluster (CC.connect cluster))
+      body (Faults.create engine) cluster (CC.connect cluster))
+
+let in_cluster ?latency_ms ~shards body = in_faulty_cluster ?latency_ms ~shards (fun _ -> body)
+
+(* A coordinator whose events key kills on [faults]. *)
+let killable faults client = Txn.create ~trace:(Faults.tap faults) client
+
+(* Run one transaction on [txn], a {!killable} coordinator, killing it
+   at the first of its events [at] accepts. [on_record] as in
+   [Txn.exec]. *)
+let exec_killed faults ~on_record ~at txn parts =
+  match Faults.killing faults ~label:"coordinator" at (fun () -> Txn.exec ~on_record txn parts) with
+  | exception Proc.Killed -> ()
+  | _ -> Alcotest.fail "crash point never fired"
+
+(* The coordinator crash sites of a two-part transfer: before the
+   decide (the last participant's seal carries it, so the first is the
+   only one staged), once the decide committed, and before the flip of
+   the first participant, which the coordinator sends itself. *)
+let before_decide = Helpers.span_open "txn.decide"
+let after_decide = Helpers.decide_committed
+let mid_flip = Helpers.flip_open
 
 (* One-page balance accounts, placed round-robin by [CC.create_file]. *)
 let setup_accounts client n init =
@@ -324,19 +348,14 @@ let test_single_part_fast_path () =
    last participant in capability order seals in the batch that carries
    the decide and flips it, so only the other one is left in doubt. *)
 let test_reader_resolves_in_doubt () =
-  in_cluster ~shards:2 (fun _cluster client ->
+  in_faulty_cluster ~shards:2 (fun faults _cluster client ->
       let accts = setup_accounts client 2 100 in
       let decided, staged = if Capability.compare accts.(0) accts.(1) > 0 then (0, 1) else (1, 0) in
       let after_transfer i = if i = 0 then 70 else 130 in
       let record = ref None in
-      let txn = Txn.create client in
-      (match
-         Txn.exec ~crash_at:Txn.After_decide
-           ~on_record:(fun c _ -> record := Some c)
-           txn (transfer accts 0 1 30)
-       with
-      | exception Txn.Crashed -> ()
-      | _ -> Alcotest.fail "crash point never fired");
+      exec_killed faults ~at:after_decide
+        ~on_record:(fun c _ -> record := Some c)
+        (killable faults client) (transfer accts 0 1 30);
       Alcotest.(check int) "flipped by the decide" (after_transfer decided)
         (read_balance client accts.(decided));
       (* The other participant is staged: an opening is trapped. *)
@@ -369,17 +388,12 @@ let test_reader_resolves_in_doubt () =
    carries the decide, so the coordinator dies with only the first
    staged. *)
 let test_sweep_discards_undecided () =
-  in_cluster ~shards:2 (fun _cluster client ->
+  in_faulty_cluster ~shards:2 (fun faults _cluster client ->
       let accts = setup_accounts client 2 100 in
       let record = ref None in
-      let txn = Txn.create client in
-      (match
-         Txn.exec ~crash_at:Txn.Before_decide
-           ~on_record:(fun c seq -> record := Some (c, seq))
-           txn (transfer accts 0 1 30)
-       with
-      | exception Txn.Crashed -> ()
-      | _ -> Alcotest.fail "crash point never fired");
+      exec_killed faults ~at:before_decide
+        ~on_record:(fun c seq -> record := Some (c, seq))
+        (killable faults client) (transfer accts 0 1 30);
       let sweeper = Txn.create client in
       Alcotest.(check int) "the staged participant resolved" 1
         (ok (Txn.sweep sweeper (Array.to_list accts)));
@@ -397,12 +411,10 @@ let test_sweep_discards_undecided () =
    rolled forward by recovery. The decide flipped the last participant,
    so the first one's flip is the one the crash cuts off. *)
 let test_sweep_completes_decided () =
-  in_cluster ~shards:2 (fun _cluster client ->
+  in_faulty_cluster ~shards:2 (fun faults _cluster client ->
       let accts = setup_accounts client 2 100 in
-      let txn = Txn.create client in
-      (match Txn.exec ~crash_at:(Txn.Mid_flip 0) txn (transfer accts 0 1 30) with
-      | exception Txn.Crashed -> ()
-      | _ -> Alcotest.fail "crash point never fired");
+      exec_killed faults ~on_record:(fun _ _ -> ()) ~at:(mid_flip 0) (killable faults client)
+        (transfer accts 0 1 30);
       let sweeper = Txn.create client in
       Alcotest.(check int) "one participant left in doubt" 1
         (ok (Txn.sweep sweeper (Array.to_list accts)));
@@ -414,18 +426,14 @@ let test_sweep_completes_decided () =
    conflict, because the stage wrote the root that update's version
    recorded R on. *)
 let test_stage_fences_prior_versions () =
-  in_cluster ~shards:2 (fun cluster client ->
+  in_faulty_cluster ~shards:2 (fun faults cluster client ->
       let accts = setup_accounts client 2 100 in
       let _, shard = ok (Cluster.shard_of_cap cluster accts.(0)) in
       let conn = Cluster.conn cluster (Shard.id shard) in
       let v = ok (Shard.open_version conn accts.(0)) in
       ok (Batch_ops.write conn v (P.of_list [ 0 ]) (bytes "777"));
-      let txn = Txn.create client in
-      (match
-         Txn.exec ~crash_at:Txn.Before_decide txn (transfer accts 0 1 30)
-       with
-      | exception Txn.Crashed -> ()
-      | _ -> Alcotest.fail "crash point never fired");
+      exec_killed faults ~on_record:(fun _ _ -> ()) ~at:before_decide (killable faults client)
+        (transfer accts 0 1 30);
       (match Batch_ops.commit conn v with
       | Error Errors.Conflict -> ()
       | Ok () -> Alcotest.fail "pre-stage version committed over a marker"
@@ -772,7 +780,8 @@ let test_collector_race () =
       let client = CC.connect cluster in
       (* a0, a2 on one shard, a1, a3 on the other. *)
       let accts = setup_accounts client 4 100 in
-      let txn = Txn.create client in
+      let faults = Faults.create engine in
+      let txn = killable faults client in
       let concurrently fs =
         let spawn, join = Proc.joinable engine in
         List.iter (fun f -> ignore (spawn f : Proc.handle)) fs;
@@ -787,13 +796,9 @@ let test_collector_race () =
         ];
       Alcotest.(check int) "two records created" 2 (created txn);
       let leaked = ref None in
-      (match
-         Txn.exec ~crash_at:(Txn.Mid_flip 0)
-           ~on_record:(fun r seq -> leaked := Some (r, seq))
-           txn (transfer accts 0 1 30)
-       with
-      | exception Txn.Crashed -> ()
-      | _ -> Alcotest.fail "crash point never fired");
+      exec_killed faults ~at:(mid_flip 0)
+        ~on_record:(fun r seq -> leaked := Some (r, seq))
+        txn (transfer accts 0 1 30);
       let policy = { Core_gc.retain_committed = 1; reshare = false } in
       for k = 0 to 1 do
         ignore (ok (Core_gc.collect ~policy (Shard.server (Cluster.shard cluster k))) : Core_gc.stats)
@@ -1039,15 +1044,11 @@ let test_await_answers_decided_at_once () =
 
 (* The staged participant of a coordinator that died before its decide,
    and that coordinator's record and seq. *)
-let dead_coordinator client accts =
+let dead_coordinator faults client accts =
   let record = ref None in
-  (match
-     Txn.exec ~crash_at:Txn.Before_decide
-       ~on_record:(fun r seq -> record := Some (r, seq))
-       (Txn.create client) (transfer accts 0 1 30)
-   with
-  | exception Txn.Crashed -> ()
-  | _ -> Alcotest.fail "crash point never fired");
+  exec_killed faults ~at:before_decide
+    ~on_record:(fun r seq -> record := Some (r, seq))
+    (killable faults client) (transfer accts 0 1 30);
   let staged = if Capability.compare accts.(0) accts.(1) < 0 then 0 else 1 in
   match !record with Some r -> (staged, r) | None -> Alcotest.fail "no record observed"
 
@@ -1059,7 +1060,7 @@ let test_await_budget_force_aborts () =
       let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
       let client = CC.connect cluster in
       let accts = setup_accounts client 2 100 in
-      let staged, (record, seq) = dead_coordinator client accts in
+      let staged, (record, seq) = dead_coordinator (Faults.create engine) client accts in
       let waiter = Txn.create client in
       let t0 = Engine.now engine in
       ok_txn (Txn.exec waiter [ { Txn.file = accts.(staged); ops = [ credit 1 ] } ]);
@@ -1076,9 +1077,9 @@ let test_await_budget_force_aborts () =
 (* The shard answers an opening that meets a marker with the marker's
    image: no version is opened, so none is left to abort. *)
 let test_marked_open_opens_nothing () =
-  in_cluster ~shards:2 (fun cluster client ->
+  in_faulty_cluster ~shards:2 (fun faults cluster client ->
       let accts = setup_accounts client 2 100 in
-      let staged, _ = dead_coordinator client accts in
+      let staged, _ = dead_coordinator faults client accts in
       let file = accts.(staged) in
       let _, shard = ok (Cluster.shard_of_cap cluster file) in
       let conn = Cluster.conn cluster (Shard.id shard) in
@@ -1313,22 +1314,26 @@ let test_twopc_sut_conserves () =
 (* {2 Conservation under crashes (the QCheck property)}
 
    Random cross-shard transfers with a deterministic crash schedule:
-   coordinator kills at every protocol step (crash_at) and participant
-   shard kills mid-run (Faults), issued by three client processes that
-   share one coordinator — so pooled records are taken and returned
-   concurrently while resolvers race live coordinators. After recovery
-   and a sweep, the sum of balances is invariant, every definite outcome
-   is reflected exactly once, and no in-doubt participant survives. *)
+   coordinator kills at every protocol step (keyed by the coordinator's
+   trace events) and participant shard kills mid-run (Faults), issued by
+   three client processes that share one coordinator — so pooled records
+   are taken and returned concurrently while resolvers race live
+   coordinators, and each kill must strike only the process that armed
+   it. After recovery and a sweep, the sum of balances is invariant,
+   every definite outcome is reflected exactly once, and no in-doubt
+   participant survives. *)
 
+(* No kill; before the first stage; before the second, which is the
+   last and carries the decide; once decided; before each flip. *)
 let crash_points =
   [|
     None;
-    Some (Txn.Before_stage 0);
-    Some (Txn.Before_stage 1);
-    Some Txn.Before_decide;
-    Some Txn.After_decide;
-    Some (Txn.Mid_flip 0);
-    Some (Txn.Mid_flip 1);
+    Some (Helpers.span_open "txn.stage");
+    Some before_decide;
+    Some before_decide;
+    Some after_decide;
+    Some (mid_flip 0);
+    Some (mid_flip 1);
   |]
 
 let conservation_one_run ~seed ~kills =
@@ -1355,7 +1360,7 @@ let conservation_one_run ~seed ~kills =
                 | Ok _ -> ()
                 | Error e -> fail "recovery failed: %s" (Errors.to_string e)))
           kills;
-        let txn = Txn.create client in
+        let txn = killable faults client in
         let deltas = Array.make naccts 0 in
         let apply_delta a b amt =
           deltas.(a) <- deltas.(a) - amt;
@@ -1373,12 +1378,14 @@ let conservation_one_run ~seed ~kills =
             let amt = 1 + Xrng.int rng 9 in
             let crash_at = crash_points.(Xrng.int rng (Array.length crash_points)) in
             let record = ref None in
+            let on_record r seq = record := Some (r, seq) in
+            let run () = Txn.exec ~on_record txn (transfer accts a b amt) in
             match
-              Txn.exec ?crash_at
-                ~on_record:(fun r seq -> record := Some (r, seq))
-                txn (transfer accts a b amt)
+              match crash_at with
+              | Some at -> Faults.killing faults ~label:"coordinator" at run
+              | None -> run ()
             with
-            | exception Txn.Crashed -> (
+            | exception Proc.Killed -> (
                 match !record with
                 | Some r -> uncertain := (r, a, b, amt) :: !uncertain
                 | None -> () (* Died before the record existed: nothing staged. *))
@@ -1434,6 +1441,96 @@ let conservation_one_run ~seed ~kills =
         (String.concat ","
            (List.map (fun (ms, k) -> Printf.sprintf "%d@%.0f" k ms) kills))
         m
+
+(* {2 Every coordinator crash site}
+
+   A crash site is any event the coordinator's process emits, so a
+   fault-free run enumerates them all. A three-part transfer over three
+   shards puts every participant on its own shard: the decide's batch
+   flips only the last, and the coordinator flips the other two itself. *)
+
+(* One three-part transfer, its coordinator killed at its [kill_at]th
+   event (never, if there are fewer), then swept: the events the
+   coordinator emitted, whether it was killed, the balances, whether a
+   root is still staged, and the record's decision (if the record was
+   taken). *)
+let three_part_transfer ~kill_at =
+  in_faulty_cluster ~shards:3 (fun faults _cluster client ->
+      let accts = setup_accounts client 3 100 in
+      let txn = killable faults client in
+      let parts =
+        [ { Txn.file = accts.(0); ops = [ debit 30 ] };
+          { Txn.file = accts.(1); ops = [ credit 20 ] };
+          { Txn.file = accts.(2); ops = [ credit 10 ] } ]
+      in
+      let events = ref [] and emitted = ref 0 and record = ref None in
+      let at ev =
+        events := ev :: !events;
+        incr emitted;
+        !emitted = kill_at + 1
+      in
+      let killed =
+        match
+          Faults.killing faults ~label:"coordinator" at (fun () ->
+              Txn.exec ~on_record:(fun r seq -> record := Some (r, seq)) txn parts)
+        with
+        | exception Proc.Killed -> true
+        | result ->
+            ok_txn result;
+            false
+      in
+      let sweeper = Txn.create client in
+      ignore (ok (Txn.sweep sweeper (Array.to_list accts)) : int);
+      let staged =
+        Array.exists (fun f -> is_staged (ok (Batch_ops.read_current client f P.root))) accts
+      in
+      let decision = Option.map (fun (r, seq) -> ok (Txn.record_decision sweeper r ~seq)) !record in
+      let balances = Array.to_list (Array.map (read_balance client) accts) in
+      (List.rev !events, killed, balances, staged, decision))
+
+let test_every_crash_site () =
+  let moved = [ 70; 120; 110 ] and unmoved = [ 100; 100; 100 ] in
+  let events, killed, balances, _, _ = three_part_transfer ~kill_at:(-1) in
+  Alcotest.(check bool) "the fault-free run is not killed" false killed;
+  Alcotest.(check (list int)) "the fault-free run commits" moved balances;
+  let sites = List.length events in
+  Printf.printf "%d coordinator crash sites\n" sites;
+  (* The old hand-kept schedule, as sites: before each stage (the third
+     is the last participant's, inside the decide), once decided, and
+     before each flip the coordinator sends. *)
+  let site what pred =
+    match List.find_index pred events with
+    | Some i -> i
+    | None -> Alcotest.failf "no site %s" what
+  in
+  let second_stage =
+    match List.filteri (fun _ ev -> Helpers.span_open "txn.stage" ev) events with
+    | _ :: second :: _ -> site "before stage 1" (( == ) second)
+    | _ -> Alcotest.fail "fewer than two stages"
+  in
+  let old_schedule =
+    [ site "before stage 0" (Helpers.span_open "txn.stage"); second_stage;
+      site "before the decide" before_decide; site "after the decide" after_decide;
+      site "mid-flip 0" (mid_flip 0); site "mid-flip 1" (mid_flip 1) ]
+  in
+  Alcotest.(check int) "six distinct old sites" 6
+    (List.length (List.sort_uniq Int.compare old_schedule));
+  let committed = ref 0 in
+  for kill_at = 0 to sites - 1 do
+    let _, killed, balances, staged, decision = three_part_transfer ~kill_at in
+    if decision = Some Txn.Committed then incr committed;
+    let where = Printf.sprintf "killed at site %d" kill_at in
+    Alcotest.(check bool) (where ^ ": killed") true killed;
+    Alcotest.(check bool) (where ^ ": nothing staged") false staged;
+    Alcotest.(check int) (where ^ ": conserved") 300 (List.fold_left ( + ) 0 balances);
+    Alcotest.(check (list int))
+      (where ^ ": the record decides the balances")
+      (if decision = Some Txn.Committed then moved else unmoved)
+      balances
+  done;
+  (* Kills after the decide outlive their coordinator's commitment. *)
+  Alcotest.(check bool) "some killed transfers committed, some did not" true
+    (!committed > 0 && !committed < sites)
 
 let prop_conservation =
   QCheck2.Test.make ~name:"cross-shard transfers conserve under crash schedules"
@@ -1498,5 +1595,9 @@ let () =
           quick "crash forgets prepared state" test_twopc_crash_forgets_prepared;
           quick "2pc SUT conserves money" test_twopc_sut_conserves;
         ] );
-      ("conservation", [ QCheck_alcotest.to_alcotest prop_conservation ]);
+      ( "conservation",
+        [
+          QCheck_alcotest.to_alcotest prop_conservation;
+          quick "every coordinator crash site" test_every_crash_site;
+        ] );
     ]

@@ -128,7 +128,7 @@ let test_afs_remote_give_up_leaves_nothing_open () =
 let test_twopl_sut_exec () =
   let engine = Engine.create () in
   let backend = Afs_baseline.Twopl.create ~clock:(fun () -> Engine.now engine) () in
-  let sut = Sut.twopl backend ~pages_per_file:4 ~retry_wait_ms:1.0 in
+  let sut = Sut.twopl ~remote:engine backend ~pages_per_file:4 ~retry_wait_ms:1.0 in
   let result = ref None in
   let _ =
     Afs_sim.Proc.spawn engine (fun () ->
@@ -145,13 +145,22 @@ let test_twopl_sut_exec () =
   Helpers.check_bytes "value stored" "locked in" (sut.Sut.read_page 0 1)
 
 let test_tsorder_sut_exec () =
+  let engine = Engine.create () in
   let backend = Afs_baseline.Tsorder.create () in
-  let sut = Sut.tsorder backend ~pages_per_file:4 in
-  let r =
-    sut.Sut.exec { Sut.file = 2; ops = [ Sut.Write (3, Helpers.bytes "stamped") ]; parts = [] }
-      ~max_retries:4
+  let sut = Sut.tsorder ~remote:engine backend ~pages_per_file:4 in
+  let result = ref None in
+  let _ =
+    Afs_sim.Proc.spawn engine (fun () ->
+        result :=
+          Some
+            (sut.Sut.exec
+               { Sut.file = 2; ops = [ Sut.Write (3, Helpers.bytes "stamped") ]; parts = [] }
+               ~max_retries:4))
   in
-  Alcotest.(check bool) "committed" true r.Sut.committed;
+  Engine.run engine;
+  (match !result with
+  | Some r -> Alcotest.(check bool) "committed" true r.Sut.committed
+  | None -> Alcotest.fail "never ran");
   Helpers.check_bytes "value stored" "stamped" (sut.Sut.read_page 2 3)
 
 (* {2 The two-batch attempt is the ops run one by one}
@@ -393,12 +402,15 @@ let test_race_redoes () =
 
 (* {2 The driver under contention: serialisability invariants} *)
 
+(* Fifteen simulated seconds: the baselines run every operation as a
+   request, so their transactions interleave, and timestamp ordering
+   commits a few transfers a second under this contention. *)
 let bank_invariant_holds sut_of_engine name =
   let params = { Bank.default with branches = 2; accounts = 8 } in
   let engine = Engine.create () in
   let sut = sut_of_engine engine params in
   let config =
-    { Driver.default_config with clients = 8; duration_ms = 2_000.0; think_ms = 5.0 }
+    { Driver.default_config with clients = 8; duration_ms = 15_000.0; think_ms = 5.0 }
   in
   let report = Driver.run engine config sut ~gen:(Bank.generator params) in
   Alcotest.(check bool) (name ^ ": work done") true (report.Driver.committed > 50);
@@ -425,7 +437,9 @@ let test_bank_invariant_twopl () =
   bank_invariant_holds
     (fun engine params ->
       let backend = Afs_baseline.Twopl.create ~clock:(fun () -> Engine.now engine) () in
-      let sut = Sut.twopl backend ~pages_per_file:params.Bank.accounts ~retry_wait_ms:2.0 in
+      let sut =
+        Sut.twopl ~remote:engine backend ~pages_per_file:params.Bank.accounts ~retry_wait_ms:2.0
+      in
       (* Pre-load balances. *)
       for b = 0 to params.Bank.branches - 1 do
         for a = 0 to params.Bank.accounts - 1 do
@@ -446,9 +460,9 @@ let test_bank_invariant_twopl () =
 
 let test_bank_invariant_tsorder () =
   bank_invariant_holds
-    (fun _engine params ->
+    (fun engine params ->
       let backend = Afs_baseline.Tsorder.create () in
-      let sut = Sut.tsorder backend ~pages_per_file:params.Bank.accounts in
+      let sut = Sut.tsorder ~remote:engine backend ~pages_per_file:params.Bank.accounts in
       for b = 0 to params.Bank.branches - 1 do
         for a = 0 to params.Bank.accounts - 1 do
           let txn = Afs_baseline.Tsorder.begin_ backend in
