@@ -7,19 +7,9 @@ module Xrng = Afs_util.Xrng
 module Cluster = Afs_cluster.Cluster
 module Shard = Afs_cluster.Shard
 module CC = Afs_cluster.Cluster_client
-module Marker = Afs_cluster.Marker
 module Txn = Afs_txn.Txn
-module Faults = Afs_replica.Faults
+module Faults = Afs_cluster.Faults
 module Remote = Afs_rpc.Remote
-module Trace = Afs_trace.Trace
-
-(* A page of the file's committed version: one [Current] batch, routed. *)
-let read_current client file path =
-  CC.routed client file (fun conn ~shard:_ file ->
-      match Remote.batch conn (Remote.Current file) [ Remote.Read path ] with
-      | Ok (Remote.Ran { reads = [ data ]; _ }) -> Ok data
-      | Ok _ -> Error (Afs_core.Errors.Store_failure "unexpected batch answer")
-      | Error e -> Error e)
 
 (* S2 — the banking mix over four shards: the OCC coordinator against the
    2PC prepare/decide baseline at identical load, anchored by the same
@@ -137,42 +127,18 @@ let s2 () =
      step and shard crashes mid-run. Outcomes are classified exactly as a
      recovering client would — committed record means the transfer
      happened — and the audit demands the balances match those outcomes
-     to the unit: nothing lost, nothing duplicated, nothing in doubt. *)
-  let span_open kind = function
-    | Trace.Span_open { kind = k; _ } -> String.equal k kind
-    | Trace.Point _ | Trace.Span_close _ -> false
-  in
-  let flip_open label = function
-    | Trace.Span_open { kind = "txn.flip"; label = l; _ } -> String.equal l label
-    | Trace.Span_open _ | Trace.Point _ | Trace.Span_close _ -> false
-  in
-  let decide_committed = function
-    | Trace.Point { payload = Trace.Txn_decide { committed; _ }; _ } -> committed
-    | Trace.Point _ | Trace.Span_open _ | Trace.Span_close _ -> false
-  in
-  (* Each kill point is the coordinator event it dies at: before the
-     first stage, before the second (the last participant's, whose seal
-     carries the decide, so it is also before the decide), once the
-     decide committed, and before each flip the coordinator sends. *)
-  let crash_points =
-    [|
-      None;
-      Some ("before_stage:0", span_open "txn.stage");
-      Some ("before_stage:1", span_open "txn.decide");
-      Some ("before_decide", span_open "txn.decide");
-      Some ("after_decide", decide_committed);
-      Some ("mid_flip:0", flip_open "0");
-      Some ("mid_flip:1", flip_open "1");
-    |]
+     to the unit: nothing lost, nothing duplicated, nothing in doubt.
+     Each coordinator kill is the event it dies at
+     ([Workload.coordinator_kills]). *)
+  let shard_crashes =
+    List.map
+      (fun (ms, shard) -> Faults.At (ms, Faults.Crash_shard { shard; down_ms = 10.0 }))
+      [ (40.0, 0); (110.0, 1); (180.0, 2) ]
   in
   let shards = 3 and naccts = 6 and init = 100 in
   let engine = Engine.create () in
   let cluster = Cluster.create ~latency_ms:2.0 engine ~shards in
-  let committed_txns = ref 0 in
-  let rolled_forward = ref 0 in
-  let crashes_injected = ref 0 in
-  let swept = ref 0 in
-  let violations = ref 0 in
+  let audit = ref None in
   let _ =
     Proc.spawn engine (fun () ->
         let client = CC.connect cluster in
@@ -195,104 +161,31 @@ let s2 () =
                   : Remote.batch_answer);
               f)
         in
-        let faults = Faults.create engine in
-        List.iter
-          (fun (ms, k) ->
-            Faults.at faults ~ms ~label:(Printf.sprintf "kill:%d" k) (fun () ->
-                Shard.crash (Cluster.shard cluster k);
-                Proc.delay 10.0;
-                ignore (ok (Shard.recover (Cluster.shard cluster k)) : int)))
-          [ (40.0, 0); (110.0, 1); (180.0, 2) ];
-        let rng = Xrng.create 11 in
-        let txn = Txn.create ~trace:(Faults.tap faults) client in
-        let deltas = Array.make naccts 0 in
-        let uncertain = ref [] in
-        for _ = 1 to 60 do
-          Proc.delay (Xrng.float rng 4.0);
-          let a = Xrng.int rng naccts in
-          let b = (a + 1 + Xrng.int rng (naccts - 1)) mod naccts in
-          let amt = 1 + Xrng.int rng 9 in
-          let crash_at = crash_points.(Xrng.int rng (Array.length crash_points)) in
-          let record = ref None in
-          let parts =
-            [
-              { Txn.file = accts.(a);
-                ops = [ Txn.Rmw (Afs_util.Pagepath.of_list [ 0 ],
-                                 fun old ->
-                                   bytes (string_of_int
-                                            (int_of_string (Bytes.to_string old) - amt))) ] };
-              { Txn.file = accts.(b);
-                ops = [ Txn.Rmw (Afs_util.Pagepath.of_list [ 0 ],
-                                 fun old ->
-                                   bytes (string_of_int
-                                            (int_of_string (Bytes.to_string old) + amt))) ] };
-            ]
-          in
-          let run () = Txn.exec ~on_record:(fun c seq -> record := Some (c, seq)) txn parts in
-          match
-            match crash_at with
-            | Some (label, at) -> Faults.killing faults ~label at run
-            | None -> run ()
-          with
-          | exception Proc.Killed -> begin
-              incr crashes_injected;
-              match !record with
-              | Some r -> uncertain := (r, a, b, amt) :: !uncertain
-              | None -> ()
-            end
-          | Ok () ->
-              incr committed_txns;
-              deltas.(a) <- deltas.(a) - amt;
-              deltas.(b) <- deltas.(b) + amt
-          | Error (Txn.Local _ | Txn.Cross _) -> ()
-          | Error (Txn.Failed _) -> (
-              match !record with
-              | Some r -> uncertain := (r, a, b, amt) :: !uncertain
-              | None -> ())
-        done;
-        Proc.delay 200.0;
-        let sweeper = Txn.create client in
-        swept := ok (Txn.sweep sweeper (Array.to_list accts));
-        List.iter
-          (fun ((r, seq), a, b, amt) ->
-            match ok (Txn.record_decision sweeper r ~seq) with
-            | Txn.Committed ->
-                incr rolled_forward;
-                deltas.(a) <- deltas.(a) - amt;
-                deltas.(b) <- deltas.(b) + amt
-            | _ -> ())
-          !uncertain;
-        Array.iteri
-          (fun i f ->
-            let root = ok (read_current client f Afs_util.Pagepath.root) in
-            (match Marker.decode root with
-            | Some (Marker.Staged _) -> incr violations
-            | Some (Marker.Moved _ | Marker.Outcome _) | None -> ());
-            let got =
-              int_of_string
-                (Bytes.to_string
-                   (ok (read_current client f (Afs_util.Pagepath.of_list [ 0 ]))))
-            in
-            if got <> init + deltas.(i) then incr violations)
-          accts)
+        audit :=
+          Some
+            (Workload.crash_transfers client accts ~initial_balance:init shard_crashes
+               [ (Xrng.create 11, 60) ]))
   in
   Engine.run engine;
-  if !violations > 0 then
-    failwith (Printf.sprintf "crash leg: %d conservation violations" !violations);
+  let audit = Option.get !audit in
+  let violations = List.length audit.Workload.violations in
+  if violations > 0 then
+    failwith (Printf.sprintf "crash leg: %s" (String.concat "; " audit.Workload.violations));
   table
     [ "crash leg"; "value" ]
     [
-      [ "transfers committed"; string_of_int !committed_txns ];
-      [ "coordinator crashes injected"; string_of_int !crashes_injected ];
-      [ "committed-at-crash rolled forward"; string_of_int !rolled_forward ];
-      [ "in-doubt participants swept"; string_of_int !swept ];
-      [ "conservation violations"; string_of_int !violations ];
+      [ "transfers committed"; string_of_int audit.Workload.committed ];
+      [ "coordinator crashes injected"; string_of_int audit.Workload.killed ];
+      [ "committed-at-crash rolled forward"; string_of_int audit.Workload.rolled_forward ];
+      [ "in-doubt participants swept"; string_of_int audit.Workload.swept ];
+      [ "conservation violations"; string_of_int violations ];
     ];
-  metric_i "s2-cross-shard" "crash.committed" !committed_txns;
-  metric_i "s2-cross-shard" "crash.injected" !crashes_injected;
-  metric_i "s2-cross-shard" "crash.rolled_forward" !rolled_forward;
-  metric_i "s2-cross-shard" "crash.swept" !swept;
+  metric_i "s2-cross-shard" "crash.committed" audit.Workload.committed;
+  metric_i "s2-cross-shard" "crash.injected" audit.Workload.killed;
+  metric_i "s2-cross-shard" "crash.rolled_forward" audit.Workload.rolled_forward;
+  metric_i "s2-cross-shard" "crash.swept" audit.Workload.swept;
   metric_i "s2-cross-shard" "crash.lost_committed" 0;
-  metric_i "s2-cross-shard" "crash.violations" !violations;
+  metric_i "s2-cross-shard" "crash.violations" violations;
   note "the coordinator record's test-and-set to its committed outcome is the atomic point: every";
-  note "crash schedule resolves from the record alone, conserving the balance sum"
+  note "crash schedule resolves from the record alone, conserving the balance sum";
+  note "shard crashes: %s" (Fmt.str "%a" Faults.pp shard_crashes)

@@ -2,13 +2,10 @@
 
 open Exp_util
 module Engine = Afs_sim.Engine
-module Proc = Afs_sim.Proc
 module Trace = Afs_trace.Trace
 module Cluster = Afs_cluster.Cluster
-module Shard = Afs_cluster.Shard
 module Replica = Afs_replica.Replica
-module Faults = Afs_replica.Faults
-module Remote = Afs_rpc.Remote
+module Faults = Afs_cluster.Faults
 module Page = Afs_core.Page
 module Store = Afs_core.Store
 module Stats = Afs_util.Stats
@@ -35,15 +32,10 @@ let r1 () =
     Trace.stream ~now:(fun () -> Engine.now engine) (fun e -> events := e :: !events)
   in
   let cluster = Cluster.create ~latency_ms:2.0 ~replicas ~trace engine ~shards in
-  let faults = Faults.create engine in
-  Faults.set_trace faults trace;
-  let promoted = ref None in
-  Faults.at faults ~ms:kill_ms
-    ~label:(Printf.sprintf "kill-primary:%d" kill_shard)
-    (fun () ->
-      Remote.crash_host (Shard.host (Cluster.shard cluster kill_shard));
-      Proc.delay failover_ms;
-      promoted := Some (Cluster.promote cluster kill_shard));
+  let faults = Faults.create cluster in
+  Faults.run faults
+    [ Faults.At (kill_ms, Faults.Fail_over { shard = kill_shard; after_ms = failover_ms }) ]
+    ignore;
   let files = ok (Workload.setup_cluster cluster shape ~initial:(bytes "0")) in
   let config =
     { Driver.default_config with clients = 16; duration_ms; think_ms = 10.0 }
@@ -53,11 +45,10 @@ let r1 () =
       (Sut.afs_cluster (Afs_cluster.Cluster_client.connect cluster) ~files)
       ~gen:(Workload.make shape)
   in
-  (match !promoted with
-  | Some (Ok _) -> ()
-  | Some (Error e) ->
-      failwith (Printf.sprintf "promotion failed: %s" (Afs_core.Errors.to_string e))
-  | None -> failwith "the kill never fired");
+  (match Faults.fired faults with
+  | [ { outcome = Ok _; _ } ] -> ()
+  | [ { outcome = Error e; _ } ] -> failwith ("r1-failover: " ^ e)
+  | _ -> failwith "r1-failover: the kill never fired");
   let events = List.rev !events in
 
   (* Span parentage, for attributing points to the shard whose commit

@@ -108,33 +108,31 @@ let walkthrough () =
 (* {2 Replication helpers} *)
 
 (* Schedule the deterministic crash: kill shard [k]'s RPC host at [ms],
-   wait [failover_ms], then promote its first replica. Runs through the
-   Faults schedule so the kill shows up in traces as a fault.fire point. *)
-let schedule_kill engine cluster ~replicas ~failover_ms ~trace = function
-  | None -> ()
+   wait [failover_ms], then promote its first replica. The schedule is
+   returned, to report its firing once the run is over. *)
+let schedule_kill cluster ~replicas ~failover_ms = function
+  | None -> None
   | Some (k, at_ms) ->
-      let module Cluster = Afs_cluster.Cluster in
+      let module Faults = Afs_cluster.Faults in
       if replicas <= 0 then
         failwith "--kill-primary needs --replicas >= 1 (nothing to promote)";
-      if k < 0 || k >= Cluster.nshards cluster then
+      if k < 0 || k >= Afs_cluster.Cluster.nshards cluster then
         failwith (Printf.sprintf "--kill-primary: no shard %d" k);
-      let faults = Afs_replica.Faults.create engine in
-      Afs_replica.Faults.set_trace faults trace;
-      Afs_replica.Faults.at faults ~ms:at_ms
-        ~label:(Printf.sprintf "kill-primary:%d" k)
-        (fun () ->
-          Afs_rpc.Remote.crash_host (Afs_cluster.Shard.host (Cluster.shard cluster k));
-          Afs_sim.Proc.delay failover_ms;
-          match Cluster.promote cluster k with
-          | Ok p ->
-              Printf.printf
-                "failover: shard %d promoted at %.1f ms (epoch %d, watermark %d, %d \
-                 files recovered)\n"
-                k (Afs_sim.Engine.now engine) p.Cluster.epoch p.Cluster.watermark
-                p.Cluster.recovered_files
-          | Error e ->
-              Printf.printf "failover: shard %d promotion FAILED: %s\n" k
-                (Errors.to_string e))
+      let faults = Faults.create cluster in
+      Faults.run faults
+        [ Faults.At (at_ms, Faults.Fail_over { shard = k; after_ms = failover_ms }) ]
+        ignore;
+      Some (k, faults)
+
+(* The failover line: what the promotion answered, and when the primary
+   crashed. *)
+let report_failover (k, faults) =
+  List.iter
+    (fun { Afs_cluster.Faults.outcome; at_ms; _ } ->
+      Printf.printf "failover: shard %d %s; primary crashed at %.1f ms\n" k
+        (Result.fold ~ok:Fun.id ~error:Fun.id outcome)
+        at_ms)
+    (Afs_cluster.Faults.fired faults)
 
 (* Per-member replication columns: role, epoch, watermarks, lag. *)
 let replication_report cluster =
@@ -227,6 +225,7 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
     }
   in
   let cluster_ref = ref None in
+  let failover = ref None in
   let bare = ref [] in
   let transfer_ctx = ref None in
   let initial_balance = 1_000 in
@@ -236,7 +235,7 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
         ~replicas ~trace engine ~shards
     in
     cluster_ref := Some cluster;
-    schedule_kill engine cluster ~replicas ~failover_ms ~trace kill_primary;
+    failover := schedule_kill cluster ~replicas ~failover_ms kill_primary;
     cluster
   in
   let sut, gen =
@@ -288,6 +287,7 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
     | other -> failwith (Printf.sprintf "unknown system %S (afs|2pl|tso)" other)
   in
   let report = Driver.run engine config sut ~gen in
+  Option.iter report_failover !failover;
   print_endline Driver.header_row;
   print_endline (Driver.report_row report);
   Printf.printf "retries: %s\n" (Driver.retry_histogram_row report);

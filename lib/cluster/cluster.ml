@@ -97,6 +97,7 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
     replication;
   }
 
+let engine t = t.engine
 let nshards t = Array.length t.shards
 let shard t i = t.shards.(i)
 let shards t = Array.to_list t.shards

@@ -37,6 +37,7 @@ val create :
     bit-identical to an unreplicated one — no capture store, no gate,
     no epoch register. *)
 
+val engine : t -> Afs_sim.Engine.t
 val nshards : t -> int
 val shard : t -> int -> Shard.t
 val shards : t -> Shard.t list

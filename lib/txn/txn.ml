@@ -156,6 +156,9 @@ let create ?(trace = Trace.null) client =
 let counters t = t.counters
 let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
 
+(* A numeric span label, built only when traced: a disabled trace drops it. *)
+let label t n = if Trace.enabled t.trace then string_of_int n else ""
+
 (* {2 The decision logic (pure)}
 
    These two are the protocol's brain and C1 critical sections: given
@@ -581,7 +584,7 @@ type ride = { seen : bytes; before : staged list }
    fate to be asked of the record: it may be a flip's, or the record's
    at a tombstone this batch could not chase. *)
 let stage ?ride t ~record ~seq part =
-  let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(string_of_int seq) () in
+  let span = Trace.open_span t.trace ~kind:"txn.stage" ~label:(label t seq) () in
   let result =
     CC.routed t.client part.file (fun conn ~shard file ->
         let* opening =
@@ -703,8 +706,7 @@ let resolve_all t staged ~forward ~done_ ~deferred ~pool =
       (fun (i, answered) entry ->
         if List.memq entry done_ then (i + 1, answered)
         else begin
-          let label = if Trace.enabled t.trace then string_of_int i else "" in
-          let span = Trace.open_span t.trace ~kind ~label () in
+          let span = Trace.open_span t.trace ~kind ~label:(label t i) () in
           let applied = apply t entry ~forward in
           Trace.close_span t.trace span;
           match applied with
@@ -771,7 +773,7 @@ let coordinated t ~on_record parts =
           (* Numbered only now, so the seq exceeds every seq already
              decided on the record however long the acquisition took. *)
           let seq = fresh_seq t in
-          let span = Trace.open_span t.trace ~kind:"txn.coord" ~label:(string_of_int seq) () in
+          let span = Trace.open_span t.trace ~kind:"txn.coord" ~label:(label t seq) () in
           let finish r =
             Trace.close_span t.trace span;
             r
@@ -839,7 +841,7 @@ let coordinated t ~on_record parts =
           | Error (staged, e) -> rollback staged e
           | Ok before -> (
               let dspan =
-                Trace.open_span t.trace ~kind:"txn.decide" ~label:(string_of_int seq) ()
+                Trace.open_span t.trace ~kind:"txn.decide" ~label:(label t seq) ()
               in
               match stage_retrying ~ride:{ seen; before } t ~record ~seq last with
               | Error e ->

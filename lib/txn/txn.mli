@@ -82,9 +82,10 @@ val exec :
     coordinator. Once staged, the outcome is driven to a
     decision even through transient transport errors (bounded patience),
     so a [failure] never hides a committed transaction. Every event of
-    [t]'s trace is a crash site ({!Afs_replica.Faults.killing}): each
-    flip or unstage the coordinator sends is a [txn.flip] or
-    [txn.unstage] span labelled with the participant's staging index. *)
+    [t]'s trace is a crash site (a [Kill_at] entry of
+    {!Afs_cluster.Faults.run}): each flip or unstage the coordinator
+    sends is a [txn.flip] or [txn.unstage] span labelled with the
+    participant's staging index. *)
 
 type tries = { mutable made : int; allowed : int }
 (** An attempt count shared by a caller's retry loop and {!commit_part}:

@@ -2,6 +2,9 @@ module Xrng = Afs_util.Xrng
 module Zipf = Afs_util.Zipf
 module Pagepath = Afs_util.Pagepath
 module Server = Afs_core.Server
+module Errors = Afs_core.Errors
+module CC = Afs_cluster.Cluster_client
+module Faults = Afs_cluster.Faults
 
 type shape = {
   nfiles : int;
@@ -208,3 +211,100 @@ let total_balance sut shape =
     total := !total + balance (sut.Sut.read_page i 0)
   done;
   !total
+
+type crash_audit = {
+  committed : int;
+  killed : int;
+  rolled_forward : int;
+  swept : int;
+  violations : string list;
+}
+
+let kill_at matcher = [ Faults.Kill_at (1, matcher) ]
+let before_decide = kill_at (Span ("txn.decide", None))
+let after_decide = kill_at (Point ("txn.decide", "committed", Afs_trace.Trace.Bool true))
+let mid_flip i = kill_at (Span ("txn.flip", Some (string_of_int i)))
+
+let coordinator_kills =
+  [| []; kill_at (Span ("txn.stage", None)); before_decide; before_decide; after_decide;
+     mid_flip 0; mid_flip 1 |]
+
+let crash_transfers client accts ~initial_balance crashes workers =
+  let module Txn = Afs_txn.Txn in
+  let cluster = CC.cluster client in
+  let faults = Faults.create cluster in
+  Faults.run faults crashes ignore;
+  let n = Array.length accts in
+  let txn = Txn.create ~trace:(Faults.tap faults) client in
+  let deltas = Array.make n 0 and committed = ref 0 and killed = ref 0 in
+  let violations = ref [] and uncertain = ref [] and rolled_forward = ref 0 in
+  let violation fmt = Fmt.kstr (fun m -> violations := m :: !violations) fmt in
+  let apply a b amt =
+    deltas.(a) <- deltas.(a) - amt;
+    deltas.(b) <- deltas.(b) + amt
+  in
+  let add file amt =
+    let add old = encode_balance (balance old + amt) in
+    { Txn.file; ops = [ Txn.Rmw (Pagepath.of_list [ 0 ], add) ] }
+  in
+  let worker (rng, transfers) () =
+    for _ = 1 to transfers do
+      Afs_sim.Proc.delay (Xrng.float rng 4.0);
+      let a = Xrng.int rng n in
+      let b = (a + 1 + Xrng.int rng (n - 1)) mod n in
+      let amt = 1 + Xrng.int rng 9 in
+      let kill = coordinator_kills.(Xrng.int rng (Array.length coordinator_kills)) in
+      let record = ref None in
+      (* A killed or failed coordinator: its record, if it took one,
+         holds the definite outcome. *)
+      let in_doubt () = Option.iter (fun r -> uncertain := (r, a, b, amt) :: !uncertain) !record in
+      let on_record r seq = record := Some (r, seq) in
+      let run () = Txn.exec ~on_record txn [ add accts.(a) (-amt); add accts.(b) amt ] in
+      match Faults.run faults kill run with
+      | exception Afs_sim.Proc.Killed ->
+          incr killed;
+          in_doubt ()
+      | Ok () ->
+          incr committed;
+          apply a b amt
+      | Error (Txn.Local _ | Txn.Cross _) -> ()
+      | Error (Txn.Failed _) -> in_doubt ()
+    done
+  in
+  let spawn, join = Afs_sim.Proc.joinable (Afs_cluster.Cluster.engine cluster) in
+  List.iter (fun w -> ignore (spawn (worker w) : Afs_sim.Proc.handle)) workers;
+  join ();
+  (* Let any fault in flight finish (one that failed is a violation),
+     then recover as any client would: sweep from the markers, then ask
+     each uncertain record. A second sweep finds nothing left in doubt. *)
+  Afs_sim.Proc.delay 200.0;
+  List.iter
+    (fun { Faults.entry; outcome; _ } ->
+      Result.iter_error (violation "%a: %s" Faults.pp [ entry ]) outcome)
+    (Faults.fired faults);
+  let sweeper = Txn.create client in
+  let sweep () = Txn.sweep sweeper (Array.to_list accts) in
+  let failed e = violation "sweep failed: %s" (Errors.to_string e) in
+  let swept = Result.fold (sweep ()) ~ok:Fun.id ~error:(fun e -> failed e; 0) in
+  List.iter
+    (fun ((r, seq), a, b, amt) ->
+      match Txn.record_decision sweeper r ~seq with
+      | Ok Txn.Committed ->
+          incr rolled_forward;
+          apply a b amt
+      | Ok _ -> ()
+      | Error e -> violation "record audit failed: %s" (Errors.to_string e))
+    !uncertain;
+  (match sweep () with
+  | Ok 0 -> ()
+  | Ok k -> violation "%d accounts in doubt after the sweep" k
+  | Error e -> failed e);
+  let sut = Sut.afs_cluster client ~files:accts in
+  Array.iteri
+    (fun i d ->
+      let got = balance (sut.Sut.read_page i 0) in
+      if got <> initial_balance + d then
+        violation "account %d: %d, expected %d" i got (initial_balance + d))
+    deltas;
+  { committed = !committed; killed = !killed; rolled_forward = !rolled_forward; swept;
+    violations = List.rev !violations }

@@ -71,3 +71,46 @@ val setup_accounts :
 val total_balance : Sut.t -> transfer_shape -> int
 (** Sum of all account balances via out-of-band reads — the conserved
     quantity. Callers sweep in-doubt files first. *)
+
+(** {2 Transfers under a fault schedule (the S2 crash leg)} *)
+
+type crash_audit = {
+  committed : int;  (** Transfers acknowledged committed. *)
+  killed : int;  (** Coordinators the schedule killed. *)
+  rolled_forward : int;  (** Killed or failed transfers whose record committed. *)
+  swept : int;  (** In-doubt participants the recovery sweep resolved. *)
+  violations : string list;  (** Empty unless a fault failed or conservation broke. *)
+}
+
+(** Coordinator crash points: a kill at the first event that opens the
+    decide's span, answers the decide committed, or opens the flip of
+    the participant with staging index [i]. *)
+
+val before_decide : Afs_cluster.Faults.schedule
+val after_decide : Afs_cluster.Faults.schedule
+val mid_flip : int -> Afs_cluster.Faults.schedule
+
+val coordinator_kills : Afs_cluster.Faults.schedule array
+(** Where a two-part transfer's coordinator may die: nowhere; before the
+    first stage; before the second, which is the last and carries the
+    decide (twice, weighting it as the two points it was); once the
+    decide committed; before each flip it sends. *)
+
+val crash_transfers :
+  Afs_cluster.Cluster_client.t ->
+  Afs_util.Capability.t array ->
+  initial_balance:int ->
+  Afs_cluster.Faults.schedule ->
+  (Afs_util.Xrng.t * int) list ->
+  crash_audit
+(** [crash_transfers client accounts ~initial_balance crashes workers],
+    inside a process, runs the timed schedule [crashes] while each
+    [(rng, n)] worker process makes [n] transfers of 1–9 units between
+    two random one-page accounts, each after a pause of up to 4 ms and
+    under a random entry of {!coordinator_kills}, all through one
+    coordinator traced into the schedule's tap. After 200 ms of
+    quiet it reports each fault of the schedule that failed, then
+    recovers as any client would — a sweep, then each killed or
+    failed transfer classified by its record — and audits: a second
+    sweep finds nothing in doubt, and every balance is what the definite
+    outcomes give. *)

@@ -47,23 +47,6 @@ let fresh_server ?(seed = 7) ?capacity ?trace () =
 let events_since trace mark =
   List.filter (fun e -> Afs_trace.Trace.event_seq e >= mark) (Afs_trace.Trace.events trace)
 
-(** Coordinator crash sites as trace-event predicates, for
-    [Afs_replica.Faults.killing]: a span of [kind] opening, the flip of
-    the participant with staging index [i] opening, and the record's
-    decide answering committed. *)
-let span_open kind = function
-  | Afs_trace.Trace.Span_open { kind = k; _ } -> String.equal k kind
-  | Afs_trace.Trace.Point _ | Afs_trace.Trace.Span_close _ -> false
-
-let flip_open i = function
-  | Afs_trace.Trace.Span_open { kind = "txn.flip"; label; _ } ->
-      String.equal label (string_of_int i)
-  | Afs_trace.Trace.Span_open _ | Afs_trace.Trace.Point _ | Afs_trace.Trace.Span_close _ -> false
-
-let decide_committed = function
-  | Afs_trace.Trace.Point { payload = Afs_trace.Trace.Txn_decide { committed; _ }; _ } -> committed
-  | Afs_trace.Trace.Point _ | Afs_trace.Trace.Span_open _ | Afs_trace.Trace.Span_close _ -> false
-
 (** A file with [n] pages "p0".."p(n-1)" under the root. *)
 let file_with_pages server n =
   let open Afs_core in

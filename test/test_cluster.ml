@@ -385,7 +385,7 @@ let redo_after interloper =
   in_sim (fun engine ->
       let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
       let client = Cluster_client.connect cluster in
-      let faults = Afs_replica.Faults.create engine in
+      let faults = Faults.create cluster in
       let file () =
         let f = ok (Cluster_client.create_file ~data:(bytes "root") client) in
         ok (Batch_ops.add_pages client f [ bytes "0" ]);
@@ -424,10 +424,10 @@ let test_redo_takes_fresh_paths () =
   (* The coordinator dies before its decide: the first stage stands. *)
   let stage faults _ client ~shard:_ f g =
     let step = { Afs_txn.Txn.file = f; ops = [ Afs_txn.Txn.Write (P.of_list [ 0 ], bytes "x") ] } in
-    let txn = Afs_txn.Txn.create ~trace:(Afs_replica.Faults.tap faults) client in
+    let txn = Afs_txn.Txn.create ~trace:(Faults.tap faults) client in
     match
-      Afs_replica.Faults.killing faults ~label:"coordinator" (Helpers.span_open "txn.decide")
-        (fun () -> Afs_txn.Txn.exec txn [ step; { step with Afs_txn.Txn.file = g } ])
+      Faults.run faults Afs_workload.Workload.before_decide (fun () ->
+          Afs_txn.Txn.exec txn [ step; { step with Afs_txn.Txn.file = g } ])
     with
     | exception Proc.Killed -> ()
     | _ -> Alcotest.fail "the stage's crash point never fired"

@@ -12,10 +12,8 @@ module P = Afs_util.Pagepath
 module Store = Afs_core.Store
 module Server = Afs_core.Server
 module Errors = Afs_core.Errors
-module Remote = Afs_rpc.Remote
 module Rpc = Afs_rpc.Rpc
 module Replica = Afs_replica.Replica
-module Faults = Afs_replica.Faults
 module Trace = Afs_trace.Trace
 
 let quick = Helpers.quick
@@ -377,16 +375,6 @@ let increment v =
   | Some c -> bytes (string_of_int (c + 1))
   | None -> v
 
-(* The labels of the [fault.fire] points in a ring trace, in firing
-   order: the schedule's own record of what fired. *)
-let fired_labels tr =
-  List.filter_map
-    (function
-      | Trace.Point { payload = Trace.Generic { kind = "fault.fire"; fields }; _ } -> (
-          match List.assoc_opt "label" fields with Some (Trace.Str l) -> Some l | _ -> None)
-      | Trace.Point _ | Trace.Span_open _ | Trace.Span_close _ -> None)
-    (Trace.events tr)
-
 (* Writers increment counter pages while a Faults schedule kills shard
    0's primary mid-load and promotes its replica. Every increment whose
    commit was acknowledged must be readable after failover: the final
@@ -394,13 +382,9 @@ let fired_labels tr =
 let crash_schedule_one_seed seed =
   let engine = Engine.create () in
   let cluster = Cluster.create ~latency_ms:1.0 ~replicas:1 engine ~shards:2 in
-  let faults = Faults.create ~seed ~jitter_ms:3.0 engine in
-  let fires = Trace.ring ~now:(fun () -> Engine.now engine) () in
-  Faults.set_trace faults fires;
   let nfiles = 4 in
   let commits = Array.make nfiles 0 in
   let files = ref [||] in
-  let promoted = ref None in
   let _ =
     Proc.spawn engine (fun () ->
         let client = Cluster_client.connect cluster in
@@ -439,17 +423,14 @@ let crash_schedule_one_seed seed =
         done;
         join_all ())
   in
-  Faults.at faults ~ms:150.0 ~label:"kill-primary:0" (fun () ->
-      Remote.crash_host (Shard.host (Cluster.shard cluster 0));
-      Proc.delay 20.0;
-      promoted := Some (Cluster.promote cluster 0));
-  Engine.run engine;
-  (match !promoted with
-  | Some (Ok _) -> ()
-  | Some (Error e) -> Alcotest.failf "promotion failed: %s" (Errors.to_string e)
-  | None -> Alcotest.fail "the fault never fired");
-  Alcotest.(check (list string))
-    "one fault fired, labelled" [ "kill-primary:0" ] (fired_labels fires);
+  let kill_ms = 150. +. Xrng.float (Xrng.create seed) 3.0 in
+  let faults = Faults.create cluster in
+  Faults.run faults
+    [ Faults.At (kill_ms, Faults.Fail_over { shard = 0; after_ms = 20.0 }) ]
+    (fun () -> Engine.run engine);
+  Alcotest.(check (list (pair (float 0.0) bool)))
+    "one failover, at its time, promoted" [ (kill_ms, true) ]
+    (List.map (fun (f : Faults.firing) -> (f.at_ms, Result.is_ok f.outcome)) (Faults.fired faults));
   let fs = !files in
   Alcotest.(check bool) "setup ran" true (Array.length fs = nfiles);
   Array.iteri
@@ -469,43 +450,34 @@ let test_crash_schedule_never_loses_commits () =
 
 (* {2 Faults: determinism} *)
 
+(* The same schedule fires the same entries at the same virtual times,
+   with the same outcomes, and an [At] entry fires exactly on time. *)
 let test_faults_deterministic () =
+  let schedule =
+    Faults.
+      [ At (10.0, Crash_shard { shard = 0; down_ms = 5.0 });
+        At (5.0, Crash_shard { shard = 1; down_ms = 2.5 });
+        At (12.5, Fail_over { shard = 1; after_ms = 20.0 }) ]
+  in
   let run () =
     let engine = Engine.create () in
-    let faults = Faults.create ~seed:42 ~jitter_ms:7.0 engine in
-    let tr = Trace.ring ~now:(fun () -> Engine.now engine) () in
-    Faults.set_trace faults tr;
-    let fires = ref [] in
-    List.iter
-      (fun (ms, label) ->
-        Faults.at faults ~ms ~label (fun () ->
-            fires := (label, Engine.now engine) :: !fires))
-      [ (10.0, "a"); (5.0, "b"); (20.0, "c") ];
-    Engine.run engine;
-    (fired_labels tr, List.rev !fires)
+    let faults = Faults.create (Cluster.create ~latency_ms:1.0 ~replicas:1 engine ~shards:2) in
+    Faults.run faults schedule (fun () -> Engine.run engine);
+    Faults.fired faults
   in
-  let l1, f1 = run () in
-  let l2, f2 = run () in
-  Alcotest.(check (list string)) "labels deterministic" l1 l2;
-  Alcotest.(check bool) "firing times deterministic" true (f1 = f2);
-  Alcotest.(check int) "all fired" 3 (List.length f1);
-  (* Without a seed there is no jitter: the action fires exactly on time. *)
-  let engine = Engine.create () in
-  let faults = Faults.create engine in
-  let t = ref (-1.0) in
-  Faults.at faults ~ms:12.5 ~label:"exact" (fun () -> t := Engine.now engine);
-  Engine.run engine;
-  Alcotest.(check (float 0.0)) "no seed: exact time" 12.5 !t
+  let first = run () in
+  Alcotest.(check bool) "same entries, times and outcomes" true (first = run ());
+  Alcotest.(check (list (float 0.0)))
+    "each fires exactly on time" [ 5.0; 10.0; 12.5 ]
+    (List.sort Float.compare (List.map (fun (f : Faults.firing) -> f.at_ms) first))
 
 (* A trace-keyed kill: two processes emit the same events on one tap;
    only the one that armed the kill dies, inside the emitting call, at
-   the first event its predicate accepts, and the kill is recorded as a
-   [fault.fire] point. Once [killing] returns, nothing is armed. *)
+   the first event its matcher accepts, and the kill is recorded as a
+   firing. Once [run] returns, nothing it armed fires. *)
 let test_faults_kill_at_event () =
   let engine = Engine.create () in
-  let faults = Faults.create engine in
-  let fires = Trace.ring ~now:(fun () -> Engine.now engine) () in
-  Faults.set_trace faults fires;
+  let faults = Faults.create (Cluster.create engine ~shards:1) in
   let tap = Faults.tap faults in
   let reached = Hashtbl.create 4 in
   let steps name =
@@ -515,21 +487,19 @@ let test_faults_kill_at_event () =
       Proc.delay 1.0
     done
   in
-  let at_two = function
-    | Trace.Span_open { label = "2"; _ } -> true
-    | Trace.Point _ | Trace.Span_open _ | Trace.Span_close _ -> false
-  in
   let killed = ref false and after = ref false in
+  let victim = Faults.Kill_at (1, Faults.Span ("step", Some "2")) in
   (* The bystander runs first at every step, so it meets label "2"
      first: an unscoped kill would take it instead. *)
   let _ = Proc.spawn engine (fun () -> steps "bystander") in
   let _ =
     Proc.spawn engine (fun () ->
-        (match Faults.killing faults ~label:"victim" at_two (fun () -> steps "victim") with
+        (match Faults.run faults [ victim ] (fun () -> steps "victim") with
         | exception Proc.Killed -> killed := true
         | () -> ());
-        (* Disarmed: the same events go through. *)
-        Faults.killing faults ~label:"again" (fun _ -> false) (fun () -> steps "again");
+        (* Armed for a fifth event that comes only after [run] returned. *)
+        Faults.run faults [ Faults.Kill_at (5, Faults.Any) ] (fun () -> steps "armed");
+        steps "again";
         after := true)
   in
   Engine.run engine;
@@ -537,8 +507,18 @@ let test_faults_kill_at_event () =
   Alcotest.(check (option int)) "at the event" (Some 2) (Hashtbl.find_opt reached "victim");
   Alcotest.(check (option int))
     "bystander untouched" (Some 3) (Hashtbl.find_opt reached "bystander");
-  Alcotest.(check bool) "disarmed once [killing] returned" true !after;
-  Alcotest.(check (list string)) "recorded as a firing" [ "victim" ] (fired_labels fires)
+  Alcotest.(check bool) "disarmed once [run] returned" true !after;
+  Alcotest.(check bool) "recorded as a firing" true
+    (Faults.fired faults = [ { entry = victim; at_ms = 2.0; outcome = Ok "killed" } ]);
+  (* An invalid entry fails the whole schedule before any entry of it
+     is on the engine's queue. *)
+  Alcotest.check_raises "a count below 1"
+    (Invalid_argument "Faults.run: #0 any -> kill: count below 1") (fun () ->
+      Faults.run faults
+        Faults.[ At (1.0, Crash_shard { shard = 0; down_ms = 1.0 }); Kill_at (0, Any) ]
+        ignore);
+  Engine.run engine;
+  Alcotest.(check int) "nothing scheduled" 1 (List.length (Faults.fired faults))
 
 (* {2 The replica as a remote service} *)
 

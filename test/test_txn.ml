@@ -21,7 +21,6 @@ module Query = Afs_trace.Query
 module Catapult = Afs_trace.Catapult
 module CC = Cluster_client
 module Txn = Afs_txn.Txn
-module Faults = Afs_replica.Faults
 
 let quick = Helpers.quick
 let bytes = Helpers.bytes
@@ -46,18 +45,17 @@ let in_sim body =
 let in_faulty_cluster ?(latency_ms = 1.0) ~shards body =
   in_sim (fun engine ->
       let cluster = Cluster.create ~latency_ms engine ~shards in
-      body (Faults.create engine) cluster (CC.connect cluster))
+      body (Faults.create cluster) cluster (CC.connect cluster))
 
 let in_cluster ?latency_ms ~shards body = in_faulty_cluster ?latency_ms ~shards (fun _ -> body)
 
 (* A coordinator whose events key kills on [faults]. *)
 let killable faults client = Txn.create ~trace:(Faults.tap faults) client
 
-(* Run one transaction on [txn], a {!killable} coordinator, killing it
-   at the first of its events [at] accepts. [on_record] as in
-   [Txn.exec]. *)
-let exec_killed faults ~on_record ~at txn parts =
-  match Faults.killing faults ~label:"coordinator" at (fun () -> Txn.exec ~on_record txn parts) with
+(* Run one transaction on [txn], a {!killable} coordinator, under the
+   kill schedule [at]. [on_record] as in [Txn.exec]. *)
+let exec_killed ?(on_record = fun _ _ -> ()) faults ~at txn parts =
+  match Faults.run faults at (fun () -> Txn.exec ~on_record txn parts) with
   | exception Proc.Killed -> ()
   | _ -> Alcotest.fail "crash point never fired"
 
@@ -65,9 +63,8 @@ let exec_killed faults ~on_record ~at txn parts =
    decide (the last participant's seal carries it, so the first is the
    only one staged), once the decide committed, and before the flip of
    the first participant, which the coordinator sends itself. *)
-let before_decide = Helpers.span_open "txn.decide"
-let after_decide = Helpers.decide_committed
-let mid_flip = Helpers.flip_open
+let before_decide, after_decide, mid_flip =
+  Afs_workload.Workload.(before_decide, after_decide, mid_flip)
 
 (* One-page balance accounts, placed round-robin by [CC.create_file]. *)
 let setup_accounts client n init =
@@ -413,8 +410,7 @@ let test_sweep_discards_undecided () =
 let test_sweep_completes_decided () =
   in_faulty_cluster ~shards:2 (fun faults _cluster client ->
       let accts = setup_accounts client 2 100 in
-      exec_killed faults ~on_record:(fun _ _ -> ()) ~at:(mid_flip 0) (killable faults client)
-        (transfer accts 0 1 30);
+      exec_killed faults ~at:(mid_flip 0) (killable faults client) (transfer accts 0 1 30);
       let sweeper = Txn.create client in
       Alcotest.(check int) "one participant left in doubt" 1
         (ok (Txn.sweep sweeper (Array.to_list accts)));
@@ -432,8 +428,7 @@ let test_stage_fences_prior_versions () =
       let conn = Cluster.conn cluster (Shard.id shard) in
       let v = ok (Shard.open_version conn accts.(0)) in
       ok (Batch_ops.write conn v (P.of_list [ 0 ]) (bytes "777"));
-      exec_killed faults ~on_record:(fun _ _ -> ()) ~at:before_decide (killable faults client)
-        (transfer accts 0 1 30);
+      exec_killed faults ~at:before_decide (killable faults client) (transfer accts 0 1 30);
       (match Batch_ops.commit conn v with
       | Error Errors.Conflict -> ()
       | Ok () -> Alcotest.fail "pre-stage version committed over a marker"
@@ -780,7 +775,7 @@ let test_collector_race () =
       let client = CC.connect cluster in
       (* a0, a2 on one shard, a1, a3 on the other. *)
       let accts = setup_accounts client 4 100 in
-      let faults = Faults.create engine in
+      let faults = Faults.create cluster in
       let txn = killable faults client in
       let concurrently fs =
         let spawn, join = Proc.joinable engine in
@@ -1060,7 +1055,7 @@ let test_await_budget_force_aborts () =
       let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:2 in
       let client = CC.connect cluster in
       let accts = setup_accounts client 2 100 in
-      let staged, (record, seq) = dead_coordinator (Faults.create engine) client accts in
+      let staged, (record, seq) = dead_coordinator (Faults.create cluster) client accts in
       let waiter = Txn.create client in
       let t0 = Engine.now engine in
       ok_txn (Txn.exec waiter [ { Txn.file = accts.(staged); ops = [ credit 1 ] } ]);
@@ -1321,140 +1316,50 @@ let test_twopc_sut_conserves () =
    coordinators, and each kill must strike only the process that armed
    it. After recovery and a sweep, the sum of balances is invariant,
    every definite outcome is reflected exactly once, and no in-doubt
-   participant survives. *)
+   participant survives. [Workload.crash_transfers] runs and audits
+   them, as it does for the s2 crash leg. *)
 
-(* No kill; before the first stage; before the second, which is the
-   last and carries the decide; once decided; before each flip. *)
-let crash_points =
-  [|
-    None;
-    Some (Helpers.span_open "txn.stage");
-    Some before_decide;
-    Some before_decide;
-    Some after_decide;
-    Some (mid_flip 0);
-    Some (mid_flip 1);
-  |]
+(* Shard crashes as the s2 crash leg and this property schedule them. *)
+let crash_shards =
+  List.map (fun (ms, shard) -> Faults.At (ms, Faults.Crash_shard { shard; down_ms = 10.0 }))
 
-let conservation_one_run ~seed ~kills =
-  let shards = 3 in
-  let naccts = 6 in
-  let init = 100 in
-  let clients = 3 in
-  let engine = Engine.create () in
-  let cluster = Cluster.create ~latency_ms:1.0 engine ~shards in
-  let failure = ref None in
-  let fail fmt = Printf.ksprintf (fun m -> if !failure = None then failure := Some m) fmt in
-  let _ =
-    Proc.spawn engine (fun () ->
-        let client = CC.connect cluster in
-        let accts = setup_accounts client naccts init in
-        let faults = Afs_replica.Faults.create engine in
-        List.iter
-          (fun (ms, k) ->
-            Afs_replica.Faults.at faults ~ms ~label:(Printf.sprintf "kill:%d" k)
-              (fun () ->
-                Shard.crash (Cluster.shard cluster k);
-                Proc.delay 10.0;
-                match Shard.recover (Cluster.shard cluster k) with
-                | Ok _ -> ()
-                | Error e -> fail "recovery failed: %s" (Errors.to_string e)))
-          kills;
-        let txn = killable faults client in
-        let deltas = Array.make naccts 0 in
-        let apply_delta a b amt =
-          deltas.(a) <- deltas.(a) - amt;
-          deltas.(b) <- deltas.(b) + amt
-        in
-        (* Transactions whose coordinator crashed: classified post hoc by
-           the record, exactly as a recovering client would. *)
-        let uncertain = ref [] in
-        let worker i () =
-          let rng = Xrng.create ((seed * clients) + i) in
-          for _ = 1 to 10 do
-            Proc.delay (Xrng.float rng 4.0);
-            let a = Xrng.int rng naccts in
-            let b = (a + 1 + Xrng.int rng (naccts - 1)) mod naccts in
-            let amt = 1 + Xrng.int rng 9 in
-            let crash_at = crash_points.(Xrng.int rng (Array.length crash_points)) in
-            let record = ref None in
-            let on_record r seq = record := Some (r, seq) in
-            let run () = Txn.exec ~on_record txn (transfer accts a b amt) in
-            match
-              match crash_at with
-              | Some at -> Faults.killing faults ~label:"coordinator" at run
-              | None -> run ()
-            with
-            | exception Proc.Killed -> (
-                match !record with
-                | Some r -> uncertain := (r, a, b, amt) :: !uncertain
-                | None -> () (* Died before the record existed: nothing staged. *))
-            | Ok () -> apply_delta a b amt
-            | Error (Txn.Local _ | Txn.Cross _) -> ()
-            | Error (Txn.Failed _) -> (
-                (* Transport trouble mid-protocol: same stance as a crash —
-                   the record (if any) holds the definite outcome. *)
-                match !record with
-                | Some r -> uncertain := (r, a, b, amt) :: !uncertain
-                | None -> ())
-          done
-        in
-        let spawn, join = Proc.joinable engine in
-        for i = 1 to clients do
-          ignore (spawn (worker i) : Proc.handle)
-        done;
-        join ();
-        (* Quiesce: let any in-flight kill/recovery finish. *)
-        Proc.delay 200.0;
-        (* Crash recovery: any client sweeps from markers + records. *)
-        let sweeper = Txn.create client in
-        (match Txn.sweep sweeper (Array.to_list accts) with
-        | Ok _ -> ()
-        | Error e -> fail "sweep failed: %s" (Errors.to_string e));
-        List.iter
-          (fun ((r, seq), a, b, amt) ->
-            match Txn.record_decision sweeper r ~seq with
-            | Ok Txn.Committed -> apply_delta a b amt
-            | Ok _ -> ()
-            | Error e -> fail "record audit failed: %s" (Errors.to_string e))
-          (!uncertain);
-        (* No in-doubt participant survives: every root reads ordinarily
-           and carries no marker; every balance matches the definite
-           outcomes exactly. *)
-        Array.iteri
-          (fun i f ->
-            (match Batch_ops.read_current client f P.root with
-            | Ok root ->
-                if is_staged root then fail "account %d still staged" i
-            | Error e ->
-                fail "account %d unreadable: %s" i (Errors.to_string e));
-            let expect = init + deltas.(i) in
-            let got = read_balance client f in
-            if got <> expect then fail "account %d: %d, expected %d" i got expect)
-          accts)
-  in
-  Engine.run engine;
-  match !failure with
-  | None -> true
-  | Some m ->
-      QCheck2.Test.fail_reportf "seed %d kills %s: %s" seed
-        (String.concat ","
-           (List.map (fun (ms, k) -> Printf.sprintf "%d@%.0f" k ms) kills))
-        m
+(* The audit's violations, a failed fault's first. *)
+let crash_violations ?stores ~seed crashes =
+  in_sim (fun engine ->
+      let client = CC.connect (Cluster.create ~latency_ms:1.0 ?stores engine ~shards:3) in
+      (Afs_workload.Workload.crash_transfers client (setup_accounts client 6 100)
+         ~initial_balance:100 crashes
+         (List.init 3 (fun i -> (Xrng.create ((seed * 3) + i + 1), 10))))
+        .violations)
+
+let conservation_one_run ~seed ~crashes =
+  match crash_violations ~seed crashes with
+  | [] -> true
+  | m :: _ -> QCheck2.Test.fail_reportf "seed %d %a: %s" seed Faults.pp crashes m
+
+(* A shard whose store cannot list its blocks cannot recover: the
+   property reports the failed crash, whatever the balances say. *)
+let test_failed_recovery_reported () =
+  let unlisted _ = { (Afs_core.Store.memory ()) with list_blocks = (fun () -> Error "unlisted") } in
+  match crash_violations ~stores:unlisted ~seed:1 (crash_shards [ (40.0, 0) ]) with
+  | m :: _ ->
+      Alcotest.(check string) "the failed fault"
+        "[@40ms -> crash shard 0 for 10ms]: recovery FAILED: store failure: unlisted" m
+  | [] -> Alcotest.fail "a failed recovery passed the audit"
 
 (* {2 Every coordinator crash site}
 
-   A crash site is any event the coordinator's process emits, so a
-   fault-free run enumerates them all. A three-part transfer over three
-   shards puts every participant on its own shard: the decide's batch
-   flips only the last, and the coordinator flips the other two itself. *)
+   A crash site is any event the coordinator's process emits, and the
+   kill at its [n]th event fires exactly when a run emits [n], so
+   counting [n] up until the coordinator outlives its kill enumerates
+   them all. A three-part transfer over three shards puts every
+   participant on its own shard: the decide's batch flips only the last,
+   and the coordinator flips the other two itself. *)
 
-(* One three-part transfer, its coordinator killed at its [kill_at]th
-   event (never, if there are fewer), then swept: the events the
-   coordinator emitted, whether it was killed, the balances, whether a
-   root is still staged, and the record's decision (if the record was
-   taken). *)
-let three_part_transfer ~kill_at =
+(* One three-part transfer under the kill schedule [kill], then swept:
+   whether the coordinator was killed, the balances, whether a root is
+   still staged, and the record's decision (if the record was taken). *)
+let three_part_transfer kill =
   in_faulty_cluster ~shards:3 (fun faults _cluster client ->
       let accts = setup_accounts client 3 100 in
       let txn = killable faults client in
@@ -1463,15 +1368,10 @@ let three_part_transfer ~kill_at =
           { Txn.file = accts.(1); ops = [ credit 20 ] };
           { Txn.file = accts.(2); ops = [ credit 10 ] } ]
       in
-      let events = ref [] and emitted = ref 0 and record = ref None in
-      let at ev =
-        events := ev :: !events;
-        incr emitted;
-        !emitted = kill_at + 1
-      in
+      let record = ref None in
       let killed =
         match
-          Faults.killing faults ~label:"coordinator" at (fun () ->
+          Faults.run faults kill (fun () ->
               Txn.exec ~on_record:(fun r seq -> record := Some (r, seq)) txn parts)
         with
         | exception Proc.Killed -> true
@@ -1486,40 +1386,11 @@ let three_part_transfer ~kill_at =
       in
       let decision = Option.map (fun (r, seq) -> ok (Txn.record_decision sweeper r ~seq)) !record in
       let balances = Array.to_list (Array.map (read_balance client) accts) in
-      (List.rev !events, killed, balances, staged, decision))
+      (killed, balances, staged, decision))
 
 let test_every_crash_site () =
   let moved = [ 70; 120; 110 ] and unmoved = [ 100; 100; 100 ] in
-  let events, killed, balances, _, _ = three_part_transfer ~kill_at:(-1) in
-  Alcotest.(check bool) "the fault-free run is not killed" false killed;
-  Alcotest.(check (list int)) "the fault-free run commits" moved balances;
-  let sites = List.length events in
-  Printf.printf "%d coordinator crash sites\n" sites;
-  (* The old hand-kept schedule, as sites: before each stage (the third
-     is the last participant's, inside the decide), once decided, and
-     before each flip the coordinator sends. *)
-  let site what pred =
-    match List.find_index pred events with
-    | Some i -> i
-    | None -> Alcotest.failf "no site %s" what
-  in
-  let second_stage =
-    match List.filteri (fun _ ev -> Helpers.span_open "txn.stage" ev) events with
-    | _ :: second :: _ -> site "before stage 1" (( == ) second)
-    | _ -> Alcotest.fail "fewer than two stages"
-  in
-  let old_schedule =
-    [ site "before stage 0" (Helpers.span_open "txn.stage"); second_stage;
-      site "before the decide" before_decide; site "after the decide" after_decide;
-      site "mid-flip 0" (mid_flip 0); site "mid-flip 1" (mid_flip 1) ]
-  in
-  Alcotest.(check int) "six distinct old sites" 6
-    (List.length (List.sort_uniq Int.compare old_schedule));
-  let committed = ref 0 in
-  for kill_at = 0 to sites - 1 do
-    let _, killed, balances, staged, decision = three_part_transfer ~kill_at in
-    if decision = Some Txn.Committed then incr committed;
-    let where = Printf.sprintf "killed at site %d" kill_at in
+  let audit where (killed, balances, staged, decision) =
     Alcotest.(check bool) (where ^ ": killed") true killed;
     Alcotest.(check bool) (where ^ ": nothing staged") false staged;
     Alcotest.(check int) (where ^ ": conserved") 300 (List.fold_left ( + ) 0 balances);
@@ -1527,19 +1398,62 @@ let test_every_crash_site () =
       (where ^ ": the record decides the balances")
       (if decision = Some Txn.Committed then moved else unmoved)
       balances
-  done;
+  in
+  let committed = ref 0 in
+  let rec sweep n =
+    match three_part_transfer [ Faults.Kill_at (n, Faults.Any) ] with
+    | false, balances, _, _ ->
+        Alcotest.(check (list int)) "the run that outlives its kill commits" moved balances;
+        n - 1
+    | (true, _, _, decision) as run ->
+        if decision = Some Txn.Committed then incr committed;
+        audit (Printf.sprintf "killed at site %d" (n - 1)) run;
+        sweep (n + 1)
+  in
+  let sites = sweep 1 in
+  Printf.printf "%d coordinator crash sites\n" sites;
   (* Kills after the decide outlive their coordinator's commitment. *)
   Alcotest.(check bool) "some killed transfers committed, some did not" true
-    (!committed > 0 && !committed < sites)
+    (!committed > 0 && !committed < sites);
+  (* The crash leg's kill points are sites too: each one fires. *)
+  Array.iter
+    (fun kill -> if kill <> [] then audit (Fmt.str "%a" Faults.pp kill) (three_part_transfer kill))
+    Afs_workload.Workload.coordinator_kills
+
+(* A schedule prints as one line: the s2 crash leg's shard crashes, and
+   a coordinator kill, whose [fault.fire] point names it the same way
+   on every run. *)
+let test_schedule_prints () =
+  Alcotest.(check string)
+    "s2 shard crashes"
+    "[@40ms -> crash shard 0 for 10ms; @110ms -> crash shard 1 for 10ms; \
+     @180ms -> crash shard 2 for 10ms]"
+    (Fmt.str "%a" Faults.pp (crash_shards [ (40.0, 0); (110.0, 1); (180.0, 2) ]));
+  let kill = "#1 point txn.decide committed=true -> kill" in
+  Alcotest.(check string) "a kill" ("[" ^ kill ^ "]") (Fmt.str "%a" Faults.pp after_decide);
+  let kill = Trace.Str kill in
+  let fired () =
+    in_faulty_cluster ~shards:2 (fun faults cluster client ->
+        let engine = Cluster.engine cluster in
+        let trace = Trace.ring ~now:(fun () -> Engine.now engine) () in
+        Engine.set_trace engine trace;
+        let accts = setup_accounts client 2 100 in
+        exec_killed faults ~at:after_decide (killable faults client) (transfer accts 0 1 30);
+        List.map
+          (fun p -> List.assoc "entry" (Trace.fields_of_payload p))
+          (Query.points_of_kind (Trace.events trace) "fault.fire"))
+  in
+  Alcotest.(check bool) "two runs" true ([ [ kill ]; [ kill ] ] = [ fired (); fired () ])
 
 let prop_conservation =
   QCheck2.Test.make ~name:"cross-shard transfers conserve under crash schedules"
     ~count:100
-    ~print:QCheck2.Print.(pair int (list (pair float int)))
+    ~print:(fun (seed, crashes) -> Fmt.str "seed %d %a" seed Faults.pp crashes)
     QCheck2.Gen.(
       pair (int_bound 1_000_000)
-        (list_size (int_bound 2) (pair (float_bound_exclusive 80.0) (int_bound 2))))
-    (fun (seed, kills) -> conservation_one_run ~seed ~kills)
+        (map crash_shards
+           (list_size (int_bound 2) (pair (float_bound_exclusive 80.0) (int_bound 2)))))
+    (fun (seed, crashes) -> conservation_one_run ~seed ~crashes)
 
 let () =
   Alcotest.run "txn"
@@ -1599,5 +1513,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_conservation;
           quick "every coordinator crash site" test_every_crash_site;
+          quick "a schedule prints on one line" test_schedule_prints;
+          quick "a failed recovery is a violation" test_failed_recovery_reported;
         ] );
     ]
