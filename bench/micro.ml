@@ -123,7 +123,7 @@ let test_validation_null_op =
    comparison with its memo. *)
 let test_pagestore_revalidate =
   let module Pagestore = Afs_core.Pagestore in
-  let ps = Pagestore.create (Store.memory ()) in
+  let ps = Pagestore.create ~counters:(Afs_util.Stats.Counter.create ()) (Store.memory ()) in
   let b = ok (Pagestore.allocate ps) in
   ok (Pagestore.write_through ps b (Page.with_data Page.empty (Bytes.make 1024 'v')));
   Test.make ~name:"pagestore-revalidate-1k"

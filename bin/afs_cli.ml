@@ -107,17 +107,22 @@ let walkthrough () =
 
 (* {2 Replication helpers} *)
 
+(* [--kill-primary] fails over a replicated cluster's shard: a run that
+   builds none is refused before it starts. *)
+let check_kill_primary ~system ~shards ~replicas = function
+  | None -> ()
+  | Some (k, _) ->
+      if system <> "afs" || replicas < 1 then
+        failwith "--kill-primary needs --system afs with --replicas >= 1 (nothing to promote)";
+      if k < 0 || k >= shards then failwith (Printf.sprintf "--kill-primary: no shard %d" k)
+
 (* Schedule the deterministic crash: kill shard [k]'s RPC host at [ms],
    wait [failover_ms], then promote its first replica. The schedule is
    returned, to report its firing once the run is over. *)
-let schedule_kill cluster ~replicas ~failover_ms = function
+let schedule_kill cluster ~failover_ms = function
   | None -> None
   | Some (k, at_ms) ->
       let module Faults = Afs_cluster.Faults in
-      if replicas <= 0 then
-        failwith "--kill-primary needs --replicas >= 1 (nothing to promote)";
-      if k < 0 || k >= Afs_cluster.Cluster.nshards cluster then
-        failwith (Printf.sprintf "--kill-primary: no shard %d" k);
       let faults = Faults.create cluster in
       Faults.run faults
         [ Faults.At (at_ms, Faults.Fail_over { shard = k; after_ms = failover_ms }) ]
@@ -203,6 +208,7 @@ let close_trace_sink = function
 
 let simulate system shards replicas clients duration_s think_ms nfiles pages theta
     cross_ratio cache_capacity group_commit kill_primary failover_ms trace_file =
+  check_kill_primary ~system ~shards ~replicas kill_primary;
   let open Afs_workload in
   let shape =
     {
@@ -235,7 +241,7 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
         ~replicas ~trace engine ~shards
     in
     cluster_ref := Some cluster;
-    failover := schedule_kill cluster ~replicas ~failover_ms kill_primary;
+    failover := schedule_kill cluster ~failover_ms kill_primary;
     cluster
   in
   let sut, gen =
@@ -490,7 +496,7 @@ let kill_primary_arg =
     & info [ "kill-primary" ] ~docv:"SHARD@MS"
         ~doc:
           "Crash shard $(i,SHARD)'s primary at simulated time $(i,MS) and fail over to \
-           its first replica (requires --replicas >= 1)")
+           its first replica (requires --system afs with --replicas >= 1)")
 
 let failover_ms_arg =
   Arg.(

@@ -37,15 +37,18 @@ let () =
   for i = 0 to 31 do
     ignore (ok (Client.read_cached reader file (P.of_list [ i ])))
   done;
-  let hits name = Afs_util.Stats.Counter.get (Client.counters reader) name in
-  Printf.printf "after warming: hits=%d misses=%d\n" (hits "cache.hits") (hits "cache.misses");
+  (* The writer counts no cache traffic, so the server's [client.cache_*]
+     figures are the reader's. *)
+  let hits name = Afs_util.Stats.Counter.get (Server.counters srv) name in
+  Printf.printf "after warming: hits=%d misses=%d\n" (hits "client.cache_hits")
+    (hits "client.cache_misses");
 
   (* Re-read everything: all hits, one validation each (a null op). *)
   for i = 0 to 31 do
     ignore (ok (Client.read_cached reader file (P.of_list [ i ])))
   done;
   Printf.printf "after re-read: hits=%d misses=%d  (file unshared -> validation is free)\n"
-    (hits "cache.hits") (hits "cache.misses");
+    (hits "client.cache_hits") (hits "client.cache_misses");
 
   (* Another client changes exactly one page. *)
   ok (Client.update writer file (fun txn -> Client.Txn.write txn (P.of_list [ 7 ]) (bytes "page-07'")));
@@ -54,11 +57,11 @@ let () =
   (* The reader's next validation discards exactly that page. *)
   let c = Cache.create srv in
   ignore c;
-  let i_before = hits "cache.misses" in
+  let i_before = hits "client.cache_misses" in
   for i = 0 to 31 do
     ignore (ok (Client.read_cached reader file (P.of_list [ i ])))
   done;
-  let new_misses = hits "cache.misses" - i_before in
+  let new_misses = hits "client.cache_misses" - i_before in
   Printf.printf "reader re-validated: %d page re-fetched (31 served from cache)\n" new_misses;
   Printf.printf "fresh content: %s\n"
     (Bytes.to_string (ok (Client.read_cached reader file (P.of_list [ 7 ]))));

@@ -1,4 +1,3 @@
-module Stats = Afs_util.Stats
 module Trace = Afs_trace.Trace
 
 type version = { wts : int; mutable rts : int; data : bytes }
@@ -15,7 +14,6 @@ type txn = {
 
 type t = {
   objects : (int, history) Hashtbl.t;
-  counters : Stats.Counter.t;
   mutable next_ts : int;
   trace : Trace.t;
 }
@@ -23,12 +21,9 @@ type t = {
 let create ?(trace = Trace.null) () =
   {
     objects = Hashtbl.create 1024;
-    counters = Stats.Counter.create ();
     next_ts = 1;
     trace;
   }
-
-let bump t name = Stats.Counter.incr t.counters name
 
 (* A late write is MVTO's analogue of a lock denial: the moment a
    transaction discovers it has lost the timestamp race. *)
@@ -44,7 +39,6 @@ let note_late t ~obj ~ts ~blocker =
 let begin_ t =
   let txn = { ts = t.next_ts; active = true; buffered = [] } in
   t.next_ts <- t.next_ts + 1;
-  bump t "txn.begun";
   txn
 
 let timestamp_of txn = txn.ts
@@ -67,13 +61,10 @@ let read t txn ~obj =
   assert txn.active;
   (* Read-your-own-writes from the buffer first. *)
   match List.assoc_opt obj txn.buffered with
-  | Some data ->
-      bump t "op.read";
-      Bytes.copy data
+  | Some data -> Bytes.copy data
   | None ->
       let v = version_at (history_of t obj) txn.ts in
       if txn.ts > v.rts then v.rts <- txn.ts;
-      bump t "op.read";
       Bytes.copy v.data
 
 (* A write at [ts] is too late when some transaction with a timestamp
@@ -89,18 +80,12 @@ let write t txn ~obj data =
   match write_allowed h txn.ts with
   | Error (`Late_write blocker) ->
       note_late t ~obj ~ts:txn.ts ~blocker;
-      bump t "op.write_late";
       Error (`Late_write blocker)
   | Ok () ->
       txn.buffered <- (obj, Bytes.copy data) :: txn.buffered;
-      bump t "op.write";
       Ok ()
 
-let abort t txn =
-  if txn.active then begin
-    txn.active <- false;
-    bump t "txn.aborted"
-  end
+let abort _ txn = txn.active <- false
 
 let install h ts data =
   let newer, older = List.partition (fun v -> v.wts > ts) h.versions in
@@ -121,16 +106,12 @@ let commit t txn =
   | Error (`Late_write blocker as e) ->
       note_late t ~obj:0 ~ts:txn.ts ~blocker;
       abort t txn;
-      bump t "txn.late_at_commit";
       Error e
   | Ok () ->
       List.iter (fun (obj, data) -> install (history_of t obj) txn.ts data) writes;
       txn.active <- false;
-      bump t "txn.committed";
       Ok ()
 
 let value t ~obj =
   let h = history_of t obj in
   match h.versions with v :: _ -> Bytes.copy v.data | [] -> Bytes.empty
-
-let stats t = Stats.Counter.to_list t.counters

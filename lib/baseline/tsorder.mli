@@ -11,7 +11,9 @@
 
     Unlike locking there is no waiting — conflicts abort immediately — and
     unlike the optimistic scheme the abort can strike on first touch even
-    when a redo would have been cheap. *)
+    when a redo would have been cheap.
+
+    It keeps no counters: a late write is a trace point. *)
 
 type t
 
@@ -37,5 +39,3 @@ val abort : t -> txn -> unit
 
 val value : t -> obj:int -> bytes
 (** Latest committed state. *)
-
-val stats : t -> (string * int) list

@@ -1,4 +1,3 @@
-module Stats = Afs_util.Stats
 module Trace = Afs_trace.Trace
 
 type denial = { holder : int; vulnerable : bool }
@@ -28,7 +27,6 @@ type t = {
   data : (int, bytes) Hashtbl.t;
   locks : (int, lock_state) Hashtbl.t;
   txns : (int, txn_state) Hashtbl.t;
-  counters : Stats.Counter.t;
   mutable next_txn : int;
   mutable up : bool;
   (* A durably-logged intentions list whose application was interrupted by
@@ -46,14 +44,11 @@ let create ?(vulnerable_after_ms = 50.0) ?(trace = Trace.null) ~clock () =
     data = Hashtbl.create 1024;
     locks = Hashtbl.create 1024;
     txns = Hashtbl.create 64;
-    counters = Stats.Counter.create ();
     next_txn = 1;
     up = true;
     interrupted = [];
     trace;
   }
-
-let bump ?by t name = Stats.Counter.incr ?by t.counters name
 
 let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
 
@@ -67,7 +62,6 @@ let begin_ t =
   in
   t.next_txn <- t.next_txn + 1;
   Hashtbl.replace t.txns txn.id txn;
-  bump t "txn.begun";
   txn
 
 let txn_id txn = txn.id
@@ -106,7 +100,6 @@ let read t txn ~obj =
         txn.read_set <- obj :: txn.read_set;
         note_acquire t ~obj ~txn:txn.id ~mode:"read"
       end;
-      bump t "op.read";
       Ok (match Hashtbl.find_opt t.data obj with Some v -> Bytes.copy v | None -> Bytes.empty)
   end
 
@@ -131,7 +124,6 @@ let reserve t txn ~obj =
           l.iwriter <- Some (txn.id, t.clock ());
           note_acquire t ~obj ~txn:txn.id ~mode:"iwrite"
         end;
-        bump t "op.reserve";
         Ok ()
   end
 
@@ -154,7 +146,6 @@ let write t txn ~obj data =
         note_acquire t ~obj ~txn:txn.id ~mode:"iwrite"
       end;
       txn.intentions <- (obj, Bytes.copy data) :: txn.intentions;
-      bump t "op.write";
       Ok ()
   end
 
@@ -171,8 +162,7 @@ let abort t txn =
   if txn.active then begin
     txn.active <- false;
     release_txn_locks t txn;
-    Hashtbl.remove t.txns txn.id;
-    bump t "txn.aborted"
+    Hashtbl.remove t.txns txn.id
   end
 
 (* Upgrade all intention-write locks to commit locks; denied if any other
@@ -228,7 +218,6 @@ let commit t txn =
       txn.active <- false;
       release_txn_locks t txn;
       Hashtbl.remove t.txns txn.id;
-      bump t "txn.committed";
       Ok ()
 
 let prod ?(by = 0) ?(obj = 0) t ~victim =
@@ -238,7 +227,6 @@ let prod ?(by = 0) ?(obj = 0) t ~victim =
       if t.clock () -. txn.last_op_at >= t.vulnerable_after_ms then begin
         abort t txn;
         tpoint t (Trace.Lock_steal { obj; txn = by; victim });
-        bump t "txn.prodded_out";
         true
       end
       else false
@@ -270,7 +258,6 @@ let crash_mid_commit t txn =
       t.interrupted <- intentions;
       t.up <- false;
       tpoint t (Trace.Crash { component = "twopl"; what = "crash" });
-      bump t "txn.crashed_mid_commit";
       Ok ()
 
 let recover t =
@@ -298,9 +285,6 @@ let recover t =
   if intentions_replayed > 0 then
     tpoint t (Trace.Intentions_replay { count = intentions_replayed });
   tpoint t (Trace.Crash { component = "twopl"; what = "recover" });
-  bump t "server.recovered";
   { locks_cleared = !locks_cleared; txns_rolled_back; intentions_replayed }
 
 let is_up t = t.up
-
-let stats t = Stats.Counter.to_list t.counters

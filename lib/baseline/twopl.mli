@@ -14,7 +14,9 @@
     {!recover} must clear every lock, discard in-flight transactions and
     replay interrupted intention lists before service resumes — work the
     Amoeba design simply does not have. Objects are numbered pages; the
-    driver maps (file, page) onto them. *)
+    driver maps (file, page) onto them.
+
+    It keeps no counters: its events are trace points. *)
 
 type t
 
@@ -97,5 +99,3 @@ val recover : t -> recovery_stats
     recovery work; the experiment harness prices them in milliseconds. *)
 
 val is_up : t -> bool
-
-val stats : t -> (string * int) list

@@ -48,6 +48,9 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
     engine ~shards:n =
   if n <= 0 then invalid_arg "Cluster.create: need at least one shard";
   if replicas < 0 then invalid_arg "Cluster.create: replicas must be >= 0";
+  (* The cluster's one counter table: replicas, sources, migrations, the
+     rebalancer, cluster clients and transaction coordinators count into
+     it. *)
   let counters = Stats.Counter.create () in
   (* Shard [i]'s server over [store], always with the same seed — same
      secret, same port — whether built at creation or at promotion. *)
@@ -129,7 +132,6 @@ let drain_loads t =
 let shard_commits t i =
   let commits = t.shard_commit_counts.(i) in
   if Lazy.is_val commits then !(Lazy.force commits) else 0
-let migrations t = Stats.Counter.get t.counters "migrations"
 
 (* {2 Replication} *)
 

@@ -48,7 +48,25 @@ val conn : t -> int -> Afs_rpc.Remote.conn
     through it. *)
 
 val router : t -> Router.t
+
 val counters : t -> Afs_util.Stats.Counter.t
+(** The cluster's one counter table; nothing over the cluster keeps its
+    own. [shard<i>.commits] ({!note_load}); [client.forwarded]
+    ({!Cluster_client}, per [Moved] chased); [migrations],
+    [shard<i>.migrations_out], [shard<i>.migrations_in],
+    [migrations.conflict] ({!Migration.migrate}); [rebalancer.moves];
+    [promotions] ({!promote}); [replica.shipped], [replica.fenced] (each
+    shard's source, per cut and per refused publish), [replica.applied]
+    (its replicas, per batch); and what every {!Afs_txn.Txn}
+    coordinator over the cluster adds into: [txn.committed],
+    [txn.coordinated], [txn.fastpath], [txn.round_trips],
+    [txn.stage_retries], [txn.force_aborts], [txn.resolved.forward] and
+    [txn.resolved.back] (markers a resolver flipped itself),
+    [txn.in_doubt] (markers whose outcome a waiter or sweep learnt),
+    [txn.record_reads] (requests that learnt one), and the leaks
+    [txn.records_created], [txn.seal_in_doubt] (a rollback whose seal
+    may have committed), [txn.flip_deferred], [txn.unstage_deferred],
+    [txn.rollback_deferred]. Aborts are the caller's to count. *)
 
 val shard_of_cap :
   t -> Afs_util.Capability.t -> (Afs_util.Capability.t * Shard.t) Afs_core.Errors.r
@@ -74,7 +92,6 @@ val drain_loads : t -> (Afs_util.Capability.t * int) list
     deterministic (port, obj) order; resets the window. *)
 
 val shard_commits : t -> int -> int
-val migrations : t -> int
 
 (** {2 Replication and failover} *)
 

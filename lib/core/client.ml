@@ -8,7 +8,6 @@ type t = {
   server : Server.t;
   cache : Cache.t option;
   flag_cache : Cache.Flag_cache.t option;
-  counters : Stats.Counter.t;
 }
 
 let connect ?(use_cache = true) ?flag_cache server =
@@ -16,12 +15,13 @@ let connect ?(use_cache = true) ?flag_cache server =
     server;
     cache = (if use_cache then Some (Cache.create server) else None);
     flag_cache;
-    counters = Stats.Counter.create ();
   }
 
 let server t = t.server
-let counters t = t.counters
-let bump t name = Stats.Counter.incr t.counters name
+
+(* Counts land in the server's table, under [client.*] names: the page
+   store already owns [cache.hits] and [cache.misses] there. *)
+let bump t name = Stats.Counter.incr (Server.counters t.server) name
 
 module Txn = struct
   type nonrec t = { client : t; version : Capability.t; attempt : int }
@@ -44,7 +44,7 @@ let update ?(retries = 16) ?(respect_hints = false) ?(large = false) t file body
   let hint_port = if large then Ports.fresh ports else 0 in
   let release_hint () = if large then Ports.kill ports hint_port in
   let rec go attempt =
-    bump t "txn.attempts";
+    bump t "client.attempts";
     let* version = Server.create_version ~respect_hints ~updater_port:hint_port t.server file in
     let txn = { Txn.client = t; version; attempt } in
     let outcome = try body txn with Give_up e -> Error e in
@@ -53,17 +53,17 @@ let update ?(retries = 16) ?(respect_hints = false) ?(large = false) t file body
         (* The body failed: the version is garbage either way. *)
         ignore (Server.abort_version t.server version);
         if e = Conflict && attempt < retries then begin
-          bump t "txn.redone";
+          bump t "client.redone";
           go (attempt + 1)
         end
         else Error e
     | Ok value -> (
         match Server.commit t.server version with
         | Ok () ->
-            bump t "txn.committed";
+            bump t "client.committed";
             Ok value
         | Error Conflict when attempt < retries ->
-            bump t "txn.redone";
+            bump t "client.redone";
             go (attempt + 1)
         | Error e -> Error e)
   in
@@ -82,10 +82,10 @@ let read_cached t file path =
       let* validation = Cache.revalidate ?flag_cache:t.flag_cache cache ~file in
       match Cache.get cache ~file ~path with
       | Some data ->
-          bump t "cache.hits";
+          bump t "client.cache_hits";
           Ok data
       | None ->
-          bump t "cache.misses";
+          bump t "client.cache_misses";
           let* current = Server.current_version t.server file in
           let* data = Server.read_page t.server current path in
           Cache.put cache ~file ~basis_block:validation.Cache.current_block ~path ~data;

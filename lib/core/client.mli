@@ -8,13 +8,15 @@
 
     {!read_cached} demonstrates §5.4: reads are served from the client's
     page cache after one validation round trip, with no unsolicited
-    messages from servers. *)
+    messages from servers.
+
+    A client counts into its server's {!Server.counters}, under
+    [client.*] names. *)
 
 type t
 
 val connect : ?use_cache:bool -> ?flag_cache:Cache.Flag_cache.t -> Server.t -> t
 val server : t -> Server.t
-val counters : t -> Afs_util.Stats.Counter.t
 
 module Txn : sig
   (** Operations bound to one uncommitted version. *)

@@ -54,9 +54,8 @@ type t = {
 
 let default_capacity = 4096
 
-let create ?(cache = true) ?(capacity = default_capacity) ?counters store =
+let create ?(cache = true) ?(capacity = default_capacity) ~counters store =
   if capacity < 1 then invalid_arg "Pagestore.create: capacity must be positive";
-  let counters = match counters with Some c -> c | None -> Stats.Counter.create () in
   {
     store;
     cache_enabled = cache;
@@ -74,7 +73,6 @@ let store t = t.store
    one atomic transaction message. *)
 let page_size_limit t = t.store.Store.block_size
 
-let counters t = t.counters
 let bump ?by t name = Stats.Counter.incr ?by t.counters name
 
 let allocate t =

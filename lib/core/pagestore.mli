@@ -14,21 +14,19 @@
     written back to the store first, so eviction never loses a write —
     only {!drop_volatile} (a crash) can do that. Blocks held under {!lock}
     are pinned and never evicted, keeping the §5.2 commit critical
-    section's block resident. Counters ([cache.hits], [cache.misses],
-    [cache.evictions], [cache.writebacks]) accumulate in {!counters}. *)
+    section's block resident. [cache.hits], [cache.misses],
+    [cache.evictions] and [cache.writebacks] are counted into the table
+    {!create} is given: its server's {!Server.counters}. *)
 
 type t
 
-val create : ?cache:bool -> ?capacity:int -> ?counters:Afs_util.Stats.Counter.t -> Store.t -> t
+val create :
+  ?cache:bool -> ?capacity:int -> counters:Afs_util.Stats.Counter.t -> Store.t -> t
 (** [cache:false] makes every write write-through and every read hit the
     store — the ablation baseline. [capacity] bounds the number of cached
-    pages (default 4096; raises [Invalid_argument] when
-    [< 1]). [counters] lets the owner share a counter set (the server
-    passes its own, so cache statistics appear with the commit ones). *)
+    pages (default 4096; raises [Invalid_argument] when [< 1]). *)
 
 val store : t -> Store.t
-
-val counters : t -> Afs_util.Stats.Counter.t
 
 val allocate : t -> (int, Errors.t) result
 val free : t -> int -> unit

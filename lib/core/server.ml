@@ -73,8 +73,8 @@ let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name
   let port_registry = match ports with Some p -> p | None -> Ports.create () in
   let counters = Stats.Counter.create () in
   {
-    (* The server shares its counter set with the page store, so cache
-       hit/miss/eviction figures surface alongside the commit counters. *)
+    (* The server's one counter table: its page store and every local
+       client count into it too. *)
     ps = Pagestore.create ~cache:page_cache ?capacity:cache_capacity ~counters store;
     secret = Capability.secret_of_seed seed;
     server_port = Capability.port_of_int (seed land 0xFFFFFFFFFFFF);
@@ -388,7 +388,6 @@ let create_file t ?(data = Bytes.empty) () =
   Hashtbl.replace t.versions vb
     (fresh_version_record ~vblock:vb ~file_obj:(file_obj_of_block vb) ~status:Committed
        (Some Writeset.empty));
-  bump t "files.created";
   Ok file_cap
 
 (* The file's current version block, which becomes its hint. *)
@@ -557,7 +556,6 @@ let destroy_file t cap =
     file.vblocks;
   Hashtbl.remove t.files file.file_obj;
   Hashtbl.replace t.destroyed file.file_obj ();
-  bump t "files.destroyed";
   Ok ()
 
 let mutable_version t cap ~need =
@@ -569,7 +567,6 @@ let mutable_version t cap ~need =
 let abort_version t cap =
   let* v = mutable_version t cap ~need:Capability.right_destroy in
   discard t v;
-  bump t "versions.aborted";
   Ok ()
 
 (* {2 Page operations} *)
@@ -778,20 +775,32 @@ let abandon t (v : version_record) outcome_name =
     Trace.point t.trace (Trace.Commit_outcome { vblock = v.vblock; outcome = outcome_name });
   Error Conflict
 
-type merge_verdict = Rebased | Doomed of string
+(* An interception: the version lost its test-and-set, or lost to the
+   run's admitted winners. The write-set pre-test follows unless
+   [~pretest:false]. *)
+let intercept t v ~pretest =
+  bump t "commits.intercepted";
+  if pretest && Trace.enabled t.trace then
+    Trace.point t.trace (Trace.Commit_phase { vblock = v.vblock; phase = "pretest" })
+
+(* A doomed version is discarded and answers [Conflict]; a pre-test
+   loss is also a short circuit. *)
+let doom t v ~shortcircuit =
+  if shortcircuit then bump t "commits.shortcircuit";
+  bump t "commits.conflict";
+  abandon t v (if shortcircuit then "shortcircuit" else "conflict")
 
 (* Stage 2 — an interception by [successor]: the §5.2 write-set pre-test,
    then the serialisability tree walk that rebases the candidate.
-   [Rebased] means retry the test-and-set at the successor. *)
+   [Ok ()] means retry the test-and-set at the successor. *)
 let merge t v ~successor =
   let vb = v.vblock in
-  bump t "commits.intercepted";
+  intercept t v ~pretest:true;
   (* When both sides carry the incremental administration, the §5.2
      conflict conditions can be decided from the two flag maps alone —
      disjoint (or merely read-shared) updates are told apart without
      reading a single page of either tree. Only the no-conflict answer
      still needs the tree walk, for the merge. *)
-  tpoint t (Trace.Commit_phase { vblock = vb; phase = "pretest" });
   let precheck =
     match v.wset with
     | None -> None
@@ -801,22 +810,18 @@ let merge t v ~successor =
         | _ -> None)
   in
   match precheck with
-  | Some _ ->
-      bump t "commits.shortcircuit";
-      bump t "commits.conflict";
-      Ok (Doomed "shortcircuit")
+  | Some _ -> doom t v ~shortcircuit:true
   | None -> (
       tpoint t (Trace.Commit_phase { vblock = vb; phase = "serialise" });
       match Serialise.test_and_merge t.ps ~candidate:vb ~committed:successor with
       | Error e -> Error e
       | Ok (Serialise.Conflict { stats; _ }) ->
           bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
-          bump t "commits.conflict";
-          Ok (Doomed "conflict")
+          doom t v ~shortcircuit:false
       | Ok (Serialise.Serialisable stats) ->
           bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
           tpoint t (Trace.Commit_phase { vblock = vb; phase = "merge" });
-          Ok Rebased)
+          Ok ())
 
 (* End a run without publishing: forget the overlay (its test-and-sets
    were never written through) and free every held lock. *)
@@ -963,11 +968,8 @@ let admit t ctx v =
       in
       match run_conflict with
       | Some _ ->
-          bump t "commits.intercepted";
-          tpoint t (Trace.Commit_phase { vblock = vb; phase = "pretest" });
-          bump t "commits.shortcircuit";
-          bump t "commits.conflict";
-          abandon t v "shortcircuit"
+          intercept t v ~pretest:true;
+          doom t v ~shortcircuit:true
       | None ->
           let rec attempt base_block =
             match validate t ctx ~vb base_block with
@@ -979,14 +981,12 @@ let admit t ctx v =
                 note_winner ctx v ~fastpath;
                 Ok ()
             | Ok (Some _) when v.past = Shadows_dropped ->
-                bump t "commits.intercepted";
-                bump t "commits.conflict";
-                abandon t v "conflict"
+                intercept t v ~pretest:false;
+                doom t v ~shortcircuit:false
             | Ok (Some successor) -> (
                 match merge t v ~successor with
                 | Error e -> Error e
-                | Ok (Doomed reason) -> abandon t v reason
-                | Ok Rebased ->
+                | Ok () ->
                     v.past <- Merged;
                     attempt successor)
           in
@@ -1076,7 +1076,6 @@ let prepare t cap =
       drop_ctx t ctx;
       Error e
   | Ok () ->
-      bump t "commits.prepared";
       Ok
         (fun ~commit ->
           if v.status <> Uncommitted then
@@ -1084,7 +1083,6 @@ let prepare t cap =
           else if commit then publish t ctx
           else begin
             drop_ctx t ctx;
-            bump t "commits.decided_abort";
             (* [abandon] returns [Error Conflict] for the commit path's
                benefit; here the abort is the requested outcome. *)
             ignore (abandon t v "decided_abort" : unit r);
@@ -1103,8 +1101,7 @@ let crash t =
   (* Uncommitted versions are volatile by design. *)
   iter_ints (fun _ v -> if v.status = Uncommitted then mark_aborted v) t.versions;
   iter_ints (fun _ f -> Hashtbl.reset f.uncommitted) t.files;
-  tpoint t (Trace.Crash { component = "server"; what = "crash" });
-  bump t "server.crashes"
+  tpoint t (Trace.Crash { component = "server"; what = "crash" })
 
 let recover_from_blocks t blocks =
   let version_pages =
@@ -1147,7 +1144,6 @@ let recover_from_blocks t blocks =
             (fresh_file_record ~file_obj ~current ~oldest:first ~vblocks:!chain);
           incr recovered)
     by_file;
-  bump t ~by:!recovered "files.recovered";
   tpoint t (Trace.Recovered_files { count = !recovered });
   Ok !recovered
 

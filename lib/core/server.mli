@@ -61,7 +61,19 @@ val trace : t -> Afs_trace.Trace.t
 val pagestore : t -> Pagestore.t
 val ports : t -> Ports.t
 val port : t -> Afs_util.Capability.port
+
 val counters : t -> Afs_util.Stats.Counter.t
+(** The server's one counter table; its page store ([cache.hits],
+    [cache.misses], [cache.evictions], [cache.writebacks]) and local
+    {!Client}s ([client.attempts], [client.redone], [client.committed],
+    [client.cache_hits], [client.cache_misses]) count into it too. Its
+    own: [versions.created], [pages.copied], [commits.ok] with
+    [commits.fastpath] or [commits.merged], [commits.intercepted] (a
+    lost test-and-set, or loss to the run's winners),
+    [commits.conflict] (a doomed version), [commits.shortcircuit] (doomed
+    by the pre-test), [serialise.pages_visited], [commits.batches],
+    [commits.batch_members] and [versions.reclaimed]. Crashes,
+    recoveries and decided aborts are trace points only. *)
 
 (** {2 Files} *)
 

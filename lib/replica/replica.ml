@@ -54,8 +54,7 @@ type t = {
 (* The virtual-time delay between a feed and the drain that applies it. *)
 let apply_interval_ms = 5.0
 
-let create ?store ?(counters = Stats.Counter.create ()) ?(trace = Trace.null) engine ~shard
-    ~reg () =
+let create ?store ~counters ?(trace = Trace.null) engine ~shard ~reg () =
   let store = match store with Some s -> s | None -> Store.memory () in
   {
     engine;
@@ -98,8 +97,7 @@ let apply_batch r b =
           (* Divergence is terminal for this replica: applying further
              batches onto a hole could only corrupt it. The failure is
              sticky and visible to the report/tests. *)
-          r.failed <- Some msg;
-          Stats.Counter.incr r.counters "replica.apply_failures")
+          r.failed <- Some msg)
 
 let drain r =
   while not (Queue.is_empty r.queue) do
@@ -125,7 +123,6 @@ let feed r b =
 
 let promote r ~expected_epoch =
   if r.reg.epoch <> expected_epoch then begin
-    Stats.Counter.incr r.counters "replica.promote_lost";
     tpoint r (Trace.Fence { epoch = r.reg.epoch; stale = expected_epoch });
     tpoint r (Trace.Test_and_set { block = r.reg.block; won = false });
     Error Errors.Conflict
@@ -137,7 +134,6 @@ let promote r ~expected_epoch =
     r.reg.epoch <- expected_epoch + 1;
     drain r;
     r.epoch <- r.reg.epoch;
-    Stats.Counter.incr r.counters "replica.promotions";
     tpoint r (Trace.Test_and_set { block = r.reg.block; won = true });
     tpoint r
       (Trace.Promote { shard = r.shard; epoch = r.reg.epoch; watermark = r.applied_seq });
@@ -170,8 +166,7 @@ module Source = struct
     trace : Trace.t;
   }
 
-  let create ?reg ?(seq = 0) ?(counters = Stats.Counter.create ()) ?(trace = Trace.null)
-      engine store =
+  let create ?reg ?(seq = 0) ~counters ?(trace = Trace.null) engine store =
     let buffer = ref [] in
     let record op = buffer := op :: !buffer in
     let capture =

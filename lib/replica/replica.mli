@@ -14,7 +14,10 @@
     allocated but never written). {!promote} is a test-and-set on that
     register; a deposed primary's next publish finds the epoch moved,
     loses its own test-and-set at the gate and aborts the commit — the
-    transaction is reported aborted, never silently lost. *)
+    transaction is reported aborted, never silently lost.
+
+    Both sides count into the [counters] they are given, the cluster's
+    ({!Afs_cluster.Cluster.counters}). *)
 
 type register = { block : int; mutable epoch : int }
 (** The fencing token: promotion test-and-sets [epoch]; [block] is the
@@ -31,7 +34,7 @@ type t
 
 val create :
   ?store:Afs_core.Store.t ->
-  ?counters:Afs_util.Stats.Counter.t ->
+  counters:Afs_util.Stats.Counter.t ->
   ?trace:Afs_trace.Trace.t ->
   Afs_sim.Engine.t ->
   shard:int ->
@@ -87,7 +90,7 @@ module Source : sig
   val create :
     ?reg:register ->
     ?seq:int ->
-    ?counters:Afs_util.Stats.Counter.t ->
+    counters:Afs_util.Stats.Counter.t ->
     ?trace:Afs_trace.Trace.t ->
     Afs_sim.Engine.t ->
     Afs_core.Store.t ->

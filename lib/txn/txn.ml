@@ -100,6 +100,7 @@ module Remote = Afs_rpc.Remote
 module Trace = Afs_trace.Trace
 module Marker = Afs_cluster.Marker
 module Shard = Afs_cluster.Shard
+module Cluster = Afs_cluster.Cluster
 module CC = Afs_cluster.Cluster_client
 module Proc = Afs_sim.Proc
 open Errors
@@ -119,7 +120,6 @@ type failure =
 type t = {
   client : CC.t;
   trace : Trace.t;
-  counters : Stats.Counter.t;
   mutable next_seq : int;
   free : (int, (Capability.t * bytes) list) Hashtbl.t;
       (** Reusable coordinator records by shard id, each with the root
@@ -137,7 +137,8 @@ let backoff_ms = 5.0
    on dead coordinators. *)
 let wait_budget_ms = 1195.0
 
-let bump ?by t name = Stats.Counter.incr ?by t.counters name
+(* A coordinator keeps no counter table: it counts into its cluster's. *)
+let bump ?by t name = Stats.Counter.incr ?by (Cluster.counters (CC.cluster t.client)) name
 let rt ?(n = 1) t = bump ~by:n t "txn.round_trips"
 
 let create ?(trace = Trace.null) client =
@@ -145,7 +146,6 @@ let create ?(trace = Trace.null) client =
     {
       client;
       trace;
-      counters = Stats.Counter.create ();
       next_seq = 1;
       free = Hashtbl.create 8;
       round_trip = (fun () -> rt t);
@@ -153,7 +153,6 @@ let create ?(trace = Trace.null) client =
   in
   t
 
-let counters t = t.counters
 let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
 
 (* A numeric span label, built only when traced: a disabled trace drops it. *)
@@ -684,9 +683,7 @@ let exec_single t part =
           match waited t part.file image ~last with
           | Ok last -> go (tries + 1) last
           | Error e -> Error (Failed e))
-      | Error Conflict ->
-          bump t "txn.aborted.local";
-          Error (Local Conflict)
+      | Error Conflict -> Error (Local Conflict)
       | Error e -> Error (Failed e)
   in
   bump t "txn.fastpath";
@@ -788,7 +785,6 @@ let coordinated t ~on_record parts =
             | Ok (Aborted, value) ->
                 (* A contender force-aborted the record between our last
                    stage and the decide. *)
-                bump t "txn.aborted.cross";
                 unstage_all staged (pool value);
                 finish (Error (Cross Conflict))
             | Ok ((Pending | Superseded | Unknown_record), _) ->

@@ -38,7 +38,10 @@
     decision that could not reach the record, such a seal, or a deferred
     flip or unstage, it is never reused.
 
-    Must run inside a simulation process (everything is RPCs). *)
+    Must run inside a simulation process (everything is RPCs). A
+    coordinator keeps no counter table: it counts its [txn.*] figures
+    into its cluster's, {!Afs_cluster.Cluster.counters}, which lists
+    them. *)
 
 type op =
   | Read of Afs_util.Pagepath.t
@@ -168,18 +171,3 @@ val force_abort :
     seq stays pending. Answers the record's final word on the seq —
     [Committed] if the coordinator's decide won, [Superseded] if the
     record had already moved past it (and then nothing was written). *)
-
-(** {2 Accounting} *)
-
-val counters : t -> Afs_util.Stats.Counter.t
-(** [txn.committed], [txn.aborted.local], [txn.aborted.cross],
-    [txn.coordinated], [txn.fastpath], [txn.round_trips],
-    [txn.force_aborts], [txn.resolved.forward], [txn.resolved.back]
-    (markers a resolver flipped itself), [txn.in_doubt] (markers whose
-    outcome a waiter or {!sweep} learnt), [txn.record_reads] (requests
-    that learnt one: one per marker while waiters park),
-    [txn.flip_deferred], [txn.unstage_deferred], [txn.rollback_deferred],
-    [txn.stage_retries], [txn.seal_in_doubt] (rollbacks that leak their
-    record because a seal may have committed), [txn.records_created]
-    (coordinator record files created — reuse bounds it by the peak
-    number of transactions in flight per shard, plus one per failure). *)

@@ -277,7 +277,7 @@ let twopl ~remote backend ~pages_per_file ~retry_wait_ms =
   {
     name = "xdfs-2pl";
     exec;
-    stats = (fun () -> Twopl.stats backend);
+    stats = (fun () -> []);
     read_page = (fun file page -> Twopl.value backend ~obj:(obj file page));
   }
 
@@ -323,7 +323,7 @@ let tsorder ~remote backend ~pages_per_file =
   {
     name = "swallow-ts";
     exec;
-    stats = (fun () -> Tsorder.stats backend);
+    stats = (fun () -> []);
     read_page = (fun file page -> Tsorder.value backend ~obj:(obj file page));
   }
 
@@ -369,10 +369,12 @@ let afs_txn ?trace client ~files =
     in
     attempt 1
   in
-  let stats () =
-    Afs_util.Stats.Counter.to_list (Txn.counters txn) @ cluster_stats cluster ()
-  in
-  { name = "afs-occ-txn"; exec; stats; read_page = cluster_read_page cluster files }
+  {
+    name = "afs-occ-txn";
+    exec;
+    stats = cluster_stats cluster;
+    read_page = cluster_read_page cluster files;
+  }
 
 (* {2 Two-phase-commit baseline over the same cluster}
 

@@ -60,6 +60,9 @@ type t = {
           waiting/redo policy. Inside a simulation process this advances
           virtual time. *)
   stats : unit -> (string * int) list;
+      (** {!afs_remote}: its server's counters; the cluster backends:
+          the cluster's, then each shard server's prefixed
+          ["shard-<i>."]; the locking baselines keep none ([[]]). *)
   read_page : int -> int -> bytes;
       (** [read_page file page] outside any transaction, for invariant
           checks. *)

@@ -6,7 +6,8 @@ let bytes = Helpers.bytes
 let ok = Helpers.ok
 let path = Helpers.path
 
-let counter cl name = Afs_util.Stats.Counter.get (Client.counters cl) name
+(* A client counts into its server's table. *)
+let counter cl name = Afs_util.Stats.Counter.get (Server.counters (Client.server cl)) name
 
 let setup () =
   let _, srv = Helpers.fresh_server () in
@@ -21,8 +22,21 @@ let test_update_commits () =
          Client.Txn.write txn (path [ 0 ]) (bytes "updated")));
   let cur = ok (Server.current_version srv f) in
   Helpers.check_bytes "landed" "updated" (ok (Server.read_page srv cur (path [ 0 ])));
-  Alcotest.(check int) "one attempt" 1 (counter cl "txn.attempts");
-  Alcotest.(check int) "committed" 1 (counter cl "txn.committed")
+  Alcotest.(check int) "one attempt" 1 (counter cl "client.attempts");
+  Alcotest.(check int) "committed" 1 (counter cl "client.committed")
+
+(* Two clients of one server add into the server's table, under
+   [client.*] names. *)
+let test_clients_count_into_server () =
+  let srv, cl, f = setup () in
+  let other = Client.connect srv in
+  let get = Afs_util.Stats.Counter.get (Server.counters srv) in
+  let commits = get "commits.ok" in
+  ok (Client.update cl f (fun txn -> Client.Txn.write txn (path [ 0 ]) (bytes "a")));
+  ok (Client.update other f (fun txn -> Client.Txn.write txn (path [ 1 ]) (bytes "b")));
+  Alcotest.(check int) "attempts" 2 (get "client.attempts");
+  Alcotest.(check int) "committed" 2 (get "client.committed");
+  Alcotest.(check int) "beside the server's own" (commits + 2) (get "commits.ok")
 
 let test_update_returns_value () =
   let _, cl, f = setup () in
@@ -51,8 +65,8 @@ let test_update_redoes_on_conflict () =
            ok (Server.commit srv v)
          end;
          Client.Txn.write txn (path [ 0 ]) (Bytes.cat balance (bytes "+suffix"))));
-  Alcotest.(check int) "two attempts" 2 (counter cl "txn.attempts");
-  Alcotest.(check int) "one redo" 1 (counter cl "txn.redone");
+  Alcotest.(check int) "two attempts" 2 (counter cl "client.attempts");
+  Alcotest.(check int) "one redo" 1 (counter cl "client.redone");
   let cur = ok (Server.current_version srv f) in
   (* The redo re-read the interfering value, so the suffix applies to it. *)
   Helpers.check_bytes "redo saw fresh value" "interference+suffix"
@@ -74,7 +88,7 @@ let test_update_gives_up_after_retries () =
   | Error Errors.Conflict -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
   | Ok () -> Alcotest.fail "should have given up");
-  Alcotest.(check int) "three attempts" 3 (counter cl "txn.attempts")
+  Alcotest.(check int) "three attempts" 3 (counter cl "client.attempts")
 
 let test_body_error_aborts_version () =
   let srv, cl, f = setup () in
@@ -121,8 +135,8 @@ let test_read_cached_hits () =
   let second = ok (Client.read_cached cl f (path [ 1 ])) in
   Helpers.check_bytes "first" "p1" first;
   Helpers.check_bytes "second" "p1" second;
-  Alcotest.(check int) "one miss" 1 (counter cl "cache.misses");
-  Alcotest.(check int) "one hit" 1 (counter cl "cache.hits")
+  Alcotest.(check int) "one miss" 1 (counter cl "client.cache_misses");
+  Alcotest.(check int) "one hit" 1 (counter cl "client.cache_hits")
 
 let test_read_cached_sees_fresh_commits () =
   let _, cl, f = setup () in
@@ -136,7 +150,7 @@ let test_client_without_cache () =
   let cl = Client.connect ~use_cache:false srv in
   let f = Helpers.file_with_pages srv 2 in
   Helpers.check_bytes "direct read" "p0" (ok (Client.read_cached cl f (path [ 0 ])));
-  Alcotest.(check int) "no cache traffic" 0 (counter cl "cache.hits")
+  Alcotest.(check int) "no cache traffic" 0 (counter cl "client.cache_hits")
 
 let test_write_whole_file_fast_path () =
   let srv, cl, _ = setup () in
@@ -203,6 +217,7 @@ let () =
         [
           quick "commit" test_update_commits;
           quick "returns value" test_update_returns_value;
+          quick "counts land in the server" test_clients_count_into_server;
           quick "redo on conflict" test_update_redoes_on_conflict;
           quick "gives up after retries" test_update_gives_up_after_retries;
           quick "body error aborts" test_body_error_aborts_version;

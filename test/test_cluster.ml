@@ -581,10 +581,11 @@ let test_rebalancer_resolves_stale_loads () =
       (* A migration lands inside the load window: f0 moves to shard 1,
          but its 9 loads are recorded under the old capability. *)
       let f0' = ok (Migration.migrate cluster ~file:f0 ~dst:1) in
-      let migrations_before = Cluster.migrations cluster in
+      let migrations () = Stats.Counter.get (Cluster.counters cluster) "migrations" in
+      let migrations_before = migrations () in
       let reb = Rebalancer.create ~threshold:1.5 ~max_moves:2 cluster in
       let moved = Rebalancer.step reb in
-      let migrations_delta = Cluster.migrations cluster - migrations_before in
+      let migrations_delta = migrations () - migrations_before in
       (* Stale-cap loads follow the file: shard 1 is the hot one now, so
          the step migrates f0 back — a real migration, not a phantom. *)
       Alcotest.(check int) "every counted move is a real migration" moved migrations_delta;

@@ -99,14 +99,14 @@ let test_concurrent_enters_different_buckets_merge () =
   check_cap "bucket 1 entry" c1 (ok (Directory.lookup dir n1))
 
 let test_lookup_uses_cache () =
-  let srv, cl, dir = setup () in
+  let srv, _, dir = setup () in
   ok (Directory.enter dir "hot" (some_cap srv 1));
   let _ = ok (Directory.lookup dir "hot") in
-  let misses_before = Afs_util.Stats.Counter.get (Client.counters cl) "cache.misses" in
+  let misses_before = Afs_util.Stats.Counter.get (Server.counters srv) "client.cache_misses" in
   for _ = 1 to 5 do
     ignore (ok (Directory.lookup dir "hot"))
   done;
-  let misses_after = Afs_util.Stats.Counter.get (Client.counters cl) "cache.misses" in
+  let misses_after = Afs_util.Stats.Counter.get (Server.counters srv) "client.cache_misses" in
   Alcotest.(check int) "no further misses" misses_before misses_after
 
 let test_full_hierarchy_lookup () =

@@ -4,11 +4,17 @@ let quick = Helpers.quick
 let bytes = Helpers.bytes
 let ok = Helpers.ok
 
+let create ?cache ?capacity store =
+  Pagestore.create ?cache ?capacity ~counters:(Afs_util.Stats.Counter.create ()) store
+
 let fresh ?cache ?capacity () =
   let store = Store.memory ~block_size:1024 () in
-  (store, Pagestore.create ?cache ?capacity store)
+  (store, create ?cache ?capacity store)
 
-let counter ps name = Afs_util.Stats.Counter.get (Pagestore.counters ps) name
+(* A fresh page store and a reader of the table it counts into. *)
+let counted ?capacity ?(store = Store.memory ~block_size:1024 ()) () =
+  let counters = Afs_util.Stats.Counter.create () in
+  (store, Pagestore.create ?capacity ~counters store, Afs_util.Stats.Counter.get counters)
 
 let page_with_data s = Page.with_data Page.empty (bytes s)
 
@@ -156,7 +162,7 @@ let test_locks_pass_through () =
    only those: two pagestores share one store, as two servers do. *)
 let test_crash_frees_own_locks () =
   let store = Store.memory ~block_size:1024 () in
-  let crashed = Pagestore.create store and survivor = Pagestore.create store in
+  let crashed = create store and survivor = create store in
   let mine = ok (Pagestore.allocate crashed) and theirs = ok (Pagestore.allocate survivor) in
   Alcotest.(check bool) "crashed locks" true (Pagestore.lock crashed mine);
   Alcotest.(check bool) "survivor locks" true (Pagestore.lock survivor theirs);
@@ -167,14 +173,14 @@ let test_crash_frees_own_locks () =
 (* {2 Bounded capacity: eviction, write-back, pinning} *)
 
 let test_eviction_writes_back_dirty () =
-  let store, ps = fresh ~capacity:2 () in
+  let store, ps, counter = counted ~capacity:2 () in
   let blocks = List.init 4 (fun i -> (i, ok (Pagestore.allocate ps))) in
   List.iter
     (fun (i, b) -> ignore (ok (Pagestore.write ps b (page_with_data (Printf.sprintf "d%d" i)))))
     blocks;
   (* Capacity 2, four dirty inserts: two evictions, each written back. *)
-  Alcotest.(check int) "evictions" 2 (counter ps "cache.evictions");
-  Alcotest.(check int) "writebacks" 2 (counter ps "cache.writebacks");
+  Alcotest.(check int) "evictions" 2 (counter "cache.evictions");
+  Alcotest.(check int) "writebacks" 2 (counter "cache.writebacks");
   Alcotest.(check int) "dirty entries left" 2 (Pagestore.dirty_count ps);
   (* The evicted writes reached the store without any flush. *)
   let b0 = List.assoc 0 blocks in
@@ -185,22 +191,22 @@ let test_eviction_writes_back_dirty () =
   Alcotest.(check string) "write-back preserved data" "d0" (read_data ps b0)
 
 let test_eviction_order_is_lru () =
-  let _, ps = fresh ~capacity:2 () in
+  let _, ps, counter = counted ~capacity:2 () in
   let b0 = ok (Pagestore.allocate ps) in
   let b1 = ok (Pagestore.allocate ps) in
   let b2 = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write ps b0 (page_with_data "a")));
   ignore (ok (Pagestore.write ps b1 (page_with_data "b")));
   ignore (read_data ps b0) (* touch b0: b1 becomes the LRU *);
-  let m0 = counter ps "cache.misses" in
+  let m0 = counter "cache.misses" in
   ignore (ok (Pagestore.write ps b2 (page_with_data "c")));
   ignore (read_data ps b0);
-  Alcotest.(check int) "b0 still cached after b2 insert" m0 (counter ps "cache.misses");
+  Alcotest.(check int) "b0 still cached after b2 insert" m0 (counter "cache.misses");
   ignore (read_data ps b1);
-  Alcotest.(check int) "b1 was the evictee" (m0 + 1) (counter ps "cache.misses")
+  Alcotest.(check int) "b1 was the evictee" (m0 + 1) (counter "cache.misses")
 
 let test_locked_block_never_evicted () =
-  let _, ps = fresh ~capacity:1 () in
+  let _, ps, counter = counted ~capacity:1 () in
   let b0 = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write ps b0 (page_with_data "pinned")));
   Alcotest.(check bool) "lock" true (Pagestore.lock ps b0);
@@ -209,49 +215,49 @@ let test_locked_block_never_evicted () =
     let b = ok (Pagestore.allocate ps) in
     ignore (ok (Pagestore.write ps b (page_with_data (string_of_int i))))
   done;
-  let h0 = counter ps "cache.hits" in
+  let h0 = counter "cache.hits" in
   Alcotest.(check string) "pinned entry survived" "pinned" (read_data ps b0);
-  Alcotest.(check int) "served from cache" (h0 + 1) (counter ps "cache.hits");
+  Alcotest.(check int) "served from cache" (h0 + 1) (counter "cache.hits");
   Pagestore.unlock ps b0;
   (* Unpinned now: the next insert evicts it (write-back keeps the data). *)
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write ps b (page_with_data "x")));
-  let m0 = counter ps "cache.misses" in
+  let m0 = counter "cache.misses" in
   Alcotest.(check string) "data survives via write-back" "pinned" (read_data ps b0);
-  Alcotest.(check int) "read after unlock misses" (m0 + 1) (counter ps "cache.misses")
+  Alcotest.(check int) "read after unlock misses" (m0 + 1) (counter "cache.misses")
 
 let test_hit_miss_counters () =
-  let _, ps = fresh () in
+  let _, ps, counter = counted () in
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data "x")));
   Pagestore.refresh ps b;
   ignore (read_data ps b);
   ignore (read_data ps b);
-  Alcotest.(check int) "one miss" 1 (counter ps "cache.misses");
-  Alcotest.(check int) "one hit" 1 (counter ps "cache.hits")
+  Alcotest.(check int) "one miss" 1 (counter "cache.misses");
+  Alcotest.(check int) "one hit" 1 (counter "cache.hits")
 
 let test_flush_then_evict_no_second_write () =
-  let _, ps = fresh ~capacity:1 () in
+  let _, ps, counter = counted ~capacity:1 () in
   let b0 = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write ps b0 (page_with_data "v")));
   ignore (ok (Pagestore.flush ps));
   (* Clean after flush: evicting it must not write back again. *)
   let b1 = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write ps b1 (page_with_data "w")));
-  Alcotest.(check int) "no write-back of clean evictee" 0 (counter ps "cache.writebacks");
-  Alcotest.(check int) "evicted" 1 (counter ps "cache.evictions")
+  Alcotest.(check int) "no write-back of clean evictee" 0 (counter "cache.writebacks");
+  Alcotest.(check int) "evicted" 1 (counter "cache.evictions")
 
 (* A cache hit hands out the answer its entry keeps, so it allocates
    nothing. *)
 let test_hit_allocates_nothing () =
-  let _, ps = fresh () in
+  let _, ps, counter = counted () in
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write ps b (page_with_data "hot")));
   ignore (read_data ps b);
-  let hits = counter ps "cache.hits" in
+  let hits = counter "cache.hits" in
   let read () = match Pagestore.read ps b with Ok _ -> () | Error _ -> Alcotest.fail "read" in
   Alcotest.(check (float 0.)) "hit allocates no words" 0. (Helpers.minor_words_of read);
-  Alcotest.(check int) "it was a hit" (hits + 1) (counter ps "cache.hits");
+  Alcotest.(check int) "it was a hit" (hits + 1) (counter "cache.hits");
   Alcotest.(check bool) "the same answer each time" true
     (Pagestore.read ps b == Pagestore.read ps b);
   ignore (ok (Pagestore.write ps b (page_with_data "new")));
@@ -312,21 +318,21 @@ let test_faulted_page_rewrites_free () =
   Alcotest.(check int) "fault-in/flush-out costs zero encodes" 0 n
 
 let test_refresh_revalidates_in_place () =
-  let _, ps = fresh () in
+  let _, ps, counter = counted () in
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data "same")));
   let p0 = ok (Pagestore.read ps b) in
   Pagestore.refresh ps b;
-  let m0 = counter ps "cache.misses" in
+  let m0 = counter "cache.misses" in
   let p1 = ok (Pagestore.read ps b) in
   (* The store image is unchanged, so revalidation must reuse the decoded
      page (physically: the memo comparison short-circuits the decode) while
      still accounting the store round trip as a miss. *)
   Alcotest.(check bool) "same decoded page reused" true (p0 == p1);
-  Alcotest.(check int) "revalidation counts as a miss" (m0 + 1) (counter ps "cache.misses");
-  let h0 = counter ps "cache.hits" in
+  Alcotest.(check int) "revalidation counts as a miss" (m0 + 1) (counter "cache.misses");
+  let h0 = counter "cache.hits" in
   ignore (ok (Pagestore.read ps b));
-  Alcotest.(check int) "entry is fresh again" (h0 + 1) (counter ps "cache.hits")
+  Alcotest.(check int) "entry is fresh again" (h0 + 1) (counter "cache.hits")
 
 (* {2 Property: cached reads ≡ decode-from-image, under random eviction} *)
 
@@ -354,7 +360,7 @@ let prop_cache_reads_equal_model =
     Gen.(list_size (int_range 1 60) op_gen)
     (fun ops ->
       let store = Store.memory ~block_size:1024 () in
-      let ps = Pagestore.create ~capacity:2 store in
+      let ps = create ~capacity:2 store in
       let blocks = Array.init nblocks (fun _ -> ok (Pagestore.allocate ps)) in
       let model = Array.make nblocks None in
       (* Seed every block so reads are always defined. *)
@@ -412,7 +418,7 @@ let prop_cache_reads_equal_model =
    refresh a block before re-reading it: marking it stale, or leaving a
    dirty or uncached block alone, allocates nothing. *)
 let test_refresh_allocates_nothing () =
-  let _, ps = fresh () in
+  let _, ps, counter = counted () in
   let clean = ok (Pagestore.allocate ps) and dirty = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps clean (page_with_data "clean")));
   ignore (ok (Pagestore.write ps dirty (page_with_data "dirty")));
@@ -422,9 +428,9 @@ let test_refresh_allocates_nothing () =
       let words = Helpers.minor_words_of (fun () -> Pagestore.refresh ps b) in
       if words > 0. then Alcotest.failf "refresh of a %s block allocates %.0f words" what words)
     [ ("clean", clean); ("dirty", dirty); ("uncached", uncached) ];
-  let misses = counter ps "cache.misses" in
+  let misses = counter "cache.misses" in
   Alcotest.(check string) "the clean block is re-read" "clean" (read_data ps clean);
-  Alcotest.(check int) "as a revalidation" (misses + 1) (counter ps "cache.misses");
+  Alcotest.(check int) "as a revalidation" (misses + 1) (counter "cache.misses");
   Alcotest.(check string) "the dirty block kept its write" "dirty" (read_data ps dirty)
 
 (* {2 Shared images}
@@ -445,7 +451,7 @@ let test_memory_read_shares_image () =
   if words > 2. then Alcotest.failf "memory read allocates %.0f words (want its Ok, 2)" words
 
 let test_revalidate_allocates_only_answer () =
-  let ps = Pagestore.create (Store.memory ()) in
+  let _, ps, counter = counted ~store:(Store.memory ()) () in
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data (String.make 1024 'r'))));
   let revalidate () = ignore (Sys.opaque_identity (Pagestore.read ps b)) in
@@ -453,7 +459,7 @@ let test_revalidate_allocates_only_answer () =
   revalidate ();
   Pagestore.refresh ps b;
   let words = Helpers.minor_words_of revalidate in
-  Alcotest.(check int) "both re-reads revalidated" 2 (counter ps "cache.misses");
+  Alcotest.(check int) "both re-reads revalidated" 2 (counter "cache.misses");
   if words > 2. then
     Alcotest.failf "revalidating a 1 KiB page allocates %.0f words (want the store's Ok, 2)" words
 
@@ -469,7 +475,7 @@ let test_stable_pair_revalidation_shares_image () =
     Afs_stable.Stable_pair.create ~media:Afs_disk.Media.electronic ~blocks:64 ~block_size:2048 ()
   in
   let store = Store.of_stable_pair pair in
-  let ps = Pagestore.create store in
+  let ps = create store in
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data (String.make 1024 's'))));
   let stored () = Helpers.ok_str (store.Store.read b) in
@@ -483,7 +489,7 @@ let test_stable_pair_revalidation_shares_image () =
   let words = Helpers.minor_words_of (reread ps) in
   if words > 16. then
     Alcotest.failf "revalidating a 1 KiB stable page allocates %.0f words (want at most 16)" words;
-  let cold = Pagestore.create store in
+  let cold = create store in
   let faulted = ok (Pagestore.read cold b) in
   Alcotest.(check bool) "a faulted-in page's memo is the stored image" true
     (memo cold == stored ());

@@ -41,9 +41,10 @@ let digest store =
    byte-identical. *)
 let test_ship_apply_watermarks () =
   in_sim (fun engine ->
-      let source = Replica.Source.create engine (Store.memory ()) in
+      let counters = Stats.Counter.create () in
+      let source = Replica.Source.create ~counters engine (Store.memory ()) in
       let reg = Replica.Source.register source in
-      let r = Replica.create engine ~shard:0 ~reg () in
+      let r = Replica.create ~counters engine ~shard:0 ~reg () in
       Replica.Source.attach source r;
       let server =
         Server.create ~publish_tap:(Replica.Source.tap source)
@@ -82,9 +83,10 @@ let test_replica_on_stable_pair () =
           (Afs_stable.Stable_pair.create ~seed:11 ~media:Afs_disk.Media.electronic
              ~blocks:512 ~block_size:32768 ())
       in
-      let source = Replica.Source.create engine (pair_store ()) in
+      let counters = Stats.Counter.create () in
+      let source = Replica.Source.create ~counters engine (pair_store ()) in
       let reg = Replica.Source.register source in
-      let r = Replica.create ~store:(pair_store ()) engine ~shard:0 ~reg () in
+      let r = Replica.create ~counters ~store:(pair_store ()) engine ~shard:0 ~reg () in
       Replica.Source.attach source r;
       let server =
         Server.create ~publish_tap:(Replica.Source.tap source)
@@ -114,9 +116,10 @@ let test_publish_ships_once () =
   in_sim (fun engine ->
       let primary, primary_io = Store.counting (Store.memory ()) in
       let replica, replica_io = Store.counting (Store.memory ()) in
-      let source = Replica.Source.create engine primary in
+      let counters = Stats.Counter.create () in
+      let source = Replica.Source.create ~counters engine primary in
       let reg = Replica.Source.register source in
-      let r = Replica.create ~store:replica engine ~shard:0 ~reg () in
+      let r = Replica.create ~counters ~store:replica engine ~shard:0 ~reg () in
       Replica.Source.attach source r;
       let server =
         Server.create ~publish_tap:(Replica.Source.tap source)
@@ -317,10 +320,11 @@ let test_fencing_deposed_primary_aborts () =
    with Conflict and moves nothing. *)
 let test_stale_promotion_loses () =
   in_sim (fun engine ->
-      let source = Replica.Source.create engine (Store.memory ()) in
+      let counters = Stats.Counter.create () in
+      let source = Replica.Source.create ~counters engine (Store.memory ()) in
       let reg = Replica.Source.register source in
-      let r1 = Replica.create engine ~shard:0 ~reg () in
-      let r2 = Replica.create engine ~shard:0 ~reg () in
+      let r1 = Replica.create ~counters engine ~shard:0 ~reg () in
+      let r2 = Replica.create ~counters engine ~shard:0 ~reg () in
       Replica.Source.attach source r1;
       Replica.Source.attach source r2;
       ok (Replica.promote r1 ~expected_epoch:0);
@@ -526,9 +530,10 @@ let test_rpc_promote () =
   in_sim (fun engine ->
       let tr = Trace.ring ~now:(fun () -> Engine.now engine) () in
       Engine.set_trace engine tr;
-      let source = Replica.Source.create engine (Store.memory ()) in
+      let counters = Stats.Counter.create () in
+      let source = Replica.Source.create ~counters engine (Store.memory ()) in
       let reg = Replica.Source.register source in
-      let r = Replica.create engine ~shard:0 ~reg () in
+      let r = Replica.create ~counters engine ~shard:0 ~reg () in
       Replica.Source.attach source r;
       let server =
         Server.create ~publish_tap:(Replica.Source.tap source)

@@ -49,6 +49,9 @@ let in_faulty_cluster ?(latency_ms = 1.0) ~shards body =
 
 let in_cluster ?latency_ms ~shards body = in_faulty_cluster ?latency_ms ~shards (fun _ -> body)
 
+(* Every coordinator over a cluster counts into the cluster's table. *)
+let count cluster name = Afs_util.Stats.Counter.get (Cluster.counters cluster) name
+
 (* A coordinator whose events key kills on [faults]. *)
 let killable faults client = Txn.create ~trace:(Faults.tap faults) client
 
@@ -329,14 +332,13 @@ let test_cross_shard_commit () =
         accts)
 
 let test_single_part_fast_path () =
-  in_cluster ~shards:2 (fun _cluster client ->
+  in_cluster ~shards:2 (fun cluster client ->
       let accts = setup_accounts client 1 100 in
       let txn = Txn.create client in
       ok_txn (Txn.exec txn [ { Txn.file = accts.(0); ops = [ credit 5 ] } ]);
       Alcotest.(check int) "applied" 105 (read_balance client accts.(0));
-      let get = Afs_util.Stats.Counter.get (Txn.counters txn) in
-      Alcotest.(check int) "took the fast path" 1 (get "txn.fastpath");
-      Alcotest.(check int) "no coordinator" 0 (get "txn.coordinated"))
+      Alcotest.(check int) "took the fast path" 1 (count cluster "txn.fastpath");
+      Alcotest.(check int) "no coordinator" 0 (count cluster "txn.coordinated"))
 
 (* A fully staged transaction and a plain optimistic update colliding:
    whoever commits second must lose, in this order the plain update —
@@ -668,14 +670,14 @@ let test_batch_on_tombstone_moved () =
 
 (* {2 Record reuse} *)
 
-let created txn = Afs_util.Stats.Counter.get (Txn.counters txn) "txn.records_created"
+let created cluster = count cluster "txn.records_created"
 
 (* Sequential transfers through one coordinator keep reusing the record
    on their last participant's shard: at most one file per shard, and
    each outcome is exactly the committed outcome of its own seq until the
    next transaction on that record supersedes it. *)
 let test_records_reused () =
-  in_cluster ~shards:2 (fun _cluster client ->
+  in_cluster ~shards:2 (fun cluster client ->
       let accts = setup_accounts client 4 100 in
       let txn = Txn.create client in
       let rng = Xrng.create 3 in
@@ -694,7 +696,7 @@ let test_records_reused () =
               Alcotest.failf "transfer %d does not audit committed" seq;
             decided := (r, seq) :: !decided
       done;
-      Alcotest.(check bool) "at most one record per shard" true (created txn <= 2);
+      Alcotest.(check bool) "at most one record per shard" true (created cluster <= 2);
       Alcotest.(check int) "money conserved" 400
         (Array.fold_left (fun acc f -> acc + read_balance client f) 0 accts);
       (* Every earlier transaction on a record now reads as superseded. *)
@@ -724,7 +726,7 @@ let test_migrated_record_decides () =
       let copy = ok (Migration.migrate cluster ~file:record ~dst:(1 - Shard.id home)) in
       let reused, seq = run 20 in
       Alcotest.(check bool) "the pooled record reused" true (Capability.equal reused record);
-      Alcotest.(check int) "no record created" 1 (created txn);
+      Alcotest.(check int) "no record created" 1 (created cluster);
       Alcotest.(check bool)
         "decided at the copy" true
         (ok (Txn.record_decision txn copy ~seq) = Txn.Committed);
@@ -789,7 +791,7 @@ let test_collector_race () =
           (fun () -> ok_txn (Txn.exec txn (transfer accts 0 1 5)));
           (fun () -> ok_txn (Txn.exec txn (transfer accts 2 3 5)));
         ];
-      Alcotest.(check int) "two records created" 2 (created txn);
+      Alcotest.(check int) "two records created" 2 (created cluster);
       let leaked = ref None in
       exec_killed faults ~at:(mid_flip 0)
         ~on_record:(fun r seq -> leaked := Some (r, seq))
@@ -804,7 +806,7 @@ let test_collector_race () =
           (fun () -> ok_txn (Txn.exec txn (transfer accts 1 0 7)));
           (fun () -> ignore (ok (Txn.sweep sweeper (Array.to_list accts)) : int));
         ];
-      Alcotest.(check int) "the pooled record served" 2 (created txn);
+      Alcotest.(check int) "the pooled record served" 2 (created cluster);
       Array.iter
         (fun f ->
           match Batch_ops.read_current client f P.root with
@@ -861,8 +863,7 @@ let test_seal_in_doubt () =
       | Error (Txn.Failed (Errors.Store_failure _)) -> ()
       | Ok () -> Alcotest.fail "the lost acknowledgement never fired"
       | Error _ -> Alcotest.fail "expected the seal's store failure");
-      let get = Afs_util.Stats.Counter.get (Txn.counters txn) in
-      Alcotest.(check int) "seal in doubt" 1 (get "txn.seal_in_doubt");
+      Alcotest.(check int) "seal in doubt" 1 (count cluster "txn.seal_in_doubt");
       List.iter
         (fun shard ->
           Shard.crash shard;
@@ -884,7 +885,7 @@ let test_seal_in_doubt () =
           | Ok root -> if is_staged root then Alcotest.fail "a marker survived"
           | Error e -> Alcotest.failf "unreadable: %s" (Errors.to_string e))
         accts;
-      Alcotest.(check int) "the in-doubt record was not reused" 2 (created txn);
+      Alcotest.(check int) "the in-doubt record was not reused" 2 (created cluster);
       Alcotest.(check (list int)) "balances" [ 100; 100; 93; 107 ]
         (Array.to_list (Array.map (read_balance client) accts));
       match !doomed with
@@ -919,7 +920,7 @@ let test_oversized_seal () =
             (List.length (ok (Server.uncommitted_versions (Shard.server shard) f))))
         accts;
       ok_txn (Txn.exec txn (transfer accts 0 1 5));
-      Alcotest.(check int) "the record was reused" 1 (created txn);
+      Alcotest.(check int) "the record was reused" 1 (created cluster);
       Alcotest.(check (list int)) "balances" [ 95; 105 ]
         (Array.to_list (Array.map (read_balance client) accts)))
 
@@ -1057,9 +1058,15 @@ let test_await_budget_force_aborts () =
       let accts = setup_accounts client 2 100 in
       let staged, (record, seq) = dead_coordinator (Faults.create cluster) client accts in
       let waiter = Txn.create client in
+      (* The dead coordinator counted into the same table: take the
+         waiter's figures as deltas. *)
+      let before =
+        List.map (fun n -> (n, count cluster n))
+          [ "txn.record_reads"; "txn.force_aborts"; "txn.resolved.back" ]
+      in
       let t0 = Engine.now engine in
       ok_txn (Txn.exec waiter [ { Txn.file = accts.(staged); ops = [ credit 1 ] } ]);
-      let get = Afs_util.Stats.Counter.get (Txn.counters waiter) in
+      let get name = count cluster name - List.assoc name before in
       Alcotest.(check bool) "waited out the budget" true (Engine.now engine -. t0 >= 1195.0);
       Alcotest.(check int) "one record read" 1 (get "txn.record_reads");
       Alcotest.(check int) "one force-abort" 1 (get "txn.force_aborts");
@@ -1150,6 +1157,8 @@ let afs_txn_run seed =
     { Driver.default_config with clients = 8; duration_ms = 600.0; think_ms = 2.0; seed }
   in
   let report = Driver.run engine config sut ~gen:(Workload.transfer tshape) in
+  (* Before the sweep, whose coordinator counts into the same table. *)
+  let stats = sut.Sut.stats () in
   let swept = ref 0 in
   ignore
     (Proc.spawn engine (fun () -> swept := ok (Txn.sweep (Txn.create client) (Array.to_list files)))
@@ -1158,7 +1167,7 @@ let afs_txn_run seed =
   let balances =
     List.init tshape.Workload.accounts (fun i -> Bytes.to_string (sut.Sut.read_page i 0))
   in
-  (report.Driver.committed, sut.Sut.stats (), balances, !swept)
+  (report.Driver.committed, stats, balances, !swept)
 
 let test_afs_txn_deterministic () =
   let committed, stats, balances, swept = afs_txn_run 5 in
@@ -1171,6 +1180,38 @@ let test_afs_txn_deterministic () =
   Alcotest.(check (list (pair string int))) "stats" stats stats';
   Alcotest.(check (list string)) "balances" balances balances';
   Alcotest.(check int) "swept" swept swept'
+
+(* {2 Counters}
+
+   Every coordinator over a cluster counts into the cluster's one table,
+   and [Sut.afs_txn] reports that table. *)
+
+let test_coordinators_share_counters () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let accts = setup_accounts client 2 100 in
+      ok_txn (Txn.exec (Txn.create client) (transfer accts 0 1 10));
+      ok_txn (Txn.exec (Txn.create client) (transfer accts 1 0 3));
+      Alcotest.(check int) "both commits in one figure" 2 (count cluster "txn.committed");
+      Alcotest.(check int) "both coordinated" 2 (count cluster "txn.coordinated"))
+
+let test_afs_txn_stats_are_the_cluster_table () =
+  in_cluster ~shards:2 (fun cluster client ->
+      let open Afs_workload in
+      let files = setup_accounts client 2 100 in
+      let sut = Sut.afs_txn client ~files in
+      let part file = (file, [ Sut.Rmw (0, money 1) ]) in
+      let spec = { Sut.file = 0; ops = []; parts = [ part 0; part 1 ] } in
+      Alcotest.(check bool) "committed" true (sut.Sut.exec spec ~max_retries:4).Sut.committed;
+      let txn_names =
+        List.filter (String.starts_with ~prefix:"txn.") (List.map fst (sut.Sut.stats ()))
+      in
+      Alcotest.(check bool) "txn.committed listed" true (List.mem "txn.committed" txn_names);
+      Alcotest.(check (list string)) "each txn.* name once" (List.sort_uniq compare txn_names)
+        txn_names;
+      List.iter
+        (fun name ->
+          Alcotest.(check int) name (count cluster name) (List.assoc name (sut.Sut.stats ())))
+        txn_names)
 
 (* {2 The 2PC baseline: Server.prepare and the host's parked answers} *)
 
@@ -1498,6 +1539,8 @@ let () =
           quick "a marked opening opens nothing" test_marked_open_opens_nothing;
           quick "a shard crash fails a held await" test_crash_fails_await;
           quick "afs_txn is deterministic per seed" test_afs_txn_deterministic;
+          quick "coordinators share the cluster's counters" test_coordinators_share_counters;
+          quick "afs_txn's stats are the cluster's table" test_afs_txn_stats_are_the_cluster_table;
         ] );
       ("trace", [ quick "decide/stage span oracle, deterministic" test_trace_oracle ]);
       ( "twopc",
