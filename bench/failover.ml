@@ -72,9 +72,8 @@ let r1 () =
      still read — from the promoted store — as a page with its commit
      reference set. *)
   let promoted_store =
-    match Cluster.replication_source cluster kill_shard with
-    | Some src -> Replica.Source.inner_store src
-    | None -> failwith "promoted shard has no source"
+    Afs_core.Pagestore.store
+      (Afs_core.Server.pagestore (Afs_cluster.Shard.server (Cluster.shard cluster kill_shard)))
   in
   let killed_name = Printf.sprintf "shard-%d" kill_shard in
   let won_before_kill = ref 0 and lost = ref 0 in

@@ -139,28 +139,27 @@ let report_failover (k, faults) =
         at_ms)
     (Afs_cluster.Faults.fired faults)
 
-(* Per-member replication columns: role, epoch, watermarks, lag. *)
-let replication_report cluster =
+(* Per-member replication columns: role, epoch, watermarks, lag. A
+   primary promoted with no sibling replica left ships to nobody, so it
+   has no source and shows dashes. *)
+let replication_report ~replicas cluster =
   let module Cluster = Afs_cluster.Cluster in
   let module Replica = Afs_replica.Replica in
   let module H = Afs_util.Stats.Histogram in
-  let any = ref false in
-  for i = 0 to Cluster.nshards cluster - 1 do
-    if Cluster.replication_source cluster i <> None then any := true
-  done;
-  if !any then begin
+  if replicas > 0 then begin
     Printf.printf "\n%-12s %-8s %6s %8s %8s %5s %9s %9s\n" "member" "role" "epoch"
       "shipped" "applied" "lag" "lag-p50" "lag-p95";
     for i = 0 to Cluster.nshards cluster - 1 do
-      (match Cluster.replication_source cluster i with
-      | None -> ()
-      | Some src ->
-          Printf.printf "%-12s %-8s %6d %8d %8s %5s %9s %9s\n"
-            (Printf.sprintf "shard-%d" i)
-            "primary"
-            (Replica.Source.born_epoch src)
-            (Replica.Source.shipped_seq src)
-            "-" "-" "-" "-");
+      let epoch, shipped =
+        match Cluster.replication_source cluster i with
+        | None -> ("-", "-")
+        | Some src ->
+            ( string_of_int (Replica.Source.born_epoch src),
+              string_of_int (Replica.Source.shipped_seq src) )
+      in
+      Printf.printf "%-12s %-8s %6s %8s %8s %5s %9s %9s\n"
+        (Printf.sprintf "shard-%d" i)
+        "primary" epoch shipped "-" "-" "-" "-";
       List.iteri
         (fun j r ->
           let lagh = Replica.lag_histogram r in
@@ -338,7 +337,7 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
           members batches
       else Printf.printf "group commit: off (window %d)\n" group_commit);
   (match !cluster_ref with
-  | Some cluster -> replication_report cluster
+  | Some cluster -> replication_report ~replicas cluster
   | None -> ());
   close_trace_sink trace_sink
 
@@ -393,7 +392,7 @@ let cluster_demo shards replicas clients duration_s think_ms nfiles theta rebala
     "\nmigrations: %d done, %d lost races; rebalancer moves: %d; forwards learned: %d\n"
     (get "migrations") (get "migrations.conflict") (get "rebalancer.moves")
     (get "client.forwarded");
-  replication_report cluster;
+  replication_report ~replicas cluster;
   close_trace_sink trace_sink
 
 (* {2 trace} *)

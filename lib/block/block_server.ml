@@ -21,8 +21,6 @@ let pp_error ppf = function
 
 type 'a outcome = { result : ('a, error) result; cost_ms : float }
 
-type allocation_policy = Sequential | Randomised of Afs_util.Xrng.t
-
 (* The server's own CPU/queueing cost per request, on top of disk time. *)
 let request_overhead_ms = 0.1
 
@@ -30,7 +28,6 @@ module Trace = Afs_trace.Trace
 
 type t = {
   disk : Disk.t;
-  policy : allocation_policy;
   owners : (int, account) Hashtbl.t;
   locks : (int, account) Hashtbl.t;
   mutable free_count : int;
@@ -38,10 +35,9 @@ type t = {
   trace : Trace.t;
 }
 
-let create ?(policy = Sequential) ?(trace = Trace.null) ~disk () =
+let create ?(trace = Trace.null) ~disk () =
   {
     disk;
-    policy;
     owners = Hashtbl.create 1024;
     locks = Hashtbl.create 64;
     free_count = Disk.block_count disk;
@@ -58,7 +54,7 @@ let fail ?(cost = request_overhead_ms) e = { result = Error e; cost_ms = cost }
 
 let is_free t b = not (Hashtbl.mem t.owners b)
 
-let find_free_sequential t =
+let find_free t =
   let n = Disk.block_count t.disk in
   let rec scan tried b =
     if tried >= n then None
@@ -67,27 +63,10 @@ let find_free_sequential t =
   in
   scan 0 t.next_hint
 
-let find_free_random t rng =
-  let n = Disk.block_count t.disk in
-  (* A few random probes, then fall back to a scan: keeps allocation O(1)
-     while the disk is mostly empty, which is when collisions matter. *)
-  let rec probe attempts =
-    if attempts = 0 then find_free_sequential t
-    else
-      let b = Afs_util.Xrng.int rng n in
-      if is_free t b then Some b else probe (attempts - 1)
-  in
-  probe 8
-
 let allocate t account =
   if t.free_count = 0 then fail No_free_blocks
   else
-    let candidate =
-      match t.policy with
-      | Sequential -> find_free_sequential t
-      | Randomised rng -> find_free_random t rng
-    in
-    match candidate with
+    match find_free t with
     | None -> fail No_free_blocks
     | Some b ->
         Hashtbl.replace t.owners b account;

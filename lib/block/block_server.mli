@@ -28,21 +28,17 @@ val pp_error : error Fmt.t
 
 type 'a outcome = { result : ('a, error) result; cost_ms : float }
 
-type allocation_policy =
-  | Sequential  (** Lowest free block first: deterministic, collision-free. *)
-  | Randomised of Afs_util.Xrng.t
-      (** Uniform over free blocks: models independent servers choosing
-          addresses, so stable-storage allocate collisions (§4) can occur. *)
-
-val create :
-  ?policy:allocation_policy -> ?trace:Afs_trace.Trace.t -> disk:Afs_disk.Disk.t -> unit -> t
+val create : ?trace:Afs_trace.Trace.t -> disk:Afs_disk.Disk.t -> unit -> t
 
 val disk : t -> Afs_disk.Disk.t
 val block_size : t -> int
 val allocated_blocks : t -> int
 
 val allocate : t -> account -> int outcome
-(** Reserve a block for the account; no disk traffic until first write. *)
+(** Reserve a block for the account; no disk traffic until first write.
+    The first free block at or after the last one allocated, wrapping:
+    deterministic. The stable pair draws its own addresses
+    ([Stable_pair.tentative_allocate]). *)
 
 val deallocate : t -> account -> int -> unit outcome
 (** Free the block and erase its contents (no-op erase on write-once

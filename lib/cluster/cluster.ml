@@ -21,10 +21,10 @@ type load = { cap : Capability.t; mutable count : int }
 
 (* The replication plane of one shard: the primary-side source feeding
    [members] directly, each hosted behind its own RPC endpoint, which
-   serves the promotion. *)
+   serves the promotion. A shard with no replica has none ([None]). *)
 type replication = {
-  mutable source : Replica.Source.source;
-  mutable members : (Replica.t * (int, int Errors.r) Rpc.t) list;
+  source : Replica.Source.source;
+  members : (Replica.t * (int, int Errors.r) Rpc.t) list;
 }
 
 type t = {
@@ -158,7 +158,8 @@ type promotion = { epoch : int; watermark : int; recovered_files : int }
    The sequence is the paper's commit discipline applied to the shard:
    the promotion request test-and-sets the shared epoch register and
    drains the replica's queue; sibling replicas catch up and re-home onto
-   the promoted store's new source; a server is rebuilt over that store
+   the promoted store's new source (a shard with no sibling left gets no
+   source at all); a server is rebuilt over that store
    with the shard's original seed — same secret, same port — so every
    outstanding capability stays valid and the router's port table needs
    no change. The deposed primary, if still running, keeps its old
@@ -177,15 +178,24 @@ let promote t i =
       | Ok (Ok applied) -> (
           let epoch = Replica.epoch r in
           List.iter (fun (s, _) -> Replica.adopt s ~epoch) siblings;
-          let source =
-            Replica.Source.create
-              ~reg:(Replica.Source.register repl.source)
-              ~seq:(Replica.shipped_seq r) ~counters:t.counters ?trace:t.trace
-              t.engine (Replica.store r)
+          (* With no sibling left, a source's batches would reach nobody:
+             the shard then runs over the replica's store itself. *)
+          let replication, store, shard =
+            match siblings with
+            | [] -> (None, Replica.store r, t.build i (Replica.store r))
+            | _ :: _ ->
+                let source =
+                  Replica.Source.create
+                    ~reg:(Replica.Source.register repl.source)
+                    ~seq:(Replica.shipped_seq r) ~counters:t.counters ?trace:t.trace
+                    t.engine (Replica.store r)
+                in
+                List.iter (fun (s, _) -> Replica.Source.attach source s) siblings;
+                let store = Replica.Source.capture_store source in
+                ( Some { source; members = siblings },
+                  store,
+                  t.build i ~publish_tap:(Replica.Source.tap source) store )
           in
-          List.iter (fun (s, _) -> Replica.Source.attach source s) siblings;
-          let store = Replica.Source.capture_store source in
-          let shard = t.build i ~publish_tap:(Replica.Source.tap source) store in
           let recovered =
             match store.Store.list_blocks () with
             | Error msg -> Error (Errors.Store_failure msg)
@@ -196,7 +206,6 @@ let promote t i =
           | Ok recovered_files ->
               t.shards.(i) <- shard;
               t.conns.(i) <- Remote.connect [ Shard.host shard ];
-              repl.source <- source;
-              repl.members <- siblings;
+              t.replication.(i) <- replication;
               Stats.Counter.incr t.counters "promotions";
               Ok { epoch; watermark = applied; recovered_files }))

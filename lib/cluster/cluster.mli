@@ -58,8 +58,9 @@ val counters : t -> Afs_util.Stats.Counter.t
     [promotions] ({!promote}); [replica.shipped], [replica.fenced] (each
     shard's source, per cut and per refused publish), [replica.applied]
     (its replicas, per batch); and what every {!Afs_txn.Txn}
-    coordinator over the cluster adds into: [txn.committed],
-    [txn.coordinated], [txn.fastpath], [txn.round_trips],
+    coordinator over the cluster adds into: [txn.committed] (each
+    {!Afs_txn.Txn.exec} that committed), [txn.coordinated], [txn.round_trips]
+    (coordinator messages; a single-file update sends none),
     [txn.stage_retries], [txn.force_aborts], [txn.resolved.forward] and
     [txn.resolved.back] (markers a resolver flipped itself),
     [txn.in_doubt] (markers whose outcome a waiter or sweep learnt),
@@ -99,7 +100,8 @@ val replicas_of : t -> int -> Afs_replica.Replica.t list
 (** Shard [i]'s replicas in promotion order ([[]] when unreplicated). *)
 
 val replication_source : t -> int -> Afs_replica.Replica.Source.source option
-(** Shard [i]'s primary-side commit-stream source. *)
+(** Shard [i]'s primary-side commit-stream source: [None] when the shard
+    has no replica, including after a {!promote} that left none. *)
 
 val flush_replication : t -> unit
 (** Cut every source's captured-but-unshipped operations and drain every
@@ -112,8 +114,10 @@ val promote : t -> int -> promotion Afs_core.Errors.r
 (** Fail shard [i] over to its first replica; must run inside a
     simulation process. Test-and-sets the shared epoch register via the
     replica's RPC endpoint (losing with [Conflict] if the epoch already
-    moved), drains the replica, re-homes the sibling replicas, builds the
-    shard over the promoted store exactly as {!create} built it — the
+    moved), drains the replica, re-homes the sibling replicas onto a new
+    source, builds the shard over the promoted store exactly as {!create}
+    built it (over the store itself, with no source, when no sibling is
+    left to feed) — the
     {e same} seed, so the same secret and port, and outstanding
     capabilities and the router's port table stay valid — recovers its
     server from that store's blocks and replaces {!conn}'s connection to

@@ -11,10 +11,6 @@ let unexpected = Error (Errors.Store_failure "migrate: unexpected batch answer")
 (* Each copy step is one [Version] batch of one step on the version. *)
 let apply conn version s = Result.map ignore (Remote.on_version conn version [ s ])
 
-(* The abort's answer is never a forward to chase ([Remote.on_version]). *)
-let abandon conn version =
-  match Remote.on_version conn version [ Remote.Abort ] with Ok _ | Error _ -> ()
-
 (* Read the whole tree through the migration's own private version, one
    [Read; Info] batch per page. The snapshot is internally consistent
    because the version is a copy-on-write view; it is kept *fresh* by the
@@ -95,12 +91,12 @@ let attempt cluster client ~dst file =
         let* v = Shard.open_version src file in
         match snapshot src v Pagepath.root with
         | Error e ->
-            abandon src v;
+            Remote.abandon src v;
             Error e
         | Ok tree -> (
             match copy_to dstc tree with
             | Error e ->
-                abandon src v;
+                Remote.abandon src v;
                 Error e
             | Ok nf -> (
                 match flip src v tree nf with
@@ -119,7 +115,7 @@ let attempt cluster client ~dst file =
                     Ok (Error Errors.Conflict)
                 | Error e ->
                     ignore (Remote.destroy_file dstc nf);
-                    abandon src v;
+                    Remote.abandon src v;
                     Error e)))
 
 let migrate ?(retries = 8) cluster ~file ~dst =

@@ -155,7 +155,6 @@ let adopt r ~epoch =
 module Source = struct
   type source = {
     engine : Engine.t;
-    inner : Store.t;
     capture : Store.t;
     reg : register;
     born_epoch : int;  (** The register epoch when this source was primary. *)
@@ -210,7 +209,6 @@ module Source = struct
     in
     {
       engine;
-      inner = store;
       capture;
       reg;
       born_epoch = reg.epoch;
@@ -222,7 +220,6 @@ module Source = struct
     }
 
   let capture_store s = s.capture
-  let inner_store s = s.inner
   let register s = s.reg
   let born_epoch s = s.born_epoch
   let shipped_seq s = s.seq

@@ -109,7 +109,6 @@ module Source : sig
       next cut. A [write_batch] is not: the publish leg is its only
       caller, and {!tap} has already cut those pages and references. *)
 
-  val inner_store : source -> Afs_core.Store.t
   val register : source -> register
   val born_epoch : source -> int
   val shipped_seq : source -> int

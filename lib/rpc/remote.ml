@@ -438,6 +438,11 @@ let on_version conn version steps =
   | Ok (Guard_failed _ | Reopened _ | Marked _) -> type_error
   | Error e -> Error e
 
+(* The answer is never a forward to chase: a [Version] batch passes a
+   cluster wrapper unchecked. *)
+let abandon conn version =
+  match on_version conn version [ Abort ] with Ok _ | Error _ -> ()
+
 let await conn file ~until ~budget_ms = as_data (call conn (Await { file; until; budget_ms }))
 let prepare conn version = as_unit (call conn (Prepare version))
 let decide conn version ~commit = as_unit (call conn (Decide { version; commit }))

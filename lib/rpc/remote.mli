@@ -202,6 +202,10 @@ val on_version :
     A [Version] batch passes a cluster wrapper unchecked, so it never
     answers [Moved]. *)
 
+val abandon : conn -> Afs_util.Capability.t -> unit
+(** Abort a version the caller holds, in one message, and ignore the
+    answer: whatever it says, the caller is done with the version. *)
+
 val await :
   conn -> Afs_util.Capability.t -> until:bytes list -> budget_ms:float ->
   bytes Afs_core.Errors.r

@@ -78,14 +78,16 @@
       since its value stays at or below their seq — so the leak is one
       record per failure.
 
-   A one-part transaction needs none of this, because one single-shard
+   A single-file update needs none of this, because one single-shard
    commit is already atomic: it opens its version with the same reading
    batch a stage does and commits the computed writes in one more — two
-   batches in all ([commit_part]). lib/workload's single-file exec loop
-   runs every attempt through [commit_part] too, letting a commit that
-   loses validation answer with the redo's opening: two messages for
-   the first attempt, one per redo. Every request here is routed
-   through the cluster client's one [Moved] loop, [Cluster_client.routed].
+   batches in all ([commit_part]) — and a commit that loses validation
+   may answer with the redo's opening, so each redo is one message more.
+   [update] runs it on the file's shard and waits out a marker as step 5
+   does; a one-part transaction is one [update] allowed no redo, and
+   lib/workload's single-file updates run it with their retry budget.
+   Every request here is routed through the cluster client's one
+   [Moved] loop, [Cluster_client.routed].
 
    Recovery needs no log: a marker names its record and seq, the
    record's root names the outcome, and [sweep] walks the files and
@@ -124,7 +126,7 @@ type t = {
   free : (int, (Capability.t * bytes) list) Hashtbl.t;
       (** Reusable coordinator records by shard id, each with the root
           data it holds. *)
-  round_trip : unit -> unit;  (** Counts one message: {!rt}, for {!commit_part}. *)
+  round_trip : unit -> unit;  (** Counts one message: {!rt}, for {!stage}. *)
 }
 
 (* The wait before retrying a record decision a shard could not take,
@@ -251,11 +253,10 @@ let computed_writes ops pages =
   in
   go pages [] ops
 
-(* Abort a version the caller holds, in one message. Its answer is never
-   a forward to chase ([Remote.on_version]). *)
+(* Abort a version the caller holds, in one message. *)
 let abandon ~round_trip conn version =
   round_trip ();
-  match Remote.on_version conn version [ Remote.Abort ] with Ok _ | Error _ -> ()
+  Remote.abandon conn version
 
 (* Read [paths] on [target]'s version in one batch, or — when the
    replies exceed the 32K message cap — in halves, the later ones as
@@ -336,15 +337,16 @@ let rec send_writes ~round_trip conn version = function
 type tries = { mutable made : int; allowed : int }
 
 (* [commit_part], answering [Error image] when an opening — the first or
-   a redo's — met another transaction's marker. *)
-let commit_held ~round_trip ~tries conn file ops =
+   a redo's — met another transaction's marker. A single-file update is
+   not coordinator work: its messages count no round trip. *)
+let commit_held ~tries conn file ops =
   let paths = read_paths ops in
   let redo_tail : Remote.step list = [ Remote.Commit; Remote.Redo (file, paths) ] in
   let rec commit = function
     | Held image -> Ok (Error image)
     | Opened (version, _, writes) -> (
         let tail = if tries.made < tries.allowed then redo_tail else [ Remote.Commit ] in
-        match send_writes ~round_trip conn version (version_batches ~tail writes) with
+        match send_writes ~round_trip:ignore conn version (version_batches ~tail writes) with
         | Ok ((Remote.Reopened _ | Remote.Marked _) as answer) ->
             tries.made <- tries.made + 1;
             let* next = opened ops answer in
@@ -355,15 +357,15 @@ let commit_held ~round_trip ~tries conn file ops =
             Error e
         | Error e -> Error e)
   in
-  let* first = open_part ~round_trip conn file ops paths in
+  let* first = open_part ~round_trip:ignore conn file ops paths in
   commit first
 
 (* Each attempt but the last allowed asks that a lost validation answer
    with the redo's opening, so a redo costs one message: the client
    recomputes its writes from the reopened reads and sends only the next
    [Version] batch. A redo that met [Moved] consumed its attempt too. *)
-let commit_part ~round_trip ~tries conn file ops =
-  let* held = commit_held ~round_trip ~tries conn file ops in
+let commit_part ~tries conn file ops =
+  let* held = commit_held ~tries conn file ops in
   match held with
   | Ok () -> Ok ()
   | Error image -> (
@@ -553,6 +555,32 @@ let waited t file image ~last =
           Ok (Some (image, decision))
       | (Some (Moved _ | Outcome _) | None), _ -> malformed)
 
+(* {2 A single-file update} *)
+
+(* [commit_held] on the file's shard, its commit credited there for the
+   rebalancer. A file in doubt is waited out and the update tried again,
+   at most [retry_limit] times: meeting a marker uses no attempt. *)
+let rec update_waiting ~waits ~last t ~tries file ops =
+  if waits > retry_limit then Error (Store_failure "txn: in-doubt resolution starved")
+  else
+    let held =
+      CC.routed t.client file (fun conn ~shard file ->
+          match commit_held ~tries conn file ops with
+          | Ok (Ok ()) as committed ->
+              CC.note_commit t.client ~shard file;
+              committed
+          | answer -> answer)
+    in
+    match held with
+    | Ok (Ok ()) -> Ok ()
+    | Ok (Error image) -> (
+        match waited t file image ~last with
+        | Ok last -> update_waiting ~waits:(waits + 1) ~last t ~tries file ops
+        | Error e -> Error e)
+    | Error e -> Error e
+
+let update t ~tries file ops = update_waiting ~waits:0 ~last:None t ~tries file ops
+
 (* {2 Staging a participant} *)
 
 (* Why a participant is not staged. A seal that failed in the store or
@@ -659,35 +687,6 @@ let release_record t shard pooled =
   let id = Shard.id shard in
   let rest = Option.value ~default:[] (Hashtbl.find_opt t.free id) in
   Hashtbl.replace t.free id (pooled :: rest)
-
-(* One participant needs no coordination: the single-shard commit is
-   already atomic, so it is [commit_part] on the file's shard — two
-   messages, with no redo: a conflict is the caller's [Local] failure.
-   A file in doubt is waited out and the part retried. *)
-let exec_single t part =
-  let rec go tries last =
-    if tries > retry_limit then Error (Failed (Store_failure "txn: in-doubt resolution starved"))
-    else
-      let committed =
-        CC.routed t.client part.file (fun conn ~shard file ->
-            let tries = { made = 1; allowed = 1 } in
-            let* held = commit_held ~round_trip:t.round_trip ~tries conn file part.ops in
-            if Result.is_ok held then CC.note_commit t.client ~shard file;
-            Ok held)
-      in
-      match committed with
-      | Ok (Ok ()) ->
-          bump t "txn.committed";
-          Ok ()
-      | Ok (Error image) -> (
-          match waited t part.file image ~last with
-          | Ok last -> go (tries + 1) last
-          | Error e -> Error (Failed e))
-      | Error Conflict -> Error (Local Conflict)
-      | Error e -> Error (Failed e)
-  in
-  bump t "txn.fastpath";
-  go 0 None
 
 (* Resolve every staged participant one way but those in [done_], one
    [Swap] each, in staging order, and pool the record once every
@@ -864,7 +863,15 @@ let coordinated t ~on_record parts =
 let exec ?on_record t parts =
   match parts with
   | [] -> Ok ()
-  | [ part ] -> exec_single t part
+  | [ { file; ops } ] -> (
+      (* One participant needs no coordination: the single-shard commit
+         is already atomic. No redo: a conflict is the caller's. *)
+      match update t ~tries:{ made = 1; allowed = 1 } file ops with
+      | Ok () ->
+          bump t "txn.committed";
+          Ok ()
+      | Error Conflict -> Error (Local Conflict)
+      | Error e -> Error (Failed e))
   | parts -> coordinated t ~on_record parts
 
 (* {2 Recovery} *)

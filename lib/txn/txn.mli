@@ -74,9 +74,9 @@ val create : ?trace:Afs_trace.Trace.t -> Afs_cluster.Cluster_client.t -> t
 val exec :
   ?on_record:(Afs_util.Capability.t -> int -> unit) -> t -> part list -> (unit, failure) result
 (** Run one transaction to a definite outcome. A single part needs no
-    record and no marker: it is {!commit_part} on its own shard (an
-    in-doubt file is waited out and the part retried); multiple parts run
-    the stage/decide/flip protocol, staging in capability order. Within
+    record and no marker: it is one {!update} allowed one attempt, and a
+    lost validation is a [Local] failure; multiple parts run the
+    stage/decide/flip protocol, staging in capability order. Within
     a part an [Rmw] of a page the part already wrote transforms that
     pending write.
     [on_record] observes the coordinator record's capability and the
@@ -94,8 +94,20 @@ type tries = { mutable made : int; allowed : int }
 (** An attempt count shared by a caller's retry loop and {!commit_part}:
     [made] attempts so far, the first included, of at most [allowed]. *)
 
+val update : t -> tries:tries -> Afs_util.Capability.t -> op list -> unit Afs_core.Errors.r
+(** One optimistic update of a single file on a cluster: {!commit_part}
+    inside {!Afs_cluster.Cluster_client.routed}, its commit credited to
+    the shard that took it ({!Afs_cluster.Cluster_client.note_commit}).
+    Redoes in one message each, as [tries] allows. A file held by
+    another transaction's marker is waited out as a stage waits it out
+    (one held request on the marker's record, then a flip of its own if
+    it meets the same marker again) and the update tried again, at most
+    8 times, after which it fails with [Store_failure]; meeting a marker
+    uses no attempt. Errors are {!commit_part}'s, less [Txn_in_doubt].
+    A single-file update is not coordinator work: its messages count no
+    [txn.round_trips]. *)
+
 val commit_part :
-  round_trip:(unit -> unit) ->
   tries:tries ->
   Afs_rpc.Remote.conn ->
   Afs_util.Capability.t ->
@@ -107,8 +119,7 @@ val commit_part :
     read, then sends a [Version] batch that writes the computed values
     and commits. A batch over {!Afs_rpc.Remote.message_cap} splits:
     extra reads go into further [Version] batches, and the writes into
-    several, the last of which commits. [round_trip] is called once per
-    message.
+    several, the last of which commits.
 
     Every attempt but the last that [tries] allows ends its last batch
     with a [Redo]: a lost validation then comes back with the next
@@ -121,10 +132,8 @@ val commit_part :
     commit (it may have been published), or the error of an earlier
     batch, whose version is then aborted. A root holding a cross-shard
     marker answers [Txn_in_doubt]; a [Moved] from an opening is the
-    caller's to chase. {!exec} runs a one-part transaction as one such
-    attempt, without redoes, inside {!Afs_cluster.Cluster_client.routed};
-    lib/workload's exec loop runs it with its retry budget for a bare
-    server and for a cluster. *)
+    caller's to chase. {!update} runs it on a cluster; lib/workload's
+    bare-server backend runs it on its connection. *)
 
 val sweep : t -> Afs_util.Capability.t list -> int Afs_core.Errors.r
 (** Crash recovery's last mile: resolve every in-doubt file in the list

@@ -13,8 +13,8 @@ type txn_spec = {
   ops : op list;
   parts : (int * op list) list;
       (* Non-empty makes this a multi-file transaction: one (file, ops)
-         participant per entry, honoured only by the cross-shard
-         backends; [file]/[ops] are ignored then. *)
+         participant per entry, honoured only by the cluster backends;
+         [file]/[ops] are ignored then. *)
 }
 
 type exec_result = {
@@ -23,15 +23,6 @@ type exec_result = {
   local_aborts : int;
   cross_aborts : int;
 }
-
-(* Single-file backends: every failed execution is a local abort. *)
-let finished ~committed attempts =
-  {
-    committed;
-    attempts;
-    local_aborts = (attempts - if committed then 1 else 0);
-    cross_aborts = 0;
-  }
 
 type t = {
   name : string;
@@ -86,19 +77,58 @@ let cluster_stats cluster () =
           (Afs_util.Stats.Counter.to_list (Server.counters (Afs_cluster.Shard.server s))))
       (Afs_cluster.Cluster.shards cluster)
 
-(* {2 The Amoeba file service: one optimistic exec loop}
+(* {2 The one retry loop}
 
-   The paper's client procedure, once: open a version, run the page
+   Every backend's [exec] is this loop plus a function that makes one
+   attempt. An attempt may redo internally, counting its redos in the
+   loop's [tries] (the Amoeba backends' one-message redos); it answers
+   how it ended. The loop owns the attempt count, the back-off wait and
+   the give-up check, which runs before any wait. One counting rule: an
+   attempt that neither committed nor backed off is an abort, local
+   unless the attempt said cross; a back-off is not an abort. *)
+
+type attempt =
+  | Committed
+  | Local_abort  (** Lost an ordinary one-shard race: redo at once. *)
+  | Cross_abort  (** Aborted at its coordinator once staged or prepared elsewhere: redo at once. *)
+  | Back_off  (** A lock hint or a transport outage: wait, then redo. *)
+
+let back_off_ms = 5.0
+
+let rec retry attempt (tries : Afs_txn.Txn.tries) ~backed_off ~cross =
+  let ended = attempt tries in
+  let backed_off = if ended = Back_off then backed_off + 1 else backed_off
+  and cross = if ended = Cross_abort then cross + 1 else cross in
+  if ended = Committed || tries.made >= tries.allowed then
+    let committed = ended = Committed in
+    {
+      committed;
+      attempts = tries.made;
+      local_aborts = tries.made - Bool.to_int committed - backed_off - cross;
+      cross_aborts = cross;
+    }
+  else begin
+    if ended = Back_off then Proc.delay back_off_ms;
+    tries.made <- tries.made + 1;
+    retry attempt tries ~backed_off ~cross
+  end
+
+let retrying attempt ~max_retries =
+  retry attempt { made = 1; allowed = max_retries } ~backed_off:0 ~cross:0
+
+(* {2 The Amoeba file service: optimistic attempts}
+
+   The paper's client procedure: open a version, run the page
    operations, commit, and redo on conflict — {!Afs_txn.Txn.commit_part}.
    The first attempt is two messages: an [Open] batch that reads the
    root and every page the ops read, then a [Version] batch with the
    computed writes and [Commit]. A commit that loses validation answers
    with the redo's opening, so each redo is one more [Version] batch.
-   Backends differ only in how a file is routed; from the connection on,
-   every attempt sends the same {!Remote} batches. A bare server is
-   therefore literally the one-shard case of a cluster. *)
-
-let back_off_ms = 5.0
+   A bare server runs it on its connection; a cluster routes it and
+   waits out markers ({!Afs_txn.Txn.update}). A commit that failed in
+   transport never reached a live server (a served request's reply
+   still delivers across a crash), so nothing committed and a redo is
+   safe. Anything else is a protocol violation. *)
 
 let to_txn_ops ops =
   List.map
@@ -108,68 +138,28 @@ let to_txn_ops ops =
       | Rmw (i, f) -> Afs_txn.Txn.Rmw (page_path i, f))
     ops
 
-let commit_part conn tries file ops =
-  Afs_txn.Txn.commit_part ~round_trip:ignore ~tries conn file ops
-
-(* The retry policy: a conflict redoes at once — inside [commit_part],
-   which counts each redo in [tries], or here when the host could not
-   reopen; a lock hint or a transport outage (a crashed host, a cluster
-   member awaiting failover) waits [back_off_ms] first, wherever it
-   arises. A commit that failed in transport never reached a live server
-   (a served request's reply still delivers across a crash), so nothing
-   committed and a redo is safe. Anything else is a protocol violation. *)
-let occ_exec ~where ~attempt_once ~files spec ~max_retries =
-  single_part_only where spec;
-  let file = files.(spec.file) and ops = to_txn_ops spec.ops in
-  let tries = { Afs_txn.Txn.made = 1; allowed = max_retries } in
-  let rec attempt () =
-    match attempt_once tries file ops with
-    | Ok () -> finished ~committed:true tries.made
-    | Error (Errors.Conflict | Errors.Locked_out _ | Errors.Store_failure _)
-      when tries.made >= max_retries ->
-        finished ~committed:false tries.made
-    | Error Errors.Conflict ->
-        tries.made <- tries.made + 1;
-        attempt ()
-    | Error (Errors.Locked_out _ | Errors.Store_failure _) ->
-        Proc.delay back_off_ms;
-        tries.made <- tries.made + 1;
-        attempt ()
-    | Error e -> fatal_error (where ^ " attempt") e
-  in
-  attempt ()
+let optimistic where = function
+  | Ok () -> Committed
+  | Error Errors.Conflict -> Local_abort
+  | Error (Errors.Locked_out _ | Errors.Store_failure _) -> Back_off
+  | Error e -> fatal_error where e
 
 let afs_remote ?(name = "afs-occ-rpc") conn ~fallback ~files =
   let read_page file page =
     let cap = fatal "current_version" (Server.current_version fallback files.(file)) in
     fatal "read_page" (Server.read_page fallback cap (page_path page))
   in
-  {
-    name;
-    exec = occ_exec ~where:"afs_remote" ~attempt_once:(commit_part conn) ~files;
-    stats = (fun () -> Afs_util.Stats.Counter.to_list (Server.counters fallback));
-    read_page;
-  }
-
-(* Routing is a pure local port lookup (no simulated time); [Moved]
-   answers are chased by the cluster client's one forwarding loop. A
-   committed update is credited to the shard that took it, for the
-   rebalancer. *)
-let afs_cluster client ~files =
-  let module CC = Afs_cluster.Cluster_client in
-  let cluster = CC.cluster client in
-  let attempt_once tries file ops =
-    CC.routed client file (fun conn ~shard file ->
-        let open Errors in
-        let* () = commit_part conn tries file ops in
-        CC.note_commit client ~shard file;
-        Ok ())
+  let exec spec ~max_retries =
+    single_part_only "afs_remote" spec;
+    let file = files.(spec.file) and ops = to_txn_ops spec.ops in
+    retrying ~max_retries (fun tries ->
+        optimistic "afs_remote attempt" (Afs_txn.Txn.commit_part ~tries conn file ops))
   in
   {
-    name = "afs-occ-cluster";
-    exec = occ_exec ~where:"afs_cluster" ~attempt_once ~files;
-    stats = cluster_stats cluster;
-    read_page = cluster_read_page cluster files;
+    name;
+    exec;
+    stats = (fun () -> Afs_util.Stats.Counter.to_list (Server.counters fallback));
+    read_page;
   }
 
 (* {2 Remote execution of baseline operations}
@@ -209,74 +199,59 @@ let twopl ~remote backend ~pages_per_file ~retry_wait_ms =
   let run : type a. (unit -> a) -> a = fun f -> remote_runner rpc f in
   let obj file page = (file * 65536) + page in
   assert (pages_per_file <= 65536);
-  let exec spec ~max_retries =
-    single_part_only "twopl" spec;
-    let rec attempt n =
-      let txn = run (fun () -> Twopl.begin_ backend) in
-      (* Each operation spins on denials: prod vulnerable holders, wait
-         otherwise; too many waits aborts the transaction (deadlock
-         resolution by timeout, as XDFS's vulnerable locks intend). *)
-      let with_lock_wait op_once =
-        let rec try_op waits =
-          match run op_once with
-          | Ok v -> Some v
-          | Error (d : Twopl.denial) ->
-              if d.Twopl.holder = 0 then None (* We were prodded out: redo. *)
-              else if waits >= max_lock_waits then None
-              else begin
-                if d.Twopl.vulnerable then
-                  ignore (run (fun () -> Twopl.prod backend ~victim:d.Twopl.holder));
-                Proc.delay retry_wait_ms;
-                try_op (waits + 1)
-              end
-        in
-        try_op 0
+  let attempt spec _ =
+    let txn = run (fun () -> Twopl.begin_ backend) in
+    (* Each operation spins on denials: prod vulnerable holders, wait
+       otherwise; too many waits aborts the transaction (deadlock
+       resolution by timeout, as XDFS's vulnerable locks intend). *)
+    let with_lock_wait op_once =
+      let rec try_op waits =
+        match run op_once with
+        | Ok v -> Some v
+        | Error (d : Twopl.denial) ->
+            if d.Twopl.holder = 0 then None (* We were prodded out: redo. *)
+            else if waits >= max_lock_waits then None
+            else begin
+              if d.Twopl.vulnerable then
+                ignore (run (fun () -> Twopl.prod backend ~victim:d.Twopl.holder));
+              Proc.delay retry_wait_ms;
+              try_op (waits + 1)
+            end
       in
-      let rec run_ops = function
-        | [] -> Some ()
-        | Read i :: rest -> (
-            match with_lock_wait (fun () -> Twopl.read backend txn ~obj:(obj spec.file i)) with
-            | Some _ -> run_ops rest
-            | None -> None)
-        | Write (i, data) :: rest -> (
-            match
-              with_lock_wait (fun () -> Twopl.write backend txn ~obj:(obj spec.file i) data)
-            with
-            | Some () -> run_ops rest
-            | None -> None)
-        | Rmw (i, f) :: rest -> (
-            (* Update-lock first: reserve, then read, then write. *)
-            match with_lock_wait (fun () -> Twopl.reserve backend txn ~obj:(obj spec.file i)) with
-            | None -> None
-            | Some () -> (
-                match
-                  with_lock_wait (fun () -> Twopl.read backend txn ~obj:(obj spec.file i))
-                with
-                | None -> None
-                | Some v -> (
-                    match
-                      with_lock_wait (fun () ->
-                          Twopl.write backend txn ~obj:(obj spec.file i) (f v))
-                    with
-                    | Some () -> run_ops rest
-                    | None -> None)))
-      in
-      let redo () =
-        run (fun () -> Twopl.abort backend txn);
-        if n < max_retries then attempt (n + 1) else finished ~committed:false n
-      in
-      match run_ops (sort_ops spec.ops) with
-      | None -> redo ()
-      | Some () -> (
-          match with_lock_wait (fun () -> Twopl.commit backend txn) with
-          | Some () -> finished ~committed:true n
-          | None -> redo ())
+      try_op 0
     in
-    attempt 1
+    let ( let* ) = Option.bind in
+    let read i = with_lock_wait (fun () -> Twopl.read backend txn ~obj:(obj spec.file i)) in
+    let write i data =
+      with_lock_wait (fun () -> Twopl.write backend txn ~obj:(obj spec.file i) data)
+    in
+    let rec run_ops = function
+      | [] -> with_lock_wait (fun () -> Twopl.commit backend txn)
+      | Read i :: rest ->
+          let* _ = read i in
+          run_ops rest
+      | Write (i, data) :: rest ->
+          let* () = write i data in
+          run_ops rest
+      | Rmw (i, f) :: rest ->
+          (* Update-lock first: reserve, then read, then write. *)
+          let* () = with_lock_wait (fun () -> Twopl.reserve backend txn ~obj:(obj spec.file i)) in
+          let* v = read i in
+          let* () = write i (f v) in
+          run_ops rest
+    in
+    match run_ops (sort_ops spec.ops) with
+    | Some () -> Committed
+    | None ->
+        run (fun () -> Twopl.abort backend txn);
+        Local_abort
   in
   {
     name = "xdfs-2pl";
-    exec;
+    exec =
+      (fun spec ~max_retries ->
+        single_part_only "twopl" spec;
+        retrying (attempt spec) ~max_retries);
     stats = (fun () -> []);
     read_page = (fun file page -> Twopl.value backend ~obj:(obj file page));
   }
@@ -288,93 +263,79 @@ let tsorder ~remote backend ~pages_per_file =
   let run : type a. (unit -> a) -> a = fun f -> remote_runner rpc f in
   let obj file page = (file * 65536) + page in
   assert (pages_per_file <= 65536);
-  let exec spec ~max_retries =
-    single_part_only "tsorder" spec;
-    let rec attempt n =
-      let txn = run (fun () -> Tsorder.begin_ backend) in
-      let rec run_ops = function
-        | [] -> Some ()
-        | Read i :: rest ->
-            ignore (run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)));
-            run_ops rest
-        | Write (i, data) :: rest -> (
-            match run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) data) with
-            | Ok () -> run_ops rest
-            | Error (`Late_write _) -> None)
-        | Rmw (i, f) :: rest -> (
-            let v = run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)) in
-            match run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) (f v)) with
-            | Ok () -> run_ops rest
-            | Error (`Late_write _) -> None)
-      in
-      let redo () =
-        run (fun () -> Tsorder.abort backend txn);
-        if n < max_retries then attempt (n + 1) else finished ~committed:false n
-      in
-      match run_ops spec.ops with
-      | None -> redo ()
-      | Some () -> (
-          match run (fun () -> Tsorder.commit backend txn) with
-          | Ok () -> finished ~committed:true n
-          | Error (`Late_write _) -> redo ())
+  let attempt spec _ =
+    let txn = run (fun () -> Tsorder.begin_ backend) in
+    let ( let* ) = Result.bind in
+    let read i = run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)) in
+    let write i data = run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) data) in
+    let rec run_ops = function
+      | [] -> run (fun () -> Tsorder.commit backend txn)
+      | Read i :: rest ->
+          ignore (read i);
+          run_ops rest
+      | Write (i, data) :: rest ->
+          let* () = write i data in
+          run_ops rest
+      | Rmw (i, f) :: rest ->
+          let* () = write i (f (read i)) in
+          run_ops rest
     in
-    attempt 1
+    match run_ops spec.ops with
+    | Ok () -> Committed
+    | Error (`Late_write _) ->
+        run (fun () -> Tsorder.abort backend txn);
+        Local_abort
   in
   {
     name = "swallow-ts";
-    exec;
+    exec =
+      (fun spec ~max_retries ->
+        single_part_only "tsorder" spec;
+        retrying (attempt spec) ~max_retries);
     stats = (fun () -> []);
     read_page = (fun file page -> Tsorder.value backend ~obj:(obj file page));
   }
 
-(* {2 Amoeba file service with cross-shard transactions}
+(* {2 The Amoeba file service over a cluster}
 
-   Single-part specs take lib/txn's fast path (the same RPC sequence as
-   [afs_cluster]); multi-part specs run the stage/decide/flip protocol.
-   The retry loop distinguishes the two abort flavours the S2 report
-   separates: a participant stage losing an ordinary one-shard race
-   (local) versus a fully-staged transaction force-aborted at the
-   coordinator record (cross). *)
+   One backend, under two names. A single-file spec is one
+   {!Afs_txn.Txn.update}: {!afs_remote}'s attempts, routed, waiting out
+   another transaction's marker. A multi-part spec runs lib/txn's
+   stage/decide/flip protocol, and the loop tells the two abort flavours
+   the S2 report separates apart: a participant stage losing an ordinary
+   one-shard race (local) versus a fully staged transaction
+   force-aborted at the coordinator record (cross). *)
 
 let afs_txn ?trace client ~files =
-  let module CC = Afs_cluster.Cluster_client in
   let module Txn = Afs_txn.Txn in
-  let cluster = CC.cluster client in
+  let cluster = Afs_cluster.Cluster_client.cluster client in
   let txn = Txn.create ?trace client in
-  let parts_of spec =
+  let attempt spec =
     match spec.parts with
-    | [] -> [ { Txn.file = files.(spec.file); ops = to_txn_ops spec.ops } ]
-    | parts ->
-        List.map (fun (file, ops) -> { Txn.file = files.(file); ops = to_txn_ops ops }) parts
-  in
-  let exec spec ~max_retries =
-    let parts = parts_of spec in
-    let local = ref 0 and cross = ref 0 in
-    let result ~committed n =
-      { committed; attempts = n; local_aborts = !local; cross_aborts = !cross }
-    in
-    let rec attempt n =
-      match Txn.exec txn parts with
-      | Ok () -> result ~committed:true n
-      | Error f ->
-          (match f with
-          | Txn.Local _ -> incr local
-          | Txn.Cross _ -> incr cross
-          | Txn.Failed (Errors.Locked_out _ | Errors.Store_failure _) ->
-              (* Transport outage or lock hint: wait it out, as the other
-                 cluster SUTs do. Not an abort — nothing was staged. *)
-              Proc.delay back_off_ms
-          | Txn.Failed e -> fatal_error "afs_txn exec" e);
-          if n < max_retries then attempt (n + 1) else result ~committed:false n
-    in
-    attempt 1
+    | [] ->
+        let file = files.(spec.file) and ops = to_txn_ops spec.ops in
+        fun tries -> optimistic "afs_txn update" (Txn.update txn ~tries file ops)
+    | parts -> (
+        let parts =
+          List.map (fun (file, ops) -> { Txn.file = files.(file); ops = to_txn_ops ops }) parts
+        in
+        fun _ ->
+          match Txn.exec txn parts with
+          | Ok () -> Committed
+          | Error (Txn.Local _) -> Local_abort
+          | Error (Txn.Cross _) -> Cross_abort
+          (* Nothing was staged: not an abort. *)
+          | Error (Txn.Failed (Errors.Locked_out _ | Errors.Store_failure _)) -> Back_off
+          | Error (Txn.Failed e) -> fatal_error "afs_txn exec" e)
   in
   {
     name = "afs-occ-txn";
-    exec;
+    exec = (fun spec ~max_retries -> retrying (attempt spec) ~max_retries);
     stats = cluster_stats cluster;
     read_page = cluster_read_page cluster files;
   }
+
+let afs_cluster client ~files = { (afs_txn client ~files) with name = "afs-occ-cluster" }
 
 (* {2 Two-phase-commit baseline over the same cluster}
 
@@ -420,95 +381,72 @@ let cluster_open client file =
 
 let afs_twopc client ~files =
   let cluster = Afs_cluster.Cluster_client.cluster client in
-  (* The abort's answer is never a forward to chase ([Remote.on_version]). *)
-  let abort o =
-    match Remote.on_version o.conn o.version [ Remote.Abort ] with Ok _ | Error _ -> ()
-  in
+  let abort o = Remote.abandon o.conn o.version in
   let decide o ~commit = Remote.decide o.conn o.version ~commit in
-  let parts_of spec =
-    match spec.parts with
-    | [] -> [ (spec.file, spec.ops) ]
-    | parts -> List.sort (fun (a, _) (b, _) -> compare a b) parts
-  in
-  let exec spec ~max_retries =
-    let parts = parts_of spec in
-    let local = ref 0 and cross = ref 0 in
-    let result ~committed n =
-      { committed; attempts = n; local_aborts = !local; cross_aborts = !cross }
+  let attempt spec =
+    let parts =
+      match spec.parts with
+      | [] -> [ (spec.file, spec.ops) ]
+      | parts -> List.sort (fun (a, _) (b, _) -> compare a b) parts
     in
-    let rec attempt n =
-      let back_off_retry () =
-        if n < max_retries then begin
-          Proc.delay back_off_ms;
-          attempt (n + 1)
-        end
-        else result ~committed:false n
-      in
+    fun _ ->
       (* Phase zero: open a version on every participant and run its ops
          (real page writes, unlike the marker-borne afs_txn stage). *)
       let rec open_all acc = function
-        | [] -> `Opened (List.rev acc)
+        | [] -> Ok (List.rev acc)
         | (file, ops) :: rest -> (
             match cluster_open client files.(file) with
             | Error (Errors.Locked_out _ | Errors.Store_failure _) ->
                 List.iter abort acc;
-                `Back_off
+                Error Back_off
             | Error e -> fatal_error "afs_twopc open" e
             | Ok o -> (
                 match run_ops o.conn o.version ops with
                 | Ok () -> open_all (o :: acc) rest
                 | Error (Errors.Store_failure _) ->
                     List.iter abort (o :: acc);
-                    `Back_off
+                    Error Back_off
                 | Error e ->
                     List.iter abort (o :: acc);
                     fatal_error "afs_twopc ops" e))
       in
+      (* Phase one, in canonical order. On any refusal the prepared prefix
+         is decided-abort (releasing its parked pipelines) before the
+         unprepared suffix is discarded. A conflict at the first
+         participant is a local race; past it, the transaction was
+         prepared elsewhere and aborts cross-shard. *)
+      let rec prepare_all prepared = function
+        | [] ->
+            (* Phase two: the decision is definite once every vote is in;
+               a participant that cannot publish now is a broken store,
+               not a conflict. *)
+            List.iter
+              (fun o ->
+                fatal "afs_twopc decide" (decide o ~commit:true);
+                o.on_commit ())
+              (List.rev prepared);
+            Committed
+        | o :: rest -> (
+            match Remote.prepare o.conn o.version with
+            | Ok () -> prepare_all (o :: prepared) rest
+            | Error e -> (
+                List.iter (fun p -> ignore (decide p ~commit:false)) (List.rev prepared);
+                List.iter abort (o :: rest);
+                match e with
+                (* Lock contention against another coordinator's prepare
+                   window — the blocking 2PC is famous for. *)
+                | Errors.Store_failure _ -> Back_off
+                | Errors.Conflict -> (
+                    match prepared with [] -> Local_abort | _ :: _ -> Cross_abort)
+                | e -> fatal_error "afs_twopc prepare" e))
+      in
       match open_all [] parts with
-      | `Back_off -> back_off_retry ()
-      | `Opened opened -> (
-          (* Phase one, in canonical order. On any refusal the prepared
-             prefix is decided-abort (releasing its parked pipelines)
-             before the unprepared suffix is discarded. *)
-          let rec prepare_all prepared idx = function
-            | [] -> `Prepared (List.rev prepared)
-            | o :: rest -> (
-                match Remote.prepare o.conn o.version with
-                | Ok () -> prepare_all (o :: prepared) (idx + 1) rest
-                | Error e ->
-                    List.iter (fun p -> ignore (decide p ~commit:false)) (List.rev prepared);
-                    abort o;
-                    List.iter abort rest;
-                    `Refused (idx, e))
-          in
-          match prepare_all [] 0 opened with
-          | `Refused (_, Errors.Store_failure _) ->
-              (* Lock contention against another coordinator's prepare
-                 window — the blocking 2PC is famous for. *)
-              back_off_retry ()
-          | `Refused (idx, Errors.Conflict) ->
-              if idx = 0 && List.length parts > 1 then incr local
-              else if List.length parts > 1 then incr cross
-              else incr local;
-              if n < max_retries then attempt (n + 1)
-              else result ~committed:false n
-          | `Refused (_, e) -> fatal_error "afs_twopc prepare" e
-          | `Prepared prepared ->
-              (* Phase two: the decision is definite once every vote is
-                 in; a participant that cannot publish now is a broken
-                 store, not a conflict. *)
-              List.iter
-                (fun o ->
-                  fatal "afs_twopc decide" (decide o ~commit:true);
-                  o.on_commit ())
-                prepared;
-              result ~committed:true n)
-    in
-    attempt 1
+      | Error ended -> ended
+      | Ok opened -> prepare_all [] opened
   in
   {
     name = "afs-2pc";
-    exec;
+    exec = (fun spec ~max_retries -> retrying (attempt spec) ~max_retries);
     stats = cluster_stats cluster;
     read_page = cluster_read_page cluster files;
   }

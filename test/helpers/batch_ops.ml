@@ -35,7 +35,6 @@ let read conn version path =
 
 let write conn version path data = on conn version [ Remote.Write (path, data) ]
 let commit conn version = on conn version [ Remote.Commit ]
-let abort conn version = on conn version [ Remote.Abort ]
 
 (** A page of the file's committed version: one routed [Current] batch,
     which passes the in-doubt trap (a staged file reads its marker). *)
@@ -57,18 +56,11 @@ let add_pages client file datas =
            @ [ Remote.Commit ])))
 
 (** One optimistic update of [file], as lib/workload's cluster backend
-    runs it: {!Afs_txn.Txn.commit_part} with up to [retries] redos
-    (default 16) inside the client's forward-chasing loop, the commit
-    credited to its shard for the rebalancer. [Conflict] means every
-    attempt lost; [redos] gains the redos taken. *)
+    runs it: {!Afs_txn.Txn.update} with up to [retries] redos (default
+    16). [Conflict] means every attempt lost; [redos] gains the redos
+    taken. *)
 let update ?(retries = 16) ?redos client file ops =
   let tries = { Txn.made = 1; allowed = retries + 1 } in
-  let result =
-    CC.routed client file (fun conn ~shard file ->
-        let open Errors in
-        let* () = Txn.commit_part ~round_trip:ignore ~tries conn file ops in
-        CC.note_commit client ~shard file;
-        Ok ())
-  in
+  let result = Txn.update (Txn.create client) ~tries file ops in
   Option.iter (fun r -> r := !r + tries.Txn.made - 1) redos;
   result

@@ -6,9 +6,9 @@ module B = Block_server
 let quick = Helpers.quick
 let bytes = Helpers.bytes
 
-let fresh ?policy ?(blocks = 64) () =
+let fresh ?(blocks = 64) () =
   let disk = Disk.create ~media:Media.electronic ~blocks ~block_size:1024 () in
-  B.create ?policy ~disk ()
+  B.create ~disk ()
 
 let ok (o : 'a B.outcome) =
   match o.B.result with
@@ -104,18 +104,6 @@ let test_recovery_listing () =
     (B.owned_blocks s alice);
   Alcotest.(check int) "total" 3 (B.allocated_blocks s)
 
-let test_randomised_policy_allocates_all () =
-  let rng = Afs_util.Xrng.create 77 in
-  let s = fresh ~policy:(B.Randomised rng) ~blocks:16 () in
-  let seen = Hashtbl.create 16 in
-  for _ = 1 to 16 do
-    let b = ok (B.allocate s alice) in
-    Alcotest.(check bool) "unique" false (Hashtbl.mem seen b);
-    Hashtbl.replace seen b ()
-  done;
-  expect "then exhausted" (function B.No_free_blocks -> true | _ -> false)
-    (B.allocate s alice)
-
 let test_disk_error_surfaces () =
   let s = fresh () in
   let b = ok (B.allocate s alice) in
@@ -140,7 +128,6 @@ let () =
           quick "unique allocation" test_allocation_is_unique;
           quick "exhaustion" test_exhaustion;
           quick "deallocate recycles" test_deallocate_recycles;
-          quick "randomised policy covers disk" test_randomised_policy_allocates_all;
         ] );
       ( "protection",
         [

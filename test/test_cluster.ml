@@ -394,16 +394,19 @@ let redo_after interloper =
       let f = file () and g = file () in
       let _, shard = ok (Cluster.shard_of_cap cluster f) in
       let conn = Cluster.conn cluster (Shard.id shard) in
-      let ops = [ Afs_txn.Txn.Rmw (P.of_list [ 0 ], fun d -> Bytes.cat d (bytes "+")) ] in
-      let sent = ref 0 and tries = { Afs_txn.Txn.made = 1; allowed = 8 } in
-      let round_trip () =
-        incr sent;
-        if !sent = 2 then interloper faults cluster client ~shard f g
+      (* The transform runs once the opening answered, before the
+         commit is sent. *)
+      let computed = ref 0 in
+      let plus d =
+        incr computed;
+        if !computed = 1 then interloper faults cluster client ~shard f g;
+        Bytes.cat d (bytes "+")
       in
-      let redone = Afs_txn.Txn.commit_part ~round_trip ~tries conn f ops in
+      let ops = [ Afs_txn.Txn.Rmw (P.of_list [ 0 ], plus) ] in
+      let tries = { Afs_txn.Txn.made = 1; allowed = 8 } in
+      let redone = Afs_txn.Txn.commit_part ~tries conn f ops in
       let fresh =
-        Afs_txn.Txn.commit_part ~round_trip:ignore ~tries:{ Afs_txn.Txn.made = 1; allowed = 1 }
-          conn f ops
+        Afs_txn.Txn.commit_part ~tries:{ Afs_txn.Txn.made = 1; allowed = 1 } conn f ops
       in
       ( redone,
         fresh,

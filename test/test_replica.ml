@@ -33,6 +33,10 @@ let digest store =
   | Ok d -> d
   | Error e -> Alcotest.failf "digest failed: %s" (Errors.to_string e)
 
+(* The store shard [i]'s primary runs on, as its page store holds it. *)
+let shard_store cluster i =
+  Afs_core.Pagestore.store (Server.pagestore (Shard.server (Cluster.shard cluster i)))
+
 (* {2 Shipping and watermarks} *)
 
 (* The smallest full pipeline: a server over a capture store, one replica
@@ -42,7 +46,8 @@ let digest store =
 let test_ship_apply_watermarks () =
   in_sim (fun engine ->
       let counters = Stats.Counter.create () in
-      let source = Replica.Source.create ~counters engine (Store.memory ()) in
+      let primary = Store.memory () in
+      let source = Replica.Source.create ~counters engine primary in
       let reg = Replica.Source.register source in
       let r = Replica.create ~counters engine ~shard:0 ~reg () in
       Replica.Source.attach source r;
@@ -69,7 +74,7 @@ let test_ship_apply_watermarks () =
       Replica.drain r;
       Alcotest.(check bool)
         "byte-identical stores" true
-        (digest (Replica.Source.inner_store source) = digest (Replica.store r)))
+        (digest primary = digest (Replica.store r)))
 
 (* A replica whose store is a stable pair: shipped batches coalesce their
    writes through [write_batch], so the companion hop is paid per run of
@@ -84,7 +89,8 @@ let test_replica_on_stable_pair () =
              ~blocks:512 ~block_size:32768 ())
       in
       let counters = Stats.Counter.create () in
-      let source = Replica.Source.create ~counters engine (pair_store ()) in
+      let primary = pair_store () in
+      let source = Replica.Source.create ~counters engine primary in
       let reg = Replica.Source.register source in
       let r = Replica.create ~counters ~store:(pair_store ()) engine ~shard:0 ~reg () in
       Replica.Source.attach source r;
@@ -107,7 +113,7 @@ let test_replica_on_stable_pair () =
       Alcotest.(check (option string)) "replica store healthy" None (Replica.failure r);
       Alcotest.(check bool)
         "stable replica byte-identical" true
-        (digest (Replica.Source.inner_store source) = digest (Replica.store r)))
+        (digest primary = digest (Replica.store r)))
 
 (* Each publish ships once. The gate cuts a publish's pages and
    references before the page store writes them, so the replica applies
@@ -142,7 +148,7 @@ let test_publish_ships_once () =
       Alcotest.(check int) "replica writes = primary writes" primary_writes replica_writes;
       Alcotest.(check bool)
         "byte-identical stores" true
-        (digest (Replica.Source.inner_store source) = digest (Replica.store r)))
+        (digest primary = digest (Replica.store r)))
 
 (* {2 Byte-identity under load (property)} *)
 
@@ -185,8 +191,8 @@ let prop_replica_byte_identity =
         (fun i ->
           match Cluster.replication_source cluster i with
           | None -> false
-          | Some src ->
-              let primary = digest (Replica.Source.inner_store src) in
+          | Some _ ->
+              let primary = digest (shard_store cluster i) in
               List.for_all
                 (fun r ->
                   Replica.failure r = None && digest (Replica.store r) = primary)
@@ -216,7 +222,7 @@ let test_shared_images_never_change () =
     List.concat_map
       (fun i ->
         (match Cluster.replication_source cluster i with
-        | Some src -> [ Replica.Source.inner_store src ]
+        | Some _ -> [ shard_store cluster i ]
         | None -> Alcotest.fail "shard without a replication source")
         @ List.map Replica.store (Cluster.replicas_of cluster i))
       [ 0; 1 ]
@@ -271,11 +277,11 @@ let test_shared_images_never_change () =
     (fun i ->
       match Cluster.replication_source cluster i with
       | None -> ()
-      | Some src ->
+      | Some _ ->
           List.iter
             (fun r ->
               Alcotest.(check bool) "replica matches its primary" true
-                (digest (Replica.store r) = digest (Replica.Source.inner_store src)))
+                (digest (Replica.store r) = digest (shard_store cluster i)))
             (Cluster.replicas_of cluster i))
     [ 0; 1 ]
 
@@ -311,10 +317,19 @@ let test_fencing_deposed_primary_aborts () =
         (ok (Batch_ops.read_current client f P.root));
       (* A second promotion attempt against the old epoch loses the
          test-and-set the same way. *)
-      match Cluster.promote cluster 0 with
+      (match Cluster.promote cluster 0 with
       | Error (Errors.Store_failure _) -> () (* no replica left: fine *)
       | Ok _ -> Alcotest.fail "promoted with no replica"
-      | Error e -> Alcotest.failf "unexpected: %s" (Errors.to_string e))
+      | Error e -> Alcotest.failf "unexpected: %s" (Errors.to_string e));
+      (* No replica is left to feed, so the promoted shard has no source
+         and its commits ship nothing. *)
+      Alcotest.(check bool) "no source" true (Cluster.replication_source cluster 0 = None);
+      let shipped () = Stats.Counter.get (Cluster.counters cluster) "replica.shipped" in
+      let before = shipped () in
+      ok (Batch_ops.update client f [ Afs_txn.Txn.Write (P.root, bytes "after") ]);
+      Alcotest.(check int) "nothing shipped" before (shipped ());
+      Helpers.check_bytes "the promoted shard commits" "after"
+        (ok (Batch_ops.read_current client f P.root)))
 
 (* The register itself: a test-and-set with a stale expected epoch loses
    with Conflict and moves nothing. *)

@@ -331,14 +331,22 @@ let test_cross_shard_commit () =
             (ok (Batch_ops.read_current client f P.root)))
         accts)
 
+(* One part is one single-file update: no coordinator, no record, no
+   coordinator message. *)
 let test_single_part_fast_path () =
   in_cluster ~shards:2 (fun cluster client ->
       let accts = setup_accounts client 1 100 in
       let txn = Txn.create client in
-      ok_txn (Txn.exec txn [ { Txn.file = accts.(0); ops = [ credit 5 ] } ]);
+      let recorded = ref false in
+      ok_txn
+        (Txn.exec ~on_record:(fun _ _ -> recorded := true) txn
+           [ { Txn.file = accts.(0); ops = [ credit 5 ] } ]);
       Alcotest.(check int) "applied" 105 (read_balance client accts.(0));
-      Alcotest.(check int) "took the fast path" 1 (count cluster "txn.fastpath");
-      Alcotest.(check int) "no coordinator" 0 (count cluster "txn.coordinated"))
+      Alcotest.(check int) "committed" 1 (count cluster "txn.committed");
+      Alcotest.(check int) "no coordinator" 0 (count cluster "txn.coordinated");
+      Alcotest.(check bool) "no record acquired" false !recorded;
+      Alcotest.(check int) "no record created" 0 (count cluster "txn.records_created");
+      Alcotest.(check int) "no coordinator message" 0 (count cluster "txn.round_trips"))
 
 (* A fully staged transaction and a plain optimistic update colliding:
    whoever commits second must lose, in this order the plain update —
@@ -380,6 +388,26 @@ let test_reader_resolves_in_doubt () =
         (read_balance client accts.(staged));
       Alcotest.(check int) "nothing else in doubt" 0
         (ok (Txn.sweep other (Array.to_list accts))))
+
+(* The workloads' cluster backend meets the same in-doubt file: its
+   single-file update waits out the decided record, the transfer is
+   rolled forward, and the update lands after it, with no abort
+   counted. *)
+let test_afs_cluster_waits_out_marker () =
+  in_faulty_cluster ~shards:2 (fun faults _cluster client ->
+      let accts = setup_accounts client 2 100 in
+      let staged = if Capability.compare accts.(0) accts.(1) > 0 then 1 else 0 in
+      exec_killed faults ~at:after_decide (killable faults client) (transfer accts 0 1 30);
+      let open Afs_workload in
+      let sut = Sut.afs_cluster client ~files:accts in
+      let spec = { Sut.file = staged; ops = [ Sut.Rmw (0, money 1) ]; parts = [] } in
+      let r = sut.Sut.exec spec ~max_retries:4 in
+      Alcotest.(check bool) "committed" true r.Sut.committed;
+      Alcotest.(check int) "one attempt" 1 r.Sut.attempts;
+      Alcotest.(check int) "no abort" 0 r.Sut.local_aborts;
+      Alcotest.(check int) "transfer rolled forward, then +1"
+        ((if staged = 0 then 70 else 130) + 1)
+        (read_balance client accts.(staged)))
 
 (* A coordinator dying before the decide leaves a pending record; the
    sweep presumes it dead, force-aborts it, and rolls every participant
@@ -452,7 +480,7 @@ let opens_with_root root =
       let v = ok (Shard.open_version conn f) in
       Helpers.check_bytes "the root is plain data" (Bytes.to_string root)
         (ok (Batch_ops.read conn v P.root));
-      ok (Batch_ops.abort conn v))
+      Afs_rpc.Remote.abandon conn v)
 
 let test_overflowing_root_opens () =
   opens_with_root
@@ -587,7 +615,7 @@ let prop_one_part_matches_per_op =
                 match ran with
                 | Ok () -> Batch_ops.commit conn v
                 | Error _ ->
-                    ignore (Batch_ops.abort conn v : unit r);
+                    Afs_rpc.Remote.abandon conn v;
                     ran))
       in
       batched = per_op)
@@ -1514,6 +1542,7 @@ let () =
           quick "cross-shard commit is atomic and clean" test_cross_shard_commit;
           quick "single part takes the fast path" test_single_part_fast_path;
           quick "reader resolves an in-doubt file" test_reader_resolves_in_doubt;
+          quick "afs_cluster waits out an in-doubt file" test_afs_cluster_waits_out_marker;
           quick "sweep discards an undecided txn" test_sweep_discards_undecided;
           quick "sweep completes a decided txn" test_sweep_completes_decided;
           quick "stage fences versions opened before it" test_stage_fences_prior_versions;

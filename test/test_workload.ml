@@ -96,6 +96,7 @@ let test_afs_remote_rides_out_host_outage () =
   let r = in_process engine (fun () -> sut.Sut.exec increment_page0 ~max_retries:4) in
   Alcotest.(check bool) "committed" true r.Sut.committed;
   Alcotest.(check bool) (Printf.sprintf "%d attempts > 1" r.Sut.attempts) true (r.Sut.attempts > 1);
+  Alcotest.(check int) "a back-off is not an abort" 0 r.Sut.local_aborts;
   Helpers.check_bytes "one increment" "1" (sut.Sut.read_page 0 0)
 
 (* The last allowed attempt asks for no redo: with [max_retries = 1], a
