@@ -324,37 +324,38 @@ let c4 () =
 
 (* {2 C5 — stable storage} *)
 
-let ok_stable (o : 'a Stable.outcome) =
-  match o.Stable.result with
-  | Ok v -> v
-  | Error e -> failwith (Fmt.str "%a" Stable.pp_error e)
+let ok_stable = function Ok v -> v | Error e -> failwith (Fmt.str "%a" Stable.pp_error e)
 
 let c5 () =
   banner "c5-stable-storage" "Dual-server stable storage: overhead, collisions, recovery"
     "§4: write companion-first; collisions detected before damage; compare-notes recovery";
-  (* Write overhead vs a plain single-disk block server. *)
+  (* Write overhead vs a plain single-disk block server, each read off
+     its layer's clock. The block server's allocation touches no disk:
+     only the writes are timed. *)
   let plain_ms =
+    let module B = Afs_block.Block_server in
     let disk = Disk.create ~media:Media.magnetic ~blocks:1024 ~block_size:32768 () in
-    let bs = Afs_block.Block_server.create ~disk () in
+    let bs = B.create ~disk () in
     let total = ref 0.0 in
     for _ = 1 to 100 do
-      match Afs_block.Block_server.allocate bs 1 with
-      | { Afs_block.Block_server.result = Ok b; _ } ->
-          let o = Afs_block.Block_server.write bs 1 b (Bytes.make 4096 'x') in
-          total := !total +. o.Afs_block.Block_server.cost_ms
-      | _ -> ()
+      match B.allocate bs 1 with
+      | Ok b ->
+          let before = B.busy_ms bs in
+          ignore (B.write bs 1 b (Bytes.make 4096 'x'));
+          total := !total +. (B.busy_ms bs -. before)
+      | Error _ -> ()
     done;
     !total /. 100.0
   in
   let stable_ms =
     let pair = Stable.create ~media:Media.magnetic ~blocks:1024 ~block_size:32768 () in
-    let total = ref 0.0 in
     for _ = 1 to 100 do
-      let o = Stable.allocate_write pair 0 (Bytes.make 4096 'x') in
-      total := !total +. o.Stable.cost_ms
+      ignore (ok_stable (Stable.allocate_write pair 0 (Bytes.make 4096 'x')))
     done;
-    !total /. 100.0
+    Stable.busy_ms pair /. 100.0
   in
+  metric "c5-stable-storage" "plain_ms_per_4k_write" plain_ms;
+  metric "c5-stable-storage" "stable_ms_per_4k_write" stable_ms;
   table [ "write path"; "ms per 4K allocate+write" ]
     [
       [ "plain block server (1 copy)"; f2 plain_ms ];
@@ -376,22 +377,20 @@ let c5 () =
            incr attempts;
            let a = Stable.tentative_allocate pair 0 in
            let b = Stable.tentative_allocate pair 1 in
-           match (a.Stable.result, b.Stable.result) with
+           match (a, b) with
            | Ok ba, Ok bb ->
                (match Stable.shadow_write pair ~primary:0 ba (bytes "a") with
-               | { Stable.result = Error (Stable.Collision _); _ } ->
+               | Error (Stable.Collision _) ->
                    incr collisions;
                    Stable.abort_tentative pair 0 ba
-               | { Stable.result = Ok seq; _ } ->
-                   ignore (Stable.local_write_seq pair 0 ba (bytes "a") seq)
-               | _ -> ());
+               | Ok seq -> ignore (Stable.local_write_seq pair 0 ba (bytes "a") seq)
+               | Error _ -> ());
                (match Stable.shadow_write pair ~primary:1 bb (bytes "b") with
-               | { Stable.result = Error (Stable.Collision _); _ } ->
+               | Error (Stable.Collision _) ->
                    incr collisions;
                    Stable.abort_tentative pair 1 bb
-               | { Stable.result = Ok seq; _ } ->
-                   ignore (Stable.local_write_seq pair 1 bb (bytes "b") seq)
-               | _ -> ())
+               | Ok seq -> ignore (Stable.local_write_seq pair 1 bb (bytes "b") seq)
+               | Error _ -> ())
            | _ -> ()
          done);
         let invariant =
@@ -418,11 +417,13 @@ let c5 () =
             (ok_stable
                (Stable.write pair 0 (List.nth blocks_written (i mod 64)) (bytes "updated")))
         done;
-        let o = Stable.restart pair 1 in
-        match o.Stable.result with
-        | Ok repaired ->
-            [ string_of_int writes_during_outage; string_of_int repaired; f1 o.Stable.cost_ms ]
-        | Error e -> failwith (Fmt.str "%a" Stable.pp_error e))
+        let before = Stable.busy_ms pair in
+        let repaired = ok_stable (Stable.restart pair 1) in
+        let cost_ms = Stable.busy_ms pair -. before in
+        metric "c5-stable-storage"
+          (Printf.sprintf "recovery_ms_after_%d_writes" writes_during_outage)
+          cost_ms;
+        [ string_of_int writes_during_outage; string_of_int repaired; f1 cost_ms ])
       [ 0; 16; 64; 256 ]
   in
   table [ "writes during outage"; "blocks repaired"; "recovery cost ms" ] recovery_rows;

@@ -143,7 +143,7 @@ let test_stable_write =
   let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
   let payload = Bytes.make 1024 'w' in
   let b =
-    match (S.allocate_write pair 0 payload).S.result with
+    match S.allocate_write pair 0 payload with
     | Ok b -> b
     | Error e -> failwith (Fmt.str "%a" S.pp_error e)
   in
@@ -156,7 +156,7 @@ let test_stable_read =
   let module S = Afs_stable.Stable_pair in
   let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
   let b =
-    match (S.allocate_write pair 0 (Bytes.make 1024 'r')).S.result with
+    match S.allocate_write pair 0 (Bytes.make 1024 'r') with
     | Ok b -> b
     | Error e -> failwith (Fmt.str "%a" S.pp_error e)
   in
@@ -170,7 +170,7 @@ let test_stable_write_batch =
   let payload = Bytes.make 1024 'w' in
   let entries =
     List.init 8 (fun _ ->
-        match (S.allocate_write pair 0 payload).S.result with
+        match S.allocate_write pair 0 payload with
         | Ok b -> (b, payload)
         | Error e -> failwith (Fmt.str "%a" S.pp_error e))
   in

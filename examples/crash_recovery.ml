@@ -91,7 +91,7 @@ let () =
     Printf.printf "t=%6.1fms  still serving: %S (from the companion disk)\n" (Engine.now engine)
       (Bytes.to_string (ok (read conn cur)));
 
-    (match (Stable.restart pair 0).Stable.result with
+    (match Stable.restart pair 0 with
     | Ok repaired ->
         Printf.printf "t=%6.1fms  disk 0 restored by compare-notes: %d blocks repaired\n"
           (Engine.now engine) repaired

@@ -19,8 +19,6 @@ let pp_error ppf = function
   | Not_locked b -> Fmt.pf ppf "block %d not locked" b
   | Disk_error e -> Disk.pp_error ppf e
 
-type 'a outcome = { result : ('a, error) result; cost_ms : float }
-
 (* The server's own CPU/queueing cost per request, on top of disk time. *)
 let request_overhead_ms = 0.1
 
@@ -30,29 +28,29 @@ type t = {
   disk : Disk.t;
   owners : (int, account) Hashtbl.t;
   locks : (int, account) Hashtbl.t;
-  mutable free_count : int;
   mutable next_hint : int;
+  mutable requests : int;
   trace : Trace.t;
 }
 
 let create ?(trace = Trace.null) ~disk () =
-  {
-    disk;
-    owners = Hashtbl.create 1024;
-    locks = Hashtbl.create 64;
-    free_count = Disk.block_count disk;
-    next_hint = 0;
-    trace;
-  }
+  let owners = Hashtbl.create 1024 and locks = Hashtbl.create 64 in
+  { disk; owners; locks; next_hint = 0; requests = 0; trace }
 
 let disk t = t.disk
 let block_size t = Disk.block_size t.disk
 let allocated_blocks t = Hashtbl.length t.owners
 
-let ok ?(cost = request_overhead_ms) v = { result = Ok v; cost_ms = cost }
-let fail ?(cost = request_overhead_ms) e = { result = Error e; cost_ms = cost }
+(* The server's clock: its disk's busy time plus the overhead of every
+   request it has taken, failed ones included. *)
+let busy_ms t = Disk.busy_ms t.disk +. (float_of_int t.requests *. request_overhead_ms)
 
-let is_free t b = not (Hashtbl.mem t.owners b)
+let request t = t.requests <- t.requests + 1
+
+(* A block is free when no account owns it and it holds nothing: a
+   freed block on write-once media keeps its bytes, and its space is
+   spent. *)
+let is_free t b = not (Hashtbl.mem t.owners b || Disk.is_written t.disk b)
 
 let find_free t =
   let n = Disk.block_count t.disk in
@@ -64,15 +62,13 @@ let find_free t =
   scan 0 t.next_hint
 
 let allocate t account =
-  if t.free_count = 0 then fail No_free_blocks
-  else
-    match find_free t with
-    | None -> fail No_free_blocks
-    | Some b ->
-        Hashtbl.replace t.owners b account;
-        t.free_count <- t.free_count - 1;
-        t.next_hint <- (b + 1) mod Disk.block_count t.disk;
-        ok b
+  request t;
+  match find_free t with
+  | None -> Error No_free_blocks
+  | Some b ->
+      Hashtbl.replace t.owners b account;
+      t.next_hint <- (b + 1) mod Disk.block_count t.disk;
+      Ok b
 
 let check_owner t account b =
   match Hashtbl.find_opt t.owners b with
@@ -85,70 +81,60 @@ let check_lock t account b =
   | Some holder when holder <> account -> Error (Locked { block = b; holder })
   | _ -> Ok ()
 
+let ( let* ) = Result.bind
+let of_disk r = Result.map_error (fun e -> Disk_error e) r
+
 let deallocate t account b =
-  match check_owner t account b with
-  | Error e -> fail e
-  | Ok () -> (
-      match check_lock t account b with
-      | Error e -> fail e
-      | Ok () ->
-          Hashtbl.remove t.owners b;
-          Hashtbl.remove t.locks b;
-          t.free_count <- t.free_count + 1;
-          (* Erase is refused on write-once media; the block simply stays
-             unreferenced there, as §6 expects for optical stores. *)
-          let _ = Disk.erase t.disk b in
-          ok ())
+  request t;
+  let* () = check_owner t account b in
+  let* () = check_lock t account b in
+  (* Erase is refused on write-once media: the block stays unreferenced
+     there, as §6 expects for optical stores, and [is_free] keeps its
+     spent space out of the pool. *)
+  match Disk.erase t.disk b with
+  | Error Disk.Offline -> Error (Disk_error Disk.Offline)
+  | Ok () | Error _ ->
+      Hashtbl.remove t.owners b;
+      Hashtbl.remove t.locks b;
+      Ok ()
 
 let read t account b =
-  match check_owner t account b with
-  | Error e -> fail e
-  | Ok () ->
-      let { Disk.result; cost_ms } = Disk.read t.disk b in
-      let cost = request_overhead_ms +. cost_ms in
-      (match result with
-      | Ok image -> ok ~cost (Bytes.unsafe_of_string image)
-      | Error e -> fail ~cost (Disk_error e))
+  request t;
+  let* () = check_owner t account b in
+  Result.map Bytes.unsafe_of_string (of_disk (Disk.read t.disk b))
 
 let write t account b data =
-  match check_owner t account b with
-  | Error e -> fail e
-  | Ok () -> (
-      match check_lock t account b with
-      | Error e -> fail e
-      | Ok () ->
-          let { Disk.result; cost_ms } = Disk.write t.disk b (Bytes.unsafe_to_string data) in
-          let cost = request_overhead_ms +. cost_ms in
-          (match result with
-          | Ok () -> ok ~cost ()
-          | Error e -> fail ~cost (Disk_error e)))
+  request t;
+  let* () = check_owner t account b in
+  let* () = check_lock t account b in
+  of_disk (Disk.write t.disk b (Bytes.unsafe_to_string data))
 
 let lock t account b =
+  request t;
   let note won =
     if Trace.enabled t.trace then Trace.point t.trace (Trace.Block_lock { block = b; won })
   in
-  match check_owner t account b with
-  | Error e -> fail e
-  | Ok () -> (
-      match Hashtbl.find_opt t.locks b with
-      | Some holder when holder <> account ->
-          note false;
-          fail (Locked { block = b; holder })
-      | Some _ ->
-          note true;
-          ok () (* Re-entrant for the same account. *)
-      | None ->
-          Hashtbl.replace t.locks b account;
-          note true;
-          ok ())
+  let* () = check_owner t account b in
+  match Hashtbl.find_opt t.locks b with
+  | Some holder when holder <> account ->
+      note false;
+      Error (Locked { block = b; holder })
+  | Some _ ->
+      note true;
+      Ok () (* Re-entrant for the same account. *)
+  | None ->
+      Hashtbl.replace t.locks b account;
+      note true;
+      Ok ()
 
 let unlock t account b =
+  request t;
   match Hashtbl.find_opt t.locks b with
-  | None -> fail (Not_locked b)
-  | Some holder when holder <> account -> fail (Locked { block = b; holder })
+  | None -> Error (Not_locked b)
+  | Some holder when holder <> account -> Error (Locked { block = b; holder })
   | Some _ ->
       Hashtbl.remove t.locks b;
-      ok ()
+      Ok ()
 
 let owned_blocks t account =
   Hashtbl.fold (fun b owner acc -> if owner = account then b :: acc else acc) t.owners []

@@ -9,8 +9,9 @@
     lists the blocks owned by an account so a file server can rebuild its
     state from block-level redundancy after a severe crash.
 
-    Every operation reports its simulated cost so callers under the event
-    engine can charge virtual time. *)
+    Operations answer plain results; the server keeps one clock,
+    {!busy_ms}, which a caller reads around an operation to time it. A
+    simulated run charges only its disk's share ([Rpc.serve ?disks]). *)
 
 type t
 
@@ -26,36 +27,40 @@ type error =
 
 val pp_error : error Fmt.t
 
-type 'a outcome = { result : ('a, error) result; cost_ms : float }
-
 val create : ?trace:Afs_trace.Trace.t -> disk:Afs_disk.Disk.t -> unit -> t
 
 val disk : t -> Afs_disk.Disk.t
 val block_size : t -> int
 val allocated_blocks : t -> int
 
-val allocate : t -> account -> int outcome
+val busy_ms : t -> float
+(** The server's clock: its disk's {!Afs_disk.Disk.busy_ms} plus 0.1 ms
+    per request taken so far, failed ones included. *)
+
+val allocate : t -> account -> (int, error) result
 (** Reserve a block for the account; no disk traffic until first write.
     The first free block at or after the last one allocated, wrapping:
     deterministic. The stable pair draws its own addresses
     ([Stable_pair.tentative_allocate]). *)
 
-val deallocate : t -> account -> int -> unit outcome
-(** Free the block and erase its contents (no-op erase on write-once
-    media: the space is simply unlinked). *)
+val deallocate : t -> account -> int -> (unit, error) result
+(** Free the block and erase its contents. On write-once media the erase
+    is refused and the space is simply unlinked: the block never returns
+    to the free pool. While the disk is offline, fails with
+    [Disk_error Offline] and frees nothing. *)
 
-val read : t -> account -> int -> bytes outcome
+val read : t -> account -> int -> (bytes, error) result
 (** The disk's image itself, not a copy: the caller must not change it. *)
 
-val write : t -> account -> int -> bytes -> unit outcome
+val write : t -> account -> int -> bytes -> (unit, error) result
 (** Atomic: the acknowledgement implies durability. Respects locks held by
     other accounts. The disk keeps [data] itself: do not change it. *)
 
-val lock : t -> account -> int -> unit outcome
+val lock : t -> account -> int -> (unit, error) result
 (** Grab the block's lock; fails with [Locked] when another account holds
     it (no queueing here — the file service layers its own waiting). *)
 
-val unlock : t -> account -> int -> unit outcome
+val unlock : t -> account -> int -> (unit, error) result
 
 val owned_blocks : t -> account -> int list
 (** The §4 recovery operation: all blocks owned by the account, sorted. *)

@@ -110,9 +110,7 @@ let memory ?(block_size = 32768) () =
 let string_of_block_error = Fmt.str "%a" Block_server.pp_error
 
 let of_block_server server ~account =
-  let lift : type a. a Block_server.outcome -> (a, string) result =
-   fun outcome -> Result.map_error string_of_block_error outcome.Block_server.result
-  in
+  let lift r = Result.map_error string_of_block_error r in
   let write b data = lift (Block_server.write server account b data) in
   {
     block_size = Block_server.block_size server;
@@ -121,11 +119,7 @@ let of_block_server server ~account =
     read = (fun b -> lift (Block_server.read server account b));
     write;
     write_batch = sequential_batch write;
-    lock =
-      (fun b ->
-        match (Block_server.lock server account b).Block_server.result with
-        | Ok () -> true
-        | Error _ -> false);
+    lock = (fun b -> Result.is_ok (Block_server.lock server account b));
     unlock = (fun b -> ignore (Block_server.unlock server account b));
     list_blocks = (fun () -> Ok (Block_server.owned_blocks server account));
   }
@@ -142,9 +136,7 @@ let of_stable_pair pair =
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   (* Each operation matches on the serving server: no closure per call. *)
   let online () = Stable_pair.some_online pair and offline = Error "no stable server online" in
-  let lift : type a. a Stable_pair.outcome -> (a, string) result =
-   fun outcome -> Result.map_error string_of_stable_error outcome.Stable_pair.result
-  in
+  let lift r = Result.map_error string_of_stable_error r in
   {
     block_size = Stable_pair.block_size pair;
     allocate =
@@ -203,9 +195,7 @@ let worm_hybrid ~blocks ~block_size () =
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let lock, unlock = lock_table () in
   let next = ref 0 in
-  let lift_disk : type a. a Disk.outcome -> (a, string) result =
-   fun o -> Result.map_error (Fmt.str "%a" Disk.pp_error) o.Disk.result
-  in
+  let lift_disk r = Result.map_error (Fmt.str "%a" Disk.pp_error) r in
   (* The disks keep immutable images, which the ownership rule lets both
      directions pass through uncopied. *)
   let write b data =

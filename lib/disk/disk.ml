@@ -13,8 +13,6 @@ let pp_error ppf = function
   | Too_large { requested; block_size } ->
       Fmt.pf ppf "%d bytes exceeds block size %d" requested block_size
 
-type 'a outcome = { result : ('a, error) result; cost_ms : float }
-
 module Trace = Afs_trace.Trace
 
 type sector = { header : string; data : string }
@@ -67,17 +65,15 @@ let sector_bytes s = String.length s.header + String.length s.data
 
 (* A read answers [answer] of the stored sector, which is the record
    itself or its data: both reads share this one body, and neither
-   allocates more than its outcome. *)
+   allocates more than its [Ok]. *)
 let fetch answer t b =
-  if t.offline then { result = Error Offline; cost_ms = 0.0 }
-  else if b < 0 || b >= Array.length t.blocks then
-    { result = Error (Out_of_range b); cost_ms = 0.0 }
+  if t.offline then Error Offline
+  else if b < 0 || b >= Array.length t.blocks then Error (Out_of_range b)
   else
     let s = t.blocks.(b) in
     if s == unwritten then begin
-      let cost = Media.read_cost t.media ~bytes:0 in
-      charge t cost;
-      { result = Error (Never_written b); cost_ms = cost }
+      charge t (Media.read_cost t.media ~bytes:0);
+      Error (Never_written b)
     end
     else begin
       let bytes = sector_bytes s in
@@ -89,7 +85,7 @@ let fetch answer t b =
         Trace.point t.trace
           (Trace.Disk_read
              { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
-      { result = Ok (answer s); cost_ms = cost }
+      Ok (answer s)
     end
 
 let read_sector t b = fetch Fun.id t b
@@ -97,13 +93,11 @@ let read t b = fetch (fun s -> s.data) t b
 
 let write_sector t b s =
   let bytes = sector_bytes s in
-  if t.offline then { result = Error Offline; cost_ms = 0.0 }
-  else if b < 0 || b >= Array.length t.blocks then
-    { result = Error (Out_of_range b); cost_ms = 0.0 }
+  if t.offline then Error Offline
+  else if b < 0 || b >= Array.length t.blocks then Error (Out_of_range b)
   else if bytes > t.block_size then
-    { result = Error (Too_large { requested = bytes; block_size = t.block_size }); cost_ms = 0.0 }
-  else if t.media.Media.write_once && t.blocks.(b) != unwritten then
-    { result = Error (Write_once_violation b); cost_ms = 0.0 }
+    Error (Too_large { requested = bytes; block_size = t.block_size })
+  else if t.media.Media.write_once && t.blocks.(b) != unwritten then Error (Write_once_violation b)
   else begin
     let cost = Media.write_cost t.media ~bytes in
     if t.blocks.(b) == unwritten then t.in_use <- t.in_use + 1;
@@ -115,21 +109,19 @@ let write_sector t b s =
       Trace.point t.trace
         (Trace.Disk_write
            { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
-    { result = Ok (); cost_ms = cost }
+    Ok ()
   end
 
 let write t b data = write_sector t b { header = ""; data }
 
 let erase t b =
-  if t.offline then { result = Error Offline; cost_ms = 0.0 }
-  else if b < 0 || b >= Array.length t.blocks then
-    { result = Error (Out_of_range b); cost_ms = 0.0 }
-  else if t.media.Media.write_once then
-    { result = Error (Write_once_violation b); cost_ms = 0.0 }
+  if t.offline then Error Offline
+  else if b < 0 || b >= Array.length t.blocks then Error (Out_of_range b)
+  else if t.media.Media.write_once then Error (Write_once_violation b)
   else begin
     if t.blocks.(b) != unwritten then t.in_use <- t.in_use - 1;
     t.blocks.(b) <- unwritten;
-    { result = Ok (); cost_ms = 0.0 }
+    Ok ()
   end
 
 let is_written t b = b >= 0 && b < Array.length t.blocks && t.blocks.(b) != unwritten
@@ -181,10 +173,3 @@ let stats (t : t) =
   }
 
 let busy_ms (t : t) = t.busy_ms
-
-let reset_stats (t : t) =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.bytes_read <- 0;
-  t.bytes_written <- 0;
-  t.busy_ms <- 0.0

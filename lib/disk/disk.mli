@@ -7,9 +7,9 @@
     stable-storage layer detects by checksum and repairs from the companion
     disk.
 
-    Operations are synchronous; simulated latency is returned with each
-    result (and accumulated in {!stats}) so callers running under the
-    event engine can charge it with [Proc.delay]. *)
+    Operations are synchronous and answer plain results. Each read and
+    write adds its {!Media} cost to the disk's one clock, {!busy_ms}; the
+    RPC layer charges a request the clock's growth as service time. *)
 
 type t
 
@@ -21,8 +21,6 @@ type error =
   | Too_large of { requested : int; block_size : int }
 
 val pp_error : error Fmt.t
-
-type 'a outcome = { result : ('a, error) result; cost_ms : float }
 
 val create :
   ?trace:Afs_trace.Trace.t -> media:Media.t -> blocks:int -> block_size:int -> unit -> t
@@ -47,21 +45,21 @@ val block_size : t -> int
 
 type sector = { header : string; data : string }
 
-val read_sector : t -> int -> sector outcome
+val read_sector : t -> int -> (sector, error) result
 (** The stored sector itself. *)
 
-val write_sector : t -> int -> sector -> unit outcome
+val write_sector : t -> int -> sector -> (unit, error) result
 (** Whole-block atomic write of the header and data, which must fit the
     block size together; keeps the caller's record. Fails with
     [Write_once_violation] when overwriting on write-once media. *)
 
-val read : t -> int -> string outcome
+val read : t -> int -> (string, error) result
 (** The stored sector's data (its exact written length), without a copy. *)
 
-val write : t -> int -> string -> unit outcome
+val write : t -> int -> string -> (unit, error) result
 (** [write t b data] writes [data] with an empty header. *)
 
-val erase : t -> int -> unit outcome
+val erase : t -> int -> (unit, error) result
 (** Return a block to the never-written state. Fails on write-once media
     with [Write_once_violation]. *)
 
@@ -97,7 +95,6 @@ type stats = {
 val stats : t -> stats
 
 val busy_ms : t -> float
-(** [(stats t).busy_ms] without building the record: the RPC layer reads
-    it around every request. *)
-
-val reset_stats : t -> unit
+(** The disk's clock: the simulated milliseconds of every read and write
+    so far, [(stats t).busy_ms] without building the record. The RPC
+    layer reads it around every request. *)

@@ -24,10 +24,10 @@ let pp_error ppf = function
   | Recovering i -> Fmt.pf ppf "server %d still recovering" i
   | Disk_error e -> Disk.pp_error ppf e
 
-type 'a outcome = { result : ('a, error) result; cost_ms : float }
-
 (* One network hop between companions, in simulated milliseconds. *)
 let hop_ms = 2.0
+
+type intention = Wrote | Freed
 
 type server = {
   disk : Disk.t;
@@ -35,8 +35,9 @@ type server = {
      companion is down and are reconciled by [restart]. *)
   allocated : (int, unit) Hashtbl.t;
   tentative : (int, unit) Hashtbl.t;
-  (* Blocks written while the companion was down, to replay at recovery. *)
-  intentions : (int, unit) Hashtbl.t;
+  (* Blocks written or freed while the companion was down, to replay at
+     recovery. *)
+  intentions : (int, intention) Hashtbl.t;
   mutable up : bool;
   mutable recovered : bool;
   mutable seq : int64;
@@ -49,6 +50,9 @@ type t = {
   rng : Xrng.t;
   block_size : int;
   blocks : int;
+  (* The pair's own share of its clock: companion hops and collision
+     back-offs, which no disk charges. *)
+  mutable modelled_ms : float;
   trace : Trace.t;
 }
 
@@ -70,10 +74,19 @@ let create ?(seed = 0x57AB1E) ?(media = Media.magnetic) ?(trace = Trace.null) ~b
   if blocks <= 0 || block_size <= 0 then invalid_arg "Stable_pair.create: sizes";
   let disk_block_size = block_size + header_room in
   let server () = make_server ~trace ~media ~blocks ~block_size:disk_block_size in
-  { servers = [| server (); server () |]; rng = Xrng.create seed; block_size; blocks; trace }
+  let servers = [| server (); server () |] and rng = Xrng.create seed in
+  { servers; rng; block_size; blocks; modelled_ms = 0.0; trace }
 
-let leg t ~leg ~server ~block ~cost_ms =
+let busy_ms t =
+  Disk.busy_ms t.servers.(0).disk +. Disk.busy_ms t.servers.(1).disk +. t.modelled_ms
+
+let charge t ms = t.modelled_ms <- t.modelled_ms +. ms
+
+(* A [stable.leg] point, costed as what [server]'s disk charged since its
+   clock read [since]. *)
+let leg t ~leg ~server ~block ~since =
   if Trace.enabled t.trace then
+    let cost_ms = Disk.busy_ms t.servers.(server).disk -. since in
     Trace.point t.trace (Trace.Stable_leg { leg; server; block; cost_ms })
 
 let block_size t = t.block_size
@@ -82,9 +95,6 @@ let companion i = 1 - i
 let online t i = t.servers.(i).up && t.servers.(i).recovered
 
 let some_online t = if online t 0 then Some 0 else if online t 1 then Some 1 else None
-
-let ok ?(cost = 0.0) v = { result = Ok v; cost_ms = cost }
-let fail ?(cost = 0.0) e = { result = Error e; cost_ms = cost }
 
 (* {2 Sector headers: magic, seq, payload length, then a CRC} *)
 
@@ -152,7 +162,7 @@ let is_taken s b = Hashtbl.mem s.allocated b || Hashtbl.mem s.tentative b
 
 let tentative_allocate t i =
   match check_serving t i with
-  | Error e -> fail e
+  | Error _ as e -> e
   | Ok s ->
       let total = t.blocks in
       let rec probe attempts =
@@ -165,10 +175,10 @@ let tentative_allocate t i =
           if is_taken s b then probe (attempts - 1) else Some b
       in
       (match probe 16 with
-      | None -> fail No_free_blocks
+      | None -> Error No_free_blocks
       | Some b ->
           Hashtbl.replace s.tentative b ();
-          ok b)
+          Ok b)
 
 let abort_tentative t i b = Hashtbl.remove t.servers.(i).tentative b
 
@@ -179,21 +189,16 @@ let abort_tentative t i b = Hashtbl.remove t.servers.(i).tentative b
 let put_copy t x b sector seq =
   let s = t.servers.(x) in
   note_seq t x seq;
-  let { Disk.result; cost_ms } = Disk.write_sector s.disk b sector in
-  match result with
-  | Error e -> fail ~cost:cost_ms (Disk_error e)
+  match Disk.write_sector s.disk b sector with
+  | Error e -> Error (Disk_error e)
   | Ok () ->
       Hashtbl.replace s.allocated b ();
-      ok ~cost:cost_ms ()
+      Ok ()
 
-(* Applies [f] to each element in order, summing costs onto [cost] and
-   stopping at the first failure. *)
-let rec each cost f = function
-  | [] -> ok ~cost ()
-  | x :: rest -> (
-      match f x with
-      | { result = Ok (); cost_ms } -> each (cost +. cost_ms) f rest
-      | { result = Error e; cost_ms } -> fail ~cost:(cost +. cost_ms) e)
+(* Applies [f] to each element in order, stopping at the first failure. *)
+let rec each f = function
+  | [] -> Ok ()
+  | x :: rest -> ( match f x with Ok () -> each f rest | Error _ as e -> e)
 
 (* Leg 1 (A→B), at the companion of [primary], for any number of blocks.
    Collision check first: the companion knows its own allocations and
@@ -206,48 +211,51 @@ let rec each cost f = function
 let shadow_leg t ~primary entries =
   let q = companion primary in
   match check_serving t q with
-  | Error e -> fail e
+  | Error _ as e -> e
   | Ok sq -> (
       let fresh b = not (Hashtbl.mem t.servers.(primary).allocated b) in
       let collides (b, _) =
         Hashtbl.mem sq.tentative b || (fresh b && Hashtbl.mem sq.allocated b)
       in
+      charge t hop_ms;
       match List.find_opt collides entries with
-      | Some (b, _) -> fail ~cost:hop_ms (Collision b)
+      | Some (b, _) -> Error (Collision b)
       | None ->
-          let sealed = ref [] in
-          let shadow (b, payload) =
-            let seq = next_seq t q in
-            let sector = seal seq payload in
-            let o = put_copy t q b sector seq in
-            if Result.is_ok o.result then begin
-              leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms:o.cost_ms;
-              sealed := (b, sector, seq) :: !sealed
-            end;
-            o
+          let rec shadow sealed = function
+            | [] -> Ok (List.rev sealed)
+            | (b, payload) :: rest -> (
+                let seq = next_seq t q in
+                let sector = seal seq payload in
+                let since = Disk.busy_ms sq.disk in
+                match put_copy t q b sector seq with
+                | Error _ as e -> e
+                | Ok () ->
+                    leg t ~leg:"shadow" ~server:q ~block:b ~since;
+                    shadow ((b, sector, seq) :: sealed) rest)
           in
-          let o = each hop_ms shadow entries in
-          { o with result = Result.map (fun () -> List.rev !sealed) o.result })
+          shadow [] entries)
 
 (* The seq the one shadow drew is the companion's counter. *)
 let shadow_write t ~primary b payload =
-  let o = shadow_leg t ~primary [ (b, payload) ] in
-  { o with result = Result.map (fun _ -> t.servers.(companion primary).seq) o.result }
+  Result.map
+    (fun _ -> t.servers.(companion primary).seq)
+    (shadow_leg t ~primary [ (b, payload) ])
 
 (* Leg 2 (B→A): the writer's own copy, which also drops its tentative
    reservation. No serving check: recovery uses this while the server is
    still marked unrecovered. *)
 let local_leg t i b sector seq =
-  let o = put_copy t i b sector seq in
-  if Result.is_ok o.result then begin
+  let since = Disk.busy_ms t.servers.(i).disk in
+  let r = put_copy t i b sector seq in
+  if Result.is_ok r then begin
     Hashtbl.remove t.servers.(i).tentative b;
-    leg t ~leg:"local" ~server:i ~block:b ~cost_ms:o.cost_ms
+    leg t ~leg:"local" ~server:i ~block:b ~since
   end;
-  o
+  r
 
 let local_write_seq t i b payload seq =
   match check_serving t i with
-  | Error e -> fail e
+  | Error _ as e -> e
   | Ok _ -> local_leg t i b (seal seq payload) seq
 
 (* {2 Composite operations} *)
@@ -262,116 +270,112 @@ let local_write_seq t i b payload seq =
    forward at restart) or untouched — never torn. *)
 let write_batch t i entries =
   match entries with
-  | [] -> ok ()
+  | [] -> Ok ()
   | _ -> (
       match check_serving t i with
-      | Error e -> fail e
+      | Error _ as e -> e
       | Ok s -> (
           match List.find_opt (fun (b, _) -> not (is_taken s b)) entries with
-          | Some (b, _) -> fail (Not_allocated b)
+          | Some (b, _) -> Error (Not_allocated b)
           | None when not (online t (companion i)) ->
               (* Companion down: write locally, leave an intention so the
                  companion restores each block when it comes back. *)
-              each 0.0
+              each
                 (fun (b, payload) ->
-                  Hashtbl.replace s.intentions b ();
+                  Hashtbl.replace s.intentions b Wrote;
                   let seq = next_seq t i in
                   local_leg t i b (seal seq payload) seq)
                 entries
           | None -> (
               match shadow_leg t ~primary:i entries with
-              | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
-              | { result = Ok sealed; cost_ms } ->
-                  each cost_ms (fun (b, sector, seq) -> local_leg t i b sector seq) sealed)))
+              | Error _ as e -> e
+              | Ok sealed -> each (fun (b, sector, seq) -> local_leg t i b sector seq) sealed)))
 
 let write t i b payload = write_batch t i [ (b, payload) ]
 
 let max_allocate_retries = 16
 
 let allocate_write t i payload =
-  let rec attempt n cost_acc =
-    if n = 0 then fail ~cost:cost_acc No_free_blocks
+  let rec attempt n =
+    if n = 0 then Error No_free_blocks
     else
       match tentative_allocate t i with
-      | { result = Error e; cost_ms } -> fail ~cost:(cost_acc +. cost_ms) e
-      | { result = Ok b; cost_ms = alloc_cost } -> (
+      | Error _ as e -> e
+      | Ok b -> (
           match write t i b payload with
-          | { result = Ok (); cost_ms } -> ok ~cost:(cost_acc +. alloc_cost +. cost_ms) b
-          | { result = Error (Collision _); cost_ms } ->
+          | Ok () -> Ok b
+          | Error (Collision _) ->
               abort_tentative t i b;
               (* "Redo the operation after a random wait interval." *)
-              let backoff = Xrng.float t.rng 5.0 in
-              attempt (n - 1) (cost_acc +. alloc_cost +. cost_ms +. backoff)
-          | { result = Error e; cost_ms } ->
+              charge t (Xrng.float t.rng 5.0);
+              attempt (n - 1)
+          | Error _ as e ->
               abort_tentative t i b;
-              fail ~cost:(cost_acc +. alloc_cost +. cost_ms) e)
+              e)
   in
-  attempt max_allocate_retries 0.0
+  attempt max_allocate_retries
 
 (* Server [s]'s copy of [b], or [None] when the disk fails or the
-   header does not match the payload, and what the disk read cost. The
-   sector is the one on disk, uncopied: recovery compares seqs and passes
-   the winner on. A read takes [read]'s path instead. *)
+   header does not match the payload. The sector is the one on disk,
+   uncopied: recovery compares seqs and passes the winner on. A read
+   takes [read]'s path instead. *)
 let read_raw s b =
-  let { Disk.result; cost_ms } = Disk.read_sector s.disk b in
-  match result with
-  | Ok sector when sound sector -> (Some sector, cost_ms)
-  | Ok _ | Error _ -> (None, cost_ms)
+  match Disk.read_sector s.disk b with
+  | Ok sector when sound sector -> Some sector
+  | Ok _ | Error _ -> None
 
 (* A damaged or unreadable local copy: fall back to the companion,
    repairing the local copy with the companion's verified sector. *)
-let read_companion t i b ~local_cost =
+let read_companion t i b =
   let q = companion i in
-  if not (online t q) then fail ~cost:local_cost (Corrupt_both b)
+  if not (online t q) then Error (Corrupt_both b)
   else begin
+    charge t hop_ms;
+    let since = Disk.busy_ms t.servers.(q).disk in
     match read_raw t.servers.(q) b with
-    | Some sector, remote_cost ->
-        leg t ~leg:"companion_read" ~server:q ~block:b ~cost_ms:(hop_ms +. remote_cost);
-        let repair = local_leg t i b sector (seq_of sector) in
-        leg t ~leg:"repair" ~server:i ~block:b ~cost_ms:repair.cost_ms;
-        let cost = local_cost +. hop_ms +. remote_cost +. repair.cost_ms in
-        ok ~cost (Bytes.unsafe_of_string sector.Disk.data)
-    | None, remote_cost -> fail ~cost:(local_cost +. hop_ms +. remote_cost) (Corrupt_both b)
+    | Some sector ->
+        leg t ~leg:"companion_read" ~server:q ~block:b ~since:(since -. hop_ms);
+        let since = Disk.busy_ms t.servers.(i).disk in
+        ignore (local_leg t i b sector (seq_of sector));
+        leg t ~leg:"repair" ~server:i ~block:b ~since;
+        Ok (Bytes.unsafe_of_string sector.Disk.data)
+    | None -> Error (Corrupt_both b)
   end
 
 (* A sound local copy answers the writer's bytes themselves, so a read
-   allocates only its outcome. *)
+   allocates only its answers. *)
 let read t i b =
   match check_serving t i with
-  | Error e -> fail e
+  | Error _ as e -> e
   | Ok s -> (
-      if not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
+      if not (Hashtbl.mem s.allocated b) then Error (Not_allocated b)
       else
-        let { Disk.result; cost_ms } = Disk.read_sector s.disk b in
-        match result with
-        | Ok sector when sound sector ->
-            { result = Ok (Bytes.unsafe_of_string sector.Disk.data); cost_ms }
-        | Ok _ | Error _ -> read_companion t i b ~local_cost:cost_ms)
+        match Disk.read_sector s.disk b with
+        | Ok sector when sound sector -> Ok (Bytes.unsafe_of_string sector.Disk.data)
+        | Ok _ | Error _ -> read_companion t i b)
 
 let free t i b =
   match check_serving t i with
-  | Error e -> fail e
+  | Error _ as e -> e
   | Ok s ->
       if not (Hashtbl.mem s.allocated b) then
         if Hashtbl.mem s.tentative b then begin
           (* Never written: nothing on either disk but the reservation. *)
           Hashtbl.remove s.tentative b;
-          ok ()
+          Ok ()
         end
-        else fail (Not_allocated b)
+        else Error (Not_allocated b)
       else begin
         Hashtbl.remove s.allocated b;
-        let _ = Disk.erase s.disk b in
+        ignore (Disk.erase s.disk b);
         let q = companion i in
         if online t q then begin
+          charge t hop_ms;
           Hashtbl.remove t.servers.(q).allocated b;
-          let _ = Disk.erase t.servers.(q).disk b in
-          ok ~cost:hop_ms ()
+          ignore (Disk.erase t.servers.(q).disk b)
         end
-        else begin
-          Hashtbl.replace s.intentions b ();
-          ok ()
-        end
+        else Hashtbl.replace s.intentions b Freed;
+        Ok ()
       end
 
 (* {2 Crashes and recovery} *)
@@ -405,7 +409,7 @@ let restart t i =
   if not (q.up && q.recovered) then begin
     (* Companion also down: come up alone on our own disk. *)
     s.recovered <- true;
-    ok 0
+    Ok 0
   end
   else begin
     (* Compare notes: the union of both allocation views, resolved block by
@@ -415,40 +419,49 @@ let restart t i =
     let candidates = Hashtbl.copy s.allocated in
     add_all candidates q.allocated;
     add_all candidates q.intentions;
+    charge t hop_ms;
     let repaired = ref 0 in
-    let cost = ref hop_ms in
     (* A repair copies the winning side's verified sector as it is,
        through the copy writer: a push also moves their counter past our
        seq, so their next write of the block cannot carry a seq no
        higher. *)
     let repair copy b sector =
-      let w = copy b sector (seq_of sector) in
-      cost := !cost +. w.cost_ms;
+      ignore (copy b sector (seq_of sector));
       incr repaired
     in
     let pull = repair (local_leg t i) and push = repair (put_copy t q_id) in
+    (* A block freed while one side was down is gone: drop the stale
+       copy rather than push it back. The companion's intention is the
+       newer; ours counts when it has none. *)
+    let freed b =
+      match Hashtbl.find_opt q.intentions b with
+      | Some intention -> intention = Freed
+      | None -> Hashtbl.find_opt s.intentions b = Some Freed
+    in
+    let drop b x = Hashtbl.remove x.allocated b; ignore (Disk.erase x.disk b) in
     let repair_one b =
-      let mine, my_cost = read_raw s b in
-      let theirs, their_cost = read_raw q b in
-      cost := !cost +. my_cost +. their_cost;
-      match (mine, theirs) with
-      | Some m, Some th ->
-          let c = Int64.compare (seq_of th) (seq_of m) in
-          if c > 0 then pull b th
-          else if c < 0 then
-            (* Our copy is newer (their disk lost a write): push it back. *)
+      if freed b then List.iter (drop b) [ s; q ]
+      else
+        let mine = read_raw s b in
+        let theirs = read_raw q b in
+        match (mine, theirs) with
+        | Some m, Some th ->
+            let c = Int64.compare (seq_of th) (seq_of m) in
+            if c > 0 then pull b th
+            else if c < 0 then
+              (* Our copy is newer (their disk lost a write): push it back. *)
+              push b m
+            else Hashtbl.replace s.allocated b ()
+        | None, Some th ->
+            Hashtbl.replace s.allocated b ();
+            pull b th
+        | Some m, None ->
+            (* Their copy is missing or damaged. *)
             push b m
-          else Hashtbl.replace s.allocated b ()
-      | None, Some th ->
-          Hashtbl.replace s.allocated b ();
-          pull b th
-      | Some m, None ->
-          (* Their copy is missing or damaged. *)
-          push b m
-      | None, None ->
-          (* Block lost on both sides (e.g. freed concurrently): drop it. *)
-          Hashtbl.remove s.allocated b;
-          Hashtbl.remove q.allocated b
+        | None, None ->
+            (* Block lost on both sides: drop it. *)
+            Hashtbl.remove s.allocated b;
+            Hashtbl.remove q.allocated b
     in
     List.iter repair_one (Det.sorted_int_keys candidates);
     (* Both views now agree; intentions are discharged. *)
@@ -459,7 +472,7 @@ let restart t i =
     s.recovered <- true;
     if Trace.enabled t.trace then
       Trace.point t.trace (Trace.Crash { component = component_name i; what = "recover" });
-    ok ~cost:!cost !repaired
+    Ok !repaired
   end
 
 let verify_companion_invariant t =
@@ -469,7 +482,8 @@ let verify_companion_invariant t =
   let violation = ref None in
   let check blk =
     if !violation = None then begin
-      let ra, _ = read_raw a blk and rb, _ = read_raw b blk in
+      let ra = read_raw a blk in
+      let rb = read_raw b blk in
       match (ra, rb) with
       | Some sa, Some sb when seq_of sa = seq_of sb && not (String.equal sa.Disk.data sb.Disk.data)
         ->

@@ -31,8 +31,12 @@
     exposed individually so the RPC layer can interleave them between
     concurrent clients under the event engine; the composite operations
     run all steps back-to-back for synchronous use.
-    Every result carries the simulated cost of the disk and message work
-    it performed. *)
+
+    Operations answer plain results; the pair keeps one clock,
+    {!busy_ms}, which a caller reads around an operation to time it. A
+    simulated run charges only the disks' share of it ([Rpc.serve
+    ?disks]): no companion hop or back-off reaches service time, and a
+    commit's publish leg costs its two disk writes and no hop. *)
 
 type t
 
@@ -49,8 +53,6 @@ type error =
   | Disk_error of Afs_disk.Disk.error
 
 val pp_error : error Fmt.t
-
-type 'a outcome = { result : ('a, error) result; cost_ms : float }
 
 val create :
   ?seed:int ->
@@ -72,18 +74,24 @@ val online : t -> id -> bool
 val some_online : t -> id option
 (** An arbitrary serving (online, recovered) server, if any. *)
 
+val busy_ms : t -> float
+(** The pair's clock: both disks' {!Afs_disk.Disk.busy_ms}, plus a 2 ms
+    companion hop per A→B→A write or batch, per free, per companion read
+    and per compare-notes restart, plus every collision back-off. *)
+
 (** {2 Composite operations (synchronous client view)} *)
 
-val allocate_write : t -> id -> bytes -> int outcome
+val allocate_write : t -> id -> bytes -> (int, error) result
 (** Full §4 sequence via the given server: choose block, shadow-write at
     the companion, write locally, return the block number. Retries
     internally on collision (bounded), as the paper's "redo the operation
     after a random wait interval". *)
 
-val write_batch : t -> id -> (int * bytes) list -> unit outcome
+val write_batch : t -> id -> (int * bytes) list -> (unit, error) result
 (** The §4 write, for any number of blocks in one A→B→A round trip: the
-    companion hop is charged once, then every block pays its two disk
-    writes (all companion copies before any local copy). Each block must
+    pair's clock charges the companion hop once, then every block pays
+    its two disk writes (all companion copies before any local copy).
+    Each block must
     be allocated or held tentatively (from {!tentative_allocate}) by this
     server, else [Not_allocated] with nothing written; a tentative block's
     first write is its allocation. The companion checks every block for a
@@ -95,22 +103,23 @@ val write_batch : t -> id -> (int * bytes) list -> unit outcome
     recorded). The commit publish stage uses this to make the winners'
     fresh pages and their commit references stable for one hop. *)
 
-val write : t -> id -> int -> bytes -> unit outcome
+val write : t -> id -> int -> bytes -> (unit, error) result
 (** [write t i b p] is [write_batch t i [ (b, p) ]]. *)
 
-val read : t -> id -> int -> bytes outcome
+val read : t -> id -> int -> (bytes, error) result
 (** Local read with checksum verification; falls back to the companion and
     repairs the local copy on corruption. Answers the stored payload
     itself, uncopied: the caller must not change it. *)
 
-val free : t -> id -> int -> unit outcome
+val free : t -> id -> int -> (unit, error) result
 (** Release a block on both servers. A block this server holds only
     tentatively was never written: freeing it just drops the
-    reservation. *)
+    reservation. With the companion down, the free is recorded on the
+    intentions list, and the companion's restart drops its stale copy. *)
 
 (** {2 Protocol steps (for interleaved / RPC use)} *)
 
-val tentative_allocate : t -> id -> int outcome
+val tentative_allocate : t -> id -> (int, error) result
 (** Choose and reserve a block number in this server's local view only;
     nothing is written. The block's first {!write} or {!write_batch}
     through this server allocates it. A crash of this server drops the
@@ -118,7 +127,7 @@ val tentative_allocate : t -> id -> int outcome
 
 val abort_tentative : t -> id -> int -> unit
 
-val shadow_write : t -> primary:id -> int -> bytes -> int64 outcome
+val shadow_write : t -> primary:id -> int -> bytes -> (int64, error) result
 (** Executed {e at the companion} of [primary]: {!write_batch}'s companion
     leg for one block. The block is fresh when [primary] has not allocated
     it; a fresh block the companion has allocated, or any block it holds
@@ -126,7 +135,7 @@ val shadow_write : t -> primary:id -> int -> bytes -> int64 outcome
     returns the sequence number the primary must reuse in
     {!local_write_seq}. *)
 
-val local_write_seq : t -> id -> int -> bytes -> int64 -> unit outcome
+val local_write_seq : t -> id -> int -> bytes -> int64 -> (unit, error) result
 (** The primary's own disk write, performed after a successful shadow,
     with the sequence number the shadow returned. *)
 
@@ -138,9 +147,11 @@ val crash : t -> id -> unit
 val wipe_and_crash : t -> id -> unit
 (** Disk head crash: contents lost, server down. *)
 
-val restart : t -> id -> int outcome
+val restart : t -> id -> (int, error) result
 (** Compare notes with the companion and restore this disk before
-    accepting requests (returns the number of blocks repaired). If the
+    accepting requests (returns the number of blocks repaired). A block
+    either side's intentions list records as freed is dropped on both
+    sides, not repaired. If the
     companion is down too, the server comes up alone, trusting its own
     disk (checksums still guard reads). *)
 

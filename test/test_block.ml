@@ -10,13 +10,11 @@ let fresh ?(blocks = 64) () =
   let disk = Disk.create ~media:Media.electronic ~blocks ~block_size:1024 () in
   B.create ~disk ()
 
-let ok (o : 'a B.outcome) =
-  match o.B.result with
+let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "block server error: %s" (Fmt.str "%a" B.pp_error e)
 
-let expect name pred (o : 'a B.outcome) =
-  match o.B.result with
+let expect name pred = function
   | Ok _ -> Alcotest.failf "%s: expected error" name
   | Error e -> Alcotest.(check bool) name true (pred e)
 
@@ -52,6 +50,36 @@ let test_deallocate_recycles () =
   ignore (ok (B.deallocate s alice b0));
   let b2 = ok (B.allocate s alice) in
   Alcotest.(check int) "recycled" b0 b2
+
+(* Write-once media cannot erase a freed block: its space is spent, and
+   the server never hands it out again. *)
+let test_deallocate_write_once_spent () =
+  let disk = Disk.create ~media:Media.optical ~blocks:2 ~block_size:1024 () in
+  let s = B.create ~disk () in
+  let etch () =
+    let b = ok (B.allocate s alice) in
+    ok (B.write s alice b (bytes "etched"));
+    ok (B.deallocate s alice b);
+    b
+  in
+  let first = etch () in
+  let second = etch () in
+  Alcotest.(check (list int)) "two distinct blocks" [ 0; 1 ] (List.sort compare [ first; second ]);
+  expect "no unetched block left" (function B.No_free_blocks -> true | _ -> false)
+    (B.allocate s alice)
+
+(* An offline disk cannot erase: the block stays allocated. *)
+let test_deallocate_offline_frees_nothing () =
+  let s = fresh ~blocks:1 () in
+  let b = ok (B.allocate s alice) in
+  ok (B.write s alice b (bytes "x"));
+  Disk.set_offline (B.disk s) true;
+  expect "offline" (function B.Disk_error Disk.Offline -> true | _ -> false)
+    (B.deallocate s alice b);
+  Disk.set_offline (B.disk s) false;
+  Alcotest.(check (list int)) "still owned" [ b ] (B.owned_blocks s alice);
+  ok (B.deallocate s alice b);
+  Alcotest.(check int) "then recycled" b (ok (B.allocate s alice))
 
 let test_protection () =
   let s = fresh () in
@@ -112,12 +140,26 @@ let test_disk_error_surfaces () =
   expect "disk offline" (function B.Disk_error Disk.Offline -> true | _ -> false)
     (B.read s alice b)
 
+(* The server's clock is its disk's plus 0.1 ms per request, failed
+   ones included. *)
 let test_cost_includes_disk_time () =
   let disk = Disk.create ~media:Media.magnetic ~blocks:8 ~block_size:1024 () in
   let s = B.create ~disk () in
+  let charged f =
+    let before = B.busy_ms s in
+    f ();
+    B.busy_ms s -. before
+  in
   let b = ok (B.allocate s alice) in
-  let w = B.write s alice b (bytes "payload") in
-  Alcotest.(check bool) "write cost > seek" true (w.B.cost_ms > 28.0)
+  Alcotest.(check (float 1e-9)) "allocate: overhead only" 0.1
+    (charged (fun () -> ignore (B.allocate s alice)));
+  Alcotest.(check (float 1e-9)) "write: disk time and overhead"
+    (Media.write_cost Media.magnetic ~bytes:7 +. 0.1)
+    (charged (fun () -> ok (B.write s alice b (bytes "payload"))));
+  Alcotest.(check (float 1e-9)) "a denied read: overhead only" 0.1
+    (charged (fun () -> ignore (B.read s bob b)));
+  Alcotest.(check (float 1e-9)) "the clock is the disk's plus the overhead"
+    (Disk.busy_ms disk +. 0.4) (B.busy_ms s)
 
 let () =
   Alcotest.run "block_server"
@@ -128,6 +170,8 @@ let () =
           quick "unique allocation" test_allocation_is_unique;
           quick "exhaustion" test_exhaustion;
           quick "deallocate recycles" test_deallocate_recycles;
+          quick "write-once space is spent" test_deallocate_write_once_spent;
+          quick "offline free frees nothing" test_deallocate_offline_frees_nothing;
         ] );
       ( "protection",
         [

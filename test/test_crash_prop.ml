@@ -7,7 +7,7 @@
    update, never a lost commit. A second property subjects the stable-
    storage pair to random crash/wipe/restart sequences interleaved with
    writes, batches and frees, and checks the surviving copy is always the
-   newest. *)
+   newest and a freed block stays freed. *)
 
 open Afs_core
 module P = Afs_util.Pagepath
@@ -112,7 +112,7 @@ let storm_batch rng pair i ~live ~step ~ack ~allocated ~maybe =
       if spare <> [] && Xrng.bool rng then
         pick (k + 1) ((List.nth spare (Xrng.int rng (List.length spare)), value k) :: olds) fresh
       else
-        match (Stable.tentative_allocate pair i).Stable.result with
+        match Stable.tentative_allocate pair i with
         | Ok b -> pick (k + 1) olds ((b, value k) :: fresh)
         | Error _ -> pick (k + 1) olds fresh
   in
@@ -121,11 +121,11 @@ let storm_batch rng pair i ~live ~step ~ack ~allocated ~maybe =
   let rivals =
     if Stable.online pair q && Xrng.bool rng then
       List.filter_map
-        (fun _ -> Result.to_option (Stable.tentative_allocate pair q).Stable.result)
+        (fun _ -> Result.to_option (Stable.tentative_allocate pair q))
         (List.init (1 + Xrng.int rng 3) Fun.id)
     else []
   in
-  (match (Stable.write_batch pair i (olds @ fresh)).Stable.result with
+  (match Stable.write_batch pair i (olds @ fresh) with
   | Ok () ->
       List.iter (fun (b, v) -> ack b v) olds;
       List.iter (fun (b, v) -> allocated b v) fresh
@@ -135,7 +135,7 @@ let storm_batch rng pair i ~live ~step ~ack ~allocated ~maybe =
   List.iteri
     (fun k c ->
       let v = value (n + k) in
-      match (Stable.write pair q c v).Stable.result with
+      match Stable.write pair q c v with
       | Ok () -> allocated c v
       | Error _ -> Stable.abort_tentative pair q c)
     rivals
@@ -151,11 +151,14 @@ let prop_stable_survives_crash_storm =
          acknowledged write, its old and new values after a failed batch. *)
       let model : (int, string list) Hashtbl.t = Hashtbl.create 16 in
       let blocks = ref [] in
+      (* Blocks freed and not allocated again since. *)
+      let freed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
       let acked b value = Hashtbl.replace model b [ Helpers.str value ] in
       (* A first write must land on a block no live write holds. *)
       let allocated b value =
         if Hashtbl.mem model b then Alcotest.failf "block %d allocated twice" b;
         blocks := b :: !blocks;
+        Hashtbl.remove freed b;
         acked b value
       in
       let maybe b value =
@@ -173,7 +176,7 @@ let prop_stable_survives_crash_storm =
             (* Restart whichever is down. *)
             let target = if Stable.online pair 0 then 1 else 0 in
             if not (Stable.online pair target) then
-              match (Stable.restart pair target).Stable.result with
+              match Stable.restart pair target with
               | Ok _ -> ()
               | Error e -> Alcotest.failf "restart: %s" (Fmt.str "%a" Stable.pp_error e))
         | 2 ->
@@ -185,10 +188,11 @@ let prop_stable_survives_crash_storm =
             match (pick_online (), !blocks) with
             | Some i, _ :: _ -> (
                 let b = List.nth !blocks (Xrng.int rng (List.length !blocks)) in
-                match (Stable.free pair i b).Stable.result with
+                match Stable.free pair i b with
                 | Ok () ->
                     blocks := List.filter (( <> ) b) !blocks;
-                    Hashtbl.remove model b
+                    Hashtbl.remove model b;
+                    Hashtbl.replace freed b ()
                 | Error _ -> ())
             | _ -> ())
         | 4 | 5 -> (
@@ -203,12 +207,12 @@ let prop_stable_survives_crash_storm =
                 let value = bytes (Printf.sprintf "s%d" step) in
                 if !blocks <> [] && Xrng.bool rng then begin
                   let b = List.nth !blocks (Xrng.int rng (List.length !blocks)) in
-                  match (Stable.write pair i b value).Stable.result with
+                  match Stable.write pair i b value with
                   | Ok () -> acked b value
                   | Error _ -> ()
                 end
                 else
-                  match (Stable.allocate_write pair i value).Stable.result with
+                  match Stable.allocate_write pair i value with
                   | Ok b -> allocated b value
                   | Error _ -> ()))
       done;
@@ -218,11 +222,22 @@ let prop_stable_survives_crash_storm =
       (match Stable.verify_companion_invariant pair with
       | Ok () -> ()
       | Error msg -> Alcotest.fail msg);
+      (* A freed block stays freed through any restart, via either server. *)
+      List.iter
+        (fun b ->
+          List.iter
+            (fun i ->
+              match Stable.read pair i b with
+              | Error (Stable.Not_allocated _) -> ()
+              | Ok data -> Alcotest.failf "freed block %d reads %S via %d" b (Helpers.str data) i
+              | Error e -> Alcotest.failf "freed block %d via %d: %a" b i Stable.pp_error e)
+            [ 0; 1 ])
+        (Afs_util.Det.sorted_int_keys freed);
       Hashtbl.fold
         (fun b allowed acc ->
           acc
           &&
-          match (Stable.read pair 0 b).Stable.result with
+          match Stable.read pair 0 b with
           | Ok data -> List.mem (Helpers.str data) allowed
           | Error _ -> false)
         model true)

@@ -6,15 +6,19 @@ let check_image = Alcotest.(check string)
 let fresh ?(media = Media.magnetic) ?(blocks = 64) ?(block_size = 1024) () =
   Disk.create ~media ~blocks ~block_size ()
 
-let ok_outcome (o : 'a Disk.outcome) =
-  match o.Disk.result with
+let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "disk error: %s" (Fmt.str "%a" Disk.pp_error e)
 
-let expect_err name pred (o : 'a Disk.outcome) =
-  match o.Disk.result with
+let expect_err name pred = function
   | Ok _ -> Alcotest.failf "%s: expected error" name
   | Error e -> Alcotest.(check bool) name true (pred e)
+
+(* What [f] charged the disk's clock. *)
+let charged d f =
+  let before = Disk.busy_ms d in
+  f ();
+  Disk.busy_ms d -. before
 
 (* {2 Media} *)
 
@@ -39,8 +43,8 @@ let test_media_cost_grows_with_bytes () =
 
 let test_write_read_roundtrip () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 3 "hello"));
-  let data = ok_outcome (Disk.read d 3) in
+  ignore (ok (Disk.write d 3 "hello"));
+  let data = ok (Disk.read d 3) in
   check_image "roundtrip" "hello" data
 
 let test_read_never_written () =
@@ -61,24 +65,24 @@ let test_write_too_large () =
 
 let test_overwrite_magnetic () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 0 "one"));
-  ignore (ok_outcome (Disk.write d 0 "two"));
-  check_image "overwritten" "two" (ok_outcome (Disk.read d 0))
+  ignore (ok (Disk.write d 0 "one"));
+  ignore (ok (Disk.write d 0 "two"));
+  check_image "overwritten" "two" (ok (Disk.read d 0))
 
 let test_write_once_enforced () =
   let d = fresh ~media:Media.optical () in
-  ignore (ok_outcome (Disk.write d 0 "etched"));
+  ignore (ok (Disk.write d 0 "etched"));
   expect_err "overwrite refused" (function Disk.Write_once_violation 0 -> true | _ -> false)
     (Disk.write d 0 "nope");
   expect_err "erase refused" (function Disk.Write_once_violation 0 -> true | _ -> false)
     (Disk.erase d 0);
-  check_image "original intact" "etched" (ok_outcome (Disk.read d 0))
+  check_image "original intact" "etched" (ok (Disk.read d 0))
 
 let test_erase () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 2 "x"));
+  ignore (ok (Disk.write d 2 "x"));
   Alcotest.(check bool) "written" true (Disk.is_written d 2);
-  ignore (ok_outcome (Disk.erase d 2));
+  ignore (ok (Disk.erase d 2));
   Alcotest.(check bool) "erased" false (Disk.is_written d 2)
 
 (* Images are immutable strings, so a writer cannot change what it wrote
@@ -89,13 +93,13 @@ let test_stored_image_isolated () =
   let d = fresh () in
   (* A fresh string, not the literal the checks compare against. *)
   let image = Bytes.to_string (Bytes.of_string "mutate-me") in
-  ignore (ok_outcome (Disk.write d 0 image));
-  ignore (ok_outcome (Disk.write d 1 image));
-  Alcotest.(check bool) "read returns the written image" true (ok_outcome (Disk.read d 0) == image);
+  ignore (ok (Disk.write d 0 image));
+  ignore (ok (Disk.write d 1 image));
+  Alcotest.(check bool) "read returns the written image" true (ok (Disk.read d 0) == image);
   Alcotest.(check bool) "corrupted" true (Disk.corrupt d 0 ~xor_byte:'\x01');
   check_image "writer's image intact" "mutate-me" image;
-  check_image "other block intact" "mutate-me" (ok_outcome (Disk.read d 1));
-  Alcotest.(check bool) "damaged block differs" false (ok_outcome (Disk.read d 0) = image)
+  check_image "other block intact" "mutate-me" (ok (Disk.read d 1));
+  Alcotest.(check bool) "damaged block differs" false (ok (Disk.read d 0) = image)
 
 (* A sector's header sits beside its data: a read answers the record
    written, [read] its data, and sizes, byte counts and costs take both
@@ -104,32 +108,31 @@ let test_stored_image_isolated () =
 let test_sector_header_beside_data () =
   let d = fresh ~block_size:16 () in
   let sector = { Disk.header = "hdr"; data = "payload" } in
-  let w = Disk.write_sector d 0 sector in
-  ignore (ok_outcome w);
+  let write_ms = charged d (fun () -> ok (Disk.write_sector d 0 sector)) in
   Alcotest.(check bool) "read_sector answers the record" true
-    (ok_outcome (Disk.read_sector d 0) == sector);
+    (ok (Disk.read_sector d 0) == sector);
   Alcotest.(check bool) "read answers its data" true
-    (ok_outcome (Disk.read d 0) == sector.Disk.data);
+    (ok (Disk.read d 0) == sector.Disk.data);
   let s = Disk.stats d in
   Alcotest.(check int) "bytes written, header and data" 10 s.Disk.bytes_written;
   Alcotest.(check int) "bytes read, header and data" 20 s.Disk.bytes_read;
   Alcotest.(check (float 0.0)) "costed as one 10-byte image"
-    (Media.write_cost Media.magnetic ~bytes:10) w.Disk.cost_ms;
+    (Media.write_cost Media.magnetic ~bytes:10) write_ms;
   expect_err "header counts toward the size"
     (function Disk.Too_large { requested = 17; block_size = 16 } -> true | _ -> false)
     (Disk.write_sector d 1 { Disk.header = "h"; data = String.make 16 'x' });
-  Alcotest.(check bool) "header-less write" true (Result.is_ok (Disk.write d 1 "").Disk.result);
+  Alcotest.(check bool) "header-less write" true (Result.is_ok (Disk.write d 1 ""));
   Alcotest.(check bool) "an empty sector is written" true (Disk.is_written d 1);
-  Alcotest.(check string) "its header is empty" "" (ok_outcome (Disk.read_sector d 1)).Disk.header
+  Alcotest.(check string) "its header is empty" "" (ok (Disk.read_sector d 1)).Disk.header
 
 (* The flipped byte is the middle one of header and data together: in
    the header when it is the longer part, else in the data. *)
 let test_corrupt_middle_of_sector () =
   let d = fresh () in
   let damaged header data =
-    ignore (ok_outcome (Disk.write_sector d 0 { Disk.header; data }));
+    ignore (ok (Disk.write_sector d 0 { Disk.header; data }));
     Alcotest.(check bool) "corrupted" true (Disk.corrupt d 0 ~xor_byte:'\x01');
-    let s = ok_outcome (Disk.read_sector d 0) in
+    let s = ok (Disk.read_sector d 0) in
     (s.Disk.header, s.Disk.data)
   in
   let header_and_data = Alcotest.(pair string string) in
@@ -140,19 +143,19 @@ let test_corrupt_middle_of_sector () =
 
 let test_offline () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 1 "x"));
+  ignore (ok (Disk.write d 1 "x"));
   Disk.set_offline d true;
   expect_err "read offline" (function Disk.Offline -> true | _ -> false) (Disk.read d 1);
   expect_err "write offline" (function Disk.Offline -> true | _ -> false)
     (Disk.write d 1 "y");
   Disk.set_offline d false;
-  check_image "back online, data intact" "x" (ok_outcome (Disk.read d 1))
+  check_image "back online, data intact" "x" (ok (Disk.read d 1))
 
 let test_corrupt () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 4 "abcdef"));
+  ignore (ok (Disk.write d 4 "abcdef"));
   Alcotest.(check bool) "corrupted" true (Disk.corrupt d 4 ~xor_byte:'\x01');
-  let data = ok_outcome (Disk.read d 4) in
+  let data = ok (Disk.read d 4) in
   Alcotest.(check bool) "silently differs" false (data = "abcdef")
 
 let test_corrupt_unwritten () =
@@ -161,8 +164,8 @@ let test_corrupt_unwritten () =
 
 let test_wipe () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 0 "a"));
-  ignore (ok_outcome (Disk.write d 1 "b"));
+  ignore (ok (Disk.write d 0 "a"));
+  ignore (ok (Disk.write d 1 "b"));
   Disk.wipe d;
   Alcotest.(check bool) "gone" false (Disk.is_written d 0);
   Alcotest.(check int) "in_use reset" 0 (Disk.stats d).Disk.blocks_in_use
@@ -171,9 +174,9 @@ let test_wipe () =
 
 let test_stats_accumulate () =
   let d = fresh () in
-  ignore (ok_outcome (Disk.write d 0 "0123456789"));
-  ignore (ok_outcome (Disk.read d 0));
-  ignore (ok_outcome (Disk.read d 0));
+  ignore (ok (Disk.write d 0 "0123456789"));
+  ignore (ok (Disk.read d 0));
+  ignore (ok (Disk.read d 0));
   let s = Disk.stats d in
   Alcotest.(check int) "writes" 1 s.Disk.writes;
   Alcotest.(check int) "reads" 2 s.Disk.reads;
@@ -181,15 +184,26 @@ let test_stats_accumulate () =
   Alcotest.(check int) "bytes read" 20 s.Disk.bytes_read;
   Alcotest.(check bool) "busy time" true (s.Disk.busy_ms > 0.0);
   Alcotest.(check int) "in use" 1 s.Disk.blocks_in_use;
-  Disk.reset_stats d;
-  Alcotest.(check int) "reset" 0 (Disk.stats d).Disk.reads
+  ignore (ok (Disk.read d 0));
+  let s' = Disk.stats d in
+  Alcotest.(check int) "one more read" 1 (s'.Disk.reads - s.Disk.reads);
+  Alcotest.(check int) "its bytes" 10 (s'.Disk.bytes_read - s.Disk.bytes_read);
+  Alcotest.(check (float 1e-9)) "its time" (Media.read_cost Media.magnetic ~bytes:10)
+    (s'.Disk.busy_ms -. s.Disk.busy_ms)
 
+(* Each operation's cost is the growth of the disk's clock: a write and
+   a read charge their media cost, a read of a block never written its
+   seek, and an erase or an out-of-range read nothing. *)
 let test_cost_reported_per_op () =
   let d = fresh () in
-  let w = Disk.write d 0 "x" in
-  Alcotest.(check bool) "write cost positive" true (w.Disk.cost_ms > 0.0);
-  let r = Disk.read d 0 in
-  Alcotest.(check bool) "read cost positive" true (r.Disk.cost_ms > 0.0)
+  Alcotest.(check (float 1e-9)) "write" (Media.write_cost Media.magnetic ~bytes:1)
+    (charged d (fun () -> ok (Disk.write d 0 "x")));
+  Alcotest.(check (float 1e-9)) "read" (Media.read_cost Media.magnetic ~bytes:1)
+    (charged d (fun () -> ignore (ok (Disk.read d 0))));
+  Alcotest.(check (float 1e-9)) "read never written" (Media.read_cost Media.magnetic ~bytes:0)
+    (charged d (fun () -> ignore (Disk.read d 1)));
+  Alcotest.(check (float 0.0)) "erase" 0.0 (charged d (fun () -> ok (Disk.erase d 0)));
+  Alcotest.(check (float 0.0)) "out of range" 0.0 (charged d (fun () -> ignore (Disk.read d 99)))
 
 let test_create_rejects_bad_sizes () =
   Alcotest.check_raises "blocks" (Invalid_argument "Disk.create: blocks must be positive")

@@ -131,7 +131,7 @@ let test_file_service_survives_stable_disk_loss () =
   Helpers.check_bytes "served from companion" "replicated"
     (ok (Server.read_page srv cur (path [ 0 ])));
   (* Repair the lost disk and lose the OTHER one: data still there. *)
-  (match (Stable_pair.restart pair 0).Stable_pair.result with
+  (match Stable_pair.restart pair 0 with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "restart: %s" (Fmt.str "%a" Stable_pair.pp_error e));
   Stable_pair.crash pair 1;
@@ -149,7 +149,7 @@ let test_update_through_single_surviving_server () =
   (* Updates continue against the surviving server, intentions pending. *)
   commit_write srv f [ 1 ] "written during outage";
   ok (Pagestore.flush (Server.pagestore srv));
-  (match (Stable_pair.restart pair 1).Stable_pair.result with
+  (match Stable_pair.restart pair 1 with
   | Ok repaired -> Alcotest.(check bool) "catch-up repairs" true (repaired > 0)
   | Error e -> Alcotest.failf "restart: %s" (Fmt.str "%a" Stable_pair.pp_error e));
   (* Now serve everything from the previously-dead server. *)
@@ -194,7 +194,7 @@ let test_stable_crash_between_allocate_and_publish () =
   ok (Server.write_page srv redo (path [ 0 ]) (bytes "redone"));
   ok (Server.commit srv redo);
   ok (Server.abort_version srv v);
-  (match (Stable_pair.restart pair 0).Stable_pair.result with
+  (match Stable_pair.restart pair 0 with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "restart: %s" (Fmt.str "%a" Stable_pair.pp_error e));
   Stable_pair.crash pair 1;

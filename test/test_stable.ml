@@ -8,13 +8,11 @@ let bytes = Helpers.bytes
 let fresh ?(blocks = 64) ?(block_size = 512) ?(seed = 1) () =
   S.create ~seed ~blocks ~block_size ()
 
-let ok (o : 'a S.outcome) =
-  match o.S.result with
+let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "stable error: %s" (Fmt.str "%a" S.pp_error e)
 
-let expect name pred (o : 'a S.outcome) =
-  match o.S.result with
+let expect name pred = function
   | Ok _ -> Alcotest.failf "%s: expected error" name
   | Error e -> Alcotest.(check bool) name true (pred e)
 
@@ -27,8 +25,8 @@ let check_invariant t =
 
 (* A read of a sound local copy checks its header against the payload
    where they lie and answers the writer's bytes themselves: it
-   allocates only small answers, the serving check's, the disk's outcome
-   and its own (16 words). *)
+   allocates only small answers, the serving check's, the disk's and its
+   own, 10 words in all. *)
 let test_read_allocates_payload_and_outcome () =
   let t = fresh ~block_size:2048 () in
   let payload = Bytes.make 1024 'p' in
@@ -36,8 +34,8 @@ let test_read_allocates_payload_and_outcome () =
   let read () = ignore (Sys.opaque_identity (S.read t 0 b)) in
   read ();
   let words = Helpers.minor_words_of read in
-  if words > 16. then
-    Alcotest.failf "a 1 KiB read allocates %.0f words (want at most 16, no payload copy)" words;
+  if words > 10. then
+    Alcotest.failf "a 1 KiB read allocates %.0f words (want at most 10, no payload copy)" words;
   Alcotest.(check bool) "via 0, the written bytes" true (ok (S.read t 0 b) == payload);
   Alcotest.(check bool) "via 1, the written bytes" true (ok (S.read t 1 b) == payload)
 
@@ -74,9 +72,9 @@ let test_free () =
 let test_free_tentative () =
   let t = fresh () in
   let b = ok (S.tentative_allocate t 0) in
-  let o = S.free t 0 b in
-  ignore (ok o);
-  Alcotest.(check (float 0.0)) "no hop" 0.0 o.S.cost_ms;
+  let before = S.busy_ms t in
+  ok (S.free t 0 b);
+  Alcotest.(check (float 0.0)) "no hop" before (S.busy_ms t);
   Alcotest.(check bool) "nothing on disk 0" false (Disk.is_written (S.disk t 0) b);
   Alcotest.(check bool) "nothing on disk 1" false (Disk.is_written (S.disk t 1) b);
   expect "no longer held" (function S.Not_allocated _ -> true | _ -> false)
@@ -110,7 +108,7 @@ let test_corrupt_both_detected () =
   expect "both corrupt" (function S.Corrupt_both _ -> true | _ -> false) (S.read t 0 b)
 
 let disk_sector t i b =
-  match (Disk.read_sector (S.disk t i) b).Disk.result with
+  match Disk.read_sector (S.disk t i) b with
   | Ok sector -> sector
   | Error e -> Alcotest.failf "disk %d block %d: %a" i b Disk.pp_error e
 
@@ -156,7 +154,7 @@ let test_payload_flip_caught () =
   check_invariant t
 
 let disk_image t i b =
-  match (Disk.read (S.disk t i) b).Disk.result with
+  match Disk.read (S.disk t i) b with
   | Ok image -> image
   | Error e -> Alcotest.failf "disk %d block %d: %a" i b Disk.pp_error e
 
@@ -389,10 +387,40 @@ let test_restart_copies_no_payload () =
     blocks;
   check_invariant t
 
+(* The pair's clock is its disks' busy time plus the hops it models: a
+   write pays two disk writes and one hop, a free one hop, and a restart
+   its reads and repairs and one hop. *)
 let test_cost_reported () =
   let t = fresh () in
-  let o = S.allocate_write t 0 (bytes "paid for") in
-  Alcotest.(check bool) "cost positive" true (o.S.cost_ms > 0.0)
+  let disks () = Disk.busy_ms (S.disk t 0) +. Disk.busy_ms (S.disk t 1) in
+  let hops () = S.busy_ms t -. disks () in
+  let b = ok (S.allocate_write t 0 (bytes "paid for")) in
+  Alcotest.(check bool) "disk time" true (disks () > 0.0);
+  Alcotest.(check (float 1e-9)) "a write's hop" 2.0 (hops ());
+  ok (S.free t 1 b);
+  Alcotest.(check (float 1e-9)) "a free's hop" 4.0 (hops ());
+  S.crash t 1;
+  ignore (ok (S.allocate_write t 0 (bytes "alone")));
+  Alcotest.(check (float 1e-9)) "no hop with the companion down" 4.0 (hops ());
+  ignore (ok (S.restart t 1));
+  Alcotest.(check (float 1e-9)) "a restart's hop" 6.0 (hops ())
+
+(* A block freed while its companion is down stays freed: the restart
+   drops the companion's stale copy instead of pushing it back, and the
+   block is allocated again. *)
+let test_free_during_outage () =
+  let t = fresh ~blocks:8 () in
+  let b = ok (S.allocate_write t 0 (bytes "stale")) in
+  S.crash t 1;
+  ok (S.free t 0 b);
+  ignore (ok (S.restart t 1));
+  let freed = function S.Not_allocated _ -> true | _ -> false in
+  expect "freed via 0" freed (S.read t 0 b);
+  expect "freed via 1" freed (S.read t 1 b);
+  Alcotest.(check bool) "no copy left on disk 1" false (Disk.is_written (S.disk t 1) b);
+  let again = List.init 8 (fun _ -> ok (S.allocate_write t 0 (bytes "fresh"))) in
+  Alcotest.(check bool) "allocated again" true (List.mem b again);
+  check_invariant t
 
 let () =
   Alcotest.run "stable_pair"
@@ -435,5 +463,6 @@ let () =
           quick "pushed copy advances companion seq" test_pushed_copy_advances_companion_seq;
           quick "cost reported" test_cost_reported;
           quick "restart copies no payload" test_restart_copies_no_payload;
+          quick "free during outage stays freed" test_free_during_outage;
         ] );
     ]
