@@ -141,7 +141,7 @@ let test_crc32 =
 let test_stable_write =
   let module S = Afs_stable.Stable_pair in
   let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
-  let payload = Bytes.make 1024 'w' in
+  let payload = { Afs_util.Image.head = Bytes.empty; data = Bytes.make 1024 'w' } in
   let b =
     match S.allocate_write pair 0 payload with
     | Ok b -> b
@@ -156,7 +156,7 @@ let test_stable_read =
   let module S = Afs_stable.Stable_pair in
   let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
   let b =
-    match S.allocate_write pair 0 (Bytes.make 1024 'r') with
+    match S.allocate_write pair 0 { Afs_util.Image.head = Bytes.empty; data = Bytes.make 1024 'r' } with
     | Ok b -> b
     | Error e -> failwith (Fmt.str "%a" S.pp_error e)
   in
@@ -167,7 +167,7 @@ let test_stable_read =
 let test_stable_write_batch =
   let module S = Afs_stable.Stable_pair in
   let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:16 ~block_size:2048 () in
-  let payload = Bytes.make 1024 'w' in
+  let payload = { Afs_util.Image.head = Bytes.empty; data = Bytes.make 1024 'w' } in
   let entries =
     List.init 8 (fun _ ->
         match S.allocate_write pair 0 payload with

@@ -183,20 +183,53 @@ let replication_report ~replicas cluster =
 (* {2 simulate} *)
 
 (* With [--trace FILE] every event streams straight to a catapult JSON
-   document; nothing is buffered beyond the open channel. *)
-let open_trace_sink engine trace_file =
+   document; nothing is buffered beyond the open channel. With [--host]
+   the sink also keeps host cost per span kind, timed by the monotonic
+   clock in µs; without [--trace] its events go nowhere. *)
+let host_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-3
+
+let open_trace_sink ?(host = false) engine trace_file =
+  let host = if host then Some host_clock else None in
+  let now () = Afs_sim.Engine.now engine in
   match trace_file with
-  | None -> None
+  | None ->
+      if Option.is_some host then
+        Afs_sim.Engine.set_trace engine (Afs_trace.Trace.stream ?host ~now ignore);
+      None
   | Some path ->
       let oc = open_out path in
       let w = Afs_trace.Catapult.writer (output_string oc) in
-      let tr =
-        Afs_trace.Trace.stream
-          ~now:(fun () -> Afs_sim.Engine.now engine)
-          (Afs_trace.Catapult.emit w)
-      in
+      let tr = Afs_trace.Trace.stream ?host ~now (Afs_trace.Catapult.emit w) in
       Afs_sim.Engine.set_trace engine tr;
       Some (path, oc, w, tr)
+
+(* The host table of a [--host] run: each span kind's spans, own and
+   total words and µs per commit, the words outside every span, and the
+   oracle that the own and outside words add up to every word allocated
+   since the sink was built ([words_before]). The two sides differ only
+   by what building the sink and reading it allocate. *)
+let host_report trace ~words_before ~committed =
+  let module T = Afs_trace.Trace in
+  let outside = T.outside_words trace in
+  let total = Stdlib.Gc.minor_words () -. words_before in
+  let rows = T.host_costs trace in
+  let own = List.fold_left (fun acc (r : T.host_cost) -> acc +. r.T.own_words) 0.0 rows in
+  let per x = x /. float_of_int (max 1 committed) in
+  Printf.printf "host cost per commit (%d commits):\n" committed;
+  Printf.printf "  %-16s %8s %11s %11s %9s %9s\n" "span" "spans" "own words" "total words"
+    "own us" "total us";
+  List.iter
+    (fun (r : T.host_cost) ->
+      Printf.printf "  %-16s %8.2f %11.1f %11.1f %9.2f %9.2f\n" r.T.kind
+        (per (float_of_int r.T.spans))
+        (per r.T.own_words) (per r.T.total_words) (per r.T.own_us) (per r.T.total_us))
+    rows;
+  Printf.printf "  %-16s %8s %11.1f\n" "outside spans" "" (per outside);
+  let sum = own +. outside in
+  Printf.printf "host oracle: own %.0f + outside %.0f = %.0f words, run total %.0f words: %s\n"
+    own outside sum total
+    (if Float.abs (sum -. total) <= 256.0 then "equal" else "DIFFERENT");
+  Printf.printf "named spans: %.1f%% of the run's words\n" (100.0 *. own /. Float.max 1.0 sum)
 
 let close_trace_sink = function
   | None -> ()
@@ -206,7 +239,7 @@ let close_trace_sink = function
       Printf.printf "trace: %d events -> %s\n" (Afs_trace.Trace.events_emitted tr) path
 
 let simulate system shards replicas clients duration_s think_ms nfiles pages theta
-    cross_ratio cache_capacity group_commit kill_primary failover_ms trace_file =
+    cross_ratio cache_capacity group_commit kill_primary failover_ms trace_file host =
   check_kill_primary ~system ~shards ~replicas kill_primary;
   let open Afs_workload in
   let shape =
@@ -219,7 +252,8 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
     }
   in
   let engine = Afs_sim.Engine.create () in
-  let trace_sink = open_trace_sink engine trace_file in
+  let words_before = Stdlib.Gc.minor_words () in
+  let trace_sink = open_trace_sink ~host engine trace_file in
   let trace = Afs_sim.Engine.trace engine in
   let config =
     {
@@ -292,6 +326,7 @@ let simulate system shards replicas clients duration_s think_ms nfiles pages the
     | other -> failwith (Printf.sprintf "unknown system %S (afs|2pl|tso)" other)
   in
   let report = Driver.run engine config sut ~gen in
+  if host then host_report trace ~words_before ~committed:report.Driver.committed;
   Option.iter report_failover !failover;
   print_endline Driver.header_row;
   print_endline (Driver.report_row report);
@@ -510,6 +545,15 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:"Stream a Chrome trace-event (catapult) JSON trace of the run to $(docv)")
 
+let host_arg =
+  Arg.(
+    value & flag
+    & info [ "host" ]
+        ~doc:
+          "Keep host cost per trace span kind (allocation and monotonic time, own and \
+           total) and print the table, the words outside every span and the check that \
+           they add up to the run's words")
+
 let simulate_cmd =
   let system =
     Arg.(value & opt string "afs" & info [ "system" ] ~docv:"afs|2pl|tso" ~doc:"System under test")
@@ -551,7 +595,7 @@ let simulate_cmd =
     Term.(
       const simulate $ system $ shards $ replicas_arg $ clients_arg $ duration_arg
       $ think_arg $ nfiles_arg $ pages $ theta $ cross_ratio $ cache_capacity
-      $ group_commit $ kill_primary_arg $ failover_ms_arg $ trace_arg)
+      $ group_commit $ kill_primary_arg $ failover_ms_arg $ trace_arg $ host_arg)
 
 let cluster_cmd =
   let shards =

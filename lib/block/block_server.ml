@@ -98,16 +98,18 @@ let deallocate t account b =
       Hashtbl.remove t.locks b;
       Ok ()
 
+(* The sector's image is the writer's own: both directions pass it
+   uncopied. *)
 let read t account b =
   request t;
   let* () = check_owner t account b in
-  Result.map Bytes.unsafe_of_string (of_disk (Disk.read t.disk b))
+  Result.map (fun s -> s.Disk.image) (of_disk (Disk.read_sector t.disk b))
 
-let write t account b data =
+let write t account b image =
   request t;
   let* () = check_owner t account b in
   let* () = check_lock t account b in
-  of_disk (Disk.write t.disk b (Bytes.unsafe_to_string data))
+  of_disk (Disk.write_sector t.disk b { Disk.header = ""; image })
 
 let lock t account b =
   request t;

@@ -49,12 +49,14 @@ val deallocate : t -> account -> int -> (unit, error) result
     to the free pool. While the disk is offline, fails with
     [Disk_error Offline] and frees nothing. *)
 
-val read : t -> account -> int -> (bytes, error) result
-(** The disk's image itself, not a copy: the caller must not change it. *)
+val read : t -> account -> int -> (Afs_util.Image.t, error) result
+(** The disk's head and data themselves, not copies: the caller must not
+    change them. *)
 
-val write : t -> account -> int -> bytes -> (unit, error) result
+val write : t -> account -> int -> Afs_util.Image.t -> (unit, error) result
 (** Atomic: the acknowledgement implies durability. Respects locks held by
-    other accounts. The disk keeps [data] itself: do not change it. *)
+    other accounts. The disk keeps the head and data themselves, beside an
+    empty sector header: do not change them. *)
 
 val lock : t -> account -> int -> (unit, error) result
 (** Grab the block's lock; fails with [Locked] when another account holds

@@ -38,11 +38,13 @@ type t = private {
   header : header;
   refs : ref_entry array;
   data : bytes;
-  mutable enc : bytes option;
-      (** Memoized wire image ("encode-once"): filled lazily by {!encode},
-          seeded by {!decode ~memo:true}, reset to [None] by every
-          functional update. A cache, never part of the page's value —
-          compare pages with {!equal}, which ignores it. *)
+  mutable memo : bytes;
+      (** Memoized encoded head ("encode-once"): empty until
+          {!encode_head} fills it or {!decode ~memo:true} seeds it (an
+          encoded head never is), emptied by every functional update. A
+          cache, never part of the page's value — compare pages with
+          {!equal}, which ignores it. Shared with every caller: treat it
+          as immutable. *)
 }
 
 val max_block_number : int
@@ -65,7 +67,7 @@ val nrefs : t -> int
 val dsize : t -> int
 
 val equal : t -> t -> bool
-(** Structural equality of header, reference table and data; the image
+(** Structural equality of header, reference table and data; the head
     memo is ignored (it is a cache, not part of the value). *)
 
 val get_ref : t -> int -> (ref_entry, string) result
@@ -95,50 +97,56 @@ val clear_child_flags : t -> t
 (** Reset every entry's flags ({!cleared_refs}): done when a page is
     first copied into a new version. *)
 
-(** {2 Wire format} *)
+(** {2 Wire format}
+
+    A page's image is two parts ({!Afs_util.Image}): the encoded head —
+    header fields and reference table — and, beside it, the page's own
+    [data]. The codec never copies the data: {!encode_head} serialises
+    only the head, and a decoded page's [data] is the image's data
+    itself. Both parts fall under {!Store}'s ownership rule: nobody
+    changes them once they are handed over. *)
 
 val encoded_size : t -> int
-(** Exact length of {!encode}'s output, computed arithmetically — no
-    serialisation, no allocation. *)
+(** Exact length of {!encode}'s head and data together, computed
+    arithmetically — no serialisation, no allocation. *)
 
-val encode : t -> bytes
-(** The page's wire image, serialised at most once per page lifetime and
-    memoized. The returned bytes are shared with the memo (and with every
-    other caller): treat them as immutable. *)
+val encode_head : t -> bytes
+(** The page's encoded head, serialised at most once per page lifetime
+    and memoized: the only allocation an encode makes. Shared with the
+    memo (and with every other caller): treat it as immutable. *)
+
+val encode : t -> Afs_util.Image.t
+(** The page's image: {!encode_head} beside the page's [data] itself, in
+    a fresh pair. *)
 
 val fresh_encodes : unit -> int
 (** Fresh serialisations performed since program start (memo hits do not
     count). Monotone; tests and benches difference it around a region to
     assert the encode-once discipline. *)
 
-val memoized_image : t -> bytes option
-(** The memoized wire image, if this page has been serialised (or was
-    decoded with [~memo:true]). Never serialises. Shared with the memo:
-    treat as immutable. Cache revalidation compares it against a freshly
-    read store image (often the memo itself) to skip re-decoding. *)
-
-val decode : ?memo:bool -> bytes -> (t, string) result
-(** Rejects, with an [Error] that reads ["page decode: ..."], bad magic,
-    format version or kind, illegal flag nibbles, truncation, trailing
-    bytes, and reference counts or data lengths the image cannot hold —
-    the whole image is checked before anything is allocated. With [memo]
-    (default off), the input image seeds the decoded page's encode memo:
-    sound only for images produced by {!encode} (the decoder also accepts
-    padded varints, which would break byte-identity) that nobody will
-    change — true of every image read back from this system's stores,
-    under {!Store}'s ownership rule. *)
+val decode : ?memo:bool -> Afs_util.Image.t -> (t, string) result
+(** The page whose [data] is the image's data itself, uncopied. Rejects,
+    with an [Error] that reads ["page decode: ..."], bad magic, format
+    version or kind, illegal flag nibbles, a truncated head, trailing
+    bytes after the reference table, a data length other than the data's,
+    and reference counts the head cannot hold — the whole image is
+    checked before anything is allocated. With [memo] (default off), the
+    input image's head seeds the decoded page's memo: sound only for
+    images produced by {!encode} (the decoder also accepts padded
+    varints, which would break byte-identity) that nobody will change —
+    true of every image read back from this system's stores, under
+    {!Store}'s ownership rule. *)
 
 (** {2 Reading an image in place}
 
     What the garbage collector needs from a stored page — its commit
     reference and its children's block numbers — read straight from the
-    image's header and reference table. Both run the very check {!decode}
-    runs, so they accept exactly the images it accepts, but build no page
-    and never copy the data area. *)
+    image's head. Both run the very check {!decode} runs, so they accept
+    exactly the images it accepts, but build no page. *)
 
-val image_commit_ref : bytes -> (int option, string) result
+val image_commit_ref : Afs_util.Image.t -> (int option, string) result
 
-val iter_image_refs : bytes -> (int -> unit) -> (unit, string) result
+val iter_image_refs : Afs_util.Image.t -> (int -> unit) -> (unit, string) result
 (** Calls the function on each reference's block number, in table order,
     once the whole image has been checked: a rejected image yields no
     calls. *)

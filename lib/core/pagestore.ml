@@ -1,6 +1,8 @@
 module Lru = Afs_util.Lru
 module Stats = Afs_util.Stats
 module Det = Afs_util.Det
+module Image = Afs_util.Image
+module Trace = Afs_trace.Trace
 
 (* [stale] marks a clean entry whose block must be re-read from the
    store before it is believed (set by {!refresh}, the §3.1
@@ -50,11 +52,16 @@ type t = {
      transaction. *)
   hits : int ref Lazy.t;
   misses : int ref Lazy.t;
+  (* Host-cost spans: [pagestore.miss] around a miss's store read and
+     decode, [pagestore.write] around an encode and its store write,
+     [store.read] around any other store read. Each site tests
+     [Trace.enabled] itself, so an untraced run builds no closure. *)
+  trace : Trace.t;
 }
 
 let default_capacity = 4096
 
-let create ?(cache = true) ?(capacity = default_capacity) ~counters store =
+let create ?(cache = true) ?(capacity = default_capacity) ?(trace = Trace.null) ~counters store =
   if capacity < 1 then invalid_arg "Pagestore.create: capacity must be positive";
   {
     store;
@@ -65,6 +72,7 @@ let create ?(cache = true) ?(capacity = default_capacity) ~counters store =
     counters;
     hits = lazy (Stats.Counter.handle counters "cache.hits");
     misses = lazy (Stats.Counter.handle counters "cache.misses");
+    trace;
   }
 
 let store t = t.store
@@ -80,11 +88,15 @@ let allocate t =
   | Ok b -> Ok b
   | Error msg -> Error (Errors.Store_failure msg)
 
+let put t b page = t.store.Store.write (b, Page.encode_head page) page.Page.data
+
 let store_write t b page =
-  let image = Page.encode page in
-  match t.store.Store.write b image with
-  | Ok () -> Ok ()
-  | Error msg -> Error (Errors.Store_failure msg)
+  let written =
+    if Trace.enabled t.trace then
+      Trace.span t.trace ~kind:"pagestore.write" (fun () -> put t b page)
+    else put t b page
+  in
+  match written with Ok () -> Ok () | Error msg -> Error (Errors.Store_failure msg)
 
 (* The entry's page just reached the store: clean, in place, LRU order
    untouched. *)
@@ -131,12 +143,15 @@ let drop_entry t b =
   Hashtbl.remove t.dirty b;
   Lru.remove t.cache b
 
+let same_bytes a b = a == b || Bytes.equal a b
+
 (* Re-read a stale entry's block. An image identical to the cached
-   page's memoized encoding proves the store still holds exactly what we
-   decoded (or wrote) before, so the decoded page is reused as is; this
-   counts as a miss, like the drop-and-re-read it replaces, and the
-   store read it pays for is the §3.1 integrity check itself: with shared
-   images, usually a physical comparison with the memo. *)
+   page's memoized head and its data proves the store still holds
+   exactly what we decoded (or wrote) before, so the decoded page is
+   reused as is; this counts as a miss, like the drop-and-re-read it
+   replaces, and the store read it pays for is the §3.1 integrity check
+   itself: with shared images, usually a physical comparison of the head
+   and of the data. *)
 let revalidate t b (e : entry) =
   match t.store.Store.read b with
   | Error msg ->
@@ -145,38 +160,53 @@ let revalidate t b (e : entry) =
   | Ok image -> (
       let r = Lazy.force t.misses in
       r := !r + 1;
-      match Page.memoized_image e.page with
-      | Some memo when memo == image || Bytes.equal memo image ->
-          e.stale <- false;
-          e.answer
-      | _ -> (
-          match Page.decode ~memo:true image with
-          | Error msg -> Error (Errors.Store_failure msg)
-          | Ok page ->
-              set_page e page;
-              e.stale <- false;
-              e.answer))
+      let page = e.page in
+      if
+        Bytes.length page.Page.memo > 0
+        && same_bytes page.Page.memo image.Image.head
+        && same_bytes page.Page.data image.Image.data
+      then begin
+        e.stale <- false;
+        e.answer
+      end
+      else
+        match Page.decode ~memo:true image with
+        | Error msg -> Error (Errors.Store_failure msg)
+        | Ok page ->
+            set_page e page;
+            e.stale <- false;
+            e.answer)
+
+(* The store hands back an image this system wrote with [Page.encode_head],
+   so it can seed the page's memo: a page faulted in and flushed
+   back out costs zero serialisations. *)
+let fault t b =
+  match t.store.Store.read b with
+  | Ok image -> Page.decode ~memo:true image
+  | Error msg -> Error msg
 
 let read t b =
   let e = if t.cache_enabled then Lru.find_or t.cache b absent else absent in
   if e == absent then
-    match t.store.Store.read b with
+    let faulted =
+      if Trace.enabled t.trace then
+        Trace.span t.trace ~kind:"pagestore.miss" (fun () -> fault t b)
+      else fault t b
+    in
+    match faulted with
     | Error msg -> Error (Errors.Store_failure msg)
-    | Ok image -> (
-        (* The store hands back an image this system wrote with
-           [Page.encode], so it can seed the page's encode memo: a page
-           faulted in and flushed back out costs zero serialisations. *)
-        match Page.decode ~memo:true image with
-        | Error msg -> Error (Errors.Store_failure msg)
-        | Ok page ->
-            if t.cache_enabled then begin
-              let r = Lazy.force t.misses in
-              r := !r + 1;
-              let e = entry page ~dirty:false in
-              match cache_set t b e with Ok () -> e.answer | Error _ as err -> err
-            end
-            else Ok page)
-  else if e.stale then revalidate t b e
+    | Ok page ->
+        if t.cache_enabled then begin
+          let r = Lazy.force t.misses in
+          r := !r + 1;
+          let e = entry page ~dirty:false in
+          match cache_set t b e with Ok () -> e.answer | Error _ as err -> err
+        end
+        else Ok page
+  else if e.stale then
+    if Trace.enabled t.trace then
+      Trace.span t.trace ~kind:"pagestore.miss" (fun () -> revalidate t b e)
+    else revalidate t b e
   else begin
     let r = Lazy.force t.hits in
     r := !r + 1;
@@ -297,6 +327,10 @@ let rec clean t pages = function
       clean t (pages - 1) rest
   | (b, page) :: rest -> ( match settle t b page with Ok () -> clean t 0 rest | Error _ as e -> e)
 
+let put_batch t batch =
+  let entry (b, page) = ((b, Page.encode_head page), page.Page.data) in
+  t.store.Store.write_batch (List.map entry batch)
+
 (* The publish leg: every page is size-checked before the first store
    write (a too-large page cannot leave the batch half-written), then the
    batch's images go to the store in one [write_batch] call — one
@@ -310,7 +344,12 @@ let write_through_batch ?(pages = 0) t batch =
   match List.find_opt (fun (_, p) -> Page.encoded_size p > page_size_limit t) batch with
   | Some (_, page) -> Result.map ignore (check_size t page)
   | None -> (
-      match t.store.Store.write_batch (List.map (fun (b, page) -> (b, Page.encode page)) batch) with
+      let written =
+        if Trace.enabled t.trace then
+          Trace.span t.trace ~kind:"pagestore.write" (fun () -> put_batch t batch)
+        else put_batch t batch
+      in
+      match written with
       | Ok () -> clean t pages batch
       | Error msg ->
           List.iter (fun (b, _) -> if not (Hashtbl.mem t.dirty b) then drop_entry t b) batch;
@@ -329,10 +368,15 @@ let free t b =
 let store_failure r = Result.map_error (fun msg -> Errors.Store_failure msg) r
 
 (* [read_page] applied to the store image of [b]. *)
-let from_store t b read_page =
+let read_with t b read_page =
   match t.store.Store.read b with
   | Ok image -> store_failure (read_page image)
   | Error msg -> Error (Errors.Store_failure msg)
+
+let from_store t b read_page =
+  if Trace.enabled t.trace then
+    Trace.span t.trace ~kind:"store.read" (fun () -> read_with t b read_page)
+  else read_with t b read_page
 
 (* The cached entry of [b], when it can be believed. *)
 let believed t b =

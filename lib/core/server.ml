@@ -75,7 +75,7 @@ let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name
   {
     (* The server's one counter table: its page store and every local
        client count into it too. *)
-    ps = Pagestore.create ~cache:page_cache ?capacity:cache_capacity ~counters store;
+    ps = Pagestore.create ~cache:page_cache ?capacity:cache_capacity ~trace ~counters store;
     secret = Capability.secret_of_seed seed;
     server_port = Capability.port_of_int (seed land 0xFFFFFFFFFFFF);
     port_registry;

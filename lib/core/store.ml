@@ -1,19 +1,20 @@
 module Block_server = Afs_block.Block_server
 module Stable_pair = Afs_stable.Stable_pair
+module Image = Afs_util.Image
 
 type t = {
   block_size : int;
   allocate : unit -> (int, string) result;
   free : int -> (unit, string) result;
-  read : int -> (bytes, string) result;
-  write : int -> bytes -> (unit, string) result;
-  write_batch : (int * bytes) list -> (unit, string) result;
+  read : int -> (Image.t, string) result;
+  write : int * bytes -> bytes -> (unit, string) result;
+  write_batch : ((int * bytes) * bytes) list -> (unit, string) result;
   lock : int -> bool;
   unlock : int -> unit;
   list_blocks : unit -> (int list, string) result;
 }
 
-type op = Alloc of int | Free of int | Write of int * bytes
+type op = Alloc of int | Free of int | Write of int * Image.t
 
 let apply_op t = function
   | Alloc b -> (
@@ -25,7 +26,7 @@ let apply_op t = function
       | Ok b' -> Error (Printf.sprintf "alloc replay: expected block %d, got %d" b b')
       | Error _ as e -> e)
   | Free b -> t.free b
-  | Write (b, data) -> t.write b data
+  | Write (b, { Image.head; data }) -> t.write (b, head) data
 
 (* Consecutive writes ride one [write_batch] (the stable pair amortises
    its companion hop across them); alloc/free replay one at a time. *)
@@ -36,7 +37,7 @@ let apply_ops t ops =
   in
   let rec go run = function
     | [] -> flush run
-    | Write (b, data) :: rest -> go ((b, data) :: run) rest
+    | Write (b, { Image.head; data }) :: rest -> go (((b, head), data) :: run) rest
     | op :: rest -> (
         match flush run with
         | Error _ as e -> e
@@ -51,7 +52,7 @@ let apply_ops t ops =
 let sequential_batch write entries =
   let rec go = function
     | [] -> Ok ()
-    | (b, data) :: rest -> ( match write b data with Ok () -> go rest | Error _ as e -> e)
+    | (at, data) :: rest -> ( match write at data with Ok () -> go rest | Error _ as e -> e)
   in
   go entries
 
@@ -69,15 +70,15 @@ let lock_table () =
   (lock, fun b -> Hashtbl.remove locks b)
 
 let memory ?(block_size = 32768) () =
-  let blocks : (int, bytes) Hashtbl.t = Hashtbl.create 1024 in
+  let blocks : (int, Image.t) Hashtbl.t = Hashtbl.create 1024 in
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let lock, unlock = lock_table () in
   let next = ref 0 in
-  let write b data =
-    if Bytes.length data > block_size then Error "block too large"
+  let write (b, head) data =
+    if Bytes.length head + Bytes.length data > block_size then Error "block too large"
     else begin
       Hashtbl.replace allocated b ();
-      Hashtbl.replace blocks b data;
+      Hashtbl.replace blocks b { Image.head; data };
       Ok ()
     end
   in
@@ -97,7 +98,7 @@ let memory ?(block_size = 32768) () =
     read =
       (fun b ->
         match Hashtbl.find blocks b with
-        | data -> Ok data
+        | image -> Ok image
         | exception Not_found -> Error (Printf.sprintf "block %d never written" b));
     write;
     write_batch = sequential_batch write;
@@ -111,7 +112,7 @@ let string_of_block_error = Fmt.str "%a" Block_server.pp_error
 
 let of_block_server server ~account =
   let lift r = Result.map_error string_of_block_error r in
-  let write b data = lift (Block_server.write server account b data) in
+  let write (b, head) data = lift (Block_server.write server account b { Image.head; data }) in
   {
     block_size = Block_server.block_size server;
     allocate = (fun () -> lift (Block_server.allocate server account));
@@ -165,14 +166,18 @@ let of_stable_pair pair =
     read =
       (fun b -> match online () with Some i -> lift (Stable_pair.read pair i b) | None -> offline);
     write =
-      (fun b data ->
-        match online () with Some i -> lift (Stable_pair.write pair i b data) | None -> offline);
+      (fun (b, head) data ->
+        match online () with
+        | Some i -> lift (Stable_pair.write pair i b { Image.head; data })
+        | None -> offline);
     (* The whole batch rides one A→B→A round trip: the companion hop is
        charged once however many pages and commit references it carries. *)
     write_batch =
       (fun entries ->
         match online () with
-        | Some i -> lift (Stable_pair.write_batch pair i entries)
+        | Some i ->
+            let image ((b, head), data) = (b, { Image.head; data }) in
+            lift (Stable_pair.write_batch pair i (List.map image entries))
         | None -> offline);
     lock;
     unlock;
@@ -196,16 +201,16 @@ let worm_hybrid ~blocks ~block_size () =
   let lock, unlock = lock_table () in
   let next = ref 0 in
   let lift_disk r = Result.map_error (Fmt.str "%a" Disk.pp_error) r in
-  (* The disks keep immutable images, which the ownership rule lets both
-     directions pass through uncopied. *)
-  let write b data =
-    let image = Bytes.unsafe_to_string data in
-    if Hashtbl.mem redirected b then lift_disk (Disk.write index b image)
+  (* The disks keep the written images, which the ownership rule lets
+     both directions pass through uncopied. *)
+  let write (b, head) data =
+    let sector = { Disk.header = ""; image = { Image.head; data } } in
+    if Hashtbl.mem redirected b then lift_disk (Disk.write_sector index b sector)
     else if Disk.is_written bulk b then begin
       Hashtbl.replace redirected b ();
-      lift_disk (Disk.write index b image)
+      lift_disk (Disk.write_sector index b sector)
     end
-    else lift_disk (Disk.write bulk b image)
+    else lift_disk (Disk.write_sector bulk b sector)
   in
   let store =
     {
@@ -229,7 +234,7 @@ let worm_hybrid ~blocks ~block_size () =
       read =
         (fun b ->
           let disk = if Hashtbl.mem redirected b then index else bulk in
-          Result.map Bytes.unsafe_of_string (lift_disk (Disk.read disk b)));
+          Result.map (fun s -> s.Disk.image) (lift_disk (Disk.read_sector disk b)));
       write;
       write_batch = sequential_batch write;
       lock;
@@ -259,9 +264,9 @@ let counting inner =
           incr reads;
           inner.read b);
       write =
-        (fun b data ->
+        (fun at data ->
           incr writes;
-          inner.write b data);
+          inner.write at data);
       write_batch =
         (fun entries ->
           writes := !writes + List.length entries;

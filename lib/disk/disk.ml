@@ -14,20 +14,21 @@ let pp_error ppf = function
       Fmt.pf ppf "%d bytes exceeds block size %d" requested block_size
 
 module Trace = Afs_trace.Trace
+module Image = Afs_util.Image
 
-type sector = { header : string; data : string }
+type sector = { header : string; image : Image.t }
 
 (* The slot of a block never written, told apart from a written empty
    sector by identity: the record is built at run time, so no constant
    elsewhere can share it. *)
-let unwritten = { header = ""; data = Bytes.unsafe_to_string (Bytes.create 0) }
+let unwritten = { header = ""; image = { Image.head = Bytes.empty; data = Bytes.create 0 } }
 
 type t = {
   media : Media.t;
   block_size : int;
-  (* Sectors are immutable: a write keeps the caller's record and a read
-     returns it, so one sealed sector can sit on two disks at once. One
-     slot per block, [unwritten] when it holds nothing. *)
+  (* Sectors are never changed: a write keeps the caller's record and a
+     read returns it, so one sealed sector can sit on two disks at once.
+     One slot per block, [unwritten] when it holds nothing. *)
   blocks : sector array;
   mutable offline : bool;
   mutable reads : int;
@@ -61,12 +62,10 @@ let block_size t = t.block_size
 
 let charge t cost = t.busy_ms <- t.busy_ms +. cost
 
-let sector_bytes s = String.length s.header + String.length s.data
+let sector_bytes s = String.length s.header + Image.length s.image
 
-(* A read answers [answer] of the stored sector, which is the record
-   itself or its data: both reads share this one body, and neither
-   allocates more than its [Ok]. *)
-let fetch answer t b =
+(* A read answers the stored sector itself, allocating only its [Ok]. *)
+let read_sector t b =
   if t.offline then Error Offline
   else if b < 0 || b >= Array.length t.blocks then Error (Out_of_range b)
   else
@@ -85,11 +84,8 @@ let fetch answer t b =
         Trace.point t.trace
           (Trace.Disk_read
              { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
-      Ok (answer s)
+      Ok s
     end
-
-let read_sector t b = fetch Fun.id t b
-let read t b = fetch (fun s -> s.data) t b
 
 let write_sector t b s =
   let bytes = sector_bytes s in
@@ -111,8 +107,6 @@ let write_sector t b s =
            { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
     Ok ()
   end
-
-let write t b data = write_sector t b { header = ""; data }
 
 let erase t b =
   if t.offline then Error Offline
@@ -137,15 +131,19 @@ let corrupt t b ~xor_byte =
     else begin
       (* A damaged copy replaces the block: the old sector may be shared
          with a companion disk or the writer, which must not see it. The
-         flipped byte is the middle one of header and data together. *)
-      let i = n / 2 and h = String.length s.header in
-      let flip i str =
-        let byte j c = if j = i then Char.chr (Char.code c lxor Char.code xor_byte) else c in
-        String.mapi byte str
+         flipped byte is the middle one of header, head and data together. *)
+      let i = n / 2 and h = String.length s.header and { Image.head; data } = s.image in
+      let hh = Bytes.length head in
+      let flipped i bytes =
+        let copy = Bytes.copy bytes in
+        Bytes.set copy i (Char.chr (Char.code (Bytes.get copy i) lxor Char.code xor_byte));
+        copy
       in
       t.blocks.(b) <-
-        (if i < h then { s with header = flip i s.header }
-         else { s with data = flip (i - h) s.data });
+        (if i < h then
+           { s with header = Bytes.unsafe_to_string (flipped i (Bytes.unsafe_of_string s.header)) }
+         else if i < h + hh then { s with image = { Image.head = flipped (i - h) head; data } }
+         else { s with image = { Image.head; data = flipped (i - h - hh) data } });
       true
     end
 

@@ -150,7 +150,13 @@ let rec pump t =
             let members = drain_batch t b first in
             t.busy <- true;
             let before = disks_busy t in
-            let resps = b.handle_batch (List.map (fun p -> p.req) members) in
+            let reqs = List.map (fun p -> p.req) members in
+            let tr = trace t in
+            let resps =
+              if Trace.enabled tr then
+                Trace.span tr ~kind:"rpc.serve" (fun () -> b.handle_batch reqs)
+              else b.handle_batch reqs
+            in
             let storage = disks_busy t -. before in
             t.served <- t.served + List.length members;
             let delay = t.proc_ms +. storage +. t.latency_ms in
@@ -162,7 +168,11 @@ let rec pump t =
         | _ ->
             t.busy <- true;
             let before = disks_busy t in
-            let resp = t.handler req in
+            let tr = trace t in
+            let resp =
+              if Trace.enabled tr then Trace.span tr ~kind:"rpc.serve" (fun () -> t.handler req)
+              else t.handler req
+            in
             let storage = disks_busy t -. before in
             t.served <- t.served + 1;
             let delay = t.proc_ms +. storage +. t.latency_ms in

@@ -82,7 +82,10 @@ val serve :
     server CPU; if [disks] are given, the growth of their busy time during
     the handler is charged as well, so storage latency shows up in client
     round trips. [describe] labels requests in trace events
-    (only called when the engine's trace is enabled). *)
+    (only called when the engine's trace is enabled). With the engine's
+    trace enabled, each served request, or each batch a batching policy
+    hands over at once, runs its handler inside one synchronous
+    [rpc.serve] span. *)
 
 val call : ('req, 'resp) t -> 'req -> ('resp, call_error) result
 (** Must run inside a {!Afs_sim.Proc} process. Blocks for the reply. *)

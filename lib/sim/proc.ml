@@ -34,6 +34,11 @@ let with_current handle f =
       current := saved;
       raise e
 
+(* A resumed process runs until it next suspends: a synchronous section,
+   whose host cost a traced run keeps as [proc.resume]. *)
+let step : type b. handle -> (b, unit) Effect.Deep.continuation -> b -> unit =
+ fun handle k v -> if handle.dead then Effect.Deep.discontinue k Killed else Effect.Deep.continue k v
+
 let rec execute : type a. Engine.t -> handle -> (a -> unit) -> (unit -> a) -> unit =
  fun engine handle return body ->
   let open Effect.Deep in
@@ -65,12 +70,15 @@ let rec execute : type a. Engine.t -> handle -> (a -> unit) -> (unit -> a) -> un
 and resume : type b. Engine.t -> handle -> (b, unit) Effect.Deep.continuation -> b -> unit
     =
  fun engine handle k v ->
+  let module Trace = Afs_trace.Trace in
   let tr = Engine.trace engine in
-  if Afs_trace.Trace.enabled tr then
-    Afs_trace.Trace.point tr (Afs_trace.Trace.Proc_resume { proc = handle.name });
+  if Trace.enabled tr then Trace.point tr (Trace.Proc_resume { proc = handle.name });
   let saved = !current in
   current := handle.ctx;
-  match if handle.dead then Effect.Deep.discontinue k Killed else Effect.Deep.continue k v with
+  match
+    if Trace.enabled tr then Trace.costed tr ~kind:"proc.resume" (fun () -> step handle k v)
+    else step handle k v
+  with
   | () -> current := saved
   | exception e ->
       current := saved;

@@ -5,7 +5,9 @@
     {!suspend} and the blocking {!Ivar.read}. When it blocks, its
     continuation is parked and the engine moves on; virtual time only
     advances through {!delay} and event scheduling, never through real
-    time. *)
+    time. With the engine's trace enabled, each resumption — the process
+    running until it next blocks — is a host-costed section of kind
+    [proc.resume] ({!Afs_trace.Trace.costed}). *)
 
 exception Killed
 (** Raised inside a process that is resumed after {!kill}. *)

@@ -137,6 +137,44 @@ type ring = {
 
 type sink = Null | Ring of ring | Stream of (event -> unit)
 
+(* {2 Host cost of synchronous spans}
+
+   Kept beside the events, never in them. Every record here holds floats
+   only, so updating it stores them unboxed. A span's probe reads the
+   clock and then the allocation counter on entry, and the counter and
+   then the clock on exit: what the clock itself allocates falls outside
+   the span. The words allocated while no span is open are summed up to
+   [mark], the counter's reading when the last outermost span closed, so
+   every word lands in exactly one span's own share or outside. *)
+
+type host_cost = {
+  kind : string;
+  spans : int;
+  own_words : float;
+  total_words : float;
+  own_us : float;
+  total_us : float;
+}
+
+type sums = {
+  mutable n : float;
+  mutable own_w : float;
+  mutable total_w : float;
+  mutable own_c : float;
+  mutable total_c : float;
+}
+
+(* An open span's entry readings and what its child spans spent. *)
+type frame = { w0 : float; c0 : float; mutable child_w : float; mutable child_c : float }
+
+type host = {
+  clock : unit -> float;
+  kinds : (string, sums) Hashtbl.t;
+  mutable frames : frame list;  (** Open host-costed spans, innermost first. *)
+  mutable outside : float;
+  mutable mark : float;
+}
+
 type t = {
   now : unit -> float;
   sink : sink;
@@ -144,18 +182,97 @@ type t = {
   mutable next_span : int;
   mutable stack : int list;  (** Ambient span stack for synchronous sections. *)
   mutable emitted : int;
+  host : host option;
 }
 
-let null = { now = (fun () -> 0.0); sink = Null; next_seq = 0; next_span = 1; stack = []; emitted = 0 }
+let make ?host ~now sink =
+  let host =
+    Option.map
+      (fun clock ->
+        { clock; kinds = Hashtbl.create 16; frames = []; outside = 0.0; mark = Gc.minor_words () })
+      host
+  in
+  { now; sink; next_seq = 0; next_span = 1; stack = []; emitted = 0; host }
+
+let null = make ~now:(fun () -> 0.0) Null
 
 let default_capacity = 65536
 
-let ring ?(capacity = default_capacity) ~now () =
+let ring ?(capacity = default_capacity) ?host ~now () =
   if capacity < 1 then invalid_arg "Trace.ring: capacity must be positive";
-  let r = { cap = capacity; buf = Array.make capacity None; len = 0; head = 0; ring_dropped = 0 } in
-  { now; sink = Ring r; next_seq = 0; next_span = 1; stack = []; emitted = 0 }
+  make ?host ~now
+    (Ring { cap = capacity; buf = Array.make capacity None; len = 0; head = 0; ring_dropped = 0 })
 
-let stream ~now emit = { now; sink = Stream emit; next_seq = 0; next_span = 1; stack = []; emitted = 0 }
+let stream ?host ~now emit = make ?host ~now (Stream emit)
+
+let enter h =
+  let c0 = h.clock () in
+  let w0 = Gc.minor_words () in
+  if h.frames = [] then h.outside <- h.outside +. (w0 -. h.mark);
+  let f = { w0; c0; child_w = 0.0; child_c = 0.0 } in
+  h.frames <- f :: h.frames;
+  f
+
+let leave h kind f =
+  let w = Gc.minor_words () in
+  let c = h.clock () in
+  let total_w = w -. f.w0 and total_c = c -. f.c0 in
+  (match h.frames with _ :: rest -> h.frames <- rest | [] -> ());
+  (match h.frames with
+  | parent :: _ ->
+      parent.child_w <- parent.child_w +. total_w;
+      parent.child_c <- parent.child_c +. total_c
+  | [] -> h.mark <- w);
+  let s =
+    match Hashtbl.find_opt h.kinds kind with
+    | Some s -> s
+    | None ->
+        let s = { n = 0.0; own_w = 0.0; total_w = 0.0; own_c = 0.0; total_c = 0.0 } in
+        Hashtbl.replace h.kinds kind s;
+        s
+  in
+  s.n <- s.n +. 1.0;
+  s.own_w <- s.own_w +. (total_w -. f.child_w);
+  s.total_w <- s.total_w +. total_w;
+  s.own_c <- s.own_c +. (total_c -. f.child_c);
+  s.total_c <- s.total_c +. total_c
+
+let host_costs t =
+  match t.host with
+  | None -> []
+  | Some h ->
+      List.sort
+        (fun a b -> String.compare a.kind b.kind)
+        (Hashtbl.fold
+           (fun kind s acc ->
+             {
+               kind;
+               spans = int_of_float s.n;
+               own_words = s.own_w;
+               total_words = s.total_w;
+               own_us = s.own_c;
+               total_us = s.total_c;
+             }
+             :: acc)
+           h.kinds [])
+
+let outside_words t =
+  match t.host with
+  | None -> 0.0
+  | Some h -> h.outside +. if h.frames = [] then Gc.minor_words () -. h.mark else 0.0
+
+let costed t ~kind f =
+  match t.host with
+  | None -> f ()
+  | Some h -> (
+      let frame = enter h in
+      match f () with
+      | x ->
+          leave h kind frame;
+          x
+      | exception e ->
+          leave h kind frame;
+          raise e)
 
 let enabled t = match t.sink with Null -> false | Ring _ | Stream _ -> true
 
@@ -217,7 +334,7 @@ let span t ~kind ?label f =
         (match t.stack with s :: rest when s = id -> t.stack <- rest | _ -> ());
         close_span t id
       in
-      Fun.protect ~finally:finish f
+      Fun.protect ~finally:finish (fun () -> costed t ~kind f)
 
 let events t =
   match t.sink with

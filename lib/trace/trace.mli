@@ -102,12 +102,14 @@ val null : t
     Instrumented modules default to it, so an untraced run pays one
     branch per emission site and allocates nothing. *)
 
-val ring : ?capacity:int -> now:(unit -> float) -> unit -> t
+val ring : ?capacity:int -> ?host:(unit -> float) -> now:(unit -> float) -> unit -> t
 (** Bounded in-memory sink: once [capacity] (default 65536) events are
-    held, each new event overwrites the oldest ({!dropped} counts them). *)
+    held, each new event overwrites the oldest ({!dropped} counts them).
+    [host] turns host cost on ({!host_costs}). *)
 
-val stream : now:(unit -> float) -> (event -> unit) -> t
-(** Streaming sink: the callback receives each event as it is emitted. *)
+val stream : ?host:(unit -> float) -> now:(unit -> float) -> (event -> unit) -> t
+(** Streaming sink: the callback receives each event as it is emitted.
+    [host] turns host cost on ({!host_costs}). *)
 
 val enabled : t -> bool
 (** Guard for hot paths: skip payload construction entirely when false. *)
@@ -126,7 +128,43 @@ val close_span : t -> int -> unit
 val span : t -> kind:string -> ?label:string -> (unit -> 'a) -> 'a
 (** [span t ~kind f] runs [f] inside a fresh ambient span. Only for
     synchronous sections (no [Proc.delay]/[suspend] inside), otherwise
-    interleaved processes would inherit the wrong parent. *)
+    interleaved processes would inherit the wrong parent. On a sink with
+    host cost on, the span's allocation and host time are added to its
+    kind's {!host_costs}. *)
+
+(** {2 Host cost}
+
+    A sink built with [~host:clock] also keeps, per span kind, what every
+    {!span} of that kind spent on the host: minor-heap words
+    ([Gc.minor_words]) and [clock] time (the caller's monotonic clock, in
+    µs). Each is kept total and own, net of the child spans inside. The
+    events carry none of it, so a trace stays deterministic. The words
+    allocated while no span is open are kept too ({!outside_words}): the
+    spans' own words and the outside words add up to every word allocated
+    since the sink was built, less what the probes themselves allocate. *)
+
+type host_cost = {
+  kind : string;
+  spans : int;  (** Spans of this kind closed so far. *)
+  own_words : float;
+  total_words : float;
+  own_us : float;
+  total_us : float;
+}
+
+val costed : t -> kind:string -> (unit -> 'a) -> 'a
+(** [costed t ~kind f] runs [f], a synchronous section, and adds its
+    host cost to [kind]'s row like a {!span} of that kind, but emits no
+    event and leaves the ambient span alone: the section may open spans
+    that outlive it. Without host cost it is [f ()]. *)
+
+val host_costs : t -> host_cost list
+(** One row per span kind seen, sorted by kind; [[]] unless host cost is
+    on. *)
+
+val outside_words : t -> float
+(** Words allocated while no span was open, since the sink was built;
+    [0.] unless host cost is on. *)
 
 val events : t -> event list
 (** Ring-sink contents, oldest first; [[]] for null and stream sinks. *)

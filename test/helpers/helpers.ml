@@ -66,3 +66,10 @@ let path l = Afs_util.Pagepath.of_list l
 (** The prefix every {!Afs_cluster.Marker} encoding starts with, as the
     format fixes it: lets a test write magic-prefixed root data by hand. *)
 let marker_magic = "\xafAFS"
+
+(** A store image of raw strings: [head] (default empty) beside [data]. *)
+let image ?(head = "") data = { Afs_util.Image.head = bytes head; data = bytes data }
+
+(** An image's head and data as one string, the bytes one wrapped image
+    would hold. *)
+let whole (i : Afs_util.Image.t) = str i.Afs_util.Image.head ^ str i.Afs_util.Image.data

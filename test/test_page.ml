@@ -1,6 +1,7 @@
 open Afs_core
 module Capability = Afs_util.Capability
 module Wire = Afs_util.Wire
+module Image = Afs_util.Image
 
 let quick = Helpers.quick
 let bytes = Helpers.bytes
@@ -17,6 +18,16 @@ let sample_version_page () =
     ~parent_ref:None
     ~refs:[| entry 3; entry ~flags:(Flags.record Flags.clear Flags.Write) 9 |]
     ~data:(bytes "version page data")
+
+(* An image's head and data as one buffer, and a buffer cut back into
+   an image [at] a head length: the tests damage images as one piece. *)
+let join (i : Image.t) = Bytes.cat i.Image.head i.Image.data
+
+let split ~at b =
+  let at = min at (Bytes.length b) in
+  { Image.head = Bytes.sub b 0 at; data = Bytes.sub b at (Bytes.length b - at) }
+
+let head_only b = { Image.head = b; data = Bytes.empty }
 
 let decode_ok ?memo image =
   match Page.decode ?memo image with
@@ -66,32 +77,37 @@ let test_codec_roundtrip_locks () =
   Alcotest.(check (option int)) "parent ref" (Some 7) p'.Page.header.Page.parent_ref
 
 let test_decode_rejects_garbage () =
-  (match Page.decode (bytes "not a page") with
+  (match Page.decode (head_only (bytes "not a page")) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted garbage");
-  match Page.decode Bytes.empty with
+  match Page.decode (head_only Bytes.empty) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted empty"
 
 let test_decode_rejects_truncation () =
   let image = Page.encode (sample_version_page ()) in
-  let truncated = Bytes.sub image 0 (Bytes.length image - 4) in
-  match Page.decode truncated with
+  let head = image.Image.head and data = image.Image.data in
+  (match Page.decode { image with Image.data = Bytes.sub data 0 (Bytes.length data - 4) } with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted truncated image"
+  | Ok _ -> Alcotest.fail "accepted truncated data");
+  match Page.decode { image with Image.head = Bytes.sub head 0 (Bytes.length head - 4) } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted a truncated head"
 
 let test_decode_rejects_trailing () =
   let image = Page.encode (sample_version_page ()) in
-  let padded = Bytes.cat image (bytes "junk") in
-  match Page.decode padded with
+  (match Page.decode { image with Image.data = Bytes.cat image.Image.data (bytes "junk") } with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted trailing bytes"
+  | Ok _ -> Alcotest.fail "accepted trailing data");
+  match Page.decode { image with Image.head = Bytes.cat image.Image.head (bytes "junk") } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted trailing bytes after the head"
 
 (* [page]'s image with its reference count ([count = `Refs]) or its data
    length rewritten to [value]: the two varints sit just before the
    reference table. *)
 let with_count page count value =
-  let image = Page.encode page in
+  let image = join (Page.encode page) in
   let nrefs = Page.nrefs page and dsize = Page.dsize page in
   let refs_at = Bytes.length image - dsize - (4 * nrefs) in
   let nrefs_at = refs_at - Wire.varint_size nrefs - Wire.varint_size dsize in
@@ -109,8 +125,9 @@ let with_count page count value =
    [Error] before allocating for them. *)
 let test_decode_rejects_huge_count () =
   let page = Page.with_data Page.empty (Bytes.make 5 'd') in
-  let image = with_count page `Refs (1 lsl 40) in
-  Alcotest.(check int) "image length" 20 (Bytes.length image);
+  let whole = with_count page `Refs (1 lsl 40) in
+  Alcotest.(check int) "image length" 20 (Bytes.length whole);
+  let image = split ~at:(Bytes.length whole - 5) whole in
   (match Page.decode image with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decode accepted a 2^40 reference count");
@@ -215,7 +232,7 @@ let prop_codec_roundtrip =
 
 let prop_encoded_size_consistent =
   QCheck2.Test.make ~name:"encoded_size equals encode length" ~count:100 gen_page (fun p ->
-      Page.encoded_size p = Bytes.length (Page.encode p))
+      Page.encoded_size p = Image.length (Page.encode p))
 
 (* A value of at least 2^40 for a reference count or a data length. *)
 let gen_huge =
@@ -223,18 +240,21 @@ let gen_huge =
 
 (* [page]'s image damaged by [damage]: 0 leaves it whole, 1 flips the
    byte at [pos] by [xor], 2 truncates it at [pos], 3 and 4 rewrite its
-   reference count or data length to [huge]. *)
+   reference count or data length to [huge]. The damaged bytes are cut
+   back into a head and data where the page's own data began. *)
 let damaged page damage pos xor huge =
-  let image = Bytes.copy (Page.encode page) in
+  let image = join (Page.encode page) in
+  let at = Bytes.length image - Page.dsize page in
   let pos = pos mod max 1 (Bytes.length image) in
-  match damage with
-  | 0 -> image
-  | 1 ->
-      Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
-      image
-  | 2 -> Bytes.sub image 0 pos
-  | 3 -> with_count page `Refs huge
-  | _ -> with_count page `Data huge
+  split ~at
+    (match damage with
+    | 0 -> image
+    | 1 ->
+        Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
+        image
+    | 2 -> Bytes.sub image 0 pos
+    | 3 -> with_count page `Refs huge
+    | _ -> with_count page `Data huge)
 
 (* Fuzz: decoding a corrupted valid image must fail cleanly or produce a
    structurally valid page — never raise. *)
@@ -261,7 +281,7 @@ let prop_decode_total_on_garbage =
   QCheck2.Test.make ~name:"decode is total on garbage" ~count:500
     QCheck2.Gen.(string_size (int_range 0 300))
     (fun s ->
-      match Page.decode (Bytes.of_string s) with
+      match Page.decode (split ~at:(String.length s / 2) (Bytes.of_string s)) with
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
@@ -291,6 +311,72 @@ let prop_in_place_reads_agree_with_decode =
       | Error _, Error _, Error _ -> !children = []
       | _ -> false)
 
+(* {2 The image pair}
+
+   An image is the encoded head beside the page's own data: the codec
+   round-trips through it without copying the data, its two parts add up
+   to [encoded_size], and the stable pair's CRC covers both, so one
+   flipped byte in either part, on both disks, fails the read. *)
+
+let gen_sized_page =
+  let open QCheck2.Gen in
+  let* refs = array_size (int_range 0 20) gen_entry in
+  let* data = map Bytes.of_string (string_size (int_range 0 4096)) in
+  let* version = bool in
+  return
+    (if version then
+       Page.make_version_page ~file_cap:(cap 2) ~version_cap:(cap 5) ~base_ref:(Some 17)
+         ~parent_ref:None ~refs ~data
+     else Page.with_contents Page.empty ~refs ~data)
+
+module Stable = Afs_stable.Stable_pair
+module Disk = Afs_disk.Disk
+
+(* Both disks' copies of [b] with the byte at [pos] of the head
+   ([`Head]) or of the data flipped. *)
+let flip_on_both pair b part pos =
+  let flip s =
+    let i = pos mod String.length s in
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x5A) else c) s
+  in
+  List.iter
+    (fun i ->
+      let disk = Stable.disk pair i in
+      match Disk.read_sector disk b with
+      | Ok s ->
+          let { Image.head; data } = s.Disk.image in
+          let flip b = Bytes.of_string (flip (Bytes.to_string b)) in
+          let image =
+            if part = `Head then { Image.head = flip head; data }
+            else { Image.head; data = flip data }
+          in
+          let s = { s with Disk.image } in
+          ignore (Disk.write_sector disk b s)
+      | Error e -> Alcotest.failf "disk %d: %a" i Disk.pp_error e)
+    [ 0; 1 ]
+
+let prop_image_pair =
+  QCheck2.Test.make ~name:"an image is a head beside the page's own data" ~count:200
+    QCheck2.Gen.(triple gen_sized_page bool (int_bound 10_000))
+    (fun (p, in_head, pos) ->
+      let image = Page.encode p in
+      let decoded = decode_ok image in
+      if not (Page.equal decoded p) then QCheck2.Test.fail_report "decode (encode p) <> p";
+      if decoded.Page.data != image.Image.data then
+        QCheck2.Test.fail_report "the decoded data is a copy";
+      if Page.encoded_size p <> Image.length image then
+        QCheck2.Test.fail_report "encoded_size is not head plus data";
+      let part = if in_head || Page.dsize p = 0 then `Head else `Data in
+      let pair = Stable.create ~blocks:4 ~block_size:8192 () in
+      match Stable.allocate_write pair 0 image with
+      | Error e -> QCheck2.Test.fail_reportf "stable write: %a" Stable.pp_error e
+      | Ok b -> (
+          (match Stable.read pair 0 b with
+          | Ok _ -> ()
+          | Error e -> QCheck2.Test.fail_reportf "sound read: %a" Stable.pp_error e);
+          flip_on_both pair b part pos;
+          match Stable.read pair 0 b with Error _ -> true | Ok _ -> false))
+
 (* {2 Encode-once: the memo is invisible and always canonical} *)
 
 let test_encode_counts_once () =
@@ -299,7 +385,8 @@ let test_encode_counts_once () =
   let img1 = Page.encode p in
   let img2 = Page.encode p in
   Alcotest.(check int) "second encode is a memo hit" 1 (Page.fresh_encodes () - e0);
-  Alcotest.(check bool) "memo hit returns the same image" true (img1 == img2);
+  Alcotest.(check bool) "memo hit returns the same head" true
+    (img1.Image.head == img2.Image.head);
   let e1 = Page.fresh_encodes () in
   let q = decode_ok ~memo:true img1 in
   ignore (Page.encode q);
@@ -350,21 +437,19 @@ let prop_memo_canonical_after_updates =
           (fun p update ->
             ignore (Page.encode p) (* memoize, so updaters must shed it *);
             let p' = update p in
-            if p' != p && Page.memoized_image p' <> None then
+            if p' != p && Bytes.length p'.Page.memo > 0 then
               Test.fail_reportf "updater carried a stale memo across";
             p')
           base updates
       in
       let img = Page.encode p in
-      (match Page.memoized_image p with
-      | Some m when m == img -> ()
-      | _ -> Test.fail_reportf "encode did not memoize its image");
+      if p.Page.memo != img.Image.head then Test.fail_reportf "encode did not memoize its head";
       let fresh =
         match Page.decode img with
         | Ok q -> Page.encode q
         | Error msg -> Test.fail_reportf "memoized image does not decode: %s" msg
       in
-      if not (Bytes.equal img fresh) then
+      if not (Bytes.equal (join img) (join fresh)) then
         Test.fail_reportf "memoized image differs from a fresh serialisation";
       true)
 
@@ -398,6 +483,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_total_on_mutations;
           QCheck_alcotest.to_alcotest prop_decode_total_on_garbage;
           QCheck_alcotest.to_alcotest prop_in_place_reads_agree_with_decode;
+          QCheck_alcotest.to_alcotest prop_image_pair;
         ] );
       ( "encode-once",
         [

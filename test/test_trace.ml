@@ -305,6 +305,60 @@ let prop_trace_deterministic =
       (* A trivial document would make the equality vacuous. *)
       String.length a > 200 && String.equal a b)
 
+(* A sink with host cost on: per kind, words and clock time, own net of
+   child spans. A fake clock ticks once per reading, so an outer span
+   around one inner span reads three ticks, two of them its own. Own
+   and outside words add up to everything allocated since the sink was
+   built, and the events are those of a sink without host cost. *)
+let test_host_cost_per_kind () =
+  let run host =
+    let ticks = ref 0.0 in
+    let clock () =
+      ticks := !ticks +. 1.0;
+      !ticks
+    in
+    let now () = 0.0 in
+    let tr = if host then Trace.ring ~host:clock ~now () else Trace.ring ~now () in
+    let before = Stdlib.Gc.minor_words () in
+    for _ = 1 to 2 do
+      Trace.span tr ~kind:"outer" (fun () ->
+          ignore (Sys.opaque_identity (Array.make 50 0));
+          Trace.span tr ~kind:"inner" (fun () -> ignore (Sys.opaque_identity (Array.make 100 0))))
+    done;
+    let outside = Trace.outside_words tr in
+    (tr, Stdlib.Gc.minor_words () -. before, outside)
+  in
+  let plain, _, _ = run false in
+  Alcotest.(check (list string)) "no host table without host cost" []
+    (List.map (fun (r : Trace.host_cost) -> r.Trace.kind) (Trace.host_costs plain));
+  let tr, allocated, outside = run true in
+  Alcotest.(check bool) "the same events" true (Trace.events tr = Trace.events plain);
+  match Trace.host_costs tr with
+  | [ inner; outer ] ->
+      Alcotest.(check (list string)) "sorted by kind" [ "inner"; "outer" ]
+        [ inner.Trace.kind; outer.Trace.kind ];
+      Alcotest.(check int) "two spans each" 2 outer.Trace.spans;
+      Alcotest.(check (float 0.)) "inner time, all its own" 2.0 inner.Trace.own_us;
+      Alcotest.(check (float 0.)) "outer time" 6.0 outer.Trace.total_us;
+      Alcotest.(check (float 0.)) "outer own time" 4.0 outer.Trace.own_us;
+      Alcotest.(check (float 0.)) "inner words, all its own" inner.Trace.total_words
+        inner.Trace.own_words;
+      Alcotest.(check (float 0.)) "outer own words, net of inner"
+        (outer.Trace.total_words -. inner.Trace.total_words) outer.Trace.own_words;
+      (* Each span also pays its probe's frame and its protecting
+         closure, and an outer span its inner span's events: at most 64
+         words a span. *)
+      let in_range what lo x =
+        if x < lo || x > lo +. 128. then
+          Alcotest.failf "%s: %.0f words (want %.0f to %.0f)" what x lo (lo +. 128.)
+      in
+      in_range "inner own words" (2. *. 101.) inner.Trace.own_words;
+      in_range "outer own words" (2. *. 51.) outer.Trace.own_words;
+      let own = inner.Trace.own_words +. outer.Trace.own_words in
+      if Float.abs (own +. outside -. allocated) > 64. then
+        Alcotest.failf "own %.0f + outside %.0f words, but %.0f allocated" own outside allocated
+  | rows -> Alcotest.failf "expected two kinds, got %d" (List.length rows)
+
 let () =
   Alcotest.run "trace"
     [
@@ -314,6 +368,7 @@ let () =
           quick "ring records in order" test_ring_sink_records_in_order;
           quick "ring keeps the newest window" test_ring_sink_keeps_newest_window;
           quick "stream delivers each event" test_stream_sink_delivers_each_event;
+          quick "host cost per span kind" test_host_cost_per_kind;
         ] );
       ( "query",
         [
