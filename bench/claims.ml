@@ -326,9 +326,6 @@ let c4 () =
 
 let ok_stable = function Ok v -> v | Error e -> failwith (Fmt.str "%a" Stable.pp_error e)
 
-(* A raw block image: no page head, the string as its data. *)
-let raw s = { Afs_util.Image.head = Bytes.empty; data = Bytes.of_string s }
-
 let c5 () =
   banner "c5-stable-storage" "Dual-server stable storage: overhead, collisions, recovery"
     "§4: write companion-first; collisions detected before damage; compare-notes recovery";
@@ -344,7 +341,7 @@ let c5 () =
       match B.allocate bs 1 with
       | Ok b ->
           let before = B.busy_ms bs in
-          ignore (B.write bs 1 b (raw (String.make 4096 'x')));
+          ignore (B.write bs 1 b (Bytes.make 4096 'x'));
           total := !total +. (B.busy_ms bs -. before)
       | Error _ -> ()
     done;
@@ -353,7 +350,7 @@ let c5 () =
   let stable_ms =
     let pair = Stable.create ~media:Media.magnetic ~blocks:1024 ~block_size:32768 () in
     for _ = 1 to 100 do
-      ignore (ok_stable (Stable.allocate_write pair 0 (raw (String.make 4096 'x'))))
+      ignore (ok_stable (Stable.allocate_write pair 0 (Bytes.make 4096 'x')))
     done;
     Stable.busy_ms pair /. 100.0
   in
@@ -382,17 +379,17 @@ let c5 () =
            let b = Stable.tentative_allocate pair 1 in
            match (a, b) with
            | Ok ba, Ok bb ->
-               (match Stable.shadow_write pair ~primary:0 ba (raw "a") with
+               (match Stable.shadow_write pair ~primary:0 ba (bytes "a") with
                | Error (Stable.Collision _) ->
                    incr collisions;
                    Stable.abort_tentative pair 0 ba
-               | Ok seq -> ignore (Stable.local_write_seq pair 0 ba (raw "a") seq)
+               | Ok seq -> ignore (Stable.local_write_seq pair 0 ba (bytes "a") seq)
                | Error _ -> ());
-               (match Stable.shadow_write pair ~primary:1 bb (raw "b") with
+               (match Stable.shadow_write pair ~primary:1 bb (bytes "b") with
                | Error (Stable.Collision _) ->
                    incr collisions;
                    Stable.abort_tentative pair 1 bb
-               | Ok seq -> ignore (Stable.local_write_seq pair 1 bb (raw "b") seq)
+               | Ok seq -> ignore (Stable.local_write_seq pair 1 bb (bytes "b") seq)
                | Error _ -> ())
            | _ -> ()
          done);
@@ -412,13 +409,13 @@ let c5 () =
       (fun writes_during_outage ->
         let pair = Stable.create ~blocks:4096 ~block_size:1024 () in
         let blocks_written =
-          List.init 64 (fun i -> ok_stable (Stable.allocate_write pair 0 (raw (string_of_int i))))
+          List.init 64 (fun i -> ok_stable (Stable.allocate_write pair 0 (bytes (string_of_int i))))
         in
         Stable.crash pair 1;
         for i = 0 to writes_during_outage - 1 do
           ignore
             (ok_stable
-               (Stable.write pair 0 (List.nth blocks_written (i mod 64)) (raw "updated")))
+               (Stable.write pair 0 (List.nth blocks_written (i mod 64)) (bytes "updated")))
         done;
         let before = Stable.busy_ms pair in
         let repaired = ok_stable (Stable.restart pair 1) in

@@ -85,8 +85,8 @@ let r1 () =
           incr won_before_kill;
           match promoted_store.Store.read block with
           | Error _ -> incr lost
-          | Ok data -> (
-              match Page.decode data with
+          | Ok image -> (
+              match Page.decode image with
               | Error _ -> incr lost
               | Ok page ->
                   if page.Page.header.Page.commit_ref = None then incr lost))

@@ -207,7 +207,9 @@ let open_trace_sink ?(host = false) engine trace_file =
    total words and µs per commit, the words outside every span, and the
    oracle that the own and outside words add up to every word allocated
    since the sink was built ([words_before]). The two sides differ only
-   by what building the sink and reading it allocate. *)
+   by what building the sink and reading it allocate. The sum holds by
+   construction while spans nest, so the oracle finds misnested spans
+   and nothing else: it does not show that a span covers what it names. *)
 let host_report trace ~words_before ~committed =
   let module T = Afs_trace.Trace in
   let outside = T.outside_words trace in
@@ -552,7 +554,8 @@ let host_arg =
         ~doc:
           "Keep host cost per trace span kind (allocation and monotonic time, own and \
            total) and print the table, the words outside every span and the check that \
-           they add up to the run's words")
+           they add up to the run's words. The sum holds by construction while spans \
+           nest, so the check detects misnested spans only")
 
 let simulate_cmd =
   let system =

@@ -98,18 +98,16 @@ let deallocate t account b =
       Hashtbl.remove t.locks b;
       Ok ()
 
-(* The sector's image is the writer's own: both directions pass it
-   uncopied. *)
 let read t account b =
   request t;
   let* () = check_owner t account b in
   Result.map (fun s -> s.Disk.image) (of_disk (Disk.read_sector t.disk b))
 
-let write t account b image =
+let write t account b data =
   request t;
   let* () = check_owner t account b in
   let* () = check_lock t account b in
-  of_disk (Disk.write_sector t.disk b { Disk.header = ""; image })
+  of_disk (Disk.write t.disk b (Bytes.unsafe_to_string data))
 
 let lock t account b =
   request t;

@@ -50,13 +50,11 @@ val deallocate : t -> account -> int -> (unit, error) result
     [Disk_error Offline] and frees nothing. *)
 
 val read : t -> account -> int -> (Afs_util.Image.t, error) result
-(** The disk's head and data themselves, not copies: the caller must not
-    change them. *)
+(** The disk's image itself, not a copy: the caller only ever splits it. *)
 
-val write : t -> account -> int -> Afs_util.Image.t -> (unit, error) result
+val write : t -> account -> int -> bytes -> (unit, error) result
 (** Atomic: the acknowledgement implies durability. Respects locks held by
-    other accounts. The disk keeps the head and data themselves, beside an
-    empty sector header: do not change them. *)
+    other accounts. The disk keeps [data] itself: do not change it. *)
 
 val lock : t -> account -> int -> (unit, error) result
 (** Grab the block's lock; fails with [Locked] when another account holds

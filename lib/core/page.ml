@@ -15,20 +15,18 @@ type header = {
   root_flags : Flags.t;
 }
 
-(* [memo] memoizes the encoded head: pages are immutable values, so a
-   page's head is serialised at most once per lifetime ("encode-once"),
-   and an image's data is the page's own [data]. It is empty until
-   filled (an encoded head never is), so memoizing allocates no option.
-   Every functional update constructs a fresh record with an empty memo;
-   the field is filled lazily by {!encode_head} (or seeded by {!decode}
-   when the caller vouches for the image's provenance) and never read
-   for anything except serialisation, so it is invisible to the
-   protocol. *)
+(* [enc] memoizes the wire image: pages are immutable values, so a page's
+   serialisation is computed at most once per lifetime ("encode-once").
+   Every functional update constructs a fresh record with [enc = None];
+   the field is filled lazily by {!encode} (or seeded by {!decode} with
+   the store's own image when the caller vouches for its provenance) and
+   never read for anything except serialisation and the page store's
+   revalidation, so it is invisible to the protocol. *)
 type t = {
   header : header;
   refs : ref_entry array;
   data : bytes;
-  mutable memo : bytes;
+  mutable enc : Image.t option;
 }
 
 let nil_block = 0xFFFFFFF
@@ -46,8 +44,7 @@ let plain_header =
     root_flags = Flags.clear;
   }
 
-let no_memo = Bytes.empty
-let empty = { header = plain_header; refs = [||]; data = Bytes.empty; memo = no_memo }
+let empty = { header = plain_header; refs = [||]; data = Bytes.empty; enc = None }
 
 let make_version_page ~file_cap ~version_cap ~base_ref ~parent_ref ~refs ~data =
   {
@@ -61,7 +58,7 @@ let make_version_page ~file_cap ~version_cap ~base_ref ~parent_ref ~refs ~data =
       };
     refs;
     data;
-    memo = no_memo;
+    enc = None;
   }
 
 let is_version_page t = t.header.file_cap <> None
@@ -74,17 +71,17 @@ let get_ref t i =
   else Ok t.refs.(i)
 
 (* Every update invalidates the memo: [{ t with ... }] would carry the
-   stale head across, so each updater resets [memo] explicitly. *)
-let with_data t data = { t with data; memo = no_memo }
-let with_header t header = { t with header; memo = no_memo }
-let with_contents t ~refs ~data = { t with refs; data; memo = no_memo }
+   stale image across, so each updater resets [enc] explicitly. *)
+let with_data t data = { t with data; enc = None }
+let with_header t header = { t with header; enc = None }
+let with_contents t ~refs ~data = { t with refs; data; enc = None }
 
 let with_ref t i entry =
   if i < 0 || i >= Array.length t.refs then Error "with_ref: index out of range"
   else begin
     let refs = Array.copy t.refs in
     refs.(i) <- entry;
-    Ok { t with refs; memo = no_memo }
+    Ok { t with refs; enc = None }
   end
 
 let insert_ref t i entry =
@@ -95,7 +92,7 @@ let insert_ref t i entry =
       Array.init (n + 1) (fun j ->
           if j < i then t.refs.(j) else if j = i then entry else t.refs.(j - 1))
     in
-    Ok { t with refs; memo = no_memo }
+    Ok { t with refs; enc = None }
   end
 
 let remove_ref t i =
@@ -103,13 +100,13 @@ let remove_ref t i =
   if i < 0 || i >= n then Error "remove_ref: index out of range"
   else begin
     let refs = Array.init (n - 1) (fun j -> if j < i then t.refs.(j) else t.refs.(j + 1)) in
-    Ok { t with refs; memo = no_memo }
+    Ok { t with refs; enc = None }
   end
 
 (* An entry whose flags are already clear is reused, not rebuilt. *)
 let clear_entry e = if Flags.equal e.flags Flags.clear then e else { e with flags = Flags.clear }
 let cleared_refs refs = Array.map clear_entry refs
-let clear_child_flags t = { t with refs = cleared_refs t.refs; memo = no_memo }
+let clear_child_flags t = { t with refs = cleared_refs t.refs; enc = None }
 
 let ref_entry_equal a b = a.block = b.block && Flags.equal a.flags b.flags
 
@@ -126,12 +123,11 @@ let equal a b =
 
 (* {2 Wire format}
 
-   An image is a head beside the data. The head holds the magic (2),
-   format version (1), kind (1: 0 plain, 1 version page); a version
-   page's two capabilities and its fields below; then on every page the
-   base reference (4), the reference count and data length (varints) and
-   the reference table (4 per entry: block number above the flag
-   nibble). The data is the page's own bytes. *)
+   Magic (2), format version (1), kind (1: 0 plain, 1 version page); a
+   version page's two capabilities and its fields below; then on every
+   page the base reference (4), the reference count and data length
+   (varints), the reference table (4 per entry: block number above the
+   flag nibble) and the data. *)
 
 let magic = 0xAF5
 let format_version = 1
@@ -168,10 +164,10 @@ let encode_opt_block = function
 
 let decode_opt_block v = if v = nil_block then None else Some v
 
-(* The head's size is pure arithmetic over the page's fields — no
+(* The encoded size is pure arithmetic over the page's fields — no
    serialisation. Only the varint fields (capability object numbers, the
    reference count, the data length) have value-dependent widths. *)
-let head_size t =
+let encoded_size t =
   let h = t.header in
   let version_header =
     match (h.file_cap, h.version_cap) with
@@ -183,8 +179,7 @@ let head_size t =
   + Wire.varint_size (Array.length t.refs)
   + Wire.varint_size (Bytes.length t.data)
   + (4 * Array.length t.refs)
-
-let encoded_size t = head_size t + Bytes.length t.data
+  + Bytes.length t.data
 
 let set_word buf pos v = Bytes.set_int32_le buf pos (Int32.of_int v)
 
@@ -196,12 +191,11 @@ let set_cap buf pos c =
   set_word buf (pos + 1) c.Capability.check;
   pos + 5
 
-(* Serialise the head into an exactly-sized buffer (the arithmetic size
-   makes the single allocation possible). The head is memoized on the
-   page and aliased to every caller, so callers must treat it as
-   immutable — the store boundary's ownership rule ({!Store}) hands it on
-   uncopied. *)
-let write_head t buf =
+(* Serialise into an exactly-sized buffer (the arithmetic size makes the
+   single allocation possible). The image is memoized on the page and
+   aliased to every caller, so callers must treat it as immutable — the
+   store boundary's ownership rule ({!Store}) hands it on uncopied. *)
+let encode_into t buf =
   Bytes.set_uint16_le buf 0 magic;
   Bytes.set_uint8 buf 2 format_version;
   let h = t.header in
@@ -228,25 +222,30 @@ let write_head t buf =
     (fun i e ->
       check_block_number e.block;
       set_word buf (refs_at + (4 * i)) ((e.block lsl 4) lor Flags.to_nibble e.flags))
-    t.refs
+    t.refs;
+  Bytes.blit t.data 0 buf (refs_at + (4 * Array.length t.refs)) (Bytes.length t.data)
 
-let encode_head t =
-  if Bytes.length t.memo > 0 then t.memo
-  else begin
-    incr encode_count;
-    let head = Bytes.create (head_size t) in
-    write_head t head;
-    t.memo <- head;
-    head
-  end
+(* A memo seeded by {!decode} may be a split store image, whose written
+   bytes [Image.to_bytes] joins afresh: a copy, but no serialisation. *)
+let encode t =
+  match t.enc with
+  | Some image -> Image.to_bytes image
+  | None ->
+      incr encode_count;
+      let bytes = Bytes.create (encoded_size t) in
+      encode_into t bytes;
+      t.enc <- Some (Image.of_bytes bytes);
+      bytes
 
-let encode t = { Image.head = encode_head t; data = t.data }
+let memoized_image t = t.enc
 
 (* {2 Reading an image}
 
    One check reads the layout for every reader: {!decode} builds a page
    from the positions it finds, and the collector's in-place reads take
-   the commit reference and the child blocks straight from the head.
+   the commit reference and the child blocks straight from the image.
+   Every position lies in the image's [head], which is the whole image
+   until the first decode splits it and the encoded head after.
    Positional reads raise [Wire.Decode_error] on truncation; the check
    allocates nothing unless it fails, since the collector runs one per
    block it marks. *)
@@ -274,13 +273,15 @@ let rec varint_at image pos shift acc =
 let cap_end image pos = varint_end image (pos + 8) 0 + 1 + 4
 
 (* Checks the whole image — magic, format version, kind, a version
-   page's root flag nibble, the varints, the head's exact length that the
-   reference count implies, the data length, every reference nibble —
-   then calls [f] on each child block number and hands [k] the head's
+   page's root flag nibble, the varints, the exact length the reference
+   count and data length imply, every reference nibble — then calls [f]
+   on each child block number and hands [k] the image, its head and the
    layout: where a version page's fields start ([-1] on a plain page),
    where the base reference and the reference table sit, and the table's
-   length. The table ends the head. *)
-let check { Image.head = image; data } f k =
+   length. The data runs from the table's end to the image's; a split
+   image's head ends with the table. *)
+let check whole f k =
+  let image = whole.Image.head in
   if word_at image 0 land 0xFFFF <> magic then fail "bad page magic";
   if byte_at image 2 <> format_version then fail "bad page format version";
   let kind = byte_at image kind_at in
@@ -293,9 +294,11 @@ let check { Image.head = image; data } f k =
   let dsize_at = varint_end image nrefs_at 0 in
   let refs_at = varint_end image dsize_at 0 in
   let nrefs = varint_at image nrefs_at 0 0 and dsize = varint_at image dsize_at 0 0 in
-  let rest = Bytes.length image - refs_at in
-  if nrefs < 0 || dsize <> Bytes.length data || nrefs > rest / 4 || rest - (4 * nrefs) <> 0 then
+  let rest = Bytes.length image - refs_at + Bytes.length whole.Image.data in
+  if nrefs < 0 || dsize < 0 || nrefs > rest / 4 || rest - (4 * nrefs) <> dsize then
     fail "length does not match the header";
+  if (not (Image.is_whole whole)) && Bytes.length image <> refs_at + (4 * nrefs) then
+    fail "head does not end with the reference table";
   for i = 0 to nrefs - 1 do
     if not (Flags.legal_nibble (word_at image (refs_at + (4 * i)) land 0xF)) then
       fail "illegal flag nibble in reference table"
@@ -303,7 +306,7 @@ let check { Image.head = image; data } f k =
   for i = 0 to nrefs - 1 do
     f (word_at image (refs_at + (4 * i)) lsr 4)
   done;
-  k image ~fields_at ~base_at ~refs_at ~nrefs
+  k whole image ~fields_at ~base_at ~refs_at ~nrefs
 
 let rejected msg = Error ("page decode: " ^ msg)
 let no_child (_ : int) = ()
@@ -321,13 +324,14 @@ let cap_at image pos =
     check = word_at image (rights_at + 1);
   }
 
-(* The page's data is the image's data itself. [memo] seeds the decoded
-   page's memo with the image's head, so the page will never be
-   re-serialised. Only sound when the image is known to be canonical
-   encoder output (every image in this system's stores is: stores are
-   only ever written with {!encode} results) and will never change — the
-   store boundary's ownership rule. Default off for arbitrary input,
-   whose varints may be padded. *)
+(* The page's data is the image's: a whole image is split where the
+   table ends, copying the data out once, and a split one shares it.
+   [memo] seeds the decoded page's image memo with the image itself, so
+   the page will never be re-serialised. Only sound when the image is
+   known to be canonical encoder output (every image in this system's
+   stores is: stores are only ever written with {!encode} results) and
+   its bytes will never change — the store boundary's ownership rule.
+   Default off for arbitrary input, whose varints may be padded. *)
 let build ~memo whole image ~fields_at ~base_at ~refs_at ~nrefs =
   let base_ref = decode_opt_block (word_at image base_at) in
   let header =
@@ -349,14 +353,15 @@ let build ~memo whole image ~fields_at ~base_at ~refs_at ~nrefs =
         let packed = word_at image (refs_at + (4 * i)) in
         { block = packed lsr 4; flags = flags_of (packed land 0xF) })
   in
-  { header; refs; data = whole.Image.data; memo = (if memo then whole.Image.head else no_memo) }
+  Image.split whole ~at:(refs_at + (4 * nrefs));
+  { header; refs; data = whole.Image.data; enc = (if memo then Some whole else None) }
 
 let decode ?(memo = false) image =
-  match check image no_child (build ~memo image) with
+  match check image no_child (build ~memo) with
   | page -> Ok page
   | exception Wire.Decode_error msg -> rejected msg
 
-let commit_of image ~fields_at ~base_at:_ ~refs_at:_ ~nrefs:_ =
+let commit_of _ image ~fields_at ~base_at:_ ~refs_at:_ ~nrefs:_ =
   if fields_at < 0 then None else decode_opt_block (word_at image fields_at)
 
 let image_commit_ref image =
@@ -364,7 +369,7 @@ let image_commit_ref image =
   | commit -> Ok commit
   | exception Wire.Decode_error msg -> rejected msg
 
-let no_layout _ ~fields_at:_ ~base_at:_ ~refs_at:_ ~nrefs:_ = ()
+let no_layout _ _ ~fields_at:_ ~base_at:_ ~refs_at:_ ~nrefs:_ = ()
 
 let iter_image_refs image f =
   match check image f no_layout with

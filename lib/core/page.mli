@@ -38,13 +38,12 @@ type t = private {
   header : header;
   refs : ref_entry array;
   data : bytes;
-  mutable memo : bytes;
-      (** Memoized encoded head ("encode-once"): empty until
-          {!encode_head} fills it or {!decode ~memo:true} seeds it (an
-          encoded head never is), emptied by every functional update. A
-          cache, never part of the page's value — compare pages with
-          {!equal}, which ignores it. Shared with every caller: treat it
-          as immutable. *)
+  mutable enc : Afs_util.Image.t option;
+      (** Memoized wire image ("encode-once"): filled lazily by {!encode},
+          seeded by {!decode ~memo:true} with the decoded image itself,
+          reset to [None] by every functional update. A cache, never part
+          of the page's value — compare pages with {!equal}, which
+          ignores it. *)
 }
 
 val max_block_number : int
@@ -67,7 +66,7 @@ val nrefs : t -> int
 val dsize : t -> int
 
 val equal : t -> t -> bool
-(** Structural equality of header, reference table and data; the head
+(** Structural equality of header, reference table and data; the image
     memo is ignored (it is a cache, not part of the value). *)
 
 val get_ref : t -> int -> (ref_entry, string) result
@@ -99,50 +98,56 @@ val clear_child_flags : t -> t
 
 (** {2 Wire format}
 
-    A page's image is two parts ({!Afs_util.Image}): the encoded head —
-    header fields and reference table — and, beside it, the page's own
-    [data]. The codec never copies the data: {!encode_head} serialises
-    only the head, and a decoded page's [data] is the image's data
-    itself. Both parts fall under {!Store}'s ownership rule: nobody
-    changes them once they are handed over. *)
+    A page's image is its encoded head (header fields and reference
+    table) followed by its data. Stores keep an image as an
+    {!Afs_util.Image}, whole as written; the first {!decode} splits it
+    where the head ends, copying the data out once, and every later
+    decode of that image shares the data. *)
 
 val encoded_size : t -> int
-(** Exact length of {!encode}'s head and data together, computed
-    arithmetically — no serialisation, no allocation. *)
+(** Exact length of {!encode}'s output, computed arithmetically — no
+    serialisation, no allocation. *)
 
-val encode_head : t -> bytes
-(** The page's encoded head, serialised at most once per page lifetime
-    and memoized: the only allocation an encode makes. Shared with the
-    memo (and with every other caller): treat it as immutable. *)
-
-val encode : t -> Afs_util.Image.t
-(** The page's image: {!encode_head} beside the page's [data] itself, in
-    a fresh pair. *)
+val encode : t -> bytes
+(** The page's wire image, serialised at most once per page lifetime and
+    memoized. The returned bytes are shared with the memo (and with every
+    other caller): treat them as immutable. A page decoded from a split
+    image answers that image's head and data joined, a copy but no
+    serialisation. *)
 
 val fresh_encodes : unit -> int
 (** Fresh serialisations performed since program start (memo hits do not
     count). Monotone; tests and benches difference it around a region to
     assert the encode-once discipline. *)
 
+val memoized_image : t -> Afs_util.Image.t option
+(** The memoized wire image, if this page has been serialised (or was
+    decoded with [~memo:true]). Never serialises. Shared with the memo:
+    treat as immutable. Cache revalidation compares it against a freshly
+    read store image (often the memo itself) to skip re-decoding. *)
+
 val decode : ?memo:bool -> Afs_util.Image.t -> (t, string) result
-(** The page whose [data] is the image's data itself, uncopied. Rejects,
-    with an [Error] that reads ["page decode: ..."], bad magic, format
-    version or kind, illegal flag nibbles, a truncated head, trailing
-    bytes after the reference table, a data length other than the data's,
-    and reference counts the head cannot hold — the whole image is
-    checked before anything is allocated. With [memo] (default off), the
-    input image's head seeds the decoded page's memo: sound only for
+(** The page the image holds, whose [data] is the image's data: a whole
+    image is split first ({!Afs_util.Image.split}), copying the data out
+    once, and a split one is shared uncopied. Rejects, with an [Error]
+    that reads ["page decode: ..."], bad magic, format version or kind,
+    illegal flag nibbles, truncation, trailing bytes, a split image whose
+    head does not end with the reference table, and reference counts or
+    data lengths the image cannot hold — the whole image is checked
+    before anything is allocated or split. With [memo] (default off), the
+    input image seeds the decoded page's encode memo: sound only for
     images produced by {!encode} (the decoder also accepts padded
-    varints, which would break byte-identity) that nobody will change —
-    true of every image read back from this system's stores, under
-    {!Store}'s ownership rule. *)
+    varints, which would break byte-identity) whose bytes nobody will
+    change — true of every image read back from this system's stores,
+    under {!Store}'s ownership rule. *)
 
 (** {2 Reading an image in place}
 
     What the garbage collector needs from a stored page — its commit
     reference and its children's block numbers — read straight from the
-    image's head. Both run the very check {!decode} runs, so they accept
-    exactly the images it accepts, but build no page. *)
+    image's header and reference table. Both run the very check {!decode}
+    runs, so they accept exactly the images it accepts, but build no page,
+    never split the image and never copy the data area. *)
 
 val image_commit_ref : Afs_util.Image.t -> (int option, string) result
 

@@ -1,7 +1,6 @@
 module Lru = Afs_util.Lru
 module Stats = Afs_util.Stats
 module Det = Afs_util.Det
-module Image = Afs_util.Image
 module Trace = Afs_trace.Trace
 
 (* [stale] marks a clean entry whose block must be re-read from the
@@ -52,10 +51,11 @@ type t = {
      transaction. *)
   hits : int ref Lazy.t;
   misses : int ref Lazy.t;
-  (* Host-cost spans: [pagestore.miss] around a miss's store read and
-     decode, [pagestore.write] around an encode and its store write,
+  (* Host-costed sections: [pagestore.miss] around a miss's store read
+     and decode, [pagestore.write] around an encode and its store write,
      [store.read] around any other store read. Each site tests
-     [Trace.enabled] itself, so an untraced run builds no closure. *)
+     [Trace.costing] itself, so a run without host cost builds no
+     closure. *)
   trace : Trace.t;
 }
 
@@ -88,12 +88,11 @@ let allocate t =
   | Ok b -> Ok b
   | Error msg -> Error (Errors.Store_failure msg)
 
-let put t b page = t.store.Store.write (b, Page.encode_head page) page.Page.data
+let put t b page = t.store.Store.write b (Page.encode page)
 
 let store_write t b page =
   let written =
-    if Trace.enabled t.trace then
-      Trace.span t.trace ~kind:"pagestore.write" (fun () -> put t b page)
+    if Trace.costing t.trace then Trace.costed t.trace ~kind:"pagestore.write" (fun () -> put t b page)
     else put t b page
   in
   match written with Ok () -> Ok () | Error msg -> Error (Errors.Store_failure msg)
@@ -143,15 +142,13 @@ let drop_entry t b =
   Hashtbl.remove t.dirty b;
   Lru.remove t.cache b
 
-let same_bytes a b = a == b || Bytes.equal a b
-
 (* Re-read a stale entry's block. An image identical to the cached
-   page's memoized head and its data proves the store still holds
-   exactly what we decoded (or wrote) before, so the decoded page is
-   reused as is; this counts as a miss, like the drop-and-re-read it
-   replaces, and the store read it pays for is the §3.1 integrity check
-   itself: with shared images, usually a physical comparison of the head
-   and of the data. *)
+   page's memoized encoding proves the store still holds exactly what we
+   decoded (or wrote) before, so the decoded page is reused as is; this
+   counts as a miss, like the drop-and-re-read it replaces, and the
+   store read it pays for is the §3.1 integrity check itself: with shared
+   images, usually a physical comparison with the memo, and otherwise a
+   byte comparison that allocates nothing. *)
 let revalidate t b (e : entry) =
   match t.store.Store.read b with
   | Error msg ->
@@ -160,37 +157,29 @@ let revalidate t b (e : entry) =
   | Ok image -> (
       let r = Lazy.force t.misses in
       r := !r + 1;
-      let page = e.page in
-      if
-        Bytes.length page.Page.memo > 0
-        && same_bytes page.Page.memo image.Image.head
-        && same_bytes page.Page.data image.Image.data
-      then begin
-        e.stale <- false;
-        e.answer
-      end
-      else
-        match Page.decode ~memo:true image with
-        | Error msg -> Error (Errors.Store_failure msg)
-        | Ok page ->
-            set_page e page;
-            e.stale <- false;
-            e.answer)
+      match Page.memoized_image e.page with
+      | Some memo when Afs_util.Image.equal memo image ->
+          e.stale <- false;
+          e.answer
+      | _ -> (
+          match Page.decode ~memo:true image with
+          | Error msg -> Error (Errors.Store_failure msg)
+          | Ok page ->
+              set_page e page;
+              e.stale <- false;
+              e.answer))
 
-(* The store hands back an image this system wrote with [Page.encode_head],
-   so it can seed the page's memo: a page faulted in and flushed
+(* The store hands back an image this system wrote with [Page.encode],
+   so it can seed the page's encode memo: a page faulted in and flushed
    back out costs zero serialisations. *)
 let fault t b =
-  match t.store.Store.read b with
-  | Ok image -> Page.decode ~memo:true image
-  | Error msg -> Error msg
+  match t.store.Store.read b with Ok image -> Page.decode ~memo:true image | Error _ as e -> e
 
 let read t b =
   let e = if t.cache_enabled then Lru.find_or t.cache b absent else absent in
   if e == absent then
     let faulted =
-      if Trace.enabled t.trace then
-        Trace.span t.trace ~kind:"pagestore.miss" (fun () -> fault t b)
+      if Trace.costing t.trace then Trace.costed t.trace ~kind:"pagestore.miss" (fun () -> fault t b)
       else fault t b
     in
     match faulted with
@@ -204,8 +193,8 @@ let read t b =
         end
         else Ok page
   else if e.stale then
-    if Trace.enabled t.trace then
-      Trace.span t.trace ~kind:"pagestore.miss" (fun () -> revalidate t b e)
+    if Trace.costing t.trace then
+      Trace.costed t.trace ~kind:"pagestore.miss" (fun () -> revalidate t b e)
     else revalidate t b e
   else begin
     let r = Lazy.force t.hits in
@@ -328,8 +317,7 @@ let rec clean t pages = function
   | (b, page) :: rest -> ( match settle t b page with Ok () -> clean t 0 rest | Error _ as e -> e)
 
 let put_batch t batch =
-  let entry (b, page) = ((b, Page.encode_head page), page.Page.data) in
-  t.store.Store.write_batch (List.map entry batch)
+  t.store.Store.write_batch (List.map (fun (b, page) -> (b, Page.encode page)) batch)
 
 (* The publish leg: every page is size-checked before the first store
    write (a too-large page cannot leave the batch half-written), then the
@@ -345,8 +333,8 @@ let write_through_batch ?(pages = 0) t batch =
   | Some (_, page) -> Result.map ignore (check_size t page)
   | None -> (
       let written =
-        if Trace.enabled t.trace then
-          Trace.span t.trace ~kind:"pagestore.write" (fun () -> put_batch t batch)
+        if Trace.costing t.trace then
+          Trace.costed t.trace ~kind:"pagestore.write" (fun () -> put_batch t batch)
         else put_batch t batch
       in
       match written with
@@ -374,8 +362,8 @@ let read_with t b read_page =
   | Error msg -> Error (Errors.Store_failure msg)
 
 let from_store t b read_page =
-  if Trace.enabled t.trace then
-    Trace.span t.trace ~kind:"store.read" (fun () -> read_with t b read_page)
+  if Trace.costing t.trace then
+    Trace.costed t.trace ~kind:"store.read" (fun () -> read_with t b read_page)
   else read_with t b read_page
 
 (* The cached entry of [b], when it can be believed. *)

@@ -30,12 +30,12 @@ val create :
 (** [cache:false] makes every write write-through and every read hit the
     store — the ablation baseline. [capacity] bounds the number of cached
     pages (default 4096; raises [Invalid_argument] when [< 1]). With a
-    [trace], three synchronous spans cost the store traffic
-    ({!Afs_trace.Trace.host_costs}): [pagestore.miss] around a miss's
-    store read and decode (a stale entry's re-read included),
-    [pagestore.write] around every encode and store write, a publish
-    batch's or a single page's, and [store.read] around the other store
-    reads (the cache-neutral peeks). *)
+    [trace] that keeps host cost, three host-costed sections
+    ({!Afs_trace.Trace.costed}, no events) cost the store traffic:
+    [pagestore.miss] around a miss's store read and decode (a stale
+    entry's re-read included), [pagestore.write] around every encode and
+    store write, a publish batch's or a single page's, and [store.read]
+    around the other store reads (the cache-neutral peeks). *)
 
 val store : t -> Store.t
 

@@ -7,14 +7,14 @@ type t = {
   allocate : unit -> (int, string) result;
   free : int -> (unit, string) result;
   read : int -> (Image.t, string) result;
-  write : int * bytes -> bytes -> (unit, string) result;
-  write_batch : ((int * bytes) * bytes) list -> (unit, string) result;
+  write : int -> bytes -> (unit, string) result;
+  write_batch : (int * bytes) list -> (unit, string) result;
   lock : int -> bool;
   unlock : int -> unit;
   list_blocks : unit -> (int list, string) result;
 }
 
-type op = Alloc of int | Free of int | Write of int * Image.t
+type op = Alloc of int | Free of int | Write of int * bytes
 
 let apply_op t = function
   | Alloc b -> (
@@ -26,7 +26,7 @@ let apply_op t = function
       | Ok b' -> Error (Printf.sprintf "alloc replay: expected block %d, got %d" b b')
       | Error _ as e -> e)
   | Free b -> t.free b
-  | Write (b, { Image.head; data }) -> t.write (b, head) data
+  | Write (b, data) -> t.write b data
 
 (* Consecutive writes ride one [write_batch] (the stable pair amortises
    its companion hop across them); alloc/free replay one at a time. *)
@@ -37,7 +37,7 @@ let apply_ops t ops =
   in
   let rec go run = function
     | [] -> flush run
-    | Write (b, { Image.head; data }) :: rest -> go (((b, head), data) :: run) rest
+    | Write (b, data) :: rest -> go ((b, data) :: run) rest
     | op :: rest -> (
         match flush run with
         | Error _ as e -> e
@@ -52,7 +52,7 @@ let apply_ops t ops =
 let sequential_batch write entries =
   let rec go = function
     | [] -> Ok ()
-    | (at, data) :: rest -> ( match write at data with Ok () -> go rest | Error _ as e -> e)
+    | (b, data) :: rest -> ( match write b data with Ok () -> go rest | Error _ as e -> e)
   in
   go entries
 
@@ -74,11 +74,11 @@ let memory ?(block_size = 32768) () =
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let lock, unlock = lock_table () in
   let next = ref 0 in
-  let write (b, head) data =
-    if Bytes.length head + Bytes.length data > block_size then Error "block too large"
+  let write b data =
+    if Bytes.length data > block_size then Error "block too large"
     else begin
       Hashtbl.replace allocated b ();
-      Hashtbl.replace blocks b { Image.head; data };
+      Hashtbl.replace blocks b (Image.of_bytes data);
       Ok ()
     end
   in
@@ -112,7 +112,7 @@ let string_of_block_error = Fmt.str "%a" Block_server.pp_error
 
 let of_block_server server ~account =
   let lift r = Result.map_error string_of_block_error r in
-  let write (b, head) data = lift (Block_server.write server account b { Image.head; data }) in
+  let write b data = lift (Block_server.write server account b data) in
   {
     block_size = Block_server.block_size server;
     allocate = (fun () -> lift (Block_server.allocate server account));
@@ -166,18 +166,14 @@ let of_stable_pair pair =
     read =
       (fun b -> match online () with Some i -> lift (Stable_pair.read pair i b) | None -> offline);
     write =
-      (fun (b, head) data ->
-        match online () with
-        | Some i -> lift (Stable_pair.write pair i b { Image.head; data })
-        | None -> offline);
+      (fun b data ->
+        match online () with Some i -> lift (Stable_pair.write pair i b data) | None -> offline);
     (* The whole batch rides one A→B→A round trip: the companion hop is
        charged once however many pages and commit references it carries. *)
     write_batch =
       (fun entries ->
         match online () with
-        | Some i ->
-            let image ((b, head), data) = (b, { Image.head; data }) in
-            lift (Stable_pair.write_batch pair i (List.map image entries))
+        | Some i -> lift (Stable_pair.write_batch pair i entries)
         | None -> offline);
     lock;
     unlock;
@@ -203,14 +199,14 @@ let worm_hybrid ~blocks ~block_size () =
   let lift_disk r = Result.map_error (Fmt.str "%a" Disk.pp_error) r in
   (* The disks keep the written images, which the ownership rule lets
      both directions pass through uncopied. *)
-  let write (b, head) data =
-    let sector = { Disk.header = ""; image = { Image.head; data } } in
-    if Hashtbl.mem redirected b then lift_disk (Disk.write_sector index b sector)
+  let write b data =
+    let image = Bytes.unsafe_to_string data in
+    if Hashtbl.mem redirected b then lift_disk (Disk.write index b image)
     else if Disk.is_written bulk b then begin
       Hashtbl.replace redirected b ();
-      lift_disk (Disk.write_sector index b sector)
+      lift_disk (Disk.write index b image)
     end
-    else lift_disk (Disk.write_sector bulk b sector)
+    else lift_disk (Disk.write bulk b image)
   in
   let store =
     {
@@ -264,9 +260,9 @@ let counting inner =
           incr reads;
           inner.read b);
       write =
-        (fun at data ->
+        (fun b data ->
           incr writes;
-          inner.write at data);
+          inner.write b data);
       write_batch =
         (fun entries ->
           writes := !writes + List.length entries;

@@ -10,36 +10,33 @@
     only for the commit critical section: "lock and read a block, examine
     and modify it, then write and unlock the block again".
 
-    A block holds an image in two parts ({!Afs_util.Image}): a page's
-    encoded head and, beside it, the page's own data. Images are shared,
-    never copied, at this boundary (§5.1: a written image never changes).
-    Every backend and wrapper keeps one ownership rule: a writer hands
-    the head and data over and never changes them again, and a reader
-    never changes what [read] returns. Every backend answers the written
-    head and data themselves: the memory store, a block server and the
-    stable pair, whose disk sectors keep their header beside the
-    writer's head and data rather than around a copy of them. The rule
-    runs from the codec ({!Page.encode_head} serialises only the head;
-    {!Page.decode}'s page keeps the image's data) on to the request
-    boundary: a page's data passes from the page cache to the client
-    uncopied ([Server.read_page], the replies of [Afs_rpc.Remote], the
-    client cache {!Cache}). *)
+    Images are shared, never copied, at this boundary (§5.1: a written
+    image never changes). Every backend and wrapper keeps one ownership
+    rule: a writer hands the bytes over and never changes them again, and
+    a reader never changes the bytes [read] answers. A write takes one
+    [bytes], the page's whole image; every backend keeps those bytes as
+    an {!Afs_util.Image} and answers that image itself: the memory store,
+    a block server and the stable pair, whose disk sectors keep their
+    header beside the writer's bytes rather than around a copy of them.
+    The first decode splits an image, once, into the page's encoded head
+    and its data ({!Page.decode}); every later read of the block shares
+    that data, so the codec copies a block's data at most once. The rule
+    runs on to the request boundary: a page's data passes from the page
+    cache to the client uncopied ([Server.read_page], the replies of
+    [Afs_rpc.Remote], the client cache {!Cache}). *)
 
 type t = {
   block_size : int;
   allocate : unit -> (int, string) result;
   free : int -> (unit, string) result;
   read : int -> (Afs_util.Image.t, string) result;
-  write : int * bytes -> bytes -> (unit, string) result;
-      (** [write (b, head) data] writes the image of [head] and [data] to
-          block [b]. The data travels apart and last, so a wrapper sees
-          each write's data as one [bytes]. *)
-  write_batch : ((int * bytes) * bytes) list -> (unit, string) result;
-      (** The writes [((b, head), data)] in order, stopping at the first
-          error, so the durable state is always a prefix of the batch.
-          Plain backends perform the single writes; the stable pair
-          amortises its companion hop across the whole batch (one A→B→A
-          round trip) — the leg the group-commit publish stage rides. *)
+  write : int -> bytes -> (unit, string) result;
+  write_batch : (int * bytes) list -> (unit, string) result;
+      (** The writes in order, stopping at the first error, so the durable
+          state is always a prefix of the batch. Plain backends perform
+          the single writes; the stable pair amortises its companion hop
+          across the whole batch (one A→B→A round trip) — the leg the
+          group-commit publish stage rides. *)
   lock : int -> bool;  (** False when another holder has it; no queueing. *)
   unlock : int -> unit;
   list_blocks : unit -> (int list, string) result;
@@ -47,7 +44,7 @@ type t = {
           garbage collector's sweep and crash recovery both rely on it. *)
 }
 
-type op = Alloc of int | Free of int | Write of int * Afs_util.Image.t
+type op = Alloc of int | Free of int | Write of int * bytes
 (** One store mutation, as recorded and replayed by the replication
     commit stream: block numbers are absolute, so a replayed [Alloc]
     checks that the applying store hands back the same number. *)
@@ -59,13 +56,13 @@ val apply_ops : t -> op list -> (unit, string) result
 
 val memory : ?block_size:int -> unit -> t
 (** Unbounded in-memory store (default block size 32768). It keeps the
-    written head and data and [read] returns them. *)
+    written bytes as an image and [read] returns it. *)
 
 val of_block_server :
   Afs_block.Block_server.t -> account:Afs_block.Block_server.account -> t
 (** All operations performed under the given account; the block server's
-    per-account protection applies. Heads and data pass to and from the
-    disk's immutable strings uncopied. *)
+    per-account protection applies. Images pass to and from the disk's
+    sectors uncopied. *)
 
 val of_stable_pair : Afs_stable.Stable_pair.t -> t
 (** Routes each operation to a currently-online server of the pair, so the
@@ -75,7 +72,7 @@ val of_stable_pair : Afs_stable.Stable_pair.t -> t
     write — normally in the commit's publish batch — allocates it on both
     disks. [list_blocks] lists reserved blocks too: reading one that was
     never written fails, and freeing it drops the reservation. Both disks
-    keep the written head and data, and a sound read answers them
+    keep the written bytes as one image, and a sound read answers it
     uncopied. *)
 
 val counting : t -> t * (unit -> int * int)

@@ -21,14 +21,16 @@ type sector = { header : string; image : Image.t }
 (* The slot of a block never written, told apart from a written empty
    sector by identity: the record is built at run time, so no constant
    elsewhere can share it. *)
-let unwritten = { header = ""; image = { Image.head = Bytes.empty; data = Bytes.create 0 } }
+let unwritten = { header = ""; image = Image.of_bytes (Bytes.create 0) }
 
 type t = {
   media : Media.t;
   block_size : int;
-  (* Sectors are never changed: a write keeps the caller's record and a
-     read returns it, so one sealed sector can sit on two disks at once.
-     One slot per block, [unwritten] when it holds nothing. *)
+  (* A write keeps the caller's record and a read returns it, so one
+     sealed sector can sit on two disks at once; nobody changes its
+     bytes, though a reader may split its image (a split shows on every
+     disk that holds it). One slot per block, [unwritten] when it holds
+     nothing. *)
   blocks : sector array;
   mutable offline : bool;
   mutable reads : int;
@@ -64,8 +66,9 @@ let charge t cost = t.busy_ms <- t.busy_ms +. cost
 
 let sector_bytes s = String.length s.header + Image.length s.image
 
-(* A read answers the stored sector itself, allocating only its [Ok]. *)
-let read_sector t b =
+(* A read answers [answer] of the stored sector, which is the record
+   itself or its image's bytes: both reads share this one body. *)
+let fetch answer t b =
   if t.offline then Error Offline
   else if b < 0 || b >= Array.length t.blocks then Error (Out_of_range b)
   else
@@ -84,8 +87,11 @@ let read_sector t b =
         Trace.point t.trace
           (Trace.Disk_read
              { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
-      Ok s
+      Ok (answer s)
     end
+
+let read_sector t b = fetch Fun.id t b
+let read t b = fetch (fun s -> Bytes.unsafe_to_string (Image.to_bytes s.image)) t b
 
 let write_sector t b s =
   let bytes = sector_bytes s in
@@ -107,6 +113,9 @@ let write_sector t b s =
            { media = Media.kind_name t.media.Media.kind; block = b; bytes; cost_ms = cost });
     Ok ()
   end
+
+let write t b data =
+  write_sector t b { header = ""; image = Image.of_bytes (Bytes.unsafe_of_string data) }
 
 let erase t b =
   if t.offline then Error Offline
@@ -131,19 +140,17 @@ let corrupt t b ~xor_byte =
     else begin
       (* A damaged copy replaces the block: the old sector may be shared
          with a companion disk or the writer, which must not see it. The
-         flipped byte is the middle one of header, head and data together. *)
-      let i = n / 2 and h = String.length s.header and { Image.head; data } = s.image in
-      let hh = Bytes.length head in
-      let flipped i bytes =
-        let copy = Bytes.copy bytes in
-        Bytes.set copy i (Char.chr (Char.code (Bytes.get copy i) lxor Char.code xor_byte));
-        copy
+         flipped byte is the middle one of header and image together. *)
+      let i = n / 2 and h = String.length s.header in
+      let flip i str =
+        let byte j c = if j = i then Char.chr (Char.code c lxor Char.code xor_byte) else c in
+        String.mapi byte str
       in
       t.blocks.(b) <-
-        (if i < h then
-           { s with header = Bytes.unsafe_to_string (flipped i (Bytes.unsafe_of_string s.header)) }
-         else if i < h + hh then { s with image = { Image.head = flipped (i - h) head; data } }
-         else { s with image = { Image.head; data = flipped (i - h - hh) data } });
+        (if i < h then { s with header = flip i s.header }
+         else
+           let image = Bytes.unsafe_to_string (Image.to_bytes s.image) in
+           { s with image = Image.of_bytes (Bytes.unsafe_of_string (flip (i - h) image)) });
       true
     end
 

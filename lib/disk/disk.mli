@@ -33,18 +33,18 @@ val block_size : t -> int
 
 (** {2 Sectors}
 
-    A block holds a sector: a small header beside an image, whose two
-    parts are a head and the data ({!Afs_util.Image}; a page store's
-    image is a page's encoded head beside the page's own data). The layer
-    above owns the header's format. The stable pair keeps a write's
-    sequence number and checksum there, next to the image rather than
-    wrapped around it. A block server writes an empty header. Nobody
-    changes a sector's strings or bytes once written (the store's
-    ownership rule): a write keeps the caller's record and a read answers
-    it, without a copy, so one sector may sit on several blocks or disks
-    at once. A read or write charges {!Media} cost, counts bytes and
-    traces [bytes] for the header, head and data together: the same count
-    they would have in one wrapped image. *)
+    A block holds a sector: a small header beside an image
+    ({!Afs_util.Image}: the written bytes, which a page store's first
+    decode splits into the page's head and data). The layer above owns
+    the header's format. The stable pair keeps a write's sequence number
+    and checksum there, next to the image rather than wrapped around it.
+    A block server writes an empty header. Nobody changes a sector's
+    bytes once written: a write keeps the caller's record and a read
+    answers it, without a copy, so one sector may sit on several blocks
+    or disks at once, and a split of its image shows wherever it sits. A
+    read or write charges {!Media} cost, counts bytes and traces [bytes]
+    for the header and image together: the same count the header and
+    payload would have in one wrapped image. *)
 
 type sector = { header : string; image : Afs_util.Image.t }
 
@@ -52,9 +52,18 @@ val read_sector : t -> int -> (sector, error) result
 (** The stored sector itself. *)
 
 val write_sector : t -> int -> sector -> (unit, error) result
-(** Whole-block atomic write of the header, head and data, which must fit
-    the block size together; keeps the caller's record. Fails with
+(** Whole-block atomic write of the header and image, which must fit the
+    block size together; keeps the caller's record. Fails with
     [Write_once_violation] when overwriting on write-once media. *)
+
+val read : t -> int -> (string, error) result
+(** The stored sector's image as one string (its exact written length):
+    the written bytes themselves while the image is whole, a joined copy
+    once it is split. *)
+
+val write : t -> int -> string -> (unit, error) result
+(** [write t b data] writes a whole image of [data] with an empty
+    header. *)
 
 val erase : t -> int -> (unit, error) result
 (** Return a block to the never-written state. Fails on write-once media
@@ -70,8 +79,7 @@ val set_offline : t -> bool -> unit
 
 val corrupt : t -> int -> xor_byte:char -> bool
 (** Replace a written block's sector, silently, with a copy that has one
-    byte XORed: the middle byte of the header, head and data taken
-    together.
+    byte XORed: the middle byte of the header and image taken together.
     Returns false if the block holds no bytes. Models media decay;
     checksums upstream must catch it. Other holders of the old sector (a
     companion disk, the writer) keep it intact. *)

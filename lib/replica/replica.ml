@@ -186,10 +186,10 @@ module Source = struct
                 Ok ()
             | Error _ as e -> e);
         write =
-          (fun (b, head) data ->
-            match store.Store.write (b, head) data with
+          (fun b data ->
+            match store.Store.write b data with
             | Ok () ->
-                record (Store.Write (b, { Afs_util.Image.head; data }));
+                record (Store.Write (b, data));
                 Ok ()
             | Error _ as e -> e);
         (* [write_batch] is not captured: its one caller is the publish
@@ -287,7 +287,7 @@ let store_digest (store : Store.t) =
            (fun b ->
              ( b,
                match store.Store.read b with
-               | Ok image -> Some image
+               | Ok image -> Some (Afs_util.Image.to_bytes image)
                | Error _ -> None ))
            blocks)
 

@@ -77,10 +77,10 @@ val adopt : t -> epoch:int -> unit
 (** Drain, then follow [epoch]: how sibling replicas re-home onto a
     freshly promoted primary's stream. *)
 
-val store_digest : Afs_core.Store.t -> (int * Afs_util.Image.t option) list Afs_core.Errors.r
-(** Every allocated block with its readable head and data (allocated-
-    never-written blocks digest as [None]), sorted by block — byte-identity
-    of two stores is (structural) equality of their digests. *)
+val store_digest : Afs_core.Store.t -> (int * bytes option) list Afs_core.Errors.r
+(** Every allocated block with its readable contents (allocated-never-
+    written blocks digest as [None]), sorted by block — byte-identity of
+    two stores is equality of their digests. *)
 
 (** {2 The primary side} *)
 

@@ -153,8 +153,8 @@ let rec pump t =
             let reqs = List.map (fun p -> p.req) members in
             let tr = trace t in
             let resps =
-              if Trace.enabled tr then
-                Trace.span tr ~kind:"rpc.serve" (fun () -> b.handle_batch reqs)
+              if Trace.costing tr then
+                Trace.costed tr ~kind:"rpc.serve" (fun () -> b.handle_batch reqs)
               else b.handle_batch reqs
             in
             let storage = disks_busy t -. before in
@@ -170,7 +170,7 @@ let rec pump t =
             let before = disks_busy t in
             let tr = trace t in
             let resp =
-              if Trace.enabled tr then Trace.span tr ~kind:"rpc.serve" (fun () -> t.handler req)
+              if Trace.costing tr then Trace.costed tr ~kind:"rpc.serve" (fun () -> t.handler req)
               else t.handler req
             in
             let storage = disks_busy t -. before in

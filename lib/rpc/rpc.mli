@@ -82,10 +82,10 @@ val serve :
     server CPU; if [disks] are given, the growth of their busy time during
     the handler is charged as well, so storage latency shows up in client
     round trips. [describe] labels requests in trace events
-    (only called when the engine's trace is enabled). With the engine's
-    trace enabled, each served request, or each batch a batching policy
-    hands over at once, runs its handler inside one synchronous
-    [rpc.serve] span. *)
+    (only called when the engine's trace is enabled). With host cost on
+    in the engine's trace, each served request, or each batch a batching
+    policy hands over at once, is one host-costed section of kind
+    [rpc.serve] ({!Afs_trace.Trace.costed}); it emits no event. *)
 
 val call : ('req, 'resp) t -> 'req -> ('resp, call_error) result
 (** Must run inside a {!Afs_sim.Proc} process. Blocks for the reply. *)

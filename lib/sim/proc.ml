@@ -76,7 +76,7 @@ and resume : type b. Engine.t -> handle -> (b, unit) Effect.Deep.continuation ->
   let saved = !current in
   current := handle.ctx;
   match
-    if Trace.enabled tr then Trace.costed tr ~kind:"proc.resume" (fun () -> step handle k v)
+    if Trace.costing tr then Trace.costed tr ~kind:"proc.resume" (fun () -> step handle k v)
     else step handle k v
   with
   | () -> current := saved

@@ -102,31 +102,29 @@ let some_online t = if online t 0 then Some 0 else if online t 1 then Some 1 els
 let magic = 0x5AB1
 
 (* A block's header sits beside its payload in the disk sector, not
-   around it, so the sector's head and data are the writer's own bytes,
-   kept under the store's ownership rule. The header's CRC covers its own
-   fields, then the head, then the data: the CRC one wrapped image would
-   have. A flipped seq bit fails the read like a flipped payload bit:
-   compare-notes would otherwise trust the damaged copy as newer. Both
-   legs, a fallback repair and a restart share the one sealed sector, and
-   no disk copies it. *)
-let seal seq ({ Image.head; data } as image) =
-  let len = Bytes.length head + Bytes.length data in
+   around it, so the sector's image is the writer's own bytes, kept under
+   the store's ownership rule. The header's CRC covers its own fields,
+   then the payload, so a flipped seq bit fails the read like a flipped
+   payload bit: compare-notes would otherwise trust the damaged copy as
+   newer. Both legs, a fallback repair and a restart share the one
+   sealed sector, and no disk copies it. *)
+let seal seq payload =
+  let len = Bytes.length payload in
   let fields = 10 + Wire.varint_size len in
   let header = Bytes.create (fields + 4) in
   Bytes.set_uint16_le header 0 magic;
   Bytes.set_int64_le header 2 seq;
   ignore (Wire.set_varint header 10 len : int);
-  let crc = Wire.crc32_continue (Wire.crc32_sub header 0 fields) head 0 (Bytes.length head) in
-  let crc = Wire.crc32_continue crc data 0 (Bytes.length data) in
+  let crc = Wire.crc32_continue (Wire.crc32_sub header 0 fields) payload 0 len in
   Bytes.set_int32_le header fields (Int32.of_int crc);
-  { Disk.header = Bytes.unsafe_to_string header; image }
+  { Disk.header = Bytes.unsafe_to_string header; image = Image.of_bytes payload }
 
 (* The header is checked against the payload where they lie, as
    [Page.check] checks a page, so a sound sector costs nothing to find.
    The payload's length is the varint at 10, which must be the shortest
-   encoding, leave exactly the CRC after it and match the head and data
-   together. The CRCs read the header string through a read-only
-   view. *)
+   encoding, leave exactly the CRC after it and match the image. The CRC
+   runs over the header's fields, then the image's head and data: the
+   written bytes, however the image is held. *)
 let rec varint_at s pos limit shift acc =
   if pos >= limit || shift > 56 then -1
   else
@@ -134,16 +132,19 @@ let rec varint_at s pos limit shift acc =
     let acc = acc lor ((b land 0x7F) lsl shift) in
     if b land 0x80 = 0 then acc else varint_at s (pos + 1) limit (shift + 7) acc
 
-let sound { Disk.header; image = { Image.head; data } } =
-  let fields = String.length header - 4 in
-  let hlen = Bytes.length head and dlen = Bytes.length data in
+let sound { Disk.header; image } =
+  let fields = String.length header - 4 and len = Image.length image in
   fields >= 11
   && String.get_uint16_le header 0 = magic
-  && varint_at header 10 fields 0 0 = hlen + dlen
-  && 10 + Wire.varint_size (hlen + dlen) = fields
+  && varint_at header 10 fields 0 0 = len
+  && 10 + Wire.varint_size len = fields
   && Wire.crc32_continue
-       (Wire.crc32_continue (Wire.crc32_sub (Bytes.unsafe_of_string header) 0 fields) head 0 hlen)
-       data 0 dlen
+       (Wire.crc32_continue
+          (Wire.crc32_sub (Bytes.unsafe_of_string header) 0 fields)
+          image.Image.head 0
+          (Bytes.length image.Image.head))
+       image.Image.data 0
+       (Bytes.length image.Image.data)
      = Int32.to_int (String.get_int32_le header fields) land 0xFFFFFFFF
 
 let seq_of sector = String.get_int64_le sector.Disk.header 2
@@ -347,8 +348,8 @@ let read_companion t i b =
     | None -> Error (Corrupt_both b)
   end
 
-(* A sound local copy answers the writer's head and data themselves, so
-   a read allocates only its answers. *)
+(* A sound local copy answers the writer's bytes themselves, so a read
+   allocates only its answers. *)
 let read t i b =
   match check_serving t i with
   | Error _ as e -> e
@@ -490,11 +491,7 @@ let verify_companion_invariant t =
       let ra = read_raw a blk in
       let rb = read_raw b blk in
       match (ra, rb) with
-      | Some sa, Some sb
-        when seq_of sa = seq_of sb
-             && not
-                  (Bytes.equal sa.Disk.image.Image.head sb.Disk.image.Image.head
-                  && Bytes.equal sa.Disk.image.Image.data sb.Disk.image.Image.data)
+      | Some sa, Some sb when seq_of sa = seq_of sb && not (Image.equal sa.Disk.image sb.Disk.image)
         ->
           violation :=
             Some (Printf.sprintf "block %d: equal seq %Ld, different payloads" blk (seq_of sa))

@@ -13,21 +13,20 @@
     notes with its companion and restores its disk before accepting
     requests.
 
-    Each disk block holds a sector ({!Afs_disk.Disk.sector}): the
-    payload, an image's head and data ({!Afs_util.Image}), and beside
-    them a header with a magic number, the write's sequence number, the
-    payload's length and a CRC-32 of those fields followed by the head
-    and then the data (the CRC one wrapped image would have). Because the
-    checksum covers the sequence number, a damaged seq fails the read
-    like a damaged payload, instead of winning compare-notes as a
-    spuriously newer copy. The pair keeps the writer's head and data as
-    the payload, under [Afs_core.Store]'s ownership rule: a writer hands
-    them over and never changes them again, and a reader never changes
-    what {!read} returns. A stable write seals its header once and both
-    legs write that one sector. Repairs copy the surviving side's
-    verified sector unchanged. A read checks the header against the head
-    and data in place and answers them themselves, the bytes the writer
-    handed over, without a copy.
+    Each disk block holds a sector ({!Afs_disk.Disk.sector}): the payload,
+    and beside it a header with a magic number, the write's sequence
+    number, the payload's length and a CRC-32 of those fields followed by
+    the payload. Because the checksum covers the sequence number, a
+    damaged seq fails the read like a damaged payload, instead of
+    winning compare-notes as a spuriously newer copy. The pair keeps the
+    writer's bytes as the payload, a whole {!Afs_util.Image}, under
+    [Afs_core.Store]'s ownership rule: a writer hands them over and
+    never changes them again, and a reader only ever splits the image
+    {!read} answers. A stable write seals its header once and both legs
+    write that one sector, so a split shows on both disks. Repairs copy
+    the surviving side's verified sector unchanged. A read checks the
+    header against the image in place, its head and then its data, and
+    answers the image itself, without a copy.
 
     The protocol steps ({!tentative_allocate}, {!shadow_write}) are
     exposed individually so the RPC layer can interleave them between
@@ -83,13 +82,13 @@ val busy_ms : t -> float
 
 (** {2 Composite operations (synchronous client view)} *)
 
-val allocate_write : t -> id -> Afs_util.Image.t -> (int, error) result
+val allocate_write : t -> id -> bytes -> (int, error) result
 (** Full §4 sequence via the given server: choose block, shadow-write at
     the companion, write locally, return the block number. Retries
     internally on collision (bounded), as the paper's "redo the operation
     after a random wait interval". *)
 
-val write_batch : t -> id -> (int * Afs_util.Image.t) list -> (unit, error) result
+val write_batch : t -> id -> (int * bytes) list -> (unit, error) result
 (** The §4 write, for any number of blocks in one A→B→A round trip: the
     pair's clock charges the companion hop once, then every block pays
     its two disk writes (all companion copies before any local copy).
@@ -105,13 +104,13 @@ val write_batch : t -> id -> (int * Afs_util.Image.t) list -> (unit, error) resu
     recorded). The commit publish stage uses this to make the winners'
     fresh pages and their commit references stable for one hop. *)
 
-val write : t -> id -> int -> Afs_util.Image.t -> (unit, error) result
+val write : t -> id -> int -> bytes -> (unit, error) result
 (** [write t i b p] is [write_batch t i [ (b, p) ]]. *)
 
 val read : t -> id -> int -> (Afs_util.Image.t, error) result
 (** Local read with checksum verification; falls back to the companion and
-    repairs the local copy on corruption. Answers the stored head and data
-    themselves, uncopied: the caller must not change them. *)
+    repairs the local copy on corruption. Answers the stored image
+    itself, uncopied. *)
 
 val free : t -> id -> int -> (unit, error) result
 (** Release a block on both servers. A block this server holds only
@@ -129,7 +128,7 @@ val tentative_allocate : t -> id -> (int, error) result
 
 val abort_tentative : t -> id -> int -> unit
 
-val shadow_write : t -> primary:id -> int -> Afs_util.Image.t -> (int64, error) result
+val shadow_write : t -> primary:id -> int -> bytes -> (int64, error) result
 (** Executed {e at the companion} of [primary]: {!write_batch}'s companion
     leg for one block. The block is fresh when [primary] has not allocated
     it; a fresh block the companion has allocated, or any block it holds
@@ -137,7 +136,7 @@ val shadow_write : t -> primary:id -> int -> Afs_util.Image.t -> (int64, error) 
     returns the sequence number the primary must reuse in
     {!local_write_seq}. *)
 
-val local_write_seq : t -> id -> int -> Afs_util.Image.t -> int64 -> (unit, error) result
+val local_write_seq : t -> id -> int -> bytes -> int64 -> (unit, error) result
 (** The primary's own disk write, performed after a successful shadow,
     with the sequence number the shadow returned. *)
 

@@ -139,13 +139,16 @@ type sink = Null | Ring of ring | Stream of (event -> unit)
 
 (* {2 Host cost of synchronous spans}
 
-   Kept beside the events, never in them. Every record here holds floats
-   only, so updating it stores them unboxed. A span's probe reads the
-   clock and then the allocation counter on entry, and the counter and
-   then the clock on exit: what the clock itself allocates falls outside
-   the span. The words allocated while no span is open are summed up to
-   [mark], the counter's reading when the last outermost span closed, so
-   every word lands in exactly one span's own share or outside. *)
+   Kept beside the events, never in them. The tallies and frames hold
+   floats only, so updating them stores the floats unboxed. A span's
+   probe reads the clock and then the allocation counter on entry, and
+   the counter and then the clock on exit: what the clock itself
+   allocates falls outside the span. The words allocated while no span
+   is open are summed up to [outside.mark], the counter's reading when
+   the last outermost span closed, so every word lands in exactly one
+   span's own share or outside. That makes own plus outside equal every
+   word allocated by construction, whatever the spans cover: the sum
+   can only go wrong when spans do not nest. *)
 
 type host_cost = {
   kind : string;
@@ -164,15 +167,24 @@ type sums = {
   mutable total_c : float;
 }
 
-(* An open span's entry readings and what its child spans spent. *)
-type frame = { w0 : float; c0 : float; mutable child_w : float; mutable child_c : float }
+(* An open span's entry readings and what its child spans spent. Frames
+   are reused, one per nesting depth, so a probe allocates nothing. *)
+type frame = {
+  mutable w0 : float;
+  mutable c0 : float;
+  mutable child_w : float;
+  mutable child_c : float;
+}
+
+(* The words allocated outside every span, summed up to [mark]. *)
+type outside = { mutable words : float; mutable mark : float }
 
 type host = {
   clock : unit -> float;
   kinds : (string, sums) Hashtbl.t;
-  mutable frames : frame list;  (** Open host-costed spans, innermost first. *)
-  mutable outside : float;
-  mutable mark : float;
+  mutable frames : frame array;
+  mutable depth : int;  (** Open host-costed spans: [frames.(depth - 1)] is the innermost. *)
+  outside : outside;
 }
 
 type t = {
@@ -185,11 +197,16 @@ type t = {
   host : host option;
 }
 
+let new_frame _ = { w0 = 0.0; c0 = 0.0; child_w = 0.0; child_c = 0.0 }
+
 let make ?host ~now sink =
   let host =
     Option.map
       (fun clock ->
-        { clock; kinds = Hashtbl.create 16; frames = []; outside = 0.0; mark = Gc.minor_words () })
+        let kinds = Hashtbl.create 16 and frames = Array.init 8 new_frame in
+        let outside = { words = 0.0; mark = 0.0 } in
+        outside.mark <- Gc.minor_words ();
+        { clock; kinds; frames; depth = 0; outside })
       host
   in
   { now; sink; next_seq = 0; next_span = 1; stack = []; emitted = 0; host }
@@ -208,29 +225,37 @@ let stream ?host ~now emit = make ?host ~now (Stream emit)
 let enter h =
   let c0 = h.clock () in
   let w0 = Gc.minor_words () in
-  if h.frames = [] then h.outside <- h.outside +. (w0 -. h.mark);
-  let f = { w0; c0; child_w = 0.0; child_c = 0.0 } in
-  h.frames <- f :: h.frames;
-  f
+  if h.depth = 0 then h.outside.words <- h.outside.words +. (w0 -. h.outside.mark);
+  if h.depth = Array.length h.frames then
+    h.frames <- Array.append h.frames (Array.init h.depth new_frame);
+  let f = h.frames.(h.depth) in
+  f.w0 <- w0;
+  f.c0 <- c0;
+  f.child_w <- 0.0;
+  f.child_c <- 0.0;
+  h.depth <- h.depth + 1
 
-let leave h kind f =
+let sums h kind =
+  match Hashtbl.find h.kinds kind with
+  | s -> s
+  | exception Not_found ->
+      let s = { n = 0.0; own_w = 0.0; total_w = 0.0; own_c = 0.0; total_c = 0.0 } in
+      Hashtbl.replace h.kinds kind s;
+      s
+
+let leave h kind =
   let w = Gc.minor_words () in
   let c = h.clock () in
+  h.depth <- h.depth - 1;
+  let f = h.frames.(h.depth) in
   let total_w = w -. f.w0 and total_c = c -. f.c0 in
-  (match h.frames with _ :: rest -> h.frames <- rest | [] -> ());
-  (match h.frames with
-  | parent :: _ ->
-      parent.child_w <- parent.child_w +. total_w;
-      parent.child_c <- parent.child_c +. total_c
-  | [] -> h.mark <- w);
-  let s =
-    match Hashtbl.find_opt h.kinds kind with
-    | Some s -> s
-    | None ->
-        let s = { n = 0.0; own_w = 0.0; total_w = 0.0; own_c = 0.0; total_c = 0.0 } in
-        Hashtbl.replace h.kinds kind s;
-        s
-  in
+  if h.depth > 0 then begin
+    let parent = h.frames.(h.depth - 1) in
+    parent.child_w <- parent.child_w +. total_w;
+    parent.child_c <- parent.child_c +. total_c
+  end
+  else h.outside.mark <- w;
+  let s = sums h kind in
   s.n <- s.n +. 1.0;
   s.own_w <- s.own_w +. (total_w -. f.child_w);
   s.total_w <- s.total_w +. total_w;
@@ -259,19 +284,23 @@ let host_costs t =
 let outside_words t =
   match t.host with
   | None -> 0.0
-  | Some h -> h.outside +. if h.frames = [] then Gc.minor_words () -. h.mark else 0.0
+  | Some h ->
+      let o = h.outside in
+      o.words +. if h.depth = 0 then Gc.minor_words () -. o.mark else 0.0
+
+let costing t = Option.is_some t.host
 
 let costed t ~kind f =
   match t.host with
   | None -> f ()
   | Some h -> (
-      let frame = enter h in
+      enter h;
       match f () with
       | x ->
-          leave h kind frame;
+          leave h kind;
           x
       | exception e ->
-          leave h kind frame;
+          leave h kind;
           raise e)
 
 let enabled t = match t.sink with Null -> false | Ring _ | Stream _ -> true
@@ -334,7 +363,7 @@ let span t ~kind ?label f =
         (match t.stack with s :: rest when s = id -> t.stack <- rest | _ -> ());
         close_span t id
       in
-      Fun.protect ~finally:finish (fun () -> costed t ~kind f)
+      Fun.protect ~finally:finish (if costing t then fun () -> costed t ~kind f else f)
 
 let events t =
   match t.sink with

@@ -141,7 +141,9 @@ val span : t -> kind:string -> ?label:string -> (unit -> 'a) -> 'a
     events carry none of it, so a trace stays deterministic. The words
     allocated while no span is open are kept too ({!outside_words}): the
     spans' own words and the outside words add up to every word allocated
-    since the sink was built, less what the probes themselves allocate. *)
+    since the sink was built. That holds by construction, whatever the
+    spans cover, as long as they nest; checking the sum finds misnested
+    spans and nothing else. A probe allocates nothing. *)
 
 type host_cost = {
   kind : string;
@@ -151,6 +153,10 @@ type host_cost = {
   own_us : float;
   total_us : float;
 }
+
+val costing : t -> bool
+(** Whether the sink keeps host cost: the guard for {!costed} sites on
+    hot paths, so a run without it builds no closure. *)
 
 val costed : t -> kind:string -> (unit -> 'a) -> 'a
 (** [costed t ~kind f] runs [f], a synchronous section, and adds its

@@ -67,9 +67,8 @@ let path l = Afs_util.Pagepath.of_list l
     format fixes it: lets a test write magic-prefixed root data by hand. *)
 let marker_magic = "\xafAFS"
 
-(** A store image of raw strings: [head] (default empty) beside [data]. *)
-let image ?(head = "") data = { Afs_util.Image.head = bytes head; data = bytes data }
+(** A stored image's written bytes, however it is held. *)
+let bytes_of (i : Afs_util.Image.t) = Afs_util.Image.to_bytes i
 
-(** An image's head and data as one string, the bytes one wrapped image
-    would hold. *)
-let whole (i : Afs_util.Image.t) = str i.Afs_util.Image.head ^ str i.Afs_util.Image.data
+(** A whole image of [s], as a store keeps a write. *)
+let image s = Afs_util.Image.of_bytes (bytes s)

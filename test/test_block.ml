@@ -4,6 +4,7 @@ module Media = Afs_disk.Media
 module B = Block_server
 
 let quick = Helpers.quick
+let bytes = Helpers.bytes
 
 let fresh ?(blocks = 64) () =
   let disk = Disk.create ~media:Media.electronic ~blocks ~block_size:1024 () in
@@ -23,8 +24,8 @@ let bob = 2
 let test_allocate_write_read () =
   let s = fresh () in
   let b = ok (B.allocate s alice) in
-  ignore (ok (B.write s alice b (Helpers.image "data")));
-  Alcotest.(check string) "read back" "data" (Helpers.whole (ok (B.read s alice b)))
+  ignore (ok (B.write s alice b (bytes "data")));
+  Helpers.check_bytes "read back" "data" (Helpers.bytes_of (ok (B.read s alice b)))
 
 let test_allocation_is_unique () =
   let s = fresh () in
@@ -57,7 +58,7 @@ let test_deallocate_write_once_spent () =
   let s = B.create ~disk () in
   let etch () =
     let b = ok (B.allocate s alice) in
-    ok (B.write s alice b (Helpers.image "etched"));
+    ok (B.write s alice b (bytes "etched"));
     ok (B.deallocate s alice b);
     b
   in
@@ -71,7 +72,7 @@ let test_deallocate_write_once_spent () =
 let test_deallocate_offline_frees_nothing () =
   let s = fresh ~blocks:1 () in
   let b = ok (B.allocate s alice) in
-  ok (B.write s alice b (Helpers.image "x"));
+  ok (B.write s alice b (bytes "x"));
   Disk.set_offline (B.disk s) true;
   expect "offline" (function B.Disk_error Disk.Offline -> true | _ -> false)
     (B.deallocate s alice b);
@@ -83,10 +84,10 @@ let test_deallocate_offline_frees_nothing () =
 let test_protection () =
   let s = fresh () in
   let b = ok (B.allocate s alice) in
-  ignore (ok (B.write s alice b (Helpers.image "secret")));
+  ignore (ok (B.write s alice b (bytes "secret")));
   expect "read denied" (function B.Not_owner _ -> true | _ -> false) (B.read s bob b);
   expect "write denied" (function B.Not_owner _ -> true | _ -> false)
-    (B.write s bob b (Helpers.image "overwrite"));
+    (B.write s bob b (bytes "overwrite"));
   expect "free denied" (function B.Not_owner _ -> true | _ -> false) (B.deallocate s bob b)
 
 let test_unallocated_access () =
@@ -134,7 +135,7 @@ let test_recovery_listing () =
 let test_disk_error_surfaces () =
   let s = fresh () in
   let b = ok (B.allocate s alice) in
-  ignore (ok (B.write s alice b (Helpers.image "x")));
+  ignore (ok (B.write s alice b (bytes "x")));
   Disk.set_offline (B.disk s) true;
   expect "disk offline" (function B.Disk_error Disk.Offline -> true | _ -> false)
     (B.read s alice b)
@@ -154,7 +155,7 @@ let test_cost_includes_disk_time () =
     (charged (fun () -> ignore (B.allocate s alice)));
   Alcotest.(check (float 1e-9)) "write: disk time and overhead"
     (Media.write_cost Media.magnetic ~bytes:7 +. 0.1)
-    (charged (fun () -> ok (B.write s alice b (Helpers.image "payload"))));
+    (charged (fun () -> ok (B.write s alice b (bytes "payload"))));
   Alcotest.(check (float 1e-9)) "a denied read: overhead only" 0.1
     (charged (fun () -> ignore (B.read s bob b)));
   Alcotest.(check (float 1e-9)) "the clock is the disk's plus the overhead"

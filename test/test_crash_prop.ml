@@ -104,7 +104,7 @@ let prop_commit_implies_durability (capacity, label) =
    batch's block, which may hold its old or new value. *)
 let storm_batch rng pair i ~live ~step ~ack ~allocated ~maybe =
   let n = 1 + Xrng.int rng 4 in
-  let value k = Helpers.image ~head:"h" (Printf.sprintf "s%d.%d" step k) in
+  let value k = bytes (Printf.sprintf "s%d.%d" step k) in
   let rec pick k olds fresh =
     if k = n then (olds, fresh)
     else
@@ -153,7 +153,7 @@ let prop_stable_survives_crash_storm =
       let blocks = ref [] in
       (* Blocks freed and not allocated again since. *)
       let freed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-      let acked b value = Hashtbl.replace model b [ Helpers.whole value ] in
+      let acked b value = Hashtbl.replace model b [ Helpers.str value ] in
       (* A first write must land on a block no live write holds. *)
       let allocated b value =
         if Hashtbl.mem model b then Alcotest.failf "block %d allocated twice" b;
@@ -163,7 +163,7 @@ let prop_stable_survives_crash_storm =
       in
       let maybe b value =
         let old = Option.value ~default:[] (Hashtbl.find_opt model b) in
-        Hashtbl.replace model b (Helpers.whole value :: old)
+        Hashtbl.replace model b (Helpers.str value :: old)
       in
       let pick_online () = Stable.some_online pair in
       for step = 1 to 60 do
@@ -204,7 +204,7 @@ let prop_stable_survives_crash_storm =
             match pick_online () with
             | None -> ()
             | Some i -> (
-                let value = Helpers.image ~head:"h" (Printf.sprintf "s%d" step) in
+                let value = bytes (Printf.sprintf "s%d" step) in
                 if !blocks <> [] && Xrng.bool rng then begin
                   let b = List.nth !blocks (Xrng.int rng (List.length !blocks)) in
                   match Stable.write pair i b value with
@@ -229,7 +229,7 @@ let prop_stable_survives_crash_storm =
             (fun i ->
               match Stable.read pair i b with
               | Error (Stable.Not_allocated _) -> ()
-              | Ok data -> Alcotest.failf "freed block %d reads %S via %d" b (Helpers.whole data) i
+              | Ok data -> Alcotest.failf "freed block %d reads %S via %d" b (Helpers.str (Helpers.bytes_of data)) i
               | Error e -> Alcotest.failf "freed block %d via %d: %a" b i Stable.pp_error e)
             [ 0; 1 ])
         (Afs_util.Det.sorted_int_keys freed);
@@ -238,7 +238,7 @@ let prop_stable_survives_crash_storm =
           acc
           &&
           match Stable.read pair 0 b with
-          | Ok data -> List.mem (Helpers.whole data) allowed
+          | Ok data -> List.mem (Helpers.str (Helpers.bytes_of data)) allowed
           | Error _ -> false)
         model true)
 

@@ -624,8 +624,7 @@ let test_held_lock_fails_at_once () =
 (* {2 A batch is one commit span} *)
 
 (* Three members in one run: one [commit] span holds every member's
-   test-and-sets and outcome, and one [Commit_batch] point reports it.
-   The page store's spans nest inside it. *)
+   test-and-sets and outcome, and one [Commit_batch] point reports it. *)
 let test_batch_is_one_commit_span () =
   let trace = Trace.ring ~now:(fun () -> 0.0) () in
   let srv = Server.create ~seed:7 ~trace (Store.memory ()) in
@@ -641,24 +640,13 @@ let test_batch_is_one_commit_span () =
   let mark = Trace.events_emitted trace in
   List.iter (fun r -> ok r) (Server.commit_batch srv caps);
   let evs = Helpers.events_since trace mark in
-  let spans = Query.spans evs in
-  match List.filter (fun (s : Query.span) -> s.Query.kind = "commit") spans with
-  | [ { Query.id; _ } ] ->
-      let nested =
-        List.filter_map
-          (fun (s : Query.span) -> if s.Query.parent = id then Some s.Query.id else None)
-          spans
-      in
-      let inside = function
-        | Trace.Point { span; _ } -> span = id || List.mem span nested
-        | _ -> true
-      in
-      Alcotest.(check bool) "every other span nested in it" true
-        (List.for_all (fun (s : Query.span) -> s.Query.id = id || s.Query.parent = id) spans);
+  match Query.spans evs with
+  | [ { Query.kind = "commit"; id; _ } ] ->
+      let inside = function Trace.Point { span; _ } -> span = id | _ -> true in
       Alcotest.(check bool) "every point inside it" true (List.for_all inside evs);
       Alcotest.(check int) "three outcomes" 3 (Query.count evs "commit.outcome");
       Alcotest.(check int) "one Commit_batch point" 1 (Query.count evs "commit.batch")
-  | _ ->
+  | spans ->
       Alcotest.failf "expected one commit span, got [%s]"
         (String.concat "; " (List.map (fun (s : Query.span) -> s.Query.kind) spans))
 

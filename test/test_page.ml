@@ -19,18 +19,14 @@ let sample_version_page () =
     ~refs:[| entry 3; entry ~flags:(Flags.record Flags.clear Flags.Write) 9 |]
     ~data:(bytes "version page data")
 
-(* An image's head and data as one buffer, and a buffer cut back into
-   an image [at] a head length: the tests damage images as one piece. *)
-let join (i : Image.t) = Bytes.cat i.Image.head i.Image.data
-
-let split ~at b =
-  let at = min at (Bytes.length b) in
-  { Image.head = Bytes.sub b 0 at; data = Bytes.sub b at (Bytes.length b - at) }
-
-let head_only b = { Image.head = b; data = Bytes.empty }
+(* The codec reads stored images; most tests here hand it a whole image
+   of the bytes they build. *)
+let decode ?memo b = Page.decode ?memo (Image.of_bytes b)
+let image_commit_ref b = Page.image_commit_ref (Image.of_bytes b)
+let iter_image_refs b f = Page.iter_image_refs (Image.of_bytes b) f
 
 let decode_ok ?memo image =
-  match Page.decode ?memo image with
+  match decode ?memo image with
   | Ok p -> p
   | Error msg -> Alcotest.failf "decode failed: %s" msg
 
@@ -77,37 +73,32 @@ let test_codec_roundtrip_locks () =
   Alcotest.(check (option int)) "parent ref" (Some 7) p'.Page.header.Page.parent_ref
 
 let test_decode_rejects_garbage () =
-  (match Page.decode (head_only (bytes "not a page")) with
+  (match decode (bytes "not a page") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted garbage");
-  match Page.decode (head_only Bytes.empty) with
+  match decode Bytes.empty with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted empty"
 
 let test_decode_rejects_truncation () =
   let image = Page.encode (sample_version_page ()) in
-  let head = image.Image.head and data = image.Image.data in
-  (match Page.decode { image with Image.data = Bytes.sub data 0 (Bytes.length data - 4) } with
+  let truncated = Bytes.sub image 0 (Bytes.length image - 4) in
+  match decode truncated with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted truncated data");
-  match Page.decode { image with Image.head = Bytes.sub head 0 (Bytes.length head - 4) } with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a truncated head"
+  | Ok _ -> Alcotest.fail "accepted truncated image"
 
 let test_decode_rejects_trailing () =
   let image = Page.encode (sample_version_page ()) in
-  (match Page.decode { image with Image.data = Bytes.cat image.Image.data (bytes "junk") } with
+  let padded = Bytes.cat image (bytes "junk") in
+  match decode padded with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted trailing data");
-  match Page.decode { image with Image.head = Bytes.cat image.Image.head (bytes "junk") } with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted trailing bytes after the head"
+  | Ok _ -> Alcotest.fail "accepted trailing bytes"
 
 (* [page]'s image with its reference count ([count = `Refs]) or its data
    length rewritten to [value]: the two varints sit just before the
    reference table. *)
 let with_count page count value =
-  let image = join (Page.encode page) in
+  let image = Page.encode page in
   let nrefs = Page.nrefs page and dsize = Page.dsize page in
   let refs_at = Bytes.length image - dsize - (4 * nrefs) in
   let nrefs_at = refs_at - Wire.varint_size nrefs - Wire.varint_size dsize in
@@ -125,16 +116,15 @@ let with_count page count value =
    [Error] before allocating for them. *)
 let test_decode_rejects_huge_count () =
   let page = Page.with_data Page.empty (Bytes.make 5 'd') in
-  let whole = with_count page `Refs (1 lsl 40) in
-  Alcotest.(check int) "image length" 20 (Bytes.length whole);
-  let image = split ~at:(Bytes.length whole - 5) whole in
-  (match Page.decode image with
+  let image = with_count page `Refs (1 lsl 40) in
+  Alcotest.(check int) "image length" 20 (Bytes.length image);
+  (match decode image with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decode accepted a 2^40 reference count");
-  (match Page.image_commit_ref image with
+  (match image_commit_ref image with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "image_commit_ref accepted a 2^40 reference count");
-  match Page.iter_image_refs image (fun _ -> Alcotest.fail "child of a rejected image") with
+  match iter_image_refs image (fun _ -> Alcotest.fail "child of a rejected image") with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "iter_image_refs accepted a 2^40 reference count"
 
@@ -228,11 +218,86 @@ let page_equal a b =
 
 let prop_codec_roundtrip =
   QCheck2.Test.make ~name:"page codec roundtrip" ~count:300 gen_page (fun p ->
-      match Page.decode (Page.encode p) with Ok p' -> page_equal p p' | Error _ -> false)
+      match decode (Page.encode p) with Ok p' -> page_equal p p' | Error _ -> false)
 
 let prop_encoded_size_consistent =
   QCheck2.Test.make ~name:"encoded_size equals encode length" ~count:100 gen_page (fun p ->
-      Page.encoded_size p = Image.length (Page.encode p))
+      Page.encoded_size p = Bytes.length (Page.encode p))
+
+(* {2 A page's image on the stable pair}
+
+   An image is the encoded head (header fields and reference table)
+   followed by the page's data: the two add up to [encoded_size]. A
+   store keeps the written bytes whole until the first decode splits
+   them where the head ends; from then on every read answers the split
+   image and every decode shares its data, uncopied. The stable pair's
+   checksum covers head and data, so one flipped byte in either part, on
+   both disks, fails the read rather than answering it. *)
+
+let gen_sized_page =
+  let open QCheck2.Gen in
+  let* refs = array_size (int_range 0 20) gen_entry in
+  let* data = map Bytes.of_string (string_size (int_range 0 4096)) in
+  let* version = bool in
+  return
+    (if version then
+       Page.make_version_page ~file_cap:(cap 2) ~version_cap:(cap 5) ~base_ref:(Some 17)
+         ~parent_ref:None ~refs ~data
+     else Page.with_contents Page.empty ~refs ~data)
+
+module Stable = Afs_stable.Stable_pair
+module Disk = Afs_disk.Disk
+
+(* Both disks' copies of block [b] replaced by [whole] with its byte at
+   [i] flipped, split [~at] as a decoded image is: a sector keeps the
+   pair's header beside the image, not in it. *)
+let flip_on_both pair b whole i ~at =
+  let flipped = Bytes.copy whole in
+  Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0x5A));
+  let image = Image.of_bytes flipped in
+  Image.split image ~at;
+  List.iter
+    (fun id ->
+      let disk = Stable.disk pair id in
+      match Disk.read_sector disk b with
+      | Ok s -> ignore (Disk.write_sector disk b { s with Disk.image })
+      | Error e -> Alcotest.failf "disk %d: %a" id Disk.pp_error e)
+    [ 0; 1 ]
+
+let prop_stable_image =
+  QCheck2.Test.make ~name:"an image splits once; a flipped byte fails" ~count:200
+    QCheck2.Gen.(triple gen_sized_page bool (int_bound 10_000))
+    (fun (p, in_head, pos) ->
+      let whole = Page.encode p in
+      let dsize = Page.dsize p in
+      let head = Bytes.length whole - dsize in
+      if Page.encoded_size p <> head + dsize then
+        QCheck2.Test.fail_report "encoded_size is not head plus data";
+      let pair = Stable.create ~blocks:4 ~block_size:8192 () in
+      match Stable.allocate_write pair 0 whole with
+      | Error e -> QCheck2.Test.fail_reportf "stable write: %a" Stable.pp_error e
+      | Ok b ->
+          let read () =
+            match Stable.read pair 0 b with
+            | Ok image -> image
+            | Error e -> QCheck2.Test.fail_reportf "sound read: %a" Stable.pp_error e
+          in
+          let decoded image =
+            match Page.decode ~memo:true image with
+            | Ok q -> q
+            | Error msg -> QCheck2.Test.fail_report msg
+          in
+          let image = read () in
+          let q = decoded image in
+          if not (page_equal q p) then QCheck2.Test.fail_report "decode (encode p) <> p";
+          if Bytes.length image.Image.head <> head || not (Bytes.equal image.Image.data p.Page.data)
+          then QCheck2.Test.fail_report "not split where the head ends";
+          let again = read () in
+          if not (again == image && (decoded again).Page.data == q.Page.data) then
+            QCheck2.Test.fail_report "a second read copied the data";
+          let at = if in_head || dsize = 0 then pos mod head else head + (pos mod dsize) in
+          flip_on_both pair b whole at ~at:head;
+          match Stable.read pair 0 b with Error _ -> true | Ok _ -> false)
 
 (* A value of at least 2^40 for a reference count or a data length. *)
 let gen_huge =
@@ -240,21 +305,18 @@ let gen_huge =
 
 (* [page]'s image damaged by [damage]: 0 leaves it whole, 1 flips the
    byte at [pos] by [xor], 2 truncates it at [pos], 3 and 4 rewrite its
-   reference count or data length to [huge]. The damaged bytes are cut
-   back into a head and data where the page's own data began. *)
+   reference count or data length to [huge]. *)
 let damaged page damage pos xor huge =
-  let image = join (Page.encode page) in
-  let at = Bytes.length image - Page.dsize page in
+  let image = Bytes.copy (Page.encode page) in
   let pos = pos mod max 1 (Bytes.length image) in
-  split ~at
-    (match damage with
-    | 0 -> image
-    | 1 ->
-        Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
-        image
-    | 2 -> Bytes.sub image 0 pos
-    | 3 -> with_count page `Refs huge
-    | _ -> with_count page `Data huge)
+  match damage with
+  | 0 -> image
+  | 1 ->
+      Bytes.set image pos (Char.chr (Char.code (Bytes.get image pos) lxor xor));
+      image
+  | 2 -> Bytes.sub image 0 pos
+  | 3 -> with_count page `Refs huge
+  | _ -> with_count page `Data huge
 
 (* Fuzz: decoding a corrupted valid image must fail cleanly or produce a
    structurally valid page — never raise. *)
@@ -270,7 +332,7 @@ let prop_decode_total_on_mutations =
   in
   QCheck2.Test.make ~name:"decode is total on corrupted images" ~count:500 gen
     (fun (page, damage, pos, xor, huge) ->
-      match Page.decode (damaged page damage pos xor huge) with
+      match decode (damaged page damage pos xor huge) with
       | Ok p -> Array.for_all (fun (e : Page.ref_entry) -> Flags.is_legal e.Page.flags) p.Page.refs
       | Error _ -> true
       | exception Invalid_argument _ -> false
@@ -281,7 +343,7 @@ let prop_decode_total_on_garbage =
   QCheck2.Test.make ~name:"decode is total on garbage" ~count:500
     QCheck2.Gen.(string_size (int_range 0 300))
     (fun s ->
-      match Page.decode (split ~at:(String.length s / 2) (Bytes.of_string s)) with
+      match decode (Bytes.of_string s) with
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
@@ -303,79 +365,13 @@ let prop_in_place_reads_agree_with_decode =
     (fun (page, damage, pos, xor, huge) ->
       let image = damaged page damage pos xor huge in
       let children = ref [] in
-      let listed = Page.iter_image_refs image (fun b -> children := b :: !children) in
-      match (Page.decode image, Page.image_commit_ref image, listed) with
+      let listed = iter_image_refs image (fun b -> children := b :: !children) in
+      match (decode image, image_commit_ref image, listed) with
       | Ok p, Ok commit, Ok () ->
           let blocks = Array.map (fun (e : Page.ref_entry) -> e.Page.block) p.Page.refs in
           commit = p.Page.header.Page.commit_ref && List.rev !children = Array.to_list blocks
       | Error _, Error _, Error _ -> !children = []
       | _ -> false)
-
-(* {2 The image pair}
-
-   An image is the encoded head beside the page's own data: the codec
-   round-trips through it without copying the data, its two parts add up
-   to [encoded_size], and the stable pair's CRC covers both, so one
-   flipped byte in either part, on both disks, fails the read. *)
-
-let gen_sized_page =
-  let open QCheck2.Gen in
-  let* refs = array_size (int_range 0 20) gen_entry in
-  let* data = map Bytes.of_string (string_size (int_range 0 4096)) in
-  let* version = bool in
-  return
-    (if version then
-       Page.make_version_page ~file_cap:(cap 2) ~version_cap:(cap 5) ~base_ref:(Some 17)
-         ~parent_ref:None ~refs ~data
-     else Page.with_contents Page.empty ~refs ~data)
-
-module Stable = Afs_stable.Stable_pair
-module Disk = Afs_disk.Disk
-
-(* Both disks' copies of [b] with the byte at [pos] of the head
-   ([`Head]) or of the data flipped. *)
-let flip_on_both pair b part pos =
-  let flip s =
-    let i = pos mod String.length s in
-    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x5A) else c) s
-  in
-  List.iter
-    (fun i ->
-      let disk = Stable.disk pair i in
-      match Disk.read_sector disk b with
-      | Ok s ->
-          let { Image.head; data } = s.Disk.image in
-          let flip b = Bytes.of_string (flip (Bytes.to_string b)) in
-          let image =
-            if part = `Head then { Image.head = flip head; data }
-            else { Image.head; data = flip data }
-          in
-          let s = { s with Disk.image } in
-          ignore (Disk.write_sector disk b s)
-      | Error e -> Alcotest.failf "disk %d: %a" i Disk.pp_error e)
-    [ 0; 1 ]
-
-let prop_image_pair =
-  QCheck2.Test.make ~name:"an image is a head beside the page's own data" ~count:200
-    QCheck2.Gen.(triple gen_sized_page bool (int_bound 10_000))
-    (fun (p, in_head, pos) ->
-      let image = Page.encode p in
-      let decoded = decode_ok image in
-      if not (Page.equal decoded p) then QCheck2.Test.fail_report "decode (encode p) <> p";
-      if decoded.Page.data != image.Image.data then
-        QCheck2.Test.fail_report "the decoded data is a copy";
-      if Page.encoded_size p <> Image.length image then
-        QCheck2.Test.fail_report "encoded_size is not head plus data";
-      let part = if in_head || Page.dsize p = 0 then `Head else `Data in
-      let pair = Stable.create ~blocks:4 ~block_size:8192 () in
-      match Stable.allocate_write pair 0 image with
-      | Error e -> QCheck2.Test.fail_reportf "stable write: %a" Stable.pp_error e
-      | Ok b -> (
-          (match Stable.read pair 0 b with
-          | Ok _ -> ()
-          | Error e -> QCheck2.Test.fail_reportf "sound read: %a" Stable.pp_error e);
-          flip_on_both pair b part pos;
-          match Stable.read pair 0 b with Error _ -> true | Ok _ -> false))
 
 (* {2 Encode-once: the memo is invisible and always canonical} *)
 
@@ -385,8 +381,7 @@ let test_encode_counts_once () =
   let img1 = Page.encode p in
   let img2 = Page.encode p in
   Alcotest.(check int) "second encode is a memo hit" 1 (Page.fresh_encodes () - e0);
-  Alcotest.(check bool) "memo hit returns the same head" true
-    (img1.Image.head == img2.Image.head);
+  Alcotest.(check bool) "memo hit returns the same image" true (img1 == img2);
   let e1 = Page.fresh_encodes () in
   let q = decode_ok ~memo:true img1 in
   ignore (Page.encode q);
@@ -437,19 +432,21 @@ let prop_memo_canonical_after_updates =
           (fun p update ->
             ignore (Page.encode p) (* memoize, so updaters must shed it *);
             let p' = update p in
-            if p' != p && Bytes.length p'.Page.memo > 0 then
+            if p' != p && Page.memoized_image p' <> None then
               Test.fail_reportf "updater carried a stale memo across";
             p')
           base updates
       in
       let img = Page.encode p in
-      if p.Page.memo != img.Image.head then Test.fail_reportf "encode did not memoize its head";
+      (match Page.memoized_image p with
+      | Some m when Image.to_bytes m == img -> ()
+      | _ -> Test.fail_reportf "encode did not memoize its image");
       let fresh =
-        match Page.decode img with
+        match decode img with
         | Ok q -> Page.encode q
         | Error msg -> Test.fail_reportf "memoized image does not decode: %s" msg
       in
-      if not (Bytes.equal (join img) (join fresh)) then
+      if not (Bytes.equal img fresh) then
         Test.fail_reportf "memoized image differs from a fresh serialisation";
       true)
 
@@ -483,7 +480,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_total_on_mutations;
           QCheck_alcotest.to_alcotest prop_decode_total_on_garbage;
           QCheck_alcotest.to_alcotest prop_in_place_reads_agree_with_decode;
-          QCheck_alcotest.to_alcotest prop_image_pair;
+          QCheck_alcotest.to_alcotest prop_stable_image;
         ] );
       ( "encode-once",
         [

@@ -98,8 +98,7 @@ let test_refresh_rereads_clean () =
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data "v1")));
   (* Another server writes the block behind our back. *)
-  let image = Page.encode (page_with_data "v2") in
-  (match store.Store.write (b, image.Afs_util.Image.head) image.Afs_util.Image.data with
+  (match store.Store.write b (Page.encode (page_with_data "v2")) with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   Alcotest.(check string) "stale cache serves v1" "v1" (read_data ps b);
@@ -143,7 +142,7 @@ let test_uncached_mode () =
 let test_decode_error_surfaces () =
   let store, ps = fresh () in
   let b = ok (Pagestore.allocate ps) in
-  (match store.Store.write (b, bytes "garbage") (bytes " block") with
+  (match store.Store.write b (bytes "garbage block") with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   match Pagestore.read ps b with
@@ -436,21 +435,20 @@ let test_refresh_allocates_nothing () =
 
 (* {2 Shared images}
 
-   A memory store keeps the head and data it is handed and reads them
-   back uncopied, so revalidating an unchanged page finds the page's own
-   memo's parts and compares nothing. *)
+   A memory store keeps the bytes it is handed and reads them back
+   uncopied, so revalidating an unchanged page finds the page's own memo
+   and compares nothing. *)
 
-(* Both parts of two images are the same bytes, physically. *)
-let same_image (a : Afs_util.Image.t) (b : Afs_util.Image.t) =
-  a.Afs_util.Image.head == b.Afs_util.Image.head && a.Afs_util.Image.data == b.Afs_util.Image.data
+module Image = Afs_util.Image
 
 let test_memory_read_shares_image () =
   let store = Store.memory () in
   let b = Helpers.ok_str (store.Store.allocate ()) in
-  let head = Bytes.make 16 'h' and data = Bytes.make 1024 'i' in
-  Helpers.ok_str (store.Store.write (b, head) data);
-  Alcotest.(check bool) "the written bytes" true
-    (same_image (Helpers.ok_str (store.Store.read b)) { Afs_util.Image.head; data });
+  let image = Bytes.make 1024 'i' in
+  Helpers.ok_str (store.Store.write b image);
+  let stored = Helpers.ok_str (store.Store.read b) in
+  Alcotest.(check bool) "the written bytes" true (stored.Image.head == image);
+  Alcotest.(check bool) "one image per block" true (Helpers.ok_str (store.Store.read b) == stored);
   let words =
     Helpers.minor_words_of (fun () -> ignore (Sys.opaque_identity (store.Store.read b)))
   in
@@ -485,11 +483,9 @@ let test_stable_pair_revalidation_shares_image () =
   let b = ok (Pagestore.allocate ps) in
   ignore (ok (Pagestore.write_through ps b (page_with_data (String.make 1024 's'))));
   let stored () = Helpers.ok_str (store.Store.read b) in
-  let memo ps =
-    let page = ok (Pagestore.read ps b) in
-    { Afs_util.Image.head = page.Page.memo; data = page.Page.data }
-  in
-  Alcotest.(check bool) "the memo is the stored image" true (same_image (memo ps) (stored ()));
+  let memo ps = Option.get (Page.memoized_image (ok (Pagestore.read ps b))) in
+  Alcotest.(check bool) "the memo holds the stored bytes" true
+    ((memo ps).Image.head == (stored ()).Image.head);
   let reread ps () =
     Pagestore.refresh ps b;
     ignore (Sys.opaque_identity (Pagestore.read ps b))
@@ -501,7 +497,7 @@ let test_stable_pair_revalidation_shares_image () =
   let cold = create store in
   let faulted = ok (Pagestore.read cold b) in
   Alcotest.(check bool) "a faulted-in page's memo is the stored image" true
-    (same_image (memo cold) (stored ()));
+    (memo cold == stored ());
   reread cold ();
   let words = Helpers.minor_words_of (reread cold) in
   if words > 16. then
@@ -510,41 +506,64 @@ let test_stable_pair_revalidation_shares_image () =
   Alcotest.(check bool) "the re-read answers the faulted page" true
     (ok (Pagestore.read cold b) == faulted)
 
-(* The codec copies no page data: a cache miss allocates the same for a
-   1 KiB page as for a 16-byte one, give or take a word of head, over the
-   memory store and over the stable pair, and so does a fresh encode.
-   Copying the data would cost about 130 words more. *)
-let miss_words store ~size =
-  let allocate () = ok (Pagestore.allocate (create store)) in
-  let warm = allocate () in
-  let b = allocate () in
-  let writer = create store in
-  List.iter
-    (fun blk -> ok (Pagestore.write_through writer blk (page_with_data (String.make size 'm'))))
-    [ warm; b ];
-  let cold = create store in
-  ignore (ok (Pagestore.read cold warm));
-  Helpers.minor_words_of (fun () -> ignore (Sys.opaque_identity (Pagestore.read cold b)))
+(* {2 Split-once images}
 
-let encode_words ~size =
-  let page = page_with_data (String.make size 'e') in
-  Helpers.minor_words_of (fun () -> ignore (Sys.opaque_identity (Page.encode page)))
+   A store keeps a block's written bytes whole until the first decode
+   splits them into the page's head and data. Every later miss on the
+   block, by any page store over that store, decodes the split image and
+   shares its data: a 1 KiB page's miss then allocates what a 16-byte
+   page's does, over the memory store and over the stable pair. Copying
+   the data would cost about 130 words more. *)
 
-let test_miss_and_encode_copy_no_data () =
-  let within what small large =
-    if large > small +. 4. then
-      Alcotest.failf "%s: a 1 KiB page allocates %.0f words, a 16-byte page %.0f" what large small
+let electronic_pair () =
+  Store.of_stable_pair
+    (Afs_stable.Stable_pair.create ~media:Afs_disk.Media.electronic ~blocks:64 ~block_size:2048 ())
+
+(* A one-page cache that wrote a [size]-byte page to [b] and then another
+   page, which evicted it, and a reader that evicts [b] again. *)
+let evicted store ~size =
+  let ps = create ~capacity:1 store in
+  let b = ok (Pagestore.allocate ps) and other = ok (Pagestore.allocate ps) in
+  ok (Pagestore.write_through ps b (page_with_data (String.make size 'm')));
+  ok (Pagestore.write_through ps other (page_with_data "other"));
+  (ps, b, fun () -> ignore (ok (Pagestore.read ps other)))
+
+let second_miss_words store ~size =
+  let ps, b, evict = evicted store ~size in
+  let first = ok (Pagestore.read ps b) in
+  evict ();
+  let words =
+    Helpers.minor_words_of (fun () -> ignore (Sys.opaque_identity (Pagestore.read ps b)))
   in
-  let stable () =
-    Store.of_stable_pair
-      (Afs_stable.Stable_pair.create ~media:Afs_disk.Media.electronic ~blocks:64 ~block_size:2048
-         ())
-  in
+  Alcotest.(check bool) "the second miss shares the first's data" true
+    ((ok (Pagestore.read ps b)).Page.data == first.Page.data);
+  words
+
+let test_miss_copies_no_data () =
   List.iter
     (fun (what, store) ->
-      within what (miss_words (store ()) ~size:16) (miss_words (store ()) ~size:1024))
-    [ ("memory-store miss", fun () -> Store.memory ()); ("stable-pair miss", stable) ];
-  within "fresh encode" (encode_words ~size:16) (encode_words ~size:1024)
+      let small = second_miss_words (store ()) ~size:16
+      and large = second_miss_words (store ()) ~size:1024 in
+      if large > small +. 4. then
+        Alcotest.failf "%s: a 1 KiB page's miss allocates %.0f words, a 16-byte page's %.0f" what
+          large small)
+    [ ("memory store", fun () -> Store.memory ~block_size:2048 ()); ("stable pair", electronic_pair) ]
+
+(* The first miss splits the stored image where the page's head ends, and
+   a page store that never saw the block shares the same data. *)
+let test_first_miss_splits () =
+  let store = Store.memory ~block_size:2048 () in
+  let ps, b, _ = evicted store ~size:64 in
+  let stored () = Helpers.ok_str (store.Store.read b) in
+  let written = Bytes.copy (Helpers.bytes_of (stored ())) in
+  Alcotest.(check bool) "whole until read" true (Image.is_whole (stored ()));
+  let page = ok (Pagestore.read ps b) in
+  Alcotest.(check bool) "split by the miss" false (Image.is_whole (stored ()));
+  Alcotest.(check bool) "its data is the page's" true ((stored ()).Image.data == page.Page.data);
+  Helpers.check_bytes "the written bytes, unchanged" (Helpers.str written)
+    (Helpers.bytes_of (stored ()));
+  let cold = ok (Pagestore.read (create store) b) in
+  Alcotest.(check bool) "another page store shares it" true (cold.Page.data == page.Page.data)
 
 let () =
   Alcotest.run "pagestore"
@@ -596,7 +615,8 @@ let () =
           quick "memory read is the written image" test_memory_read_shares_image;
           quick "revalidation allocates its answer" test_revalidate_allocates_only_answer;
           quick "stable pair revalidation shares" test_stable_pair_revalidation_shares_image;
-          quick "miss and encode copy no data" test_miss_and_encode_copy_no_data;
+          quick "a miss copies no data" test_miss_copies_no_data;
+          quick "the first miss splits" test_first_miss_splits;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_cache_reads_equal_model ] );

@@ -237,7 +237,7 @@ let test_shared_images_never_change () =
                List.filter_map
                  (fun b ->
                    match store.Store.read b with
-                   | Ok image -> Some (store, b, image, Helpers.whole image)
+                   | Ok image -> Some (store, b, image, Bytes.copy (Helpers.bytes_of image))
                    | Error _ -> None)
                  (Helpers.ok_str (store.Store.list_blocks ())))
              stores));
@@ -267,13 +267,9 @@ let test_shared_images_never_change () =
   let unchanged =
     List.fold_left
       (fun n ((store : Store.t), b, image, copy) ->
-        if not (String.equal (Helpers.whole image) copy) then
+        if not (Bytes.equal (Helpers.bytes_of image) copy) then
           Alcotest.failf "block %d's image changed" b;
-        let shared (now : Afs_util.Image.t) =
-          now.Afs_util.Image.head == image.Afs_util.Image.head
-          && now.Afs_util.Image.data == image.Afs_util.Image.data
-        in
-        match store.Store.read b with Ok now when shared now -> n + 1 | Ok _ | Error _ -> n)
+        match store.Store.read b with Ok now when now == image -> n + 1 | Ok _ | Error _ -> n)
       0 !snapshot
   in
   Alcotest.(check bool) "images shared across the run" true (unchanged > 0);

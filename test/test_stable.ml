@@ -1,12 +1,10 @@
 open Afs_stable
 module S = Stable_pair
 module Disk = Afs_disk.Disk
+module Image = Afs_util.Image
 
 let quick = Helpers.quick
-let image = Helpers.image
-
-(* The head and data a read answered, as one string. *)
-let check_read msg expected i = Alcotest.(check string) msg expected (Helpers.whole i)
+let bytes = Helpers.bytes
 
 let fresh ?(blocks = 64) ?(block_size = 512) ?(seed = 1) () =
   S.create ~seed ~blocks ~block_size ()
@@ -19,6 +17,9 @@ let expect name pred = function
   | Ok _ -> Alcotest.failf "%s: expected error" name
   | Error e -> Alcotest.(check bool) name true (pred e)
 
+(* A read's image as the written bytes. *)
+let read_bytes t i b = Result.map Helpers.bytes_of (S.read t i b)
+
 let check_invariant t =
   match S.verify_companion_invariant t with
   | Ok () -> ()
@@ -26,49 +27,45 @@ let check_invariant t =
 
 (* {2 Basic duplexed storage} *)
 
-(* A read of a sound local copy checks its header against the head and
-   data where they lie and answers the writer's bytes themselves: it
+(* A read of a sound local copy checks its header against the payload
+   where they lie and answers the writer's bytes themselves: it
    allocates only small answers, the serving check's, the disk's and its
    own, 10 words in all. *)
 let test_read_allocates_payload_and_outcome () =
   let t = fresh ~block_size:2048 () in
-  let payload = { Afs_util.Image.head = Bytes.make 16 'h'; data = Bytes.make 1024 'p' } in
+  let payload = Bytes.make 1024 'p' in
   let b = ok (S.allocate_write t 0 payload) in
   let read () = ignore (Sys.opaque_identity (S.read t 0 b)) in
   read ();
   let words = Helpers.minor_words_of read in
   if words > 10. then
     Alcotest.failf "a 1 KiB read allocates %.0f words (want at most 10, no payload copy)" words;
-  let same (i : Afs_util.Image.t) =
-    i.Afs_util.Image.head == payload.Afs_util.Image.head
-    && i.Afs_util.Image.data == payload.Afs_util.Image.data
-  in
-  Alcotest.(check bool) "via 0, the written bytes" true (same (ok (S.read t 0 b)));
-  Alcotest.(check bool) "via 1, the written bytes" true (same (ok (S.read t 1 b)))
+  Alcotest.(check bool) "via 0, the written bytes" true ((ok (S.read t 0 b)).Image.head == payload);
+  Alcotest.(check bool) "via 1, the written bytes" true ((ok (S.read t 1 b)).Image.head == payload)
 
 let test_allocate_write_read () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "duplexed")) in
-  check_read "read via 0" "duplexed" (ok (S.read t 0 b));
-  check_read "read via 1" "duplexed" (ok (S.read t 1 b));
+  let b = ok (S.allocate_write t 0 (bytes "duplexed")) in
+  Helpers.check_bytes "read via 0" "duplexed" (ok (read_bytes t 0 b));
+  Helpers.check_bytes "read via 1" "duplexed" (ok (read_bytes t 1 b));
   check_invariant t
 
 let test_both_disks_hold_copy () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "x")) in
+  let b = ok (S.allocate_write t 0 (bytes "x")) in
   Alcotest.(check bool) "disk 0 has it" true (Disk.is_written (S.disk t 0) b);
   Alcotest.(check bool) "disk 1 has it" true (Disk.is_written (S.disk t 1) b)
 
 let test_update_via_either_server () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "v1")) in
-  ignore (ok (S.write t 1 b (image "v2")));
-  check_read "updated" "v2" (ok (S.read t 0 b));
+  let b = ok (S.allocate_write t 0 (bytes "v1")) in
+  ignore (ok (S.write t 1 b (bytes "v2")));
+  Helpers.check_bytes "updated" "v2" (ok (read_bytes t 0 b));
   check_invariant t
 
 let test_free () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "gone soon")) in
+  let b = ok (S.allocate_write t 0 (bytes "gone soon")) in
   ignore (ok (S.free t 0 b));
   expect "read freed" (function S.Not_allocated _ -> true | _ -> false) (S.read t 0 b);
   expect "read freed via companion" (function S.Not_allocated _ -> true | _ -> false)
@@ -85,11 +82,11 @@ let test_free_tentative () =
   Alcotest.(check bool) "nothing on disk 0" false (Disk.is_written (S.disk t 0) b);
   Alcotest.(check bool) "nothing on disk 1" false (Disk.is_written (S.disk t 1) b);
   expect "no longer held" (function S.Not_allocated _ -> true | _ -> false)
-    (S.write t 0 b (image "late"));
+    (S.write t 0 b (bytes "late"));
   (* A fresh reservation is allocated on both disks by its first write. *)
   let b2 = ok (S.tentative_allocate t 0) in
-  ignore (ok (S.write_batch t 0 [ (b2, image "first write") ]));
-  check_read "read via 1" "first write" (ok (S.read t 1 b2));
+  ignore (ok (S.write_batch t 0 [ (b2, bytes "first write") ]));
+  Helpers.check_bytes "read via 1" "first write" (ok (read_bytes t 1 b2));
   check_invariant t
 
 let test_read_unallocated () =
@@ -100,16 +97,16 @@ let test_read_unallocated () =
 
 let test_corruption_repaired_from_companion () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "precious")) in
+  let b = ok (S.allocate_write t 0 (bytes "precious")) in
   Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 0) b ~xor_byte:'\xFF');
-  check_read "repaired read" "precious" (ok (S.read t 0 b));
+  Helpers.check_bytes "repaired read" "precious" (ok (read_bytes t 0 b));
   (* The local copy was repaired in passing. *)
-  check_read "second read clean" "precious" (ok (S.read t 0 b));
+  Helpers.check_bytes "second read clean" "precious" (ok (read_bytes t 0 b));
   check_invariant t
 
 let test_corrupt_both_detected () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "doomed")) in
+  let b = ok (S.allocate_write t 0 (bytes "doomed")) in
   ignore (Disk.corrupt (S.disk t 0) b ~xor_byte:'\xFF');
   ignore (Disk.corrupt (S.disk t 1) b ~xor_byte:'\xFF');
   expect "both corrupt" (function S.Corrupt_both _ -> true | _ -> false) (S.read t 0 b)
@@ -126,9 +123,9 @@ let disk_sector t i b =
    acknowledged "y". *)
 let test_corrupt_seq_not_trusted () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "x")) in
+  let b = ok (S.allocate_write t 0 (bytes "x")) in
   S.crash t 1;
-  ignore (ok (S.write t 0 b (image "y")));
+  ignore (ok (S.write t 0 b (bytes "y")));
   let stale = disk_sector t 1 b in
   Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 1) b ~xor_byte:'\xFF');
   let damaged = disk_sector t 1 b in
@@ -136,8 +133,8 @@ let test_corrupt_seq_not_trusted () =
   Alcotest.(check bool) "the seq field is hit" true
     (String.sub damaged.Disk.header 2 8 <> String.sub stale.Disk.header 2 8);
   ignore (ok (S.restart t 1));
-  check_read "read via 0" "y" (ok (S.read t 0 b));
-  check_read "read via 1" "y" (ok (S.read t 1 b));
+  Helpers.check_bytes "read via 0" "y" (ok (read_bytes t 0 b));
+  Helpers.check_bytes "read via 1" "y" (ok (read_bytes t 1 b));
   check_invariant t
 
 (* With a 1 KiB payload the middle byte lies in the payload, beside an
@@ -146,22 +143,25 @@ let test_corrupt_seq_not_trusted () =
 let test_payload_flip_caught () =
   let t = fresh ~block_size:2048 () in
   let payload = Bytes.make 1024 'q' in
-  let b = ok (S.allocate_write t 0 { Afs_util.Image.head = Bytes.empty; data = payload }) in
+  let b = ok (S.allocate_write t 0 payload) in
   let sound = disk_sector t 0 b in
   Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 0) b ~xor_byte:'\x01');
   let damaged = disk_sector t 0 b in
   Alcotest.(check bool) "the header is untouched" true (damaged.Disk.header == sound.Disk.header);
   Alcotest.(check bool) "the payload differs" false
-    (String.equal (Helpers.whole damaged.Disk.image) (Helpers.whole sound.Disk.image));
+    (Image.equal damaged.Disk.image sound.Disk.image);
   Alcotest.(check bool) "the writer's bytes are untouched" true
     (Bytes.equal payload (Bytes.make 1024 'q'));
   Alcotest.(check bool) "the read answers the written bytes" true
-    ((ok (S.read t 0 b)).Afs_util.Image.data == payload);
+    ((ok (S.read t 0 b)).Image.head == payload);
   Alcotest.(check bool) "repaired with the companion's sector" true
     (disk_sector t 0 b == disk_sector t 1 b);
   check_invariant t
 
-let disk_image t i b = (disk_sector t i b).Disk.image
+let disk_image t i b =
+  match Disk.read (S.disk t i) b with
+  | Ok image -> image
+  | Error e -> Alcotest.failf "disk %d block %d: %a" i b Disk.pp_error e
 
 (* A copy to compare against: a shared image that were damaged in place
    would also change every alias of it. *)
@@ -169,9 +169,10 @@ let snapshot image = Bytes.to_string (Bytes.of_string image)
 
 (* A copy to compare against, header and data: a shared sector that were
    damaged in place would also change every alias of it. *)
-let snapshot_sector (s : Disk.sector) = (snapshot s.Disk.header, Helpers.whole s.Disk.image)
+let snapshot_sector (s : Disk.sector) =
+  (snapshot s.Disk.header, Bytes.to_string (Helpers.bytes_of s.Disk.image))
 
-let contents (s : Disk.sector) = (s.Disk.header, Helpers.whole s.Disk.image)
+let contents (s : Disk.sector) = (s.Disk.header, Bytes.to_string (Helpers.bytes_of s.Disk.image))
 
 (* Both legs of a stable write store one sealed sector, the same record
    on both disks. [Disk.corrupt] replaces the damaged block instead of
@@ -186,26 +187,24 @@ let check_shared_image_repairs t b ~damaged ~expect:payload =
   Alcotest.check header_and_data "other disk untouched" good
     (contents (disk_sector t (1 - damaged) b));
   Alcotest.(check bool) "damaged disk differs" false (good = contents (disk_sector t damaged b));
-  check_read "read repairs" payload (ok (S.read t damaged b));
+  Helpers.check_bytes "read repairs" payload (ok (read_bytes t damaged b));
   Alcotest.(check bool) "repaired with the companion's sector" true
     (disk_sector t damaged b == disk_sector t (1 - damaged) b)
 
 let test_write_legs_share_image () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "v1")) in
-  ignore (ok (S.write t 0 b (image "v2")));
+  let b = ok (S.allocate_write t 0 (bytes "v1")) in
+  ignore (ok (S.write t 0 b (bytes "v2")));
   check_shared_image_repairs t b ~damaged:1 ~expect:"v2";
-  ignore (ok (S.write t 1 b (image "v3")));
+  ignore (ok (S.write t 1 b (bytes "v3")));
   check_shared_image_repairs t b ~damaged:1 ~expect:"v3";
   check_invariant t
 
 let test_write_batch_legs_share_image () =
   let t = fresh () in
-  let blocks =
-    List.init 4 (fun i -> ok (S.allocate_write t 0 (image (Printf.sprintf "old-%d" i))))
-  in
+  let blocks = List.init 4 (fun i -> ok (S.allocate_write t 0 (bytes (Printf.sprintf "old-%d" i)))) in
   let payload i = Printf.sprintf "new-%d" i in
-  ignore (ok (S.write_batch t 0 (List.mapi (fun i b -> (b, image (payload i))) blocks)));
+  ignore (ok (S.write_batch t 0 (List.mapi (fun i b -> (b, bytes (payload i))) blocks)));
   List.iteri
     (fun i b -> check_shared_image_repairs t b ~damaged:(i mod 2) ~expect:(payload i))
     blocks;
@@ -215,15 +214,15 @@ let test_write_batch_legs_share_image () =
    payload the writer handed in; the read repairs from the companion. *)
 let test_corrupt_leaves_companion_intact () =
   let t = fresh () in
-  let payload = image "shared" in
+  let payload = bytes "shared" in
   let b = ok (S.allocate_write t 0 payload) in
   let image = disk_image t 1 b in
-  let good = Helpers.whole image in
+  let good = snapshot image in
   Alcotest.(check bool) "corrupted" true (Disk.corrupt (S.disk t 0) b ~xor_byte:'\xFF');
   Alcotest.(check bool) "companion keeps its image" true (disk_image t 1 b == image);
-  Alcotest.(check string) "companion's image unchanged" good (Helpers.whole image);
-  check_read "writer's payload unchanged" "shared" payload;
-  check_read "read repairs from the companion" "shared" (ok (S.read t 0 b));
+  Alcotest.(check string) "companion's image unchanged" good image;
+  Helpers.check_bytes "writer's payload unchanged" "shared" payload;
+  Helpers.check_bytes "read repairs from the companion" "shared" (ok (read_bytes t 0 b));
   Alcotest.(check bool) "repaired with the companion's image" true (disk_image t 0 b == image);
   check_invariant t
 
@@ -240,12 +239,12 @@ let test_interleaved_allocate_collision () =
   (* Server 0's shadow write arrives at server 1, which holds a tentative
      claim on the same block: collision. *)
   expect "collision detected" (function S.Collision _ -> true | _ -> false)
-    (S.shadow_write t ~primary:0 b0 (image "from-0"));
+    (S.shadow_write t ~primary:0 b0 (bytes "from-0"));
   S.abort_tentative t 0 b0;
   (* Server 1 now completes unhindered. *)
-  let seq = ok (S.shadow_write t ~primary:1 b1 (image "from-1")) in
-  ignore (ok (S.local_write_seq t 1 b1 (image "from-1") seq));
-  check_read "winner's data" "from-1" (ok (S.read t 1 b1));
+  let seq = ok (S.shadow_write t ~primary:1 b1 (bytes "from-1")) in
+  ignore (ok (S.local_write_seq t 1 b1 (bytes "from-1") seq));
+  Helpers.check_bytes "winner's data" "from-1" (ok (read_bytes t 1 b1));
   check_invariant t
 
 let test_allocate_write_retries_internally () =
@@ -254,108 +253,106 @@ let test_allocate_write_retries_internally () =
   let t = fresh ~blocks:1 () in
   let b = ok (S.tentative_allocate t 1) in
   expect "exhausts retries" (function S.No_free_blocks -> true | _ -> false)
-    (S.allocate_write t 0 (image "loser"));
+    (S.allocate_write t 0 (bytes "loser"));
   S.abort_tentative t 1 b;
-  let b2 = ok (S.allocate_write t 0 (image "winner")) in
-  check_read "eventually lands" "winner" (ok (S.read t 0 b2))
+  let b2 = ok (S.allocate_write t 0 (bytes "winner")) in
+  Helpers.check_bytes "eventually lands" "winner" (ok (read_bytes t 0 b2))
 
 (* A batch's fresh block that the companion holds tentatively collides
    on leg 1, before any copy of the batch is written. *)
 let test_write_batch_fresh_collision () =
   let t = fresh ~blocks:2 () in
-  let kept = ok (S.allocate_write t 0 (image "old")) in
+  let kept = ok (S.allocate_write t 0 (bytes "old")) in
   let b = ok (S.tentative_allocate t 0) in
   Alcotest.(check int) "the companion chooses the same block" b (ok (S.tentative_allocate t 1));
   expect "collision" (function S.Collision c -> c = b | _ -> false)
-    (S.write_batch t 0 [ (kept, image "new"); (b, image "fresh") ]);
+    (S.write_batch t 0 [ (kept, bytes "new"); (b, bytes "fresh") ]);
   Alcotest.(check bool) "no local copy" false (Disk.is_written (S.disk t 0) b);
   Alcotest.(check bool) "no companion copy" false (Disk.is_written (S.disk t 1) b);
-  check_read "allocated block untouched" "old" (ok (S.read t 0 kept));
+  Helpers.check_bytes "allocated block untouched" "old" (ok (read_bytes t 0 kept));
   (* The loser drops its claim; the companion's own first write lands. *)
   S.abort_tentative t 0 b;
-  ignore (ok (S.write t 1 b (image "companion's")));
-  check_read "winner's data" "companion's" (ok (S.read t 0 b));
+  ignore (ok (S.write t 1 b (bytes "companion's")));
+  Helpers.check_bytes "winner's data" "companion's" (ok (read_bytes t 0 b));
   check_invariant t
 
 (* {2 Crashes} *)
 
 let test_write_with_companion_down () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "v1")) in
+  let b = ok (S.allocate_write t 0 (bytes "v1")) in
   S.crash t 1;
-  ignore (ok (S.write t 0 b (image "v2-solo")));
-  check_read "local serves" "v2-solo" (ok (S.read t 0 b));
+  ignore (ok (S.write t 0 b (bytes "v2-solo")));
+  Helpers.check_bytes "local serves" "v2-solo" (ok (read_bytes t 0 b));
   (* Companion comes back and compares notes. *)
   let repaired = ok (S.restart t 1) in
   Alcotest.(check bool) "repaired blocks" true (repaired >= 1);
-  check_read "companion caught up" "v2-solo" (ok (S.read t 1 b));
+  Helpers.check_bytes "companion caught up" "v2-solo" (ok (read_bytes t 1 b));
   check_invariant t
 
 let test_crashed_server_refuses () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "x")) in
+  let b = ok (S.allocate_write t 0 (bytes "x")) in
   S.crash t 0;
   expect "crashed refuses" (function S.Unavailable 0 -> true | _ -> false) (S.read t 0 b);
   Alcotest.(check (option int)) "other online" (Some 1) (S.some_online t)
 
 let test_full_disk_loss_recovery () =
   let t = fresh () in
-  let blocks =
-    List.init 10 (fun i -> ok (S.allocate_write t 0 (image (Printf.sprintf "block-%d" i))))
-  in
+  let blocks = List.init 10 (fun i -> ok (S.allocate_write t 0 (bytes (Printf.sprintf "block-%d" i)))) in
   S.wipe_and_crash t 0;
   let repaired = ok (S.restart t 0) in
   Alcotest.(check int) "all blocks repaired" 10 repaired;
   List.iteri
     (fun i b ->
-      check_read (Printf.sprintf "block %d" i) (Printf.sprintf "block-%d" i)
-        (ok (S.read t 0 b)))
+      Helpers.check_bytes (Printf.sprintf "block %d" i) (Printf.sprintf "block-%d" i)
+        (ok (read_bytes t 0 b)))
     blocks;
   check_invariant t
 
 let test_both_down_then_lone_restart () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "survivor")) in
+  let b = ok (S.allocate_write t 0 (bytes "survivor")) in
   S.crash t 0;
   S.crash t 1;
   Alcotest.(check (option int)) "none online" None (S.some_online t);
   ignore (ok (S.restart t 0));
-  check_read "lone server serves own disk" "survivor" (ok (S.read t 0 b))
+  Helpers.check_bytes "lone server serves own disk" "survivor" (ok (read_bytes t 0 b))
 
 let test_crash_between_shadow_and_local () =
   (* The §4 ordering: companion first, then local. Crash the primary in
      between: the companion has the newer copy and recovery propagates. *)
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "v1")) in
-  let seq = ok (S.shadow_write t ~primary:0 b (image "v2")) in
+  let b = ok (S.allocate_write t 0 (bytes "v1")) in
+  let seq = ok (S.shadow_write t ~primary:0 b (bytes "v2")) in
   (* Primary dies before its local write. *)
   ignore seq;
   S.crash t 0;
-  check_read "companion already has v2" "v2" (ok (S.read t 1 b));
+  Helpers.check_bytes "companion already has v2" "v2" (ok (read_bytes t 1 b));
   let _ = ok (S.restart t 0) in
-  check_read "recovered primary has v2" "v2" (ok (S.read t 0 b));
+  Helpers.check_bytes "recovered primary has v2" "v2" (ok (read_bytes t 0 b));
   check_invariant t
 
 let test_intention_list_discharged () =
   let t = fresh () in
-  let b1 = ok (S.allocate_write t 0 (image "a1")) in
+  let b1 = ok (S.allocate_write t 0 (bytes "a1")) in
   S.crash t 1;
-  ignore (ok (S.write t 0 b1 (image "a2")));
-  let b2 = ok (S.allocate_write t 0 (image "fresh-during-outage")) in
+  ignore (ok (S.write t 0 b1 (bytes "a2")));
+  let b2 = ok (S.allocate_write t 0 (bytes "fresh-during-outage")) in
   let repaired = ok (S.restart t 1) in
   Alcotest.(check bool) "two repairs" true (repaired >= 2);
-  check_read "update propagated" "a2" (ok (S.read t 1 b1));
-  check_read "new block propagated" "fresh-during-outage" (ok (S.read t 1 b2));
+  Helpers.check_bytes "update propagated" "a2" (ok (read_bytes t 1 b1));
+  Helpers.check_bytes "new block propagated" "fresh-during-outage" (ok (read_bytes t 1 b2));
   check_invariant t
 
 let test_seq_monotonic_across_restart () =
   let t = fresh () in
-  let b = ok (S.allocate_write t 0 (image "v1")) in
+  let b = ok (S.allocate_write t 0 (bytes "v1")) in
   S.crash t 0;
-  ignore (ok (S.write t 1 b (image "v2")));
+  ignore (ok (S.write t 1 b (bytes "v2")));
   ignore (ok (S.restart t 0));
-  ignore (ok (S.write t 0 b (image "v3")));
-  check_read "latest wins everywhere" "v3" (ok (S.read t 1 b));
+  ignore (ok (S.write t 0 b (bytes "v3")));
+  Helpers.check_bytes "latest wins everywhere" "v3" (ok (read_bytes t 1 b));
   check_invariant t
 
 (* A block written while the companion was down reaches it at restart,
@@ -365,15 +362,15 @@ let test_seq_monotonic_across_restart () =
 let test_pushed_copy_advances_companion_seq () =
   let t = fresh () in
   S.crash t 1;
-  let b = ok (S.allocate_write t 0 (image "a")) in
+  let b = ok (S.allocate_write t 0 (bytes "a")) in
   S.crash t 0;
   ignore (ok (S.restart t 1));
   ignore (ok (S.restart t 0));
   S.crash t 0;
-  ignore (ok (S.write t 1 b (image "new")));
+  ignore (ok (S.write t 1 b (bytes "new")));
   ignore (ok (S.restart t 0));
-  check_read "read via 0" "new" (ok (S.read t 0 b));
-  check_read "read via 1" "new" (ok (S.read t 1 b));
+  Helpers.check_bytes "read via 0" "new" (ok (read_bytes t 0 b));
+  Helpers.check_bytes "read via 1" "new" (ok (read_bytes t 1 b));
   check_invariant t
 
 (* Compare-notes reads both copies of every block in the union, but
@@ -384,9 +381,7 @@ let test_restart_copies_no_payload () =
   let n = 64 in
   let t = fresh ~blocks:256 ~block_size:2048 () in
   let fill i = Char.chr (65 + (i mod 26)) in
-  let blocks =
-    List.init n (fun i -> ok (S.allocate_write t 0 (image (String.make 1024 (fill i)))))
-  in
+  let blocks = List.init n (fun i -> ok (S.allocate_write t 0 (Bytes.make 1024 (fill i)))) in
   S.crash t 1;
   let payload_words = float_of_int ((1024 / (Sys.word_size / 8)) + 2) in
   let words = Helpers.minor_words_of (fun () -> ignore (ok (S.restart t 1))) in
@@ -394,7 +389,7 @@ let test_restart_copies_no_payload () =
     Alcotest.failf "a restart over %d 1 KiB blocks allocates %.0f words (%d payloads are %.0f)" n
       words n (float_of_int n *. payload_words);
   List.iteri
-    (fun i b -> check_read "read via 1" (String.make 1024 (fill i)) (ok (S.read t 1 b)))
+    (fun i b -> Helpers.check_bytes "read via 1" (String.make 1024 (fill i)) (ok (read_bytes t 1 b)))
     blocks;
   check_invariant t
 
@@ -405,13 +400,13 @@ let test_cost_reported () =
   let t = fresh () in
   let disks () = Disk.busy_ms (S.disk t 0) +. Disk.busy_ms (S.disk t 1) in
   let hops () = S.busy_ms t -. disks () in
-  let b = ok (S.allocate_write t 0 (image "paid for")) in
+  let b = ok (S.allocate_write t 0 (bytes "paid for")) in
   Alcotest.(check bool) "disk time" true (disks () > 0.0);
   Alcotest.(check (float 1e-9)) "a write's hop" 2.0 (hops ());
   ok (S.free t 1 b);
   Alcotest.(check (float 1e-9)) "a free's hop" 4.0 (hops ());
   S.crash t 1;
-  ignore (ok (S.allocate_write t 0 (image "alone")));
+  ignore (ok (S.allocate_write t 0 (bytes "alone")));
   Alcotest.(check (float 1e-9)) "no hop with the companion down" 4.0 (hops ());
   ignore (ok (S.restart t 1));
   Alcotest.(check (float 1e-9)) "a restart's hop" 6.0 (hops ())
@@ -421,7 +416,7 @@ let test_cost_reported () =
    block is allocated again. *)
 let test_free_during_outage () =
   let t = fresh ~blocks:8 () in
-  let b = ok (S.allocate_write t 0 (image "stale")) in
+  let b = ok (S.allocate_write t 0 (bytes "stale")) in
   S.crash t 1;
   ok (S.free t 0 b);
   ignore (ok (S.restart t 1));
@@ -429,7 +424,7 @@ let test_free_during_outage () =
   expect "freed via 0" freed (S.read t 0 b);
   expect "freed via 1" freed (S.read t 1 b);
   Alcotest.(check bool) "no copy left on disk 1" false (Disk.is_written (S.disk t 1) b);
-  let again = List.init 8 (fun _ -> ok (S.allocate_write t 0 (image "fresh"))) in
+  let again = List.init 8 (fun _ -> ok (S.allocate_write t 0 (bytes "fresh"))) in
   Alcotest.(check bool) "allocated again" true (List.mem b again);
   check_invariant t
 

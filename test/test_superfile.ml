@@ -184,11 +184,11 @@ let test_crash_after_commit_finished_by_waiter () =
 let test_server_crash_after_super_commit () =
   let inner = Store.memory () in
   let last_write = ref None and dead = ref false in
-  let write ((b, _) as at) data =
+  let write b data =
     if !dead then Error "injected: disk gone"
     else begin
       if !last_write = Some b then dead := true;
-      inner.Store.write at data
+      inner.Store.write b data
     end
   in
   let rec write_batch = function

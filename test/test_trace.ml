@@ -309,7 +309,9 @@ let prop_trace_deterministic =
    child spans. A fake clock ticks once per reading, so an outer span
    around one inner span reads three ticks, two of them its own. Own
    and outside words add up to everything allocated since the sink was
-   built, and the events are those of a sink without host cost. *)
+   built, the events are those of a sink without host cost, and a
+   section that allocates nothing is charged nothing: the probes
+   allocate nothing themselves. *)
 let test_host_cost_per_kind () =
   let run host =
     let ticks = ref 0.0 in
@@ -325,6 +327,8 @@ let test_host_cost_per_kind () =
           ignore (Sys.opaque_identity (Array.make 50 0));
           Trace.span tr ~kind:"inner" (fun () -> ignore (Sys.opaque_identity (Array.make 100 0))))
     done;
+    let nothing () = () in
+    Trace.costed tr ~kind:"probe" nothing;
     let outside = Trace.outside_words tr in
     (tr, Stdlib.Gc.minor_words () -. before, outside)
   in
@@ -334,9 +338,10 @@ let test_host_cost_per_kind () =
   let tr, allocated, outside = run true in
   Alcotest.(check bool) "the same events" true (Trace.events tr = Trace.events plain);
   match Trace.host_costs tr with
-  | [ inner; outer ] ->
-      Alcotest.(check (list string)) "sorted by kind" [ "inner"; "outer" ]
-        [ inner.Trace.kind; outer.Trace.kind ];
+  | [ inner; outer; probe ] ->
+      Alcotest.(check (list string)) "sorted by kind" [ "inner"; "outer"; "probe" ]
+        [ inner.Trace.kind; outer.Trace.kind; probe.Trace.kind ];
+      Alcotest.(check (float 0.)) "an empty section costs no words" 0.0 probe.Trace.total_words;
       Alcotest.(check int) "two spans each" 2 outer.Trace.spans;
       Alcotest.(check (float 0.)) "inner time, all its own" 2.0 inner.Trace.own_us;
       Alcotest.(check (float 0.)) "outer time" 6.0 outer.Trace.total_us;
@@ -345,9 +350,8 @@ let test_host_cost_per_kind () =
         inner.Trace.own_words;
       Alcotest.(check (float 0.)) "outer own words, net of inner"
         (outer.Trace.total_words -. inner.Trace.total_words) outer.Trace.own_words;
-      (* Each span also pays its probe's frame and its protecting
-         closure, and an outer span its inner span's events: at most 64
-         words a span. *)
+      (* Each span also pays its protecting closure, and an outer span
+         its inner span's events: at most 64 words a span. *)
       let in_range what lo x =
         if x < lo || x > lo +. 128. then
           Alcotest.failf "%s: %.0f words (want %.0f to %.0f)" what x lo (lo +. 128.)
@@ -357,7 +361,7 @@ let test_host_cost_per_kind () =
       let own = inner.Trace.own_words +. outer.Trace.own_words in
       if Float.abs (own +. outside -. allocated) > 64. then
         Alcotest.failf "own %.0f + outside %.0f words, but %.0f allocated" own outside allocated
-  | rows -> Alcotest.failf "expected two kinds, got %d" (List.length rows)
+  | rows -> Alcotest.failf "expected three kinds, got %d" (List.length rows)
 
 let () =
   Alcotest.run "trace"

@@ -516,6 +516,45 @@ let prop_sorted_int_keys =
       let keys = Hashtbl.fold (fun k () ks -> k :: ks) t [] in
       Afs_util.Det.sorted_int_keys t = List.sort compare keys)
 
+(* {2 Images} *)
+
+module Image = Afs_util.Image
+
+(* A split keeps the written bytes, copies both parts out once, and
+   leaves an image equal to a whole one of the same bytes; a split at the
+   end, or of a split image, does nothing. *)
+let prop_image_split =
+  QCheck2.Test.make ~name:"a split image holds the written bytes" ~count:300
+    ~print:QCheck2.Print.(pair string int)
+    QCheck2.Gen.(pair (string_size (int_range 0 200)) (int_bound 1000))
+    (fun (s, pos) ->
+      let written = Bytes.of_string s in
+      let at = pos mod (String.length s + 1) in
+      let image = Image.of_bytes written in
+      Image.split image ~at;
+      let head = image.Image.head and data = image.Image.data in
+      if not (Image.is_whole image) then Image.split image ~at:0;
+      Image.length image = String.length s
+      && Bytes.to_string (Image.to_bytes image) = s
+      && Image.equal image (Image.of_bytes (Bytes.of_string s))
+      && Image.is_whole image = (at = String.length s)
+      && (Image.is_whole image || (image.Image.head != written && Bytes.length head = at))
+      && image.Image.head == head && image.Image.data == data)
+
+let test_image_equal_allocates_nothing () =
+  let a = Image.of_bytes (Bytes.make 1024 'a') and b = Image.of_bytes (Bytes.make 1024 'a') in
+  Image.split b ~at:100;
+  let c = Image.of_bytes (Bytes.make 1024 'a') in
+  Image.split c ~at:200;
+  let words =
+    Helpers.minor_words_of (fun () ->
+        ignore (Sys.opaque_identity (Image.equal a b && Image.equal b c && Image.equal a a)))
+  in
+  Alcotest.(check bool) "equal across forms" true (Image.equal a b && Image.equal b c);
+  Alcotest.(check bool) "a changed byte differs" false
+    (Image.equal a (Image.of_bytes (Bytes.cat (Bytes.make 1023 'a') (Bytes.make 1 'b'))));
+  Alcotest.(check (float 0.)) "no words" 0. words
+
 let () =
   Alcotest.run "util"
     [
@@ -594,4 +633,9 @@ let () =
           quick "ratio" test_ratio;
         ] );
       ("det", [ QCheck_alcotest.to_alcotest prop_sorted_int_keys ]);
+      ( "image",
+        [
+          QCheck_alcotest.to_alcotest prop_image_split;
+          quick "equal allocates nothing" test_image_equal_allocates_nothing;
+        ] );
     ]

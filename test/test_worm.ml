@@ -15,31 +15,31 @@ let fresh ?(blocks = 4096) ?(block_size = 4096) () =
 let test_first_write_goes_to_bulk () =
   let store, stats = fresh () in
   let b = ok_str (store.Store.allocate ()) in
-  ok_str (store.Store.write (b, Bytes.empty) (bytes "etched"));
+  ok_str (store.Store.write b (bytes "etched"));
   let s = stats () in
   Alcotest.(check int) "bulk write" 1 s.Store.bulk_writes;
   Alcotest.(check int) "no index traffic" 0 s.Store.index_writes;
-  Alcotest.(check string) "readable" "etched" (Helpers.whole (ok_str (store.Store.read b)))
+  Helpers.check_bytes "readable" "etched" (Helpers.bytes_of (ok_str (store.Store.read b)))
 
 let test_rewrite_migrates_to_index () =
   let store, stats = fresh () in
   let b = ok_str (store.Store.allocate ()) in
-  ok_str (store.Store.write (b, Bytes.empty) (bytes "v1"));
-  ok_str (store.Store.write (b, Bytes.empty) (bytes "v2"));
-  ok_str (store.Store.write (b, Bytes.empty) (bytes "v3"));
+  ok_str (store.Store.write b (bytes "v1"));
+  ok_str (store.Store.write b (bytes "v2"));
+  ok_str (store.Store.write b (bytes "v3"));
   let s = stats () in
   Alcotest.(check int) "one bulk etch" 1 s.Store.bulk_writes;
   Alcotest.(check int) "rewrites absorbed" 2 s.Store.index_writes;
   Alcotest.(check int) "one migrated block" 1 s.Store.index_blocks;
-  Alcotest.(check string) "index copy wins" "v3" (Helpers.whole (ok_str (store.Store.read b)))
+  Helpers.check_bytes "index copy wins" "v3" (Helpers.bytes_of (ok_str (store.Store.read b)))
 
 let test_free_reclaims_index_not_bulk () =
   let store, stats = fresh () in
   let b1 = ok_str (store.Store.allocate ()) in
-  ok_str (store.Store.write (b1, Bytes.empty) (bytes "once"));
+  ok_str (store.Store.write b1 (bytes "once"));
   let b2 = ok_str (store.Store.allocate ()) in
-  ok_str (store.Store.write (b2, Bytes.empty) (bytes "first"));
-  ok_str (store.Store.write (b2, Bytes.empty) (bytes "again"));
+  ok_str (store.Store.write b2 (bytes "first"));
+  ok_str (store.Store.write b2 (bytes "again"));
   ok_str (store.Store.free b1);
   ok_str (store.Store.free b2);
   let s = stats () in
