@@ -60,8 +60,8 @@ let () =
   Printf.printf "\nseats sold: %d (inventory %d -> %d)\n" booked total_before remaining;
   Printf.printf "redos caused by conflicts: %d (%.2f%% of transactions)\n" redos
     (100.0 *. float_of_int redos /. float_of_int (max 1 report.Driver.committed));
-  Printf.printf "double-sold seats: %d (inventory is exact, by serialisability)\n"
-    (if booked <= report.Driver.committed then 0 else booked - report.Driver.committed);
+  let double_sold = if booked <= report.Driver.committed then 0 else booked - report.Driver.committed in
+  Printf.printf "double-sold seats: %d (inventory is exact, by serialisability)\n" double_sold;
 
   (* Show the per-flight spread: hot flights absorb contention locally. *)
   Printf.printf "\nseats remaining per flight (flight 0 is the most popular):\n";
@@ -72,4 +72,5 @@ let () =
     done;
     Printf.printf "  flight %2d: %4d seats left\n" flight !left
   done;
-  Printf.printf "  ... (%d more flights)\n" (max 0 (params.Airline.flights - 8))
+  Printf.printf "  ... (%d more flights)\n" (max 0 (params.Airline.flights - 8));
+  if double_sold <> 0 then exit 1

@@ -79,6 +79,14 @@ let flip conn v tree target =
   let marker = Remote.Write (root, Marker.encode (Marker.Moved target)) in
   Result.map ignore (Remote.on_version conn v (clear @ [ marker; Remote.Commit ]))
 
+(* A flip whose store answer was lost may still have landed: the
+   source's committed root then holds the tombstone naming the copy, and
+   the file has moved. *)
+let flipped src file nf =
+  match Remote.batch src (Remote.Current file) [] with
+  | Error (Errors.Moved target) -> Afs_util.Capability.equal target nf
+  | Ok _ | Error _ -> false
+
 (* One attempt on the file's current home, through the client's one
    [Moved] loop: the opening answers [Moved] at a tombstone, which
    [routed] chases. [Ok (Error Conflict)] is a flip that lost its race. *)
@@ -99,14 +107,17 @@ let attempt cluster client ~dst file =
                 Remote.abandon src v;
                 Error e
             | Ok nf -> (
+                let moved () =
+                  Router.note_forward (Cluster.router cluster) ~old:file nf;
+                  Stats.Counter.incr counters "migrations";
+                  Stats.Counter.incr counters
+                    (Printf.sprintf "shard%d.migrations_out" (Shard.id shard));
+                  Stats.Counter.incr counters (Printf.sprintf "shard%d.migrations_in" dst);
+                  Ok (Ok nf)
+                in
                 match flip src v tree nf with
-                | Ok () ->
-                    Router.note_forward (Cluster.router cluster) ~old:file nf;
-                    Stats.Counter.incr counters "migrations";
-                    Stats.Counter.incr counters
-                      (Printf.sprintf "shard%d.migrations_out" (Shard.id shard));
-                    Stats.Counter.incr counters (Printf.sprintf "shard%d.migrations_in" dst);
-                    Ok (Ok nf)
+                | Ok () -> moved ()
+                | Error (Errors.Store_failure _) when flipped src file nf -> moved ()
                 | Error Errors.Conflict ->
                     (* A concurrent update won the race; drop the stale
                        copy and redo against the fresh state. *)

@@ -3,26 +3,6 @@ module Capability = Afs_util.Capability
 
 open Errors
 
-module Flag_cache = struct
-  type t = (int, Pagepath.t list) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let write_set t server ~version_block =
-    match Hashtbl.find_opt t version_block with
-    | Some paths -> Ok paths
-    | None ->
-        (* [Server.written_set] reads the incremental administration when
-           the server kept one — O(pages written), no page reads — and
-           falls back to the flag walk otherwise. Memoised either way:
-           committed versions are immutable. *)
-        let* paths = Server.written_set server version_block in
-        Hashtbl.replace t version_block paths;
-        Ok paths
-
-  let entries t = Hashtbl.length t
-end
-
 type validation = {
   current_block : int;
   invalid : Pagepath.t list;
@@ -43,7 +23,7 @@ let note_validation server ~file ~basis_block (v : validation) =
          });
   v
 
-let server_validate ?flag_cache server ~file ~basis_block =
+let server_validate server ~file ~basis_block =
   let ps = Server.pagestore server in
   let* current_block = Server.current_block_of_file server file in
   if current_block = basis_block then
@@ -52,11 +32,6 @@ let server_validate ?flag_cache server ~file ~basis_block =
       (note_validation server ~file ~basis_block
          { current_block; invalid = []; versions_walked = 0; pages_examined = 0 })
   else begin
-    let write_set_of vb =
-      match flag_cache with
-      | Some fc -> Flag_cache.write_set fc server ~version_block:vb
-      | None -> Server.written_set server vb
-    in
     (* Walk forward from the basis to the current version, accumulating the
        write sets of every intervening commit. *)
     let rec walk block acc walked examined =
@@ -68,7 +43,7 @@ let server_validate ?flag_cache server ~file ~basis_block =
             (* Chain ended before reaching current: basis not on the chain. *)
             Ok ([ Pagepath.root ], walked, examined)
         | Some next ->
-            let* paths = write_set_of next in
+            let* paths = Server.written_set server next in
             walk next (List.rev_append paths acc) (walked + 1) (examined + List.length paths)
     in
     match Pagestore.read ps basis_block with
@@ -143,14 +118,14 @@ let drop_subtree pages bad =
   let doomed = collect (Pagepath.Map.to_seq_from bad pages) [] in
   List.fold_left (fun m p -> Pagepath.Map.remove p m) pages doomed
 
-let revalidate ?flag_cache t ~file =
+let revalidate t ~file =
   match Hashtbl.find_opt t.files file.Capability.obj with
   | None ->
       let* current_block = Server.current_block_of_file t.server file in
       ignore (entry_for t file.Capability.obj current_block);
       Ok { current_block; invalid = []; versions_walked = 0; pages_examined = 0 }
   | Some e ->
-      let* v = server_validate ?flag_cache t.server ~file ~basis_block:e.basis_block in
+      let* v = server_validate t.server ~file ~basis_block:e.basis_block in
       (* Drop each invalid path together with the subtree beneath it: a
          restructured page invalidates every cached descendant. *)
       let tr = Server.trace t.server in

@@ -9,26 +9,12 @@
     operation for a file nobody else touched. No server-to-client
     callbacks exist anywhere in the design, by intent.
 
-    {!Flag_cache} is the §5.4 refinement where the server keeps the
-    concurrency-control administration (each committed version's write
-    set) in memory, so validation does not re-read page trees. The write
-    sets themselves come from {!Server.written_set}: O(pages written) via
-    the incrementally maintained {!Writeset} for versions this server
-    created, the flag walk only as a fallback — so even a cold flag cache
-    validates without tree reads. *)
-
-module Flag_cache : sig
-  type t
-
-  val create : unit -> t
-
-  val write_set :
-    t -> Server.t -> version_block:int -> Afs_util.Pagepath.t list Errors.r
-  (** The version's written/restructured paths, memoised: committed
-      versions are immutable, so an entry never goes stale. *)
-
-  val entries : t -> int
-end
+    The write sets come from {!Server.written_set}, which is the §5.4
+    refinement where the server keeps the concurrency-control
+    administration in memory: a committed version's flag map is read
+    from its page tree once (at its admission, when this server
+    committed it) and kept, so repeated validation re-reads no page
+    tree. *)
 
 type validation = {
   current_block : int;  (** The file's current version at validation time. *)
@@ -40,7 +26,6 @@ type validation = {
 }
 
 val server_validate :
-  ?flag_cache:Flag_cache.t ->
   Server.t ->
   file:Afs_util.Capability.t ->
   basis_block:int ->
@@ -69,8 +54,7 @@ val get : t -> file:Afs_util.Capability.t -> path:Afs_util.Pagepath.t -> bytes o
 
 val basis : t -> file:Afs_util.Capability.t -> int option
 
-val revalidate : ?flag_cache:Flag_cache.t -> t -> file:Afs_util.Capability.t ->
-  validation Errors.r
+val revalidate : t -> file:Afs_util.Capability.t -> validation Errors.r
 (** Run {!server_validate} for this file, drop the reported paths (and
     their subtrees), and advance the basis to the current version.
     Validation of an untouched file discards nothing. *)

@@ -4,18 +4,10 @@ module Stats = Afs_util.Stats
 
 open Errors
 
-type t = {
-  server : Server.t;
-  cache : Cache.t option;
-  flag_cache : Cache.Flag_cache.t option;
-}
+type t = { server : Server.t; cache : Cache.t option }
 
-let connect ?(use_cache = true) ?flag_cache server =
-  {
-    server;
-    cache = (if use_cache then Some (Cache.create server) else None);
-    flag_cache;
-  }
+let connect ?(use_cache = true) server =
+  { server; cache = (if use_cache then Some (Cache.create server) else None) }
 
 let server t = t.server
 
@@ -79,7 +71,7 @@ let read_cached t file path =
   match t.cache with
   | None -> read_current t file path
   | Some cache -> (
-      let* validation = Cache.revalidate ?flag_cache:t.flag_cache cache ~file in
+      let* validation = Cache.revalidate cache ~file in
       match Cache.get cache ~file ~path with
       | Some data ->
           bump t "client.cache_hits";

@@ -15,7 +15,7 @@
 
 type t
 
-val connect : ?use_cache:bool -> ?flag_cache:Cache.Flag_cache.t -> Server.t -> t
+val connect : ?use_cache:bool -> Server.t -> t
 val server : t -> Server.t
 
 module Txn : sig

@@ -144,26 +144,28 @@ let diff_trees ps ~old_version ~new_version =
   let* () = walk Pagepath.root old_version new_version in
   Ok (List.rev !acc)
 
-let written_paths ps ~version =
-  let acc = ref [] in
-  let rec walk_page path page =
-    Array.iteri
-      (fun i (e : Page.ref_entry) ->
-        let child = Pagepath.child path i in
-        let f = e.Page.flags in
-        if f.Flags.w || f.Flags.m then acc := child :: !acc;
-        if f.Flags.c then walk_block child e.Page.block)
-      page.Page.refs
-  and walk_block path block =
-    match Pagestore.read ps block with
-    | Ok page -> walk_page path page
-    | Error e -> raise (Store_error e)
-  in
-  match Pagestore.read ps version with
+(* The flagged entries of [refs] from index [i] on, with everything
+   below them, added to [map]. Cache-neutral: an admission reads the
+   candidate's map inside the commit's critical section, and neither it
+   nor a validation may disturb the workload's cache. *)
+let rec add_flagged ps path (refs : Page.ref_entry array) i map =
+  if i >= Array.length refs then map
+  else
+    let e = refs.(i) in
+    if not e.Page.flags.Flags.c then add_flagged ps path refs (i + 1) map
+    else
+      let child = Pagepath.child path i in
+      let map = Writeset.add map child e.Page.flags in
+      match Pagestore.peek ps e.Page.block with
+      | Ok page -> add_flagged ps path refs (i + 1) (add_flagged ps child page.Page.refs 0 map)
+      | Error e -> raise (Store_error e)
+
+let flag_map ps ~version =
+  match Pagestore.peek ps version with
   | Error _ as e -> e
   | Ok root -> (
       let rf = root.Page.header.Page.root_flags in
-      if rf.Flags.w || rf.Flags.m then acc := Pagepath.root :: !acc;
-      match walk_page Pagepath.root root with
-      | () -> Ok (List.rev !acc)
+      let map = if rf.Flags.c then Writeset.add Writeset.empty Pagepath.root rf else Writeset.empty in
+      match add_flagged ps Pagepath.root root.Page.refs 0 map with
+      | map -> Ok map
       | exception Store_error e -> Error e)

@@ -43,15 +43,15 @@ val test_and_merge :
     merged pages durable. *)
 
 val test_only : Pagestore.t -> candidate:int -> committed:int -> (verdict, Errors.t) result
-(** The same walk without any writes: used for cache validation and the
-    flag-cache ablation. *)
+(** The same walk without any writes. *)
 
-val written_paths :
-  Pagestore.t -> version:int -> (Afs_util.Pagepath.t list, Errors.t) result
-(** Paths of pages the given version wrote or restructured relative to its
-    base (the version's write set), root-first. Used by cache
-    invalidation: these are exactly the pages a holder of the base version
-    must discard. *)
+val flag_map : Pagestore.t -> version:int -> (Writeset.t, Errors.t) result
+(** The given version's concurrency-control administration, read from
+    its page tree: every path whose parent reference carries a flag (the
+    version page's root flags for the root), with those flags. Its
+    {!Writeset.written_paths} are the version's write set — exactly the
+    pages a holder of the base version must discard. Reads through
+    {!Pagestore.peek}, so it leaves the page cache as it found it. *)
 
 type change = Data_changed | Structure_changed
 

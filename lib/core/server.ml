@@ -21,11 +21,11 @@ type version_record = {
   vblock : int;
   file_obj : int;
   mutable status : version_status;
-  (* The §5.4 concurrency-control administration, maintained incrementally
-     as flags are recorded. [Some] only for versions this server created
-     itself (the invariant — map = exactly the flags in the page tree —
-     cannot be asserted for lazily learned or recovered versions, whose
-     flags may predate this server). *)
+  (* The §5.4 concurrency-control administration read from the page
+     tree, kept only once the version is committed and its tree no longer
+     changes: from its admission here, or read on first need. Never kept
+     for an uncommitted version, whose tree another server may still be
+     changing. *)
   mutable wset : Writeset.t option;
   (* The blocks this uncommitted version allocated through this server —
      copies and inserted pages — newest first (a version learned from
@@ -122,18 +122,18 @@ let grants t cap ~need =
 let fresh_file_record ~file_obj ~current ~oldest ~vblocks =
   { file_obj; current_hint = current; oldest_hint = oldest; uncommitted = Hashtbl.create 4; vblocks }
 
-(* [wset] is [Some] only for a version this server creates itself. *)
-let fresh_version_record ~vblock ~file_obj ~status ?(private_blocks = []) wset =
-  { vblock; file_obj; status; wset; private_blocks; past = Unadmitted }
+let fresh_version_record ~vblock ~file_obj ~status ?(private_blocks = []) () =
+  { vblock; file_obj; status; wset = None; private_blocks; past = Unadmitted }
 
 (* Register a version block in its file's index (creating the file record
-   when the file itself has not been seen yet). *)
-let index_version t ~file_obj ~vblock =
+   when the file itself has not been seen yet, with [committed], a
+   committed version of it, as both its hints). *)
+let index_version t ~file_obj ~vblock ~committed =
   match Hashtbl.find_opt t.files file_obj with
   | Some f -> f.vblocks <- vblock :: f.vblocks
   | None ->
       Hashtbl.replace t.files file_obj
-        (fresh_file_record ~file_obj ~current:vblock ~oldest:vblock ~vblocks:[ vblock ])
+        (fresh_file_record ~file_obj ~current:committed ~oldest:committed ~vblocks:[ vblock ])
 
 (* Like versions, files can be learned lazily from the store: the file
    capability's object number is derived from its first version block. *)
@@ -204,14 +204,18 @@ let learn_version t cap =
           in
           let private_blocks = ref [] in
           if not committed then iter_copies t page (fun b -> private_blocks := b :: !private_blocks);
-          (* Another server recorded this version's flags: no incremental
-             administration can be asserted for it. *)
           let v =
             fresh_version_record ~vblock ~file_obj:fc.Capability.obj ~private_blocks:!private_blocks
-              ~status:(if committed then Committed else Uncommitted) None
+              ~status:(if committed then Committed else Uncommitted) ()
           in
           Hashtbl.replace t.versions vblock v;
-          index_version t ~file_obj:fc.Capability.obj ~vblock;
+          (* An in-flight update's base was committed when it began: a
+             chase from there finds the file's current version. *)
+          index_version t ~file_obj:fc.Capability.obj ~vblock
+            ~committed:
+              (match page.Page.header.Page.base_ref with
+              | Some base when not committed -> base
+              | Some _ | None -> vblock);
           Ok v
       | _ -> Error (No_such_version cap.Capability.obj))
 
@@ -246,32 +250,18 @@ let rec chase_current t block =
       | Ok { Page.header = { Page.commit_ref = Some successor; _ }; _ } -> chase_current t successor
       | Ok _ -> Ok block)
 
-(* Apply a write-set transform to a version's incremental administration,
-   if it carries one. Called only after the corresponding tree write
-   succeeded, so the map-equals-tree-flags invariant is preserved. *)
-let update_wset (v : version_record) f = v.wset <- Option.map f v.wset
-
 (* A fresh block private to [v]: its publish will write it. *)
 let allocate_private t (v : version_record) =
   let* b = Pagestore.allocate t.ps in
   v.private_blocks <- b :: v.private_blocks;
   Ok b
 
-(* Add an access to a version's incremental administration, if it
-   carries one: {!update_wset} for one recording, without its closure. *)
-let note_access (v : version_record) path access =
-  match v.wset with Some ws -> v.wset <- Some (Writeset.record ws path access) | None -> ()
-
-(* Record an access at the flag location of the page at [depth] on
-   [path]: the version page's own root-flags field for the root (depth 0),
-   entry [index] of its parent [pblock] otherwise. The page's own path,
-   the first [depth] indices of [path], is built only when the recording
-   lands in the incremental write set. An access that adds no flag returns
-   at once: the write set of a version this server created equals its
-   tree's flags, so it holds that recording already. That path runs on
-   every page access, so it matches instead of binding: it allocates
-   only the [Ok] of {!Page.get_ref}. *)
-let record_access_at t (v : version_record) ~path ~depth pblock index access =
+(* Record an access at the flag location of the page at [depth]: the
+   version page's own root-flags field for the root (depth 0), entry
+   [index] of its parent [pblock] otherwise. An access that adds no flag
+   writes nothing. That path runs on every page access, so it matches
+   instead of binding: it allocates only the [Ok] of {!Page.get_ref}. *)
+let record_access_at t (v : version_record) ~depth pblock index access =
   if depth = 0 then (
     match read_pg t v.vblock with
     | Error e -> Error e
@@ -279,9 +269,7 @@ let record_access_at t (v : version_record) ~path ~depth pblock index access =
         let header = page.Page.header in
         let root_flags = Flags.record header.Page.root_flags access in
         if Flags.equal root_flags header.Page.root_flags then Ok ()
-        else
-          let* () = write_pg t v.vblock (Page.with_header page { header with Page.root_flags }) in
-          Ok (note_access v Pagepath.root access))
+        else write_pg t v.vblock (Page.with_header page { header with Page.root_flags }))
   else
     match read_pg t pblock with
     | Error e -> Error e
@@ -292,20 +280,18 @@ let record_access_at t (v : version_record) ~path ~depth pblock index access =
             let flags = Flags.record entry.Page.flags access in
             if Flags.equal flags entry.Page.flags then Ok ()
             else
-              let* page =
-                lift_page_err Pagepath.root (Page.with_ref page index { entry with Page.flags })
-              in
-              let* () = write_pg t pblock page in
-              Ok (note_access v (Pagepath.prefix path depth) access))
+              match Page.with_ref page index { entry with Page.flags } with
+              | Ok page -> write_pg t pblock page
+              | Error _ -> Error (Bad_path Pagepath.root))
 
-(* Copy-on-write of the child at [index] of the page at [pblock], which
-   [path] names, for an [access]: allocate a block private to [v], store
+(* Copy-on-write of the child at [index] of the page at [pblock], for an
+   [access]: allocate a block private to [v], store
    the child there with cleared grand-child flags and a base reference to
    the shared original, and repoint the parent at the copy with the
    access already recorded, in one reference-table update. The shared
    entry's flags are clear, so recording on them gives C plus the
    access. *)
-let copy_child t v ~path pblock index (entry : Page.ref_entry) access =
+let copy_child t v pblock index (entry : Page.ref_entry) access =
   let* child = read_pg t entry.Page.block in
   let* fresh = allocate_private t v in
   let child = Page.clear_child_flags child in
@@ -315,7 +301,6 @@ let copy_child t v ~path pblock index (entry : Page.ref_entry) access =
   let copied = { Page.block = fresh; flags = Flags.record entry.Page.flags access } in
   let* parent = lift_page_err Pagepath.root (Page.with_ref parent index copied) in
   let* () = write_pg t pblock parent in
-  note_access v path access;
   bump t "pages.copied";
   Ok fresh
 
@@ -333,11 +318,11 @@ let copy_child t v ~path pblock index (entry : Page.ref_entry) access =
    closure for it. *)
 let rec descend_for_access t v path access depth pblock index block = function
   | [] -> (
-      match record_access_at t v ~path ~depth pblock index access with
+      match record_access_at t v ~depth pblock index access with
       | Ok () -> Ok block
       | Error e -> Error e)
   | next :: rest -> (
-      match record_access_at t v ~path ~depth pblock index Flags.Search with
+      match record_access_at t v ~depth pblock index Flags.Search with
       | Error e -> Error e
       | Ok () -> (
           match read_pg t block with
@@ -349,7 +334,7 @@ let rec descend_for_access t v path access depth pblock index block = function
                   descend_for_access t v path access (depth + 1) block next entry.Page.block rest
               | Ok entry -> (
                   match
-                    copy_child t v ~path:(Pagepath.prefix path (depth + 1)) block next entry
+                    copy_child t v block next entry
                       (match rest with [] -> access | _ :: _ -> Flags.Search)
                   with
                   | Ok copy -> descend_for_access t v path access (depth + 1) block next copy rest
@@ -386,8 +371,7 @@ let create_file t ?(data = Bytes.empty) () =
   Hashtbl.replace t.files (file_obj_of_block vb)
     (fresh_file_record ~file_obj:(file_obj_of_block vb) ~current:vb ~oldest:vb ~vblocks:[ vb ]);
   Hashtbl.replace t.versions vb
-    (fresh_version_record ~vblock:vb ~file_obj:(file_obj_of_block vb) ~status:Committed
-       (Some Writeset.empty));
+    (fresh_version_record ~vblock:vb ~file_obj:(file_obj_of_block vb) ~status:Committed ());
   Ok file_cap
 
 (* The file's current version block, which becomes its hint. *)
@@ -461,8 +445,7 @@ let start_version t file current cpage ~inner_lock ~top_lock =
       | Error e -> Error e
       | Ok () ->
           Hashtbl.replace t.versions vb
-            (fresh_version_record ~vblock:vb ~file_obj:file.file_obj ~status:Uncommitted
-               (Some Writeset.empty));
+            (fresh_version_record ~vblock:vb ~file_obj:file.file_obj ~status:Uncommitted ());
           file.vblocks <- vb :: file.vblocks;
           Hashtbl.replace file.uncommitted vb ();
           bump t "versions.created";
@@ -521,7 +504,6 @@ let free_private_pages t vblock =
    already lost) and its records drop. *)
 let mark_aborted (v : version_record) =
   v.status <- Aborted;
-  v.wset <- None;
   v.private_blocks <- []
 
 (* Abort an uncommitted version: its file forgets it, and its private
@@ -623,10 +605,6 @@ let insert_page t cap ~parent ~index ?(data = Bytes.empty) () =
     let entry = { Page.block = fresh; flags = Flags.make ~w:true ~s:true ~copied:true () } in
     let* ppage = lift_page_err parent (Page.insert_ref ppage index entry) in
     let* () = write_pg t pblock ppage in
-    update_wset v (fun ws ->
-        let ws = Writeset.open_gap ws ~parent ~index in
-        let child = Pagepath.child parent index in
-        Writeset.record (Writeset.record ws child Flags.Write) child Flags.Search);
     Ok (Pagepath.child parent index)
 
 let remove_page t cap ~parent ~index =
@@ -637,9 +615,7 @@ let remove_page t cap ~parent ~index =
     Error (Bad_index { path = parent; index; nrefs = Page.nrefs ppage })
   else
     let* ppage = lift_page_err parent (Page.remove_ref ppage index) in
-    let* () = write_pg t pblock ppage in
-    update_wset v (fun ws -> Writeset.remove_at ws ~parent ~index);
-    Ok ()
+    write_pg t pblock ppage
 
 let move_page t cap ~src_parent ~src_index ~dst_parent ~dst_index =
   let src_path = Pagepath.child src_parent src_index in
@@ -651,26 +627,15 @@ let move_page t cap ~src_parent ~src_index ~dst_parent ~dst_index =
     let* src_page = read_pg t src_block in
     let* entry = lift_page_err src_path (Page.get_ref src_page src_index) in
     let* src_page = lift_page_err src_path (Page.remove_ref src_page src_index) in
+    (* The destination path names post-removal coordinates. *)
     let* () = write_pg t src_block src_page in
-    (* The moved subtree's recordings travel with it: extract them (and
-       close the gap) before the destination path — whose coordinates are
-       post-removal — is even walked, then graft at the landing point. *)
-    let moved_recordings = ref Writeset.empty in
-    update_wset v (fun ws ->
-        let sub, rest = Writeset.extract ws src_path in
-        moved_recordings := sub;
-        Writeset.close_gap rest ~parent:src_parent ~index:src_index);
     let* dst_block = locate_for_access t v dst_parent Flags.Modify in
     let* dst_page = read_pg t dst_block in
     if dst_index < 0 || dst_index > Page.nrefs dst_page then
       Error (Bad_index { path = dst_parent; index = dst_index; nrefs = Page.nrefs dst_page })
     else
       let* dst_page = lift_page_err dst_parent (Page.insert_ref dst_page dst_index entry) in
-      let* () = write_pg t dst_block dst_page in
-      update_wset v (fun ws ->
-          let ws = Writeset.open_gap ws ~parent:dst_parent ~index:dst_index in
-          Writeset.graft ws ~at:(Pagepath.child dst_parent dst_index) !moved_recordings);
-      Ok ()
+      write_pg t dst_block dst_page
 
 (* {2 Commit (§5.2): the validate → merge → publish pipeline}
 
@@ -701,9 +666,11 @@ type commit_ctx = {
       (** Winning test-and-sets not yet durable, newest first: each base
           block with its page, whose commit reference names the winner.
           The overlay later members' validates read first. *)
-  mutable winners : (version_record * bool) list;
-      (** Admitted members, newest first, each with whether it won at its
-          original base (fast path) rather than after a merge. *)
+  mutable winners : (version_record * bool * Writeset.t) list;
+      (** Admitted members, newest first, one per claimed reference and
+          in the same order: each with whether it won at its original
+          base (fast path) rather than after a merge, and the flag map its
+          admission read, which it keeps once it commits. *)
   mutable unions : (int * Writeset.t) list;
       (** Per-file union of the admitted winners' write sets, for the
           one-pass batch pre-test. *)
@@ -725,8 +692,9 @@ let acquire_commit_lock t ctx block =
   else Error (Store_failure "commit lock contention")
 
 (* A published winner: only now does it count as a commit. *)
-let finish_commit t (v, fastpath) =
+let finish_commit t (v, fastpath, map) =
   v.status <- Committed;
+  v.wset <- Some map;
   v.private_blocks <- [];
   (match Hashtbl.find t.files v.file_obj with
   | file ->
@@ -790,38 +758,55 @@ let doom t v ~shortcircuit =
   bump t "commits.conflict";
   abandon t v (if shortcircuit then "shortcircuit" else "conflict")
 
+(* A version's flag map. A committed version's is read once and kept
+   until {!reclaim_versions} drops its record; an uncommitted one's is
+   read afresh each time, since another server may still change it. *)
+let flag_map t (v : version_record) =
+  match v.wset with
+  | Some map -> Ok map
+  | None -> (
+      match Serialise.flag_map t.ps ~version:v.vblock with
+      | Ok map as found ->
+          if v.status = Committed then v.wset <- Some map;
+          found
+      | Error _ as e -> e)
+
+(* The committed side of an interception: an earlier winner of this run,
+   with the map its admission read, or a committed version. *)
+let successor_map t ctx block =
+  match List.find_opt (fun ((w : version_record), _, _) -> w.vblock = block) ctx.winners with
+  | Some (_, _, map) -> Ok map
+  | None -> (
+      match Hashtbl.find t.versions block with
+      | v -> flag_map t v
+      | exception Not_found -> Serialise.flag_map t.ps ~version:block)
+
 (* Stage 2 — an interception by [successor]: the §5.2 write-set pre-test,
    then the serialisability tree walk that rebases the candidate.
-   [Ok ()] means retry the test-and-set at the successor. *)
-let merge t v ~successor =
+   [Ok ()] means retry the test-and-set at the successor. The pre-test
+   decides the conflict conditions from the two flag maps alone, so
+   disjoint (or merely read-shared) updates are told apart without
+   reading a page of either tree; only the no-conflict answer still
+   needs the walk, for the merge. *)
+let merge t ctx v ~candidate ~successor =
   let vb = v.vblock in
   intercept t v ~pretest:true;
-  (* When both sides carry the incremental administration, the §5.2
-     conflict conditions can be decided from the two flag maps alone —
-     disjoint (or merely read-shared) updates are told apart without
-     reading a single page of either tree. Only the no-conflict answer
-     still needs the tree walk, for the merge. *)
-  let precheck =
-    match v.wset with
-    | None -> None
-    | Some candidate -> (
-        match Hashtbl.find_opt t.versions successor with
-        | Some { wset = Some committed; _ } -> Writeset.conflict ~candidate ~committed
-        | _ -> None)
-  in
-  match precheck with
-  | Some _ -> doom t v ~shortcircuit:true
-  | None -> (
-      tpoint t (Trace.Commit_phase { vblock = vb; phase = "serialise" });
-      match Serialise.test_and_merge t.ps ~candidate:vb ~committed:successor with
-      | Error e -> Error e
-      | Ok (Serialise.Conflict { stats; _ }) ->
-          bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
-          doom t v ~shortcircuit:false
-      | Ok (Serialise.Serialisable stats) ->
-          bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
-          tpoint t (Trace.Commit_phase { vblock = vb; phase = "merge" });
-          Ok ())
+  match successor_map t ctx successor with
+  | Error e -> Error e
+  | Ok committed -> (
+      match Writeset.conflict ~candidate ~committed with
+      | Some _ -> doom t v ~shortcircuit:true
+      | None -> (
+          tpoint t (Trace.Commit_phase { vblock = vb; phase = "serialise" });
+          match Serialise.test_and_merge t.ps ~candidate:vb ~committed:successor with
+          | Error e -> Error e
+          | Ok (Serialise.Conflict { stats; _ }) ->
+              bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
+              doom t v ~shortcircuit:false
+          | Ok (Serialise.Serialisable stats) ->
+              bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
+              tpoint t (Trace.Commit_phase { vblock = vb; phase = "merge" });
+              Ok ()))
 
 (* End a run without publishing: forget the overlay (its test-and-sets
    were never written through) and free every held lock. *)
@@ -832,6 +817,24 @@ let drop_ctx t ctx =
   List.iter (Pagestore.unlock t.ps) ctx.held;
   ctx.held <- []
 
+(* A failed publish may still have landed: a lost acknowledgement hides
+   a batch the store wrote. So each claimed base is read back from the
+   store. One that names its winner made the winner durably committed,
+   and it is finished as such; one without the reference leaves it
+   uncommitted, for a retry; one that cannot be read leaves its fate
+   unknown here, so the winner is forgotten as {!crash} forgets it —
+   aborted, with nothing freed. *)
+let settle_claim t (base_block, _) (((v : version_record), _, _) as winner) =
+  Pagestore.refresh t.ps base_block;
+  match Pagestore.peek_commit_ref t.ps base_block with
+  | Ok (Some c) when c = v.vblock -> finish_commit t winner
+  | Ok _ -> ()
+  | Error _ -> (
+      mark_aborted v;
+      match Hashtbl.find t.files v.file_obj with
+      | file -> Hashtbl.remove file.uncommitted v.vblock
+      | exception Not_found -> ())
+
 (* Stage 3 — durability and administration. "First it ascertains that
    all of V.b's pages are safely on disk": each winner's still-dirty
    pages (version page, then its private blocks in allocation order),
@@ -839,12 +842,12 @@ let drop_ctx t ctx =
    (one list, built back to front, that the tap sees too), go to the
    store in one [write_through_batch] (one amortised stable-storage leg
    on a stable-pair backend); then, only if that write succeeded, the
-   winners are finished oldest first. Every held lock is released either
-   way. The store writes in order and stops at the first error, so a
-   mid-batch failure leaves a durable prefix: each member is either
-   completely committed (all pages precede all references) or not
-   committed at all, and the pages of the members that are not are
-   orphans the collector reclaims. Pages that did not land stay dirty for
+   winners are finished oldest first ({!settle_claim} otherwise). Every
+   held lock is released either way. The store writes in order and stops
+   at the first error, so a mid-batch failure leaves a durable prefix:
+   each member is either completely committed (all pages precede all
+   references) or not committed at all, and the pages of the members
+   that are not are orphans the collector reclaims. Pages that did not land stay dirty for
    a retry. Doomed and aborted versions never reach this point, so their
    pages are never written. *)
 let publish t ctx =
@@ -855,7 +858,7 @@ let publish t ctx =
         let add = Pagestore.add_dirty t.ps in
         let batch =
           List.fold_left
-            (fun batch ((v : version_record), _) ->
+            (fun batch ((v : version_record), _, _) ->
               add (List.fold_left add batch v.private_blocks) v.vblock)
             refs ctx.winners
         in
@@ -867,7 +870,7 @@ let publish t ctx =
   in
   (match result with
   | Ok () -> List.iter (finish_commit t) (List.rev ctx.winners)
-  | Error _ -> ());
+  | Error _ -> List.iter2 (settle_claim t) (List.rev ctx.publish_refs) (List.rev ctx.winners));
   drop_ctx t ctx;
   result
 
@@ -875,81 +878,77 @@ let publish t ctx =
    no W or M at or below it — a read shadow — holds exactly the page it
    was copied from. A fast-path winner's base is the version it copied
    from, whose page each copy's [base_ref] names. So each topmost shadow
-   found in the write set is pointed back at that original with its flags
-   cleared, and it and the copies below it are freed unwritten; the write
-   set drops the same paths (map = tree flags). Only the pages on the
+   found in the flag map is pointed back at that original with its flags
+   cleared, and it and the copies below it are freed unwritten; the
+   answer is the map without the same paths. Only the pages on the
    path down to each shadow are read, plus the shadow's own copies to
    free them. Best effort: a shadow a store error leaves in place is
    still correct, and the collector reshares it later. *)
-let reshare_read_shadows t (v : version_record) =
-  match v.wset with
-  | None -> ()
-  | Some ws -> (
-      match Writeset.read_only ws with
-      | [] -> ()
-      | shadows ->
-          let freed = ref [] in
-          let free b =
-            Pagestore.free t.ps b;
-            freed := b :: !freed
-          in
-          (* Explicit matches rather than [let*]: this runs on every
-             fast-path commit, and each bind would allocate a closure. *)
-          let entry_at block index =
-            match Pagestore.peek t.ps block with
-            | Error _ -> None
-            | Ok page -> (
-                match Page.get_ref page index with Ok e -> Some (page, e) | Error _ -> None)
-          in
-          (* True once the entry names the original. References are
-             fixed-width, so the parent's write can fail only on an
-             eviction write-back, which still leaves it cached. *)
-          let rec unshare block = function
-            | [] -> false
-            | [ index ] -> (
-                match entry_at block index with
-                | None -> false
-                | Some (parent, entry) -> (
-                    match Pagestore.peek t.ps entry.Page.block with
-                    | Ok ({ Page.header = { Page.base_ref = Some original; _ }; _ } as copy) -> (
-                        let reshared = { Page.block = original; flags = Flags.clear } in
-                        match Page.with_ref parent index reshared with
-                        | Error _ -> false
-                        | Ok parent ->
-                            ignore (write_pg t block parent : unit r);
-                            iter_copies t copy free;
-                            free entry.Page.block;
-                            true)
-                    | Ok _ | Error _ -> false))
-            | index :: rest -> (
-                match entry_at block index with
-                | Some (_, entry) -> unshare entry.Page.block rest
-                | None -> false)
-          in
-          let gone = List.filter (fun path -> unshare v.vblock (Pagepath.to_list path)) shadows in
-          if gone <> [] then begin
-            v.wset <- Some (Writeset.without ws gone);
-            v.private_blocks <- List.filter (fun b -> not (List.mem b !freed)) v.private_blocks;
-            v.past <- Shadows_dropped
-          end)
+let reshare_read_shadows t (v : version_record) map =
+  match Writeset.read_only map with
+  | [] -> map
+  | shadows ->
+      let freed = ref [] in
+      let free b =
+        Pagestore.free t.ps b;
+        freed := b :: !freed
+      in
+      (* Explicit matches rather than [let*]: this runs on every
+         fast-path commit, and each bind would allocate a closure. *)
+      let entry_at block index =
+        match Pagestore.peek t.ps block with
+        | Error _ -> None
+        | Ok page -> (
+            match Page.get_ref page index with Ok e -> Some (page, e) | Error _ -> None)
+      in
+      (* True once the entry names the original. References are
+         fixed-width, so the parent's write can fail only on an
+         eviction write-back, which still leaves it cached. *)
+      let rec unshare block = function
+        | [] -> false
+        | [ index ] -> (
+            match entry_at block index with
+            | None -> false
+            | Some (parent, entry) -> (
+                match Pagestore.peek t.ps entry.Page.block with
+                | Ok ({ Page.header = { Page.base_ref = Some original; _ }; _ } as copy) -> (
+                    let reshared = { Page.block = original; flags = Flags.clear } in
+                    match Page.with_ref parent index reshared with
+                    | Error _ -> false
+                    | Ok parent ->
+                        ignore (write_pg t block parent : unit r);
+                        iter_copies t copy free;
+                        free entry.Page.block;
+                        true)
+                | Ok _ | Error _ -> false))
+        | index :: rest -> (
+            match entry_at block index with
+            | Some (_, entry) -> unshare entry.Page.block rest
+            | None -> false)
+      in
+      let gone = List.filter (fun path -> unshare v.vblock (Pagepath.to_list path)) shadows in
+      if gone = [] then map
+      else begin
+        v.private_blocks <- List.filter (fun b -> not (List.mem b !freed)) v.private_blocks;
+        v.past <- Shadows_dropped;
+        Writeset.without map gone
+      end
 
 (* Record an admitted winner: it waits for the run's publish, and its
    write set joins the per-file union later members pre-test against. *)
-let note_winner ctx v ~fastpath =
-  ctx.winners <- (v, fastpath) :: ctx.winners;
-  match v.wset with
-  | None -> ()
-  | Some ws ->
-      let u =
-        match List.assoc_opt v.file_obj ctx.unions with
-        | Some u -> Writeset.union u ws
-        | None -> ws
-      in
-      ctx.unions <- (v.file_obj, u) :: List.remove_assoc v.file_obj ctx.unions
+let note_winner ctx v ~fastpath map =
+  ctx.winners <- (v, fastpath, map) :: ctx.winners;
+  let u =
+    match List.assoc_opt v.file_obj ctx.unions with
+    | Some u -> Writeset.union u map
+    | None -> map
+  in
+  ctx.unions <- (v.file_obj, u) :: List.remove_assoc v.file_obj ctx.unions
 
-(* Drive one version through validate and merge within run [ctx]. A
-   member whose write set conflicts with the union of the run's
-   already-admitted winners' write sets is doomed by one
+(* Drive one version through validate and merge within run [ctx]. Its
+   flag map is read from its tree first, inside the critical section, and
+   serves the whole admission. A member whose map conflicts with the
+   union of the run's already-admitted winners' maps is doomed by one
    [Writeset.conflict] pass — conflict against the union is conflict
    against some member (the conditions are monotone in the committed
    flags), so this is exactly the abort the chain walk would reach,
@@ -961,42 +960,47 @@ let admit t ctx v =
   | Ok { Page.header = { Page.base_ref = None; _ }; _ } ->
       Error (Store_failure "uncommitted version has no base reference")
   | Ok { Page.header = { Page.base_ref = Some base0; _ }; _ } -> (
-      let run_conflict =
-        match (v.wset, List.assoc_opt v.file_obj ctx.unions) with
-        | Some candidate, Some committed -> Writeset.conflict ~candidate ~committed
-        | _ -> None
-      in
-      match run_conflict with
-      | Some _ ->
-          intercept t v ~pretest:true;
-          doom t v ~shortcircuit:true
-      | None ->
-          let rec attempt base_block =
-            match validate t ctx ~vb base_block with
-            | Error e -> Error e
-            | Ok None ->
-                let fastpath = base_block = base0 in
-                (* Before any later member of the run validates against it. *)
-                if fastpath && v.past <> Merged then reshare_read_shadows t v;
-                note_winner ctx v ~fastpath;
-                Ok ()
-            | Ok (Some _) when v.past = Shadows_dropped ->
-                intercept t v ~pretest:false;
-                doom t v ~shortcircuit:false
-            | Ok (Some successor) -> (
-                match merge t v ~successor with
-                | Error e -> Error e
-                | Ok () ->
-                    v.past <- Merged;
-                    attempt successor)
+      match Serialise.flag_map t.ps ~version:vb with
+      | Error e -> Error e
+      | Ok candidate -> (
+          let run_conflict =
+            match List.assoc_opt v.file_obj ctx.unions with
+            | Some committed -> Writeset.conflict ~candidate ~committed
+            | None -> None
           in
-          attempt base0)
+          match run_conflict with
+          | Some _ ->
+              intercept t v ~pretest:true;
+              doom t v ~shortcircuit:true
+          | None ->
+              let rec attempt base_block =
+                match validate t ctx ~vb base_block with
+                | Error e -> Error e
+                | Ok None ->
+                    let fastpath = base_block = base0 in
+                    (* Before any later member of the run validates against it. *)
+                    let map =
+                      if fastpath && v.past <> Merged then reshare_read_shadows t v candidate
+                      else candidate
+                    in
+                    note_winner ctx v ~fastpath map;
+                    Ok ()
+                | Ok (Some _) when v.past = Shadows_dropped ->
+                    intercept t v ~pretest:false;
+                    doom t v ~shortcircuit:false
+                | Ok (Some successor) -> (
+                    match merge t ctx v ~candidate ~successor with
+                    | Error e -> Error e
+                    | Ok () ->
+                        v.past <- Merged;
+                        attempt successor)
+              in
+              attempt base0))
 
 (* End a publishing run: one publish for every admitted winner. If it
    fails, the prefix of winners whose references reached the store is
-   durably committed on disk, but this server can no longer vouch for any
-   member — every would-be winner gets the store error; recovery reads
-   the truth back. A run of two or more reports itself in one
+   durably committed on disk, and this server reads that back; still,
+   every would-be winner gets the store error. A run of two or more reports itself in one
    [Commit_batch] point. *)
 let finish t ctx results =
   let winners = List.length ctx.winners in
@@ -1130,7 +1134,7 @@ let recover_from_blocks t blocks =
           let chain = ref [] in
           let rec register block =
             Hashtbl.replace t.versions block
-              (fresh_version_record ~vblock:block ~file_obj ~status:Committed None);
+              (fresh_version_record ~vblock:block ~file_obj ~status:Committed ());
             chain := block :: !chain;
             match read_pg t block with
             | Ok page -> (
@@ -1149,13 +1153,12 @@ let recover_from_blocks t blocks =
 
 (* {2 Introspection} *)
 
-(* The version's write set, from the incremental administration when the
-   server maintained one (O(pages written)), by the flag walk otherwise
-   (O(tree) fallback for learned/recovered versions). *)
+(* A block this server does not know is learned, so that a committed
+   version's map is read once and kept. *)
 let written_set t block =
-  match Hashtbl.find_opt t.versions block with
-  | Some { wset = Some ws; _ } -> Ok (Writeset.written_paths ws)
-  | Some { wset = None; _ } | None -> Serialise.written_paths t.ps ~version:block
+  let* v = find_version t (mint_version_cap t block) ~need:Capability.rights_none in
+  let* map = flag_map t v in
+  Ok (Writeset.written_paths map)
 
 let tracked_writeset t block =
   match Hashtbl.find_opt t.versions block with

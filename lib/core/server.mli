@@ -170,16 +170,22 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     nothing: its pages are dropped from the cache and freed. A version
     that wins at its original base (the fast path) writes no read copy
     either: each copy with no W or M at or below it is pointed back at
-    the page it copied (§5.1) and freed, and leaves the version's
-    {!Writeset}, before any later member of the run validates. A
-    version that won by merging keeps its copies; {!Gc} reshares them.
+    the page it copied (§5.1) and freed, and leaves the version's flag
+    map, before any later member of the run validates. A version that
+    won by merging keeps its copies; {!Gc} reshares them.
 
-    When both the candidate and the intervening version carry the
-    incrementally maintained flag map ({!Writeset}), the conflict
-    conditions are first decided from the two maps alone — a conflicting
-    commit is rejected without reading any page of either tree (counter
+    Each admission first reads the version's flag map ({!Writeset})
+    from its page tree ({!Serialise.flag_map}, cache-neutral), inside
+    the critical section, and uses it for the whole run. On
+    interception the conflict conditions are decided from that map and
+    the intervening version's alone — a conflicting commit is rejected
+    without reading any page of either tree (counter
     [commits.shortcircuit]); only the no-conflict case still walks the
-    trees, to build the merge.
+    trees, to build the merge. The intervening version's map is the one
+    its own admission read when this server committed it, or is read
+    from its tree once (and kept, when this server knows it committed).
+    A committed version keeps its map until {!reclaim_versions} drops
+    its record; an uncommitted one keeps none.
 
     Internally a commit is a validate → merge → publish pipeline run of
     one member, the same run {!commit_batch} and {!prepare} use: the test-and-set of the base's commit reference under the
@@ -189,7 +195,13 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     durably, and only then does the commit count ([commits.ok],
     [commits.fastpath] / [commits.merged], the success [Commit_outcome]
     point). If the publish fails, the pages that did not land stay dirty,
-    so retrying the commit writes them again. The run's one [commit]
+    so retrying the commit writes them again; but the store may have
+    written the batch and lost its answer, so each claimed base is read
+    back: a base that names the version makes it committed (a retry then
+    answers [Version_not_mutable]), one without the reference leaves it
+    uncommitted, and one that cannot be read leaves it aborted, its
+    pages left to the collector. The commit answers the store error in
+    every case. The run's one [commit]
     span encloses the publish. A base lock held by anyone else (another
     server sharing the store, a {!prepare}d run awaiting its answer)
     fails the commit at once with [Store_failure "commit lock
@@ -201,7 +213,7 @@ val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
     through validate and merge in submission order — winning references
     collect in the run's overlay that later members' test-and-sets
     consult, and a member conflicting with the union of the admitted
-    winners' write sets ({!Writeset.union}) is doomed by one pre-test pass
+    winners' flag maps ({!Writeset.union}) is doomed by one pre-test pass
     without dooming the batch — then one publish writes all winners'
     pages, oldest winner first, and then all their references in one
     amortised stable-storage leg ({!Pagestore.write_through_batch}).
@@ -250,14 +262,16 @@ val recover_from_blocks : t -> int list -> int Errors.r
 (** {2 Introspection for tests, GC and experiments} *)
 
 val written_set : t -> int -> Afs_util.Pagepath.t list Errors.r
-(** The write set (§5.4) of the version at the given block, root-first.
-    O(pages written) via the incremental administration for versions this
-    server created; falls back to the [Serialise.written_paths] flag walk
-    for versions learned from the store or recovered after a crash. *)
+(** The write set (§5.4) of the version at the given block, root-first:
+    the written paths of its flag map. A committed version's map is
+    kept: from its admission, when this server committed it, or read
+    from its tree on first need. A block this server does not know is
+    learned first, as any capability for it would be, so its map is kept
+    too. An uncommitted version's map is read afresh each time. *)
 
 val tracked_writeset : t -> int -> Writeset.t option
-(** The incremental flag map itself, when one is maintained — exposed for
-    tests asserting the map-equals-tree-flags invariant. *)
+(** The flag map kept for a committed version, if it has been read —
+    exposed for tests asserting that it equals the tree's flags. *)
 
 val set_lock_fields :
   t -> int -> top:int option -> inner:int option -> unit Errors.r

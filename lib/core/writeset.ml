@@ -1,23 +1,19 @@
 module Pagepath = Afs_util.Pagepath
 
-(* The concurrency-control administration of one uncommitted version,
-   kept incrementally: every copied path mapped to the C/R/W/S/M flags its
-   parent reference holds. Canonical representation: Pagepath.Map, whose
+(* The concurrency-control administration of one version, read from its
+   page tree: every copied path mapped to the C/R/W/S/M flags its parent
+   reference holds. Canonical representation: Pagepath.Map, whose
    lexicographic order places a page immediately before its descendants,
    so subtree queries are range scans and derived lists come out sorted
-   root-first — the same order Serialise.written_paths produces. *)
+   root-first. *)
 
 type t = Flags.t Pagepath.Map.t
 
 let empty = Pagepath.Map.empty
+let add t p f = Pagepath.Map.add p f t
 
 let flags_at t path =
   match Pagepath.Map.find_opt path t with Some f -> f | None -> Flags.clear
-
-let record t path access =
-  Pagepath.Map.update path
-    (fun f -> Some (Flags.record (Option.value ~default:Flags.clear f) access))
-    t
 
 let paths t = List.map fst (Pagepath.Map.bindings t)
 
@@ -63,60 +59,6 @@ let read_only t =
 
 let without t roots = Pagepath.Map.filter (fun p _ -> not (under roots p)) t
 
-(* {2 Structural edits}
-
-   These mirror the server's reference-table operations so the recorded
-   paths keep naming the pages they named before the edit. *)
-
-(* [Some suffix] when [prefix] is a (possibly equal) prefix of [l]. *)
-let rec strip_prefix prefix l =
-  match (prefix, l) with
-  | [], suffix -> Some suffix
-  | _, [] -> None
-  | x :: p', y :: l' -> if x = y then strip_prefix p' l' else None
-
-let rebuild f t =
-  Pagepath.Map.fold
-    (fun p flags acc ->
-      match f p flags with Some p' -> Pagepath.Map.add p' flags acc | None -> acc)
-    t Pagepath.Map.empty
-
-let open_gap t ~parent ~index =
-  let pl = Pagepath.to_list parent in
-  rebuild
-    (fun p _ ->
-      match strip_prefix pl (Pagepath.to_list p) with
-      | Some (j :: rest) when j >= index -> Some (Pagepath.of_list (pl @ ((j + 1) :: rest)))
-      | _ -> Some p)
-    t
-
-let close_gap t ~parent ~index =
-  let pl = Pagepath.to_list parent in
-  rebuild
-    (fun p _ ->
-      match strip_prefix pl (Pagepath.to_list p) with
-      | Some (j :: rest) when j > index -> Some (Pagepath.of_list (pl @ ((j - 1) :: rest)))
-      | Some (j :: _) when j = index -> None (* inside the removed subtree *)
-      | _ -> Some p)
-    t
-
-let remove_at t ~parent ~index = close_gap t ~parent ~index
-
-let extract t path =
-  let pl = Pagepath.to_list path in
-  Pagepath.Map.fold
-    (fun p flags (sub, rest) ->
-      match strip_prefix pl (Pagepath.to_list p) with
-      | Some suffix -> (Pagepath.Map.add (Pagepath.of_list suffix) flags sub, rest)
-      | None -> (sub, Pagepath.Map.add p flags rest))
-    t (Pagepath.Map.empty, Pagepath.Map.empty)
-
-let graft t ~at sub =
-  let al = Pagepath.to_list at in
-  Pagepath.Map.fold
-    (fun q flags acc -> Pagepath.Map.add (Pagepath.of_list (al @ Pagepath.to_list q)) flags acc)
-    sub t
-
 (* {2 The serialisability pre-test}
 
    Exactly the conflict conditions of the Serialise tree walk, evaluated
@@ -147,8 +89,6 @@ let conflict ~candidate ~committed =
   match Pagepath.Map.iter check candidate with
   | () -> None
   | exception Found (p, reason) -> Some (p, reason)
-
-let equal = Pagepath.Map.equal Flags.equal
 
 (* Per-path least upper bound. Every conflict condition above is monotone
    in the committed flags, so [conflict ~candidate ~committed:(union a b)]

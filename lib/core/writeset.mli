@@ -1,33 +1,26 @@
-(** Incrementally-maintained concurrency-control administration (§5.4).
+(** The concurrency-control administration of one version (§5.4).
 
-    The write set of an uncommitted version — more precisely, the full
-    flag map: every copied path with the C/R/W/S/M flags its parent
-    reference holds. The server grows it as {!Server.record_access_at}
-    records flags, so deriving the §5.4 write set costs O(pages written)
-    instead of the O(tree) flag walk, and the §5.2 serialisability test
-    can reject conflicting commits from the two maps alone, before any
-    page reads.
+    More precisely than its write set, the full flag map: every copied
+    path with the C/R/W/S/M flags its parent reference holds (the
+    version page's root flags for the root). The page tree's flags are
+    the authority; a map is read from them by
+    {!Serialise.flag_map}, so the §5.2 serialisability test can reject
+    conflicting commits from two maps alone, before any page reads.
 
     Canonical representation: an ordered map over {!Afs_util.Pagepath},
     whose lexicographic order puts a page immediately before its
     descendants — subtree operations are range scans, derived lists come
-    out sorted root-first (the order [Serialise.written_paths] produces).
-
-    Invariant maintained by the server: for a version the server created,
-    the map equals exactly the flags reachable in the version's page
-    tree. Structural edits (insert/remove/move) must be mirrored
-    with {!open_gap} / {!remove_at} / {!extract} / {!graft} so recorded
-    paths keep naming the pages they named. *)
+    out sorted root-first. *)
 
 type t
 
 val empty : t
 
+val add : t -> Afs_util.Pagepath.t -> Flags.t -> t
+(** [add t p f] maps [p] to [f], replacing what [t] held for it. *)
+
 val flags_at : t -> Afs_util.Pagepath.t -> Flags.t
 (** [Flags.clear] for paths never accessed. *)
-
-val record : t -> Afs_util.Pagepath.t -> Flags.access -> t
-(** Accumulate the flags implied by an access, as {!Flags.record} does. *)
 
 val paths : t -> Afs_util.Pagepath.t list
 (** All recorded (copied) paths, sorted root-first. *)
@@ -41,28 +34,6 @@ val read_only : t -> Afs_util.Pagepath.t list
 
 val without : t -> Afs_util.Pagepath.t list -> t
 (** Drops the recordings at and below each given path. *)
-
-(** {2 Structural edits} *)
-
-val open_gap : t -> parent:Afs_util.Pagepath.t -> index:int -> t
-(** A reference was inserted under [parent] at [index]: recorded siblings
-    at [index] and beyond (with their subtrees) shift up by one. *)
-
-val close_gap : t -> parent:Afs_util.Pagepath.t -> index:int -> t
-(** A reference was removed: siblings beyond [index] shift down; anything
-    still recorded inside the removed subtree is dropped. *)
-
-val remove_at : t -> parent:Afs_util.Pagepath.t -> index:int -> t
-(** The subtree at [parent].[index] was removed: drop its recordings and
-    close the gap. *)
-
-val extract : t -> Afs_util.Pagepath.t -> t * t
-(** [(subtree, rest)]: the recordings under the given path (inclusive),
-    re-rooted so the path itself maps to the root, and everything else. *)
-
-val graft : t -> at:Afs_util.Pagepath.t -> t -> t
-(** [graft t ~at sub] re-roots [sub] at the given path and merges it in
-    (the re-attachment half of a move). *)
 
 (** {2 Serialisability pre-test} *)
 
@@ -81,5 +52,3 @@ val union : t -> t -> t
     [conflict ~candidate ~committed:(union a b)] is [Some] iff it would
     be against [a] or against [b] — one pass over a group-commit batch's
     admitted write sets answers for every member. *)
-
-val equal : t -> t -> bool

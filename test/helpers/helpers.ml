@@ -47,6 +47,20 @@ let fresh_server ?(seed = 7) ?capacity ?trace () =
 let events_since trace mark =
   List.filter (fun e -> Afs_trace.Trace.event_seq e >= mark) (Afs_trace.Trace.events trace)
 
+(** A memory store that, once [armed], loses the acknowledgement of its
+    next write batch: every write lands, the caller hears a failure — the
+    whole-batch case of a publish failing after a durable prefix. *)
+let lossy_store armed =
+  let inner = Afs_core.Store.memory () in
+  let write_batch entries =
+    match inner.Afs_core.Store.write_batch entries with
+    | Ok () when !armed ->
+        armed := false;
+        Error "injected: acknowledgement lost"
+    | r -> r
+  in
+  { inner with Afs_core.Store.write_batch }
+
 (** A file with [n] pages "p0".."p(n-1)" under the root. *)
 let file_with_pages server n =
   let open Afs_core in

@@ -94,30 +94,6 @@ let test_validation_cost_independent_of_depth () =
   Alcotest.(check int) "same cost at depth 5 as at depth 2" shallow deep;
   Alcotest.(check int) "exactly the one written page" 1 deep
 
-(* {2 Flag cache (§5.4 last paragraph)} *)
-
-let test_flag_cache_memoises () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 4 in
-  let basis = ok (Server.current_block_of_file srv f) in
-  commit_write srv f [ 1 ] "x";
-  let fc = Cache.Flag_cache.create () in
-  let v1 = ok (Cache.server_validate ~flag_cache:fc srv ~file:f ~basis_block:basis) in
-  Alcotest.(check int) "entry cached" 1 (Cache.Flag_cache.entries fc);
-  let v2 = ok (Cache.server_validate ~flag_cache:fc srv ~file:f ~basis_block:basis) in
-  Alcotest.(check (list string)) "same answer"
-    (List.map P.to_string v1.Cache.invalid)
-    (List.map P.to_string v2.Cache.invalid)
-
-let test_flag_cache_write_set () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 4 in
-  commit_write srv f [ 3 ] "w";
-  let current = ok (Server.current_block_of_file srv f) in
-  let fc = Cache.Flag_cache.create () in
-  let ws = ok (Cache.Flag_cache.write_set fc srv ~version_block:current) in
-  Alcotest.(check (list string)) "write set" [ "/3" ] (List.map P.to_string ws)
-
 (* {2 Client cache} *)
 
 let test_client_cache_hit_after_fill () =
@@ -232,11 +208,6 @@ let () =
           quick "unknown basis discards all" test_validation_unknown_basis_discards_all;
           quick "cost tracks changes" test_validation_cost_proportional_to_changes;
           quick "cost independent of depth" test_validation_cost_independent_of_depth;
-        ] );
-      ( "flag cache",
-        [
-          quick "memoises" test_flag_cache_memoises;
-          quick "write set" test_flag_cache_write_set;
         ] );
       ( "client cache",
         [

@@ -280,6 +280,29 @@ let test_migrate_moves_data_and_leaves_tombstone () =
         "shard 1 resident files" 1
         (List.length (Shard.resident_files (Cluster.shard cluster 1))))
 
+(* The source's store writes the flip's publish and loses the
+   acknowledgement: the tombstone is durable although the flip answered
+   a store error, so the copy it names must survive and the file must
+   read through both capabilities. *)
+let test_migration_lost_flip_ack () =
+  in_sim (fun engine ->
+      let armed = Array.init 2 (fun _ -> ref false) in
+      let cluster =
+        Cluster.create ~latency_ms:1.0 ~stores:(fun i -> Helpers.lossy_store armed.(i)) engine
+          ~shards:2
+      in
+      let client = Cluster_client.connect cluster in
+      let f = ok (Cluster_client.create_file ~data:(bytes "rootdata") client) in
+      ok (Batch_ops.add_pages client f [ bytes "a" ]);
+      let _, home = ok (Cluster.shard_of_cap cluster f) in
+      let src = Shard.id home in
+      armed.(src) := true;
+      let migrated = Migration.migrate cluster ~file:f ~dst:(1 - src) in
+      Alcotest.(check bool) "the lost acknowledgement fired" false !(armed.(src));
+      Helpers.check_bytes "old cap reads" "a" (ok (Batch_ops.read_current client f (P.of_list [ 0 ])));
+      let moved = ok migrated in
+      Helpers.check_bytes "the copy reads" "rootdata" (ok (Batch_ops.read_current client moved P.root)))
+
 (* A file of a root and four pages migrates in 14 requests across both
    shards: the opening, one [Read; Info] batch per page, the copy's
    create, open, four inserts and commit, and a one-batch flip. *)
@@ -632,6 +655,7 @@ let () =
           quick "a redo takes a fresh open's paths" test_redo_takes_fresh_paths;
           quick "racing commits never lost" test_migration_race_never_loses_commits;
           quick "a 5-page file moves in 14 requests" test_migration_message_count;
+          quick "a flip's lost ack keeps the copy" test_migration_lost_flip_ack;
         ] );
       ( "rebalancer",
         [

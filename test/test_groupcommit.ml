@@ -380,6 +380,67 @@ let test_failed_publish_retried () =
   Helpers.check_bytes "the retried commit's page survived" "one"
     (ok (Server.read_page srv2 cur (P.of_list [ 0 ])))
 
+(* {3 A publish that landed although it failed}
+
+   The store writes the whole publish batch and then loses the
+   acknowledgement, so the commit answers the store error while the
+   version is durably committed. The server must learn that from the
+   store, not go on treating the version as uncommitted. *)
+
+let lost_ack_update () =
+  let armed = ref false in
+  let srv = Server.create ~seed:7 (Helpers.lossy_store armed) in
+  let f = Helpers.file_with_pages srv 2 in
+  let v = ok (Server.create_version srv f) in
+  (srv, f, v, armed)
+
+let lost_ack srv v armed =
+  armed := true;
+  match Server.commit srv v with
+  | Error (Errors.Store_failure _) -> ()
+  | _ -> Alcotest.fail "expected the lost acknowledgement to fail the commit"
+
+let check_current srv f ~page0 =
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "page 0" page0 (ok (Server.read_page srv cur (P.of_list [ 0 ])));
+  Helpers.check_bytes "page 1" "p1" (ok (Server.read_page srv cur (P.of_list [ 1 ])))
+
+(* Aborting the version must not free the pages of a committed one. *)
+let test_lost_ack_then_abort () =
+  let srv, f, v, armed = lost_ack_update () in
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "one"));
+  lost_ack srv v armed;
+  ignore (Server.abort_version srv v : unit Errors.r);
+  check_current srv f ~page0:"one";
+  Alcotest.(check bool) "the version is committed" true
+    (ok (Server.version_status srv v) = Server.Committed)
+
+(* A retry must not find the version in its own way: it read page 1,
+   which its own commit "wrote" as far as a merge can tell. *)
+let test_lost_ack_then_retry () =
+  let srv, f, v, armed = lost_ack_update () in
+  ignore (ok (Server.read_page srv v (P.of_list [ 1 ])));
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "one"));
+  lost_ack srv v armed;
+  (match Server.commit srv v with
+  | Error Errors.Version_not_mutable -> ()
+  | Ok () -> Alcotest.fail "a committed version committed again"
+  | Error e -> Alcotest.failf "the retry answered %s" (Errors.to_string e));
+  check_current srv f ~page0:"one"
+
+(* A blind writer's retry would merge with itself and name itself as its
+   own successor; its commit reference is read directly, since chasing
+   such a chain never ends. *)
+let test_lost_ack_no_cycle () =
+  let srv, f, v, armed = lost_ack_update () in
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "one"));
+  lost_ack srv v armed;
+  ignore (Server.commit srv v : unit Errors.r);
+  let vb = ok (Server.version_block srv v) in
+  Alcotest.(check (option int)) "the version is the current one" None
+    (ok (Pagestore.peek_commit_ref (Server.pagestore srv) vb));
+  check_current srv f ~page0:"one"
+
 (* A memory store whose writes all fail while [up] is false. *)
 let switchable_store () =
   let inner = Store.memory () in
@@ -476,8 +537,8 @@ let test_doomed_and_aborted_write_nothing () =
 
 let test_serialise_conflict_writes_nothing () =
   (* The winner commits through a second server sharing the store, so the
-     loser's server has no write set for it: the serialise walk, not the
-     pre-test, finds the conflict. *)
+     loser's server learns it: the pre-test reads its map from its tree
+     and finds the conflict without the serialise walk. *)
   let store, stats = counting_store () in
   let ports = Ports.create () in
   let srv1 = Server.create ~seed:7 ~ports store in
@@ -492,8 +553,8 @@ let test_serialise_conflict_writes_nothing () =
   ok (Server.commit srv2 winner);
   let r, writes, _ = writes_during stats (fun () -> Server.commit srv1 loser) in
   Helpers.expect_conflict r;
-  Alcotest.(check int) "found by the walk" 0 (counter srv1 "commits.shortcircuit");
-  Alcotest.(check int) "walk-detected conflict" 1 (counter srv1 "commits.conflict");
+  Alcotest.(check int) "found by the pre-test" 1 (counter srv1 "commits.shortcircuit");
+  Alcotest.(check int) "one conflict" 1 (counter srv1 "commits.conflict");
   Alcotest.(check int) "doomed commit writes nothing" 0 writes
 
 let test_fastpath_writes_pages_and_one_ref () =
@@ -664,6 +725,9 @@ let () =
           quick "retry after a merge keeps adopted" test_retry_after_merge_keeps_adopted;
           quick "a losing member answers its redo" test_batch_loser_redoes;
           quick "repeated doomed member" test_batch_repeated_doomed_member;
+          quick "lost ack: abort keeps it" test_lost_ack_then_abort;
+          quick "lost ack: retry keeps it" test_lost_ack_then_retry;
+          quick "lost ack: no self-successor" test_lost_ack_no_cycle;
         ] );
       ( "store writes",
         [

@@ -851,20 +851,6 @@ let test_collector_race () =
             "leaked record audits committed" true
             (ok (Txn.record_decision sweeper r ~seq) = Txn.Committed))
 
-(* A memory store that, once armed, loses the acknowledgement of its
-   next write batch: every write lands, the caller hears a failure — the
-   whole-batch case of a publish failing after a durable prefix. *)
-let lossy_store armed =
-  let inner = Afs_core.Store.memory () in
-  let write_batch entries =
-    match inner.Afs_core.Store.write_batch entries with
-    | Ok () when !armed ->
-        armed := false;
-        Error "injected: acknowledgement lost"
-    | r -> r
-  in
-  { inner with Afs_core.Store.write_batch }
-
 (* A stage's seal fails although its marker is durable; the marker
    surfaces only once the shard recovers. The rolled-back transaction
    must not pool its record: reusing it would decide a later seq on it,
@@ -874,7 +860,7 @@ let test_seal_in_doubt () =
   in_sim (fun engine ->
       let armed = ref false in
       let cluster =
-        Cluster.create ~latency_ms:1.0 ~stores:(fun _ -> lossy_store armed) engine ~shards:2
+        Cluster.create ~latency_ms:1.0 ~stores:(fun _ -> Helpers.lossy_store armed) engine ~shards:2
       in
       let client = CC.connect cluster in
       (* a0, a2 on one shard, a1, a3 on the other. *)

@@ -1,12 +1,13 @@
-(* The incremental concurrency-control administration (Writeset) against
-   its definition: the flags actually reachable in a version's page tree.
+(* The concurrency-control administration (Writeset) against its
+   definition: the flags actually reachable in a version's page tree.
 
-   The unit tests pin the structural-edit transforms; the properties run
-   random operation sequences — page writes, reads, inserts, removes,
-   moves — through a server and check (1) the tracked map equals
-   the tree's flags exactly, (2) the derived write set equals the
-   Serialise flag walk, and (3) the map-only conflict pre-test agrees
-   with the tree-walking serialisability test on every pair of updates. *)
+   The unit tests pin the map's queries and the pre-test's conditions;
+   the properties run random operation sequences — page writes, reads,
+   inserts, removes, moves — through servers and check (1) the map read
+   from a version, and the map its commit keeps, equal the tree's flags
+   exactly, (2) the server's write set is the tree's written paths, and
+   (3) the map-only conflict pre-test agrees with the tree-walking
+   serialisability test, across two servers sharing a store. *)
 
 open Afs_core
 module P = Afs_util.Pagepath
@@ -17,16 +18,20 @@ let ok = Helpers.ok
 let bytes = Helpers.bytes
 let path = Helpers.path
 
-(* {2 Unit tests for the transforms} *)
+(* {2 Unit tests} *)
 
-let record_all ws l = List.fold_left (fun ws (p, a) -> Writeset.record ws (path p) a) ws l
+(* The map a version holds after the given accesses, each recorded on
+   its path's flags as the server records it in the tree. *)
+let record_all l =
+  List.fold_left
+    (fun ws (p, a) -> Writeset.add ws (path p) (Flags.record (Writeset.flags_at ws (path p)) a))
+    Writeset.empty l
 
 let paths_of ws = List.map P.to_list (Writeset.paths ws)
 
 let test_record_and_written () =
   let ws =
-    record_all Writeset.empty
-      [ ([ 0 ], Flags.Read); ([ 1 ], Flags.Write); ([], Flags.Modify); ([ 1 ], Flags.Read) ]
+    record_all [ ([ 0 ], Flags.Read); ([ 1 ], Flags.Write); ([], Flags.Modify); ([ 1 ], Flags.Read) ]
   in
   Alcotest.(check (list (list int))) "all paths sorted" [ []; [ 0 ]; [ 1 ] ] (paths_of ws);
   Alcotest.(check (list (list int)))
@@ -35,37 +40,11 @@ let test_record_and_written () =
   let f1 = Writeset.flags_at ws (path [ 1 ]) in
   Alcotest.(check bool) "W and R accumulate" true (f1.Flags.w && f1.Flags.r)
 
-let test_open_close_gap () =
-  let ws = record_all Writeset.empty [ ([ 0 ], Flags.Read); ([ 2 ], Flags.Write); ([ 2; 1 ], Flags.Read) ] in
-  let ws' = Writeset.open_gap ws ~parent:P.root ~index:1 in
-  Alcotest.(check (list (list int))) "shifted up" [ [ 0 ]; [ 3 ]; [ 3; 1 ] ] (paths_of ws');
-  let ws'' = Writeset.close_gap ws' ~parent:P.root ~index:1 in
-  Alcotest.(check (list (list int))) "shifted back" [ [ 0 ]; [ 2 ]; [ 2; 1 ] ] (paths_of ws'')
-
-let test_close_gap_drops_subtree () =
-  let ws =
-    record_all Writeset.empty
-      [ ([ 0 ], Flags.Write); ([ 0; 3 ], Flags.Read); ([ 1 ], Flags.Read) ]
-  in
-  let ws' = Writeset.remove_at ws ~parent:P.root ~index:0 in
-  Alcotest.(check (list (list int))) "subtree dropped, sibling shifted" [ [ 0 ] ] (paths_of ws')
-
-let test_extract_graft_roundtrip () =
-  let ws =
-    record_all Writeset.empty
-      [ ([ 1 ], Flags.Write); ([ 1; 0 ], Flags.Read); ([ 2 ], Flags.Read) ]
-  in
-  let sub, rest = Writeset.extract ws (path [ 1 ]) in
-  Alcotest.(check (list (list int))) "sub re-rooted" [ []; [ 0 ] ] (paths_of sub);
-  Alcotest.(check (list (list int))) "rest" [ [ 2 ] ] (paths_of rest);
-  let back = Writeset.graft rest ~at:(path [ 1 ]) sub in
-  Alcotest.(check bool) "graft restores" true (Writeset.equal ws back)
-
 let test_conflict_conditions () =
-  let committed = record_all Writeset.empty [ ([ 1 ], Flags.Write); ([ 2 ], Flags.Modify) ] in
-  let reader = record_all Writeset.empty [ ([ 1 ], Flags.Read) ] in
-  let searcher = record_all Writeset.empty [ ([ 2 ], Flags.Search) ] in
-  let disjoint = record_all Writeset.empty [ ([ 0 ], Flags.Write) ] in
+  let committed = record_all [ ([ 1 ], Flags.Write); ([ 2 ], Flags.Modify) ] in
+  let reader = record_all [ ([ 1 ], Flags.Read) ] in
+  let searcher = record_all [ ([ 2 ], Flags.Search) ] in
+  let disjoint = record_all [ ([ 0 ], Flags.Write) ] in
   Alcotest.(check bool) "W/R conflict" true
     (Writeset.conflict ~candidate:reader ~committed <> None);
   Alcotest.(check bool) "M/S conflict" true
@@ -73,8 +52,8 @@ let test_conflict_conditions () =
   Alcotest.(check bool) "disjoint is clean" true
     (Writeset.conflict ~candidate:disjoint ~committed = None);
   (* Candidate restructured over pages the committed update reached below. *)
-  let restructurer = record_all Writeset.empty [ ([ 1 ], Flags.Modify) ] in
-  let below = record_all Writeset.empty [ ([ 1; 0 ], Flags.Read) ] in
+  let restructurer = record_all [ ([ 1 ], Flags.Modify) ] in
+  let below = record_all [ ([ 1; 0 ], Flags.Read) ] in
   Alcotest.(check bool) "M over accessed-below conflict" true
     (Writeset.conflict ~candidate:restructurer ~committed:below <> None)
 
@@ -154,6 +133,11 @@ let build_version rng srv f nops =
   done;
   v
 
+let map_list ws = List.map (fun p -> (p, Writeset.flags_at ws p)) (Writeset.paths ws)
+
+(* The map read from an uncommitted version equals its tree's flags, and
+   so does the map its commit keeps (a fast-path win drops its read
+   shadows from both). *)
 let prop_map_equals_tree_flags =
   QCheck2.Test.make ~name:"incremental map = reachable tree flags" ~count:200
     ~print:(fun (seed, nops) -> Printf.sprintf "seed=%d nops=%d" seed nops)
@@ -164,16 +148,19 @@ let prop_map_equals_tree_flags =
       let rng = Xrng.create seed in
       let v = build_version rng srv f nops in
       let vblock = ok (Server.version_block srv v) in
-      match Server.tracked_writeset srv vblock with
-      | None -> false
-      | Some ws ->
-          let from_map =
-            List.map (fun p -> (p, Writeset.flags_at ws p)) (Writeset.paths ws)
-          in
-          same_flag_list from_map (tree_flags srv vblock))
+      let read = ok (Serialise.flag_map (Server.pagestore srv) ~version:vblock) in
+      same_flag_list (map_list read) (tree_flags srv vblock)
+      && Server.tracked_writeset srv vblock = None
+      &&
+      match Server.commit srv v with
+      | Error _ -> false
+      | Ok () -> (
+          match Server.tracked_writeset srv vblock with
+          | None -> false
+          | Some kept -> same_flag_list (map_list kept) (tree_flags srv vblock)))
 
-let prop_written_matches_flag_walk =
-  QCheck2.Test.make ~name:"incremental write set = Serialise.written_paths" ~count:200
+let prop_written_set_is_tree_writes =
+  QCheck2.Test.make ~name:"written_set = tree's W/M paths" ~count:200
     ~print:(fun (seed, nops) -> Printf.sprintf "seed=%d nops=%d" seed nops)
     QCheck2.Gen.(pair (int_range 1 100000) (int_range 0 40))
     (fun (seed, nops) ->
@@ -182,37 +169,57 @@ let prop_written_matches_flag_walk =
       let rng = Xrng.create seed in
       let v = build_version rng srv f nops in
       let vblock = ok (Server.version_block srv v) in
-      let incremental = ok (Server.written_set srv vblock) in
-      let walked = ok (Serialise.written_paths (Server.pagestore srv) ~version:vblock) in
-      List.length incremental = List.length walked
-      && List.for_all2 P.equal incremental walked)
+      let written =
+        List.filter_map
+          (fun (p, (fl : Flags.t)) -> if fl.Flags.w || fl.Flags.m then Some p else None)
+          (tree_flags srv vblock)
+      in
+      let answered = ok (Server.written_set srv vblock) in
+      List.length answered = List.length written && List.for_all2 P.equal answered written)
 
-(* The commit fast path never runs the walk, so check the pre-test against
-   Serialise.test_only directly on concurrent version pairs. *)
+(* Two servers without page caches share one store, so each sees every
+   write the other makes at once. Each round opens two versions on the
+   current one, each through either server, runs random page operations
+   on them through either server, and commits both, each through either
+   server: the first wins at once, and the second is intercepted by it.
+   Its pre-test — over maps its server reads, keeps, or learns — must
+   answer what the tree walk answers. *)
 let prop_pretest_agrees_with_walk =
   QCheck2.Test.make ~name:"map conflict pre-test = tree-walk verdict" ~count:200
-    ~print:(fun (seed, n1, n2) -> Printf.sprintf "seed=%d nops=%d/%d" seed n1 n2)
-    QCheck2.Gen.(triple (int_range 1 100000) (int_range 0 25) (int_range 0 25))
-    (fun (seed, n1, n2) ->
-      let _, srv = Helpers.fresh_server () in
-      let f = Helpers.file_with_pages srv 3 in
+    ~print:(fun (seed, rounds) -> Printf.sprintf "seed=%d rounds=%d" seed rounds)
+    QCheck2.Gen.(pair (int_range 1 100000) (int_range 1 4))
+    (fun (seed, rounds) ->
+      let store = Store.memory () in
+      let ports = Ports.create () in
+      let servers = Array.init 2 (fun _ -> Server.create ~page_cache:false ~seed:7 ~ports store) in
       let rng = Xrng.create seed in
-      let vb = build_version rng srv f n1 in
-      let vc = build_version rng srv f n2 in
-      let b_block = ok (Server.version_block srv vb) in
-      let c_block = ok (Server.version_block srv vc) in
-      ok (Server.commit srv vc);
-      match (Server.tracked_writeset srv b_block, Server.tracked_writeset srv c_block) with
-      | Some candidate, Some committed ->
-          let pre = Writeset.conflict ~candidate ~committed in
-          let walk =
-            ok (Serialise.test_only (Server.pagestore srv) ~candidate:b_block ~committed:c_block)
-          in
-          (match (pre, walk) with
-          | None, Serialise.Serialisable _ -> true
-          | Some _, Serialise.Conflict _ -> true
-          | None, Serialise.Conflict _ | Some _, Serialise.Serialisable _ -> false)
-      | _ -> false)
+      let pick () = servers.(Xrng.int rng 2) in
+      let f = Helpers.file_with_pages servers.(0) 3 in
+      let round () =
+        let first = ok (Server.create_version (pick ()) f) in
+        let second = ok (Server.create_version (pick ()) f) in
+        for _ = 1 to Xrng.int rng 24 do
+          random_op rng (pick ()) (if Xrng.int rng 2 = 0 then first else second)
+        done;
+        ok (Server.commit (pick ()) first);
+        let block v = ok (Server.version_block servers.(0) v) in
+        let walk =
+          ok
+            (Serialise.test_only (Server.pagestore servers.(0)) ~candidate:(block second)
+               ~committed:(block first))
+        in
+        let srv = pick () in
+        let shortcircuits () =
+          Afs_util.Stats.Counter.get (Server.counters srv) "commits.shortcircuit"
+        in
+        let before = shortcircuits () in
+        let outcome = Server.commit srv second in
+        match (walk, outcome) with
+        | Serialise.Serialisable _, Ok () -> shortcircuits () = before
+        | Serialise.Conflict _, Error Errors.Conflict -> shortcircuits () = before + 1
+        | _ -> false
+      in
+      List.for_all (fun () -> round ()) (List.init rounds (fun _ -> ())))
 
 (* {2 The copy path}
 
@@ -244,11 +251,8 @@ let test_copy_path_flags () =
       [ (P.root, searched); (path [ 0 ], searched); (path [ 0; 0 ], searched); (target, target_flags) ]
     in
     Alcotest.check flag_list (what ^ ": tree") expected (tree_flags srv vblock);
-    match Server.tracked_writeset srv vblock with
-    | None -> Alcotest.fail "no write set tracked"
-    | Some ws ->
-        let from_map = List.map (fun p -> (p, Writeset.flags_at ws p)) (Writeset.paths ws) in
-        Alcotest.check flag_list (what ^ ": write set") expected from_map
+    let ws = ok (Serialise.flag_map (Server.pagestore srv) ~version:vblock) in
+    Alcotest.check flag_list (what ^ ": write set") expected (map_list ws)
   in
   let before = copied () in
   ignore (ok (Server.read_page srv v target));
@@ -257,9 +261,9 @@ let test_copy_path_flags () =
   ok (Server.write_page srv v target (bytes "w"));
   Alcotest.(check int) "the write copies nothing" 3 (copied () - before);
   check "read, then write" (Flags.make ~r:true ~w:true ~copied:true ());
-  Alcotest.(check (list string)) "Serialise walk: the target alone is written"
+  Alcotest.(check (list string)) "the target alone is written"
     [ P.to_string target ]
-    (List.map P.to_string (ok (Serialise.written_paths (Server.pagestore srv) ~version:vblock)))
+    (List.map P.to_string (ok (Server.written_set srv vblock)))
 
 let () =
   Alcotest.run "writeset"
@@ -267,16 +271,13 @@ let () =
       ( "transforms",
         [
           Helpers.quick "record and written_paths" test_record_and_written;
-          Helpers.quick "open/close gap" test_open_close_gap;
-          Helpers.quick "close_gap drops subtree" test_close_gap_drops_subtree;
-          Helpers.quick "extract/graft roundtrip" test_extract_graft_roundtrip;
           Helpers.quick "conflict conditions" test_conflict_conditions;
         ] );
       ("copy path", [ Helpers.quick "flags in tree and write set" test_copy_path_flags ]);
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_map_equals_tree_flags;
-          QCheck_alcotest.to_alcotest prop_written_matches_flag_walk;
+          QCheck_alcotest.to_alcotest prop_written_set_is_tree_writes;
           QCheck_alcotest.to_alcotest prop_pretest_agrees_with_walk;
         ] );
     ]
