@@ -34,11 +34,7 @@ let rec subtree_has_writes ps (entry : Page.ref_entry) =
     let rec scan i =
       if i >= Page.nrefs page then Ok false
       else
-        let* hit =
-          match Page.get_ref page i with
-          | Ok e -> subtree_has_writes ps e
-          | Error msg -> Error (Store_failure msg)
-        in
+        let* hit = subtree_has_writes ps page.Page.refs.(i) in
         if hit then Ok true else scan (i + 1)
     in
     scan 0
@@ -55,29 +51,27 @@ let reshare_version server vblock =
       if i >= n then
         if changed then Pagestore.write_through_in_place ps v_block acc_page else Ok ()
       else
-        match (Page.get_ref acc_page i, Page.get_ref b_page i) with
-        | Error msg, _ | _, Error msg -> Error (Store_failure msg)
-        | Ok ev, Ok eb ->
-            if not ev.Page.flags.Flags.c then each (i + 1) acc_page changed
-            else
-              let* dirty = subtree_has_writes ps ev in
-              if not dirty then begin
-                (* Pure read shadow: point back at the shared original. *)
-                incr reshared;
-                match
-                  Page.with_ref acc_page i { Page.block = eb.Page.block; flags = Flags.clear }
-                with
-                | Ok acc_page -> each (i + 1) acc_page true
-                | Error msg -> Error (Store_failure msg)
-              end
-              else if ev.Page.flags.Flags.m then
-                (* Restructured below: no index correspondence. *)
-                each (i + 1) acc_page changed
-              else
-                let* vchild = Pagestore.peek ps ev.Page.block in
-                let* bchild = Pagestore.peek ps eb.Page.block in
-                let* () = walk_pair ev.Page.block vchild bchild in
-                each (i + 1) acc_page changed
+        let ev = acc_page.Page.refs.(i) and eb = b_page.Page.refs.(i) in
+        if not ev.Page.flags.Flags.c then each (i + 1) acc_page changed
+        else
+          let* dirty = subtree_has_writes ps ev in
+          if not dirty then begin
+            (* Pure read shadow: point back at the shared original. *)
+            incr reshared;
+            match
+              Page.with_ref acc_page i { Page.block = eb.Page.block; flags = Flags.clear }
+            with
+            | Ok acc_page -> each (i + 1) acc_page true
+            | Error msg -> Error (Store_failure msg)
+          end
+          else if ev.Page.flags.Flags.m then
+            (* Restructured below: no index correspondence. *)
+            each (i + 1) acc_page changed
+          else
+            let* vchild = Pagestore.peek ps ev.Page.block in
+            let* bchild = Pagestore.peek ps eb.Page.block in
+            let* () = walk_pair ev.Page.block vchild bchild in
+            each (i + 1) acc_page changed
     in
     each 0 v_page false
   in
@@ -88,8 +82,10 @@ let reshare_version server vblock =
       if vpage.Page.header.Page.root_flags.Flags.m then Ok 0
       else
         let* bpage = Pagestore.peek ps base_block in
-        let* () = walk_pair vblock vpage bpage in
-        Ok !reshared
+        let walked = walk_pair vblock vpage bpage in
+        (* The kept flag map still lists what was reshared. *)
+        if !reshared > 0 then Server.drop_flag_map server vblock;
+        Result.map (fun () -> !reshared) walked
 
 (* {2 Mark} *)
 

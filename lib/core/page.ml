@@ -15,9 +15,9 @@ type header = {
   root_flags : Flags.t;
 }
 
-(* [enc] memoizes the wire image: pages are immutable values, so a page's
-   serialisation is computed at most once per lifetime ("encode-once").
-   Every functional update constructs a fresh record with [enc = None];
+(* [enc] memoizes the wire image: a page's serialisation is computed at
+   most once per value it holds ("encode-once"). Every functional update
+   constructs a fresh record with [enc = None], and {!set_ref} clears it;
    the field is filled lazily by {!encode} (or seeded by {!decode} with
    the store's own image when the caller vouches for its provenance) and
    never read for anything except serialisation and the page store's
@@ -103,10 +103,17 @@ let remove_ref t i =
     Ok { t with refs; enc = None }
   end
 
+(* The one in-place update, on a page its caller owns alone. *)
+let set_ref t i entry =
+  t.refs.(i) <- entry;
+  t.enc <- None
+
 (* An entry whose flags are already clear is reused, not rebuilt. *)
 let clear_entry e = if Flags.equal e.flags Flags.clear then e else { e with flags = Flags.clear }
 let cleared_refs refs = Array.map clear_entry refs
-let clear_child_flags t = { t with refs = cleared_refs t.refs; enc = None }
+
+let copied_from t block =
+  { t with header = { t.header with base_ref = Some block }; refs = cleared_refs t.refs; enc = None }
 
 let ref_entry_equal a b = a.block = b.block && Flags.equal a.flags b.flags
 

@@ -15,8 +15,11 @@
     present in the files themselves for crash recovery; persisting them in
     the version page satisfies both.
 
-    Pages are immutable values; updates return new pages. The server layer
-    decides which block a page image is written to. *)
+    Pages are immutable values, but for one rule: a page its dirty cache
+    entry owns (written by a server and not yet made durable: on the
+    access path, a fresh private page of an uncommitted version) may have
+    its reference table updated in place ({!set_ref}). Every other update
+    returns a new page. The server decides which block holds a page. *)
 
 type ref_entry = { block : int; flags : Flags.t }
 
@@ -92,9 +95,13 @@ val cleared_refs : ref_entry array -> ref_entry array
 (** A fresh table of the same entries with every flag reset to
     {!Flags.clear}; an entry already clear is shared, not rebuilt. *)
 
-val clear_child_flags : t -> t
-(** Reset every entry's flags ({!cleared_refs}): done when a page is
-    first copied into a new version. *)
+val copied_from : t -> int -> t
+(** [copied_from page block] is [page], read from [block], as first copied
+    into a new version: flags {!cleared_refs} and base reference [block]. *)
+
+val set_ref : t -> int -> ref_entry -> unit
+(** Replaces an entry in place, dropping the memo: only for a page its dirty
+    cache entry owns ({!Pagestore.set_ref}). Raises [Invalid_argument] out of range. *)
 
 (** {2 Wire format}
 

@@ -20,12 +20,10 @@ type entry = {
 
 let entry page ~dirty = { page; answer = Ok page; dirty; stale = false }
 
-let set_page e page =
-  e.page <- page;
-  e.answer <- Ok page
+let set_page e page = if e.page != page then (e.page <- page; e.answer <- Ok page)
 
 let set_clean e page =
-  if e.page != page then set_page e page;
+  set_page e page;
   e.dirty <- false;
   e.stale <- false
 
@@ -206,12 +204,12 @@ let check_size t page =
   let bytes = Page.encoded_size page in
   if bytes > page_size_limit t then
     Error (Errors.Page_too_large { bytes; limit = page_size_limit t })
-  else Ok bytes
+  else Ok ()
 
 let write t b page =
   match check_size t page with
   | Error _ as e -> e
-  | Ok _ ->
+  | Ok () ->
       if not t.cache_enabled then store_write t b page
       else
         let e = Lru.find_or t.cache b absent in
@@ -231,7 +229,7 @@ let write t b page =
 let durable_write t b page =
   match check_size t page with
   | Error _ as e -> e
-  | Ok _ -> (
+  | Ok () -> (
       match store_write t b page with
       | Error _ as e -> e
       | Ok () ->
@@ -264,6 +262,17 @@ let flush t =
   if Hashtbl.length t.dirty = 0 then Ok () else go (Det.sorted_int_keys t.dirty)
 
 let dirty_count t = Hashtbl.length t.dirty
+
+let set_ref t b page i entry =
+  let e = Lru.peek_or t.cache b absent in
+  if e.dirty && e.page == page then begin
+    Page.set_ref page i entry;
+    write t b page
+  end
+  else
+    match Page.with_ref page i entry with
+    | Ok page -> write t b page
+    | Error msg -> Error (Errors.Store_failure msg)
 
 let add_dirty t batch b =
   let e = Lru.peek_or t.cache b absent in
@@ -330,7 +339,7 @@ let put_batch t batch =
    writes landed. *)
 let write_through_batch ?(pages = 0) t batch =
   match List.find_opt (fun (_, p) -> Page.encoded_size p > page_size_limit t) batch with
-  | Some (_, page) -> Result.map ignore (check_size t page)
+  | Some (_, page) -> check_size t page
   | None -> (
       let written =
         if Trace.costing t.trace then

@@ -47,7 +47,8 @@ val read : t -> int -> (Page.t, Errors.t) result
 val write : t -> int -> Page.t -> (unit, Errors.t) result
 (** Cached, deferred write. Fails with [Page_too_large] if the encoded
     page exceeds the block size; a store failure while writing back a
-    dirty evictee also surfaces here. *)
+    dirty evictee also surfaces here. Writing a cached block's own page
+    again, after {!Page.set_ref}, allocates nothing. *)
 
 val write_through : t -> int -> Page.t -> (unit, Errors.t) result
 (** Immediately durable, outside any publish batch (a new file's first
@@ -82,6 +83,13 @@ val flush : t -> (unit, Errors.t) result
 val flush_block : t -> int -> (unit, Errors.t) result
 
 val dirty_count : t -> int
+
+val set_ref : t -> int -> Page.t -> int -> Page.ref_entry -> (unit, Errors.t) result
+(** [set_ref t b page i entry] writes [page], [b]'s page, with entry [i]
+    replaced. A dirty cache entry of [b] holding [page] (written here, not
+    yet durable: on an access path, a fresh private page of the version
+    that nothing else holds) owns it, so it is updated in place
+    ({!Page.set_ref}) and the write allocates nothing; else it is copied. *)
 
 val cached_blocks : t -> int list
 (** The cached blocks, most recently used first: what a test compares to

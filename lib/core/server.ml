@@ -163,19 +163,22 @@ let find_file t cap ~need =
   if obj land 1 = 1 || not (grants t cap ~need) then Error Invalid_capability
   else match Hashtbl.find t.files obj with f -> Ok f | exception Not_found -> learn_file t cap
 
-(* Calls [f] on each copy (C set) below [page], children before their
-   parent, in reference-table order: the pages private to an uncommitted
-   version. Shared pages (C clear) belong to the base. *)
-let rec iter_copies t page f =
-  Array.iter
-    (fun (e : Page.ref_entry) ->
-      if e.Page.flags.Flags.c then begin
-        (match Pagestore.read t.ps e.Page.block with
-        | Ok child -> iter_copies t child f
-        | Error _ -> ());
-        f e.Page.block
-      end)
-    page.Page.refs
+(* Folds [f] over each copy (C set) below [page] from entry [i] on,
+   children before their parent, in reference-table order: the pages
+   private to an uncommitted version. Shared pages (C clear) belong to
+   the base. [f] is passed [t], so a closed one costs no closure. *)
+let rec fold_copies t (page : Page.t) i f acc =
+  if i >= Page.nrefs page then acc
+  else
+    let e = page.Page.refs.(i) in
+    if not e.Page.flags.Flags.c then fold_copies t page (i + 1) f acc
+    else
+      let acc =
+        match Pagestore.read t.ps e.Page.block with
+        | Ok child -> fold_copies t child 0 f acc
+        | Error _ -> acc
+      in
+      fold_copies t page (i + 1) f (f t e.Page.block acc)
 
 (* A server can be handed a capability for a version another server
    created: any server may serve any object on a store it reaches. Learn
@@ -202,10 +205,11 @@ let learn_version t cap =
                 | Ok bpage -> bpage.Page.header.Page.commit_ref = Some vblock
                 | Error _ -> false)
           in
-          let private_blocks = ref [] in
-          if not committed then iter_copies t page (fun b -> private_blocks := b :: !private_blocks);
+          let private_blocks =
+            if committed then [] else fold_copies t page 0 (fun _ b blocks -> b :: blocks) []
+          in
           let v =
-            fresh_version_record ~vblock ~file_obj:fc.Capability.obj ~private_blocks:!private_blocks
+            fresh_version_record ~vblock ~file_obj:fc.Capability.obj ~private_blocks
               ~status:(if committed then Committed else Uncommitted) ()
           in
           Hashtbl.replace t.versions vblock v;
@@ -252,15 +256,16 @@ let rec chase_current t block =
 
 (* A fresh block private to [v]: its publish will write it. *)
 let allocate_private t (v : version_record) =
-  let* b = Pagestore.allocate t.ps in
-  v.private_blocks <- b :: v.private_blocks;
-  Ok b
+  match Pagestore.allocate t.ps with
+  | Ok b as fresh ->
+      v.private_blocks <- b :: v.private_blocks;
+      fresh
+  | Error _ as e -> e
 
 (* Record an access at the flag location of the page at [depth]: the
    version page's own root-flags field for the root (depth 0), entry
    [index] of its parent [pblock] otherwise. An access that adds no flag
-   writes nothing. That path runs on every page access, so it matches
-   instead of binding: it allocates only the [Ok] of {!Page.get_ref}. *)
+   writes nothing. *)
 let record_access_at t (v : version_record) ~depth pblock index access =
   if depth = 0 then (
     match read_pg t v.vblock with
@@ -273,49 +278,48 @@ let record_access_at t (v : version_record) ~depth pblock index access =
   else
     match read_pg t pblock with
     | Error e -> Error e
-    | Ok page -> (
-        match Page.get_ref page index with
-        | Error _ -> Error (Bad_path Pagepath.root)
-        | Ok entry ->
-            let flags = Flags.record entry.Page.flags access in
-            if Flags.equal flags entry.Page.flags then Ok ()
-            else
-              match Page.with_ref page index { entry with Page.flags } with
-              | Ok page -> write_pg t pblock page
-              | Error _ -> Error (Bad_path Pagepath.root))
+    | Ok page when index >= Page.nrefs page -> Error (Bad_path Pagepath.root)
+    | Ok page ->
+        let entry = page.Page.refs.(index) in
+        let flags = Flags.record entry.Page.flags access in
+        if Flags.equal flags entry.Page.flags then Ok ()
+        else Pagestore.set_ref t.ps pblock page index { entry with Page.flags }
 
 (* Copy-on-write of the child at [index] of the page at [pblock], for an
-   [access]: allocate a block private to [v], store
-   the child there with cleared grand-child flags and a base reference to
-   the shared original, and repoint the parent at the copy with the
-   access already recorded, in one reference-table update. The shared
-   entry's flags are clear, so recording on them gives C plus the
-   access. *)
+   [access]: allocate a block private to [v], store the child there
+   ({!Page.copied_from} the shared original), and repoint the parent at
+   the copy with the access already recorded, in one reference-table
+   update. The shared entry's flags are clear, so recording on them gives
+   C plus the access. *)
 let copy_child t v pblock index (entry : Page.ref_entry) access =
-  let* child = read_pg t entry.Page.block in
-  let* fresh = allocate_private t v in
-  let child = Page.clear_child_flags child in
-  let header = { child.Page.header with Page.base_ref = Some entry.Page.block } in
-  let* () = write_pg t fresh (Page.with_header child header) in
-  let* parent = read_pg t pblock in
-  let copied = { Page.block = fresh; flags = Flags.record entry.Page.flags access } in
-  let* parent = lift_page_err Pagepath.root (Page.with_ref parent index copied) in
-  let* () = write_pg t pblock parent in
-  bump t "pages.copied";
-  Ok fresh
+  match read_pg t entry.Page.block with
+  | Error e -> Error e
+  | Ok child -> (
+      match allocate_private t v with
+      | Error e -> Error e
+      | Ok fresh as copy -> (
+          match write_pg t fresh (Page.copied_from child entry.Page.block) with
+          | Error e -> Error e
+          | Ok () -> (
+              match read_pg t pblock with
+              | Error e -> Error e
+              | Ok parent -> (
+                  let copied = { Page.block = fresh; flags = Flags.record entry.Page.flags access } in
+                  match Pagestore.set_ref t.ps pblock parent index copied with
+                  | Error e -> Error e
+                  | Ok () ->
+                      bump t "pages.copied";
+                      copy))))
 
 (* Descend [path] from the version page of [v], copying every page on the
    way (access implies copy, §5.1), recording S on each page whose
    references are consulted and [access] on the target. Returns the
    target's private block. A copy is made with its access recorded, so
    the recording on it that follows adds nothing; still, it reads the
-   parent, which keeps the cache's hit count per level. Like
-   {!record_access_at}, it matches rather than binds, and a level costs
-   O(1) unless it records a new flag or is copied. *)
-(* [block] is the page at [depth], entry [index] of [pblock]; the root
-   has no parent, and its [pblock] and [index] are never read. The
-   descent is a top-level function, so a page access allocates no
-   closure for it. *)
+   parent, which keeps the cache's hit count per level. [block] is the
+   page at [depth], entry [index] of [pblock] (never read for the root).
+   A top-level function that matches rather than binds: a level costs
+   O(1) and allocates nothing unless it records a new flag or copies. *)
 let rec descend_for_access t v path access depth pblock index block = function
   | [] -> (
       match record_access_at t v ~depth pblock index access with
@@ -327,21 +331,26 @@ let rec descend_for_access t v path access depth pblock index block = function
       | Ok () -> (
           match read_pg t block with
           | Error e -> Error e
+          | Ok page when next >= Page.nrefs page ->
+              Error (Bad_index { path; index = next; nrefs = Page.nrefs page })
           | Ok page -> (
-              match Page.get_ref page next with
-              | Error _ -> Error (Bad_index { path; index = next; nrefs = Page.nrefs page })
-              | Ok entry when entry.Page.flags.Flags.c ->
-                  descend_for_access t v path access (depth + 1) block next entry.Page.block rest
-              | Ok entry -> (
-                  match
-                    copy_child t v block next entry
-                      (match rest with [] -> access | _ :: _ -> Flags.Search)
-                  with
-                  | Ok copy -> descend_for_access t v path access (depth + 1) block next copy rest
-                  | Error e -> Error e))))
+              let entry = page.Page.refs.(next) in
+              if entry.Page.flags.Flags.c then
+                descend_for_access t v path access (depth + 1) block next entry.Page.block rest
+              else
+                match
+                  copy_child t v block next entry
+                    (match rest with [] -> access | _ :: _ -> Flags.Search)
+                with
+                | Ok copy -> descend_for_access t v path access (depth + 1) block next copy rest
+                | Error e -> Error e)))
 
+(* The host-costed section [server.access]; without host cost, no closure. *)
 let locate_for_access t (v : version_record) path access =
-  descend_for_access t v path access 0 v.vblock 0 v.vblock (Pagepath.to_list path)
+  if Trace.costing t.trace then
+    Trace.costed t.trace ~kind:"server.access" (fun () ->
+        descend_for_access t v path access 0 v.vblock 0 v.vblock (Pagepath.to_list path))
+  else descend_for_access t v path access 0 v.vblock 0 v.vblock (Pagepath.to_list path)
 
 (* Plain traversal with no copying and no flag recording, for committed
    versions (and introspection). *)
@@ -496,7 +505,7 @@ let version_of_block t block =
    was never written costs no store write: its dirty entry is dropped. *)
 let free_private_pages t vblock =
   (match read_pg t vblock with
-  | Ok page -> iter_copies t page (Pagestore.free t.ps)
+  | Ok page -> fold_copies t page 0 (fun t b () -> Pagestore.free t.ps b) ()
   | Error _ -> ());
   Pagestore.free t.ps vblock
 
@@ -874,65 +883,53 @@ let publish t ctx =
   drop_ctx t ctx;
   result
 
+let free_noted t b freed =
+  Pagestore.free t.ps b;
+  b :: freed
+
+(* Points the read shadow at [path] below [block] back at its original and
+   frees it and its copies onto [freed] ([freed] itself if it stays). The
+   parent's write can fail only on an eviction write-back, which leaves it
+   cached: references are fixed-width. *)
+let rec unshare t block path freed =
+  match path with
+  | [] -> freed
+  | index :: rest -> (
+      match Pagestore.peek t.ps block with
+      | Ok page when index < Page.nrefs page -> (
+          let entry = page.Page.refs.(index) in
+          match rest with
+          | _ :: _ -> unshare t entry.Page.block rest freed
+          | [] -> (
+              match Pagestore.peek t.ps entry.Page.block with
+              | Ok ({ Page.header = { Page.base_ref = Some original; _ }; _ } as copy) ->
+                  let reshared = { Page.block = original; flags = Flags.clear } in
+                  ignore (Pagestore.set_ref t.ps block page index reshared : unit r);
+                  free_noted t entry.Page.block (fold_copies t copy 0 free_noted freed)
+              | Ok _ | Error _ -> freed))
+      | Ok _ | Error _ -> freed)
+
 (* §5.1: once a version commits its R and S flags are dead, so a copy with
    no W or M at or below it — a read shadow — holds exactly the page it
    was copied from. A fast-path winner's base is the version it copied
-   from, whose page each copy's [base_ref] names. So each topmost shadow
-   found in the flag map is pointed back at that original with its flags
-   cleared, and it and the copies below it are freed unwritten; the
+   from, whose page each copy's [base_ref] names. So each shadow given
+   (the map's topmost ones) is pointed back at that original with its
+   flags cleared, and it and the copies below it are freed unwritten; the
    answer is the map without the same paths. Only the pages on the
    path down to each shadow are read, plus the shadow's own copies to
    free them. Best effort: a shadow a store error leaves in place is
-   still correct, and the collector reshares it later. *)
-let reshare_read_shadows t (v : version_record) map =
-  match Writeset.read_only map with
-  | [] -> map
-  | shadows ->
-      let freed = ref [] in
-      let free b =
-        Pagestore.free t.ps b;
-        freed := b :: !freed
-      in
-      (* Explicit matches rather than [let*]: this runs on every
-         fast-path commit, and each bind would allocate a closure. *)
-      let entry_at block index =
-        match Pagestore.peek t.ps block with
-        | Error _ -> None
-        | Ok page -> (
-            match Page.get_ref page index with Ok e -> Some (page, e) | Error _ -> None)
-      in
-      (* True once the entry names the original. References are
-         fixed-width, so the parent's write can fail only on an
-         eviction write-back, which still leaves it cached. *)
-      let rec unshare block = function
-        | [] -> false
-        | [ index ] -> (
-            match entry_at block index with
-            | None -> false
-            | Some (parent, entry) -> (
-                match Pagestore.peek t.ps entry.Page.block with
-                | Ok ({ Page.header = { Page.base_ref = Some original; _ }; _ } as copy) -> (
-                    let reshared = { Page.block = original; flags = Flags.clear } in
-                    match Page.with_ref parent index reshared with
-                    | Error _ -> false
-                    | Ok parent ->
-                        ignore (write_pg t block parent : unit r);
-                        iter_copies t copy free;
-                        free entry.Page.block;
-                        true)
-                | Ok _ | Error _ -> false))
-        | index :: rest -> (
-            match entry_at block index with
-            | Some (_, entry) -> unshare entry.Page.block rest
-            | None -> false)
-      in
-      let gone = List.filter (fun path -> unshare v.vblock (Pagepath.to_list path)) shadows in
-      if gone = [] then map
-      else begin
-        v.private_blocks <- List.filter (fun b -> not (List.mem b !freed)) v.private_blocks;
-        v.past <- Shadows_dropped;
-        Writeset.without map gone
-      end
+   still correct, and the collector reshares it later. No closure per
+   shadow: this runs on every fast-path commit. *)
+let rec reshare_read_shadows t (v : version_record) map ~freed ~gone = function
+  | path :: rest ->
+      let now_freed = unshare t v.vblock (Pagepath.to_list path) freed in
+      if now_freed == freed then reshare_read_shadows t v map ~freed ~gone rest
+      else reshare_read_shadows t v map ~freed:now_freed ~gone:(path :: gone) rest
+  | [] when gone = [] -> map
+  | [] ->
+      v.private_blocks <- List.filter (fun b -> not (List.mem b freed)) v.private_blocks;
+      v.past <- Shadows_dropped;
+      Writeset.without map gone
 
 (* Record an admitted winner: it waits for the run's publish, and its
    write set joins the per-file union later members pre-test against. *)
@@ -980,7 +977,9 @@ let admit t ctx v =
                     let fastpath = base_block = base0 in
                     (* Before any later member of the run validates against it. *)
                     let map =
-                      if fastpath && v.past <> Merged then reshare_read_shadows t v candidate
+                      if fastpath && v.past <> Merged then
+                        reshare_read_shadows t v candidate ~freed:[] ~gone:[]
+                          (Writeset.read_only candidate)
                       else candidate
                     in
                     note_winner ctx v ~fastpath map;
@@ -1164,6 +1163,9 @@ let tracked_writeset t block =
   match Hashtbl.find_opt t.versions block with
   | Some v -> v.wset
   | None -> None
+
+let drop_flag_map t block =
+  match Hashtbl.find_opt t.versions block with Some v -> v.wset <- None | None -> ()
 
 let set_lock_fields t block ~top ~inner =
   let* page = read_pg t block in

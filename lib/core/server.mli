@@ -43,7 +43,7 @@ val create :
     base's commit reference, the pretest / serialise / merge phases and
     the final outcomes; [name] (e.g. the owning cluster shard's id)
     becomes the span's label, so per-shard commit traffic is separable in
-    a cluster trace.
+    a cluster trace. Each page access's descent is costed as [server.access].
 
     [publish_tap] is the replication gate: it receives the (block, page)
     pairs a publish is about to write through — the winners' pages, then
@@ -185,7 +185,8 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     its own admission read when this server committed it, or is read
     from its tree once (and kept, when this server knows it committed).
     A committed version keeps its map until {!reclaim_versions} drops
-    its record; an uncommitted one keeps none.
+    its record or the collector rewrites its tree ({!drop_flag_map});
+    an uncommitted one keeps none.
 
     Internally a commit is a validate → merge → publish pipeline run of
     one member, the same run {!commit_batch} and {!prepare} use: the test-and-set of the base's commit reference under the
@@ -272,6 +273,10 @@ val written_set : t -> int -> Afs_util.Pagepath.t list Errors.r
 val tracked_writeset : t -> int -> Writeset.t option
 (** The flag map kept for a committed version, if it has been read —
     exposed for tests asserting that it equals the tree's flags. *)
+
+val drop_flag_map : t -> int -> unit
+(** Forget the map kept for the version at the block, whose tree the
+    collector has rewritten: it is read afresh on next need. *)
 
 val set_lock_fields :
   t -> int -> top:int option -> inner:int option -> unit Errors.r

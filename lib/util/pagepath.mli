@@ -19,10 +19,6 @@ val to_list : t -> int list
 val child : t -> int -> t
 (** [child p i] extends [p] with index [i]. Raises on negative [i]. *)
 
-val prefix : t -> int -> t
-(** [prefix p n] is [p]'s first [n] indices, its ancestor at depth [n];
-    [p] itself, unallocated, when [n >= depth p]. *)
-
 val parent : t -> t option
 (** [parent p] drops the last index; [None] for the root. *)
 

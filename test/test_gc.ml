@@ -140,6 +140,40 @@ let test_reshare_read_only_copies () =
       (ok (Server.read_page srv cur (path [ p ])))
   done
 
+(* A merged winner [a] read /0.0 and wrote /1; the collector reshares its
+   read copy of /0. An older update that inserted under /0 then meets
+   [a] in its commit chain: [a]'s tree no longer shows an access below
+   /0, so the pre-test must not reject what the tree walk accepts. *)
+let test_reshared_map_follows_tree () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 3 in
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.insert_page srv v ~parent:(path [ 0 ]) ~index:0 ()));
+  ok (Server.commit srv v);
+  let late = ok (Server.create_version srv f) in
+  ignore (ok (Server.insert_page srv late ~parent:(path [ 0 ]) ~index:1 ()));
+  let a = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv a (path [ 0; 0 ])));
+  ok (Server.write_page srv a (path [ 1 ]) (bytes "a"));
+  commit_write srv f [ 2 ] "c";
+  ok (Server.commit srv a);
+  Alcotest.(check int) "a won by merging" 1 (counter srv "commits.merged");
+  commit_write srv f [ 1 ] "e";
+  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 8; reshare = true } srv) in
+  Alcotest.(check int) "a's read copy reshared" 1 stats.Gc.pages_reshared;
+  let block cap = ok (Server.version_block srv cap) in
+  (match
+     ok (Serialise.test_only (Server.pagestore srv) ~candidate:(block late) ~committed:(block a))
+   with
+  | Serialise.Serialisable _ -> ()
+  | Serialise.Conflict { reason; _ } -> Alcotest.failf "the walk rejects: %s" reason);
+  let shortcircuits = counter srv "commits.shortcircuit" in
+  let committed = Server.commit srv late in
+  Alcotest.(check int) "no short circuit" shortcircuits (counter srv "commits.shortcircuit");
+  match committed with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "the walk accepts, the commit answered %s" (Errors.to_string e)
+
 let test_reshare_then_sweep_reclaims_space () =
   let store, srv = Helpers.fresh_server () in
   let f = Helpers.file_with_pages srv 9 in
@@ -755,6 +789,7 @@ let () =
         [
           quick "read-only copies reshared" test_reshare_read_only_copies;
           quick "reshare + sweep reclaims" test_reshare_then_sweep_reclaims_space;
+          quick "reshared map follows tree" test_reshared_map_follows_tree;
           quick "written subtrees kept" test_reshare_keeps_written_subtrees;
           quick "open update keeps current copies" test_open_update_keeps_current_copies;
           QCheck_alcotest.to_alcotest prop_commit_leaves_no_read_shadow;

@@ -172,9 +172,12 @@ let test_ref_ops_bounds () =
 let test_clear_child_flags () =
   let flags = Flags.record (Flags.record Flags.clear Flags.Read) Flags.Write in
   let p = Helpers.ok_str (Page.insert_ref Page.empty 0 (entry ~flags 10)) in
-  let p = Page.clear_child_flags p in
-  Alcotest.(check bool) "cleared" true (Flags.equal Flags.clear p.Page.refs.(0).Page.flags);
-  Alcotest.(check int) "block kept" 10 p.Page.refs.(0).Page.block
+  let q = Page.copied_from p 7 in
+  Alcotest.(check bool) "cleared" true (Flags.equal Flags.clear q.Page.refs.(0).Page.flags);
+  Alcotest.(check int) "block kept" 10 q.Page.refs.(0).Page.block;
+  Alcotest.(check (option int)) "based on its block" (Some 7) q.Page.header.Page.base_ref;
+  Alcotest.(check bool) "original untouched" false
+    (Flags.equal Flags.clear p.Page.refs.(0).Page.flags)
 
 let test_functional_updates_do_not_alias () =
   let p = Helpers.ok_str (Page.insert_ref Page.empty 0 (entry 10)) in
@@ -421,7 +424,12 @@ let prop_memo_canonical_after_updates =
           map2 (fun i e p -> match Page.insert_ref p i e with Ok p -> p | Error _ -> p)
             (int_bound 8) entry_gen;
           map (fun i p -> match Page.remove_ref p i with Ok p -> p | Error _ -> p) (int_bound 8);
-          return Page.clear_child_flags;
+          return (fun p -> Page.copied_from p 3);
+          map2
+            (fun i e p ->
+              if i < Page.nrefs p then Page.set_ref p i e;
+              p)
+            (int_bound 8) entry_gen;
         ])
   in
   Test.make ~name:"memoized encode is canonical after every updater" ~count:300
@@ -443,7 +451,8 @@ let prop_memo_canonical_after_updates =
       | _ -> Test.fail_reportf "encode did not memoize its image");
       let fresh =
         match decode img with
-        | Ok q -> Page.encode q
+        | Ok q when Page.equal q p -> Page.encode q
+        | Ok _ -> Test.fail_reportf "memoized image holds another page"
         | Error msg -> Test.fail_reportf "memoized image does not decode: %s" msg
       in
       if not (Bytes.equal img fresh) then

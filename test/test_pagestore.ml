@@ -26,6 +26,27 @@ let test_write_read_cached () =
   ignore (ok (Pagestore.write ps b (page_with_data "cached")));
   Alcotest.(check string) "read hits cache" "cached" (read_data ps b)
 
+(* A dirty entry owns its page: [set_ref] updates it in place and writes
+   it again as itself, which allocates nothing, size check included. A
+   clean entry owns nothing, so its page is copied and left as it was. *)
+let test_set_ref_in_place_only_when_dirty () =
+  let _, ps = fresh () in
+  let b = ok (Pagestore.allocate ps) in
+  let entry block = { Page.block; flags = Flags.clear } in
+  let page = Helpers.ok_str (Page.insert_ref (page_with_data "own") 0 (entry 10)) in
+  ok (Pagestore.write ps b page);
+  let e11 = entry 11 in
+  let words = Helpers.minor_words_of (fun () -> ok (Pagestore.set_ref ps b page 0 e11)) in
+  Alcotest.(check (float 0.)) "in place, no words" 0. words;
+  Alcotest.(check bool) "same page cached" true (ok (Pagestore.read ps b) == page);
+  Alcotest.(check int) "updated in place" 11 page.Page.refs.(0).Page.block;
+  ok (Pagestore.flush ps);
+  ok (Pagestore.set_ref ps b page 0 (entry 12));
+  let cached = ok (Pagestore.read ps b) in
+  Alcotest.(check bool) "clean page copied" true (cached != page);
+  Alcotest.(check int) "copy updated" 12 cached.Page.refs.(0).Page.block;
+  Alcotest.(check int) "clean page untouched" 11 page.Page.refs.(0).Page.block
+
 let test_write_is_deferred () =
   let store, ps = fresh () in
   let b = ok (Pagestore.allocate ps) in
@@ -572,6 +593,7 @@ let () =
         [
           quick "write/read cached" test_write_read_cached;
           quick "writes deferred until flush" test_write_is_deferred;
+          quick "set_ref in place only when dirty" test_set_ref_in_place_only_when_dirty;
           quick "write_through immediate" test_write_through_immediate;
           quick "flush single block" test_flush_block_single;
           quick "crash loses unflushed" test_crash_loses_unflushed;

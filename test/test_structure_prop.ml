@@ -195,6 +195,103 @@ let prop_disjoint_structure_ops_merge =
       let nk = (ok (Server.page_info srv cur (P.of_list [ k ]))).Server.nrefs in
       ni = grandchildren + 1 && nk = grandchildren + 1)
 
+(* {2 Committed pages are values}
+
+   A server updates a page in place only while its dirty cache entry owns
+   it: a private page of an uncommitted version, not yet published. So a
+   page of a committed version, and a page the publish tap was handed,
+   never changes once seen. A random run of reads, writes, inserts and
+   removes on up to three open versions, with commits, aborts,
+   group-commit runs and collections, snapshots each such page when its
+   version commits or the tap sees it; every page must still equal its
+   snapshot at the end. The tap is a replica source's, as on a cluster
+   shard. *)
+
+let snapshot_of page = (page, Bytes.copy (Page.encode page))
+
+let unchanged (page, image) =
+  match Page.decode (Afs_util.Image.of_bytes image) with
+  | Ok seen -> Page.equal page seen
+  | Error _ -> false
+
+(* Every page of the committed version at [vblock], as its server holds
+   it (cache-neutral reads). *)
+let rec tree_pages ps acc block =
+  let page = ok (Pagestore.peek ps block) in
+  Array.fold_left
+    (fun acc (e : Page.ref_entry) -> tree_pages ps acc e.Page.block)
+    (snapshot_of page :: acc) page.Page.refs
+
+let random_access srv v rng =
+  let i = Xrng.int rng children in
+  let at = if Xrng.bool rng then P.of_list [ i ] else P.of_list [ i; Xrng.int rng 3 ] in
+  let answer =
+    match Xrng.int rng 4 with
+    | 0 -> Result.map ignore (Server.read_page srv v at)
+    | 1 -> Server.write_page srv v at (bytes (Printf.sprintf "w%d" (Xrng.int rng 100)))
+    | 2 -> Result.map ignore (Server.insert_page srv v ~parent:at ~index:0 ~data:(bytes "n") ())
+    | _ -> Server.remove_page srv v ~parent:at ~index:0
+  in
+  match answer with
+  | Ok () | Error (Errors.Bad_index _ | Errors.Bad_path _) -> ()
+  | Error e -> Alcotest.failf "access: %s" (Errors.to_string e)
+
+let committed_pages_unchanged (seed, capacity) =
+  let counters = Afs_util.Stats.Counter.create () in
+  let source = Afs_replica.Replica.Source.create ~counters (Afs_sim.Engine.create ()) (Store.memory ()) in
+  let tapped = ref [] in
+  let publish_tap batch =
+    tapped := List.rev_append (List.map (fun (_, page) -> snapshot_of page) batch) !tapped;
+    Afs_replica.Replica.Source.tap source batch
+  in
+  let srv =
+    Server.create ~cache_capacity:capacity ~publish_tap
+      (Afs_replica.Replica.Source.capture_store source)
+  in
+  let ps = Server.pagestore srv in
+  let f = build_base srv in
+  let rng = Xrng.create seed in
+  let seen = ref [] in
+  let committed v = seen := tree_pages ps !seen (ok (Server.version_block srv v)) in
+  let settle v = function
+    | Ok () -> committed v
+    | Error Errors.Conflict -> ()
+    | Error e -> Alcotest.failf "commit: %s" (Errors.to_string e)
+  in
+  let pick open_ = List.nth open_ (Xrng.int rng (List.length open_)) in
+  let rec step n open_ =
+    if n > 0 then
+      match (Xrng.int rng 9, open_) with
+      | (0 | 1), _ when List.length open_ < 3 ->
+          step (n - 1) (ok (Server.create_version srv f) :: open_)
+      | (2 | 3 | 4), _ :: _ ->
+          random_access srv (pick open_) rng;
+          step (n - 1) open_
+      | 5, _ :: _ ->
+          let v = pick open_ in
+          settle v (Server.commit srv v);
+          step (n - 1) (List.filter (( != ) v) open_)
+      | 6, _ :: _ ->
+          let v = pick open_ in
+          ok (Server.abort_version srv v);
+          step (n - 1) (List.filter (( != ) v) open_)
+      | 7, _ :: _ :: _ ->
+          List.iter2 settle open_ (Server.commit_batch srv open_);
+          step (n - 1) []
+      | _ ->
+          let retain_committed = if open_ = [] then 2 else 64 in
+          ignore (ok (Gc.collect ~policy:{ Gc.retain_committed; reshare = true } srv));
+          step (n - 1) open_
+  in
+  step 60 [];
+  List.for_all unchanged !seen && List.for_all unchanged !tapped
+
+let prop_committed_pages_unchanged =
+  QCheck2.Test.make ~name:"committed pages never change in place" ~count:200
+    ~print:(fun (seed, capacity) -> Printf.sprintf "seed=%d capacity=%d" seed capacity)
+    QCheck2.Gen.(pair (int_range 1 100000) (oneofl [ 4; 4096 ]))
+    committed_pages_unchanged
+
 let () =
   Alcotest.run "structure-properties"
     [
@@ -203,5 +300,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_replay_equivalence;
           QCheck_alcotest.to_alcotest prop_structure_vs_access_conflicts;
           QCheck_alcotest.to_alcotest prop_disjoint_structure_ops_merge;
+          QCheck_alcotest.to_alcotest prop_committed_pages_unchanged;
         ] );
     ]

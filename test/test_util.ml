@@ -219,13 +219,6 @@ let test_path_prefix () =
   Alcotest.(check bool) "root prefixes all" true (Pagepath.is_prefix Pagepath.root b);
   Alcotest.(check bool) "self-prefix" true (Pagepath.is_prefix b b)
 
-let test_path_ancestor () =
-  let p = Pagepath.of_list [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "depth 0" [] (Pagepath.to_list (Pagepath.prefix p 0));
-  Alcotest.(check (list int)) "depth 2" [ 1; 2 ] (Pagepath.to_list (Pagepath.prefix p 2));
-  Alcotest.(check bool) "whole path is itself" true (Pagepath.prefix p 3 == p);
-  Alcotest.(check bool) "beyond is itself" true (Pagepath.prefix p 5 == p)
-
 let test_path_rejects_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Pagepath.of_list: negative index")
     (fun () -> ignore (Pagepath.of_list [ -1 ]))
@@ -596,7 +589,6 @@ let () =
           quick "string roundtrip" test_path_roundtrip_string;
           quick "parent/child" test_path_parent_child;
           quick "prefix" test_path_prefix;
-          quick "ancestor at depth" test_path_ancestor;
           quick "rejects negative" test_path_rejects_negative;
           quick "of_string errors" test_path_of_string_errors;
           quick "last/depth" test_path_last_depth;
