@@ -33,7 +33,10 @@ type header = {
   inner_lock : int;
   parent_ref : int option;
       (** Version pages: block of the enclosing super-file's version page. *)
-  base_ref : int option;  (** Block this page was copied from. *)
+  base_ref : int option;
+      (** Block this page was copied from. For an uncommitted version's
+          copy, the page at the same path in the version's current base:
+          a merge that rebases the version rewrites it ({!Serialise}). *)
   root_flags : Flags.t;  (** Access flags of the root page itself. *)
 }
 

@@ -325,6 +325,10 @@ let rec clean t pages = function
       clean t (pages - 1) rest
   | (b, page) :: rest -> ( match settle t b page with Ok () -> clean t 0 rest | Error _ as e -> e)
 
+let mark_durable t b =
+  let e = Lru.peek_or t.cache b absent in
+  if e.dirty then mark_clean t b e
+
 let put_batch t batch =
   t.store.Store.write_batch (List.map (fun (b, page) -> (b, Page.encode page)) batch)
 

@@ -67,6 +67,11 @@ val write_through_batch : ?pages:int -> t -> (int * Page.t) list -> (unit, Error
     a retry writes them again, and any other cached batch block is
     dropped. *)
 
+val mark_durable : t -> int -> unit
+(** The block's page is known to be on disk although its write reported
+    failure (a publish whose acknowledgement was lost): a dirty cache
+    entry becomes clean in place. Cache-neutral. *)
+
 val add_dirty : t -> (int * Page.t) list -> int -> (int * Page.t) list
 (** [add_dirty t batch b] puts [b] with its page in front of [batch] when
     [b] is cached and dirty, and is [batch] otherwise. Cache-neutral: no

@@ -25,9 +25,10 @@ let conflict path reason = raise (Conflict_found { path; reason })
 
 (* Merge the contents of page [pb] (the candidate's private copy at
    [b_block]) with [pc] (the committed version's copy of the same base
-   page), given the access flags [fb] and [fc] their parents hold for
-   them. Returns the merged page to store at [b_block]. *)
-let rec merge_pages st path ~fb ~fc pb pc =
+   page, at block [base]), given the access flags [fb] and [fc] their
+   parents hold for them. Returns the merged page to store at [b_block],
+   copied from [base]. *)
+let rec merge_pages st path ~base ~fb ~fc pb pc =
   (* Data level: W_c against R_b. *)
   if fc.Flags.w && fb.Flags.r then conflict path "data written by committed, read by candidate";
   (* Structure level: M_c against S_b. *)
@@ -69,7 +70,8 @@ let rec merge_pages st path ~fb ~fc pb pc =
         pb.Page.refs
     end
   in
-  Page.with_contents pb ~refs ~data
+  let header = { pb.Page.header with Page.base_ref = Some base } in
+  Page.with_header (Page.with_contents pb ~refs ~data) header
 
 (* Decide what the merged version's reference at [path] is, given the
    candidate's entry [eb] and the committed version's entry [ec] for the
@@ -92,7 +94,9 @@ and merge_children st path (eb : Page.ref_entry) (ec : Page.ref_entry) : Page.re
   | true, true ->
       let pb = read_page st eb.Page.block in
       let pc = read_page st ec.Page.block in
-      let merged = merge_pages st path ~fb:eb.Page.flags ~fc:ec.Page.flags pb pc in
+      let merged =
+        merge_pages st path ~base:ec.Page.block ~fb:eb.Page.flags ~fc:ec.Page.flags pb pc
+      in
       write_page st eb.Page.block merged;
       eb
 
@@ -101,9 +105,7 @@ let run st ~candidate ~committed =
   let vc = read_page st committed in
   let fb = vb.Page.header.Page.root_flags in
   let fc = vc.Page.header.Page.root_flags in
-  let merged_root = merge_pages st Pagepath.root ~fb ~fc vb vc in
-  let header = { merged_root.Page.header with Page.base_ref = Some committed } in
-  write_page st candidate (Page.with_header merged_root header)
+  write_page st candidate (merge_pages st Pagepath.root ~base:committed ~fb ~fc vb vc)
 
 let execute ~dry_run ps ~candidate ~committed =
   let st = { ps; dry_run; visited = 0; adopted = 0 } in

@@ -17,6 +17,22 @@
     accessed are replaced by the corresponding written parts of [V_c], so
     the merged version carries both updates and is re-based on [V_c].
 
+    The merge keeps one rule: a copy's [base_ref] names the page at the
+    same path in its version's {e current} base. A copy that [V_c] left
+    alone keeps it ([V_c] shares that page with [V_a]); a copy both
+    accessed is rewritten with [base_ref] naming [V_c]'s page. So after a
+    serialisable merge a read shadow (a copy with no [W] or [M] at or
+    below it) holds the data and references of [V_c]'s page at its path,
+    flags apart. Its data: the candidate did not write it, so the merge
+    takes [V_c]'s when [V_c] wrote it and keeps the base data, which
+    [V_c] shares, when not. Its references: the candidate did not
+    restructure, so they are [V_c]'s table when [V_c] restructured, else
+    entry by entry the untouched base page both share, [V_c]'s subtree
+    adopted, or the candidate's own copy, which holds what [V_c]'s page
+    there holds by the same argument. Hence a merged winner can point
+    its read shadows back at the pages their [base_ref]s name, as a
+    fast-path winner does ({!Server.commit}).
+
     One case the paper leaves open: [V_b] restructured a page's reference
     table ([M]) while [V_c] independently accessed pages below it. Index
     correspondence is lost, so we conservatively report a conflict; this

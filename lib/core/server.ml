@@ -10,13 +10,6 @@ type version_status = Uncommitted | Committed | Aborted
 
 type page_info = { nrefs : int; dsize : int; child_flags : Flags.t array }
 
-(* What earlier admissions did to a version still uncommitted because
-   their publish failed, which a retry admits again. [Merged]: its
-   copies' [base_ref]s may name superseded pages, so a fast-path win
-   keeps its read shadows. [Shadows_dropped]: their R flags are gone, so
-   it can no longer be merged. *)
-type past_admissions = Unadmitted | Merged | Shadows_dropped
-
 type version_record = {
   vblock : int;
   file_obj : int;
@@ -33,7 +26,9 @@ type version_record = {
      with the version page, the pages its publish must make durable.
      Emptied once the version is finished or aborted. *)
   mutable private_blocks : int list;
-  mutable past : past_admissions;
+  (* An earlier admission, whose publish failed, reshared read shadows:
+     their R flags are gone, so a retry can no longer be merged. *)
+  mutable shadows_dropped : bool;
 }
 
 type file_record = {
@@ -123,7 +118,7 @@ let fresh_file_record ~file_obj ~current ~oldest ~vblocks =
   { file_obj; current_hint = current; oldest_hint = oldest; uncommitted = Hashtbl.create 4; vblocks }
 
 let fresh_version_record ~vblock ~file_obj ~status ?(private_blocks = []) () =
-  { vblock; file_obj; status; wset = None; private_blocks; past = Unadmitted }
+  { vblock; file_obj; status; wset = None; private_blocks; shadows_dropped = false }
 
 (* Register a version block in its file's index (creating the file record
    when the file itself has not been seen yet, with [committed], a
@@ -829,14 +824,16 @@ let drop_ctx t ctx =
 (* A failed publish may still have landed: a lost acknowledgement hides
    a batch the store wrote. So each claimed base is read back from the
    store. One that names its winner made the winner durably committed,
-   and it is finished as such; one without the reference leaves it
-   uncommitted, for a retry; one that cannot be read leaves its fate
-   unknown here, so the winner is forgotten as {!crash} forgets it —
-   aborted, with nothing freed. *)
+   pages first, and it is finished as such, its pages clean; one without
+   the reference leaves it uncommitted, for a retry; one that cannot be
+   read leaves its fate unknown here, so the winner is forgotten as
+   {!crash} forgets it — aborted, with nothing freed. *)
 let settle_claim t (base_block, _) (((v : version_record), _, _) as winner) =
   Pagestore.refresh t.ps base_block;
   match Pagestore.peek_commit_ref t.ps base_block with
-  | Ok (Some c) when c = v.vblock -> finish_commit t winner
+  | Ok (Some c) when c = v.vblock ->
+      List.iter (Pagestore.mark_durable t.ps) (v.vblock :: v.private_blocks);
+      finish_commit t winner
   | Ok _ -> ()
   | Error _ -> (
       mark_aborted v;
@@ -910,16 +907,18 @@ let rec unshare t block path freed =
       | Ok _ | Error _ -> freed)
 
 (* §5.1: once a version commits its R and S flags are dead, so a copy with
-   no W or M at or below it — a read shadow — holds exactly the page it
-   was copied from. A fast-path winner's base is the version it copied
-   from, whose page each copy's [base_ref] names. So each shadow given
-   (the map's topmost ones) is pointed back at that original with its
-   flags cleared, and it and the copies below it are freed unwritten; the
-   answer is the map without the same paths. Only the pages on the
-   path down to each shadow are read, plus the shadow's own copies to
-   free them. Best effort: a shadow a store error leaves in place is
-   still correct, and the collector reshares it later. No closure per
-   shadow: this runs on every fast-path commit. *)
+   no W or M at or below it — a read shadow — can share its original
+   again. Each copy's [base_ref] names the page at its path in the
+   version's current base, and a serialisable merge leaves a shadow
+   holding exactly that page's contents ({!Serialise}), so a winner
+   reshares the same way at its original base or after merging. Each
+   shadow given (the map's topmost ones) is pointed back at that page
+   with its flags cleared, and it and the copies below it are freed
+   unwritten; the answer is the map without the same paths. Only the
+   pages on the path down to each shadow are read, plus the shadow's own
+   copies to free them. Best effort: a shadow a store error leaves in
+   place is still correct, and stays in the tree and the map. No closure
+   per shadow: this runs on every commit. *)
 let rec reshare_read_shadows t (v : version_record) map ~freed ~gone = function
   | path :: rest ->
       let now_freed = unshare t v.vblock (Pagepath.to_list path) freed in
@@ -928,7 +927,7 @@ let rec reshare_read_shadows t (v : version_record) map ~freed ~gone = function
   | [] when gone = [] -> map
   | [] ->
       v.private_blocks <- List.filter (fun b -> not (List.mem b freed)) v.private_blocks;
-      v.past <- Shadows_dropped;
+      v.shadows_dropped <- true;
       Writeset.without map gone
 
 (* Record an admitted winner: it waits for the run's publish, and its
@@ -977,22 +976,18 @@ let admit t ctx v =
                     let fastpath = base_block = base0 in
                     (* Before any later member of the run validates against it. *)
                     let map =
-                      if fastpath && v.past <> Merged then
-                        reshare_read_shadows t v candidate ~freed:[] ~gone:[]
-                          (Writeset.read_only candidate)
-                      else candidate
+                      reshare_read_shadows t v candidate ~freed:[] ~gone:[]
+                        (Writeset.read_only candidate)
                     in
                     note_winner ctx v ~fastpath map;
                     Ok ()
-                | Ok (Some _) when v.past = Shadows_dropped ->
+                | Ok (Some _) when v.shadows_dropped ->
                     intercept t v ~pretest:false;
                     doom t v ~shortcircuit:false
                 | Ok (Some successor) -> (
                     match merge t ctx v ~candidate ~successor with
                     | Error e -> Error e
-                    | Ok () ->
-                        v.past <- Merged;
-                        attempt successor)
+                    | Ok () -> attempt successor)
               in
               attempt base0))
 
@@ -1163,9 +1158,6 @@ let tracked_writeset t block =
   match Hashtbl.find_opt t.versions block with
   | Some v -> v.wset
   | None -> None
-
-let drop_flag_map t block =
-  match Hashtbl.find_opt t.versions block with Some v -> v.wset <- None | None -> ()
 
 let set_lock_fields t block ~top ~inner =
   let* page = read_pg t block in

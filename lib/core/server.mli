@@ -167,12 +167,12 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     Only the committing version's own pages are written — the version
     page and the blocks it allocated (copies and inserted pages) that
     are still dirty in the cache — and only once the version has won. A doomed commit, like {!abort_version}, writes
-    nothing: its pages are dropped from the cache and freed. A version
-    that wins at its original base (the fast path) writes no read copy
-    either: each copy with no W or M at or below it is pointed back at
-    the page it copied (§5.1) and freed, and leaves the version's flag
-    map, before any later member of the run validates. A version that
-    won by merging keeps its copies; {!Gc} reshares them.
+    nothing: its pages are dropped from the cache and freed. A winner
+    writes no read copy either, whether it won at its original base (the
+    fast path) or by merging: each copy with no W or M at or below it is
+    pointed back at the page at its path in the base it won at (§5.1)
+    and freed, and leaves the version's flag map, before any later
+    member of the run validates.
 
     Each admission first reads the version's flag map ({!Writeset})
     from its page tree ({!Serialise.flag_map}, cache-neutral), inside
@@ -184,9 +184,9 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     trees, to build the merge. The intervening version's map is the one
     its own admission read when this server committed it, or is read
     from its tree once (and kept, when this server knows it committed).
-    A committed version keeps its map until {!reclaim_versions} drops
-    its record or the collector rewrites its tree ({!drop_flag_map});
-    an uncommitted one keeps none.
+    A committed version's tree no longer changes, so it keeps its map
+    until {!reclaim_versions} drops its record; an uncommitted one keeps
+    none.
 
     Internally a commit is a validate → merge → publish pipeline run of
     one member, the same run {!commit_batch} and {!prepare} use: the test-and-set of the base's commit reference under the
@@ -196,9 +196,11 @@ val commit : t -> Afs_util.Capability.t -> unit Errors.r
     durably, and only then does the commit count ([commits.ok],
     [commits.fastpath] / [commits.merged], the success [Commit_outcome]
     point). If the publish fails, the pages that did not land stay dirty,
-    so retrying the commit writes them again; but the store may have
-    written the batch and lost its answer, so each claimed base is read
-    back: a base that names the version makes it committed (a retry then
+    so retrying the commit writes them again. A winner that pointed read
+    copies back has lost their R flags, so any interception on the retry
+    dooms it with [Conflict]. The store may also have written the batch
+    and lost its answer, so each claimed base is read back: a base that
+    names the version makes it committed, its pages clean (a retry then
     answers [Version_not_mutable]), one without the reference leaves it
     uncommitted, and one that cannot be read leaves it aborted, its
     pages left to the collector. The commit answers the store error in
@@ -273,10 +275,6 @@ val written_set : t -> int -> Afs_util.Pagepath.t list Errors.r
 val tracked_writeset : t -> int -> Writeset.t option
 (** The flag map kept for a committed version, if it has been read —
     exposed for tests asserting that it equals the tree's flags. *)
-
-val drop_flag_map : t -> int -> unit
-(** Forget the map kept for the version at the block, whose tree the
-    collector has rewritten: it is read afresh on next need. *)
 
 val set_lock_fields :
   t -> int -> top:int option -> inner:int option -> unit Errors.r

@@ -98,149 +98,13 @@ let test_uncommitted_versions_survive_gc () =
   Helpers.check_bytes "landed" "in flight" (ok (Server.read_page srv cur (path [ 0 ])))
 
 let counter srv name = Afs_util.Stats.Counter.get (Server.counters srv) name
+let paths_l = Alcotest.(list (list int))
 
-(* [v] reads [reads] of a file's pages and writes [writes] of them, while
-   a concurrent update writes page [other] and commits first: [v] wins by
-   merging, so it keeps its read copies. *)
-let merged_winner srv f ~reads ~writes ~other =
-  let v = ok (Server.create_version srv f) in
-  List.iter (fun p -> ignore (ok (Server.read_page srv v (path [ p ])))) reads;
-  List.iter (fun p -> ok (Server.write_page srv v (path [ p ]) (bytes "w"))) writes;
-  commit_write srv f [ other ] "other";
-  ok (Server.commit srv v);
-  Alcotest.(check int) "won by merging" 1 (counter srv "commits.merged");
-  v
+(* {2 Read copies are reshared at commit}
 
-let test_reshare_read_only_copies () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 5 in
-  (* On the fast path the commit itself reshares the read copies. *)
-  let fast = ok (Server.create_version srv f) in
-  for p = 1 to 3 do
-    ignore (ok (Server.read_page srv fast (path [ p ])))
-  done;
-  ok (Server.write_page srv fast (path [ 0 ]) (bytes "fast"));
-  ok (Server.commit srv fast);
-  Alcotest.(check int) "nothing left to reshare" 0
-    (ok (Gc.reshare_version srv (ok (Server.version_block srv fast))));
-  (* A merged winner keeps them: a read-modify-write of page 0 that also
-     read pages 1..3, merged past a write of page 4. *)
-  let v = merged_winner srv f ~reads:[ 1; 2; 3 ] ~writes:[ 0 ] ~other:4 in
-  let vb = ok (Server.version_block srv v) in
-  let reshared = ok (Gc.reshare_version srv vb) in
-  Alcotest.(check int) "three read copies reshared" 3 reshared;
-  (* Data is unchanged after resharing. *)
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "write kept" "w" (ok (Server.read_page srv cur (path [ 0 ])));
-  Helpers.check_bytes "merged write kept" "other" (ok (Server.read_page srv cur (path [ 4 ])));
-  for p = 1 to 3 do
-    Helpers.check_bytes
-      (Printf.sprintf "page %d reshared content" p)
-      (Printf.sprintf "p%d" p)
-      (ok (Server.read_page srv cur (path [ p ])))
-  done
-
-(* A merged winner [a] read /0.0 and wrote /1; the collector reshares its
-   read copy of /0. An older update that inserted under /0 then meets
-   [a] in its commit chain: [a]'s tree no longer shows an access below
-   /0, so the pre-test must not reject what the tree walk accepts. *)
-let test_reshared_map_follows_tree () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 3 in
-  let v = ok (Server.create_version srv f) in
-  ignore (ok (Server.insert_page srv v ~parent:(path [ 0 ]) ~index:0 ()));
-  ok (Server.commit srv v);
-  let late = ok (Server.create_version srv f) in
-  ignore (ok (Server.insert_page srv late ~parent:(path [ 0 ]) ~index:1 ()));
-  let a = ok (Server.create_version srv f) in
-  ignore (ok (Server.read_page srv a (path [ 0; 0 ])));
-  ok (Server.write_page srv a (path [ 1 ]) (bytes "a"));
-  commit_write srv f [ 2 ] "c";
-  ok (Server.commit srv a);
-  Alcotest.(check int) "a won by merging" 1 (counter srv "commits.merged");
-  commit_write srv f [ 1 ] "e";
-  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 8; reshare = true } srv) in
-  Alcotest.(check int) "a's read copy reshared" 1 stats.Gc.pages_reshared;
-  let block cap = ok (Server.version_block srv cap) in
-  (match
-     ok (Serialise.test_only (Server.pagestore srv) ~candidate:(block late) ~committed:(block a))
-   with
-  | Serialise.Serialisable _ -> ()
-  | Serialise.Conflict { reason; _ } -> Alcotest.failf "the walk rejects: %s" reason);
-  let shortcircuits = counter srv "commits.shortcircuit" in
-  let committed = Server.commit srv late in
-  Alcotest.(check int) "no short circuit" shortcircuits (counter srv "commits.shortcircuit");
-  match committed with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "the walk accepts, the commit answered %s" (Errors.to_string e)
-
-let test_reshare_then_sweep_reclaims_space () =
-  let store, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 9 in
-  ignore (merged_winner srv f ~reads:(List.init 8 Fun.id) ~writes:[] ~other:8);
-  ok (Pagestore.flush (Server.pagestore srv));
-  let before = block_count store in
-  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 16; reshare = true } srv) in
-  Alcotest.(check int) "8 reshared" 8 stats.Gc.pages_reshared;
-  Alcotest.(check bool) "8 copies swept" true (stats.Gc.blocks_freed >= 8);
-  Alcotest.(check int) "space reclaimed" (before - stats.Gc.blocks_freed) (block_count store)
-
-(* An open update copied a page from the current version, a merged
-   winner that still has its read copy there. A collection leaves that
-   version's copies alone, so the update's fast-path commit can point
-   its own read copy back at the one it copied. *)
-let test_open_update_keeps_current_copies () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 3 in
-  ignore (merged_winner srv f ~reads:[ 1 ] ~writes:[ 0 ] ~other:2);
-  let v = ok (Server.create_version srv f) in
-  ignore (ok (Server.read_page srv v (path [ 1 ])));
-  let stats = ok (Gc.collect srv) in
-  Alcotest.(check int) "current version not reshared" 0 stats.Gc.pages_reshared;
-  ok (Server.write_page srv v (path [ 0 ]) (bytes "v"));
-  ok (Server.commit srv v);
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "read page intact" "p1" (ok (Server.read_page srv cur (path [ 1 ])));
-  let stats = ok (Gc.collect srv) in
-  Alcotest.(check int) "resharable once no update is open" 1 stats.Gc.pages_reshared
-
-let test_reshare_keeps_written_subtrees () =
-  let _, srv = Helpers.fresh_server () in
-  let f = Helpers.file_with_pages srv 3 in
-  let v = ok (Server.create_version srv f) in
-  ok (Server.write_page srv v (path [ 1 ]) (bytes "must stay"));
-  ok (Server.commit srv v);
-  let vb = ok (Server.version_block srv v) in
-  let reshared = ok (Gc.reshare_version srv vb) in
-  Alcotest.(check int) "nothing reshared" 0 reshared;
-  let cur = ok (Server.current_version srv f) in
-  Helpers.check_bytes "write intact" "must stay" (ok (Server.read_page srv cur (path [ 1 ])))
-
-(* {2 A commit leaves no read shadow}
-
-   Random read/write transactions over a two-level file. A transaction
-   commits on the fast path, or by a merge when a concurrent write of
-   [other] lands first. After a fast-path commit no C entry of the
-   committed tree lacks a W or M at or below it, and the tracked write
-   set names exactly the tree's copied paths. A merged winner keeps the
-   shadows its own operations imply until [Gc.reshare_version] reshares
-   them. Contents always match a model of the committed writes. *)
-
-let two_level_file srv =
-  let f = Helpers.file_with_pages srv 3 in
-  let v = ok (Server.create_version srv f) in
-  for i = 0 to 2 do
-    for j = 0 to 1 do
-      ignore
-        (ok
-           (Server.insert_page srv v ~parent:(path [ i ]) ~index:j
-              ~data:(bytes (Printf.sprintf "p%d.%d" i j)) ()))
-    done
-  done;
-  ok (Server.commit srv v);
-  f
-
-let two_level_paths = [] :: List.concat_map (fun i -> [ [ i ]; [ i; 0 ]; [ i; 1 ] ]) [ 0; 1; 2 ]
+   Every winner points its read shadows back at its base's pages before
+   its publish (§5.1), whether it won at its original base or by
+   merging: the collector has no resharing left to do. *)
 
 (* The tree's copied paths (root first, the root when its flags are
    set) and its topmost read shadows. *)
@@ -269,18 +133,189 @@ let copied_and_shadows srv vblock =
   walk [] ~in_shadow:false vblock;
   (List.sort compare !copied, List.sort compare !shadows)
 
-(* The shadows a transaction's operations imply: each topmost accessed
-   path with no write at or below it. *)
-let implied_shadows ops =
-  let writes = List.filter_map (fun (w, p) -> if w then Some p else None) ops in
-  let written_below p = List.exists (fun w -> P.is_prefix (path p) (path w)) writes in
-  let prefixes p = List.init (List.length p) (fun k -> List.filteri (fun i _ -> i <= k) p) in
-  let accessed = List.sort_uniq compare (List.concat_map (fun (_, p) -> prefixes p) ops) in
-  List.filter
+let copied_and_shadows_of srv cap = copied_and_shadows srv (ok (Server.version_block srv cap))
+
+(* The block each root child of the version's tree refers to. *)
+let root_children srv cap =
+  let page = ok (Pagestore.read (Server.pagestore srv) (ok (Server.version_block srv cap))) in
+  Array.map (fun (e : Page.ref_entry) -> e.Page.block) page.Page.refs
+
+(* [v] reads [reads] of a file's pages and writes [writes] of them, while
+   a concurrent update writes page [other] and commits first: [v] wins by
+   merging. Answers [v] and the version it merged over. *)
+let merged_winner srv f ~reads ~writes ~other =
+  let v = ok (Server.create_version srv f) in
+  List.iter (fun p -> ignore (ok (Server.read_page srv v (path [ p ])))) reads;
+  List.iter (fun p -> ok (Server.write_page srv v (path [ p ]) (bytes "w"))) writes;
+  commit_write srv f [ other ] "other";
+  let base = ok (Server.current_version srv f) in
+  ok (Server.commit srv v);
+  Alcotest.(check int) "won by merging" 1 (counter srv "commits.merged");
+  (v, base)
+
+(* Read pages [reads] of the winner [v] share their blocks with [base]. *)
+let check_shared what srv v base reads =
+  Alcotest.check paths_l (what ^ ": no read shadow") [] (snd (copied_and_shadows_of srv v));
+  let mine = root_children srv v and theirs = root_children srv base in
+  List.iter
     (fun p ->
-      let parent = List.filteri (fun i _ -> i < List.length p - 1) p in
-      (not (written_below p)) && (parent = [] || written_below parent))
-    accessed
+      Alcotest.(check int) (Printf.sprintf "%s: page %d shared with the base" what p) theirs.(p)
+        mine.(p))
+    reads
+
+let test_reshare_read_only_copies () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 5 in
+  let base = ok (Server.current_version srv f) in
+  let fast = ok (Server.create_version srv f) in
+  for p = 1 to 3 do
+    ignore (ok (Server.read_page srv fast (path [ p ])))
+  done;
+  ok (Server.write_page srv fast (path [ 0 ]) (bytes "fast"));
+  ok (Server.commit srv fast);
+  check_shared "fast path" srv fast base [ 1; 2; 3 ];
+  (* A read-modify-write of page 0 that also read pages 1..3, merged
+     past a write of page 4, reshares the same way. *)
+  let v, base = merged_winner srv f ~reads:[ 1; 2; 3 ] ~writes:[ 0 ] ~other:4 in
+  check_shared "merged" srv v base [ 1; 2; 3 ];
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "write kept" "w" (ok (Server.read_page srv cur (path [ 0 ])));
+  Helpers.check_bytes "merged write kept" "other" (ok (Server.read_page srv cur (path [ 4 ])));
+  for p = 1 to 3 do
+    Helpers.check_bytes
+      (Printf.sprintf "page %d reshared content" p)
+      (Printf.sprintf "p%d" p)
+      (ok (Server.read_page srv cur (path [ p ])))
+  done
+
+(* A merged winner [a] read /0.0 and wrote /1; its commit reshares its
+   read copy of /0. An older update that inserted under /0 then meets
+   [a] in its commit chain: neither [a]'s tree nor the map its admission
+   kept shows an access below /0, so the pre-test must not reject what
+   the tree walk accepts. *)
+let test_reshared_map_follows_tree () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 3 in
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.insert_page srv v ~parent:(path [ 0 ]) ~index:0 ()));
+  ok (Server.commit srv v);
+  let late = ok (Server.create_version srv f) in
+  ignore (ok (Server.insert_page srv late ~parent:(path [ 0 ]) ~index:1 ()));
+  let a = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv a (path [ 0; 0 ])));
+  ok (Server.write_page srv a (path [ 1 ]) (bytes "a"));
+  commit_write srv f [ 2 ] "c";
+  ok (Server.commit srv a);
+  Alcotest.(check int) "a won by merging" 1 (counter srv "commits.merged");
+  let block cap = ok (Server.version_block srv cap) in
+  (match Server.tracked_writeset srv (block a) with
+  | Some kept ->
+      Alcotest.check paths_l "a's kept map = its tree's copied paths"
+        (fst (copied_and_shadows_of srv a))
+        (List.map P.to_list (Writeset.paths kept))
+  | None -> Alcotest.fail "a's map was not kept");
+  (match
+     ok (Serialise.test_only (Server.pagestore srv) ~candidate:(block late) ~committed:(block a))
+   with
+  | Serialise.Serialisable _ -> ()
+  | Serialise.Conflict { reason; _ } -> Alcotest.failf "the walk rejects: %s" reason);
+  let shortcircuits = counter srv "commits.shortcircuit" in
+  let committed = Server.commit srv late in
+  Alcotest.(check int) "no short circuit" shortcircuits (counter srv "commits.shortcircuit");
+  match committed with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "the walk accepts, the commit answered %s" (Errors.to_string e)
+
+(* A merged winner that read eight pages frees its eight copies at
+   commit, unwritten: its publish writes its version page and the
+   reference alone, and a collection finds nothing of it to sweep. *)
+let test_reshare_then_sweep_reclaims_space () =
+  let store, stats = Store.counting (Store.memory ()) in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 9 in
+  let v = ok (Server.create_version srv f) in
+  for p = 0 to 7 do
+    ignore (ok (Server.read_page srv v (path [ p ])))
+  done;
+  let copies = Array.to_list (Array.sub (root_children srv v) 0 8) in
+  commit_write srv f [ 8 ] "other";
+  let _, before = stats () in
+  ok (Server.commit srv v);
+  let _, after = stats () in
+  Alcotest.(check int) "won by merging" 1 (counter srv "commits.merged");
+  Alcotest.(check int) "version page and reference written" 2 (after - before);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (Printf.sprintf "copy %d freed" b) false (List.mem b (allocated store)))
+    copies;
+  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 16; reshare = false } srv) in
+  Alcotest.(check int) "nothing left to sweep" 0 stats.Gc.blocks_freed;
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "merged write kept" "other" (ok (Server.read_page srv cur (path [ 8 ])))
+
+(* An open update copies a page of the current version, a merged winner
+   that already shares it with its own base. A collection while the
+   update is open leaves the page alone, and the update's fast-path
+   commit points its read copy back at that same block. *)
+let test_open_update_keeps_current_copies () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 3 in
+  let w, base = merged_winner srv f ~reads:[ 1 ] ~writes:[ 0 ] ~other:2 in
+  check_shared "merged" srv w base [ 1 ];
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (path [ 1 ])));
+  let stats = ok (Gc.collect srv) in
+  Alcotest.(check int) "nothing freed" 0 stats.Gc.blocks_freed;
+  ok (Server.write_page srv v (path [ 0 ]) (bytes "v"));
+  ok (Server.commit srv v);
+  check_shared "open update" srv v base [ 1 ];
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "read page intact" "p1" (ok (Server.read_page srv cur (path [ 1 ])))
+
+(* Only copies with no W or M at or below them go back to sharing: what
+   a winner wrote stays its own, on either path. *)
+let test_reshare_keeps_written_subtrees () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 3 in
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (path [ 2 ])));
+  ok (Server.write_page srv v (path [ 1 ]) (bytes "must stay"));
+  ok (Server.commit srv v);
+  Alcotest.check paths_l "fast path keeps its write" [ []; [ 1 ] ]
+    (fst (copied_and_shadows_of srv v));
+  let w, _ = merged_winner srv f ~reads:[ 1 ] ~writes:[ 2 ] ~other:0 in
+  Alcotest.check paths_l "merged keeps its write" [ []; [ 2 ] ] (fst (copied_and_shadows_of srv w));
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "write intact" "must stay" (ok (Server.read_page srv cur (path [ 1 ])));
+  Helpers.check_bytes "merged write intact" "w" (ok (Server.read_page srv cur (path [ 2 ])));
+  Helpers.check_bytes "other write intact" "other" (ok (Server.read_page srv cur (path [ 0 ])))
+
+(* {2 A commit leaves no read shadow}
+
+   Random read/write transactions over a two-level file. A transaction
+   commits on the fast path, or by a merge when a concurrent write of
+   [other] lands first. Either way, after the commit no C entry of the
+   committed tree lacks a W or M at or below it, and the tracked write
+   set names exactly the tree's copied paths. Contents always match a
+   model of the committed writes. *)
+
+let two_level_file srv =
+  let f = Helpers.file_with_pages srv 3 in
+  let v = ok (Server.create_version srv f) in
+  for i = 0 to 2 do
+    for j = 0 to 1 do
+      ignore
+        (ok
+           (Server.insert_page srv v ~parent:(path [ i ]) ~index:j
+              ~data:(bytes (Printf.sprintf "p%d.%d" i j)) ()))
+    done
+  done;
+  ok (Server.commit srv v);
+  f
+
+let two_level_paths = [] :: List.concat_map (fun i -> [ [ i ]; [ i; 0 ]; [ i; 1 ] ]) [ 0; 1; 2 ]
+
+let show_path p = "/" ^ String.concat "." (List.map string_of_int p)
 
 let run_shadow_history txns =
   let _, srv = Helpers.fresh_server () in
@@ -291,7 +326,6 @@ let run_shadow_history txns =
       let name = String.concat "." (List.map string_of_int p) in
       Hashtbl.replace model p (if p = [] then "root" else "p" ^ name))
     two_level_paths;
-  let paths_l = Alcotest.(list (list int)) in
   let check_contents what =
     let cur = ok (Server.current_version srv f) in
     List.iter
@@ -328,22 +362,23 @@ let run_shadow_history txns =
       | Error e -> Alcotest.failf "commit: %s" (Errors.to_string e));
       check_contents "committed contents";
       let vb = ok (Server.version_block srv v) in
-      if counter srv "commits.fastpath" > fast then begin
-        let copied, shadows = copied_and_shadows srv vb in
-        Alcotest.check paths_l "fast path: no read shadow" [] shadows;
-        match Server.tracked_writeset srv vb with
-        | Some ws ->
-            Alcotest.check paths_l "write set = copied paths" copied
-              (List.map P.to_list (Writeset.paths ws))
-        | None -> Alcotest.fail "fast-path winner lost its write set"
-      end
-      else if counter srv "commits.merged" > merged then begin
-        Alcotest.check paths_l "merged winner keeps its shadows" (implied_shadows ops)
-          (snd (copied_and_shadows srv vb));
-        ignore (ok (Gc.reshare_version srv vb));
-        Alcotest.check paths_l "reshared by the collector" [] (snd (copied_and_shadows srv vb));
-        check_contents "contents after resharing"
-      end)
+      let won =
+        if counter srv "commits.fastpath" > fast then Some "fast path"
+        else if counter srv "commits.merged" > merged then Some "merged winner"
+        else None
+      in
+      Option.iter
+        (fun how ->
+          let copied, shadows = copied_and_shadows srv vb in
+          if shadows <> [] then
+            Alcotest.failf "%s keeps its shadows: %s" how
+              (String.concat " " (List.map show_path shadows));
+          match Server.tracked_writeset srv vb with
+          | Some ws ->
+              Alcotest.check paths_l (how ^ ": write set = copied paths") copied
+                (List.map P.to_list (Writeset.paths ws))
+          | None -> Alcotest.failf "%s lost its write set" how)
+        won)
     txns;
   true
 
@@ -353,7 +388,6 @@ let prop_commit_leaves_no_read_shadow =
     map2 (fun i j -> if j < 0 then [ i ] else [ i; j ]) (int_range 0 2) (int_range (-1) 1)
   in
   let gen_txn = pair (list_size (int_range 1 6) (pair bool gen_path)) (opt gen_path) in
-  let show_path p = "/" ^ String.concat "." (List.map string_of_int p) in
   let show_txn (ops, other) =
     String.concat " " (List.map (fun (w, p) -> (if w then "W" else "R") ^ show_path p) ops)
     ^ match other with Some p -> " | other W" ^ show_path p | None -> ""
@@ -389,7 +423,7 @@ let test_gc_safety_never_frees_live () =
     expected.(fi).(p) <- value
   done;
   let before = allocated store in
-  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare = true } srv) in
+  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare = false } srv) in
   let remaining = allocated store in
   let live = ok (Gc.live_blocks srv) in
   List.iter
@@ -417,38 +451,33 @@ let test_collection_is_cache_neutral () =
      the cache afterwards is the cache before, in the same recency order,
      less the blocks the sweep freed. Dirty pages of an open update and
      stale entries are left as they were. *)
-  List.iter
-    (fun reshare ->
-      let store, srv = Helpers.fresh_server ~capacity:16 () in
-      let files = Array.init 3 (fun _ -> Helpers.file_with_pages srv 6) in
-      for round = 1 to 12 do
-        let v = ok (Server.create_version srv files.(round mod 3)) in
-        ignore (ok (Server.read_page srv v (path [ round mod 6 ])));
-        ok (Server.write_page srv v (path [ (round + 1) mod 6 ]) (bytes (string_of_int round)));
-        ok (Server.commit srv v)
-      done;
-      let open_update = ok (Server.create_version srv files.(0)) in
-      ok (Server.write_page srv open_update (path [ 2 ]) (bytes "dirty"));
-      let ps = Server.pagestore srv in
-      List.iteri (fun i b -> if i mod 3 = 0 then Pagestore.refresh ps b) (Pagestore.cached_blocks ps);
-      let hits = counter srv "cache.hits" and misses = counter srv "cache.misses" in
-      let cached = Pagestore.cached_blocks ps and dirty = Pagestore.dirty_count ps in
-      let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare } srv) in
-      let remaining = allocated store in
-      let label what = Printf.sprintf "%s (reshare %b)" what reshare in
-      Alcotest.(check bool) (label "something freed") true (stats.Gc.blocks_freed > 0);
-      Alcotest.(check int) (label "no hit counted") hits (counter srv "cache.hits");
-      Alcotest.(check int) (label "no miss counted") misses (counter srv "cache.misses");
-      Alcotest.(check (list int))
-        (label "only freed blocks left the cache, order kept")
-        (List.filter (fun b -> List.mem b remaining) cached)
-        (Pagestore.cached_blocks ps);
-      Alcotest.(check int) (label "dirty pages untouched") dirty (Pagestore.dirty_count ps);
-      ok (Server.commit srv open_update);
-      let cur = ok (Server.current_version srv files.(0)) in
-      Helpers.check_bytes (label "open update landed") "dirty"
-        (ok (Server.read_page srv cur (path [ 2 ]))))
-    [ false; true ]
+  let store, srv = Helpers.fresh_server ~capacity:16 () in
+  let files = Array.init 3 (fun _ -> Helpers.file_with_pages srv 6) in
+  for round = 1 to 12 do
+    let v = ok (Server.create_version srv files.(round mod 3)) in
+    ignore (ok (Server.read_page srv v (path [ round mod 6 ])));
+    ok (Server.write_page srv v (path [ (round + 1) mod 6 ]) (bytes (string_of_int round)));
+    ok (Server.commit srv v)
+  done;
+  let open_update = ok (Server.create_version srv files.(0)) in
+  ok (Server.write_page srv open_update (path [ 2 ]) (bytes "dirty"));
+  let ps = Server.pagestore srv in
+  List.iteri (fun i b -> if i mod 3 = 0 then Pagestore.refresh ps b) (Pagestore.cached_blocks ps);
+  let hits = counter srv "cache.hits" and misses = counter srv "cache.misses" in
+  let cached = Pagestore.cached_blocks ps and dirty = Pagestore.dirty_count ps in
+  let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare = false } srv) in
+  let remaining = allocated store in
+  Alcotest.(check bool) "something freed" true (stats.Gc.blocks_freed > 0);
+  Alcotest.(check int) "no hit counted" hits (counter srv "cache.hits");
+  Alcotest.(check int) "no miss counted" misses (counter srv "cache.misses");
+  Alcotest.(check (list int))
+    "only freed blocks left the cache, order kept"
+    (List.filter (fun b -> List.mem b remaining) cached)
+    (Pagestore.cached_blocks ps);
+  Alcotest.(check int) "dirty pages untouched" dirty (Pagestore.dirty_count ps);
+  ok (Server.commit srv open_update);
+  let cur = ok (Server.current_version srv files.(0)) in
+  Helpers.check_bytes "open update landed" "dirty" (ok (Server.read_page srv cur (path [ 2 ])))
 
 let test_dead_version_records_reclaimed () =
   (* After a collection with retention k, the server keeps no record of a
@@ -540,7 +569,7 @@ let test_background_collector_in_sim () =
     Afs_sim.Proc.spawn ~name:"gc" engine (fun () ->
         while Afs_sim.Engine.now engine < 2_000.0 do
           Afs_sim.Proc.delay 50.0;
-          let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare = true } srv) in
+          let stats = ok (Gc.collect ~policy:{ Gc.retain_committed = 2; reshare = false } srv) in
           freed := !freed + stats.Gc.blocks_freed;
           pruned := !pruned + stats.Gc.versions_pruned
         done)
@@ -570,8 +599,8 @@ let test_background_collector_in_sim () =
    The reference is the collector as it was before its reads went
    cache-neutral: roots walked again after the prune, every reachable
    block decoded in full through the page cache (inserting and
-   promoting as it goes), marks in a hash table. It shares only
-   resharing with [Gc.collect]. The property runs one random history on
+   promoting as it goes), marks in a hash table. It shares no code with
+   [Gc.collect]. The property runs one random history on
    twin servers in lockstep, collects one twin with [Gc.collect] and the
    other with the reference, and requires the same freed blocks and the
    same statistics, with every current page still readable. *)
@@ -594,22 +623,6 @@ let reference_mark ps marked root =
 
 let reference_collect ~(policy : Gc.policy) store srv =
   let ps = Server.pagestore srv in
-  let roots = reference_roots srv in
-  let pages_reshared =
-    if not policy.Gc.reshare then 0
-    else
-      List.fold_left
-        (fun acc (_, chain, uncommitted) ->
-          (* A file's current version is left alone while it has open
-             updates, as in [Gc.collect]. *)
-          let newest_first =
-            match (List.rev chain, uncommitted) with
-            | _ :: older, _ :: _ -> older
-            | all, _ -> all
-          in
-          List.fold_left (fun acc vb -> acc + ok (Gc.reshare_version srv vb)) acc newest_first)
-        0 roots
-  in
   let versions_pruned =
     List.fold_left
       (fun acc (cap, chain, _) ->
@@ -623,7 +636,7 @@ let reference_collect ~(policy : Gc.policy) store srv =
           ok (Server.note_pruned_chain srv cap ~new_oldest);
           acc + n - keep
         end)
-      0 roots
+      0 (reference_roots srv)
   in
   let marked = Hashtbl.create 256 in
   List.iter
@@ -639,7 +652,7 @@ let reference_collect ~(policy : Gc.policy) store srv =
         incr freed
       end)
     (allocated store);
-  { Gc.versions_pruned; pages_reshared; blocks_freed = !freed; blocks_live = Hashtbl.length marked }
+  { Gc.versions_pruned; blocks_freed = !freed; blocks_live = Hashtbl.length marked }
 
 (* Every page of a file's current version, depth first, as (path, data). *)
 let snapshot srv f =
@@ -765,11 +778,11 @@ let run_twins ~seed ~capacity ~(policy : Gc.policy) =
 
 let prop_collect_matches_reference =
   QCheck2.Test.make ~name:"collect frees what a full-decode mark frees" ~count:200
-    ~print:(fun (seed, retain, reshare, capacity) ->
-      Printf.sprintf "seed=%d retain=%d reshare=%b capacity=%d" seed retain reshare capacity)
-    QCheck2.Gen.(quad (int_range 1 100000) (int_range 1 4) bool (int_range 2 8))
-    (fun (seed, retain_committed, reshare, capacity) ->
-      match run_twins ~seed ~capacity ~policy:{ Gc.retain_committed; reshare } with
+    ~print:(fun (seed, retain, capacity) ->
+      Printf.sprintf "seed=%d retain=%d capacity=%d" seed retain capacity)
+    QCheck2.Gen.(triple (int_range 1 100000) (int_range 1 4) (int_range 2 8))
+    (fun (seed, retain_committed, capacity) ->
+      match run_twins ~seed ~capacity ~policy:{ Gc.retain_committed; reshare = false } with
       | collections -> collections >= 2
       | exception Diverged what -> QCheck2.Test.fail_reportf "twins diverged: %s" what)
 

@@ -380,6 +380,53 @@ let test_failed_publish_retried () =
   Helpers.check_bytes "the retried commit's page survived" "one"
     (ok (Server.read_page srv2 cur (P.of_list [ 0 ])))
 
+(* A later member merges over an earlier member of the same run, still
+   unpublished: [a] writes /0.1 and [b] reads /0.0. [b]'s read shadow of
+   /0 is pointed back at [a]'s page, which the same publish writes
+   first, and [b]'s own copies are freed unwritten. *)
+let test_batch_member_reshares_onto_member () =
+  let store = Store.memory () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let setup = ok (Server.create_version srv f) in
+  for j = 0 to 1 do
+    ignore
+      (ok
+         (Server.insert_page srv setup ~parent:(P.of_list [ 0 ]) ~index:j
+            ~data:(bytes (Printf.sprintf "p0.%d" j)) ()))
+  done;
+  ok (Server.commit srv setup);
+  let a = ok (Server.create_version srv f) in
+  ok (Server.write_page srv a (P.of_list [ 0; 1 ]) (bytes "a"));
+  let b = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv b (P.of_list [ 0; 0 ])));
+  ok (Server.write_page srv b (P.of_list [ 1 ]) (bytes "b"));
+  (match Server.commit_batch srv [ a; b ] with
+  | [ Ok (); Ok () ] -> ()
+  | _ -> Alcotest.fail "expected both members to commit");
+  Alcotest.(check int) "b merged over a" 1 (counter srv "commits.merged");
+  let child0 cap =
+    let vb = ok (Server.version_block srv cap) in
+    (ok (Pagestore.read (Server.pagestore srv) vb)).Page.refs.(0)
+  in
+  Alcotest.(check int) "b's /0 is a's page" (child0 a).Page.block (child0 b).Page.block;
+  Alcotest.(check bool) "with its flags cleared" true (Flags.equal Flags.clear (child0 b).Page.flags);
+  let check what srv =
+    let cur = ok (Server.current_version srv f) in
+    List.iter
+      (fun (p, expected) ->
+        Helpers.check_bytes
+          (Printf.sprintf "%s: /%s" what (String.concat "." (List.map string_of_int p)))
+          expected
+          (ok (Server.read_page srv cur (P.of_list p))))
+      [ ([ 0 ], "p0"); ([ 0; 0 ], "p0.0"); ([ 0; 1 ], "a"); ([ 1 ], "b") ]
+  in
+  check "after the publish" srv;
+  Server.crash srv;
+  let srv2 = recover store in
+  check_tree_readable srv2 f;
+  check "after recovery" srv2
+
 (* {3 A publish that landed although it failed}
 
    The store writes the whole publish batch and then loses the
@@ -441,6 +488,24 @@ let test_lost_ack_no_cycle () =
     (ok (Pagestore.peek_commit_ref (Server.pagestore srv) vb));
   check_current srv f ~page0:"one"
 
+(* The landed batch made the winner's pages durable: they are clean, so
+   no later flush or eviction writes them again. *)
+let test_lost_ack_pages_clean () =
+  let armed = ref false in
+  let store, stats = Store.counting (Helpers.lossy_store armed) in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 2 in
+  let v = ok (Server.create_version srv f) in
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "one"));
+  lost_ack srv v armed;
+  let ps = Server.pagestore srv in
+  Alcotest.(check int) "no dirty page" 0 (Pagestore.dirty_count ps);
+  let _, before = stats () in
+  ok (Pagestore.flush ps);
+  let _, after = stats () in
+  Alcotest.(check int) "a flush writes nothing" 0 (after - before);
+  check_current srv f ~page0:"one"
+
 (* A memory store whose writes all fail while [up] is false. *)
 let switchable_store () =
   let inner = Store.memory () in
@@ -472,6 +537,31 @@ let test_retry_after_dropped_shadows () =
   ok (Server.write_page srv w (P.of_list [ 1 ]) (bytes "w"));
   ok (Server.commit srv w);
   Helpers.expect_conflict (Server.commit srv v)
+
+(* The same with a merged win: its read copies were pointed back at its
+   new base's pages, so the retry cannot merge either. The interception
+   dooms it at once, with no pre-test. *)
+let test_retry_after_merged_shadows () =
+  let store, up = switchable_store () in
+  let srv = Server.create ~seed:7 store in
+  let f = Helpers.file_with_pages srv 3 in
+  let v = ok (Server.create_version srv f) in
+  ignore (ok (Server.read_page srv v (P.of_list [ 1 ])));
+  ok (Server.write_page srv v (P.of_list [ 0 ]) (bytes "v"));
+  let w = ok (Server.create_version srv f) in
+  ok (Server.write_page srv w (P.of_list [ 2 ]) (bytes "w"));
+  ok (Server.commit srv w);
+  failed_publish srv v up;
+  Alcotest.(check int) "merged before the failed publish" 1 (counter srv "commits.intercepted");
+  let x = ok (Server.create_version srv f) in
+  ok (Server.write_page srv x (P.of_list [ 1 ]) (bytes "x"));
+  ok (Server.commit srv x);
+  Helpers.expect_conflict (Server.commit srv v);
+  Alcotest.(check int) "intercepted again" 2 (counter srv "commits.intercepted");
+  Alcotest.(check int) "no pre-test" 0 (counter srv "commits.shortcircuit");
+  let cur = ok (Server.current_version srv f) in
+  Helpers.check_bytes "the retry's write is gone" "p0"
+    (ok (Server.read_page srv cur (P.of_list [ 0 ])))
 
 (* A merge adopts the committed version's child of a page the candidate
    only read, and then its publish fails. The retry wins at its new base
@@ -722,12 +812,15 @@ let () =
           quick "crash mid-publish is atomic per member" test_crash_mid_batch_atomic_per_member;
           quick "failed publish retried" test_failed_publish_retried;
           quick "retry after dropped shadows" test_retry_after_dropped_shadows;
+          quick "retry after merged shadows" test_retry_after_merged_shadows;
           quick "retry after a merge keeps adopted" test_retry_after_merge_keeps_adopted;
           quick "a losing member answers its redo" test_batch_loser_redoes;
           quick "repeated doomed member" test_batch_repeated_doomed_member;
           quick "lost ack: abort keeps it" test_lost_ack_then_abort;
           quick "lost ack: retry keeps it" test_lost_ack_then_retry;
           quick "lost ack: no self-successor" test_lost_ack_no_cycle;
+          quick "lost ack: pages left clean" test_lost_ack_pages_clean;
+          quick "member reshares onto a member" test_batch_member_reshares_onto_member;
         ] );
       ( "store writes",
         [
